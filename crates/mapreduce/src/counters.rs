@@ -87,9 +87,6 @@ pub mod keys {
     pub const STREAM_FALLBACKS: &str = "stream_fallbacks";
     /// Fallbacks because the split's fetcher has no streaming support.
     pub const STREAM_FALLBACK_UNSUPPORTED: &str = "stream_fallback_unsupported";
-    /// Fallbacks because predicate pushdown delivers pre-filtered frames
-    /// the chunk-granular streaming pipeline cannot assemble.
-    pub const STREAM_FALLBACK_PUSHDOWN: &str = "stream_fallback_pushdown";
     /// Heartbeats a node failed to deliver on time (hung, partitioned, or
     /// dead nodes miss every tick until declared dead or reinstated).
     pub const HEARTBEATS_MISSED: &str = "heartbeats_missed";

@@ -6,6 +6,8 @@
 //! HDFS blocks and flat PFS ranges (the PortHadoop mapping); `scidp` adds
 //! the scientific-slab fetcher on top of its Data Mapper.
 
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use simnet::{NodeId, Sim};
@@ -44,16 +46,13 @@ impl TaskInput {
 }
 
 /// Why a streaming fetch could not be opened for a split. The driver falls
-/// back to the one-shot [`SplitFetcher::fetch`] path and records the reason
-/// under [`crate::counters::keys::STREAM_FALLBACKS`] plus the per-reason key,
-/// so a job that silently loses read/compute overlap is visible in counters.
+/// back to the one-shot [`SplitFetcher::fetch`] and records the reason under
+/// [`crate::counters::keys::STREAM_FALLBACKS`] plus the per-reason key, so a
+/// job that silently loses read/compute overlap is visible in counters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StreamFallback {
     /// The split's fetcher has no streaming implementation.
     Unsupported,
-    /// Predicate pushdown pre-filters chunks into a frame, which the
-    /// chunk-granular streaming pipeline cannot assemble piecewise.
-    Pushdown,
 }
 
 impl StreamFallback {
@@ -62,7 +61,6 @@ impl StreamFallback {
         use crate::counters::keys;
         match self {
             StreamFallback::Unsupported => keys::STREAM_FALLBACK_UNSUPPORTED,
-            StreamFallback::Pushdown => keys::STREAM_FALLBACK_PUSHDOWN,
         }
     }
 }
@@ -122,11 +120,12 @@ pub struct FetchPiece {
 /// the attempt exactly like a batch fetch error.
 pub type PieceDone = Box<dyn FnOnce(&mut Sim, Result<FetchPiece, MrError>)>;
 
-/// A streaming view of one split's fetch: the driver pulls pieces in index
-/// order through a bounded prefetch window, overlapping in-flight reads
-/// with per-piece map compute, then calls [`PieceStream::finish`] once all
-/// pieces have arrived to assemble the same [`FetchResult`] the batch path
-/// would have produced (byte-identical by construction).
+/// One split's fetch as a sequence of pieces — the only read state machine
+/// a piece-wise fetcher implements. The driver pulls pieces in index order
+/// through a bounded prefetch window, overlapping in-flight reads with
+/// per-piece map compute, then calls [`PieceStream::finish`] once all have
+/// arrived; the fetcher's batch [`SplitFetcher::fetch`] is
+/// [`collect_stream`] over the same stream, so both deliver the same bytes.
 pub trait PieceStream {
     /// Number of pieces this stream will deliver (fixed at open time).
     fn n_pieces(&self) -> usize;
@@ -202,6 +201,125 @@ pub fn retag_stream(inner: Box<dyn PieceStream>, tag: String) -> Box<dyn PieceSt
         }
     }
     Box::new(Retag { inner, tag })
+}
+
+/// Progress of one [`collect_stream`].
+#[derive(Default)]
+struct Collect {
+    next_issue: usize,
+    arrived: usize,
+    charges: Vec<(&'static str, f64)>,
+    counters: Vec<(&'static str, f64)>,
+    /// Taken by the first failure or by the last arrival, whichever comes
+    /// first — `done` runs exactly once.
+    done: Option<FetchDone>,
+}
+
+/// Add `items` into `acc`, summing amounts that share a name and keeping
+/// first-seen order.
+fn add_named(acc: &mut Vec<(&'static str, f64)>, items: Vec<(&'static str, f64)>) {
+    for (name, v) in items {
+        match acc.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, sum)) => *sum += v,
+            None => acc.push((name, v)),
+        }
+    }
+}
+
+/// The batch fetch of a streaming fetcher: issue every piece of `stream`
+/// in index order, at most `window` in flight, then [`PieceStream::finish`]
+/// and hand `done` one [`FetchResult`] carrying the per-phase sums of the
+/// piece charges and counters followed by the finish-level ones. The first
+/// failing piece fails the fetch (once) and stops further issues.
+/// `window = n_pieces` reads everything in parallel; `window = 1` is
+/// back-to-back requests.
+pub fn collect_stream(
+    stream: Rc<dyn PieceStream>,
+    env: &MrEnv,
+    sim: &mut Sim,
+    node: NodeId,
+    window: usize,
+    done: FetchDone,
+) {
+    if stream.n_pieces() == 0 {
+        // Nothing to transfer (everything cached or pruned).
+        sim.after(0.0, move |sim| done(sim, stream.finish()));
+        return;
+    }
+    let st = Rc::new(RefCell::new(Collect {
+        done: Some(done),
+        ..Collect::default()
+    }));
+    issue_window(&stream, env, sim, node, window.max(1), &st);
+}
+
+/// Top up the window of [`collect_stream`]; each arrival refills it or, if
+/// it was the last, assembles the result.
+fn issue_window(
+    stream: &Rc<dyn PieceStream>,
+    env: &MrEnv,
+    sim: &mut Sim,
+    node: NodeId,
+    window: usize,
+    st: &Rc<RefCell<Collect>>,
+) {
+    let n = stream.n_pieces();
+    loop {
+        let idx = {
+            let mut s = st.borrow_mut();
+            if s.done.is_none() || s.next_issue >= n || s.next_issue - s.arrived >= window {
+                return;
+            }
+            s.next_issue += 1;
+            s.next_issue - 1
+        };
+        let (stream2, env2, st2) = (stream.clone(), env.clone(), st.clone());
+        stream.fetch_piece(
+            env,
+            sim,
+            node,
+            idx,
+            Box::new(move |sim, res| {
+                let mut s = st2.borrow_mut();
+                let failure = match res {
+                    Ok(piece) => {
+                        s.arrived += 1;
+                        add_named(&mut s.charges, piece.charges);
+                        add_named(&mut s.counters, piece.counters);
+                        if s.arrived < n {
+                            drop(s);
+                            return issue_window(&stream2, &env2, sim, node, window, &st2);
+                        }
+                        None
+                    }
+                    Err(e) => Some(e),
+                };
+                // First failure or last arrival — unless a sibling piece
+                // failed this fetch already.
+                let Some(done) = s.done.take() else {
+                    return;
+                };
+                let (mut charges, mut counters) = (
+                    std::mem::take(&mut s.charges),
+                    std::mem::take(&mut s.counters),
+                );
+                drop(s);
+                let result = match failure {
+                    Some(e) => Err(e),
+                    None => stream2.finish().map(|mut fr| {
+                        add_named(&mut charges, std::mem::take(&mut fr.charges));
+                        add_named(&mut counters, std::mem::take(&mut fr.counters));
+                        FetchResult {
+                            charges,
+                            counters,
+                            ..fr
+                        }
+                    }),
+                };
+                done(sim, result);
+            }),
+        );
+    }
 }
 
 /// One unit of map work.
@@ -312,7 +430,7 @@ impl SplitFetcher for HdfsBlockFetcher {
         // in attempt-local counters — exact under concurrent fetches (a
         // cluster-wide stats delta would absorb overlapping reads) and under
         // retries (a failed attempt's events are dropped with it).
-        let done_cell = std::rc::Rc::new(std::cell::RefCell::new(Some(done)));
+        let done_cell = Rc::new(RefCell::new(Some(done)));
         let dc = done_cell.clone();
         let res = hdfs::read_block_with_events(
             sim,
@@ -382,10 +500,8 @@ pub struct FlatPfsFetcher {
 }
 
 impl FlatPfsFetcher {
-    /// The byte ranges one fetch covers, in read-issue order (shared by the
-    /// batch and streaming paths so both consume fault-plan entries in the
-    /// same per-path order).
-    fn ranges(&self) -> Vec<(u64, u64)> {
+    /// The fetch as a stream: one piece per byte range, in read-issue order.
+    fn stream(&self) -> FlatPieceStream {
         let k = self.sequential_chunks.max(1) as u64;
         let chunk = self.len.div_ceil(k);
         let mut ranges = Vec::new();
@@ -399,61 +515,21 @@ impl FlatPfsFetcher {
         if ranges.is_empty() {
             ranges.push((self.offset, 0));
         }
-        ranges
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn read_chunks(
-        env: MrEnv,
-        sim: &mut Sim,
-        node: NodeId,
-        path: String,
-        ranges: Vec<(u64, u64)>,
-        idx: usize,
-        mut acc: Vec<u8>,
-        done: FetchDone,
-    ) {
-        if idx >= ranges.len() {
-            done(sim, Ok(FetchResult::plain(TaskInput::Bytes(acc))));
-            return;
-        }
-        let (off, len) = ranges[idx];
-        let env2 = env.clone();
-        let path2 = path.clone();
-        let done_cell = std::rc::Rc::new(std::cell::RefCell::new(Some(done)));
-        let dc = done_cell.clone();
-        let res = pfs::read_at(
-            sim,
-            &env.topo,
-            &env.pfs,
-            node,
-            &path,
-            off as usize,
-            len as usize,
-            move |sim, bytes| {
-                let Some(done) = dc.borrow_mut().take() else {
-                    return;
-                };
-                acc.extend_from_slice(&bytes);
-                FlatPfsFetcher::read_chunks(env2, sim, node, path2, ranges, idx + 1, acc, done);
-            },
-        );
-        if let Err(e) = res {
-            if let Some(done) = done_cell.borrow_mut().take() {
-                let e = MrError::msg(format!("pfs: {e}"));
-                sim.after(0.0, move |sim| done(sim, Err(e)));
-            }
+        FlatPieceStream {
+            path: self.pfs_path.clone(),
+            ranges,
+            parts: Rc::default(),
         }
     }
 }
 
-/// Streaming view of a [`FlatPfsFetcher`]: one piece per read request,
-/// parts re-assembled in range order at [`PieceStream::finish`] so the
-/// result is byte-identical to the batch path.
+/// The fetch of a [`FlatPfsFetcher`]: one piece per read request, parts
+/// re-assembled in range order at [`PieceStream::finish`].
 struct FlatPieceStream {
     path: String,
     ranges: Vec<(u64, u64)>,
-    parts: Rc<std::cell::RefCell<Vec<Option<Vec<u8>>>>>,
+    /// Arrived parts by piece index.
+    parts: Rc<RefCell<BTreeMap<usize, Vec<u8>>>>,
 }
 
 impl PieceStream for FlatPieceStream {
@@ -462,9 +538,14 @@ impl PieceStream for FlatPieceStream {
     }
 
     fn fetch_piece(&self, env: &MrEnv, sim: &mut Sim, node: NodeId, idx: usize, done: PieceDone) {
-        let (off, len) = self.ranges[idx];
-        let slots = self.parts.clone();
-        let done_cell = std::rc::Rc::new(std::cell::RefCell::new(Some(done)));
+        let Some(&(off, len)) = self.ranges.get(idx) else {
+            // The piece schedulers only issue indices < n_pieces().
+            let e = MrError::msg(format!("piece {idx} out of range"));
+            sim.after(0.0, move |sim| done(sim, Err(e)));
+            return;
+        };
+        let parts = self.parts.clone();
+        let done_cell = Rc::new(RefCell::new(Some(done)));
         let dc = done_cell.clone();
         let res = pfs::read_at(
             sim,
@@ -478,7 +559,7 @@ impl PieceStream for FlatPieceStream {
                 let Some(done) = dc.borrow_mut().take() else {
                     return;
                 };
-                slots.borrow_mut()[idx] = Some(bytes.to_vec());
+                parts.borrow_mut().insert(idx, bytes);
                 done(
                     sim,
                     Ok(FetchPiece {
@@ -498,29 +579,19 @@ impl PieceStream for FlatPieceStream {
     }
 
     fn finish(&self) -> Result<FetchResult, MrError> {
-        let mut acc = Vec::new();
-        for (i, p) in self.parts.borrow_mut().iter_mut().enumerate() {
-            match p.take() {
-                Some(bytes) => acc.extend_from_slice(&bytes),
-                None => return Err(MrError::msg(format!("stream piece {i} missing at finish"))),
-            }
+        let parts = std::mem::take(&mut *self.parts.borrow_mut());
+        if let Some(i) = (0..self.ranges.len()).find(|i| !parts.contains_key(i)) {
+            return Err(MrError::msg(format!("stream piece {i} missing at finish")));
         }
-        Ok(FetchResult::plain(TaskInput::Bytes(acc)))
+        let parts: Vec<Vec<u8>> = parts.into_values().collect();
+        Ok(FetchResult::plain(TaskInput::Bytes(parts.concat())))
     }
 }
 
 impl SplitFetcher for FlatPfsFetcher {
     fn fetch(&self, env: &MrEnv, sim: &mut Sim, node: NodeId, done: FetchDone) {
-        FlatPfsFetcher::read_chunks(
-            env.clone(),
-            sim,
-            node,
-            self.pfs_path.clone(),
-            self.ranges(),
-            0,
-            Vec::new(),
-            done,
-        );
+        // Back-to-back requests: one read in flight at a time.
+        collect_stream(Rc::new(self.stream()), env, sim, node, 1, done);
     }
 
     fn open_stream(
@@ -529,13 +600,7 @@ impl SplitFetcher for FlatPfsFetcher {
         _sim: &mut Sim,
         _node: NodeId,
     ) -> Result<Box<dyn PieceStream>, StreamFallback> {
-        let ranges = self.ranges();
-        let parts = Rc::new(std::cell::RefCell::new(vec![None; ranges.len()]));
-        Ok(Box::new(FlatPieceStream {
-            path: self.pfs_path.clone(),
-            ranges,
-            parts,
-        }))
+        Ok(Box::new(self.stream()))
     }
 
     fn describe(&self) -> String {
@@ -568,6 +633,120 @@ impl SplitFetcher for InMemoryFetcher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::Cluster;
+
+    /// A stream of `n` pieces that each take 1 s, logging `(piece, issue
+    /// time)`; piece `fail_at` (if any) errors instead of arriving.
+    struct FakeStream {
+        n: usize,
+        fail_at: Option<usize>,
+        issued: Rc<RefCell<Vec<(usize, f64)>>>,
+    }
+
+    impl PieceStream for FakeStream {
+        fn n_pieces(&self) -> usize {
+            self.n
+        }
+        fn fetch_piece(&self, _: &MrEnv, sim: &mut Sim, _: NodeId, idx: usize, done: PieceDone) {
+            self.issued.borrow_mut().push((idx, sim.now().secs()));
+            let res = if self.fail_at == Some(idx) {
+                Err(MrError::msg(format!("piece {idx} failed")))
+            } else {
+                Ok(FetchPiece {
+                    bytes: 1,
+                    charges: vec![("decompress", 0.5)],
+                    counters: vec![("pieces", 1.0)],
+                })
+            };
+            sim.after(1.0, move |sim| done(sim, res));
+        }
+        fn finish(&self) -> Result<FetchResult, MrError> {
+            let mut fr = FetchResult::plain(TaskInput::Bytes(vec![7; self.n]));
+            fr.charges = vec![("cache_read", 0.25), ("decompress", 1.0)];
+            fr.counters = vec![("hits", 2.0)];
+            Ok(fr)
+        }
+    }
+
+    /// Collect a [`FakeStream`]; returns the issue log and every result
+    /// `done` was called with, stamped with its simulated time.
+    #[allow(clippy::type_complexity)]
+    fn collect_fake(
+        n: usize,
+        window: usize,
+        fail_at: Option<usize>,
+    ) -> (Vec<(usize, f64)>, Vec<(f64, Result<FetchResult, MrError>)>) {
+        let mut c = Cluster::new(
+            simnet::ClusterSpec::default(),
+            pfs::PfsConfig::default(),
+            1 << 16,
+            1,
+            simnet::CostModel::default(),
+        );
+        let issued = Rc::new(RefCell::new(Vec::new()));
+        let stream = Rc::new(FakeStream {
+            n,
+            fail_at,
+            issued: issued.clone(),
+        });
+        let results = Rc::new(RefCell::new(Vec::new()));
+        let r = results.clone();
+        let env = c.env();
+        collect_stream(
+            stream,
+            &env,
+            &mut c.sim,
+            NodeId(0),
+            window,
+            Box::new(move |sim, res| r.borrow_mut().push((sim.now().secs(), res))),
+        );
+        c.run();
+        let issued = issued.borrow().clone();
+        let results = std::mem::take(&mut *results.borrow_mut());
+        (issued, results)
+    }
+
+    #[test]
+    fn window_one_issues_pieces_in_order_one_at_a_time() {
+        let (issued, results) = collect_fake(4, 1, None);
+        assert_eq!(issued, vec![(0, 0.0), (1, 1.0), (2, 2.0), (3, 3.0)]);
+        let [(t, Ok(fr))] = &results[..] else {
+            panic!("done must run exactly once, with the result");
+        };
+        assert_eq!(*t, 4.0, "delivered when the last piece lands");
+        // Piece sums first, finish-level amounts folded in by name.
+        assert_eq!(fr.charges, vec![("decompress", 3.0), ("cache_read", 0.25)]);
+        assert_eq!(fr.counters, vec![("pieces", 4.0), ("hits", 2.0)]);
+        assert!(matches!(&fr.input, TaskInput::Bytes(b) if b.len() == 4));
+    }
+
+    #[test]
+    fn full_window_issues_every_piece_at_the_same_instant() {
+        let (issued, results) = collect_fake(4, 4, None);
+        assert_eq!(issued, vec![(0, 0.0), (1, 0.0), (2, 0.0), (3, 0.0)]);
+        assert_eq!(results.len(), 1);
+        assert_eq!(results[0].0, 1.0, "all reads ran in parallel");
+        // An empty stream still completes, on the next event.
+        let (issued, results) = collect_fake(0, 0, None);
+        assert!(issued.is_empty());
+        assert!(matches!(&results[..], [(t, Ok(_))] if *t == 0.0));
+    }
+
+    #[test]
+    fn failing_piece_calls_done_exactly_once_and_stops_issuing() {
+        // Parallel window: siblings of the failing piece still land, but
+        // `done` has already run.
+        let (issued, results) = collect_fake(4, 4, Some(1));
+        assert_eq!(issued.len(), 4);
+        let [(_, Err(e))] = &results[..] else {
+            panic!("done must run exactly once, with the error");
+        };
+        assert_eq!(e.message(), "piece 1 failed");
+        // Sequential window: nothing is issued after the failure.
+        let (issued, results) = collect_fake(4, 1, Some(1));
+        assert_eq!(issued, vec![(0, 0.0), (1, 1.0)]);
+        assert!(matches!(&results[..], [(t, Err(_))] if *t == 2.0));
+    }
 
     #[test]
     fn task_input_sizes() {

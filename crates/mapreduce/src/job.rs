@@ -457,8 +457,8 @@ impl JobResult {
     }
 
     /// Streaming-fallback summary from the counters: committed map tasks
-    /// that asked for the streaming fetch path but took the batch path,
-    /// with per-reason counts. `None` when no task fell back.
+    /// that asked for the streaming fetch path but whose fetcher has none.
+    /// `None` when no task fell back.
     pub fn stream_fallbacks(&self) -> Option<String> {
         let c = &self.counters;
         let total = c.get(keys::STREAM_FALLBACKS);
@@ -466,9 +466,8 @@ impl JobResult {
             return None;
         }
         Some(format!(
-            "{total:.0} stream fallback(s) ({:.0} unsupported fetcher, {:.0} pushdown)",
+            "{total:.0} stream fallback(s) ({:.0} unsupported fetcher)",
             c.get(keys::STREAM_FALLBACK_UNSUPPORTED),
-            c.get(keys::STREAM_FALLBACK_PUSHDOWN),
         ))
     }
 }
@@ -2795,10 +2794,9 @@ mod tests {
         let r = run_job(&mut c, job).unwrap();
         assert_eq!(r.counters.get(keys::STREAM_FALLBACKS), 4.0);
         assert_eq!(r.counters.get(keys::STREAM_FALLBACK_UNSUPPORTED), 4.0);
-        assert_eq!(r.counters.get(keys::STREAM_FALLBACK_PUSHDOWN), 0.0);
         assert_eq!(
             r.stream_fallbacks().as_deref(),
-            Some("4 stream fallback(s) (4 unsupported fetcher, 0 pushdown)")
+            Some("4 stream fallback(s) (4 unsupported fetcher)")
         );
         // With streaming off the counter stays silent.
         let mut c2 = small_cluster(2, 2);

@@ -367,8 +367,8 @@ impl mapreduce::SplitFetcher for TaggedSciFetcher {
         sim: &mut simnet::Sim,
         node: simnet::NodeId,
     ) -> Result<Box<dyn mapreduce::PieceStream>, mapreduce::StreamFallback> {
-        // Forward the inner fetcher's fallback reason unchanged (e.g.
-        // `Pushdown` from the slab reader) so the counter tags stay honest.
+        // Forward the inner fetcher's fallback reason unchanged so the
+        // counter tags stay honest.
         let inner = self.inner.open_stream(env, sim, node)?;
         Ok(mapreduce::retag_stream(inner, encode_tag(&self.inner)))
     }

@@ -4,11 +4,19 @@
 //! Each map task spawns its own reader; the reader resolves its slab to the
 //! intersecting compressed chunks, issues **one whole-extent read per
 //! chunk** (SciDP "reads the entire block in a single I/O request to
-//! maximize the bandwidth", vs. original Hadoop's 64 KB record reads), all
-//! chunks in parallel, decompresses, and assembles the hyperslab into a
-//! typed array. With many tasks running across nodes, many readers hit the
-//! PFS concurrently — that aggregate parallel read is Figure 6's "SciDP"
-//! series.
+//! maximize the bandwidth", vs. original Hadoop's 64 KB record reads),
+//! decompresses, and assembles the hyperslab into a typed array — or,
+//! under predicate pushdown, into the filtered frame. With many tasks
+//! running across nodes, many readers hit the PFS concurrently — that
+//! aggregate parallel read is Figure 6's "SciDP" series.
+//!
+//! There is one read path: `SciSlabFetcher::plan_chunks` walks the tiers
+//! once per fetch (range check → quarantine → zone-map prune → job cache →
+//! cluster tier) and what is left is a `SlabPieceStream`, one piece per
+//! chunk still to read (PFS read → CRC verify → re-read repair →
+//! quarantine → decompress → admit). The driver streams the pieces through
+//! its prefetch window; the batch fetch is `mapreduce::collect_stream` over
+//! the same stream with every chunk in flight at once.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
@@ -17,43 +25,94 @@ use std::sync::Arc;
 
 use mapreduce::counters::keys;
 use mapreduce::{
-    FetchDone, FetchPiece, FetchResult, MrEnv, MrError, PieceDone, PieceStream, SplitFetcher,
-    StreamFallback, TaskInput,
+    collect_stream, FetchDone, FetchPiece, FetchResult, MrEnv, MrError, PieceDone, PieceStream,
+    SplitFetcher, StreamFallback, TaskInput,
 };
 use rframe::{MatchBound, Predicate};
 use scifmt::hyperslab;
 use scifmt::snc::{assemble_slab, chunk_extents_of, ChunkCache, SncFile, DEFAULT_CACHE_BYTES};
-use scifmt::VarMeta;
+use scifmt::{ChunkExtent, VarMeta};
 use simnet::{NodeId, Sim};
 
 use crate::pushdown::{assemble_frame, chunk_col_stats};
 
-/// Events the chunk-integrity machinery recorded during one fetch.
-#[derive(Default)]
-struct IntegrityEvents {
-    verified_bytes: u64,
-    detected: u64,
-    repaired: u64,
-}
+/// Decoded chunks of one slab fetch, by linear chunk index.
+type Collected = Rc<RefCell<HashMap<usize, Arc<Vec<u8>>>>>;
 
-/// Completion of one verified chunk-extent read: the compressed frame, or
-/// the error that kills this attempt.
-type FrameDone = Box<dyn FnOnce(&mut Sim, Result<Vec<u8>, MrError>)>;
-
-/// One chunk-extent read with end-to-end verification and repair.
+/// One chunk-extent read with end-to-end verification and repair, and
+/// everything its arrival needs to decode and admit the chunk.
 struct ChunkRead {
     env: MrEnv,
     node: NodeId,
-    pfs_path: Rc<String>,
-    idx: usize,
-    offset: u64,
-    clen: u64,
-    /// CRC-32C the SNC builder stored for this chunk's compressed frame.
-    crc: u32,
-    events: Rc<RefCell<IntegrityEvents>>,
-    cache: Arc<ChunkCache>,
-    file_key: u64,
-    done: RefCell<Option<FrameDone>>,
+    fetcher: Rc<SciSlabFetcher>,
+    chunk: ChunkExtent,
+    /// The chunk's key in the job cache and the cluster tier.
+    key: simnet::ChunkKey,
+    collected: Collected,
+    decompress_cost: f64,
+    /// Deliveries of this chunk that failed CRC verification.
+    detected: Cell<u64>,
+    done: RefCell<Option<PieceDone>>,
+}
+
+impl ChunkRead {
+    /// Kill the attempt (once) on the next event.
+    fn fail(&self, sim: &mut Sim, e: MrError) {
+        if let Some(done) = self.done.borrow_mut().take() {
+            sim.after(0.0, move |sim| done(sim, Err(e)));
+        }
+    }
+
+    /// A verified frame landed (`attempt` 1 = the repair re-read): decode
+    /// it, admit it to the job cache and — placement permitting — the
+    /// cluster tier, and report the piece.
+    fn deliver(&self, sim: &mut Sim, frame: Vec<u8>, attempt: u32) {
+        let Some(done) = self.done.borrow_mut().take() else {
+            return;
+        };
+        let idx = self.chunk.index;
+        // Real decode of the real (verified) chunk bytes, timed for the
+        // Fig. 7 Read/Convert decomposition.
+        // scilint::allow(d-wallclock, reason = "measures real host decompress cost for the Fig. 7 diagnostic; never feeds back into virtual time")
+        let t0 = std::time::Instant::now();
+        let raw = match scifmt::codec::decompress(&frame) {
+            Ok(raw) => Arc::new(raw),
+            Err(e) => {
+                let e = MrError::msg(format!("snc chunk {idx} decode: {e:?}"));
+                return done(sim, Err(e));
+            }
+        };
+        let decode_s = t0.elapsed().as_secs_f64();
+        self.fetcher.cache.insert(self.key, raw.clone());
+        // The registry itself refuses quarantined or oversized entries and
+        // no-ops while the tier is disabled.
+        if let Some(pinned) = self.fetcher.cluster_admit {
+            self.env
+                .cluster_cache
+                .insert(self.node, self.key, raw.clone(), pinned);
+        }
+        self.collected.borrow_mut().insert(idx, raw);
+        let mut counters = vec![
+            (keys::CHUNK_CACHE_MISSES, 1.0),
+            (keys::CODEC_DECODE_S, decode_s),
+        ];
+        // Integrity counters only exist when their event happened, so
+        // fault-free counter sets carry no zero rows.
+        let integrity = [
+            (keys::CHECKSUM_VERIFIED_BYTES, frame.len() as f64),
+            (keys::CORRUPTION_DETECTED, self.detected.get() as f64),
+            (keys::CORRUPTION_REPAIRED, attempt as f64),
+        ];
+        counters.extend(integrity.into_iter().filter(|&(_, v)| v > 0.0));
+        done(
+            sim,
+            Ok(FetchPiece {
+                bytes: self.chunk.rlen,
+                charges: vec![("decompress", self.decompress_cost)],
+                counters,
+            }),
+        );
+    }
 }
 
 /// Issue (or re-issue) the timed PFS read of a chunk extent, verifying the
@@ -62,8 +121,7 @@ struct ChunkRead {
 /// flip repairs — the store is clean); a second mismatch quarantines the
 /// chunk and fails the attempt with an `IntegrityError` rather than ever
 /// decoding wrong bytes. Returns the synchronous error of the *initial*
-/// `read_at` call so the caller can stop issuing sibling reads (re-read
-/// errors are routed through `done` instead).
+/// `read_at` call (re-read errors fail the piece directly).
 fn chunk_read_attempt(sim: &mut Sim, st: Rc<ChunkRead>, attempt: u32) -> Result<(), pfs::PfsError> {
     let st2 = st.clone();
     pfs::read_at(
@@ -71,51 +129,42 @@ fn chunk_read_attempt(sim: &mut Sim, st: Rc<ChunkRead>, attempt: u32) -> Result<
         &st.env.topo,
         &st.env.pfs,
         st.node,
-        &st.pfs_path,
-        st.offset as usize,
-        st.clen as usize,
+        &st.fetcher.pfs_path,
+        st.chunk.offset as usize,
+        st.chunk.clen as usize,
         move |sim, frame| {
-            if scirng::crc32c(&frame) == st2.crc {
-                {
-                    let mut ev = st2.events.borrow_mut();
-                    ev.verified_bytes += frame.len() as u64;
-                    if attempt > 0 {
-                        ev.repaired += 1;
-                    }
-                }
-                if let Some(d) = st2.done.borrow_mut().take() {
-                    d(sim, Ok(frame));
+            let st = st2;
+            if scirng::crc32c(&frame) == st.chunk.crc {
+                return st.deliver(sim, frame, attempt);
+            }
+            st.detected.set(st.detected.get() + 1);
+            if attempt == 0 {
+                if let Err(e) = chunk_read_attempt(sim, st.clone(), 1) {
+                    st.fail(
+                        sim,
+                        MrError::msg(format!("pfs: {e} ({})", st.fetcher.pfs_path)),
+                    );
                 }
                 return;
             }
-            st2.events.borrow_mut().detected += 1;
-            if attempt == 0 {
-                let st3 = st2.clone();
-                if let Err(e) = chunk_read_attempt(sim, st3, 1) {
-                    if let Some(d) = st2.done.borrow_mut().take() {
-                        let e = MrError::msg(format!("pfs: {e} ({})", st2.pfs_path));
-                        sim.after(0.0, move |sim| d(sim, Err(e)));
-                    }
-                }
-            } else {
-                st2.cache.quarantine((st2.file_key, st2.offset));
-                // The cluster tier must never outlive the quarantine: purge
-                // any resident copy on every node and block re-admission.
-                st2.env.cluster_cache.quarantine((st2.file_key, st2.offset));
-                if let Some(d) = st2.done.borrow_mut().take() {
-                    let e = MrError::msg(format!(
-                        "IntegrityError: chunk {} of {} failed crc32c verification twice; \
-                         chunk quarantined",
-                        st2.idx, st2.pfs_path
-                    ));
-                    sim.after(0.0, move |sim| d(sim, Err(e)));
-                }
-            }
+            st.fetcher.cache.quarantine(st.key);
+            // The cluster tier must never outlive the quarantine: purge
+            // any resident copy on every node and block re-admission.
+            st.env.cluster_cache.quarantine(st.key);
+            st.fail(
+                sim,
+                MrError::msg(format!(
+                    "IntegrityError: chunk {} of {} failed crc32c verification twice; \
+                     chunk quarantined",
+                    st.chunk.index, st.fetcher.pfs_path
+                )),
+            );
         },
     )
 }
 
 /// Fetches one scientific dummy block (a variable hyperslab) from the PFS.
+#[derive(Clone)]
 pub struct SciSlabFetcher {
     pub pfs_path: String,
     pub var: Arc<VarMeta>,
@@ -141,327 +190,160 @@ pub struct SciSlabFetcher {
     pub cluster_admit: Option<bool>,
 }
 
-impl SplitFetcher for SciSlabFetcher {
-    fn fetch(&self, env: &MrEnv, sim: &mut Sim, node: NodeId, done: FetchDone) {
+impl SciSlabFetcher {
+    /// Linear ids of the chunks the slab intersects, and the variable's
+    /// chunk extents they index into.
+    fn slab_chunks(&self) -> (Vec<usize>, Vec<ChunkExtent>) {
         let shape = self.var.shape();
-        let ids =
-            hyperslab::chunks_for_slab(&shape, &self.var.chunk_shape, &self.start, &self.count);
-        let extents = chunk_extents_of(&self.var, self.data_offset);
-        // Consult the node-local cache first: chunks another task of this
-        // job already decompressed need neither the PFS read nor the
-        // decompression charge.
+        (
+            hyperslab::chunks_for_slab(&shape, &self.var.chunk_shape, &self.start, &self.count),
+            chunk_extents_of(&self.var, self.data_offset),
+        )
+    }
+
+    fn dim_names(&self) -> Vec<String> {
+        self.var.dims.iter().map(|d| d.name.clone()).collect()
+    }
+
+    /// The predicate to push down, if any. Zone-map pruning is only
+    /// meaningful for real (rank >= 1) arrays; a rank-0 variable stays
+    /// dense even under pushdown.
+    fn predicate(&self) -> Option<&Arc<Predicate>> {
+        self.pushdown.as_ref().filter(|_| !self.var.dims.is_empty())
+    }
+
+    /// The open-time tier walk, in this order for every chunk of the slab:
+    /// range check → quarantine → zone-map prune → job cache → cluster
+    /// tier. What survives all of them becomes a piece to read from the
+    /// PFS; a chunk that fails the first two dooms the whole plan, which
+    /// then holds a single piece that fails with zero PFS traffic.
+    fn plan_chunks(&self, env: &MrEnv, sim: &Sim, node: NodeId) -> SlabPieceStream {
+        let (ids, extents) = self.slab_chunks();
         let file_key = ChunkCache::file_key(&self.pfs_path);
-        // Zone-map pruning is only meaningful for real (rank >= 1) arrays;
-        // a rank-0 variable keeps the dense path even under pushdown.
-        let plan = if shape.is_empty() {
-            None
-        } else {
-            self.pushdown.clone()
+        let pushdown = self.predicate().map(|pred| (pred, self.dim_names()));
+        let mut plan = SlabPieceStream {
+            fetcher: Rc::new(self.clone()),
+            file_key,
+            pieces: Vec::new(),
+            collected: Collected::default(),
+            skipped: HashSet::new(),
+            counters: Vec::new(),
+            charges: Vec::new(),
         };
-        let grid = hyperslab::chunk_grid(&shape, &self.var.chunk_shape);
-        let dims: Vec<String> = self.var.dims.iter().map(|d| d.name.clone()).collect();
-        let collected: Rc<RefCell<HashMap<usize, Arc<Vec<u8>>>>> =
-            Rc::new(RefCell::new(HashMap::new()));
-        let mut needed: Vec<(usize, u64, u64, u64, u32)> = Vec::new();
-        let mut skipped: HashSet<usize> = HashSet::new();
-        let mut skipped_bytes = 0u64;
-        let cluster_on = env.cluster_cache.enabled();
-        let mut cluster_hits = 0usize;
-        let mut cluster_misses = 0usize;
-        // Raw (decompressed) bytes served from the cluster tier — charged
-        // at memory speed — and compressed bytes whose PFS reads that
-        // avoided.
-        let mut cluster_hit_raw = 0u64;
-        let mut cluster_avoided = 0u64;
+        let doomed = |mut plan: SlabPieceStream, why: String| {
+            plan.pieces = vec![Err(MrError::msg(why))];
+            plan
+        };
+        // Chunks served by the job cache and by the cluster tier, the raw
+        // bytes the tier served, and the compressed bytes whose PFS reads
+        // its hits and the zone maps avoided.
+        let (mut hits, mut cluster_hits, mut cluster_misses) = (0u64, 0u64, 0u64);
+        let (mut cluster_hit_raw, mut cluster_avoided, mut skipped_bytes) = (0u64, 0u64, 0u64);
         for &i in &ids {
-            let ext = match extents.get(i) {
-                Some(e) => e,
-                None => {
-                    // chunks_for_slab only yields ids inside the chunk
-                    // grid; an out-of-range id means the header and the
-                    // grid disagree — fail the read, don't drop data.
-                    let e =
-                        MrError::msg(format!("chunk id {i} out of range for {}", self.pfs_path));
-                    sim.after(0.0, move |sim| done(sim, Err(e)));
-                    return;
-                }
+            // chunks_for_slab only yields ids inside the chunk grid; an
+            // out-of-range id means the header and the grid disagree —
+            // fail the read, don't drop data.
+            let Some(ext) = extents.get(i) else {
+                return doomed(
+                    plan,
+                    format!("chunk id {i} out of range for {}", self.pfs_path),
+                );
             };
-            if self.cache.is_quarantined((file_key, ext.offset)) {
-                // A prior fetch proved this chunk unreadable (two CRC
-                // failures); fail fast instead of re-reading known-bad
-                // data. This stays ahead of zone-map pruning so known-bad
-                // chunks fail identically with and without pushdown.
-                let e = MrError::msg(format!(
+            let key = (file_key, ext.offset);
+            // A prior fetch proved this chunk unreadable (two CRC
+            // failures); fail fast instead of re-reading known-bad data.
+            // This stays ahead of zone-map pruning so known-bad chunks
+            // fail identically with and without pushdown.
+            if self.cache.is_quarantined(key) {
+                let why = format!(
                     "IntegrityError: chunk {i} of {} is quarantined",
                     self.pfs_path
-                ));
-                sim.after(0.0, move |sim| done(sim, Err(e)));
-                return;
+                );
+                return doomed(plan, why);
             }
-            if let Some(pred) = &plan {
-                // Prune before the cache lookup and before any PFS read:
-                // a chunk whose zone map proves the predicate false for
+            if let Some((pred, dims)) = &pushdown {
+                // A chunk whose zone map proves the predicate false for
                 // every row contributes nothing to the filtered frame.
-                let coords = hyperslab::unrank(&grid, i);
-                let origin = hyperslab::chunk_origin(&coords, &self.var.chunk_shape);
-                let cdim = hyperslab::chunk_shape_at(&coords, &self.var.chunk_shape, &shape);
-                let elems: usize = cdim.iter().product();
+                let elems: usize = ext.shape.iter().product();
                 if let Some((is, ic)) =
-                    hyperslab::intersect(&origin, &cdim, &self.start, &self.count)
+                    hyperslab::intersect(&ext.origin, &ext.shape, &self.start, &self.count)
                 {
                     let stats = |col: &str| {
-                        chunk_col_stats(&dims, &is, &ic, ext.zone.as_ref(), elems as u64, col)
+                        chunk_col_stats(dims, &is, &ic, ext.zone.as_ref(), elems as u64, col)
                     };
                     if pred.prune(&stats) == MatchBound::None {
-                        skipped.insert(i);
+                        plan.skipped.insert(i);
                         skipped_bytes += ext.clen;
                         continue;
                     }
                 }
             }
-            match self.cache.lookup((file_key, ext.offset)) {
+            let raw = match self.cache.lookup(key) {
                 Some(raw) => {
-                    collected.borrow_mut().insert(i, raw);
+                    hits += 1;
+                    raw
                 }
                 // Job-cache miss: consult the cluster tier. Only residency
                 // on the *executing* node is a hit (remote holders steer
                 // the scheduler, they don't serve data).
-                None => match env.cluster_cache.lookup(node, (file_key, ext.offset)) {
+                None => match env.cluster_cache.lookup(node, key) {
                     Some(raw) => {
                         // Seed the job cache so sibling fetchers of this
                         // job hit without another registry round.
-                        self.cache.insert((file_key, ext.offset), raw.clone());
-                        collected.borrow_mut().insert(i, raw);
+                        self.cache.insert(key, raw.clone());
                         cluster_hits += 1;
                         cluster_hit_raw += ext.rlen;
                         cluster_avoided += ext.clen;
+                        raw
                     }
                     None => {
-                        if cluster_on {
-                            cluster_misses += 1;
-                        }
-                        needed.push((i, ext.offset, ext.clen, ext.rlen, ext.crc));
+                        cluster_misses += 1;
+                        plan.pieces.push(Ok(ext.clone()));
+                        continue;
                     }
                 },
+            };
+            plan.collected.borrow_mut().insert(i, raw);
+        }
+        // Everything the walk itself has to report. `finish()` has no
+        // `Sim` handle, so the charge is priced here.
+        if hits > 0 {
+            plan.counters.push((keys::CHUNK_CACHE_HITS, hits as f64));
+        }
+        // The cluster-tier counters only exist when the tier is live, so
+        // every tier-less workload's counter set is unchanged.
+        if env.cluster_cache.enabled() {
+            plan.counters.extend([
+                (keys::CLUSTER_CACHE_HITS, cluster_hits as f64),
+                (keys::CLUSTER_CACHE_MISSES, cluster_misses as f64),
+            ]);
+            if cluster_avoided > 0 {
+                plan.counters
+                    .push((keys::PFS_BYTES_AVOIDED, cluster_avoided as f64));
             }
         }
-        let hits = ids.len() - needed.len() - skipped.len() - cluster_hits;
-        let cluster_hit_cost = sim.cost.cache_hit(cluster_hit_raw as usize);
-        // Counter block shared by the all-cached and read paths: the
-        // cluster-tier counters only exist when the tier is live, so every
-        // existing workload's counter set is unchanged.
-        let cluster_counters = move || {
-            let mut c: Vec<(&'static str, f64)> = Vec::new();
-            if cluster_on {
-                c.push((keys::CLUSTER_CACHE_HITS, cluster_hits as f64));
-                c.push((keys::CLUSTER_CACHE_MISSES, cluster_misses as f64));
-                if cluster_avoided > 0 {
-                    c.push((keys::PFS_BYTES_AVOIDED, cluster_avoided as f64));
-                }
-            }
-            c
-        };
-        let misses = needed.len();
-        let var = self.var.clone();
-        let start = self.start.clone();
-        let count = self.count.clone();
-        // Decompression is only paid for the chunks not served from cache.
-        let missed_raw: u64 = needed.iter().map(|&(_, _, _, r, _)| r).sum();
-        let decompress_cost = sim.cost.decompress(missed_raw as usize);
-
-        // Assembly: dense array without pushdown; with pushdown, the
-        // surviving chunks go straight into the slab's coordinate+value
-        // columns and the predicate filter is applied vectorised, with the
-        // pushdown counters rendered alongside.
-        type Assembled = (TaskInput, Vec<(&'static str, f64)>);
-        type AssembleFn = Rc<dyn Fn(&HashMap<usize, Arc<Vec<u8>>>) -> Result<Assembled, MrError>>;
-        let assemble: AssembleFn = {
-            let n_skipped = skipped.len();
-            Rc::new(move |chunks: &HashMap<usize, Arc<Vec<u8>>>| match &plan {
-                Some(pred) => {
-                    let frame = assemble_frame(&var, &dims, &start, &count, chunks, &skipped)
-                        .map_err(|e| MrError::msg(format!("snc pushdown assembly: {e}")))?;
-                    let rows = frame.n_rows();
-                    let mask = pred
-                        .eval_mask(&frame)
-                        .map_err(|e| MrError::msg(format!("pushdown predicate: {e}")))?;
-                    let frame = frame
-                        .filter(&mask)
-                        .map_err(|e| MrError::msg(format!("pushdown filter: {e}")))?;
-                    Ok((
-                        TaskInput::Frame(frame),
-                        vec![
-                            (keys::CHUNKS_SKIPPED_ZONEMAP, n_skipped as f64),
-                            (keys::PUSHDOWN_BYTES_AVOIDED, skipped_bytes as f64),
-                            (keys::VECTORISED_ROWS, rows as f64),
-                        ],
-                    ))
-                }
-                None => assemble_slab(&var, &start, &count, |i| {
-                    chunks
-                        .get(&i)
-                        .map(|a| a.as_slice())
-                        .ok_or_else(|| scifmt::FmtError::NotFound(format!("chunk {i}")))
-                })
-                .map(|a| (TaskInput::Array(a), Vec::new()))
-                .map_err(|e| MrError::msg(format!("snc slab assembly: {e}"))),
-            })
-        };
-
-        if needed.is_empty() {
-            // Everything (possibly nothing) came from the cache — or was
-            // pruned away. Cluster hits pay the node-local memory-copy
-            // charge instead of a PFS read.
-            let result = assemble(&collected.borrow()).map(|(input, extra)| {
-                let mut counters = vec![(keys::CHUNK_CACHE_HITS, hits as f64)];
-                counters.extend(cluster_counters());
-                counters.extend(extra);
-                let mut charges: Vec<(&'static str, f64)> = Vec::new();
-                if cluster_hits > 0 {
-                    charges.push(("cache_read", cluster_hit_cost));
-                }
-                FetchResult {
-                    input,
-                    charges,
-                    counters,
-                    tag: String::new(),
-                }
-            });
-            sim.after(0.0, move |sim| done(sim, result));
-            return;
+        if pushdown.is_some() {
+            plan.counters.extend([
+                (keys::CHUNKS_SKIPPED_ZONEMAP, plan.skipped.len() as f64),
+                (keys::PUSHDOWN_BYTES_AVOIDED, skipped_bytes as f64),
+            ]);
         }
-
-        // Fetch the remaining chunk extents in parallel — each behind the
-        // verify/repair machine — then decode + assemble when the last one
-        // lands.
-        let remaining = Rc::new(RefCell::new(needed.len()));
-        let done_cell = Rc::new(RefCell::new(Some(done)));
-        let decode_s = Rc::new(RefCell::new(0.0f64));
-        let events = Rc::new(RefCell::new(IntegrityEvents::default()));
-        let path = Rc::new(self.pfs_path.clone());
-        let cluster_admit = self.cluster_admit;
-        for (idx, offset, clen, _rlen, crc) in needed {
-            let collected = collected.clone();
-            let remaining = remaining.clone();
-            let dc = done_cell.clone();
-            let decode_s = decode_s.clone();
-            let events2 = events.clone();
-            let cache = self.cache.clone();
-            let assemble = assemble.clone();
-            let envc = env.clone();
-            let frame_done: FrameDone = Box::new(move |sim, frame| {
-                let frame = match frame {
-                    Ok(frame) => frame,
-                    Err(e) => {
-                        // Verification exhausted its re-read (or the re-read
-                        // itself failed): kill this attempt once.
-                        if let Some(d) = dc.borrow_mut().take() {
-                            d(sim, Err(e));
-                        }
-                        return;
-                    }
-                };
-                // Real decode of the real (now verified) chunk bytes, timed
-                // for the Fig. 7 Read/Convert decomposition.
-                // scilint::allow(d-wallclock, reason = "measures real host decompress cost for the Fig. 7 diagnostic; never feeds back into virtual time")
-                let t0 = std::time::Instant::now();
-                let raw = match scifmt::codec::decompress(&frame) {
-                    Ok(raw) => raw,
-                    Err(e) => {
-                        if let Some(d) = dc.borrow_mut().take() {
-                            d(
-                                sim,
-                                Err(MrError::msg(format!("snc chunk {idx} decode: {e:?}"))),
-                            );
-                        }
-                        return;
-                    }
-                };
-                *decode_s.borrow_mut() += t0.elapsed().as_secs_f64();
-                let raw = Arc::new(raw);
-                cache.insert((file_key, offset), raw.clone());
-                // Placement-gated cluster admission: the decoded (verified)
-                // chunk becomes node-local for every later job/stage. The
-                // registry itself refuses quarantined or oversized entries
-                // and no-ops while the tier is disabled.
-                if let Some(pinned) = cluster_admit {
-                    envc.cluster_cache
-                        .insert(node, (file_key, offset), raw.clone(), pinned);
-                }
-                collected.borrow_mut().insert(idx, raw);
-                let mut rem = remaining.borrow_mut();
-                *rem -= 1;
-                if *rem > 0 {
-                    return;
-                }
-                drop(rem);
-                // A sibling chunk may have failed this fetch already.
-                let Some(d) = dc.borrow_mut().take() else {
-                    return;
-                };
-                let chunks = std::mem::take(&mut *collected.borrow_mut());
-                let (input, extra) = match assemble(&chunks) {
-                    Ok(out) => out,
-                    Err(e) => {
-                        d(sim, Err(e));
-                        return;
-                    }
-                };
-                let mut counters = vec![
-                    (keys::CHUNK_CACHE_HITS, hits as f64),
-                    (keys::CHUNK_CACHE_MISSES, misses as f64),
-                    (keys::CODEC_DECODE_S, *decode_s.borrow()),
-                ];
-                let ev = events2.borrow();
-                if ev.verified_bytes > 0 {
-                    counters.push((keys::CHECKSUM_VERIFIED_BYTES, ev.verified_bytes as f64));
-                }
-                if ev.detected > 0 {
-                    counters.push((keys::CORRUPTION_DETECTED, ev.detected as f64));
-                }
-                if ev.repaired > 0 {
-                    counters.push((keys::CORRUPTION_REPAIRED, ev.repaired as f64));
-                }
-                drop(ev);
-                counters.extend(cluster_counters());
-                counters.extend(extra);
-                let mut charges = vec![("decompress", decompress_cost)];
-                if cluster_hits > 0 {
-                    charges.push(("cache_read", cluster_hit_cost));
-                }
-                d(
-                    sim,
-                    Ok(FetchResult {
-                        input,
-                        charges,
-                        counters,
-                        tag: String::new(),
-                    }),
-                );
-            });
-            let st = Rc::new(ChunkRead {
-                env: env.clone(),
-                node,
-                pfs_path: path.clone(),
-                idx,
-                offset,
-                clen,
-                crc,
-                events: events.clone(),
-                cache: self.cache.clone(),
-                file_key,
-                done: RefCell::new(Some(frame_done)),
-            });
-            if let Err(e) = chunk_read_attempt(sim, st, 0) {
-                // Injected or genuine PFS error: fail the attempt (once) and
-                // stop issuing the remaining chunk reads.
-                if let Some(d) = done_cell.borrow_mut().take() {
-                    let e = MrError::msg(format!("pfs: {e} ({})", self.pfs_path));
-                    sim.after(0.0, move |sim| d(sim, Err(e)));
-                }
-                return;
-            }
+        if cluster_hits > 0 {
+            // Cluster hits pay the node-local memory-copy charge instead
+            // of a PFS read.
+            let cost = sim.cost.cache_hit(cluster_hit_raw as usize);
+            plan.charges.push(("cache_read", cost));
         }
+        plan
+    }
+}
+
+impl SplitFetcher for SciSlabFetcher {
+    fn fetch(&self, env: &MrEnv, sim: &mut Sim, node: NodeId, done: FetchDone) {
+        // Batch = open the stream and collect it, every chunk in parallel.
+        let stream = Rc::new(self.plan_chunks(env, sim, node));
+        let window = stream.n_pieces();
+        collect_stream(stream, env, sim, node, window, done);
     }
 
     fn open_stream(
@@ -470,97 +352,7 @@ impl SplitFetcher for SciSlabFetcher {
         sim: &mut Sim,
         node: NodeId,
     ) -> Result<Box<dyn PieceStream>, StreamFallback> {
-        if self.pushdown.is_some() {
-            // Pushdown delivers a filtered frame, not a dense array; the
-            // piece-streaming overlap path only knows how to assemble the
-            // latter, so fall back to the batch fetch. The typed reason
-            // surfaces in the job's `stream_fallbacks` counters instead of
-            // silently losing the overlap pipeline.
-            return Err(StreamFallback::Pushdown);
-        }
-        let shape = self.var.shape();
-        let ids =
-            hyperslab::chunks_for_slab(&shape, &self.var.chunk_shape, &self.start, &self.count);
-        let extents = chunk_extents_of(&self.var, self.data_offset);
-        let file_key = ChunkCache::file_key(&self.pfs_path);
-        let collected: Rc<RefCell<HashMap<usize, Arc<Vec<u8>>>>> =
-            Rc::new(RefCell::new(HashMap::new()));
-        let mut pieces = Vec::new();
-        let mut hits = 0usize;
-        let cluster_on = env.cluster_cache.enabled();
-        let mut cluster_hits = 0usize;
-        let mut cluster_misses = 0usize;
-        let mut cluster_hit_raw = 0u64;
-        let mut cluster_avoided = 0u64;
-        for &i in &ids {
-            let ext = match extents.get(i) {
-                Some(e) => e,
-                None => {
-                    // Header/grid disagreement (cannot come out of
-                    // chunks_for_slab): fail the attempt at issue time
-                    // like a quarantined chunk rather than drop data.
-                    pieces.insert(0, SlabPiece::Quarantined(i));
-                    continue;
-                }
-            };
-            if self.cache.is_quarantined((file_key, ext.offset)) {
-                // Known-bad chunk: deliver it as a piece that fails at
-                // issue time, so the attempt dies with the same typed
-                // error the batch path fast-fails with. Quarantined pieces
-                // sort first so the failure fires before real reads land.
-                pieces.insert(0, SlabPiece::Quarantined(i));
-                continue;
-            }
-            match self.cache.lookup((file_key, ext.offset)) {
-                Some(raw) => {
-                    collected.borrow_mut().insert(i, raw);
-                    hits += 1;
-                }
-                // Job-cache miss: a node-local cluster-tier copy turns the
-                // piece into a zero-read open-time hit, exactly like the
-                // batch path.
-                None => match env.cluster_cache.lookup(node, (file_key, ext.offset)) {
-                    Some(raw) => {
-                        self.cache.insert((file_key, ext.offset), raw.clone());
-                        collected.borrow_mut().insert(i, raw);
-                        cluster_hits += 1;
-                        cluster_hit_raw += ext.rlen;
-                        cluster_avoided += ext.clen;
-                    }
-                    None => {
-                        if cluster_on {
-                            cluster_misses += 1;
-                        }
-                        pieces.push(SlabPiece::Read {
-                            idx: i,
-                            offset: ext.offset,
-                            clen: ext.clen,
-                            rlen: ext.rlen,
-                            crc: ext.crc,
-                        });
-                    }
-                },
-            }
-        }
-        Ok(Box::new(SlabPieceStream {
-            pfs_path: Rc::new(self.pfs_path.clone()),
-            var: self.var.clone(),
-            start: self.start.clone(),
-            count: self.count.clone(),
-            cache: self.cache.clone(),
-            file_key,
-            hits,
-            cluster_on,
-            cluster_admit: self.cluster_admit,
-            cluster_hits,
-            cluster_misses,
-            cluster_avoided,
-            // `finish()` has no `Sim` handle, so the memory-copy charge for
-            // the open-time cluster hits is priced here.
-            cluster_hit_cost: sim.cost.cache_hit(cluster_hit_raw as usize),
-            pieces,
-            collected,
-        }))
+        Ok(Box::new(self.plan_chunks(env, sim, node)))
     }
 
     fn cache_hints(&self) -> Vec<simnet::ChunkKey> {
@@ -568,10 +360,7 @@ impl SplitFetcher for SciSlabFetcher {
         // scheduler probes these against each node's registry shard to
         // place the map cache-local. Only computed when the tier is live
         // (the driver skips the call otherwise).
-        let shape = self.var.shape();
-        let ids =
-            hyperslab::chunks_for_slab(&shape, &self.var.chunk_shape, &self.start, &self.count);
-        let extents = chunk_extents_of(&self.var, self.data_offset);
+        let (ids, extents) = self.slab_chunks();
         let file_key = ChunkCache::file_key(&self.pfs_path);
         ids.iter()
             .filter_map(|&i| extents.get(i).map(|e| (file_key, e.offset)))
@@ -586,46 +375,24 @@ impl SplitFetcher for SciSlabFetcher {
     }
 }
 
-/// One piece of a streaming slab fetch.
-#[derive(Clone, Copy)]
-enum SlabPiece {
-    /// Chunk quarantined by a prior fetch — fails the attempt at issue
-    /// time with zero PFS traffic, like the batch fast-fail.
-    Quarantined(usize),
-    /// A cache-miss chunk: `(idx, offset, clen, rlen, crc)` read through
-    /// the verify/repair machine, decoded and cached on arrival.
-    Read {
-        idx: usize,
-        offset: u64,
-        clen: u64,
-        rlen: u64,
-        crc: u32,
-    },
-}
-
-/// Streaming view of a [`SciSlabFetcher`]: one piece per cache-miss chunk
-/// (cache hits are collected at open and cost nothing). Each piece runs
-/// the same CRC verify → re-read repair → quarantine machine as the batch
-/// path, decodes its chunk on arrival (that is the per-piece compute the
-/// driver overlaps with later reads), and [`PieceStream::finish`]
-/// assembles the identical hyperslab.
+/// The one fetch state machine of a [`SciSlabFetcher`] (see the module
+/// docs), as planned by [`SciSlabFetcher::plan_chunks`]: the pieces still
+/// to read, what the tiers already delivered, and what to report.
+/// [`PieceStream::finish`] assembles the dense hyperslab — or, under
+/// pushdown, the predicate-filtered frame.
 struct SlabPieceStream {
-    pfs_path: Rc<String>,
-    var: Arc<VarMeta>,
-    start: Vec<usize>,
-    count: Vec<usize>,
-    cache: Arc<ChunkCache>,
+    fetcher: Rc<SciSlabFetcher>,
     file_key: u64,
-    hits: usize,
-    /// Whether the cluster tier was live at open (gates counter emission).
-    cluster_on: bool,
-    cluster_admit: Option<bool>,
-    cluster_hits: usize,
-    cluster_misses: usize,
-    cluster_avoided: u64,
-    cluster_hit_cost: f64,
-    pieces: Vec<SlabPiece>,
-    collected: Rc<RefCell<HashMap<usize, Arc<Vec<u8>>>>>,
+    /// The cache-miss chunks to read — or, when the plan met an
+    /// out-of-range or quarantined chunk, the one error that fails the
+    /// attempt at issue time.
+    pieces: Vec<Result<ChunkExtent, MrError>>,
+    collected: Collected,
+    /// Chunks pruned by their zone maps.
+    skipped: HashSet<usize>,
+    /// Open-time counters and charges, reported by `finish()`.
+    counters: Vec<(&'static str, f64)>,
+    charges: Vec<(&'static str, f64)>,
 }
 
 impl PieceStream for SlabPieceStream {
@@ -634,150 +401,69 @@ impl PieceStream for SlabPieceStream {
     }
 
     fn fetch_piece(&self, env: &MrEnv, sim: &mut Sim, node: NodeId, piece: usize, done: PieceDone) {
-        let (idx, offset, clen, rlen, crc) = match self.pieces.get(piece).copied() {
-            None => {
-                // The piece scheduler only issues indices < n_pieces().
-                let e = MrError::msg(format!("piece {piece} out of range"));
+        // (The piece schedulers only issue indices < n_pieces().)
+        let out_of_range = || Err(MrError::msg(format!("piece {piece} out of range")));
+        let chunk = match self.pieces.get(piece).cloned().unwrap_or_else(out_of_range) {
+            Ok(chunk) => chunk,
+            Err(e) => {
                 sim.after(0.0, move |sim| done(sim, Err(e)));
                 return;
             }
-            Some(SlabPiece::Quarantined(i)) => {
-                let e = MrError::msg(format!(
-                    "IntegrityError: chunk {i} of {} is quarantined",
-                    self.pfs_path
-                ));
-                sim.after(0.0, move |sim| done(sim, Err(e)));
-                return;
-            }
-            Some(SlabPiece::Read {
-                idx,
-                offset,
-                clen,
-                rlen,
-                crc,
-            }) => (idx, offset, clen, rlen, crc),
         };
-        // Per-piece event cell: the counters this piece reports are the
-        // integrity deltas of just this chunk's read(s).
-        let events = Rc::new(RefCell::new(IntegrityEvents::default()));
-        let decompress_cost = sim.cost.decompress(rlen as usize);
-        let collected = self.collected.clone();
-        let cache = self.cache.clone();
-        let file_key = self.file_key;
-        let cluster_admit = self.cluster_admit;
-        let envc = env.clone();
-        let done_cell = Rc::new(RefCell::new(Some(done)));
-        let dc = done_cell.clone();
-        let events2 = events.clone();
-        let frame_done: FrameDone = Box::new(move |sim, frame| {
-            let Some(done) = dc.borrow_mut().take() else {
-                return;
-            };
-            let frame = match frame {
-                Ok(frame) => frame,
-                Err(e) => {
-                    done(sim, Err(e));
-                    return;
-                }
-            };
-            // Real decode of the real (verified) chunk bytes, timed for
-            // the Fig. 7 Read/Convert decomposition.
-            // scilint::allow(d-wallclock, reason = "measures real host decompress cost for the Fig. 7 diagnostic; never feeds back into virtual time")
-            let t0 = std::time::Instant::now();
-            let raw = match scifmt::codec::decompress(&frame) {
-                Ok(raw) => raw,
-                Err(e) => {
-                    done(
-                        sim,
-                        Err(MrError::msg(format!("snc chunk {idx} decode: {e:?}"))),
-                    );
-                    return;
-                }
-            };
-            let decode_s = t0.elapsed().as_secs_f64();
-            let raw = Arc::new(raw);
-            cache.insert((file_key, offset), raw.clone());
-            // Same placement-gated admission as the batch path: the piece's
-            // decoded chunk becomes node-local cluster state on arrival.
-            if let Some(pinned) = cluster_admit {
-                envc.cluster_cache
-                    .insert(node, (file_key, offset), raw.clone(), pinned);
-            }
-            collected.borrow_mut().insert(idx, raw);
-            let mut counters = vec![
-                (keys::CHUNK_CACHE_MISSES, 1.0),
-                (keys::CODEC_DECODE_S, decode_s),
-            ];
-            let ev = events2.borrow();
-            if ev.verified_bytes > 0 {
-                counters.push((keys::CHECKSUM_VERIFIED_BYTES, ev.verified_bytes as f64));
-            }
-            if ev.detected > 0 {
-                counters.push((keys::CORRUPTION_DETECTED, ev.detected as f64));
-            }
-            if ev.repaired > 0 {
-                counters.push((keys::CORRUPTION_REPAIRED, ev.repaired as f64));
-            }
-            drop(ev);
-            done(
-                sim,
-                Ok(FetchPiece {
-                    bytes: rlen,
-                    charges: vec![("decompress", decompress_cost)],
-                    counters,
-                }),
-            );
-        });
         let st = Rc::new(ChunkRead {
             env: env.clone(),
             node,
-            pfs_path: self.pfs_path.clone(),
-            idx,
-            offset,
-            clen,
-            crc,
-            events,
-            cache: self.cache.clone(),
-            file_key,
-            done: RefCell::new(Some(frame_done)),
+            fetcher: self.fetcher.clone(),
+            key: (self.file_key, chunk.offset),
+            decompress_cost: sim.cost.decompress(chunk.rlen as usize),
+            chunk,
+            collected: self.collected.clone(),
+            detected: Cell::new(0),
+            done: RefCell::new(Some(done)),
         });
-        if let Err(e) = chunk_read_attempt(sim, st, 0) {
-            if let Some(done) = done_cell.borrow_mut().take() {
-                let e = MrError::msg(format!("pfs: {e} ({})", self.pfs_path));
-                sim.after(0.0, move |sim| done(sim, Err(e)));
-            }
+        if let Err(e) = chunk_read_attempt(sim, st.clone(), 0) {
+            // Injected or genuine PFS error: fail the attempt.
+            st.fail(
+                sim,
+                MrError::msg(format!("pfs: {e} ({})", st.fetcher.pfs_path)),
+            );
         }
     }
 
     fn finish(&self) -> Result<FetchResult, MrError> {
         let chunks = std::mem::take(&mut *self.collected.borrow_mut());
-        let array = assemble_slab(&self.var, &self.start, &self.count, |i| {
-            chunks
-                .get(&i)
-                .map(|a| a.as_slice())
-                .ok_or_else(|| scifmt::FmtError::NotFound(format!("chunk {i}")))
-        })
-        .map_err(|e| MrError::msg(format!("snc slab assembly: {e}")))?;
-        let mut counters = if self.hits > 0 {
-            vec![(keys::CHUNK_CACHE_HITS, self.hits as f64)]
-        } else {
-            Vec::new()
-        };
-        if self.cluster_on {
-            counters.push((keys::CLUSTER_CACHE_HITS, self.cluster_hits as f64));
-            counters.push((keys::CLUSTER_CACHE_MISSES, self.cluster_misses as f64));
-            if self.cluster_avoided > 0 {
-                counters.push((keys::PFS_BYTES_AVOIDED, self.cluster_avoided as f64));
+        let mut counters = self.counters.clone();
+        let f = &*self.fetcher;
+        let input = match f.predicate() {
+            // The surviving chunks go straight into the slab's
+            // coordinate+value columns and the predicate filter is applied
+            // vectorised.
+            Some(pred) => {
+                let (dims, skipped) = (f.dim_names(), &self.skipped);
+                let frame = assemble_frame(&f.var, &dims, &f.start, &f.count, &chunks, skipped)
+                    .map_err(|e| MrError::msg(format!("snc pushdown assembly: {e}")))?;
+                counters.push((keys::VECTORISED_ROWS, frame.n_rows() as f64));
+                let mask = pred
+                    .eval_mask(&frame)
+                    .map_err(|e| MrError::msg(format!("pushdown predicate: {e}")))?;
+                let frame = frame
+                    .filter(&mask)
+                    .map_err(|e| MrError::msg(format!("pushdown filter: {e}")))?;
+                TaskInput::Frame(frame)
             }
-        }
-        let charges = if self.cluster_hits > 0 {
-            vec![("cache_read", self.cluster_hit_cost)]
-        } else {
-            vec![]
+            None => TaskInput::Array(
+                assemble_slab(&f.var, &f.start, &f.count, |i| {
+                    chunks
+                        .get(&i)
+                        .map(|a| a.as_slice())
+                        .ok_or_else(|| scifmt::FmtError::NotFound(format!("chunk {i}")))
+                })
+                .map_err(|e| MrError::msg(format!("snc slab assembly: {e}")))?,
+            ),
         };
         Ok(FetchResult {
-            input: TaskInput::Array(array),
-            charges,
+            input,
+            charges: self.charges.clone(),
             counters,
             tag: String::new(),
         })
@@ -1075,11 +761,74 @@ mod tests {
             }),
         );
         c.run();
-        let counters = got.borrow_mut().take().unwrap();
-        assert_eq!(counters[0], (keys::CHUNK_CACHE_HITS, 0.0));
-        assert_eq!(counters[1], (keys::CHUNK_CACHE_MISSES, 3.0));
-        assert_eq!(counters[2].0, keys::CODEC_DECODE_S);
-        assert!(counters[2].1 > 0.0, "real decode time was measured");
+        let counters: HashMap<_, _> = got.borrow_mut().take().unwrap().into_iter().collect();
+        assert!(!counters.contains_key(keys::CHUNK_CACHE_HITS), "no hits");
+        assert_eq!(counters[keys::CHUNK_CACHE_MISSES], 3.0);
+        assert!(
+            counters[keys::CODEC_DECODE_S] > 0.0,
+            "real decode time was measured"
+        );
+    }
+
+    /// Error of a batch fetch and of the first streamed piece of `f`,
+    /// asserting that neither moved a byte.
+    fn doomed_errors(c: &mut Cluster, f: &SciSlabFetcher) -> (String, String) {
+        let env = c.env();
+        let bytes_before = c.sim.net.bytes_admitted;
+        let batch = Rc::new(RefCell::new(None));
+        let b = batch.clone();
+        f.fetch(
+            &env,
+            &mut c.sim,
+            NodeId(0),
+            Box::new(move |_, fr| {
+                assert!(b.borrow_mut().replace(fr.err()).is_none(), "done ran twice");
+            }),
+        );
+        c.run();
+        let stream = f.open_stream(&env, &mut c.sim, NodeId(0)).ok().unwrap();
+        assert_eq!(stream.n_pieces(), 1, "a doomed plan is one failing piece");
+        let piece = Rc::new(RefCell::new(None));
+        let p = piece.clone();
+        stream.fetch_piece(
+            &env,
+            &mut c.sim,
+            NodeId(0),
+            0,
+            Box::new(move |_, r| *p.borrow_mut() = Some(r.err())),
+        );
+        c.run();
+        assert_eq!(c.sim.net.bytes_admitted, bytes_before, "zero PFS reads");
+        let msg = |cell: &RefCell<Option<Option<MrError>>>| {
+            let e = cell.borrow_mut().take().expect("completed");
+            e.expect("doomed fetch must fail").message()
+        };
+        (msg(&batch), msg(&piece))
+    }
+
+    #[test]
+    fn out_of_range_chunk_fails_the_same_way_in_both_modes() {
+        // A header whose chunk table is shorter than its grid: the slab's
+        // last chunk id has no extent. One plan, one message, no reads —
+        // streaming used to report this chunk as "quarantined" and read
+        // its siblings anyway.
+        let mut c = cluster();
+        let (var, off, _) = stage_var(&mut c);
+        let mut truncated = (*var).clone();
+        truncated.chunks.truncate(2);
+        let fetcher = SciSlabFetcher {
+            pfs_path: "run/f.snc".into(),
+            var: Arc::new(truncated),
+            data_offset: off,
+            start: vec![0, 0, 0],
+            count: vec![6, 8, 5],
+            cache: Arc::new(ChunkCache::default()),
+            pushdown: None,
+            cluster_admit: None,
+        };
+        let (batch, stream) = doomed_errors(&mut c, &fetcher);
+        assert_eq!(batch, "chunk id 2 out of range for run/f.snc");
+        assert_eq!(stream, batch);
     }
 
     #[test]
@@ -1232,5 +981,16 @@ mod tests {
         };
         assert!(err2.message().contains("is quarantined"), "{err2}");
         assert_eq!(c.sim.net.bytes_admitted, bytes_before);
+
+        // A slab with the quarantined chunk between two readable ones is
+        // doomed as a whole: neither mode reads the healthy siblings.
+        let full = SciSlabFetcher {
+            start: vec![0, 0, 0],
+            count: vec![6, 8, 5],
+            ..mk()
+        };
+        let (batch, stream) = doomed_errors(&mut c, &full);
+        assert_eq!(batch, "IntegrityError: chunk 1 of run/f.snc is quarantined");
+        assert_eq!(stream, batch);
     }
 }

@@ -859,42 +859,6 @@ mod tests {
     }
 
     #[test]
-    fn pushdown_scan_reports_stream_fallback_once_per_task() {
-        // Pushdown forces the batch path (the streaming pipeline cannot
-        // deliver predicate-filtered frames): with streaming enabled every
-        // map task must record exactly one tagged fallback.
-        let (mut cluster, input) = stage(2);
-        let cfg = SqlScanConfig::new(["QR"], "SELECT * FROM df WHERE value > 0.5");
-        assert!(cfg.pushdown);
-        let r = run_sql_scan(&mut cluster, &input, &cfg).unwrap();
-        let keys = mapreduce::counters::keys::STREAM_FALLBACKS;
-        let maps = r.counters.get(mapreduce::counters::keys::MAP_TASKS);
-        assert!(maps > 0.0);
-        assert_eq!(r.counters.get(keys), maps);
-        assert_eq!(
-            r.counters
-                .get(mapreduce::counters::keys::STREAM_FALLBACK_PUSHDOWN),
-            maps
-        );
-        assert_eq!(
-            r.counters
-                .get(mapreduce::counters::keys::STREAM_FALLBACK_UNSUPPORTED),
-            0.0
-        );
-        assert!(r.stream_fallbacks().is_some());
-
-        // Without pushdown the slab fetcher streams: no fallback at all.
-        let (mut c2, input2) = stage(2);
-        let cfg2 = SqlScanConfig {
-            pushdown: false,
-            ..SqlScanConfig::new(["QR"], "SELECT * FROM df WHERE value > 0.5")
-        };
-        let r2 = run_sql_scan(&mut c2, &input2, &cfg2).unwrap();
-        assert_eq!(r2.counters.get(keys), 0.0);
-        assert_eq!(r2.stream_fallbacks(), None);
-    }
-
-    #[test]
     fn subsetting_reduces_read_volume() {
         let elapsed_and_input = |vars: Vec<&str>| {
             let (mut cluster, input) = stage(2);

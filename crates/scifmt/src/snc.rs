@@ -21,6 +21,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use scirng::lru::{Lru, Quarantine};
+
 use crate::array::{Array, DType};
 use crate::codec::{self, Codec};
 use crate::error::{FmtError, Result};
@@ -916,39 +918,6 @@ pub struct CacheStats {
     pub entries: u64,
 }
 
-struct CacheEntry {
-    data: Arc<Vec<u8>>,
-    last_use: u64,
-}
-
-struct CacheInner {
-    cap_bytes: usize,
-    bytes: usize,
-    tick: u64,
-    evictions: u64,
-    map: HashMap<(u64, u64), CacheEntry>,
-    /// Recency index: last-use tick → key. Ticks are unique, so the first
-    /// entry is always the least-recently-used key and eviction is
-    /// O(log n) instead of a full map scan. Kept in lockstep with `map`
-    /// (every entry's `last_use` has exactly one row here).
-    order: std::collections::BTreeMap<u64, (u64, u64)>,
-}
-
-/// Evict least-recently-used entries until resident bytes fit the
-/// capacity. Because ticks are unique, popping the first `order` row picks
-/// exactly the victim the old `min_by_key(last_use)` full scan chose.
-fn evict_until_fits(inner: &mut CacheInner) {
-    while inner.bytes > inner.cap_bytes {
-        let Some((_, victim)) = inner.order.pop_first() else {
-            break;
-        };
-        if let Some(e) = inner.map.remove(&victim) {
-            inner.bytes -= e.data.len();
-            inner.evictions += 1;
-        }
-    }
-}
-
 /// Bounded, thread-safe LRU cache of decompressed chunk payloads, keyed by
 /// `(file id, chunk offset)` — the `(var, chunk_index)` identity, since a
 /// chunk's byte offset is unique within a container. Shared by every clone
@@ -956,55 +925,28 @@ fn evict_until_fits(inner: &mut CacheInner) {
 /// overlapping hyperslab reads skip redundant decompression.
 ///
 /// Capacity is in decompressed bytes; `0` disables storage (every lookup
-/// misses, nothing is retained). Eviction is least-recently-used. The cache
-/// only ever stores values computed from immutable file bytes, so a hit
-/// returns exactly what a fresh decompression would — enabling or sizing
-/// the cache can never change results, only timing.
+/// misses, nothing is retained). Eviction is least-recently-used
+/// ([`scirng::lru`]). The cache only ever stores values computed from
+/// immutable file bytes, so a hit returns exactly what a fresh
+/// decompression would — enabling or sizing the cache can never change
+/// results, only timing.
 pub struct ChunkCache {
-    inner: Mutex<CacheInner>,
+    inner: Mutex<Lru<ChunkKey, Arc<Vec<u8>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     /// Chunks that failed CRC verification twice (media corruption — a
     /// re-read cannot repair them). Readers check this before issuing I/O
-    /// and fail fast instead of re-fetching known-bad bytes. Bounded
-    /// true-LRU: a long-lived process scanning many corrupt files must not
-    /// grow the set without limit, so the least-recently-touched entries
-    /// are evicted past [`DEFAULT_QUARANTINE_CAP`] (an evicted chunk is
-    /// merely re-detected — two failed CRC reads — if met again).
-    quarantined: Mutex<QuarantineInner>,
+    /// and fail fast instead of re-fetching known-bad bytes. Bounded at
+    /// [`DEFAULT_QUARANTINE_CAP`] keys, least-recently-touched evicted.
+    quarantined: Mutex<Quarantine<ChunkKey>>,
 }
 
-/// Default bound on the quarantine set (entries, not bytes — each is one
-/// 16-byte key).
+/// `(file id, chunk offset)`.
+type ChunkKey = (u64, u64);
+
+/// Bound on the quarantine set (entries, not bytes — each is one 16-byte
+/// key).
 pub const DEFAULT_QUARANTINE_CAP: usize = 4096;
-
-struct QuarantineInner {
-    cap: usize,
-    tick: u64,
-    evicted: u64,
-    /// key → last-touch tick.
-    map: HashMap<(u64, u64), u64>,
-    /// Recency index (ticks are unique): first row = LRU victim.
-    order: std::collections::BTreeMap<u64, (u64, u64)>,
-}
-
-impl QuarantineInner {
-    fn touch(&mut self, key: (u64, u64)) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(prev) = self.map.insert(key, tick) {
-            self.order.remove(&prev);
-        }
-        self.order.insert(tick, key);
-        while self.map.len() > self.cap.max(1) {
-            let Some((_, victim)) = self.order.pop_first() else {
-                break;
-            };
-            self.map.remove(&victim);
-            self.evicted += 1;
-        }
-    }
-}
 
 impl std::fmt::Debug for ChunkCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -1034,23 +976,10 @@ fn lock_clean<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 impl ChunkCache {
     pub fn new(cap_bytes: usize) -> ChunkCache {
         ChunkCache {
-            inner: Mutex::new(CacheInner {
-                cap_bytes,
-                bytes: 0,
-                tick: 0,
-                evictions: 0,
-                map: HashMap::new(),
-                order: std::collections::BTreeMap::new(),
-            }),
+            inner: Mutex::new(Lru::new(cap_bytes as u64)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            quarantined: Mutex::new(QuarantineInner {
-                cap: DEFAULT_QUARANTINE_CAP,
-                tick: 0,
-                evicted: 0,
-                map: HashMap::new(),
-                order: std::collections::BTreeMap::new(),
-            }),
+            quarantined: Mutex::new(Quarantine::new(DEFAULT_QUARANTINE_CAP)),
         }
     }
 
@@ -1060,48 +989,24 @@ impl ChunkCache {
     /// cache).
     pub fn quarantine(&self, key: (u64, u64)) {
         lock_clean(&self.quarantined).touch(key);
-        let mut inner = lock_clean(&self.inner);
-        if let Some(e) = inner.map.remove(&key) {
-            inner.bytes -= e.data.len();
-            inner.order.remove(&e.last_use);
-        }
+        lock_clean(&self.inner).remove(&key);
     }
 
     /// Whether a chunk is quarantined; a hit counts as a touch (true LRU —
     /// chunks that readers keep tripping over stay resident).
     pub fn is_quarantined(&self, key: (u64, u64)) -> bool {
-        let mut q = lock_clean(&self.quarantined);
-        if q.map.contains_key(&key) {
-            q.touch(key);
-            true
-        } else {
-            false
-        }
+        lock_clean(&self.quarantined).contains(&key)
     }
 
     /// Number of quarantined chunks (reported through job counters).
     pub fn n_quarantined(&self) -> u64 {
-        lock_clean(&self.quarantined).map.len() as u64
+        lock_clean(&self.quarantined).len() as u64
     }
 
     /// Quarantine entries evicted by the LRU bound since creation
     /// (`chunks_quarantined_evicted` in job counters).
     pub fn n_quarantine_evicted(&self) -> u64 {
-        lock_clean(&self.quarantined).evicted
-    }
-
-    /// Change the quarantine bound in place (evicts down to the new bound;
-    /// a bound of 0 is clamped to 1).
-    pub fn set_quarantine_capacity(&self, cap: usize) {
-        let mut q = lock_clean(&self.quarantined);
-        q.cap = cap;
-        while q.map.len() > q.cap.max(1) {
-            let Some((_, victim)) = q.order.pop_first() else {
-                break;
-            };
-            q.map.remove(&victim);
-            q.evicted += 1;
-        }
+        lock_clean(&self.quarantined).evicted()
     }
 
     /// Stable 64-bit id for a file name (FNV-1a) — combine with a chunk
@@ -1117,51 +1022,21 @@ impl ChunkCache {
 
     /// Look up a chunk; bumps recency and the hit/miss counters.
     pub fn lookup(&self, key: (u64, u64)) -> Option<Arc<Vec<u8>>> {
-        let mut inner = lock_clean(&self.inner);
-        inner.tick += 1;
-        let tick = inner.tick;
-        let hit = inner.map.get_mut(&key).map(|e| {
-            let prev = e.last_use;
-            e.last_use = tick;
-            (prev, e.data.clone())
-        });
-        match hit {
-            Some((prev, data)) => {
-                inner.order.remove(&prev);
-                inner.order.insert(tick, key);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(data)
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let hit = lock_clean(&self.inner).get(&key).cloned();
+        let counter = if hit.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        hit
     }
 
     /// Insert a decompressed chunk, evicting least-recently-used entries
     /// until it fits. Values larger than the whole capacity are not stored.
     pub fn insert(&self, key: (u64, u64), data: Arc<Vec<u8>>) {
-        let mut inner = lock_clean(&self.inner);
-        let len = data.len();
-        if len > inner.cap_bytes {
-            return;
-        }
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(old) = inner.map.insert(
-            key,
-            CacheEntry {
-                data,
-                last_use: tick,
-            },
-        ) {
-            inner.bytes -= old.data.len();
-            inner.order.remove(&old.last_use);
-        }
-        inner.order.insert(tick, key);
-        inner.bytes += len;
-        evict_until_fits(&mut inner);
+        let len = data.len() as u64;
+        lock_clean(&self.inner).insert(key, data, len);
     }
 
     /// Cached lookup or compute-and-insert. `compute` runs outside the lock
@@ -1184,29 +1059,24 @@ impl ChunkCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: inner.evictions,
-            resident_bytes: inner.bytes as u64,
-            entries: inner.map.len() as u64,
+            evictions: inner.evictions(),
+            resident_bytes: inner.weight(),
+            entries: inner.len() as u64,
         }
     }
 
     /// Change capacity in place (evicts down to the new bound).
     pub fn set_capacity(&self, cap_bytes: usize) {
-        let mut inner = lock_clean(&self.inner);
-        inner.cap_bytes = cap_bytes;
-        evict_until_fits(&mut inner);
+        lock_clean(&self.inner).shrink_to(cap_bytes as u64);
     }
 
     pub fn capacity(&self) -> usize {
-        lock_clean(&self.inner).cap_bytes
+        lock_clean(&self.inner).capacity() as usize
     }
 
     /// Drop every resident entry (counters are kept).
     pub fn clear(&self) {
-        let mut inner = lock_clean(&self.inner);
-        inner.map.clear();
-        inner.order.clear();
-        inner.bytes = 0;
+        lock_clean(&self.inner).clear();
     }
 }
 
@@ -1805,34 +1675,6 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_set_is_bounded_lru() {
-        let c = ChunkCache::new(1 << 20);
-        c.set_quarantine_capacity(3);
-        for k in 0..3u64 {
-            c.quarantine((k, 0));
-        }
-        assert_eq!(c.n_quarantined(), 3);
-        assert_eq!(c.n_quarantine_evicted(), 0);
-        // Touch (0,0) so it becomes most-recent; (1,0) is now the LRU victim.
-        assert!(c.is_quarantined((0, 0)));
-        c.quarantine((3, 0));
-        assert_eq!(c.n_quarantined(), 3, "bound holds");
-        assert_eq!(c.n_quarantine_evicted(), 1);
-        assert!(!c.is_quarantined((1, 0)), "LRU entry evicted");
-        assert!(c.is_quarantined((0, 0)), "recently touched entry survives");
-        assert!(c.is_quarantined((2, 0)));
-        assert!(c.is_quarantined((3, 0)));
-        // Shrinking the bound evicts down to it immediately.
-        c.set_quarantine_capacity(1);
-        assert_eq!(c.n_quarantined(), 1);
-        assert_eq!(c.n_quarantine_evicted(), 3);
-        assert!(
-            c.is_quarantined((3, 0)),
-            "most-recent entry is the survivor"
-        );
-    }
-
-    #[test]
     fn zone_maps_stamped_and_roundtripped() {
         // sample_file: QR is a ramp over chunks of [2,3,5]; every chunk must
         // carry a zone map consistent with a brute-force scan of its values.
@@ -2060,107 +1902,6 @@ mod tests {
             old.get_var("physics/T").unwrap().data(),
             new.get_var("physics/T").unwrap().data()
         );
-    }
-
-    /// Reference model of the pre-index eviction algorithm: a full
-    /// `min_by_key(last_use)` scan per eviction. The BTreeMap-ordered cache
-    /// must evict the exact same victims in the exact same order.
-    #[test]
-    fn eviction_order_matches_old_scan() {
-        struct OldScan {
-            cap: usize,
-            bytes: usize,
-            tick: u64,
-            entries: Vec<((u64, u64), usize, u64)>, // key, len, last_use
-            evicted: Vec<(u64, u64)>,
-        }
-        impl OldScan {
-            fn lookup(&mut self, key: (u64, u64)) -> bool {
-                self.tick += 1;
-                let tick = self.tick;
-                match self.entries.iter_mut().find(|(k, _, _)| *k == key) {
-                    Some(e) => {
-                        e.2 = tick;
-                        true
-                    }
-                    None => false,
-                }
-            }
-            fn evict(&mut self) {
-                while self.bytes > self.cap {
-                    let Some(pos) = self
-                        .entries
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|(_, (_, _, lu))| *lu)
-                        .map(|(i, _)| i)
-                    else {
-                        break;
-                    };
-                    let (k, len, _) = self.entries.remove(pos);
-                    self.bytes -= len;
-                    self.evicted.push(k);
-                }
-            }
-            fn insert(&mut self, key: (u64, u64), len: usize) {
-                if len > self.cap {
-                    return;
-                }
-                self.tick += 1;
-                let tick = self.tick;
-                if let Some(e) = self.entries.iter_mut().find(|(k, _, _)| *k == key) {
-                    self.bytes -= e.1;
-                    e.1 = len;
-                    e.2 = tick;
-                } else {
-                    self.entries.push((key, len, tick));
-                }
-                self.bytes += len;
-                self.evict();
-            }
-            fn set_capacity(&mut self, cap: usize) {
-                self.cap = cap;
-                self.evict();
-            }
-        }
-
-        let mut rng = Rng::seed_from_u64(0xfeed);
-        let cache = ChunkCache::new(500);
-        let mut model = OldScan {
-            cap: 500,
-            bytes: 0,
-            tick: 0,
-            entries: Vec::new(),
-            evicted: Vec::new(),
-        };
-        for step in 0..2000 {
-            match rng.below(10) {
-                0..=5 => {
-                    let key = (0u64, rng.below(12) as u64);
-                    let len = 20 + rng.below(180);
-                    cache.insert(key, Arc::new(vec![0u8; len]));
-                    model.insert(key, len);
-                }
-                6..=8 => {
-                    let key = (0u64, rng.below(12) as u64);
-                    let hit = cache.lookup(key).is_some();
-                    assert_eq!(hit, model.lookup(key), "step {step}");
-                }
-                _ => {
-                    let cap = 100 + rng.below(500);
-                    cache.set_capacity(cap);
-                    model.set_capacity(cap);
-                }
-            }
-            let s = cache.stats();
-            assert_eq!(s.evictions, model.evicted.len() as u64, "step {step}");
-            assert_eq!(s.resident_bytes, model.bytes as u64, "step {step}");
-            assert_eq!(s.entries, model.entries.len() as u64, "step {step}");
-        }
-        // Identical victims in identical order: replay the model's eviction
-        // log against residency — every evicted key must be absent unless
-        // re-inserted later, and the totals already matched at every step.
-        assert!(model.evicted.len() > 50, "exercise enough evictions");
     }
 
     #[test]

@@ -5,8 +5,13 @@
 //! (Blackman & Vigna). Deterministic across platforms and Rust versions —
 //! exactly what the synthetic-dataset generators and the seeded tests need.
 //! Not cryptographic, and not intended to be.
+//!
+//! As the workspace's leaf crate it also hosts what every storage layer
+//! shares: [`crc32c`] and the one LRU implementation ([`lru`]).
 
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+
+pub mod lru;
 
 /// SplitMix64 step — also usable standalone for cheap hash mixing.
 #[inline]

@@ -13,8 +13,9 @@
 //!
 //! Design rules (all enforced here, relied on by `mapreduce`/`scidp`):
 //!
-//! * **Determinism** — every map is a `BTreeMap`; recency is a monotonic
-//!   tick counter, never wall-clock. Same program ⇒ same evictions.
+//! * **Determinism** — every map is a `BTreeMap` and recency is
+//!   [`scirng::lru`]'s monotonic tick, never wall-clock. Same program ⇒
+//!   same evictions.
 //! * **Byte-fidelity** — entries store the *verified decompressed bytes*
 //!   admitted by the reader, so a hit returns exactly what a cold
 //!   read-verify-decompress would have produced.
@@ -31,8 +32,10 @@
 //! existing workload's timing is bit-for-bit unchanged.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
+
+use scirng::lru::{Lru, Quarantine};
 
 use crate::topology::NodeId;
 
@@ -70,40 +73,35 @@ pub struct ClusterCacheStats {
 #[derive(Debug)]
 struct Entry {
     data: Arc<Vec<u8>>,
-    /// Recency tick of the last lookup/insert touching this entry.
-    last_tick: u64,
     /// Pinned entries (placement policy: `CachePinned` datasets) are only
     /// evicted once every unpinned entry is gone.
     pinned: bool,
 }
 
-#[derive(Debug, Default)]
-struct NodeShard {
-    bytes: u64,
-    map: BTreeMap<ChunkKey, Entry>,
-    /// Recency index: tick → key. Ticks are unique, so this is a total
-    /// order; the smallest tick is the LRU entry.
-    order: BTreeMap<u64, ChunkKey>,
-}
-
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Inner {
     per_node_capacity: u64,
     admit_max_fraction: f64,
-    tick: u64,
-    nodes: BTreeMap<NodeId, NodeShard>,
-    /// Never-admit set with FIFO bound (insertion-ordered by tick).
-    quarantined: BTreeSet<ChunkKey>,
-    quarantine_order: BTreeMap<u64, ChunkKey>,
+    /// Each node's resident chunks.
+    nodes: BTreeMap<NodeId, Lru<ChunkKey, Entry>>,
+    /// Never-admit set (bounded touch-LRU).
+    quarantined: Quarantine<ChunkKey>,
     stats: ClusterCacheStats,
 }
 
 /// The cluster cache registry. One per simulated world, shared (via
 /// `Rc`) by every job and DAG stage running in it. Interior-mutable —
 /// the sim is single-threaded and callbacks only hold `&self`.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ClusterCache {
     inner: RefCell<Inner>,
+}
+
+impl Default for ClusterCache {
+    /// A disabled registry (zero per-node capacity).
+    fn default() -> ClusterCache {
+        ClusterCache::new(0)
+    }
 }
 
 impl ClusterCache {
@@ -115,7 +113,9 @@ impl ClusterCache {
             inner: RefCell::new(Inner {
                 per_node_capacity,
                 admit_max_fraction: DEFAULT_ADMIT_MAX_FRACTION,
-                ..Inner::default()
+                nodes: BTreeMap::new(),
+                quarantined: Quarantine::new(QUARANTINE_CAP),
+                stats: ClusterCacheStats::default(),
             }),
         }
     }
@@ -135,10 +135,11 @@ impl ClusterCache {
     /// node until resident bytes fit).
     pub fn set_per_node_capacity(&self, bytes: u64) {
         let mut g = self.inner.borrow_mut();
+        let g = &mut *g;
         g.per_node_capacity = bytes;
-        let nodes: Vec<NodeId> = g.nodes.keys().copied().collect();
-        for n in nodes {
-            g.shrink_to_fit(n, 0);
+        for shard in g.nodes.values_mut() {
+            g.stats.evictions += make_room(shard, bytes);
+            shard.shrink_to(bytes);
         }
     }
 
@@ -156,33 +157,23 @@ impl ClusterCache {
         if g.per_node_capacity == 0 {
             return None;
         }
-        g.tick += 1;
-        let tick = g.tick;
-        let Some(shard) = g.nodes.get_mut(&node) else {
+        let hit = g
+            .nodes
+            .get_mut(&node)
+            .and_then(|shard| shard.get(&key))
+            .map(|e| Arc::clone(&e.data));
+        if hit.is_some() {
+            g.stats.hits += 1;
+        } else {
             g.stats.misses += 1;
-            return None;
-        };
-        match shard.map.get_mut(&key) {
-            Some(e) => {
-                let old = e.last_tick;
-                e.last_tick = tick;
-                let data = Arc::clone(&e.data);
-                shard.order.remove(&old);
-                shard.order.insert(tick, key);
-                g.stats.hits += 1;
-                Some(data)
-            }
-            None => {
-                g.stats.misses += 1;
-                None
-            }
         }
+        hit
     }
 
     /// Non-counting, non-bumping residency probe — the scheduler's view.
     pub fn holds(&self, node: NodeId, key: ChunkKey) -> bool {
         let g = self.inner.borrow();
-        g.nodes.get(&node).is_some_and(|s| s.map.contains_key(&key))
+        g.nodes.get(&node).is_some_and(|s| s.contains(&key))
     }
 
     /// Admit `data` for `key` on `node`. Refused (counted in
@@ -191,37 +182,22 @@ impl ClusterCache {
     /// Evicts LRU entries (unpinned first) until the entry fits.
     pub fn insert(&self, node: NodeId, key: ChunkKey, data: Arc<Vec<u8>>, pinned: bool) -> bool {
         let mut g = self.inner.borrow_mut();
-        if g.per_node_capacity == 0 {
-            return false;
-        }
-        if g.quarantined.contains(&key) {
-            g.stats.rejected += 1;
+        let g = &mut *g;
+        let cap = g.per_node_capacity;
+        if cap == 0 {
             return false;
         }
         let len = data.len() as u64;
-        let ceiling = (g.admit_max_fraction * g.per_node_capacity as f64) as u64;
-        if len == 0 || len > ceiling.max(1) {
+        let ceiling = ((g.admit_max_fraction * cap as f64) as u64).clamp(1, cap);
+        if g.quarantined.contains(&key) || len == 0 || len > ceiling {
             g.stats.rejected += 1;
             return false;
         }
-        g.tick += 1;
-        let tick = g.tick;
+        let shard = g.nodes.entry(node).or_insert_with(|| Lru::new(cap));
         // Drop any stale entry for the key first (re-admission refreshes).
-        if g.nodes.get(&node).is_some_and(|s| s.map.contains_key(&key)) {
-            g.remove_entry(node, key);
-        }
-        g.shrink_to_fit(node, len);
-        let shard = g.nodes.entry(node).or_default();
-        shard.bytes += len;
-        shard.order.insert(tick, key);
-        shard.map.insert(
-            key,
-            Entry {
-                data,
-                last_tick: tick,
-                pinned,
-            },
-        );
+        shard.remove(&key);
+        g.stats.evictions += make_room(shard, cap - len);
+        shard.insert(key, Entry { data, pinned }, len);
         g.stats.inserts += 1;
         true
     }
@@ -231,27 +207,15 @@ impl ClusterCache {
     /// chunk — cached copies of a suspect chunk must not outlive it.
     pub fn quarantine(&self, key: ChunkKey) {
         let mut g = self.inner.borrow_mut();
-        let nodes: Vec<NodeId> = g.nodes.keys().copied().collect();
-        for n in nodes {
-            g.remove_entry(n, key);
+        for shard in g.nodes.values_mut() {
+            shard.remove(&key);
         }
-        if g.quarantined.insert(key) {
-            g.tick += 1;
-            let tick = g.tick;
-            g.quarantine_order.insert(tick, key);
-            while g.quarantined.len() > QUARANTINE_CAP {
-                let Some((&t, &k)) = g.quarantine_order.iter().next() else {
-                    break;
-                };
-                g.quarantine_order.remove(&t);
-                g.quarantined.remove(&k);
-            }
-        }
+        g.quarantined.touch(key);
     }
 
-    /// Is `key` on the never-admit list?
+    /// Is `key` on the never-admit list? (A hit counts as a touch.)
     pub fn is_quarantined(&self, key: ChunkKey) -> bool {
-        self.inner.borrow().quarantined.contains(&key)
+        self.inner.borrow_mut().quarantined.contains(&key)
     }
 
     /// Drop every entry `node` holds — its memory died with it. Mirrors
@@ -259,19 +223,20 @@ impl ClusterCache {
     pub fn invalidate_node(&self, node: NodeId) {
         let mut g = self.inner.borrow_mut();
         if let Some(shard) = g.nodes.remove(&node) {
-            g.stats.invalidated += shard.map.len() as u64;
+            g.stats.invalidated += shard.len() as u64;
         }
     }
 
     /// Resident bytes on `node`.
     pub fn resident_bytes(&self, node: NodeId) -> u64 {
-        self.inner.borrow().nodes.get(&node).map_or(0, |s| s.bytes)
+        let g = self.inner.borrow();
+        g.nodes.get(&node).map_or(0, |s| s.weight())
     }
 
     /// Total entries resident across the cluster.
     pub fn resident_entries(&self) -> u64 {
         let g = self.inner.borrow();
-        g.nodes.values().map(|s| s.map.len() as u64).sum()
+        g.nodes.values().map(|s| s.len() as u64).sum()
     }
 
     /// Lifetime statistics snapshot.
@@ -280,45 +245,21 @@ impl ClusterCache {
     }
 }
 
-impl Inner {
-    /// Remove `key` from `node`'s shard if present (no stats change other
-    /// than byte accounting; callers count what the removal *means*).
-    fn remove_entry(&mut self, node: NodeId, key: ChunkKey) {
-        if let Some(shard) = self.nodes.get_mut(&node) {
-            if let Some(e) = shard.map.remove(&key) {
-                shard.bytes -= e.data.len() as u64;
-                shard.order.remove(&e.last_tick);
-            }
-        }
+/// Evict LRU entries from `shard` until at most `limit` bytes stay
+/// resident; returns how many went. Unpinned entries go first; pinned
+/// entries are only sacrificed when no unpinned entry remains (so pinning
+/// can never deadlock admission).
+fn make_room(shard: &mut Lru<ChunkKey, Entry>, limit: u64) -> u64 {
+    let mut evicted = 0;
+    while shard.weight() > limit
+        && shard
+            .pop_lru_where(|e| !e.pinned)
+            .or_else(|| shard.pop_lru_where(|_| true))
+            .is_some()
+    {
+        evicted += 1;
     }
-
-    /// Evict LRU entries from `node` until `incoming` more bytes fit in
-    /// the per-node capacity. Unpinned entries go first; pinned entries
-    /// are only sacrificed when no unpinned entry remains (so pinning can
-    /// never deadlock admission).
-    fn shrink_to_fit(&mut self, node: NodeId, incoming: u64) {
-        let cap = self.per_node_capacity;
-        loop {
-            let Some(shard) = self.nodes.get_mut(&node) else {
-                return;
-            };
-            if shard.bytes + incoming <= cap {
-                return;
-            }
-            // LRU-first among unpinned; fall back to LRU among pinned.
-            let victim = shard
-                .order
-                .values()
-                .copied()
-                .find(|k| shard.map.get(k).is_some_and(|e| !e.pinned))
-                .or_else(|| shard.order.values().next().copied());
-            let Some(v) = victim else {
-                return;
-            };
-            self.remove_entry(node, v);
-            self.stats.evictions += 1;
-        }
-    }
+    evicted
 }
 
 #[cfg(test)]
@@ -407,6 +348,22 @@ mod tests {
         assert!(c.is_quarantined((9, 0)));
         assert!(!c.insert(NodeId(0), (9, 0), bytes(10), false));
         assert_eq!(c.stats().rejected, 1);
+    }
+
+    #[test]
+    fn never_admit_set_is_touch_lru_past_its_bound() {
+        // Same policy as the reader's own quarantine set: a key readers
+        // keep tripping over outlives older, untouched ones (this set used
+        // to be FIFO and would have dropped key 0 here).
+        let c = ClusterCache::new(1 << 20);
+        for k in 0..QUARANTINE_CAP as u64 {
+            c.quarantine((k, 0));
+        }
+        assert!(c.is_quarantined((0, 0)), "touch the oldest key");
+        c.quarantine((u64::MAX, 0));
+        assert!(c.is_quarantined((0, 0)), "recently touched key survives");
+        assert!(!c.is_quarantined((1, 0)), "least recently touched key goes");
+        assert!(c.is_quarantined((u64::MAX, 0)));
     }
 
     #[test]

@@ -3,10 +3,16 @@
 //! with a shared chunk cache, or under (transient, repairable) faults —
 //! while actually skipping reads when the zone maps allow it.
 
+use std::rc::Rc;
+use std::sync::Arc;
+
 use scidp_suite::baselines::StagedDataset;
-use scidp_suite::mapreduce::{counter_keys as keys, Cluster, JobResult};
+use scidp_suite::mapreduce::{
+    counter_keys as keys, Cluster, InputSplit, JobResult, MrError, Payload, StreamConfig, TaskInput,
+};
 use scidp_suite::prelude::*;
-use scidp_suite::scidp::{run_sql_scan, ScidpError, SqlScanConfig};
+use scidp_suite::scidp::{run_sql_scan, SciSlabFetcher, ScidpError, SqlScanConfig};
+use scidp_suite::scifmt::snc::ChunkCache;
 
 fn world(seed: u64) -> (Cluster, StagedDataset) {
     let spec = WrfSpec {
@@ -281,4 +287,178 @@ fn boundary_allnull_and_single_element_chunks() {
     // and the partial tail chunk (48..59) both contain matches, and QS's
     // single element (42) survives: exactly one chunk skipped.
     assert_eq!(r.counters.get(keys::CHUNKS_SKIPPED_ZONEMAP), 1.0);
+}
+
+/// Pushdown over a *multi-chunk* split, streamed: the surviving chunks are
+/// the stream's pieces (read/compute overlap), the pruned ones are not
+/// pieces at all, and the filtered frame is the same in every fetch mode —
+/// and equal to an oracle that never enters `scidp::reader`:
+/// `SncFile::get_vara` plus a naive row filter.
+#[test]
+fn streamed_pushdown_over_a_multi_chunk_split_matches_the_get_vara_oracle() {
+    const PATH: &str = "push/f.snc";
+    let shape = [16usize, 8, 5];
+    // 8 chunks of 2 levels; values rise with the row-major index, so
+    // `100 <= value < 280` lives in levels 5..=13: chunks 0, 1 and 7 are
+    // pruned by their zone maps, chunks 2..=6 are read.
+    let data: Vec<f32> = (0..16 * 8 * 5).map(|i| i as f32 * 0.5).collect();
+    let mut b = SncBuilder::new();
+    b.add_var(
+        "",
+        "QR",
+        &[("lev", 16), ("lat", 8), ("lon", 5)],
+        &[2, 8, 5],
+        Codec::ShuffleLz { elem: 4 },
+        Array::from_f32(shape.to_vec(), data).unwrap(),
+    )
+    .unwrap();
+    let bytes = b.finish();
+    let sql = "SELECT * FROM df WHERE value >= 100.0 AND value < 280.0 AND lat < 6";
+    let pred = Arc::new(
+        scidp_suite::rframe::sql::where_predicate(sql)
+            .unwrap()
+            .unwrap(),
+    );
+
+    // The oracle: scifmt's in-memory read, filtered row by row.
+    let file = SncFile::open(bytes.clone()).unwrap();
+    let dense = file.get_vara("QR", &[0, 0, 0], &shape).unwrap();
+    let mut oracle = Vec::new();
+    for l in 0..shape[0] {
+        for i in 0..shape[1] {
+            for j in 0..shape[2] {
+                let v = dense.at(&[l, i, j]);
+                if (100.0..280.0).contains(&v) && i < 6 {
+                    oracle.push(format!("{l:02},{i},{j}\t{v}"));
+                }
+            }
+        }
+    }
+    assert!(
+        oracle.len() > 100,
+        "the predicate keeps a real share of rows"
+    );
+
+    let run = |plan: FaultPlan, stream: StreamConfig| {
+        let mut c = paper_cluster(4, &WrfSpec::tiny(1));
+        c.pfs.borrow_mut().create(PATH, bytes.clone());
+        c.sim.faults.install(plan);
+        let var = Arc::new(file.meta().var("QR").unwrap().clone());
+        let split = InputSplit {
+            length: var.chunks.iter().map(|ch| ch.clen).sum(),
+            locations: Vec::new(),
+            fetcher: Rc::new(SciSlabFetcher {
+                pfs_path: PATH.into(),
+                var,
+                data_offset: file.meta().data_offset,
+                start: vec![0, 0, 0],
+                count: shape.to_vec(),
+                cache: Arc::new(ChunkCache::default()),
+                pushdown: Some(pred.clone()),
+                cluster_admit: None,
+            }),
+        };
+        let job = Job {
+            name: "pushrows".into(),
+            splits: vec![split],
+            map_fn: Rc::new(|input, ctx| {
+                let TaskInput::Frame(f) = input else {
+                    return Err(MrError::msg("pushdown must deliver a frame"));
+                };
+                let col = |name: &str| f.column(name).map_err(|e| MrError::msg(e.to_string()));
+                let (lev, lat, lon, val) = (col("lev")?, col("lat")?, col("lon")?, col("value")?);
+                // A compute tail worth hiding reads behind.
+                ctx.charge("compute", 2.0);
+                for r in 0..f.n_rows() {
+                    let key = format!("{:02},{},{}", lev.f64_at(r), lat.f64_at(r), lon.f64_at(r));
+                    ctx.emit(key, Payload::Bytes(val.f64_at(r).to_string().into_bytes()));
+                }
+                Ok(())
+            }),
+            reduce_fn: Some(Rc::new(|key, values, ctx| {
+                for v in values {
+                    ctx.emit(key, v);
+                }
+                Ok(())
+            })),
+            n_reducers: 1,
+            output_dir: "push_out".into(),
+            spill_to_pfs: false,
+            output_to_pfs: false,
+            ft: FtConfig {
+                max_task_attempts: 8,
+                ..FtConfig::default()
+            },
+            stream,
+            shuffle: None,
+        };
+        let r = run_job(&mut c, job).expect("job survives its fault plan");
+        (read_output(&c, "push_out"), r)
+    };
+    let data_counters = |r: &JobResult| {
+        [
+            keys::MAP_TASKS,
+            keys::INPUT_BYTES,
+            keys::RECORDS_EMITTED,
+            keys::SHUFFLE_BYTES,
+            keys::HDFS_WRITE_BYTES,
+            keys::CHUNKS_SKIPPED_ZONEMAP,
+            keys::PUSHDOWN_BYTES_AVOIDED,
+            keys::VECTORISED_ROWS,
+        ]
+        .map(|k| (k, r.counters.get(k)))
+    };
+    // Seed 0 is the clean run; 1..=3 add random read failures, a targeted
+    // failure and a transient (repairable) corruption.
+    let plan = |seed: u64| match seed {
+        0 => FaultPlan::none(),
+        _ => FaultPlan::none()
+            .with_random_read_failures(seed, 0.08)
+            .fail_read(PATH, 3)
+            .corrupt_read(PATH, 2),
+    };
+    for seed in 0..=3u64 {
+        let what = format!("fault seed {seed}");
+        let batch = StreamConfig {
+            enabled: false,
+            ..StreamConfig::default()
+        };
+        let (want, br) = run(plan(seed), batch);
+        let text: String = want
+            .iter()
+            .filter(|(path, _)| path.contains("part-r-"))
+            .map(|(_, data)| String::from_utf8_lossy(data).into_owned())
+            .collect();
+        let rows: Vec<&str> = text.lines().collect();
+        assert_eq!(rows, oracle, "{what}: batch pushdown vs get_vara oracle");
+        assert_eq!(br.counters.get(keys::CHUNKS_SKIPPED_ZONEMAP), 3.0, "{what}");
+        assert_eq!(br.counters.get(keys::VECTORISED_ROWS), 400.0, "{what}");
+        assert_eq!(br.counters.get(keys::PIECES_PREFETCHED), 0.0, "{what}");
+        for depth in [1usize, 2, 8] {
+            let (got, sr) = run(
+                plan(seed),
+                StreamConfig {
+                    enabled: true,
+                    prefetch_depth: depth,
+                },
+            );
+            assert_eq!(got, want, "{what}, depth {depth}: committed bytes");
+            assert_eq!(
+                data_counters(&sr),
+                data_counters(&br),
+                "{what}, depth {depth}"
+            );
+            assert_eq!(
+                sr.counters.get(keys::STREAM_FALLBACKS),
+                0.0,
+                "{what}, depth {depth}: pushdown streams"
+            );
+            // (A retried attempt finds its siblings' chunks in the job
+            // cache and may have a single piece left — nothing to overlap.)
+            assert!(
+                seed != 0 || sr.counters.get(keys::PIECES_PREFETCHED) > 0.0,
+                "depth {depth}: reads must overlap the compute tail"
+            );
+        }
+    }
 }

@@ -3,6 +3,11 @@
 //! byte-identity of streaming vs batch fetch (with and without injected
 //! faults), the overlap accounting, and the PR-3 integrity machinery
 //! (CRC verify → repair → quarantine) firing mid-stream.
+//!
+//! Batch is "open the stream, collect it", so it is no independent
+//! reference for streaming: the clean outputs are also pinned against
+//! oracles that never enter a fetcher (the staged bytes themselves, and
+//! `SncFile::get_vara`).
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -147,11 +152,31 @@ fn batch() -> StreamConfig {
     }
 }
 
+/// The `key\tvalue` lines of the committed part files.
+fn output_lines(out: &[(String, Vec<u8>)]) -> Vec<String> {
+    let mut lines = Vec::new();
+    for (path, data) in out {
+        if path.contains("part-r-") {
+            lines.extend(String::from_utf8_lossy(data).lines().map(str::to_string));
+        }
+    }
+    lines.sort();
+    lines
+}
+
 #[test]
 fn streaming_matches_batch_and_overlaps_reads() {
     let (br, bout) = run_flat(FaultPlan::none(), batch());
     let (sr, sout) = run_flat(FaultPlan::none(), StreamConfig::default());
     assert_eq!(sout, bout, "streaming must commit byte-identical output");
+    // Oracle: byte counts of the staged file, no fetcher involved.
+    let mut counts: BTreeMap<u8, u64> = BTreeMap::new();
+    for i in 0..FILE_BYTES {
+        *counts.entry((i % 13) as u8).or_default() += 1;
+    }
+    let mut want: Vec<String> = counts.iter().map(|(k, n)| format!("b{k}\t{n}")).collect();
+    want.sort();
+    assert_eq!(output_lines(&bout), want);
     assert_eq!(data_counters(&sr.counters), data_counters(&br.counters));
     // The pipeline may only hide read time, never add it.
     assert!(
@@ -397,5 +422,20 @@ mod integrity {
         let (sout, scnt) = run(StreamConfig::default());
         assert_eq!(sout, bout, "decoded slab bytes must not depend on mode");
         assert_eq!(scnt, bcnt);
+        // Oracle: scifmt's in-memory read of the same container.
+        let mut c = snc_cluster();
+        stage_var(&mut c);
+        let bytes = c.pfs.borrow().file(SNC_PATH).unwrap().data.clone();
+        let a = SncFile::open(bytes)
+            .unwrap()
+            .get_vara("QR", &[0, 0, 0], &[6, 8, 5])
+            .unwrap();
+        let want: Vec<String> = (0..6)
+            .map(|l| {
+                let sum: f64 = (0..8 * 5).map(|k| a.at(&[l, k / 5, k % 5])).sum();
+                format!("lev{l}\t{sum}")
+            })
+            .collect();
+        assert_eq!(output_lines(&bout), want);
     }
 }

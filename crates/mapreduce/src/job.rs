@@ -547,8 +547,9 @@ struct Driver {
     /// Durations of committed maps (speculation median).
     map_durations: Vec<f64>,
     /// Per-split cluster-cache chunk keys (from
-    /// [`crate::input::SplitFetcher::cache_hints`]); all empty when the
-    /// cluster cache tier is disabled, so the scheduler pays nothing.
+    /// [`crate::input::SplitFetcher::cache_hints`]); the whole vector is
+    /// empty when no split has a hint (always so when the cluster cache
+    /// tier is disabled), and the scheduler then skips its cache pass.
     cache_hints: Vec<Vec<ChunkKey>>,
     /// Cluster-cache registry eviction count when this job started; the
     /// per-job delta lands in [`keys::CLUSTER_CACHE_EVICTIONS`].
@@ -686,13 +687,16 @@ pub fn submit_job_env(
     let hang_checks_armed = detector_armed || !plan.read_hangs.is_empty();
     let backoff_rng = scirng::Rng::seed_from_u64(plan.seed ^ 0x6861_6e67_5f64_6574);
     // Precompute cache-locality hints only when the tier is live: a
-    // disabled registry means empty hints, zero scheduler overhead and
-    // timing identical to a world without the tier.
-    let cache_hints: Vec<Vec<ChunkKey>> = if env.cluster_cache.enabled() {
+    // disabled registry (or fetchers without hints) means no hints, zero
+    // scheduler overhead and timing identical to a world without the tier.
+    let mut cache_hints: Vec<Vec<ChunkKey>> = if env.cluster_cache.enabled() {
         job.splits.iter().map(|s| s.fetcher.cache_hints()).collect()
     } else {
-        vec![Vec::new(); n_maps]
+        Vec::new()
     };
+    if cache_hints.iter().all(Vec::is_empty) {
+        cache_hints.clear();
+    }
     let cluster_evictions_start = env.cluster_cache.stats().evictions;
     let d = Rc::new(RefCell::new(Driver {
         free_slots: node_dead
@@ -830,10 +834,13 @@ fn try_schedule(sim: &mut Sim, d: &SharedDriver) {
                 // Dynamic cache locality — the top preference tier: a
                 // pending split whose chunks are resident in the cluster
                 // cache on a free node runs there, skipping its PFS reads
-                // entirely. Hints are all-empty when the tier is disabled,
-                // so this pass is free for every existing workload.
+                // entirely. Skipped when no split has a hint (tier
+                // disabled), so it is free for every existing workload.
                 'cache: for node in 0..n_nodes {
-                    if !dd.node_usable(node) || dd.free_slots.get(node).copied().unwrap_or(0) == 0 {
+                    if dd.cache_hints.is_empty()
+                        || !dd.node_usable(node)
+                        || dd.free_slots.get(node).copied().unwrap_or(0) == 0
+                    {
                         continue;
                     }
                     let nid = NodeId(node as u32);

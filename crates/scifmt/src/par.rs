@@ -18,7 +18,7 @@
 //!   small inputs run inline on the caller's thread.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Worker-count default: the `SCIDP_THREADS` environment variable if set,
 /// else the machine's available parallelism, else 1.
@@ -28,9 +28,15 @@ use std::sync::Mutex;
 /// box, BENCH_codec.json), and clamping to 1 routes all codec call sites to
 /// their sequential path on single-core hosts.
 pub fn default_threads() -> usize {
-    let avail = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    // `available_parallelism` opens and parses the cgroup files on every
+    // call and callers ask per image; the answer is fixed for the process.
+    // `SCIDP_THREADS` is still read per call.
+    static AVAIL: OnceLock<usize> = OnceLock::new();
+    let avail = *AVAIL.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    });
     if let Ok(v) = std::env::var("SCIDP_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
             return n.clamp(1, avail);

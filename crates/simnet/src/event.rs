@@ -1,15 +1,27 @@
 //! The discrete-event engine: an ordered queue of scheduled closures plus
 //! the glue that turns [`FlowNet`] rate changes into completion events.
 //!
-//! Flow completions are driven by a *single* outstanding prediction event:
-//! after every rate recomputation only the earliest finishing flow gets an
-//! event (epoch-guarded against staleness). When it fires, every flow that
-//! has drained completes, rates are recomputed once, and the next
-//! prediction is scheduled. This keeps the queue O(1) in the number of
-//! active flows — important for experiments with thousands of concurrent
-//! transfers.
+//! Flow completions are driven by a *single* live prediction event: after a
+//! rate recomputation only the earliest finishing flow gets an event
+//! (epoch-guarded against staleness). When it fires, every flow that has
+//! drained completes and the next prediction is scheduled.
+//!
+//! **One recomputation per instant.** Starting or completing a flow does not
+//! recompute anything: it marks the flow set changed and *reserves the queue
+//! position* (`seq`) the prediction event for that change takes. No simulated
+//! time passes while a change is pending, so the intermediate rates could
+//! never have moved a byte; [`Sim::step`] recomputes rates once, from the
+//! final flow set of the instant, and pushes the one prediction event at the
+//! last reserved position. That is exactly the event a recomputation at
+//! every change would have left live, at the same `(time, seq)`, so every
+//! callback runs in the same order at the same time as under eager
+//! recomputation; only its superseded (no-op) predictions are never queued.
+//! The recomputation is put off while the queue head would pop before the
+//! reserved position anyway, so a burst of same-instant events that each
+//! start flows costs one recomputation, not one per event; a prediction
+//! event popped while a change is pending is superseded by it.
 
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 
 use crate::cost::CostModel;
@@ -19,7 +31,7 @@ use crate::time::SimTime;
 
 type Callback = Box<dyn FnOnce(&mut Sim)>;
 
-/// Heap key: earliest time first, FIFO among equal times.
+/// Queue position: earliest time first, FIFO among equal times.
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
 struct Key {
     time: SimTime,
@@ -30,8 +42,35 @@ enum EventKind {
     /// Run an arbitrary closure.
     Call(Callback),
     /// The earliest predicted flow completion, valid only if `epoch` is
-    /// current.
+    /// current and no flow change is pending.
     FlowTick { epoch: u64 },
+}
+
+/// A queued event. Ordered by `key` alone (`seq` is unique), reversed so the
+/// max-heap pops the earliest.
+struct Entry {
+    key: Key,
+    kind: EventKind,
+}
+
+impl PartialEq for Entry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for Entry {}
+
+impl PartialOrd for Entry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Entry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.cmp(&self.key)
+    }
 }
 
 /// The simulator: virtual clock, event queue, flow network and cost model.
@@ -49,9 +88,10 @@ enum EventKind {
 pub struct Sim {
     now: SimTime,
     seq: u64,
-    queue: BinaryHeap<Reverse<(Key, usize)>>,
-    events: HashMap<usize, EventKind>,
-    next_event: usize,
+    queue: BinaryHeap<Entry>,
+    /// `Some(seq)` while the flow set has changed since the last rate
+    /// recomputation: the queue position reserved for its prediction event.
+    pending_tick: Option<u64>,
     /// The shared-resource flow model.
     pub net: FlowNet,
     /// Calibrated virtual costs for compute phases.
@@ -78,8 +118,7 @@ impl Sim {
             now: SimTime::ZERO,
             seq: 0,
             queue: BinaryHeap::new(),
-            events: HashMap::new(),
-            next_event: 0,
+            pending_tick: None,
             net: FlowNet::new(),
             cost,
             faults: FaultInjector::default(),
@@ -99,25 +138,25 @@ impl Sim {
         self.events_processed
     }
 
-    fn push(&mut self, time: SimTime, kind: EventKind) {
+    /// Take the next queue position.
+    fn next_seq(&mut self) -> u64 {
+        self.seq += 1;
+        self.seq
+    }
+
+    fn push(&mut self, time: SimTime, seq: u64, kind: EventKind) {
         assert!(time.is_valid(), "scheduling at invalid time {time:?}");
         debug_assert!(time >= self.now, "scheduling into the past");
-        let id = self.next_event;
-        self.next_event += 1;
-        self.seq += 1;
-        self.events.insert(id, kind);
-        self.queue.push(Reverse((
-            Key {
-                time,
-                seq: self.seq,
-            },
-            id,
-        )));
+        self.queue.push(Entry {
+            key: Key { time, seq },
+            kind,
+        });
     }
 
     /// Schedule `cb` to run at absolute time `t` (must be ≥ now).
     pub fn at(&mut self, t: SimTime, cb: impl FnOnce(&mut Sim) + 'static) {
-        self.push(t.max(self.now), EventKind::Call(Box::new(cb)));
+        let seq = self.next_seq();
+        self.push(t.max(self.now), seq, EventKind::Call(Box::new(cb)));
     }
 
     /// Schedule `cb` to run `dt` seconds from now.
@@ -138,41 +177,35 @@ impl Sim {
         self.net.advance_to(self.now);
         let id = self.net.admit(path, bytes);
         self.flow_callbacks.insert(id, Box::new(done));
-        self.reschedule_tick();
+        self.flows_changed();
         id
     }
 
-    /// Recompute fair-share rates and schedule one prediction event at the
-    /// earliest completion under the new epoch.
-    fn reschedule_tick(&mut self) {
-        self.reschedule_tick_after(0.0);
+    /// The flow set changed at `now`: reserve the queue position of the
+    /// prediction event [`Self::step`] will push for it.
+    fn flows_changed(&mut self) {
+        self.pending_tick = Some(self.next_seq());
     }
 
-    /// Like [`Self::reschedule_tick`] but never earlier than `min_dt` from
-    /// now (used to guarantee forward progress after rounding slivers).
-    fn reschedule_tick_after(&mut self, min_dt: f64) {
-        let etas = self.net.recompute_rates();
-        let epoch = self.net.epoch;
-        let base = self.net.last_update();
-        let mut min_eta = f64::INFINITY;
-        for (_, eta) in etas {
-            if eta < min_eta {
-                min_eta = eta;
-            }
-        }
+    /// Recompute fair-share rates and queue one prediction event at
+    /// position `seq`, at the earliest completion under the new epoch but
+    /// never earlier than `min_dt` from now.
+    fn schedule_tick(&mut self, seq: u64, min_dt: f64) {
+        let min_eta = self.net.recompute_rates();
         if min_eta.is_finite() {
-            let t = SimTime(base.0 + min_eta)
+            let t = SimTime(self.net.last_update().0 + min_eta)
                 .max(self.now)
                 .max(SimTime(self.now.0 + min_dt));
-            self.push(t, EventKind::FlowTick { epoch });
+            let epoch = self.net.epoch;
+            self.push(t, seq, EventKind::FlowTick { epoch });
         }
         // All-infinite (zero-rate) flows re-enter consideration on the next
         // admit; a drained queue with active flows is caught by `run`.
     }
 
     fn on_flow_tick(&mut self, epoch: u64) {
-        if epoch != self.net.epoch {
-            return; // superseded by a later recomputation
+        if epoch != self.net.epoch || self.pending_tick.is_some() {
+            return; // superseded by a later change of the flow set
         }
         self.net.advance_to(self.now);
         let finished = self.net.take_finished();
@@ -180,7 +213,8 @@ impl Sim {
             // Floating-point rounding left a sliver of bytes; predict again
             // from the current remainder, at least one nanosecond ahead so
             // virtual time always advances (livelock guard).
-            self.reschedule_tick_after(1e-9);
+            let seq = self.next_seq();
+            self.schedule_tick(seq, 1e-9);
             return;
         }
         let mut callbacks = Vec::with_capacity(finished.len());
@@ -192,7 +226,7 @@ impl Sim {
                     .expect("completion callback present"),
             );
         }
-        self.reschedule_tick();
+        self.flows_changed();
         for cb in callbacks {
             cb(self);
         }
@@ -200,14 +234,23 @@ impl Sim {
 
     /// Process one event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
-        let Some(Reverse((key, id))) = self.queue.pop() else {
+        if let Some(seq) = self.pending_tick {
+            // The prediction event lands at `(≥ now, seq)`: while the head
+            // pops before that whatever the rates are, keep collecting the
+            // instant's changes.
+            let due = Key {
+                time: self.now,
+                seq,
+            };
+            let head_pops_first = self.queue.peek().is_some_and(|head| head.key < due);
+            if !head_pops_first {
+                self.pending_tick = None;
+                self.schedule_tick(seq, 0.0);
+            }
+        }
+        let Some(Entry { key, kind }) = self.queue.pop() else {
             return false;
         };
-        let kind = self
-            .events
-            .remove(&id)
-            // scilint::allow(p-expect, reason = "event-loop invariant: every queued id has exactly one payload; a miss means corrupt sim state and must stop the run, not skip an event")
-            .expect("event payload present for queued id");
         debug_assert!(key.time >= self.now);
         self.now = key.time;
         self.events_processed += 1;
@@ -407,6 +450,107 @@ mod tests {
             sim.events_processed() < 5_000,
             "event churn too high: {}",
             sim.events_processed()
+        );
+    }
+
+    fn queued_ticks(sim: &Sim) -> usize {
+        sim.queue
+            .iter()
+            .filter(|e| matches!(e.kind, EventKind::FlowTick { .. }))
+            .count()
+    }
+
+    #[test]
+    fn same_instant_flow_starts_recompute_once() {
+        // A burst inside one callback and a burst spread over same-instant
+        // callbacks both cost one recomputation and one queued tick.
+        let mut sim = Sim::new();
+        let r = sim.net.add_resource("link", 100.0);
+        for _ in 0..50 {
+            sim.start_flow(vec![r], 100.0, |_| {});
+        }
+        assert_eq!((sim.net.recomputes(), queued_ticks(&sim)), (0, 0));
+        for _ in 0..50 {
+            sim.at(SimTime(1.0), move |sim| {
+                sim.start_flow(vec![r], 100.0, |_| {});
+            });
+        }
+        for _ in 0..50 {
+            assert!(sim.step());
+            assert_eq!(queued_ticks(&sim), 1);
+        }
+        // One for the burst at t=0 and none yet for the 50 starts at t=1.
+        assert_eq!((sim.now(), sim.net.recomputes()), (SimTime(1.0), 1));
+        sim.run();
+        // t=1 burst, then the two completion instants (t=99 and t=100).
+        assert_eq!(sim.net.recomputes(), 4);
+        // 50 callbacks, the t=0 tick superseded at t=1, two live ticks.
+        assert_eq!(sim.events_processed(), 53);
+        assert_eq!(sim.now(), SimTime(100.0));
+    }
+
+    #[test]
+    fn zero_byte_completion_keeps_its_queue_position() {
+        let mut sim = Sim::new();
+        let r = sim.net.add_resource("link", 100.0);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let note = |log: &Rc<RefCell<Vec<&'static str>>>, what: &'static str| {
+            let log = log.clone();
+            move |_: &mut Sim| log.borrow_mut().push(what)
+        };
+        sim.after(0.0, note(&log, "before"));
+        sim.start_flow(vec![r], 0.0, note(&log, "flow"));
+        sim.after(0.0, note(&log, "after"));
+        assert_eq!(sim.run(), SimTime::ZERO);
+        assert_eq!(*log.borrow(), vec!["before", "flow", "after"]);
+    }
+
+    #[test]
+    fn flow_started_in_completion_callback() {
+        // A (100 B at 100 B/s) completes at t=1 and starts B (200 B), which
+        // has the link to itself: t=3.
+        let mut sim = Sim::new();
+        let r = sim.net.add_resource("link", 100.0);
+        let t_b = Rc::new(RefCell::new(None));
+        let tb = t_b.clone();
+        sim.start_flow(vec![r], 100.0, move |sim| {
+            assert_eq!(sim.now(), SimTime(1.0));
+            sim.start_flow(vec![r], 200.0, move |sim| {
+                *tb.borrow_mut() = Some(sim.now());
+            });
+        });
+        sim.run();
+        assert_eq!(*t_b.borrow(), Some(SimTime(3.0)));
+    }
+
+    #[test]
+    fn mixed_burst_matches_hand_schedule() {
+        // Link 120 B/s. Burst at t=0: A 120 B, B 360 B, C 0 B, D 360 B;
+        // E 60 B arrives at t=1.5.
+        //   t=0    C completes; A, B, D share 40 B/s each.
+        //   t=1.5  A has 60 left, B and D 300; four flows at 30 B/s.
+        //   t=3.5  A and E drain together (admission order: A, E);
+        //          B and D have 240 left at 60 B/s.
+        //   t=7.5  B, then D.
+        let mut sim = Sim::new();
+        let r = sim.net.add_resource("link", 120.0);
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let done = |log: &Rc<RefCell<Vec<(&'static str, f64)>>>, name: &'static str| {
+            let log = log.clone();
+            move |sim: &mut Sim| log.borrow_mut().push((name, sim.now().secs()))
+        };
+        sim.start_flow(vec![r], 120.0, done(&log, "A"));
+        sim.start_flow(vec![r], 360.0, done(&log, "B"));
+        sim.start_flow(vec![r], 0.0, done(&log, "C"));
+        sim.start_flow(vec![r], 360.0, done(&log, "D"));
+        let e = done(&log, "E");
+        sim.at(SimTime(1.5), move |sim| {
+            sim.start_flow(vec![r], 60.0, e);
+        });
+        sim.run();
+        assert_eq!(
+            *log.borrow(),
+            vec![("C", 0.0), ("A", 3.5), ("E", 3.5), ("B", 7.5), ("D", 7.5)]
         );
     }
 }

@@ -8,10 +8,11 @@
 //! divided by progressive filling, so a flow gets the fair share of its most
 //! contended resource and unused capacity is redistributed to the others.
 //!
-//! The allocation is recomputed whenever a flow starts or finishes (the
-//! classic "fluid" approximation of TCP sharing used by flow-level simulators
-//! such as SimGrid). Between recomputations every flow progresses linearly at
-//! its assigned rate, so completion times are exact.
+//! The allocation is recomputed once per simulated instant in which a flow
+//! started or finished (the classic "fluid" approximation of TCP sharing used
+//! by flow-level simulators such as SimGrid). Between recomputations every
+//! flow progresses linearly at its assigned rate, so completion times are
+//! exact.
 
 use crate::time::SimTime;
 
@@ -47,6 +48,48 @@ struct FlowState {
     rate: f64,
 }
 
+impl FlowState {
+    /// Predicted completion offset from `FlowNet::last_update` at the
+    /// current rate.
+    fn eta(&self) -> f64 {
+        if self.remaining <= 1e-6 {
+            0.0
+        } else if self.rate == 0.0 {
+            f64::INFINITY
+        } else {
+            self.remaining / self.rate
+        }
+    }
+}
+
+/// Per-resource working state of one progressive-filling pass, kept between
+/// passes so the vectors are reused.
+#[derive(Debug, Default)]
+struct Fill {
+    /// Residual capacity.
+    cap: f64,
+    /// Unfrozen flows crossing this resource (a path that names the
+    /// resource twice counts twice).
+    users: u32,
+}
+
+/// The resource among `contended` with the smallest fair share
+/// (`cap / users`) that still has unfrozen users, lowest index on ties.
+fn bottleneck(contended: &[u32], fill: &[Fill]) -> Option<(usize, f64)> {
+    let mut best: Option<(usize, f64)> = None;
+    for &ri in contended {
+        let Some(s) = fill.get(ri as usize).filter(|s| s.users > 0) else {
+            continue;
+        };
+        let share = s.cap / s.users as f64;
+        match best {
+            Some((_, b)) if b <= share => {}
+            _ => best = Some((ri as usize, share)),
+        }
+    }
+    best
+}
+
 /// The set of resources plus all currently active flows.
 ///
 /// `FlowNet` is pure bookkeeping: it knows *rates* and *remaining bytes* but
@@ -63,6 +106,13 @@ pub struct FlowNet {
     last_update: SimTime,
     /// Total bytes ever admitted, for reporting.
     pub bytes_admitted: f64,
+    /// Scratch of [`Self::recompute_rates`], one entry per resource.
+    fill: Vec<Fill>,
+    /// Scratch: per resource, the indices into `flows` of every flow
+    /// crossing it, ascending.
+    crossing: Vec<Vec<u32>>,
+    /// Scratch: finite resources that carry a flow, ascending.
+    contended: Vec<u32>,
 }
 
 impl FlowNet {
@@ -109,6 +159,13 @@ impl FlowNet {
     /// Number of currently active flows.
     pub fn n_active_flows(&self) -> usize {
         self.flows.len()
+    }
+
+    /// Number of fair-share recomputations so far. Grows with the number of
+    /// simulated instants in which the flow set changed, not with the number
+    /// of flows started.
+    pub fn recomputes(&self) -> u64 {
+        self.epoch
     }
 
     /// Advance all flow progress to time `now` using current rates.
@@ -160,24 +217,19 @@ impl FlowNet {
         let t = self.last_update.secs().abs().max(1.0);
         let ulp = t * f64::EPSILON * 4.0;
         let mut out = Vec::new();
-        let mut i = 0;
-        while i < self.flows.len() {
-            if self.flows[i].remaining <= 1e-6
-                || self.flows[i].remaining <= self.flows[i].rate * ulp
-            {
-                out.push(self.flows[i].id);
-                self.flows.remove(i);
-            } else {
-                i += 1;
+        self.flows.retain(|f| {
+            let done = f.remaining <= 1e-6 || f.remaining <= f.rate * ulp;
+            if done {
+                out.push(f.id);
             }
-        }
+            !done
+        });
         out
     }
 
-    /// Remove a flow (normally because it completed). Returns whether it was
-    /// present.
-    #[allow(dead_code)]
-    pub(crate) fn remove(&mut self, id: FlowId) -> bool {
+    /// Remove a flow. Returns whether it was present.
+    #[cfg(test)]
+    fn remove(&mut self, id: FlowId) -> bool {
         if let Some(pos) = self.flows.iter().position(|f| f.id == id) {
             self.flows.swap_remove(pos);
             true
@@ -187,103 +239,97 @@ impl FlowNet {
     }
 
     /// Remaining bytes of a flow, if still active.
-    pub fn remaining(&self, id: FlowId) -> Option<f64> {
+    #[cfg(test)]
+    fn remaining(&self, id: FlowId) -> Option<f64> {
         self.flows.iter().find(|f| f.id == id).map(|f| f.remaining)
     }
 
     /// Current rate of a flow, if still active.
-    pub fn rate(&self, id: FlowId) -> Option<f64> {
+    #[cfg(test)]
+    fn rate(&self, id: FlowId) -> Option<f64> {
         self.flows.iter().find(|f| f.id == id).map(|f| f.rate)
     }
 
     /// Recompute all flow rates by progressive filling (max–min fairness)
-    /// and bump the epoch. Returns, for every active flow, its predicted
-    /// completion time offset from `last_update` (`remaining / rate`).
-    pub(crate) fn recompute_rates(&mut self) -> Vec<(FlowId, f64)> {
+    /// and bump the epoch. Returns the earliest predicted completion among
+    /// the active flows as an offset from `last_update` (`remaining / rate`;
+    /// infinite when there is no flow or none can progress).
+    ///
+    /// Work is proportional to the flows' path lengths plus, per filling
+    /// round, the number of finite resources that carry a flow: each round
+    /// finds the bottleneck among those resources only and freezes the flows
+    /// on the bottleneck's own list. Rounds, tie-breaks (lowest resource
+    /// index, then ascending flow index) and the order of the per-flow
+    /// capacity subtractions are those of the textbook loop kept in the
+    /// tests as `recompute_rates_reference`, so rates are bit-identical.
+    pub(crate) fn recompute_rates(&mut self) -> f64 {
         self.epoch += 1;
-        let nf = self.flows.len();
-        if nf == 0 {
-            return Vec::new();
+        if self.flows.is_empty() {
+            return f64::INFINITY;
         }
-        let nr = self.resources.len();
-        // Residual capacity per resource and number of unfrozen flows using it.
-        let mut users: Vec<u32> = vec![0; nr];
-        for f in &self.flows {
+        let FlowNet {
+            resources,
+            flows,
+            fill,
+            crossing,
+            contended,
+            ..
+        } = self;
+        fill.clear();
+        fill.resize_with(resources.len(), Fill::default);
+        crossing.resize_with(resources.len(), Vec::new);
+        crossing.iter_mut().for_each(Vec::clear);
+        // An unfrozen flow is marked by an infinite rate: filling only ever
+        // assigns finite shares, and a flow still unfrozen at the end
+        // crosses infinite resources only, so the mark is its final rate.
+        for (fi, f) in flows.iter_mut().enumerate() {
+            f.rate = f64::INFINITY;
             for r in &f.path {
-                users[r.0 as usize] += 1;
+                let ri = r.0 as usize;
+                if let (Some(s), Some(c)) = (fill.get_mut(ri), crossing.get_mut(ri)) {
+                    s.users += 1;
+                    c.push(fi as u32);
+                }
             }
         }
-        // Disk stream-interference: effective capacity shrinks with the
-        // number of concurrent streams (head thrashing on HDDs).
-        let mut cap: Vec<f64> = self
-            .resources
-            .iter()
-            .zip(&users)
-            .map(|(r, &u)| {
-                if r.thrash > 0.0 && u > 1 {
-                    // Elevator scheduling bounds the worst case: cap the
-                    // interference degradation at 3x.
-                    r.capacity / (1.0 + r.thrash * (u - 1) as f64).min(3.0)
-                } else {
-                    r.capacity
-                }
-            })
-            .collect();
-        let mut frozen = vec![false; nf];
-        let mut rates = vec![0.0f64; nf];
-        let mut remaining_flows = nf;
-
-        while remaining_flows > 0 {
-            // Find bottleneck: resource with the smallest fair share.
-            let mut best: Option<(usize, f64)> = None;
-            for (ri, (&c, &u)) in cap.iter().zip(users.iter()).enumerate() {
-                if u == 0 || !c.is_finite() {
-                    continue;
-                }
-                let share = c / u as f64;
-                match best {
-                    Some((_, s)) if s <= share => {}
-                    _ => best = Some((ri, share)),
-                }
-            }
-            let Some((bottleneck, share)) = best else {
-                // All remaining flows pass only through infinite resources.
-                for (fi, f) in self.flows.iter().enumerate() {
-                    if !frozen[fi] {
-                        rates[fi] = f64::INFINITY;
-                        let _ = f;
-                    }
-                }
-                break;
+        contended.clear();
+        for (ri, (s, r)) in fill.iter_mut().zip(resources.iter()).enumerate() {
+            // Disk stream-interference: effective capacity shrinks with the
+            // number of concurrent streams (head thrashing on HDDs).
+            s.cap = if r.thrash > 0.0 && s.users > 1 {
+                // Elevator scheduling bounds the worst case: cap the
+                // interference degradation at 3x.
+                r.capacity / (1.0 + r.thrash * (s.users - 1) as f64).min(3.0)
+            } else {
+                r.capacity
             };
+            if s.users > 0 && s.cap.is_finite() {
+                contended.push(ri as u32);
+            }
+        }
+
+        // When no bottleneck is left, the unfrozen flows cross infinite
+        // resources only.
+        while let Some((bottleneck, share)) = bottleneck(contended, fill) {
             // Freeze every unfrozen flow crossing the bottleneck at `share`.
-            for fi in 0..nf {
-                if frozen[fi] {
+            for &fi in crossing.get(bottleneck).into_iter().flatten() {
+                let Some(f) = flows.get_mut(fi as usize).filter(|f| f.rate.is_infinite()) else {
                     continue;
-                }
-                if self.flows[fi]
-                    .path
-                    .iter()
-                    .any(|r| r.0 as usize == bottleneck)
-                {
-                    frozen[fi] = true;
-                    rates[fi] = share;
-                    remaining_flows -= 1;
-                    for r in &self.flows[fi].path {
-                        let ri = r.0 as usize;
-                        if cap[ri].is_finite() {
-                            cap[ri] = (cap[ri] - share).max(0.0);
-                        }
-                        users[ri] -= 1;
+                };
+                f.rate = share;
+                for r in &f.path {
+                    if let Some(s) = fill.get_mut(r.0 as usize) {
+                        // Infinite capacities stay infinite.
+                        s.cap = (s.cap - share).max(0.0);
+                        s.users -= 1;
                     }
                 }
             }
-            debug_assert_eq!(users[bottleneck], 0);
+            debug_assert_eq!(fill.get(bottleneck).map(|s| s.users), Some(0));
         }
 
-        let mut out = Vec::with_capacity(nf);
-        for (fi, f) in self.flows.iter_mut().enumerate() {
-            f.rate = rates[fi];
+        let mut min_eta = f64::INFINITY;
+        for f in flows.iter_mut() {
             if f.rate.is_infinite() {
                 // Uncontended path (e.g. loopback): transfers instantly.
                 // Zero the remainder here — progress accounting advances by
@@ -291,16 +337,12 @@ impl FlowNet {
                 // infinite rate over zero time.
                 f.remaining = 0.0;
             }
-            let eta = if f.remaining <= 1e-6 {
-                0.0
-            } else if f.rate == 0.0 {
-                f64::INFINITY
-            } else {
-                f.remaining / f.rate
-            };
-            out.push((f.id, eta));
+            let eta = f.eta();
+            if eta < min_eta {
+                min_eta = eta;
+            }
         }
-        out
+        min_eta
     }
 
     pub(crate) fn last_update(&self) -> SimTime {
@@ -311,6 +353,116 @@ impl FlowNet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The textbook progressive-filling loop `recompute_rates` replaced
+    /// (every round scans every resource and every unfrozen flow's path),
+    /// kept verbatim as the reference the differential test compares with.
+    impl FlowNet {
+        #[allow(clippy::needless_range_loop)]
+        fn recompute_rates_reference(&mut self) -> Vec<(FlowId, f64)> {
+            self.epoch += 1;
+            let nf = self.flows.len();
+            if nf == 0 {
+                return Vec::new();
+            }
+            let nr = self.resources.len();
+            // Residual capacity per resource and number of unfrozen flows using it.
+            let mut users: Vec<u32> = vec![0; nr];
+            for f in &self.flows {
+                for r in &f.path {
+                    users[r.0 as usize] += 1;
+                }
+            }
+            // Disk stream-interference: effective capacity shrinks with the
+            // number of concurrent streams (head thrashing on HDDs).
+            let mut cap: Vec<f64> = self
+                .resources
+                .iter()
+                .zip(&users)
+                .map(|(r, &u)| {
+                    if r.thrash > 0.0 && u > 1 {
+                        // Elevator scheduling bounds the worst case: cap the
+                        // interference degradation at 3x.
+                        r.capacity / (1.0 + r.thrash * (u - 1) as f64).min(3.0)
+                    } else {
+                        r.capacity
+                    }
+                })
+                .collect();
+            let mut frozen = vec![false; nf];
+            let mut rates = vec![0.0f64; nf];
+            let mut remaining_flows = nf;
+
+            while remaining_flows > 0 {
+                // Find bottleneck: resource with the smallest fair share.
+                let mut best: Option<(usize, f64)> = None;
+                for (ri, (&c, &u)) in cap.iter().zip(users.iter()).enumerate() {
+                    if u == 0 || !c.is_finite() {
+                        continue;
+                    }
+                    let share = c / u as f64;
+                    match best {
+                        Some((_, s)) if s <= share => {}
+                        _ => best = Some((ri, share)),
+                    }
+                }
+                let Some((bottleneck, share)) = best else {
+                    // All remaining flows pass only through infinite resources.
+                    for (fi, f) in self.flows.iter().enumerate() {
+                        if !frozen[fi] {
+                            rates[fi] = f64::INFINITY;
+                            let _ = f;
+                        }
+                    }
+                    break;
+                };
+                // Freeze every unfrozen flow crossing the bottleneck at `share`.
+                for fi in 0..nf {
+                    if frozen[fi] {
+                        continue;
+                    }
+                    if self.flows[fi]
+                        .path
+                        .iter()
+                        .any(|r| r.0 as usize == bottleneck)
+                    {
+                        frozen[fi] = true;
+                        rates[fi] = share;
+                        remaining_flows -= 1;
+                        for r in &self.flows[fi].path {
+                            let ri = r.0 as usize;
+                            if cap[ri].is_finite() {
+                                cap[ri] = (cap[ri] - share).max(0.0);
+                            }
+                            users[ri] -= 1;
+                        }
+                    }
+                }
+                debug_assert_eq!(users[bottleneck], 0);
+            }
+
+            let mut out = Vec::with_capacity(nf);
+            for (fi, f) in self.flows.iter_mut().enumerate() {
+                f.rate = rates[fi];
+                if f.rate.is_infinite() {
+                    // Uncontended path (e.g. loopback): transfers instantly.
+                    // Zero the remainder here — progress accounting advances by
+                    // rate x elapsed-time, which is NaN/undefined for an
+                    // infinite rate over zero time.
+                    f.remaining = 0.0;
+                }
+                let eta = if f.remaining <= 1e-6 {
+                    0.0
+                } else if f.rate == 0.0 {
+                    f64::INFINITY
+                } else {
+                    f.remaining / f.rate
+                };
+                out.push((f.id, eta));
+            }
+            out
+        }
+    }
 
     fn net_with(caps: &[f64]) -> FlowNet {
         let mut n = FlowNet::new();
@@ -324,10 +476,9 @@ mod tests {
     fn single_flow_gets_full_capacity() {
         let mut n = net_with(&[100.0]);
         let f = n.admit(vec![ResourceId(0)], 1000.0);
-        let etas = n.recompute_rates();
-        assert_eq!(etas.len(), 1);
+        let min_eta = n.recompute_rates();
         assert_eq!(n.rate(f), Some(100.0));
-        assert!((etas[0].1 - 10.0).abs() < 1e-9);
+        assert!((min_eta - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -463,5 +614,82 @@ mod tests {
             });
             assert!(bottled, "flow {fi} is not bottlenecked anywhere");
         }
+    }
+
+    #[test]
+    fn rates_and_etas_bit_identical_to_reference() {
+        // Generated flow sets, applied to two nets in lockstep: rounds of
+        // (admit a batch, recompute, advance towards the earliest
+        // completion, drain).
+        let bits = |n: &FlowNet| -> Vec<(FlowId, u64, u64, u64)> {
+            n.flows
+                .iter()
+                .map(|f| {
+                    (
+                        f.id,
+                        f.rate.to_bits(),
+                        f.remaining.to_bits(),
+                        f.eta().to_bits(),
+                    )
+                })
+                .collect()
+        };
+        let mut flows_seen = 0;
+        for seed in 0..400 {
+            let mut rng = scirng::Rng::seed_from_u64(seed);
+            let mut new = FlowNet::new();
+            let mut old = FlowNet::new();
+            let nr = 1 + rng.below(10);
+            // Few distinct capacities so equal shares tie across resources.
+            let caps = [100.0, 100.0, 50.0, 12.5, 1e9, f64::INFINITY];
+            for i in 0..nr {
+                let cap = caps[rng.below(caps.len())];
+                let thrash = if cap.is_finite() && rng.below(3) == 0 {
+                    [0.25, 0.5, 2.0][rng.below(3)]
+                } else {
+                    0.0
+                };
+                new.add_resource_thrash(format!("r{i}"), cap, thrash);
+                old.add_resource_thrash(format!("r{i}"), cap, thrash);
+            }
+            let rounds = 1 + rng.below(5);
+            let mut now = 0.0;
+            for _ in 0..rounds {
+                // 0, 1, 2 or many streams per round.
+                for _ in 0..[0, 1, 2, 3, 8, 40][rng.below(6)] {
+                    // Empty paths, repeated resources, shared and disjoint
+                    // paths all occur.
+                    let path: Vec<ResourceId> = (0..rng.below(5))
+                        .map(|_| ResourceId(rng.below(nr) as u32))
+                        .collect();
+                    let bytes = match rng.below(5) {
+                        0 => 0.0,
+                        1 => 1e-7,
+                        2 => 1000.0,
+                        _ => rng.range_f64(1.0, 1e6),
+                    };
+                    new.admit(path.clone(), bytes);
+                    old.admit(path, bytes);
+                }
+                let min_eta = new.recompute_rates();
+                let etas = old.recompute_rates_reference();
+                assert_eq!(bits(&new), bits(&old), "seed {seed}");
+                let ref_min = etas.iter().map(|e| e.1).fold(f64::INFINITY, f64::min);
+                assert_eq!(min_eta.to_bits(), ref_min.to_bits(), "seed {seed}");
+                for ((id, eta), f) in etas.iter().zip(&new.flows) {
+                    assert_eq!((*id, eta.to_bits()), (f.id, f.eta().to_bits()));
+                }
+                flows_seen += new.flows.len();
+                if min_eta.is_finite() {
+                    now += min_eta * [0.0, 0.5, 1.0, 1.0][rng.below(4)];
+                }
+                new.advance_to(SimTime(now));
+                old.advance_to(SimTime(now));
+                assert_eq!(new.take_finished(), old.take_finished(), "seed {seed}");
+                assert_eq!(bits(&new), bits(&old), "seed {seed}");
+            }
+            assert_eq!(new.recomputes(), rounds as u64);
+        }
+        assert!(flows_seen > 5_000, "generator too thin: {flows_seen}");
     }
 }

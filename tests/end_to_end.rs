@@ -213,3 +213,34 @@ fn rerunning_the_same_input_is_idempotent() {
     let r2 = run_scidp(&mut cluster, &ds.pfs_uri(), &cfg2).unwrap();
     assert_eq!(r1.images, r2.images);
 }
+
+#[test]
+fn simulator_work_grows_linearly_with_tasks() {
+    // Counts, not wall clock: twice the timestamps (twice the map tasks and
+    // shuffle flows) may cost at most ~twice the events and fair-share
+    // recomputations. One recomputation per flow start, each over every
+    // active flow, is what made host time grow 4x per doubling.
+    let run = |timestamps: usize| {
+        let (mut cluster, ds) = world(timestamps);
+        let cfg = WorkflowConfig {
+            n_reducers: 4,
+            ..WorkflowConfig::img_only(["QR", "QC", "QI"])
+        };
+        let rep = run_scidp(&mut cluster, &ds.pfs_uri(), &cfg).unwrap();
+        assert_eq!(rep.images, 3 * 4 * timestamps as u64);
+        (
+            cluster.sim.events_processed() as f64,
+            cluster.sim.net.recomputes() as f64,
+        )
+    };
+    let (events_t, recomputes_t) = run(12);
+    let (events_2t, recomputes_2t) = run(24);
+    assert!(
+        events_2t <= 2.2 * events_t,
+        "events {events_t} -> {events_2t}"
+    );
+    assert!(
+        recomputes_2t <= 2.2 * recomputes_t,
+        "recomputations {recomputes_t} -> {recomputes_2t}"
+    );
+}

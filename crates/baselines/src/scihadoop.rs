@@ -13,7 +13,7 @@ use std::sync::Arc;
 use hdfs::Block;
 use mapreduce::{FetchDone, FetchResult, InputSplit, MrEnv, MrError, SplitFetcher, TaskInput};
 use scidp::encode_slab_tag;
-use scifmt::snc::{assemble_slab, chunk_extents_of};
+use scifmt::snc::{assemble_slab, chunk_extents_of, decode_chunk};
 use scifmt::{SncMeta, VarMeta};
 use simnet::{NodeId, Sim};
 
@@ -38,9 +38,12 @@ impl SplitFetcher for HdfsSciFetcher {
             &self.count,
         );
         let extents = chunk_extents_of(&self.var, self.data_offset);
-        let chunk_ranges: Vec<(usize, u64, u64)> = ids
+        let chunk_ranges: Vec<(usize, u64, u64, u64)> = ids
             .iter()
-            .map(|&i| (i, extents[i].offset, extents[i].clen))
+            .map(|&i| {
+                let e = &extents[i];
+                (i, e.offset, e.clen, e.rlen)
+            })
             .collect();
         let blocks: Vec<(u64, Block)> = {
             let h = env.hdfs.borrow();
@@ -74,7 +77,7 @@ impl SplitFetcher for HdfsSciFetcher {
             let bend = boff + b.len;
             if chunk_ranges
                 .iter()
-                .any(|&(_, coff, clen)| coff < bend && coff + clen > *boff)
+                .any(|&(_, coff, clen, _)| coff < bend && coff + clen > *boff)
             {
                 needed.push(bi);
             }
@@ -136,52 +139,35 @@ impl SplitFetcher for HdfsSciFetcher {
                         }
                         out
                     };
-                    let mut raw_chunks = std::collections::HashMap::new();
-                    for &(idx, coff, clen) in &chunk_ranges {
-                        let frame = slice_range(coff, clen);
-                        assert_eq!(frame.len() as u64, clen, "chunk fully covered by blocks");
-                        match scifmt::codec::decompress(&frame) {
-                            Ok(raw) => {
-                                raw_chunks.insert(idx, raw);
+                    let fail = |what: String| MrError::msg(format!("scihadoop fetch: {what}"));
+                    let decode = || -> Result<scifmt::Array, MrError> {
+                        let mut raw_chunks = std::collections::HashMap::new();
+                        for &(idx, coff, clen, rlen) in &chunk_ranges {
+                            let frame = slice_range(coff, clen);
+                            if frame.len() as u64 != clen {
+                                return Err(fail(format!(
+                                    "chunk {idx}: blocks cover {} of its {clen} bytes",
+                                    frame.len()
+                                )));
                             }
-                            Err(e) => {
-                                let Some(d) = dc.borrow_mut().take() else {
-                                    return;
-                                };
-                                d(
-                                    sim,
-                                    Err(MrError::msg(format!(
-                                        "scihadoop fetch: chunk {idx} decode: {e}"
-                                    ))),
-                                );
-                                return;
-                            }
+                            let raw = decode_chunk(&frame, rlen)
+                                .map_err(|e| fail(format!("chunk {idx} decode: {e}")))?;
+                            raw_chunks.insert(idx, raw);
                         }
-                    }
-                    let array = match assemble_slab(&var, &start, &count, |i| {
-                        raw_chunks
-                            .get(&i)
-                            .cloned()
-                            .ok_or_else(|| scifmt::FmtError::NotFound(format!("chunk {i}")))
-                    }) {
-                        Ok(a) => a,
-                        Err(e) => {
-                            let Some(d) = dc.borrow_mut().take() else {
-                                return;
-                            };
-                            d(
-                                sim,
-                                Err(MrError::msg(format!("scihadoop fetch: assemble: {e}"))),
-                            );
-                            return;
-                        }
+                        assemble_slab(&var, &start, &count, |i| {
+                            raw_chunks
+                                .get(&i)
+                                .ok_or_else(|| scifmt::FmtError::NotFound(format!("chunk {i}")))
+                        })
+                        .map_err(|e| fail(format!("assemble: {e}")))
                     };
+                    let array = decode();
                     let Some(d) = dc.borrow_mut().take() else {
                         return; // a sibling block read already failed this fetch
                     };
                     d(
                         sim,
-                        Ok(FetchResult {
+                        array.map(|array| FetchResult {
                             input: TaskInput::Array(array),
                             charges: vec![("decompress", decompress_cost)],
                             counters: Vec::new(),
@@ -272,6 +258,22 @@ mod tests {
     use std::cell::RefCell;
     use wrfgen::WrfSpec;
 
+    /// Run one split's fetch to completion on node 0.
+    fn fetch(c: &mut mapreduce::Cluster, split: &InputSplit) -> Result<FetchResult, MrError> {
+        let got = Rc::new(RefCell::new(None));
+        let g = got.clone();
+        let env = c.env();
+        split.fetcher.fetch(
+            &env,
+            &mut c.sim,
+            NodeId(0),
+            Box::new(move |_, fr| *g.borrow_mut() = Some(fr)),
+        );
+        c.run();
+        let fr = got.borrow_mut().take();
+        fr.expect("fetch completed")
+    }
+
     #[test]
     fn staged_slab_matches_pfs_original() {
         let wspec = WrfSpec::tiny(1);
@@ -291,18 +293,7 @@ mod tests {
             "staged splits carry block locality"
         );
         // Fetch the second slab and compare against a direct read.
-        let got = Rc::new(RefCell::new(None));
-        let g = got.clone();
-        splits[1].fetcher.fetch(
-            &env,
-            &mut c.sim,
-            NodeId(0),
-            Box::new(move |_, fr| {
-                *g.borrow_mut() = Some(fr);
-            }),
-        );
-        c.run();
-        let fr = got.borrow_mut().take().unwrap().unwrap();
+        let fr = fetch(&mut c, &splits[1]).unwrap();
         let TaskInput::Array(a) = fr.input else {
             panic!("expected array")
         };
@@ -314,5 +305,25 @@ mod tests {
         assert_eq!(var, "QR");
         assert_eq!(dims, vec!["lev", "lat", "lon"]);
         assert_eq!(origin, vec![2, 0, 0]);
+    }
+
+    #[test]
+    fn chunk_the_staged_blocks_do_not_cover_fails_the_fetch_typed() {
+        let wspec = WrfSpec::tiny(1);
+        let mut c = paper_cluster(2, &wspec);
+        let ds = stage_nuwrf(&mut c, &wspec, "nuwrf");
+        let bytes = c.pfs.borrow().file(&ds.info.files[0]).unwrap().data.clone();
+        let f = scifmt::SncFile::open(bytes.as_ref().clone()).unwrap();
+        // Stage a copy that ends one byte short of QR's last chunk, and
+        // plan against the full container's metadata.
+        let qr = f.meta().var("QR").unwrap();
+        let last = chunk_extents_of(qr, f.meta().data_offset).pop().unwrap();
+        let cut = (last.offset + last.clen - 1) as usize;
+        c.pfs.borrow_mut().create("cut.snc", bytes[..cut].to_vec());
+        distcp_blocking(&mut c, vec![("cut.snc".into(), "staged.snc".into())], 2);
+        let env = c.env();
+        let splits = scihadoop_splits(&env, f.meta(), "staged.snc", &["QR".to_string()]);
+        let err = fetch(&mut c, &splits[1]).err().unwrap();
+        assert!(err.to_string().contains("blocks cover"), "{err}");
     }
 }

@@ -4,7 +4,10 @@
 //! `SncBuilder::finish_with_threads` (shuffle+LZ compression) and
 //! `SncFile::get_var` (decompression + slab assembly) — across worker
 //! counts, plus the decompressed-chunk cache's hit-path speedup on repeated
-//! reads. Results go to stdout as a table and to `BENCH_codec.json`.
+//! reads — and, single-threaded, the chunk decoder against the byte-wise
+//! decoder it replaced (asserted floor: 1.8x; a ratio of two kernels timed
+//! in one process, so it holds on a slow box). Results go to stdout as a
+//! table and to `BENCH_codec.json`.
 //!
 //! Run: `cargo run --release -p scidp-bench --bin codec_scaling [--quick]`
 
@@ -12,8 +15,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use scidp_bench::{fmt_x, quick_mode, row};
-use scifmt::snc::DEFAULT_CACHE_BYTES;
-use scifmt::{Array, ChunkCache, Codec, SncBuilder, SncFile};
+use scifmt::snc::{chunk_extents_of, DEFAULT_CACHE_BYTES};
+use scifmt::{codec, Array, ChunkCache, Codec, SncBuilder, SncFile};
 use wrfgen::field::{field_rng, smooth_field, var_range};
 
 struct Shape {
@@ -42,6 +45,62 @@ fn build_builder(s: &Shape) -> SncBuilder {
         .unwrap();
     }
     b
+}
+
+/// The decoder `scifmt::codec::decompress` ran before the bulk-copy LZ
+/// decode and the fixed-width unshuffle — one byte per step in both stages —
+/// for frames this bench compressed itself (it panics on anything else).
+fn decompress_bytewise(frame: &[u8]) -> Vec<u8> {
+    // `[2][raw_len: varint][elem][LZ payload]`
+    assert_eq!(frame[0], 2, "bench frames are shuffle+LZ");
+    let raw_len = codec::frame_raw_len(frame).unwrap();
+    let varint = 1 + frame[1..].iter().take_while(|&&b| b & 0x80 != 0).count();
+    let elem = frame[1 + varint] as usize;
+    let src = &frame[2 + varint..];
+    let mut pos = 0;
+    let get_len = |pos: &mut usize, nib: u8| {
+        let mut len = nib as usize;
+        if nib == 15 {
+            loop {
+                *pos += 1;
+                len += src[*pos - 1] as usize;
+                if src[*pos - 1] < 255 {
+                    break;
+                }
+            }
+        }
+        len
+    };
+    let mut lz = Vec::with_capacity(raw_len);
+    while pos < src.len() {
+        let token = src[pos];
+        pos += 1;
+        let lit_len = get_len(&mut pos, token >> 4);
+        lz.extend_from_slice(&src[pos..pos + lit_len]);
+        pos += lit_len;
+        if pos == src.len() {
+            break;
+        }
+        let dist = u16::from_le_bytes([src[pos], src[pos + 1]]) as usize;
+        pos += 2;
+        let mlen = 4 + get_len(&mut pos, token & 0x0f);
+        let start = lz.len() - dist;
+        for k in 0..mlen {
+            lz.push(lz[start + k]);
+        }
+    }
+    assert_eq!(lz.len(), raw_len);
+    let n = raw_len / elem;
+    let mut out = vec![0u8; raw_len];
+    for t0 in (0..n).step_by(512) {
+        let t1 = (t0 + 512).min(n);
+        for b in 0..elem {
+            for (k, &s) in lz[b * n + t0..b * n + t1].iter().enumerate() {
+                out[(t0 + k) * elem + b] = s;
+            }
+        }
+    }
+    out
 }
 
 /// Best-of-`reps` wall time of `f`.
@@ -142,6 +201,44 @@ fn main() {
         );
     }
 
+    // The decode kernel alone, one thread, over every chunk frame of the
+    // container: new decoder vs the byte-wise one it replaced.
+    let frames: Vec<&[u8]> = {
+        let f = SncFile::open(file_bytes.clone()).unwrap();
+        let vars = f.meta().all_vars();
+        vars.iter()
+            .flat_map(|(_, var)| chunk_extents_of(var, f.meta().data_offset))
+            .map(|c| &file_bytes[c.offset as usize..(c.offset + c.clen) as usize])
+            .collect()
+    };
+    for frame in &frames {
+        let want = decompress_bytewise(frame);
+        assert_eq!(codec::decompress(frame).unwrap(), want, "decoders disagree");
+    }
+    let decode_all = |kernel: &dyn Fn(&[u8]) -> Vec<u8>| {
+        best_of(s.reps * 4, || {
+            frames
+                .iter()
+                .map(|f| kernel(std::hint::black_box(f)).len() as u64)
+                .sum()
+        })
+        .0
+    };
+    let bytewise_s = decode_all(&decompress_bytewise);
+    let kernel_s = decode_all(&|f| codec::decompress(f).unwrap());
+    let kernel_ratio = bytewise_s / kernel_s;
+    println!();
+    println!(
+        "decode kernel, 1 thread: {:.0} MiB/s, {} the byte-wise decoder's {:.0} MiB/s (floor 1.8x)",
+        mib / kernel_s,
+        fmt_x(kernel_ratio),
+        mib / bytewise_s
+    );
+    assert!(
+        kernel_ratio >= 1.8,
+        "chunk decoder is only {kernel_ratio:.2}x the byte-wise decoder (floor 1.8x)"
+    );
+
     // Cache-hit path: warm read vs cold read at 1 thread (pure cache win).
     std::env::set_var("SCIDP_THREADS", "1");
     let f = SncFile::open(file_bytes.clone())
@@ -187,9 +284,11 @@ fn main() {
             .join(",")
     };
     let json = format!(
-        "{{\n  \"raw_bytes\": {raw_bytes},\n  \"cores\": {cores},\n  \"compress\": [{}],\n  \"decompress_uncached\": [{}],\n  \"cache\": {{\"cold_secs\": {cold:.6}, \"warm_secs\": {warm:.6}, \"hit_speedup\": {:.3}, \"hits\": {}, \"misses\": {}}}\n}}\n",
+        "{{\n  \"raw_bytes\": {raw_bytes},\n  \"cores\": {cores},\n  \"compress\": [{}],\n  \"decompress_uncached\": [{}],\n  \"decode_kernel\": {{\"bytewise_mib_s\": {:.2}, \"mib_s\": {:.2}, \"ratio\": {kernel_ratio:.3}}},\n  \"cache\": {{\"cold_secs\": {cold:.6}, \"warm_secs\": {warm:.6}, \"hit_speedup\": {:.3}, \"hits\": {}, \"misses\": {}}}\n}}\n",
         series(&compress),
         series(&decompress),
+        mib / bytewise_s,
+        mib / kernel_s,
         cold / warm,
         stats.hits,
         stats.misses

@@ -6,7 +6,8 @@
 //!     verification is real CPU work in the harness, so we compare the
 //!     estimated verification time (verified bytes / measured CRC32C
 //!     throughput) against the real wall-clock of the whole run. Target:
-//!     < 5% (EXPERIMENTS.md).
+//!     < 5% (EXPERIMENTS.md). The slice-by-8 kernel is timed against the
+//!     byte-wise loop it replaced in the same process; floor: 2.5x.
 //!  2. repair cost — seeded silent corruption on 1..all files; each bad
 //!     read is detected by CRC and repaired by an automatic re-read. The
 //!     committed output must be byte-identical to the clean run; the
@@ -55,22 +56,38 @@ fn run_with(pool: &DatasetPool, plan: FaultPlan) -> (WorkflowReport, Vec<(String
     (rep, out, wall)
 }
 
-/// Measured CRC32C throughput (bytes/s) over a warm in-cache buffer.
-fn crc_throughput() -> f64 {
+/// The byte-at-a-time table loop `scirng::crc32c` ran before slice-by-8:
+/// the fixed yardstick of the speed-up floor below.
+fn crc32c_bytewise(bytes: &[u8]) -> u32 {
+    let mut table = [0u32; 256];
+    for (i, slot) in table.iter_mut().enumerate() {
+        *slot = (0..8).fold(i as u32, |crc, _| {
+            (crc >> 1) ^ if crc & 1 != 0 { 0x82F6_3B78 } else { 0 }
+        });
+    }
+    !bytes.iter().fold(!0u32, |crc, &b| {
+        (crc >> 8) ^ table[((crc ^ b as u32) & 0xff) as usize]
+    })
+}
+
+/// Measured throughput (bytes/s) of a CRC32C kernel over a warm buffer.
+fn crc_throughput(kernel: fn(&[u8]) -> u32) -> f64 {
     let buf: Vec<u8> = (0..(4usize << 20))
         .map(|i| (i as u8).wrapping_mul(31))
         .collect();
-    // Warm up, then time enough repetitions to dominate timer noise.
-    let mut acc = scirng::crc32c(&buf);
+    // Warm up, then take the best of enough repetitions to beat timer and
+    // scheduler noise.
+    let mut acc = kernel(&buf);
     let reps = if quick_mode() { 8 } else { 32 };
-    let t = Instant::now();
+    let mut best = f64::INFINITY;
     for _ in 0..reps {
-        acc = acc.wrapping_add(scirng::crc32c(&buf));
+        let t = Instant::now();
+        acc = acc.wrapping_add(kernel(std::hint::black_box(&buf)));
+        best = best.min(t.elapsed().as_secs_f64());
     }
-    let secs = t.elapsed().as_secs_f64().max(1e-9);
     // Keep `acc` observable so the loop is not optimized away.
     assert_ne!(acc, 1, "crc sink");
-    (reps * buf.len()) as f64 / secs
+    buf.len() as f64 / best.max(1e-9)
 }
 
 fn main() {
@@ -87,7 +104,11 @@ fn main() {
     );
 
     // --- 1. Checksum overhead. ------------------------------------------
-    let thr = crc_throughput();
+    // Both kernels timed back to back in this process: the floor is a
+    // ratio, so it holds on a slow or busy machine where MB/s would not.
+    let thr_bytewise = crc_throughput(crc32c_bytewise);
+    let thr = crc_throughput(scirng::crc32c);
+    let crc_speedup = thr / thr_bytewise;
     let (clean, clean_out, mut clean_wall) = run_with(&pool, FaultPlan::none());
     // Best of three wall-clock samples: the harness shares the machine.
     for _ in 0..2 {
@@ -99,9 +120,14 @@ fn main() {
     let overhead_pct = 100.0 * crc_s / clean_wall.max(1e-9);
     println!();
     println!(
-        "crc32c throughput: {:.2} GB/s   verified: {:.1} MB/run",
+        "crc32c throughput: {:.2} GB/s ({crc_speedup:.2}x the byte-wise loop's {:.2} GB/s — floor 2.5x)   verified: {:.1} MB/run",
         thr / 1e9,
+        thr_bytewise / 1e9,
         verified / 1e6
+    );
+    assert!(
+        crc_speedup >= 2.5,
+        "slice-by-8 crc32c is only {crc_speedup:.2}x the byte-wise loop (floor 2.5x)"
     );
     println!(
         "checksum overhead: {:.3}% of wall-clock ({:.2} ms verify vs {:.0} ms run) — target < 5%",
@@ -187,7 +213,7 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",");
     let json = format!(
-        "{{\n  \"crc32c_throughput_bytes_per_s\": {thr:.0},\n  \"clean\": {{\"wall_s\": {clean_wall:.6}, \"virtual_s\": {:.6}, \"verified_bytes\": {verified:.0}}},\n  \"checksum_overhead_pct\": {overhead_pct:.4},\n  \"repair_sweep\": [{sweep_json}],\n  \"persistent_corruption\": {{\"typed_failure\": true}}\n}}\n",
+        "{{\n  \"crc32c_throughput_bytes_per_s\": {thr:.0},\n  \"crc32c_bytewise_bytes_per_s\": {thr_bytewise:.0},\n  \"crc32c_speedup\": {crc_speedup:.3},\n  \"clean\": {{\"wall_s\": {clean_wall:.6}, \"virtual_s\": {:.6}, \"verified_bytes\": {verified:.0}}},\n  \"checksum_overhead_pct\": {overhead_pct:.4},\n  \"repair_sweep\": [{sweep_json}],\n  \"persistent_corruption\": {{\"typed_failure\": true}}\n}}\n",
         clean.total_time(),
     );
     std::fs::write("BENCH_integrity.json", &json).expect("write BENCH_integrity.json");

@@ -75,7 +75,7 @@ impl ChunkRead {
         // Fig. 7 Read/Convert decomposition.
         // scilint::allow(d-wallclock, reason = "measures real host decompress cost for the Fig. 7 diagnostic; never feeds back into virtual time")
         let t0 = std::time::Instant::now();
-        let raw = match scifmt::codec::decompress(&frame) {
+        let raw = match scifmt::snc::decode_chunk(&frame, self.chunk.rlen) {
             Ok(raw) => Arc::new(raw),
             Err(e) => {
                 let e = MrError::msg(format!("snc chunk {idx} decode: {e:?}"));
@@ -653,6 +653,41 @@ mod tests {
         assert_eq!(charges.len(), 1);
         assert_eq!(charges[0].0, "decompress");
         assert!(charges[0].1 > 0.0);
+    }
+
+    #[test]
+    fn chunk_decoding_to_an_unrecorded_length_fails_typed_and_is_not_cached() {
+        // The frame is intact (CRC passes, decode succeeds) but the chunk
+        // table promises a different raw length: the piece must fail at
+        // delivery, before the job cache admits the payload.
+        let mut c = cluster();
+        let (var, off, _) = stage_var(&mut c);
+        let mut var = (*var).clone();
+        var.chunks[1].rlen -= 4;
+        let cache = Arc::new(ChunkCache::new(1 << 20));
+        let fetcher = SciSlabFetcher {
+            pfs_path: "run/f.snc".into(),
+            var: Arc::new(var),
+            data_offset: off,
+            start: vec![2, 0, 0],
+            count: vec![2, 8, 5],
+            cache: cache.clone(),
+            pushdown: None,
+            cluster_admit: None,
+        };
+        let got = Rc::new(RefCell::new(None));
+        let g = got.clone();
+        let env = c.env();
+        fetcher.fetch(
+            &env,
+            &mut c.sim,
+            NodeId(0),
+            Box::new(move |_, fr| *g.borrow_mut() = Some(fr.map(|_| ()))),
+        );
+        c.run();
+        let err = got.borrow_mut().take().unwrap().unwrap_err();
+        assert!(err.to_string().contains("chunk-table entry"), "{err}");
+        assert_eq!(cache.stats().entries, 0);
     }
 
     #[test]

@@ -136,13 +136,11 @@ pub fn nuwrf_map_fn(cfg: &WorkflowConfig) -> crate::rapi::RMapFn {
                     }
                 };
                 // Plot every vertical level of the slab.
+                let level = rows * cols;
                 for l in 0..levels {
-                    let mut grid = Vec::with_capacity(rows * cols);
-                    for i in 0..rows {
-                        for j in 0..cols {
-                            grid.push(slab.array.at(&[l, i, j]));
-                        }
-                    }
+                    let mut grid = Vec::with_capacity(level);
+                    slab.array
+                        .for_each_f64(l * level..(l + 1) * level, |v| grid.push(v));
                     let raster = rctx.image2d(&grid, rows, cols, cmap)?;
                     let global_lev = slab.origin.first().copied().unwrap_or(0) + l;
                     rctx.emit_image(
@@ -638,21 +636,20 @@ pub fn build_stats_dag(
         );
         let lev0 = origin.first().copied().unwrap_or(0);
         let mut out = Vec::with_capacity(levels);
+        let level = rows * cols;
         for l in 0..levels {
             let mut count = 0u64;
             let (mut sum, mut mn, mut mx) = (0.0f64, f64::INFINITY, f64::NEG_INFINITY);
-            for i in 0..rows {
-                for j in 0..cols {
-                    let v = array.at(&[l, i, j]);
-                    if v.is_finite() {
-                        count += 1;
-                        sum += v;
-                        mn = mn.min(v);
-                        mx = mx.max(v);
-                    }
+            // One level is one contiguous row-major run, folded in order.
+            array.for_each_f64(l * level..(l + 1) * level, |v| {
+                if v.is_finite() {
+                    count += 1;
+                    sum += v;
+                    mn = mn.min(v);
+                    mx = mx.max(v);
                 }
-            }
-            ctx.charge("analysis", ctx.cost().sql((rows * cols) as u64));
+            });
+            ctx.charge("analysis", ctx.cost().sql(level as u64));
             out.push((
                 format!("lvl/{var}/{:04}", lev0 + l),
                 Payload::Bytes(stats_line(count, sum, mn, mx)),

@@ -1,5 +1,7 @@
 //! Typed N-dimensional arrays — the in-memory payload of SNC variables.
 
+use std::ops::Range;
+
 use crate::error::{FmtError, Result};
 
 /// Element type of a variable (the netCDF "external types" we need).
@@ -211,7 +213,27 @@ impl Array {
         (0..self.len()).map(move |i| self.get_f64(i))
     }
 
+    /// Call `f` on every element of the contiguous row-major run `range`
+    /// (linear indices), widened to `f64`, in order. The element type is
+    /// matched once per run, not once per element, so the loop over a
+    /// level, row or whole slab compiles to a plain typed slice walk.
+    /// Panics when `range` reaches past [`Array::len`], like [`Array::at`].
+    pub fn for_each_f64(&self, range: Range<usize>, mut f: impl FnMut(f64)) {
+        fn walk<T: Copy>(v: &[T], range: Range<usize>, mut f: impl FnMut(T)) {
+            // scilint::allow(p-index, reason = "documented contract shared with at()/get_f64: an out-of-range run is a caller bug")
+            v[range].iter().for_each(|&x| f(x));
+        }
+        match &self.data {
+            ArrayData::F32(v) => walk(v, range, |x| f(x as f64)),
+            ArrayData::F64(v) => walk(v, range, f),
+            ArrayData::I32(v) => walk(v, range, |x| f(x as f64)),
+            ArrayData::I64(v) => walk(v, range, |x| f(x as f64)),
+            ArrayData::U8(v) => walk(v, range, |x| f(x as f64)),
+        }
+    }
+
     /// Element at multi-dimensional coordinates, widened to `f64`.
+    #[inline]
     pub fn at(&self, coords: &[usize]) -> f64 {
         assert_eq!(coords.len(), self.rank(), "rank mismatch");
         let mut idx = 0usize;

@@ -11,11 +11,14 @@
 //!
 //! Two API tiers:
 //!
-//! * [`compress`]/[`decompress`] — convenience, allocate fresh buffers;
-//! * [`compress_into`]/[`decompress_into`] with a reusable [`Scratch`] —
-//!   the hot path used by the parallel chunk pipeline, where each worker
-//!   thread keeps one `Scratch` and amortises the shuffle buffer and the
-//!   256 KiB LZ hash table across every chunk it processes.
+//! * [`compress`]/[`decompress`] — return a fresh output buffer and work
+//!   in one thread-local [`Scratch`], so every chunk a thread processes
+//!   (the parallel chunk pipeline's workers, the SciDP reader's decode)
+//!   reuses the shuffle buffer and the 256 KiB LZ hash table;
+//! * [`compress_into`]/[`decompress_into`] — the same with a caller-owned
+//!   `Scratch` and output buffer.
+
+use std::cell::RefCell;
 
 use crate::error::{FmtError, Result};
 use crate::wire::Reader;
@@ -26,6 +29,8 @@ const HASH_BITS: u32 = 15;
 /// Elements per transpose tile: 512 × `elem` source bytes stay L1-resident
 /// while the tile's writes stream to `elem` separate destinations.
 const SHUFFLE_TILE: usize = 512;
+/// Elements per constant-size block of the fixed-width shuffle.
+const SHUFFLE_BLOCK: usize = 64;
 
 /// Compression scheme applied to a chunk.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -78,21 +83,49 @@ impl Scratch {
 // ---------------------------------------------------------------------------
 
 /// Transpose `data` into `out` so that byte `b` of every `elem`-wide element
-/// is contiguous. `out` is cleared and resized. Tiled over elements so the
-/// working set of each pass stays cache-resident.
+/// is contiguous. `out` is cleared and resized. Widths 2, 4 and 8 take the
+/// fixed-width path; any other width the tiled loop.
 pub fn shuffle_into(data: &[u8], elem: usize, out: &mut Vec<u8>) {
     assert!(
         elem > 0 && data.len().is_multiple_of(elem),
         "bad shuffle width"
     );
-    let n = data.len() / elem;
     out.clear();
     out.resize(data.len(), 0);
-    if elem == 1 {
-        out.copy_from_slice(data);
-        return;
+    match elem {
+        1 => out.copy_from_slice(data),
+        2 => shuffle_fixed::<2>(data, out),
+        4 => shuffle_fixed::<4>(data, out),
+        8 => shuffle_fixed::<8>(data, out),
+        _ => shuffle_tiled(data, elem, 0, out),
     }
-    let mut t0 = 0;
+}
+
+/// [`shuffle_into`] for a compile-time width: whole blocks of
+/// [`SHUFFLE_BLOCK`] elements are `[[u8; W]; SHUFFLE_BLOCK]` arrays, so each
+/// lane's strided gather has constant bounds and compiles to vector
+/// de-interleaves; the elements past the last whole block go through the
+/// tiled loop.
+fn shuffle_fixed<const W: usize>(data: &[u8], out: &mut [u8]) {
+    let (elems, _) = data.as_chunks::<W>();
+    let (blocks, _) = elems.as_chunks::<SHUFFLE_BLOCK>();
+    let n = elems.len();
+    for (k, src) in blocks.iter().enumerate() {
+        for b in 0..W {
+            let at = b * n + k * SHUFFLE_BLOCK;
+            for (d, e) in out[at..at + SHUFFLE_BLOCK].iter_mut().zip(src) {
+                *d = e[b];
+            }
+        }
+    }
+    shuffle_tiled(data, W, blocks.len() * SHUFFLE_BLOCK, out);
+}
+
+/// The generic shuffle of elements `from..`: tiled over elements so the
+/// working set of each pass stays cache-resident.
+fn shuffle_tiled(data: &[u8], elem: usize, from: usize, out: &mut [u8]) {
+    let n = data.len() / elem;
+    let mut t0 = from;
     while t0 < n {
         let t1 = (t0 + SHUFFLE_TILE).min(n);
         for b in 0..elem {
@@ -111,13 +144,36 @@ pub fn unshuffle_into(data: &[u8], elem: usize, out: &mut Vec<u8>) {
         elem > 0 && data.len().is_multiple_of(elem),
         "bad unshuffle width"
     );
-    let n = data.len() / elem;
     out.clear();
     out.resize(data.len(), 0);
-    if elem == 1 {
-        out.copy_from_slice(data);
+    match elem {
+        1 => out.copy_from_slice(data),
+        2 => unshuffle_fixed::<2>(data, out),
+        4 => unshuffle_fixed::<4>(data, out),
+        8 => unshuffle_fixed::<8>(data, out),
+        _ => unshuffle_tiled(data, elem, out),
+    }
+}
+
+/// [`unshuffle_into`] for a compile-time width: every output element is one
+/// `[u8; W]` gathered from the `W` lanes, which compiles to vector
+/// interleaves.
+fn unshuffle_fixed<const W: usize>(data: &[u8], out: &mut [u8]) {
+    let (elems, _) = out.as_chunks_mut::<W>();
+    if elems.is_empty() {
         return;
     }
+    let mut lanes = data.chunks_exact(elems.len());
+    let lanes: [&[u8]; W] = std::array::from_fn(|_| lanes.next().unwrap_or_default());
+    for (i, e) in elems.iter_mut().enumerate() {
+        // scilint::allow(p-index, reason = "b < W indexes the W-lane array; i < elems.len() is every lane's length")
+        *e = std::array::from_fn(|b| lanes[b][i]);
+    }
+}
+
+/// The generic unshuffle, tiled like [`shuffle_tiled`].
+fn unshuffle_tiled(data: &[u8], elem: usize, out: &mut [u8]) {
+    let n = data.len() / elem;
     let mut t0 = 0;
     while t0 < n {
         let t1 = (t0 + SHUFFLE_TILE).min(n);
@@ -249,22 +305,61 @@ fn get_len(r: &mut Reader<'_>, nib: u8) -> Result<usize> {
     Ok(len)
 }
 
+fn past_declared_length() -> FmtError {
+    FmtError::Corrupt("decoded past declared length".into())
+}
+
+/// Append `mlen` bytes to `out`, each equal to the byte `dist` positions
+/// before it (`1 <= dist <= out.len()`). A match that reaches into its own
+/// output (`dist < mlen`) repeats the last `dist` bytes with period `dist`:
+/// a one-byte period is a fill, and a longer one is copied in runs of whole
+/// periods that double with every copy, so the source of each copy is
+/// already written and every copy starts on a period boundary.
+fn copy_match(out: &mut Vec<u8>, dist: usize, mlen: usize) {
+    let start = out.len() - dist;
+    if dist >= mlen {
+        out.extend_from_within(start..start + mlen);
+    } else if dist == 1 {
+        let byte = out[start];
+        out.resize(out.len() + mlen, byte);
+    } else {
+        let end = out.len() + mlen;
+        while out.len() < end {
+            let run = (out.len() - start).min(end - out.len());
+            out.extend_from_within(start..start + run);
+        }
+    }
+}
+
 /// Raw LZ decode (no frame) appended to `out`, which the caller has cleared.
-/// `raw_len` is the expected output size.
+/// `raw_len` is the expected output size, taken from the frame and so
+/// untrusted: it is checked against the format's maximum expansion before
+/// anything is reserved (a literal costs its own length, and a match turns
+/// `3 + k` input bytes into at most `18 + 255 k` output bytes, so a payload
+/// of `n` bytes decodes to fewer than `255 n + 19`), and no copy is started
+/// that would carry `out` past it.
 fn lz_decode_into(src: &[u8], raw_len: usize, out: &mut Vec<u8>) -> Result<()> {
     debug_assert!(out.is_empty());
+    if raw_len > src.len().saturating_mul(255).saturating_add(19) {
+        return Err(FmtError::Corrupt(format!(
+            "declared length {raw_len} exceeds what a {}-byte payload can decode to",
+            src.len()
+        )));
+    }
     out.reserve(raw_len);
     let mut r = Reader::new(src);
     while r.remaining() > 0 {
         let token = r.get_u8()?;
         let lit_len = get_len(&mut r, token >> 4)?;
         let lits = r.get_bytes(lit_len)?;
+        if lit_len > raw_len - out.len() {
+            return Err(past_declared_length());
+        }
         out.extend_from_slice(lits);
         if r.remaining() == 0 {
             break; // final literal-only token
         }
-        let d = r.get_bytes(2)?;
-        let dist = u16::from_le_bytes([d[0], d[1]]) as usize;
+        let dist = r.get_u16()? as usize;
         if dist == 0 || dist > out.len() {
             return Err(FmtError::Corrupt(format!(
                 "bad match distance {dist} at output {}",
@@ -272,15 +367,10 @@ fn lz_decode_into(src: &[u8], raw_len: usize, out: &mut Vec<u8>) -> Result<()> {
             )));
         }
         let mlen = MIN_MATCH + get_len(&mut r, token & 0x0f)?;
-        // Overlapping copy must be byte-by-byte (RLE-style matches).
-        let start = out.len() - dist;
-        for k in 0..mlen {
-            let b = out[start + k];
-            out.push(b);
+        if mlen > raw_len - out.len() {
+            return Err(past_declared_length());
         }
-        if out.len() > raw_len {
-            return Err(FmtError::Corrupt("decoded past declared length".into()));
-        }
+        copy_match(out, dist, mlen);
     }
     if out.len() != raw_len {
         return Err(FmtError::Corrupt(format!(
@@ -319,7 +409,8 @@ pub fn decompress_into(frame: &[u8], scratch: &mut Scratch, out: &mut Vec<u8>) -
     out.clear();
     let mut r = Reader::new(frame);
     let id = r.get_u8()?;
-    let raw_len = r.get_varint()? as usize;
+    let raw_len = usize::try_from(r.get_varint()?)
+        .map_err(|_| FmtError::Corrupt("declared length exceeds the address space".into()))?;
     match id {
         0 => {
             out.extend_from_slice(r.get_bytes(raw_len)?);
@@ -346,17 +437,24 @@ pub fn decompress_into(frame: &[u8], scratch: &mut Scratch, out: &mut Vec<u8>) -
     }
 }
 
+thread_local! {
+    /// Per-thread codec scratch behind [`compress`] and [`decompress`]: the
+    /// shuffle buffer and the LZ hash table survive across every chunk,
+    /// variable and file processed on this thread.
+    static TLS_SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::new());
+}
+
 /// Compress `raw` into a framed chunk.
 pub fn compress(codec: Codec, raw: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
-    compress_into(codec, raw, &mut Scratch::new(), &mut out);
+    TLS_SCRATCH.with(|s| compress_into(codec, raw, &mut s.borrow_mut(), &mut out));
     out
 }
 
 /// Decompress a framed chunk produced by [`compress`].
 pub fn decompress(frame: &[u8]) -> Result<Vec<u8>> {
     let mut out = Vec::new();
-    decompress_into(frame, &mut Scratch::new(), &mut out)?;
+    TLS_SCRATCH.with(|s| decompress_into(frame, &mut s.borrow_mut(), &mut out))?;
     Ok(out)
 }
 
@@ -371,6 +469,212 @@ pub fn frame_raw_len(frame: &[u8]) -> Result<usize> {
 mod tests {
     use super::*;
     use scirng::Rng;
+
+    /// The byte-at-a-time LZ decoder [`lz_decode_into`] replaced (it copied
+    /// a whole match before checking the declared length), kept as the
+    /// reference of the differential tests. It reserves nothing, so it is
+    /// safe to run on frames that declare absurd lengths.
+    fn lz_decode_bytewise(src: &[u8], raw_len: usize) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        let mut r = Reader::new(src);
+        while r.remaining() > 0 {
+            let token = r.get_u8()?;
+            let lit_len = get_len(&mut r, token >> 4)?;
+            out.extend_from_slice(r.get_bytes(lit_len)?);
+            if r.remaining() == 0 {
+                break;
+            }
+            let d = r.get_bytes(2)?;
+            let dist = u16::from_le_bytes([d[0], d[1]]) as usize;
+            if dist == 0 || dist > out.len() {
+                return Err(FmtError::Corrupt("bad match distance".into()));
+            }
+            let mlen = MIN_MATCH + get_len(&mut r, token & 0x0f)?;
+            let start = out.len() - dist;
+            for k in 0..mlen {
+                let b = out[start + k];
+                out.push(b);
+            }
+            if out.len() > raw_len {
+                return Err(FmtError::Corrupt("decoded past declared length".into()));
+            }
+        }
+        if out.len() != raw_len {
+            return Err(FmtError::Corrupt("decoded length mismatch".into()));
+        }
+        Ok(out)
+    }
+
+    /// The canonical inverse transpose: `out[i*elem + b] == data[b*n + i]`.
+    fn unshuffle_canonical(data: &[u8], elem: usize) -> Vec<u8> {
+        let n = data.len() / elem;
+        (0..data.len())
+            .map(|o| data[(o % elem) * n + o / elem])
+            .collect()
+    }
+
+    /// Framed decode through the reference kernels only.
+    fn decompress_bytewise(frame: &[u8]) -> Result<Vec<u8>> {
+        let mut r = Reader::new(frame);
+        let id = r.get_u8()?;
+        let raw_len = r.get_varint()? as usize;
+        match id {
+            0 => Ok(r.get_bytes(raw_len)?.to_vec()),
+            1 => lz_decode_bytewise(r.get_bytes(r.remaining())?, raw_len),
+            2 => {
+                let elem = r.get_u8()? as usize;
+                if elem == 0 || !raw_len.is_multiple_of(elem) {
+                    return Err(FmtError::Corrupt("bad shuffle width".into()));
+                }
+                let shuf = lz_decode_bytewise(r.get_bytes(r.remaining())?, raw_len)?;
+                Ok(unshuffle_canonical(&shuf, elem))
+            }
+            _ => Err(FmtError::Corrupt("unknown codec id".into())),
+        }
+    }
+
+    /// One hand-built LZ token: `lits`, then a `(dist, mlen)` match — or,
+    /// with no match, the literal-only token that ends a stream.
+    fn put_sequence(out: &mut Vec<u8>, lits: &[u8], mat: Option<(usize, usize)>) {
+        let lit_nib = lits.len().min(15) as u8;
+        let mat_nib = mat.map_or(0, |(_, mlen)| (mlen - MIN_MATCH).min(15) as u8);
+        out.push((lit_nib << 4) | mat_nib);
+        if lit_nib == 15 {
+            put_len(out, lits.len() - 15);
+        }
+        out.extend_from_slice(lits);
+        if let Some((dist, mlen)) = mat {
+            out.extend_from_slice(&(dist as u16).to_le_bytes());
+            if mat_nib == 15 {
+                put_len(out, mlen - MIN_MATCH - 15);
+            }
+        }
+    }
+
+    /// Lengths on both sides of every length-encoding boundary: the 4-bit
+    /// nibble saturates at 15 literals / 19 match bytes, and each extension
+    /// byte at 255 more (270 literals / 274 match bytes).
+    const EDGE_LENS: [usize; 14] = [4, 5, 14, 15, 16, 18, 19, 20, 269, 270, 271, 273, 274, 275];
+
+    #[test]
+    fn lz_decoder_matches_bytewise_reference_on_generated_token_streams() {
+        let mut rng = Rng::seed_from_u64(14);
+        let mut out = Vec::new();
+        for dist in 1..=16usize {
+            for mlen in EDGE_LENS {
+                for extra in [0, 3, 270] {
+                    // `lead` literals, the match under test (overlapping
+                    // whenever dist < mlen), a second match reaching back
+                    // anywhere over the output so far, trailing literals.
+                    let mut edge = || EDGE_LENS[rng.below(EDGE_LENS.len())];
+                    let (lead, mlen2, tail) = (dist + extra, edge(), edge());
+                    let mut lits = vec![0u8; lead.max(tail)];
+                    rng.fill_bytes(&mut lits);
+                    let lits2 = &lits[..rng.below(lead + 1)];
+                    let dist2 = 1 + rng.below(lead + mlen + lits2.len());
+                    let mut payload = Vec::new();
+                    put_sequence(&mut payload, &lits[..lead], Some((dist, mlen)));
+                    put_sequence(&mut payload, lits2, Some((dist2, mlen2)));
+                    put_sequence(&mut payload, &lits[..tail], None);
+                    let raw_len = lead + mlen + lits2.len() + mlen2 + tail;
+
+                    let what = format!("dist {dist} mlen {mlen} lead {lead}");
+                    let want = lz_decode_bytewise(&payload, raw_len).expect(&what);
+                    out.clear();
+                    lz_decode_into(&payload, raw_len, &mut out).expect(&what);
+                    assert_eq!(out, want, "{what}");
+                    // A wrong declaration fails typed in both decoders, and
+                    // the new one stops before it outgrows the declaration.
+                    for wrong in [raw_len - 1, raw_len + 1, lead + 1] {
+                        let mut out = Vec::new();
+                        assert!(lz_decode_into(&payload, wrong, &mut out).is_err(), "{what}");
+                        assert!(lz_decode_bytewise(&payload, wrong).is_err(), "{what}");
+                        assert!(out.capacity() <= wrong.max(8), "{what}: outgrew {wrong}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The `scratch_reuse_is_bit_identical` corpus: smooth and random
+    /// payloads of every shuffle width, with the codec that fits each.
+    fn corpus_case(rng: &mut Rng, case: usize, max_elems: usize) -> (Codec, Vec<u8>) {
+        let n = 64 + rng.below(max_elems);
+        let elem = [1usize, 2, 4, 8][case % 4];
+        let mut data = vec![0u8; n * elem];
+        // Half the cases smooth, half random.
+        if case.is_multiple_of(2) {
+            for (i, b) in data.iter_mut().enumerate() {
+                *b = ((i / 7) % 251) as u8;
+            }
+        } else {
+            rng.fill_bytes(&mut data);
+        }
+        let codec = if elem == 1 {
+            Codec::Lz
+        } else {
+            Codec::ShuffleLz { elem: elem as u8 }
+        };
+        (codec, data)
+    }
+
+    #[test]
+    fn mutated_frames_decode_like_the_reference_or_fail_typed() {
+        let mut rng = Rng::seed_from_u64(15);
+        for case in 0..1000 {
+            let (codec, data) = corpus_case(&mut rng, case, 1024);
+            let mut frame = compress(codec, &data);
+            let at = rng.below(frame.len());
+            frame[at] ^= 1 << rng.below(8);
+            let (mut scratch, mut out) = (Scratch::new(), Vec::new());
+            let got = decompress_into(&frame, &mut scratch, &mut out);
+            match (got, decompress_bytewise(&frame)) {
+                (Ok(()), Ok(want)) => assert_eq!(out, want, "case {case}: flip at {at}"),
+                (Err(_), Err(_)) => {}
+                (got, want) => panic!(
+                    "case {case}: flip at {at}: new {got:?}, reference {:?}",
+                    want.map(|w| w.len())
+                ),
+            }
+            // Whatever the flip did to the header, nothing beyond the
+            // declared length was ever allocated.
+            let declared = frame_raw_len(&frame).unwrap_or(0).max(8);
+            assert!(out.capacity() <= declared, "case {case}: out");
+            assert!(scratch.shuf.capacity() <= declared, "case {case}: scratch");
+        }
+    }
+
+    #[test]
+    fn absurd_declared_length_is_rejected_before_allocating() {
+        // `[codec][raw_len = 2^62][one empty token]`: the old decoder
+        // reserved 2^62 bytes for this and aborted the process.
+        for codec_id in [1u8, 2] {
+            let mut frame = vec![codec_id];
+            put_varint(&mut frame, 1 << 62);
+            if codec_id == 2 {
+                frame.push(4);
+            }
+            frame.push(0);
+            let mut out = Vec::new();
+            let got = decompress_into(&frame, &mut Scratch::new(), &mut out);
+            assert!(matches!(got, Err(FmtError::Corrupt(_))), "{got:?}");
+            assert_eq!(out.capacity(), 0);
+        }
+    }
+
+    #[test]
+    fn long_match_extension_is_bounded_by_the_declared_length() {
+        // One literal, then a match whose `255…` extension runs to 65 000
+        // bytes, in a frame that declares 300: plausible for its payload
+        // size, so it is the per-copy bound that has to stop it.
+        let mut frame = vec![1u8];
+        put_varint(&mut frame, 300);
+        put_sequence(&mut frame, b"a", Some((1, 65_000)));
+        let mut out = Vec::new();
+        let got = decompress_into(&frame, &mut Scratch::new(), &mut out);
+        assert_eq!(got, Err(past_declared_length()));
+        assert!(out.capacity() <= 300, "copied {} bytes", out.capacity());
+    }
 
     #[test]
     fn empty_roundtrip() {
@@ -443,21 +747,38 @@ mod tests {
     }
 
     #[test]
-    fn blocked_shuffle_matches_reference() {
-        // Inputs longer than one tile must still produce the canonical
-        // transpose: out[b*n + i] == data[i*elem + b].
+    fn shuffle_paths_match_canonical_transpose() {
+        // The copy (1), fixed-width (2/4/8) and tiled (3) paths, at element
+        // counts around the block and tile sizes, must all produce the
+        // canonical transpose: out[b*n + i] == data[i*elem + b].
         let mut rng = Rng::seed_from_u64(11);
-        for elem in [2usize, 4, 8] {
-            let n = SHUFFLE_TILE * 2 + 37;
-            let mut data = vec![0u8; n * elem];
-            rng.fill_bytes(&mut data);
-            let out = shuffle(&data, elem);
-            for i in 0..n {
-                for b in 0..elem {
-                    assert_eq!(out[b * n + i], data[i * elem + b], "i={i} b={b}");
+        let (block, tile) = (SHUFFLE_BLOCK, SHUFFLE_TILE);
+        for elem in [1usize, 2, 3, 4, 8] {
+            for n in [
+                0,
+                1,
+                block - 1,
+                block,
+                block + 1,
+                tile - 1,
+                tile,
+                tile + 1,
+                2 * tile + 37,
+            ] {
+                let mut data = vec![0u8; n * elem];
+                rng.fill_bytes(&mut data);
+                let out = shuffle(&data, elem);
+                for i in 0..n {
+                    for b in 0..elem {
+                        assert_eq!(
+                            out[b * n + i],
+                            data[i * elem + b],
+                            "elem {elem} n {n} i {i} b {b}"
+                        );
+                    }
                 }
+                assert_eq!(unshuffle(&out, elem), data, "elem {elem} n {n}");
             }
-            assert_eq!(unshuffle(&out, elem), data);
         }
     }
 
@@ -467,28 +788,19 @@ mod tests {
         let mut scratch = Scratch::new();
         let mut frame = Vec::new();
         let mut back = Vec::new();
+        let mut stored = Vec::new();
         for case in 0..32 {
-            let n = 64 + rng.below(4096);
-            let elem = [1usize, 2, 4, 8][case % 4];
-            let mut data = vec![0u8; n * elem];
-            // Half the cases smooth, half random.
-            if case % 2 == 0 {
-                for (i, b) in data.iter_mut().enumerate() {
-                    *b = ((i / 7) % 251) as u8;
-                }
-            } else {
-                rng.fill_bytes(&mut data);
-            }
-            let codec = if elem == 1 {
-                Codec::Lz
-            } else {
-                Codec::ShuffleLz { elem: elem as u8 }
-            };
+            let (codec, data) = corpus_case(&mut rng, case, 4096);
             compress_into(codec, &data, &mut scratch, &mut frame);
             assert_eq!(frame, compress(codec, &data), "case {case}: frames differ");
             decompress_into(&frame, &mut scratch, &mut back).unwrap();
             assert_eq!(back, data, "case {case}: roundtrip");
+            stored.extend_from_slice(&frame);
         }
+        // The compressor's output is a stored format: these are the bytes
+        // the commit before the fixed-width shuffle produced for this corpus.
+        assert_eq!(stored.len(), 170_710);
+        assert_eq!(scirng::hash64(&stored), 0xd827_e320_f4f3_4349);
     }
 
     #[test]

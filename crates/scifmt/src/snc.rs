@@ -16,7 +16,6 @@
 //! dummy HDFS blocks, and what the PFS Reader uses to fetch a hyperslab
 //! with one contiguous read per chunk.
 
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -37,12 +36,6 @@ const PAR_MIN_BYTES: usize = 32 * 1024;
 /// Default decompressed-chunk cache capacity per opened file.
 /// Default decompressed-chunk cache capacity (64 MiB per open file).
 pub const DEFAULT_CACHE_BYTES: usize = 64 << 20;
-
-thread_local! {
-    /// Per-thread codec scratch: shuffle buffer + LZ hash table survive
-    /// across chunks, variables and files processed on this thread.
-    static TLS_SCRATCH: RefCell<codec::Scratch> = RefCell::new(codec::Scratch::new());
-}
 
 /// File magic of the current container revision (v2: headers carry
 /// per-chunk zone maps). Format detection ([`is_snc`], the `H5Fis_hdf5`
@@ -632,6 +625,20 @@ pub fn chunk_extents_of(var: &VarMeta, data_offset: usize) -> Vec<ChunkExtent> {
         .collect()
 }
 
+/// Decompress one (CRC-verified) chunk frame and hold the result to the raw
+/// length its chunk-table entry records, so a frame that decodes cleanly to
+/// the wrong size is a typed error before any cache admits it.
+pub fn decode_chunk(frame: &[u8], rlen: u64) -> Result<Vec<u8>> {
+    let raw = codec::decompress(frame)?;
+    if raw.len() as u64 != rlen {
+        return Err(FmtError::Corrupt(format!(
+            "chunk decoded to {} bytes, its chunk-table entry records {rlen}",
+            raw.len()
+        )));
+    }
+    Ok(raw)
+}
+
 /// Assemble a hyperslab from already-decompressed chunk payloads.
 ///
 /// `raw_chunks` maps linear chunk index → raw bytes (only intersecting
@@ -857,10 +864,7 @@ impl SncBuilder {
                         &full, &shape, &origin, &mut raw, &cshape, &zero, &cshape, elem,
                     );
                     let zone = stamp.then(|| ZoneMap::of_raw(meta.dtype, &raw));
-                    let mut frame = Vec::new();
-                    TLS_SCRATCH.with(|s| {
-                        codec::compress_into(meta.codec, &raw, &mut s.borrow_mut(), &mut frame);
-                    });
+                    let frame = codec::compress(meta.codec, &raw);
                     let crc = scirng::crc32c(&frame);
                     (frame, raw.len(), crc, zone)
                 });
@@ -1167,17 +1171,7 @@ impl SncFile {
                 computed,
             });
         }
-        let mut raw = Vec::new();
-        TLS_SCRATCH.with(|s| codec::decompress_into(frame, &mut s.borrow_mut(), &mut raw))?;
-        if raw.len() != c.rlen as usize {
-            return Err(FmtError::Corrupt(format!(
-                "chunk {index} of {}: raw {} != recorded {}",
-                var.name,
-                raw.len(),
-                c.rlen
-            )));
-        }
-        Ok(raw)
+        decode_chunk(frame, c.rlen)
     }
 
     /// Decompressed payload of one chunk, served from the chunk cache when
@@ -1275,6 +1269,18 @@ mod tests {
         )
         .unwrap();
         b.finish()
+    }
+
+    #[test]
+    fn decode_chunk_holds_a_clean_frame_to_the_recorded_length() {
+        let frame = codec::compress(Codec::ShuffleLz { elem: 4 }, &[7u8; 64]);
+        assert_eq!(decode_chunk(&frame, 64).unwrap(), vec![7u8; 64]);
+        // A frame that decodes without error, but not to the size the
+        // chunk table promised the slab assembly.
+        assert!(matches!(
+            decode_chunk(&frame, 60),
+            Err(FmtError::Corrupt(_))
+        ));
     }
 
     #[test]

@@ -106,6 +106,14 @@ impl<'a> Reader<'a> {
         self.take(n, "bytes")
     }
 
+    pub fn get_u16(&mut self) -> Result<u16> {
+        let b = self.take(2, "u16")?;
+        let a = b
+            .try_into()
+            .map_err(|_| FmtError::Truncated { what: "u16" })?;
+        Ok(u16::from_le_bytes(a))
+    }
+
     pub fn get_u32(&mut self) -> Result<u32> {
         let b = self.take(4, "u32")?;
         let a = b

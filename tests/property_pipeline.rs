@@ -3,7 +3,7 @@
 //! container reads, and accounting invariants must hold.
 
 use scidp_suite::prelude::*;
-use scidp_suite::scifmt::SncFile;
+use scidp_suite::scifmt::{self, codec, SncFile};
 use scirng::Rng;
 
 /// For random (levels, grid, chunking, timestamps), every slab SciDP
@@ -132,6 +132,15 @@ fn single_byte_flip_is_detected_or_harmless_never_wrong() {
     run_scidp(&mut clean, &ds.pfs_uri(), &cfg()).unwrap();
     let clean_out = read_output(&clean);
     assert!(!clean_out.is_empty());
+    // Every chunk frame of the container, as a byte range of the file.
+    let frames: Vec<std::ops::Range<usize>> = {
+        let file = SncFile::open(clean_bytes.clone()).unwrap();
+        let vars = file.meta().all_vars();
+        vars.iter()
+            .flat_map(|(_, var)| scifmt::snc::chunk_extents_of(var, data_off))
+            .map(|c| c.offset as usize..(c.offset + c.clen) as usize)
+            .collect()
+    };
 
     let mut rng = Rng::seed_from_u64(0x00C0_FFEE);
     let len = clean_bytes.len();
@@ -147,6 +156,18 @@ fn single_byte_flip_is_detected_or_harmless_never_wrong() {
         {
             let mut bytes = clean_bytes.clone();
             bytes[pos] ^= 1 << rng.below(8);
+            // In the pipeline the CRC stops a flipped frame short of the
+            // decoder. Hand it over directly, twice in a row on this
+            // thread's reused codec scratch: it may decode or fail typed,
+            // but the same way both times, and the clean frame decoded
+            // right behind it must come out as it did before.
+            if let Some(frame) = frames.iter().find(|r| r.contains(&pos)) {
+                let want = codec::decompress(&clean_bytes[frame.clone()]).unwrap();
+                let flipped = codec::decompress(&bytes[frame.clone()]);
+                assert_eq!(codec::decompress(&bytes[frame.clone()]), flipped);
+                let again = codec::decompress(&clean_bytes[frame.clone()]).unwrap();
+                assert_eq!(again, want, "flip at byte {pos} poisoned the codec scratch");
+            }
             c.pfs.borrow_mut().create(path.clone(), bytes);
         }
         match run_scidp(&mut c, &ds.pfs_uri(), &cfg()) {

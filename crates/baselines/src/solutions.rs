@@ -271,24 +271,19 @@ pub fn run_vanilla(
             )
         })
         .collect();
-    let job = Job {
-        name: "vanilla-imgonly".into(),
+    let job = Job::new(
+        "vanilla-imgonly",
         splits,
-        map_fn: text_map_fn(cfg, raster, scale),
-        reduce_fn: Some(wrap_r_reduce(
+        text_map_fn(cfg, raster, scale),
+        Some(wrap_r_reduce(
             nuwrf_reduce_fn(),
             cfg.logical_image,
             raster,
             scale,
         )),
-        n_reducers: cfg.n_reducers,
-        output_dir: format!("{}_vanilla", cfg.output_dir),
-        spill_to_pfs: false,
-        output_to_pfs: false,
-        ft: mapreduce::FtConfig::default(),
-        stream: mapreduce::StreamConfig::default(),
-        shuffle: None,
-    };
+        cfg.n_reducers,
+        format!("{}_vanilla", cfg.output_dir),
+    );
     let result = run_job(cluster, job).expect("vanilla job succeeds");
     SolutionReport {
         solution: SolutionKind::VanillaHadoop,
@@ -346,24 +341,19 @@ pub fn run_porthadoop_with_chunks(
             )
         })
         .collect();
-    let job = Job {
-        name: "porthadoop-imgonly".into(),
+    let job = Job::new(
+        "porthadoop-imgonly",
         splits,
-        map_fn: text_map_fn(cfg, raster, scale),
-        reduce_fn: Some(wrap_r_reduce(
+        text_map_fn(cfg, raster, scale),
+        Some(wrap_r_reduce(
             nuwrf_reduce_fn(),
             cfg.logical_image,
             raster,
             scale,
         )),
-        n_reducers: cfg.n_reducers,
-        output_dir: format!("{}_porthadoop", cfg.output_dir),
-        spill_to_pfs: false,
-        output_to_pfs: false,
-        ft: mapreduce::FtConfig::default(),
-        stream: mapreduce::StreamConfig::default(),
-        shuffle: None,
-    };
+        cfg.n_reducers,
+        format!("{}_porthadoop", cfg.output_dir),
+    );
     let result = run_job(cluster, job).expect("porthadoop job succeeds");
     SolutionReport {
         solution: SolutionKind::PortHadoop,
@@ -408,24 +398,19 @@ pub fn run_scihadoop(
         let meta = scifmt::SncMeta::parse(&bytes).expect("staged container parses");
         splits.extend(scihadoop_splits(&env, &meta, dst, &cfg.variables));
     }
-    let job = Job {
-        name: "scihadoop-imgonly".into(),
+    let job = Job::new(
+        "scihadoop-imgonly",
         splits,
-        map_fn: wrap_r_map(nuwrf_map_fn(cfg), cfg.logical_image, raster, scale),
-        reduce_fn: Some(wrap_r_reduce(
+        wrap_r_map(nuwrf_map_fn(cfg), cfg.logical_image, raster, scale),
+        Some(wrap_r_reduce(
             nuwrf_reduce_fn(),
             cfg.logical_image,
             raster,
             scale,
         )),
-        n_reducers: cfg.n_reducers,
-        output_dir: format!("{}_scihadoop", cfg.output_dir),
-        spill_to_pfs: false,
-        output_to_pfs: false,
-        ft: mapreduce::FtConfig::default(),
-        stream: mapreduce::StreamConfig::default(),
-        shuffle: None,
-    };
+        cfg.n_reducers,
+        format!("{}_scihadoop", cfg.output_dir),
+    );
     let result = run_job(cluster, job).expect("scihadoop job succeeds");
     SolutionReport {
         solution: SolutionKind::SciHadoop,

@@ -207,10 +207,10 @@ fn terasort(cluster: &mut Cluster, backend: Backend, cfg: &Fig2Config) -> f64 {
     for f in &files {
         splits.extend(input_splits(cluster, backend, f));
     }
-    let mut job = Job {
-        name: "terasort".into(),
+    let mut job = Job::new(
+        "terasort",
         splits,
-        map_fn: Rc::new(|input, ctx| {
+        Rc::new(|input, ctx| {
             let TaskInput::Bytes(b) = input else {
                 return Err(MrError::msg("terasort expects bytes"));
             };
@@ -225,7 +225,7 @@ fn terasort(cluster: &mut Cluster, backend: Backend, cfg: &Fig2Config) -> f64 {
             }
             Ok(())
         }),
-        reduce_fn: Some(Rc::new(|key, values, ctx| {
+        Some(Rc::new(|key, values, ctx| {
             // Real sort of this partition's records.
             let mut recs: Vec<Vec<u8>> = values
                 .into_iter()
@@ -244,14 +244,9 @@ fn terasort(cluster: &mut Cluster, backend: Backend, cfg: &Fig2Config) -> f64 {
             ctx.emit(key, Payload::Bytes(out));
             Ok(())
         })),
-        n_reducers: cfg.nodes,
-        output_dir: "tera_out".into(),
-        spill_to_pfs: false,
-        output_to_pfs: false,
-        ft: mapreduce::FtConfig::default(),
-        stream: mapreduce::StreamConfig::default(),
-        shuffle: None,
-    };
+        cfg.nodes,
+        "tera_out",
+    );
     apply_backend(&mut job, backend);
     run_job(cluster, job).expect("terasort succeeds").elapsed()
 }
@@ -262,10 +257,10 @@ fn grep(cluster: &mut Cluster, backend: Backend, cfg: &Fig2Config) -> f64 {
     for f in &files {
         splits.extend(input_splits(cluster, backend, f));
     }
-    let mut job = Job {
-        name: "grep".into(),
+    let mut job = Job::new(
+        "grep",
         splits,
-        map_fn: Rc::new(|input, ctx| {
+        Rc::new(|input, ctx| {
             let TaskInput::Bytes(b) = input else {
                 return Err(MrError::msg("grep expects bytes"));
             };
@@ -279,7 +274,7 @@ fn grep(cluster: &mut Cluster, backend: Backend, cfg: &Fig2Config) -> f64 {
             ctx.emit("abc", Payload::Bytes(count.to_string().into_bytes()));
             Ok(())
         }),
-        reduce_fn: Some(Rc::new(|key, values, ctx| {
+        Some(Rc::new(|key, values, ctx| {
             let total: usize = values
                 .iter()
                 .map(|v| match v {
@@ -290,14 +285,9 @@ fn grep(cluster: &mut Cluster, backend: Backend, cfg: &Fig2Config) -> f64 {
             ctx.emit(key, Payload::Bytes(total.to_string().into_bytes()));
             Ok(())
         })),
-        n_reducers: 1,
-        output_dir: "grep_out".into(),
-        spill_to_pfs: false,
-        output_to_pfs: false,
-        ft: mapreduce::FtConfig::default(),
-        stream: mapreduce::StreamConfig::default(),
-        shuffle: None,
-    };
+        1,
+        "grep_out",
+    );
     apply_backend(&mut job, backend);
     run_job(cluster, job).expect("grep succeeds").elapsed()
 }
@@ -312,22 +302,17 @@ fn dfsio_write(cluster: &mut Cluster, backend: Backend, cfg: &Fig2Config) -> f64
         })
         .collect();
     let per_task = cfg.bytes_per_node;
-    let mut job = Job {
-        name: "dfsio-write".into(),
+    let mut job = Job::new(
+        "dfsio-write",
         splits,
-        map_fn: Rc::new(move |_, ctx| {
+        Rc::new(move |_, ctx| {
             ctx.emit("data", Payload::Bytes(vec![0x5a; per_task]));
             Ok(())
         }),
-        reduce_fn: None,
-        n_reducers: 1,
-        output_dir: "dfsio_out".into(),
-        spill_to_pfs: false,
-        output_to_pfs: false,
-        ft: mapreduce::FtConfig::default(),
-        stream: mapreduce::StreamConfig::default(),
-        shuffle: None,
-    };
+        None,
+        1,
+        "dfsio_out",
+    );
     apply_backend(&mut job, backend);
     run_job(cluster, job)
         .expect("dfsio write succeeds")
@@ -340,24 +325,19 @@ fn dfsio_read(cluster: &mut Cluster, backend: Backend, cfg: &Fig2Config) -> f64 
     for f in &files {
         splits.extend(input_splits(cluster, backend, f));
     }
-    let mut job = Job {
-        name: "dfsio-read".into(),
+    let mut job = Job::new(
+        "dfsio-read",
         splits,
-        map_fn: Rc::new(|input, _| {
+        Rc::new(|input, _| {
             let TaskInput::Bytes(_) = input else {
                 return Err(MrError::msg("dfsio expects bytes"));
             };
             Ok(())
         }),
-        reduce_fn: None,
-        n_reducers: 1,
-        output_dir: "dfsio_read_out".into(),
-        spill_to_pfs: false,
-        output_to_pfs: false,
-        ft: mapreduce::FtConfig::default(),
-        stream: mapreduce::StreamConfig::default(),
-        shuffle: None,
-    };
+        None,
+        1,
+        "dfsio_read_out",
+    );
     apply_backend(&mut job, backend);
     run_job(cluster, job)
         .expect("dfsio read succeeds")

@@ -54,10 +54,10 @@ fn main() {
                 }
             })
             .collect();
-        let job = Job {
-            name: format!("scan-{chunks}"),
+        let job = Job::new(
+            format!("scan-{chunks}"),
             splits,
-            map_fn: Rc::new(|input, ctx| {
+            Rc::new(|input, ctx| {
                 let TaskInput::Bytes(b) = input else {
                     return Err(MrError::msg("scan expects bytes"));
                 };
@@ -67,15 +67,10 @@ fn main() {
                 );
                 Ok(())
             }),
-            reduce_fn: None,
-            n_reducers: 1,
-            output_dir: format!("scan_out_{chunks}"),
-            spill_to_pfs: false,
-            output_to_pfs: false,
-            ft: mapreduce::FtConfig::default(),
-            stream: mapreduce::StreamConfig::default(),
-            shuffle: None,
-        };
+            None,
+            1,
+            format!("scan_out_{chunks}"),
+        );
         let t = run_job(&mut c, job).expect("scan job succeeds").elapsed();
         let b = *base.get_or_insert(t);
         println!("| {:<38} | {:>8} | {:>14} |", label, fmt_s(t), fmt_x(t / b));

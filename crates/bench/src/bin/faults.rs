@@ -59,41 +59,39 @@ fn byte_count_job(ft: FtConfig) -> Job {
         })
         .collect();
     Job {
-        name: "faultbench".into(),
-        splits,
-        map_fn: Rc::new(|input, ctx| {
-            let TaskInput::Bytes(b) = input else {
-                return Err(MrError::msg("expected bytes"));
-            };
-            let mut counts: BTreeMap<u8, usize> = BTreeMap::new();
-            for &x in &b {
-                *counts.entry(x).or_default() += 1;
-            }
-            // A fixed per-map compute cost so stragglers are visible.
-            ctx.charge("compute", 4.0);
-            for (k, v) in counts {
-                ctx.emit(format!("b{k}"), Payload::Bytes(v.to_string().into_bytes()));
-            }
-            Ok(())
-        }),
-        reduce_fn: Some(Rc::new(|key, values, ctx| {
-            let total: usize = values
-                .iter()
-                .map(|v| match v {
-                    Payload::Bytes(b) => String::from_utf8_lossy(b).parse::<usize>().unwrap(),
-                    _ => 0,
-                })
-                .sum();
-            ctx.emit(key, Payload::Bytes(total.to_string().into_bytes()));
-            Ok(())
-        })),
-        n_reducers: 2,
-        output_dir: "out".into(),
-        spill_to_pfs: false,
-        output_to_pfs: false,
         ft,
-        stream: mapreduce::StreamConfig::default(),
-        shuffle: None,
+        ..Job::new(
+            "faultbench",
+            splits,
+            Rc::new(|input, ctx| {
+                let TaskInput::Bytes(b) = input else {
+                    return Err(MrError::msg("expected bytes"));
+                };
+                let mut counts: BTreeMap<u8, usize> = BTreeMap::new();
+                for &x in &b {
+                    *counts.entry(x).or_default() += 1;
+                }
+                // A fixed per-map compute cost so stragglers are visible.
+                ctx.charge("compute", 4.0);
+                for (k, v) in counts {
+                    ctx.emit(format!("b{k}"), Payload::Bytes(v.to_string().into_bytes()));
+                }
+                Ok(())
+            }),
+            Some(Rc::new(|key, values, ctx| {
+                let total: usize = values
+                    .iter()
+                    .map(|v| match v {
+                        Payload::Bytes(b) => String::from_utf8_lossy(b).parse::<usize>().unwrap(),
+                        _ => 0,
+                    })
+                    .sum();
+                ctx.emit(key, Payload::Bytes(total.to_string().into_bytes()));
+                Ok(())
+            })),
+            2,
+            "out",
+        )
     }
 }
 

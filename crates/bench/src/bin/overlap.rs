@@ -21,8 +21,8 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use mapreduce::{
-    counter_keys as keys, run_job, Cluster, FlatPfsFetcher, FtConfig, InputSplit, Job, JobResult,
-    MrError, Payload, StreamConfig, TaskInput,
+    counter_keys as keys, run_job, Cluster, FlatPfsFetcher, InputSplit, Job, JobResult, MrError,
+    Payload, StreamConfig, TaskInput,
 };
 use pfs::PfsConfig;
 use scidp::SciSlabFetcher;
@@ -81,40 +81,38 @@ fn flat_job(charge_s: f64, stream: StreamConfig) -> Job {
         })
         .collect();
     Job {
-        name: "overlap".into(),
-        splits,
-        map_fn: Rc::new(move |input, ctx| {
-            let TaskInput::Bytes(b) = input else {
-                return Err(MrError::msg("expected bytes"));
-            };
-            let mut counts: BTreeMap<u8, usize> = BTreeMap::new();
-            for &x in &b {
-                *counts.entry(x).or_default() += 1;
-            }
-            ctx.charge("compute", charge_s);
-            for (k, v) in counts {
-                ctx.emit(format!("b{k}"), Payload::Bytes(v.to_string().into_bytes()));
-            }
-            Ok(())
-        }),
-        reduce_fn: Some(Rc::new(|key, values, ctx| {
-            let total: usize = values
-                .iter()
-                .map(|v| match v {
-                    Payload::Bytes(b) => String::from_utf8_lossy(b).parse::<usize>().unwrap(),
-                    _ => 0,
-                })
-                .sum();
-            ctx.emit(key, Payload::Bytes(total.to_string().into_bytes()));
-            Ok(())
-        })),
-        n_reducers: 2,
-        output_dir: "out".into(),
-        spill_to_pfs: false,
-        output_to_pfs: false,
-        ft: FtConfig::default(),
         stream,
-        shuffle: None,
+        ..Job::new(
+            "overlap",
+            splits,
+            Rc::new(move |input, ctx| {
+                let TaskInput::Bytes(b) = input else {
+                    return Err(MrError::msg("expected bytes"));
+                };
+                let mut counts: BTreeMap<u8, usize> = BTreeMap::new();
+                for &x in &b {
+                    *counts.entry(x).or_default() += 1;
+                }
+                ctx.charge("compute", charge_s);
+                for (k, v) in counts {
+                    ctx.emit(format!("b{k}"), Payload::Bytes(v.to_string().into_bytes()));
+                }
+                Ok(())
+            }),
+            Some(Rc::new(|key, values, ctx| {
+                let total: usize = values
+                    .iter()
+                    .map(|v| match v {
+                        Payload::Bytes(b) => String::from_utf8_lossy(b).parse::<usize>().unwrap(),
+                        _ => 0,
+                    })
+                    .sum();
+                ctx.emit(key, Payload::Bytes(total.to_string().into_bytes()));
+                Ok(())
+            })),
+            2,
+            "out",
+        )
     }
 }
 
@@ -222,33 +220,31 @@ fn slab_job(
         })
         .collect();
     Job {
-        name: "slaboverlap".into(),
-        splits,
-        map_fn: Rc::new(move |input, ctx| {
-            let TaskInput::Array(a) = input else {
-                return Err(MrError::msg("expected array"));
-            };
-            let mut sum = 0.0f64;
-            for l in 0..a.shape()[0] {
-                sum += a.at(&[l, 0, 0]);
-            }
-            ctx.charge("compute", charge_s);
-            ctx.emit("sum", Payload::Bytes(format!("{sum}").into_bytes()));
-            Ok(())
-        }),
-        reduce_fn: Some(Rc::new(|key, values, ctx| {
-            for v in values {
-                ctx.emit(key, v);
-            }
-            Ok(())
-        })),
-        n_reducers: 1,
-        output_dir: "slab_out".into(),
-        spill_to_pfs: false,
-        output_to_pfs: false,
-        ft: FtConfig::default(),
         stream,
-        shuffle: None,
+        ..Job::new(
+            "slaboverlap",
+            splits,
+            Rc::new(move |input, ctx| {
+                let TaskInput::Array(a) = input else {
+                    return Err(MrError::msg("expected array"));
+                };
+                let mut sum = 0.0f64;
+                for l in 0..a.shape()[0] {
+                    sum += a.at(&[l, 0, 0]);
+                }
+                ctx.charge("compute", charge_s);
+                ctx.emit("sum", Payload::Bytes(format!("{sum}").into_bytes()));
+                Ok(())
+            }),
+            Some(Rc::new(|key, values, ctx| {
+                for v in values {
+                    ctx.emit(key, v);
+                }
+                Ok(())
+            })),
+            1,
+            "slab_out",
+        )
     }
 }
 

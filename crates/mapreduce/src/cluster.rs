@@ -1,12 +1,15 @@
 //! The combined simulated-cluster world: simulator + topology + both file
 //! systems. Every experiment builds one of these.
 
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use pfs::{Pfs, PfsConfig, SharedPfs};
 use simnet::{ClusterCache, ClusterSpec, CostModel, FlowNet, Sim, SimTime, Topology};
 
 use hdfs::{Hdfs, SharedHdfs};
+
+use crate::job::MrError;
 
 /// Handles a task needs to reach the world from inside sim callbacks.
 #[derive(Clone)]
@@ -21,6 +24,9 @@ pub struct MrEnv {
     /// it on via [`Cluster::cluster_cache`]).
     pub cluster_cache: Rc<ClusterCache>,
 }
+
+/// Completion callback of work started under [`Cluster::run_to_completion`].
+pub type Completion<T> = Box<dyn FnOnce(&mut Sim, Result<T, MrError>)>;
 
 /// The full simulated world: one Hadoop cluster + one PFS storage cluster.
 pub struct Cluster {
@@ -92,6 +98,27 @@ impl Cluster {
     /// Drain the event queue; returns final virtual time.
     pub fn run(&mut self) -> SimTime {
         self.sim.run()
+    }
+
+    /// Start asynchronous work through `submit` — which is handed the
+    /// completion callback to pass on — drain the event queue, and return
+    /// what the callback delivered; an error naming `what` if the queue
+    /// drained without it ever being called.
+    pub fn run_to_completion<T: 'static>(
+        &mut self,
+        what: &str,
+        submit: impl FnOnce(&mut Cluster, Completion<T>),
+    ) -> Result<T, MrError> {
+        let slot: Rc<RefCell<Option<Result<T, MrError>>>> = Rc::default();
+        let filled = slot.clone();
+        submit(self, Box::new(move |_, r| *filled.borrow_mut() = Some(r)));
+        self.run();
+        let delivered = slot.borrow_mut().take();
+        delivered.unwrap_or_else(|| {
+            Err(MrError::msg(format!(
+                "{what} did not complete before the sim drained"
+            )))
+        })
     }
 }
 

@@ -6,9 +6,9 @@
 //! stage's task function, each wide operator starts a new stage whose tasks
 //! group the shuffled pairs by key. Every stage runs as one map-only
 //! engine [`Job`] — inheriting the attempt/retry/blacklist/speculation
-//! machinery unchanged — with a [`ShuffleSink`] that hash-partitions the
-//! stage's emitted pairs and registers them in a shared [`ShuffleStore`]
-//! per `(shuffle, map partition)` at task commit.
+//! machinery unchanged — submitted with a [`ShuffleSink`] that has the
+//! driver hash-partition the stage's emitted pairs and register them in a
+//! shared [`ShuffleStore`] per `(shuffle, map partition)` at task commit.
 //!
 //! Lineage recovery: a node kill invalidates every output the dead node
 //! held. Before each step the driver walks the stages in topological order
@@ -23,7 +23,7 @@
 //! executed) once per consumer — plans are trees, not general graphs.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use simnet::{NodeId, Sim};
@@ -33,27 +33,20 @@ use crate::counters::{keys, Counters};
 use crate::dataset::{Dataset, GroupFn, PairFilterFn, PairMapFn, PlanNode, RecordReadFn};
 use crate::input::{FetchDone, FetchResult, InputSplit, SplitFetcher, TaskInput};
 use crate::job::{
-    serialize_kvs, submit_job_env, FtConfig, Job, Kv, MapFn, MrError, Payload, StreamConfig,
-    TaskCtx,
+    countdown, group_by_key, kv_bytes, serialize_kvs, submit_stage, FtConfig, Job, JobResult, Kv,
+    MapFn, MapOutput, MrError, Payload, StreamConfig, TaskCtx,
 };
 
 // ---------------------------------------------------------------------------
 // Shuffle registry
 // ---------------------------------------------------------------------------
 
-/// One registered map output: where it lives and its per-downstream-task
-/// partitions.
-struct StoredOutput {
-    node: NodeId,
-    parts: Vec<Vec<Kv>>,
-}
-
 /// Registry of shuffle (and final-result) outputs, shared between the DAG
 /// driver, the per-stage sink jobs, and the shuffle fetchers.
 #[derive(Default)]
 pub struct ShuffleStore {
     /// shuffle id → producing map partition id → output.
-    outputs: BTreeMap<u64, BTreeMap<usize, StoredOutput>>,
+    outputs: BTreeMap<u64, BTreeMap<usize, MapOutput>>,
     /// shuffle id → number of map outputs a complete shuffle has.
     expected: BTreeMap<u64, usize>,
     /// `(shuffle, map partition)` holes hit by fetchers since the last
@@ -79,20 +72,14 @@ impl ShuffleStore {
     /// Register one committed map output. First-commit-wins upstream means
     /// this is called at most once per live (shuffle, partition) — a
     /// recompute after invalidation simply fills the hole again.
-    pub(crate) fn register(
-        &mut self,
-        shuffle: u64,
-        partition: usize,
-        node: NodeId,
-        parts: Vec<Vec<Kv>>,
-    ) {
+    fn register(&mut self, shuffle: u64, partition: usize, output: MapOutput) {
         self.outputs
             .entry(shuffle)
             .or_default()
-            .insert(partition, StoredOutput { node, parts });
+            .insert(partition, output);
     }
 
-    fn get(&self, shuffle: u64, partition: usize) -> Option<&StoredOutput> {
+    fn get(&self, shuffle: u64, partition: usize) -> Option<&MapOutput> {
         self.outputs.get(&shuffle)?.get(&partition)
     }
 
@@ -139,19 +126,30 @@ impl ShuffleStore {
     }
 }
 
-/// Where one stage job deposits its partitioned output (set on
-/// [`Job::shuffle`]). The driver partitions emitted pairs by
+/// Where one stage job deposits its partitioned output (handed to
+/// [`submit_stage`]). The driver partitions emitted pairs by
 /// `stable_hash(key) % n_partitions` — the same function classic reduce
 /// jobs use — and registers them at commit.
 #[derive(Clone)]
-pub struct ShuffleSink {
-    pub(crate) shuffle_id: u64,
+pub(crate) struct ShuffleSink {
+    shuffle_id: u64,
     pub(crate) n_partitions: usize,
     /// Stage partition id of each job task index: a recompute job covers a
     /// sparse subset of the stage's partitions, so job task `i` registers
     /// as stage partition `task_ids[i]`.
-    pub(crate) task_ids: Rc<Vec<usize>>,
-    pub(crate) store: SharedShuffleStore,
+    task_ids: Rc<Vec<usize>>,
+    store: SharedShuffleStore,
+}
+
+impl ShuffleSink {
+    /// Register job task `task`'s committed output, held by `node`.
+    pub(crate) fn register(&self, task: usize, node: NodeId, parts: Vec<Vec<Kv>>) {
+        let partition = self.task_ids.get(task).copied().unwrap_or(task);
+        let output = MapOutput { node, parts };
+        self.store
+            .borrow_mut()
+            .register(self.shuffle_id, partition, output);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -201,11 +199,7 @@ impl SplitFetcher for ShuffleFetcher {
                     if kvs.is_empty() {
                         continue;
                     }
-                    let bytes: usize = kvs
-                        .iter()
-                        .map(|kv| kv.key.len() + kv.value.approx_bytes())
-                        .sum();
-                    transfers.push((out.node, bytes));
+                    transfers.push((out.node, kv_bytes(kvs)));
                     for kv in kvs {
                         pairs.push((tag, kv.key.clone(), kv.value.clone()));
                     }
@@ -214,12 +208,8 @@ impl SplitFetcher for ShuffleFetcher {
             for &(s, m) in &stalled {
                 store.invalidate_stalled(s, m);
             }
-            if !holes.is_empty() {
-                store.note_missing(&holes);
-            }
-            if !stalled.is_empty() {
-                store.note_missing(&stalled);
-            }
+            store.note_missing(&holes);
+            store.note_missing(&stalled);
         }
         if !holes.is_empty() || !stalled.is_empty() {
             let e = MrError::msg(format!(
@@ -243,24 +233,12 @@ impl SplitFetcher for ShuffleFetcher {
         }
         // All pulls run concurrently; the fetch completes when the last
         // flow arrives (same shape as the classic reduce shuffle).
-        let remaining = Rc::new(RefCell::new(transfers.len()));
-        let finish = Rc::new(RefCell::new(Some((done, fr))));
+        let all_arrived = countdown(transfers.len(), move |sim| done(sim, Ok(fr)));
         for (src, bytes) in transfers {
             let flow = sim.cost.lbytes(bytes);
             let path = env.topo.path_net(src, node);
-            let (remaining, finish) = (remaining.clone(), finish.clone());
-            sim.start_flow(path, flow, move |sim| {
-                let arrived_all = {
-                    let mut rem = remaining.borrow_mut();
-                    *rem -= 1;
-                    *rem == 0
-                };
-                if arrived_all {
-                    if let Some((done, fr)) = finish.borrow_mut().take() {
-                        done(sim, Ok(fr));
-                    }
-                }
-            });
+            let all_arrived = all_arrived.clone();
+            sim.start_flow(path, flow, move |sim| all_arrived(sim));
         }
     }
 
@@ -338,19 +316,13 @@ fn compile_grouped(group: GroupFn, narrow: Vec<NarrowOp>) -> MapFn {
         let TaskInput::Pairs(pairs) = input else {
             return Err(MrError::msg("shuffle stage expects pair input"));
         };
-        let in_bytes: usize = pairs
-            .iter()
-            .map(|(_, k, v)| k.len() + v.approx_bytes())
-            .sum();
-        // Same sort/merge cost shape as the classic reduce path.
-        ctx.charge(
-            "sort",
-            ctx.cost().lbytes(in_bytes) * ctx.cost().sort_per_byte,
-        );
-        let mut groups: BTreeMap<String, Vec<(u8, Payload)>> = BTreeMap::new();
-        for (tag, k, v) in pairs {
-            groups.entry(k).or_default().push((tag, v));
-        }
+        // The classic reduce path's sort/merge, values keeping their tags.
+        let sized = pairs.into_iter().map(|(tag, k, v)| {
+            let bytes = v.approx_bytes();
+            (k, bytes, (tag, v))
+        });
+        let (sort_s, groups) = group_by_key(ctx.cost(), sized);
+        ctx.charge("sort", sort_s);
         let mut records = Vec::new();
         for (key, tagged) in groups {
             records.extend(group(&key, tagged, ctx)?);
@@ -378,65 +350,54 @@ impl PlanBuild {
 /// recursing into parents first so stage ids are topologically ordered.
 /// Returns the stage's index.
 fn build_stage(b: &mut PlanBuild, ds: &Dataset, out_shuffle: u64, out_partitions: usize) -> usize {
-    // Peel the narrow chain off the plan tail; it fuses into this stage.
+    // Peel the narrow chain off the plan tail (it fuses into this stage)
+    // down to the source or shuffle the stage starts from.
     let mut narrow: Vec<NarrowOp> = Vec::new();
-    let mut base = ds.clone();
-    loop {
-        let next = match &*base.node {
+    let mut base = ds;
+    let (input, n_tasks, task_fn, op) = loop {
+        match &*base.node {
             PlanNode::Map { parent, f } => {
-                narrow.push(NarrowOp::Map(f.clone()));
-                parent.clone()
+                narrow.insert(0, NarrowOp::Map(f.clone()));
+                base = parent;
             }
             PlanNode::Filter { parent, pred } => {
-                narrow.push(NarrowOp::Filter(pred.clone()));
-                parent.clone()
+                narrow.insert(0, NarrowOp::Filter(pred.clone()));
+                base = parent;
             }
-            PlanNode::Source { .. } | PlanNode::Shuffle { .. } => break,
-        };
-        base = next;
-    }
-    narrow.reverse();
-    let stage = match &*base.node {
-        PlanNode::Source { splits, read } => Stage {
-            n_tasks: splits.len(),
-            input: StageInput::Source(splits.clone()),
-            out_shuffle,
-            out_partitions,
-            task_fn: compile_source(read.clone(), narrow),
-            op: "source",
-        },
-        PlanNode::Shuffle {
-            parents,
-            n_partitions,
-            group,
-            op,
-        } => {
-            let mut sources = Vec::with_capacity(parents.len());
-            for (tag, parent) in parents.iter().enumerate() {
-                let sid = b.alloc_shuffle();
-                build_stage(b, parent, sid, *n_partitions);
-                sources.push((sid, tag as u8));
+            PlanNode::Source { splits, read } => {
+                let task_fn = compile_source(read.clone(), narrow);
+                break (
+                    StageInput::Source(splits.clone()),
+                    splits.len(),
+                    task_fn,
+                    "source",
+                );
             }
-            Stage {
-                input: StageInput::Shuffle(sources),
-                n_tasks: *n_partitions,
-                out_shuffle,
-                out_partitions,
-                task_fn: compile_grouped(group.clone(), narrow),
+            PlanNode::Shuffle {
+                parents,
+                n_partitions,
+                group,
                 op,
+            } => {
+                let mut sources = Vec::with_capacity(parents.len());
+                for (tag, parent) in parents.iter().enumerate() {
+                    let sid = b.alloc_shuffle();
+                    build_stage(b, parent, sid, *n_partitions);
+                    sources.push((sid, tag as u8));
+                }
+                let task_fn = compile_grouped(group.clone(), narrow);
+                break (StageInput::Shuffle(sources), *n_partitions, task_fn, *op);
             }
         }
-        // Unreachable: the loop above only stops on Source/Shuffle.
-        PlanNode::Map { .. } | PlanNode::Filter { .. } => Stage {
-            n_tasks: 0,
-            input: StageInput::Source(Vec::new()),
-            out_shuffle,
-            out_partitions,
-            task_fn: Rc::new(|_, _| Ok(())),
-            op: "narrow",
-        },
     };
-    b.stages.push(stage);
+    b.stages.push(Stage {
+        input,
+        n_tasks,
+        out_shuffle,
+        out_partitions,
+        task_fn,
+        op,
+    });
     b.stages.len() - 1
 }
 
@@ -452,10 +413,6 @@ pub struct DagJob {
     pub name: String,
     pub plan: Dataset,
     pub output_dir: String,
-    /// Part files go to the PFS instead of HDFS.
-    pub output_to_pfs: bool,
-    /// Stage spills cross the network to the PFS (connector mode).
-    pub spill_to_pfs: bool,
     pub ft: FtConfig,
     pub stream: StreamConfig,
 }
@@ -466,8 +423,6 @@ impl DagJob {
             name: name.into(),
             plan,
             output_dir: output_dir.into(),
-            output_to_pfs: false,
-            spill_to_pfs: false,
             ft: FtConfig::default(),
             stream: StreamConfig::default(),
         }
@@ -520,25 +475,20 @@ impl DagResult {
 
 struct DagDriver {
     env: MrEnv,
-    name: String,
-    output_dir: String,
-    output_to_pfs: bool,
-    spill_to_pfs: bool,
-    ft: FtConfig,
-    stream: StreamConfig,
+    /// Name, output directory and the policy every stage job inherits.
+    dag: DagJob,
     stages: Vec<Stage>,
     /// shuffle id → index of the stage producing it.
     producer: BTreeMap<u64, usize>,
     final_stage: usize,
     store: SharedShuffleStore,
-    /// Per stage, per partition: has this partition ever committed? A
-    /// resubmission of a once-committed partition is a lineage recompute.
-    committed_once: Vec<Vec<bool>>,
+    /// `(stage, partition)` pairs that have ever committed: resubmitting
+    /// one is a lineage recompute.
+    committed_once: BTreeSet<(usize, usize)>,
     counters: Counters,
     runs: Vec<StageRun>,
     start_s: f64,
     submissions: usize,
-    max_submissions: usize,
     writing: bool,
     #[allow(clippy::type_complexity)]
     done_cb: Option<Box<dyn FnOnce(&mut Sim, Result<DagResult, MrError>)>>,
@@ -559,57 +509,31 @@ impl DagDriver {
     /// needed descendant is incomplete (a complete descendant never
     /// re-fetches, so its parents' lost outputs can stay lost).
     fn pick_next(&self) -> Option<(usize, Vec<usize>)> {
-        let n = self.stages.len();
-        let mut needed = vec![false; n];
-        if let Some(slot) = needed.get_mut(self.final_stage) {
-            *slot = true;
-        }
-        for idx in (0..n).rev() {
-            if !needed.get(idx).copied().unwrap_or(false) {
-                continue;
-            }
-            let Some(stage) = self.stages.get(idx) else {
-                continue;
-            };
-            if self.missing_of(stage).is_empty() {
+        let mut needed = BTreeSet::from([self.final_stage]);
+        for (idx, stage) in self.stages.iter().enumerate().rev() {
+            if !needed.contains(&idx) || self.missing_of(stage).is_empty() {
                 continue;
             }
             if let StageInput::Shuffle(sources) = &stage.input {
-                for (sid, _) in sources {
-                    if let Some(&p) = self.producer.get(sid) {
-                        if let Some(slot) = needed.get_mut(p) {
-                            *slot = true;
-                        }
-                    }
-                }
+                needed.extend(sources.iter().filter_map(|(sid, _)| self.producer.get(sid)));
             }
         }
-        for (idx, stage) in self.stages.iter().enumerate() {
-            if !needed.get(idx).copied().unwrap_or(false) {
-                continue;
-            }
-            let missing = self.missing_of(stage);
-            if !missing.is_empty() {
-                return Some((idx, missing));
-            }
-        }
-        None
+        let needed_stages = self.stages.iter().enumerate();
+        needed_stages
+            .filter(|(idx, _)| needed.contains(idx))
+            .map(|(idx, stage)| (idx, self.missing_of(stage)))
+            .find(|(_, missing)| !missing.is_empty())
     }
 
-    /// Mark every currently-registered partition of `stage` as committed.
+    /// Mark every currently-registered partition of stage `idx` as
+    /// committed.
     fn refresh_committed(&mut self, idx: usize) {
         let Some(stage) = self.stages.get(idx) else {
             return;
         };
         let store = self.store.borrow();
-        let Some(slots) = self.committed_once.get_mut(idx) else {
-            return;
-        };
-        for (p, slot) in slots.iter_mut().enumerate() {
-            if store.has(stage.out_shuffle, p) {
-                *slot = true;
-            }
-        }
+        let registered = (0..stage.n_tasks).filter(|&p| store.has(stage.out_shuffle, p));
+        self.committed_once.extend(registered.map(|p| (idx, p)));
     }
 }
 
@@ -640,27 +564,19 @@ pub fn submit_dag(
         .enumerate()
         .map(|(i, s)| (s.out_shuffle, i))
         .collect();
-    let committed_once = stages.iter().map(|s| vec![false; s.n_tasks]).collect();
-    let n_stages = stages.len();
     let now = sim.now().secs();
     let d: SharedDag = Rc::new(RefCell::new(DagDriver {
         env,
-        name: dag.name,
-        output_dir: dag.output_dir,
-        output_to_pfs: dag.output_to_pfs,
-        spill_to_pfs: dag.spill_to_pfs,
-        ft: dag.ft,
-        stream: dag.stream,
+        dag,
         stages,
         producer,
         final_stage,
         store: store.clone(),
-        committed_once,
+        committed_once: BTreeSet::new(),
         counters: Counters::new(),
         runs: Vec::new(),
         start_s: now,
         submissions: 0,
-        max_submissions: n_stages * 8 + 8,
         writing: false,
         done_cb: Some(Box::new(done)),
     }));
@@ -698,18 +614,10 @@ pub fn submit_dag(
 
 /// Convenience: submit, run the world to completion, return the result.
 pub fn run_dag(cluster: &mut Cluster, dag: DagJob) -> Result<DagResult, MrError> {
-    let out: Rc<RefCell<Option<Result<DagResult, MrError>>>> = Rc::new(RefCell::new(None));
-    let o = out.clone();
-    let env = cluster.env();
-    submit_dag(&mut cluster.sim, env, dag, move |_, r| {
-        *o.borrow_mut() = Some(r);
-    });
-    cluster.run();
-    let taken = out.borrow_mut().take();
-    match taken {
-        Some(r) => r,
-        None => Err(MrError::msg("dag did not complete")),
-    }
+    cluster.run_to_completion("dag", |cluster, done| {
+        let env = cluster.env();
+        submit_dag(&mut cluster.sim, env, dag, done)
+    })
 }
 
 enum Step {
@@ -732,22 +640,16 @@ fn advance(sim: &mut Sim, d: &SharedDag) {
         match dd.pick_next() {
             Some((idx, missing)) => {
                 dd.submissions += 1;
-                if dd.submissions > dd.max_submissions {
+                let max_submissions = dd.stages.len() * 8 + 8;
+                if dd.submissions > max_submissions {
                     Step::Fail(MrError::msg(format!(
-                        "dag {}: gave up after {} stage submissions (lineage not converging)",
-                        dd.name, dd.max_submissions
+                        "dag {}: gave up after {max_submissions} stage submissions \
+                         (lineage not converging)",
+                        dd.dag.name
                     )))
                 } else {
-                    let recomputed = missing
-                        .iter()
-                        .filter(|&&p| {
-                            dd.committed_once
-                                .get(idx)
-                                .and_then(|v| v.get(p))
-                                .copied()
-                                .unwrap_or(false)
-                        })
-                        .count();
+                    let once_committed = |p: &&usize| dd.committed_once.contains(&(idx, **p));
+                    let recomputed = missing.iter().filter(once_committed).count();
                     dd.counters.add(keys::STAGES_RUN, 1.0);
                     if recomputed > 0 {
                         dd.counters.add(keys::LINEAGE_RECOMPUTES, recomputed as f64);
@@ -771,15 +673,16 @@ fn advance(sim: &mut Sim, d: &SharedDag) {
             idx,
             missing,
             recomputed,
-        } => submit_stage(sim, d, idx, missing, recomputed),
+        } => run_stage(sim, d, idx, missing, recomputed),
         Step::Write => start_output_writes(sim, d),
         Step::Fail(e) => fail_dag(sim, d, e),
         Step::Wait => {}
     }
 }
 
-fn submit_stage(sim: &mut Sim, d: &SharedDag, idx: usize, missing: Vec<usize>, recomputed: usize) {
-    let (job, env, op) = {
+/// Submit stage `idx` as one sink job over its `missing` partitions.
+fn run_stage(sim: &mut Sim, d: &SharedDag, idx: usize, missing: Vec<usize>, recomputed: usize) {
+    let (job, sink, env, op) = {
         let dd = d.borrow();
         let Some(stage) = dd.stages.get(idx) else {
             return;
@@ -802,45 +705,41 @@ fn submit_stage(sim: &mut Sim, d: &SharedDag, idx: usize, missing: Vec<usize>, r
                 })
                 .collect(),
         };
-        let job = Job {
-            name: format!("{}/s{}r{}", dd.name, idx, dd.submissions),
+        let mut job = Job::new(
+            format!("{}/s{}r{}", dd.dag.name, idx, dd.submissions),
             splits,
-            map_fn: stage.task_fn.clone(),
-            reduce_fn: None,
-            n_reducers: 1,
-            output_dir: format!("{}/_dag/s{}", dd.output_dir, idx),
-            spill_to_pfs: dd.spill_to_pfs,
-            output_to_pfs: dd.output_to_pfs,
-            ft: dd.ft.clone(),
-            stream: dd.stream.clone(),
-            shuffle: Some(ShuffleSink {
-                shuffle_id: stage.out_shuffle,
-                n_partitions: stage.out_partitions,
-                task_ids: Rc::new(missing.clone()),
-                store: dd.store.clone(),
-            }),
+            stage.task_fn.clone(),
+            None,
+            1,
+            format!("{}/_dag/s{}", dd.dag.output_dir, idx),
+        );
+        job.ft = dd.dag.ft.clone();
+        job.stream = dd.dag.stream.clone();
+        let sink = ShuffleSink {
+            shuffle_id: stage.out_shuffle,
+            n_partitions: stage.out_partitions,
+            task_ids: Rc::new(missing.clone()),
+            store: dd.store.clone(),
         };
-        (job, dd.env.clone(), stage.op)
+        (job, sink, dd.env.clone(), stage.op)
     };
-    let n_tasks = missing.len();
-    let start_s = sim.now().secs();
+    // Filled in (end, outcome) when the stage job reports back.
+    let run = StageRun {
+        stage: idx,
+        op,
+        start_s: sim.now().secs(),
+        end_s: f64::NAN,
+        n_tasks: missing.len(),
+        recomputed,
+        ok: false,
+    };
     let d2 = d.clone();
-    submit_job_env(sim, env, job, move |sim, res| {
-        on_stage_done(sim, &d2, idx, op, start_s, n_tasks, recomputed, res)
-    });
+    let done = move |sim: &mut Sim, res| on_stage_done(sim, &d2, run, res);
+    submit_stage(sim, env, job, Some(sink), Box::new(done));
 }
 
-#[allow(clippy::too_many_arguments)]
-fn on_stage_done(
-    sim: &mut Sim,
-    d: &SharedDag,
-    idx: usize,
-    op: &'static str,
-    start_s: f64,
-    n_tasks: usize,
-    recomputed: usize,
-    res: Result<crate::job::JobResult, MrError>,
-) {
+fn on_stage_done(sim: &mut Sim, d: &SharedDag, run: StageRun, res: Result<JobResult, MrError>) {
+    let idx = run.stage;
     let failure = {
         let mut dd = d.borrow_mut();
         if dd.done_cb.is_none() {
@@ -853,13 +752,9 @@ fn on_stage_done(
                 .add(keys::SHUFFLE_PARTITIONS_LOST, stalled as f64);
         }
         dd.runs.push(StageRun {
-            stage: idx,
-            op,
-            start_s,
             end_s: sim.now().secs(),
-            n_tasks,
-            recomputed,
             ok: res.is_ok(),
+            ..run
         });
         match res {
             Ok(jr) => {
@@ -900,7 +795,7 @@ fn start_output_writes(sim: &mut Sim, d: &SharedDag) {
                     if !data.is_empty() {
                         out.push_back((
                             stored.node,
-                            format!("{}/part-{p:05}", dd.output_dir),
+                            format!("{}/part-{p:05}", dd.dag.output_dir),
                             data,
                         ));
                     }
@@ -917,39 +812,28 @@ fn write_next(sim: &mut Sim, d: &SharedDag, mut writes: VecDeque<(NodeId, String
         complete_dag(sim, d);
         return;
     };
-    let (env, to_pfs) = {
+    let env = {
         let mut dd = d.borrow_mut();
         if dd.done_cb.is_none() {
             return;
         }
-        let key = if dd.output_to_pfs {
-            keys::PFS_WRITE_BYTES
-        } else {
-            keys::HDFS_WRITE_BYTES
-        };
-        dd.counters.add(key, data.len() as f64);
-        (dd.env.clone(), dd.output_to_pfs)
+        dd.counters.add(keys::HDFS_WRITE_BYTES, data.len() as f64);
+        dd.env.clone()
     };
+    {
+        // Replace any stale part file from an earlier run of the same
+        // output dir (mirrors the task-output promotion path).
+        let mut h = env.hdfs.borrow_mut();
+        if let Ok(ids) = h.namenode.delete(&path) {
+            h.datanodes.reclaim(&ids);
+        }
+    }
     let d2 = d.clone();
-    if to_pfs {
-        pfs::write_new(sim, &env.topo, &env.pfs, node, path, data, move |sim| {
-            write_next(sim, &d2, writes)
-        });
-    } else {
-        {
-            // Replace any stale part file from an earlier run of the same
-            // output dir (mirrors the task-output promotion path).
-            let mut h = env.hdfs.borrow_mut();
-            if let Ok(ids) = h.namenode.delete(&path) {
-                h.datanodes.reclaim(&ids);
-            }
-        }
-        let res = hdfs::write_file(sim, &env.topo, &env.hdfs, node, path, data, move |sim| {
-            write_next(sim, &d2, writes)
-        });
-        if let Err(e) = res {
-            fail_dag(sim, d, MrError::msg(format!("hdfs: {e}")));
-        }
+    let res = hdfs::write_file(sim, &env.topo, &env.hdfs, node, path, data, move |sim| {
+        write_next(sim, &d2, writes)
+    });
+    if let Err(e) = res {
+        fail_dag(sim, d, MrError::msg(format!("hdfs: {e}")));
     }
 }
 
@@ -960,7 +844,7 @@ fn complete_dag(sim: &mut Sim, d: &SharedDag) {
             return;
         }
         let result = DagResult {
-            name: dd.name.clone(),
+            name: dd.dag.name.clone(),
             start_s: dd.start_s,
             end_s: sim.now().secs(),
             counters: dd.counters.clone(),

@@ -6,7 +6,7 @@
 //! HDFS blocks and flat PFS ranges (the PortHadoop mapping); `scidp` adds
 //! the scientific-slab fetcher on top of its Data Mapper.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -203,18 +203,6 @@ pub fn retag_stream(inner: Box<dyn PieceStream>, tag: String) -> Box<dyn PieceSt
     Box::new(Retag { inner, tag })
 }
 
-/// Progress of one [`collect_stream`].
-#[derive(Default)]
-struct Collect {
-    next_issue: usize,
-    arrived: usize,
-    charges: Vec<(&'static str, f64)>,
-    counters: Vec<(&'static str, f64)>,
-    /// Taken by the first failure or by the last arrival, whichever comes
-    /// first — `done` runs exactly once.
-    done: Option<FetchDone>,
-}
-
 /// Add `items` into `acc`, summing amounts that share a name and keeping
 /// first-seen order.
 fn add_named(acc: &mut Vec<(&'static str, f64)>, items: Vec<(&'static str, f64)>) {
@@ -226,13 +214,143 @@ fn add_named(acc: &mut Vec<(&'static str, f64)>, items: Vec<(&'static str, f64)>
     }
 }
 
-/// The batch fetch of a streaming fetcher: issue every piece of `stream`
-/// in index order, at most `window` in flight, then [`PieceStream::finish`]
-/// and hand `done` one [`FetchResult`] carrying the per-phase sums of the
-/// piece charges and counters followed by the finish-level ones. The first
-/// failing piece fails the fetch (once) and stops further issues.
-/// `window = n_pieces` reads everything in parallel; `window = 1` is
-/// back-to-back requests.
+/// Receiver of one [`pump_pieces`] run: owns whatever the arrivals
+/// accumulate into.
+pub(crate) trait PieceSink: Sized + 'static {
+    /// Piece `idx` arrived. `false` stops the pump: nothing further is
+    /// issued, later arrivals are dropped and [`PieceSink::end`] never runs
+    /// (how an orphaned task attempt goes quiet).
+    fn piece(&mut self, sim: &mut Sim, idx: usize, piece: FetchPiece) -> bool;
+
+    /// Runs once: with the first failing piece's error, or `Ok` when the
+    /// last piece has arrived.
+    fn end(self, sim: &mut Sim, result: Result<(), MrError>);
+}
+
+struct Pump<S> {
+    stream: Rc<dyn PieceStream>,
+    env: MrEnv,
+    node: NodeId,
+    window: usize,
+    next_issue: Cell<usize>,
+    arrived: Cell<usize>,
+    /// Taken by the first failure, a `false` from [`PieceSink::piece`], or
+    /// the last arrival, whichever comes first.
+    sink: RefCell<Option<S>>,
+}
+
+/// The one piece pump: issue every piece of `stream` in index order with at
+/// most `window` in flight, refilling the window on each arrival; stop at
+/// the first failure, finish on the last arrival (at once for an empty
+/// stream). `window = n_pieces` reads everything in parallel; `window = 1`
+/// is back-to-back requests.
+pub(crate) fn pump_pieces<S: PieceSink>(
+    stream: Rc<dyn PieceStream>,
+    env: &MrEnv,
+    sim: &mut Sim,
+    node: NodeId,
+    window: usize,
+    sink: S,
+) {
+    if stream.n_pieces() == 0 {
+        return sink.end(sim, Ok(()));
+    }
+    let pump = Rc::new(Pump {
+        stream,
+        env: env.clone(),
+        node,
+        window: window.max(1),
+        next_issue: Cell::new(0),
+        arrived: Cell::new(0),
+        sink: RefCell::new(Some(sink)),
+    });
+    refill(&pump, sim);
+}
+
+/// Top up the window.
+fn refill<S: PieceSink>(pump: &Rc<Pump<S>>, sim: &mut Sim) {
+    let n = pump.stream.n_pieces();
+    while pump.sink.borrow().is_some()
+        && pump.next_issue.get() < n
+        && pump.next_issue.get() - pump.arrived.get() < pump.window
+    {
+        let idx = pump.next_issue.replace(pump.next_issue.get() + 1);
+        let p = pump.clone();
+        let arrive = move |sim: &mut Sim, res| arrived(&p, sim, idx, res);
+        pump.stream
+            .fetch_piece(&pump.env, sim, pump.node, idx, Box::new(arrive));
+    }
+}
+
+/// Piece `idx` came back.
+fn arrived<S: PieceSink>(
+    pump: &Rc<Pump<S>>,
+    sim: &mut Sim,
+    idx: usize,
+    res: Result<FetchPiece, MrError>,
+) {
+    let mut sink = pump.sink.borrow_mut();
+    let Some(s) = sink.as_mut() else {
+        return; // a sibling piece ended this fetch already
+    };
+    let result = match res {
+        Ok(piece) => {
+            if !s.piece(sim, idx, piece) {
+                *sink = None;
+                return;
+            }
+            pump.arrived.set(pump.arrived.get() + 1);
+            if pump.arrived.get() < pump.stream.n_pieces() {
+                drop(sink);
+                return refill(pump, sim);
+            }
+            Ok(())
+        }
+        Err(e) => Err(e),
+    };
+    let ended = sink.take();
+    drop(sink);
+    if let Some(s) = ended {
+        s.end(sim, result);
+    }
+}
+
+/// [`collect_stream`]'s sink: per-phase sums of the piece charges and
+/// counters.
+struct Collect {
+    stream: Rc<dyn PieceStream>,
+    charges: Vec<(&'static str, f64)>,
+    counters: Vec<(&'static str, f64)>,
+    done: FetchDone,
+}
+
+impl PieceSink for Collect {
+    fn piece(&mut self, _sim: &mut Sim, _idx: usize, piece: FetchPiece) -> bool {
+        add_named(&mut self.charges, piece.charges);
+        add_named(&mut self.counters, piece.counters);
+        true
+    }
+
+    fn end(mut self, sim: &mut Sim, result: Result<(), MrError>) {
+        let assembled = result.and_then(|()| self.stream.finish());
+        let result = assembled.map(|mut fr| {
+            add_named(&mut self.charges, std::mem::take(&mut fr.charges));
+            add_named(&mut self.counters, std::mem::take(&mut fr.counters));
+            FetchResult {
+                charges: self.charges,
+                counters: self.counters,
+                ..fr
+            }
+        });
+        (self.done)(sim, result);
+    }
+}
+
+/// The batch fetch of a streaming fetcher: [`pump_pieces`] every piece of
+/// `stream` through `window`, then [`PieceStream::finish`] and hand `done`
+/// one [`FetchResult`] carrying the per-phase sums of the piece charges and
+/// counters followed by the finish-level ones. The first failing piece
+/// fails the fetch (once).
 pub fn collect_stream(
     stream: Rc<dyn PieceStream>,
     env: &MrEnv,
@@ -246,80 +364,13 @@ pub fn collect_stream(
         sim.after(0.0, move |sim| done(sim, stream.finish()));
         return;
     }
-    let st = Rc::new(RefCell::new(Collect {
-        done: Some(done),
-        ..Collect::default()
-    }));
-    issue_window(&stream, env, sim, node, window.max(1), &st);
-}
-
-/// Top up the window of [`collect_stream`]; each arrival refills it or, if
-/// it was the last, assembles the result.
-fn issue_window(
-    stream: &Rc<dyn PieceStream>,
-    env: &MrEnv,
-    sim: &mut Sim,
-    node: NodeId,
-    window: usize,
-    st: &Rc<RefCell<Collect>>,
-) {
-    let n = stream.n_pieces();
-    loop {
-        let idx = {
-            let mut s = st.borrow_mut();
-            if s.done.is_none() || s.next_issue >= n || s.next_issue - s.arrived >= window {
-                return;
-            }
-            s.next_issue += 1;
-            s.next_issue - 1
-        };
-        let (stream2, env2, st2) = (stream.clone(), env.clone(), st.clone());
-        stream.fetch_piece(
-            env,
-            sim,
-            node,
-            idx,
-            Box::new(move |sim, res| {
-                let mut s = st2.borrow_mut();
-                let failure = match res {
-                    Ok(piece) => {
-                        s.arrived += 1;
-                        add_named(&mut s.charges, piece.charges);
-                        add_named(&mut s.counters, piece.counters);
-                        if s.arrived < n {
-                            drop(s);
-                            return issue_window(&stream2, &env2, sim, node, window, &st2);
-                        }
-                        None
-                    }
-                    Err(e) => Some(e),
-                };
-                // First failure or last arrival — unless a sibling piece
-                // failed this fetch already.
-                let Some(done) = s.done.take() else {
-                    return;
-                };
-                let (mut charges, mut counters) = (
-                    std::mem::take(&mut s.charges),
-                    std::mem::take(&mut s.counters),
-                );
-                drop(s);
-                let result = match failure {
-                    Some(e) => Err(e),
-                    None => stream2.finish().map(|mut fr| {
-                        add_named(&mut charges, std::mem::take(&mut fr.charges));
-                        add_named(&mut counters, std::mem::take(&mut fr.counters));
-                        FetchResult {
-                            charges,
-                            counters,
-                            ..fr
-                        }
-                    }),
-                };
-                done(sim, result);
-            }),
-        );
-    }
+    let sink = Collect {
+        stream: stream.clone(),
+        charges: Vec::new(),
+        counters: Vec::new(),
+        done,
+    };
+    pump_pieces(stream, env, sim, node, window, sink);
 }
 
 /// One unit of map work.
@@ -746,6 +797,50 @@ mod tests {
         let (issued, results) = collect_fake(4, 1, Some(1));
         assert_eq!(issued, vec![(0, 0.0), (1, 1.0)]);
         assert!(matches!(&results[..], [(t, Err(_))] if *t == 2.0));
+    }
+
+    #[test]
+    fn sink_saying_stop_ends_the_pump_without_further_issue_or_end() {
+        // The driver's orphaned-attempt case: the sink declines a piece.
+        struct StopAt {
+            at: usize,
+            seen: Rc<RefCell<Vec<usize>>>,
+        }
+        impl PieceSink for StopAt {
+            fn piece(&mut self, _: &mut Sim, idx: usize, _: FetchPiece) -> bool {
+                self.seen.borrow_mut().push(idx);
+                idx != self.at
+            }
+            fn end(self, _: &mut Sim, _: Result<(), MrError>) {
+                self.seen.borrow_mut().push(usize::MAX);
+            }
+        }
+        let mut c = Cluster::new(
+            simnet::ClusterSpec::default(),
+            pfs::PfsConfig::default(),
+            1 << 16,
+            1,
+            simnet::CostModel::default(),
+        );
+        let issued = Rc::new(RefCell::new(Vec::new()));
+        let stream = Rc::new(FakeStream {
+            n: 6,
+            fail_at: None,
+            issued: issued.clone(),
+        });
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let sink = StopAt {
+            at: 1,
+            seen: seen.clone(),
+        };
+        let env = c.env();
+        pump_pieces(stream, &env, &mut c.sim, NodeId(0), 2, sink);
+        c.run();
+        // Piece 0's arrival refilled the window with piece 2; piece 1 said
+        // stop: nothing more is issued, piece 2's arrival is dropped and
+        // `end` never runs.
+        assert_eq!(*issued.borrow(), vec![(0, 0.0), (1, 0.0), (2, 1.0)]);
+        assert_eq!(*seen.borrow(), vec![0, 1]);
     }
 
     #[test]

@@ -1,0 +1,546 @@
+//! Attempt lifecycle: the per-task attempt tables, launch, failure (retry,
+//! blacklist, backoff) and first-commit-wins.
+
+use std::collections::{BTreeMap, VecDeque};
+
+use simnet::{NodeId, Sim};
+
+use super::commit::MapOutput;
+use super::sched::{self, Pick, Sched};
+use super::{
+    complete, detector, fail_job, map, maybe_finish_maps, reduce, speculate, Kv, MrError,
+    SharedDriver, TaskKind, TaskReport,
+};
+use crate::counters::{keys, Counters};
+
+pub(super) type AttemptId = u64;
+
+/// One in-flight execution of a task on a node.
+#[derive(Clone, Debug)]
+pub(super) struct AttemptInfo {
+    pub kind: TaskKind,
+    pub task: usize,
+    pub node: NodeId,
+    pub start_s: f64,
+    /// Scheduled on a node holding the split (locality hit).
+    pub local: bool,
+    /// Scheduled on a node holding the split's chunks in the cluster
+    /// chunk-cache tier (dynamic cache locality).
+    pub cache_local: bool,
+    /// A speculative duplicate of a straggling attempt.
+    pub speculative: bool,
+    /// A straggler check event has been queued for this attempt.
+    spec_check_scheduled: bool,
+}
+
+impl AttemptInfo {
+    pub fn new(pick: Pick, task: usize, start_s: f64, speculative: bool) -> AttemptInfo {
+        AttemptInfo {
+            kind: pick.kind,
+            task,
+            node: pick.node,
+            start_s,
+            local: pick.local,
+            cache_local: pick.cache_local,
+            speculative,
+            spec_check_scheduled: false,
+        }
+    }
+}
+
+/// Per-task attempt bookkeeping.
+#[derive(Clone, Debug, Default)]
+pub(super) struct TaskState {
+    /// Non-speculative attempts launched so far. The retry budget
+    /// (`max_task_attempts`) counts only these: a speculative twin is a
+    /// performance bet, not a failure, and must not eat the task's
+    /// fault-recovery headroom.
+    regular_started: usize,
+    /// The task has committed; later attempt callbacks are orphans.
+    pub done: bool,
+    /// Attempt ids currently in flight.
+    live: Vec<AttemptId>,
+    /// A speculative twin has been launched (at most one per task).
+    pub speculated: bool,
+}
+
+/// What the end of one attempt leaves of its task.
+pub(super) struct Fate {
+    /// The task committed already, or a sibling attempt lives on: nothing
+    /// to requeue.
+    pub settled: bool,
+    pub regular_started: usize,
+}
+
+#[derive(Default)]
+struct KindTable {
+    pending: VecDeque<usize>,
+    states: Vec<TaskState>,
+    done: usize,
+}
+
+/// Queues and attempt state of both task kinds, plus the in-flight
+/// attempts. Task and attempt lookups are checked: an unknown index is
+/// `None` / a no-op.
+pub(super) struct TaskTable {
+    maps: KindTable,
+    reduces: KindTable,
+    /// Reducers have been queued (all maps committed).
+    reduce_phase: bool,
+    attempts: BTreeMap<AttemptId, AttemptInfo>,
+    next_attempt: AttemptId,
+}
+
+impl TaskTable {
+    /// Every map pending; reducers wait for [`TaskTable::open_reduce_phase`].
+    pub fn new(n_maps: usize, n_reducers: usize) -> TaskTable {
+        TaskTable {
+            maps: KindTable {
+                pending: (0..n_maps).collect(),
+                states: vec![TaskState::default(); n_maps],
+                done: 0,
+            },
+            reduces: KindTable {
+                states: vec![TaskState::default(); n_reducers],
+                ..KindTable::default()
+            },
+            reduce_phase: false,
+            attempts: BTreeMap::new(),
+            next_attempt: 0,
+        }
+    }
+
+    fn kind(&self, kind: TaskKind) -> &KindTable {
+        match kind {
+            TaskKind::Map => &self.maps,
+            TaskKind::Reduce => &self.reduces,
+        }
+    }
+
+    fn kind_mut(&mut self, kind: TaskKind) -> &mut KindTable {
+        match kind {
+            TaskKind::Map => &mut self.maps,
+            TaskKind::Reduce => &mut self.reduces,
+        }
+    }
+
+    pub fn pending(&self, kind: TaskKind) -> &VecDeque<usize> {
+        &self.kind(kind).pending
+    }
+
+    pub fn requeue(&mut self, kind: TaskKind, task: usize) {
+        self.kind_mut(kind).pending.push_back(task);
+    }
+
+    pub fn dequeue(&mut self, kind: TaskKind, pos: usize) -> Option<usize> {
+        self.kind_mut(kind).pending.remove(pos)
+    }
+
+    pub fn state(&self, kind: TaskKind, task: usize) -> Option<&TaskState> {
+        self.kind(kind).states.get(task)
+    }
+
+    pub fn all_done(&self, kind: TaskKind) -> bool {
+        let k = self.kind(kind);
+        k.done == k.states.len()
+    }
+
+    /// Queue every reducer; false when that already happened.
+    pub fn open_reduce_phase(&mut self) -> bool {
+        if self.reduce_phase {
+            return false;
+        }
+        self.reduce_phase = true;
+        self.reduces.pending = (0..self.reduces.states.len()).collect();
+        true
+    }
+
+    pub fn running(&self) -> usize {
+        self.attempts.len()
+    }
+
+    pub fn attempt(&self, id: AttemptId) -> Option<&AttemptInfo> {
+        self.attempts.get(&id)
+    }
+
+    /// Attempts in flight on `node`.
+    pub fn on_node(&self, node: NodeId) -> Vec<AttemptId> {
+        let on_node = self.attempts.iter().filter(|(_, i)| i.node == node);
+        on_node.map(|(&id, _)| id).collect()
+    }
+
+    /// Register a new attempt.
+    pub fn start(&mut self, info: AttemptInfo) -> AttemptId {
+        let id = self.next_attempt;
+        self.next_attempt += 1;
+        if let Some(st) = self.kind_mut(info.kind).states.get_mut(info.task) {
+            if info.speculative {
+                st.speculated = true;
+            } else {
+                st.regular_started += 1;
+            }
+            st.live.push(id);
+        }
+        self.attempts.insert(id, info);
+        id
+    }
+
+    /// Take attempt `id` out of flight without committing it (it failed, or
+    /// its node was withdrawn). `None` for an attempt already gone.
+    pub fn end(&mut self, id: AttemptId) -> Option<(AttemptInfo, Fate)> {
+        let info = self.attempts.remove(&id)?;
+        let st = self.kind_mut(info.kind).states.get_mut(info.task)?;
+        st.live.retain(|&x| x != id);
+        let fate = Fate {
+            settled: st.done || !st.live.is_empty(),
+            regular_started: st.regular_started,
+        };
+        Some((info, fate))
+    }
+
+    /// First commit wins: mark `id`'s task done and take its still-running
+    /// twins out of flight too (their continuations find them gone and fall
+    /// silent). `None` when `id` itself lost the race.
+    pub fn commit(&mut self, id: AttemptId) -> Option<(AttemptInfo, Vec<AttemptInfo>)> {
+        let info = self.attempts.remove(&id)?;
+        let k = self.kind_mut(info.kind);
+        let st = k.states.get_mut(info.task)?;
+        st.done = true;
+        k.done += 1;
+        let twins = std::mem::take(&mut st.live);
+        let losers = twins
+            .into_iter()
+            .filter(|&t| t != id)
+            .filter_map(|t| self.attempts.remove(&t))
+            .collect();
+        Some((info, losers))
+    }
+
+    /// Running map attempts that have no straggler check queued yet and
+    /// whose task has neither committed nor been speculated, with their
+    /// start times; marks each as queued.
+    pub fn claim_straggler_checks(&mut self) -> Vec<(AttemptId, f64)> {
+        let TaskTable { maps, attempts, .. } = self;
+        let unchecked = attempts
+            .iter_mut()
+            .filter(|(_, i)| i.kind == TaskKind::Map && !i.spec_check_scheduled);
+        let open = unchecked.filter(|(_, i)| {
+            let st = maps.states.get(i.task);
+            st.is_some_and(|st| !st.done && !st.speculated)
+        });
+        open.map(|(&id, i)| {
+            i.spec_check_scheduled = true;
+            (id, i.start_s)
+        })
+        .collect()
+    }
+
+    /// Orphan every in-flight attempt and drop the queues.
+    pub fn abandon(&mut self) {
+        self.attempts.clear();
+        self.maps.pending.clear();
+        self.reduces.pending.clear();
+    }
+}
+
+/// Handle on one in-flight attempt — what each of its continuations
+/// carries.
+#[derive(Clone)]
+pub(super) struct Attempt {
+    pub d: SharedDriver,
+    pub id: AttemptId,
+    pub task: usize,
+    pub node: NodeId,
+}
+
+impl Attempt {
+    /// Whether the attempt may still affect the job. False once it was
+    /// orphaned (task committed elsewhere, node died) or the job finished —
+    /// every continuation of an attempt checks this before touching the
+    /// driver, which is what stops in-flight callbacks from mutating
+    /// counters/reports after `fail_job`.
+    pub fn live(&self) -> bool {
+        let dd = self.d.borrow();
+        dd.alive() && dd.tasks.attempt(self.id).is_some()
+    }
+
+    /// Live, and on a node the driver can hear from: a completion on a
+    /// silent node is dropped — the report never reaches the driver — and
+    /// only the failure detector can recover the stranded attempt.
+    pub fn can_report(&self, sim: &Sim) -> bool {
+        self.live() && !detector::node_silent(sim, self.node)
+    }
+
+    /// The attempt failed (fetch error, user code error).
+    pub fn fail(&self, sim: &mut Sim, err: MrError) {
+        fail_attempt(sim, &self.d, self.id, err, true)
+    }
+}
+
+/// Launch attempts until the scheduler has nothing to place.
+pub(super) fn try_schedule(sim: &mut Sim, d: &SharedDriver) {
+    loop {
+        let sched = {
+            let dd = d.borrow();
+            if !dd.alive() {
+                return;
+            }
+            sched::pick_next(&dd.view())
+        };
+        match sched {
+            Sched::Run(pick) => {
+                let claimed = d.borrow_mut().claim(pick, sim.now().secs());
+                let Some(info) = claimed else {
+                    return;
+                };
+                launch(sim, d, info);
+            }
+            Sched::Stuck(waiting) => {
+                let e = MrError::msg(format!(
+                    "no usable nodes left for {waiting} pending task(s)"
+                ));
+                return fail_job(sim, d, e);
+            }
+            Sched::Idle => return,
+        }
+    }
+}
+
+/// Register `info` as a new attempt, charge the attempt-level counters
+/// (job-global meta counters, not task output) and start it running. When
+/// the hang deadline is armed, a deadline check is queued at the instant
+/// the attempt would be declared hung.
+pub(super) fn launch(sim: &mut Sim, d: &SharedDriver, info: AttemptInfo) {
+    let (kind, task, node) = (info.kind, info.task, info.node);
+    let (id, deadline) = {
+        let mut dd = d.borrow_mut();
+        if info.speculative {
+            dd.counters.add(keys::SPECULATIVE_LAUNCHED, 1.0);
+        }
+        let attempts_key = match kind {
+            TaskKind::Map => keys::MAP_ATTEMPTS,
+            TaskKind::Reduce => keys::REDUCE_ATTEMPTS,
+        };
+        dd.counters.add(attempts_key, 1.0);
+        (dd.tasks.start(info), detector::hang_deadline(&dd))
+    };
+    let d = d.clone();
+    let att = Attempt { d, id, task, node };
+    if let Some(deadline) = deadline {
+        let a = att.clone();
+        sim.after(deadline, move |sim| {
+            detector::hang_deadline_check(sim, &a, deadline)
+        });
+    }
+    match kind {
+        TaskKind::Map => map::run_map_attempt(sim, att),
+        TaskKind::Reduce => reduce::run_reduce_attempt(sim, att),
+    }
+}
+
+/// Attempt `id` failed. Release the slot, update blacklist accounting, and
+/// requeue the task unless its attempts are exhausted — in which case the
+/// job fails with the attempt's error, unchanged.
+///
+/// `count_node_failure`: whether the failure counts against the node's
+/// blacklist tally. The hang detector passes `false` for attempts stranded
+/// by a hung or partitioned node — the *fault* silenced them, and
+/// blacklisting would make a healed partition permanent.
+pub(super) fn fail_attempt(
+    sim: &mut Sim,
+    d: &SharedDriver,
+    id: AttemptId,
+    err: MrError,
+    count_node_failure: bool,
+) {
+    enum Next {
+        Fail(MrError),
+        Backoff(f64, TaskKind, usize),
+        Schedule,
+    }
+    let next = {
+        let mut dd = d.borrow_mut();
+        if !dd.alive() {
+            return;
+        }
+        let Some((info, fate)) = dd.tasks.end(id) else {
+            return; // orphaned twin failing after the task committed
+        };
+        let mut breach: Option<MrError> = None;
+        if dd.nodes.release(info.node) && count_node_failure {
+            let threshold = dd.job.ft.node_blacklist_threshold;
+            if dd.nodes.charge_failure(info.node, threshold) {
+                dd.counters.add(keys::NODE_BLACKLISTED, 1.0);
+                breach = dd.quorum_breach();
+            }
+        }
+        if let Some(e) = breach {
+            Next::Fail(e)
+        } else if fate.settled {
+            // A speculative twin died while its sibling lives on (or after
+            // the task already committed): nothing to requeue.
+            Next::Schedule
+        } else if fate.regular_started >= dd.job.ft.max_task_attempts.max(1) {
+            Next::Fail(err)
+        } else {
+            dd.counters.add(keys::TASK_RETRIES, 1.0);
+            // Exponential backoff with deterministic jitter: the k-th retry
+            // of this task waits before requeueing, easing pressure on a
+            // struggling cluster. Off (base = 0) requeues immediately.
+            let base = dd.job.ft.retry_backoff_base_s;
+            let retries = fate.regular_started.saturating_sub(1).max(1) as u32;
+            let delay = if base > 0.0 {
+                let raw = base * 2f64.powi(retries as i32 - 1);
+                let jitter = 0.5 + dd.backoff_rng.f64();
+                raw.min(dd.job.ft.retry_backoff_max_s.max(base)) * jitter
+            } else {
+                0.0
+            };
+            if delay > 0.0 {
+                Next::Backoff(delay, info.kind, info.task)
+            } else {
+                dd.tasks.requeue(info.kind, info.task);
+                Next::Schedule
+            }
+        }
+    };
+    match next {
+        Next::Fail(e) => fail_job(sim, d, e),
+        Next::Schedule => try_schedule(sim, d),
+        Next::Backoff(delay, kind, task) => {
+            // The task stays out of the pending queue until the backoff
+            // expires — a held-back task cannot trip the Stuck detector
+            // because its requeue event is always in flight.
+            let d2 = d.clone();
+            sim.after(delay, move |sim| {
+                {
+                    let mut dd = d2.borrow_mut();
+                    if !dd.alive() {
+                        return;
+                    }
+                    dd.tasks.requeue(kind, task);
+                }
+                try_schedule(sim, &d2);
+            });
+        }
+    }
+}
+
+/// Commit one finished task attempt: first commit wins, later siblings are
+/// orphaned; counters, locality stats and the task report are recorded
+/// exactly once per task here. `shuffle_parts` is a map task's partitioned
+/// output for a downstream shuffle (`None` when its output is a part file).
+pub(super) fn commit_task(
+    sim: &mut Sim,
+    att: &Attempt,
+    phases: Vec<(&'static str, f64)>,
+    shuffle_parts: Option<Vec<Vec<Kv>>>,
+    acnt: &Counters,
+) {
+    let d = &att.d;
+    let committed = {
+        let mut dd = d.borrow_mut();
+        if !dd.alive() {
+            return;
+        }
+        let Some((info, losers)) = dd.tasks.commit(att.id) else {
+            return; // lost the speculative race
+        };
+        for loser in losers {
+            dd.nodes.release(loser.node);
+        }
+        dd.counters.merge(acnt);
+        let (kind, task, node) = (info.kind, info.task, info.node);
+        let end_s = sim.now().secs();
+        match kind {
+            TaskKind::Map => {
+                if let Some(parts) = shuffle_parts {
+                    match dd.sink.clone() {
+                        // DAG stage: registration happens here, at commit,
+                        // so first-commit-wins also means register-once —
+                        // an orphaned twin never reaches this point.
+                        Some(sink) => sink.register(task, node, parts),
+                        None => {
+                            if let Some(slot) = dd.map_outputs.get_mut(task) {
+                                *slot = Some(MapOutput { node, parts });
+                            }
+                        }
+                    }
+                }
+                dd.counters.add(keys::MAP_TASKS, 1.0);
+                let located = dd.job.splits.get(task).map(|s| !s.locations.is_empty());
+                let locality_key = match (located, info.local) {
+                    (Some(true), true) => keys::LOCAL_MAPS,
+                    (Some(true), false) => keys::REMOTE_MAPS,
+                    _ => keys::ANY_MAPS,
+                };
+                dd.counters.add(locality_key, 1.0);
+                if info.cache_local {
+                    dd.counters.add(keys::CACHE_LOCALITY_MAPS, 1.0);
+                }
+                if info.speculative {
+                    dd.counters.add(keys::SPECULATIVE_WON, 1.0);
+                }
+                dd.map_durations.push(end_s - info.start_s);
+            }
+            TaskKind::Reduce => dd.counters.add(keys::REDUCE_TASKS, 1.0),
+        }
+        dd.reports.push(TaskReport {
+            kind,
+            index: task,
+            node,
+            start_s: info.start_s,
+            end_s,
+            phases,
+        });
+        dd.nodes.release(node);
+        kind
+    };
+    match committed {
+        TaskKind::Map => {
+            speculate::schedule_speculation_checks(sim, d);
+            try_schedule(sim, d);
+            maybe_finish_maps(sim, d);
+        }
+        TaskKind::Reduce => {
+            try_schedule(sim, d);
+            if d.borrow().tasks.all_done(TaskKind::Reduce) {
+                complete(sim, d);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::job::tests::{mem_splits, small_cluster, word_count_job};
+    use crate::job::{run_job, MrError};
+    use std::rc::Rc;
+
+    #[test]
+    fn slots_limit_parallelism() {
+        // 8 equal tasks, 1 node: with 1 slot the job takes ~8x the span of
+        // a single task; with 8 slots roughly 1x (plus contention).
+        let elapsed = |slots: usize| {
+            let mut c = small_cluster(1, slots);
+            let job = word_count_job(mem_splits(8, 1000), 1);
+            run_job(&mut c, job).unwrap().elapsed()
+        };
+        let serial = elapsed(1);
+        let parallel = elapsed(8);
+        assert!(
+            serial > 4.0 * parallel,
+            "slots not limiting: serial={serial}, parallel={parallel}"
+        );
+    }
+
+    #[test]
+    fn failing_map_fails_job() {
+        let mut c = small_cluster(1, 1);
+        let mut job = word_count_job(mem_splits(2, 10), 1);
+        job.map_fn = Rc::new(|_, _| Err(MrError::msg("kaboom")));
+        job.reduce_fn = None;
+        let r = run_job(&mut c, job);
+        assert_eq!(r.unwrap_err(), MrError::msg("kaboom"));
+    }
+}

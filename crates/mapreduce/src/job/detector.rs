@@ -1,0 +1,306 @@
+//! Failure detection: planned node kills, the heartbeat suspicion ladder,
+//! per-attempt hang deadlines — and the one node-withdrawal path they share.
+
+use simnet::{NodeId, Sim, SimTime};
+
+use super::attempt::{fail_attempt, try_schedule, Attempt};
+use super::nodes::Withdrawal;
+use super::{fail_job, Driver, MrError, SharedDriver};
+use crate::counters::keys;
+
+/// Multiple of the q75 committed map duration after which a running attempt
+/// is declared hung (floored by `FtConfig::hang_deadline_min_s`).
+const HANG_DEADLINE_FACTOR: f64 = 3.0;
+
+/// A worker the driver cannot hear from right now: hung, or cut off by an
+/// active partition.
+pub(super) fn node_silent(sim: &Sim, node: NodeId) -> bool {
+    let now = sim.now().secs();
+    sim.faults.node_hung(node.0, now) || sim.faults.partition_isolated(node.0, now)
+}
+
+/// Watch the fault plan on behalf of a freshly submitted job: queue its
+/// future node kills and, when `heartbeats` (the plan can produce silence),
+/// count the partitions whose onset falls inside the run and start the
+/// heartbeat loop.
+pub(super) fn arm(sim: &mut Sim, d: &SharedDriver, heartbeats: bool) {
+    let now = sim.now().secs();
+    let n_nodes = d.borrow().nodes.len();
+    let plan = sim.faults.plan();
+    let kills: Vec<(u32, f64)> = plan
+        .node_kills
+        .iter()
+        .filter(|(n, t)| (*n as usize) < n_nodes && t.is_finite() && *t > now)
+        .cloned()
+        .collect();
+    let onsets: Vec<f64> = plan.partitions.iter().map(|p| p.from_s).collect();
+    let active_now = plan
+        .partitions
+        .iter()
+        .filter(|p| p.from_s <= now && p.active(now))
+        .count();
+    for (node, t) in kills {
+        let d2 = d.clone();
+        sim.at(SimTime(t), move |sim| {
+            withdraw_node(sim, &d2, NodeId(node), Withdrawal::Killed)
+        });
+    }
+    if !heartbeats {
+        return;
+    }
+    if active_now > 0 {
+        let mut dd = d.borrow_mut();
+        dd.counters
+            .add(keys::PARTITIONS_OBSERVED, active_now as f64);
+    }
+    for t in onsets.into_iter().filter(|&t| t > now) {
+        let d2 = d.clone();
+        sim.at(SimTime(t), move |_sim| {
+            let mut dd = d2.borrow_mut();
+            if dd.alive() {
+                dd.counters.add(keys::PARTITIONS_OBSERVED, 1.0);
+            }
+        });
+    }
+    schedule_heartbeat(sim, d, 1);
+}
+
+/// `node`'s slots are gone (see [`Withdrawal`]): orphan its live attempts
+/// and requeue their tasks on the survivors.
+pub(super) fn withdraw_node(sim: &mut Sim, d: &SharedDriver, node: NodeId, why: Withdrawal) {
+    let exhausted = {
+        let mut dd = d.borrow_mut();
+        if !dd.alive() || !dd.nodes.withdraw(node, why) {
+            return;
+        }
+        let cause = match why {
+            Withdrawal::Killed => {
+                // The node's cached chunks died with its memory —
+                // invalidate them exactly like its shuffle outputs, so no
+                // later stage is steered to (or served from) a ghost
+                // replica.
+                dd.env.cluster_cache.invalidate_node(node);
+                "death of node"
+            }
+            Withdrawal::DeclaredDead => "declared-dead node",
+        };
+        let mut exhausted: Option<MrError> = dd.quorum_breach();
+        for id in dd.tasks.on_node(node) {
+            let Some((info, fate)) = dd.tasks.end(id) else {
+                continue;
+            };
+            if fate.settled {
+                continue;
+            }
+            if fate.regular_started >= dd.job.ft.max_task_attempts.max(1) {
+                exhausted.get_or_insert(MrError::msg(format!(
+                    "{:?} task {} lost to {cause} {} after {} attempts",
+                    info.kind, info.task, node.0, fate.regular_started
+                )));
+            } else {
+                dd.counters.add(keys::TASK_RETRIES, 1.0);
+                dd.tasks.requeue(info.kind, info.task);
+            }
+        }
+        exhausted
+    };
+    match exhausted {
+        Some(e) => fail_job(sim, d, e),
+        None => try_schedule(sim, d),
+    }
+}
+
+/// Queue heartbeat tick `k` of the failure detector at
+/// `start + k·interval` simulated seconds. Each tick reschedules the next
+/// while the job is alive, so the loop dies with the job and never keeps
+/// the simulator spinning.
+fn schedule_heartbeat(sim: &mut Sim, d: &SharedDriver, tick: u64) {
+    let (start, interval) = {
+        let dd = d.borrow();
+        (dd.start_s, dd.job.ft.heartbeat_interval_s)
+    };
+    if interval <= 0.0 || !interval.is_finite() {
+        return;
+    }
+    let d2 = d.clone();
+    sim.at(SimTime(start + tick as f64 * interval), move |sim| {
+        heartbeat_tick(sim, &d2, tick)
+    });
+}
+
+/// One detector tick: every node delivers or misses its heartbeat (see
+/// [`super::nodes::NodeTable::heartbeat`]); nodes whose misses reached the
+/// dead threshold are withdrawn, and a healed one gets its slots back
+/// instead of staying blacklisted for good.
+fn heartbeat_tick(sim: &mut Sim, d: &SharedDriver, tick: u64) {
+    let (declare, slots_back) = {
+        let mut dd = d.borrow_mut();
+        if !dd.alive() {
+            return; // job finished: stop ticking
+        }
+        let suspect_after = dd.job.ft.suspect_after_misses.max(1);
+        let dead_after = dd.job.ft.dead_after_misses.max(suspect_after);
+        let mut declare: Vec<NodeId> = Vec::new();
+        let mut slots_back = false;
+        for n in dd.nodes.ids() {
+            let beat = dd
+                .nodes
+                .heartbeat(n, node_silent(sim, n), suspect_after, dead_after);
+            for (happened, key) in [
+                (beat.missed, keys::HEARTBEATS_MISSED),
+                (beat.newly_suspected, keys::NODES_SUSPECTED),
+                (beat.reinstated, keys::NODES_REINSTATED),
+            ] {
+                if happened {
+                    dd.counters.add(key, 1.0);
+                }
+            }
+            if beat.declare_dead {
+                declare.push(n);
+            }
+            slots_back |= beat.slots_back;
+        }
+        (declare, slots_back)
+    };
+    for n in declare {
+        withdraw_node(sim, d, n, Withdrawal::DeclaredDead);
+    }
+    if slots_back {
+        try_schedule(sim, d);
+    }
+    if d.borrow().alive() {
+        schedule_heartbeat(sim, d, tick + 1);
+    }
+}
+
+/// The hang deadline of an attempt launched now, when deadline checks are
+/// armed: a generous multiple of the q75 committed map duration, floored
+/// while too few maps have finished.
+pub(super) fn hang_deadline(dd: &Driver) -> Option<f64> {
+    dd.hang_checks_armed.then(|| {
+        let floor = dd.job.ft.hang_deadline_min_s;
+        floor.max(HANG_DEADLINE_FACTOR * quantile(&dd.map_durations, 0.75))
+    })
+}
+
+/// The per-attempt deadline fired: the attempt is hung if it is still in
+/// flight. Hangs on a silenced node (hung or partitioned) are charged to
+/// the fault, not the node — its failure tally stays untouched so a healed
+/// partition reinstates a clean node; a hung *read* on a healthy node
+/// counts as an ordinary task failure.
+pub(super) fn hang_deadline_check(sim: &mut Sim, att: &Attempt, deadline: f64) {
+    let kind = {
+        let mut dd = att.d.borrow_mut();
+        if !dd.alive() {
+            return;
+        }
+        let Some(info) = dd.tasks.attempt(att.id) else {
+            return; // finished, failed or orphaned before the deadline
+        };
+        let kind = info.kind;
+        dd.counters.add(keys::TASKS_HANG_DETECTED, 1.0);
+        kind
+    };
+    let err = MrError::msg(format!(
+        "{kind:?} task {} hung on node {}: no completion within its {deadline:.1}s deadline",
+        att.task, att.node.0
+    ));
+    let node_to_blame = !node_silent(sim, att.node);
+    fail_attempt(sim, &att.d, att.id, err, node_to_blame);
+}
+
+/// Sorted `q`-quantile of `v` (nearest-rank); 0 on empty input.
+fn quantile(v: &[f64], q: f64) -> f64 {
+    let mut s = v.to_vec();
+    s.sort_by(f64::total_cmp);
+    let idx = ((s.len() as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as usize;
+    s.get(idx.min(s.len().saturating_sub(1)))
+        .copied()
+        .unwrap_or(0.0)
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::counters::keys;
+    use crate::job::tests::{slow_map_job, small_cluster};
+    use crate::job::{run_job, FtConfig, MrError};
+    use simnet::FaultPlan;
+
+    #[test]
+    fn hung_node_is_declared_dead_and_job_degrades() {
+        let mut c = small_cluster(3, 1);
+        c.sim.faults.install(FaultPlan::none().hang_node(2, 0.5));
+        let ft = FtConfig {
+            heartbeat_interval_s: 1.0,
+            suspect_after_misses: 2,
+            dead_after_misses: 3,
+            hang_deadline_min_s: 60.0,
+            ..FtConfig::default()
+        };
+        let r = run_job(&mut c, slow_map_job(6, 2.0, ft)).unwrap();
+        // All tasks complete on the two surviving nodes.
+        assert_eq!(r.counters.get(keys::MAP_TASKS), 6.0);
+        assert_eq!(r.counters.get(keys::REDUCE_TASKS), 1.0);
+        assert!(r.counters.get(keys::HEARTBEATS_MISSED) >= 3.0);
+        assert_eq!(r.counters.get(keys::NODES_SUSPECTED), 1.0);
+        // A hang never heals: no reinstatement, and the detector path must
+        // not blacklist the node (the fault, not the node, is to blame).
+        assert_eq!(r.counters.get(keys::NODES_REINSTATED), 0.0);
+        assert_eq!(r.counters.get(keys::NODE_BLACKLISTED), 0.0);
+        assert!(r.counters.get(keys::TASK_RETRIES) >= 1.0);
+        let summary = r.fault_summary().expect("degraded run has a summary");
+        assert!(summary.contains("suspected"), "summary: {summary}");
+    }
+
+    #[test]
+    fn healed_partition_reinstates_instead_of_blacklisting() {
+        let mut c = small_cluster(3, 1);
+        c.sim
+            .faults
+            .install(FaultPlan::none().partition(&[2], 0.5, 10.0));
+        let ft = FtConfig {
+            heartbeat_interval_s: 1.0,
+            suspect_after_misses: 1,
+            dead_after_misses: 2,
+            hang_deadline_min_s: 60.0,
+            ..FtConfig::default()
+        };
+        // 9 maps x 3s on effectively 2 nodes: the job outlives the heal at
+        // t = 10, so the tick after it sees node 2's heartbeats resume.
+        let r = run_job(&mut c, slow_map_job(9, 3.0, ft)).unwrap();
+        assert_eq!(r.counters.get(keys::MAP_TASKS), 9.0);
+        assert_eq!(r.counters.get(keys::PARTITIONS_OBSERVED), 1.0);
+        assert!(r.counters.get(keys::NODES_SUSPECTED) >= 1.0);
+        assert!(
+            r.counters.get(keys::NODES_REINSTATED) >= 1.0,
+            "healed partition must reinstate: {:?}",
+            r.counters
+        );
+        assert_eq!(
+            r.counters.get(keys::NODE_BLACKLISTED),
+            0.0,
+            "a healed partition must not leave the node blacklisted"
+        );
+    }
+
+    #[test]
+    fn quorum_floor_breached_fails_typed() {
+        let mut c = small_cluster(2, 1);
+        c.sim.faults.install(FaultPlan::none().hang_node(1, 0.2));
+        let ft = FtConfig {
+            heartbeat_interval_s: 1.0,
+            suspect_after_misses: 1,
+            dead_after_misses: 2,
+            min_live_slots: 2,
+            ..FtConfig::default()
+        };
+        let err = run_job(&mut c, slow_map_job(4, 2.0, ft)).unwrap_err();
+        match err {
+            MrError::QuorumLost { live_slots, floor } => {
+                assert_eq!(live_slots, 1);
+                assert_eq!(floor, 2);
+            }
+            other => panic!("expected QuorumLost, got {other:?}"),
+        }
+    }
+}

@@ -1,0 +1,392 @@
+//! Map attempts: fetch the split (one batch fetch, or streamed piece-wise
+//! with reads overlapped against compute), run the map function, then
+//! spill the partitioned output — or, for a map-only job, commit it as a
+//! part file.
+
+use std::rc::Rc;
+
+use simnet::Sim;
+
+use super::attempt::{commit_task, Attempt};
+use super::commit::{commit_part_file, kv_bytes, partition};
+use super::{MrError, TaskCtx};
+use crate::counters::{keys, Counters};
+use crate::input::{pump_pieces, FetchPiece, FetchResult, PieceSink, PieceStream};
+
+/// What the continuations of one map attempt share.
+struct MapAttempt {
+    att: Attempt,
+    startup: f64,
+    /// When the fetch began (end of task startup).
+    fetch_start: f64,
+    /// Attempt-local counters, merged into the job's only at commit so
+    /// failed/orphaned attempts never distort the totals.
+    acnt: Counters,
+}
+
+/// Run one map attempt.
+pub(super) fn run_map_attempt(sim: &mut Sim, att: Attempt) {
+    let (env, fetcher, stream_cfg, split_len) = {
+        let dd = att.d.borrow();
+        let Some(split) = dd.job.splits.get(att.task) else {
+            return;
+        };
+        (
+            dd.env.clone(),
+            split.fetcher.clone(),
+            dd.job.stream.clone(),
+            split.length as f64,
+        )
+    };
+    let startup = sim.cost.task_startup_s;
+    let mut acnt = Counters::new();
+    acnt.add(keys::INPUT_BYTES, split_len);
+    sim.after(startup, move |sim| {
+        if !att.live() {
+            return;
+        }
+        let node = att.node;
+        let mut m = MapAttempt {
+            att,
+            startup,
+            fetch_start: sim.now().secs(),
+            acnt,
+        };
+        if stream_cfg.enabled {
+            match fetcher.open_stream(&env, sim, node) {
+                Ok(stream) => {
+                    let stream: Rc<dyn PieceStream> = stream.into();
+                    let depth = stream_cfg.prefetch_depth;
+                    let sink = StreamedFetch {
+                        m,
+                        stream: stream.clone(),
+                        arrivals: vec![Arrival::default(); stream.n_pieces()],
+                        charges: Vec::new(),
+                    };
+                    return pump_pieces(stream, &env, sim, node, depth, sink);
+                }
+                Err(fb) => {
+                    // Attempt-local, merged only at commit: exactly one
+                    // fallback (with its reason) per committed task.
+                    m.acnt.add(keys::STREAM_FALLBACKS, 1.0);
+                    m.acnt.add(fb.counter_key(), 1.0);
+                }
+            }
+        }
+        let done = move |sim: &mut Sim, fr: Result<FetchResult, MrError>| {
+            if !m.att.live() {
+                return;
+            }
+            match fr {
+                Ok(fr) => m.map_fetched(sim, fr),
+                Err(e) => m.att.fail(sim, e),
+            }
+        };
+        fetcher.fetch(&env, sim, node, Box::new(done));
+    });
+}
+
+impl MapAttempt {
+    /// Real map execution over the fetched input: returns the task context
+    /// (charges, emitted pairs) and the factor that stretches this
+    /// attempt's compute — the slot-sharing penalty times any fault-plan
+    /// slowdown of the node (the straggler model speculation reacts to).
+    /// `None` when the map function failed (the attempt has been failed).
+    fn run_map_fn(&mut self, sim: &mut Sim, fr: FetchResult) -> Option<(TaskCtx, f64)> {
+        let (map_fn, penalty) = {
+            let dd = self.att.d.borrow();
+            let p = if dd.env.slots_per_node > 1 {
+                sim.cost.parallel_compute_penalty
+            } else {
+                1.0
+            };
+            (dd.job.map_fn.clone(), p)
+        };
+        let mut ctx = TaskCtx::new(sim.cost.clone());
+        ctx.tag = fr.tag;
+        for (phase, secs) in &fr.charges {
+            ctx.charge(phase, *secs);
+        }
+        for (key, v) in &fr.counters {
+            self.acnt.add(key, *v);
+        }
+        if let Err(e) = (map_fn)(fr.input, &mut ctx) {
+            self.att.fail(sim, e);
+            return None;
+        }
+        Some((ctx, penalty * sim.faults.slow_factor(self.att.node.0)))
+    }
+
+    /// Batch shape: the whole split is resident, compute follows the read.
+    fn map_fetched(mut self, sim: &mut Sim, fr: FetchResult) {
+        let read_s = sim.now().secs() - self.fetch_start;
+        let Some((ctx, factor)) = self.run_map_fn(sim, fr) else {
+            return;
+        };
+        let compute = ctx.total_charge_s() * factor;
+        let phases = vec![("startup", self.startup), ("read", read_s)];
+        self.end_after(sim, compute, phases, &[], ctx, factor);
+    }
+
+    /// Compute ends `delay` from now: record the scaled charges as phases
+    /// and hand the output on — unless the attempt was orphaned meanwhile or
+    /// its node cannot report.
+    fn end_after(
+        self,
+        sim: &mut Sim,
+        delay: f64,
+        mut phases: Vec<(&'static str, f64)>,
+        piece_charges: &[(&'static str, f64)],
+        ctx: TaskCtx,
+        factor: f64,
+    ) {
+        let charges = piece_charges.iter().chain(&ctx.charges);
+        phases.extend(charges.map(|&(p, s)| (p, s * factor)));
+        let MapAttempt { att, acnt, .. } = self;
+        sim.after(delay, move |sim| {
+            if att.can_report(sim) {
+                finish_map_compute(sim, att, phases, ctx, acnt);
+            }
+        });
+    }
+}
+
+/// One piece's arrival on the streaming timeline.
+#[derive(Clone, Default)]
+struct Arrival {
+    /// Absolute arrival time.
+    at: f64,
+    /// Unscaled compute seconds the arrival implies.
+    charge: f64,
+    /// Weight for apportioning split-wide map compute.
+    bytes: f64,
+}
+
+/// Streaming fetch of one map attempt (the intra-task read/compute overlap
+/// pipeline). Reads run for real through the simulated PFS with at most
+/// `prefetch_depth` pieces in flight, each arrival timestamped; the map
+/// function runs once on the assembled input (so output stays
+/// byte-identical to the batch path), and the attempt's duration is the
+/// pipelined timeline `f_i = max(f_{i-1}, a_i) + c_i` — compute of piece
+/// `i` starts as soon as both the piece has arrived (`a_i`) and the
+/// previous piece's compute has finished, i.e. `max(read, compute)`-shaped
+/// instead of `read + compute`.
+struct StreamedFetch {
+    m: MapAttempt,
+    stream: Rc<dyn PieceStream>,
+    arrivals: Vec<Arrival>,
+    /// Per-piece `(phase, secs)` charges, accumulated for the task report.
+    charges: Vec<(&'static str, f64)>,
+}
+
+impl PieceSink for StreamedFetch {
+    fn piece(&mut self, sim: &mut Sim, idx: usize, piece: FetchPiece) -> bool {
+        if !self.m.att.live() {
+            return false; // attempt failed or was orphaned mid-stream
+        }
+        if let Some(slot) = self.arrivals.get_mut(idx) {
+            *slot = Arrival {
+                at: sim.now().secs(),
+                charge: piece.charges.iter().map(|(_, c)| c).sum(),
+                bytes: piece.bytes as f64,
+            };
+        }
+        self.charges.extend(piece.charges);
+        for (k, v) in piece.counters {
+            self.m.acnt.add(k, v);
+        }
+        true
+    }
+
+    /// A failed piece kills the attempt exactly like a batch fetch error.
+    /// Otherwise all pieces are resident: assemble the split, run the map
+    /// function, and schedule the attempt's end at the pipelined finish
+    /// time. The "read" phase records only the *stalled* read seconds (time
+    /// the compute pipeline actually waited on bytes); `overlap_saved_s`
+    /// records how much shorter the pipelined timeline is than
+    /// read-then-compute.
+    fn end(self, sim: &mut Sim, result: Result<(), MrError>) {
+        let StreamedFetch {
+            mut m,
+            stream,
+            arrivals,
+            charges,
+        } = self;
+        let fr = match result.and_then(|()| stream.finish()) {
+            Ok(fr) => fr,
+            Err(e) => return m.att.fail(sim, e),
+        };
+        let Some((ctx, factor)) = m.run_map_fn(sim, fr) else {
+            return;
+        };
+        let now = sim.now().secs();
+        let n = arrivals.len();
+        // Compute of piece `i` = its own charge plus its byte-weighted share
+        // of the split-wide charges (map + finish-level fetch charges).
+        let tail = ctx.total_charge_s();
+        let total_bytes: f64 = arrivals.iter().map(|a| a.bytes).sum();
+        let mut stall = 0.0;
+        let finish_t = if n == 0 {
+            // Nothing to transfer (e.g. every chunk was cached).
+            now + tail * factor
+        } else {
+            let mut f = m.fetch_start;
+            let mut compute_total = 0.0;
+            let mut prefetched = 0.0;
+            for (i, a) in arrivals.iter().enumerate() {
+                let w = if total_bytes > 0.0 {
+                    a.bytes / total_bytes
+                } else {
+                    1.0 / n as f64
+                };
+                let c = (a.charge + tail * w) * factor;
+                compute_total += c;
+                if a.at <= f && i > 0 {
+                    prefetched += 1.0; // read fully hidden behind compute
+                } else {
+                    stall += a.at - f;
+                }
+                f = f.max(a.at) + c;
+            }
+            // `f == fetch_start + stall + compute_total` by construction,
+            // and `f >= now` since every piece's compute follows its
+            // arrival. The saving is vs. the batch shape
+            // `now + compute_total`.
+            let saved = (now + compute_total - f).max(0.0);
+            if saved > 0.0 {
+                m.acnt.add(keys::OVERLAP_SAVED_S, saved);
+            }
+            if prefetched > 0.0 {
+                m.acnt.add(keys::PIECES_PREFETCHED, prefetched);
+            }
+            f
+        };
+        let phases = vec![("startup", m.startup), ("read", stall)];
+        let delay = (finish_t - now).max(0.0);
+        m.end_after(sim, delay, phases, &charges, ctx, factor);
+    }
+}
+
+/// Map compute is over: account the output, then spill its partitions for
+/// the downstream shuffle — or, for a map-only job, commit it as
+/// `part-m-<task>`.
+fn finish_map_compute(
+    sim: &mut Sim,
+    att: Attempt,
+    phases: Vec<(&'static str, f64)>,
+    ctx: TaskCtx,
+    mut acnt: Counters,
+) {
+    let out_bytes = kv_bytes(&ctx.emitted);
+    acnt.add(keys::MAP_OUTPUT_BYTES, out_bytes as f64);
+    acnt.add(keys::RECORDS_EMITTED, ctx.records as f64);
+    let (env, n_parts, spill_to_pfs, job_name) = {
+        let dd = att.d.borrow();
+        // A shuffle-sink stage partitions for the *downstream* stage's
+        // width; a classic job partitions for its own reducers.
+        let n_parts = match &dd.sink {
+            Some(sink) => Some(sink.n_partitions),
+            None => dd.job.reduce_fn.as_ref().map(|_| dd.job.n_reducers),
+        };
+        (
+            dd.env.clone(),
+            n_parts,
+            dd.job.spill_to_pfs,
+            dd.job.name.clone(),
+        )
+    };
+    let Some(n_parts) = n_parts else {
+        let part_name = format!("part-m-{:05}", att.task);
+        return commit_part_file(sim, att, &ctx.emitted, part_name, phases, acnt);
+    };
+    let parts = partition(ctx.emitted, n_parts);
+    let spill_start = sim.now().secs();
+    let (node, task) = (att.node, att.task);
+    let finish_spill = move |sim: &mut Sim| {
+        if !att.live() {
+            return;
+        }
+        let mut phases = phases;
+        phases.push(("spill", sim.now().secs() - spill_start));
+        commit_task(sim, &att, phases, Some(parts), &acnt);
+    };
+    if spill_to_pfs {
+        // Connector mode: intermediate data crosses the network to the
+        // PFS (the "diskless" deployment of the Lustre connectors). The
+        // path is task-scoped (not attempt-scoped) and `write_new`
+        // replaces — twins racing here write identical bytes, so either
+        // order leaves a correct spill file.
+        let spill_path = format!("_spill/{job_name}/m{task:05}");
+        let zeros = vec![0u8; out_bytes];
+        pfs::write_new(
+            sim,
+            &env.topo,
+            &env.pfs,
+            node,
+            spill_path,
+            zeros,
+            finish_spill,
+        );
+    } else {
+        let bytes = sim.cost.lbytes(out_bytes);
+        let path = env.topo.path_local_disk(node);
+        sim.start_flow(path, bytes, finish_spill);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::counters::keys;
+    use crate::job::tests::{mem_splits, small_cluster, word_count_job};
+    use crate::job::{run_job, StreamConfig, TaskKind};
+    use std::rc::Rc;
+
+    #[test]
+    fn charges_appear_in_task_phases() {
+        let mut c = small_cluster(1, 1);
+        let mut job = word_count_job(mem_splits(1, 10), 1);
+        job.map_fn = Rc::new(|_, ctx| {
+            ctx.charge("plot", 2.0);
+            ctx.charge("plot", 1.0);
+            ctx.charge("convert", 0.5);
+            Ok(())
+        });
+        job.reduce_fn = None;
+        let r = run_job(&mut c, job).unwrap();
+        let t = &r.tasks[0];
+        assert!((t.phase("plot") - 3.0).abs() < 1e-9);
+        assert!((t.phase("convert") - 0.5).abs() < 1e-9);
+        // Wall time covers startup + compute.
+        assert!(t.duration() >= 3.5);
+        assert!((r.mean_phase(TaskKind::Map, "plot") - 3.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn stream_fallback_counted_exactly_once_per_task() {
+        // InMemoryFetcher has no streaming support: with streaming enabled
+        // every map attempt falls back to the batch path and says so.
+        let mut c = small_cluster(2, 2);
+        let mut job = word_count_job(mem_splits(4, 100), 1);
+        job.stream = StreamConfig {
+            enabled: true,
+            prefetch_depth: 2,
+        };
+        let r = run_job(&mut c, job).unwrap();
+        assert_eq!(r.counters.get(keys::STREAM_FALLBACKS), 4.0);
+        assert_eq!(r.counters.get(keys::STREAM_FALLBACK_UNSUPPORTED), 4.0);
+        assert_eq!(
+            r.stream_fallbacks().as_deref(),
+            Some("4 stream fallback(s) (4 unsupported fetcher)")
+        );
+        // With streaming off the counter stays silent.
+        let mut c2 = small_cluster(2, 2);
+        let mut job2 = word_count_job(mem_splits(4, 100), 1);
+        job2.stream = StreamConfig {
+            enabled: false,
+            prefetch_depth: 2,
+        };
+        let r2 = run_job(&mut c2, job2).unwrap();
+        assert_eq!(r2.counters.get(keys::STREAM_FALLBACKS), 0.0);
+        assert_eq!(r2.stream_fallbacks(), None);
+    }
+}

@@ -1,0 +1,311 @@
+//! Per-node slot and health state of one job, behind checked accessors:
+//! every method takes the cluster's [`NodeId`] and treats an id outside the
+//! table as a node with no slots (`None` / no-op), so the driver never
+//! indexes a vector itself.
+
+use simnet::NodeId;
+
+#[derive(Clone, Debug, Default)]
+struct NodeState {
+    free_slots: usize,
+    /// Killed by the fault plan — permanent.
+    dead: bool,
+    blacklisted: bool,
+    /// Task failures charged to this node (blacklist tally).
+    failures: usize,
+    /// Suspicion ladder of the heartbeat failure detector (healthy →
+    /// suspected → declared dead). Unlike `dead`, declared-dead is
+    /// reversible: resumed heartbeats reinstate the node.
+    suspected: bool,
+    declared_dead: bool,
+    /// Consecutive heartbeat misses.
+    hb_misses: usize,
+}
+
+impl NodeState {
+    fn usable(&self) -> bool {
+        !self.dead && !self.blacklisted && !self.declared_dead
+    }
+}
+
+/// Why a node's slots are withdrawn.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) enum Withdrawal {
+    /// The fault plan killed the node: permanent, and its memory (cluster
+    /// cache residency) is gone with it.
+    Killed,
+    /// The failure detector declared it dead: reversible, and the node's
+    /// failure tally is untouched so a healed partition never leaves it
+    /// blacklisted.
+    DeclaredDead,
+}
+
+/// What one heartbeat observation changed on a node.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(super) struct Beat {
+    pub missed: bool,
+    pub newly_suspected: bool,
+    /// The miss count reached the dead threshold: the caller withdraws the
+    /// node ([`NodeTable::withdraw`]) once the sweep is over.
+    pub declare_dead: bool,
+    /// Heartbeats resumed on a suspected or declared-dead node.
+    pub reinstated: bool,
+    /// ... and it had been declared dead, so its slots are back.
+    pub slots_back: bool,
+}
+
+pub(super) struct NodeTable {
+    slots_per_node: usize,
+    nodes: Vec<NodeState>,
+}
+
+impl NodeTable {
+    /// `n` nodes with `slots_per_node` free slots each; nodes `dead_at_start`
+    /// names begin dead with none.
+    pub fn new(
+        n: usize,
+        slots_per_node: usize,
+        dead_at_start: impl Fn(NodeId) -> bool,
+    ) -> NodeTable {
+        let nodes = (0..n as u32)
+            .map(|i| {
+                let dead = dead_at_start(NodeId(i));
+                NodeState {
+                    free_slots: if dead { 0 } else { slots_per_node },
+                    dead,
+                    ..NodeState::default()
+                }
+            })
+            .collect();
+        NodeTable {
+            slots_per_node,
+            nodes,
+        }
+    }
+
+    fn get(&self, n: NodeId) -> Option<&NodeState> {
+        self.nodes.get(n.0 as usize)
+    }
+
+    fn get_mut(&mut self, n: NodeId) -> Option<&mut NodeState> {
+        self.nodes.get_mut(n.0 as usize)
+    }
+
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    pub fn ids(&self) -> impl Iterator<Item = NodeId> {
+        (0..self.nodes.len() as u32).map(NodeId)
+    }
+
+    pub fn is_dead(&self, n: NodeId) -> bool {
+        self.get(n).is_some_and(|s| s.dead)
+    }
+
+    fn usable_count(&self) -> usize {
+        self.nodes.iter().filter(|s| s.usable()).count()
+    }
+
+    /// Usable task slots across the cluster (capacity, not free slots).
+    pub fn live_slots(&self) -> usize {
+        self.usable_count() * self.slots_per_node
+    }
+
+    /// Free slots the scheduler may hand out on `n` (0 on a dead,
+    /// blacklisted, declared-dead or unknown node).
+    pub fn free(&self, n: NodeId) -> usize {
+        self.get(n)
+            .filter(|s| s.usable())
+            .map_or(0, |s| s.free_slots)
+    }
+
+    /// The node with the most free slots (the last such on a tie), leaving
+    /// out `except`.
+    pub fn most_free(&self, except: Option<NodeId>) -> Option<NodeId> {
+        self.ids()
+            .filter(|&n| Some(n) != except && self.free(n) > 0)
+            .max_by_key(|&n| self.free(n))
+    }
+
+    pub fn take_slot(&mut self, n: NodeId) {
+        if let Some(s) = self.get_mut(n) {
+            s.free_slots = s.free_slots.saturating_sub(1);
+        }
+    }
+
+    /// Give back the slot of an attempt that ended on `n`. A no-op (false)
+    /// on a withdrawn node: its slots went with it and come back only
+    /// through reinstatement.
+    pub fn release(&mut self, n: NodeId) -> bool {
+        match self.get_mut(n) {
+            Some(s) if !s.dead && !s.declared_dead => {
+                s.free_slots += 1;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Charge a task failure to `n`; true when this one blacklists it —
+    /// `threshold` failures reached (0 disables) and it is not the last
+    /// usable node.
+    pub fn charge_failure(&mut self, n: NodeId, threshold: usize) -> bool {
+        let usable = self.usable_count();
+        let Some(s) = self.get_mut(n) else {
+            return false;
+        };
+        s.failures += 1;
+        let blacklist = threshold > 0 && !s.blacklisted && s.failures >= threshold && usable > 1;
+        s.blacklisted |= blacklist;
+        blacklist
+    }
+
+    /// Withdraw `n`'s slots; false when that withdrawal already happened
+    /// (or the node is unknown) and there is nothing to do.
+    pub fn withdraw(&mut self, n: NodeId, why: Withdrawal) -> bool {
+        let Some(s) = self.get_mut(n) else {
+            return false;
+        };
+        if s.dead || (why == Withdrawal::DeclaredDead && s.declared_dead) {
+            return false;
+        }
+        match why {
+            Withdrawal::Killed => s.dead = true,
+            Withdrawal::DeclaredDead => s.declared_dead = true,
+        }
+        s.free_slots = 0;
+        true
+    }
+
+    /// One detector tick for `n`: a `silent` node cannot deliver its
+    /// heartbeat, and consecutive misses walk it up the suspicion ladder; a
+    /// resumed heartbeat walks it back down, returning a declared-dead
+    /// node's slots. Dead and blacklisted nodes are permanently out of the
+    /// detector's scope.
+    pub fn heartbeat(
+        &mut self,
+        n: NodeId,
+        silent: bool,
+        suspect_after: usize,
+        dead_after: usize,
+    ) -> Beat {
+        let slots_per_node = self.slots_per_node;
+        let mut beat = Beat::default();
+        let Some(s) = self.get_mut(n).filter(|s| !s.dead && !s.blacklisted) else {
+            return beat;
+        };
+        if silent {
+            s.hb_misses += 1;
+            beat.missed = true;
+            beat.newly_suspected = s.hb_misses >= suspect_after && !s.suspected;
+            s.suspected |= beat.newly_suspected;
+            beat.declare_dead = s.hb_misses >= dead_after && !s.declared_dead;
+        } else if s.hb_misses > 0 {
+            s.hb_misses = 0;
+            beat.reinstated = s.suspected || s.declared_dead;
+            beat.slots_back = s.declared_dead;
+            s.suspected = false;
+            if s.declared_dead {
+                s.declared_dead = false;
+                s.free_slots = slots_per_node;
+            }
+        }
+        beat
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn table() -> NodeTable {
+        // Node 1 starts dead.
+        NodeTable::new(3, 2, |n| n == NodeId(1))
+    }
+
+    #[test]
+    fn release_on_a_withdrawn_node_is_a_no_op() {
+        let mut t = table();
+        assert_eq!((t.free(NodeId(0)), t.free(NodeId(1))), (2, 0));
+        t.take_slot(NodeId(0));
+        assert_eq!(t.free(NodeId(0)), 1);
+        assert!(t.withdraw(NodeId(0), Withdrawal::DeclaredDead));
+        assert!(
+            !t.release(NodeId(0)),
+            "a declared-dead node takes no slot back"
+        );
+        assert!(!t.release(NodeId(1)), "nor does a killed one");
+        assert_eq!((t.free(NodeId(0)), t.free(NodeId(1))), (0, 0));
+        assert!(t.release(NodeId(2)));
+        assert_eq!(t.free(NodeId(2)), 3);
+    }
+
+    #[test]
+    fn withdraw_is_idempotent_and_kill_outranks_declared_dead() {
+        let mut t = table();
+        assert!(!t.withdraw(NodeId(1), Withdrawal::Killed), "already dead");
+        assert!(!t.withdraw(NodeId(1), Withdrawal::DeclaredDead));
+        assert!(t.withdraw(NodeId(2), Withdrawal::DeclaredDead));
+        assert!(!t.withdraw(NodeId(2), Withdrawal::DeclaredDead));
+        // A kill still lands on a declared-dead node (and is permanent).
+        assert!(t.withdraw(NodeId(2), Withdrawal::Killed));
+        assert!(t.is_dead(NodeId(2)));
+        assert_eq!(t.live_slots(), 2);
+    }
+
+    #[test]
+    fn heartbeats_walk_the_ladder_up_and_reinstate_on_the_way_down() {
+        let mut t = table();
+        let n = NodeId(2);
+        t.take_slot(n);
+        let b = t.heartbeat(n, true, 1, 2);
+        assert!(b.missed && b.newly_suspected && !b.declare_dead);
+        let b = t.heartbeat(n, true, 1, 2);
+        assert!(b.missed && !b.newly_suspected && b.declare_dead);
+        assert!(t.withdraw(n, Withdrawal::DeclaredDead));
+        assert_eq!(t.free(n), 0);
+        let b = t.heartbeat(n, false, 1, 2);
+        assert_eq!(
+            b,
+            Beat {
+                reinstated: true,
+                slots_back: true,
+                ..Beat::default()
+            }
+        );
+        assert_eq!(t.free(n), 2, "reinstatement returns the full slot count");
+        // A steady healthy node and a dead node report nothing.
+        assert_eq!(t.heartbeat(n, false, 1, 2), Beat::default());
+        assert_eq!(t.heartbeat(NodeId(1), true, 1, 2), Beat::default());
+    }
+
+    #[test]
+    fn blacklisting_spares_the_last_usable_node() {
+        let mut t = table();
+        assert!(!t.charge_failure(NodeId(0), 2));
+        assert!(t.charge_failure(NodeId(0), 2), "threshold reached");
+        assert_eq!(t.free(NodeId(0)), 0, "blacklisted nodes offer no slots");
+        assert!(t.release(NodeId(0)), "but are not withdrawn");
+        // Node 2 is now the only usable node: never blacklisted.
+        assert!(!t.charge_failure(NodeId(2), 1));
+        assert!(!t.charge_failure(NodeId(2), 0), "threshold 0 disables");
+        assert_eq!(t.most_free(None), Some(NodeId(2)));
+        assert_eq!(t.most_free(Some(NodeId(2))), None);
+    }
+
+    #[test]
+    fn out_of_range_node_ids_never_panic() {
+        let mut t = table();
+        let ghost = NodeId(99);
+        assert_eq!(t.free(ghost), 0);
+        assert!(!t.is_dead(ghost));
+        t.take_slot(ghost);
+        assert!(!t.release(ghost));
+        assert!(!t.charge_failure(ghost, 1));
+        assert!(!t.withdraw(ghost, Withdrawal::Killed));
+        assert_eq!(t.heartbeat(ghost, true, 1, 1), Beat::default());
+        assert_eq!(t.most_free(Some(ghost)), Some(NodeId(2)));
+        assert_eq!(t.len(), 3);
+    }
+}

@@ -1,0 +1,310 @@
+//! Task placement as a pure function: [`pick_next`] reads a borrowed
+//! [`View`] of the driver and names the next `(task, node)` to launch; the
+//! caller dequeues the task and takes the slot.
+
+use std::collections::VecDeque;
+
+use simnet::{ChunkKey, ClusterCache, NodeId};
+
+use super::nodes::NodeTable;
+use super::TaskKind;
+use crate::input::InputSplit;
+
+/// What the scheduler may look at.
+pub(super) struct View<'a> {
+    pub nodes: &'a NodeTable,
+    pub pending_maps: &'a VecDeque<usize>,
+    pub pending_reduces: &'a VecDeque<usize>,
+    pub splits: &'a [InputSplit],
+    /// Per-split cluster-cache chunk keys; empty when no split has a hint
+    /// (always so when the cluster cache tier is disabled), and the cache
+    /// tier is then skipped.
+    pub cache_hints: &'a [Vec<ChunkKey>],
+    pub cache: &'a ClusterCache,
+    /// Attempts in flight.
+    pub running: usize,
+}
+
+/// One placement: launch the task at position `pos` of the `kind` queue on
+/// `node`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(super) struct Pick {
+    pub kind: TaskKind,
+    pub pos: usize,
+    pub node: NodeId,
+    /// `node` holds the split (static locality hit).
+    pub local: bool,
+    /// `node` holds the split's chunks in the cluster cache tier.
+    pub cache_local: bool,
+}
+
+#[derive(Debug, PartialEq, Eq)]
+pub(super) enum Sched {
+    Run(Pick),
+    /// Work is pending but nothing runs and no usable node has a slot —
+    /// no event will ever free one, so the job can only fail.
+    Stuck(usize),
+    Idle,
+}
+
+/// Whether `node` holds any chunk of split `task` in the cluster cache.
+pub(super) fn cache_resident(
+    cache_hints: &[Vec<ChunkKey>],
+    cache: &ClusterCache,
+    task: usize,
+    node: NodeId,
+) -> bool {
+    cache_hints
+        .get(task)
+        .is_some_and(|hints| hints.iter().any(|&k| cache.holds(node, k)))
+}
+
+fn split_local(splits: &[InputSplit], task: usize, node: NodeId) -> bool {
+    splits
+        .get(task)
+        .is_some_and(|s| s.locations.contains(&node))
+}
+
+/// Preference tiers for maps, first match wins: a pending split whose
+/// chunks are resident in the cluster cache on a free node (it skips its
+/// PFS reads entirely); a pending split stored on a free node; the head of
+/// the queue on the least-loaded node. Reducers run only when no map can be
+/// placed, on their round-robin home `r % n_nodes` when it has a slot, else
+/// least-loaded.
+pub(super) fn pick_next(v: &View) -> Sched {
+    let free_nodes = || v.nodes.ids().filter(|&n| v.nodes.free(n) > 0);
+    let map_pick = |pos, node, local, cache_local| {
+        Sched::Run(Pick {
+            kind: TaskKind::Map,
+            pos,
+            node,
+            local,
+            cache_local,
+        })
+    };
+    if !v.pending_maps.is_empty() {
+        if !v.cache_hints.is_empty() {
+            for node in free_nodes() {
+                let resident = |&t: &usize| cache_resident(v.cache_hints, v.cache, t, node);
+                if let Some(pos) = v.pending_maps.iter().position(resident) {
+                    let local = v
+                        .pending_maps
+                        .get(pos)
+                        .is_some_and(|&t| split_local(v.splits, t, node));
+                    return map_pick(pos, node, local, true);
+                }
+            }
+        }
+        for node in free_nodes() {
+            let stored_here = |&t: &usize| split_local(v.splits, t, node);
+            if let Some(pos) = v.pending_maps.iter().position(stored_here) {
+                return map_pick(pos, node, true, false);
+            }
+        }
+        if let Some(node) = v.nodes.most_free(None) {
+            return map_pick(0, node, false, false);
+        }
+    }
+    if let Some(&r) = v.pending_reduces.front() {
+        let home = r
+            .checked_rem(v.nodes.len())
+            .map(|h| NodeId(h as u32))
+            .filter(|&h| v.nodes.free(h) > 0);
+        if let Some(node) = home.or_else(|| v.nodes.most_free(None)) {
+            return Sched::Run(Pick {
+                kind: TaskKind::Reduce,
+                pos: 0,
+                node,
+                local: false,
+                cache_local: false,
+            });
+        }
+    }
+    let waiting = v.pending_maps.len() + v.pending_reduces.len();
+    if waiting > 0 && v.running == 0 {
+        Sched::Stuck(waiting)
+    } else {
+        Sched::Idle
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::input::InMemoryFetcher;
+    use std::rc::Rc;
+
+    fn split(locations: &[u32]) -> InputSplit {
+        InputSplit {
+            length: 1,
+            locations: locations.iter().map(|&n| NodeId(n)).collect(),
+            fetcher: Rc::new(InMemoryFetcher { data: Vec::new() }),
+        }
+    }
+
+    struct World {
+        nodes: NodeTable,
+        maps: VecDeque<usize>,
+        reduces: VecDeque<usize>,
+        splits: Vec<InputSplit>,
+        hints: Vec<Vec<ChunkKey>>,
+        cache: ClusterCache,
+        running: usize,
+    }
+
+    impl World {
+        /// 3 nodes x 2 slots; splits 0..4 with split 2 stored on node 1.
+        fn new() -> World {
+            World {
+                nodes: NodeTable::new(3, 2, |_| false),
+                maps: (0..4).collect(),
+                reduces: VecDeque::new(),
+                splits: vec![split(&[]), split(&[]), split(&[1]), split(&[])],
+                hints: Vec::new(),
+                cache: ClusterCache::new(1 << 20),
+                running: 0,
+            }
+        }
+
+        fn pick(&self) -> Sched {
+            pick_next(&View {
+                nodes: &self.nodes,
+                pending_maps: &self.maps,
+                pending_reduces: &self.reduces,
+                splits: &self.splits,
+                cache_hints: &self.hints,
+                cache: &self.cache,
+                running: self.running,
+            })
+        }
+    }
+
+    fn run(kind: TaskKind, pos: usize, node: u32, local: bool, cache_local: bool) -> Sched {
+        Sched::Run(Pick {
+            kind,
+            pos,
+            node: NodeId(node),
+            local,
+            cache_local,
+        })
+    }
+
+    #[test]
+    fn cache_resident_split_outranks_a_stored_one() {
+        let mut w = World::new();
+        let key: ChunkKey = (7, 0);
+        w.hints = vec![Vec::new(), Vec::new(), Vec::new(), vec![key]];
+        w.cache
+            .insert(NodeId(2), key, std::sync::Arc::new(vec![0; 16]), false);
+        // Split 3 (queue position 3) is cache-resident on node 2; split 2
+        // is merely stored on node 1.
+        assert_eq!(w.pick(), run(TaskKind::Map, 3, 2, false, true));
+        // No slot on the caching node: the next tier (static locality).
+        w.nodes.take_slot(NodeId(2));
+        w.nodes.take_slot(NodeId(2));
+        assert_eq!(w.pick(), run(TaskKind::Map, 2, 1, true, false));
+    }
+
+    #[test]
+    fn stored_split_runs_on_its_node_then_least_loaded_takes_the_queue_head() {
+        let mut w = World::new();
+        assert_eq!(w.pick(), run(TaskKind::Map, 2, 1, true, false));
+        w.maps.remove(2);
+        // Nothing else is stored anywhere: queue head on the node with the
+        // most free slots — the last one on a tie.
+        assert_eq!(w.pick(), run(TaskKind::Map, 0, 2, false, false));
+        w.nodes.take_slot(NodeId(2));
+        w.nodes.take_slot(NodeId(1));
+        assert_eq!(w.pick(), run(TaskKind::Map, 0, 0, false, false));
+    }
+
+    #[test]
+    fn reducers_wait_for_maps_and_prefer_their_home_node() {
+        let mut w = World::new();
+        w.reduces = [4, 5].into();
+        assert!(
+            matches!(w.pick(), Sched::Run(p) if p.kind == TaskKind::Map),
+            "maps first"
+        );
+        w.maps.clear();
+        // Reducer 4's home is 4 % 3 = node 1.
+        assert_eq!(w.pick(), run(TaskKind::Reduce, 0, 1, false, false));
+        w.nodes.take_slot(NodeId(1));
+        w.nodes.take_slot(NodeId(1));
+        assert_eq!(w.pick(), run(TaskKind::Reduce, 0, 2, false, false));
+    }
+
+    #[test]
+    fn stuck_only_when_work_waits_and_nothing_can_ever_free_a_slot() {
+        let mut w = World::new();
+        for n in w.nodes.ids().collect::<Vec<_>>() {
+            w.nodes.take_slot(n);
+            w.nodes.take_slot(n);
+        }
+        // Every slot busy with attempts in flight: wait for one to end.
+        w.running = 6;
+        assert_eq!(w.pick(), Sched::Idle);
+        // Nothing in flight and still no slot: no event will free one.
+        w.running = 0;
+        assert_eq!(w.pick(), Sched::Stuck(4));
+        // Nothing pending at all is merely idle.
+        w.maps.clear();
+        assert_eq!(w.pick(), Sched::Idle);
+    }
+
+    #[test]
+    fn locality_preferred_when_available() {
+        use crate::counters::keys;
+        use crate::job::tests::{small_cluster, word_count_job};
+        let mut c = small_cluster(2, 1);
+        // Stage a real HDFS file: 2 blocks land on different nodes.
+        hdfs::write_file(
+            &mut c.sim,
+            &c.topo,
+            &c.hdfs,
+            NodeId(0),
+            "in",
+            vec![1u8; (1 << 16) + 100],
+            |_| {},
+        )
+        .unwrap();
+        c.run();
+        let env = c.env();
+        let splits = crate::input::hdfs_file_splits(&env, "in").expect("staged input path");
+        assert_eq!(splits.len(), 2);
+        let job = word_count_job(splits, 1);
+        let r = crate::job::run_job(&mut c, job).unwrap();
+        // Both blocks were written from node 0 → both local there; at least
+        // one map must be data-local.
+        assert!(r.counters.get(keys::LOCAL_MAPS) >= 1.0);
+        // locality_ratio counts only locality-eligible maps: with 2 maps
+        // over located splits, local+remote is exactly 2 and the ratio is
+        // local/2 ≥ 0.5 (any-locality maps would be excluded entirely).
+        let ratio = r.locality_ratio().expect("located splits are eligible");
+        let local = r.counters.get(keys::LOCAL_MAPS);
+        let remote = r.counters.get(keys::REMOTE_MAPS);
+        assert_eq!(local + remote, 2.0, "both maps locality-eligible");
+        assert!((ratio - local / (local + remote)).abs() < 1e-12);
+        assert!(ratio >= 0.5, "locality ratio too low: {ratio}");
+        assert_eq!(r.counters.get(keys::ANY_MAPS), 0.0);
+        for t in r.tasks.iter().filter(|t| t.kind == TaskKind::Map) {
+            assert!(t.phase("read") > 0.0, "read phase recorded");
+            assert!(t.phase("startup") > 0.0);
+        }
+    }
+
+    #[test]
+    fn non_local_tasks_spread_across_nodes() {
+        use crate::job::tests::{mem_splits, small_cluster, word_count_job};
+        // Location-free splits must not pile onto node 0: with 4 nodes and
+        // 4 equal tasks, every node runs exactly one.
+        let mut c = small_cluster(4, 8);
+        let mut nodes_used = std::collections::HashSet::new();
+        let job = word_count_job(mem_splits(4, 100), 1);
+        let r = crate::job::run_job(&mut c, job).unwrap();
+        for t in r.tasks.iter().filter(|t| t.kind == TaskKind::Map) {
+            nodes_used.insert(t.node);
+        }
+        assert_eq!(nodes_used.len(), 4, "tasks not spread: {nodes_used:?}");
+    }
+}

@@ -30,7 +30,7 @@ pub mod job;
 
 pub use cluster::{Cluster, MrEnv};
 pub use counters::{keys as counter_keys, Counters};
-pub use dag::{run_dag, submit_dag, DagJob, DagResult, ShuffleSink, StageRun};
+pub use dag::{run_dag, submit_dag, DagJob, DagResult, StageRun};
 pub use dataset::{
     decode_group, decode_join, encode_group, encode_join, AggFn, Dataset, GroupFn, PairFilterFn,
     PairMapFn, RecordReadFn,

@@ -633,17 +633,15 @@ impl RJob {
             .map(|r| wrap_r_reduce(r, logical_image, raster, scale));
         Ok((
             Job {
-                name: self.name,
-                splits,
-                map_fn,
-                reduce_fn,
-                n_reducers: self.n_reducers,
-                output_dir: self.output_dir,
-                spill_to_pfs: false,
-                output_to_pfs: false,
-                ft: mapreduce::FtConfig::default(),
                 stream: self.stream,
-                shuffle: None,
+                ..Job::new(
+                    self.name,
+                    splits,
+                    map_fn,
+                    reduce_fn,
+                    self.n_reducers,
+                    self.output_dir,
+                )
             },
             setup,
         ))

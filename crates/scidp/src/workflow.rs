@@ -289,49 +289,36 @@ pub fn run_scidp(
     let sources = setup.sources.clone();
     let cache_cell = Rc::new(std::cell::RefCell::new(setup.chunk_cache.clone()));
     let revalidations = Rc::new(std::cell::Cell::new(0u64));
-    let result: std::rc::Rc<std::cell::RefCell<Option<Result<JobResult, MrError>>>> =
-        Rc::new(std::cell::RefCell::new(None));
-    let r2 = result.clone();
     let env2 = env.clone();
     let cc = cache_cell.clone();
     let rv = revalidations.clone();
-    cluster.sim.after(setup_cost, move |sim| {
-        // Job launch: `setup_cost` virtual seconds have passed since the
-        // scan, so revalidate every source against the PFS as it is *now*.
-        // Changed file → remap against the current contents; vanished file
-        // → fail (the mapping cannot be rebuilt).
-        let reval = {
-            let pfs = env2.pfs.borrow();
-            crate::mapper::DataMapper::revalidate(&pfs, &sources)
-        };
-        rv.set(sources.len() as u64);
-        let job = match reval {
-            Err(e) => {
-                *r2.borrow_mut() = Some(Err(MrError::msg(e.to_string())));
-                return;
-            }
-            Ok(crate::mapper::Revalidation::Current) => job,
-            Ok(crate::mapper::Revalidation::Changed) => match rjob_remap.into_job(&env2, scale) {
-                Ok((job, setup)) => {
-                    *cc.borrow_mut() = setup.chunk_cache;
-                    job
-                }
-                Err(e) => {
-                    *r2.borrow_mut() = Some(Err(MrError::msg(e.to_string())));
-                    return;
-                }
-            },
-        };
-        submit_job_env(sim, env2, job, move |_, r| {
-            *r2.borrow_mut() = Some(r);
-        });
+    let launched = cluster.run_to_completion("workflow", move |cluster, done| {
+        cluster.sim.after(setup_cost, move |sim| {
+            // Job launch: `setup_cost` virtual seconds have passed since the
+            // scan, so revalidate every source against the PFS as it is *now*.
+            // Changed file → remap against the current contents; vanished file
+            // → fail (the mapping cannot be rebuilt).
+            let reval = {
+                let pfs = env2.pfs.borrow();
+                crate::mapper::DataMapper::revalidate(&pfs, &sources)
+            };
+            rv.set(sources.len() as u64);
+            let job = match reval {
+                Err(e) => return done(sim, Err(MrError::msg(e.to_string()))),
+                Ok(crate::mapper::Revalidation::Current) => job,
+                Ok(crate::mapper::Revalidation::Changed) => match rjob_remap.into_job(&env2, scale)
+                {
+                    Ok((job, setup)) => {
+                        *cc.borrow_mut() = setup.chunk_cache;
+                        job
+                    }
+                    Err(e) => return done(sim, Err(MrError::msg(e.to_string()))),
+                },
+            };
+            submit_job_env(sim, env2, job, done);
+        })
     });
-    cluster.run();
-    let mut job = result
-        .borrow_mut()
-        .take()
-        .ok_or_else(|| ScidpError::Hdfs("workflow did not run to completion".into()))?
-        .map_err(job_error)?;
+    let mut job = launched.map_err(job_error)?;
     // Fold in the integrity bookkeeping only the workflow can see: the
     // launch-time source checks and the shared cache's quarantine count
     // (quarantining attempts always fail, so their per-attempt counters
@@ -701,20 +688,6 @@ pub fn run_stats_dag(
     let env = cluster.env();
     let dag = build_stats_dag(&env, input_path, cfg)?;
     mapreduce::run_dag(cluster, dag).map_err(job_error)
-}
-
-/// Convenience used by tests/benches: run one workflow on a staged dataset.
-pub fn run_to_result(
-    cluster: &mut Cluster,
-    input_path: &str,
-    cfg: &WorkflowConfig,
-) -> Result<JobResult, ScidpError> {
-    // Kept for API symmetry with the baseline runners.
-    let rjob = build_rjob(input_path, cfg);
-    let env = cluster.env();
-    let scale = cluster.sim.cost.scale;
-    let (job, _) = rjob.into_job(&env, scale)?;
-    run_job(cluster, job).map_err(job_error)
 }
 
 #[cfg(test)]

@@ -50,51 +50,50 @@ fn chaos_job() -> Job {
         })
         .collect();
     Job {
-        name: "chaos".into(),
-        splits,
-        map_fn: Rc::new(|input, ctx| {
-            let TaskInput::Bytes(b) = input else {
-                return Err(MrError::msg("expected bytes"));
-            };
-            let mut counts: BTreeMap<u8, usize> = BTreeMap::new();
-            for &x in &b {
-                *counts.entry(x).or_default() += 1;
-            }
-            ctx.charge("compute", 3.0);
-            for (k, v) in counts {
-                ctx.emit(format!("b{k}"), Payload::Bytes(v.to_string().into_bytes()));
-            }
-            Ok(())
-        }),
-        reduce_fn: Some(Rc::new(|key, values, ctx| {
-            let total: usize = values
-                .iter()
-                .map(|v| match v {
-                    Payload::Bytes(b) => String::from_utf8_lossy(b).parse::<usize>().unwrap_or(0),
-                    _ => 0,
-                })
-                .sum();
-            ctx.emit(key, Payload::Bytes(total.to_string().into_bytes()));
-            Ok(())
-        })),
-        n_reducers: 2,
-        output_dir: "out".into(),
-        spill_to_pfs: false,
-        output_to_pfs: false,
         ft: FtConfig {
             max_task_attempts: 8,
             speculative: false,
             heartbeat_interval_s: 1.0,
             suspect_after_misses: 1,
             dead_after_misses: 3,
-            hang_deadline_factor: 3.0,
             hang_deadline_min_s: 10.0,
             retry_backoff_base_s: 0.25,
             retry_backoff_max_s: 4.0,
             ..FtConfig::default()
         },
-        stream: scidp_suite::mapreduce::StreamConfig::default(),
-        shuffle: None,
+        ..Job::new(
+            "chaos",
+            splits,
+            Rc::new(|input, ctx| {
+                let TaskInput::Bytes(b) = input else {
+                    return Err(MrError::msg("expected bytes"));
+                };
+                let mut counts: BTreeMap<u8, usize> = BTreeMap::new();
+                for &x in &b {
+                    *counts.entry(x).or_default() += 1;
+                }
+                ctx.charge("compute", 3.0);
+                for (k, v) in counts {
+                    ctx.emit(format!("b{k}"), Payload::Bytes(v.to_string().into_bytes()));
+                }
+                Ok(())
+            }),
+            Some(Rc::new(|key, values, ctx| {
+                let total: usize = values
+                    .iter()
+                    .map(|v| match v {
+                        Payload::Bytes(b) => {
+                            String::from_utf8_lossy(b).parse::<usize>().unwrap_or(0)
+                        }
+                        _ => 0,
+                    })
+                    .sum();
+                ctx.emit(key, Payload::Bytes(total.to_string().into_bytes()));
+                Ok(())
+            })),
+            2,
+            "out",
+        )
     }
 }
 

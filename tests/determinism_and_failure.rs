@@ -380,40 +380,40 @@ mod faults {
             })
             .collect();
         Job {
-            name: "faultwc".into(),
-            splits,
-            map_fn: Rc::new(|input, ctx| {
-                let TaskInput::Bytes(b) = input else {
-                    return Err(MrError::msg("expected bytes"));
-                };
-                let mut counts: BTreeMap<u8, usize> = BTreeMap::new();
-                for &x in &b {
-                    *counts.entry(x).or_default() += 1;
-                }
-                ctx.charge("scan", ctx.cost().scan_per_byte * b.len() as f64);
-                for (k, v) in counts {
-                    ctx.emit(format!("b{k}"), Payload::Bytes(v.to_string().into_bytes()));
-                }
-                Ok(())
-            }),
-            reduce_fn: Some(Rc::new(|key, values, ctx| {
-                let total: usize = values
-                    .iter()
-                    .map(|v| match v {
-                        Payload::Bytes(b) => String::from_utf8_lossy(b).parse::<usize>().unwrap(),
-                        _ => 0,
-                    })
-                    .sum();
-                ctx.emit(key, Payload::Bytes(total.to_string().into_bytes()));
-                Ok(())
-            })),
-            n_reducers: 2,
-            output_dir: "out".into(),
-            spill_to_pfs: false,
-            output_to_pfs: false,
             ft,
-            stream: mapreduce::StreamConfig::default(),
-            shuffle: None,
+            ..Job::new(
+                "faultwc",
+                splits,
+                Rc::new(|input, ctx| {
+                    let TaskInput::Bytes(b) = input else {
+                        return Err(MrError::msg("expected bytes"));
+                    };
+                    let mut counts: BTreeMap<u8, usize> = BTreeMap::new();
+                    for &x in &b {
+                        *counts.entry(x).or_default() += 1;
+                    }
+                    ctx.charge("scan", ctx.cost().scan_per_byte * b.len() as f64);
+                    for (k, v) in counts {
+                        ctx.emit(format!("b{k}"), Payload::Bytes(v.to_string().into_bytes()));
+                    }
+                    Ok(())
+                }),
+                Some(Rc::new(|key, values, ctx| {
+                    let total: usize = values
+                        .iter()
+                        .map(|v| match v {
+                            Payload::Bytes(b) => {
+                                String::from_utf8_lossy(b).parse::<usize>().unwrap()
+                            }
+                            _ => 0,
+                        })
+                        .sum();
+                    ctx.emit(key, Payload::Bytes(total.to_string().into_bytes()));
+                    Ok(())
+                })),
+                2,
+                "out",
+            )
         }
     }
 

@@ -359,38 +359,39 @@ fn streamed_pushdown_over_a_multi_chunk_split_matches_the_get_vara_oracle() {
             }),
         };
         let job = Job {
-            name: "pushrows".into(),
-            splits: vec![split],
-            map_fn: Rc::new(|input, ctx| {
-                let TaskInput::Frame(f) = input else {
-                    return Err(MrError::msg("pushdown must deliver a frame"));
-                };
-                let col = |name: &str| f.column(name).map_err(|e| MrError::msg(e.to_string()));
-                let (lev, lat, lon, val) = (col("lev")?, col("lat")?, col("lon")?, col("value")?);
-                // A compute tail worth hiding reads behind.
-                ctx.charge("compute", 2.0);
-                for r in 0..f.n_rows() {
-                    let key = format!("{:02},{},{}", lev.f64_at(r), lat.f64_at(r), lon.f64_at(r));
-                    ctx.emit(key, Payload::Bytes(val.f64_at(r).to_string().into_bytes()));
-                }
-                Ok(())
-            }),
-            reduce_fn: Some(Rc::new(|key, values, ctx| {
-                for v in values {
-                    ctx.emit(key, v);
-                }
-                Ok(())
-            })),
-            n_reducers: 1,
-            output_dir: "push_out".into(),
-            spill_to_pfs: false,
-            output_to_pfs: false,
             ft: FtConfig {
                 max_task_attempts: 8,
                 ..FtConfig::default()
             },
             stream,
-            shuffle: None,
+            ..Job::new(
+                "pushrows",
+                vec![split],
+                Rc::new(|input, ctx| {
+                    let TaskInput::Frame(f) = input else {
+                        return Err(MrError::msg("pushdown must deliver a frame"));
+                    };
+                    let col = |name: &str| f.column(name).map_err(|e| MrError::msg(e.to_string()));
+                    let (lev, lat, lon, val) =
+                        (col("lev")?, col("lat")?, col("lon")?, col("value")?);
+                    // A compute tail worth hiding reads behind.
+                    ctx.charge("compute", 2.0);
+                    for r in 0..f.n_rows() {
+                        let key =
+                            format!("{:02},{},{}", lev.f64_at(r), lat.f64_at(r), lon.f64_at(r));
+                        ctx.emit(key, Payload::Bytes(val.f64_at(r).to_string().into_bytes()));
+                    }
+                    Ok(())
+                }),
+                Some(Rc::new(|key, values, ctx| {
+                    for v in values {
+                        ctx.emit(key, v);
+                    }
+                    Ok(())
+                })),
+                1,
+                "push_out",
+            )
         };
         let r = run_job(&mut c, job).expect("job survives its fault plan");
         (read_output(&c, "push_out"), r)

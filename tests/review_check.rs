@@ -2,7 +2,7 @@
 //! checksum_verified_bytes counter.
 
 use scidp_suite::mapreduce::{
-    self, counter_keys as keys, run_job, Cluster, FtConfig, Job, MrError, TaskInput,
+    self, counter_keys as keys, run_job, Cluster, Job, MrError, TaskInput,
 };
 use scidp_suite::pfs::PfsConfig;
 use scidp_suite::simnet::{ClusterSpec, CostModel, NodeId};
@@ -39,24 +39,19 @@ fn verified_bytes_under_concurrent_hdfs_fetches() {
     let env = c.env();
     let splits = mapreduce::hdfs_file_splits(&env, "in").expect("staged input path");
     assert_eq!(splits.len(), 4);
-    let job = Job {
-        name: "t".into(),
-        spill_to_pfs: false,
-        output_to_pfs: false,
+    let job = Job::new(
+        "t",
         splits,
-        map_fn: Rc::new(|input, _ctx| {
+        Rc::new(|input, _ctx| {
             let TaskInput::Bytes(_) = input else {
                 return Err(MrError::msg("expected bytes"));
             };
             Ok(())
         }),
-        reduce_fn: None,
-        n_reducers: 1,
-        output_dir: "out".into(),
-        ft: FtConfig::default(),
-        stream: mapreduce::StreamConfig::default(),
-        shuffle: None,
-    };
+        None,
+        1,
+        "out",
+    );
     let r = run_job(&mut c, job).unwrap();
     let verified = r.counters.get(keys::CHECKSUM_VERIFIED_BYTES);
     assert_eq!(

@@ -63,44 +63,43 @@ fn flat_job(stream: StreamConfig) -> Job {
         })
         .collect();
     Job {
-        name: "streamwc".into(),
-        splits,
-        map_fn: Rc::new(|input, ctx| {
-            let TaskInput::Bytes(b) = input else {
-                return Err(MrError::msg("expected bytes"));
-            };
-            let mut counts: BTreeMap<u8, usize> = BTreeMap::new();
-            for &x in &b {
-                *counts.entry(x).or_default() += 1;
-            }
-            // A fat compute phase so there is read time worth hiding.
-            ctx.charge("compute", 2.0);
-            for (k, v) in counts {
-                ctx.emit(format!("b{k}"), Payload::Bytes(v.to_string().into_bytes()));
-            }
-            Ok(())
-        }),
-        reduce_fn: Some(Rc::new(|key, values, ctx| {
-            let total: usize = values
-                .iter()
-                .map(|v| match v {
-                    Payload::Bytes(b) => String::from_utf8_lossy(b).parse::<usize>().unwrap(),
-                    _ => 0,
-                })
-                .sum();
-            ctx.emit(key, Payload::Bytes(total.to_string().into_bytes()));
-            Ok(())
-        })),
-        n_reducers: 2,
-        output_dir: "out".into(),
-        spill_to_pfs: false,
-        output_to_pfs: false,
         ft: FtConfig {
             max_task_attempts: 6,
             ..FtConfig::default()
         },
         stream,
-        shuffle: None,
+        ..Job::new(
+            "streamwc",
+            splits,
+            Rc::new(|input, ctx| {
+                let TaskInput::Bytes(b) = input else {
+                    return Err(MrError::msg("expected bytes"));
+                };
+                let mut counts: BTreeMap<u8, usize> = BTreeMap::new();
+                for &x in &b {
+                    *counts.entry(x).or_default() += 1;
+                }
+                // A fat compute phase so there is read time worth hiding.
+                ctx.charge("compute", 2.0);
+                for (k, v) in counts {
+                    ctx.emit(format!("b{k}"), Payload::Bytes(v.to_string().into_bytes()));
+                }
+                Ok(())
+            }),
+            Some(Rc::new(|key, values, ctx| {
+                let total: usize = values
+                    .iter()
+                    .map(|v| match v {
+                        Payload::Bytes(b) => String::from_utf8_lossy(b).parse::<usize>().unwrap(),
+                        _ => 0,
+                    })
+                    .sum();
+                ctx.emit(key, Payload::Bytes(total.to_string().into_bytes()));
+                Ok(())
+            })),
+            2,
+            "out",
+        )
     }
 }
 
@@ -329,41 +328,39 @@ mod integrity {
             }),
         };
         Job {
-            name: "slabsum".into(),
-            splits: vec![split],
-            map_fn: Rc::new(|input, ctx| {
-                let TaskInput::Array(a) = input else {
-                    return Err(MrError::msg("expected array"));
-                };
-                // Per-level sums pin every decoded element.
-                let (levs, lats, lons) = (a.shape()[0], a.shape()[1], a.shape()[2]);
-                for l in 0..levs {
-                    let mut sum = 0.0f64;
-                    for i in 0..lats {
-                        for j in 0..lons {
-                            sum += a.at(&[l, i, j]);
-                        }
-                    }
-                    ctx.emit(
-                        format!("lev{l}"),
-                        Payload::Bytes(format!("{sum}").into_bytes()),
-                    );
-                }
-                Ok(())
-            }),
-            reduce_fn: Some(Rc::new(|key, values, ctx| {
-                for v in values {
-                    ctx.emit(key, v);
-                }
-                Ok(())
-            })),
-            n_reducers: 1,
-            output_dir: "slab_out".into(),
-            spill_to_pfs: false,
-            output_to_pfs: false,
-            ft: FtConfig::default(),
             stream,
-            shuffle: None,
+            ..Job::new(
+                "slabsum",
+                vec![split],
+                Rc::new(|input, ctx| {
+                    let TaskInput::Array(a) = input else {
+                        return Err(MrError::msg("expected array"));
+                    };
+                    // Per-level sums pin every decoded element.
+                    let (levs, lats, lons) = (a.shape()[0], a.shape()[1], a.shape()[2]);
+                    for l in 0..levs {
+                        let mut sum = 0.0f64;
+                        for i in 0..lats {
+                            for j in 0..lons {
+                                sum += a.at(&[l, i, j]);
+                            }
+                        }
+                        ctx.emit(
+                            format!("lev{l}"),
+                            Payload::Bytes(format!("{sum}").into_bytes()),
+                        );
+                    }
+                    Ok(())
+                }),
+                Some(Rc::new(|key, values, ctx| {
+                    for v in values {
+                        ctx.emit(key, v);
+                    }
+                    Ok(())
+                })),
+                1,
+                "slab_out",
+            )
         }
     }
 

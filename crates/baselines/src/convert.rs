@@ -6,8 +6,10 @@
 //! reported but, following the paper, **never counted** into any solution's
 //! total.
 
+use std::sync::Arc;
+
 use mapreduce::Cluster;
-use scidp::ReaderSession;
+use scifmt::{ChunkCache, SncFile};
 
 use crate::util::StagedDataset;
 
@@ -23,8 +25,7 @@ pub struct ConversionReport {
     /// Text bytes / stored (compressed) bytes of the converted variables —
     /// the paper reports ~33x.
     pub expansion_vs_compressed: f64,
-    /// Effective chunk-cache capacity of the conversion's reader session:
-    /// ONE shared pool serves every opened file, so this is the total
+    /// Capacity of the conversion's chunk cache: ONE shared pool serves every opened file, so this is the total
     /// chunk memory the conversion holds — not a per-file figure.
     pub cache_capacity_bytes: usize,
 }
@@ -40,20 +41,18 @@ pub fn convert_dataset(
     let mut text_bytes = 0usize;
     let mut raw_bytes = 0usize;
     let mut stored_bytes = 0usize;
-    // One reader session for the whole conversion: every file opened
-    // through it shares a single content-keyed decompressed-chunk pool, so
-    // the converter never re-decodes a chunk it (or a prior conversion of
-    // the same dataset) has already seen — and holds one cache's worth of
-    // memory, not one per file.
-    let session = ReaderSession::default();
+    // One content-keyed decompressed-chunk cache for the whole conversion:
+    // the converter never re-decodes a chunk it has already seen, and holds
+    // one cache's worth of memory, not one per file.
+    let cache = Arc::new(ChunkCache::default());
     for path in &ds.info.files {
         let bytes = {
             let p = cluster.pfs.borrow();
             p.file(path).expect("staged file present").data.clone()
         };
-        let f = session
-            .open(bytes.as_ref().clone())
-            .expect("staged file parses");
+        let f = SncFile::open(bytes.as_ref().clone())
+            .expect("staged file parses")
+            .with_cache(cache.clone());
         let converted =
             scifmt::convert::snc_to_csv(&f, Some(variables)).expect("selected variables exist");
         for c in converted {
@@ -79,7 +78,7 @@ pub fn convert_dataset(
         text_bytes,
         conversion_time,
         expansion_vs_compressed: text_bytes as f64 / stored_bytes.max(1) as f64,
-        cache_capacity_bytes: session.effective_capacity(),
+        cache_capacity_bytes: cache.capacity(),
     }
 }
 

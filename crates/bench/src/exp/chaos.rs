@@ -1,0 +1,239 @@
+//! Chaos benchmark: the failure detector under hangs, partitions, slow
+//! links, and quorum loss.
+//!
+//! Six scenarios on a fixed byte-count job:
+//!  1. clean baseline (detector disarmed — zero detector events);
+//!  2. a node that hangs mid-run — missed heartbeats suspect then declare
+//!     it dead, its stranded attempts are requeued, and the job finishes
+//!     byte-identical to the clean run at reduced parallelism;
+//!  3. hung reads on healthy nodes — every injected hang is caught by the
+//!     per-attempt deadline (`tasks_hang_detected` exact);
+//!  4. a network partition that heals — the isolated node is suspected,
+//!     declared dead, and *reinstated* (never blacklisted) once heartbeats
+//!     resume;
+//!  5. a slow replica owner behind HDFS hedged reads — dribbling block
+//!     transfers are hedged to the alternate replica (≥1 hedged win);
+//!  6. quorum loss — hanging a node below the configured live-slot floor
+//!     fails the job with the typed `QuorumLost`, no panic.
+//!
+//! Every degraded scenario is run twice on the same seed and must produce
+//! byte-identical output and identical counter maps (the chaos suite's
+//! determinism contract).
+
+use std::collections::BTreeMap;
+
+use mapreduce::{hdfs_file_splits, run_job, Cluster, FtConfig, InputSplit, Job, MrError};
+use scidp_bench::Clock::{Count, Sim};
+use scidp_bench::Rel::{Eq, Ge};
+use scidp_bench::{Col, Report, Scale};
+use simnet::{CostModel, FaultPlan, NodeId};
+
+use super::{byte_count_job, flat_splits, output, small_cluster};
+
+const INPUT: &str = "data/chaosbench.bin";
+const FILE_BYTES: u64 = 64 * 1024;
+const N_SPLITS: u64 = 16;
+
+fn fresh_cluster(replication: usize) -> Cluster {
+    let c = small_cluster(4, 8 * 1024, replication, CostModel::default());
+    let bytes: Vec<u8> = (0..FILE_BYTES).map(|i| (i % 11) as u8).collect();
+    c.pfs.borrow_mut().create(INPUT.to_string(), bytes);
+    c
+}
+
+/// Detector knobs shared by every scenario: 1 s heartbeats, suspicion after
+/// one miss, death after three, a 12 s hang-deadline floor (well above the
+/// ~4.5 s healthy map duration, so only genuinely stuck attempts trip it),
+/// jittered backoff. Speculation is off so every hang detection maps 1:1
+/// to an injected hang (a speculative twin committing first would retire
+/// the stuck attempt before its deadline fires).
+fn chaos_ft() -> FtConfig {
+    FtConfig {
+        max_task_attempts: 8,
+        speculative: false,
+        heartbeat_interval_s: 1.0,
+        suspect_after_misses: 1,
+        dead_after_misses: 3,
+        hang_deadline_min_s: 12.0,
+        retry_backoff_base_s: 0.25,
+        retry_backoff_max_s: 4.0,
+        ..FtConfig::default()
+    }
+}
+
+/// A fixed 4 s per-map compute cost, so hangs strand real work.
+fn chaos_job(splits: Vec<InputSplit>, ft: FtConfig) -> Job {
+    Job {
+        ft,
+        ..byte_count_job("chaosbench", splits, 4.0)
+    }
+}
+
+fn pfs_splits() -> Vec<InputSplit> {
+    flat_splits(INPUT, FILE_BYTES, N_SPLITS, 1)
+}
+
+#[derive(PartialEq)]
+struct RunStats {
+    elapsed: f64,
+    counters: BTreeMap<String, f64>,
+    summary: Option<String>,
+    output: Vec<(String, Vec<u8>)>,
+}
+
+impl RunStats {
+    fn of(c: &mut Cluster, job: Job) -> RunStats {
+        let r = run_job(c, job).expect("chaos bench job must survive its plan");
+        RunStats {
+            elapsed: r.elapsed(),
+            counters: r.counters.iter().map(|(k, v)| (k.to_string(), v)).collect(),
+            summary: r.fault_summary(),
+            output: output(c, "out"),
+        }
+    }
+}
+
+fn run_pfs(plan: FaultPlan) -> RunStats {
+    let mut c = fresh_cluster(1);
+    c.sim.faults.install(plan);
+    RunStats::of(&mut c, chaos_job(pfs_splits(), chaos_ft()))
+}
+
+/// HDFS-input variant for the hedged-read scenario: the file is written
+/// from node 0 (`replication` = 2), so node 0 owns the primary replica of
+/// every block. The plan is installed only after the write has drained.
+fn run_hdfs(plan: FaultPlan, hedge_after_s: f64) -> RunStats {
+    let mut c = fresh_cluster(2);
+    let bytes: Vec<u8> = (0..FILE_BYTES).map(|i| (i % 13) as u8).collect();
+    let path = "data/hedge.bin";
+    hdfs::write_file(&mut c.sim, &c.topo, &c.hdfs, NodeId(0), path, bytes, |_| {})
+        .expect("hdfs write starts");
+    c.sim.run();
+    c.sim.faults.install(plan);
+    c.hdfs.borrow_mut().hedge = Some(hdfs::HedgeConfig {
+        after_s: hedge_after_s,
+    });
+    let mut splits = hdfs_file_splits(&c.env(), path).expect("staged hedge input");
+    // Strip locality so maps land on every node and read the blocks over
+    // the network (local reads would never need a hedge).
+    for s in &mut splits {
+        s.locations.clear();
+    }
+    RunStats::of(&mut c, chaos_job(splits, chaos_ft()))
+}
+
+#[rustfmt::skip] // one column per line reads as the table it is
+const COLS: [Col; 10] = [
+    ("elapsed_s", "time", "s", Sim),
+    ("tasks_hang_detected", "hangs", "", Count),
+    ("heartbeats_missed", "hb missed", "", Count),
+    ("nodes_suspected", "suspected", "", Count),
+    ("nodes_reinstated", "reinstated", "", Count),
+    ("partitions_observed", "partitions", "", Count),
+    ("hedged_reads", "hedged", "", Count),
+    ("hedged_read_wins", "hedge wins", "", Count),
+    ("task_retries", "retries", "", Count),
+    ("node_blacklisted", "blacklisted", "", Count),
+];
+
+pub fn run(scale: &Scale) -> Report {
+    let seed = scale.fault_seed;
+    let plan = || FaultPlan::none().with_seed(seed);
+    let mut rep = Report::new("chaos");
+    rep.note(format!(
+        "chaos: byte-count job, {N_SPLITS} splits, 4 nodes x 2 slots, seed {seed}"
+    ));
+    // Run a degraded scenario twice: the determinism contract is identical
+    // byte output and identical counter maps on the same seed.
+    let mut twice = |name: &str, plan: FaultPlan| {
+        let (a, b) = (run_pfs(plan.clone()), run_pfs(plan));
+        rep.identical(&format!("{name}.rerun"), &a, &b);
+        a
+    };
+
+    // 1. clean. 2. Node 2 goes silent at t=0.5 with both its slots
+    // occupied: one missed heartbeat suspects it, three declare it dead,
+    // its stranded attempts are orphaned and requeued, and the job
+    // completes at reduced parallelism, no blacklisting. 3. Two injected
+    // read hangs strand exactly two attempts on otherwise healthy nodes, so
+    // heartbeats keep flowing and only the per-attempt hang deadline can
+    // recover them. 4. Node 1 is isolated from t=0.5 to t=6: suspected,
+    // declared dead, then *reinstated* when the partition heals.
+    let clean = run_pfs(plan());
+    let hang = twice("hang", plan().hang_node(2, 0.5));
+    let read_hangs = plan().hang_nth_read(INPUT, 3).hang_nth_read(INPUT, 7);
+    let rhang = twice("read_hang", read_hangs);
+    let part = twice("partition_heal", plan().partition(&[1], 0.5, 6.0));
+    // 5. Node 0 owns every primary replica and its outbound links crawl at
+    // 20000x (~1.6 s for an 8 KiB block vs ~9 ms healthy); a remote
+    // reader's primary transfer is still dribbling when the 20 ms hedge
+    // deadline fires, so the alternate replica races it and must win at
+    // least once. A clean HDFS run (hedge armed but never needed) is the
+    // byte-identity baseline.
+    let hedge_clean = run_hdfs(plan(), 1e6);
+    let slow = (1..=3).fold(plan(), |p, to| p.slow_link(0, to, 20000.0));
+    let hedge = run_hdfs(slow, 0.02);
+
+    let scenarios = [
+        ("clean", &clean, &clean),
+        ("hang", &hang, &clean),
+        ("read_hang", &rhang, &hang),
+        ("partition_heal", &part, &clean),
+        ("hedge_clean", &hedge_clean, &hedge_clean),
+        ("hedge", &hedge, &hedge_clean),
+    ];
+    let line = |&(name, s, _): &(&str, &RunStats, &RunStats)| {
+        let cell = |&(key, ..): &Col| match key {
+            "elapsed_s" => s.elapsed,
+            counter => s.counters.get(counter).copied().unwrap_or(0.0),
+        };
+        (name.to_string(), COLS.iter().map(cell).collect())
+    };
+    let lines: Vec<(String, Vec<f64>)> = scenarios.iter().map(line).collect();
+    rep.table("", "scenario", &COLS, &lines);
+    for (name, s, same_as) in scenarios {
+        rep.identical(name, &s.output, &same_as.output);
+        if let Some(sum) = &s.summary {
+            rep.note(format!("  {name}: {sum}"));
+        }
+    }
+
+    // 6. With a floor of 7 live slots, declaring node 3 dead (6 slots left)
+    // must fail the job with the typed QuorumLost — not a panic, not a
+    // stringly error.
+    let mut qc = fresh_cluster(1);
+    qc.sim.faults.install(plan().hang_node(3, 0.2));
+    let q_ft = FtConfig {
+        min_live_slots: 7,
+        ..chaos_ft()
+    };
+    let (live, floor) = match run_job(&mut qc, chaos_job(pfs_splits(), q_ft)) {
+        Err(MrError::QuorumLost { live_slots, floor }) => (live_slots as f64, floor as f64),
+        _ => (f64::NAN, f64::NAN),
+    };
+    rep.row("quorum_loss.live_slots", live, "", Count);
+    rep.row("quorum_loss.floor", floor, "", Count);
+
+    let quorum = "hang below the floor fails typed QuorumLost (6 < 7)";
+    #[rustfmt::skip] // one target per line reads as the table it is
+    rep.expect_all(&[
+        ("clean.heartbeats_missed", Eq, 0.0, "detector stays disarmed on a clean run"),
+        ("clean.tasks_hang_detected", Eq, 0.0, "detector stays disarmed on a clean run"),
+        ("hang.heartbeats_missed", Ge, 3.0, "three misses declare the silent node dead"),
+        ("hang.nodes_suspected", Eq, 1.0, "exactly the silent node is suspected"),
+        ("hang.task_retries", Ge, 1.0, "stranded work requeued"),
+        ("hang.node_blacklisted", Eq, 0.0, "a silent node must not feed the blacklist"),
+        ("read_hang.tasks_hang_detected", Eq, 2.0, "every injected read hang detected exactly once"),
+        ("read_hang.nodes_suspected", Eq, 0.0, "a hung read on a healthy node must not suspect the node"),
+        ("partition_heal.partitions_observed", Eq, 1.0, "the partition is observed once"),
+        ("partition_heal.nodes_suspected", Ge, 1.0, "the isolated node is suspected"),
+        ("partition_heal.nodes_reinstated", Ge, 1.0, "healed partition must reinstate the node"),
+        ("partition_heal.node_blacklisted", Eq, 0.0, "a healed node must not stay blacklisted"),
+        ("hedge_clean.hedged_reads", Eq, 0.0, "hedge armed but never needed"),
+        ("hedge.hedged_read_wins", Ge, 1.0, "slow primary replica loses to at least one hedge launch"),
+        ("hedge.hedged_reads", Ge, rep.v("hedge.hedged_read_wins"), "a win needs a launch"),
+        ("quorum_loss.live_slots", Eq, 6.0, quorum),
+        ("quorum_loss.floor", Eq, 7.0, quorum),
+    ]);
+    rep
+}

@@ -6,15 +6,15 @@
 //! counts, plus the decompressed-chunk cache's hit-path speedup on repeated
 //! reads — and, single-threaded, the chunk decoder against the byte-wise
 //! decoder it replaced (asserted floor: 1.8x; a ratio of two kernels timed
-//! in one process, so it holds on a slow box). Results go to stdout as a
-//! table and to `BENCH_codec.json`.
-//!
-//! Run: `cargo run --release -p scidp-bench --bin codec_scaling [--quick]`
+//! in one process, so it holds on a slow box). 4- and 8-thread rows are
+//! recorded only on a host with at least 4 cores: below that they measure
+//! oversubscription.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-use scidp_bench::{fmt_x, quick_mode, row};
+use scidp_bench::Clock::{Count, Host};
+use scidp_bench::{Rel, Report, Scale};
 use scifmt::snc::{chunk_extents_of, DEFAULT_CACHE_BYTES};
 use scifmt::{codec, Array, ChunkCache, Codec, SncBuilder, SncFile};
 use wrfgen::field::{field_rng, smooth_field, var_range};
@@ -23,9 +23,10 @@ struct Shape {
     vars: usize,
     levels: usize,
     grid: usize,
-    chunk_levels: usize,
     reps: usize,
 }
+
+const CHUNK_LEVELS: usize = 2;
 
 fn build_builder(s: &Shape) -> SncBuilder {
     let mut b = SncBuilder::new();
@@ -38,7 +39,7 @@ fn build_builder(s: &Shape) -> SncBuilder {
             "",
             &format!("v{vi}"),
             &[("lev", s.levels), ("lat", s.grid), ("lon", s.grid)],
-            &[s.chunk_levels, s.grid, s.grid],
+            &[CHUNK_LEVELS, s.grid, s.grid],
             Codec::ShuffleLz { elem: 4 },
             array,
         )
@@ -104,7 +105,7 @@ fn decompress_bytewise(frame: &[u8]) -> Vec<u8> {
 }
 
 /// Best-of-`reps` wall time of `f`.
-fn best_of<F: FnMut() -> u64>(reps: usize, mut f: F) -> (f64, u64) {
+fn best_of<F: FnMut() -> u64>(reps: usize, mut f: F) -> f64 {
     let mut best = f64::INFINITY;
     let mut sink = 0u64;
     for _ in 0..reps {
@@ -112,58 +113,42 @@ fn best_of<F: FnMut() -> u64>(reps: usize, mut f: F) -> (f64, u64) {
         sink = sink.wrapping_add(f());
         best = best.min(t0.elapsed().as_secs_f64());
     }
-    (best, sink)
+    std::hint::black_box(sink);
+    best
 }
 
-fn main() {
-    let s = if quick_mode() {
-        Shape {
-            vars: 6,
-            levels: 12,
-            grid: 32,
-            chunk_levels: 2,
-            reps: 2,
-        }
-    } else {
-        Shape {
-            vars: 16,
-            levels: 50,
-            grid: 64,
-            chunk_levels: 2,
-            reps: 3,
-        }
+pub fn run(scale: &Scale) -> Report {
+    let (vars, levels, grid, reps) = scale.pick((6, 12, 32, 2), (16, 50, 64, 3));
+    let s = Shape {
+        vars,
+        levels,
+        grid,
+        reps,
     };
     let raw_bytes = s.vars * s.levels * s.grid * s.grid * 4;
-    let threads_axis = [1usize, 2, 4, 8];
     let mib = raw_bytes as f64 / (1 << 20) as f64;
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!(
-        "codec_scaling: {} vars x {}x{}x{} f32 = {:.1} MiB raw, chunks of {} levels, {} core(s)",
-        s.vars, s.levels, s.grid, s.grid, mib, s.chunk_levels, cores
-    );
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let threads_axis: &[usize] = if cores >= 4 { &[1, 2, 4, 8] } else { &[1, 2] };
+    let mut rep = Report::new("codec_scaling");
+    rep.note(format!(
+        "codec_scaling: {} vars x {}x{}x{} f32 = {mib:.1} MiB raw, chunks of {} levels",
+        s.vars, s.levels, s.grid, s.grid, CHUNK_LEVELS
+    ));
+    rep.row("raw_bytes", raw_bytes as f64, "B", Count);
+    rep.row("cores", cores as f64, "", Host);
     if cores < 2 {
-        println!("note: single-core host — thread counts above 1 cannot speed up; expect ~1.0x");
+        rep.note("note: single-core host — thread counts above 1 cannot speed up; expect ~1.0x");
     }
-    println!();
-    println!(
-        "{}",
-        row(&[
-            "threads".into(),
-            "compress MiB/s".into(),
-            "decompress MiB/s".into(),
-            "speedup (c)".into(),
-            "speedup (d)".into()
-        ])
-    );
+    let read_all = |f: &SncFile| -> u64 {
+        (0..s.vars)
+            .map(|vi| f.get_var(&format!("v{vi}")).unwrap().len() as u64)
+            .sum()
+    };
 
     // Reference container (compression output is thread-count invariant).
     let file_bytes = build_builder(&s).finish_with_threads(1);
-
-    let mut compress = Vec::new();
-    let mut decompress = Vec::new();
-    for &t in &threads_axis {
+    let mut lines: Vec<(String, Vec<f64>)> = Vec::new();
+    for &t in threads_axis {
         // Compression: rebuild the builder outside the timed section.
         let mut c_best = f64::INFINITY;
         for _ in 0..s.reps {
@@ -173,33 +158,36 @@ fn main() {
             c_best = c_best.min(t0.elapsed().as_secs_f64());
             assert_eq!(out, file_bytes, "parallel finish must be byte-identical");
         }
-        compress.push(c_best);
-
         // Decompression: cache disabled so every read pays the codec.
         std::env::set_var("SCIDP_THREADS", t.to_string());
         let f = SncFile::open(file_bytes.clone())
             .unwrap()
             .with_cache(Arc::new(ChunkCache::new(0)));
-        let (d_best, _) = best_of(s.reps, || {
-            let mut n = 0u64;
-            for vi in 0..s.vars {
-                n += f.get_var(&format!("v{vi}")).unwrap().len() as u64;
-            }
-            n
-        });
-        decompress.push(d_best);
-
-        println!(
-            "{}",
-            row(&[
-                t.to_string(),
-                format!("{:.0}", mib / c_best),
-                format!("{:.0}", mib / d_best),
-                fmt_x(compress[0] / c_best),
-                fmt_x(decompress[0] / d_best),
-            ])
-        );
+        let d_best = best_of(s.reps, || read_all(&f));
+        let (c1, d1) = lines
+            .first()
+            .map_or((c_best, d_best), |(_, l)| (l[0], l[3]));
+        lines.push((
+            format!("{t} threads"),
+            vec![
+                c_best,
+                mib / c_best,
+                c1 / c_best,
+                d_best,
+                mib / d_best,
+                d1 / d_best,
+            ],
+        ));
     }
+    let cols = [
+        ("compress_secs", "compress", "s", Host),
+        ("compress_mib_s", "compress", "MiB/s", Host),
+        ("compress_speedup", "speedup (c)", "x", Host),
+        ("decompress_uncached_secs", "decompress", "s", Host),
+        ("decompress_uncached_mib_s", "decompress", "MiB/s", Host),
+        ("decompress_uncached_speedup", "speedup (d)", "x", Host),
+    ];
+    rep.table("", "workers", &cols, &lines);
 
     // The decode kernel alone, one thread, over every chunk frame of the
     // container: new decoder vs the byte-wise one it replaced.
@@ -211,10 +199,14 @@ fn main() {
             .map(|c| &file_bytes[c.offset as usize..(c.offset + c.clen) as usize])
             .collect()
     };
-    for frame in &frames {
-        let want = decompress_bytewise(frame);
-        assert_eq!(codec::decompress(frame).unwrap(), want, "decoders disagree");
-    }
+    let agree = frames
+        .iter()
+        .all(|frame| codec::decompress(frame).unwrap() == decompress_bytewise(frame));
+    rep.check(
+        "decode_kernel.decoders_agree",
+        agree,
+        "new and byte-wise decoders produce the same bytes",
+    );
     let decode_all = |kernel: &dyn Fn(&[u8]) -> Vec<u8>| {
         best_of(s.reps * 4, || {
             frames
@@ -222,22 +214,19 @@ fn main() {
                 .map(|f| kernel(std::hint::black_box(f)).len() as u64)
                 .sum()
         })
-        .0
     };
     let bytewise_s = decode_all(&decompress_bytewise);
     let kernel_s = decode_all(&|f| codec::decompress(f).unwrap());
-    let kernel_ratio = bytewise_s / kernel_s;
-    println!();
-    println!(
-        "decode kernel, 1 thread: {:.0} MiB/s, {} the byte-wise decoder's {:.0} MiB/s (floor 1.8x)",
-        mib / kernel_s,
-        fmt_x(kernel_ratio),
-        mib / bytewise_s
+    rep.row(
+        "decode_kernel.bytewise_mib_s",
+        mib / bytewise_s,
+        "MiB/s",
+        Host,
     );
-    assert!(
-        kernel_ratio >= 1.8,
-        "chunk decoder is only {kernel_ratio:.2}x the byte-wise decoder (floor 1.8x)"
-    );
+    rep.row("decode_kernel.mib_s", mib / kernel_s, "MiB/s", Host);
+    rep.row("decode_kernel.ratio", bytewise_s / kernel_s, "x", Host);
+    let floor = "chunk decoder >= 1.8x the byte-wise one, 1 thread";
+    rep.expect("decode_kernel.ratio", Rel::Ge, 1.8, floor);
 
     // Cache-hit path: warm read vs cold read at 1 thread (pure cache win).
     std::env::set_var("SCIDP_THREADS", "1");
@@ -246,54 +235,15 @@ fn main() {
         .with_cache(Arc::new(ChunkCache::new(
             DEFAULT_CACHE_BYTES.max(raw_bytes * 2),
         )));
-    let read_all = |f: &SncFile| {
-        let mut n = 0u64;
-        for vi in 0..s.vars {
-            n += f.get_var(&format!("v{vi}")).unwrap().len() as u64;
-        }
-        n
-    };
     let t0 = Instant::now();
     read_all(&f);
     let cold = t0.elapsed().as_secs_f64();
-    let (warm, _) = best_of(s.reps, || read_all(&f));
+    let warm = best_of(s.reps, || read_all(&f));
     let stats = f.cache_stats();
-    println!();
-    println!(
-        "cache: cold {:.1} MiB/s, warm {:.1} MiB/s ({} hit speedup; {} hits / {} misses)",
-        mib / cold,
-        mib / warm,
-        fmt_x(cold / warm),
-        stats.hits,
-        stats.misses
-    );
-
-    // JSON artifact.
-    let series = |xs: &[f64]| -> String {
-        threads_axis
-            .iter()
-            .zip(xs)
-            .map(|(t, secs)| {
-                format!(
-                    "{{\"threads\":{t},\"secs\":{secs:.6},\"mib_s\":{:.2},\"speedup\":{:.3}}}",
-                    mib / secs,
-                    xs[0] / secs
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",")
-    };
-    let json = format!(
-        "{{\n  \"raw_bytes\": {raw_bytes},\n  \"cores\": {cores},\n  \"compress\": [{}],\n  \"decompress_uncached\": [{}],\n  \"decode_kernel\": {{\"bytewise_mib_s\": {:.2}, \"mib_s\": {:.2}, \"ratio\": {kernel_ratio:.3}}},\n  \"cache\": {{\"cold_secs\": {cold:.6}, \"warm_secs\": {warm:.6}, \"hit_speedup\": {:.3}, \"hits\": {}, \"misses\": {}}}\n}}\n",
-        series(&compress),
-        series(&decompress),
-        mib / bytewise_s,
-        mib / kernel_s,
-        cold / warm,
-        stats.hits,
-        stats.misses
-    );
-    std::fs::write("BENCH_codec.json", &json).expect("write BENCH_codec.json");
-    println!();
-    println!("wrote BENCH_codec.json");
+    rep.row("cache.cold_secs", cold, "s", Host);
+    rep.row("cache.warm_secs", warm, "s", Host);
+    rep.row("cache.hit_speedup", cold / warm, "x", Host);
+    rep.row("cache.hits", stats.hits as f64, "", Count);
+    rep.row("cache.misses", stats.misses as f64, "", Count);
+    rep
 }

@@ -1,0 +1,165 @@
+//! DAG execution benchmark: a 3-stage shuffle pipeline, clean vs a node
+//! kill recovered by lineage recompute.
+//!
+//! The pipeline counts byte values of a flat PFS file, merges the counts
+//! per key (shuffle 1), re-keys by parity, and rolls the groups up
+//! (shuffle 2). The faulted run kills one node the instant the final stage
+//! starts — after the first two stages fully committed — so recovery must
+//! walk the lineage back and recompute exactly the lost partitions'
+//! upstream chain, never the whole DAG.
+
+use std::collections::BTreeMap;
+use std::rc::Rc;
+
+use mapreduce::{
+    counter_keys as keys, run_dag, DagJob, DagResult, Dataset, MrError, Payload, TaskInput,
+};
+use scidp_bench::Clock::{Count, Sim};
+use scidp_bench::Rel::{Eq, Ge, Lt};
+use scidp_bench::{Report, Scale};
+use simnet::{CostModel, FaultPlan};
+
+use super::{flat_splits, output, small_cluster};
+
+const INPUT: &str = "data/dagbench.bin";
+
+fn sum_values(values: Vec<Payload>) -> Result<Payload, MrError> {
+    let mut total = 0u64;
+    for v in values {
+        let Payload::Bytes(b) = v else {
+            return Err(MrError::msg("expected byte value"));
+        };
+        total += String::from_utf8_lossy(&b)
+            .parse::<u64>()
+            .map_err(|e| MrError::msg(format!("bad count: {e}")))?;
+    }
+    Ok(Payload::Bytes(total.to_string().into_bytes()))
+}
+
+/// count → per-key sum (4 partitions) → parity re-key → group sum (2).
+fn pipeline(n_splits: u64) -> Dataset {
+    Dataset::from_splits(
+        flat_splits(INPUT, n_splits * 4096, n_splits, 1),
+        Rc::new(|input, ctx| {
+            let TaskInput::Bytes(b) = input else {
+                return Err(MrError::msg("expected bytes"));
+            };
+            let mut counts: BTreeMap<u8, usize> = BTreeMap::new();
+            for &x in &b {
+                *counts.entry(x).or_default() += 1;
+            }
+            // A fixed per-task compute cost so stage shapes are visible.
+            ctx.charge("compute", 2.0);
+            let kv =
+                |(k, v): (u8, usize)| (format!("b{k}"), Payload::Bytes(v.to_string().into_bytes()));
+            Ok(counts.into_iter().map(kv).collect())
+        }),
+    )
+    .reduce_by_key(4, Rc::new(|_k, values, _ctx| sum_values(values)))
+    .map(Rc::new(|k, v, _ctx| {
+        let id: u64 = k
+            .strip_prefix('b')
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| MrError::msg(format!("unexpected key {k:?}")))?;
+        Ok(vec![(format!("g{}", id % 2), v)])
+    }))
+    .reduce_by_key(2, Rc::new(|_k, values, _ctx| sum_values(values)))
+}
+
+fn run_with(n_splits: u64, plan: FaultPlan) -> (DagResult, Vec<(String, Vec<u8>)>) {
+    let mut c = small_cluster(4, 1 << 16, 1, CostModel::default());
+    let bytes: Vec<u8> = (0..n_splits * 4096).map(|i| (i % 11) as u8).collect();
+    c.pfs.borrow_mut().create(INPUT.to_string(), bytes);
+    c.sim.faults.install(plan);
+    let r = run_dag(
+        &mut c,
+        DagJob::new("dagbench", pipeline(n_splits), "dagout"),
+    )
+    .expect("dag bench must survive its fault plan");
+    let out = output(&c, "dagout");
+    (r, out)
+}
+
+/// The run's scalars as `<run>.*` rows and its stage submissions as a table.
+fn report_run(rep: &mut Report, run: &str, r: &DagResult) {
+    let stages_run = r.counters.get(keys::STAGES_RUN);
+    rep.row(&format!("{run}.elapsed_s"), r.elapsed(), "s", Sim);
+    rep.row(&format!("{run}.stages_run"), stages_run, "", Count);
+    rep.row(
+        &format!("{run}.tasks_executed"),
+        r.tasks_executed() as f64,
+        "",
+        Count,
+    );
+    let line = |(i, s): (usize, &mapreduce::StageRun)| {
+        let (tasks, recomputed) = (s.n_tasks as f64, s.recomputed as f64);
+        let cells = vec![
+            tasks,
+            recomputed,
+            f64::from(u8::from(s.ok)),
+            s.start_s,
+            s.end_s,
+        ];
+        (format!("{run} run{i} s{} {}", s.stage, s.op), cells)
+    };
+    let lines: Vec<(String, Vec<f64>)> = r.runs.iter().enumerate().map(line).collect();
+    let cols = [
+        ("tasks", "tasks", "", Count),
+        ("recomputed", "recomputed", "", Count),
+        ("ok", "ok", "flag", Count),
+        ("start_s", "start", "s", Sim),
+        ("end_s", "end", "s", Sim),
+    ];
+    rep.table("", "stage submission", &cols, &lines);
+}
+
+pub fn run(scale: &Scale) -> Report {
+    let n_splits = scale.pick(8, 16);
+    let mut rep = Report::new("dag");
+    rep.note(format!(
+        "dag: 3-stage count/merge/rollup pipeline, {n_splits} splits, 4 nodes x 2 slots"
+    ));
+    let (clean, clean_out) = run_with(n_splits, FaultPlan::none());
+    rep.row("pipeline.stages", clean.n_stages as f64, "", Count);
+    rep.row("pipeline.total_tasks", clean.total_tasks as f64, "", Count);
+    rep.row("pipeline.splits", n_splits as f64, "", Count);
+    report_run(&mut rep, "clean", &clean);
+    let recomputes = clean.counters.get(keys::LINEAGE_RECOMPUTES);
+    rep.row("clean.lineage_recomputes", recomputes, "", Count);
+    rep.check(
+        "clean.output_committed",
+        !clean_out.is_empty(),
+        "pipeline committed output",
+    );
+
+    // Kill a node the moment the final stage starts.
+    let final_stage = clean.runs.iter().find(|r| r.stage == clean.n_stages - 1);
+    let kill_at = final_stage.expect("final stage ran").start_s + 1e-6;
+    let (faulted, faulted_out) = run_with(n_splits, FaultPlan::none().kill_node(1, kill_at));
+    rep.row("node_kill.kill_at_s", kill_at, "s", Sim);
+    report_run(&mut rep, "node_kill", &faulted);
+
+    // Recovery metrics — asserted, not just reported.
+    let lost = faulted.counters.get(keys::SHUFFLE_PARTITIONS_LOST);
+    let recomputes = faulted.counters.get(keys::LINEAGE_RECOMPUTES);
+    let (executed, planned) = (faulted.tasks_executed(), faulted.total_tasks);
+    rep.row("node_kill.shuffle_partitions_lost", lost, "", Count);
+    rep.row("node_kill.lineage_recomputes", recomputes, "", Count);
+    rep.row(
+        "node_kill.recovery_tasks",
+        (executed - planned) as f64,
+        "",
+        Count,
+    );
+    rep.row("node_kill.full_rerun_tasks", planned as f64, "", Count);
+    rep.identical("node_kill", &faulted_out, &clean_out);
+    #[rustfmt::skip] // one target per line reads as the table it is
+    rep.expect_all(&[
+        ("clean.stages_run", Eq, 3.0, "clean run: each stage exactly once"),
+        ("clean.lineage_recomputes", Eq, 0.0, "clean run recomputes nothing"),
+        ("node_kill.shuffle_partitions_lost", Ge, 2.0, "the kill must take committed shuffle outputs"),
+        ("node_kill.lineage_recomputes", Eq, lost, "lineage recovery recomputes exactly the lost once-committed partitions"),
+        ("node_kill.recovery_tasks", Lt, planned as f64, "recovery must beat a full re-run"),
+    ]);
+    rep
+}

@@ -1,0 +1,58 @@
+//! Figure 8: scale-out evaluation of SciDP — 4, 8, 16 compute nodes
+//! (8 tasks/node → 32/64/128-way parallelism).
+//!
+//! Paper shape: image plotting time roughly halves when the node count
+//! doubles (near-optimal speedup; plotting tasks are independent).
+
+use baselines::run_scidp_solution;
+use scidp::WorkflowConfig;
+use scidp_bench::Clock::{Count, Sim};
+use scidp_bench::Rel::{Ge, Le};
+use scidp_bench::{DatasetPool, Report, Scale};
+
+/// The smallest `--quick` input (of 8, 16, 32, 64 …) at which the
+/// per-doubling shape holds: the 8-timestamp smoke input is 16 tasks on
+/// 32–128 slots, a single wave whatever the node count.
+const QUICK_ASSERTED_TIMESTAMPS: usize = 64;
+
+fn series(rep: &mut Report, scale: &Scale, n: usize) {
+    let pool = DatasetPool::generate(scale.spec(n), "nuwrf");
+    let mut lines: Vec<(String, Vec<f64>)> = Vec::new();
+    for nodes in [4usize, 8, 16] {
+        // Reducers scale with the cluster, as a real deployment would set.
+        let cfg = WorkflowConfig {
+            n_reducers: nodes,
+            ..WorkflowConfig::img_only(["QR"])
+        };
+        let t = run_scidp_solution(&mut pool.fresh_cluster(nodes), &pool.dataset, &cfg).total();
+        let base = lines.first().map_or(t, |(_, l)| l[1]);
+        let label = format!("{n} ts, {nodes} nodes");
+        lines.push((label, vec![(nodes * 8) as f64, t, base / t]));
+    }
+    let cols = [
+        ("parallel_tasks", "parallel tasks", "", Count),
+        ("time_s", "time", "s", Sim),
+        ("speedup_x", "speedup vs 4 nodes", "x", Sim),
+    ];
+    let title = format!("Figure 8: SciDP scale-out, Img-only, {n} timestamps");
+    rep.table(&title, "input, cluster", &cols, &lines);
+}
+
+pub fn run(scale: &Scale) -> Report {
+    let mut rep = Report::new("fig8");
+    let mut asserted = scale.timestamps(8, 96);
+    series(&mut rep, scale, asserted);
+    if scale.quick && scale.timestamps.is_none() {
+        asserted = QUICK_ASSERTED_TIMESTAMPS;
+        series(&mut rep, scale, asserted);
+    }
+    rep.note("(paper shape: ~2x per doubling — plotting tasks are independent)");
+    let t = |nodes: usize| rep.v(&format!("{asserted}_ts_{nodes}_nodes.time_s"));
+    for (step, gain) in [("4_to_8", t(4) / t(8)), ("8_to_16", t(8) / t(16))] {
+        let name = format!("doubling_{step}_at_{asserted}_ts_x");
+        rep.row(&name, gain, "x", Sim);
+        let why = "§5.5 1.6-2.2x per node doubling";
+        rep.expect_all(&[(&name, Ge, 1.6, why), (&name, Le, 2.2, why)]);
+    }
+    rep
+}

@@ -103,11 +103,6 @@ impl EditLog {
         }
     }
 
-    /// Edits accumulated since the last checkpoint.
-    pub fn n_edits(&self) -> usize {
-        self.edits.len()
-    }
-
     pub fn has_checkpoint(&self) -> bool {
         self.fsimage.is_some()
     }
@@ -186,10 +181,6 @@ impl NameNode {
     /// The persistent journal (what survives a namenode kill).
     pub fn journal(&self) -> &EditLog {
         &self.journal
-    }
-
-    pub fn set_checkpoint_interval(&mut self, every: usize) {
-        self.journal.checkpoint_interval = every.max(1);
     }
 
     /// Write an fsimage snapshot and truncate the edit log (the secondary
@@ -778,7 +769,7 @@ mod tests {
         assert!(!n.journal().has_checkpoint(), "interval not reached");
         let recovered = NameNode::recover(n.journal(), 4, 128, 1);
         assert_eq!(recovered.namespace_dump(), n.namespace_dump());
-        assert_eq!(recovered.journal().n_edits(), n.journal().n_edits());
+        assert_eq!(recovered.journal().edits.len(), n.journal().edits.len());
         // Block ids keep allocating from the same point after recovery.
         let mut n2 = recovered;
         let mut n1 = n;
@@ -790,11 +781,11 @@ mod tests {
     #[test]
     fn checkpoint_truncates_edits_and_recovery_still_matches() {
         let mut n = nn();
-        n.set_checkpoint_interval(4);
+        n.journal.checkpoint_interval = 4;
         busy_namespace(&mut n);
         assert!(n.journal().has_checkpoint());
         assert!(n.journal().checkpoints >= 1);
-        assert!(n.journal().n_edits() < 4);
+        assert!(n.journal().edits.len() < 4);
         let recovered = NameNode::recover(n.journal(), 4, 128, 1);
         assert_eq!(recovered.namespace_dump(), n.namespace_dump());
     }
@@ -804,7 +795,7 @@ mod tests {
         let mut n = nn();
         busy_namespace(&mut n);
         n.checkpoint();
-        assert_eq!(n.journal().n_edits(), 0);
+        assert!(n.journal().edits.is_empty());
         let recovered = NameNode::recover(n.journal(), 4, 128, 1);
         assert_eq!(recovered.namespace_dump(), n.namespace_dump());
     }

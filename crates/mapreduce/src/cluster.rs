@@ -7,7 +7,7 @@ use std::rc::Rc;
 use pfs::{Pfs, PfsConfig, SharedPfs};
 use simnet::{ClusterCache, ClusterSpec, CostModel, FlowNet, Sim, SimTime, Topology};
 
-use hdfs::{Hdfs, SharedHdfs};
+use hdfs::{Hdfs, HdfsError, SharedHdfs};
 
 use crate::job::MrError;
 
@@ -74,16 +74,6 @@ impl Cluster {
         self.cluster_cache.set_per_node_capacity(per_node_bytes);
     }
 
-    /// Paper-default cluster (§V-A): 8 Hadoop nodes, 2 OSS / 24 OSTs.
-    pub fn paper_default(block_size: usize, cost: CostModel) -> Cluster {
-        let spec = ClusterSpec::default();
-        let pfs_cfg = PfsConfig {
-            n_osts: spec.osts,
-            ..PfsConfig::default()
-        };
-        Cluster::new(spec, pfs_cfg, block_size, 1, cost)
-    }
-
     /// Shared handles for tasks.
     pub fn env(&self) -> MrEnv {
         MrEnv {
@@ -93,6 +83,26 @@ impl Cluster {
             slots_per_node: self.topo.spec.slots_per_node,
             cluster_cache: Rc::clone(&self.cluster_cache),
         }
+    }
+
+    /// The committed files under HDFS directory `dir` (attempt-scoped and
+    /// driver-internal `_*` entries excluded), sorted by path, each with
+    /// its blocks concatenated from their first live replica.
+    pub fn read_output(&self, dir: &str) -> Result<Vec<(String, Vec<u8>)>, HdfsError> {
+        let h = self.hdfs.borrow();
+        let mut files = h.namenode.list_files_recursive(dir)?;
+        files.retain(|f| !f.path.contains("/_"));
+        files.sort_by(|a, b| a.path.cmp(&b.path));
+        let mut out = Vec::with_capacity(files.len());
+        for f in files {
+            let mut data = Vec::with_capacity(f.len as usize);
+            for b in h.namenode.blocks(&f.path)? {
+                let replica = b.locations().iter().find_map(|&n| h.datanodes.get(n, b.id));
+                data.extend_from_slice(&replica.ok_or(HdfsError::NoReplica)?);
+            }
+            out.push((f.path, data));
+        }
+        Ok(out)
     }
 
     /// Drain the event queue; returns final virtual time.
@@ -127,12 +137,45 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_default_shape() {
-        let c = Cluster::paper_default(1 << 20, CostModel::default());
-        assert_eq!(c.topo.n_compute(), 8);
-        assert_eq!(c.topo.n_osts(), 24);
-        assert_eq!(c.env().slots_per_node, 8);
-        assert_eq!(c.hdfs.borrow().datanodes.n_nodes(), 8);
+    fn read_output_returns_committed_files_in_path_order_or_a_typed_error() {
+        use simnet::NodeId;
+        let spec = ClusterSpec::default();
+        let pfs_cfg = PfsConfig {
+            n_osts: spec.osts,
+            ..PfsConfig::default()
+        };
+        // 4-byte blocks: every file spans several.
+        let mut c = Cluster::new(spec, pfs_cfg, 4, 1, CostModel::default());
+        for (path, data) in [
+            ("out/part-1", &b"second file"[..]),
+            ("out/part-0", b"first"),
+            ("out/_tmp/attempt-7", b"uncommitted"),
+        ] {
+            hdfs::write_file(
+                &mut c.sim,
+                &c.topo,
+                &c.hdfs,
+                NodeId(0),
+                path,
+                data.to_vec(),
+                |_| {},
+            )
+            .unwrap();
+        }
+        c.run();
+        let files = c.read_output("out").unwrap();
+        assert_eq!(
+            files,
+            vec![
+                ("out/part-0".to_string(), b"first".to_vec()),
+                ("out/part-1".to_string(), b"second file".to_vec()),
+            ]
+        );
+        assert!(matches!(c.read_output("nowhere"), Err(HdfsError::Ns(_))));
+        // A block none of whose replicas holds the bytes is an error, not a panic.
+        let lost = c.hdfs.borrow().namenode.blocks("out/part-0").unwrap()[0].id;
+        c.hdfs.borrow_mut().datanodes.reclaim(&[lost]);
+        assert_eq!(c.read_output("out"), Err(HdfsError::NoReplica));
     }
 
     #[test]

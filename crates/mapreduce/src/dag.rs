@@ -869,36 +869,8 @@ fn fail_dag(sim: &mut Sim, d: &SharedDag, e: MrError) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::input::InMemoryFetcher;
-    use pfs::PfsConfig;
-    use simnet::{ClusterSpec, CostModel, FaultPlan};
-
-    fn small_cluster(nodes: usize, slots: usize) -> Cluster {
-        let spec = ClusterSpec {
-            compute_nodes: nodes,
-            storage_nodes: 1,
-            osts: 2,
-            slots_per_node: slots,
-            ..ClusterSpec::default()
-        };
-        let pfs_cfg = PfsConfig {
-            n_osts: 2,
-            ..PfsConfig::default()
-        };
-        Cluster::new(spec, pfs_cfg, 1 << 16, 1, CostModel::default())
-    }
-
-    fn mem_splits(n: usize, bytes: usize) -> Vec<InputSplit> {
-        (0..n)
-            .map(|i| InputSplit {
-                length: bytes as u64,
-                locations: vec![],
-                fetcher: Rc::new(InMemoryFetcher {
-                    data: vec![i as u8; bytes],
-                }),
-            })
-            .collect()
-    }
+    use crate::job::tests::{mem_splits, small_cluster};
+    use simnet::FaultPlan;
 
     /// Decode a split's bytes into per-byte-value count records (the DAG
     /// analogue of the classic word-count map function).
@@ -934,21 +906,13 @@ mod tests {
         })
     }
 
-    /// Read every `part-*` file under `dir` back from HDFS, in path order,
-    /// as one concatenated string.
-    fn read_output(c: &Cluster, dir: &str) -> String {
-        let h = c.hdfs.borrow();
-        let mut files = h.namenode.list_files_recursive(dir).unwrap();
-        files.retain(|f| !f.path.contains("/_"));
-        files.sort_by(|a, b| a.path.cmp(&b.path));
-        let mut out = String::new();
-        for f in &files {
-            for blk in h.namenode.blocks(&f.path).unwrap() {
-                let data = h.datanodes.get(blk.locations()[0], blk.id).unwrap();
-                out.push_str(&String::from_utf8_lossy(&data));
-            }
-        }
-        out
+    /// Every committed file under `dir`, in path order, as one string.
+    fn output_text(c: &Cluster, dir: &str) -> String {
+        let files = c.read_output(dir).unwrap();
+        files
+            .iter()
+            .map(|(_, data)| String::from_utf8_lossy(data))
+            .collect()
     }
 
     #[test]
@@ -963,7 +927,7 @@ mod tests {
         assert_eq!(r.total_tasks, 6); // 4 source + 2 reduce partitions
         assert_eq!(r.tasks_executed(), 6);
         // Each split is 100 copies of one byte value.
-        let text = read_output(&c, "out");
+        let text = output_text(&c, "out");
         let mut lines: Vec<&str> = text.lines().collect();
         lines.sort_unstable();
         assert_eq!(lines, vec!["w0\t100", "w1\t100", "w2\t100", "w3\t100"]);
@@ -981,7 +945,7 @@ mod tests {
         // map/filter fold into the stages around them: still 2 stages.
         assert_eq!(r.n_stages, 2);
         assert_eq!(r.counters.get(keys::STAGES_RUN), 2.0);
-        let text = read_output(&c, "out");
+        let text = output_text(&c, "out");
         let mut lines: Vec<&str> = text.lines().collect();
         lines.sort_unstable();
         assert_eq!(lines, vec!["xw0\t60", "xw2\t60"]);
@@ -1019,7 +983,7 @@ mod tests {
         let r = run_dag(&mut c, DagJob::new("join", joined, "out")).unwrap();
         // Two source stages + the join stage.
         assert_eq!(r.n_stages, 3);
-        let text = read_output(&c, "out");
+        let text = output_text(&c, "out");
         let mut lines: Vec<&str> = text.lines().collect();
         lines.sort_unstable();
         // Only key "a" appears on both sides: 2 lefts x 1 right.
@@ -1042,7 +1006,7 @@ mod tests {
         let mut clean = small_cluster(4, 1);
         let rc = run_dag(&mut clean, DagJob::new("lin", plan_of(), "out")).unwrap();
         assert_eq!(rc.n_stages, 3);
-        let clean_text = read_output(&clean, "out");
+        let clean_text = output_text(&clean, "out");
         let s2_start = rc
             .runs
             .iter()
@@ -1064,6 +1028,6 @@ mod tests {
         assert_eq!(rf.counters.get(keys::LINEAGE_RECOMPUTES), lost);
         // Recovery re-runs a strict subset, never the whole DAG again.
         assert!(rf.tasks_executed() < 2 * rf.total_tasks);
-        assert_eq!(read_output(&faulted, "out"), clean_text, "byte-identical");
+        assert_eq!(output_text(&faulted, "out"), clean_text, "byte-identical");
     }
 }

@@ -42,8 +42,10 @@ impl StripeLayout {
         }
     }
 
-    /// OST (global index) serving byte `offset`, given `n_osts` in the pool.
-    pub fn ost_of(&self, offset: usize, n_osts: usize) -> usize {
+    /// OST (global index) serving byte `offset`, given `n_osts` in the pool:
+    /// the one-byte reference `segments` is tested against.
+    #[cfg(test)]
+    fn ost_of(&self, offset: usize, n_osts: usize) -> usize {
         let stripe = offset / self.stripe_size;
         (self.start_ost + stripe % self.stripe_count) % n_osts
     }

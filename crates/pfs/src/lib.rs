@@ -11,16 +11,17 @@
 //! Modules:
 //! * [`layout`] — stripe math: which OST serves which byte range;
 //! * [`fs`] — the MDS namespace + in-memory object store;
-//! * [`client`] — timed `read_at`/`write_new` operations;
-//! * [`mpiio`] — MPI-IO-style *independent* and *two-phase collective*
-//!   parallel reads (the comparison axes of Figure 6).
+//! * [`client`] — timed `read_at`/`write_new` operations.
+//!
+//! The three HPC series of Figure 6 (NC independent, NC collective, MPI
+//! collective) are request patterns over [`read_at`], modelled where they
+//! are measured: `chained_reads` in the bench crate's `fig6` experiment.
 
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod client;
 pub mod fs;
 pub mod layout;
-pub mod mpiio;
 
 pub use client::{read_at, read_file, write_new, PfsError};
 pub use fs::{Pfs, PfsConfig, PfsFile, SharedPfs};

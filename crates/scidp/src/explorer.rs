@@ -75,10 +75,6 @@ impl ExploreReport {
         self.files.iter().filter(|f| f.is_sci())
     }
 
-    pub fn flat_files(&self) -> impl Iterator<Item = &ExploredFile> {
-        self.files.iter().filter(|f| !f.is_sci())
-    }
-
     /// Virtual seconds the scan costs (MDS RPCs + header seeks); charged by
     /// the workflow before task scheduling starts.
     pub fn setup_cost(&self, cost: &simnet::CostModel) -> f64 {
@@ -178,7 +174,12 @@ mod tests {
         let rep = FileExplorer::scan(&p, "out").unwrap();
         assert_eq!(rep.files.len(), 2);
         let sci: Vec<&str> = rep.sci_files().map(|f| f.basename()).collect();
-        let flat: Vec<&str> = rep.flat_files().map(|f| f.basename()).collect();
+        let flat: Vec<&str> = rep
+            .files
+            .iter()
+            .filter(|f| !f.is_sci())
+            .map(|f| f.basename())
+            .collect();
         assert_eq!(sci, vec!["plot_18_00_00.snc"]);
         assert_eq!(flat, vec!["plot_19_00_00.csv"]);
         // The sci file's variables are visible to the mapper.

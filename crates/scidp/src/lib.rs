@@ -43,7 +43,7 @@ pub use rapi::{
     decode_tag, derived_raster, encode_slab_tag, make_splits, wrap_r_map, wrap_r_reduce, MapSlab,
     PlacementSpec, RCtx, RJob, RMapFn, RReduceFn, ScidpInput, SetupInfo,
 };
-pub use reader::{ReaderSession, SciSlabFetcher};
+pub use reader::SciSlabFetcher;
 pub use workflow::{
     build_rjob, build_stats_dag, nuwrf_map_fn, nuwrf_reduce_fn, run_scidp, run_sql_scan,
     run_stats_dag, Analysis, SqlScanConfig, StatsDagConfig, WorkflowConfig, WorkflowReport,

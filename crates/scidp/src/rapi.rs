@@ -112,12 +112,6 @@ impl ScidpInput {
         self.placement = PlacementSpec::Fixed(p);
         self
     }
-
-    /// Let a shared policy decide placement from observed access counts.
-    pub fn placement_auto(mut self, policy: Rc<PlacementPolicy>) -> Self {
-        self.placement = PlacementSpec::Auto(policy);
-        self
-    }
 }
 
 /// Extra info returned by split construction.
@@ -219,17 +213,15 @@ pub fn make_splits(
                     if zone_seen.insert((pfs_path.clone(), var.name.clone())) {
                         zone_map_bytes += var.zone_map_wire_bytes();
                     }
-                    Rc::new(TaggedSciFetcher {
-                        inner: SciSlabFetcher {
-                            pfs_path: pfs_path.clone(),
-                            var: var.clone(),
-                            data_offset: *off,
-                            start: start.clone(),
-                            count: count.clone(),
-                            cache: cache.clone(),
-                            pushdown: plan.clone(),
-                            cluster_admit,
-                        },
+                    Rc::new(SciSlabFetcher {
+                        pfs_path: pfs_path.clone(),
+                        var: var.clone(),
+                        data_offset: *off,
+                        start: start.clone(),
+                        count: count.clone(),
+                        cache: cache.clone(),
+                        pushdown: plan.clone(),
+                        cluster_admit,
                     })
                 }
                 (
@@ -297,20 +289,10 @@ pub fn make_splits(
     }
 }
 
-/// Wraps [`SciSlabFetcher`] to tag the result with slab coordinates so the
-/// R layer can reconstruct keys.
-struct TaggedSciFetcher {
-    inner: SciSlabFetcher,
-}
-
-fn encode_tag(fetcher: &SciSlabFetcher) -> String {
-    let dims: Vec<String> = fetcher.var.dims.iter().map(|d| d.name.clone()).collect();
-    encode_slab_tag(&fetcher.pfs_path, &fetcher.var.name, &dims, &fetcher.start)
-}
-
-/// Encode slab metadata into the split tag [`decode_tag`] parses. Public so
-/// baselines delivering identical slabs (SciHadoop) can produce compatible
-/// tags.
+/// Encode slab metadata into the split tag [`decode_tag`] parses — what
+/// a [`SciSlabFetcher`]'s result carries so the R layer can reconstruct
+/// keys. Public so baselines delivering identical slabs (SciHadoop) can
+/// produce compatible tags.
 pub fn encode_slab_tag(file: &str, var: &str, dims: &[String], origin: &[usize]) -> String {
     let origin: Vec<String> = origin.iter().map(|s| s.to_string()).collect();
     format!(
@@ -334,52 +316,6 @@ pub fn decode_tag(tag: &str) -> Option<(String, String, Vec<String>, Vec<usize>)
         .map(|s| s.parse().ok())
         .collect::<Option<_>>()?;
     Some((file, var, dims, origin))
-}
-
-impl mapreduce::SplitFetcher for TaggedSciFetcher {
-    fn fetch(
-        &self,
-        env: &MrEnv,
-        sim: &mut simnet::Sim,
-        node: simnet::NodeId,
-        done: mapreduce::FetchDone,
-    ) {
-        let tag = encode_tag(&self.inner);
-        self.inner.fetch(
-            env,
-            sim,
-            node,
-            Box::new(move |sim, fr| {
-                done(
-                    sim,
-                    fr.map(|mut fr| {
-                        fr.tag = tag;
-                        fr
-                    }),
-                );
-            }),
-        );
-    }
-
-    fn open_stream(
-        &self,
-        env: &MrEnv,
-        sim: &mut simnet::Sim,
-        node: simnet::NodeId,
-    ) -> Result<Box<dyn mapreduce::PieceStream>, mapreduce::StreamFallback> {
-        // Forward the inner fetcher's fallback reason unchanged so the
-        // counter tags stay honest.
-        let inner = self.inner.open_stream(env, sim, node)?;
-        Ok(mapreduce::retag_stream(inner, encode_tag(&self.inner)))
-    }
-
-    fn cache_hints(&self) -> Vec<simnet::ChunkKey> {
-        self.inner.cache_hints()
-    }
-
-    fn describe(&self) -> String {
-        self.inner.describe()
-    }
 }
 
 /// What the R map function receives: the slab as a typed array plus the
@@ -468,11 +404,6 @@ impl<'a> RCtx<'a> {
     /// Emit a data frame.
     pub fn emit_frame(&mut self, key: impl Into<String>, frame: DataFrame) {
         self.inner.emit(key, Payload::Frame(frame));
-    }
-
-    /// Emit raw bytes.
-    pub fn emit_bytes(&mut self, key: impl Into<String>, bytes: Vec<u8>) {
-        self.inner.emit(key, Payload::Bytes(bytes));
     }
 
     /// Extra compute charge (e.g. bespoke numeric analysis).
@@ -654,35 +585,8 @@ mod tests {
 
     #[test]
     fn tag_roundtrip() {
-        let var = scifmt::VarMeta {
-            name: "QR".into(),
-            dtype: scifmt::DType::F32,
-            dims: vec![
-                scifmt::Dim {
-                    name: "lev".into(),
-                    len: 4,
-                },
-                scifmt::Dim {
-                    name: "lat".into(),
-                    len: 8,
-                },
-            ],
-            chunk_shape: vec![2, 8],
-            codec: scifmt::Codec::None,
-            attrs: vec![],
-            chunks: vec![],
-        };
-        let f = SciSlabFetcher {
-            pfs_path: "run/f.snc".into(),
-            var: std::sync::Arc::new(var),
-            data_offset: 64,
-            start: vec![2, 0],
-            count: vec![2, 8],
-            cache: std::sync::Arc::new(scifmt::ChunkCache::new(0)),
-            pushdown: None,
-            cluster_admit: None,
-        };
-        let tag = encode_tag(&f);
+        let dims = ["lev".to_string(), "lat".to_string()];
+        let tag = encode_slab_tag("run/f.snc", "QR", &dims, &[2, 0]);
         let (file, var, dims, origin) = decode_tag(&tag).unwrap();
         assert_eq!(file, "run/f.snc");
         assert_eq!(var, "QR");

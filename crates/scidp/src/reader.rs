@@ -30,11 +30,12 @@ use mapreduce::{
 };
 use rframe::{MatchBound, Predicate};
 use scifmt::hyperslab;
-use scifmt::snc::{assemble_slab, chunk_extents_of, ChunkCache, SncFile, DEFAULT_CACHE_BYTES};
+use scifmt::snc::{assemble_slab, chunk_extents_of, ChunkCache};
 use scifmt::{ChunkExtent, VarMeta};
 use simnet::{NodeId, Sim};
 
 use crate::pushdown::{assemble_frame, chunk_col_stats};
+use crate::rapi::encode_slab_tag;
 
 /// Decoded chunks of one slab fetch, by linear chunk index.
 type Collected = Rc<RefCell<HashMap<usize, Arc<Vec<u8>>>>>;
@@ -465,58 +466,8 @@ impl PieceStream for SlabPieceStream {
             input,
             charges: self.charges.clone(),
             counters,
-            tag: String::new(),
+            tag: encode_slab_tag(&f.pfs_path, &f.var.name, &f.dim_names(), &f.start),
         })
-    }
-}
-
-/// A reader session: every [`SncFile`] opened through it shares ONE
-/// content-keyed decompressed-chunk cache, instead of each open allocating
-/// its own private [`DEFAULT_CACHE_BYTES`] cache. A converter or scan that
-/// walks hundreds of files therefore holds `capacity` bytes of chunk
-/// memory total — not `capacity × files` — and repeated chunks of the
-/// *same* file opened twice actually hit (keys are content-derived, so a
-/// re-open maps onto the already-resident entries).
-pub struct ReaderSession {
-    cache: Arc<ChunkCache>,
-    files_opened: Cell<usize>,
-}
-
-impl Default for ReaderSession {
-    /// A session with the per-file default capacity — now shared by every
-    /// file instead of multiplied by them.
-    fn default() -> ReaderSession {
-        ReaderSession::new(DEFAULT_CACHE_BYTES)
-    }
-}
-
-impl ReaderSession {
-    pub fn new(cache_bytes: usize) -> ReaderSession {
-        ReaderSession {
-            cache: Arc::new(ChunkCache::new(cache_bytes)),
-            files_opened: Cell::new(0),
-        }
-    }
-
-    /// Open an SNC container backed by the session-shared cache.
-    pub fn open(&self, bytes: impl Into<Arc<Vec<u8>>>) -> scifmt::Result<SncFile> {
-        self.files_opened.set(self.files_opened.get() + 1);
-        Ok(SncFile::open(bytes)?.with_cache(self.cache.clone()))
-    }
-
-    /// The shared cache (e.g. to hand to [`SciSlabFetcher`]s directly).
-    pub fn cache(&self) -> &Arc<ChunkCache> {
-        &self.cache
-    }
-
-    pub fn files_opened(&self) -> usize {
-        self.files_opened.get()
-    }
-
-    /// The session's chunk-memory bound. This is the *effective* capacity
-    /// no matter how many files are opened — report it once, not per file.
-    pub fn effective_capacity(&self) -> usize {
-        self.cache.capacity()
     }
 }
 
@@ -571,45 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn reader_session_shares_one_cache_across_files() {
-        // Two distinct containers opened through one session share a single
-        // pool; re-opening the same container maps onto already-resident
-        // entries (keys are content-derived).
-        let build = |seed: f32| {
-            let data: Vec<f32> = (0..2 * 4 * 3).map(|i| i as f32 + seed).collect();
-            let full = Array::from_f32(vec![2, 4, 3], data).unwrap();
-            let mut b = SncBuilder::new();
-            b.add_var(
-                "",
-                "QR",
-                &[("lev", 2), ("lat", 4), ("lon", 3)],
-                &[2, 4, 3],
-                Codec::ShuffleLz { elem: 4 },
-                full,
-            )
-            .unwrap();
-            b.finish()
-        };
-        let (b1, b2) = (build(0.0), build(100.0));
-        let session = ReaderSession::new(1 << 20);
-        let f1 = session.open(b1.clone()).unwrap();
-        let f2 = session.open(b2).unwrap();
-        assert!(Arc::ptr_eq(f1.cache(), f2.cache()), "one pool, two files");
-        assert_eq!(session.files_opened(), 2);
-        // Capacity is the session's bound, not capacity × files.
-        assert_eq!(session.effective_capacity(), 1 << 20);
-        f1.get_vara("QR", &[0, 0, 0], &[2, 4, 3]).unwrap();
-        f2.get_vara("QR", &[0, 0, 0], &[2, 4, 3]).unwrap();
-        let after_two = session.cache().stats().misses;
-        assert!(after_two >= 2, "each file decoded its own chunk");
-        // Re-open file 1: same content → same keys → pure hits.
-        let f1b = session.open(b1).unwrap();
-        f1b.get_vara("QR", &[0, 0, 0], &[2, 4, 3]).unwrap();
-        assert_eq!(session.cache().stats().misses, after_two);
-        assert_eq!(session.files_opened(), 3);
-    }
-
-    #[test]
     fn fetch_assembles_exact_slab() {
         let mut c = cluster();
         let (var, off, full) = stage_var(&mut c);
@@ -634,6 +546,11 @@ mod tests {
             NodeId(0),
             Box::new(move |_, fr| {
                 let fr = fr.unwrap();
+                // The result names its slab, for the R layer's keys.
+                let (file, var, dims, origin) = crate::rapi::decode_tag(&fr.tag).unwrap();
+                assert_eq!((file.as_str(), var.as_str()), ("run/f.snc", "QR"));
+                assert_eq!(dims, ["lev", "lat", "lon"]);
+                assert_eq!(origin, [1, 2, 0]);
                 *g.borrow_mut() = Some((fr.input, fr.charges));
             }),
         );

@@ -39,20 +39,6 @@ pub fn snc_to_csv(file: &SncFile, vars: Option<&[String]>) -> Result<Vec<Convert
     Ok(out)
 }
 
-/// Measured text/compressed expansion ratio for a container (paper §IV-B
-/// reports ~33x for NU-WRF outputs).
-pub fn expansion_ratio(file: &SncFile) -> Result<f64> {
-    let converted = snc_to_csv(file, None)?;
-    let text: usize = converted.iter().map(|c| c.text.len()).sum();
-    let stored: usize = file
-        .meta()
-        .all_vars()
-        .iter()
-        .map(|(_, v)| v.stored_size())
-        .sum();
-    Ok(text as f64 / stored.max(1) as f64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,17 +89,5 @@ mod tests {
         let out = snc_to_csv(&f, Some(&["T".to_string()])).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].var_path, "T");
-    }
-
-    #[test]
-    fn expansion_ratio_is_paper_scale() {
-        // Compressed binary → text should blow up by an order of magnitude
-        // (the paper reports ~33x on NU-WRF data).
-        // (the tiny 32x32 test field compresses worse than real NU-WRF
-        // data; wrfgen's tests assert the full-scale ~20-35x ratio).
-        let f = smooth_file();
-        let r = expansion_ratio(&f).unwrap();
-        assert!(r > 5.0, "expansion ratio {r:.1} implausibly small");
-        assert!(r < 200.0, "expansion ratio {r:.1} implausibly large");
     }
 }

@@ -72,14 +72,6 @@ fn fmt_value(out: &mut String, v: f64) {
     write!(out, "{v:.8e}").expect("writing to String cannot fail");
 }
 
-/// Bytes-per-element of the CSV encoding for a given array (used to model
-/// the conversion blow-up without materializing the text).
-pub fn csv_bytes_estimate(array: &Array) -> usize {
-    // header + rows: coords (~2 digits + comma each) + value (~15 chars).
-    let per_row = array.rank() * 3 + 16;
-    array.len() * per_row + 32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,17 +110,6 @@ mod tests {
         let text = array_to_csv(&["a", "b", "c"], &a);
         let ratio = text.len() as f64 / (1000.0 * 4.0);
         assert!(ratio > 4.0, "text expansion ratio {ratio:.1} too small");
-    }
-
-    #[test]
-    fn byte_estimate_tracks_actual_size() {
-        let a = Array::from_f32(vec![8, 8], vec![1.5; 64]).unwrap();
-        let actual = array_to_csv(&["a", "b"], &a).len();
-        let est = csv_bytes_estimate(&a);
-        assert!(
-            est as f64 > actual as f64 * 0.5 && (est as f64) < actual as f64 * 2.0,
-            "estimate {est} vs actual {actual}"
-        );
     }
 
     #[test]

@@ -1069,11 +1069,6 @@ impl ChunkCache {
         }
     }
 
-    /// Change capacity in place (evicts down to the new bound).
-    pub fn set_capacity(&self, cap_bytes: usize) {
-        lock_clean(&self.inner).shrink_to(cap_bytes as u64);
-    }
-
     pub fn capacity(&self) -> usize {
         lock_clean(&self.inner).capacity() as usize
     }
@@ -1681,6 +1676,41 @@ mod tests {
     }
 
     #[test]
+    fn two_files_share_one_cache() {
+        // Two distinct containers opened onto one cache share a single
+        // pool; re-opening the same container maps onto already-resident
+        // entries (keys are content-derived).
+        let build = |seed: f32| {
+            let data: Vec<f32> = (0..2 * 4 * 3).map(|i| i as f32 + seed).collect();
+            let mut b = SncBuilder::new();
+            b.add_var(
+                "",
+                "QR",
+                &[("lev", 2), ("lat", 4), ("lon", 3)],
+                &[2, 4, 3],
+                Codec::ShuffleLz { elem: 4 },
+                Array::from_f32(vec![2, 4, 3], data).unwrap(),
+            )
+            .unwrap();
+            b.finish()
+        };
+        let (b1, b2) = (build(0.0), build(100.0));
+        let cache = Arc::new(ChunkCache::new(1 << 20));
+        let open = |b: Vec<u8>| SncFile::open(b).unwrap().with_cache(cache.clone());
+        let (f1, f2) = (open(b1.clone()), open(b2));
+        assert!(Arc::ptr_eq(f1.cache(), f2.cache()), "one pool, two files");
+        f1.get_vara("QR", &[0, 0, 0], &[2, 4, 3]).unwrap();
+        f2.get_vara("QR", &[0, 0, 0], &[2, 4, 3]).unwrap();
+        let after_two = cache.stats().misses;
+        assert!(after_two >= 2, "each file decoded its own chunk");
+        // Re-open file 1: same content → same keys → pure hits.
+        open(b1).get_vara("QR", &[0, 0, 0], &[2, 4, 3]).unwrap();
+        assert_eq!(cache.stats().misses, after_two);
+        // Capacity is the cache's bound, not capacity × files.
+        assert_eq!(cache.capacity(), 1 << 20);
+    }
+
+    #[test]
     fn zone_maps_stamped_and_roundtripped() {
         // sample_file: QR is a ramp over chunks of [2,3,5]; every chunk must
         // carry a zone map consistent with a brute-force scan of its values.
@@ -1928,11 +1958,10 @@ mod tests {
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.entries, 3);
-        // Oversized values are ignored, capacity changes evict.
+        // Oversized values are ignored.
         cache.insert(k(9), v(1000));
         assert!(cache.lookup(k(9)).is_none());
-        cache.set_capacity(100);
-        assert_eq!(cache.stats().entries, 1);
+        assert_eq!(cache.stats().entries, 3);
         cache.clear();
         assert_eq!(cache.stats().resident_bytes, 0);
     }

@@ -34,14 +34,6 @@ impl Writer {
         self.buf.push(v);
     }
 
-    pub fn put_bytes(&mut self, v: &[u8]) {
-        self.buf.extend_from_slice(v);
-    }
-
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -114,14 +106,6 @@ impl<'a> Reader<'a> {
         Ok(u16::from_le_bytes(a))
     }
 
-    pub fn get_u32(&mut self) -> Result<u32> {
-        let b = self.take(4, "u32")?;
-        let a = b
-            .try_into()
-            .map_err(|_| FmtError::Truncated { what: "u32" })?;
-        Ok(u32::from_le_bytes(a))
-    }
-
     pub fn get_u64(&mut self) -> Result<u64> {
         let b = self.take(8, "u64")?;
         let a = b
@@ -174,14 +158,12 @@ mod tests {
     fn scalar_roundtrip() {
         let mut w = Writer::new();
         w.put_u8(7);
-        w.put_u32(0xdead_beef);
         w.put_u64(u64::MAX);
         w.put_f64(-1.25e300);
         w.put_str("héllo");
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
         assert_eq!(r.get_u8().unwrap(), 7);
-        assert_eq!(r.get_u32().unwrap(), 0xdead_beef);
         assert_eq!(r.get_u64().unwrap(), u64::MAX);
         assert_eq!(r.get_f64().unwrap(), -1.25e300);
         assert_eq!(r.get_str().unwrap(), "héllo");

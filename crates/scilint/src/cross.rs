@@ -442,7 +442,7 @@ mod tests {
              }\n",
         );
         let bench = input(
-            "crates/bench/src/bin/cache.rs",
+            "crates/bench/src/exp/cache.rs",
             "scidp-bench",
             "fn g(c: &Counters) -> f64 { c.get(counter_keys::PFS_BYTES_AVOIDED) }\n",
         );

@@ -39,7 +39,8 @@ pub struct InputFile {
     pub rel: String,
     /// Crate the file belongs to (directory name under `crates/`).
     pub crate_name: String,
-    /// Binary-target code (`src/bin/**`, `main.rs`): P-rules do not apply.
+    /// Binary-target code (`src/bin/**`, `main.rs` and the modules it
+    /// declares): P-rules do not apply.
     pub is_bin: bool,
     pub src: String,
 }
@@ -182,13 +183,39 @@ pub fn walk_workspace(root: &Path) -> Result<Vec<InputFile>, String> {
             .and_then(|s| s.to_str())
             .unwrap_or("unknown")
             .to_string();
+        let first = out.len();
         collect_rs(&cdir.join("src"), root, &crate_name, &mut out)?;
+        mark_main_modules(out.get_mut(first..).unwrap_or_default());
     }
     if root.join("src").is_dir() {
         collect_rs(&root.join("src"), root, "scidp-suite", &mut out)?;
     }
     out.sort_by(|a, b| a.rel.cmp(&b.rel));
     Ok(out)
+}
+
+/// A crate's `main.rs` is the root of a binary target: every module it
+/// declares (`mod x;` → `src/x.rs`, `src/x/**`) is binary-target code too.
+fn mark_main_modules(files: &mut [InputFile]) {
+    let Some(main) = files.iter().find(|f| f.rel.ends_with("/src/main.rs")) else {
+        return;
+    };
+    let src_dir = main.rel.trim_end_matches("main.rs").to_string();
+    let modules: Vec<String> = main
+        .src
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("mod ")?.strip_suffix(';'))
+        .map(|m| format!("{src_dir}{}", m.trim()))
+        .collect();
+    for f in files.iter_mut() {
+        let stem = f.rel.trim_end_matches(".rs");
+        if modules
+            .iter()
+            .any(|m| stem == m || stem.starts_with(&format!("{m}/")))
+        {
+            f.is_bin = true;
+        }
+    }
 }
 
 fn collect_rs(

@@ -96,3 +96,19 @@ fn json_reports_rule_ids_and_nonzero_exit_on_violations() {
     assert!(json.contains("\"d-wallclock\""), "{json}");
     assert!(json.contains("\"violations_by_rule\""), "{json}");
 }
+
+#[test]
+fn modules_declared_by_main_rs_are_binary_code() {
+    let files = scilint::walk_workspace(&repo_root()).expect("walk workspace");
+    let is_bin = |rel: &str| {
+        let f = files.iter().find(|f| f.rel == rel);
+        f.unwrap_or_else(|| panic!("{rel} is walked")).is_bin
+    };
+    // The bench runner's experiments hang off `main.rs`; its library does not.
+    assert!(is_bin("crates/bench/src/main.rs"));
+    assert!(is_bin("crates/bench/src/exp/mod.rs"));
+    assert!(is_bin("crates/bench/src/exp/fig5.rs"));
+    assert!(!is_bin("crates/bench/src/lib.rs"));
+    // scilint's own `main.rs` declares no modules: its library stays in scope.
+    assert!(!is_bin("crates/scilint/src/engine.rs"));
+}

@@ -163,17 +163,6 @@ impl Rng {
         }
     }
 
-    /// Uniform integer in `[lo, hi]` (inclusive).
-    #[inline]
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo <= hi);
-        let span = hi - lo;
-        if span == u64::MAX {
-            return self.next_u64();
-        }
-        lo + self.below((span + 1) as usize) as u64
-    }
-
     /// Uniform in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn f64(&mut self) -> f64 {

@@ -254,6 +254,15 @@ impl FaultPlan {
         self
     }
 
+    /// The plan seed CI's fault-seed matrix selects: `SCIDP_FAULT_SEED`
+    /// when it is set to a `u64`, else `default`.
+    pub fn env_seed(default: u64) -> u64 {
+        std::env::var("SCIDP_FAULT_SEED")
+            .ok()
+            .and_then(|s| s.parse().ok())
+            .unwrap_or(default)
+    }
+
     /// Fail the `nth` (1-based) timed read of `path`.
     pub fn fail_read(mut self, path: impl Into<String>, nth: u64) -> FaultPlan {
         self.read_faults.push((path.into(), nth));
@@ -459,16 +468,6 @@ impl FaultInjector {
         self.injected
     }
 
-    /// Total corrupted deliveries injected so far (diagnostics).
-    pub fn injected_corruptions(&self) -> u64 {
-        self.corrupted
-    }
-
-    /// Total reads hung so far (diagnostics).
-    pub fn injected_read_hangs(&self) -> u64 {
-        self.hung
-    }
-
     /// Record one timed read of `path`; returns `Some(nth)` when this read
     /// must fail (either a planned `(path, nth)` fault or a probabilistic
     /// one). Called by the storage clients at the top of every timed read.
@@ -631,18 +630,6 @@ impl FaultInjector {
             .any(|p| p.active(now) && p.nodes.contains(&node))
     }
 
-    /// The earliest heal time among partitions isolating `node` that are
-    /// active at `now` (`None` if the node is not isolated). A finite value
-    /// tells the failure detector when to re-probe for reinstatement.
-    pub fn partition_heal_time(&self, node: u32, now: f64) -> Option<f64> {
-        self.plan
-            .partitions
-            .iter()
-            .filter(|p| p.active(now) && p.nodes.contains(&node))
-            .map(|p| p.heal_at_s)
-            .fold(None, |acc, t| Some(acc.map_or(t, |a: f64| a.min(t))))
-    }
-
     /// Bandwidth-degradation factor for the undirected link between `a`
     /// and `b` (1.0 = healthy; transfers take `factor`× as long).
     pub fn link_slowdown(&self, a: u32, b: u32) -> f64 {
@@ -741,7 +728,7 @@ mod tests {
             "re-read is clean"
         );
         assert_eq!(inj.take_read_outcome("g"), ReadOutcome::Clean);
-        assert_eq!(inj.injected_corruptions(), 1);
+        assert_eq!(inj.corrupted, 1);
         assert_eq!(inj.injected_read_failures(), 0);
     }
 
@@ -826,7 +813,7 @@ mod tests {
         assert_eq!(inj.take_read_outcome("f"), ReadOutcome::Hang { nth: 2 });
         assert_eq!(inj.take_read_outcome("f"), ReadOutcome::Clean);
         assert_eq!(inj.take_read_outcome("g"), ReadOutcome::Clean);
-        assert_eq!(inj.injected_read_hangs(), 1);
+        assert_eq!(inj.hung, 1);
         assert_eq!(inj.injected_read_failures(), 0);
     }
 
@@ -862,8 +849,6 @@ mod tests {
         assert!(!inj.partitioned(0, 3, 15.0), "same side stays connected");
         assert!(inj.partition_isolated(1, 15.0));
         assert!(!inj.partition_isolated(0, 15.0));
-        assert_eq!(inj.partition_heal_time(1, 15.0), Some(20.0));
-        assert_eq!(inj.partition_heal_time(1, 25.0), None);
     }
 
     #[test]
@@ -871,7 +856,6 @@ mod tests {
         let mut inj = FaultInjector::default();
         inj.install(FaultPlan::none().partition(&[2], 5.0, f64::INFINITY));
         assert!(inj.partition_isolated(2, 1e12));
-        assert_eq!(inj.partition_heal_time(2, 6.0), Some(f64::INFINITY));
     }
 
     #[test]

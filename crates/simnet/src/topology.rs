@@ -207,11 +207,6 @@ impl Topology {
             disk,
         ]
     }
-
-    /// The storage node hosting a global OST index.
-    pub fn ost_home(&self, ost: usize) -> StorageNodeId {
-        self.ost_index[ost].0
-    }
 }
 
 #[cfg(test)]
@@ -241,9 +236,9 @@ mod tests {
                 ..ClusterSpec::default()
             },
         );
-        assert_eq!(t.ost_home(0), StorageNodeId(0));
-        assert_eq!(t.ost_home(1), StorageNodeId(1));
-        assert_eq!(t.ost_home(4), StorageNodeId(0));
+        assert_eq!(t.ost_index[0].0, StorageNodeId(0));
+        assert_eq!(t.ost_index[1].0, StorageNodeId(1));
+        assert_eq!(t.ost_index[4].0, StorageNodeId(0));
     }
 
     #[test]

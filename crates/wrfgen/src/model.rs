@@ -70,11 +70,6 @@ impl WrfSpec {
         self.levels * self.lat * self.lon * 4
     }
 
-    /// Logical raw bytes of one variable (paper: ~298 MB).
-    pub fn var_raw_bytes_logical(&self) -> f64 {
-        self.var_raw_bytes() as f64 * self.scale_factor()
-    }
-
     /// File name of timestamp `t` (NU-WRF writes one file per timestamp,
     /// e.g. `plot_18_00_00.nc` in the paper's example).
     pub fn file_name(&self, t: usize) -> String {
@@ -130,7 +125,7 @@ mod tests {
     fn scale_factor_recovers_paper_bytes() {
         let s = WrfSpec::scaled(125, 125, 48);
         assert_eq!(s.scale_factor(), 100.0);
-        let logical_mb = s.var_raw_bytes_logical() / 1e6;
+        let logical_mb = s.var_raw_bytes() as f64 * s.scale_factor() / 1e6;
         assert!((logical_mb - 312.5).abs() < 1.0);
     }
 

@@ -120,23 +120,6 @@ fn slab_job(var: &Arc<VarMeta>, off: usize, admit: Option<bool>, out: &str) -> J
     job
 }
 
-/// Committed reduce output: path-sorted (file, bytes) pairs.
-fn read_output(c: &Cluster, dir: &str) -> Vec<(String, Vec<u8>)> {
-    let h = c.hdfs.borrow();
-    let mut files = h.namenode.list_files_recursive(dir).unwrap();
-    files.sort_by(|a, b| a.path.cmp(&b.path));
-    files
-        .iter()
-        .map(|f| {
-            let mut data = Vec::new();
-            for b in h.namenode.blocks(&f.path).unwrap() {
-                data.extend_from_slice(&h.datanodes.get(b.locations()[0], b.id).unwrap());
-            }
-            (f.path.clone(), data)
-        })
-        .collect()
-}
-
 /// Strip the output-dir prefix so runs into different dirs compare equal.
 fn relative(out: Vec<(String, Vec<u8>)>, dir: &str) -> Vec<(String, Vec<u8>)> {
     out.into_iter()
@@ -148,7 +131,7 @@ fn relative(out: Vec<(String, Vec<u8>)>, dir: &str) -> Vec<(String, Vec<u8>)> {
 fn cold_reference() -> Vec<(String, Vec<u8>)> {
     let (mut c, var, off) = fresh_cluster();
     run_job(&mut c, slab_job(&var, off, None, "cold")).unwrap();
-    relative(read_output(&c, "cold"), "cold")
+    relative(c.read_output("cold").unwrap(), "cold")
 }
 
 #[test]
@@ -197,12 +180,12 @@ fn warm_rerun_byte_identical_with_exact_counters() {
             warm.elapsed()
         );
         assert_eq!(
-            relative(read_output(&c, "o1"), "o1"),
+            relative(c.read_output("o1").unwrap(), "o1"),
             reference,
             "seed {seed} cold"
         );
         assert_eq!(
-            relative(read_output(&c, "o2"), "o2"),
+            relative(c.read_output("o2").unwrap(), "o2"),
             reference,
             "seed {seed} warm"
         );
@@ -248,7 +231,10 @@ fn killed_node_loses_its_cache_entries() {
             1.0,
             "seed {seed}: exactly the invalidated chunk re-reads"
         );
-        let out = relative(read_output(&c, &format!("k{seed}")), &format!("k{seed}"));
+        let out = relative(
+            c.read_output(&format!("k{seed}")).unwrap(),
+            &format!("k{seed}"),
+        );
         assert_eq!(
             out, reference,
             "seed {seed}: kill variant diverged from cold"
@@ -383,7 +369,7 @@ fn dag_rerun_serves_source_stage_from_cache() {
         let plan = Dataset::from_splits(slab_splits(&var, off, Some(false)), read.clone())
             .reduce_by_key(2, agg.clone());
         let r = run_dag(c, DagJob::new("cc-dag", plan, out.to_string())).unwrap();
-        (r, relative(read_output(c, out), out))
+        (r, relative(c.read_output(out).unwrap(), out))
     };
     let (r1, out1) = run("d1", &mut c);
     assert_eq!(r1.counters.get(keys::CLUSTER_CACHE_MISSES), N_CHUNKS as f64);

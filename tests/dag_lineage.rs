@@ -110,22 +110,10 @@ fn pipeline_plan(splits: Vec<InputSplit>) -> Dataset {
 }
 
 /// Non-empty committed files under `dir`, as (path, bytes) sorted by path.
-fn read_output(c: &Cluster, dir: &str) -> Vec<(String, Vec<u8>)> {
-    let h = c.hdfs.borrow();
-    let mut files = h.namenode.list_files_recursive(dir).unwrap();
-    files.retain(|f| !f.path.contains("/_"));
-    files.sort_by(|a, b| a.path.cmp(&b.path));
+fn output_files(c: &Cluster, dir: &str) -> Vec<(String, Vec<u8>)> {
+    let mut files = c.read_output(dir).unwrap();
+    files.retain(|(_, d)| !d.is_empty());
     files
-        .iter()
-        .map(|f| {
-            let mut data = Vec::new();
-            for b in h.namenode.blocks(&f.path).unwrap() {
-                data.extend_from_slice(&h.datanodes.get(b.locations()[0], b.id).unwrap());
-            }
-            (f.path.clone(), data)
-        })
-        .filter(|(_, d)| !d.is_empty())
-        .collect()
 }
 
 /// File contents only, for comparisons across different naming schemes
@@ -199,7 +187,7 @@ fn run_hand_chained(c: &mut Cluster) -> (Vec<(String, Vec<u8>)>, usize) {
         + r1.counters.get(keys::REDUCE_TASKS)
         + r2.counters.get(keys::MAP_TASKS)
         + r2.counters.get(keys::REDUCE_TASKS)) as usize;
-    (read_output(c, "chain2"), tasks)
+    (output_files(c, "chain2"), tasks)
 }
 
 #[test]
@@ -215,7 +203,7 @@ fn dag_output_matches_hand_chained_single_stage_jobs() {
     )
     .unwrap();
     assert_eq!(r.n_stages, 3);
-    let dag_out = read_output(&dagged, "dagout");
+    let dag_out = output_files(&dagged, "dagout");
     assert_eq!(
         contents(&dag_out),
         contents(&chain_out),
@@ -231,7 +219,7 @@ fn dag_output_is_identical_under_fault_seeds_1_to_3() {
         DagJob::new("pipe", pipeline_plan(flat_splits()), "dagout"),
     )
     .unwrap();
-    let clean_out = read_output(&clean, "dagout");
+    let clean_out = output_files(&clean, "dagout");
     assert!(!clean_out.is_empty());
     assert_eq!(rc.counters.get(keys::LINEAGE_RECOMPUTES), 0.0);
 
@@ -256,7 +244,7 @@ fn dag_output_is_identical_under_fault_seeds_1_to_3() {
             "seed {seed}: failed reads were retried"
         );
         assert_eq!(
-            read_output(&c, "dagout"),
+            output_files(&c, "dagout"),
             clean_out,
             "seed {seed}: read faults must not change committed bytes"
         );
@@ -304,7 +292,7 @@ fn killed_node_recomputes_exactly_its_upstream_chain() {
     let rc = run_dag(&mut clean, mk_dag()).unwrap();
     assert_eq!(rc.n_stages, 3);
     assert_eq!(rc.counters.get(keys::STAGES_RUN), 3.0);
-    let clean_out = read_output(&clean, "dagout");
+    let clean_out = output_files(&clean, "dagout");
     let s2_start = rc
         .runs
         .iter()
@@ -341,7 +329,7 @@ fn killed_node_recomputes_exactly_its_upstream_chain() {
     assert!(rf.tasks_executed() > rf.total_tasks);
     assert!(rf.tasks_executed() < 2 * rf.total_tasks);
     assert_eq!(
-        read_output(&faulted, "dagout"),
+        output_files(&faulted, "dagout"),
         clean_out,
         "recovered output must be byte-identical to the clean run"
     );

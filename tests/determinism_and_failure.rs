@@ -194,29 +194,11 @@ mod integrity {
         }
     }
 
-    /// Committed output under `dir`, read back from the datanodes and
-    /// sorted by path for bit-for-bit comparison.
-    fn read_output(c: &Cluster, dir: &str) -> Vec<(String, Vec<u8>)> {
-        let h = c.hdfs.borrow();
-        let mut files = h.namenode.list_files_recursive(dir).unwrap();
-        files.sort_by(|a, b| a.path.cmp(&b.path));
-        files
-            .iter()
-            .map(|f| {
-                let mut data = Vec::new();
-                for b in h.namenode.blocks(&f.path).unwrap() {
-                    data.extend_from_slice(&h.datanodes.get(b.locations()[0], b.id).unwrap());
-                }
-                (f.path.clone(), data)
-            })
-            .collect()
-    }
-
     #[test]
     fn transient_corruption_repaired_with_identical_output_and_exact_counts() {
         let (mut clean, ds) = world(7);
         let rep = run_scidp(&mut clean, &ds.pfs_uri(), &cfg()).unwrap();
-        let clean_out = read_output(&clean, "scidp_out");
+        let clean_out = clean.read_output("scidp_out").unwrap();
         assert!(!clean_out.is_empty());
         assert_eq!(rep.job.counters.get(keys::CORRUPTION_DETECTED), 0.0);
         let verified_clean = rep.job.counters.get(keys::CHECKSUM_VERIFIED_BYTES);
@@ -230,7 +212,7 @@ mod integrity {
         );
         let rep2 = run_scidp(&mut faulty, &ds2.pfs_uri(), &cfg()).unwrap();
         assert_eq!(
-            read_output(&faulty, "scidp_out"),
+            faulty.read_output("scidp_out").unwrap(),
             clean_out,
             "repaired run must commit byte-identical output"
         );
@@ -268,7 +250,7 @@ mod integrity {
         let (mut c, ds) = world(3);
         let rep = run_scidp(&mut c, &ds.pfs_uri(), &cfg()).unwrap();
         assert!(rep.job.counters.get(keys::HDFS_WRITE_BYTES) > 0.0);
-        let out_before = read_output(&c, "scidp_out");
+        let out_before = c.read_output("scidp_out").unwrap();
         let (dump_before, checkpoints) = {
             let h = c.hdfs.borrow();
             (
@@ -289,17 +271,14 @@ mod integrity {
             "recovered namespace must be identical (checkpointed: {checkpoints})"
         );
         // Block data still resolves through the recovered namespace.
-        assert_eq!(read_output(&c, "scidp_out"), out_before);
+        assert_eq!(c.read_output("scidp_out").unwrap(), out_before);
     }
 
     #[test]
     fn corrupted_runs_reproduce_bit_identically_for_any_plan_seed() {
         // CI re-runs this under several SCIDP_FAULT_SEED values: the seed
         // may change *which byte* flips, never whether the run reproduces.
-        let seed: u64 = std::env::var("SCIDP_FAULT_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1);
+        let seed = FaultPlan::env_seed(1);
         let run = || {
             let (mut c, ds) = world(5);
             c.sim.faults.install(
@@ -316,7 +295,11 @@ mod integrity {
                 .iter()
                 .filter(|(k, _)| *k != keys::CODEC_DECODE_S)
                 .collect();
-            (rep.total_time(), counters, read_output(&c, "scidp_out"))
+            (
+                rep.total_time(),
+                counters,
+                c.read_output("scidp_out").unwrap(),
+            )
         };
         let a = run();
         let b = run();
@@ -417,24 +400,6 @@ mod faults {
         }
     }
 
-    /// Read the committed reduce output back from the HDFS datanodes,
-    /// sorted by path, so two runs can be compared byte for byte.
-    fn read_output(c: &Cluster) -> Vec<(String, Vec<u8>)> {
-        let h = c.hdfs.borrow();
-        let mut files = h.namenode.list_files_recursive("out").unwrap();
-        files.sort_by(|a, b| a.path.cmp(&b.path));
-        files
-            .iter()
-            .map(|f| {
-                let mut data = Vec::new();
-                for b in h.namenode.blocks(&f.path).unwrap() {
-                    data.extend_from_slice(&h.datanodes.get(b.locations()[0], b.id).unwrap());
-                }
-                (f.path.clone(), data)
-            })
-            .collect()
-    }
-
     /// Run the job under `plan`; returns (elapsed, counters, output files).
     fn run_with_plan(
         plan: FaultPlan,
@@ -446,7 +411,7 @@ mod faults {
         let mut c = fault_cluster();
         c.sim.faults.install(plan);
         let r = run_job(&mut c, byte_count_job(FtConfig::default())).unwrap();
-        let out = read_output(&c);
+        let out = c.read_output("out").unwrap();
         (r.elapsed(), r.counters, out)
     }
 
@@ -499,7 +464,7 @@ mod faults {
             c.sim.faults.injected_read_failures() >= 2,
             "both planned read faults fired"
         );
-        assert_eq!(read_output(&c), clean_out);
+        assert_eq!(c.read_output("out").unwrap(), clean_out);
         assert_eq!(data_counters(&r.counters), data_counters(&clean_cnt));
         assert!(
             r.counters.get(keys::TASK_RETRIES) >= 1.0,

@@ -84,7 +84,6 @@ fn scidp_slabs_equal_direct_reads() {
 /// checksummed chunk-data region.
 #[test]
 fn single_byte_flip_is_detected_or_harmless_never_wrong() {
-    use scidp_suite::mapreduce::Cluster;
     use scidp_suite::scidp::ScidpError;
 
     let spec = WrfSpec::tiny(1);
@@ -97,21 +96,6 @@ fn single_byte_flip_is_detected_or_harmless_never_wrong() {
         let mut cluster = paper_cluster(2, &spec);
         let ds = stage_nuwrf(&mut cluster, &spec, "nuwrf");
         (cluster, ds)
-    };
-    let read_output = |c: &Cluster| -> Vec<(String, Vec<u8>)> {
-        let h = c.hdfs.borrow();
-        let mut files = h.namenode.list_files_recursive("scidp_out").unwrap();
-        files.sort_by(|a, b| a.path.cmp(&b.path));
-        files
-            .iter()
-            .map(|f| {
-                let mut data = Vec::new();
-                for b in h.namenode.blocks(&f.path).unwrap() {
-                    data.extend_from_slice(&h.datanodes.get(b.locations()[0], b.id).unwrap());
-                }
-                (f.path.clone(), data)
-            })
-            .collect()
     };
 
     // Clean reference run.
@@ -130,7 +114,7 @@ fn single_byte_flip_is_detected_or_harmless_never_wrong() {
         .meta()
         .data_offset;
     run_scidp(&mut clean, &ds.pfs_uri(), &cfg()).unwrap();
-    let clean_out = read_output(&clean);
+    let clean_out = clean.read_output("scidp_out").unwrap();
     assert!(!clean_out.is_empty());
     // Every chunk frame of the container, as a byte range of the file.
     let frames: Vec<std::ops::Range<usize>> = {
@@ -175,7 +159,7 @@ fn single_byte_flip_is_detected_or_harmless_never_wrong() {
                 // Flip was off the read path (skipped variable, slack
                 // space) — the committed output must be bit-identical.
                 assert_eq!(
-                    read_output(&c),
+                    c.read_output("scidp_out").unwrap(),
                     clean_out,
                     "flip at byte {pos} silently changed the output"
                 );

@@ -24,24 +24,6 @@ fn world(seed: u64) -> (Cluster, StagedDataset) {
     (cluster, ds)
 }
 
-/// Committed output under `dir`, read back from the datanodes and sorted
-/// by path for bit-for-bit comparison.
-fn read_output(c: &Cluster, dir: &str) -> Vec<(String, Vec<u8>)> {
-    let h = c.hdfs.borrow();
-    let mut files = h.namenode.list_files_recursive(dir).unwrap();
-    files.sort_by(|a, b| a.path.cmp(&b.path));
-    files
-        .iter()
-        .map(|f| {
-            let mut data = Vec::new();
-            for b in h.namenode.blocks(&f.path).unwrap() {
-                data.extend_from_slice(&h.datanodes.get(b.locations()[0], b.id).unwrap());
-            }
-            (f.path.clone(), data)
-        })
-        .collect()
-}
-
 fn scan(c: &mut Cluster, uri: &str, sql: &str, pushdown: bool, chunk_split: usize) -> JobResult {
     let cfg = SqlScanConfig {
         pushdown,
@@ -69,7 +51,7 @@ fn pushdown_matches_full_scan_clean_cached_and_faulted() {
             // Clean full scan is the reference output.
             let (mut full, ds) = world(seed);
             let r_full = scan(&mut full, &ds.pfs_uri(), sql, false, 1);
-            let reference = read_output(&full, "sql_out");
+            let reference = full.read_output("sql_out").unwrap();
             assert!(!reference.is_empty(), "seed {seed}: {sql}: no output");
             assert_eq!(
                 r_full.counters.get(keys::CHUNKS_SKIPPED_ZONEMAP),
@@ -81,7 +63,7 @@ fn pushdown_matches_full_scan_clean_cached_and_faulted() {
             let (mut push, ds2) = world(seed);
             let r_push = scan(&mut push, &ds2.pfs_uri(), sql, true, 1);
             assert_eq!(
-                read_output(&push, "sql_out"),
+                push.read_output("sql_out").unwrap(),
                 reference,
                 "seed {seed}: {sql}: pushdown changed the committed bytes"
             );
@@ -101,11 +83,11 @@ fn pushdown_matches_full_scan_clean_cached_and_faulted() {
             // same splits, so their outputs must still match each other.
             let (mut full_c, ds3) = world(seed);
             scan(&mut full_c, &ds3.pfs_uri(), sql, false, 2);
-            let reference_split = read_output(&full_c, "sql_out");
+            let reference_split = full_c.read_output("sql_out").unwrap();
             let (mut push_c, ds4) = world(seed);
             let r_pc = scan(&mut push_c, &ds4.pfs_uri(), sql, true, 2);
             assert_eq!(
-                read_output(&push_c, "sql_out"),
+                push_c.read_output("sql_out").unwrap(),
                 reference_split,
                 "seed {seed}: {sql}: cached pushdown diverged"
             );
@@ -122,7 +104,7 @@ fn pushdown_matches_full_scan_clean_cached_and_faulted() {
                 .install(FaultPlan::none().corrupt_read(ds5.info.files[0].clone(), 1));
             scan(&mut faulty_full, &ds5.pfs_uri(), sql, false, 1);
             assert_eq!(
-                read_output(&faulty_full, "sql_out"),
+                faulty_full.read_output("sql_out").unwrap(),
                 reference,
                 "seed {seed}: {sql}: repaired full scan diverged"
             );
@@ -133,7 +115,7 @@ fn pushdown_matches_full_scan_clean_cached_and_faulted() {
                 .install(FaultPlan::none().corrupt_read(ds6.info.files[0].clone(), 1));
             scan(&mut faulty_push, &ds6.pfs_uri(), sql, true, 1);
             assert_eq!(
-                read_output(&faulty_push, "sql_out"),
+                faulty_push.read_output("sql_out").unwrap(),
                 reference,
                 "seed {seed}: {sql}: repaired pushdown diverged"
             );
@@ -216,7 +198,7 @@ fn unstamped_container_scans_with_zero_value_skips() {
             ..SqlScanConfig::new(["QR"], sql)
         };
         let r = run_sql_scan(&mut c, "lustre://plain", &cfg).unwrap();
-        (read_output(&c, "sql_out"), r)
+        (c.read_output("sql_out").unwrap(), r)
     };
     let (reference, _) = run(true, false);
     let (stamped_out, stamped) = run(true, true);
@@ -277,7 +259,7 @@ fn boundary_allnull_and_single_element_chunks() {
             ..SqlScanConfig::new(["QR"], sql)
         };
         let r = run_sql_scan(&mut c, "lustre://edge", &cfg).unwrap();
-        (read_output(&c, "sql_out"), r)
+        (c.read_output("sql_out").unwrap(), r)
     };
     let (reference, _) = run(false);
     let (out, r) = run(true);
@@ -394,7 +376,7 @@ fn streamed_pushdown_over_a_multi_chunk_split_matches_the_get_vara_oracle() {
             )
         };
         let r = run_job(&mut c, job).expect("job survives its fault plan");
-        (read_output(&c, "push_out"), r)
+        (c.read_output("push_out").unwrap(), r)
     };
     let data_counters = |r: &JobResult| {
         [

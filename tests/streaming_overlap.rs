@@ -103,23 +103,6 @@ fn flat_job(stream: StreamConfig) -> Job {
     }
 }
 
-/// Committed reduce output, sorted by path, for byte-for-byte comparison.
-fn read_output(c: &Cluster, dir: &str) -> Vec<(String, Vec<u8>)> {
-    let h = c.hdfs.borrow();
-    let mut files = h.namenode.list_files_recursive(dir).unwrap();
-    files.sort_by(|a, b| a.path.cmp(&b.path));
-    files
-        .iter()
-        .map(|f| {
-            let mut data = Vec::new();
-            for b in h.namenode.blocks(&f.path).unwrap() {
-                data.extend_from_slice(&h.datanodes.get(b.locations()[0], b.id).unwrap());
-            }
-            (f.path.clone(), data)
-        })
-        .collect()
-}
-
 /// Data-plane counters that must be exact in both fetch modes. Cache and
 /// timing counters legitimately differ and are excluded.
 fn data_counters(cnt: &Counters) -> Vec<(&'static str, f64)> {
@@ -140,7 +123,7 @@ fn run_flat(plan: FaultPlan, stream: StreamConfig) -> (JobResult, Vec<(String, V
     let mut c = flat_cluster();
     c.sim.faults.install(plan);
     let r = run_job(&mut c, flat_job(stream)).expect("job survives its fault plan");
-    let out = read_output(&c, "out");
+    let out = c.read_output("out").unwrap();
     (r, out)
 }
 
@@ -370,7 +353,7 @@ mod integrity {
         let mut clean = snc_cluster();
         let job = slab_job(&mut clean, batch());
         run_job(&mut clean, job).unwrap();
-        let want = read_output(&clean, "slab_out");
+        let want = clean.read_output("slab_out").unwrap();
         assert!(!want.is_empty());
 
         // Streamed run with the second chunk read corrupted once: the CRC
@@ -382,7 +365,7 @@ mod integrity {
             .install(FaultPlan::none().corrupt_read(SNC_PATH, 2));
         let job = slab_job(&mut c, StreamConfig::default());
         let r = run_job(&mut c, job).unwrap();
-        assert_eq!(read_output(&c, "slab_out"), want);
+        assert_eq!(c.read_output("slab_out").unwrap(), want);
         assert_eq!(r.counters.get(keys::CORRUPTION_DETECTED), 1.0);
         assert_eq!(r.counters.get(keys::CORRUPTION_REPAIRED), 1.0);
         assert_eq!(r.counters.get(keys::CHUNKS_QUARANTINED), 0.0);
@@ -413,7 +396,10 @@ mod integrity {
             let mut c = snc_cluster();
             let job = slab_job(&mut c, stream);
             let r = run_job(&mut c, job).unwrap();
-            (read_output(&c, "slab_out"), data_counters(&r.counters))
+            (
+                c.read_output("slab_out").unwrap(),
+                data_counters(&r.counters),
+            )
         };
         let (bout, bcnt) = run(batch());
         let (sout, scnt) = run(StreamConfig::default());

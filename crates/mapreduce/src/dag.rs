@@ -34,7 +34,7 @@ use crate::dataset::{Dataset, GroupFn, PairFilterFn, PairMapFn, PlanNode, Record
 use crate::input::{FetchDone, FetchResult, InputSplit, SplitFetcher, TaskInput};
 use crate::job::{
     countdown, group_by_key, kv_bytes, serialize_kvs, submit_stage, FtConfig, Job, JobResult, Kv,
-    MapFn, MapOutput, MrError, Payload, StreamConfig, TaskCtx,
+    MapFn, MapOutput, MrError, NodeTable, Payload, StreamConfig, TaskCtx,
 };
 
 // ---------------------------------------------------------------------------
@@ -139,6 +139,10 @@ pub(crate) struct ShuffleSink {
     /// as stage partition `task_ids[i]`.
     task_ids: Rc<Vec<usize>>,
     store: SharedShuffleStore,
+    /// The node table (failure tallies, blacklist, suspicion ladder) the
+    /// DAG's previous stage submission ended with: this one starts from it
+    /// and leaves its own here when it ends.
+    pub(crate) node_health: Rc<RefCell<Option<NodeTable>>>,
 }
 
 impl ShuffleSink {
@@ -482,6 +486,8 @@ struct DagDriver {
     producer: BTreeMap<u64, usize>,
     final_stage: usize,
     store: SharedShuffleStore,
+    /// Node health handed from each stage submission to the next.
+    node_health: Rc<RefCell<Option<NodeTable>>>,
     /// `(stage, partition)` pairs that have ever committed: resubmitting
     /// one is a lineage recompute.
     committed_once: BTreeSet<(usize, usize)>,
@@ -572,6 +578,7 @@ pub fn submit_dag(
         producer,
         final_stage,
         store: store.clone(),
+        node_health: Rc::default(),
         committed_once: BTreeSet::new(),
         counters: Counters::new(),
         runs: Vec::new(),
@@ -720,6 +727,7 @@ fn run_stage(sim: &mut Sim, d: &SharedDag, idx: usize, missing: Vec<usize>, reco
             n_partitions: stage.out_partitions,
             task_ids: Rc::new(missing.clone()),
             store: dd.store.clone(),
+            node_health: dd.node_health.clone(),
         };
         (job, sink, dd.env.clone(), stage.op)
     };

@@ -29,7 +29,7 @@ mod speculate;
 pub(crate) use commit::{countdown, group_by_key, kv_bytes, serialize_kvs, MapOutput};
 
 use attempt::{AttemptInfo, TaskTable};
-use nodes::NodeTable;
+pub(crate) use nodes::NodeTable;
 
 /// Task- or job-level failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -507,6 +507,16 @@ impl Driver {
         self.done_cb.is_some()
     }
 
+    /// End the job, either way: take the completion callback (once) and, for
+    /// a DAG stage, leave the node table for the DAG's next stage submission.
+    fn end(&mut self) -> Option<JobDone> {
+        let cb = self.done_cb.take()?;
+        if let Some(sink) = &self.sink {
+            *sink.node_health.borrow_mut() = Some(self.nodes.clone());
+        }
+        Some(cb)
+    }
+
     /// The quorum check: `Some(error)` when the graceful-degradation floor
     /// is breached.
     fn quorum_breach(&self) -> Option<MrError> {
@@ -576,10 +586,18 @@ pub(crate) fn submit_stage(
     }
     let n_maps = job.splits.len();
     let now = sim.now().secs();
-    // Nodes the fault plan has already killed start out dead.
-    let nodes = NodeTable::new(env.topo.n_compute(), env.slots_per_node, |n| {
-        sim.faults.node_dead(n.0, now)
-    });
+    // Nodes the fault plan has already killed start out dead; a DAG stage
+    // starts from the health its predecessor ended with.
+    let carried = sink
+        .as_ref()
+        .and_then(|s| s.node_health.borrow_mut().take());
+    let dead = |n: NodeId| sim.faults.node_dead(n.0, now);
+    let nodes = NodeTable::new(
+        env.topo.n_compute(),
+        env.slots_per_node,
+        carried.as_ref(),
+        dead,
+    );
     // A node dead before this job started must not keep ghost entries in
     // the cluster cache tier (its memory died with it) — the mid-job kill
     // path does the same when it withdraws the node.
@@ -663,7 +681,7 @@ fn fail_job(sim: &mut Sim, d: &SharedDriver, e: MrError) {
         // continuations see a dead attempt and can no longer mutate
         // counters or reports.
         dd.tasks.abandon();
-        dd.done_cb.take()
+        dd.end()
     };
     if let Some(cb) = cb {
         cb(sim, Err(e));
@@ -673,7 +691,7 @@ fn fail_job(sim: &mut Sim, d: &SharedDriver, e: MrError) {
 fn complete(sim: &mut Sim, d: &SharedDriver) {
     let (result, cb) = {
         let mut dd = d.borrow_mut();
-        let Some(cb) = dd.done_cb.take() else {
+        let Some(cb) = dd.end() else {
             return;
         };
         let mut tasks = std::mem::take(&mut dd.reports);

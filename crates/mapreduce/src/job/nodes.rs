@@ -54,27 +54,34 @@ pub(super) struct Beat {
     pub slots_back: bool,
 }
 
-pub(super) struct NodeTable {
+#[derive(Clone)]
+pub(crate) struct NodeTable {
     slots_per_node: usize,
     nodes: Vec<NodeState>,
 }
 
 impl NodeTable {
     /// `n` nodes with `slots_per_node` free slots each; nodes `dead_at_start`
-    /// names begin dead with none.
+    /// names begin dead with none. A stage of a DAG starts from the health
+    /// (failure tallies, blacklist, suspicion ladder, deaths) the previous
+    /// stage submission `carried` over, with every slot free again: a failed
+    /// stage abandons its attempts without releasing theirs.
     pub fn new(
         n: usize,
         slots_per_node: usize,
+        carried: Option<&NodeTable>,
         dead_at_start: impl Fn(NodeId) -> bool,
     ) -> NodeTable {
         let nodes = (0..n as u32)
             .map(|i| {
-                let dead = dead_at_start(NodeId(i));
-                NodeState {
-                    free_slots: if dead { 0 } else { slots_per_node },
-                    dead,
-                    ..NodeState::default()
-                }
+                let mut s = carried
+                    .and_then(|t| t.get(NodeId(i)))
+                    .cloned()
+                    .unwrap_or_default();
+                s.dead |= dead_at_start(NodeId(i));
+                let withdrawn = s.dead || s.declared_dead;
+                s.free_slots = if withdrawn { 0 } else { slots_per_node };
+                s
             })
             .collect();
         NodeTable {
@@ -163,7 +170,7 @@ impl NodeTable {
 
     /// Withdraw `n`'s slots; false when that withdrawal already happened
     /// (or the node is unknown) and there is nothing to do.
-    pub fn withdraw(&mut self, n: NodeId, why: Withdrawal) -> bool {
+    pub(super) fn withdraw(&mut self, n: NodeId, why: Withdrawal) -> bool {
         let Some(s) = self.get_mut(n) else {
             return false;
         };
@@ -183,7 +190,7 @@ impl NodeTable {
     /// resumed heartbeat walks it back down, returning a declared-dead
     /// node's slots. Dead and blacklisted nodes are permanently out of the
     /// detector's scope.
-    pub fn heartbeat(
+    pub(super) fn heartbeat(
         &mut self,
         n: NodeId,
         silent: bool,
@@ -221,7 +228,7 @@ mod tests {
 
     fn table() -> NodeTable {
         // Node 1 starts dead.
-        NodeTable::new(3, 2, |n| n == NodeId(1))
+        NodeTable::new(3, 2, None, |n| n == NodeId(1))
     }
 
     #[test]
@@ -292,6 +299,28 @@ mod tests {
         assert!(!t.charge_failure(NodeId(2), 0), "threshold 0 disables");
         assert_eq!(t.most_free(None), Some(NodeId(2)));
         assert_eq!(t.most_free(Some(NodeId(2))), None);
+    }
+
+    #[test]
+    fn next_stage_keeps_health_and_refills_slots() {
+        let mut t = table();
+        t.take_slot(NodeId(0));
+        assert!(!t.charge_failure(NodeId(0), 2));
+        assert!(t.charge_failure(NodeId(0), 2), "node 0 blacklisted");
+        t.take_slot(NodeId(2));
+        assert!(t.heartbeat(NodeId(2), true, 1, 1).declare_dead);
+        assert!(t.withdraw(NodeId(2), Withdrawal::DeclaredDead));
+        let mut next = NodeTable::new(3, 2, Some(&t), |_| false);
+        assert!(next.is_dead(NodeId(1)), "a kill is permanent");
+        assert_eq!(next.free(NodeId(0)), 0, "still blacklisted");
+        assert_eq!(next.live_slots(), 0);
+        // The declared-dead node is reinstated by its next heartbeat, at
+        // full width — its misses came along.
+        assert!(next.heartbeat(NodeId(2), false, 1, 1).slots_back);
+        assert_eq!(next.free(NodeId(2)), 2);
+        // Without a carried table a stage starts from scratch.
+        let fresh = NodeTable::new(3, 2, None, |_| false);
+        assert_eq!(fresh.live_slots(), 6);
     }
 
     #[test]

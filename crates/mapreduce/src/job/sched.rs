@@ -156,7 +156,7 @@ mod tests {
         /// 3 nodes x 2 slots; splits 0..4 with split 2 stored on node 1.
         fn new() -> World {
             World {
-                nodes: NodeTable::new(3, 2, |_| false),
+                nodes: NodeTable::new(3, 2, None, |_| false),
                 maps: (0..4).collect(),
                 reduces: VecDeque::new(),
                 splits: vec![split(&[]), split(&[]), split(&[1]), split(&[])],

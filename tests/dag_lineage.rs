@@ -7,7 +7,7 @@ use scidp_suite::mapreduce::{
     FlatPfsFetcher, FtConfig, InputSplit, Job, MrError, Payload, TaskInput,
 };
 use scidp_suite::pfs::PfsConfig;
-use scidp_suite::simnet::{ClusterSpec, CostModel, FaultPlan};
+use scidp_suite::simnet::{ClusterSpec, CostModel, FaultPlan, NodeId};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -333,4 +333,68 @@ fn killed_node_recomputes_exactly_its_upstream_chain() {
         clean_out,
         "recovered output must be byte-identical to the clean run"
     );
+}
+
+/// A DAG must not forget node health at a stage boundary: a node
+/// blacklisted in stage 0 (its reads failed `node_blacklist_threshold`
+/// times there) receives no attempt in stage 1.
+#[test]
+fn node_blacklisted_in_one_stage_gets_no_attempt_in_the_next() {
+    const PINNED: &str = "data/health.bin";
+    let mut c = dag_cluster(4, 2);
+    // 64 distinct byte values: every one of the 8 stage-1 partitions gets keys.
+    let bytes: Vec<u8> = (0..4096u32).map(|i| (i % 64) as u8).collect();
+    c.pfs.borrow_mut().create(PINNED.to_string(), bytes);
+    let ft = FtConfig {
+        max_task_attempts: 6,
+        ..FtConfig::default()
+    };
+    // Locality sends every retry of the one source split back to node 0
+    // until the third read failure there blacklists it.
+    let plan = (1..=ft.node_blacklist_threshold as u64)
+        .fold(FaultPlan::none(), |p, nth| p.fail_read(PINNED, nth));
+    c.sim.faults.install(plan);
+    let split = InputSplit {
+        length: 4096,
+        locations: vec![NodeId(0)],
+        fetcher: Rc::new(FlatPfsFetcher {
+            pfs_path: PINNED.to_string(),
+            offset: 0,
+            len: 4096,
+            sequential_chunks: 1,
+        }),
+    };
+    let n_parts = 8; // one stage-1 task per slot of the whole cluster
+    let plan = Dataset::from_splits(vec![split], Rc::new(|input, _ctx| count_records(input, ())))
+        .reduce_by_key(
+            n_parts,
+            Rc::new(|_k, values, _ctx| {
+                Ok(Payload::Bytes(
+                    sum_payloads(values)?.to_string().into_bytes(),
+                ))
+            }),
+        );
+    let job = DagJob {
+        ft,
+        ..DagJob::new("health", plan, "healthout")
+    };
+    let r = run_dag(&mut c, job).unwrap();
+    assert_eq!(r.counters.get(keys::NODE_BLACKLISTED), 1.0);
+    assert_eq!(r.counters.get(keys::TASK_RETRIES), 3.0);
+    assert_eq!(r.counters.get(keys::STAGES_RUN), 2.0);
+    // The DAG writes each final partition from the node that computed it,
+    // and HDFS places the first replica on the writer: the block locations
+    // of the part files are where stage 1's tasks ran.
+    let files = output_files(&c, "healthout");
+    assert_eq!(files.len(), n_parts, "every partition has keys");
+    let h = c.hdfs.borrow();
+    for (path, _) in &files {
+        for block in h.namenode.blocks(path).unwrap() {
+            assert_ne!(
+                block.locations()[0],
+                NodeId(0),
+                "{path} was computed on the node stage 0 blacklisted"
+            );
+        }
+    }
 }

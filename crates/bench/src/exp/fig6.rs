@@ -61,7 +61,7 @@ fn build_workload(pool: &DatasetPool) -> Workload {
 type Queue = Vec<(String, usize, usize, f64)>;
 
 /// The latest simulated second any reader finished at.
-fn finish(end: &Cell<f64>, sim: &simnet::Sim) {
+fn mark_end(end: &Cell<f64>, sim: &simnet::Sim) {
     end.set(end.get().max(sim.now().secs()));
 }
 
@@ -77,7 +77,7 @@ fn chained_reads(pool: &DatasetPool, queues: Vec<Queue>) -> f64 {
     }
     fn step(sim: &mut simnet::Sim, rank: Rc<Rank>, idx: usize) {
         let Some((path, off, len, post)) = rank.queue.get(idx).cloned() else {
-            return finish(&rank.end, sim);
+            return mark_end(&rank.end, sim);
         };
         let next = rank.clone();
         let (topo, pfs, node) = (&rank.topo, &rank.pfs, rank.node);
@@ -179,7 +179,7 @@ fn scidp_read(pool: &DatasetPool, w: &Workload, readers: usize) -> f64 {
     fn pump(sim: &mut simnet::Sim, d: Rc<Drain>, node: NodeId) {
         let Some(f) = d.tasks.borrow_mut().pop() else {
             if d.active.get() == 0 {
-                finish(&d.end, sim);
+                mark_end(&d.end, sim);
             }
             return;
         };

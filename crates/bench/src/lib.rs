@@ -253,14 +253,14 @@ fn slug(label: &str) -> String {
 }
 
 /// One printed value: seconds and factors by magnitude, flags as yes/no,
-/// whole numbers exactly, fractions to two (below 1: four) decimals.
+/// whole numbers exactly, fractions to two (below 10: three) decimals.
 fn fmt_cell(value: f64, unit: &str) -> String {
     match unit {
         "s" => fmt_s(value),
         "x" => fmt_x(value),
         "flag" => if value == 1.0 { "yes" } else { "no" }.to_string(),
         _ if value.fract() == 0.0 => format!("{value:.0}"),
-        _ if value.abs() < 1.0 => format!("{value:.4}"),
+        _ if value.abs() < 10.0 => format!("{value:.3}"),
         _ => format!("{value:.2}"),
     }
 }
@@ -286,8 +286,10 @@ impl Report {
 
     fn push_row(&mut self, name: String, value: f64, unit: &str, clock: Clock) {
         if self.rows.iter().any(|r| r.name == name) {
-            // Two rows of one name would make the baseline ambiguous.
-            self.push_check(None, &name, Rel::Eq, 0.0, "row name reported once");
+            // Two rows of one name would make the baseline ambiguous: fail
+            // the report (no row has this name, so its value is NaN).
+            let twice = format!("{name} (reported twice)");
+            self.push_check(None, &twice, Rel::Eq, 0.0, "row names are unique");
         }
         let unit = unit.to_string();
         self.rows.push(Row {
@@ -324,8 +326,8 @@ impl Report {
             "" | "x" | "flag" => head.to_string(),
             unit => format!("{head} ({unit})"),
         };
-        let mut grid = vec![vec![label_head.to_string()]];
-        grid[0].extend(cols.iter().map(head));
+        let heads = std::iter::once(label_head.to_string()).chain(cols.iter().map(head));
+        let mut grid: Vec<Vec<String>> = vec![heads.collect()];
         for (label, values) in lines {
             let mut cells = vec![label.clone()];
             for (&(key, _, unit, clock), &value) in cols.iter().zip(values) {
@@ -364,7 +366,7 @@ impl Report {
     /// The value of row `name`; NaN — which fails every relation — when
     /// there is no such row.
     pub fn v(&self, name: &str) -> f64 {
-        let row = self.rows.iter().rev().find(|r| r.name == name);
+        let row = self.rows.iter().find(|r| r.name == name);
         row.map_or(f64::NAN, |r| r.value)
     }
 
@@ -394,7 +396,7 @@ impl Report {
     /// [`Report::expect`] every target of a table of them.
     pub fn expect_all(&mut self, targets: &[Target<'_>]) {
         for &(name, rel, bound, why) in targets {
-            self.expect(name, rel, bound, why);
+            self.push_check(None, name, rel, bound, why);
         }
     }
 
@@ -413,7 +415,7 @@ impl Report {
             "flag",
             Clock::Count,
         );
-        self.expect(name, Rel::Eq, 1.0, why);
+        self.push_check(None, name, Rel::Eq, 1.0, why);
     }
 
     /// [`Report::check`] that two committed outputs (or counter maps) are the
@@ -990,8 +992,8 @@ mod tests {
     fn duplicate_row_names_fail_the_report() {
         let mut r = sample(1.0, 1.0);
         assert!(r.failures().is_empty());
-        r.row("tasks", 15.0, "", Clock::Count);
-        assert_eq!(r.failures().len(), 1);
+        r.row("tasks", 0.0, "", Clock::Count);
+        assert_eq!(r.failures().len(), 1, "whatever the duplicate's value");
         assert_eq!(slug("chunk-aligned (SciDP)"), "chunk_aligned_scidp");
         assert_eq!(scale(true).section(true), "quick");
         let seeded = Scale {

@@ -137,7 +137,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn read_output_returns_committed_files_in_path_order_or_a_typed_error() {
+    fn committed_output_reads_back_in_path_order_or_a_typed_error() {
         use simnet::NodeId;
         let spec = ClusterSpec::default();
         let pfs_cfg = PfsConfig {

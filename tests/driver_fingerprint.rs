@@ -1,4 +1,4 @@
-//! Driver fingerprint: the full timeline of six small runs, pinned as
+//! Driver fingerprint: the full timeline of seven small runs, pinned as
 //! `scirng::hash64` constants. The other suites compare runs with each
 //! other (determinism, byte identity); this one pins the event order
 //! itself — every task report (kind, index, node, start/end and each phase
@@ -6,8 +6,9 @@
 //! so a driver refactor that silently reorders events fails here.
 //!
 //! The constants were recorded at the commit *before* the driver was split
-//! into `job/*.rs`; a mismatch prints the full canonical text so the two
-//! sides can be diffed.
+//! into `job/*.rs` — (g) at the commit before the storage clients moved to
+//! one completion channel; a mismatch prints the full canonical text so the
+//! two sides can be diffed.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -514,6 +515,35 @@ fn f_connector_job_with_reducers_and_a_straggler() {
     check("connector/reduce", &out, FP_CONNECTOR_REDUCE);
 }
 
+/// A reduce attempt whose pull of one map's spill file fails mid-fan-out
+/// (siblings issued before and after it) retries and the job completes.
+#[test]
+fn g_connector_job_with_a_failed_spill_pull() {
+    const BYTES: u64 = 24 * 1024;
+    let mut c = cluster(3, 2, 4);
+    stage_flat(&c, BYTES, 11);
+    c.sim
+        .faults
+        .install(FaultPlan::none().fail_read("_spill/connector-p/m00002", 1));
+    let mut job = Job::new(
+        "connector-p",
+        flat_splits(BYTES, 8, 1),
+        count_map(2.0),
+        Some(sum_reduce()),
+        3,
+        "pout",
+    );
+    job.spill_to_pfs = true;
+    job.output_to_pfs = true;
+    let r = run_job(&mut c, job).unwrap();
+    assert_eq!(r.counters.get(keys::TASK_RETRIES), 1.0, "{:?}", r.counters);
+    assert_eq!(r.counters.get(keys::REDUCE_ATTEMPTS), 4.0);
+    let mut out = String::new();
+    job_text(&mut out, &r);
+    files_text(&mut out, &c, &["pout", "_spill"]);
+    check("connector/spill-pull", &out, FP_CONNECTOR_SPILL_PULL);
+}
+
 // ---------------------------------------------------------------------------
 // Recorded fingerprints
 // ---------------------------------------------------------------------------
@@ -525,3 +555,4 @@ const FP_DAG_CLEAN: u64 = 0xad19_8943_6c26_51ba;
 const FP_DAG_KILL: u64 = 0x962f_eb56_8705_fab8;
 const FP_CONNECTOR_MAP_ONLY: u64 = 0xbcfb_2360_3ba8_116d;
 const FP_CONNECTOR_REDUCE: u64 = 0x5eb2_16e6_6dba_0ca3;
+const FP_CONNECTOR_SPILL_PULL: u64 = 0xace4_8f32_1a6e_da67;

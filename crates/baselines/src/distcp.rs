@@ -61,20 +61,20 @@ fn pump(sim: &mut Sim, st: &Shared, worker: usize, streams: usize) {
     let env = st.borrow().env.clone();
     let st2 = st.clone();
     pfs::read_file(sim, &env.topo, &env.pfs, node, &src, move |sim, data| {
+        let data = data.expect("copy source exists");
         let len = data.len() as u64;
         let env2 = st2.borrow().env.clone();
-        let st3 = st2.clone();
-        hdfs::write_file(sim, &env2.topo, &env2.hdfs, node, dst, data, move |sim| {
+        let written = move |sim: &mut Sim, res: Result<(), hdfs::HdfsError>| {
+            res.expect("copy destination free");
             {
-                let mut s = st3.borrow_mut();
+                let mut s = st2.borrow_mut();
                 s.active -= 1;
                 s.bytes += len;
             }
-            pump(sim, &st3, worker, streams);
-        })
-        .expect("copy destination free");
-    })
-    .expect("copy source exists");
+            pump(sim, &st2, worker, streams);
+        };
+        hdfs::write_file(sim, &env2.topo, &env2.hdfs, node, dst, data, written);
+    });
 }
 
 /// Copy `(pfs_src, hdfs_dst)` pairs with `streams` concurrent copiers.

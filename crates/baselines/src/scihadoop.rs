@@ -7,6 +7,7 @@
 //! redundant I/O"), then chunk-aligned splits are processed with the same R
 //! program SciDP runs — only the block reads come from HDFS DataNodes.
 
+use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -15,7 +16,7 @@ use mapreduce::{FetchDone, FetchResult, InputSplit, MrEnv, MrError, SplitFetcher
 use scidp::encode_slab_tag;
 use scifmt::snc::{assemble_slab, chunk_extents_of, decode_chunk};
 use scifmt::{SncMeta, VarMeta};
-use simnet::{NodeId, Sim};
+use simnet::{countdown, NodeId, Sim};
 
 /// Reads a variable hyperslab out of an SNC container staged on HDFS.
 pub struct HdfsSciFetcher {
@@ -71,16 +72,21 @@ impl SplitFetcher for HdfsSciFetcher {
                 }
             }
         };
+        let fail = |what: String| MrError::msg(format!("scihadoop fetch: {what}"));
         // Which blocks overlap any needed chunk range?
-        let mut needed: Vec<usize> = Vec::new();
-        for (bi, (boff, b)) in blocks.iter().enumerate() {
-            let bend = boff + b.len;
-            if chunk_ranges
-                .iter()
-                .any(|&(_, coff, clen, _)| coff < bend && coff + clen > *boff)
-            {
-                needed.push(bi);
-            }
+        let needed: Vec<&(u64, Block)> = blocks
+            .iter()
+            .filter(|(boff, b)| {
+                let bend = boff + b.len;
+                chunk_ranges
+                    .iter()
+                    .any(|&(_, coff, clen, _)| coff < bend && coff + clen > *boff)
+            })
+            .collect();
+        if needed.is_empty() {
+            let (start, count) = (&self.start, &self.count);
+            let e = fail(format!("slab {start:?}+{count:?} maps to no HDFS blocks"));
+            return done(sim, Err(e));
         }
         let total_raw: usize = ids.iter().map(|&i| extents[i].rlen as usize).sum();
         let decompress_cost = sim.cost.decompress(total_raw);
@@ -89,99 +95,77 @@ impl SplitFetcher for HdfsSciFetcher {
             encode_slab_tag(&self.hdfs_path, &self.var.name, &dims, &self.start)
         };
 
-        // Read all needed blocks in parallel, then slice out the chunks.
-        use std::cell::RefCell;
+        // Read all needed blocks in parallel, then slice out the chunks. The
+        // fetch ends once: at the first failing block read, or when the last
+        // block lands.
         #[allow(clippy::type_complexity)]
-        let collected: Rc<RefCell<Vec<(u64, Arc<Vec<u8>>)>>> = Rc::new(RefCell::new(Vec::new()));
-        let remaining = Rc::new(RefCell::new(needed.len()));
-        let var = self.var.clone();
-        let start = self.start.clone();
-        let count = self.count.clone();
+        let collected: Rc<RefCell<Vec<(u64, Arc<Vec<u8>>)>>> = Rc::default();
         let done_cell = Rc::new(RefCell::new(Some(done)));
-        assert!(
-            !needed.is_empty(),
-            "slab {start:?}+{count:?} maps to no HDFS blocks"
-        );
-        for bi in needed {
-            let (boff, block) = blocks[bi].clone();
-            let collected = collected.clone();
-            let remaining = remaining.clone();
-            let done_cell = done_cell.clone();
-            let var = var.clone();
-            let start = start.clone();
-            let count = count.clone();
-            let chunk_ranges = chunk_ranges.clone();
-            let tag = tag.clone();
-            let dc = done_cell.clone();
-            let res =
-                hdfs::read_block(sim, &env.topo, &env.hdfs, node, &block, move |sim, data| {
-                    collected.borrow_mut().push((boff, data));
-                    let mut rem = remaining.borrow_mut();
-                    *rem -= 1;
-                    if *rem > 0 {
-                        return;
+        let (var, start, count) = (self.var.clone(), self.start.clone(), self.count.clone());
+        let (parts, dc) = (collected.clone(), done_cell.clone());
+        let all_read = countdown(needed.len(), move |sim| {
+            let Some(done) = dc.borrow_mut().take() else {
+                return; // a sibling block read already failed this fetch
+            };
+            let mut parts = parts.take();
+            parts.sort_by_key(|(o, _)| *o);
+            // Slice each chunk frame from the block bytes and decode.
+            let slice_range = |lo: u64, len: u64| -> Vec<u8> {
+                let mut out = Vec::with_capacity(len as usize);
+                for (boff, data) in &parts {
+                    let bend = boff + data.len() as u64;
+                    let s = lo.max(*boff);
+                    let e = (lo + len).min(bend);
+                    if s < e {
+                        out.extend_from_slice(&data[(s - boff) as usize..(e - boff) as usize]);
                     }
-                    drop(rem);
-                    let mut parts = std::mem::take(&mut *collected.borrow_mut());
-                    parts.sort_by_key(|(o, _)| *o);
-                    // Slice each chunk frame from the block bytes and decode.
-                    let slice_range = |lo: u64, len: u64| -> Vec<u8> {
-                        let mut out = Vec::with_capacity(len as usize);
-                        for (boff, data) in &parts {
-                            let bend = boff + data.len() as u64;
-                            let s = lo.max(*boff);
-                            let e = (lo + len).min(bend);
-                            if s < e {
-                                out.extend_from_slice(
-                                    &data[(s - boff) as usize..(e - boff) as usize],
-                                );
-                            }
-                        }
-                        out
-                    };
-                    let fail = |what: String| MrError::msg(format!("scihadoop fetch: {what}"));
-                    let decode = || -> Result<scifmt::Array, MrError> {
-                        let mut raw_chunks = std::collections::HashMap::new();
-                        for &(idx, coff, clen, rlen) in &chunk_ranges {
-                            let frame = slice_range(coff, clen);
-                            if frame.len() as u64 != clen {
-                                return Err(fail(format!(
-                                    "chunk {idx}: blocks cover {} of its {clen} bytes",
-                                    frame.len()
-                                )));
-                            }
-                            let raw = decode_chunk(&frame, rlen)
-                                .map_err(|e| fail(format!("chunk {idx} decode: {e}")))?;
-                            raw_chunks.insert(idx, raw);
-                        }
-                        assemble_slab(&var, &start, &count, |i| {
-                            raw_chunks
-                                .get(&i)
-                                .ok_or_else(|| scifmt::FmtError::NotFound(format!("chunk {i}")))
-                        })
-                        .map_err(|e| fail(format!("assemble: {e}")))
-                    };
-                    let array = decode();
-                    let Some(d) = dc.borrow_mut().take() else {
-                        return; // a sibling block read already failed this fetch
-                    };
-                    d(
-                        sim,
-                        array.map(|array| FetchResult {
-                            input: TaskInput::Array(array),
-                            charges: vec![("decompress", decompress_cost)],
-                            counters: Vec::new(),
-                            tag,
-                        }),
-                    );
-                });
-            if let Err(e) = res {
-                if let Some(d) = done_cell.borrow_mut().take() {
-                    let e = mapreduce::MrError::msg(format!("hdfs: {e} ({})", self.hdfs_path));
-                    sim.after(0.0, move |sim| d(sim, Err(e)));
                 }
-                return;
-            }
+                out
+            };
+            let decode = || -> Result<scifmt::Array, MrError> {
+                let mut raw_chunks = std::collections::HashMap::new();
+                for &(idx, coff, clen, rlen) in &chunk_ranges {
+                    let frame = slice_range(coff, clen);
+                    if frame.len() as u64 != clen {
+                        return Err(fail(format!(
+                            "chunk {idx}: blocks cover {} of its {clen} bytes",
+                            frame.len()
+                        )));
+                    }
+                    let raw = decode_chunk(&frame, rlen)
+                        .map_err(|e| fail(format!("chunk {idx} decode: {e}")))?;
+                    raw_chunks.insert(idx, raw);
+                }
+                assemble_slab(&var, &start, &count, |i| {
+                    raw_chunks
+                        .get(&i)
+                        .ok_or_else(|| scifmt::FmtError::NotFound(format!("chunk {i}")))
+                })
+                .map_err(|e| fail(format!("assemble: {e}")))
+            };
+            let fetched = decode().map(|array| FetchResult {
+                input: TaskInput::Array(array),
+                charges: vec![("decompress", decompress_cost)],
+                counters: Vec::new(),
+                tag,
+            });
+            done(sim, fetched);
+        });
+        for (boff, block) in needed {
+            let (boff, collected, all_read) = (*boff, collected.clone(), all_read.clone());
+            let (done_cell, path) = (done_cell.clone(), self.hdfs_path.clone());
+            let read = move |sim: &mut Sim, res: Result<_, hdfs::HdfsError>| match res {
+                Ok((data, _)) => {
+                    collected.borrow_mut().push((boff, data));
+                    all_read(sim);
+                }
+                Err(e) => {
+                    if let Some(done) = done_cell.borrow_mut().take() {
+                        done(sim, Err(MrError::msg(format!("hdfs: {e} ({path})"))));
+                    }
+                }
+            };
+            hdfs::read_block(sim, &env.topo, &env.hdfs, node, block, read);
         }
     }
 
@@ -255,7 +239,6 @@ mod tests {
     use super::*;
     use crate::distcp::distcp_blocking;
     use crate::util::{paper_cluster, stage_nuwrf};
-    use std::cell::RefCell;
     use wrfgen::WrfSpec;
 
     /// Run one split's fetch to completion on node 0.
@@ -314,16 +297,22 @@ mod tests {
         let ds = stage_nuwrf(&mut c, &wspec, "nuwrf");
         let bytes = c.pfs.borrow().file(&ds.info.files[0]).unwrap().data.clone();
         let f = scifmt::SncFile::open(bytes.as_ref().clone()).unwrap();
-        // Stage a copy that ends one byte short of QR's last chunk, and
-        // plan against the full container's metadata.
+        // Stage copies that end one byte short of QR's last chunk, and
+        // right where it starts (no block reaches it at all), and plan
+        // against the full container's metadata.
         let qr = f.meta().var("QR").unwrap();
         let last = chunk_extents_of(qr, f.meta().data_offset).pop().unwrap();
-        let cut = (last.offset + last.clen - 1) as usize;
-        c.pfs.borrow_mut().create("cut.snc", bytes[..cut].to_vec());
-        distcp_blocking(&mut c, vec![("cut.snc".into(), "staged.snc".into())], 2);
-        let env = c.env();
-        let splits = scihadoop_splits(&env, f.meta(), "staged.snc", &["QR".to_string()]);
-        let err = fetch(&mut c, &splits[1]).err().unwrap();
-        assert!(err.to_string().contains("blocks cover"), "{err}");
+        let short = (last.offset + last.clen - 1, "short.snc", "blocks cover");
+        let absent = (last.offset, "absent.snc", "maps to no HDFS blocks");
+        for (cut, staged, what) in [short, absent] {
+            c.pfs
+                .borrow_mut()
+                .create("cut.snc", bytes[..cut as usize].to_vec());
+            distcp_blocking(&mut c, vec![("cut.snc".into(), staged.into())], 2);
+            let env = c.env();
+            let splits = scihadoop_splits(&env, f.meta(), staged, &["QR".to_string()]);
+            let err = fetch(&mut c, &splits[1]).err().unwrap();
+            assert!(err.to_string().contains(what), "{err}");
+        }
     }
 }

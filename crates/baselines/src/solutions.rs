@@ -9,7 +9,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use mapreduce::{
-    run_job, Cluster, FlatPfsFetcher, InputSplit, Job, JobResult, MrEnv, SplitFetcher, TaskCtx,
+    run_job, Cluster, FetchResult, FlatPfsFetcher, InputSplit, Job, JobResult, MrEnv, MrError,
+    SplitFetcher, TaskCtx, TaskInput,
 };
 use scidp::{
     derived_raster, nuwrf_map_fn, nuwrf_reduce_fn, wrap_r_map, wrap_r_reduce, WorkflowConfig,
@@ -57,39 +58,13 @@ struct HdfsWholeFileFetcher {
 
 impl SplitFetcher for HdfsWholeFileFetcher {
     fn fetch(&self, env: &MrEnv, sim: &mut Sim, node: NodeId, done: mapreduce::FetchDone) {
-        // `read_file` consumes the callback even on a synchronous error, so
-        // completion is routed through a take-once cell.
-        let done_cell = Rc::new(RefCell::new(Some(done)));
-        let dc = done_cell.clone();
-        let res = hdfs::read_file(
-            sim,
-            &env.topo,
-            &env.hdfs,
-            node,
-            &self.path,
-            move |sim, data| {
-                if let Some(done) = dc.borrow_mut().take() {
-                    match data {
-                        Ok(data) => done(
-                            sim,
-                            Ok(mapreduce::FetchResult {
-                                input: mapreduce::TaskInput::Bytes(data),
-                                charges: Vec::new(),
-                                counters: Vec::new(),
-                                tag: String::new(),
-                            }),
-                        ),
-                        Err(e) => done(sim, Err(mapreduce::MrError::msg(format!("hdfs: {e}")))),
-                    }
-                }
-            },
-        );
-        if let Err(e) = res {
-            if let Some(done) = done_cell.borrow_mut().take() {
-                let e = mapreduce::MrError::msg(format!("hdfs: {e} ({})", self.path));
-                sim.after(0.0, move |sim| done(sim, Err(e)));
-            }
-        }
+        let path = self.path.clone();
+        let read = move |sim: &mut Sim, data: Result<Vec<u8>, hdfs::HdfsError>| {
+            let fetched = data.map(|data| FetchResult::plain(TaskInput::Bytes(data)));
+            let fetched = fetched.map_err(|e| MrError::msg(format!("hdfs: {e} ({path})")));
+            done(sim, fetched);
+        };
+        hdfs::read_file(sim, &env.topo, &env.hdfs, node, &self.path, read);
     }
 
     fn describe(&self) -> String {
@@ -152,13 +127,12 @@ pub fn run_naive(
             let st2 = st.clone();
             pfs::read_file(sim, &env.topo, &env.pfs, node, &path, move |sim, data| {
                 // Land on the local disk.
-                let bytes = sim.cost.lbytes(data.len());
+                let bytes = sim.cost.lbytes(data.expect("converted text present").len());
                 let env2 = st2.borrow().env.clone();
                 let disk = env2.topo.path_local_disk(node);
                 let st3 = st2.clone();
                 sim.start_flow(disk, bytes, move |sim| copy_step(sim, &st3, node));
-            })
-            .expect("converted text present");
+            });
         }
 
         fn process_step(sim: &mut Sim, st: &Rc<RefCell<St>>, node: NodeId) {

@@ -106,8 +106,8 @@ fn run_hdfs(plan: FaultPlan, hedge_after_s: f64) -> RunStats {
     let mut c = fresh_cluster(2);
     let bytes: Vec<u8> = (0..FILE_BYTES).map(|i| (i % 13) as u8).collect();
     let path = "data/hedge.bin";
-    hdfs::write_file(&mut c.sim, &c.topo, &c.hdfs, NodeId(0), path, bytes, |_| {})
-        .expect("hdfs write starts");
+    let staged = |_: &mut simnet::Sim, res: Result<(), hdfs::HdfsError>| res.expect("hdfs write");
+    hdfs::write_file(&mut c.sim, &c.topo, &c.hdfs, NodeId(0), path, bytes, staged);
     c.sim.run();
     c.sim.faults.install(plan);
     c.hdfs.borrow_mut().hedge = Some(hdfs::HedgeConfig {

@@ -81,10 +81,10 @@ fn chained_reads(pool: &DatasetPool, queues: Vec<Queue>) -> f64 {
         };
         let next = rank.clone();
         let (topo, pfs, node) = (&rank.topo, &rank.pfs, rank.node);
-        pfs::read_at(sim, topo, pfs, node, &path, off, len, move |sim, _| {
+        pfs::read_at(sim, topo, pfs, node, &path, off, len, move |sim, res| {
+            res.expect("MPI rank reads a staged range");
             sim.after(post, move |sim| step(sim, next, idx + 1));
-        })
-        .unwrap();
+        });
     }
 
     let mut cluster = pool.fresh_cluster(8);

@@ -6,8 +6,14 @@
 //! read crosses `owner disk → owner NIC → core → reader NIC`. Dummy blocks
 //! cannot be read here — they are fetched from the PFS by SciDP's PFS
 //! Reader inside each task, which is the entire point of the design.
+//!
+//! One completion channel: every operation returns nothing and reports
+//! through its one callback, `done(sim, Result<..>)` — called exactly once,
+//! never from inside the issuing call (an error known at issue time arrives
+//! on a zero-delay event), and not at all when every way forward sits on a
+//! hung or partitioned node (only a hedge or a caller-side deadline recovers).
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -117,81 +123,69 @@ impl From<NsError> for HdfsError {
     }
 }
 
+/// An operation's one completion callback.
+type Done<T> = Box<dyn FnOnce(&mut Sim, Result<T, HdfsError>)>;
+
+/// What a block read delivers: the verified bytes and the [`ReadEvents`] of
+/// this read alone.
+type BlockRead = (Arc<Vec<u8>>, ReadEvents);
+
 struct WriteState {
     topo: Topology,
     hdfs: SharedHdfs,
     writer: NodeId,
     path: String,
     chunks: Vec<Arc<Vec<u8>>>,
-    #[allow(clippy::type_complexity)]
-    done: RefCell<Option<Box<dyn FnOnce(&mut Sim)>>>,
+    done: Done<()>,
 }
 
-fn write_step(sim: &mut Sim, st: Rc<WriteState>, idx: usize) {
-    let data = match st.chunks.get(idx) {
-        Some(d) => d.clone(),
-        None => {
-            // Past the last chunk: fire the one-shot completion. The cell
-            // is armed exactly once at write_file, so `take` yields `Some`
-            // on the good path; a second fire would be a scheduler bug and
-            // is surfaced by the debug assertion rather than a panic.
-            let cb = st.done.borrow_mut().take();
-            debug_assert!(cb.is_some(), "write completion fired twice");
-            if let Some(cb) = cb {
-                cb(sim);
-            }
-            return;
-        }
+/// The write is one linear chain (block by block, hop by hop), so its state
+/// travels by value and the completion can only fire once.
+fn write_step(sim: &mut Sim, st: WriteState, idx: usize) {
+    let Some(data) = st.chunks.get(idx).cloned() else {
+        // Past the last chunk.
+        return (st.done)(sim, Ok(()));
     };
     let targets = st
         .hdfs
         .borrow_mut()
         .namenode
         .choose_targets(Some(st.writer));
-    let rpc = sim.cost.rpc_s;
     // Pipeline: writer → t0 → t1 → ... each hop is a flow; the block
     // commits when the last replica lands. We model hops as sequential
     // flows (pipelining across hops is second-order for our workloads).
-    let st2 = st.clone();
-    let hop = move |sim: &mut Sim| {
-        hop_step(sim, st2, idx, data, targets, 0);
-    };
-    sim.after(rpc, hop);
+    sim.rpc(move |sim| hop_step(sim, st, idx, data, targets, 0));
 }
 
 fn hop_step(
     sim: &mut Sim,
-    st: Rc<WriteState>,
+    st: WriteState,
     idx: usize,
     data: Arc<Vec<u8>>,
     targets: Vec<NodeId>,
     hop: usize,
 ) {
-    let dst = match targets.get(hop).copied() {
-        Some(d) => d,
-        None => {
-            // All replicas landed: commit to NameNode + DataNodes. If the
-            // file was deleted while the pipeline was in flight (an
-            // abandoned task attempt), drop the block on the floor but
-            // still drive the chain to completion so the writer's `done`
-            // callback can clean up.
+    let Some(dst) = targets.get(hop).copied() else {
+        // All replicas landed: commit to NameNode + DataNodes. If the
+        // file was deleted while the pipeline was in flight (an
+        // abandoned task attempt), drop the block on the floor but
+        // still drive the chain to completion so the writer's `done`
+        // callback can clean up.
+        {
+            // The pipeline checksums the payload once at commit; every
+            // replica read verifies against this.
+            let crc = scirng::crc32c(&data);
+            let mut h = st.hdfs.borrow_mut();
+            if let Ok(id) = h
+                .namenode
+                .add_block(&st.path, data.len() as u64, targets.clone(), crc)
             {
-                // The pipeline checksums the payload once at commit; every
-                // replica read verifies against this.
-                let crc = scirng::crc32c(&data);
-                let mut h = st.hdfs.borrow_mut();
-                if let Ok(id) =
-                    h.namenode
-                        .add_block(&st.path, data.len() as u64, targets.clone(), crc)
-                {
-                    for t in &targets {
-                        h.datanodes.put(*t, id, data.clone());
-                    }
+                for t in &targets {
+                    h.datanodes.put(*t, id, data.clone());
                 }
             }
-            write_step(sim, st, idx + 1);
-            return;
         }
+        return write_step(sim, st, idx + 1);
     };
     // Hop 0 streams from the writer; later hops forward from the previous
     // replica in the pipeline.
@@ -201,14 +195,14 @@ fn hop_step(
     };
     let bytes = sim.cost.lbytes(data.len());
     let path = st.topo.path_remote_disk_write(src, dst);
-    let st2 = st.clone();
     sim.start_flow(path, bytes, move |sim| {
-        hop_step(sim, st2, idx, data, targets, hop + 1);
+        hop_step(sim, st, idx, data, targets, hop + 1);
     });
 }
 
-/// Write `data` to a new HDFS file from `writer`. Fails synchronously if
-/// the path exists; `done` fires when the last block commits.
+/// Write `data` to a new HDFS file from `writer`. `done` gets `Ok` when the
+/// last block commits, or the NameNode's refusal (the path exists) on a
+/// zero-delay event.
 pub fn write_file(
     sim: &mut Sim,
     topo: &Topology,
@@ -216,31 +210,31 @@ pub fn write_file(
     writer: NodeId,
     path: impl Into<String>,
     data: Vec<u8>,
-    done: impl FnOnce(&mut Sim) + 'static,
-) -> Result<(), HdfsError> {
+    done: impl FnOnce(&mut Sim, Result<(), HdfsError>) + 'static,
+) {
     let path = path.into();
-    let block_size = {
+    let created = {
         let mut h = hdfs.borrow_mut();
-        h.namenode.create_file(&path)?;
-        h.namenode.block_size
+        h.namenode
+            .create_file(&path)
+            .map(|()| h.namenode.block_size)
     };
-    let chunks: Vec<Arc<Vec<u8>>> = if data.is_empty() {
-        Vec::new()
-    } else {
-        data.chunks(block_size)
-            .map(|c| Arc::new(c.to_vec()))
-            .collect()
-    };
-    let st = Rc::new(WriteState {
-        topo: topo.clone(),
-        hdfs: hdfs.clone(),
-        writer,
-        path,
-        chunks,
-        done: RefCell::new(Some(Box::new(done))),
+    let (topo, hdfs) = (topo.clone(), hdfs.clone());
+    sim.after(0.0, move |sim| match created {
+        Ok(block_size) => {
+            let chunks = data.chunks(block_size).map(|c| Arc::new(c.to_vec()));
+            let st = WriteState {
+                topo,
+                hdfs,
+                writer,
+                path,
+                chunks: chunks.collect(),
+                done: Box::new(done),
+            };
+            write_step(sim, st, 0)
+        }
+        Err(e) => done(sim, Err(e.into())),
     });
-    sim.after(0.0, move |sim| write_step(sim, st, 0));
-    Ok(())
 }
 
 /// One replica transfer scheduled within a block read.
@@ -264,13 +258,14 @@ struct BlockReadState {
     launched: RefCell<Vec<bool>>,
     /// Deliveries of this read that failed verification (drives the
     /// `repaired` stat when a later replica completes the read).
-    verify_failures: std::cell::Cell<u64>,
+    verify_failures: Cell<u64>,
     /// Hedge deadline, copied from the cluster config at read_block time.
     hedge_after_s: Option<f64>,
     /// Events of this read alone (see [`ReadEvents`]).
-    events: std::cell::Cell<ReadEvents>,
-    #[allow(clippy::type_complexity)]
-    done: RefCell<Option<Box<dyn FnOnce(&mut Sim, Arc<Vec<u8>>, ReadEvents)>>>,
+    events: Cell<ReadEvents>,
+    /// One-shot: racing (hedged) attempts share it, the first delivery
+    /// takes it.
+    done: RefCell<Option<Done<BlockRead>>>,
 }
 
 impl BlockReadState {
@@ -281,7 +276,7 @@ impl BlockReadState {
     }
 }
 
-/// Schedule the timed transfer of attempt `i`: RPC, disk seek, data flow.
+/// Schedule the timed transfer of attempt `i` (one [`Sim::disk_transfer`]).
 /// `via_hedge` marks launches made by the hedge timer (for win accounting).
 fn attempt_step(sim: &mut Sim, st: Rc<BlockReadState>, i: usize, via_hedge: bool) {
     // The attempt plan is fixed at read_block time and `i` only advances
@@ -324,29 +319,13 @@ fn attempt_step(sim: &mut Sim, st: Rc<BlockReadState>, i: usize, via_hedge: bool
     }
     let link = sim.faults.link_slowdown(owner.0, st.reader.0);
     let bytes = sim.cost.lbytes(data.len()) * if owner == st.reader { 1.0 } else { link };
-    let seek = sim.cost.seek_s;
-    let rpc = sim.cost.rpc_s;
     let flow_path = st.topo.path_remote_disk_read(owner, st.reader);
-    let disk = match flow_path.first().copied() {
-        Some(d) => d,
-        None => {
-            debug_assert!(false, "empty disk-read flow path");
-            return;
-        }
+    let Some(&disk) = flow_path.first() else {
+        debug_assert!(false, "empty disk-read flow path");
+        return;
     };
-    let seek_bytes = seek * sim.net.resource(disk).capacity;
-    let st2 = st.clone();
-    sim.after(rpc, move |sim| {
-        let seek_flow = if seek_bytes.is_finite() {
-            seek_bytes
-        } else {
-            0.0
-        };
-        sim.start_flow(vec![disk], seek_flow, move |sim| {
-            sim.start_flow(flow_path, bytes, move |sim| {
-                deliver_attempt(sim, st2, i, data, via_hedge);
-            });
-        });
+    sim.disk_transfer(disk, flow_path, bytes, move |sim| {
+        deliver_attempt(sim, st, i, data, via_hedge);
     });
 }
 
@@ -368,12 +347,8 @@ fn deliver_attempt(
     }
     let corrupt = st.attempts.get(i).is_some_and(|a| a.corrupt);
     let delivered = if corrupt && !data.is_empty() {
-        let (selector, mask) = sim.faults.corruption_pattern(&st.key, st.nth);
         let mut copy = data.as_ref().clone();
-        let pos = (selector % copy.len() as u64) as usize;
-        if let Some(byte) = copy.get_mut(pos) {
-            *byte ^= mask;
-        }
+        sim.faults.corrupt(&st.key, st.nth, &mut copy);
         Arc::new(copy)
     } else {
         data
@@ -398,7 +373,7 @@ fn deliver_attempt(
         // Armed once at read_block (checked non-empty above, and this is
         // the single-threaded sim — nothing raced us since).
         if let Some(cb) = st.done.borrow_mut().take() {
-            cb(sim, delivered, st.events.get());
+            cb(sim, Ok((delivered, st.events.get())));
         }
     } else {
         st.verify_failures.set(st.verify_failures.get() + 1);
@@ -414,39 +389,15 @@ fn deliver_attempt(
     }
 }
 
-/// Read one real block into `reader`'s memory, preferring a local replica.
-///
-/// Every delivered copy of a checksummed block is verified against the
-/// CRC-32C the write pipeline recorded. A copy that fails verification is
-/// discarded and the next live replica is tried — each fallback costs a
-/// full extra transfer. If every live replica would deliver corrupt bytes,
-/// the read fails synchronously with [`HdfsError::Integrity`]; corrupt
-/// data is never handed to `done`. Blocks with `crc == 0` (hand-built
-/// state) skip verification, so corruption passes through silently there.
-pub fn read_block(
+/// Everything a block read decides at issue time: its fault key and
+/// sequence number, and the replica transfers to try, in order.
+fn plan_attempts(
     sim: &mut Sim,
-    topo: &Topology,
     hdfs: &SharedHdfs,
     reader: NodeId,
     block: &Block,
-    done: impl FnOnce(&mut Sim, Arc<Vec<u8>>) + 'static,
-) -> Result<(), HdfsError> {
-    read_block_with_events(sim, topo, hdfs, reader, block, move |sim, data, _ev| {
-        done(sim, data)
-    })
-}
-
-/// [`read_block`], but the completion also receives the [`ReadEvents`] of
-/// this read alone — the only safe source for per-attempt counters when
-/// reads run concurrently.
-pub fn read_block_with_events(
-    sim: &mut Sim,
-    topo: &Topology,
-    hdfs: &SharedHdfs,
-    reader: NodeId,
-    block: &Block,
-    done: impl FnOnce(&mut Sim, Arc<Vec<u8>>, ReadEvents) + 'static,
-) -> Result<(), HdfsError> {
+    hedged: bool,
+) -> Result<(String, u64, Vec<ReplicaAttempt>), HdfsError> {
     let locations = block.locations();
     if block.is_dummy() {
         return Err(HdfsError::DummyBlock);
@@ -472,7 +423,6 @@ pub fn read_block_with_events(
     }
     let key = block_fault_key(block.id);
     let nth = sim.faults.begin_block_read(&key);
-    let hedge_after_s = hdfs.borrow().hedge.map(|h| h.after_s);
     // The fault plan is deterministic, so each candidate's verdict is known
     // up front; stop at the first replica whose delivery will be accepted.
     // (Unchecksummed blocks accept anything — verification cannot catch
@@ -480,26 +430,24 @@ pub fn read_block_with_events(
     // replicas as alternates so a stalled transfer has somewhere to go.
     let mut attempts = Vec::new();
     let mut clean_found = false;
-    {
-        let h = hdfs.borrow();
-        for &cand in &candidates {
-            let Some(data) = h.datanodes.get(cand, block.id) else {
-                // Listed location without a copy: stale cluster state;
-                // skip it like a dead node.
-                continue;
-            };
-            let corrupt = sim.faults.replica_corrupt(&key, nth, cand.0);
-            let accepted = !corrupt || block.crc == 0;
-            attempts.push(ReplicaAttempt {
-                owner: cand,
-                data,
-                corrupt,
-            });
-            if accepted {
-                clean_found = true;
-                if hedge_after_s.is_none() {
-                    break;
-                }
+    let mut h = hdfs.borrow_mut();
+    for &cand in &candidates {
+        let Some(data) = h.datanodes.get(cand, block.id) else {
+            // Listed location without a copy: stale cluster state;
+            // skip it like a dead node.
+            continue;
+        };
+        let corrupt = sim.faults.replica_corrupt(&key, nth, cand.0);
+        let accepted = !corrupt || block.crc == 0;
+        attempts.push(ReplicaAttempt {
+            owner: cand,
+            data,
+            corrupt,
+        });
+        if accepted {
+            clean_found = true;
+            if !hedged {
+                break;
             }
         }
     }
@@ -507,7 +455,6 @@ pub fn read_block_with_events(
         return Err(HdfsError::NoReplica);
     }
     if !clean_found {
-        let mut h = hdfs.borrow_mut();
         h.integrity.detected += attempts.len() as u64;
         h.integrity.failed += 1;
         return Err(HdfsError::Integrity {
@@ -515,7 +462,36 @@ pub fn read_block_with_events(
             replicas: attempts.len(),
         });
     }
-    let n_attempts = attempts.len();
+    Ok((key, nth, attempts))
+}
+
+/// Read one real block into `reader`'s memory, preferring a local replica.
+/// `done` receives the verified bytes and the [`ReadEvents`] of this read
+/// alone — the only safe source for per-attempt counters when reads run
+/// concurrently.
+///
+/// Every delivered copy of a checksummed block is verified against the
+/// CRC-32C the write pipeline recorded. A copy that fails verification is
+/// discarded and the next live replica is tried — each fallback costs a
+/// full extra transfer. If every live replica would deliver corrupt bytes,
+/// the read fails with [`HdfsError::Integrity`] (known at issue time, like
+/// a dummy block or no live replica: a zero-delay event); corrupt data is
+/// never handed to `done`. Blocks with `crc == 0` (hand-built state) skip
+/// verification, so corruption passes through silently there.
+pub fn read_block(
+    sim: &mut Sim,
+    topo: &Topology,
+    hdfs: &SharedHdfs,
+    reader: NodeId,
+    block: &Block,
+    done: impl FnOnce(&mut Sim, Result<BlockRead, HdfsError>) + 'static,
+) {
+    let hedge_after_s = hdfs.borrow().hedge.map(|h| h.after_s);
+    let planned = plan_attempts(sim, hdfs, reader, block, hedge_after_s.is_some());
+    let (key, nth, attempts) = match planned {
+        Ok(plan) => plan,
+        Err(e) => return sim.after(0.0, move |sim| done(sim, Err(e))),
+    };
     let st = Rc::new(BlockReadState {
         topo: topo.clone(),
         hdfs: hdfs.clone(),
@@ -523,67 +499,53 @@ pub fn read_block_with_events(
         crc: block.crc,
         key,
         nth,
+        launched: RefCell::new(vec![false; attempts.len()]),
         attempts,
-        launched: RefCell::new(vec![false; n_attempts]),
-        verify_failures: std::cell::Cell::new(0),
+        verify_failures: Cell::new(0),
         hedge_after_s,
-        events: std::cell::Cell::new(ReadEvents::default()),
+        events: Cell::new(ReadEvents::default()),
         done: RefCell::new(Some(Box::new(done))),
     });
     attempt_step(sim, st, 0, false);
-    Ok(())
 }
 
+/// The fixed part of a whole-file read; the buffer and the completion
+/// travel by value along the (linear) block chain.
 struct ReadState {
     topo: Topology,
     hdfs: SharedHdfs,
     reader: NodeId,
     blocks: Vec<Block>,
-    buf: RefCell<Vec<u8>>,
-    #[allow(clippy::type_complexity)]
-    done: RefCell<Option<Box<dyn FnOnce(&mut Sim, Result<Vec<u8>, HdfsError>)>>>,
 }
 
-fn read_step(sim: &mut Sim, st: Rc<ReadState>, idx: usize) {
-    let block = match st.blocks.get(idx) {
-        Some(b) => b,
-        None => {
-            // Past the last block: hand the assembled buffer to the
-            // one-shot completion (armed exactly once at read_file).
-            let cb = st.done.borrow_mut().take();
-            debug_assert!(cb.is_some(), "read completion fired twice");
-            if let Some(cb) = cb {
-                let buf = std::mem::take(&mut *st.buf.borrow_mut());
-                cb(sim, Ok(buf));
-            }
-            return;
-        }
+fn read_step(sim: &mut Sim, st: Rc<ReadState>, idx: usize, mut buf: Vec<u8>, done: Done<Vec<u8>>) {
+    let Some(block) = st.blocks.get(idx) else {
+        // Past the last block.
+        return done(sim, Ok(buf));
     };
     let st2 = st.clone();
-    let res = read_block(
+    read_block(
         sim,
         &st.topo,
         &st.hdfs,
         st.reader,
         block,
-        move |sim, data| {
-            st2.buf.borrow_mut().extend_from_slice(&data);
-            read_step(sim, st2.clone(), idx + 1);
+        move |sim, res| match res {
+            Ok((data, _)) => {
+                buf.extend_from_slice(&data);
+                read_step(sim, st2, idx + 1, buf, done);
+            }
+            // Mid-stream failure (dead nodes, unrepairable corruption)
+            // fails the whole read.
+            Err(e) => done(sim, Err(e)),
         },
     );
-    if let Err(e) = res {
-        // Mid-stream failure (dead nodes, unrepairable corruption): the
-        // per-block callback was dropped unscheduled, so the stream's own
-        // completion cell is still armed — fail the whole read through it.
-        if let Some(cb) = st.done.borrow_mut().take() {
-            sim.after(0.0, move |sim| cb(sim, Err(e)));
-        }
-    }
 }
 
 /// Read a whole file (blocks streamed sequentially, like `DFSInputStream`).
-/// `done` receives the bytes, or the first error a block read hit (a dummy
-/// block anywhere in the file is still rejected synchronously).
+/// `done` receives the bytes, or the first error: a missing path or a dummy
+/// block anywhere in the file (both before any block is read, on a
+/// zero-delay event), else whatever a block read hit.
 pub fn read_file(
     sim: &mut Sim,
     topo: &Topology,
@@ -591,21 +553,25 @@ pub fn read_file(
     reader: NodeId,
     path: &str,
     done: impl FnOnce(&mut Sim, Result<Vec<u8>, HdfsError>) + 'static,
-) -> Result<(), HdfsError> {
-    let blocks: Vec<Block> = hdfs.borrow().namenode.blocks(path)?.to_vec();
-    if blocks.iter().any(|b| b.is_dummy()) {
-        return Err(HdfsError::DummyBlock);
-    }
-    let st = Rc::new(ReadState {
-        topo: topo.clone(),
-        hdfs: hdfs.clone(),
-        reader,
-        blocks,
-        buf: RefCell::new(Vec::new()),
-        done: RefCell::new(Some(Box::new(done))),
+) {
+    let blocks = match hdfs.borrow().namenode.blocks(path) {
+        Ok(blocks) if blocks.iter().any(|b| b.is_dummy()) => Err(HdfsError::DummyBlock),
+        Ok(blocks) => Ok(blocks.to_vec()),
+        Err(e) => Err(e.into()),
+    };
+    let (topo, hdfs) = (topo.clone(), hdfs.clone());
+    sim.after(0.0, move |sim| match blocks {
+        Ok(blocks) => {
+            let st = ReadState {
+                topo,
+                hdfs,
+                reader,
+                blocks,
+            };
+            read_step(sim, Rc::new(st), 0, Vec::new(), Box::new(done))
+        }
+        Err(e) => done(sim, Err(e)),
     });
-    sim.after(0.0, move |sim| read_step(sim, st, 0));
-    Ok(())
 }
 
 #[cfg(test)]
@@ -634,14 +600,61 @@ mod tests {
         (sim, topo, hdfs)
     }
 
+    /// What an operation's callback got.
+    type Got<T> = Rc<RefCell<Option<Result<T, HdfsError>>>>;
+
+    /// A completion callback that records its one call.
+    fn capture<T: 'static>() -> (Got<T>, impl FnOnce(&mut Sim, Result<T, HdfsError>)) {
+        let got = Got::default();
+        let g = got.clone();
+        (got, move |_: &mut Sim, res| *g.borrow_mut() = Some(res))
+    }
+
+    /// Run the sim dry and take what `got` captured.
+    fn finish<T>(sim: &mut Sim, got: &Got<T>) -> Result<T, HdfsError> {
+        assert!(
+            got.borrow().is_none(),
+            "callback ran inside the issuing call"
+        );
+        sim.run();
+        got.borrow_mut().take().expect("callback ran")
+    }
+
+    /// Stage `data` as file `f` from `writer` and return its first block.
+    fn stage(
+        sim: &mut Sim,
+        topo: &Topology,
+        hdfs: &SharedHdfs,
+        writer: u32,
+        data: Vec<u8>,
+    ) -> Block {
+        let (got, done) = capture();
+        write_file(sim, topo, hdfs, NodeId(writer), "f", data, done);
+        finish(sim, &got).expect("staged");
+        let block = hdfs.borrow().namenode.blocks("f").unwrap()[0].clone();
+        block
+    }
+
+    /// Read `block` from `reader` to completion: the bytes, or the error.
+    fn read(
+        sim: &mut Sim,
+        topo: &Topology,
+        hdfs: &SharedHdfs,
+        reader: u32,
+        block: &Block,
+    ) -> Result<Vec<u8>, HdfsError> {
+        let (got, done) = capture();
+        read_block(sim, topo, hdfs, NodeId(reader), block, done);
+        finish(sim, &got).map(|(data, _)| data.as_ref().clone())
+    }
+
     #[test]
     fn write_read_roundtrip() {
         let (mut sim, topo, hdfs) = setup(2, 1);
         let data: Vec<u8> = (0..150u8).collect();
         let h2 = hdfs.clone();
         let t2 = topo.clone();
-        let got = Rc::new(RefCell::new(None));
-        let g = got.clone();
+        let (got, done) = capture();
         write_file(
             &mut sim,
             &topo,
@@ -649,16 +662,12 @@ mod tests {
             NodeId(0),
             "f",
             data.clone(),
-            move |sim| {
-                read_file(sim, &t2, &h2, NodeId(1), "f", move |_, bytes| {
-                    *g.borrow_mut() = Some(bytes.expect("clean read"));
-                })
-                .unwrap();
+            move |sim, res| {
+                res.expect("clean write");
+                read_file(sim, &t2, &h2, NodeId(1), "f", done);
             },
-        )
-        .unwrap();
-        sim.run();
-        assert_eq!(got.borrow_mut().take().unwrap(), data);
+        );
+        assert_eq!(finish(&mut sim, &got).expect("clean read"), data);
         // 150 bytes / 64-byte blocks = 3 blocks.
         assert_eq!(hdfs.borrow().namenode.blocks("f").unwrap().len(), 3);
     }
@@ -666,29 +675,22 @@ mod tests {
     #[test]
     fn duplicate_create_rejected() {
         let (mut sim, topo, hdfs) = setup(2, 1);
-        write_file(&mut sim, &topo, &hdfs, NodeId(0), "f", vec![1], |_| {}).unwrap();
+        let (first, done1) = capture();
+        write_file(&mut sim, &topo, &hdfs, NodeId(0), "f", vec![1], done1);
+        let (second, done2) = capture();
+        write_file(&mut sim, &topo, &hdfs, NodeId(0), "f", vec![1], done2);
+        assert_eq!(finish(&mut sim, &first), Ok(()));
         assert!(matches!(
-            write_file(&mut sim, &topo, &hdfs, NodeId(0), "f", vec![1], |_| {}),
-            Err(HdfsError::Ns(NsError::AlreadyExists(_)))
+            second.borrow_mut().take(),
+            Some(Err(HdfsError::Ns(NsError::AlreadyExists(_))))
         ));
-        sim.run();
     }
 
     #[test]
     fn local_read_beats_remote_read() {
         let (mut sim, topo, hdfs) = setup(2, 1);
         // Written from node 0 → replica on node 0.
-        write_file(
-            &mut sim,
-            &topo,
-            &hdfs,
-            NodeId(0),
-            "f",
-            vec![0u8; 64],
-            |_| {},
-        )
-        .unwrap();
-        sim.run();
+        stage(&mut sim, &topo, &hdfs, 0, vec![0u8; 64]);
         let timing = |reader: u32| {
             let (mut sim, topo2, _) = setup(2, 1);
             // Rebuild identical state in the fresh sim world.
@@ -705,22 +707,10 @@ mod tests {
                     .put(NodeId(0), id, Arc::new(vec![0u8; 64]));
                 h
             };
-            let t = Rc::new(RefCell::new(0.0));
-            let t2 = t.clone();
-            read_file(
-                &mut sim,
-                &topo2,
-                &hdfs2,
-                NodeId(reader),
-                "f",
-                move |sim, _| {
-                    *t2.borrow_mut() = sim.now().secs();
-                },
-            )
-            .unwrap();
-            sim.run();
-            let v = *t.borrow();
-            v
+            let (got, done) = capture();
+            read_file(&mut sim, &topo2, &hdfs2, NodeId(reader), "f", done);
+            finish(&mut sim, &got).expect("clean read");
+            sim.now().secs()
         };
         let local = timing(0);
         let remote = timing(1);
@@ -728,23 +718,12 @@ mod tests {
         // same bottleneck but remote also crosses NICs; with these
         // capacities times are close, so instead check structurally:
         assert!(local <= remote + 1e-9, "local {local} remote {remote}");
-        let _ = (local, remote);
     }
 
     #[test]
     fn replication_places_copies_on_distinct_nodes() {
         let (mut sim, topo, hdfs) = setup(3, 2);
-        write_file(
-            &mut sim,
-            &topo,
-            &hdfs,
-            NodeId(1),
-            "f",
-            vec![7u8; 64],
-            |_| {},
-        )
-        .unwrap();
-        sim.run();
+        stage(&mut sim, &topo, &hdfs, 1, vec![7u8; 64]);
         let h = hdfs.borrow();
         let blocks = h.namenode.blocks("f").unwrap();
         assert_eq!(blocks.len(), 1);
@@ -757,7 +736,7 @@ mod tests {
     }
 
     #[test]
-    fn dummy_block_read_is_refused() {
+    fn dummy_block_read_is_refused_through_the_callback() {
         let (mut sim, topo, hdfs) = setup(2, 1);
         hdfs.borrow_mut().namenode.create_file("v").unwrap();
         hdfs.borrow_mut()
@@ -772,34 +751,29 @@ mod tests {
                 },
             )
             .unwrap();
-        assert!(matches!(
-            read_file(&mut sim, &topo, &hdfs, NodeId(0), "v", |_, _| {}),
+        let (got, done) = capture();
+        read_file(&mut sim, &topo, &hdfs, NodeId(0), "v", done);
+        assert_eq!(finish(&mut sim, &got), Err(HdfsError::DummyBlock));
+        // The block-level entry point refuses it the same way.
+        let block = hdfs.borrow().namenode.blocks("v").unwrap()[0].clone();
+        assert_eq!(
+            read(&mut sim, &topo, &hdfs, 0, &block),
             Err(HdfsError::DummyBlock)
-        ));
-        sim.run();
+        );
+        assert_eq!(sim.now().secs(), 0.0, "refused at issue time");
+        // And a missing path is the NameNode's error, through the callback.
+        let (got, done) = capture();
+        read_file(&mut sim, &topo, &hdfs, NodeId(0), "nowhere", done);
+        assert!(matches!(finish(&mut sim, &got), Err(HdfsError::Ns(_))));
     }
 
     #[test]
     fn clean_reads_accumulate_verified_bytes() {
         let (mut sim, topo, hdfs) = setup(2, 1);
-        let h2 = hdfs.clone();
-        let t2 = topo.clone();
-        write_file(
-            &mut sim,
-            &topo,
-            &hdfs,
-            NodeId(0),
-            "f",
-            vec![3u8; 64],
-            move |sim| {
-                read_file(sim, &t2, &h2, NodeId(1), "f", |_, bytes| {
-                    assert_eq!(bytes.unwrap(), vec![3u8; 64]);
-                })
-                .unwrap();
-            },
-        )
-        .unwrap();
-        sim.run();
+        stage(&mut sim, &topo, &hdfs, 0, vec![3u8; 64]);
+        let (got, done) = capture();
+        read_file(&mut sim, &topo, &hdfs, NodeId(1), "f", done);
+        assert_eq!(finish(&mut sim, &got).unwrap(), vec![3u8; 64]);
         let stats = hdfs.borrow().integrity;
         assert_eq!(stats.verified_bytes, 64);
         assert_eq!(stats.detected, 0);
@@ -809,68 +783,48 @@ mod tests {
 
     #[test]
     fn corrupt_replica_repaired_from_alternate() {
-        use crate::block::block_fault_key;
         use simnet::FaultPlan;
         let (mut sim, topo, hdfs) = setup(3, 2);
         let data: Vec<u8> = (0..64u8).collect();
-        write_file(&mut sim, &topo, &hdfs, NodeId(1), "f", data.clone(), |_| {}).unwrap();
-        sim.run();
-        let block = hdfs.borrow().namenode.blocks("f").unwrap()[0].clone();
+        let block = stage(&mut sim, &topo, &hdfs, 1, data.clone());
         assert_eq!(block.locations()[0], NodeId(1), "writer-local first");
         assert_eq!(block.crc, scirng::crc32c(&data));
         // Corrupt the reader-local copy; the read must detect the flip and
         // recover from the other replica, delivering the true bytes.
         sim.faults
             .install(FaultPlan::none().corrupt_replica(block_fault_key(block.id), 1));
-        let got = Rc::new(RefCell::new(None));
-        let g = got.clone();
-        read_block(&mut sim, &topo, &hdfs, NodeId(1), &block, move |_, d| {
-            *g.borrow_mut() = Some(d.as_ref().clone());
-        })
-        .unwrap();
-        sim.run();
-        assert_eq!(got.borrow_mut().take().unwrap(), data, "repair is exact");
+        let (got, done) = capture();
+        read_block(&mut sim, &topo, &hdfs, NodeId(1), &block, done);
+        let (bytes, ev) = finish(&mut sim, &got).unwrap();
+        assert_eq!(*bytes, data, "repair is exact");
         let stats = hdfs.borrow().integrity;
         assert_eq!(stats.detected, 1);
         assert_eq!(stats.repaired, 1);
         assert_eq!(stats.failed, 0);
         assert_eq!(stats.verified_bytes, 64, "only the good copy counts");
+        // The read's own events say the same.
+        let want = ReadEvents {
+            verified_bytes: 64,
+            detected: 1,
+            repaired: 1,
+            ..ReadEvents::default()
+        };
+        assert_eq!(ev, want);
         // The stored replica itself was never touched: a later read with no
         // plan installed is clean.
         sim.faults.install(FaultPlan::none());
-        let got2 = Rc::new(RefCell::new(None));
-        let g2 = got2.clone();
-        read_block(&mut sim, &topo, &hdfs, NodeId(1), &block, move |_, d| {
-            *g2.borrow_mut() = Some(d.as_ref().clone());
-        })
-        .unwrap();
-        sim.run();
-        assert_eq!(got2.borrow_mut().take().unwrap(), data);
+        assert_eq!(read(&mut sim, &topo, &hdfs, 1, &block).unwrap(), data);
     }
 
     #[test]
     fn all_replicas_corrupt_fails_typed_not_wrong_data() {
-        use crate::block::block_fault_key;
         use simnet::FaultPlan;
         let (mut sim, topo, hdfs) = setup(3, 2);
-        write_file(
-            &mut sim,
-            &topo,
-            &hdfs,
-            NodeId(0),
-            "f",
-            vec![9u8; 64],
-            |_| {},
-        )
-        .unwrap();
-        sim.run();
-        let block = hdfs.borrow().namenode.blocks("f").unwrap()[0].clone();
+        let block = stage(&mut sim, &topo, &hdfs, 0, vec![9u8; 64]);
         sim.faults
             .install(FaultPlan::none().corrupt_all_replicas(block_fault_key(block.id)));
-        let err = read_block(&mut sim, &topo, &hdfs, NodeId(0), &block, |_, _| {
-            panic!("corrupt data must never be delivered");
-        })
-        .unwrap_err();
+        // Corrupt data is never delivered: the callback gets the error.
+        let err = read(&mut sim, &topo, &hdfs, 0, &block).unwrap_err();
         assert!(
             matches!(err, HdfsError::Integrity { replicas: 2, .. }),
             "{err:?}"
@@ -880,15 +834,10 @@ mod tests {
         assert_eq!(stats.detected, 2);
         assert_eq!(stats.failed, 1);
         // And through the whole-file path the error reaches the callback.
-        let got = Rc::new(RefCell::new(None));
-        let g = got.clone();
-        read_file(&mut sim, &topo, &hdfs, NodeId(0), "f", move |_, r| {
-            *g.borrow_mut() = Some(r);
-        })
-        .unwrap();
-        sim.run();
+        let (got, done) = capture();
+        read_file(&mut sim, &topo, &hdfs, NodeId(0), "f", done);
         assert!(matches!(
-            got.borrow_mut().take().unwrap(),
+            finish(&mut sim, &got),
             Err(HdfsError::Integrity { .. })
         ));
     }
@@ -898,22 +847,21 @@ mod tests {
         use simnet::FaultPlan;
         let (mut sim, topo, hdfs) = setup(3, 2);
         let data: Vec<u8> = (0..64u8).collect();
-        write_file(&mut sim, &topo, &hdfs, NodeId(0), "f", data.clone(), |_| {}).unwrap();
-        sim.run();
-        let block = hdfs.borrow().namenode.blocks("f").unwrap()[0].clone();
+        let block = stage(&mut sim, &topo, &hdfs, 0, data.clone());
         assert_eq!(block.locations()[0], NodeId(0), "writer-local first");
         // Node 0 (the primary replica owner) hangs; reader 2 is remote to
         // both replicas, so without hedging the read would stall forever.
         sim.faults.install(FaultPlan::none().hang_node(0, 0.0));
-        hdfs.borrow_mut().hedge = Some(HedgeConfig { after_s: 1.0 });
-        let got = Rc::new(RefCell::new(None));
-        let g = got.clone();
-        read_block(&mut sim, &topo, &hdfs, NodeId(2), &block, move |_, d| {
-            *g.borrow_mut() = Some(d.as_ref().clone());
-        })
-        .unwrap();
+        let (stalled, done) = capture();
+        read_block(&mut sim, &topo, &hdfs, NodeId(2), &block, done);
         sim.run();
-        assert_eq!(got.borrow_mut().take().unwrap(), data, "hedge delivers");
+        assert!(
+            stalled.borrow().is_none(),
+            "no hedge: the callback is dropped"
+        );
+        hdfs.borrow_mut().hedge = Some(HedgeConfig { after_s: 1.0 });
+        let got = read(&mut sim, &topo, &hdfs, 2, &block);
+        assert_eq!(got.unwrap(), data, "hedge delivers");
         let hs = hdfs.borrow().hedge_stats;
         assert_eq!(hs.hedged_reads, 1);
         assert_eq!(hs.hedged_read_wins, 1);
@@ -924,19 +872,10 @@ mod tests {
     fn hedge_timer_is_inert_on_fast_reads() {
         let (mut sim, topo, hdfs) = setup(3, 2);
         let data: Vec<u8> = (0..64u8).collect();
-        write_file(&mut sim, &topo, &hdfs, NodeId(0), "f", data.clone(), |_| {}).unwrap();
-        sim.run();
-        let block = hdfs.borrow().namenode.blocks("f").unwrap()[0].clone();
+        let block = stage(&mut sim, &topo, &hdfs, 0, data.clone());
         // Generous deadline: the primary delivers first, no hedge launches.
         hdfs.borrow_mut().hedge = Some(HedgeConfig { after_s: 1e6 });
-        let got = Rc::new(RefCell::new(None));
-        let g = got.clone();
-        read_block(&mut sim, &topo, &hdfs, NodeId(0), &block, move |_, d| {
-            *g.borrow_mut() = Some(d.as_ref().clone());
-        })
-        .unwrap();
-        sim.run();
-        assert_eq!(got.borrow_mut().take().unwrap(), data);
+        assert_eq!(read(&mut sim, &topo, &hdfs, 0, &block).unwrap(), data);
         assert_eq!(hdfs.borrow().hedge_stats, HedgeStats::default());
     }
 
@@ -945,22 +884,13 @@ mod tests {
         use simnet::FaultPlan;
         let (mut sim, topo, hdfs) = setup(3, 2);
         let data: Vec<u8> = (0..64u8).collect();
-        write_file(&mut sim, &topo, &hdfs, NodeId(0), "f", data.clone(), |_| {}).unwrap();
-        sim.run();
-        let block = hdfs.borrow().namenode.blocks("f").unwrap()[0].clone();
+        let block = stage(&mut sim, &topo, &hdfs, 0, data.clone());
         // Isolate node 0 forever; the reader (node 2) hedges to the other
         // replica, which sits on its own side of the partition.
         sim.faults
             .install(FaultPlan::none().partition(&[0], 0.0, f64::INFINITY));
         hdfs.borrow_mut().hedge = Some(HedgeConfig { after_s: 0.5 });
-        let got = Rc::new(RefCell::new(None));
-        let g = got.clone();
-        read_block(&mut sim, &topo, &hdfs, NodeId(2), &block, move |_, d| {
-            *g.borrow_mut() = Some(d.as_ref().clone());
-        })
-        .unwrap();
-        sim.run();
-        assert_eq!(got.borrow_mut().take().unwrap(), data);
+        assert_eq!(read(&mut sim, &topo, &hdfs, 2, &block).unwrap(), data);
         assert_eq!(hdfs.borrow().hedge_stats.hedged_read_wins, 1);
     }
 
@@ -968,32 +898,14 @@ mod tests {
     fn slow_link_inflates_remote_read_time() {
         let time_with = |factor: Option<f64>| {
             let (mut sim, topo, hdfs) = setup(2, 1);
-            write_file(
-                &mut sim,
-                &topo,
-                &hdfs,
-                NodeId(0),
-                "f",
-                vec![5u8; 64],
-                |_| {},
-            )
-            .unwrap();
-            sim.run();
+            let block = stage(&mut sim, &topo, &hdfs, 0, vec![5u8; 64]);
             if let Some(f) = factor {
                 use simnet::FaultPlan;
                 sim.faults.install(FaultPlan::none().slow_link(0, 1, f));
             }
-            let block = hdfs.borrow().namenode.blocks("f").unwrap()[0].clone();
-            let t = Rc::new(RefCell::new(0.0));
-            let t2 = t.clone();
             let start = sim.now().secs();
-            read_block(&mut sim, &topo, &hdfs, NodeId(1), &block, move |sim, _| {
-                *t2.borrow_mut() = sim.now().secs();
-            })
-            .unwrap();
-            sim.run();
-            let v = *t.borrow() - start;
-            v
+            read(&mut sim, &topo, &hdfs, 1, &block).expect("clean read");
+            sim.now().secs() - start
         };
         let clean = time_with(None);
         let slow = time_with(Some(4.0));
@@ -1003,19 +915,21 @@ mod tests {
     #[test]
     fn empty_file_roundtrip() {
         let (mut sim, topo, hdfs) = setup(2, 1);
-        let hit = Rc::new(RefCell::new(false));
         let h2 = hdfs.clone();
         let t2 = topo.clone();
-        let hitc = hit.clone();
-        write_file(&mut sim, &topo, &hdfs, NodeId(0), "e", vec![], move |sim| {
-            read_file(sim, &t2, &h2, NodeId(0), "e", move |_, bytes| {
-                assert!(bytes.expect("clean read").is_empty());
-                *hitc.borrow_mut() = true;
-            })
-            .unwrap();
-        })
-        .unwrap();
-        sim.run();
-        assert!(*hit.borrow());
+        let (got, done) = capture();
+        write_file(
+            &mut sim,
+            &topo,
+            &hdfs,
+            NodeId(0),
+            "e",
+            vec![],
+            move |sim, res| {
+                res.expect("clean write");
+                read_file(sim, &t2, &h2, NodeId(0), "e", done);
+            },
+        );
+        assert!(finish(&mut sim, &got).expect("clean read").is_empty());
     }
 }

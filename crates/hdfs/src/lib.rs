@@ -29,8 +29,8 @@ use std::rc::Rc;
 
 pub use block::{block_fault_key, Block, BlockId, BlockKind, VirtualBlock};
 pub use client::{
-    read_block, read_block_with_events, read_file, write_file, HdfsError, HedgeConfig, HedgeStats,
-    IntegrityStats, ReadEvents,
+    read_block, read_file, write_file, HdfsError, HedgeConfig, HedgeStats, IntegrityStats,
+    ReadEvents,
 };
 pub use datanode::DataNodes;
 pub use namenode::{EditLog, EditOp, FileStatus, NameNode, NsError};

@@ -158,9 +158,8 @@ mod tests {
                 NodeId(0),
                 path,
                 data.to_vec(),
-                |_| {},
-            )
-            .unwrap();
+                |_, r| r.unwrap(),
+            );
         }
         c.run();
         let files = c.read_output("out").unwrap();

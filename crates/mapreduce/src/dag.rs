@@ -26,15 +26,15 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
-use simnet::{NodeId, Sim};
+use simnet::{countdown, NodeId, Sim};
 
 use crate::cluster::{Cluster, MrEnv};
 use crate::counters::{keys, Counters};
 use crate::dataset::{Dataset, GroupFn, PairFilterFn, PairMapFn, PlanNode, RecordReadFn};
 use crate::input::{FetchDone, FetchResult, InputSplit, SplitFetcher, TaskInput};
 use crate::job::{
-    countdown, group_by_key, kv_bytes, serialize_kvs, submit_stage, FtConfig, Job, JobResult, Kv,
-    MapFn, MapOutput, MrError, NodeTable, Payload, StreamConfig, TaskCtx,
+    group_by_key, kv_bytes, serialize_kvs, submit_stage, FtConfig, Job, JobResult, Kv, MapFn,
+    MapOutput, MrError, NodeTable, Payload, StreamConfig, TaskCtx,
 };
 
 // ---------------------------------------------------------------------------
@@ -836,13 +836,12 @@ fn write_next(sim: &mut Sim, d: &SharedDag, mut writes: VecDeque<(NodeId, String
             h.datanodes.reclaim(&ids);
         }
     }
-    let d2 = d.clone();
-    let res = hdfs::write_file(sim, &env.topo, &env.hdfs, node, path, data, move |sim| {
-        write_next(sim, &d2, writes)
-    });
-    if let Err(e) = res {
-        fail_dag(sim, d, MrError::msg(format!("hdfs: {e}")));
-    }
+    let d = d.clone();
+    let written = move |sim: &mut Sim, res: Result<(), hdfs::HdfsError>| match res {
+        Ok(()) => write_next(sim, &d, writes),
+        Err(e) => fail_dag(sim, &d, MrError::msg(format!("hdfs: {e}"))),
+    };
+    hdfs::write_file(sim, &env.topo, &env.hdfs, node, path, data, written);
 }
 
 fn complete_dag(sim: &mut Sim, d: &SharedDag) {

@@ -475,34 +475,22 @@ impl SplitFetcher for HdfsBlockFetcher {
                 }
             }
         };
-        // `read_block` consumes its callback even when it fails
-        // synchronously, so route completion through a take-once cell.
         // Integrity accounting: the read reports its own events, which land
         // in attempt-local counters — exact under concurrent fetches (a
         // cluster-wide stats delta would absorb overlapping reads) and under
         // retries (a failed attempt's events are dropped with it).
-        let done_cell = Rc::new(RefCell::new(Some(done)));
-        let dc = done_cell.clone();
-        let res = hdfs::read_block_with_events(
-            sim,
-            &env.topo,
-            &env.hdfs,
-            node,
-            &block,
-            move |sim, data, ev| {
-                if let Some(d) = dc.borrow_mut().take() {
-                    let mut fr = FetchResult::plain(TaskInput::Bytes(data.as_ref().clone()));
-                    fr.counters = read_event_counters(ev);
-                    d(sim, Ok(fr));
-                }
-            },
-        );
-        if let Err(e) = res {
-            if let Some(d) = done_cell.borrow_mut().take() {
-                let e = MrError::msg(format!("hdfs: {e} ({})", self.path));
-                sim.after(0.0, move |sim| d(sim, Err(e)));
-            }
-        }
+        let path = self.path.clone();
+        hdfs::read_block(sim, &env.topo, &env.hdfs, node, &block, move |sim, res| {
+            let fetched = res.map(|(data, ev)| {
+                let mut fr = FetchResult::plain(TaskInput::Bytes(data.as_ref().clone()));
+                fr.counters = read_event_counters(ev);
+                fr
+            });
+            done(
+                sim,
+                fetched.map_err(|e| MrError::msg(format!("hdfs: {e} ({path})"))),
+            );
+        });
     }
 
     fn describe(&self) -> String {
@@ -596,37 +584,19 @@ impl PieceStream for FlatPieceStream {
             return;
         };
         let parts = self.parts.clone();
-        let done_cell = Rc::new(RefCell::new(Some(done)));
-        let dc = done_cell.clone();
-        let res = pfs::read_at(
-            sim,
-            &env.topo,
-            &env.pfs,
-            node,
-            &self.path,
-            off as usize,
-            len as usize,
-            move |sim, bytes| {
-                let Some(done) = dc.borrow_mut().take() else {
-                    return;
-                };
+        let read = move |sim: &mut Sim, res: Result<Vec<u8>, pfs::PfsError>| {
+            let piece = res.map(|bytes| {
                 parts.borrow_mut().insert(idx, bytes);
-                done(
-                    sim,
-                    Ok(FetchPiece {
-                        bytes: len,
-                        charges: Vec::new(),
-                        counters: Vec::new(),
-                    }),
-                );
-            },
-        );
-        if let Err(e) = res {
-            if let Some(done) = done_cell.borrow_mut().take() {
-                let e = MrError::msg(format!("pfs: {e}"));
-                sim.after(0.0, move |sim| done(sim, Err(e)));
-            }
-        }
+                FetchPiece {
+                    bytes: len,
+                    charges: Vec::new(),
+                    counters: Vec::new(),
+                }
+            });
+            done(sim, piece.map_err(|e| MrError::msg(format!("pfs: {e}"))));
+        };
+        let (off, len) = (off as usize, len as usize);
+        pfs::read_at(sim, &env.topo, &env.pfs, node, &self.path, off, len, read);
     }
 
     fn finish(&self) -> Result<FetchResult, MrError> {

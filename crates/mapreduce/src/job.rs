@@ -26,7 +26,7 @@ mod reduce;
 mod sched;
 mod speculate;
 
-pub(crate) use commit::{countdown, group_by_key, kv_bytes, serialize_kvs, MapOutput};
+pub(crate) use commit::{group_by_key, kv_bytes, serialize_kvs, MapOutput};
 
 use attempt::{AttemptInfo, TaskTable};
 pub(crate) use nodes::NodeTable;

@@ -1,10 +1,8 @@
-//! Task output: partitioning, grouping, serialization, the part-file commit
-//! protocol, and the countdown join of concurrent pulls. The classic job
-//! driver and the DAG engine both build on these.
+//! Task output: partitioning, grouping, serialization and the part-file
+//! commit protocol. The classic job driver and the DAG engine both build on
+//! these.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use simnet::{CostModel, NodeId, Sim};
 
@@ -62,28 +60,6 @@ pub(crate) fn group_by_key<V>(
         groups.entry(key).or_default().push(value);
     }
     (cost.lbytes(in_bytes) * cost.sort_per_byte, groups)
-}
-
-/// Join of `n` concurrent transfers: each calls the returned handle once on
-/// arrival, and `done` runs when the last one does. Transfers that were
-/// never issued keep the count above zero, so `done` cannot fire early or
-/// twice. (`n = 0` never fires — callers continue directly.)
-pub(crate) fn countdown(n: usize, done: impl FnOnce(&mut Sim) + 'static) -> Rc<dyn Fn(&mut Sim)> {
-    let state = RefCell::new((n, Some(done)));
-    Rc::new(move |sim| {
-        let fire = {
-            let mut s = state.borrow_mut();
-            s.0 = s.0.saturating_sub(1);
-            if s.0 == 0 {
-                s.1.take()
-            } else {
-                None
-            }
-        };
-        if let Some(done) = fire {
-            done(sim);
-        }
-    })
 }
 
 pub(crate) fn serialize_kvs(kvs: &[Kv]) -> Vec<u8> {
@@ -198,10 +174,13 @@ pub(super) fn commit_part_file(
         commit_task(sim, &att2, phases, None, &acnt);
     };
     if output_to_pfs {
-        pfs::write_new(sim, &env.topo, &env.pfs, node, tmp, data, finish);
-    } else if let Err(e) = hdfs::write_file(sim, &env.topo, &env.hdfs, node, tmp, data, finish) {
-        att.fail(sim, MrError::msg(format!("hdfs: {e}")));
+        return pfs::write_new(sim, &env.topo, &env.pfs, node, tmp, data, finish);
     }
+    let written = move |sim: &mut Sim, res: Result<(), hdfs::HdfsError>| match res {
+        Ok(()) => finish(sim),
+        Err(e) => att.fail(sim, MrError::msg(format!("hdfs: {e}"))),
+    };
+    hdfs::write_file(sim, &env.topo, &env.hdfs, node, tmp, data, written);
 }
 
 #[cfg(test)]

@@ -3,10 +3,10 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use simnet::Sim;
+use simnet::{countdown, Sim};
 
 use super::attempt::Attempt;
-use super::commit::{commit_part_file, countdown, group_by_key, kv_bytes};
+use super::commit::{commit_part_file, group_by_key, kv_bytes};
 use super::{Kv, MrError, TaskCtx};
 use crate::counters::{keys, Counters};
 
@@ -69,12 +69,13 @@ pub(super) fn run_reduce_attempt(sim: &mut Sim, att: Attempt) {
                 let spill_path = format!("_spill/{job_name}/m{m_idx:05}");
                 let have = env.pfs.borrow().len_of(&spill_path).unwrap_or(0);
                 let len = bytes.min(have);
-                let read = move |sim: &mut Sim, _| arrive(sim);
-                let res = pfs::read_at(sim, &env.topo, &env.pfs, node, &spill_path, 0, len, read);
-                if let Err(e) = res {
-                    // The pulls not issued keep the countdown above zero.
-                    return att.fail(sim, MrError::msg(format!("pfs: {e} ({spill_path})")));
-                }
+                let (att, path) = (att.clone(), spill_path.clone());
+                let read = move |sim: &mut Sim, res: Result<_, pfs::PfsError>| match res {
+                    Ok(_) => arrive(sim),
+                    // The pull that failed keeps the countdown above zero.
+                    Err(e) => att.fail(sim, MrError::msg(format!("pfs: {e} ({path})"))),
+                };
+                pfs::read_at(sim, &env.topo, &env.pfs, node, &spill_path, 0, len, read);
             } else {
                 let flow_bytes = sim.cost.lbytes(bytes);
                 let path = env.topo.path_net(src, node);

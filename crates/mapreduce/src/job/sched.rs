@@ -265,9 +265,8 @@ mod tests {
             NodeId(0),
             "in",
             vec![1u8; (1 << 16) + 100],
-            |_| {},
-        )
-        .unwrap();
+            |_, r| r.unwrap(),
+        );
         c.run();
         let env = c.env();
         let splits = crate::input::hdfs_file_splits(&env, "in").expect("staged input path");

@@ -1,19 +1,24 @@
 //! Timed PFS client operations.
 //!
-//! A read costs one MDS RPC, then one seek + one flow per OST segment; all
-//! segment flows run concurrently (that is where PFS aggregate bandwidth
-//! comes from) and contend with every other active transfer in the
-//! simulation. Completion hands the caller the *real* bytes.
+//! A read or write is one [`Sim::disk_transfer`] (RPC, seek, data flow) per
+//! OST segment; all segment transfers run concurrently (that is where PFS
+//! aggregate bandwidth comes from) and contend with every other active
+//! transfer in the simulation. Completion hands the caller the *real*
+//! bytes.
+//!
+//! One completion channel: a read returns nothing and reports through its
+//! one callback, `done(sim, Result<bytes, PfsError>)` — called exactly once,
+//! never from inside the issuing call (an error known at issue time arrives
+//! on a zero-delay event), and not at all when the fault plan hangs the read.
 
-use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
 
-use simnet::{NodeId, ReadOutcome, Sim, Topology};
+use simnet::{countdown, FaultInjector, NodeId, ReadOutcome, ResourceId, Sim, Topology};
 
 use crate::fs::SharedPfs;
+use crate::layout::{Segment, StripeLayout};
 
-/// Errors surfaced synchronously when issuing a PFS operation.
+/// Errors a PFS read reports through its completion callback.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PfsError {
     NotFound(String),
@@ -72,9 +77,77 @@ impl fmt::Display for PfsError {
 
 impl std::error::Error for PfsError {}
 
+/// Move `segments` concurrently, one disk transfer each over the
+/// `(disk, path)` that `route` gives for its OST; `done` runs when the last
+/// one lands — after the bare MDS RPC when there is nothing to move.
+fn transfer_segments(
+    sim: &mut Sim,
+    segments: Vec<Segment>,
+    route: impl Fn(usize) -> (ResourceId, Vec<ResourceId>),
+    done: impl FnOnce(&mut Sim) + 'static,
+) {
+    if segments.is_empty() {
+        return sim.rpc(done);
+    }
+    let landed = countdown(segments.len(), done);
+    for seg in segments {
+        let (disk, path) = route(seg.ost);
+        let bytes = sim.cost.lbytes(seg.len);
+        let landed = landed.clone();
+        sim.disk_transfer(disk, path, bytes, move |sim| landed(sim));
+    }
+}
+
+/// Everything a read decides at issue time: the fault verdict, the range
+/// check, and the OST segments with the delivered copy of the bytes.
+fn stage_read(
+    faults: &FaultInjector,
+    pfs: &SharedPfs,
+    path: &str,
+    offset: usize,
+    len: usize,
+    outcome: ReadOutcome,
+) -> Result<(Vec<Segment>, Vec<u8>), PfsError> {
+    let path_s = || path.to_string();
+    if let ReadOutcome::Fail { nth } = outcome {
+        return Err(PfsError::Injected {
+            path: path_s(),
+            nth,
+        });
+    }
+    let p = pfs.borrow();
+    let file = p.file(path).ok_or_else(|| PfsError::NotFound(path_s()))?;
+    let range = offset..offset.saturating_add(len);
+    let stored = file.data.get(range).ok_or_else(|| PfsError::OutOfRange {
+        path: path_s(),
+        offset,
+        len,
+        file_len: file.len(),
+    })?;
+    let mut payload = stored.to_vec();
+    // Corruption faults flip one byte of the *delivered* copy — the stored
+    // object stays intact, so a transient flip re-reads clean.
+    if let (ReadOutcome::Corrupt { nth, silent }, false) = (outcome, payload.is_empty()) {
+        faults.corrupt(path, nth, &mut payload);
+        if !silent {
+            // Detected: the client checksums the delivered stripes against
+            // the store's CRC and refuses the bad bytes.
+            return Err(PfsError::Checksum {
+                path: path_s(),
+                nth,
+                stored: scirng::crc32c(stored),
+                computed: scirng::crc32c(&payload),
+            });
+        }
+    }
+    Ok((file.layout.segments(offset, len, p.config.n_osts), payload))
+}
+
 /// Read `[offset, offset+len)` of `path` into the memory of `node`.
 ///
-/// `done` receives the bytes at the virtual time the last segment lands.
+/// `done` receives the bytes at the virtual time the last segment lands, or
+/// the error (injected failure, detected checksum, not found, out of range)
+/// on a zero-delay event.
 #[allow(clippy::too_many_arguments)]
 pub fn read_at(
     sim: &mut Sim,
@@ -84,116 +157,40 @@ pub fn read_at(
     path: &str,
     offset: usize,
     len: usize,
-    done: impl FnOnce(&mut Sim, Vec<u8>) + 'static,
-) -> Result<(), PfsError> {
+    done: impl FnOnce(&mut Sim, Result<Vec<u8>, PfsError>) + 'static,
+) {
     let outcome = sim.faults.take_read_outcome(path);
-    if let ReadOutcome::Fail { nth } = outcome {
-        return Err(PfsError::Injected {
-            path: path.to_string(),
-            nth,
-        });
-    }
     if let ReadOutcome::Hang { .. } = outcome {
         // The read never completes: drop `done` without scheduling anything
         // (no flow is started, so the simulator drains cleanly). Only a
         // caller-side deadline can recover from this.
-        drop(done);
-        return Ok(());
+        return;
     }
-    let (segments, payload) = {
-        let p = pfs.borrow();
-        let file = p
-            .file(path)
-            .ok_or_else(|| PfsError::NotFound(path.to_string()))?;
-        if offset + len > file.len() {
-            return Err(PfsError::OutOfRange {
-                path: path.to_string(),
-                offset,
-                len,
-                file_len: file.len(),
-            });
-        }
-        let segments = file.layout.segments(offset, len, p.config.n_osts);
-        let mut payload = file.data[offset..offset + len].to_vec();
-        // Corruption faults flip one byte of the *delivered* copy — the
-        // stored object stays intact, so a transient flip re-reads clean.
-        if let ReadOutcome::Corrupt { nth, silent } = outcome {
-            if !payload.is_empty() {
-                let (selector, mask) = sim.faults.corruption_pattern(path, nth);
-                let pos = (selector % payload.len() as u64) as usize;
-                payload[pos] ^= mask;
-                if !silent {
-                    // Detected: the client checksums the delivered stripes
-                    // against the store's CRC and refuses the bad bytes.
-                    let stored = scirng::crc32c(&file.data[offset..offset + len]);
-                    let computed = scirng::crc32c(&payload);
-                    return Err(PfsError::Checksum {
-                        path: path.to_string(),
-                        nth,
-                        stored,
-                        computed,
-                    });
-                }
-            }
-        }
-        (segments, payload)
-    };
-    let rpc = sim.cost.rpc_s;
-    let seek = sim.cost.seek_s;
-    if segments.is_empty() {
-        sim.after(rpc, move |sim| done(sim, payload));
-        return Ok(());
-    }
-    let join = Rc::new(RefCell::new((segments.len(), Some(done), payload)));
-    for seg in segments {
-        let flow_path = topo.path_ost_read(seg.ost, node);
-        let bytes = sim.cost.lbytes(seg.len);
-        let join = join.clone();
-        // The head positioning occupies the disk itself (it serializes with
-        // other requests on that OST), modelled as a disk-only flow of the
-        // bandwidth-equivalent byte count before the data flow starts. One
-        // seek per contiguous OST segment — readahead streams the stripes
-        // of a segment back to back; *interleaving* across clients is
-        // modelled separately by the disk thrash factor.
-        let disk = flow_path[0];
-        let seek_bytes = seek * sim.net.resource(disk).capacity;
-        sim.after(rpc, move |sim| {
-            let seek_flow = if seek_bytes.is_finite() {
-                seek_bytes
-            } else {
-                0.0
+    match stage_read(&sim.faults, pfs, path, offset, len, outcome) {
+        Ok((segments, payload)) => {
+            // One seek per contiguous OST segment — readahead streams the
+            // stripes of a segment back to back.
+            let route = |ost| {
+                let flow_path = topo.path_ost_read(ost, node);
+                (flow_path[0], flow_path)
             };
-            sim.start_flow(vec![disk], seek_flow, move |sim| {
-                sim.start_flow(flow_path, bytes, move |sim| {
-                    let mut j = join.borrow_mut();
-                    j.0 -= 1;
-                    if j.0 == 0 {
-                        // scilint::allow(p-expect, reason = "join invariant: the counter reaches zero exactly once, so the callback is taken exactly once; a double-take means corrupt join state and must stop the run")
-                        let cb = j.1.take().expect("completion callback present");
-                        let data = std::mem::take(&mut j.2);
-                        drop(j);
-                        cb(sim, data);
-                    }
-                });
-            });
-        });
+            transfer_segments(sim, segments, route, move |sim| done(sim, Ok(payload)));
+        }
+        Err(e) => sim.after(0.0, move |sim| done(sim, Err(e))),
     }
-    Ok(())
 }
 
-/// Read an entire file into the memory of `node`.
+/// Read an entire file into the memory of `node` — [`read_at`] over its
+/// whole length (a missing file is `read_at`'s `NotFound`).
 pub fn read_file(
     sim: &mut Sim,
     topo: &Topology,
     pfs: &SharedPfs,
     node: NodeId,
     path: &str,
-    done: impl FnOnce(&mut Sim, Vec<u8>) + 'static,
-) -> Result<(), PfsError> {
-    let len = pfs
-        .borrow()
-        .len_of(path)
-        .ok_or_else(|| PfsError::NotFound(path.to_string()))?;
+    done: impl FnOnce(&mut Sim, Result<Vec<u8>, PfsError>) + 'static,
+) {
+    let len = pfs.borrow().len_of(path).unwrap_or(0);
     read_at(sim, topo, pfs, node, path, 0, len, done)
 }
 
@@ -214,53 +211,23 @@ pub fn write_new(
         let p = pfs.borrow();
         let count = p.config.default_stripe_count.min(p.config.n_osts);
         (
-            crate::layout::StripeLayout::new(p.config.stripe_size, count, 0),
+            StripeLayout::new(p.config.stripe_size, count, 0),
             p.config.n_osts,
         )
     };
     let segments = layout.segments(0, data.len(), n_osts);
-    let rpc = sim.cost.rpc_s;
-    let seek = sim.cost.seek_s;
-    let pfs2 = pfs.clone();
-    let commit = move |sim: &mut Sim, data: Vec<u8>| {
-        pfs2.borrow_mut().create_with_layout(path, data, layout);
-        done(sim);
-    };
-    if segments.is_empty() {
-        sim.after(rpc, move |sim| commit(sim, data));
-        return;
-    }
-    let join = Rc::new(RefCell::new((segments.len(), Some(commit), data)));
-    for seg in segments {
-        let flow_path = topo.path_ost_write(node, seg.ost);
-        let bytes = sim.cost.lbytes(seg.len);
-        let join = join.clone();
+    // Writes are buffered and laid out by the OSS (elevator/coalescing):
+    // one positioning cost per OST segment, unlike interleaved reads.
+    let route = |ost| {
+        let flow_path = topo.path_ost_write(node, ost);
         // scilint::allow(p-expect, reason = "topology invariant: path_ost_write always ends at the target OST's disk resource; an empty path means a corrupt topology and must stop the run")
-        let disk = *flow_path.last().expect("write path has a disk");
-        // Writes are buffered and laid out by the OSS (elevator/coalescing):
-        // one positioning cost per OST segment, unlike interleaved reads.
-        let seek_bytes = seek * sim.net.resource(disk).capacity;
-        sim.after(rpc, move |sim| {
-            let seek_flow = if seek_bytes.is_finite() {
-                seek_bytes
-            } else {
-                0.0
-            };
-            sim.start_flow(vec![disk], seek_flow, move |sim| {
-                sim.start_flow(flow_path, bytes, move |sim| {
-                    let mut j = join.borrow_mut();
-                    j.0 -= 1;
-                    if j.0 == 0 {
-                        // scilint::allow(p-expect, reason = "join invariant: the segment counter reaches zero exactly once, so the commit is taken exactly once; a double-take means corrupt join state and must stop the run")
-                        let cb = j.1.take().expect("commit callback present");
-                        let data = std::mem::take(&mut j.2);
-                        drop(j);
-                        cb(sim, data);
-                    }
-                });
-            });
-        });
-    }
+        (*flow_path.last().expect("write path has a disk"), flow_path)
+    };
+    let pfs = pfs.clone();
+    transfer_segments(sim, segments, route, move |sim| {
+        pfs.borrow_mut().create_with_layout(path, data, layout);
+        done(sim);
+    });
 }
 
 #[cfg(test)]
@@ -268,6 +235,8 @@ mod tests {
     use super::*;
     use crate::fs::{Pfs, PfsConfig};
     use simnet::{ClusterSpec, FlowNet};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn setup(spec: ClusterSpec, pfs_cfg: PfsConfig) -> (Sim, Topology, SharedPfs) {
         let mut sim = Sim::new();
@@ -297,13 +266,30 @@ mod tests {
         )
     }
 
+    /// What a read's callback got, and when.
+    type Got = Rc<RefCell<Option<(f64, Result<Vec<u8>, PfsError>)>>>;
+
+    /// A completion callback that records its one call in `got`.
+    fn capture(got: &Got) -> impl FnOnce(&mut Sim, Result<Vec<u8>, PfsError>) {
+        let g = got.clone();
+        move |sim: &mut Sim, res| *g.borrow_mut() = Some((sim.now().secs(), res))
+    }
+
+    /// Run the sim dry and take what `got` captured.
+    fn finish(sim: &mut Sim, got: &Got) -> (f64, Result<Vec<u8>, PfsError>) {
+        assert!(
+            got.borrow().is_none(),
+            "callback ran inside the issuing call"
+        );
+        sim.run();
+        got.borrow_mut().take().expect("callback ran")
+    }
+
     #[test]
     fn read_returns_exact_bytes_with_exact_timing() {
         let (mut sim, topo, pfs) = one_ost_setup();
         pfs.borrow_mut().create("f", (0..200u8).collect());
-        #[allow(clippy::type_complexity)]
-        let out: Rc<RefCell<Option<(f64, Vec<u8>)>>> = Rc::new(RefCell::new(None));
-        let o = out.clone();
+        let got = Got::default();
         read_at(
             &mut sim,
             &topo,
@@ -312,14 +298,10 @@ mod tests {
             "f",
             50,
             100,
-            move |sim, data| {
-                *o.borrow_mut() = Some((sim.now().secs(), data));
-            },
-        )
-        .unwrap();
-        sim.run();
-        let (t, data) = out.borrow_mut().take().unwrap();
-        assert_eq!(data, (50..150u8).collect::<Vec<_>>());
+            capture(&got),
+        );
+        let (t, data) = finish(&mut sim, &got);
+        assert_eq!(data.unwrap(), (50..150u8).collect::<Vec<_>>());
         // rpc + seek + 100 bytes / 100 B/s
         let expect = sim.cost.rpc_s + sim.cost.seek_s + 1.0;
         assert!((t - expect).abs() < 1e-9, "t={t}, expect {expect}");
@@ -329,14 +311,24 @@ mod tests {
     fn missing_file_and_bad_range_error() {
         let (mut sim, topo, pfs) = one_ost_setup();
         pfs.borrow_mut().create("f", vec![0; 10]);
-        assert!(matches!(
-            read_at(&mut sim, &topo, &pfs, NodeId(0), "g", 0, 1, |_, _| {}),
-            Err(PfsError::NotFound(_))
-        ));
-        assert!(matches!(
-            read_at(&mut sim, &topo, &pfs, NodeId(0), "f", 5, 10, |_, _| {}),
-            Err(PfsError::OutOfRange { .. })
-        ));
+        let got = Got::default();
+        read_at(&mut sim, &topo, &pfs, NodeId(0), "g", 0, 1, capture(&got));
+        let (t, res) = finish(&mut sim, &got);
+        assert!(matches!(res, Err(PfsError::NotFound(_))), "{res:?}");
+        assert_eq!(t, 0.0, "issue-time errors arrive on a zero-delay event");
+        let got = Got::default();
+        read_at(&mut sim, &topo, &pfs, NodeId(0), "f", 5, 10, capture(&got));
+        let (_, res) = finish(&mut sim, &got);
+        assert!(matches!(res, Err(PfsError::OutOfRange { .. })), "{res:?}");
+    }
+
+    #[test]
+    fn read_file_on_a_missing_path_reports_through_the_callback() {
+        let (mut sim, topo, pfs) = one_ost_setup();
+        let got = Got::default();
+        read_file(&mut sim, &topo, &pfs, NodeId(0), "nowhere", capture(&got));
+        let (_, res) = finish(&mut sim, &got);
+        assert_eq!(res, Err(PfsError::NotFound("nowhere".to_string())));
     }
 
     #[test]
@@ -361,16 +353,11 @@ mod tests {
                 },
             );
             pfs.borrow_mut().create("f", vec![7u8; 400]);
-            let t = Rc::new(RefCell::new(0.0));
-            let t2 = t.clone();
-            read_file(&mut sim, &topo, &pfs, NodeId(0), "f", move |sim, d| {
-                assert_eq!(d.len(), 400);
-                *t2.borrow_mut() = sim.now().secs();
-            })
-            .unwrap();
-            sim.run();
-            let v = *t.borrow();
-            v
+            let got = Got::default();
+            read_file(&mut sim, &topo, &pfs, NodeId(0), "f", capture(&got));
+            let (t, d) = finish(&mut sim, &got);
+            assert_eq!(d.unwrap().len(), 400);
+            t
         };
         let wide = mk(4);
         let narrow = mk(1);
@@ -387,13 +374,14 @@ mod tests {
         let times = Rc::new(RefCell::new(Vec::new()));
         for n in 0..2 {
             let times = times.clone();
-            read_file(&mut sim, &topo, &pfs, NodeId(n), "f", move |sim, _| {
+            read_file(&mut sim, &topo, &pfs, NodeId(n), "f", move |sim, d| {
+                assert!(d.is_ok());
                 times.borrow_mut().push(sim.now().secs());
-            })
-            .unwrap();
+            });
         }
         sim.run();
         // Two 100-byte reads sharing a 100 B/s disk → ~2s each, not ~1s.
+        assert_eq!(times.borrow().len(), 2);
         for &t in times.borrow().iter() {
             assert!(t > 1.9, "no contention observed: {t}");
         }
@@ -403,15 +391,11 @@ mod tests {
     fn zero_length_read_completes() {
         let (mut sim, topo, pfs) = one_ost_setup();
         pfs.borrow_mut().create("f", vec![]);
-        let hit = Rc::new(RefCell::new(false));
-        let h = hit.clone();
-        read_file(&mut sim, &topo, &pfs, NodeId(0), "f", move |_, d| {
-            assert!(d.is_empty());
-            *h.borrow_mut() = true;
-        })
-        .unwrap();
-        sim.run();
-        assert!(*hit.borrow());
+        let got = Got::default();
+        read_file(&mut sim, &topo, &pfs, NodeId(0), "f", capture(&got));
+        let (t, d) = finish(&mut sim, &got);
+        assert!(d.unwrap().is_empty());
+        assert_eq!(t, sim.cost.rpc_s, "an empty read is the bare MDS RPC");
     }
 
     #[test]
@@ -441,9 +425,7 @@ mod tests {
             let (mut sim, topo, pfs) = one_ost_setup();
             sim.faults.install(plan);
             pfs.borrow_mut().create("f", (0..200u8).collect());
-            #[allow(clippy::type_complexity)]
-            let out: Rc<RefCell<Option<(f64, Vec<u8>)>>> = Rc::new(RefCell::new(None));
-            let o = out.clone();
+            let got = Got::default();
             read_at(
                 &mut sim,
                 &topo,
@@ -452,14 +434,10 @@ mod tests {
                 "f",
                 50,
                 100,
-                move |sim, d| {
-                    *o.borrow_mut() = Some((sim.now().secs(), d));
-                },
-            )
-            .unwrap();
-            sim.run();
-            let v = out.borrow_mut().take().unwrap();
-            v
+                capture(&got),
+            );
+            let (t, d) = finish(&mut sim, &got);
+            (t, d.unwrap())
         };
         let (t_clean, clean) = run(simnet::FaultPlan::none());
         let (t_bad, bad) = run(simnet::FaultPlan::none().corrupt_read("f", 1));
@@ -482,10 +460,10 @@ mod tests {
         sim.faults
             .install(simnet::FaultPlan::none().corrupt_read_detected("f", 1));
         pfs.borrow_mut().create("f", (0..100u8).collect());
-        let err = read_at(&mut sim, &topo, &pfs, NodeId(0), "f", 0, 100, |_, _| {
-            panic!("must not deliver corrupt bytes")
-        })
-        .unwrap_err();
+        let got = Got::default();
+        read_at(&mut sim, &topo, &pfs, NodeId(0), "f", 0, 100, capture(&got));
+        // Corrupt bytes are never delivered: the callback gets the error.
+        let err = finish(&mut sim, &got).1.unwrap_err();
         let PfsError::Checksum {
             nth,
             stored,
@@ -499,24 +477,35 @@ mod tests {
         assert_ne!(stored, computed);
         assert!(err.to_string().contains("IntegrityError"), "{err}");
         // The retry (read #2) succeeds with clean bytes.
-        let ok = Rc::new(RefCell::new(false));
-        let ok2 = ok.clone();
-        read_at(
-            &mut sim,
-            &topo,
-            &pfs,
-            NodeId(0),
-            "f",
-            0,
-            100,
-            move |_, d| {
-                assert_eq!(d, (0..100u8).collect::<Vec<_>>());
-                *ok2.borrow_mut() = true;
-            },
-        )
-        .unwrap();
+        let got = Got::default();
+        read_at(&mut sim, &topo, &pfs, NodeId(0), "f", 0, 100, capture(&got));
+        let d = finish(&mut sim, &got).1.unwrap();
+        assert_eq!(d, (0..100u8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn injected_failure_reports_once_and_a_hung_read_never_does() {
+        let (mut sim, topo, pfs) = one_ost_setup();
+        sim.faults.install(
+            simnet::FaultPlan::none()
+                .fail_read("f", 1)
+                .hang_nth_read("f", 2),
+        );
+        pfs.borrow_mut().create("f", vec![4u8; 10]);
+        let got = Got::default();
+        read_file(&mut sim, &topo, &pfs, NodeId(0), "f", capture(&got));
+        let (_, res) = finish(&mut sim, &got);
+        assert!(
+            matches!(res, Err(PfsError::Injected { nth: 1, .. })),
+            "{res:?}"
+        );
+        // Hang = the callback is dropped and nothing is scheduled.
+        let got = Got::default();
+        read_file(&mut sim, &topo, &pfs, NodeId(0), "f", capture(&got));
+        let before = sim.events_processed();
         sim.run();
-        assert!(*ok.borrow());
+        assert!(got.borrow().is_none(), "a hung read never completes");
+        assert_eq!(sim.events_processed(), before);
     }
 
     #[test]
@@ -524,14 +513,10 @@ mod tests {
         let (mut sim, topo, pfs) = one_ost_setup();
         sim.cost.scale = 10.0;
         pfs.borrow_mut().create("f", vec![0u8; 100]);
-        let t = Rc::new(RefCell::new(0.0));
-        let t2 = t.clone();
-        read_file(&mut sim, &topo, &pfs, NodeId(0), "f", move |sim, _| {
-            *t2.borrow_mut() = sim.now().secs();
-        })
-        .unwrap();
-        sim.run();
+        let got = Got::default();
+        read_file(&mut sim, &topo, &pfs, NodeId(0), "f", capture(&got));
+        let (t, _) = finish(&mut sim, &got);
         // 100 real bytes → 1000 logical / 100 B/s = 10s.
-        assert!((*t.borrow() - (sim.cost.rpc_s + sim.cost.seek_s + 10.0)).abs() < 1e-9);
+        assert!((t - (sim.cost.rpc_s + sim.cost.seek_s + 10.0)).abs() < 1e-9);
     }
 }

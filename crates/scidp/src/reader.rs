@@ -57,10 +57,10 @@ struct ChunkRead {
 }
 
 impl ChunkRead {
-    /// Kill the attempt (once) on the next event.
+    /// Kill the attempt (once).
     fn fail(&self, sim: &mut Sim, e: MrError) {
         if let Some(done) = self.done.borrow_mut().take() {
-            sim.after(0.0, move |sim| done(sim, Err(e)));
+            done(sim, Err(e));
         }
     }
 
@@ -121,10 +121,38 @@ impl ChunkRead {
 /// corruption: the first one triggers exactly one re-read (a transient
 /// flip repairs — the store is clean); a second mismatch quarantines the
 /// chunk and fails the attempt with an `IntegrityError` rather than ever
-/// decoding wrong bytes. Returns the synchronous error of the *initial*
-/// `read_at` call (re-read errors fail the piece directly).
-fn chunk_read_attempt(sim: &mut Sim, st: Rc<ChunkRead>, attempt: u32) -> Result<(), pfs::PfsError> {
+/// decoding wrong bytes. A PFS error (injected or genuine, first read or
+/// re-read) fails the piece.
+fn chunk_read_attempt(sim: &mut Sim, st: Rc<ChunkRead>, attempt: u32) {
     let st2 = st.clone();
+    let arrived = move |sim: &mut Sim, res: Result<Vec<u8>, pfs::PfsError>| {
+        let st = st2;
+        let frame = match res {
+            Ok(frame) => frame,
+            Err(e) => {
+                let e = MrError::msg(format!("pfs: {e} ({})", st.fetcher.pfs_path));
+                return st.fail(sim, e);
+            }
+        };
+        if scirng::crc32c(&frame) == st.chunk.crc {
+            return st.deliver(sim, frame, attempt);
+        }
+        st.detected.set(st.detected.get() + 1);
+        if attempt == 0 {
+            return chunk_read_attempt(sim, st, 1);
+        }
+        st.fetcher.cache.quarantine(st.key);
+        // The cluster tier must never outlive the quarantine: purge
+        // any resident copy on every node and block re-admission.
+        st.env.cluster_cache.quarantine(st.key);
+        let e = MrError::msg(format!(
+            "IntegrityError: chunk {} of {} failed crc32c verification twice; \
+             chunk quarantined",
+            st.chunk.index, st.fetcher.pfs_path
+        ));
+        // The attempt dies on the next event, as a PFS error would.
+        sim.after(0.0, move |sim| st.fail(sim, e));
+    };
     pfs::read_at(
         sim,
         &st.env.topo,
@@ -133,35 +161,8 @@ fn chunk_read_attempt(sim: &mut Sim, st: Rc<ChunkRead>, attempt: u32) -> Result<
         &st.fetcher.pfs_path,
         st.chunk.offset as usize,
         st.chunk.clen as usize,
-        move |sim, frame| {
-            let st = st2;
-            if scirng::crc32c(&frame) == st.chunk.crc {
-                return st.deliver(sim, frame, attempt);
-            }
-            st.detected.set(st.detected.get() + 1);
-            if attempt == 0 {
-                if let Err(e) = chunk_read_attempt(sim, st.clone(), 1) {
-                    st.fail(
-                        sim,
-                        MrError::msg(format!("pfs: {e} ({})", st.fetcher.pfs_path)),
-                    );
-                }
-                return;
-            }
-            st.fetcher.cache.quarantine(st.key);
-            // The cluster tier must never outlive the quarantine: purge
-            // any resident copy on every node and block re-admission.
-            st.env.cluster_cache.quarantine(st.key);
-            st.fail(
-                sim,
-                MrError::msg(format!(
-                    "IntegrityError: chunk {} of {} failed crc32c verification twice; \
-                     chunk quarantined",
-                    st.chunk.index, st.fetcher.pfs_path
-                )),
-            );
-        },
-    )
+        arrived,
+    );
 }
 
 /// Fetches one scientific dummy block (a variable hyperslab) from the PFS.
@@ -422,13 +423,7 @@ impl PieceStream for SlabPieceStream {
             detected: Cell::new(0),
             done: RefCell::new(Some(done)),
         });
-        if let Err(e) = chunk_read_attempt(sim, st.clone(), 0) {
-            // Injected or genuine PFS error: fail the attempt.
-            st.fail(
-                sim,
-                MrError::msg(format!("pfs: {e} ({})", st.fetcher.pfs_path)),
-            );
-        }
+        chunk_read_attempt(sim, st, 0);
     }
 
     fn finish(&self) -> Result<FetchResult, MrError> {

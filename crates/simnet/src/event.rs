@@ -21,8 +21,10 @@
 //! start flows costs one recomputation, not one per event; a prediction
 //! event popped while a change is pending is superseded by it.
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
+use std::rc::Rc;
 
 use crate::cost::CostModel;
 use crate::fault::FaultInjector;
@@ -181,6 +183,39 @@ impl Sim {
         id
     }
 
+    /// One client round trip (a metadata or request RPC): `done` runs
+    /// `cost.rpc_s` from now.
+    pub fn rpc(&mut self, done: impl FnOnce(&mut Sim) + 'static) {
+        self.after(self.cost.rpc_s, done);
+    }
+
+    /// The one timed disk transfer: the request RPC, then head positioning
+    /// on `disk` (the disk end of `path`), then `bytes` along `path`; `done`
+    /// runs when the last byte lands. Positioning occupies the disk itself —
+    /// a disk-only flow of the bandwidth-equivalent `seek_s × capacity`
+    /// bytes, so it serializes with every other request on that disk (zero
+    /// bytes on an infinite-capacity disk). Interleaving *across* clients is
+    /// modelled separately, by the disk thrash factor.
+    pub fn disk_transfer(
+        &mut self,
+        disk: ResourceId,
+        path: Vec<ResourceId>,
+        bytes: f64,
+        done: impl FnOnce(&mut Sim) + 'static,
+    ) {
+        let seek_bytes = self.cost.seek_s * self.net.resource(disk).capacity;
+        let seek_bytes = if seek_bytes.is_finite() {
+            seek_bytes
+        } else {
+            0.0
+        };
+        self.rpc(move |sim| {
+            sim.start_flow(vec![disk], seek_bytes, move |sim| {
+                sim.start_flow(path, bytes, done);
+            });
+        });
+    }
+
     /// The flow set changed at `now`: reserve the queue position of the
     /// prediction event [`Self::step`] will push for it.
     fn flows_changed(&mut self) {
@@ -277,11 +312,31 @@ impl Sim {
     }
 }
 
+/// The one join of `n` concurrent completions: each calls the returned
+/// handle once on arrival, and `done` runs when the last one does. Transfers
+/// that were never issued keep the count above zero, so `done` cannot fire
+/// early or twice. (`n = 0` never fires — callers continue directly.)
+pub fn countdown(n: usize, done: impl FnOnce(&mut Sim) + 'static) -> Rc<dyn Fn(&mut Sim)> {
+    let state = RefCell::new((n, Some(done)));
+    Rc::new(move |sim| {
+        let fire = {
+            let mut s = state.borrow_mut();
+            s.0 = s.0.saturating_sub(1);
+            if s.0 == 0 {
+                s.1.take()
+            } else {
+                None
+            }
+        };
+        if let Some(done) = fire {
+            done(sim);
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
-    use std::rc::Rc;
 
     #[test]
     fn events_run_in_time_order() {
@@ -552,5 +607,75 @@ mod tests {
             *log.borrow(),
             vec![("C", 0.0), ("A", 3.5), ("E", 3.5), ("B", 7.5), ("D", 7.5)]
         );
+    }
+
+    #[test]
+    fn disk_transfer_is_rpc_then_seek_then_data() {
+        // 50 B/s disk behind a fast NIC: rpc + seek + 100 B / 50 B/s.
+        let mut sim = Sim::new();
+        let disk = sim.net.add_resource("disk", 50.0);
+        let nic = sim.net.add_resource("nic", 1e9);
+        let t = Rc::new(RefCell::new(None));
+        let t2 = t.clone();
+        sim.disk_transfer(disk, vec![disk, nic], 100.0, move |sim| {
+            *t2.borrow_mut() = Some(sim.now().secs());
+        });
+        sim.run();
+        let expect = sim.cost.rpc_s + sim.cost.seek_s + 2.0;
+        let got = t.borrow().expect("transfer completed");
+        assert!((got - expect).abs() < 1e-9, "t={got}, expect {expect}");
+    }
+
+    #[test]
+    fn seeks_serialize_on_the_disk_and_vanish_on_an_infinite_one() {
+        // Two zero-byte transfers share one disk: their positioning flows
+        // split its bandwidth, so both take two seeks, not one.
+        let mut sim = Sim::new();
+        let disk = sim.net.add_resource("disk", 100.0);
+        let times = Rc::new(RefCell::new(Vec::new()));
+        for _ in 0..2 {
+            let times = times.clone();
+            sim.disk_transfer(disk, vec![disk], 0.0, move |sim| {
+                times.borrow_mut().push(sim.now().secs());
+            });
+        }
+        sim.run();
+        let two_seeks = sim.cost.rpc_s + 2.0 * sim.cost.seek_s;
+        for &t in times.borrow().iter() {
+            assert!((t - two_seeks).abs() < 1e-9, "t={t}, expect {two_seeks}");
+        }
+        // An uncontended (infinite) disk positions for free: RPC only.
+        let mut sim = Sim::new();
+        let ram = sim.net.add_resource("ramdisk", f64::INFINITY);
+        sim.disk_transfer(ram, vec![ram], 0.0, |_| {});
+        assert_eq!(sim.run(), SimTime(sim.cost.rpc_s));
+    }
+
+    #[test]
+    fn countdown_fires_once_when_the_last_of_n_arrives() {
+        let mut sim = Sim::new();
+        let fired = Rc::new(RefCell::new(Vec::new()));
+        let f = fired.clone();
+        let arrive = countdown(3, move |sim| f.borrow_mut().push(sim.now().secs()));
+        for dt in [2.0, 1.0, 3.0] {
+            let arrive = arrive.clone();
+            sim.after(dt, move |sim| arrive(sim));
+        }
+        sim.run();
+        assert_eq!(*fired.borrow(), vec![3.0]);
+        // Surplus arrivals cannot fire it again.
+        arrive(&mut sim);
+        assert_eq!(fired.borrow().len(), 1);
+    }
+
+    #[test]
+    fn countdown_with_an_unissued_arrival_never_fires() {
+        let mut sim = Sim::new();
+        let fired = Rc::new(RefCell::new(false));
+        let f = fired.clone();
+        let arrive = countdown(2, move |_| *f.borrow_mut() = true);
+        sim.after(1.0, move |sim| arrive(sim));
+        sim.run();
+        assert!(!*fired.borrow());
     }
 }

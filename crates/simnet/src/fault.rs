@@ -14,7 +14,7 @@ use std::collections::HashMap;
 
 /// A declarative, seeded description of the faults to inject into one run.
 ///
-/// The default plan is empty (no faults); [`FaultInjector::take_read_fault`]
+/// The default plan is empty (no faults); [`FaultInjector::take_read_outcome`]
 /// short-circuits in that case so fault-free runs pay nothing.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
@@ -468,18 +468,9 @@ impl FaultInjector {
         self.injected
     }
 
-    /// Record one timed read of `path`; returns `Some(nth)` when this read
-    /// must fail (either a planned `(path, nth)` fault or a probabilistic
-    /// one). Called by the storage clients at the top of every timed read.
-    pub fn take_read_fault(&mut self, path: &str) -> Option<u64> {
-        match self.take_read_outcome(path) {
-            ReadOutcome::Fail { nth } => Some(nth),
-            _ => None,
-        }
-    }
-
     /// Record one timed read of `path` and return its full verdict —
-    /// failure, hang, corruption, or clean delivery. Fault precedence:
+    /// failure, hang, corruption, or clean delivery. Called by the storage
+    /// clients at the top of every timed read. Fault precedence:
     /// planned nth-read failures, then hangs, then corruption specs, then
     /// probabilistic failures (which draw from the seeded PRNG exactly as
     /// in plans without corruption, preserving their fault sequences).
@@ -553,8 +544,8 @@ impl FaultInjector {
     }
 
     /// Deterministic byte-flip pattern for a corrupt delivery of `path`'s
-    /// `nth` read: `(position selector, xor mask)`. The flipping layer
-    /// applies `data[selector % len] ^= mask`. Derived purely from the plan
+    /// `nth` read: `(position selector, xor mask)`, applied by
+    /// [`FaultInjector::corrupt`]. Derived purely from the plan
     /// seed, the path, and `nth` — not from the live PRNG stream — so the
     /// same plan corrupts the same byte on every run.
     pub fn corruption_pattern(&self, path: &str, nth: u64) -> (u64, u8) {
@@ -566,6 +557,17 @@ impl FaultInjector {
         let selector = scirng::splitmix64(&mut s);
         let mask = (scirng::splitmix64(&mut s) as u8) | 1;
         (selector, mask)
+    }
+
+    /// The one corruption flip: `data[selector % len] ^= mask` on the
+    /// *delivered* copy of `path`'s `nth` read (the stored bytes stay clean,
+    /// so a transient flip re-reads clean). Empty data has nothing to flip.
+    pub fn corrupt(&self, path: &str, nth: u64, data: &mut [u8]) {
+        let (selector, mask) = self.corruption_pattern(path, nth);
+        let pos = selector.checked_rem(data.len() as u64).unwrap_or(0);
+        if let Some(byte) = data.get_mut(pos as usize) {
+            *byte ^= mask;
+        }
     }
 
     /// When (if ever) `node` is scheduled to die. With duplicate entries the
@@ -650,7 +652,7 @@ mod tests {
     fn empty_plan_injects_nothing() {
         let mut inj = FaultInjector::default();
         for _ in 0..100 {
-            assert_eq!(inj.take_read_fault("p"), None);
+            assert_eq!(inj.take_read_outcome("p"), ReadOutcome::Clean);
         }
         assert!(!inj.node_dead(0, 1e9));
         assert_eq!(inj.slow_factor(3), 1.0);
@@ -661,11 +663,11 @@ mod tests {
     fn nth_read_fault_fires_exactly_once() {
         let mut inj = FaultInjector::default();
         inj.install(FaultPlan::none().fail_read("f", 3));
-        assert_eq!(inj.take_read_fault("f"), None);
-        assert_eq!(inj.take_read_fault("g"), None);
-        assert_eq!(inj.take_read_fault("f"), None);
-        assert_eq!(inj.take_read_fault("f"), Some(3));
-        assert_eq!(inj.take_read_fault("f"), None);
+        assert_eq!(inj.take_read_outcome("f"), ReadOutcome::Clean);
+        assert_eq!(inj.take_read_outcome("g"), ReadOutcome::Clean);
+        assert_eq!(inj.take_read_outcome("f"), ReadOutcome::Clean);
+        assert_eq!(inj.take_read_outcome("f"), ReadOutcome::Fail { nth: 3 });
+        assert_eq!(inj.take_read_outcome("f"), ReadOutcome::Clean);
         assert_eq!(inj.injected_read_failures(), 1);
     }
 
@@ -675,7 +677,7 @@ mod tests {
             let mut inj = FaultInjector::default();
             inj.install(FaultPlan::none().with_random_read_failures(seed, 0.3));
             (0..200)
-                .map(|i| inj.take_read_fault(&format!("p{}", i % 5)).is_some())
+                .map(|i| inj.take_read_outcome(&format!("p{}", i % 5)) != ReadOutcome::Clean)
                 .collect::<Vec<bool>>()
         };
         assert_eq!(run(7), run(7));
@@ -705,9 +707,13 @@ mod tests {
     fn install_resets_counts() {
         let mut inj = FaultInjector::default();
         inj.install(FaultPlan::none().fail_read("f", 1));
-        assert!(inj.take_read_fault("f").is_some());
+        assert_eq!(inj.take_read_outcome("f"), ReadOutcome::Fail { nth: 1 });
         inj.install(FaultPlan::none().fail_read("f", 1));
-        assert!(inj.take_read_fault("f").is_some(), "counts were reset");
+        assert_eq!(
+            inj.take_read_outcome("f"),
+            ReadOutcome::Fail { nth: 1 },
+            "counts were reset"
+        );
     }
 
     #[test]
@@ -803,6 +809,24 @@ mod tests {
         let before = inj.corruption_pattern("h", 3);
         inj.take_read_outcome("h");
         assert_eq!(before, inj.corruption_pattern("h", 3));
+    }
+
+    #[test]
+    fn corrupt_flips_exactly_the_pattern_byte_and_spares_empty_data() {
+        let mut inj = FaultInjector::default();
+        inj.install(FaultPlan::none().with_seed(5));
+        let clean: Vec<u8> = (0..37).collect();
+        let mut bad = clean.clone();
+        inj.corrupt("f", 2, &mut bad);
+        let (selector, mask) = inj.corruption_pattern("f", 2);
+        let pos = (selector % 37) as usize;
+        for (i, (&c, &b)) in clean.iter().zip(&bad).enumerate() {
+            assert_eq!(b, if i == pos { c ^ mask } else { c }, "byte {i}");
+        }
+        // Flipping again restores the bytes; empty data is a no-op.
+        inj.corrupt("f", 2, &mut bad);
+        assert_eq!(bad, clean);
+        inj.corrupt("f", 2, &mut []);
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //!   standard first-order model for TCP-like bandwidth allocation;
 //! * **callback-driven** — [`Sim::at`]/[`Sim::after`] schedule closures, and
 //!   [`Sim::start_flow`] invokes a completion closure when the last byte
-//!   arrives.
+//!   arrives; [`Sim::disk_transfer`] is the one timed disk transfer (RPC,
+//!   seek, data flow) and [`countdown`] the one N-way completion join the
+//!   storage clients and shuffles share.
 //!
 //! Higher layers (`pfs`, `hdfs`, `mapreduce`) build file systems and a
 //! MapReduce engine on top; *real* data still flows through those layers (the
@@ -36,7 +38,7 @@ pub mod topology;
 
 pub use cache::{ChunkKey, ClusterCache, ClusterCacheStats};
 pub use cost::CostModel;
-pub use event::Sim;
+pub use event::{countdown, Sim};
 pub use fault::{
     CorruptSpec, FaultInjector, FaultPlan, FaultPlanError, PartitionSpec, ReadOutcome,
 };

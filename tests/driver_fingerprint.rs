@@ -6,9 +6,9 @@
 //! so a driver refactor that silently reorders events fails here.
 //!
 //! The constants were recorded at the commit *before* the driver was split
-//! into `job/*.rs` — (g) at the commit before the storage clients moved to
-//! one completion channel; a mismatch prints the full canonical text so the
-//! two sides can be diffed.
+//! into `job/*.rs` — (g) when the storage clients moved to one completion
+//! channel, see its comment; a mismatch prints the full canonical text so
+//! the two sides can be diffed.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -517,6 +517,16 @@ fn f_connector_job_with_reducers_and_a_straggler() {
 
 /// A reduce attempt whose pull of one map's spill file fails mid-fan-out
 /// (siblings issued before and after it) retries and the job completes.
+///
+/// Re-recorded once, by the commit that gave the storage clients one
+/// completion channel (parent value `0xace4_8f32_1a6e_da67`). The event that
+/// moved: the doomed attempt used to learn of the failure from `read_at`'s
+/// return value and stop mid-loop, so the pulls of m3..m7 were never issued;
+/// now all eight pulls leave in the same instant and the error arrives one
+/// zero-delay event later, so those five reads share the OSTs with reducers
+/// 1 and 2 (their `shuffle` 0.2914 -> 0.4274 s; reducer 0's retry and the job
+/// end are bit-identical). Concurrent issue is the modelled behaviour — how
+/// much a doomed attempt wastes no longer depends on which index failed.
 #[test]
 fn g_connector_job_with_a_failed_spill_pull() {
     const BYTES: u64 = 24 * 1024;
@@ -555,4 +565,4 @@ const FP_DAG_CLEAN: u64 = 0xad19_8943_6c26_51ba;
 const FP_DAG_KILL: u64 = 0x962f_eb56_8705_fab8;
 const FP_CONNECTOR_MAP_ONLY: u64 = 0xbcfb_2360_3ba8_116d;
 const FP_CONNECTOR_REDUCE: u64 = 0x5eb2_16e6_6dba_0ca3;
-const FP_CONNECTOR_SPILL_PULL: u64 = 0xace4_8f32_1a6e_da67;
+const FP_CONNECTOR_SPILL_PULL: u64 = 0x2ee7_1802_b527_9e8b;

@@ -183,19 +183,20 @@ fn virtual_mapping_invariants_hold_after_workflow() {
     }
     // Dummy blocks are rejected by the plain HDFS read path.
     let vfile = format!("scidp/{}/QR", ds.info.files[0]);
-    let err = {
-        let blocks = h.namenode.blocks(&vfile).unwrap().to_vec();
-        drop(h);
-        hdfs::read_block(
-            &mut cluster.sim,
-            &cluster.topo,
-            &cluster.hdfs,
-            simnet::NodeId(0),
-            &blocks[0],
-            |_, _| {},
-        )
-    };
-    assert!(matches!(err, Err(hdfs::HdfsError::DummyBlock)));
+    let blocks = h.namenode.blocks(&vfile).unwrap().to_vec();
+    drop(h);
+    let refused = std::rc::Rc::new(std::cell::RefCell::new(None));
+    let r = refused.clone();
+    hdfs::read_block(
+        &mut cluster.sim,
+        &cluster.topo,
+        &cluster.hdfs,
+        simnet::NodeId(0),
+        &blocks[0],
+        move |_, res| *r.borrow_mut() = Some(res.map(|_| ())),
+    );
+    cluster.run();
+    assert_eq!(refused.take(), Some(Err(hdfs::HdfsError::DummyBlock)));
 }
 
 #[test]

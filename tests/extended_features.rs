@@ -190,9 +190,8 @@ fn hdfs_input_fallback_behaves_like_vanilla_hadoop() {
         simnet::NodeId(0),
         "plain/input.bin",
         vec![42u8; 1000],
-        |_| {},
-    )
-    .unwrap();
+        |_, r| r.unwrap(),
+    );
     cluster.run();
     let env = cluster.env();
     let (splits, setup) = scidp::make_splits(&env, &ScidpInput::path("plain")).unwrap();

@@ -32,9 +32,8 @@ fn verified_bytes_under_concurrent_hdfs_fetches() {
         NodeId(0),
         "in",
         vec![7u8; file_len],
-        |_| {},
-    )
-    .unwrap();
+        |_, r| r.unwrap(),
+    );
     c.run();
     let env = c.env();
     let splits = mapreduce::hdfs_file_splits(&env, "in").expect("staged input path");

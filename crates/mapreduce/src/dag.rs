@@ -163,8 +163,9 @@ impl ShuffleSink {
 /// Fetches partition `partition` of every map output of `sources` (one
 /// entry per parent dataset, tagged) as [`TaskInput::Pairs`], modelling one
 /// network flow per holding node. A hole (an expected output not in the
-/// store) fails the attempt and records the hole so the DAG driver can tell
-/// lineage loss from a genuine task error.
+/// store) fails the attempt with [`MrError::InputLost`] — not the reading
+/// node's fault — and records the hole so the DAG driver can tell lineage
+/// loss from a genuine task error.
 struct ShuffleFetcher {
     sources: Vec<(u64, u8)>,
     partition: usize,
@@ -216,7 +217,7 @@ impl SplitFetcher for ShuffleFetcher {
             store.note_missing(&stalled);
         }
         if !holes.is_empty() || !stalled.is_empty() {
-            let e = MrError::msg(format!(
+            let e = MrError::InputLost(format!(
                 "shuffle partition {} unavailable: {} lost upstream output(s) {:?}, \
                  {} stalled holder(s) {:?}",
                 self.partition,

@@ -41,6 +41,10 @@ pub enum MrError {
     /// fell below [`FtConfig::min_live_slots`], so the driver failed fast
     /// instead of limping on (or stalling) at hopeless parallelism.
     QuorumLost { live_slots: usize, floor: usize },
+    /// The attempt's input is gone — an upstream shuffle output died with
+    /// its node, or its holder cannot be reached. The fault sits upstream,
+    /// so the failure is not charged to the node that tried to read it.
+    InputLost(String),
 }
 
 impl MrError {
@@ -53,7 +57,7 @@ impl MrError {
     /// match on to classify errors.
     pub fn message(&self) -> String {
         match self {
-            MrError::Msg(m) => m.clone(),
+            MrError::Msg(m) | MrError::InputLost(m) => m.clone(),
             MrError::QuorumLost { live_slots, floor } => {
                 format!("quorum lost: {live_slots} live slot(s), floor is {floor}")
             }

@@ -271,9 +271,11 @@ impl Attempt {
         self.live() && !detector::node_silent(sim, self.node)
     }
 
-    /// The attempt failed (fetch error, user code error).
+    /// The attempt failed (fetch error, user code error). A lost input is
+    /// the upstream's fault and leaves this node's blacklist tally alone.
     pub fn fail(&self, sim: &mut Sim, err: MrError) {
-        fail_attempt(sim, &self.d, self.id, err, true)
+        let node_to_blame = !matches!(err, MrError::InputLost(_));
+        fail_attempt(sim, &self.d, self.id, err, node_to_blame)
     }
 }
 
@@ -345,7 +347,8 @@ pub(super) fn launch(sim: &mut Sim, d: &SharedDriver, info: AttemptInfo) {
 /// `count_node_failure`: whether the failure counts against the node's
 /// blacklist tally. The hang detector passes `false` for attempts stranded
 /// by a hung or partitioned node — the *fault* silenced them, and
-/// blacklisting would make a healed partition permanent.
+/// blacklisting would make a healed partition permanent — and
+/// [`Attempt::fail`] for an input lost upstream.
 pub(super) fn fail_attempt(
     sim: &mut Sim,
     d: &SharedDriver,

@@ -253,7 +253,7 @@ fn job_error(e: MrError) -> ScidpError {
     match e {
         MrError::QuorumLost { live_slots, floor } => ScidpError::QuorumLost { live_slots, floor },
         MrError::Msg(m) if m.contains("IntegrityError") => ScidpError::Integrity(m),
-        MrError::Msg(m) => ScidpError::Hdfs(m),
+        MrError::Msg(m) | MrError::InputLost(m) => ScidpError::Hdfs(m),
     }
 }
 

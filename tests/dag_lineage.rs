@@ -3,12 +3,13 @@
 //! partition-granular lineage recovery after a node kill.
 
 use scidp_suite::mapreduce::{
-    counter_keys as keys, hdfs_file_splits, run_dag, run_job, Cluster, DagJob, Dataset,
-    FlatPfsFetcher, FtConfig, InputSplit, Job, MrError, Payload, TaskInput,
+    counter_keys as keys, hdfs_file_splits, run_dag, run_job, Cluster, DagJob, Dataset, FetchDone,
+    FlatPfsFetcher, FtConfig, InputSplit, Job, MrEnv, MrError, Payload, SplitFetcher, TaskInput,
 };
 use scidp_suite::pfs::PfsConfig;
-use scidp_suite::simnet::{ClusterSpec, CostModel, FaultPlan, NodeId};
-use std::collections::BTreeMap;
+use scidp_suite::simnet::{ClusterSpec, CostModel, FaultPlan, NodeId, Sim};
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 const INPUT: &str = "data/dagwc.bin";
@@ -34,8 +35,13 @@ fn dag_cluster(nodes: usize, slots: usize) -> Cluster {
 }
 
 fn flat_splits() -> Vec<InputSplit> {
-    let per = TOTAL_BYTES / N_SPLITS;
-    (0..N_SPLITS)
+    flat_splits_of(N_SPLITS)
+}
+
+/// The input as `n` equal flat-PFS splits (the tail remainder unread).
+fn flat_splits_of(n: u64) -> Vec<InputSplit> {
+    let per = TOTAL_BYTES / n;
+    (0..n)
         .map(|i| InputSplit {
             length: per,
             locations: Vec::new(),
@@ -397,4 +403,75 @@ fn node_blacklisted_in_one_stage_gets_no_attempt_in_the_next() {
             );
         }
     }
+}
+
+/// `(simulated time, node)` of every source fetch a run started.
+type FetchLog = Rc<RefCell<Vec<(f64, NodeId)>>>;
+
+/// A source fetcher that logs where and when each of its fetches starts.
+struct LoggedFetcher {
+    inner: Rc<dyn SplitFetcher>,
+    log: FetchLog,
+}
+
+impl SplitFetcher for LoggedFetcher {
+    fn fetch(&self, env: &MrEnv, sim: &mut Sim, node: NodeId, done: FetchDone) {
+        self.log.borrow_mut().push((sim.now().secs(), node));
+        self.inner.fetch(env, sim, node, done)
+    }
+
+    fn describe(&self) -> String {
+        self.inner.describe()
+    }
+}
+
+/// A shuffle hole is the dead producer's fault, not the reader's. With
+/// blacklisting on (the default `FtConfig`), the final stage's doomed
+/// attempts after a node kill must not blacklist the survivors they ran on:
+/// the lineage recompute still has the whole surviving cluster.
+#[test]
+fn shuffle_holes_are_not_charged_to_the_node_that_read_them() {
+    let run = |plan: FaultPlan| {
+        let log = FetchLog::default();
+        // 12 source tasks over 4 one-slot nodes: three outputs per node.
+        let mut splits = flat_splits_of(12);
+        for s in &mut splits {
+            let (inner, log) = (s.fetcher.clone(), log.clone());
+            s.fetcher = Rc::new(LoggedFetcher { inner, log });
+        }
+        let mut c = dag_cluster(4, 1);
+        c.sim.faults.install(plan);
+        let r = run_dag(
+            &mut c,
+            DagJob::new("holes", pipeline_plan(splits), "dagout"),
+        )
+        .unwrap();
+        (r, output_files(&c, "dagout"), log.take())
+    };
+    let (rc, clean_out, _) = run(FaultPlan::none());
+    let s2 = rc.runs.iter().find(|r| r.stage == 2).expect("final stage");
+    // Kill node 1 the instant the final stage starts (as above).
+    let kill_at = s2.start_s + 1e-6;
+    let (rf, out, fetches) = run(FaultPlan::none().kill_node(1, kill_at));
+    assert!(
+        rf.runs.iter().any(|r| r.stage == 2 && !r.ok),
+        "the final stage failed on the holes before lineage recovery took over"
+    );
+    // The three lost source outputs are recomputed in one wave, one per
+    // survivor — which only works if none of them was blacklisted for the
+    // hole failures it hosted.
+    let recompute: Vec<u32> = fetches
+        .iter()
+        .filter(|&&(t, _)| t > kill_at)
+        .map(|&(_, n)| n.0)
+        .collect();
+    assert_eq!(recompute.len(), 3, "node 1 held three source outputs");
+    let nodes: BTreeSet<u32> = recompute.into_iter().collect();
+    assert_eq!(
+        nodes,
+        BTreeSet::from([0, 2, 3]),
+        "every survivor takes part in the source recompute"
+    );
+    assert_eq!(rf.counters.get(keys::NODE_BLACKLISTED), 0.0);
+    assert_eq!(out, clean_out, "recovered output is byte-identical");
 }

@@ -153,9 +153,11 @@ pub fn run(scale: &Scale) -> Report {
     );
     rep.row("node_kill.full_rerun_tasks", planned as f64, "", Count);
     rep.identical("node_kill", &faulted_out, &clean_out);
+    let last_end = clean.runs.last().map_or(f64::NAN, |r| r.end_s);
     #[rustfmt::skip] // one target per line reads as the table it is
     rep.expect_all(&[
         ("clean.stages_run", Eq, 3.0, "clean run: each stage exactly once"),
+        ("clean.elapsed_s", Eq, last_end - clean.start_s, "part files are task output: no driver-side write after the final stage"),
         ("clean.lineage_recomputes", Eq, 0.0, "clean run recomputes nothing"),
         ("node_kill.shuffle_partitions_lost", Ge, 2.0, "the kill must take committed shuffle outputs"),
         ("node_kill.lineage_recomputes", Eq, lost, "lineage recovery recomputes exactly the lost once-committed partitions"),

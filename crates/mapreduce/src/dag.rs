@@ -8,13 +8,19 @@
 //! engine [`Job`] — inheriting the attempt/retry/blacklist/speculation
 //! machinery unchanged — submitted with a [`ShuffleSink`] that has the
 //! driver hash-partition the stage's emitted pairs and register them in a
-//! shared [`ShuffleStore`] per `(shuffle, map partition)` at task commit.
+//! shared `ShuffleStore` per `(shuffle, map partition)` at task commit.
+//! The final stage's tasks commit their records as part files instead,
+//! through the classic job's commit protocol: the DAG writes nothing itself.
 //!
-//! Lineage recovery: a node kill invalidates every output the dead node
-//! held. Before each step the driver walks the stages in topological order
-//! and resubmits the *first* stage that is both missing outputs and still
-//! needed by an incomplete descendant — so a lost partition re-runs only
-//! its upstream chain, at partition granularity, never the whole DAG.
+//! Lineage recovery: a node kill invalidates every shuffle output the dead
+//! node held — the stage job running at that instant sees the kill, one is
+//! alive at every instant of a DAG — while a committed part file is on HDFS
+//! and stays. A stage job that fails on a lost input
+//! ([`MrError::InputLost`]) sends the driver back over the stages in
+//! topological order: it resubmits the *first* stage that is both missing
+//! outputs and still needed by an incomplete descendant — so a lost
+//! partition re-runs only its upstream chain, at partition granularity,
+//! never the whole DAG.
 //! Counters: `stages_run` (stage jobs submitted), `lineage_recomputes`
 //! (tasks re-executed for a previously-committed partition),
 //! `shuffle_partitions_lost` (outputs dropped by node deaths).
@@ -23,7 +29,7 @@
 //! executed) once per consumer — plans are trees, not general graphs.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use simnet::{countdown, NodeId, Sim};
@@ -33,46 +39,40 @@ use crate::counters::{keys, Counters};
 use crate::dataset::{Dataset, GroupFn, PairFilterFn, PairMapFn, PlanNode, RecordReadFn};
 use crate::input::{FetchDone, FetchResult, InputSplit, SplitFetcher, TaskInput};
 use crate::job::{
-    group_by_key, kv_bytes, serialize_kvs, submit_stage, FtConfig, Job, JobResult, Kv, MapFn,
-    MapOutput, MrError, NodeTable, Payload, StreamConfig, TaskCtx,
+    group_by_key, kv_bytes, submit_stage, FtConfig, Job, JobResult, Kv, MapFn, MapOutput, MrError,
+    NodeTable, Payload, StreamConfig, TaskCtx, TaskReport,
 };
 
 // ---------------------------------------------------------------------------
 // Shuffle registry
 // ---------------------------------------------------------------------------
 
-/// Registry of shuffle (and final-result) outputs, shared between the DAG
+/// Registry of every stage's committed outputs, shared between the DAG
 /// driver, the per-stage sink jobs, and the shuffle fetchers.
 #[derive(Default)]
-pub struct ShuffleStore {
-    /// shuffle id → producing map partition id → output.
-    outputs: BTreeMap<u64, BTreeMap<usize, MapOutput>>,
+struct ShuffleStore {
+    /// shuffle id → producing partition id → output. `None` is a final
+    /// partition: committed as a part file on HDFS, held by no node.
+    outputs: BTreeMap<u64, BTreeMap<usize, Option<MapOutput>>>,
     /// shuffle id → number of map outputs a complete shuffle has.
     expected: BTreeMap<u64, usize>,
-    /// `(shuffle, map partition)` holes hit by fetchers since the last
-    /// drain — non-empty after a stage failure means "lineage, not bug".
-    missing: Vec<(u64, usize)>,
-    /// Outputs invalidated because their holder was unreachable (hung or
-    /// partitioned away) when a fetch tried to pull them; drained into
-    /// `shuffle_partitions_lost` by the DAG driver.
-    stalled_lost: u64,
+    /// Outputs dropped since the last drain — their holder died, or was
+    /// unreachable (hung or partitioned away) when a fetch tried to pull
+    /// them; drained into `shuffle_partitions_lost` by the DAG driver.
+    lost: u64,
 }
 
-pub(crate) type SharedShuffleStore = Rc<RefCell<ShuffleStore>>;
+type SharedShuffleStore = Rc<RefCell<ShuffleStore>>;
 
 impl ShuffleStore {
-    fn set_expected(&mut self, shuffle: u64, n: usize) {
-        self.expected.insert(shuffle, n);
-    }
-
     fn n_expected(&self, shuffle: u64) -> usize {
         self.expected.get(&shuffle).copied().unwrap_or(0)
     }
 
-    /// Register one committed map output. First-commit-wins upstream means
+    /// Register one committed output. First-commit-wins upstream means
     /// this is called at most once per live (shuffle, partition) — a
     /// recompute after invalidation simply fills the hole again.
-    fn register(&mut self, shuffle: u64, partition: usize, output: MapOutput) {
+    fn register(&mut self, shuffle: u64, partition: usize, output: Option<MapOutput>) {
         self.outputs
             .entry(shuffle)
             .or_default()
@@ -80,30 +80,21 @@ impl ShuffleStore {
     }
 
     fn get(&self, shuffle: u64, partition: usize) -> Option<&MapOutput> {
-        self.outputs.get(&shuffle)?.get(&partition)
+        self.outputs.get(&shuffle)?.get(&partition)?.as_ref()
     }
 
     fn has(&self, shuffle: u64, partition: usize) -> bool {
-        self.get(shuffle, partition).is_some()
+        let outs = self.outputs.get(&shuffle);
+        outs.is_some_and(|o| o.contains_key(&partition))
     }
 
-    /// Drop every output held by a dead node; returns how many were lost.
-    fn invalidate_node(&mut self, node: NodeId) -> usize {
-        let mut lost = 0;
+    /// Drop every output held by a dead node.
+    fn invalidate_node(&mut self, node: NodeId) {
         for outs in self.outputs.values_mut() {
             let before = outs.len();
-            outs.retain(|_, o| o.node != node);
-            lost += before - outs.len();
+            outs.retain(|_, o| o.as_ref().is_none_or(|o| o.node != node));
+            self.lost += (before - outs.len()) as u64;
         }
-        lost
-    }
-
-    fn note_missing(&mut self, holes: &[(u64, usize)]) {
-        self.missing.extend_from_slice(holes);
-    }
-
-    fn take_missing(&mut self) -> Vec<(u64, usize)> {
-        std::mem::take(&mut self.missing)
     }
 
     /// Drop one registered output whose holder cannot be reached right now
@@ -111,48 +102,55 @@ impl ShuffleStore {
     /// would stall forever; losing the partition instead routes recovery
     /// through the lineage machinery, which re-runs the producer task.
     fn invalidate_stalled(&mut self, shuffle: u64, partition: usize) {
-        let removed = self
-            .outputs
-            .get_mut(&shuffle)
-            .map(|o| o.remove(&partition).is_some())
-            .unwrap_or(false);
-        if removed {
-            self.stalled_lost += 1;
+        let outs = self.outputs.get_mut(&shuffle);
+        if outs.is_some_and(|o| o.remove(&partition).is_some()) {
+            self.lost += 1;
         }
-    }
-
-    fn take_stalled_lost(&mut self) -> u64 {
-        std::mem::take(&mut self.stalled_lost)
     }
 }
 
-/// Where one stage job deposits its partitioned output (handed to
-/// [`submit_stage`]). The driver partitions emitted pairs by
-/// `stable_hash(key) % n_partitions` — the same function classic reduce
-/// jobs use — and registers them at commit.
+/// Where one stage job deposits its output (handed to [`submit_stage`]).
+/// The driver partitions emitted pairs by `stable_hash(key) % n_partitions`
+/// — the same function classic reduce jobs use — and registers them at
+/// commit; the final stage's tasks commit part files instead.
 #[derive(Clone)]
 pub(crate) struct ShuffleSink {
     shuffle_id: u64,
-    pub(crate) n_partitions: usize,
+    /// Width of the downstream shuffle; `None` for the final stage, whose
+    /// tasks commit `part-<stage partition>` files.
+    pub(crate) n_partitions: Option<usize>,
     /// Stage partition id of each job task index: a recompute job covers a
     /// sparse subset of the stage's partitions, so job task `i` registers
     /// as stage partition `task_ids[i]`.
     task_ids: Rc<Vec<usize>>,
     store: SharedShuffleStore,
-    /// The node table (failure tallies, blacklist, suspicion ladder) the
-    /// DAG's previous stage submission ended with: this one starts from it
-    /// and leaves its own here when it ends.
-    pub(crate) node_health: Rc<RefCell<Option<NodeTable>>>,
+    /// What the DAG's previous stage submission ended with: its node table
+    /// (failure tallies, blacklist, suspicion ladder) and the next free
+    /// attempt id. This one starts from both — attempt ids, and with them
+    /// the temp names of part files, are unique across a DAG — and leaves
+    /// its own here when it ends.
+    pub(crate) carried: Rc<RefCell<Option<(NodeTable, u64)>>>,
 }
 
 impl ShuffleSink {
-    /// Register job task `task`'s committed output, held by `node`.
-    pub(crate) fn register(&self, task: usize, node: NodeId, parts: Vec<Vec<Kv>>) {
-        let partition = self.task_ids.get(task).copied().unwrap_or(task);
-        let output = MapOutput { node, parts };
+    /// Stage partition of job task `task`.
+    pub(crate) fn partition_of(&self, task: usize) -> usize {
+        self.task_ids.get(task).copied().unwrap_or(task)
+    }
+
+    /// Register job task `task`'s committed output: `parts` held by `node`,
+    /// or (`None`) a part file on HDFS.
+    pub(crate) fn register(&self, task: usize, node: NodeId, parts: Option<Vec<Vec<Kv>>>) {
+        let output = parts.map(|parts| MapOutput { node, parts });
+        let partition = self.partition_of(task);
         self.store
             .borrow_mut()
             .register(self.shuffle_id, partition, output);
+    }
+
+    /// `node` died: every shuffle output it held is lost.
+    pub(crate) fn invalidate_node(&self, node: NodeId) {
+        self.store.borrow_mut().invalidate_node(node);
     }
 }
 
@@ -164,8 +162,8 @@ impl ShuffleSink {
 /// entry per parent dataset, tagged) as [`TaskInput::Pairs`], modelling one
 /// network flow per holding node. A hole (an expected output not in the
 /// store) fails the attempt with [`MrError::InputLost`] — not the reading
-/// node's fault — and records the hole so the DAG driver can tell lineage
-/// loss from a genuine task error.
+/// node's fault, and how the DAG driver tells lineage loss from a genuine
+/// task error.
 struct ShuffleFetcher {
     sources: Vec<(u64, u8)>,
     partition: usize,
@@ -213,8 +211,6 @@ impl SplitFetcher for ShuffleFetcher {
             for &(s, m) in &stalled {
                 store.invalidate_stalled(s, m);
             }
-            store.note_missing(&holes);
-            store.note_missing(&stalled);
         }
         if !holes.is_empty() || !stalled.is_empty() {
             let e = MrError::InputLost(format!(
@@ -274,9 +270,10 @@ struct Stage {
     input: StageInput,
     n_tasks: usize,
     /// Shuffle this stage's tasks register into (the final stage registers
-    /// its results under a dedicated id with one bucket per task).
+    /// its part files under a dedicated id).
     out_shuffle: u64,
-    out_partitions: usize,
+    /// Width of that shuffle; `None` for the final stage.
+    out_partitions: Option<usize>,
     task_fn: MapFn,
     op: &'static str,
 }
@@ -354,7 +351,12 @@ impl PlanBuild {
 /// Compile the stage that produces `ds` into `(out_shuffle, out_partitions)`,
 /// recursing into parents first so stage ids are topologically ordered.
 /// Returns the stage's index.
-fn build_stage(b: &mut PlanBuild, ds: &Dataset, out_shuffle: u64, out_partitions: usize) -> usize {
+fn build_stage(
+    b: &mut PlanBuild,
+    ds: &Dataset,
+    out_shuffle: u64,
+    out_partitions: Option<usize>,
+) -> usize {
     // Peel the narrow chain off the plan tail (it fuses into this stage)
     // down to the source or shuffle the stage starts from.
     let mut narrow: Vec<NarrowOp> = Vec::new();
@@ -387,7 +389,7 @@ fn build_stage(b: &mut PlanBuild, ds: &Dataset, out_shuffle: u64, out_partitions
                 let mut sources = Vec::with_capacity(parents.len());
                 for (tag, parent) in parents.iter().enumerate() {
                     let sid = b.alloc_shuffle();
-                    build_stage(b, parent, sid, *n_partitions);
+                    build_stage(b, parent, sid, Some(*n_partitions));
                     sources.push((sid, tag as u8));
                 }
                 let task_fn = compile_grouped(group.clone(), narrow);
@@ -411,8 +413,9 @@ fn build_stage(b: &mut PlanBuild, ds: &Dataset, out_shuffle: u64, out_partitions
 // ---------------------------------------------------------------------------
 
 /// A DAG job: a dataset plan plus the execution policy every stage job
-/// inherits. Final records are written as `part-<partition>` files under
-/// `output_dir`, serialized exactly like classic job output.
+/// inherits. The final stage's tasks commit their records as
+/// `part-<partition>` files under `output_dir`, exactly like the tasks of a
+/// classic job.
 #[derive(Clone)]
 pub struct DagJob {
     pub name: String,
@@ -446,9 +449,12 @@ pub struct StageRun {
     pub n_tasks: usize,
     /// How many of them re-ran a previously-committed partition.
     pub recomputed: usize,
-    /// Whether the stage job succeeded (a failed run with recorded shuffle
-    /// holes triggers lineage recovery instead of failing the DAG).
+    /// Whether the stage job succeeded (a run that failed on a lost input
+    /// triggers lineage recovery instead of failing the DAG).
     pub ok: bool,
+    /// The committed task reports of a successful run, `index` being the
+    /// stage partition (empty for a failed run).
+    pub tasks: Vec<TaskReport>,
 }
 
 /// Completed DAG summary.
@@ -487,8 +493,9 @@ struct DagDriver {
     producer: BTreeMap<u64, usize>,
     final_stage: usize,
     store: SharedShuffleStore,
-    /// Node health handed from each stage submission to the next.
-    node_health: Rc<RefCell<Option<NodeTable>>>,
+    /// Node health and attempt numbering, handed from each stage
+    /// submission to the next.
+    carried: Rc<RefCell<Option<(NodeTable, u64)>>>,
     /// `(stage, partition)` pairs that have ever committed: resubmitting
     /// one is a lineage recompute.
     committed_once: BTreeSet<(usize, usize)>,
@@ -496,7 +503,6 @@ struct DagDriver {
     runs: Vec<StageRun>,
     start_s: f64,
     submissions: usize,
-    writing: bool,
     #[allow(clippy::type_complexity)]
     done_cb: Option<Box<dyn FnOnce(&mut Sim, Result<DagResult, MrError>)>>,
 }
@@ -544,8 +550,8 @@ impl DagDriver {
     }
 }
 
-/// Submit a DAG; `done` fires with the result once every final part file is
-/// written (or with the first unrecoverable error).
+/// Submit a DAG; `done` fires with the result once the final stage has
+/// committed every part file (or with the first unrecoverable error).
 pub fn submit_dag(
     sim: &mut Sim,
     env: MrEnv,
@@ -557,66 +563,32 @@ pub fn submit_dag(
         next_shuffle: 0,
     };
     let result_shuffle = b.alloc_shuffle();
-    let final_stage = build_stage(&mut b, &dag.plan, result_shuffle, 1);
+    let final_stage = build_stage(&mut b, &dag.plan, result_shuffle, None);
     let stages = b.stages;
-    let store: SharedShuffleStore = Rc::new(RefCell::new(ShuffleStore::default()));
-    {
-        let mut s = store.borrow_mut();
-        for stage in &stages {
-            s.set_expected(stage.out_shuffle, stage.n_tasks);
-        }
-    }
+    let store = ShuffleStore {
+        expected: stages.iter().map(|s| (s.out_shuffle, s.n_tasks)).collect(),
+        ..ShuffleStore::default()
+    };
     let producer: BTreeMap<u64, usize> = stages
         .iter()
         .enumerate()
         .map(|(i, s)| (s.out_shuffle, i))
         .collect();
-    let now = sim.now().secs();
     let d: SharedDag = Rc::new(RefCell::new(DagDriver {
         env,
         dag,
         stages,
         producer,
         final_stage,
-        store: store.clone(),
-        node_health: Rc::default(),
+        store: Rc::new(RefCell::new(store)),
+        carried: Rc::default(),
         committed_once: BTreeSet::new(),
         counters: Counters::new(),
         runs: Vec::new(),
-        start_s: now,
+        start_s: sim.now().secs(),
         submissions: 0,
-        writing: false,
         done_cb: Some(Box::new(done)),
     }));
-    // Watch future planned node kills: a death invalidates every shuffle
-    // output the node held (the stage jobs independently watch the same
-    // plan for their own in-flight attempts).
-    let kills: Vec<(u32, f64)> = sim
-        .faults
-        .plan()
-        .node_kills
-        .iter()
-        .filter(|&&(_, t)| t.is_finite() && t > now)
-        .cloned()
-        .collect();
-    for (node, t) in kills {
-        let d2 = d.clone();
-        sim.at(simnet::SimTime(t), move |_sim| {
-            let mut dd = d2.borrow_mut();
-            if dd.done_cb.is_none() {
-                return;
-            }
-            let lost = dd.store.borrow_mut().invalidate_node(NodeId(node));
-            if lost > 0 {
-                dd.counters.add(keys::SHUFFLE_PARTITIONS_LOST, lost as f64);
-            }
-            // The node's cluster-cache residency dies with it too — a
-            // between-stages kill must not leave ghost entries steering
-            // the next stage's placement (the stage jobs only invalidate
-            // for kills that land while they run).
-            dd.env.cluster_cache.invalidate_node(NodeId(node));
-        });
-    }
     advance(sim, &d);
 }
 
@@ -634,9 +606,8 @@ enum Step {
         missing: Vec<usize>,
         recomputed: usize,
     },
-    Write,
+    Done,
     Fail(MrError),
-    Wait,
 }
 
 fn advance(sim: &mut Sim, d: &SharedDag) {
@@ -669,11 +640,7 @@ fn advance(sim: &mut Sim, d: &SharedDag) {
                     }
                 }
             }
-            None if dd.writing => Step::Wait,
-            None => {
-                dd.writing = true;
-                Step::Write
-            }
+            None => Step::Done,
         }
     };
     match step {
@@ -682,9 +649,8 @@ fn advance(sim: &mut Sim, d: &SharedDag) {
             missing,
             recomputed,
         } => run_stage(sim, d, idx, missing, recomputed),
-        Step::Write => start_output_writes(sim, d),
+        Step::Done => complete_dag(sim, d),
         Step::Fail(e) => fail_dag(sim, d, e),
-        Step::Wait => {}
     }
 }
 
@@ -719,16 +685,17 @@ fn run_stage(sim: &mut Sim, d: &SharedDag, idx: usize, missing: Vec<usize>, reco
             stage.task_fn.clone(),
             None,
             1,
-            format!("{}/_dag/s{}", dd.dag.output_dir, idx),
+            // Only the final stage writes there.
+            dd.dag.output_dir.clone(),
         );
         job.ft = dd.dag.ft.clone();
         job.stream = dd.dag.stream.clone();
         let sink = ShuffleSink {
             shuffle_id: stage.out_shuffle,
             n_partitions: stage.out_partitions,
-            task_ids: Rc::new(missing.clone()),
+            task_ids: Rc::new(missing),
             store: dd.store.clone(),
-            node_health: dd.node_health.clone(),
+            carried: dd.carried.clone(),
         };
         (job, sink, dd.env.clone(), stage.op)
     };
@@ -738,9 +705,10 @@ fn run_stage(sim: &mut Sim, d: &SharedDag, idx: usize, missing: Vec<usize>, reco
         op,
         start_s: sim.now().secs(),
         end_s: f64::NAN,
-        n_tasks: missing.len(),
+        n_tasks: job.splits.len(),
         recomputed,
         ok: false,
+        tasks: Vec::new(),
     };
     let d2 = d.clone();
     let done = move |sim: &mut Sim, res| on_stage_done(sim, &d2, run, res);
@@ -748,101 +716,40 @@ fn run_stage(sim: &mut Sim, d: &SharedDag, idx: usize, missing: Vec<usize>, reco
 }
 
 fn on_stage_done(sim: &mut Sim, d: &SharedDag, run: StageRun, res: Result<JobResult, MrError>) {
-    let idx = run.stage;
     let failure = {
         let mut dd = d.borrow_mut();
         if dd.done_cb.is_none() {
             return;
         }
-        dd.refresh_committed(idx);
-        let stalled = dd.store.borrow_mut().take_stalled_lost();
-        if stalled > 0 {
-            dd.counters
-                .add(keys::SHUFFLE_PARTITIONS_LOST, stalled as f64);
+        dd.refresh_committed(run.stage);
+        let lost = std::mem::take(&mut dd.store.borrow_mut().lost);
+        if lost > 0 {
+            dd.counters.add(keys::SHUFFLE_PARTITIONS_LOST, lost as f64);
         }
-        dd.runs.push(StageRun {
-            end_s: sim.now().secs(),
-            ok: res.is_ok(),
-            ..run
-        });
-        match res {
+        let ok = res.is_ok();
+        let (tasks, failure) = match res {
             Ok(jr) => {
                 dd.counters.merge(&jr.counters);
-                None
+                (jr.tasks, None)
             }
-            Err(e) => {
-                // A failure with recorded shuffle holes is lineage loss:
-                // the next advance() walks back to the first incomplete
-                // ancestor. Anything else is a real error.
-                let holes = dd.store.borrow_mut().take_missing();
-                if holes.is_empty() {
-                    Some(e)
-                } else {
-                    None
-                }
-            }
-        }
+            // A lost input is lineage loss: the next advance() walks back
+            // to the first incomplete ancestor. Anything else is a real
+            // error.
+            Err(MrError::InputLost(_)) => (Vec::new(), None),
+            Err(e) => (Vec::new(), Some(e)),
+        };
+        dd.runs.push(StageRun {
+            end_s: sim.now().secs(),
+            ok,
+            tasks,
+            ..run
+        });
+        failure
     };
     match failure {
         Some(e) => fail_dag(sim, d, e),
         None => advance(sim, d),
     }
-}
-
-/// All stages complete: serialize each final partition (in partition
-/// order) and write its part file from the node that produced it.
-fn start_output_writes(sim: &mut Sim, d: &SharedDag) {
-    let writes: VecDeque<(NodeId, String, Vec<u8>)> = {
-        let dd = d.borrow();
-        let store = dd.store.borrow();
-        let mut out = VecDeque::new();
-        if let Some(stage) = dd.stages.get(dd.final_stage) {
-            for p in 0..stage.n_tasks {
-                if let Some(stored) = store.get(stage.out_shuffle, p) {
-                    let kvs: Vec<Kv> = stored.parts.iter().flatten().cloned().collect();
-                    let data = serialize_kvs(&kvs);
-                    if !data.is_empty() {
-                        out.push_back((
-                            stored.node,
-                            format!("{}/part-{p:05}", dd.dag.output_dir),
-                            data,
-                        ));
-                    }
-                }
-            }
-        }
-        out
-    };
-    write_next(sim, d, writes);
-}
-
-fn write_next(sim: &mut Sim, d: &SharedDag, mut writes: VecDeque<(NodeId, String, Vec<u8>)>) {
-    let Some((node, path, data)) = writes.pop_front() else {
-        complete_dag(sim, d);
-        return;
-    };
-    let env = {
-        let mut dd = d.borrow_mut();
-        if dd.done_cb.is_none() {
-            return;
-        }
-        dd.counters.add(keys::HDFS_WRITE_BYTES, data.len() as f64);
-        dd.env.clone()
-    };
-    {
-        // Replace any stale part file from an earlier run of the same
-        // output dir (mirrors the task-output promotion path).
-        let mut h = env.hdfs.borrow_mut();
-        if let Ok(ids) = h.namenode.delete(&path) {
-            h.datanodes.reclaim(&ids);
-        }
-    }
-    let d = d.clone();
-    let written = move |sim: &mut Sim, res: Result<(), hdfs::HdfsError>| match res {
-        Ok(()) => write_next(sim, &d, writes),
-        Err(e) => fail_dag(sim, &d, MrError::msg(format!("hdfs: {e}"))),
-    };
-    hdfs::write_file(sim, &env.topo, &env.hdfs, node, path, data, written);
 }
 
 fn complete_dag(sim: &mut Sim, d: &SharedDag) {

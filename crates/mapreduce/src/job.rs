@@ -26,7 +26,7 @@ mod reduce;
 mod sched;
 mod speculate;
 
-pub(crate) use commit::{group_by_key, kv_bytes, serialize_kvs, MapOutput};
+pub(crate) use commit::{group_by_key, kv_bytes, MapOutput};
 
 use attempt::{AttemptInfo, TaskTable};
 pub(crate) use nodes::NodeTable;
@@ -473,7 +473,8 @@ struct Driver {
     job: Job,
     /// DAG mode: this job is one stage of a DAG — emitted pairs are
     /// hash-partitioned and registered in the sink's shuffle store at
-    /// commit instead of being reduced/written here.
+    /// commit instead of being reduced here (the final stage commits part
+    /// files named by the sink).
     sink: Option<ShuffleSink>,
     start_s: f64,
     nodes: NodeTable,
@@ -512,11 +513,12 @@ impl Driver {
     }
 
     /// End the job, either way: take the completion callback (once) and, for
-    /// a DAG stage, leave the node table for the DAG's next stage submission.
+    /// a DAG stage, leave the node table and the next attempt id for the
+    /// DAG's next stage submission.
     fn end(&mut self) -> Option<JobDone> {
         let cb = self.done_cb.take()?;
         if let Some(sink) = &self.sink {
-            *sink.node_health.borrow_mut() = Some(self.nodes.clone());
+            *sink.carried.borrow_mut() = Some((self.nodes.clone(), self.tasks.next_attempt()));
         }
         Some(cb)
     }
@@ -572,7 +574,8 @@ pub fn submit_job_env(
 
 /// Start a driver for `job`. With a `sink` the job is one DAG stage:
 /// map-only, its partitioned output registered in the sink's shuffle store
-/// (the grouping runs downstream).
+/// (the grouping runs downstream) — or, for the final stage, committed as
+/// part files.
 pub(crate) fn submit_stage(
     sim: &mut Sim,
     env: MrEnv,
@@ -591,22 +594,22 @@ pub(crate) fn submit_stage(
     let n_maps = job.splits.len();
     let now = sim.now().secs();
     // Nodes the fault plan has already killed start out dead; a DAG stage
-    // starts from the health its predecessor ended with.
-    let carried = sink
-        .as_ref()
-        .and_then(|s| s.node_health.borrow_mut().take());
+    // starts from the health its predecessor ended with and numbers its
+    // attempts on from there.
+    let carried = sink.as_ref().and_then(|s| s.carried.borrow_mut().take());
+    let (health, first_attempt) = carried.unzip();
     let dead = |n: NodeId| sim.faults.node_dead(n.0, now);
     let nodes = NodeTable::new(
         env.topo.n_compute(),
         env.slots_per_node,
-        carried.as_ref(),
+        health.as_ref(),
         dead,
     );
-    // A node dead before this job started must not keep ghost entries in
-    // the cluster cache tier (its memory died with it) — the mid-job kill
-    // path does the same when it withdraws the node.
+    // A node dead before this job started must leave no ghost behind
+    // (cluster-cache residency outlives the job that admitted it); the
+    // mid-job kill path forgets it the same way when it withdraws the node.
     for n in nodes.ids().filter(|&n| nodes.is_dead(n)) {
-        env.cluster_cache.invalidate_node(n);
+        forget_node(&env, sink.as_ref(), n);
     }
     // Arm the detector machinery only when the plan can actually produce
     // silence: hangs and partitions never complete on their own, so only a
@@ -633,7 +636,7 @@ pub(crate) fn submit_stage(
         sink,
         start_s: now,
         nodes,
-        tasks: TaskTable::new(n_maps, job.n_reducers),
+        tasks: TaskTable::new(n_maps, job.n_reducers, first_attempt.unwrap_or(0)),
         hang_checks_armed,
         backoff_rng,
         map_outputs: vec![None; n_maps],
@@ -651,6 +654,16 @@ pub(crate) fn submit_stage(
         return;
     }
     attempt::try_schedule(sim, &d);
+}
+
+/// `node` is dead, and what it held died with it: its cluster-cache
+/// residency and, for a DAG stage, its shuffle outputs — so no later task is
+/// steered to, or served from, a ghost.
+fn forget_node(env: &MrEnv, sink: Option<&ShuffleSink>, node: NodeId) {
+    env.cluster_cache.invalidate_node(node);
+    if let Some(sink) = sink {
+        sink.invalidate_node(node);
+    }
 }
 
 /// Convenience: submit, run the world to completion, return the result.
@@ -700,6 +713,12 @@ fn complete(sim: &mut Sim, d: &SharedDriver) {
         };
         let mut tasks = std::mem::take(&mut dd.reports);
         tasks.sort_by_key(|t| (t.kind == TaskKind::Reduce, t.index));
+        if let Some(sink) = &dd.sink {
+            // A DAG reads its stages' reports by stage partition.
+            for t in &mut tasks {
+                t.index = sink.partition_of(t.index);
+            }
+        }
         // Cluster-cache evictions during this job's run (registry stats
         // are world-lifetime monotonic; the delta is this job's share).
         if dd.env.cluster_cache.enabled() {

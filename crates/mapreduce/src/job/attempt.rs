@@ -93,7 +93,8 @@ pub(super) struct TaskTable {
 
 impl TaskTable {
     /// Every map pending; reducers wait for [`TaskTable::open_reduce_phase`].
-    pub fn new(n_maps: usize, n_reducers: usize) -> TaskTable {
+    /// Attempts are numbered from `first_attempt`.
+    pub fn new(n_maps: usize, n_reducers: usize, first_attempt: AttemptId) -> TaskTable {
         TaskTable {
             maps: KindTable {
                 pending: (0..n_maps).collect(),
@@ -106,8 +107,13 @@ impl TaskTable {
             },
             reduce_phase: false,
             attempts: BTreeMap::new(),
-            next_attempt: 0,
+            next_attempt: first_attempt,
         }
+    }
+
+    /// The id the next attempt would get.
+    pub fn next_attempt(&self) -> AttemptId {
+        self.next_attempt
     }
 
     fn kind(&self, kind: TaskKind) -> &KindTable {
@@ -457,18 +463,17 @@ pub(super) fn commit_task(
         let end_s = sim.now().secs();
         match kind {
             TaskKind::Map => {
-                if let Some(parts) = shuffle_parts {
-                    match dd.sink.clone() {
-                        // DAG stage: registration happens here, at commit,
-                        // so first-commit-wins also means register-once —
-                        // an orphaned twin never reaches this point.
-                        Some(sink) => sink.register(task, node, parts),
-                        None => {
-                            if let Some(slot) = dd.map_outputs.get_mut(task) {
-                                *slot = Some(MapOutput { node, parts });
-                            }
+                match (dd.sink.clone(), shuffle_parts) {
+                    // DAG stage: registration happens here, at commit, so
+                    // first-commit-wins also means register-once — an
+                    // orphaned twin never reaches this point.
+                    (Some(sink), parts) => sink.register(task, node, parts),
+                    (None, Some(parts)) => {
+                        if let Some(slot) = dd.map_outputs.get_mut(task) {
+                            *slot = Some(MapOutput { node, parts });
                         }
                     }
+                    (None, None) => {}
                 }
                 dd.counters.add(keys::MAP_TASKS, 1.0);
                 let located = dd.job.splits.get(task).map(|s| !s.locations.is_empty());

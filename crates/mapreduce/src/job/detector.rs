@@ -5,7 +5,7 @@ use simnet::{NodeId, Sim, SimTime};
 
 use super::attempt::{fail_attempt, try_schedule, Attempt};
 use super::nodes::Withdrawal;
-use super::{fail_job, Driver, MrError, SharedDriver};
+use super::{fail_job, forget_node, Driver, MrError, SharedDriver};
 use crate::counters::keys;
 
 /// Multiple of the q75 committed map duration after which a running attempt
@@ -75,11 +75,7 @@ pub(super) fn withdraw_node(sim: &mut Sim, d: &SharedDriver, node: NodeId, why: 
         }
         let cause = match why {
             Withdrawal::Killed => {
-                // The node's cached chunks died with its memory —
-                // invalidate them exactly like its shuffle outputs, so no
-                // later stage is steered to (or served from) a ghost
-                // replica.
-                dd.env.cluster_cache.invalidate_node(node);
+                forget_node(&dd.env, dd.sink.as_ref(), node);
                 "death of node"
             }
             Withdrawal::DeclaredDead => "declared-dead node",

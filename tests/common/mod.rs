@@ -1,0 +1,52 @@
+//! Shared by the generated-chaos suites (`storage_totality`, `dag_lineage`).
+
+use std::fmt::Write as _;
+
+use scidp_suite::simnet::FaultPlan;
+
+/// `plan` as the builder expression that rebuilds it (fields are rendered in
+/// a fixed order; builders of different kinds commute).
+pub fn plan_expr(plan: &FaultPlan) -> String {
+    let secs = |t: f64| match t.is_finite() {
+        true => format!("{t:?}"),
+        false => "f64::INFINITY".to_string(),
+    };
+    let mut s = "FaultPlan::none()".to_string();
+    if plan.read_fail_prob > 0.0 {
+        let (seed, p) = (plan.seed, plan.read_fail_prob);
+        write!(s, ".with_random_read_failures({seed}, {p:?})").unwrap();
+    } else {
+        write!(s, ".with_seed({})", plan.seed).unwrap();
+    }
+    for (p, n) in &plan.read_faults {
+        write!(s, ".fail_read({p:?}, {n})").unwrap();
+    }
+    for (p, n) in &plan.read_hangs {
+        write!(s, ".hang_nth_read({p:?}, {n})").unwrap();
+    }
+    for c in &plan.corrupt_reads {
+        let (p, n) = (&c.path, c.nth);
+        match (c.replica, c.persistent, c.silent) {
+            (Some(node), ..) => write!(s, ".corrupt_replica({p:?}, {node})"),
+            (None, true, _) if p.starts_with("blk#") => write!(s, ".corrupt_all_replicas({p:?})"),
+            (None, true, _) => write!(s, ".corrupt_read_persistent({p:?}, {n})"),
+            (None, false, true) => write!(s, ".corrupt_read({p:?}, {n})"),
+            (None, false, false) => write!(s, ".corrupt_read_detected({p:?}, {n})"),
+        }
+        .unwrap();
+    }
+    for (n, t) in &plan.node_kills {
+        write!(s, ".kill_node({n}, {})", secs(*t)).unwrap();
+    }
+    for (n, t) in &plan.node_hangs {
+        write!(s, ".hang_node({n}, {})", secs(*t)).unwrap();
+    }
+    for p in &plan.partitions {
+        let (from, heal) = (secs(p.from_s), secs(p.heal_at_s));
+        write!(s, ".partition(&{:?}, {from}, {heal})", p.nodes).unwrap();
+    }
+    for (a, b, f) in &plan.slow_links {
+        write!(s, ".slow_link({a}, {b}, {f:?})").unwrap();
+    }
+    s
+}

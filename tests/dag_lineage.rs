@@ -1,16 +1,25 @@
 //! DAG execution engine acceptance: byte-identity against hand-chained
-//! single-stage jobs, stability under seeded read faults, and exact
-//! partition-granular lineage recovery after a node kill.
+//! single-stage jobs, stability under seeded read faults, exact
+//! partition-granular lineage recovery after a node kill, final part files
+//! committed inside their tasks — and a generated sweep of single faults
+//! (the first DAG-level slice of ROADMAP "Generated chaos": `Ok`, and the
+//! clean run's bytes, whatever dies whenever). `SCIDP_FAULT_SEED` reseeds
+//! the sweep (CI's `driver` job runs seeds 1-3).
 
 use scidp_suite::mapreduce::{
-    counter_keys as keys, hdfs_file_splits, run_dag, run_job, Cluster, DagJob, Dataset, FetchDone,
-    FlatPfsFetcher, FtConfig, InputSplit, Job, MrEnv, MrError, Payload, SplitFetcher, TaskInput,
+    counter_keys as keys, hdfs_file_splits, run_dag, run_job, Cluster, DagJob, DagResult, Dataset,
+    FetchDone, FlatPfsFetcher, FtConfig, InputSplit, Job, MrEnv, MrError, Payload, SplitFetcher,
+    StageRun, TaskInput,
 };
 use scidp_suite::pfs::PfsConfig;
 use scidp_suite::simnet::{ClusterSpec, CostModel, FaultPlan, NodeId, Sim};
+use scirng::Rng;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
+
+mod common;
+use common::plan_expr;
 
 const INPUT: &str = "data/dagwc.bin";
 const N_SPLITS: u64 = 8;
@@ -474,4 +483,247 @@ fn shuffle_holes_are_not_charged_to_the_node_that_read_them() {
     );
     assert_eq!(rf.counters.get(keys::NODE_BLACKLISTED), 0.0);
     assert_eq!(out, clean_out, "recovered output is byte-identical");
+}
+
+// ---------------------------------------------------------------------------
+// Final part files are task output
+// ---------------------------------------------------------------------------
+
+/// count → per-key sum (4 partitions) → per-key sum again (4 partitions).
+/// The seven keys `b0..b6` reach every final partition, so each final task
+/// writes a part file.
+fn wide_dag() -> DagJob {
+    let sum = || -> scidp_suite::mapreduce::AggFn {
+        Rc::new(|_k, values, _ctx| {
+            Ok(Payload::Bytes(
+                sum_payloads(values)?.to_string().into_bytes(),
+            ))
+        })
+    };
+    let plan = Dataset::from_splits(
+        flat_splits(),
+        Rc::new(|input, _ctx| count_records(input, ())),
+    )
+    .reduce_by_key(4, sum())
+    .reduce_by_key(4, sum());
+    DagJob::new("wide", plan, "dagout")
+}
+
+/// [`wide_dag`] on `nodes` one-slot nodes under `plan`: the outcome and the
+/// world it left.
+fn run_wide(nodes: usize, plan: FaultPlan) -> (Result<DagResult, MrError>, Cluster) {
+    let mut c = dag_cluster(nodes, 1);
+    c.sim.faults.install(plan);
+    let r = run_dag(&mut c, wide_dag());
+    (r, c)
+}
+
+/// The successful run of the final stage, with its task reports.
+fn final_run(r: &DagResult) -> &StageRun {
+    let last = r.runs.last().expect("a DAG runs at least one stage");
+    assert!(last.ok && last.stage == r.n_stages - 1, "{last:?}");
+    last
+}
+
+/// The node holding the first replica of each block of `path`: HDFS places
+/// it on the writer, so this is where the file was written from.
+fn writers(c: &Cluster, path: &str) -> Vec<NodeId> {
+    let h = c.hdfs.borrow();
+    let blocks = h.namenode.blocks(path).unwrap();
+    blocks.iter().map(|b| b.locations()[0]).collect()
+}
+
+/// Upstream partitions the runs of `r` re-executed, and final ones.
+fn recomputed(r: &DagResult) -> (usize, usize) {
+    let of = |is_final: bool| {
+        let runs = r.runs.iter();
+        let runs = runs.filter(|s| (s.stage == r.n_stages - 1) == is_final);
+        runs.map(|s| s.recomputed).sum()
+    };
+    (of(false), of(true))
+}
+
+#[test]
+fn final_part_files_are_committed_inside_their_tasks() {
+    let (r, c) = run_wide(4, FaultPlan::none());
+    let r = r.unwrap();
+    let last = final_run(&r);
+    assert_eq!(
+        last.end_s, r.end_s,
+        "no driver-side write tail: the DAG ends with its final stage"
+    );
+    assert_eq!(last.tasks.len(), 4);
+    assert_eq!(
+        output_files(&c, "dagout").len(),
+        4,
+        "every partition has keys"
+    );
+    // `[start, end)` of each task's part-file write.
+    let writes: Vec<(f64, f64)> = last
+        .tasks
+        .iter()
+        .map(|t| {
+            let w = t.phase("write");
+            assert!(w > 0.0, "partition {} has no write phase: {t:?}", t.index);
+            (t.end_s - w, t.end_s)
+        })
+        .collect();
+    let (a, b) = (writes[0], writes[1]);
+    assert!(
+        a.0.max(b.0) < a.1.min(b.1),
+        "partitions 0 and 1 are written concurrently: {a:?} {b:?}"
+    );
+    // Each file sits where its task ran, and no temp file outlives the run.
+    for t in &last.tasks {
+        let path = format!("dagout/part-{:05}", t.index);
+        assert_eq!(writers(&c, &path), vec![t.node], "{path}");
+    }
+    let h = c.hdfs.borrow();
+    let leaked = h.namenode.list_files_recursive("dagout/_tmp");
+    assert!(leaked.unwrap_or_default().is_empty());
+}
+
+#[test]
+fn a_committed_final_partition_survives_its_node() {
+    // Two one-slot nodes run the four final tasks in two waves.
+    let (rc, clean) = run_wide(2, FaultPlan::none());
+    let rc = rc.unwrap();
+    let tasks = &final_run(&rc).tasks;
+    let first = tasks.iter().find(|t| t.index == 0).unwrap();
+    // Kill the node that committed `part-00000` right after that commit,
+    // the second wave still ahead.
+    let kill_at = first.end_s + 1e-6;
+    let waiting = tasks.iter().filter(|t| t.start_s + 0.5 > kill_at).count();
+    assert_eq!(waiting, 2, "the second wave has barely started: {tasks:?}");
+    let victim = first.node;
+    let (rf, faulted) = run_wide(2, FaultPlan::none().kill_node(victim.0, kill_at));
+    let rf = rf.unwrap();
+    assert_eq!(
+        output_files(&faulted, "dagout"),
+        output_files(&clean, "dagout")
+    );
+    // The second wave found the victim's upstream outputs gone and went
+    // through lineage recovery — which left the committed part file alone:
+    // it is on HDFS, not in the dead node's memory.
+    let lost = rf.counters.get(keys::SHUFFLE_PARTITIONS_LOST);
+    assert!(lost >= 2.0, "a stage-0 and a stage-1 output died: {lost}");
+    let (upstream, finals) = recomputed(&rf);
+    assert_eq!(finals, 0, "no final partition is computed twice: {rf:?}");
+    assert_eq!(upstream as f64, lost);
+    assert_eq!(rf.counters.get(keys::LINEAGE_RECOMPUTES), lost);
+    assert_eq!(writers(&faulted, "dagout/part-00000"), vec![victim]);
+}
+
+#[test]
+fn a_kill_during_the_final_write_is_recovered_not_written_from_the_dead_node() {
+    let (rc, clean) = run_wide(4, FaultPlan::none());
+    let rc = rc.unwrap();
+    // 0.1 ms before the DAG ends its part files are mid-write (one takes
+    // 0.5 ms): the node writing the last of them dies.
+    let last = final_run(&rc).tasks.iter().max_by_key(|t| t.index);
+    let victim = last.unwrap().node;
+    let kill_at = rc.end_s - 1e-4;
+    let (rf, faulted) = run_wide(4, FaultPlan::none().kill_node(victim.0, kill_at));
+    let rf = rf.unwrap();
+    let files = output_files(&faulted, "dagout");
+    assert_eq!(files, output_files(&clean, "dagout"));
+    for (path, _) in &files {
+        assert!(
+            !writers(&faulted, path).contains(&victim),
+            "{path} was written from the node that died during the write"
+        );
+    }
+    // The write died with its node: the partition ran again elsewhere, found
+    // the victim's shuffle outputs gone and recovered them through lineage.
+    // Only those count as lost — a final result is never a shuffle output.
+    assert!(rf.counters.get(keys::STAGES_RUN) > 3.0, "{rf:?}");
+    let lost = rf.counters.get(keys::SHUFFLE_PARTITIONS_LOST);
+    assert_eq!(lost, 3.0, "two source outputs and one stage-1 output");
+    assert_eq!(rf.counters.get(keys::LINEAGE_RECOMPUTES), lost);
+    assert_eq!(recomputed(&rf), (3, 0));
+}
+
+// ---------------------------------------------------------------------------
+// Generated sweep: one fault, any node, any instant
+// ---------------------------------------------------------------------------
+
+/// How long a healing partition lasts: past the detector's dead threshold
+/// (4 misses x 3 s), so the node is withdrawn *and* reinstated.
+const HEAL_AFTER_S: f64 = 14.0;
+
+/// The single-fault plans of one `(node, instant)`.
+fn single_faults(seed: u64, node: u32, at_s: f64) -> [FaultPlan; 4] {
+    let p = || FaultPlan::none().with_seed(seed);
+    [
+        p().kill_node(node, at_s),
+        p().hang_node(node, at_s),
+        p().partition(&[node], at_s, at_s + HEAL_AFTER_S),
+        p().partition(&[node], at_s, f64::INFINITY),
+    ]
+}
+
+/// Instants of the clean run a fault is most likely to matter at: each stage
+/// boundary exactly and 1 µs either side, the DAG's end, and — drawn from
+/// `rng` — one instant inside every stage and inside every final write.
+fn instants(rng: &mut Rng, clean: &DagResult) -> Vec<f64> {
+    let mut at = Vec::new();
+    for run in &clean.runs {
+        at.extend([run.start_s - 1e-6, run.start_s, run.start_s + 1e-6]);
+        at.push(run.start_s + rng.f64() * (run.end_s - run.start_s));
+    }
+    at.extend([clean.end_s - 1e-6, clean.end_s]);
+    for t in &final_run(clean).tasks {
+        at.push(t.end_s - rng.f64() * t.phase("write"));
+    }
+    at.retain(|&t| t >= 0.0);
+    at
+}
+
+#[test]
+fn any_single_fault_at_any_instant_ends_ok_with_the_clean_bytes() {
+    const NODES: u32 = 4;
+    let seed = FaultPlan::env_seed(17);
+    let mut rng = Rng::seed_from_u64(seed);
+    let (rc, clean) = run_wide(NODES as usize, FaultPlan::none());
+    let rc = rc.unwrap();
+    let clean_out = output_files(&clean, "dagout");
+    // 8 stage submissions per stage plus 8, `dag.rs`'s lineage bound.
+    let bound = (rc.n_stages * 8 + 8) as f64;
+    // What the sweep exercised, so a green run is not a vacuous one.
+    let (mut plans, mut recovered, mut recomputes) = (0, 0, 0.0);
+    for at_s in instants(&mut rng, &rc) {
+        for node in 0..NODES {
+            for plan in single_faults(seed, node, at_s) {
+                let (r, c) = run_wide(NODES as usize, plan.clone());
+                let violation = match &r {
+                    Err(e) => Some(format!("ended in {e:?}")),
+                    Ok(_) if output_files(&c, "dagout") != clean_out => {
+                        Some("committed other bytes than the clean run".to_string())
+                    }
+                    Ok(r) if r.counters.get(keys::STAGES_RUN) > bound => {
+                        Some(format!("{r:?} exceeds {bound} stage submissions"))
+                    }
+                    Ok(_) => None,
+                };
+                if let Some(violation) = violation {
+                    panic!(
+                        "the DAG {violation} (generator seed {seed})\n  plan: {}",
+                        plan_expr(&plan)
+                    );
+                }
+                let redone = r.unwrap().counters.get(keys::LINEAGE_RECOMPUTES);
+                plans += 1;
+                recovered += usize::from(redone > 0.0);
+                recomputes += redone;
+            }
+        }
+    }
+    println!(
+        "{plans} plans (seed {seed}): {recovered} recovered through lineage, \
+         {recomputes} partitions recomputed"
+    );
+    assert!(
+        plans >= 200 && recovered >= plans / 8,
+        "sweep coverage too thin: {recovered} of {plans} plans lost a shuffle output"
+    );
 }

@@ -153,6 +153,15 @@ pub fn run(scale: &Scale) -> Report {
     );
     rep.row("node_kill.full_rerun_tasks", planned as f64, "", Count);
     rep.identical("node_kill", &faulted_out, &clean_out);
+    // No retry brings a lost shuffle output back: the doomed run of the
+    // final stage must end on its first hole, one task start-up in.
+    let doomed = faulted.runs.iter().find(|r| !r.ok);
+    let doomed_s = doomed.map_or(f64::NAN, |r| r.end_s - r.start_s);
+    rep.check(
+        "node_kill.lost_input_costs_one_startup",
+        (doomed_s - CostModel::default().task_startup_s).abs() < 1e-9,
+        "the stage that reads a hole fails at once, not after max_task_attempts start-ups",
+    );
     let last_end = clean.runs.last().map_or(f64::NAN, |r| r.end_s);
     #[rustfmt::skip] // one target per line reads as the table it is
     rep.expect_all(&[

@@ -347,8 +347,8 @@ pub(super) fn launch(sim: &mut Sim, d: &SharedDriver, info: AttemptInfo) {
 }
 
 /// Attempt `id` failed. Release the slot, update blacklist accounting, and
-/// requeue the task unless its attempts are exhausted — in which case the
-/// job fails with the attempt's error, unchanged.
+/// requeue the task unless its attempts are exhausted or its input is lost
+/// — in which case the job fails with the attempt's error, unchanged.
 ///
 /// `count_node_failure`: whether the failure counts against the node's
 /// blacklist tally. The hang detector passes `false` for attempts stranded
@@ -385,6 +385,10 @@ pub(super) fn fail_attempt(
         }
         if let Some(e) = breach {
             Next::Fail(e)
+        } else if matches!(err, MrError::InputLost(_)) {
+            // No retry, and no twin, can bring a lost input back: the job
+            // ends on its first hole and leaves recovery to the layer above.
+            Next::Fail(err)
         } else if fate.settled {
             // A speculative twin died while its sibling lives on (or after
             // the task already committed): nothing to requeue.

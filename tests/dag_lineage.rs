@@ -643,6 +643,25 @@ fn a_kill_during_the_final_write_is_recovered_not_written_from_the_dead_node() {
     assert_eq!(recomputed(&rf), (3, 0));
 }
 
+#[test]
+fn a_lost_input_costs_one_start_up() {
+    let (rc, _) = run_wide(4, FaultPlan::none());
+    let s2_start = final_run(&rc.unwrap()).start_s;
+    // Node 1 dies the instant the final stage starts (as above).
+    let plan = FaultPlan::none().kill_node(1, s2_start + 1e-6);
+    let rf = run_wide(4, plan).0.unwrap();
+    let doomed = rf.runs.iter().find(|r| r.stage == 2 && !r.ok);
+    let doomed = doomed.expect("the final stage failed on the holes");
+    // No retry can bring a lost shuffle output back: the first attempt to
+    // read the hole ends the stage and lineage recovery starts.
+    let startup = CostModel::default().task_startup_s;
+    let lasted = doomed.end_s - doomed.start_s;
+    assert!(
+        (lasted - startup).abs() < 1e-9,
+        "the doomed run lasted {lasted} s, one start-up is {startup} s"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Generated sweep: one fault, any node, any instant
 // ---------------------------------------------------------------------------

@@ -565,6 +565,13 @@ pub fn submit_dag(
     let result_shuffle = b.alloc_shuffle();
     let final_stage = build_stage(&mut b, &dag.plan, result_shuffle, None);
     let stages = b.stages;
+    if stages.iter().any(|s| s.out_partitions == Some(0)) {
+        let e = MrError::msg(format!(
+            "dag {}: a shuffle needs at least one partition",
+            dag.name
+        ));
+        return sim.after(0.0, move |sim| done(sim, Err(e)));
+    }
     let store = ShuffleStore {
         expected: stages.iter().map(|s| (s.out_shuffle, s.n_tasks)).collect(),
         ..ShuffleStore::default()
@@ -846,6 +853,39 @@ mod tests {
         let mut lines: Vec<&str> = text.lines().collect();
         lines.sort_unstable();
         assert_eq!(lines, vec!["w0\t100", "w1\t100", "w2\t100", "w3\t100"]);
+    }
+
+    #[test]
+    fn zero_width_shuffle_fails_typed_before_any_task_runs() {
+        let mut c = small_cluster(2, 2);
+        let ran = Rc::new(std::cell::Cell::new(false));
+        let ran2 = ran.clone();
+        let source = Dataset::from_splits(
+            mem_splits(2, 10),
+            Rc::new(move |_, _| {
+                ran2.set(true);
+                Ok(Vec::new())
+            }),
+        );
+        // Wherever the zero sits: first shuffle, last shuffle, a join.
+        let plans = [
+            source.reduce_by_key(0, sum_agg()),
+            source
+                .reduce_by_key(2, sum_agg())
+                .reduce_by_key(0, sum_agg()),
+            source
+                .reduce_by_key(0, sum_agg())
+                .reduce_by_key(2, sum_agg()),
+            source.join(&source, 0),
+        ];
+        for plan in plans {
+            let err = run_dag(&mut c, DagJob::new("w0", plan, "out")).unwrap_err();
+            assert!(
+                matches!(&err, MrError::Msg(m) if m.contains("at least one partition")),
+                "{err:?}"
+            );
+        }
+        assert!(!ran.get(), "no task may run");
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! A [`Dataset`] is a lazy plan of keyed `(String, Payload)` records:
 //! narrow operators (`map`, `filter`) fuse into their upstream stage, wide
-//! operators (`reduce_by_key`, `group_by_key`, `join`, `map_groups`)
-//! introduce a shuffle boundary where [`crate::dag`] cuts the plan into
-//! stages. Nothing runs until the plan is handed to
-//! [`crate::dag::run_dag`].
+//! operators (`reduce_by_key`, `join`) introduce a shuffle boundary where
+//! [`crate::dag`] cuts the plan into stages. Nothing runs until the plan is
+//! handed to [`crate::dag::run_dag`] — which is also where a shuffle of zero
+//! partitions is refused.
 //!
 //! Keys shuffle with the same FNV-1a `stable_hash(key) % n` the classic
 //! single-job engine uses, and grouped stages iterate keys in `BTreeMap`
@@ -32,7 +32,7 @@ pub type PairFilterFn = Rc<dyn Fn(&str, &Payload) -> bool>;
 /// Wide transform of one key group. Values arrive tagged with the index of
 /// the parent dataset they came from (always 0 except for joins), in
 /// deterministic (parent, map partition, emit) order.
-pub type GroupFn =
+pub(crate) type GroupFn =
     Rc<dyn Fn(&str, Vec<(u8, Payload)>, &mut TaskCtx) -> Result<Vec<(String, Payload)>, MrError>>;
 
 /// Combines one key's values into a single value (`reduce_by_key`).
@@ -82,20 +82,6 @@ impl Dataset {
         Dataset::wrap(PlanNode::Source { splits, read })
     }
 
-    /// Convenience source: each split's raw bytes become one record keyed
-    /// by the split's tag (empty unless the fetcher sets one).
-    pub fn from_split_bytes(splits: Vec<InputSplit>) -> Dataset {
-        Dataset::from_splits(
-            splits,
-            Rc::new(|input, ctx| {
-                let TaskInput::Bytes(b) = input else {
-                    return Err(MrError::msg("from_split_bytes: expected byte input"));
-                };
-                Ok(vec![(ctx.input_tag().to_string(), Payload::Bytes(b))])
-            }),
-        )
-    }
-
     /// Narrow 1→N transform (fused into the upstream stage).
     pub fn map(&self, f: PairMapFn) -> Dataset {
         Dataset::wrap(PlanNode::Map {
@@ -112,22 +98,9 @@ impl Dataset {
         })
     }
 
-    /// General wide operator: shuffle into `n_partitions` and run `group`
-    /// once per key (in key order) on the receiving stage.
-    pub fn map_groups(&self, n_partitions: usize, group: GroupFn) -> Dataset {
-        assert!(n_partitions > 0, "map_groups: n_partitions must be >= 1");
-        Dataset::wrap(PlanNode::Shuffle {
-            parents: vec![self.clone()],
-            n_partitions,
-            group,
-            op: "map_groups",
-        })
-    }
-
     /// Shuffle + per-key aggregation: each key's values collapse to one
     /// record via `agg`.
     pub fn reduce_by_key(&self, n_partitions: usize, agg: AggFn) -> Dataset {
-        assert!(n_partitions > 0, "reduce_by_key: n_partitions must be >= 1");
         let group: GroupFn = Rc::new(move |key, tagged, ctx| {
             let values = tagged.into_iter().map(|(_, v)| v).collect();
             Ok(vec![(key.to_string(), agg(key, values, ctx)?)])
@@ -140,42 +113,11 @@ impl Dataset {
         })
     }
 
-    /// Shuffle + grouping: each key becomes one record whose value is its
-    /// byte values concatenated with length prefixes (see [`encode_group`]
-    /// / [`decode_group`]). Byte payloads only.
-    pub fn group_by_key(&self, n_partitions: usize) -> Dataset {
-        assert!(n_partitions > 0, "group_by_key: n_partitions must be >= 1");
-        let group: GroupFn = Rc::new(|key, tagged, _ctx| {
-            let mut values = Vec::new();
-            for (_, v) in tagged {
-                match v {
-                    Payload::Bytes(b) => values.push(b),
-                    Payload::Frame(_) => {
-                        return Err(MrError::msg(format!(
-                            "group_by_key: frame payload under key {key:?} (bytes only)"
-                        )))
-                    }
-                }
-            }
-            Ok(vec![(
-                key.to_string(),
-                Payload::Bytes(encode_group(&values)),
-            )])
-        });
-        Dataset::wrap(PlanNode::Shuffle {
-            parents: vec![self.clone()],
-            n_partitions,
-            group,
-            op: "group_by_key",
-        })
-    }
-
     /// Inner hash join on key: every (left value, right value) combination
     /// of a key becomes one record, value encoded via [`encode_join`].
     /// Left/right order follows each side's deterministic shuffle order.
     /// Byte payloads only.
     pub fn join(&self, right: &Dataset, n_partitions: usize) -> Dataset {
-        assert!(n_partitions > 0, "join: n_partitions must be >= 1");
         let group: GroupFn = Rc::new(|key, tagged, _ctx| {
             let mut lefts: Vec<Vec<u8>> = Vec::new();
             let mut rights: Vec<Vec<u8>> = Vec::new();
@@ -208,8 +150,8 @@ impl Dataset {
     }
 }
 
-/// Concatenate byte values with u32-LE length prefixes (the `group_by_key`
-/// value encoding).
+/// Concatenate byte values with u32-LE length prefixes (what
+/// [`encode_join`] builds on).
 pub fn encode_group(values: &[Vec<u8>]) -> Vec<u8> {
     let total: usize = values.iter().map(|v| 4 + v.len()).sum();
     let mut out = Vec::with_capacity(total);

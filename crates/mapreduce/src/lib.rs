@@ -32,8 +32,8 @@ pub use cluster::{Cluster, MrEnv};
 pub use counters::{keys as counter_keys, Counters};
 pub use dag::{run_dag, submit_dag, DagJob, DagResult, StageRun};
 pub use dataset::{
-    decode_group, decode_join, encode_group, encode_join, AggFn, Dataset, GroupFn, PairFilterFn,
-    PairMapFn, RecordReadFn,
+    decode_group, decode_join, encode_group, encode_join, AggFn, Dataset, PairFilterFn, PairMapFn,
+    RecordReadFn,
 };
 pub use input::{
     collect_stream, hdfs_file_splits, read_event_counters, retag_stream, FetchDone, FetchPiece,

@@ -804,6 +804,12 @@ mod tests {
                 .get(mapreduce::counters::keys::LINEAGE_RECOMPUTES),
             0.0
         );
+        // A zero-width shuffle is a typed error, not an abort.
+        let zero = StatsDagConfig {
+            level_partitions: 0,
+            ..cfg
+        };
+        assert!(run_stats_dag(&mut cluster, &input, &zero).is_err());
         // One rollup line per variable reached the output.
         let h = cluster.hdfs.borrow();
         let outs = h.namenode.list_files_recursive("stats_out").unwrap();

@@ -268,8 +268,8 @@ impl PieceSink for StreamedFetch {
 }
 
 /// Map compute is over: account the output, then spill its partitions for
-/// the downstream shuffle — or, for a map-only job, commit it as
-/// `part-m-<task>`.
+/// the downstream shuffle — or, when nothing is downstream (a map-only job,
+/// a DAG's final stage), commit it as a part file.
 fn finish_map_compute(
     sim: &mut Sim,
     att: Attempt,
@@ -280,31 +280,29 @@ fn finish_map_compute(
     let out_bytes = kv_bytes(&ctx.emitted);
     acnt.add(keys::MAP_OUTPUT_BYTES, out_bytes as f64);
     acnt.add(keys::RECORDS_EMITTED, ctx.records as f64);
-    let (env, n_parts, part_name, spill_to_pfs, job_name) = {
+    let (env, n_parts, stage_partition, spill_to_pfs, job_name) = {
         let dd = att.d.borrow();
         // A shuffle-sink stage partitions for the *downstream* stage's
-        // width; a classic job partitions for its own reducers. Neither:
-        // the output is a part file, named by the task — for a DAG's final
-        // stage by the stage partition the task computes.
-        let (n_parts, part_name) = match &dd.sink {
-            Some(sink) => (
-                sink.n_partitions,
-                format!("part-{:05}", sink.partition_of(att.task)),
-            ),
-            None => (
-                dd.job.reduce_fn.as_ref().map(|_| dd.job.n_reducers),
-                format!("part-m-{:05}", att.task),
-            ),
+        // width; a classic job partitions for its own reducers.
+        let (n_parts, stage_partition) = match &dd.sink {
+            Some(sink) => (sink.n_partitions, Some(sink.partition_of(att.task))),
+            None => (dd.job.reduce_fn.as_ref().map(|_| dd.job.n_reducers), None),
         };
         (
             dd.env.clone(),
             n_parts,
-            part_name,
+            stage_partition,
             dd.job.spill_to_pfs,
             dd.job.name.clone(),
         )
     };
     let Some(n_parts) = n_parts else {
+        // Neither: the output is a part file, named by the task — for a
+        // DAG's final stage by the stage partition the task computes.
+        let part_name = match stage_partition {
+            Some(p) => format!("part-{p:05}"),
+            None => format!("part-m-{:05}", att.task),
+        };
         return commit_part_file(sim, att, &ctx.emitted, part_name, phases, acnt);
     };
     let parts = partition(ctx.emitted, n_parts);

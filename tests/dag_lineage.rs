@@ -6,6 +6,7 @@
 //! clean run's bytes, whatever dies whenever). `SCIDP_FAULT_SEED` reseeds
 //! the sweep (CI's `driver` job runs seeds 1-3).
 
+use scidp_suite::hdfs::EditOp;
 use scidp_suite::mapreduce::{
     counter_keys as keys, hdfs_file_splits, run_dag, run_job, Cluster, DagJob, DagResult, Dataset,
     FetchDone, FlatPfsFetcher, FtConfig, InputSplit, Job, MrEnv, MrError, Payload, SplitFetcher,
@@ -607,8 +608,13 @@ fn a_committed_final_partition_survives_its_node() {
     // it is on HDFS, not in the dead node's memory.
     let lost = rf.counters.get(keys::SHUFFLE_PARTITIONS_LOST);
     assert!(lost >= 2.0, "a stage-0 and a stage-1 output died: {lost}");
+    let redone = &final_run(&rf).tasks;
+    assert!(
+        redone.iter().all(|t| t.index != 0),
+        "partition 0 was computed a second time: {redone:?}"
+    );
     let (upstream, finals) = recomputed(&rf);
-    assert_eq!(finals, 0, "no final partition is computed twice: {rf:?}");
+    assert_eq!(finals, 0, "no final partition counts as recomputed");
     assert_eq!(upstream as f64, lost);
     assert_eq!(rf.counters.get(keys::LINEAGE_RECOMPUTES), lost);
     assert_eq!(writers(&faulted, "dagout/part-00000"), vec![victim]);
@@ -641,6 +647,21 @@ fn a_kill_during_the_final_write_is_recovered_not_written_from_the_dead_node() {
     assert_eq!(lost, 3.0, "two source outputs and one stage-1 output");
     assert_eq!(rf.counters.get(keys::LINEAGE_RECOMPUTES), lost);
     assert_eq!(recomputed(&rf), (3, 0));
+    // The final stage was submitted twice, the first submission's orphan
+    // still writing when it failed: attempt ids count on across the
+    // submissions of a DAG, so no temp name was ever used twice. The
+    // NameNode's edit log holds every file creation of the run.
+    let h = faulted.hdfs.borrow();
+    let journal = h.namenode.journal();
+    assert!(!journal.has_checkpoint(), "the log is the whole history");
+    let temp_name = |op: &EditOp| match op {
+        EditOp::CreateFile { path } if path.contains("/_tmp/") => Some(path.clone()),
+        _ => None,
+    };
+    let temps: Vec<String> = journal.edits().iter().filter_map(temp_name).collect();
+    assert_eq!(temps.len(), 5, "four part files and one rewrite: {temps:?}");
+    let distinct: BTreeSet<&String> = temps.iter().collect();
+    assert_eq!(distinct.len(), temps.len(), "a temp name twice: {temps:?}");
 }
 
 #[test]

@@ -309,22 +309,16 @@ fn attempt_step(sim: &mut Sim, st: Rc<BlockReadState>, i: usize, via_hedge: bool
             }
         });
     }
-    let now = sim.now().secs();
-    if sim.faults.node_hung(owner.0, now) || sim.faults.partitioned(owner.0, st.reader.0, now) {
-        // The replica owner is hung or unreachable: this transfer never
-        // completes. Schedule nothing (the simulator drains cleanly) — the
-        // hedge timer armed above, or the driver's task deadline, is the
-        // only way out.
-        return;
-    }
-    let link = sim.faults.link_slowdown(owner.0, st.reader.0);
-    let bytes = sim.cost.lbytes(data.len()) * if owner == st.reader { 1.0 } else { link };
+    let bytes = sim.cost.lbytes(data.len());
     let flow_path = st.topo.path_remote_disk_read(owner, st.reader);
     let Some(&disk) = flow_path.first() else {
         debug_assert!(false, "empty disk-read flow path");
         return;
     };
-    sim.disk_transfer(disk, flow_path, bytes, move |sim| {
+    // An owner the reader cannot reach never delivers, and nothing is
+    // scheduled: the hedge timer armed above, or the driver's task
+    // deadline, is the only way out.
+    sim.net_transfer(owner, st.reader, Some(disk), flow_path, bytes, move |sim| {
         deliver_attempt(sim, st, i, data, via_hedge);
     });
 }
@@ -910,6 +904,23 @@ mod tests {
         let clean = time_with(None);
         let slow = time_with(Some(4.0));
         assert!(slow > clean * 1.5, "slow {slow} vs clean {clean}");
+    }
+
+    #[test]
+    fn a_slow_link_to_self_leaves_a_local_read_alone() {
+        // `slow_link(a, a, f)` names no wire: the local read is bit for bit
+        // as fast as with no plan at all.
+        let time_with = |plan: Option<simnet::FaultPlan>| {
+            let (mut sim, topo, hdfs) = setup(2, 1);
+            let block = stage(&mut sim, &topo, &hdfs, 0, vec![5u8; 64]);
+            if let Some(plan) = plan {
+                sim.faults.install(plan);
+            }
+            read(&mut sim, &topo, &hdfs, 0, &block).expect("clean read");
+            sim.now().secs()
+        };
+        let plan = simnet::FaultPlan::none().slow_link(0, 0, 4.0);
+        assert_eq!(time_with(Some(plan)), time_with(None));
     }
 
     #[test]

@@ -176,7 +176,6 @@ impl SplitFetcher for ShuffleFetcher {
         let mut pairs: Vec<(u8, String, Payload)> = Vec::new();
         let mut holes: Vec<(u64, usize)> = Vec::new();
         let mut stalled: Vec<(u64, usize)> = Vec::new();
-        let now = sim.now().secs();
         {
             let mut store = self.store.borrow_mut();
             for &(shuffle, tag) in &self.sources {
@@ -190,9 +189,7 @@ impl SplitFetcher for ShuffleFetcher {
                     // pull forever. Invalidate the output instead: the
                     // lineage machinery re-runs the producer on a live node
                     // and the refetch succeeds.
-                    if sim.faults.node_hung(out.node.0, now)
-                        || sim.faults.partitioned(out.node.0, node.0, now)
-                    {
+                    if sim.link(out.node, node).is_none() {
                         stalled.push((shuffle, m));
                         continue;
                     }

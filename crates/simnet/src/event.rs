@@ -30,6 +30,7 @@ use crate::cost::CostModel;
 use crate::fault::FaultInjector;
 use crate::flow::{FlowId, FlowNet, ResourceId};
 use crate::time::SimTime;
+use crate::topology::NodeId;
 
 type Callback = Box<dyn FnOnce(&mut Sim)>;
 
@@ -203,17 +204,52 @@ impl Sim {
         bytes: f64,
         done: impl FnOnce(&mut Sim) + 'static,
     ) {
-        let seek_bytes = self.cost.seek_s * self.net.resource(disk).capacity;
-        let seek_bytes = if seek_bytes.is_finite() {
-            seek_bytes
-        } else {
-            0.0
-        };
+        let seek = self.cost.seek_s * self.net.resource(disk).capacity;
+        let seek_bytes = if seek.is_finite() { seek } else { 0.0 };
         self.rpc(move |sim| {
             sim.start_flow(vec![disk], seek_bytes, move |sim| {
                 sim.start_flow(path, bytes, done);
             });
         });
+    }
+
+    /// The one link rule: what the fault plan does, right now, to bytes
+    /// that compute node `src` serves to `dst`. `None` — they never arrive:
+    /// `src` is hung, or an active partition separates the two. `Some(f)` —
+    /// the link is up and the transfer takes `f`× as long (the compounded
+    /// `slow_link` factors, 1.0 on a healthy link). Loopback crosses no wire
+    /// and is always `Some(1.0)`: whatever a fault does to work *on* a node
+    /// is the driver's business, not the link's.
+    pub fn link(&self, src: NodeId, dst: NodeId) -> Option<f64> {
+        let (a, b, now, faults) = (src.0, dst.0, self.now.secs(), &self.faults);
+        if a == b {
+            return Some(1.0);
+        }
+        let up = !faults.node_hung(a, now) && !faults.partitioned(a, b, now);
+        up.then(|| faults.link_slowdown(a, b))
+    }
+
+    /// The one node-to-node transfer: `bytes` from `src` to `dst` along
+    /// `path`, under [`Self::link`] as it stands at the point of the call.
+    /// Down: `done` is dropped and nothing is scheduled (hang = drop — only
+    /// a hedge or a caller-side deadline recovers). Up: the flow carries
+    /// `bytes × factor`, and `done` runs when its last byte lands. With
+    /// `disk` (the `src` end of `path`) the bytes come off that disk first:
+    /// the flow is a [`Self::disk_transfer`], request RPC and seek included.
+    pub fn net_transfer(
+        &mut self,
+        src: NodeId,
+        dst: NodeId,
+        disk: Option<ResourceId>,
+        path: Vec<ResourceId>,
+        bytes: f64,
+        done: impl FnOnce(&mut Sim) + 'static,
+    ) {
+        match (self.link(src, dst), disk) {
+            (None, _) => {}
+            (Some(f), Some(disk)) => self.disk_transfer(disk, path, bytes * f, done),
+            (Some(f), None) => drop(self.start_flow(path, bytes * f, done)),
+        }
     }
 
     /// The flow set changed at `now`: reserve the queue position of the
@@ -649,6 +685,107 @@ mod tests {
         let ram = sim.net.add_resource("ramdisk", f64::INFINITY);
         sim.disk_transfer(ram, vec![ram], 0.0, |_| {});
         assert_eq!(sim.run(), SimTime(sim.cost.rpc_s));
+    }
+
+    /// A 100 B/s wire between nodes 0 and 1 under `plan`, clock at `now`.
+    fn wired(plan: crate::FaultPlan, now: f64) -> (Sim, ResourceId) {
+        let mut sim = Sim::new();
+        let wire = sim.net.add_resource("wire", 100.0);
+        sim.faults.install(plan);
+        sim.at(SimTime(now), |_| {});
+        sim.run();
+        (sim, wire)
+    }
+
+    /// When a 100-byte `net_transfer` from node `src` to node `dst` issued
+    /// at `now` under `plan` completes, if it does.
+    fn transfer_ends(plan: crate::FaultPlan, now: f64, src: u32, dst: u32) -> Option<f64> {
+        let (mut sim, wire) = wired(plan, now);
+        let t = Rc::new(RefCell::new(None));
+        let t2 = t.clone();
+        let (src, dst) = (NodeId(src), NodeId(dst));
+        sim.net_transfer(src, dst, None, vec![wire], 100.0, move |sim| {
+            *t2.borrow_mut() = Some(sim.now().secs());
+        });
+        sim.run();
+        let ended = *t.borrow();
+        ended
+    }
+
+    #[test]
+    fn link_is_down_from_a_hung_source_or_across_an_active_partition() {
+        use crate::FaultPlan;
+        let plan = || {
+            FaultPlan::none()
+                .hang_node(2, 5.0)
+                .partition(&[1], 10.0, 20.0)
+        };
+        let link = |now: f64, src: u32, dst: u32| {
+            let (sim, _) = wired(plan(), now);
+            sim.link(NodeId(src), NodeId(dst))
+        };
+        assert_eq!(link(0.0, 2, 0), Some(1.0));
+        assert_eq!(link(5.0, 2, 0), None, "a hung node serves nobody");
+        assert_eq!(link(5.0, 0, 2), Some(1.0), "but can still be sent to");
+        assert_eq!(link(9.0, 0, 1), Some(1.0));
+        assert_eq!(link(10.0, 0, 1), None);
+        assert_eq!(link(10.0, 1, 0), None, "a partition cuts both ways");
+        assert_eq!(link(15.0, 0, 3), Some(1.0), "the same side stays connected");
+        assert_eq!(link(20.0, 1, 0), Some(1.0), "healed");
+        // Down means dropped: nothing is scheduled and the queue drains.
+        assert_eq!(transfer_ends(plan(), 10.0, 0, 1), None);
+        assert_eq!(transfer_ends(plan(), 5.0, 2, 0), None);
+        // The rule is read at the point of the call: a transfer issued just
+        // before the cut completes across it.
+        assert_eq!(transfer_ends(plan(), 9.5, 0, 1), Some(10.5));
+    }
+
+    #[test]
+    fn slow_links_compound_and_loopback_has_no_link() {
+        use crate::FaultPlan;
+        let slow = || FaultPlan::none().slow_link(0, 1, 2.0).slow_link(1, 0, 3.0);
+        let (sim, _) = wired(slow(), 0.0);
+        assert_eq!(sim.link(NodeId(0), NodeId(1)), Some(6.0));
+        assert_eq!(sim.link(NodeId(1), NodeId(0)), Some(6.0), "undirected");
+        assert_eq!(sim.link(NodeId(0), NodeId(2)), Some(1.0));
+        // 100 B at 100 B/s, six times over.
+        assert_eq!(transfer_ends(slow(), 0.0, 0, 1), Some(6.0));
+        // A node to itself crosses no wire: no factor, no hang, no partition.
+        let on_node_1 = || {
+            FaultPlan::none()
+                .slow_link(1, 1, 4.0)
+                .hang_node(1, 0.0)
+                .partition(&[1], 0.0, f64::INFINITY)
+        };
+        let (sim, _) = wired(on_node_1(), 1.0);
+        assert_eq!(sim.link(NodeId(1), NodeId(1)), Some(1.0));
+        assert_eq!(transfer_ends(on_node_1(), 1.0, 1, 1), Some(2.0));
+    }
+
+    #[test]
+    fn net_transfer_off_a_disk_is_a_disk_transfer_under_the_link_rule() {
+        use crate::FaultPlan;
+        let run = |plan: FaultPlan| {
+            let mut sim = Sim::new();
+            let disk = sim.net.add_resource("disk", 50.0);
+            let nic = sim.net.add_resource("nic", 1e9);
+            sim.faults.install(plan);
+            let t = Rc::new(RefCell::new(None));
+            let t2 = t.clone();
+            let (src, dst, path) = (NodeId(0), NodeId(1), vec![disk, nic]);
+            sim.net_transfer(src, dst, Some(disk), path, 100.0, move |sim| {
+                *t2.borrow_mut() = Some(sim.now().secs());
+            });
+            sim.run();
+            let ended = *t.borrow();
+            (ended, sim.cost.rpc_s + sim.cost.seek_s)
+        };
+        // RPC and seek once, the data flow three times over.
+        let (ended, lead_in) = run(FaultPlan::none().slow_link(0, 1, 3.0));
+        let ended = ended.expect("the link is up");
+        assert!((ended - (lead_in + 6.0)).abs() < 1e-9, "ended at {ended}");
+        // Down at issue time: not even the RPC is scheduled.
+        assert_eq!(run(FaultPlan::none().hang_node(0, 0.0)).0, None);
     }
 
     #[test]

@@ -209,20 +209,12 @@ impl FaultPlan {
                 return Err(FaultPlanError::BadLinkFactor { a, b, factor });
             }
         }
-        for &(_, at_s) in &self.node_kills {
-            if !(at_s >= 0.0 && at_s.is_finite()) {
-                return Err(FaultPlanError::BadTime {
-                    what: "kill_node",
-                    at_s,
-                });
-            }
-        }
-        for &(_, at_s) in &self.node_hangs {
-            if !(at_s >= 0.0 && at_s.is_finite()) {
-                return Err(FaultPlanError::BadTime {
-                    what: "hang_node",
-                    at_s,
-                });
+        for (what, events) in [
+            ("kill_node", &self.node_kills),
+            ("hang_node", &self.node_hangs),
+        ] {
+            if let Some(&(_, at_s)) = events.iter().find(|(_, t)| !(*t >= 0.0 && t.is_finite())) {
+                return Err(FaultPlanError::BadTime { what, at_s });
             }
         }
         for p in &self.partitions {
@@ -573,12 +565,7 @@ impl FaultInjector {
     /// When (if ever) `node` is scheduled to die. With duplicate entries the
     /// earliest kill wins.
     pub fn kill_time(&self, node: u32) -> Option<f64> {
-        self.plan
-            .node_kills
-            .iter()
-            .filter(|(n, _)| *n == node)
-            .map(|(_, t)| *t)
-            .fold(None, |acc, t| Some(acc.map_or(t, |a: f64| a.min(t))))
+        earliest(&self.plan.node_kills, node)
     }
 
     /// Whether `node` is dead at virtual time `now`.
@@ -599,12 +586,7 @@ impl FaultInjector {
     /// When (if ever) `node` starts hanging. With duplicate entries the
     /// earliest hang wins.
     pub fn hang_time(&self, node: u32) -> Option<f64> {
-        self.plan
-            .node_hangs
-            .iter()
-            .filter(|(n, _)| *n == node)
-            .map(|(_, t)| *t)
-            .fold(None, |acc, t| Some(acc.map_or(t, |a: f64| a.min(t))))
+        earliest(&self.plan.node_hangs, node)
     }
 
     /// Whether `node` is hung at virtual time `now` (work started on it
@@ -615,8 +597,9 @@ impl FaultInjector {
 
     /// Whether nodes `a` and `b` are on opposite sides of an active
     /// partition at virtual time `now` (exactly one of them is inside an
-    /// isolated group).
-    pub fn partitioned(&self, a: u32, b: u32, now: f64) -> bool {
+    /// isolated group). Crate-private: [`crate::Sim::link`] is its one
+    /// reader, so no layer above can spell a link rule of its own.
+    pub(crate) fn partitioned(&self, a: u32, b: u32, now: f64) -> bool {
         self.plan
             .partitions
             .iter()
@@ -634,7 +617,8 @@ impl FaultInjector {
 
     /// Bandwidth-degradation factor for the undirected link between `a`
     /// and `b` (1.0 = healthy; transfers take `factor`× as long).
-    pub fn link_slowdown(&self, a: u32, b: u32) -> f64 {
+    /// Crate-private, like [`FaultInjector::partitioned`].
+    pub(crate) fn link_slowdown(&self, a: u32, b: u32) -> f64 {
         self.plan
             .slow_links
             .iter()
@@ -642,6 +626,12 @@ impl FaultInjector {
             .map(|(_, _, f)| *f)
             .fold(1.0, |acc, f| acc * f)
     }
+}
+
+/// The earliest time `events` lists for `node`.
+fn earliest(events: &[(u32, f64)], node: u32) -> Option<f64> {
+    let times = events.iter().filter(|(n, _)| *n == node).map(|(_, t)| *t);
+    times.min_by(f64::total_cmp)
 }
 
 #[cfg(test)]

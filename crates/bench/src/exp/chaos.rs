@@ -1,7 +1,7 @@
 //! Chaos benchmark: the failure detector under hangs, partitions, slow
 //! links, and quorum loss.
 //!
-//! Six scenarios on a fixed byte-count job:
+//! Eight scenarios on a fixed byte-count job:
 //!  1. clean baseline (detector disarmed — zero detector events);
 //!  2. a node that hangs mid-run — missed heartbeats suspect then declare
 //!     it dead, its stranded attempts are requeued, and the job finishes
@@ -14,7 +14,12 @@
 //!  5. a slow replica owner behind HDFS hedged reads — dribbling block
 //!     transfers are hedged to the alternate replica (≥1 hedged win);
 //!  6. quorum loss — hanging a node below the configured live-slot floor
-//!     fails the job with the typed `QuorumLost`, no panic.
+//!     fails the job with the typed `QuorumLost`, no panic;
+//!  7. a slow shuffle — one map holder's links crawl, at a byte scale where
+//!     the pulls across them are seconds, not microseconds;
+//!  8. a map holder partitioned away *after* its maps commit and healed
+//!     later — the reducers' first pulls are dropped, their hang deadlines
+//!     catch them, the retries cross the healed link.
 //!
 //! Every degraded scenario is run twice on the same seed and must produce
 //! byte-identical output and identical counter maps (the chaos suite's
@@ -22,9 +27,9 @@
 
 use std::collections::BTreeMap;
 
-use mapreduce::{hdfs_file_splits, run_job, Cluster, FtConfig, InputSplit, Job, MrError};
+use mapreduce::{hdfs_file_splits, run_job, Cluster, FtConfig, InputSplit, Job, MrError, TaskKind};
 use scidp_bench::Clock::{Count, Sim};
-use scidp_bench::Rel::{Eq, Ge};
+use scidp_bench::Rel::{Eq, Ge, Gt};
 use scidp_bench::{Col, Report, Scale};
 use simnet::{CostModel, FaultPlan, NodeId};
 
@@ -33,9 +38,18 @@ use super::{byte_count_job, flat_splits, output, small_cluster};
 const INPUT: &str = "data/chaosbench.bin";
 const FILE_BYTES: u64 = 64 * 1024;
 const N_SPLITS: u64 = 16;
+/// Logical bytes per stored byte in the slow-shuffle scenario: the job's
+/// ~1 KiB of shuffle becomes ~1 MiB, large enough for a link to matter.
+const SHUFFLE_BYTE_SCALE: f64 = 1024.0;
 
-fn fresh_cluster(replication: usize) -> Cluster {
-    let c = small_cluster(4, 8 * 1024, replication, CostModel::default());
+/// `byte_scale` is `CostModel::scale`: how many logical bytes every stored
+/// byte stands for (1 everywhere but the slow-shuffle scenario).
+fn fresh_cluster(replication: usize, byte_scale: f64) -> Cluster {
+    let cost = CostModel {
+        scale: byte_scale,
+        ..CostModel::default()
+    };
+    let c = small_cluster(4, 8 * 1024, replication, cost);
     let bytes: Vec<u8> = (0..FILE_BYTES).map(|i| (i % 11) as u8).collect();
     c.pfs.borrow_mut().create(INPUT.to_string(), bytes);
     c
@@ -76,6 +90,8 @@ fn pfs_splits() -> Vec<InputSplit> {
 #[derive(PartialEq)]
 struct RunStats {
     elapsed: f64,
+    /// When the last map committed: the reducers launch in that instant.
+    maps_done: f64,
     counters: BTreeMap<String, f64>,
     summary: Option<String>,
     output: Vec<(String, Vec<u8>)>,
@@ -86,6 +102,10 @@ impl RunStats {
         let r = run_job(c, job).expect("chaos bench job must survive its plan");
         RunStats {
             elapsed: r.elapsed(),
+            maps_done: {
+                let maps = r.tasks.iter().filter(|t| t.kind == TaskKind::Map);
+                maps.map(|t| t.end_s).fold(0.0, f64::max)
+            },
             counters: r.counters.iter().map(|(k, v)| (k.to_string(), v)).collect(),
             summary: r.fault_summary(),
             output: output(c, "out"),
@@ -94,7 +114,11 @@ impl RunStats {
 }
 
 fn run_pfs(plan: FaultPlan) -> RunStats {
-    let mut c = fresh_cluster(1);
+    run_pfs_scaled(plan, 1.0)
+}
+
+fn run_pfs_scaled(plan: FaultPlan, byte_scale: f64) -> RunStats {
+    let mut c = fresh_cluster(1, byte_scale);
     c.sim.faults.install(plan);
     RunStats::of(&mut c, chaos_job(pfs_splits(), chaos_ft()))
 }
@@ -103,7 +127,7 @@ fn run_pfs(plan: FaultPlan) -> RunStats {
 /// from node 0 (`replication` = 2), so node 0 owns the primary replica of
 /// every block. The plan is installed only after the write has drained.
 fn run_hdfs(plan: FaultPlan, hedge_after_s: f64) -> RunStats {
-    let mut c = fresh_cluster(2);
+    let mut c = fresh_cluster(2, 1.0);
     let bytes: Vec<u8> = (0..FILE_BYTES).map(|i| (i % 13) as u8).collect();
     let path = "data/hedge.bin";
     let staged = |_: &mut simnet::Sim, res: Result<(), hdfs::HdfsError>| res.expect("hdfs write");
@@ -164,15 +188,30 @@ pub fn run(scale: &Scale) -> Report {
     let read_hangs = plan().hang_nth_read(INPUT, 3).hang_nth_read(INPUT, 7);
     let rhang = twice("read_hang", read_hangs);
     let part = twice("partition_heal", plan().partition(&[1], 0.5, 6.0));
-    // 5. Node 0 owns every primary replica and its outbound links crawl at
-    // 20000x (~1.6 s for an 8 KiB block vs ~9 ms healthy); a remote
-    // reader's primary transfer is still dribbling when the 20 ms hedge
-    // deadline fires, so the alternate replica races it and must win at
-    // least once. A clean HDFS run (hedge armed but never needed) is the
-    // byte-identity baseline.
+    // 5. Node 0 owns every primary replica and its links crawl at 20000x
+    // (~1.6 s for an 8 KiB block vs ~9 ms healthy); a remote reader's
+    // primary transfer is still dribbling when the 20 ms hedge deadline
+    // fires, so the alternate replica races it and must win at least once.
+    // The same links carry node 0's shuffle pulls (its map output out, its
+    // reducer's input in), 20000x slower too — a few hundred bytes, ~4 ms.
+    // A clean HDFS run (hedge armed but never needed) is the byte-identity
+    // baseline.
     let hedge_clean = run_hdfs(plan(), 1e6);
-    let slow = (1..=3).fold(plan(), |p, to| p.slow_link(0, to, 20000.0));
-    let hedge = run_hdfs(slow, 0.02);
+    let slow_node_0 = || (1..=3).fold(plan(), |p, to| p.slow_link(0, to, 20000.0));
+    let hedge = run_hdfs(slow_node_0(), 0.02);
+    // 7. The same crawling links under the PFS job, every stored byte
+    // standing for 1024: a reducer's pull of node 0's map output is ~60 KiB
+    // a map, seconds across a 20000x link. Nothing fails and nothing is
+    // retried; the job is as much later as its slowest pull.
+    let shuffle_clean = run_pfs_scaled(plan(), SHUFFLE_BYTE_SCALE);
+    let slow_shuffle = run_pfs_scaled(slow_node_0(), SHUFFLE_BYTE_SCALE);
+    // 8. Node 1 is isolated half a start-up after the last map committed —
+    // its map output is registered, the reducers are starting — and heals
+    // 6 s later. Each reducer's pull from it is dropped (a reducer *on* it
+    // loses its pulls from everyone else), its 12 s hang deadline fails the
+    // attempt, and the retry pulls across the healed link.
+    let cut = clean.maps_done + 0.5;
+    let holder = twice("holder_partition", plan().partition(&[1], cut, cut + 6.0));
 
     let scenarios = [
         ("clean", &clean, &clean),
@@ -181,6 +220,9 @@ pub fn run(scale: &Scale) -> Report {
         ("partition_heal", &part, &clean),
         ("hedge_clean", &hedge_clean, &hedge_clean),
         ("hedge", &hedge, &hedge_clean),
+        ("slow_shuffle_clean", &shuffle_clean, &clean),
+        ("slow_shuffle", &slow_shuffle, &clean),
+        ("holder_partition", &holder, &clean),
     ];
     let line = |&(name, s, _): &(&str, &RunStats, &RunStats)| {
         let cell = |&(key, ..): &Col| match key {
@@ -198,10 +240,14 @@ pub fn run(scale: &Scale) -> Report {
         }
     }
 
+    let maps_ran_once = holder.counters.get("map_attempts") == Some(&(N_SPLITS as f64));
+    let why = "committed map output outlives its holder's silence: no map runs again";
+    rep.check("holder_partition.maps_ran_once", maps_ran_once, why);
+
     // 6. With a floor of 7 live slots, declaring node 3 dead (6 slots left)
     // must fail the job with the typed QuorumLost — not a panic, not a
     // stringly error.
-    let mut qc = fresh_cluster(1);
+    let mut qc = fresh_cluster(1, 1.0);
     qc.sim.faults.install(plan().hang_node(3, 0.2));
     let q_ft = FtConfig {
         min_live_slots: 7,
@@ -232,6 +278,13 @@ pub fn run(scale: &Scale) -> Report {
         ("hedge_clean.hedged_reads", Eq, 0.0, "hedge armed but never needed"),
         ("hedge.hedged_read_wins", Ge, 1.0, "slow primary replica loses to at least one hedge launch"),
         ("hedge.hedged_reads", Ge, rep.v("hedge.hedged_read_wins"), "a win needs a launch"),
+        ("slow_shuffle.elapsed_s", Gt, 1.25 * rep.v("slow_shuffle_clean.elapsed_s"), "a 20000x link under a holder's map output costs the job a quarter again"),
+        ("slow_shuffle.task_retries", Eq, 0.0, "a slow link fails nothing"),
+        ("holder_partition.tasks_hang_detected", Eq, 2.0, "each reducer's dropped pull is detected exactly once"),
+        ("holder_partition.task_retries", Ge, 2.0, "and retried (so is the reducer stranded on the isolated holder)"),
+        ("holder_partition.elapsed_s", Gt, rep.v("clean.elapsed_s") + 12.0, "the retry waits out the 12 s hang deadline"),
+        ("holder_partition.nodes_reinstated", Ge, 1.0, "the healed holder is reinstated"),
+        ("holder_partition.node_blacklisted", Eq, 0.0, "nobody is blacklisted for the holder's silence"),
         ("quorum_loss.live_slots", Eq, 6.0, quorum),
         ("quorum_loss.floor", Eq, 7.0, quorum),
     ]);

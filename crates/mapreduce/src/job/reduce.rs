@@ -77,9 +77,12 @@ pub(super) fn run_reduce_attempt(sim: &mut Sim, att: Attempt) {
                 };
                 pfs::read_at(sim, &env.topo, &env.pfs, node, &spill_path, 0, len, read);
             } else {
+                // A holder this node cannot reach never delivers: the pull
+                // keeps the countdown above zero and the attempt's hang
+                // deadline fails it.
                 let flow_bytes = sim.cost.lbytes(bytes);
                 let path = env.topo.path_net(src, node);
-                sim.start_flow(path, flow_bytes, arrive);
+                sim.net_transfer(src, node, None, path, flow_bytes, arrive);
             }
         }
     });

@@ -1,4 +1,4 @@
-//! Driver fingerprint: the full timeline of seven small runs, pinned as
+//! Driver fingerprint: the full timeline of eight small runs, pinned as
 //! `scirng::hash64` constants. The other suites compare runs with each
 //! other (determinism, byte identity); this one pins the event order
 //! itself — every task report (kind, index, node, start/end and each phase
@@ -7,8 +7,9 @@
 //!
 //! The constants were recorded at the commit *before* the driver was split
 //! into `job/*.rs` — (g) when the storage clients moved to one completion
-//! channel, see its comment; a mismatch prints the full canonical text so
-//! the two sides can be diffed.
+//! channel, (h) when shuffle pulls moved onto `Sim::net_transfer`, see their
+//! comments; a mismatch prints the full canonical text so the two sides can
+//! be diffed.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -18,7 +19,7 @@ use std::sync::Arc;
 use scidp_suite::mapreduce::{
     counter_keys as keys, run_dag, run_job, Cluster, Counters, DagJob, DagResult, Dataset,
     FlatPfsFetcher, FtConfig, InputSplit, Job, JobResult, MapFn, MrError, Payload, ReduceFn,
-    StreamConfig, TaskInput,
+    StreamConfig, TaskInput, TaskKind,
 };
 use scidp_suite::pfs::PfsConfig;
 use scidp_suite::scidp::SciSlabFetcher;
@@ -576,6 +577,54 @@ fn g_connector_job_with_a_failed_spill_pull() {
 }
 
 // ---------------------------------------------------------------------------
+// (h): faults on the shuffle itself
+// ---------------------------------------------------------------------------
+
+/// Map holders fail *after* their maps commit: node 3 is partitioned away
+/// half a start-up into the reduce phase and heals 6 s later, node 0 sits
+/// behind 8x slow links to nodes 1 and 2. Every pull is one
+/// `Sim::net_transfer`: the pulls from node 3 are dropped, the reduce
+/// attempts' hang deadlines fail them, the retries cross the healed link;
+/// the pulls from node 0 take 8x as long. Recorded by the commit that moved
+/// the classic pull onto `net_transfer` — at its parent neither fault
+/// touches a pull and this run is the clean run plus a detector.
+#[test]
+fn h_flat_job_whose_map_holders_are_cut_off_and_slowed_after_they_commit() {
+    const BYTES: u64 = 32 * 1024;
+    let run = |plan: FaultPlan| {
+        let mut c = cluster(4, 2, 4);
+        stage_flat(&c, BYTES, 7);
+        c.sim.faults.install(plan);
+        let mut job = Job::new(
+            "shuffle-faults",
+            flat_splits(BYTES, 8, 1),
+            count_map(3.0),
+            Some(sum_reduce()),
+            2,
+            "out",
+        );
+        job.ft = chaos_ft();
+        (run_job(&mut c, job).unwrap(), c)
+    };
+    let (clean, _) = run(FaultPlan::none());
+    let maps = clean.tasks.iter().filter(|t| t.kind == TaskKind::Map);
+    let maps_done = maps.map(|t| t.end_s).fold(0.0, f64::max);
+    let cut = maps_done + 0.5;
+    let plan = FaultPlan::none()
+        .with_seed(3)
+        .partition(&[3], cut, cut + 6.0)
+        .slow_link(0, 1, 8.0)
+        .slow_link(0, 2, 8.0);
+    let (r, c) = run(plan);
+    assert!(r.counters.get(keys::TASKS_HANG_DETECTED) >= 1.0);
+    assert_eq!(r.counters.get(keys::MAP_ATTEMPTS), 8.0, "{:?}", r.counters);
+    let mut out = String::new();
+    job_text(&mut out, &r);
+    files_text(&mut out, &c, &["out"]);
+    check("shuffle-faults", &out, FP_SHUFFLE_FAULTS);
+}
+
+// ---------------------------------------------------------------------------
 // Recorded fingerprints
 // ---------------------------------------------------------------------------
 
@@ -587,3 +636,4 @@ const FP_DAG_KILL: u64 = 0xf67d_a5ed_f65c_6bd9;
 const FP_CONNECTOR_MAP_ONLY: u64 = 0xbcfb_2360_3ba8_116d;
 const FP_CONNECTOR_REDUCE: u64 = 0x5eb2_16e6_6dba_0ca3;
 const FP_CONNECTOR_SPILL_PULL: u64 = 0x2ee7_1802_b527_9e8b;
+const FP_SHUFFLE_FAULTS: u64 = 0x7e68_f430_4d32_9789;

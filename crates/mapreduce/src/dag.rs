@@ -230,13 +230,15 @@ impl SplitFetcher for ShuffleFetcher {
             return;
         }
         // All pulls run concurrently; the fetch completes when the last
-        // flow arrives (same shape as the classic reduce shuffle).
+        // flow arrives (same shape as the classic reduce shuffle). Every
+        // holder was reachable a moment ago, in this same instant: none of
+        // these transfers is dropped, a slow link stretches its own.
         let all_arrived = countdown(transfers.len(), move |sim| done(sim, Ok(fr)));
         for (src, bytes) in transfers {
             let flow = sim.cost.lbytes(bytes);
             let path = env.topo.path_net(src, node);
             let all_arrived = all_arrived.clone();
-            sim.start_flow(path, flow, move |sim| all_arrived(sim));
+            sim.net_transfer(src, node, None, path, flow, move |sim| all_arrived(sim));
         }
     }
 

@@ -684,6 +684,85 @@ fn a_lost_input_costs_one_start_up() {
 }
 
 // ---------------------------------------------------------------------------
+// Faults on the shuffle: the holder fails *after* its outputs committed
+// ---------------------------------------------------------------------------
+
+/// A node that commits its stage-0 outputs and *then* goes silent — hung
+/// for good, or partitioned away and healed — is unreachable when stage 1
+/// pulls from it: the fetch asks `Sim::link`, drops the outputs it cannot
+/// pull, and lineage recomputes them on the survivors.
+#[test]
+fn a_holder_that_falls_silent_after_it_commits_is_recovered_through_lineage() {
+    let (rc, clean) = run_wide(4, FaultPlan::none());
+    let rc = rc.unwrap();
+    let clean_out = output_files(&clean, "dagout");
+    let s1 = rc.runs.iter().find(|r| r.stage == 1).expect("stage 1 ran");
+    let holder = rc.runs[0].tasks[0].node.0;
+    // Half a start-up into stage 1: its tasks are launched, none has pulled.
+    let at = s1.start_s + 0.5;
+    for plan in [
+        FaultPlan::none().hang_node(holder, at),
+        FaultPlan::none().partition(&[holder], at, at + HEAL_AFTER_S),
+    ] {
+        let (r, c) = run_wide(4, plan.clone());
+        let r = r.unwrap_or_else(|e| panic!("{e:?} under {}", plan_expr(&plan)));
+        assert_eq!(
+            output_files(&c, "dagout"),
+            clean_out,
+            "{}",
+            plan_expr(&plan)
+        );
+        let lost = r.counters.get(keys::SHUFFLE_PARTITIONS_LOST);
+        assert!(lost >= 1.0, "the silent holder's outputs count as lost");
+        assert_eq!(r.counters.get(keys::LINEAGE_RECOMPUTES), lost);
+    }
+}
+
+/// A slow link loses nothing and recomputes nothing: it stretches the pulls
+/// that cross it. Every link 8x slower: every shuffle read 8x longer.
+#[test]
+fn slow_links_slow_the_dag_shuffle_by_their_factor() {
+    const FACTOR: f64 = 8.0;
+    let (rc, clean) = run_wide(4, FaultPlan::none());
+    let mut plan = FaultPlan::none();
+    for a in 0..4 {
+        for b in a + 1..4 {
+            plan = plan.slow_link(a, b, FACTOR);
+        }
+    }
+    let (rs, slow) = run_wide(4, plan);
+    let (rc, rs) = (rc.unwrap(), rs.unwrap());
+    assert_eq!(
+        output_files(&slow, "dagout"),
+        output_files(&clean, "dagout")
+    );
+    assert_eq!(rs.counters.get(keys::STAGES_RUN), 3.0);
+    assert_eq!(rs.counters.get(keys::SHUFFLE_PARTITIONS_LOST), 0.0);
+    let mut compared = 0;
+    for (c, s) in rc.runs.iter().zip(&rs.runs).skip(1) {
+        for (tc, ts) in c.tasks.iter().zip(&s.tasks) {
+            let (read_c, read_s) = (tc.phase("read"), ts.phase("read"));
+            if read_c == 0.0 {
+                // Every pair this task pulls sits on its own node.
+                assert_eq!(read_s, 0.0, "loopback has no link to slow");
+                continue;
+            }
+            assert!(
+                (read_s / read_c - FACTOR).abs() < 1e-6,
+                "stage {} task {}: read {read_s} s vs clean {read_c} s",
+                c.stage,
+                tc.index
+            );
+            compared += 1;
+        }
+    }
+    assert!(
+        compared >= 4,
+        "every stage-1 task pulls from all four nodes"
+    );
+}
+
+// ---------------------------------------------------------------------------
 // Generated sweep: one fault, any node, any instant
 // ---------------------------------------------------------------------------
 

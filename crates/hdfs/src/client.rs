@@ -2,7 +2,8 @@
 //!
 //! Writes split a payload into blocks, place replicas (first replica on the
 //! writer — Hadoop's locality policy), and stream blocks sequentially as a
-//! real `DFSOutputStream` does. Reads prefer a node-local replica; a remote
+//! real `DFSOutputStream` does; a replica target the pipeline cannot reach
+//! (`Sim::link`) is left out of its block, so a write always completes. Reads prefer a node-local replica; a remote
 //! read crosses `owner disk → owner NIC → core → reader NIC`. Dummy blocks
 //! cannot be read here — they are fetched from the PFS by SciDP's PFS
 //! Reader inside each task, which is the entire point of the design.
@@ -162,11 +163,12 @@ fn hop_step(
     st: WriteState,
     idx: usize,
     data: Arc<Vec<u8>>,
-    targets: Vec<NodeId>,
+    mut targets: Vec<NodeId>,
     hop: usize,
 ) {
     let Some(dst) = targets.get(hop).copied() else {
-        // All replicas landed: commit to NameNode + DataNodes. If the
+        // Every target the pipeline could reach holds the block (`targets`
+        // is down to those): commit to NameNode + DataNodes. If the
         // file was deleted while the pipeline was in flight (an
         // abandoned task attempt), drop the block on the floor but
         // still drive the chain to completion so the writer's `done`
@@ -193,6 +195,14 @@ fn hop_step(
         Some(&prev) => prev,
         None => st.writer,
     };
+    if sim.link(src, dst).is_none() {
+        // A write must complete: a target the pipeline cannot reach right
+        // now is left out of the block, as a DataNode that fails pipeline
+        // setup is, and the next hop forwards from the same replica. Hop 0
+        // is the writer's own disk, so a block never commits empty.
+        targets.remove(hop);
+        return hop_step(sim, st, idx, data, targets, hop);
+    }
     let bytes = sim.cost.lbytes(data.len());
     let path = st.topo.path_remote_disk_write(src, dst);
     sim.start_flow(path, bytes, move |sim| {
@@ -727,6 +737,36 @@ mod tests {
         assert!(h.datanodes.has(locs[0], blocks[0].id));
         assert!(h.datanodes.has(locs[1], blocks[0].id));
         assert_eq!(h.datanodes.total_bytes(), 128);
+    }
+
+    #[test]
+    fn a_target_the_pipeline_cannot_reach_is_left_out_of_the_block() {
+        use simnet::FaultPlan;
+        // Written from node 0 at replication 3: the pipeline is 0 -> 1 -> 2.
+        let locations = |plan: FaultPlan| {
+            let (mut sim, topo, hdfs) = setup(4, 3);
+            sim.faults.install(plan);
+            let data: Vec<u8> = (0..64u8).collect();
+            let block = stage(&mut sim, &topo, &hdfs, 0, data.clone());
+            let h = hdfs.borrow();
+            for n in 0..4 {
+                let holds = h.datanodes.has(NodeId(n), block.id);
+                assert_eq!(holds, block.locations().contains(&NodeId(n)), "node {n}");
+            }
+            drop(h);
+            // Whatever was left out, the block reads back from the rest.
+            assert_eq!(read(&mut sim, &topo, &hdfs, 0, &block).unwrap(), data);
+            block.locations().iter().map(|n| n.0).collect::<Vec<u32>>()
+        };
+        assert_eq!(locations(FaultPlan::none()), vec![0, 1, 2]);
+        // The middle target is cut off: the last hop forwards from node 0.
+        let cut_off = FaultPlan::none().partition(&[1], 0.0, f64::INFINITY);
+        assert_eq!(locations(cut_off), vec![0, 2]);
+        // A hung target still takes bytes; a hung *forwarder* serves nobody,
+        // so the pipeline ends with it.
+        assert_eq!(locations(FaultPlan::none().hang_node(1, 0.0)), vec![0, 1]);
+        // A hung writer reaches only its own disk.
+        assert_eq!(locations(FaultPlan::none().hang_node(0, 0.0)), vec![0]);
     }
 
     #[test]

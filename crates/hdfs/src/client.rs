@@ -205,7 +205,7 @@ fn hop_step(
     }
     let bytes = sim.cost.lbytes(data.len());
     let path = st.topo.path_remote_disk_write(src, dst);
-    sim.start_flow(path, bytes, move |sim| {
+    sim.net_transfer(src, dst, None, path, bytes, move |sim| {
         hop_step(sim, st, idx, data, targets, hop + 1);
     });
 }
@@ -944,6 +944,25 @@ mod tests {
         let clean = time_with(None);
         let slow = time_with(Some(4.0));
         assert!(slow > clean * 1.5, "slow {slow} vs clean {clean}");
+    }
+
+    #[test]
+    fn slow_link_inflates_the_pipeline_hop_across_it() {
+        // Replication 2 from node 0: a local hop, then the hop 0 -> 1.
+        let time_with = |plan: simnet::FaultPlan| {
+            let (mut sim, topo, hdfs) = setup(2, 2);
+            sim.faults.install(plan);
+            stage(&mut sim, &topo, &hdfs, 0, vec![5u8; 64]);
+            sim.now().secs()
+        };
+        let clean = time_with(simnet::FaultPlan::none());
+        let slow = time_with(simnet::FaultPlan::none().slow_link(0, 1, 4.0));
+        // Both hops are disk-bound (64 B at 100 B/s); the second takes 4x.
+        let hop = 0.64;
+        assert!(
+            (slow - clean - 3.0 * hop).abs() < 1e-9,
+            "slow {slow} vs clean {clean}"
+        );
     }
 
     #[test]

@@ -3,12 +3,17 @@
 //!
 //! A `scirng`-driven generator composes fault plans from every storage-facing
 //! `FaultPlan` builder; each plan drives a random mix of timed PFS and HDFS
-//! client operations to `sim.run()`. No plan carries an expectation of its
-//! own — the checks are the completion contract of DESIGN.md §3.12:
+//! client operations, and bare `Sim::net_transfer`s, to `sim.run()`. No plan
+//! carries an expectation of its own — the checks are the completion contract
+//! of DESIGN.md §3.12:
 //!
 //! * no callback fires twice, and none from inside the issuing call;
 //! * one that never fires is explained by the plan: a hung read of that
-//!   path, or a hung / partitioned owner of the block;
+//!   path, or a hung / partitioned owner of the block; a `net_transfer`
+//!   that never fires found `Sim::link == None` when it was issued, and one
+//!   that fires does so no earlier than its bytes take across the link;
+//! * an HDFS write completes (or is refused) whatever is hung or cut off,
+//!   and its blocks list the writer first and only nodes that hold them;
 //! * `Ok` bytes equal the stored bytes, unless the plan holds a *silent*
 //!   corruption for that read of an unchecksummed path (then exactly one
 //!   byte differs);
@@ -193,6 +198,11 @@ enum Op {
         path: String,
         len: usize,
     },
+    /// A bare wire transfer from the issuing node.
+    NetTransfer {
+        dst: u32,
+        bytes: usize,
+    },
 }
 
 #[derive(Clone, Debug)]
@@ -203,7 +213,7 @@ struct Issue {
 }
 
 fn gen_ops(rng: &mut Rng) -> Vec<Issue> {
-    let gen_op = |rng: &mut Rng, i: usize| match rng.below(6) {
+    let gen_op = |rng: &mut Rng, i: usize| match rng.below(7) {
         0 => Op::PfsReadAt {
             path: pick(rng, &PFS_PATHS),
             offset: rng.below(120),
@@ -224,10 +234,15 @@ fn gen_ops(rng: &mut Rng) -> Vec<Issue> {
         4 => Op::HdfsReadFile {
             path: pick(rng, &HDFS_PATHS),
         },
-        _ => Op::HdfsWrite {
+        5 => Op::HdfsWrite {
             // Sometimes an existing path, sometimes the same new one twice.
             path: pick(rng, &["h/out_a", "h/out_b", HDFS_PATHS[0]]).to_string(),
             len: rng.below(200),
+        },
+        _ => Op::NetTransfer {
+            // Sometimes to the issuing node itself.
+            dst: rng.below(NODES as usize) as u32,
+            bytes: rng.below(1 << 20),
         },
     };
     (0..OPS_PER_PLAN)
@@ -248,6 +263,8 @@ fn gen_ops(rng: &mut Rng) -> Vec<Issue> {
 enum Got {
     Bytes(Vec<u8>),
     Written,
+    /// A `net_transfer` landed, at this simulated time.
+    Arrived(f64),
     Pfs(PfsError),
     Hdfs(HdfsError),
 }
@@ -259,6 +276,8 @@ struct Slot {
     reentrant: bool,
     issuing: bool,
     got: Option<Got>,
+    /// `Sim::link` as a `net_transfer` found it when it was issued.
+    link: Option<Option<f64>>,
 }
 
 type Slots = Rc<RefCell<Vec<Slot>>>;
@@ -314,6 +333,14 @@ fn issue(sim: &mut Sim, env: &MrEnv, slots: &Slots, i: usize, is: &Issue) {
             let data = content(path, *len);
             hdfs::write_file(sim, topo, hdfs, node, path.clone(), data, move |_, res| {
                 record(&s, i, res.map_or_else(Got::Hdfs, |()| Got::Written))
+            })
+        }
+        Op::NetTransfer { dst, bytes } => {
+            let dst = NodeId(*dst);
+            slots.borrow_mut()[i].link = Some(sim.link(node, dst));
+            let (path, bytes) = (topo.path_net(node, dst), *bytes as f64);
+            sim.net_transfer(node, dst, None, path, bytes, move |sim| {
+                record(&s, i, Got::Arrived(sim.now().secs()))
             })
         }
     }
@@ -453,6 +480,19 @@ fn check(plan: &FaultPlan, ops: &[Issue], slots: &[Slot], w: &Cluster) -> Result
                     _ => return fail("an HDFS write must complete or be refused".into()),
                 }
             }
+            Op::NetTransfer { dst, bytes } => {
+                // The fastest the bytes can cross: alone on the NICs.
+                let crosses = is.node != *dst;
+                let solo = f64::from(u8::from(crosses)) * *bytes as f64 / w.topo.spec.nic_bw;
+                match (&slot.got, slot.link) {
+                    (None, Some(None)) => {}
+                    (Some(Got::Arrived(at)), Some(Some(factor)))
+                        if *at >= is.at_s + factor * solo * (1.0 - 1e-9) => {}
+                    (got, link) => {
+                        return fail(format!("{got:?} does not follow from link {link:?}"))
+                    }
+                }
+            }
         }
     }
     for (path, stalls) in pfs_stalls {
@@ -463,18 +503,37 @@ fn check(plan: &FaultPlan, ops: &[Issue], slots: &[Slot], w: &Cluster) -> Result
             ));
         }
     }
-    // An uncontended new HDFS file holds exactly what its one writer wrote.
+    // An uncontended new HDFS file holds exactly what its one writer wrote,
+    // its first replica on the writer's own disk.
     for path in ["h/out_a", "h/out_b"] {
         let mut writers = ops.iter().filter_map(|o| match &o.op {
-            Op::HdfsWrite { path: p, len } if p == path => Some(*len),
+            Op::HdfsWrite { path: p, len } if p == path => Some((NodeId(o.node), *len)),
             _ => None,
         });
-        if let (Some(len), None) = (writers.next(), writers.next()) {
-            let held = held_bytes(&w.hdfs, &blocks_of(&w.hdfs, path, None));
-            if held != content(path, len) {
+        if let (Some((writer, len)), None) = (writers.next(), writers.next()) {
+            let blocks = blocks_of(&w.hdfs, path, None);
+            if held_bytes(&w.hdfs, &blocks) != content(path, len) {
                 return Err(format!(
                     "{path}: committed bytes differ from what was written"
                 ));
+            }
+            if blocks
+                .iter()
+                .any(|b| b.locations().first() != Some(&writer))
+            {
+                return Err(format!("{path}: a block is not on its writer {writer:?}"));
+            }
+        }
+    }
+    // Whatever was hung or cut off while a pipeline ran, every listed
+    // replica exists, and none is listed twice.
+    for path in ["h/out_a", "h/out_b"] {
+        let h = w.hdfs.borrow();
+        for b in blocks_of(&w.hdfs, path, None) {
+            let at = b.locations();
+            let twice = at.iter().any(|n| at.iter().filter(|m| *m == n).count() > 1);
+            if twice || !at.iter().all(|&n| h.datanodes.has(n, b.id)) {
+                return Err(format!("{path}: block {:?} is listed at {at:?}", b.id));
             }
         }
     }
@@ -512,6 +571,8 @@ fn every_generated_plan_completes_each_operation_at_most_once_and_accountably() 
     };
     // What the generated runs exercised, so a green run is not a vacuous one.
     let (mut oks, mut errs, mut stalls) = (0, 0, 0);
+    // Wire transfers dropped, and written blocks a target was left out of.
+    let (mut dropped, mut short_blocks) = (0, 0);
     for n in 0..PLANS {
         let plan = gen_plan(&mut rng, &block_keys);
         let ops = gen_ops(&mut rng);
@@ -526,19 +587,32 @@ fn every_generated_plan_completes_each_operation_at_most_once_and_accountably() 
                 ops.concat()
             );
         }
+        dropped += slots.iter().filter(|s| s.link == Some(None)).count();
+        for path in ["h/out_a", "h/out_b"] {
+            let blocks = blocks_of(&w.hdfs, path, None);
+            short_blocks += blocks.iter().filter(|b| b.locations().len() < 2).count();
+        }
         for slot in &slots {
             match slot.got {
-                Some(Got::Bytes(_) | Got::Written) => oks += 1,
+                Some(Got::Bytes(_) | Got::Written | Got::Arrived(_)) => oks += 1,
                 Some(Got::Pfs(_) | Got::Hdfs(_)) => errs += 1,
                 None => stalls += 1,
             }
         }
     }
-    println!("{PLANS} plans (seed {seed}): {oks} ok, {errs} err, {stalls} never completed");
+    println!(
+        "{PLANS} plans (seed {seed}): {oks} ok, {errs} err, {stalls} never completed; \
+         {dropped} wire transfers dropped, {short_blocks} blocks written short of a target"
+    );
     assert_eq!(oks + errs + stalls, PLANS * OPS_PER_PLAN);
     assert!(
         oks > PLANS && errs > PLANS / 4 && stalls > PLANS / 40,
         "generator coverage too thin: {oks} ok, {errs} err, {stalls} never completed"
+    );
+    assert!(
+        dropped >= 5 && short_blocks >= 5,
+        "generator coverage too thin: {dropped} wire transfers dropped, \
+         {short_blocks} blocks written under a hang or partition of a target"
     );
 }
 

@@ -270,7 +270,8 @@ impl FaultPlan {
     }
 
     /// Hang compute on `node` from virtual time `at_s`: attempts running
-    /// there never complete (unlike a straggler, which finishes late).
+    /// there never complete (unlike a straggler, which finishes late), and
+    /// bytes another node asks it for never arrive ([`crate::Sim::link`]).
     pub fn hang_node(mut self, node: u32, at_s: f64) -> FaultPlan {
         self.node_hangs.push((node, at_s));
         self
@@ -294,8 +295,9 @@ impl FaultPlan {
         self
     }
 
-    /// Degrade the undirected link between nodes `a` and `b`: transfers
-    /// crossing it take `factor`× as long (> 1 = slow link).
+    /// Degrade the undirected link between nodes `a` and `b`: every
+    /// [`crate::Sim::net_transfer`] crossing it takes `factor`× as long
+    /// (> 1 = slow link). `a == b` names no link and does nothing.
     pub fn slow_link(mut self, a: u32, b: u32, factor: f64) -> FaultPlan {
         self.slow_links.push((a, b, factor));
         self

@@ -18,8 +18,10 @@
 //! * **callback-driven** — [`Sim::at`]/[`Sim::after`] schedule closures, and
 //!   [`Sim::start_flow`] invokes a completion closure when the last byte
 //!   arrives; [`Sim::disk_transfer`] is the one timed disk transfer (RPC,
-//!   seek, data flow) and [`countdown`] the one N-way completion join the
-//!   storage clients and shuffles share.
+//!   seek, data flow), [`Sim::net_transfer`] the one transfer between two
+//!   compute nodes, under the one link rule [`Sim::link`] (hangs,
+//!   partitions, slow links), and [`countdown`] the one N-way completion
+//!   join the storage clients and shuffles share.
 //!
 //! Higher layers (`pfs`, `hdfs`, `mapreduce`) build file systems and a
 //! MapReduce engine on top; *real* data still flows through those layers (the

@@ -3,10 +3,11 @@
 //! Writes split a payload into blocks, place replicas (first replica on the
 //! writer — Hadoop's locality policy), and stream blocks sequentially as a
 //! real `DFSOutputStream` does; a replica target the pipeline cannot reach
-//! (`Sim::link`) is left out of its block, so a write always completes. Reads prefer a node-local replica; a remote
-//! read crosses `owner disk → owner NIC → core → reader NIC`. Dummy blocks
-//! cannot be read here — they are fetched from the PFS by SciDP's PFS
-//! Reader inside each task, which is the entire point of the design.
+//! (`Sim::link`) is left out of its block, so a write always completes.
+//! Reads prefer a node-local replica; a remote read crosses `owner disk →
+//! owner NIC → core → reader NIC`. Dummy blocks cannot be read here — they
+//! are fetched from the PFS by SciDP's PFS Reader inside each task, which is
+//! the entire point of the design.
 //!
 //! One completion channel: every operation returns nothing and reports
 //! through its one callback, `done(sim, Result<..>)` — called exactly once,

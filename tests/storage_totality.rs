@@ -482,8 +482,12 @@ fn check(plan: &FaultPlan, ops: &[Issue], slots: &[Slot], w: &Cluster) -> Result
             }
             Op::NetTransfer { dst, bytes } => {
                 // The fastest the bytes can cross: alone on the NICs.
-                let crosses = is.node != *dst;
-                let solo = f64::from(u8::from(crosses)) * *bytes as f64 / w.topo.spec.nic_bw;
+                let nic_bw = w.topo.spec.nic_bw;
+                let solo = if is.node == *dst {
+                    0.0
+                } else {
+                    *bytes as f64 / nic_bw
+                };
                 match (&slot.got, slot.link) {
                     (None, Some(None)) => {}
                     (Some(Got::Arrived(at)), Some(Some(factor)))

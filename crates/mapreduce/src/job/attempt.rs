@@ -31,6 +31,9 @@ pub(super) struct AttemptInfo {
     pub speculative: bool,
     /// A straggler check event has been queued for this attempt.
     spec_check_scheduled: bool,
+    /// How often a hang deadline was armed for this attempt; only the check
+    /// queued by the latest arming may declare it hung.
+    pub deadline_gen: u32,
 }
 
 impl AttemptInfo {
@@ -44,6 +47,7 @@ impl AttemptInfo {
             cache_local: pick.cache_local,
             speculative,
             spec_check_scheduled: false,
+            deadline_gen: 0,
         }
     }
 }
@@ -167,6 +171,10 @@ impl TaskTable {
 
     pub fn attempt(&self, id: AttemptId) -> Option<&AttemptInfo> {
         self.attempts.get(&id)
+    }
+
+    pub fn attempt_mut(&mut self, id: AttemptId) -> Option<&mut AttemptInfo> {
+        self.attempts.get_mut(&id)
     }
 
     /// Attempts in flight on `node`.
@@ -315,12 +323,11 @@ pub(super) fn try_schedule(sim: &mut Sim, d: &SharedDriver) {
 }
 
 /// Register `info` as a new attempt, charge the attempt-level counters
-/// (job-global meta counters, not task output) and start it running. When
-/// the hang deadline is armed, a deadline check is queued at the instant
-/// the attempt would be declared hung.
+/// (job-global meta counters, not task output), arm its hang deadline and
+/// start it running.
 pub(super) fn launch(sim: &mut Sim, d: &SharedDriver, info: AttemptInfo) {
     let (kind, task, node) = (info.kind, info.task, info.node);
-    let (id, deadline) = {
+    let id = {
         let mut dd = d.borrow_mut();
         if info.speculative {
             dd.counters.add(keys::SPECULATIVE_LAUNCHED, 1.0);
@@ -330,16 +337,11 @@ pub(super) fn launch(sim: &mut Sim, d: &SharedDriver, info: AttemptInfo) {
             TaskKind::Reduce => keys::REDUCE_ATTEMPTS,
         };
         dd.counters.add(attempts_key, 1.0);
-        (dd.tasks.start(info), detector::hang_deadline(&dd))
+        dd.tasks.start(info)
     };
     let d = d.clone();
     let att = Attempt { d, id, task, node };
-    if let Some(deadline) = deadline {
-        let a = att.clone();
-        sim.after(deadline, move |sim| {
-            detector::hang_deadline_check(sim, &a, deadline)
-        });
-    }
+    detector::arm_deadline(sim, &att, 0.0);
     match kind {
         TaskKind::Map => map::run_map_attempt(sim, att),
         TaskKind::Reduce => reduce::run_reduce_attempt(sim, att),

@@ -169,29 +169,53 @@ fn heartbeat_tick(sim: &mut Sim, d: &SharedDriver, tick: u64) {
     }
 }
 
-/// The hang deadline of an attempt launched now, when deadline checks are
+/// The hang deadline of an attempt armed now, when deadline checks are
 /// armed: a generous multiple of the q75 committed map duration, floored
 /// while too few maps have finished.
-pub(super) fn hang_deadline(dd: &Driver) -> Option<f64> {
+fn hang_deadline(dd: &Driver) -> Option<f64> {
     dd.hang_checks_armed.then(|| {
         let floor = dd.job.ft.hang_deadline_min_s;
         floor.max(HANG_DEADLINE_FACTOR * quantile(&dd.map_durations, 0.75))
     })
 }
 
-/// The per-attempt deadline fired: the attempt is hung if it is still in
-/// flight. Hangs on a silenced node (hung or partitioned) are charged to
-/// the fault, not the node — its failure tally stays untouched so a healed
-/// partition reinstates a clean node; a hung *read* on a healthy node
-/// counts as an ordinary task failure.
-pub(super) fn hang_deadline_check(sim: &mut Sim, att: &Attempt, deadline: f64) {
+/// (Re)arm `att`'s hang deadline, when deadline checks are armed: it is
+/// declared hung unless it ends, or is armed again, within `busy_s` plus the
+/// deadline from now. `busy_s` is compute the driver itself has just
+/// scheduled for the attempt — time it knows to be spent, which the
+/// deadline must not eat: it is there for what a dropped completion can
+/// strand.
+pub(super) fn arm_deadline(sim: &mut Sim, att: &Attempt, busy_s: f64) {
+    let armed = {
+        let mut dd = att.d.borrow_mut();
+        let deadline = hang_deadline(&dd);
+        let info = dd.tasks.attempt_mut(att.id);
+        deadline.zip(info).map(|(deadline, info)| {
+            info.deadline_gen += 1;
+            (busy_s + deadline, info.deadline_gen)
+        })
+    };
+    if let Some((deadline, gen)) = armed {
+        let a = att.clone();
+        sim.after(deadline, move |sim| {
+            hang_deadline_check(sim, &a, gen, deadline)
+        });
+    }
+}
+
+/// The deadline armed as number `gen` fired: the attempt is hung if it is
+/// still in flight and was not armed again since. Hangs on a silenced node
+/// (hung or partitioned) are charged to the fault, not the node — its
+/// failure tally stays untouched so a healed partition reinstates a clean
+/// node; a hung *read* on a healthy node counts as an ordinary task failure.
+fn hang_deadline_check(sim: &mut Sim, att: &Attempt, gen: u32, deadline: f64) {
     let kind = {
         let mut dd = att.d.borrow_mut();
         if !dd.alive() {
             return;
         }
-        let Some(info) = dd.tasks.attempt(att.id) else {
-            return; // finished, failed or orphaned before the deadline
+        let Some(info) = dd.tasks.attempt(att.id).filter(|i| i.deadline_gen == gen) else {
+            return; // finished, failed, orphaned or re-armed before the deadline
         };
         let kind = info.kind;
         dd.counters.add(keys::TASKS_HANG_DETECTED, 1.0);
@@ -219,8 +243,9 @@ fn quantile(v: &[f64], q: f64) -> f64 {
 mod tests {
     use crate::counters::keys;
     use crate::job::tests::{slow_map_job, small_cluster};
-    use crate::job::{run_job, FtConfig, MrError};
+    use crate::job::{run_job, FtConfig, MrError, Payload};
     use simnet::FaultPlan;
+    use std::rc::Rc;
 
     #[test]
     fn hung_node_is_declared_dead_and_job_degrades() {
@@ -298,5 +323,25 @@ mod tests {
             }
             other => panic!("expected QuorumLost, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_healthy_reducer_outlasting_the_deadline_is_not_declared_hung() {
+        // Any plan that arms hang checks will do; this one hangs nothing.
+        let plan = || FaultPlan::none().hang_nth_read("no/such/file", 1);
+        let mut c = small_cluster(2, 2);
+        c.sim.faults.install(plan());
+        let mut job = slow_map_job(2, 1.0, FtConfig::default());
+        job.reduce_fn = Some(Rc::new(|key, values, ctx| {
+            ctx.charge("reduce", 100.0);
+            ctx.emit(key, Payload::Bytes(vec![values.len() as u8]));
+            Ok(())
+        }));
+        // 200 s of reduce against a 45 s deadline that used to run from
+        // launch: four "hung" attempts and a failed job.
+        let r = run_job(&mut c, job).expect("a long reduce is not a hang");
+        assert_eq!(r.counters.get(keys::TASKS_HANG_DETECTED), 0.0);
+        assert_eq!(r.counters.get(keys::REDUCE_ATTEMPTS), 1.0);
+        assert!(r.elapsed() > 200.0);
     }
 }

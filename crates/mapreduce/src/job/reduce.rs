@@ -7,7 +7,7 @@ use simnet::{countdown, Sim};
 
 use super::attempt::Attempt;
 use super::commit::{commit_part_file, group_by_key, kv_bytes};
-use super::{Kv, MrError, TaskCtx};
+use super::{detector, Kv, MrError, TaskCtx};
 use crate::counters::{keys, Counters};
 
 /// Run one reduce attempt. Map outputs are *cloned* per pull (not drained)
@@ -123,6 +123,10 @@ fn reduce_execute(
         ("sort", sort_s * slow),
     ];
     phases.extend(ctx.charges.iter().map(|&(p, s)| (p, s * slow)));
+    // The pulls landed, so the attempt is alive, and the driver knows how
+    // long its sort and reduce take: the deadline starts over behind them,
+    // for a completion the node cannot report and for the part-file write.
+    detector::arm_deadline(sim, &att, compute);
     sim.after(compute, move |sim| {
         if !att.can_report(sim) {
             return;

@@ -56,6 +56,15 @@ pub mod keys {
     /// Virtual seconds the streaming input pipeline saved vs running the
     /// same reads and compute back-to-back (Σ over committed map tasks).
     pub const OVERLAP_SAVED_S: &str = "overlap_saved_s";
+    /// Virtual seconds of reduce start-up and shuffle pulls that ran before
+    /// the last map committed, on slots no map wanted (Σ over committed
+    /// reduce tasks) — what a reduce phase opened only at the map-phase
+    /// close would have added to the tail.
+    pub const SHUFFLE_OVERLAP_SAVED_S: &str = "shuffle_overlap_saved_s";
+    /// Reduce attempts that gave their slot back to a map attempt (a retry
+    /// or a speculative twin that found none free) and were requeued
+    /// uncharged.
+    pub const REDUCES_PREEMPTED: &str = "reduces_preempted";
     /// Stream pieces that were already resident when the compute pipeline
     /// was ready for them (i.e. the prefetch fully hid their read).
     pub const PIECES_PREFETCHED: &str = "pieces_prefetched";

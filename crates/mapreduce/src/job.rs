@@ -388,8 +388,9 @@ impl JobResult {
 
     /// One-line fault-tolerance summary from the counters: attempts vs
     /// committed tasks, retries, speculation, blacklisting, plus — when they
-    /// occurred — lineage recoveries and failure-detector events (hangs,
-    /// suspicions, reinstatements, hedged reads). `None` when the run was
+    /// occurred — reducers preempted for maps, lineage recoveries and
+    /// failure-detector events (hangs, suspicions, reinstatements, hedged
+    /// reads). `None` when the run was
     /// clean (every task committed on its first and only attempt and no
     /// detector event fired). `stages_run` alone never triggers a summary:
     /// a multi-stage DAG is not a fault.
@@ -406,6 +407,7 @@ impl JobResult {
         let suspected = c.get(keys::NODES_SUSPECTED);
         let reinstated = c.get(keys::NODES_REINSTATED);
         let hedged = c.get(keys::HEDGED_READS);
+        let preempted = c.get(keys::REDUCES_PREEMPTED);
         if attempts <= tasks
             && retries == 0.0
             && spec == 0.0
@@ -423,6 +425,9 @@ impl JobResult {
              {spec:.0} speculative launched / {:.0} won, {black:.0} nodes blacklisted)",
             c.get(keys::SPECULATIVE_WON),
         );
+        if preempted > 0.0 {
+            s.push_str(&format!("; {preempted:.0} reducer(s) preempted for maps"));
+        }
         if lineage > 0.0 || lost > 0.0 {
             s.push_str(&format!(
                 "; {lost:.0} shuffle partition(s) lost, {lineage:.0} lineage recompute(s) \
@@ -536,6 +541,7 @@ impl Driver {
             nodes: &self.nodes,
             pending_maps: self.tasks.pending(TaskKind::Map),
             pending_reduces: self.tasks.pending(TaskKind::Reduce),
+            maps_open: !self.tasks.all_done(TaskKind::Map),
             splits: &self.job.splits,
             cache_hints: &self.cache_hints,
             cache: &self.env.cluster_cache,
@@ -548,6 +554,27 @@ impl Driver {
         let task = self.tasks.dequeue(pick.kind, pick.pos)?;
         self.nodes.take_slot(pick.node);
         Some(AttemptInfo::new(pick, task, now, false))
+    }
+
+    /// A map attempt (pending map, retry or speculative twin) found no free
+    /// slot: an early reducer must never delay it, so the youngest reducer
+    /// on a usable node other than `except` gives up its slot — every
+    /// reducer in flight is still waiting for map outputs, or no map would
+    /// be asking. It goes back to the head of its queue uncharged: no
+    /// retry, no failure tallied against the node, no attempt off its
+    /// budget. Returns the node whose slot is now free.
+    fn preempt_reducer(&mut self, except: Option<NodeId>) -> Option<NodeId> {
+        let gives_a_slot = |n: NodeId| Some(n) != except && self.nodes.usable(n);
+        let youngest = self
+            .tasks
+            .reducers()
+            .rev()
+            .find(|(_, i)| gives_a_slot(i.node));
+        let (id, _) = youngest?;
+        let info = self.tasks.preempt(id)?;
+        self.nodes.release(info.node);
+        self.counters.add(keys::REDUCES_PREEMPTED, 1.0);
+        Some(info.node)
     }
 }
 
@@ -630,13 +657,15 @@ pub(crate) fn submit_stage(
     if cache_hints.iter().all(Vec::is_empty) {
         cache_hints.clear();
     }
+    // A map-only job has no reducers, whatever `n_reducers` says.
+    let n_reducers = job.reduce_fn.as_ref().map_or(0, |_| job.n_reducers);
     let d = Rc::new(RefCell::new(Driver {
         cluster_evictions_start: env.cluster_cache.stats().evictions,
         env,
         sink,
         start_s: now,
         nodes,
-        tasks: TaskTable::new(n_maps, job.n_reducers, first_attempt.unwrap_or(0)),
+        tasks: TaskTable::new(n_maps, n_reducers, first_attempt.unwrap_or(0)),
         hang_checks_armed,
         backoff_rng,
         map_outputs: vec![None; n_maps],
@@ -648,11 +677,14 @@ pub(crate) fn submit_stage(
         job,
     }));
     detector::arm(sim, &d, heartbeats);
-    if n_maps == 0 {
+    if n_maps == 0 && n_reducers == 0 {
         let d2 = d.clone();
-        sim.after(0.0, move |sim| maybe_finish_maps(sim, &d2));
+        sim.after(0.0, move |sim| complete(sim, &d2));
         return;
     }
+    // Reducers are pending from the start: those the maps leave a slot for
+    // launch now, start up beside the map wave and pull each map output as
+    // it commits (`reduce.rs`).
     attempt::try_schedule(sim, &d);
 }
 
@@ -671,23 +703,20 @@ pub fn run_job(cluster: &mut Cluster, job: Job) -> Result<JobResult, MrError> {
     cluster.run_to_completion("job", |cluster, done| submit_job(cluster, job, done))
 }
 
-/// Every map has committed: queue the reducers, or finish a map-only job.
+/// Once every map has committed — the map phase has closed: a map-only job
+/// is finished, and the reducers of any other stop waiting for maps.
 fn maybe_finish_maps(sim: &mut Sim, d: &SharedDriver) {
-    let reducers_queued = {
-        let mut dd = d.borrow_mut();
+    let map_only = {
+        let dd = d.borrow();
         if !dd.alive() || !dd.tasks.all_done(TaskKind::Map) {
             return;
         }
-        if dd.job.reduce_fn.is_none() {
-            None
-        } else {
-            Some(dd.tasks.open_reduce_phase())
-        }
+        dd.job.reduce_fn.is_none()
     };
-    match reducers_queued {
-        Some(true) => attempt::try_schedule(sim, d),
-        Some(false) => {} // reducers already queued
-        None => complete(sim, d),
+    if map_only {
+        complete(sim, d)
+    } else {
+        detector::arm_reducers(sim, d)
     }
 }
 
@@ -947,5 +976,17 @@ pub(crate) mod tests {
         });
         let s = hedge.fault_summary().expect("hedged reads trigger summary");
         assert!(s.contains("2 hedged read(s) / 1 won"), "summary: {s}");
+        // A preemption always comes with the attempt it cost.
+        let pre = mk(&|c| {
+            c.add(keys::REDUCE_TASKS, 1.0);
+            c.add(keys::REDUCE_ATTEMPTS, 2.0);
+            c.add(keys::REDUCES_PREEMPTED, 1.0);
+        });
+        let s = pre.fault_summary().expect("a preemption triggers summary");
+        assert!(
+            s.contains("1 reducer(s) preempted for maps"),
+            "summary: {s}"
+        );
+        assert!(!det.fault_summary().unwrap().contains("preempted"));
     }
 }

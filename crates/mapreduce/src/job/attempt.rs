@@ -6,6 +6,7 @@ use std::collections::{BTreeMap, VecDeque};
 use simnet::{NodeId, Sim};
 
 use super::commit::MapOutput;
+use super::reduce::Shuffle;
 use super::sched::{self, Pick, Sched};
 use super::{
     complete, detector, fail_job, map, maybe_finish_maps, reduce, speculate, Kv, MrError,
@@ -34,6 +35,9 @@ pub(super) struct AttemptInfo {
     /// How often a hang deadline was armed for this attempt; only the check
     /// queued by the latest arming may declare it hung.
     pub deadline_gen: u32,
+    /// A reduce attempt between its start-up and its sort: what it has
+    /// pulled so far. It goes with the attempt, however that ends.
+    pub shuffle: Option<Shuffle>,
 }
 
 impl AttemptInfo {
@@ -48,6 +52,7 @@ impl AttemptInfo {
             speculative,
             spec_check_scheduled: false,
             deadline_gen: 0,
+            shuffle: None,
         }
     }
 }
@@ -89,27 +94,22 @@ struct KindTable {
 pub(super) struct TaskTable {
     maps: KindTable,
     reduces: KindTable,
-    /// Reducers have been queued (all maps committed).
-    reduce_phase: bool,
     attempts: BTreeMap<AttemptId, AttemptInfo>,
     next_attempt: AttemptId,
 }
 
 impl TaskTable {
-    /// Every map pending; reducers wait for [`TaskTable::open_reduce_phase`].
-    /// Attempts are numbered from `first_attempt`.
+    /// Every task pending, reducers included: the scheduler hands a reducer
+    /// only a slot no map wants. Attempts are numbered from `first_attempt`.
     pub fn new(n_maps: usize, n_reducers: usize, first_attempt: AttemptId) -> TaskTable {
+        let all_pending = |n: usize| KindTable {
+            pending: (0..n).collect(),
+            states: vec![TaskState::default(); n],
+            done: 0,
+        };
         TaskTable {
-            maps: KindTable {
-                pending: (0..n_maps).collect(),
-                states: vec![TaskState::default(); n_maps],
-                done: 0,
-            },
-            reduces: KindTable {
-                states: vec![TaskState::default(); n_reducers],
-                ..KindTable::default()
-            },
-            reduce_phase: false,
+            maps: all_pending(n_maps),
+            reduces: all_pending(n_reducers),
             attempts: BTreeMap::new(),
             next_attempt: first_attempt,
         }
@@ -155,16 +155,6 @@ impl TaskTable {
         k.done == k.states.len()
     }
 
-    /// Queue every reducer; false when that already happened.
-    pub fn open_reduce_phase(&mut self) -> bool {
-        if self.reduce_phase {
-            return false;
-        }
-        self.reduce_phase = true;
-        self.reduces.pending = (0..self.reduces.states.len()).collect();
-        true
-    }
-
     pub fn running(&self) -> usize {
         self.attempts.len()
     }
@@ -181,6 +171,24 @@ impl TaskTable {
     pub fn on_node(&self, node: NodeId) -> Vec<AttemptId> {
         let on_node = self.attempts.iter().filter(|(_, i)| i.node == node);
         on_node.map(|(&id, _)| id).collect()
+    }
+
+    /// Reduce attempts in flight, oldest first.
+    pub fn reducers(&self) -> impl DoubleEndedIterator<Item = (AttemptId, &AttemptInfo)> {
+        let all = self.attempts.iter().map(|(&id, i)| (id, i));
+        all.filter(|(_, i)| i.kind == TaskKind::Reduce)
+    }
+
+    /// Take reduce attempt `id` out of flight as if it had never been
+    /// launched: its task returns to the head of the queue with its retry
+    /// budget untouched.
+    pub fn preempt(&mut self, id: AttemptId) -> Option<AttemptInfo> {
+        let info = self.attempts.remove(&id)?;
+        let st = self.reduces.states.get_mut(info.task)?;
+        st.live.retain(|&x| x != id);
+        st.regular_started = st.regular_started.saturating_sub(1);
+        self.reduces.pending.push_front(info.task);
+        Some(info)
     }
 
     /// Register a new attempt.
@@ -293,7 +301,21 @@ impl Attempt {
     }
 }
 
-/// Launch attempts until the scheduler has nothing to place.
+/// Handles on the reduce attempts in flight, oldest first.
+pub(super) fn reducers(d: &SharedDriver) -> Vec<Attempt> {
+    let dd = d.borrow();
+    let handle = |(id, i): (AttemptId, &AttemptInfo)| Attempt {
+        d: d.clone(),
+        id,
+        task: i.task,
+        node: i.node,
+    };
+    dd.tasks.reducers().map(handle).collect()
+}
+
+/// Launch attempts until the scheduler has nothing to place. A pending map
+/// it cannot place takes the slot of a waiting reducer
+/// ([`super::Driver::preempt_reducer`]).
 pub(super) fn try_schedule(sim: &mut Sim, d: &SharedDriver) {
     loop {
         let sched = {
@@ -311,23 +333,35 @@ pub(super) fn try_schedule(sim: &mut Sim, d: &SharedDriver) {
                 };
                 launch(sim, d, info);
             }
-            Sched::Stuck(waiting) => {
-                let e = MrError::msg(format!(
-                    "no usable nodes left for {waiting} pending task(s)"
-                ));
-                return fail_job(sim, d, e);
+            blocked => {
+                let slot_freed = {
+                    let mut dd = d.borrow_mut();
+                    let map_waits = !dd.tasks.pending(TaskKind::Map).is_empty();
+                    map_waits && dd.preempt_reducer(None).is_some()
+                };
+                if slot_freed {
+                    continue;
+                }
+                if let Sched::Stuck(waiting) = blocked {
+                    let e = MrError::msg(format!(
+                        "no usable nodes left for {waiting} pending task(s)"
+                    ));
+                    fail_job(sim, d, e);
+                }
+                return;
             }
-            Sched::Idle => return,
         }
     }
 }
 
 /// Register `info` as a new attempt, charge the attempt-level counters
 /// (job-global meta counters, not task output), arm its hang deadline and
-/// start it running.
+/// start it running. A reducer launched while maps are still running is
+/// legitimately waiting: its deadline starts when the map phase closes
+/// ([`detector::arm_reducers`]).
 pub(super) fn launch(sim: &mut Sim, d: &SharedDriver, info: AttemptInfo) {
     let (kind, task, node) = (info.kind, info.task, info.node);
-    let id = {
+    let (id, waits_for_maps) = {
         let mut dd = d.borrow_mut();
         if info.speculative {
             dd.counters.add(keys::SPECULATIVE_LAUNCHED, 1.0);
@@ -337,11 +371,14 @@ pub(super) fn launch(sim: &mut Sim, d: &SharedDriver, info: AttemptInfo) {
             TaskKind::Reduce => keys::REDUCE_ATTEMPTS,
         };
         dd.counters.add(attempts_key, 1.0);
-        dd.tasks.start(info)
+        let waits_for_maps = kind == TaskKind::Reduce && !dd.tasks.all_done(TaskKind::Map);
+        (dd.tasks.start(info), waits_for_maps)
     };
     let d = d.clone();
     let att = Attempt { d, id, task, node };
-    detector::arm_deadline(sim, &att, 0.0);
+    if !waits_for_maps {
+        detector::arm_deadline(sim, &att, 0.0);
+    }
     match kind {
         TaskKind::Map => map::run_map_attempt(sim, att),
         TaskKind::Reduce => reduce::run_reduce_attempt(sim, att),
@@ -512,6 +549,7 @@ pub(super) fn commit_task(
     };
     match committed {
         TaskKind::Map => {
+            reduce::map_committed(sim, d, att.task);
             speculate::schedule_speculation_checks(sim, d);
             try_schedule(sim, d);
             maybe_finish_maps(sim, d);

@@ -3,7 +3,7 @@
 
 use simnet::{NodeId, Sim, SimTime};
 
-use super::attempt::{fail_attempt, try_schedule, Attempt};
+use super::attempt::{fail_attempt, reducers, try_schedule, Attempt};
 use super::nodes::Withdrawal;
 use super::{fail_job, forget_node, Driver, MrError, SharedDriver};
 use crate::counters::keys;
@@ -200,6 +200,15 @@ pub(super) fn arm_deadline(sim: &mut Sim, att: &Attempt, busy_s: f64) {
         sim.after(deadline, move |sim| {
             hang_deadline_check(sim, &a, gen, deadline)
         });
+    }
+}
+
+/// The map phase has just closed: from here on a reducer that does not
+/// finish is stranded, not waiting, so the deadline of every reduce attempt
+/// launched before this instant starts now.
+pub(super) fn arm_reducers(sim: &mut Sim, d: &SharedDriver) {
+    for att in reducers(d) {
+        arm_deadline(sim, &att, 0.0);
     }
 }
 

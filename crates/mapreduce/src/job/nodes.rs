@@ -110,6 +110,11 @@ impl NodeTable {
         self.get(n).is_some_and(|s| s.dead)
     }
 
+    /// Whether the scheduler may place work on `n`.
+    pub fn usable(&self, n: NodeId) -> bool {
+        self.get(n).is_some_and(NodeState::usable)
+    }
+
     fn usable_count(&self) -> usize {
         self.nodes.iter().filter(|s| s.usable()).count()
     }

@@ -1,114 +1,243 @@
-//! Reduce attempts: shuffle, sort, reduce, write.
+//! Reduce attempts: start up, pull each map output as it commits, then —
+//! once the map phase has closed and the last pull has landed — sort,
+//! reduce, write. One body: a reducer launched after the map phase closed
+//! runs the same steps and simply finds every output committed.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::collections::BTreeMap;
+use std::ops::Range;
 
-use simnet::{countdown, Sim};
+use simnet::Sim;
 
-use super::attempt::Attempt;
+use super::attempt::{reducers, Attempt};
 use super::commit::{commit_part_file, group_by_key, kv_bytes};
-use super::{detector, Kv, MrError, TaskCtx};
+use super::{detector, Driver, Kv, MrError, SharedDriver, TaskCtx, TaskKind};
 use crate::counters::{keys, Counters};
+
+/// One landed pull: partition `r` of one map output.
+#[derive(Clone, Debug)]
+struct Pull {
+    issued_s: f64,
+    landed_s: f64,
+    kvs: Vec<Kv>,
+}
+
+/// What a reduce attempt past its start-up has pulled so far.
+#[derive(Clone, Debug)]
+pub(super) struct Shuffle {
+    /// When start-up ended.
+    ready_s: f64,
+    /// Landed pulls by map index — the order the reduce reads them in.
+    pulls: BTreeMap<usize, Pull>,
+    /// Maps whose holder this node could not reach when they committed:
+    /// tried again at each later commit, and pulled regardless once the map
+    /// phase has closed.
+    deferred: Vec<usize>,
+    in_flight: usize,
+}
+
+impl Shuffle {
+    fn all_in(&self) -> bool {
+        self.in_flight == 0 && self.deferred.is_empty()
+    }
+
+    /// Seconds before `close_s` with at least one pull in flight.
+    fn pulling_before(&self, close_s: f64) -> f64 {
+        let spans = self.pulls.values().map(|p| (p.issued_s, p.landed_s));
+        let mut spans: Vec<(f64, f64)> = spans.collect();
+        spans.sort_by(|a, b| a.0.total_cmp(&b.0));
+        let (mut busy, mut covered_to) = (0.0, f64::NEG_INFINITY);
+        for (from, to) in spans {
+            let (from, to) = (from.max(covered_to), to.min(close_s));
+            if to > from {
+                busy += to - from;
+                covered_to = to;
+            }
+        }
+        busy
+    }
+}
 
 /// Run one reduce attempt. Map outputs are *cloned* per pull (not drained)
 /// so a retried reducer can shuffle again.
 pub(super) fn run_reduce_attempt(sim: &mut Sim, att: Attempt) {
-    let startup = sim.cost.task_startup_s;
-    sim.after(startup, move |sim| {
-        if !att.live() {
-            return;
-        }
-        // Shuffle: pull partition `r` from every map that produced one.
-        let (r, node) = (att.task, att.node);
-        let (pulls, env, spill_to_pfs, job_name) = {
-            let dd = att.d.borrow();
-            let outputs = dd.map_outputs.iter().enumerate();
-            let pulls: Vec<(usize, simnet::NodeId, Vec<Kv>)> = outputs
-                .filter_map(|(m, out)| {
-                    let out = out.as_ref()?;
-                    let kvs = out.parts.get(r).filter(|kvs| !kvs.is_empty())?;
-                    Some((m, out.node, kvs.clone()))
-                })
-                .collect();
-            (
-                pulls,
-                dd.env.clone(),
-                dd.job.spill_to_pfs,
-                dd.job.name.clone(),
-            )
-        };
-        let shuffle_start = sim.now().secs();
-        let shuffle_bytes: usize = pulls.iter().map(|(_, _, kvs)| kv_bytes(kvs)).sum();
-        let mut acnt = Counters::new();
-        acnt.add(keys::SHUFFLE_BYTES, shuffle_bytes as f64);
-        if pulls.is_empty() {
-            return reduce_execute(sim, att, startup, shuffle_start, Vec::new(), acnt);
-        }
-        // All pulls run concurrently; pairs are collected in arrival order
-        // and the reduce starts when the last flow lands.
-        let collected: Rc<RefCell<Vec<Kv>>> = Rc::default();
-        let (att2, collected2) = (att.clone(), collected.clone());
-        let all_arrived = countdown(pulls.len(), move |sim| {
-            let kvs = collected2.take();
-            reduce_execute(sim, att2, startup, shuffle_start, kvs, acnt);
-        });
-        for (m_idx, src, kvs) in pulls {
-            let bytes = kv_bytes(&kvs);
-            let (att2, collected, all_arrived) =
-                (att.clone(), collected.clone(), all_arrived.clone());
-            let arrive = move |sim: &mut Sim| {
-                if att2.live() {
-                    collected.borrow_mut().extend(kvs);
-                    all_arrived(sim);
-                }
+    sim.after(sim.cost.task_startup_s, move |sim| {
+        let n_maps = {
+            let mut dd = att.d.borrow_mut();
+            let ready_s = sim.now().secs();
+            let Some(info) = dd.tasks.attempt_mut(att.id) else {
+                return; // preempted, or its node was withdrawn, during start-up
             };
-            if spill_to_pfs {
-                // Fetch the partition back from the PFS spill file. The
-                // exact byte range is immaterial to the timing model; the
-                // volume is.
-                let spill_path = format!("_spill/{job_name}/m{m_idx:05}");
-                let have = env.pfs.borrow().len_of(&spill_path).unwrap_or(0);
-                let len = bytes.min(have);
-                let (att, path) = (att.clone(), spill_path.clone());
-                let read = move |sim: &mut Sim, res: Result<_, pfs::PfsError>| match res {
-                    Ok(_) => arrive(sim),
-                    // The pull that failed keeps the countdown above zero.
-                    Err(e) => att.fail(sim, MrError::msg(format!("pfs: {e} ({path})"))),
-                };
-                pfs::read_at(sim, &env.topo, &env.pfs, node, &spill_path, 0, len, read);
-            } else {
-                // A holder this node cannot reach never delivers: the pull
-                // keeps the countdown above zero and the attempt's hang
-                // deadline fails it.
-                let flow_bytes = sim.cost.lbytes(bytes);
-                let path = env.topo.path_net(src, node);
-                sim.net_transfer(src, node, None, path, flow_bytes, arrive);
-            }
-        }
+            info.shuffle = Some(Shuffle {
+                ready_s,
+                pulls: BTreeMap::new(),
+                deferred: Vec::new(),
+                in_flight: 0,
+            });
+            dd.map_outputs.len()
+        };
+        pull(sim, &att, 0..n_maps);
     });
 }
 
-fn reduce_execute(
-    sim: &mut Sim,
-    att: Attempt,
-    startup: f64,
-    shuffle_start: f64,
-    kvs: Vec<Kv>,
-    mut acnt: Counters,
-) {
-    if !att.live() {
-        return;
+/// Map `m`'s output has just been registered: every reducer past its
+/// start-up pulls its partition of it.
+pub(super) fn map_committed(sim: &mut Sim, d: &SharedDriver, m: usize) {
+    for att in reducers(d) {
+        pull(sim, &att, m..m + 1);
     }
-    let shuffle_s = sim.now().secs() - shuffle_start;
+}
+
+/// Issue `att`'s pulls of partition `r` from the committed maps among
+/// `fresh` and those it had deferred; with nothing left to wait for, run
+/// the reduce. A holder whose link is down while maps are still running is
+/// deferred rather than pulled from: the pull would be dropped and strand
+/// the attempt until its hang deadline, where a reduce phase opened at the
+/// close would have found the link as it is *then*. Once the phase has
+/// closed the pull is issued whatever the link, and a drop is the hang
+/// deadline's to recover.
+fn pull(sim: &mut Sim, att: &Attempt, fresh: Range<usize>) {
+    let (r, node) = (att.task, att.node);
+    let (issue, env, spill_to_pfs, job_name, all_in) = {
+        let mut dd = att.d.borrow_mut();
+        if !dd.alive() {
+            return;
+        }
+        let maps_open = !dd.tasks.all_done(TaskKind::Map);
+        let Driver {
+            tasks,
+            map_outputs,
+            job,
+            env,
+            ..
+        } = &mut *dd;
+        let shuffle = tasks.attempt_mut(att.id).and_then(|i| i.shuffle.as_mut());
+        let Some(shuffle) = shuffle else {
+            return; // still starting up, or already reducing
+        };
+        let mut issue: Vec<(usize, simnet::NodeId, Vec<Kv>)> = Vec::new();
+        let put_off = std::mem::take(&mut shuffle.deferred);
+        for m in put_off.into_iter().chain(fresh) {
+            let out = map_outputs.get(m).and_then(Option::as_ref);
+            let part = out.and_then(|out| Some((out.node, out.parts.get(r)?)));
+            let Some((holder, kvs)) = part.filter(|(_, kvs)| !kvs.is_empty()) else {
+                continue; // not committed yet, or nothing for this reducer
+            };
+            if maps_open && !job.spill_to_pfs && sim.link(holder, node).is_none() {
+                shuffle.deferred.push(m);
+                continue;
+            }
+            shuffle.in_flight += 1;
+            issue.push((m, holder, kvs.clone()));
+        }
+        let all_in = !maps_open && shuffle.all_in();
+        (
+            issue,
+            env.clone(),
+            job.spill_to_pfs,
+            job.name.clone(),
+            all_in,
+        )
+    };
+    if all_in {
+        return reduce_execute(sim, att.clone());
+    }
+    let issued_s = sim.now().secs();
+    for (m, holder, kvs) in issue {
+        let bytes = kv_bytes(&kvs);
+        let att2 = att.clone();
+        let arrive = move |sim: &mut Sim| {
+            let landed_s = sim.now().secs();
+            let pull = Pull {
+                issued_s,
+                landed_s,
+                kvs,
+            };
+            landed(sim, att2, m, pull)
+        };
+        if spill_to_pfs {
+            // Fetch the partition back from the PFS spill file. The exact
+            // byte range is immaterial to the timing model; the volume is.
+            let spill_path = format!("_spill/{job_name}/m{m:05}");
+            let have = env.pfs.borrow().len_of(&spill_path).unwrap_or(0);
+            let len = bytes.min(have);
+            let (att, path) = (att.clone(), spill_path.clone());
+            let read = move |sim: &mut Sim, res: Result<_, pfs::PfsError>| match res {
+                Ok(_) => arrive(sim),
+                // The pull that failed stays in flight.
+                Err(e) => att.fail(sim, MrError::msg(format!("pfs: {e} ({path})"))),
+            };
+            pfs::read_at(sim, &env.topo, &env.pfs, node, &spill_path, 0, len, read);
+        } else {
+            // A holder this node cannot reach never delivers: the pull
+            // stays in flight and the attempt's hang deadline fails it.
+            let flow_bytes = sim.cost.lbytes(bytes);
+            let path = env.topo.path_net(holder, node);
+            sim.net_transfer(holder, node, None, path, flow_bytes, arrive);
+        }
+    }
+}
+
+/// One pull of `att` has landed; the last one after the map phase closed
+/// starts the reduce.
+fn landed(sim: &mut Sim, att: Attempt, m: usize, pull: Pull) {
+    let all_in = {
+        let mut dd = att.d.borrow_mut();
+        let maps_closed = dd.alive() && dd.tasks.all_done(TaskKind::Map);
+        let shuffle = dd
+            .tasks
+            .attempt_mut(att.id)
+            .and_then(|i| i.shuffle.as_mut());
+        let Some(shuffle) = shuffle else {
+            return; // the attempt is gone
+        };
+        shuffle.pulls.insert(m, pull);
+        shuffle.in_flight = shuffle.in_flight.saturating_sub(1);
+        maps_closed && shuffle.all_in()
+    };
+    if all_in {
+        reduce_execute(sim, att);
+    }
+}
+
+/// The map phase has closed and every pull is in: sort, reduce, write. The
+/// values of a key reach the reduce function in map order, then emit order —
+/// whenever they arrived.
+fn reduce_execute(sim: &mut Sim, att: Attempt) {
+    let now = sim.now().secs();
+    let taken = {
+        let mut dd = att.d.borrow_mut();
+        // The map phase closed when the last map committed.
+        let map_ends = dd.reports.iter().filter(|t| t.kind == TaskKind::Map);
+        let close_s = map_ends.map(|t| t.end_s).fold(dd.start_s, f64::max);
+        let reduce_fn = dd.job.reduce_fn.clone();
+        let info = dd.tasks.attempt_mut(att.id);
+        info.and_then(|i| Some((i.shuffle.take()?, i.start_s, close_s, reduce_fn)))
+    };
+    let Some((shuffle, start_s, close_s, reduce_fn)) = taken else {
+        return;
+    };
+    let Some(reduce_fn) = reduce_fn else {
+        return att.fail(sim, MrError::msg("reduce task without a reduce_fn"));
+    };
+    // Start-up, then `wait` until the map phase closes (early pulls run
+    // inside it), then `shuffle`: what of the pulls is left after the close.
+    let ready_s = shuffle.ready_s;
+    let startup = sim.cost.task_startup_s;
+    let wait_s = (close_s - ready_s).max(0.0);
+    let shuffle_s = now - ready_s.max(close_s);
+    let hidden_s = (close_s.min(ready_s) - start_s).max(0.0) + shuffle.pulling_before(close_s);
+    let kvs: Vec<Kv> = shuffle.pulls.into_values().flat_map(|p| p.kvs).collect();
+    let mut acnt = Counters::new();
+    acnt.add(keys::SHUFFLE_BYTES, kv_bytes(&kvs) as f64);
+    if hidden_s > 0.0 {
+        acnt.add(keys::SHUFFLE_OVERLAP_SAVED_S, hidden_s);
+    }
     // Sort/merge (real grouping).
     let sized = kvs.into_iter().map(|kv| {
         let bytes = kv.value.approx_bytes();
         (kv.key, bytes, kv.value)
     });
     let (sort_s, groups) = group_by_key(&sim.cost, sized);
-    let Some(reduce_fn) = att.d.borrow().job.reduce_fn.clone() else {
-        return att.fail(sim, MrError::msg("reduce task without a reduce_fn"));
-    };
     let mut ctx = TaskCtx::new(sim.cost.clone());
     for (key, values) in groups {
         if let Err(e) = (reduce_fn)(&key, values, &mut ctx) {
@@ -119,6 +248,7 @@ fn reduce_execute(
     let compute = (ctx.total_charge_s() + sort_s) * slow;
     let mut phases = vec![
         ("startup", startup),
+        ("wait", wait_s),
         ("shuffle", shuffle_s),
         ("sort", sort_s * slow),
     ];
@@ -139,9 +269,11 @@ fn reduce_execute(
 
 #[cfg(test)]
 mod tests {
-    use crate::input::{InMemoryFetcher, InputSplit};
-    use crate::job::run_job;
-    use crate::job::tests::{small_cluster, word_count_job};
+    use crate::counters::keys;
+    use crate::input::{InMemoryFetcher, InputSplit, TaskInput};
+    use crate::job::tests::{mem_splits, slow_map_job, small_cluster, word_count_job};
+    use crate::job::{run_job, FtConfig, JobResult, MrError, Payload, TaskKind, TaskReport};
+    use simnet::FaultPlan;
     use std::rc::Rc;
 
     #[test]
@@ -168,5 +300,190 @@ mod tests {
             .unwrap();
         let text = String::from_utf8(data.as_ref().clone()).unwrap();
         assert_eq!(text.trim(), "w7\t150");
+    }
+
+    /// The reducers of `r`, each checked: its phases — `startup`, `wait`,
+    /// `shuffle`, `sort`, the reduce charges, `write` — sum to its duration.
+    fn reducers(r: &JobResult) -> Vec<&TaskReport> {
+        let reducers: Vec<_> = r
+            .tasks
+            .iter()
+            .filter(|t| t.kind == TaskKind::Reduce)
+            .collect();
+        for t in &reducers {
+            let names: Vec<_> = t.phases.iter().map(|(p, _)| *p).collect();
+            assert_eq!(names[..4], ["startup", "wait", "shuffle", "sort"]);
+            let sum: f64 = t.phases.iter().map(|(_, s)| s).sum();
+            assert!((sum - t.duration()).abs() < 1e-9, "{t:?}");
+        }
+        reducers
+    }
+
+    fn last_map_end(r: &JobResult) -> f64 {
+        let maps = r.tasks.iter().filter(|t| t.kind == TaskKind::Map);
+        maps.map(|t| t.end_s).fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn phases_sum_to_the_duration_of_a_reducer_launched_early() {
+        // 3 maps on 4 slots: the reducer starts beside them, on the spare.
+        let mut c = small_cluster(2, 2);
+        let r = run_job(&mut c, slow_map_job(3, 2.0, FtConfig::default())).unwrap();
+        let close = last_map_end(&r);
+        let red = reducers(&r)[0];
+        assert_eq!(red.start_s, r.start_s);
+        // Start-up is over long before the maps are: the rest is `wait`,
+        // and only the last map's few bytes are pulled behind the close.
+        assert!((red.phase("wait") - (close - red.start_s - 1.0)).abs() < 1e-9);
+        assert!(red.phase("shuffle") < 1e-6);
+        assert_eq!(r.counters.get(keys::SHUFFLE_OVERLAP_SAVED_S), 1.0);
+        assert_eq!(r.counters.get(keys::REDUCE_ATTEMPTS), 1.0);
+        assert_eq!(r.fault_summary(), None);
+    }
+
+    #[test]
+    fn phases_sum_to_the_duration_of_a_reducer_launched_after_the_close() {
+        // One slot: the reducer gets it when the last map gives it back.
+        let mut c = small_cluster(1, 1);
+        let r = run_job(&mut c, slow_map_job(2, 2.0, FtConfig::default())).unwrap();
+        let red = reducers(&r)[0];
+        assert_eq!(red.start_s, last_map_end(&r));
+        assert_eq!((red.phase("startup"), red.phase("wait")), (1.0, 0.0));
+        assert_eq!(r.counters.get(keys::SHUFFLE_OVERLAP_SAVED_S), 0.0);
+    }
+
+    /// 2 nodes x 1 slot, 2 maps, 2 reducers: map 0 (8 s) runs on node 1,
+    /// map 1 (1 s) on node 0, whose slot reducer 0 then takes. No
+    /// speculation: a twin of map 0 would take that slot back.
+    fn two_by_one() -> crate::job::Job {
+        let ft = FtConfig {
+            speculative: false,
+            ..FtConfig::default()
+        };
+        let mut job = slow_map_job(2, 0.0, ft);
+        job.map_fn = Rc::new(|input, ctx| {
+            let TaskInput::Bytes(b) = input else {
+                return Err(MrError::msg("expected bytes"));
+            };
+            ctx.charge("scan", if b[0] == 0 { 8.0 } else { 1.0 });
+            ctx.emit(format!("k{}", b[0]), Payload::Bytes(vec![b[0]]));
+            Ok(())
+        });
+        job.n_reducers = 2;
+        job
+    }
+
+    #[test]
+    fn a_preempted_reducer_is_requeued_uncharged_and_its_phases_still_sum() {
+        let mut clean = small_cluster(2, 1);
+        let clean_r = run_job(&mut clean, two_by_one()).unwrap();
+        assert_eq!(clean_r.counters.get(keys::REDUCES_PREEMPTED), 0.0);
+        reducers(&clean_r);
+
+        // Node 1 dies under map 0 while reducer 0 holds the only other slot,
+        // waiting for exactly that map: without preemption nothing could
+        // ever run again.
+        let mut c = small_cluster(2, 1);
+        c.sim.faults.install(FaultPlan::none().kill_node(1, 4.0));
+        let r = run_job(&mut c, two_by_one()).expect("the map takes the reducer's slot");
+        assert_eq!(r.counters.get(keys::REDUCES_PREEMPTED), 1.0);
+        // The only retry is map 0's; reducer 0 ran twice and was charged once.
+        assert_eq!(r.counters.get(keys::TASK_RETRIES), 1.0);
+        assert_eq!(r.counters.get(keys::REDUCE_ATTEMPTS), 3.0);
+        let summary = r.fault_summary().expect("a preemption is reported");
+        assert!(summary.contains("1 reducer(s) preempted"), "{summary}");
+        let close = last_map_end(&r);
+        for red in reducers(&r) {
+            assert!(
+                red.start_s >= close,
+                "relaunched behind the retried map: {red:?}"
+            );
+        }
+        assert_eq!(c.read_output("out"), clean.read_output("out"));
+    }
+
+    #[test]
+    fn a_preempted_reducer_keeps_its_whole_attempt_budget() {
+        // One attempt per task: the preemption must not spend reducer 0's.
+        let mut c = small_cluster(2, 1);
+        c.sim.faults.install(FaultPlan::none().kill_node(1, 4.0));
+        let mut job = two_by_one();
+        job.ft.max_task_attempts = 2; // map 0 needs its retry
+        let r = run_job(&mut c, job).unwrap();
+        assert_eq!(r.counters.get(keys::REDUCES_PREEMPTED), 1.0);
+        let mut job = two_by_one();
+        job.ft.max_task_attempts = 1;
+        let mut c = small_cluster(2, 1);
+        c.sim.faults.install(FaultPlan::none().kill_node(1, 4.0));
+        let err = run_job(&mut c, job).unwrap_err();
+        assert!(err.message().contains("Map task 0 lost"), "{err}");
+    }
+
+    #[test]
+    fn a_pull_from_a_holder_cut_off_while_maps_run_waits_for_the_link() {
+        // 3 nodes x 1 slot. Maps 0 and 1 (1 s) commit at 2 s on nodes 2 and
+        // 1; map 3 follows map 0 on node 2, reducer 1 takes node 1 and is
+        // ready at 3 s — while node 2, which holds map 0's output, is cut
+        // off from 2.5 to 5 s. Map 2 (6 s, node 0) commits after the heal.
+        let job = || {
+            let mut job = two_by_one();
+            job.splits = mem_splits(4, 100);
+            job.map_fn = Rc::new(|input, ctx| {
+                let TaskInput::Bytes(b) = input else {
+                    return Err(MrError::msg("expected bytes"));
+                };
+                ctx.charge("scan", if b[0] < 2 { 1.0 } else { 6.0 });
+                for k in 0..8 {
+                    ctx.emit(format!("k{k}"), Payload::Bytes(vec![b[0]]));
+                }
+                Ok(())
+            });
+            job
+        };
+        let mut clean = small_cluster(3, 1);
+        let clean_r = run_job(&mut clean, job()).unwrap();
+        let mut c = small_cluster(3, 1);
+        c.sim
+            .faults
+            .install(FaultPlan::none().partition(&[2], 2.5, 5.0));
+        let r = run_job(&mut c, job()).unwrap();
+        assert_eq!(r.tasks[0].node.0, 2, "node 2 holds map 0's output");
+        let red = reducers(&r)[1];
+        assert!(red.node.0 == 1 && red.start_s < 2.5, "{red:?}");
+        // Pulled at 3 s the output would have been dropped and the reducer
+        // stranded until a hang deadline; put off until the next commit, it
+        // costs nothing.
+        assert_eq!(r.counters.get(keys::TASKS_HANG_DETECTED), 0.0);
+        assert_eq!(r.counters.get(keys::REDUCE_ATTEMPTS), 2.0);
+        assert!((r.elapsed() - clean_r.elapsed()).abs() < 1e-3);
+        assert_eq!(c.read_output("out"), clean.read_output("out"));
+    }
+
+    #[test]
+    fn values_reach_the_reduce_function_in_map_order() {
+        // Map 0 is the slowest by far, so its pair lands last.
+        let mut c = small_cluster(2, 2);
+        let mut job = slow_map_job(3, 0.0, FtConfig::default());
+        job.map_fn = Rc::new(|input, ctx| {
+            let TaskInput::Bytes(b) = input else {
+                return Err(MrError::msg("expected bytes"));
+            };
+            ctx.charge("scan", 3.0 - b[0] as f64);
+            ctx.emit("k", Payload::Bytes(vec![b'0' + b[0]]));
+            Ok(())
+        });
+        job.reduce_fn = Some(Rc::new(|key, values, ctx| {
+            let bytes = values.into_iter().flat_map(|v| match v {
+                Payload::Bytes(b) => b,
+                Payload::Frame(_) => Vec::new(),
+            });
+            ctx.emit(key, Payload::Bytes(bytes.collect()));
+            Ok(())
+        }));
+        let r = run_job(&mut c, job).unwrap();
+        let by_end = |i: usize| r.tasks[i].end_s;
+        assert!(by_end(2) < by_end(1) && by_end(1) < by_end(0));
+        let out = c.read_output("out").unwrap();
+        assert_eq!(out[0].1, b"k\t012\n");
     }
 }

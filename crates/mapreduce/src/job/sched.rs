@@ -15,6 +15,8 @@ pub(super) struct View<'a> {
     pub nodes: &'a NodeTable,
     pub pending_maps: &'a VecDeque<usize>,
     pub pending_reduces: &'a VecDeque<usize>,
+    /// Some map has not committed yet.
+    pub maps_open: bool,
     pub splits: &'a [InputSplit],
     /// Per-split cluster-cache chunk keys; empty when no split has a hint
     /// (always so when the cluster cache tier is disabled), and the cache
@@ -69,8 +71,11 @@ fn split_local(splits: &[InputSplit], task: usize, node: NodeId) -> bool {
 /// chunks are resident in the cluster cache on a free node (it skips its
 /// PFS reads entirely); a pending split stored on a free node; the head of
 /// the queue on the least-loaded node. Reducers run only when no map can be
-/// placed, on their round-robin home `r % n_nodes` when it has a slot, else
-/// least-loaded.
+/// placed, on their round-robin home `r % n_nodes` when it has a slot.
+/// While maps still run that is the only place: slots free up one node at a
+/// time then, and reducers taking whichever came first would pile their
+/// sorts and part-file writes onto one disk. Once the map phase has closed
+/// the head of the queue goes to the least-loaded node instead of waiting.
 pub(super) fn pick_next(v: &View) -> Sched {
     let free_nodes = || v.nodes.ids().filter(|&n| v.nodes.free(n) > 0);
     let map_pick = |pos, node, local, cache_local| {
@@ -105,22 +110,35 @@ pub(super) fn pick_next(v: &View) -> Sched {
             return map_pick(0, node, false, false);
         }
     }
-    if let Some(&r) = v.pending_reduces.front() {
-        let home = r
-            .checked_rem(v.nodes.len())
-            .map(|h| NodeId(h as u32))
-            .filter(|&h| v.nodes.free(h) > 0);
-        if let Some(node) = home.or_else(|| v.nodes.most_free(None)) {
-            return Sched::Run(Pick {
-                kind: TaskKind::Reduce,
-                pos: 0,
-                node,
-                local: false,
-                cache_local: false,
-            });
-        }
+    let free_home = |r: usize| {
+        let home = r.checked_rem(v.nodes.len()).map(|h| NodeId(h as u32));
+        home.filter(|&h| v.nodes.free(h) > 0)
+    };
+    let reduce_pick = if v.maps_open {
+        let mut queued = v.pending_reduces.iter().enumerate();
+        queued.find_map(|(pos, &r)| Some((pos, free_home(r)?)))
+    } else {
+        let head = v.pending_reduces.front();
+        let node = head.and_then(|&r| free_home(r).or_else(|| v.nodes.most_free(None)));
+        node.map(|node| (0, node))
+    };
+    if let Some((pos, node)) = reduce_pick {
+        return Sched::Run(Pick {
+            kind: TaskKind::Reduce,
+            pos,
+            node,
+            local: false,
+            cache_local: false,
+        });
     }
-    let waiting = v.pending_maps.len() + v.pending_reduces.len();
+    // A reducer passing up slots while maps run is waiting by choice: the
+    // close will place it.
+    let reduces_waiting = if v.maps_open {
+        0
+    } else {
+        v.pending_reduces.len()
+    };
+    let waiting = v.pending_maps.len() + reduces_waiting;
     if waiting > 0 && v.running == 0 {
         Sched::Stuck(waiting)
     } else {
@@ -146,6 +164,7 @@ mod tests {
         nodes: NodeTable,
         maps: VecDeque<usize>,
         reduces: VecDeque<usize>,
+        maps_open: bool,
         splits: Vec<InputSplit>,
         hints: Vec<Vec<ChunkKey>>,
         cache: ClusterCache,
@@ -159,6 +178,7 @@ mod tests {
                 nodes: NodeTable::new(3, 2, None, |_| false),
                 maps: (0..4).collect(),
                 reduces: VecDeque::new(),
+                maps_open: true,
                 splits: vec![split(&[]), split(&[]), split(&[1]), split(&[])],
                 hints: Vec::new(),
                 cache: ClusterCache::new(1 << 20),
@@ -171,6 +191,7 @@ mod tests {
                 nodes: &self.nodes,
                 pending_maps: &self.maps,
                 pending_reduces: &self.reduces,
+                maps_open: self.maps_open,
                 splits: &self.splits,
                 cache_hints: &self.hints,
                 cache: &self.cache,
@@ -231,6 +252,13 @@ mod tests {
         assert_eq!(w.pick(), run(TaskKind::Reduce, 0, 1, false, false));
         w.nodes.take_slot(NodeId(1));
         w.nodes.take_slot(NodeId(1));
+        // While maps still run a reducer launches on its home only: 4 waits
+        // for node 1, 5 (behind it in the queue) takes node 2.
+        assert_eq!(w.pick(), run(TaskKind::Reduce, 1, 2, false, false));
+        w.reduces = [4].into();
+        assert_eq!(w.pick(), Sched::Idle, "waiting by choice is not stuck");
+        // After the close the head of the queue goes wherever a slot is.
+        w.maps_open = false;
         assert_eq!(w.pick(), run(TaskKind::Reduce, 0, 2, false, false));
     }
 

@@ -77,7 +77,11 @@ fn maybe_speculate(sim: &mut Sim, d: &SharedDriver, id: AttemptId) {
         if !open.is_some_and(|st| !st.done && !st.speculated) {
             return;
         }
-        let Some(node) = dd.nodes.most_free(Some(straggler_node)) else {
+        // A twin is a map attempt: with no free slot elsewhere it takes a
+        // waiting reducer's.
+        let elsewhere = Some(straggler_node);
+        let free = dd.nodes.most_free(elsewhere);
+        let Some(node) = free.or_else(|| dd.preempt_reducer(elsewhere)) else {
             return; // no spare capacity elsewhere; let the original run
         };
         dd.nodes.take_slot(node);

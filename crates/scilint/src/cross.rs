@@ -417,7 +417,8 @@ mod tests {
         // The rule must track the cache-tier keys like any other: keys
         // recorded through the reader (`keys::`) or a bench's
         // `counter_keys::` alias are live; a declared-but-never-recorded
-        // cache key is flagged.
+        // cache key is flagged. Likewise the reduce slow-start keys, one
+        // recorded by the driver itself, one attempt-local.
         let cfg = Config::default_for_root(std::path::Path::new("."));
         let decl = input(
             &cfg.counters_file.clone(),
@@ -429,6 +430,16 @@ mod tests {
                pub const CACHE_LOCALITY_MAPS: &str = \"cache_locality_maps\";\n\
                pub const PFS_BYTES_AVOIDED: &str = \"pfs_bytes_avoided\";\n\
                pub const CLUSTER_CACHE_GHOSTS: &str = \"cluster_cache_ghosts\";\n\
+               pub const REDUCES_PREEMPTED: &str = \"reduces_preempted\";\n\
+               pub const SHUFFLE_OVERLAP_SAVED_S: &str = \"shuffle_overlap_saved_s\";\n\
+             }\n",
+        );
+        let driver = input(
+            "crates/mapreduce/src/job/reduce.rs",
+            "mapreduce",
+            "fn f(d: &mut Driver, acnt: &mut Counters) {\n\
+               d.counters.add(keys::REDUCES_PREEMPTED, 1.0);\n\
+               acnt.add(keys::SHUFFLE_OVERLAP_SAVED_S, 1.5);\n\
              }\n",
         );
         let reader = input(
@@ -449,6 +460,7 @@ mod tests {
         let l1 = lex(&decl.src);
         let l2 = lex(&reader.src);
         let l3 = lex(&bench.src);
+        let l4 = lex(&driver.src);
         let files = vec![
             LexedFile {
                 file: &decl,
@@ -461,6 +473,10 @@ mod tests {
             LexedFile {
                 file: &bench,
                 lexed: &l3,
+            },
+            LexedFile {
+                file: &driver,
+                lexed: &l4,
             },
         ];
         let hits = counter_rule(&files, &cfg);

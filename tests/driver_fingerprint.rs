@@ -5,11 +5,15 @@
 //! bit for bit), every counter, every stage run and every committed file —
 //! so a driver refactor that silently reorders events fails here.
 //!
-//! The constants were recorded at the commit *before* the driver was split
-//! into `job/*.rs` — (g) when the storage clients moved to one completion
-//! channel, (h) when shuffle pulls moved onto `Sim::net_transfer`, see their
-//! comments; a mismatch prints the full canonical text so the two sides can
-//! be diffed.
+//! The map-only and DAG constants (d, e) were recorded at the commit
+//! *before* the driver was split into `job/*.rs`. The six runs with reducers
+//! (a, b, c, f, g, h) were re-recorded once, by the commit that opened the
+//! reduce phase at submit, and one event moved them all: **reducers launched
+//! before map-phase close** — each takes a slot on its home node as soon as
+//! no map wants it, starts up beside the map wave and pulls every map output
+//! as it commits. What follows from that, run by run, is at the constants
+//! below; every map report of a, b, c and h is bit-identical to the parent's.
+//! A mismatch prints the full canonical text so the two sides can be diffed.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -540,9 +544,9 @@ fn f_connector_job_with_reducers_and_a_straggler() {
 /// A reduce attempt whose pull of one map's spill file fails mid-fan-out
 /// (siblings issued before and after it) retries and the job completes.
 ///
-/// Re-recorded once, by the commit that gave the storage clients one
-/// completion channel (parent value `0xace4_8f32_1a6e_da67`). The event that
-/// moved: the doomed attempt used to learn of the failure from `read_at`'s
+/// Re-recorded by the commit that gave the storage clients one completion
+/// channel (parent value `0xace4_8f32_1a6e_da67`), and again for reduce
+/// slow-start (see `FP_CONNECTOR_SPILL_PULL`). The event that moved then: the doomed attempt used to learn of the failure from `read_at`'s
 /// return value and stop mid-loop, so the pulls of m3..m7 were never issued;
 /// now all eight pulls leave in the same instant and the error arrives one
 /// zero-delay event later, so those five reads share the OSTs with reducers
@@ -587,7 +591,8 @@ fn g_connector_job_with_a_failed_spill_pull() {
 /// attempts' hang deadlines fail them, the retries cross the healed link;
 /// the pulls from node 0 take 8x as long. Recorded by the commit that moved
 /// the classic pull onto `net_transfer` — at its parent neither fault
-/// touches a pull and this run is the clean run plus a detector.
+/// touches a pull and this run is the clean run plus a detector — and again
+/// for reduce slow-start (see `FP_SHUFFLE_FAULTS`).
 #[test]
 fn h_flat_job_whose_map_holders_are_cut_off_and_slowed_after_they_commit() {
     const BYTES: u64 = 32 * 1024;
@@ -628,12 +633,53 @@ fn h_flat_job_whose_map_holders_are_cut_off_and_slowed_after_they_commit() {
 // Recorded fingerprints
 // ---------------------------------------------------------------------------
 
-const FP_SLAB_STREAM: u64 = 0x4ed3_7182_5b63_f4ee;
-const FP_SLAB_BATCH: u64 = 0x052f_ee2d_7a6d_63ed;
-const FP_CHAOS: u64 = 0x5086_02b2_6c38_9209;
+// Moved by "reducers launched before map-phase close" (parent values in
+// parentheses). Common to all six: each reduce report gains a `wait` phase
+// between `startup` and `shuffle`, `shuffle` shrinks to what is pulled after
+// the close, `shuffle_overlap_saved_s` appears, and — the reduce input now
+// being ordered by map index instead of flow arrival — part files whose
+// reducer is order-sensitive change bytes once (a, b: the slab job's
+// concatenating reducer; the summing reducers of c, f, g, h keep theirs).
+//
+// (a, b) Both reducers launch when the first wave's maps free their home
+// slots (1.48 / 1.54 s instead of 3.05 / 3.12 s), wait 0.576 s for the last
+// map and finish one start-up earlier: job end 4.2219 -> 3.2219 s and
+// 4.2904 -> 3.2904 s. (0x4ed3_7182_5b63_f4ee, 0x052f_ee2d_7a6d_63ed)
+const FP_SLAB_STREAM: u64 = 0xd400_a6cb_e455_ed0f;
+const FP_SLAB_BATCH: u64 = 0xe628_24f2_1577_125b;
+// (c) Reducer 1 launches at 10.64 s on its home node 1 and waits 8.56 s;
+// reducer 0's home is node 0, which the 2.5x-slow maps hold until the close,
+// so it launches then, as before: job end unchanged (21.1965 s), reducer 1
+// done a start-up earlier. No reducer is declared hung while it waits.
+// (0x5086_02b2_6c38_9209)
+const FP_CHAOS: u64 = 0x9b4d_094d_f187_331d;
 const FP_DAG_CLEAN: u64 = 0x3fe5_d335_8d15_9f6c;
 const FP_DAG_KILL: u64 = 0xf67d_a5ed_f65c_6bd9;
 const FP_CONNECTOR_MAP_ONLY: u64 = 0xbcfb_2360_3ba8_116d;
-const FP_CONNECTOR_REDUCE: u64 = 0x5eb2_16e6_6dba_0ca3;
-const FP_CONNECTOR_SPILL_PULL: u64 = 0x2ee7_1802_b527_9e8b;
-const FP_SHUFFLE_FAULTS: u64 = 0x7e68_f430_4d32_9789;
+// (f) Reducers 0 and 1 launch at 3.49 s beside the second wave. At 6.98 s
+// the speculative twin of straggling map 0 finds no free slot off node 2 and
+// preempts the youngest reducer (0, on node 0: `reduces_preempted` 1,
+// `reduce_attempts` 3 -> 4, no retry charged), which relaunches at 7.03 s
+// when map 3 gives its slot back; the twin of map 6 then finds node 1 free
+// instead of node 0. Early pulls read spill files back from the PFS while
+// the second wave still reads its input (maps 3 and 7: `read` 0.018 ->
+// 0.124 s); all three reducers pull only the last map's output after the
+// close (`shuffle` 0.457 -> 0.124 s). Job end 12.8789 -> 11.5452 s.
+// (0x5eb2_16e6_6dba_0ca3)
+const FP_CONNECTOR_REDUCE: u64 = 0xcd44_e2d4_cae2_aeaf;
+// (g) The pull of `m00002` now fails while maps still run: reducer 0
+// launches at 3.53 s, its first attempt dies one start-up later and the
+// retry launches in that instant (4.53 s) and waits with the others, so the
+// retry's start-up is hidden too and all three end together: job end
+// 9.0609 -> 7.3505 s. The early pulls share the OSTs with maps 6 and 7
+// (`read` 0.018 -> 0.317 s). (0x2ee7_1802_b527_9e8b)
+const FP_CONNECTOR_SPILL_PULL: u64 = 0x6000_1783_0ed2_77b7;
+// (h) All eight slots run maps, which commit in one instant (4.6918 s) in
+// map order: both reducers launch in that instant and still pull one
+// start-up later, across the cut — same drops, same deadline (now counted
+// from the close, the same instant), same retries. Node 1's slot frees
+// before node 0's, so reducer 1's attempt is the older one and fails first:
+// the 0.108 s retry back-off lands on reducer 0 instead of 1, whose sort is
+// the shorter by a microsecond: job end 20.039753 -> 20.039752 s.
+// (0x7e68_f430_4d32_9789)
+const FP_SHUFFLE_FAULTS: u64 = 0xfc9c_e21c_72eb_8f0f;

@@ -2,19 +2,28 @@
 //! must stay *deterministic* — same seed, same plan ⇒ byte-identical reduce
 //! output and an identical counter map — and *degradation-transparent* —
 //! a faulted run's committed output matches the clean run byte for byte.
-//! The second half puts the fault on the *shuffle*: a node commits its map
+//! The second part puts the fault on the *shuffle*: a node commits its map
 //! output and then hangs, is partitioned away and healed, or sits behind a
-//! slow link (`Sim::net_transfer`, DESIGN.md §3.8).
+//! slow link (`Sim::net_transfer`, DESIGN.md §3.8). The third is a generated
+//! totality sweep over reduce slow-start (DESIGN.md §3.2): every small
+//! cluster and job shape under every kind of fault at a sampled instant ends
+//! `Ok` with the bytes a naive evaluation gives, or in a typed `Err`.
+//! `SCIDP_FAULT_SEED` reseeds the sampling; a failing plan prints as the
+//! `FaultPlan` builder expression that rebuilds it.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use scidp_suite::mapreduce::{
     counter_keys as keys, run_job, Cluster, FlatPfsFetcher, FtConfig, InputSplit, Job, JobResult,
-    MrError, Payload, TaskInput, TaskKind,
+    MrError, Payload, TaskCtx, TaskInput, TaskKind,
 };
 use scidp_suite::pfs::PfsConfig;
 use scidp_suite::simnet::{ClusterSpec, CostModel, FaultPlan, NodeId};
+use scirng::Rng;
+
+mod common;
+use common::plan_expr;
 
 const INPUT: &str = "data/chaos.bin";
 const FILE_BYTES: u64 = 32 * 1024;
@@ -266,4 +275,332 @@ fn slow_links_slow_the_shuffle_by_their_factor() {
             "reducer {index}: shuffle {s} s vs clean {c} s"
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Generated totality sweep: early reducers, every shape, every kind of fault
+// ---------------------------------------------------------------------------
+
+const SWEEP_INPUT: &str = "data/sweep.bin";
+const SPLIT_BYTES: u64 = 512;
+
+/// One cluster and job shape of the sweep.
+#[derive(Clone, Copy, Debug)]
+struct Shape {
+    nodes: usize,
+    slots: usize,
+    maps: usize,
+    reducers: usize,
+}
+
+/// Split `i` of the sweep's input is `SPLIT_BYTES` bytes of value `i`.
+fn sweep_cluster(shape: Shape, plan: FaultPlan) -> Cluster {
+    let spec = ClusterSpec {
+        compute_nodes: shape.nodes,
+        storage_nodes: 1,
+        osts: 2,
+        slots_per_node: shape.slots,
+        ..ClusterSpec::default()
+    };
+    let pfs_cfg = PfsConfig {
+        n_osts: 2,
+        ..PfsConfig::default()
+    };
+    let mut c = Cluster::new(spec, pfs_cfg, 1 << 16, 1, CostModel::default());
+    let bytes = (0..shape.maps).flat_map(|i| vec![i as u8; SPLIT_BYTES as usize]);
+    c.pfs
+        .borrow_mut()
+        .create(SWEEP_INPUT.to_string(), bytes.collect());
+    c.sim.faults.install(plan);
+    c
+}
+
+/// Map `i` runs 2.5, 2, 1.5, 1, 2.5, … s — so maps commit out of index
+/// order — and emits its letter under a key every map shares, a key a third
+/// of them share and a key of its own; the reducer concatenates a key's
+/// values, so its output spells the order they reached it in.
+fn sweep_job(shape: Shape) -> Job {
+    let splits = (0..shape.maps as u64).map(|i| InputSplit {
+        length: SPLIT_BYTES,
+        locations: Vec::new(),
+        fetcher: Rc::new(FlatPfsFetcher {
+            pfs_path: SWEEP_INPUT.to_string(),
+            offset: i * SPLIT_BYTES,
+            len: SPLIT_BYTES,
+            sequential_chunks: 1,
+        }),
+    });
+    Job {
+        ft: chaos_job().ft,
+        ..Job::new(
+            "sweep",
+            splits.collect(),
+            Rc::new(|input, ctx| {
+                let TaskInput::Bytes(b) = input else {
+                    return Err(MrError::msg("expected bytes"));
+                };
+                let i = *b.first().ok_or_else(|| MrError::msg("empty split"))?;
+                ctx.charge("compute", 2.5 - 0.5 * f64::from(i % 4));
+                for key in [
+                    "all".to_string(),
+                    format!("third{}", i % 3),
+                    format!("own{i}"),
+                ] {
+                    ctx.emit(key, Payload::Bytes(vec![b'a' + i]));
+                }
+                Ok(())
+            }),
+            Some(Rc::new(|key, values, ctx| {
+                let letters = values.into_iter().flat_map(|v| match v {
+                    Payload::Bytes(b) => b,
+                    Payload::Frame(_) => Vec::new(),
+                });
+                ctx.emit(key, Payload::Bytes(letters.collect()));
+                Ok(())
+            })),
+            shape.reducers,
+            "out",
+        )
+    }
+}
+
+/// What the job must commit, evaluated naively: every split through the
+/// map function in index order, pairs partitioned by FNV-1a of the key,
+/// grouped in key order with values in map order then emit order, every
+/// group through the reduce function, one `key\tvalue` line per pair.
+fn naive_output(shape: Shape) -> Output {
+    let job = sweep_job(shape);
+    let reduce_fn = job.reduce_fn.clone().expect("the sweep job reduces");
+    let fnv1a = |key: &str| {
+        let hash = |h: u64, b: &u8| (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+        key.bytes()
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| hash(h, &b))
+    };
+    let mut parts: Vec<BTreeMap<String, Vec<Payload>>> = vec![BTreeMap::new(); shape.reducers];
+    for i in 0..shape.maps {
+        let mut ctx = TaskCtx::standalone(CostModel::default());
+        let split = TaskInput::Bytes(vec![i as u8; SPLIT_BYTES as usize]);
+        (job.map_fn)(split, &mut ctx).expect("map");
+        for (key, value) in ctx.take_emitted() {
+            let r = (fnv1a(&key) % shape.reducers as u64) as usize;
+            parts[r].entry(key).or_default().push(value);
+        }
+    }
+    let mut output = Output::new();
+    for (r, groups) in parts.into_iter().enumerate() {
+        let mut ctx = TaskCtx::standalone(CostModel::default());
+        for (key, values) in groups {
+            reduce_fn(&key, values, &mut ctx).expect("reduce");
+        }
+        let mut data = Vec::new();
+        for (key, value) in ctx.take_emitted() {
+            let Payload::Bytes(value) = value else {
+                panic!("the sweep reducer emits bytes");
+            };
+            data.extend_from_slice(key.as_bytes());
+            data.push(b'\t');
+            data.extend_from_slice(&value);
+            data.push(b'\n');
+        }
+        if !data.is_empty() {
+            output.push((format!("out/part-r-{r:05}"), data));
+        }
+    }
+    output
+}
+
+fn run_shape(shape: Shape, plan: FaultPlan) -> (Result<JobResult, MrError>, Output) {
+    let mut c = sweep_cluster(shape, plan);
+    let r = run_job(&mut c, sweep_job(shape));
+    let output = c.read_output("out").unwrap_or_default();
+    (r, output)
+}
+
+fn maps_closed_at(r: &JobResult) -> f64 {
+    let maps = r.tasks.iter().filter(|t| t.kind == TaskKind::Map);
+    maps.map(|t| t.end_s).fold(0.0, f64::max)
+}
+
+fn reducers_of(r: &JobResult) -> impl Iterator<Item = &scidp_suite::mapreduce::TaskReport> {
+    r.tasks.iter().filter(|t| t.kind == TaskKind::Reduce)
+}
+
+/// The clean plan and one of each kind of fault, on a sampled node at a
+/// sampled instant of the clean run — each with whether the job must
+/// survive it. A node that hangs or is cut off for good takes the map
+/// outputs it holds with it, and a one-node cluster has no survivor to
+/// carry on; everything else has to end `Ok`.
+fn sweep_plans(
+    rng: &mut Rng,
+    seed: u64,
+    shape: Shape,
+    clean: &JobResult,
+) -> Vec<(FaultPlan, bool)> {
+    let mut node = || rng.below(shape.nodes) as u32;
+    let (a, b) = (node(), node());
+    let nodes = [node(), node(), node(), node()];
+    let mut at = || rng.range_f64(0.0, clean.end_s);
+    let heal_after = at() + 0.5;
+    let base = || FaultPlan::none().with_seed(seed);
+    let spare_node = shape.nodes > 1;
+    vec![
+        (base(), true),
+        (base().kill_node(nodes[0], at()), spare_node),
+        (base().hang_node(nodes[1], at()), false),
+        {
+            let from = at();
+            let healed = base().partition(&[nodes[2]], from, from + heal_after);
+            (healed, spare_node)
+        },
+        (base().partition(&[nodes[3]], at(), f64::INFINITY), false),
+        (base().slow_link(a, b, rng.range_f64(2.0, 16.0)), true),
+        {
+            let nth = 1 + rng.below(shape.maps) as u64;
+            (base().hang_nth_read(SWEEP_INPUT, nth), true)
+        },
+    ]
+}
+
+/// What one run of the sweep must satisfy; `Err` names the violation.
+fn check_run(
+    shape: Shape,
+    r: &Result<JobResult, MrError>,
+    output: &Output,
+    want: &Output,
+) -> Result<(), String> {
+    let r = match r {
+        // A typed failure (the only node died, the holders are cut off for
+        // good, ...) is an outcome; a simulator that ran dry is a stall.
+        Err(e) if e.message().contains("drained") => return Err(format!("stalled: {e}")),
+        Err(_) => return Ok(()),
+        Ok(r) => r,
+    };
+    if output != want {
+        return Err(format!(
+            "committed {:?}, the naive evaluation gives {:?}",
+            text(output),
+            text(want)
+        ));
+    }
+    if reducers_of(r).count() != shape.reducers {
+        return Err(format!("reports {} reducers", reducers_of(r).count()));
+    }
+    for t in reducers_of(r) {
+        let phases: f64 = t.phases.iter().map(|(_, s)| s).sum();
+        if (phases - t.duration()).abs() > 1e-9 {
+            return Err(format!("phases sum to {phases}, not the duration: {t:?}"));
+        }
+    }
+    Ok(())
+}
+
+fn text(output: &Output) -> Vec<(&str, String)> {
+    let files = output.iter();
+    files
+        .map(|(path, data)| (path.as_str(), String::from_utf8_lossy(data).into_owned()))
+        .collect()
+}
+
+#[test]
+fn every_shape_under_every_kind_of_fault_ends_ok_with_the_naive_bytes_or_typed() {
+    let seed = FaultPlan::env_seed(23);
+    let mut rng = Rng::seed_from_u64(seed);
+    // What the sweep exercised, so a green run is not a vacuous one.
+    let (mut runs, mut ok, mut early, mut preempted, mut hangs) = (0, 0, 0, 0.0, 0.0);
+    for nodes in 1..=3 {
+        for slots in 1..=2 {
+            for maps in 1..=6 {
+                for reducers in 1..=4 {
+                    let shape = Shape {
+                        nodes,
+                        slots,
+                        maps,
+                        reducers,
+                    };
+                    let want = naive_output(shape);
+                    let (clean, _) = run_shape(shape, FaultPlan::none());
+                    let clean = clean.expect("clean run");
+                    for (plan, survivable) in sweep_plans(&mut rng, seed, shape, &clean) {
+                        let (r, output) = run_shape(shape, plan.clone());
+                        let is_clean = plan == FaultPlan::none().with_seed(seed);
+                        let mut verdict = check_run(shape, &r, &output, &want);
+                        if let (true, Err(e)) = (survivable, &r) {
+                            verdict = Err(format!("ended in {e:?}"));
+                        }
+                        let r = r.ok();
+                        let count = |key| r.as_ref().map_or(0.0, |r| r.counters.get(key));
+                        // One swallowed map read is one hung map: a reducer
+                        // waiting for that map's retry is not hung with it.
+                        let one_hung_map = count(keys::TASKS_HANG_DETECTED) == 1.0
+                            && count(keys::REDUCE_ATTEMPTS) == reducers as f64;
+                        if !plan.read_hangs.is_empty() && !one_hung_map {
+                            verdict = Err("a reducer waiting for maps was declared hung".into());
+                        }
+                        let close = r.as_ref().map_or(0.0, maps_closed_at);
+                        let launched_early =
+                            r.iter().flat_map(reducers_of).any(|t| t.start_s < close);
+                        // A slot the single map wave leaves idle is on node
+                        // 0, reducer 0's home: it must be taken at once.
+                        if is_clean && nodes * slots > maps && !launched_early {
+                            verdict =
+                                Err("no reducer launched before the last map committed".into());
+                        }
+                        if let Err(violation) = verdict {
+                            panic!(
+                                "{shape:?}: {violation} (generator seed {seed})\n  plan: {}",
+                                plan_expr(&plan)
+                            );
+                        }
+                        runs += 1;
+                        ok += usize::from(r.is_some());
+                        early += usize::from(launched_early);
+                        preempted += count(keys::REDUCES_PREEMPTED);
+                        hangs += count(keys::TASKS_HANG_DETECTED);
+                    }
+                }
+            }
+        }
+    }
+    println!(
+        "{runs} runs (seed {seed}): {ok} ended Ok, {early} launched a reducer early, \
+         {preempted} reducers preempted, {hangs} hangs detected"
+    );
+    assert_eq!(runs, 3 * 2 * 6 * 4 * 7);
+    assert!(
+        ok >= runs * 2 / 3 && early >= runs / 4 && preempted >= 5.0 && hangs >= 5.0,
+        "sweep coverage too thin"
+    );
+}
+
+/// The minimal deadlock shape of reduce slow-start: 2 nodes x 1 slot, 2 maps,
+/// 2 reducers. Map 1 commits on node 0 and reducer 0 takes that slot to wait
+/// for map 0 — which dies with node 1. Only a preemption lets it run again.
+#[test]
+fn a_kill_under_the_last_running_map_preempts_the_reducer_holding_the_only_slot() {
+    let shape = Shape {
+        nodes: 2,
+        slots: 1,
+        maps: 2,
+        reducers: 2,
+    };
+    let (clean, clean_out) = run_shape(shape, FaultPlan::none());
+    let clean = clean.expect("clean run");
+    assert_eq!(clean_out, naive_output(shape));
+    let map = |i: usize| &clean.tasks[i];
+    assert_eq!((map(0).node, map(1).node), (NodeId(1), NodeId(0)));
+    assert!(map(1).end_s < map(0).end_s, "map 0 is the longer one");
+    let kill_at = 0.5 * (map(1).end_s + map(0).end_s);
+    let (r, out) = run_shape(shape, FaultPlan::none().kill_node(1, kill_at));
+    let r = r.expect("the retried map takes the waiting reducer's slot");
+    assert_eq!(out, clean_out);
+    assert!(
+        r.counters.get(keys::REDUCES_PREEMPTED) >= 1.0,
+        "{:?}",
+        r.counters
+    );
+    assert_eq!(
+        r.counters.get(keys::TASK_RETRIES),
+        1.0,
+        "map 0's, nobody else's"
+    );
 }

@@ -1,4 +1,5 @@
-//! Shared by the generated-chaos suites (`storage_totality`, `dag_lineage`).
+//! Shared by the generated-chaos suites (`storage_totality`, `dag_lineage`,
+//! `chaos`).
 
 use std::fmt::Write as _;
 

@@ -376,7 +376,7 @@ mod integrity {
 mod faults {
     use scidp_suite::mapreduce::{
         counter_keys as keys, run_job, Cluster, FlatPfsFetcher, FtConfig, InputSplit, Job, MrError,
-        Payload, TaskInput,
+        Payload, TaskInput, TaskKind,
     };
     use scidp_suite::pfs::PfsConfig;
     use scidp_suite::simnet::{ClusterSpec, CostModel, FaultPlan};
@@ -581,5 +581,84 @@ mod faults {
                 .unwrap_or(true),
             "no partial output committed"
         );
+    }
+
+    /// A reducer's input is ordered by map index, then emit order — not by
+    /// when each map's output happened to arrive — so a reducer that
+    /// concatenates its values writes the same bytes whatever the timing.
+    #[test]
+    fn an_order_sensitive_reducer_writes_the_same_bytes_however_its_input_arrives() {
+        const ORDERED: &str = "data/order.bin";
+        // Split i is 256 bytes of value i; its map computes for 1.2 x SECS[i]
+        // (two slots a node), so maps commit in the order 0 4 3 7 1 2 5 6,
+        // on nodes 3 3 0 0 2 1 2 1.
+        const SECS: [f64; 8] = [1.0, 4.0, 4.5, 2.0, 1.2, 5.0, 6.0, 2.2];
+        let run = |plan: FaultPlan| {
+            let mut c = fault_cluster();
+            let bytes = (0..8u8).flat_map(|i| [i; 256]);
+            c.pfs
+                .borrow_mut()
+                .create(ORDERED.to_string(), bytes.collect());
+            c.sim.faults.install(plan);
+            let mut job = byte_count_job(FtConfig {
+                speculative: false,
+                ..FtConfig::default()
+            });
+            for (i, split) in job.splits.iter_mut().enumerate() {
+                split.length = 256;
+                split.fetcher = Rc::new(FlatPfsFetcher {
+                    pfs_path: ORDERED.to_string(),
+                    offset: i as u64 * 256,
+                    len: 256,
+                    sequential_chunks: 1,
+                });
+            }
+            job.map_fn = Rc::new(|input, ctx| {
+                let TaskInput::Bytes(b) = input else {
+                    return Err(MrError::msg("expected bytes"));
+                };
+                let i = b[0];
+                ctx.charge("scan", SECS[i as usize]);
+                ctx.emit("all", Payload::Bytes(vec![b'a' + i]));
+                ctx.emit(format!("pair{}", i % 2), Payload::Bytes(vec![b'a' + i]));
+                ctx.emit("all", Payload::Bytes(vec![b'A' + i]));
+                Ok(())
+            });
+            job.reduce_fn = Some(Rc::new(|key, values, ctx| {
+                let letters = values.into_iter().flat_map(|v| match v {
+                    Payload::Bytes(b) => b,
+                    Payload::Frame(_) => Vec::new(),
+                });
+                ctx.emit(key, Payload::Bytes(letters.collect()));
+                Ok(())
+            }));
+            job.n_reducers = 1;
+            let r = run_job(&mut c, job).unwrap();
+            (r, c.read_output("out").unwrap())
+        };
+        let (clean, clean_out) = run(FaultPlan::none());
+        let text = String::from_utf8(clean_out[0].1.clone()).unwrap();
+        assert_eq!(text, "all\taAbBcCdDeEfFgGhH\npair0\taceg\npair1\tbdfh\n");
+        // ... although no map after the first two committed in index order.
+        let mut by_commit: Vec<_> = clean
+            .tasks
+            .iter()
+            .filter(|t| t.kind == TaskKind::Map)
+            .collect();
+        by_commit.sort_by(|a, b| a.end_s.total_cmp(&b.end_s));
+        let order: Vec<usize> = by_commit.iter().map(|t| t.index).collect();
+        assert_eq!(order, [0, 4, 3, 7, 1, 2, 5, 6]);
+        // The reducer sits on node 0: the outputs on nodes 1 and 2 cross
+        // links slowed 16x and 4x.
+        let slow = FaultPlan::none().slow_link(1, 0, 16.0).slow_link(2, 0, 4.0);
+        // Node 3 (maps 0 and 4, committed by 2.6 s) is cut off while the
+        // reducer starts up (3.5 to 4.5 s) and healed before map 1 commits
+        // (5.9 s): its outputs are pulled after those of maps 3 and 7.
+        let cut = FaultPlan::none().partition(&[3], 2.7, 4.8);
+        for (name, plan) in [("slow links", slow), ("healed partition", cut)] {
+            let (r, out) = run(plan);
+            assert_eq!(out, clean_out, "{name}");
+            assert_eq!(r.counters.get(keys::TASKS_HANG_DETECTED), 0.0, "{name}");
+        }
     }
 }

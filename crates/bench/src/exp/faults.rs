@@ -7,14 +7,20 @@
 //!  2. a straggler node with speculative execution off vs on;
 //!  3. a node killed mid-run;
 //!  4. repeated read failures pinned to one live node (blacklisting).
+//!
+//! Two fault-free runs also report their reduce tail: reducers start on the
+//! slots the last map wave leaves idle and pull each map output as it
+//! commits, so what remains behind the last map is sort + write — when the
+//! last wave leaves a slot idle.
 
 use std::rc::Rc;
 
 use mapreduce::{
-    counter_keys as keys, run_job, Cluster, FlatPfsFetcher, FtConfig, InputSplit, Job,
+    counter_keys as keys, run_job, Cluster, FlatPfsFetcher, FtConfig, InputSplit, Job, JobResult,
+    TaskKind, TaskReport,
 };
 use scidp_bench::Clock::{Count, Sim};
-use scidp_bench::Rel::{Eq, Ge};
+use scidp_bench::Rel::{Eq, Ge, Lt};
 use scidp_bench::{Col, Report, Scale};
 use simnet::{CostModel, FaultPlan, NodeId};
 
@@ -51,8 +57,10 @@ const COLS: [Col; 7] = [
     ("injected_read_failures", "injected", "", Count),
 ];
 
-/// Run `job` on `c`: its [`COLS`] cells and its committed output.
-fn run_on(c: &mut Cluster, job: Job) -> (Vec<f64>, Vec<(String, Vec<u8>)>) {
+type Output = Vec<(String, Vec<u8>)>;
+
+/// Run `job` on `c`: its [`COLS`] cells, its committed output and the run.
+fn run_on(c: &mut Cluster, job: Job) -> (Vec<f64>, Output, JobResult) {
     let r = run_job(c, job).expect("fault bench job must survive its plan");
     let get = |key| r.counters.get(key);
     let cells = vec![
@@ -64,11 +72,32 @@ fn run_on(c: &mut Cluster, job: Job) -> (Vec<f64>, Vec<(String, Vec<u8>)>) {
         get(keys::NODE_BLACKLISTED),
         c.sim.faults.injected_read_failures() as f64,
     ];
-    (cells, output(c, "out"))
+    (cells, output(c, "out"), r)
 }
 
-fn run_with(plan: FaultPlan, ft: FtConfig) -> (Vec<f64>, Vec<(String, Vec<u8>)>) {
+fn run_with(plan: FaultPlan, ft: FtConfig) -> (Vec<f64>, Output, JobResult) {
     run_on(&mut fresh_cluster(plan), fault_job(ft))
+}
+
+const TAIL_COLS: [Col; 3] = [
+    ("reduce_tail_s", "reduce tail", "s", Sim),
+    ("unhidden_s", "longest sort + write", "s", Sim),
+    ("shuffle_overlap_saved_s", "hidden", "s", Sim),
+];
+
+/// [`TAIL_COLS`] of a clean run: its reduce tail (last map commit to job
+/// end), what of the longest reducer no early start can hide (everything
+/// from its sort on), and the start-up and pull seconds that were hidden.
+fn reduce_tail(r: &JobResult) -> [f64; 3] {
+    let of = |kind| r.tasks.iter().filter(move |t| t.kind == kind);
+    let last_map_end = of(TaskKind::Map).map(|t| t.end_s).fold(0.0, f64::max);
+    let unhidden = |t: &TaskReport| {
+        let before_sort = ["startup", "wait", "shuffle"].map(|p| t.phase(p));
+        t.duration() - before_sort.iter().sum::<f64>()
+    };
+    let longest = of(TaskKind::Reduce).map(unhidden).fold(0.0, f64::max);
+    let saved = r.counters.get(keys::SHUFFLE_OVERLAP_SAVED_S);
+    [r.end_s - last_map_end, longest, saved]
 }
 
 /// A single split pinned to node 0 by locality whose first three reads
@@ -113,14 +142,16 @@ pub fn run(scale: &Scale) -> Report {
     ));
     let mut lines = Vec::new();
     let mut clean_out = Vec::new();
+    let mut clean_run = None;
     for &p in probs {
         let plan = match p > 0.0 {
             true => FaultPlan::none().with_random_read_failures(1234, p),
             false => FaultPlan::none(),
         };
-        let (cells, out) = run_with(plan, sweep_ft.clone());
+        let (cells, out, r) = run_with(plan, sweep_ft.clone());
         if lines.is_empty() {
             clean_out = out.clone();
+            clean_run = Some(r);
         }
         lines.push((format!("read fail prob {p}"), cells));
         rep.identical(&format!("read_fail_prob_{p}"), &out, &clean_out);
@@ -132,15 +163,15 @@ pub fn run(scale: &Scale) -> Report {
         speculative: false,
         ..FtConfig::default()
     };
-    let (no_spec, no_spec_out) = run_with(straggler.clone(), no_spec_ft);
-    let (with_spec, with_spec_out) = run_with(straggler, FtConfig::default());
+    let (no_spec, no_spec_out, _) = run_with(straggler.clone(), no_spec_ft);
+    let (with_spec, with_spec_out, _) = run_with(straggler, FtConfig::default());
     let speedup = no_spec[0] / with_spec[0];
     lines.push(("straggler 6x, speculation off".into(), no_spec));
     lines.push(("straggler 6x, speculation on".into(), with_spec));
     rep.identical("speculation", &no_spec_out, &with_spec_out);
 
     // Node kill mid-run: maps on the dead node are retried on survivors.
-    let (kill, kill_out) = run_with(FaultPlan::none().kill_node(1, 1.5), FtConfig::default());
+    let (kill, kill_out, _) = run_with(FaultPlan::none().kill_node(1, 1.5), FtConfig::default());
     lines.push(("node kill at 1.5 s".into(), kill));
     rep.identical("node_kill", &kill_out, &clean_out);
     lines.push((
@@ -149,6 +180,24 @@ pub fn run(scale: &Scale) -> Report {
     ));
     rep.table("", "scenario", &COLS, &lines);
     rep.row("speculation.speedup", speedup, "x", Sim);
+
+    // Reduce slow-start. The sweep's clean run is two full map waves: every
+    // slot is busy until the last map commits, the reducers launch at the
+    // close and the tail still holds their whole start-up. Drop four splits
+    // and the last wave leaves one slot per node idle: both reducers start up
+    // there and pull each map output as it commits.
+    let mut spare = fault_job(sweep_ft);
+    spare.splits.truncate(N_SPLITS as usize - 4);
+    let (_, _, spare_run) = run_on(&mut fresh_cluster(FaultPlan::none()), spare);
+    let full_tail = clean_run.as_ref().map(reduce_tail).unwrap_or_default();
+    let spare_tail @ [_, unhidden_s, _] = reduce_tail(&spare_run);
+    let tail_bound = unhidden_s + 0.5 * CostModel::default().task_startup_s;
+    let tails = [
+        ("last wave full".to_string(), full_tail.to_vec()),
+        ("last wave half full".to_string(), spare_tail.to_vec()),
+    ];
+    let title = "reduce tail of a clean run";
+    rep.table(title, "map waves", &TAIL_COLS, &tails);
 
     // A killed node is taken out of scheduling outright, so no *further*
     // attempts can fail on it — the blacklist counter staying at zero there
@@ -159,6 +208,8 @@ pub fn run(scale: &Scale) -> Report {
         ("node_kill_at_1_5_s.node_blacklisted", Eq, 0.0, "a dead node is unschedulable, never blacklisted"),
         ("blacklist_3_read_failures_on_node_0.task_retries", Eq, 3.0, "three injected failures, three retries"),
         ("blacklist_3_read_failures_on_node_0.node_blacklisted", Ge, 1.0, "repeated failures on a live node must blacklist it"),
+        ("last_wave_full.shuffle_overlap_saved_s", Eq, 0.0, "no idle slot, nothing to hide: reducers launch at the close"),
+        ("last_wave_half_full.reduce_tail_s", Lt, tail_bound, "start-up and all but the last pulls are hidden behind the map wave"),
     ]);
     rep
 }

@@ -90,7 +90,8 @@ fn pfs_splits() -> Vec<InputSplit> {
 #[derive(PartialEq)]
 struct RunStats {
     elapsed: f64,
-    /// When the last map committed: the reducers launch in that instant.
+    /// When the last map committed: two full waves keep every slot busy till
+    /// then, so the reducers launch in that instant.
     maps_done: f64,
     counters: BTreeMap<String, f64>,
     summary: Option<String>,

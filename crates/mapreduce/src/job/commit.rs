@@ -47,7 +47,7 @@ pub(super) fn partition(emitted: Vec<Kv>, n: usize) -> Vec<Vec<Kv>> {
 }
 
 /// Reduce-side sort/merge: group `(key, value bytes, value)` triples by key
-/// (BTreeMap — deterministic key order, values in arrival order) and price
+/// (BTreeMap — deterministic key order, values in the order given) and price
 /// the sort by the bytes that went through it.
 pub(crate) fn group_by_key<V>(
     cost: &CostModel,

@@ -179,15 +179,15 @@ impl TaskTable {
         all.filter(|(_, i)| i.kind == TaskKind::Reduce)
     }
 
-    /// Take reduce attempt `id` out of flight as if it had never been
-    /// launched: its task returns to the head of the queue with its retry
+    /// Take attempt `id` out of flight as if it had never been launched: its task returns to the head of the queue with its retry
     /// budget untouched.
     pub fn preempt(&mut self, id: AttemptId) -> Option<AttemptInfo> {
-        let info = self.attempts.remove(&id)?;
-        let st = self.reduces.states.get_mut(info.task)?;
-        st.live.retain(|&x| x != id);
-        st.regular_started = st.regular_started.saturating_sub(1);
-        self.reduces.pending.push_front(info.task);
+        let (info, _) = self.end(id)?;
+        let k = self.kind_mut(info.kind);
+        if let Some(st) = k.states.get_mut(info.task) {
+            st.regular_started = st.regular_started.saturating_sub(1);
+        }
+        k.pending.push_front(info.task);
         Some(info)
     }
 

@@ -337,9 +337,9 @@ mod tests {
     #[test]
     fn a_healthy_reducer_outlasting_the_deadline_is_not_declared_hung() {
         // Any plan that arms hang checks will do; this one hangs nothing.
-        let plan = || FaultPlan::none().hang_nth_read("no/such/file", 1);
+        let plan = FaultPlan::none().hang_nth_read("no/such/file", 1);
         let mut c = small_cluster(2, 2);
-        c.sim.faults.install(plan());
+        c.sim.faults.install(plan);
         let mut job = slow_map_job(2, 1.0, FtConfig::default());
         job.reduce_fn = Some(Rc::new(|key, values, ctx| {
             ctx.charge("reduce", 100.0);

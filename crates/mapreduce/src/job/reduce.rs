@@ -271,7 +271,7 @@ fn reduce_execute(sim: &mut Sim, att: Attempt) {
 mod tests {
     use crate::counters::keys;
     use crate::input::{InMemoryFetcher, InputSplit, TaskInput};
-    use crate::job::tests::{mem_splits, slow_map_job, small_cluster, word_count_job};
+    use crate::job::tests::{slow_map_job, small_cluster, word_count_job};
     use crate::job::{run_job, FtConfig, JobResult, MrError, Payload, TaskKind, TaskReport};
     use simnet::FaultPlan;
     use std::rc::Rc;
@@ -352,15 +352,22 @@ mod tests {
         assert_eq!(r.counters.get(keys::SHUFFLE_OVERLAP_SAVED_S), 0.0);
     }
 
-    /// 2 nodes x 1 slot, 2 maps, 2 reducers: map 0 (8 s) runs on node 1,
-    /// map 1 (1 s) on node 0, whose slot reducer 0 then takes. No
-    /// speculation: a twin of map 0 would take that slot back.
-    fn two_by_one() -> crate::job::Job {
+    /// Two reducers over `n_maps` maps, without speculation: the twin of a
+    /// long map would take an early reducer's slot back.
+    fn two_reducer_job(n_maps: usize) -> crate::job::Job {
         let ft = FtConfig {
             speculative: false,
             ..FtConfig::default()
         };
-        let mut job = slow_map_job(2, 0.0, ft);
+        let mut job = slow_map_job(n_maps, 0.0, ft);
+        job.n_reducers = 2;
+        job
+    }
+
+    /// 2 nodes x 1 slot, 2 maps, 2 reducers: map 0 (8 s) runs on node 1,
+    /// map 1 (1 s) on node 0, whose slot reducer 0 then takes.
+    fn two_by_one() -> crate::job::Job {
+        let mut job = two_reducer_job(2);
         job.map_fn = Rc::new(|input, ctx| {
             let TaskInput::Bytes(b) = input else {
                 return Err(MrError::msg("expected bytes"));
@@ -369,7 +376,6 @@ mod tests {
             ctx.emit(format!("k{}", b[0]), Payload::Bytes(vec![b[0]]));
             Ok(())
         });
-        job.n_reducers = 2;
         job
     }
 
@@ -426,8 +432,7 @@ mod tests {
         // ready at 3 s — while node 2, which holds map 0's output, is cut
         // off from 2.5 to 5 s. Map 2 (6 s, node 0) commits after the heal.
         let job = || {
-            let mut job = two_by_one();
-            job.splits = mem_splits(4, 100);
+            let mut job = two_reducer_job(4);
             job.map_fn = Rc::new(|input, ctx| {
                 let TaskInput::Bytes(b) = input else {
                     return Err(MrError::msg("expected bytes"));

@@ -464,6 +464,7 @@ fn sweep_plans(
 /// What one run of the sweep must satisfy; `Err` names the violation.
 fn check_run(
     shape: Shape,
+    (plan, survivable): (&FaultPlan, bool),
     r: &Result<JobResult, MrError>,
     output: &Output,
     want: &Output,
@@ -472,6 +473,7 @@ fn check_run(
         // A typed failure (the only node died, the holders are cut off for
         // good, ...) is an outcome; a simulator that ran dry is a stall.
         Err(e) if e.message().contains("drained") => return Err(format!("stalled: {e}")),
+        Err(e) if survivable => return Err(format!("ended in {e:?}")),
         Err(_) => return Ok(()),
         Ok(r) => r,
     };
@@ -491,7 +493,25 @@ fn check_run(
             return Err(format!("phases sum to {phases}, not the duration: {t:?}"));
         }
     }
+    // One swallowed map read is one hung map: a reducer waiting for that
+    // map's retry is not hung with it.
+    let one_hung_map = r.counters.get(keys::TASKS_HANG_DETECTED) == 1.0
+        && r.counters.get(keys::REDUCE_ATTEMPTS) == shape.reducers as f64;
+    if !plan.read_hangs.is_empty() && !one_hung_map {
+        return Err("a reducer waiting for maps was declared hung".into());
+    }
+    // A slot the single map wave of a clean run leaves idle is on node 0,
+    // reducer 0's home: it must be taken at once.
+    let spare_slot = shape.nodes * shape.slots > shape.maps;
+    if *plan == FaultPlan::none().with_seed(plan.seed) && spare_slot && !launched_early(r) {
+        return Err("no reducer launched before the last map committed".into());
+    }
     Ok(())
+}
+
+fn launched_early(r: &JobResult) -> bool {
+    let close = maps_closed_at(r);
+    reducers_of(r).any(|t| t.start_s < close)
 }
 
 fn text(output: &Output) -> Vec<(&str, String)> {
@@ -522,40 +542,19 @@ fn every_shape_under_every_kind_of_fault_ends_ok_with_the_naive_bytes_or_typed()
                     let clean = clean.expect("clean run");
                     for (plan, survivable) in sweep_plans(&mut rng, seed, shape, &clean) {
                         let (r, output) = run_shape(shape, plan.clone());
-                        let is_clean = plan == FaultPlan::none().with_seed(seed);
-                        let mut verdict = check_run(shape, &r, &output, &want);
-                        if let (true, Err(e)) = (survivable, &r) {
-                            verdict = Err(format!("ended in {e:?}"));
-                        }
-                        let r = r.ok();
-                        let count = |key| r.as_ref().map_or(0.0, |r| r.counters.get(key));
-                        // One swallowed map read is one hung map: a reducer
-                        // waiting for that map's retry is not hung with it.
-                        let one_hung_map = count(keys::TASKS_HANG_DETECTED) == 1.0
-                            && count(keys::REDUCE_ATTEMPTS) == reducers as f64;
-                        if !plan.read_hangs.is_empty() && !one_hung_map {
-                            verdict = Err("a reducer waiting for maps was declared hung".into());
-                        }
-                        let close = r.as_ref().map_or(0.0, maps_closed_at);
-                        let launched_early =
-                            r.iter().flat_map(reducers_of).any(|t| t.start_s < close);
-                        // A slot the single map wave leaves idle is on node
-                        // 0, reducer 0's home: it must be taken at once.
-                        if is_clean && nodes * slots > maps && !launched_early {
-                            verdict =
-                                Err("no reducer launched before the last map committed".into());
-                        }
-                        if let Err(violation) = verdict {
+                        let case = (&plan, survivable);
+                        if let Err(violation) = check_run(shape, case, &r, &output, &want) {
                             panic!(
                                 "{shape:?}: {violation} (generator seed {seed})\n  plan: {}",
                                 plan_expr(&plan)
                             );
                         }
                         runs += 1;
-                        ok += usize::from(r.is_some());
-                        early += usize::from(launched_early);
-                        preempted += count(keys::REDUCES_PREEMPTED);
-                        hangs += count(keys::TASKS_HANG_DETECTED);
+                        let Ok(r) = r else { continue };
+                        ok += 1;
+                        early += usize::from(launched_early(&r));
+                        preempted += r.counters.get(keys::REDUCES_PREEMPTED);
+                        hangs += r.counters.get(keys::TASKS_HANG_DETECTED);
                     }
                 }
             }

@@ -12,7 +12,8 @@
 //!     declared dead, and *reinstated* (never blacklisted) once heartbeats
 //!     resume;
 //!  5. a slow replica owner behind HDFS hedged reads — dribbling block
-//!     transfers are hedged to the alternate replica (≥1 hedged win);
+//!     transfers are hedged to the alternate replica (≥1 hedged win), and
+//!     the same plan with the hedge never firing takes ≥ 1.5x as long;
 //!  6. quorum loss — hanging a node below the configured live-slot floor
 //!     fails the job with the typed `QuorumLost`, no panic;
 //!  7. a slow shuffle — one map holder's links crawl, at a byte scale where
@@ -200,6 +201,9 @@ pub fn run(scale: &Scale) -> Report {
     let hedge_clean = run_hdfs(plan(), 1e6);
     let slow_node_0 = || (1..=3).fold(plan(), |p, to| p.slow_link(0, to, 20000.0));
     let hedge = run_hdfs(slow_node_0(), 0.02);
+    // The hedge's rent: the same crawling links with a hedge deadline no
+    // transfer reaches, so every remote read waits out its primary.
+    let hedge_off = run_hdfs(slow_node_0(), 1e6);
     // 7. The same crawling links under the PFS job, every stored byte
     // standing for 1024: a reducer's pull of node 0's map output is ~60 KiB
     // a map, seconds across a 20000x link. Nothing fails and nothing is
@@ -221,6 +225,7 @@ pub fn run(scale: &Scale) -> Report {
         ("partition_heal", &part, &clean),
         ("hedge_clean", &hedge_clean, &hedge_clean),
         ("hedge", &hedge, &hedge_clean),
+        ("hedge_off", &hedge_off, &hedge_clean),
         ("slow_shuffle_clean", &shuffle_clean, &clean),
         ("slow_shuffle", &slow_shuffle, &clean),
         ("holder_partition", &holder, &clean),
@@ -279,6 +284,8 @@ pub fn run(scale: &Scale) -> Report {
         ("hedge_clean.hedged_reads", Eq, 0.0, "hedge armed but never needed"),
         ("hedge.hedged_read_wins", Ge, 1.0, "slow primary replica loses to at least one hedge launch"),
         ("hedge.hedged_reads", Ge, rep.v("hedge.hedged_read_wins"), "a win needs a launch"),
+        ("hedge_off.hedged_reads", Eq, 0.0, "a deadline no transfer reaches launches no hedge"),
+        ("hedge_off.elapsed_s", Ge, 1.5 * rep.v("hedge.elapsed_s"), "without the hedge every remote read waits out the slow primary"),
         ("slow_shuffle.elapsed_s", Gt, 1.25 * rep.v("slow_shuffle_clean.elapsed_s"), "a 20000x link under a holder's map output costs the job a quarter again"),
         ("slow_shuffle.task_retries", Eq, 0.0, "a slow link fails nothing"),
         ("holder_partition.tasks_hang_detected", Eq, 2.0, "each reducer's dropped pull is detected exactly once"),

@@ -208,6 +208,7 @@ pub fn run(scale: &Scale) -> Report {
         ("node_kill_at_1_5_s.node_blacklisted", Eq, 0.0, "a dead node is unschedulable, never blacklisted"),
         ("blacklist_3_read_failures_on_node_0.task_retries", Eq, 3.0, "three injected failures, three retries"),
         ("blacklist_3_read_failures_on_node_0.node_blacklisted", Ge, 1.0, "repeated failures on a live node must blacklist it"),
+        ("speculation.speedup", Ge, 1.5, "a twin on a healthy node beats the 6x straggler it duplicates"),
         ("last_wave_full.shuffle_overlap_saved_s", Eq, 0.0, "no idle slot, nothing to hide: reducers launch at the close"),
         ("last_wave_half_full.reduce_tail_s", Lt, tail_bound, "start-up and all but the last pulls are hidden behind the map wave"),
     ]);

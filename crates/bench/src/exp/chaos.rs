@@ -9,8 +9,7 @@
 //!  3. hung reads on healthy nodes — every injected hang is caught by the
 //!     per-attempt deadline (`tasks_hang_detected` exact);
 //!  4. a network partition that heals — the isolated node is suspected,
-//!     declared dead, and *reinstated* (never blacklisted) once heartbeats
-//!     resume;
+//!     declared dead, and *reinstated* once heartbeats resume;
 //!  5. a slow replica owner behind HDFS hedged reads — dribbling block
 //!     transfers are hedged to the alternate replica (≥1 hedged win), and
 //!     the same plan with the hedge never firing takes ≥ 1.5x as long;
@@ -149,7 +148,7 @@ fn run_hdfs(plan: FaultPlan, hedge_after_s: f64) -> RunStats {
 }
 
 #[rustfmt::skip] // one column per line reads as the table it is
-const COLS: [Col; 10] = [
+const COLS: [Col; 9] = [
     ("elapsed_s", "time", "s", Sim),
     ("tasks_hang_detected", "hangs", "", Count),
     ("heartbeats_missed", "hb missed", "", Count),
@@ -159,7 +158,6 @@ const COLS: [Col; 10] = [
     ("hedged_reads", "hedged", "", Count),
     ("hedged_read_wins", "hedge wins", "", Count),
     ("task_retries", "retries", "", Count),
-    ("node_blacklisted", "blacklisted", "", Count),
 ];
 
 pub fn run(scale: &Scale) -> Report {
@@ -180,7 +178,7 @@ pub fn run(scale: &Scale) -> Report {
     // 1. clean. 2. Node 2 goes silent at t=0.5 with both its slots
     // occupied: one missed heartbeat suspects it, three declare it dead,
     // its stranded attempts are orphaned and requeued, and the job
-    // completes at reduced parallelism, no blacklisting. 3. Two injected
+    // completes at reduced parallelism. 3. Two injected
     // read hangs strand exactly two attempts on otherwise healthy nodes, so
     // heartbeats keep flowing and only the per-attempt hang deadline can
     // recover them. 4. Node 1 is isolated from t=0.5 to t=6: suspected,
@@ -274,13 +272,11 @@ pub fn run(scale: &Scale) -> Report {
         ("hang.heartbeats_missed", Ge, 3.0, "three misses declare the silent node dead"),
         ("hang.nodes_suspected", Eq, 1.0, "exactly the silent node is suspected"),
         ("hang.task_retries", Ge, 1.0, "stranded work requeued"),
-        ("hang.node_blacklisted", Eq, 0.0, "a silent node must not feed the blacklist"),
         ("read_hang.tasks_hang_detected", Eq, 2.0, "every injected read hang detected exactly once"),
         ("read_hang.nodes_suspected", Eq, 0.0, "a hung read on a healthy node must not suspect the node"),
         ("partition_heal.partitions_observed", Eq, 1.0, "the partition is observed once"),
         ("partition_heal.nodes_suspected", Ge, 1.0, "the isolated node is suspected"),
         ("partition_heal.nodes_reinstated", Ge, 1.0, "healed partition must reinstate the node"),
-        ("partition_heal.node_blacklisted", Eq, 0.0, "a healed node must not stay blacklisted"),
         ("hedge_clean.hedged_reads", Eq, 0.0, "hedge armed but never needed"),
         ("hedge.hedged_read_wins", Ge, 1.0, "slow primary replica loses to at least one hedge launch"),
         ("hedge.hedged_reads", Ge, rep.v("hedge.hedged_read_wins"), "a win needs a launch"),
@@ -292,7 +288,6 @@ pub fn run(scale: &Scale) -> Report {
         ("holder_partition.task_retries", Ge, 2.0, "and retried (so is the reducer stranded on the isolated holder)"),
         ("holder_partition.elapsed_s", Gt, rep.v("clean.elapsed_s") + 12.0, "the retry waits out the 12 s hang deadline"),
         ("holder_partition.nodes_reinstated", Ge, 1.0, "the healed holder is reinstated"),
-        ("holder_partition.node_blacklisted", Eq, 0.0, "nobody is blacklisted for the holder's silence"),
         ("quorum_loss.live_slots", Eq, 6.0, quorum),
         ("quorum_loss.floor", Eq, 7.0, quorum),
     ]);

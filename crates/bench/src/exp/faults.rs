@@ -1,28 +1,24 @@
 //! Fault-tolerance benchmark: job completion time under injected faults.
 //!
-//! Four experiments on a fixed byte-count job over a flat PFS file:
+//! Three experiments on a fixed byte-count job over a flat PFS file:
 //!  1. a sweep of per-read failure probabilities — elapsed time, attempt
 //!     counts, and a byte-identity check of the reduce output against the
 //!     fault-free run;
 //!  2. a straggler node with speculative execution off vs on;
-//!  3. a node killed mid-run;
-//!  4. repeated read failures pinned to one live node (blacklisting).
+//!  3. a node killed mid-run.
 //!
 //! Two fault-free runs also report their reduce tail: reducers start on the
 //! slots the last map wave leaves idle and pull each map output as it
 //! commits, so what remains behind the last map is sort + write — when the
 //! last wave leaves a slot idle.
 
-use std::rc::Rc;
-
 use mapreduce::{
-    counter_keys as keys, run_job, Cluster, FlatPfsFetcher, FtConfig, InputSplit, Job, JobResult,
-    TaskKind, TaskReport,
+    counter_keys as keys, run_job, Cluster, FtConfig, Job, JobResult, TaskKind, TaskReport,
 };
 use scidp_bench::Clock::{Count, Sim};
 use scidp_bench::Rel::{Eq, Ge, Lt};
 use scidp_bench::{Col, Report, Scale};
-use simnet::{CostModel, FaultPlan, NodeId};
+use simnet::{CostModel, FaultPlan};
 
 use super::{byte_count_job, flat_splits, output, small_cluster};
 
@@ -47,13 +43,12 @@ fn fault_job(ft: FtConfig) -> Job {
     }
 }
 
-const COLS: [Col; 7] = [
+const COLS: [Col; 6] = [
     ("elapsed_s", "time", "s", Sim),
     ("map_attempts", "map attempts", "", Count),
     ("task_retries", "retries", "", Count),
     ("speculative_launched", "spec launched", "", Count),
     ("speculative_won", "spec won", "", Count),
-    ("node_blacklisted", "blacklisted", "", Count),
     ("injected_read_failures", "injected", "", Count),
 ];
 
@@ -69,7 +64,6 @@ fn run_on(c: &mut Cluster, job: Job) -> (Vec<f64>, Output, JobResult) {
         get(keys::TASK_RETRIES),
         get(keys::SPECULATIVE_LAUNCHED),
         get(keys::SPECULATIVE_WON),
-        get(keys::NODE_BLACKLISTED),
         c.sim.faults.injected_read_failures() as f64,
     ];
     (cells, output(c, "out"), r)
@@ -98,35 +92,6 @@ fn reduce_tail(r: &JobResult) -> [f64; 3] {
     let longest = of(TaskKind::Reduce).map(unhidden).fold(0.0, f64::max);
     let saved = r.counters.get(keys::SHUFFLE_OVERLAP_SAVED_S);
     [r.end_s - last_map_end, longest, saved]
-}
-
-/// A single split pinned to node 0 by locality whose first three reads
-/// fail. Locality preference re-schedules every retry onto node 0 until
-/// the third failure crosses `node_blacklist_threshold` (default 3), at
-/// which point the node is blacklisted and attempt 4 succeeds elsewhere.
-fn blacklist_scenario() -> Vec<f64> {
-    const BL_INPUT: &str = "data/blacklist.bin";
-    const BL_BYTES: u64 = 4 * 1024;
-    let plan = (1..=3).fold(FaultPlan::none(), |p, nth| p.fail_read(BL_INPUT, nth));
-    let mut c = fresh_cluster(plan);
-    let bytes: Vec<u8> = (0..BL_BYTES).map(|i| (i % 5) as u8).collect();
-    c.pfs.borrow_mut().create(BL_INPUT.to_string(), bytes);
-    let mut job = fault_job(FtConfig {
-        max_task_attempts: 6,
-        ..FtConfig::default()
-    });
-    job.name = "blacklist".into();
-    job.splits = vec![InputSplit {
-        length: BL_BYTES,
-        locations: vec![NodeId(0)],
-        fetcher: Rc::new(FlatPfsFetcher {
-            pfs_path: BL_INPUT.to_string(),
-            offset: 0,
-            len: BL_BYTES,
-            sequential_chunks: 1,
-        }),
-    }];
-    run_on(&mut c, job).0
 }
 
 pub fn run(scale: &Scale) -> Report {
@@ -174,10 +139,6 @@ pub fn run(scale: &Scale) -> Report {
     let (kill, kill_out, _) = run_with(FaultPlan::none().kill_node(1, 1.5), FtConfig::default());
     lines.push(("node kill at 1.5 s".into(), kill));
     rep.identical("node_kill", &kill_out, &clean_out);
-    lines.push((
-        "blacklist: 3 read failures on node 0".into(),
-        blacklist_scenario(),
-    ));
     rep.table("", "scenario", &COLS, &lines);
     rep.row("speculation.speedup", speedup, "x", Sim);
 
@@ -199,15 +160,8 @@ pub fn run(scale: &Scale) -> Report {
     let title = "reduce tail of a clean run";
     rep.table(title, "map waves", &TAIL_COLS, &tails);
 
-    // A killed node is taken out of scheduling outright, so no *further*
-    // attempts can fail on it — the blacklist counter staying at zero there
-    // is correct behavior, not a bug (the last scenario shows repeated
-    // failures on a live node do trip the blacklist).
     #[rustfmt::skip] // one target per line reads as the table it is
     rep.expect_all(&[
-        ("node_kill_at_1_5_s.node_blacklisted", Eq, 0.0, "a dead node is unschedulable, never blacklisted"),
-        ("blacklist_3_read_failures_on_node_0.task_retries", Eq, 3.0, "three injected failures, three retries"),
-        ("blacklist_3_read_failures_on_node_0.node_blacklisted", Ge, 1.0, "repeated failures on a live node must blacklist it"),
         ("speculation.speedup", Ge, 1.5, "a twin on a healthy node beats the 6x straggler it duplicates"),
         ("last_wave_full.shuffle_overlap_saved_s", Eq, 0.0, "no idle slot, nothing to hide: reducers launch at the close"),
         ("last_wave_half_full.reduce_tail_s", Lt, tail_bound, "start-up and all but the last pulls are hidden behind the map wave"),

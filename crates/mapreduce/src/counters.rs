@@ -34,8 +34,6 @@ pub mod keys {
     pub const SPECULATIVE_LAUNCHED: &str = "speculative_launched";
     /// Speculative attempts that committed before the original.
     pub const SPECULATIVE_WON: &str = "speculative_won";
-    /// Nodes blacklisted after repeated task failures.
-    pub const NODE_BLACKLISTED: &str = "node_blacklisted";
     /// Decompressed chunks served from the node-local chunk cache.
     pub const CHUNK_CACHE_HITS: &str = "chunk_cache_hits";
     /// Chunks that had to be read from the PFS and decompressed.

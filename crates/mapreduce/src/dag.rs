@@ -5,7 +5,7 @@
 //! boundaries: narrow operators (`map`, `filter`) fuse into their upstream
 //! stage's task function, each wide operator starts a new stage whose tasks
 //! group the shuffled pairs by key. Every stage runs as one map-only
-//! engine [`Job`] — inheriting the attempt/retry/blacklist/speculation
+//! engine [`Job`] — inheriting the attempt/retry/speculation
 //! machinery unchanged — submitted with a [`ShuffleSink`] that has the
 //! driver hash-partition the stage's emitted pairs and register them in a
 //! shared `ShuffleStore` per `(shuffle, map partition)` at task commit.
@@ -125,7 +125,7 @@ pub(crate) struct ShuffleSink {
     task_ids: Rc<Vec<usize>>,
     store: SharedShuffleStore,
     /// What the DAG's previous stage submission ended with: its node table
-    /// (failure tallies, blacklist, suspicion ladder) and the next free
+    /// (suspicion ladder, heartbeat misses, deaths) and the next free
     /// attempt id. This one starts from both — attempt ids, and with them
     /// the temp names of part files, are unique across a DAG — and leaves
     /// its own here when it ends.

@@ -42,8 +42,8 @@ pub enum MrError {
     /// instead of limping on (or stalling) at hopeless parallelism.
     QuorumLost { live_slots: usize, floor: usize },
     /// The attempt's input is gone — an upstream shuffle output died with
-    /// its node, or its holder cannot be reached. The fault sits upstream,
-    /// so the failure is not charged to the node that tried to read it.
+    /// its node, or its holder cannot be reached. The fault sits upstream:
+    /// no retry here can bring it back.
     InputLost(String),
 }
 
@@ -180,10 +180,6 @@ pub type ReduceFn = Rc<dyn Fn(&str, Vec<Payload>, &mut TaskCtx) -> Result<(), Mr
 pub struct FtConfig {
     /// Attempts per task before the job fails (Hadoop default: 4).
     pub max_task_attempts: usize,
-    /// Task failures on one node before it is blacklisted for this job
-    /// (0 disables blacklisting). The last usable node is never
-    /// blacklisted.
-    pub node_blacklist_threshold: usize,
     /// Launch duplicate attempts for straggling maps: once half the maps
     /// have committed, a map running longer than twice their median
     /// duration gets one twin on another node.
@@ -221,7 +217,6 @@ impl Default for FtConfig {
     fn default() -> Self {
         FtConfig {
             max_task_attempts: 4,
-            node_blacklist_threshold: 3,
             speculative: true,
             heartbeat_interval_s: 3.0,
             suspect_after_misses: 2,
@@ -274,7 +269,7 @@ pub struct Job {
     pub spill_to_pfs: bool,
     /// Lustre-connector mode: part files are written to the PFS.
     pub output_to_pfs: bool,
-    /// Retry / blacklist / speculation policy.
+    /// Retry / speculation / failure-detector policy.
     pub ft: FtConfig,
     /// Intra-task read/compute overlap policy.
     pub stream: StreamConfig,
@@ -387,7 +382,7 @@ impl JobResult {
     }
 
     /// One-line fault-tolerance summary from the counters: attempts vs
-    /// committed tasks, retries, speculation, blacklisting, plus — when they
+    /// committed tasks, retries, speculation, plus — when they
     /// occurred — reducers preempted for maps, lineage recoveries and
     /// failure-detector events (hangs, suspicions, reinstatements, hedged
     /// reads). `None` when the run was
@@ -400,7 +395,6 @@ impl JobResult {
         let tasks = c.get(keys::MAP_TASKS) + c.get(keys::REDUCE_TASKS);
         let retries = c.get(keys::TASK_RETRIES);
         let spec = c.get(keys::SPECULATIVE_LAUNCHED);
-        let black = c.get(keys::NODE_BLACKLISTED);
         let lineage = c.get(keys::LINEAGE_RECOMPUTES);
         let lost = c.get(keys::SHUFFLE_PARTITIONS_LOST);
         let hangs = c.get(keys::TASKS_HANG_DETECTED);
@@ -411,7 +405,6 @@ impl JobResult {
         if attempts <= tasks
             && retries == 0.0
             && spec == 0.0
-            && black == 0.0
             && lineage == 0.0
             && lost == 0.0
             && hangs == 0.0
@@ -422,7 +415,7 @@ impl JobResult {
         }
         let mut s = format!(
             "{attempts:.0} attempts for {tasks:.0} tasks ({retries:.0} retries, \
-             {spec:.0} speculative launched / {:.0} won, {black:.0} nodes blacklisted)",
+             {spec:.0} speculative launched / {:.0} won)",
             c.get(keys::SPECULATIVE_WON),
         );
         if preempted > 0.0 {
@@ -561,8 +554,8 @@ impl Driver {
     /// on a usable node other than `except` gives up its slot — every
     /// reducer in flight is still waiting for map outputs, or no map would
     /// be asking. It goes back to the head of its queue uncharged: no
-    /// retry, no failure tallied against the node, no attempt off its
-    /// budget. Returns the node whose slot is now free.
+    /// retry, no attempt off its budget. Returns the node whose slot is now
+    /// free.
     fn preempt_reducer(&mut self, except: Option<NodeId>) -> Option<NodeId> {
         let gives_a_slot = |n: NodeId| Some(n) != except && self.nodes.usable(n);
         let youngest = self

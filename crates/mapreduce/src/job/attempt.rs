@@ -1,5 +1,5 @@
 //! Attempt lifecycle: the per-task attempt tables, launch, failure (retry,
-//! blacklist, backoff) and first-commit-wins.
+//! backoff) and first-commit-wins.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -293,11 +293,9 @@ impl Attempt {
         self.live() && !detector::node_silent(sim, self.node)
     }
 
-    /// The attempt failed (fetch error, user code error). A lost input is
-    /// the upstream's fault and leaves this node's blacklist tally alone.
+    /// The attempt failed (fetch error, user code error).
     pub fn fail(&self, sim: &mut Sim, err: MrError) {
-        let node_to_blame = !matches!(err, MrError::InputLost(_));
-        fail_attempt(sim, &self.d, self.id, err, node_to_blame)
+        fail_attempt(sim, &self.d, self.id, err)
     }
 }
 
@@ -385,22 +383,10 @@ pub(super) fn launch(sim: &mut Sim, d: &SharedDriver, info: AttemptInfo) {
     }
 }
 
-/// Attempt `id` failed. Release the slot, update blacklist accounting, and
-/// requeue the task unless its attempts are exhausted or its input is lost
-/// — in which case the job fails with the attempt's error, unchanged.
-///
-/// `count_node_failure`: whether the failure counts against the node's
-/// blacklist tally. The hang detector passes `false` for attempts stranded
-/// by a hung or partitioned node — the *fault* silenced them, and
-/// blacklisting would make a healed partition permanent — and
-/// [`Attempt::fail`] for an input lost upstream.
-pub(super) fn fail_attempt(
-    sim: &mut Sim,
-    d: &SharedDriver,
-    id: AttemptId,
-    err: MrError,
-    count_node_failure: bool,
-) {
+/// Attempt `id` failed. Release the slot and requeue the task unless its
+/// attempts are exhausted or its input is lost — in which case the job fails
+/// with the attempt's error, unchanged.
+pub(super) fn fail_attempt(sim: &mut Sim, d: &SharedDriver, id: AttemptId, err: MrError) {
     enum Next {
         Fail(MrError),
         Backoff(f64, TaskKind, usize),
@@ -414,17 +400,8 @@ pub(super) fn fail_attempt(
         let Some((info, fate)) = dd.tasks.end(id) else {
             return; // orphaned twin failing after the task committed
         };
-        let mut breach: Option<MrError> = None;
-        if dd.nodes.release(info.node) && count_node_failure {
-            let threshold = dd.job.ft.node_blacklist_threshold;
-            if dd.nodes.charge_failure(info.node, threshold) {
-                dd.counters.add(keys::NODE_BLACKLISTED, 1.0);
-                breach = dd.quorum_breach();
-            }
-        }
-        if let Some(e) = breach {
-            Next::Fail(e)
-        } else if matches!(err, MrError::InputLost(_)) {
+        dd.nodes.release(info.node);
+        if matches!(err, MrError::InputLost(_)) {
             // No retry, and no twin, can bring a lost input back: the job
             // ends on its first hole and leaves recovery to the layer above.
             Next::Fail(err)

@@ -126,8 +126,7 @@ fn schedule_heartbeat(sim: &mut Sim, d: &SharedDriver, tick: u64) {
 
 /// One detector tick: every node delivers or misses its heartbeat (see
 /// [`super::nodes::NodeTable::heartbeat`]); nodes whose misses reached the
-/// dead threshold are withdrawn, and a healed one gets its slots back
-/// instead of staying blacklisted for good.
+/// dead threshold are withdrawn, and a healed one gets its slots back.
 fn heartbeat_tick(sim: &mut Sim, d: &SharedDriver, tick: u64) {
     let (declare, slots_back) = {
         let mut dd = d.borrow_mut();
@@ -213,10 +212,8 @@ pub(super) fn arm_reducers(sim: &mut Sim, d: &SharedDriver) {
 }
 
 /// The deadline armed as number `gen` fired: the attempt is hung if it is
-/// still in flight and was not armed again since. Hangs on a silenced node
-/// (hung or partitioned) are charged to the fault, not the node — its
-/// failure tally stays untouched so a healed partition reinstates a clean
-/// node; a hung *read* on a healthy node counts as an ordinary task failure.
+/// still in flight and was not armed again since — an ordinary task failure,
+/// whether a hung read stranded it on a healthy node or its node fell silent.
 fn hang_deadline_check(sim: &mut Sim, att: &Attempt, gen: u32, deadline: f64) {
     let kind = {
         let mut dd = att.d.borrow_mut();
@@ -234,8 +231,7 @@ fn hang_deadline_check(sim: &mut Sim, att: &Attempt, gen: u32, deadline: f64) {
         "{kind:?} task {} hung on node {}: no completion within its {deadline:.1}s deadline",
         att.task, att.node.0
     ));
-    let node_to_blame = !node_silent(sim, att.node);
-    fail_attempt(sim, &att.d, att.id, err, node_to_blame);
+    fail_attempt(sim, &att.d, att.id, err);
 }
 
 /// Sorted `q`-quantile of `v` (nearest-rank); 0 on empty input.
@@ -273,17 +269,15 @@ mod tests {
         assert_eq!(r.counters.get(keys::REDUCE_TASKS), 1.0);
         assert!(r.counters.get(keys::HEARTBEATS_MISSED) >= 3.0);
         assert_eq!(r.counters.get(keys::NODES_SUSPECTED), 1.0);
-        // A hang never heals: no reinstatement, and the detector path must
-        // not blacklist the node (the fault, not the node, is to blame).
+        // A hang never heals: no reinstatement.
         assert_eq!(r.counters.get(keys::NODES_REINSTATED), 0.0);
-        assert_eq!(r.counters.get(keys::NODE_BLACKLISTED), 0.0);
         assert!(r.counters.get(keys::TASK_RETRIES) >= 1.0);
         let summary = r.fault_summary().expect("degraded run has a summary");
         assert!(summary.contains("suspected"), "summary: {summary}");
     }
 
     #[test]
-    fn healed_partition_reinstates_instead_of_blacklisting() {
+    fn healed_partition_reinstates_the_node() {
         let mut c = small_cluster(3, 1);
         c.sim
             .faults
@@ -305,11 +299,6 @@ mod tests {
             r.counters.get(keys::NODES_REINSTATED) >= 1.0,
             "healed partition must reinstate: {:?}",
             r.counters
-        );
-        assert_eq!(
-            r.counters.get(keys::NODE_BLACKLISTED),
-            0.0,
-            "a healed partition must not leave the node blacklisted"
         );
     }
 

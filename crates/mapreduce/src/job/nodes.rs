@@ -10,9 +10,6 @@ struct NodeState {
     free_slots: usize,
     /// Killed by the fault plan — permanent.
     dead: bool,
-    blacklisted: bool,
-    /// Task failures charged to this node (blacklist tally).
-    failures: usize,
     /// Suspicion ladder of the heartbeat failure detector (healthy →
     /// suspected → declared dead). Unlike `dead`, declared-dead is
     /// reversible: resumed heartbeats reinstate the node.
@@ -24,7 +21,7 @@ struct NodeState {
 
 impl NodeState {
     fn usable(&self) -> bool {
-        !self.dead && !self.blacklisted && !self.declared_dead
+        !self.dead && !self.declared_dead
     }
 }
 
@@ -34,9 +31,8 @@ pub(super) enum Withdrawal {
     /// The fault plan killed the node: permanent, and its memory (cluster
     /// cache residency) is gone with it.
     Killed,
-    /// The failure detector declared it dead: reversible, and the node's
-    /// failure tally is untouched so a healed partition never leaves it
-    /// blacklisted.
+    /// The failure detector declared it dead: reversible — resumed
+    /// heartbeats reinstate the node.
     DeclaredDead,
 }
 
@@ -63,9 +59,9 @@ pub(crate) struct NodeTable {
 impl NodeTable {
     /// `n` nodes with `slots_per_node` free slots each; nodes `dead_at_start`
     /// names begin dead with none. A stage of a DAG starts from the health
-    /// (failure tallies, blacklist, suspicion ladder, deaths) the previous
-    /// stage submission `carried` over, with every slot free again: a failed
-    /// stage abandons its attempts without releasing theirs.
+    /// (suspicion ladder, heartbeat misses, deaths) the previous stage
+    /// submission `carried` over, with every slot free again: a failed stage
+    /// abandons its attempts without releasing theirs.
     pub fn new(
         n: usize,
         slots_per_node: usize,
@@ -125,7 +121,7 @@ impl NodeTable {
     }
 
     /// Free slots the scheduler may hand out on `n` (0 on a dead,
-    /// blacklisted, declared-dead or unknown node).
+    /// declared-dead or unknown node).
     pub fn free(&self, n: NodeId) -> usize {
         self.get(n)
             .filter(|s| s.usable())
@@ -159,20 +155,6 @@ impl NodeTable {
         }
     }
 
-    /// Charge a task failure to `n`; true when this one blacklists it —
-    /// `threshold` failures reached (0 disables) and it is not the last
-    /// usable node.
-    pub fn charge_failure(&mut self, n: NodeId, threshold: usize) -> bool {
-        let usable = self.usable_count();
-        let Some(s) = self.get_mut(n) else {
-            return false;
-        };
-        s.failures += 1;
-        let blacklist = threshold > 0 && !s.blacklisted && s.failures >= threshold && usable > 1;
-        s.blacklisted |= blacklist;
-        blacklist
-    }
-
     /// Withdraw `n`'s slots; false when that withdrawal already happened
     /// (or the node is unknown) and there is nothing to do.
     pub(super) fn withdraw(&mut self, n: NodeId, why: Withdrawal) -> bool {
@@ -193,8 +175,8 @@ impl NodeTable {
     /// One detector tick for `n`: a `silent` node cannot deliver its
     /// heartbeat, and consecutive misses walk it up the suspicion ladder; a
     /// resumed heartbeat walks it back down, returning a declared-dead
-    /// node's slots. Dead and blacklisted nodes are permanently out of the
-    /// detector's scope.
+    /// node's slots. A killed node is permanently out of the detector's
+    /// scope.
     pub(super) fn heartbeat(
         &mut self,
         n: NodeId,
@@ -204,7 +186,7 @@ impl NodeTable {
     ) -> Beat {
         let slots_per_node = self.slots_per_node;
         let mut beat = Beat::default();
-        let Some(s) = self.get_mut(n).filter(|s| !s.dead && !s.blacklisted) else {
+        let Some(s) = self.get_mut(n).filter(|s| !s.dead) else {
             return beat;
         };
         if silent {
@@ -293,32 +275,17 @@ mod tests {
     }
 
     #[test]
-    fn blacklisting_spares_the_last_usable_node() {
-        let mut t = table();
-        assert!(!t.charge_failure(NodeId(0), 2));
-        assert!(t.charge_failure(NodeId(0), 2), "threshold reached");
-        assert_eq!(t.free(NodeId(0)), 0, "blacklisted nodes offer no slots");
-        assert!(t.release(NodeId(0)), "but are not withdrawn");
-        // Node 2 is now the only usable node: never blacklisted.
-        assert!(!t.charge_failure(NodeId(2), 1));
-        assert!(!t.charge_failure(NodeId(2), 0), "threshold 0 disables");
-        assert_eq!(t.most_free(None), Some(NodeId(2)));
-        assert_eq!(t.most_free(Some(NodeId(2))), None);
-    }
-
-    #[test]
     fn next_stage_keeps_health_and_refills_slots() {
         let mut t = table();
         t.take_slot(NodeId(0));
-        assert!(!t.charge_failure(NodeId(0), 2));
-        assert!(t.charge_failure(NodeId(0), 2), "node 0 blacklisted");
         t.take_slot(NodeId(2));
         assert!(t.heartbeat(NodeId(2), true, 1, 1).declare_dead);
         assert!(t.withdraw(NodeId(2), Withdrawal::DeclaredDead));
         let mut next = NodeTable::new(3, 2, Some(&t), |_| false);
         assert!(next.is_dead(NodeId(1)), "a kill is permanent");
-        assert_eq!(next.free(NodeId(0)), 0, "still blacklisted");
-        assert_eq!(next.live_slots(), 0);
+        assert_eq!(next.free(NodeId(0)), 2, "a taken slot is free again");
+        assert_eq!(next.free(NodeId(2)), 0, "still declared dead");
+        assert_eq!(next.live_slots(), 2);
         // The declared-dead node is reinstated by its next heartbeat, at
         // full width — its misses came along.
         assert!(next.heartbeat(NodeId(2), false, 1, 1).slots_back);
@@ -336,7 +303,6 @@ mod tests {
         assert!(!t.is_dead(ghost));
         t.take_slot(ghost);
         assert!(!t.release(ghost));
-        assert!(!t.charge_failure(ghost, 1));
         assert!(!t.withdraw(ghost, Withdrawal::Killed));
         assert_eq!(t.heartbeat(ghost, true, 1, 1), Beat::default());
         assert_eq!(t.most_free(Some(ghost)), Some(NodeId(2)));

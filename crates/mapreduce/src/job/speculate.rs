@@ -127,7 +127,6 @@ mod tests {
         // afterwards must not count the twin against the exhausted budget.
         let ft = FtConfig {
             max_task_attempts: 1,
-            node_blacklist_threshold: 0,
             speculative: true,
             ..FtConfig::default()
         };

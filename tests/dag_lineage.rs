@@ -295,15 +295,7 @@ fn killed_node_recomputes_exactly_its_upstream_chain() {
             }),
         )
     };
-    let ft = FtConfig {
-        node_blacklist_threshold: 0,
-        ..FtConfig::default()
-    };
-    let mk_dag = || {
-        let mut d = DagJob::new("lineage", plan_of(), "dagout");
-        d.ft = ft.clone();
-        d
-    };
+    let mk_dag = || DagJob::new("lineage", plan_of(), "dagout");
     let mut clean = dag_cluster(4, 1);
     let rc = run_dag(&mut clean, mk_dag()).unwrap();
     assert_eq!(rc.n_stages, 3);
@@ -351,68 +343,66 @@ fn killed_node_recomputes_exactly_its_upstream_chain() {
     );
 }
 
-/// A DAG must not forget node health at a stage boundary: a node
-/// blacklisted in stage 0 (its reads failed `node_blacklist_threshold`
-/// times there) receives no attempt in stage 1.
+/// A DAG must not forget node health at a stage boundary: a node the
+/// failure detector declared dead in stage 0 computes no stage-1 partition
+/// (a hang never heals, so it is never reinstated). Were the next stage to
+/// start from a fresh node table, it would launch on the silent node again
+/// and wait out the heartbeat ladder a second time.
 #[test]
-fn node_blacklisted_in_one_stage_gets_no_attempt_in_the_next() {
-    const PINNED: &str = "data/health.bin";
+fn a_node_declared_dead_in_one_stage_computes_nothing_in_the_next() {
+    const HUNG: NodeId = NodeId(0);
     let mut c = dag_cluster(4, 2);
-    // 64 distinct byte values: every one of the 8 stage-1 partitions gets keys.
-    let bytes: Vec<u8> = (0..4096u32).map(|i| (i % 64) as u8).collect();
-    c.pfs.borrow_mut().create(PINNED.to_string(), bytes);
-    let ft = FtConfig {
-        max_task_attempts: 6,
-        ..FtConfig::default()
-    };
-    // Locality sends every retry of the one source split back to node 0
-    // until the third read failure there blacklists it.
-    let plan = (1..=ft.node_blacklist_threshold as u64)
-        .fold(FaultPlan::none(), |p, nth| p.fail_read(PINNED, nth));
-    c.sim.faults.install(plan);
-    let split = InputSplit {
-        length: 4096,
-        locations: vec![NodeId(0)],
-        fetcher: Rc::new(FlatPfsFetcher {
-            pfs_path: PINNED.to_string(),
-            offset: 0,
-            len: 4096,
-            sequential_chunks: 1,
-        }),
-    };
+    // Node 0 falls silent with two source tasks on it, before any commits.
+    c.sim
+        .faults
+        .install(FaultPlan::none().hang_node(HUNG.0, 0.2));
     let n_parts = 8; // one stage-1 task per slot of the whole cluster
-    let plan = Dataset::from_splits(vec![split], Rc::new(|input, _ctx| count_records(input, ())))
-        .reduce_by_key(
-            n_parts,
-            Rc::new(|_k, values, _ctx| {
-                Ok(Payload::Bytes(
-                    sum_payloads(values)?.to_string().into_bytes(),
-                ))
-            }),
-        );
+    let plan = Dataset::from_splits(
+        flat_splits(),
+        Rc::new(|input, _ctx| count_records(input, ())),
+    )
+    .reduce_by_key(
+        n_parts,
+        Rc::new(|_k, values, _ctx| {
+            Ok(Payload::Bytes(
+                sum_payloads(values)?.to_string().into_bytes(),
+            ))
+        }),
+    );
     let job = DagJob {
-        ft,
+        ft: FtConfig {
+            heartbeat_interval_s: 1.0,
+            suspect_after_misses: 1,
+            dead_after_misses: 2,
+            ..FtConfig::default()
+        },
         ..DagJob::new("health", plan, "healthout")
     };
     let r = run_dag(&mut c, job).unwrap();
-    assert_eq!(r.counters.get(keys::NODE_BLACKLISTED), 1.0);
-    assert_eq!(r.counters.get(keys::TASK_RETRIES), 3.0);
     assert_eq!(r.counters.get(keys::STAGES_RUN), 2.0);
-    // The DAG writes each final partition from the node that computed it,
-    // and HDFS places the first replica on the writer: the block locations
-    // of the part files are where stage 1's tasks ran.
-    let files = output_files(&c, "healthout");
-    assert_eq!(files.len(), n_parts, "every partition has keys");
-    let h = c.hdfs.borrow();
-    for (path, _) in &files {
-        for block in h.namenode.blocks(path).unwrap() {
-            assert_ne!(
-                block.locations()[0],
-                NodeId(0),
-                "{path} was computed on the node stage 0 blacklisted"
-            );
+    // Suspected once, in stage 0, and still suspected when stage 1 starts.
+    assert_eq!(r.counters.get(keys::NODES_SUSPECTED), 1.0);
+    assert_eq!(r.counters.get(keys::NODES_REINSTATED), 0.0);
+    // The two source attempts stranded on it are the only requeues: stage 1
+    // never places a task there.
+    assert_eq!(r.counters.get(keys::TASK_RETRIES), 2.0, "{:?}", r.counters);
+    let attempts = r.counters.get(keys::MAP_ATTEMPTS);
+    assert_eq!(attempts, (N_SPLITS as usize + 2 + n_parts) as f64);
+    for run in &r.runs {
+        assert_eq!(run.tasks.len(), run.n_tasks, "stage {} ran once", run.stage);
+        for t in &run.tasks {
+            assert_ne!(t.node, HUNG, "stage {} task {}", run.stage, t.index);
         }
     }
+    // Stage 1 is two waves over the six live slots, nothing more: it does
+    // not sit through two heartbeats before it notices node 0.
+    let s1 = r.runs.iter().find(|run| run.stage == 1).expect("stage 1");
+    let longest = s1.tasks.iter().map(|t| t.duration()).fold(0.0, f64::max);
+    assert!(
+        s1.end_s - s1.start_s < 2.0 * longest + 1e-6,
+        "stage 1 took {} s, its longest task {longest} s",
+        s1.end_s - s1.start_s
+    );
 }
 
 /// `(simulated time, node)` of every source fetch a run started.
@@ -435,12 +425,12 @@ impl SplitFetcher for LoggedFetcher {
     }
 }
 
-/// A shuffle hole is the dead producer's fault, not the reader's. With
-/// blacklisting on (the default `FtConfig`), the final stage's doomed
-/// attempts after a node kill must not blacklist the survivors they ran on:
-/// the lineage recompute still has the whole surviving cluster.
+/// A shuffle hole is the dead producer's fault, not the reader's: the nodes
+/// the final stage's doomed attempts ran on stay in service, so the lineage
+/// recompute has the whole surviving cluster and ends `Ok` with the clean
+/// bytes.
 #[test]
-fn shuffle_holes_are_not_charged_to_the_node_that_read_them() {
+fn lost_source_outputs_are_recomputed_in_one_wave_over_every_survivor() {
     let run = |plan: FaultPlan| {
         let log = FetchLog::default();
         // 12 source tasks over 4 one-slot nodes: three outputs per node.
@@ -468,8 +458,7 @@ fn shuffle_holes_are_not_charged_to_the_node_that_read_them() {
         "the final stage failed on the holes before lineage recovery took over"
     );
     // The three lost source outputs are recomputed in one wave, one per
-    // survivor — which only works if none of them was blacklisted for the
-    // hole failures it hosted.
+    // survivor — the hole failures a survivor hosted cost it nothing.
     let recompute: Vec<u32> = fetches
         .iter()
         .filter(|&&(t, _)| t > kill_at)
@@ -482,7 +471,6 @@ fn shuffle_holes_are_not_charged_to_the_node_that_read_them() {
         BTreeSet::from([0, 2, 3]),
         "every survivor takes part in the source recompute"
     );
-    assert_eq!(rf.counters.get(keys::NODE_BLACKLISTED), 0.0);
     assert_eq!(out, clean_out, "recovered output is byte-identical");
 }
 

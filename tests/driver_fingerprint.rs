@@ -443,12 +443,7 @@ fn lineage_dag() -> DagJob {
     .reduce_by_key(4, sum())
     .map(Rc::new(|k, v, _ctx| Ok(vec![(parity_key(k)?, v)])))
     .reduce_by_key(4, sum());
-    let mut d = DagJob::new("lineage", plan, "dagout");
-    d.ft = FtConfig {
-        node_blacklist_threshold: 0,
-        ..FtConfig::default()
-    };
-    d
+    DagJob::new("lineage", plan, "dagout")
 }
 
 #[test]

@@ -57,8 +57,8 @@ fn fresh_cluster(replication: usize, byte_scale: f64) -> Cluster {
 
 /// Detector knobs shared by every scenario: 1 s heartbeats, suspicion after
 /// one miss, death after three, a 12 s hang-deadline floor (well above the
-/// ~4.5 s healthy map duration, so only genuinely stuck attempts trip it),
-/// jittered backoff. Speculation is off so every hang detection maps 1:1
+/// ~4.5 s healthy map duration, so only genuinely stuck attempts trip it).
+/// Speculation is off so every hang detection maps 1:1
 /// to an injected hang (a speculative twin committing first would retire
 /// the stuck attempt before its deadline fires).
 fn chaos_ft() -> FtConfig {
@@ -69,8 +69,6 @@ fn chaos_ft() -> FtConfig {
         suspect_after_misses: 1,
         dead_after_misses: 3,
         hang_deadline_min_s: 12.0,
-        retry_backoff_base_s: 0.25,
-        retry_backoff_max_s: 4.0,
         ..FtConfig::default()
     }
 }

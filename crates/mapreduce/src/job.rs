@@ -200,13 +200,6 @@ pub struct FtConfig {
     /// have committed for a meaningful duration quantile. An attempt still
     /// running past its deadline is declared hung and failed.
     pub hang_deadline_min_s: f64,
-    /// Base of the exponential retry backoff: the k-th retry of a task
-    /// waits `min(base·2^(k−1), retry_backoff_max_s)` scaled by a
-    /// deterministic jitter in [0.5, 1.5) drawn from the fault-plan seed
-    /// (0 requeues immediately, the historical behaviour).
-    pub retry_backoff_base_s: f64,
-    /// Cap on one backoff delay.
-    pub retry_backoff_max_s: f64,
     /// Graceful-degradation floor: if the cluster's usable task slots drop
     /// below this, the job fails fast with [`MrError::QuorumLost`] instead
     /// of limping on at hopeless parallelism (0 disables the floor).
@@ -222,8 +215,6 @@ impl Default for FtConfig {
             suspect_after_misses: 2,
             dead_after_misses: 4,
             hang_deadline_min_s: 45.0,
-            retry_backoff_base_s: 0.0,
-            retry_backoff_max_s: 30.0,
             min_live_slots: 0,
         }
     }
@@ -481,8 +472,6 @@ struct Driver {
     /// present — a partitioned node's completions are dropped and only a
     /// deadline can recover an attempt stranded by a short partition).
     hang_checks_armed: bool,
-    /// Deterministic jitter for retry backoff, seeded from the fault plan.
-    backoff_rng: scirng::Rng,
     /// Committed map outputs a classic job's reducers pull from, by map.
     map_outputs: Vec<Option<MapOutput>>,
     /// Durations of committed maps (speculation median, hang deadline).
@@ -638,7 +627,6 @@ pub(crate) fn submit_stage(
     let plan = sim.faults.plan();
     let heartbeats = !plan.node_hangs.is_empty() || !plan.partitions.is_empty();
     let hang_checks_armed = heartbeats || !plan.read_hangs.is_empty();
-    let backoff_rng = scirng::Rng::seed_from_u64(plan.seed ^ 0x6861_6e67_5f64_6574);
     // Precompute cache-locality hints only when the tier is live: a
     // disabled registry (or fetchers without hints) means no hints, zero
     // scheduler overhead and timing identical to a world without the tier.
@@ -660,7 +648,6 @@ pub(crate) fn submit_stage(
         nodes,
         tasks: TaskTable::new(n_maps, n_reducers, first_attempt.unwrap_or(0)),
         hang_checks_armed,
-        backoff_rng,
         map_outputs: vec![None; n_maps],
         map_durations: Vec::new(),
         cache_hints,

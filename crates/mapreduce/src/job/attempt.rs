@@ -1,5 +1,5 @@
-//! Attempt lifecycle: the per-task attempt tables, launch, failure (retry,
-//! backoff) and first-commit-wins.
+//! Attempt lifecycle: the per-task attempt tables, launch, failure and
+//! retry, and first-commit-wins.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -387,12 +387,7 @@ pub(super) fn launch(sim: &mut Sim, d: &SharedDriver, info: AttemptInfo) {
 /// attempts are exhausted or its input is lost — in which case the job fails
 /// with the attempt's error, unchanged.
 pub(super) fn fail_attempt(sim: &mut Sim, d: &SharedDriver, id: AttemptId, err: MrError) {
-    enum Next {
-        Fail(MrError),
-        Backoff(f64, TaskKind, usize),
-        Schedule,
-    }
-    let next = {
+    let fatal = {
         let mut dd = d.borrow_mut();
         if !dd.alive() {
             return;
@@ -404,54 +399,22 @@ pub(super) fn fail_attempt(sim: &mut Sim, d: &SharedDriver, id: AttemptId, err: 
         if matches!(err, MrError::InputLost(_)) {
             // No retry, and no twin, can bring a lost input back: the job
             // ends on its first hole and leaves recovery to the layer above.
-            Next::Fail(err)
+            Some(err)
         } else if fate.settled {
             // A speculative twin died while its sibling lives on (or after
             // the task already committed): nothing to requeue.
-            Next::Schedule
+            None
         } else if fate.regular_started >= dd.job.ft.max_task_attempts.max(1) {
-            Next::Fail(err)
+            Some(err)
         } else {
             dd.counters.add(keys::TASK_RETRIES, 1.0);
-            // Exponential backoff with deterministic jitter: the k-th retry
-            // of this task waits before requeueing, easing pressure on a
-            // struggling cluster. Off (base = 0) requeues immediately.
-            let base = dd.job.ft.retry_backoff_base_s;
-            let retries = fate.regular_started.saturating_sub(1).max(1) as u32;
-            let delay = if base > 0.0 {
-                let raw = base * 2f64.powi(retries as i32 - 1);
-                let jitter = 0.5 + dd.backoff_rng.f64();
-                raw.min(dd.job.ft.retry_backoff_max_s.max(base)) * jitter
-            } else {
-                0.0
-            };
-            if delay > 0.0 {
-                Next::Backoff(delay, info.kind, info.task)
-            } else {
-                dd.tasks.requeue(info.kind, info.task);
-                Next::Schedule
-            }
+            dd.tasks.requeue(info.kind, info.task);
+            None
         }
     };
-    match next {
-        Next::Fail(e) => fail_job(sim, d, e),
-        Next::Schedule => try_schedule(sim, d),
-        Next::Backoff(delay, kind, task) => {
-            // The task stays out of the pending queue until the backoff
-            // expires — a held-back task cannot trip the Stuck detector
-            // because its requeue event is always in flight.
-            let d2 = d.clone();
-            sim.after(delay, move |sim| {
-                {
-                    let mut dd = d2.borrow_mut();
-                    if !dd.alive() {
-                        return;
-                    }
-                    dd.tasks.requeue(kind, task);
-                }
-                try_schedule(sim, &d2);
-            });
-        }
+    match fatal {
+        Some(e) => fail_job(sim, d, e),
+        None => try_schedule(sim, d),
     }
 }
 

@@ -69,8 +69,6 @@ fn chaos_job() -> Job {
             suspect_after_misses: 1,
             dead_after_misses: 3,
             hang_deadline_min_s: 10.0,
-            retry_backoff_base_s: 0.25,
-            retry_backoff_max_s: 4.0,
             ..FtConfig::default()
         },
         ..Job::new(

@@ -13,6 +13,9 @@
 //! no map wants it, starts up beside the map wave and pulls every map output
 //! as it commits. What follows from that, run by run, is at the constants
 //! below; every map report of a, b, c and h is bit-identical to the parent's.
+//! The two runs that retry under the chaos detector config (c, h) moved once
+//! more, by the commit that deleted the jittered retry delay: **a failed attempt is
+//! requeued in the instant it fails**.
 //! A mismatch prints the full canonical text so the two sides can be diffed.
 
 use std::collections::BTreeMap;
@@ -349,14 +352,12 @@ fn chaos_ft() -> FtConfig {
         suspect_after_misses: 1,
         dead_after_misses: 3,
         hang_deadline_min_s: 10.0,
-        retry_backoff_base_s: 0.25,
-        retry_backoff_max_s: 4.0,
         ..FtConfig::default()
     }
 }
 
 #[test]
-fn c_flat_job_under_kill_slow_hang_partition_and_backoff() {
+fn c_flat_job_under_kill_slow_hang_and_partition() {
     const BYTES: u64 = 48 * 1024;
     let mut c = cluster(4, 2, 4);
     stage_flat(&c, BYTES, 7);
@@ -647,7 +648,15 @@ const FP_SLAB_BATCH: u64 = 0xe628_24f2_1577_125b;
 // so it launches then, as before: job end unchanged (21.1965 s), reducer 1
 // done a start-up earlier. No reducer is declared hung while it waits.
 // (0x5086_02b2_6c38_9209)
-const FP_CHAOS: u64 = 0x9b4d_094d_f187_331d;
+// Moved again by "a failed attempt is requeued in the instant it fails"
+// (the jittered retry delay is gone). The hang deadline fires at 10.0 s; the
+// two maps that then launch on slow node 0 did so at 10.1577 s — the slots
+// sat idle through the delay — and do at 10.0 s now, so the last map, the
+// reducers behind it and the job end 0.1577 s sooner, 21.1965 -> 21.0389 s.
+// The requeued map 3 is back in the queue before map 7 is handed out, so
+// the two swap places (3 on node 0, 7 on node 1 at 10.64 s). Same counters,
+// same files. (0x9b4d_094d_f187_331d)
+const FP_CHAOS: u64 = 0xd144_ec03_259f_0460;
 const FP_DAG_CLEAN: u64 = 0x3fe5_d335_8d15_9f6c;
 const FP_DAG_KILL: u64 = 0xf67d_a5ed_f65c_6bd9;
 const FP_CONNECTOR_MAP_ONLY: u64 = 0xbcfb_2360_3ba8_116d;
@@ -677,4 +686,9 @@ const FP_CONNECTOR_SPILL_PULL: u64 = 0x6000_1783_0ed2_77b7;
 // the 0.108 s retry back-off lands on reducer 0 instead of 1, whose sort is
 // the shorter by a microsecond: job end 20.039753 -> 20.039752 s.
 // (0x7e68_f430_4d32_9789)
-const FP_SHUFFLE_FAULTS: u64 = 0xfc9c_e21c_72eb_8f0f;
+// Moved again by "a failed attempt is requeued in the instant it fails"
+// (the jittered retry delay is gone): both reducers' retries launch at
+// 18.7672 s, where their hang deadlines fire, instead of 0.272 s and 0.164 s
+// later: job end 20.0398 -> 19.7677 s. Every map report, every counter and
+// both part files are unchanged. (0xfc9c_e21c_72eb_8f0f)
+const FP_SHUFFLE_FAULTS: u64 = 0x175b_1a37_7ed2_e545;

@@ -1,7 +1,7 @@
-//! Chaos benchmark: the failure detector under hangs, partitions, slow
-//! links, and quorum loss.
+//! Chaos benchmark: the failure detector under hangs, partitions and slow
+//! links.
 //!
-//! Eight scenarios on a fixed byte-count job:
+//! Seven scenarios on a fixed byte-count job:
 //!  1. clean baseline (detector disarmed — zero detector events);
 //!  2. a node that hangs mid-run — missed heartbeats suspect then declare
 //!     it dead, its stranded attempts are requeued, and the job finishes
@@ -13,11 +13,9 @@
 //!  5. a slow replica owner behind HDFS hedged reads — dribbling block
 //!     transfers are hedged to the alternate replica (≥1 hedged win), and
 //!     the same plan with the hedge never firing takes ≥ 1.5x as long;
-//!  6. quorum loss — hanging a node below the configured live-slot floor
-//!     fails the job with the typed `QuorumLost`, no panic;
-//!  7. a slow shuffle — one map holder's links crawl, at a byte scale where
+//!  6. a slow shuffle — one map holder's links crawl, at a byte scale where
 //!     the pulls across them are seconds, not microseconds;
-//!  8. a map holder partitioned away *after* its maps commit and healed
+//!  7. a map holder partitioned away *after* its maps commit and healed
 //!     later — the reducers' first pulls are dropped, their hang deadlines
 //!     catch them, the retries cross the healed link.
 //!
@@ -27,7 +25,7 @@
 
 use std::collections::BTreeMap;
 
-use mapreduce::{hdfs_file_splits, run_job, Cluster, FtConfig, InputSplit, Job, MrError, TaskKind};
+use mapreduce::{hdfs_file_splits, run_job, Cluster, FtConfig, InputSplit, Job, TaskKind};
 use scidp_bench::Clock::{Count, Sim};
 use scidp_bench::Rel::{Eq, Ge, Gt};
 use scidp_bench::{Col, Report, Scale};
@@ -74,9 +72,9 @@ fn chaos_ft() -> FtConfig {
 }
 
 /// A fixed 4 s per-map compute cost, so hangs strand real work.
-fn chaos_job(splits: Vec<InputSplit>, ft: FtConfig) -> Job {
+fn chaos_job(splits: Vec<InputSplit>) -> Job {
     Job {
-        ft,
+        ft: chaos_ft(),
         ..byte_count_job("chaosbench", splits, 4.0)
     }
 }
@@ -119,7 +117,7 @@ fn run_pfs(plan: FaultPlan) -> RunStats {
 fn run_pfs_scaled(plan: FaultPlan, byte_scale: f64) -> RunStats {
     let mut c = fresh_cluster(1, byte_scale);
     c.sim.faults.install(plan);
-    RunStats::of(&mut c, chaos_job(pfs_splits(), chaos_ft()))
+    RunStats::of(&mut c, chaos_job(pfs_splits()))
 }
 
 /// HDFS-input variant for the hedged-read scenario: the file is written
@@ -142,7 +140,7 @@ fn run_hdfs(plan: FaultPlan, hedge_after_s: f64) -> RunStats {
     for s in &mut splits {
         s.locations.clear();
     }
-    RunStats::of(&mut c, chaos_job(splits, chaos_ft()))
+    RunStats::of(&mut c, chaos_job(splits))
 }
 
 #[rustfmt::skip] // one column per line reads as the table it is
@@ -200,13 +198,13 @@ pub fn run(scale: &Scale) -> Report {
     // The hedge's rent: the same crawling links with a hedge deadline no
     // transfer reaches, so every remote read waits out its primary.
     let hedge_off = run_hdfs(slow_node_0(), 1e6);
-    // 7. The same crawling links under the PFS job, every stored byte
+    // 6. The same crawling links under the PFS job, every stored byte
     // standing for 1024: a reducer's pull of node 0's map output is ~60 KiB
     // a map, seconds across a 20000x link. Nothing fails and nothing is
     // retried; the job is as much later as its slowest pull.
     let shuffle_clean = run_pfs_scaled(plan(), SHUFFLE_BYTE_SCALE);
     let slow_shuffle = run_pfs_scaled(slow_node_0(), SHUFFLE_BYTE_SCALE);
-    // 8. Node 1 is isolated half a start-up after the last map committed —
+    // 7. Node 1 is isolated half a start-up after the last map committed —
     // its map output is registered, the reducers are starting — and heals
     // 6 s later. Each reducer's pull from it is dropped (a reducer *on* it
     // loses its pulls from everyone else), its 12 s hang deadline fails the
@@ -246,23 +244,6 @@ pub fn run(scale: &Scale) -> Report {
     let why = "committed map output outlives its holder's silence: no map runs again";
     rep.check("holder_partition.maps_ran_once", maps_ran_once, why);
 
-    // 6. With a floor of 7 live slots, declaring node 3 dead (6 slots left)
-    // must fail the job with the typed QuorumLost — not a panic, not a
-    // stringly error.
-    let mut qc = fresh_cluster(1, 1.0);
-    qc.sim.faults.install(plan().hang_node(3, 0.2));
-    let q_ft = FtConfig {
-        min_live_slots: 7,
-        ..chaos_ft()
-    };
-    let (live, floor) = match run_job(&mut qc, chaos_job(pfs_splits(), q_ft)) {
-        Err(MrError::QuorumLost { live_slots, floor }) => (live_slots as f64, floor as f64),
-        _ => (f64::NAN, f64::NAN),
-    };
-    rep.row("quorum_loss.live_slots", live, "", Count);
-    rep.row("quorum_loss.floor", floor, "", Count);
-
-    let quorum = "hang below the floor fails typed QuorumLost (6 < 7)";
     #[rustfmt::skip] // one target per line reads as the table it is
     rep.expect_all(&[
         ("clean.heartbeats_missed", Eq, 0.0, "detector stays disarmed on a clean run"),
@@ -286,8 +267,6 @@ pub fn run(scale: &Scale) -> Report {
         ("holder_partition.task_retries", Ge, 2.0, "and retried (so is the reducer stranded on the isolated holder)"),
         ("holder_partition.elapsed_s", Gt, rep.v("clean.elapsed_s") + 12.0, "the retry waits out the 12 s hang deadline"),
         ("holder_partition.nodes_reinstated", Ge, 1.0, "the healed holder is reinstated"),
-        ("quorum_loss.live_slots", Eq, 6.0, quorum),
-        ("quorum_loss.floor", Eq, 7.0, quorum),
     ]);
     rep
 }

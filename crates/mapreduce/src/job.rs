@@ -37,10 +37,6 @@ pub enum MrError {
     /// Free-form task failure (fetch error, user code error, injected
     /// fault) — the catch-all the engine has always reported.
     Msg(String),
-    /// Graceful-degradation floor breached: the cluster's live task slots
-    /// fell below [`FtConfig::min_live_slots`], so the driver failed fast
-    /// instead of limping on (or stalling) at hopeless parallelism.
-    QuorumLost { live_slots: usize, floor: usize },
     /// The attempt's input is gone — an upstream shuffle output died with
     /// its node, or its holder cannot be reached. The fault sits upstream:
     /// no retry here can bring it back.
@@ -58,9 +54,6 @@ impl MrError {
     pub fn message(&self) -> String {
         match self {
             MrError::Msg(m) | MrError::InputLost(m) => m.clone(),
-            MrError::QuorumLost { live_slots, floor } => {
-                format!("quorum lost: {live_slots} live slot(s), floor is {floor}")
-            }
         }
     }
 }
@@ -200,10 +193,6 @@ pub struct FtConfig {
     /// have committed for a meaningful duration quantile. An attempt still
     /// running past its deadline is declared hung and failed.
     pub hang_deadline_min_s: f64,
-    /// Graceful-degradation floor: if the cluster's usable task slots drop
-    /// below this, the job fails fast with [`MrError::QuorumLost`] instead
-    /// of limping on at hopeless parallelism (0 disables the floor).
-    pub min_live_slots: usize,
 }
 
 impl Default for FtConfig {
@@ -215,7 +204,6 @@ impl Default for FtConfig {
             suspect_after_misses: 2,
             dead_after_misses: 4,
             hang_deadline_min_s: 45.0,
-            min_live_slots: 0,
         }
     }
 }
@@ -508,14 +496,6 @@ impl Driver {
             *sink.carried.borrow_mut() = Some((self.nodes.clone(), self.tasks.next_attempt()));
         }
         Some(cb)
-    }
-
-    /// The quorum check: `Some(error)` when the graceful-degradation floor
-    /// is breached.
-    fn quorum_breach(&self) -> Option<MrError> {
-        let floor = self.job.ft.min_live_slots;
-        let live_slots = self.nodes.live_slots();
-        (floor > 0 && live_slots < floor).then_some(MrError::QuorumLost { live_slots, floor })
     }
 
     fn view(&self) -> sched::View<'_> {

@@ -111,15 +111,6 @@ impl NodeTable {
         self.get(n).is_some_and(NodeState::usable)
     }
 
-    fn usable_count(&self) -> usize {
-        self.nodes.iter().filter(|s| s.usable()).count()
-    }
-
-    /// Usable task slots across the cluster (capacity, not free slots).
-    pub fn live_slots(&self) -> usize {
-        self.usable_count() * self.slots_per_node
-    }
-
     /// Free slots the scheduler may hand out on `n` (0 on a dead,
     /// declared-dead or unknown node).
     pub fn free(&self, n: NodeId) -> usize {
@@ -245,7 +236,7 @@ mod tests {
         // A kill still lands on a declared-dead node (and is permanent).
         assert!(t.withdraw(NodeId(2), Withdrawal::Killed));
         assert!(t.is_dead(NodeId(2)));
-        assert_eq!(t.live_slots(), 2);
+        assert_eq!(t.ids().filter(|&n| t.usable(n)).count(), 1);
     }
 
     #[test]
@@ -285,14 +276,13 @@ mod tests {
         assert!(next.is_dead(NodeId(1)), "a kill is permanent");
         assert_eq!(next.free(NodeId(0)), 2, "a taken slot is free again");
         assert_eq!(next.free(NodeId(2)), 0, "still declared dead");
-        assert_eq!(next.live_slots(), 2);
         // The declared-dead node is reinstated by its next heartbeat, at
         // full width — its misses came along.
         assert!(next.heartbeat(NodeId(2), false, 1, 1).slots_back);
         assert_eq!(next.free(NodeId(2)), 2);
         // Without a carried table a stage starts from scratch.
         let fresh = NodeTable::new(3, 2, None, |_| false);
-        assert_eq!(fresh.live_slots(), 6);
+        assert!(fresh.ids().all(|n| fresh.free(n) == 2));
     }
 
     #[test]

@@ -22,10 +22,6 @@ pub enum ScidpError {
     /// A pushdown predicate references a column the mapped variable does
     /// not produce (neither a dimension name nor `value`).
     PushdownColumn { column: String, variable: String },
-    /// The failure detector declared so many nodes dead that fewer task
-    /// slots than the configured floor remain live — the job is failed
-    /// rather than limping along below quorum.
-    QuorumLost { live_slots: usize, floor: usize },
 }
 
 impl fmt::Display for ScidpError {
@@ -47,12 +43,6 @@ impl fmt::Display for ScidpError {
                     f,
                     "pushdown predicate references unknown column {column:?} \
                      (variable {variable} produces its dimensions and \"value\")"
-                )
-            }
-            ScidpError::QuorumLost { live_slots, floor } => {
-                write!(
-                    f,
-                    "quorum lost: {live_slots} live slot(s), floor is {floor}"
                 )
             }
         }

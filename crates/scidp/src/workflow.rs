@@ -246,12 +246,11 @@ pub fn build_rjob(input_path: &str, cfg: &WorkflowConfig) -> RJob {
     }
 }
 
-/// Map a job-level error back to the SciDP error type: quorum loss stays
-/// typed, unrepaired corruption surfaces as [`ScidpError::Integrity`], and
-/// everything else becomes the generic engine failure.
+/// Map a job-level error back to the SciDP error type: unrepaired
+/// corruption surfaces as [`ScidpError::Integrity`], everything else becomes
+/// the generic engine failure.
 fn job_error(e: MrError) -> ScidpError {
     match e {
-        MrError::QuorumLost { live_slots, floor } => ScidpError::QuorumLost { live_slots, floor },
         MrError::Msg(m) if m.contains("IntegrityError") => ScidpError::Integrity(m),
         MrError::Msg(m) | MrError::InputLost(m) => ScidpError::Hdfs(m),
     }

@@ -1,5 +1,5 @@
 //! Cluster chunk-cache tier benchmark: cold vs warm map stage over an SNC
-//! variable, plus the data-placement policy's graduation trace.
+//! variable.
 //!
 //! One cluster, tier enabled, three back-to-back map-only jobs over the
 //! same hyperslabs. The first (cold) run fills the per-node caches from the
@@ -16,7 +16,7 @@ use std::sync::Arc;
 use mapreduce::{
     counter_keys as keys, run_job, Cluster, FtConfig, InputSplit, Job, MrError, Payload, TaskInput,
 };
-use scidp::{Placement, PlacementConfig, PlacementPolicy, SciSlabFetcher};
+use scidp::SciSlabFetcher;
 use scidp_bench::Clock::{Count, Sim};
 use scidp_bench::Rel::{Eq, Ge};
 use scidp_bench::{Report, Scale};
@@ -48,7 +48,7 @@ fn fresh_cluster(levels: usize, seed: u64) -> (Cluster, Arc<VarMeta>, usize) {
 
 /// Map-only job: one map per chunk, emitting a digest of every value, so
 /// the committed bytes prove the cache path decodes identically.
-fn slab_job(var: &Arc<VarMeta>, off: usize, admit: Option<bool>, out: &str) -> Job {
+fn slab_job(var: &Arc<VarMeta>, off: usize, admit: bool, out: &str) -> Job {
     let cache = Arc::new(ChunkCache::default());
     let split = |i: usize| InputSplit {
         length: CHUNK_RAW,
@@ -106,7 +106,7 @@ pub fn run(scale: &Scale) -> Report {
 
     // Reference: tier disabled entirely.
     let (mut ref_c, var, off) = fresh_cluster(levels, seed);
-    let r = run_job(&mut ref_c, slab_job(&var, off, None, "ref")).expect("reference run");
+    let r = run_job(&mut ref_c, slab_job(&var, off, false, "ref")).expect("reference run");
     let ref_hits = r.counters.get(keys::CLUSTER_CACHE_HITS);
     rep.row("reference.cluster_cache_hits", ref_hits, "", Count);
     let reference = relative_output(&ref_c, "ref");
@@ -117,7 +117,7 @@ pub fn run(scale: &Scale) -> Report {
     let stored = var.chunks.iter().map(|ch| ch.clen).sum::<u64>() as f64;
     let mut lines = Vec::new();
     for run in ["cold", "warm1", "warm2"] {
-        let r = run_job(&mut c, slab_job(&var, off, Some(false), run)).expect("tiered run");
+        let r = run_job(&mut c, slab_job(&var, off, true, run)).expect("tiered run");
         let get = |key| r.counters.get(key);
         let (hits, misses) = (
             get(keys::CLUSTER_CACHE_HITS),
@@ -179,29 +179,5 @@ pub fn run(scale: &Scale) -> Report {
             "avoided exactly the stored bytes",
         );
     }
-
-    // Placement policy graduation over the same access sequence.
-    let policy = PlacementPolicy::new(PlacementConfig::default());
-    let agg_cache = per_node * 4;
-    let observe = |_| policy.observe(SNC_PATH, stored as u64, agg_cache);
-    let trace: Vec<Placement> = (0..3).map(observe).collect();
-    let oversized = policy.observe("run/huge.snc", agg_cache * 8, agg_cache);
-    rep.note(format!(
-        "placement: {SNC_PATH} graduated {trace:?}; oversized dataset -> {oversized:?}"
-    ));
-    let graduates = trace
-        == [
-            Placement::Cached,
-            Placement::CachePinned,
-            Placement::CachePinned,
-        ];
-    let why = "a re-read dataset that fits graduates Cached -> CachePinned";
-    rep.check("placement.graduates_cached_to_pinned", graduates, why);
-    let why = "a dataset 8x the aggregate cache stays PfsDirect";
-    rep.check(
-        "placement.oversized_pfs_direct",
-        oversized == Placement::PfsDirect,
-        why,
-    );
     rep
 }

@@ -210,7 +210,7 @@ fn scidp_read(pool: &DatasetPool, w: &Workload, readers: usize) -> f64 {
             // would only distort the measured I/O.
             cache: Arc::new(scifmt::ChunkCache::new(0)),
             pushdown: None,
-            cluster_admit: None,
+            cluster_admit: false,
         }));
     }
     let drain = Rc::new(Drain {

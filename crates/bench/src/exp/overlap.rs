@@ -91,7 +91,7 @@ fn run_slab(charge_s: f64, stream: StreamConfig) -> (JobResult, Output) {
             count: vec![SNC_LEVS / 2, 32, 32],
             cache: cache.clone(),
             pushdown: None,
-            cluster_admit: None,
+            cluster_admit: false,
         }),
     };
     let sum_map = Rc::new(move |input, ctx: &mut mapreduce::TaskCtx| {

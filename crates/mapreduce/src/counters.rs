@@ -123,7 +123,7 @@ pub mod keys {
     /// node (full PFS read + decompress paid).
     pub const CLUSTER_CACHE_MISSES: &str = "cluster_cache_misses";
     /// Cluster-cache entries evicted during this job (per-job delta of the
-    /// registry's lifetime eviction count; LRU, unpinned before pinned).
+    /// registry's lifetime eviction count; LRU).
     pub const CLUSTER_CACHE_EVICTIONS: &str = "cluster_cache_evictions";
     /// Committed maps the scheduler placed on a node *because* it held the
     /// split's chunks in the cluster cache (dynamic cache locality — the

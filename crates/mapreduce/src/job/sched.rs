@@ -216,7 +216,7 @@ mod tests {
         let key: ChunkKey = (7, 0);
         w.hints = vec![Vec::new(), Vec::new(), Vec::new(), vec![key]];
         w.cache
-            .insert(NodeId(2), key, std::sync::Arc::new(vec![0; 16]), false);
+            .insert(NodeId(2), key, std::sync::Arc::new(vec![0; 16]));
         // Split 3 (queue position 3) is cache-resident on node 2; split 2
         // is merely stored on node 1.
         assert_eq!(w.pick(), run(TaskKind::Map, 3, 2, false, true));

@@ -29,7 +29,6 @@
 pub mod error;
 pub mod explorer;
 pub mod mapper;
-pub mod placement;
 pub mod pushdown;
 pub mod rapi;
 pub mod reader;
@@ -38,10 +37,9 @@ pub mod workflow;
 pub use error::ScidpError;
 pub use explorer::{parse_pfs_path, ExploreReport, ExploredFile, FileExplorer, FileFormat};
 pub use mapper::{DataMapper, MappedBlock, MapperOptions, Mapping, Revalidation};
-pub use placement::{Placement, PlacementConfig, PlacementPolicy};
 pub use rapi::{
     decode_tag, derived_raster, encode_slab_tag, make_splits, wrap_r_map, wrap_r_reduce, MapSlab,
-    PlacementSpec, RCtx, RJob, RMapFn, RReduceFn, ScidpInput, SetupInfo,
+    Placement, PlacementSpec, RCtx, RJob, RMapFn, RReduceFn, ScidpInput, SetupInfo,
 };
 pub use reader::SciSlabFetcher;
 pub use workflow::{

@@ -19,7 +19,6 @@ use scifmt::Array;
 use crate::error::ScidpError;
 use crate::explorer::{parse_pfs_path, FileExplorer};
 use crate::mapper::{DataMapper, MapperOptions};
-use crate::placement::{Placement, PlacementPolicy};
 use crate::reader::SciSlabFetcher;
 
 /// Job input description (the `input=` argument of `rmr2::mapreduce`).
@@ -42,22 +41,29 @@ pub struct ScidpInput {
     /// prove it false are skipped before any read, and surviving slabs
     /// arrive as predicate-filtered coordinate+value frames.
     pub pushdown: Option<rframe::Predicate>,
-    /// How this job's dataset placement (cluster-cache admission) is
-    /// decided. The default is a fixed [`Placement::PfsDirect`], which
-    /// never admits — byte- and timing-identical to the pre-placement
-    /// behaviour even when the cluster tier is enabled.
+    /// This job's dataset placement: whether its decoded chunks are
+    /// admitted to the cluster cache tier. The default,
+    /// [`Placement::PfsDirect`], never admits — byte- and timing-identical
+    /// to a world without the tier even when it is enabled.
     pub placement: PlacementSpec,
 }
 
-/// How a job's dataset placement is chosen (see [`crate::placement`]).
+/// Where a dataset's decoded chunks are served from. Lookups in the cluster
+/// cache tier are unconditional — whatever is resident serves; the placement
+/// decides admission only.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Placement {
+    /// Read from the PFS on every access; never occupy cache memory.
+    PfsDirect,
+    /// Admit decoded chunks to the cluster cache tier, evictable by LRU.
+    Cached,
+}
+
+/// A job's dataset placement, as the configs spell it.
 #[derive(Clone, Debug)]
 pub enum PlacementSpec {
-    /// Use this placement unconditionally.
+    /// Use this placement.
     Fixed(Placement),
-    /// Consult a shared [`PlacementPolicy`]: access counts accumulate
-    /// across every job that carries the same policy handle, so a dataset
-    /// graduates PFS-direct → cached → pinned as a workflow re-reads it.
-    Auto(Rc<PlacementPolicy>),
 }
 
 impl ScidpInput {
@@ -106,12 +112,6 @@ impl ScidpInput {
         self.pushdown = p;
         self
     }
-
-    /// Fix the dataset placement for this job.
-    pub fn placement(mut self, p: Placement) -> Self {
-        self.placement = PlacementSpec::Fixed(p);
-        self
-    }
 }
 
 /// Extra info returned by split construction.
@@ -134,10 +134,6 @@ pub struct SetupInfo {
     /// Serialized zone-map bytes across the mapped variables — the header
     /// metadata a pushdown scan reads in exchange for the chunks it skips.
     pub zone_map_bytes: u64,
-    /// The placement decided for this job's dataset (PFS inputs only).
-    /// `HdfsMaterialised` is a recommendation recorded here for the
-    /// workflow layer — the splits themselves still read PFS-direct.
-    pub placement: Option<Placement>,
 }
 
 /// Build input splits for a [`ScidpInput`] — the `addInputPath` hook.
@@ -170,17 +166,9 @@ pub fn make_splits(
         // (keys are content-unique per file, so one pool serves them all).
         let cache = std::sync::Arc::new(scifmt::snc::ChunkCache::new(input.cache_bytes));
         let plan = input.pushdown.clone().map(std::sync::Arc::new);
-        // Placement decision for this dataset: one per job, applied to
-        // every scientific fetcher. Aggregate capacity is what the whole
-        // tier could hold (0 while the tier is off, forcing PfsDirect).
-        let aggregate_cache = env.cluster_cache.per_node_capacity() * env.topo.n_compute() as u64;
-        let placement = match &input.placement {
-            PlacementSpec::Fixed(p) => *p,
-            PlacementSpec::Auto(policy) => {
-                policy.observe(&input.path, mapping.mapped_bytes, aggregate_cache)
-            }
-        };
-        let cluster_admit = placement.cluster_admit();
+        // One placement per job, applied to every scientific fetcher.
+        let PlacementSpec::Fixed(placement) = input.placement;
+        let cluster_admit = placement == Placement::Cached;
         let mut zone_map_bytes = 0u64;
         let mut zone_seen: std::collections::HashSet<(String, String)> =
             std::collections::HashSet::new();
@@ -263,7 +251,6 @@ pub fn make_splits(
                 sources: mapping.sources,
                 chunk_cache: Some(cache),
                 zone_map_bytes,
-                placement: Some(placement),
             },
         ))
     } else {

@@ -87,10 +87,10 @@ impl ChunkRead {
         self.fetcher.cache.insert(self.key, raw.clone());
         // The registry itself refuses quarantined or oversized entries and
         // no-ops while the tier is disabled.
-        if let Some(pinned) = self.fetcher.cluster_admit {
+        if self.fetcher.cluster_admit {
             self.env
                 .cluster_cache
-                .insert(self.node, self.key, raw.clone(), pinned);
+                .insert(self.node, self.key, raw.clone());
         }
         self.collected.borrow_mut().insert(idx, raw);
         let mut counters = vec![
@@ -184,12 +184,10 @@ pub struct SciSlabFetcher {
     /// result is delivered as the predicate-filtered coordinate+value
     /// frame ([`TaskInput::Frame`]) instead of the dense array.
     pub pushdown: Option<Arc<Predicate>>,
-    /// Cluster-cache admission for this dataset, from the placement policy
-    /// (see [`crate::placement`]): `None` = never admit (PFS-direct or
-    /// HDFS-materialised datasets), `Some(pinned)` = admit decoded chunks,
-    /// optionally pinned against LRU eviction. Lookups always happen when
+    /// Whether this dataset's decoded chunks are admitted to the cluster
+    /// cache tier ([`crate::Placement::Cached`]). Lookups always happen when
     /// the tier is enabled — residual entries serve any dataset.
-    pub cluster_admit: Option<bool>,
+    pub cluster_admit: bool,
 }
 
 impl SciSlabFetcher {
@@ -528,7 +526,7 @@ mod tests {
             count: vec![3, 4, 5],
             cache: Arc::new(ChunkCache::new(0)),
             pushdown: None,
-            cluster_admit: None,
+            cluster_admit: false,
         };
         #[allow(clippy::type_complexity)]
         let got: Rc<RefCell<Option<(TaskInput, Vec<(&'static str, f64)>)>>> =
@@ -585,7 +583,7 @@ mod tests {
             count: vec![2, 8, 5],
             cache: cache.clone(),
             pushdown: None,
-            cluster_admit: None,
+            cluster_admit: false,
         };
         let got = Rc::new(RefCell::new(None));
         let g = got.clone();
@@ -617,7 +615,7 @@ mod tests {
             count: vec![2, 8, 5],
             cache: Arc::new(ChunkCache::new(0)),
             pushdown: None,
-            cluster_admit: None,
+            cluster_admit: false,
         };
         let env = c.env();
         fetcher.fetch(&env, &mut c.sim, NodeId(1), Box::new(|_, _| {}));
@@ -647,7 +645,7 @@ mod tests {
             count,
             cache: cache.clone(),
             pushdown: None,
-            cluster_admit: None,
+            cluster_admit: false,
         };
         let env = c.env();
         let first = mk(vec![0, 0, 0], vec![4, 8, 5]); // chunks 0 and 1
@@ -694,7 +692,7 @@ mod tests {
             count: vec![6, 8, 5],
             cache: Arc::new(ChunkCache::default()),
             pushdown: None,
-            cluster_admit: None,
+            cluster_admit: false,
         };
         let got = Rc::new(RefCell::new(None));
         let g = got.clone();
@@ -771,7 +769,7 @@ mod tests {
             count: vec![6, 8, 5],
             cache: Arc::new(ChunkCache::default()),
             pushdown: None,
-            cluster_admit: None,
+            cluster_admit: false,
         };
         let (batch, stream) = doomed_errors(&mut c, &fetcher);
         assert_eq!(batch, "chunk id 2 out of range for run/f.snc");
@@ -792,7 +790,7 @@ mod tests {
             count: vec![2, 8, 5],
             cache: Arc::new(ChunkCache::new(0)),
             pushdown: None,
-            cluster_admit: None,
+            cluster_admit: false,
         };
         let got = Rc::new(RefCell::new(None));
         let g = got.clone();
@@ -833,7 +831,7 @@ mod tests {
             count: vec![2, 8, 5],
             cache: Arc::new(ChunkCache::new(0)),
             pushdown: None,
-            cluster_admit: None,
+            cluster_admit: false,
         };
         let got = Rc::new(RefCell::new(None));
         let g = got.clone();
@@ -887,7 +885,7 @@ mod tests {
             count: vec![2, 8, 5],
             cache: cache.clone(),
             pushdown: None,
-            cluster_admit: None,
+            cluster_admit: false,
         };
         let got = Rc::new(RefCell::new(None));
         let g = got.clone();

@@ -17,8 +17,9 @@ use mapreduce::{run_job, submit_job_env, Cluster, JobResult, MrError, Payload, T
 use rframe::{ColorMap, DataFrame};
 
 use crate::error::ScidpError;
-use crate::placement::Placement;
-use crate::rapi::{decode_tag, make_splits, slab_to_frame, PlacementSpec, RCtx, RJob, ScidpInput};
+use crate::rapi::{
+    decode_tag, make_splits, slab_to_frame, Placement, PlacementSpec, RCtx, RJob, ScidpInput,
+};
 
 /// In-map analysis (Fig. 9's x-axis cases).
 #[derive(Clone, Debug, PartialEq)]
@@ -57,8 +58,7 @@ pub struct WorkflowConfig {
     /// leaves the tier off). Enabled on the cluster at run time; entries
     /// survive this job and warm every later job on the same cluster.
     pub cluster_cache_bytes: u64,
-    /// How the input dataset's placement (cluster-cache admission) is
-    /// decided — fixed, or from a shared access-count policy.
+    /// The input dataset's placement (cluster-cache admission).
     pub placement: PlacementSpec,
     /// Intra-task read/compute overlap policy.
     pub stream: mapreduce::StreamConfig,

@@ -114,13 +114,9 @@ impl<K: Ord + Copy, V> Lru<K, V> {
         Some(slot.value)
     }
 
-    /// Evict the least-recently-used entry whose value satisfies `pred`
-    /// (e.g. "not pinned"), or `None` when no entry does.
-    pub fn pop_lru_where(&mut self, pred: impl Fn(&V) -> bool) -> Option<(K, V)> {
-        let key = *self
-            .order
-            .values()
-            .find(|k| self.map.get(k).is_some_and(|s| pred(&s.value)))?;
+    /// Evict the least-recently-used entry, or `None` when there is none.
+    fn pop_lru(&mut self) -> Option<(K, V)> {
+        let key = *self.order.values().next()?;
         let value = self.remove(&key)?;
         self.evictions += 1;
         Some((key, value))
@@ -130,7 +126,7 @@ impl<K: Ord + Copy, V> Lru<K, V> {
     /// until the resident weight fits it.
     pub fn shrink_to(&mut self, cap: u64) {
         self.cap = cap;
-        while self.weight > cap && self.pop_lru_where(|_| true).is_some() {}
+        while self.weight > cap && self.pop_lru().is_some() {}
     }
 
     /// Drop every entry (the eviction count is kept).
@@ -194,7 +190,7 @@ mod tests {
     #[derive(Default)]
     struct Model {
         cap: u64,
-        entries: Vec<(u64, bool, u64)>, // key, pinned, weight
+        entries: Vec<(u64, bool, u64)>, // key, value, weight
         evicted: Vec<u64>,
     }
 
@@ -213,22 +209,24 @@ mod tests {
             self.entries.retain(|e| e.0 != key);
             self.entries.len() < before
         }
-        fn pop_where(&mut self, pred: impl Fn(bool) -> bool) -> Option<u64> {
-            let pos = self.entries.iter().position(|e| pred(e.1))?;
-            let key = self.entries.remove(pos).0;
+        fn pop(&mut self) -> Option<u64> {
+            if self.entries.is_empty() {
+                return None;
+            }
+            let key = self.entries.remove(0).0;
             self.evicted.push(key);
             Some(key)
         }
         fn shrink_to(&mut self, cap: u64) {
             self.cap = cap;
-            while self.weight() > cap && self.pop_where(|_| true).is_some() {}
+            while self.weight() > cap && self.pop().is_some() {}
         }
-        fn insert(&mut self, key: u64, pinned: bool, weight: u64) -> bool {
+        fn insert(&mut self, key: u64, value: bool, weight: u64) -> bool {
             if weight > self.cap {
                 return false;
             }
             self.remove(key);
-            self.entries.push((key, pinned, weight));
+            self.entries.push((key, value, weight));
             self.shrink_to(self.cap);
             true
         }
@@ -248,11 +246,11 @@ mod tests {
                 let key = rng.below(12) as u64;
                 match rng.below(12) {
                     0..=4 => {
-                        let (pinned, w) = (rng.below(4) == 0, 20 + rng.below(180) as u64);
+                        let (value, w) = (rng.below(4) == 0, 20 + rng.below(180) as u64);
                         let before: Vec<u64> = model.entries.iter().map(|e| e.0).collect();
                         assert_eq!(
-                            lru.insert(key, pinned, w),
-                            model.insert(key, pinned, w),
+                            lru.insert(key, value, w),
+                            model.insert(key, value, w),
                             "step {step}"
                         );
                         // Plain insert reports its victims only through
@@ -268,16 +266,8 @@ mod tests {
                     5..=7 => assert_eq!(lru.get(&key).copied(), model.get(key), "step {step}"),
                     8 => assert_eq!(lru.remove(&key).is_some(), model.remove(key)),
                     9 => {
-                        // Pinned entries go last: unpinned LRU first, then
-                        // plain LRU once only pinned entries remain.
-                        let got = lru
-                            .pop_lru_where(|p| !p)
-                            .or_else(|| lru.pop_lru_where(|_| true))
-                            .map(|(k, _)| k);
-                        let want = model
-                            .pop_where(|p| !p)
-                            .or_else(|| model.pop_where(|_| true));
-                        assert_eq!(got, want, "step {step}");
+                        let got = lru.pop_lru().map(|(k, _)| k);
+                        assert_eq!(got, model.pop(), "step {step}");
                         victims.extend(got);
                     }
                     10 => {
@@ -293,10 +283,10 @@ mod tests {
                 assert!(lru.weight() <= lru.capacity(), "step {step}");
             }
             assert!(model.evicted.len() > 100, "exercise enough evictions");
-            assert!(victims.len() > 50, "exercise pinned-last pops");
+            assert!(victims.len() > 50, "exercise explicit pops");
             // Drain both: the full recency order agrees, victim by victim.
-            while let Some((k, _)) = lru.pop_lru_where(|_| true) {
-                assert_eq!(Some(k), model.pop_where(|_| true));
+            while let Some((k, _)) = lru.pop_lru() {
+                assert_eq!(Some(k), model.pop());
             }
             assert!(model.entries.is_empty() && lru.is_empty());
         }

@@ -60,7 +60,7 @@ pub struct ClusterCacheStats {
     pub hits: u64,
     /// Lookups that missed on the asking node.
     pub misses: u64,
-    /// Entries evicted to make room (LRU, unpinned before pinned).
+    /// Entries evicted to make room (LRU).
     pub evictions: u64,
     /// Entries admitted.
     pub inserts: u64,
@@ -71,19 +71,11 @@ pub struct ClusterCacheStats {
 }
 
 #[derive(Debug)]
-struct Entry {
-    data: Arc<Vec<u8>>,
-    /// Pinned entries (placement policy: `CachePinned` datasets) are only
-    /// evicted once every unpinned entry is gone.
-    pinned: bool,
-}
-
-#[derive(Debug)]
 struct Inner {
     per_node_capacity: u64,
     admit_max_fraction: f64,
     /// Each node's resident chunks.
-    nodes: BTreeMap<NodeId, Lru<ChunkKey, Entry>>,
+    nodes: BTreeMap<NodeId, Lru<ChunkKey, Arc<Vec<u8>>>>,
     /// Never-admit set (bounded touch-LRU).
     quarantined: Quarantine<ChunkKey>,
     stats: ClusterCacheStats,
@@ -138,8 +130,9 @@ impl ClusterCache {
         let g = &mut *g;
         g.per_node_capacity = bytes;
         for shard in g.nodes.values_mut() {
-            g.stats.evictions += make_room(shard, bytes);
+            let before = shard.evictions();
             shard.shrink_to(bytes);
+            g.stats.evictions += shard.evictions() - before;
         }
     }
 
@@ -161,7 +154,7 @@ impl ClusterCache {
             .nodes
             .get_mut(&node)
             .and_then(|shard| shard.get(&key))
-            .map(|e| Arc::clone(&e.data));
+            .map(Arc::clone);
         if hit.is_some() {
             g.stats.hits += 1;
         } else {
@@ -179,8 +172,8 @@ impl ClusterCache {
     /// Admit `data` for `key` on `node`. Refused (counted in
     /// `stats.rejected`) when the tier is disabled, the chunk is
     /// quarantined, or the entry exceeds the size-aware ceiling.
-    /// Evicts LRU entries (unpinned first) until the entry fits.
-    pub fn insert(&self, node: NodeId, key: ChunkKey, data: Arc<Vec<u8>>, pinned: bool) -> bool {
+    /// Evicts LRU entries until the entry fits; re-admission refreshes.
+    pub fn insert(&self, node: NodeId, key: ChunkKey, data: Arc<Vec<u8>>) -> bool {
         let mut g = self.inner.borrow_mut();
         let g = &mut *g;
         let cap = g.per_node_capacity;
@@ -194,10 +187,9 @@ impl ClusterCache {
             return false;
         }
         let shard = g.nodes.entry(node).or_insert_with(|| Lru::new(cap));
-        // Drop any stale entry for the key first (re-admission refreshes).
-        shard.remove(&key);
-        g.stats.evictions += make_room(shard, cap - len);
-        shard.insert(key, Entry { data, pinned }, len);
+        let before = shard.evictions();
+        shard.insert(key, data, len);
+        g.stats.evictions += shard.evictions() - before;
         g.stats.inserts += 1;
         true
     }
@@ -245,23 +237,6 @@ impl ClusterCache {
     }
 }
 
-/// Evict LRU entries from `shard` until at most `limit` bytes stay
-/// resident; returns how many went. Unpinned entries go first; pinned
-/// entries are only sacrificed when no unpinned entry remains (so pinning
-/// can never deadlock admission).
-fn make_room(shard: &mut Lru<ChunkKey, Entry>, limit: u64) -> u64 {
-    let mut evicted = 0;
-    while shard.weight() > limit
-        && shard
-            .pop_lru_where(|e| !e.pinned)
-            .or_else(|| shard.pop_lru_where(|_| true))
-            .is_some()
-    {
-        evicted += 1;
-    }
-    evicted
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,7 +249,7 @@ mod tests {
     fn disabled_registry_never_hits_or_admits() {
         let c = ClusterCache::new(0);
         assert!(!c.enabled());
-        assert!(!c.insert(NodeId(0), (1, 0), bytes(10), false));
+        assert!(!c.insert(NodeId(0), (1, 0), bytes(10)));
         assert!(c.lookup(NodeId(0), (1, 0)).is_none());
         assert_eq!(c.stats(), ClusterCacheStats::default());
     }
@@ -283,7 +258,7 @@ mod tests {
     fn hit_returns_admitted_bytes_node_locally_only() {
         let c = ClusterCache::new(1 << 20);
         let data = bytes(100);
-        assert!(c.insert(NodeId(1), (42, 0), Arc::clone(&data), false));
+        assert!(c.insert(NodeId(1), (42, 0), Arc::clone(&data)));
         assert_eq!(c.lookup(NodeId(1), (42, 0)).as_deref(), Some(&*data));
         // Remote node: residency visible to the scheduler, not a data hit.
         assert!(c.lookup(NodeId(0), (42, 0)).is_none());
@@ -297,11 +272,11 @@ mod tests {
     fn lru_eviction_is_deterministic_and_counted() {
         let c = ClusterCache::new(1000);
         c.set_admit_max_fraction(1.0);
-        assert!(c.insert(NodeId(0), (1, 0), bytes(400), false));
-        assert!(c.insert(NodeId(0), (1, 1), bytes(400), false));
+        assert!(c.insert(NodeId(0), (1, 0), bytes(400)));
+        assert!(c.insert(NodeId(0), (1, 1), bytes(400)));
         // Touch (1,0) so (1,1) becomes LRU.
         assert!(c.lookup(NodeId(0), (1, 0)).is_some());
-        assert!(c.insert(NodeId(0), (1, 2), bytes(400), false));
+        assert!(c.insert(NodeId(0), (1, 2), bytes(400)));
         assert!(c.holds(NodeId(0), (1, 0)));
         assert!(!c.holds(NodeId(0), (1, 1)), "LRU entry evicted");
         assert!(c.holds(NodeId(0), (1, 2)));
@@ -311,42 +286,22 @@ mod tests {
     #[test]
     fn size_aware_admission_refuses_giant_entries() {
         let c = ClusterCache::new(1000); // ceiling = 125 bytes
-        assert!(c.insert(NodeId(0), (1, 0), bytes(100), false));
-        assert!(!c.insert(NodeId(0), (1, 1), bytes(500), false));
+        assert!(c.insert(NodeId(0), (1, 0), bytes(100)));
+        assert!(!c.insert(NodeId(0), (1, 1), bytes(500)));
         assert!(c.holds(NodeId(0), (1, 0)), "hot set survives the refusal");
         assert_eq!(c.stats().rejected, 1);
     }
 
     #[test]
-    fn pinned_entries_evicted_last_but_never_deadlock() {
-        let c = ClusterCache::new(1000);
-        c.set_admit_max_fraction(1.0);
-        assert!(c.insert(NodeId(0), (1, 0), bytes(400), true));
-        assert!(c.insert(NodeId(0), (1, 1), bytes(400), false));
-        // Inserting 400 more must evict the unpinned (1,1), though (1,0)
-        // is older.
-        assert!(c.insert(NodeId(0), (1, 2), bytes(400), false));
-        assert!(c.holds(NodeId(0), (1, 0)));
-        assert!(!c.holds(NodeId(0), (1, 1)));
-        // All-pinned shard: admission still proceeds by evicting pinned.
-        let p = ClusterCache::new(500);
-        p.set_admit_max_fraction(1.0);
-        assert!(p.insert(NodeId(0), (2, 0), bytes(400), true));
-        assert!(p.insert(NodeId(0), (2, 1), bytes(400), true));
-        assert!(!p.holds(NodeId(0), (2, 0)));
-        assert!(p.holds(NodeId(0), (2, 1)));
-    }
-
-    #[test]
     fn quarantine_purges_and_blocks_admission() {
         let c = ClusterCache::new(1 << 20);
-        assert!(c.insert(NodeId(0), (9, 0), bytes(10), false));
-        assert!(c.insert(NodeId(3), (9, 0), bytes(10), false));
+        assert!(c.insert(NodeId(0), (9, 0), bytes(10)));
+        assert!(c.insert(NodeId(3), (9, 0), bytes(10)));
         c.quarantine((9, 0));
         assert!(!c.holds(NodeId(0), (9, 0)));
         assert!(!c.holds(NodeId(3), (9, 0)));
         assert!(c.is_quarantined((9, 0)));
-        assert!(!c.insert(NodeId(0), (9, 0), bytes(10), false));
+        assert!(!c.insert(NodeId(0), (9, 0), bytes(10)));
         assert_eq!(c.stats().rejected, 1);
     }
 
@@ -369,8 +324,8 @@ mod tests {
     #[test]
     fn node_kill_invalidates_only_that_node() {
         let c = ClusterCache::new(1 << 20);
-        assert!(c.insert(NodeId(0), (1, 0), bytes(10), false));
-        assert!(c.insert(NodeId(1), (1, 0), bytes(10), false));
+        assert!(c.insert(NodeId(0), (1, 0), bytes(10)));
+        assert!(c.insert(NodeId(1), (1, 0), bytes(10)));
         c.invalidate_node(NodeId(0));
         assert!(!c.holds(NodeId(0), (1, 0)));
         assert!(c.holds(NodeId(1), (1, 0)));
@@ -383,8 +338,8 @@ mod tests {
     fn shrinking_capacity_evicts_to_fit() {
         let c = ClusterCache::new(1000);
         c.set_admit_max_fraction(1.0);
-        assert!(c.insert(NodeId(0), (1, 0), bytes(400), false));
-        assert!(c.insert(NodeId(0), (1, 1), bytes(400), false));
+        assert!(c.insert(NodeId(0), (1, 0), bytes(400)));
+        assert!(c.insert(NodeId(0), (1, 1), bytes(400)));
         c.set_per_node_capacity(500);
         assert_eq!(c.resident_bytes(NodeId(0)), 400);
         assert!(!c.holds(NodeId(0), (1, 0)), "older entry evicted");

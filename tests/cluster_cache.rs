@@ -57,7 +57,7 @@ fn fresh_cluster() -> (Cluster, Arc<VarMeta>, usize) {
 
 /// One split per chunk, all sharing a fresh per-job chunk cache, admitting
 /// to the cluster tier.
-fn slab_splits(var: &Arc<VarMeta>, off: usize, admit: Option<bool>) -> Vec<InputSplit> {
+fn slab_splits(var: &Arc<VarMeta>, off: usize, admit: bool) -> Vec<InputSplit> {
     let cache = Arc::new(ChunkCache::default());
     (0..N_CHUNKS)
         .map(|i| InputSplit {
@@ -95,7 +95,7 @@ fn slab_map_fn() -> MapFn {
     })
 }
 
-fn slab_job(var: &Arc<VarMeta>, off: usize, admit: Option<bool>, out: &str) -> Job {
+fn slab_job(var: &Arc<VarMeta>, off: usize, admit: bool, out: &str) -> Job {
     let mut job = Job::new(
         "cc",
         slab_splits(var, off, admit),
@@ -130,7 +130,7 @@ fn relative(out: Vec<(String, Vec<u8>)>, dir: &str) -> Vec<(String, Vec<u8>)> {
 /// Cold reference output: tier disabled, no faults.
 fn cold_reference() -> Vec<(String, Vec<u8>)> {
     let (mut c, var, off) = fresh_cluster();
-    run_job(&mut c, slab_job(&var, off, None, "cold")).unwrap();
+    run_job(&mut c, slab_job(&var, off, false, "cold")).unwrap();
     relative(c.read_output("cold").unwrap(), "cold")
 }
 
@@ -145,7 +145,7 @@ fn warm_rerun_byte_identical_with_exact_counters() {
         let (mut c, var, off) = fresh_cluster();
         c.sim.faults.install(FaultPlan::none().with_seed(seed));
         c.enable_cluster_cache(1 << 20);
-        let cold = run_job(&mut c, slab_job(&var, off, Some(false), "o1")).unwrap();
+        let cold = run_job(&mut c, slab_job(&var, off, true, "o1")).unwrap();
         assert_eq!(cold.counters.get(keys::CLUSTER_CACHE_HITS), 0.0);
         assert_eq!(
             cold.counters.get(keys::CLUSTER_CACHE_MISSES),
@@ -156,7 +156,7 @@ fn warm_rerun_byte_identical_with_exact_counters() {
         assert_eq!(cold.counters.get(keys::CLUSTER_CACHE_EVICTIONS), 0.0);
         let cold_elapsed = cold.elapsed();
 
-        let warm = run_job(&mut c, slab_job(&var, off, Some(false), "o2")).unwrap();
+        let warm = run_job(&mut c, slab_job(&var, off, true, "o2")).unwrap();
         assert_eq!(
             warm.counters.get(keys::CLUSTER_CACHE_HITS),
             N_CHUNKS as f64,
@@ -198,7 +198,7 @@ fn killed_node_loses_its_cache_entries() {
     for seed in 1..=3u64 {
         let (mut c, var, off) = fresh_cluster();
         c.enable_cluster_cache(1 << 20);
-        run_job(&mut c, slab_job(&var, off, Some(false), "warmup")).unwrap();
+        run_job(&mut c, slab_job(&var, off, true, "warmup")).unwrap();
         let resident_before: u64 = (0..4)
             .map(|n| c.cluster_cache.resident_bytes(NodeId(n)))
             .sum();
@@ -210,11 +210,7 @@ fn killed_node_loses_its_cache_entries() {
         c.sim
             .faults
             .install(FaultPlan::none().with_seed(seed).kill_node(1, kill_at));
-        let warm = run_job(
-            &mut c,
-            slab_job(&var, off, Some(false), &format!("k{seed}")),
-        )
-        .unwrap();
+        let warm = run_job(&mut c, slab_job(&var, off, true, &format!("k{seed}"))).unwrap();
         assert_eq!(
             c.cluster_cache.resident_bytes(NodeId(1)),
             0,
@@ -272,7 +268,7 @@ fn evictions_are_counted_exactly() {
     c.enable_cluster_cache(CHUNK_RAW + 16);
     c.cluster_cache.set_admit_max_fraction(1.0);
     let mut c = c;
-    let cold = run_job(&mut c, slab_job(&var, off, Some(false), "ev")).unwrap();
+    let cold = run_job(&mut c, slab_job(&var, off, true, "ev")).unwrap();
     assert_eq!(
         cold.counters.get(keys::CLUSTER_CACHE_EVICTIONS),
         (N_CHUNKS - 1) as f64,
@@ -298,7 +294,7 @@ fn quarantined_chunk_is_never_admitted() {
         count: vec![2, 8, 5],
         cache,
         pushdown: None,
-        cluster_admit: Some(false),
+        cluster_admit: true,
     };
     let got = Rc::new(std::cell::RefCell::new(None));
     let g = got.clone();
@@ -326,7 +322,7 @@ fn quarantined_chunk_is_never_admitted() {
     let rejected_before = c.cluster_cache.stats().rejected;
     assert!(
         !c.cluster_cache
-            .insert(NodeId(0), key, Arc::new(vec![0u8; 8]), false),
+            .insert(NodeId(0), key, Arc::new(vec![0u8; 8])),
         "admission of a quarantined chunk must be refused"
     );
     assert_eq!(c.cluster_cache.stats().rejected, rejected_before + 1);
@@ -366,7 +362,7 @@ fn dag_rerun_serves_source_stage_from_cache() {
         Ok(Payload::Bytes(data))
     });
     let run = |out: &str, c: &mut Cluster| {
-        let plan = Dataset::from_splits(slab_splits(&var, off, Some(false)), read.clone())
+        let plan = Dataset::from_splits(slab_splits(&var, off, true), read.clone())
             .reduce_by_key(2, agg.clone());
         let r = run_dag(c, DagJob::new("cc-dag", plan, out.to_string())).unwrap();
         (r, relative(c.read_output(out).unwrap(), out))

@@ -269,7 +269,7 @@ fn slab_job(c: &Cluster, stream: StreamConfig) -> Job {
             count: vec![levs, 8, 5],
             cache: cache.clone(),
             pushdown: None,
-            cluster_admit: None,
+            cluster_admit: false,
         }),
     };
     let mut job = Job::new(

@@ -337,7 +337,7 @@ fn streamed_pushdown_over_a_multi_chunk_split_matches_the_get_vara_oracle() {
                 count: shape.to_vec(),
                 cache: Arc::new(ChunkCache::default()),
                 pushdown: Some(pred.clone()),
-                cluster_admit: None,
+                cluster_admit: false,
             }),
         };
         let job = Job {

@@ -307,7 +307,7 @@ mod integrity {
                 count: vec![6, 8, 5],
                 cache: Arc::new(ChunkCache::default()),
                 pushdown: None,
-                cluster_admit: None,
+                cluster_admit: false,
             }),
         };
         Job {

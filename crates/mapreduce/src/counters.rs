@@ -34,7 +34,7 @@ pub mod keys {
     pub const SPECULATIVE_LAUNCHED: &str = "speculative_launched";
     /// Speculative attempts that committed before the original.
     pub const SPECULATIVE_WON: &str = "speculative_won";
-    /// Decompressed chunks served from the node-local chunk cache.
+    /// Decompressed chunks served from the job-wide chunk cache.
     pub const CHUNK_CACHE_HITS: &str = "chunk_cache_hits";
     /// Chunks that had to be read from the PFS and decompressed.
     pub const CHUNK_CACHE_MISSES: &str = "chunk_cache_misses";

@@ -14,9 +14,12 @@
 //! once per fetch (range check → quarantine → zone-map prune → job cache →
 //! cluster tier) and what is left is a `SlabPieceStream`, one piece per
 //! chunk still to read (PFS read → CRC verify → re-read repair →
-//! quarantine → decompress → admit). The driver streams the pieces through
-//! its prefetch window; the batch fetch is `mapreduce::collect_stream` over
-//! the same stream with every chunk in flight at once.
+//! quarantine → decompress → admit). The job cache is one pool for the
+//! whole job, not a model of any node's memory: a hit is free on whichever
+//! node runs the attempt (the cluster tier is the per-node one, and charges
+//! its hits). The driver streams the pieces through its prefetch window;
+//! the batch fetch is `mapreduce::collect_stream` over the same stream with
+//! every chunk in flight at once.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
@@ -175,9 +178,13 @@ pub struct SciSlabFetcher {
     /// Element slab this block covers.
     pub start: Vec<usize>,
     pub count: Vec<usize>,
-    /// Node-local decompressed-chunk cache shared by the job's fetchers.
-    /// Chunks found here skip both the PFS read and the decompression
-    /// charge (repeated overlapping hyperslabs of the same variable).
+    /// The job-wide decompressed-chunk cache, one pool shared by all of the
+    /// job's fetchers and keyed `(file_key, chunk offset)`. A chunk found
+    /// here skips the PFS read and the decompression charge and costs
+    /// nothing, on whichever node runs the attempt (repeated overlapping
+    /// hyperslabs of the same variable) — it stands for no node's memory;
+    /// per-node residency is the cluster tier's. It also owns the job's
+    /// quarantine set.
     pub cache: Arc<ChunkCache>,
     /// Pushdown predicate. When set, chunks whose zone maps prove no row
     /// can match are skipped before their PFS read is issued, and the

@@ -32,7 +32,7 @@ impl SolutionKind {
     }
 
     /// The solution's data path (Table I row).
-    pub fn data_path(self) -> DataPathRow {
+    fn data_path(self) -> DataPathRow {
         match self {
             SolutionKind::Naive => DataPathRow {
                 solution: self,

@@ -125,7 +125,7 @@ impl DatasetPool {
 }
 
 /// Format seconds with sensible precision.
-pub fn fmt_s(s: f64) -> String {
+fn fmt_s(s: f64) -> String {
     if s >= 100.0 {
         format!("{s:.0}")
     } else if s >= 1.0 {
@@ -136,7 +136,7 @@ pub fn fmt_s(s: f64) -> String {
 }
 
 /// Format a speedup factor.
-pub fn fmt_x(x: f64) -> String {
+fn fmt_x(x: f64) -> String {
     if x >= 100.0 {
         format!("{x:.0}x")
     } else {

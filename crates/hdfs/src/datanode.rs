@@ -60,7 +60,7 @@ impl DataNodes {
     }
 
     /// Real bytes stored on one node (0 for out-of-range node ids).
-    pub fn used_bytes(&self, node: NodeId) -> usize {
+    fn used_bytes(&self, node: NodeId) -> usize {
         self.stores
             .get(node.0 as usize)
             .map_or(0, |s| s.values().map(|d| d.len()).sum())

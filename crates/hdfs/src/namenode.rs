@@ -142,7 +142,7 @@ pub struct NameNode {
 }
 
 /// Default edits between automatic fsimage checkpoints.
-pub const DEFAULT_CHECKPOINT_INTERVAL: usize = 64;
+const DEFAULT_CHECKPOINT_INTERVAL: usize = 64;
 
 fn split_path(path: &str) -> Vec<&str> {
     path.split('/').filter(|s| !s.is_empty()).collect()

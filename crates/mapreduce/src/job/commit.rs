@@ -62,7 +62,7 @@ pub(crate) fn group_by_key<V>(
     (cost.lbytes(in_bytes) * cost.sort_per_byte, groups)
 }
 
-pub(crate) fn serialize_kvs(kvs: &[Kv]) -> Vec<u8> {
+fn serialize_kvs(kvs: &[Kv]) -> Vec<u8> {
     let mut out = Vec::new();
     for kv in kvs {
         out.extend_from_slice(kv.key.as_bytes());

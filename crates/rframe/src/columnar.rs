@@ -42,7 +42,7 @@ impl CmpOp {
     /// IEEE comparison — identical to the `sqldf` row evaluator, so any
     /// comparison with NaN is false except `!=`, which is true.
     #[inline]
-    pub fn cmp_f64(self, x: f64, y: f64) -> bool {
+    fn cmp_f64(self, x: f64, y: f64) -> bool {
         match self {
             CmpOp::Eq => x == y,
             CmpOp::Ne => x != y,
@@ -55,7 +55,7 @@ impl CmpOp {
 
     /// String comparison over an [`Ordering`](std::cmp::Ordering).
     #[inline]
-    pub fn cmp_ord(self, o: std::cmp::Ordering) -> bool {
+    fn cmp_ord(self, o: std::cmp::Ordering) -> bool {
         use std::cmp::Ordering::*;
         match self {
             CmpOp::Eq => o == Equal,

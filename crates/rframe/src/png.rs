@@ -5,7 +5,7 @@
 //! implemented here so the crate stays dependency-free.
 
 /// CRC-32 (IEEE 802.3), bit-reflected, as PNG requires.
-pub fn crc32(data: &[u8]) -> u32 {
+fn crc32(data: &[u8]) -> u32 {
     // Build the table once.
     fn table() -> &'static [u32; 256] {
         use std::sync::OnceLock;
@@ -35,7 +35,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 }
 
 /// Adler-32 checksum (zlib trailer).
-pub fn adler32(data: &[u8]) -> u32 {
+fn adler32(data: &[u8]) -> u32 {
     const MOD: u32 = 65_521;
     let (mut a, mut b) = (1u32, 0u32);
     for chunk in data.chunks(5552) {
@@ -50,7 +50,7 @@ pub fn adler32(data: &[u8]) -> u32 {
 }
 
 /// Wrap raw bytes in a zlib stream of stored (uncompressed) deflate blocks.
-pub fn zlib_store(raw: &[u8]) -> Vec<u8> {
+fn zlib_store(raw: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(raw.len() + raw.len() / 65_535 * 5 + 16);
     out.push(0x78); // CMF: deflate, 32K window
     out.push(0x01); // FLG: no dict, fastest; (0x7801 % 31 == 0)

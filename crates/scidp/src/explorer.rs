@@ -15,7 +15,7 @@ use crate::error::ScidpError;
 
 /// PFS URI prefixes recognised by SciDP (configurable in the paper via a
 /// job option; these are the defaults it names).
-pub const PFS_PREFIXES: [&str; 2] = ["lustre://", "gpfs://"];
+const PFS_PREFIXES: [&str; 2] = ["lustre://", "gpfs://"];
 
 /// If `input` carries a PFS prefix, strip it and return the PFS directory.
 pub fn parse_pfs_path(input: &str) -> Option<&str> {
@@ -48,7 +48,7 @@ pub struct ExploredFile {
 }
 
 impl ExploredFile {
-    pub fn is_sci(&self) -> bool {
+    fn is_sci(&self) -> bool {
         matches!(self.format, FileFormat::Sci { .. })
     }
 

@@ -9,14 +9,12 @@
 //!
 //! Frame layout: `[codec_id:u8][raw_len:varint][elem:u8 if shuffled][payload]`.
 //!
-//! Two API tiers:
-//!
-//! * [`compress`]/[`decompress`] — return a fresh output buffer and work
-//!   in one thread-local [`Scratch`], so every chunk a thread processes
-//!   (the parallel chunk pipeline's workers, the SciDP reader's decode)
-//!   reuses the shuffle buffer and the 256 KiB LZ hash table;
-//! * [`compress_into`]/[`decompress_into`] — the same with a caller-owned
-//!   `Scratch` and output buffer.
+//! [`compress`]/[`decompress`] return a fresh output buffer and work in one
+//! thread-local `Scratch`, so every chunk a thread processes (the parallel
+//! chunk pipeline's workers, the SciDP reader's decode) reuses the shuffle
+//! buffer and the 256 KiB LZ hash table; underneath,
+//! `compress_into`/`decompress_into` are the same with a caller-owned
+//! `Scratch` and output buffer.
 
 use std::cell::RefCell;
 
@@ -56,7 +54,7 @@ impl Codec {
 /// Reusable work buffers for [`compress_into`]/[`decompress_into`]. One per
 /// worker thread; cheap to create, much cheaper to reuse.
 #[derive(Default, Debug)]
-pub struct Scratch {
+struct Scratch {
     /// Shuffle/unshuffle transpose buffer.
     shuf: Vec<u8>,
     /// LZ match hash table (`1 << HASH_BITS` entries once used).
@@ -64,7 +62,7 @@ pub struct Scratch {
 }
 
 impl Scratch {
-    pub fn new() -> Scratch {
+    fn new() -> Scratch {
         Scratch::default()
     }
 
@@ -85,7 +83,7 @@ impl Scratch {
 /// Transpose `data` into `out` so that byte `b` of every `elem`-wide element
 /// is contiguous. `out` is cleared and resized. Widths 2, 4 and 8 take the
 /// fixed-width path; any other width the tiled loop.
-pub fn shuffle_into(data: &[u8], elem: usize, out: &mut Vec<u8>) {
+fn shuffle_into(data: &[u8], elem: usize, out: &mut Vec<u8>) {
     assert!(
         elem > 0 && data.len().is_multiple_of(elem),
         "bad shuffle width"
@@ -139,7 +137,7 @@ fn shuffle_tiled(data: &[u8], elem: usize, from: usize, out: &mut [u8]) {
 }
 
 /// Inverse of [`shuffle_into`].
-pub fn unshuffle_into(data: &[u8], elem: usize, out: &mut Vec<u8>) {
+fn unshuffle_into(data: &[u8], elem: usize, out: &mut Vec<u8>) {
     assert!(
         elem > 0 && data.len().is_multiple_of(elem),
         "bad unshuffle width"
@@ -387,7 +385,7 @@ fn lz_decode_into(src: &[u8], raw_len: usize, out: &mut Vec<u8>) -> Result<()> {
 
 /// Compress `raw` into a framed chunk appended to `out` (cleared first),
 /// reusing `scratch`'s buffers. Output bytes are identical to [`compress`].
-pub fn compress_into(codec: Codec, raw: &[u8], scratch: &mut Scratch, out: &mut Vec<u8>) {
+fn compress_into(codec: Codec, raw: &[u8], scratch: &mut Scratch, out: &mut Vec<u8>) {
     out.clear();
     out.push(codec.id());
     put_varint(out, raw.len() as u64);
@@ -405,7 +403,7 @@ pub fn compress_into(codec: Codec, raw: &[u8], scratch: &mut Scratch, out: &mut 
 }
 
 /// Decompress a framed chunk into `out` (cleared first), reusing `scratch`.
-pub fn decompress_into(frame: &[u8], scratch: &mut Scratch, out: &mut Vec<u8>) -> Result<()> {
+fn decompress_into(frame: &[u8], scratch: &mut Scratch, out: &mut Vec<u8>) -> Result<()> {
     out.clear();
     let mut r = Reader::new(frame);
     let id = r.get_u8()?;

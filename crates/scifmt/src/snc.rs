@@ -89,14 +89,14 @@ fn varint_len(mut v: u64) -> u64 {
 impl ZoneMap {
     /// Header bytes one stamped zone map occupies in a v2 container
     /// (presence flag + null-count varint + two f64 bounds).
-    pub fn wire_bytes(&self) -> u64 {
+    fn wire_bytes(&self) -> u64 {
         1 + varint_len(self.null_count) + 16
     }
 
     /// Compute the zone map of one chunk from its raw little-endian bytes.
     /// Trailing bytes short of a full element (impossible for well-formed
     /// chunks) are ignored.
-    pub fn of_raw(dtype: DType, raw: &[u8]) -> ZoneMap {
+    fn of_raw(dtype: DType, raw: &[u8]) -> ZoneMap {
         let mut min = f64::INFINITY;
         let mut max = f64::NEG_INFINITY;
         let mut nulls = 0u64;
@@ -201,7 +201,7 @@ impl VarMeta {
         self.dims.len()
     }
 
-    pub fn n_elems(&self) -> usize {
+    fn n_elems(&self) -> usize {
         self.dims.iter().map(|d| d.len).product()
     }
 
@@ -950,7 +950,7 @@ type ChunkKey = (u64, u64);
 
 /// Bound on the quarantine set (entries, not bytes — each is one 16-byte
 /// key).
-pub const DEFAULT_QUARANTINE_CAP: usize = 4096;
+const DEFAULT_QUARANTINE_CAP: usize = 4096;
 
 impl std::fmt::Debug for ChunkCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -1045,7 +1045,7 @@ impl ChunkCache {
 
     /// Cached lookup or compute-and-insert. `compute` runs outside the lock
     /// so concurrent readers decompress different chunks in parallel.
-    pub fn get_or_compute(
+    fn get_or_compute(
         &self,
         key: (u64, u64),
         compute: impl FnOnce() -> Result<Vec<u8>>,
@@ -1148,7 +1148,7 @@ impl SncFile {
 
     /// Decompressed payload of one chunk of a variable (uncached; allocates
     /// a fresh buffer). Prefer [`SncFile::read_chunk_cached`] on hot paths.
-    pub fn read_chunk_raw(&self, var: &VarMeta, index: usize) -> Result<Vec<u8>> {
+    fn read_chunk_raw(&self, var: &VarMeta, index: usize) -> Result<Vec<u8>> {
         let c = var
             .chunks
             .get(index)
@@ -1171,7 +1171,7 @@ impl SncFile {
 
     /// Decompressed payload of one chunk, served from the chunk cache when
     /// resident.
-    pub fn read_chunk_cached(&self, var: &VarMeta, index: usize) -> Result<Arc<Vec<u8>>> {
+    fn read_chunk_cached(&self, var: &VarMeta, index: usize) -> Result<Arc<Vec<u8>>> {
         let c = var
             .chunks
             .get(index)

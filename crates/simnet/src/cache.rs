@@ -46,7 +46,7 @@ pub type ChunkKey = (u64, u64);
 
 /// Default ceiling on a single entry as a fraction of per-node capacity.
 /// Entries above it are refused admission (streaming-scan flush guard).
-pub const DEFAULT_ADMIT_MAX_FRACTION: f64 = 0.125;
+const DEFAULT_ADMIT_MAX_FRACTION: f64 = 0.125;
 
 /// Bound on the never-admit quarantine set (mirrors the reader's own
 /// bounded quarantine LRU; prevents unbounded growth in long worlds).

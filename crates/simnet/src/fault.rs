@@ -566,7 +566,7 @@ impl FaultInjector {
 
     /// When (if ever) `node` is scheduled to die. With duplicate entries the
     /// earliest kill wins.
-    pub fn kill_time(&self, node: u32) -> Option<f64> {
+    fn kill_time(&self, node: u32) -> Option<f64> {
         earliest(&self.plan.node_kills, node)
     }
 
@@ -587,7 +587,7 @@ impl FaultInjector {
 
     /// When (if ever) `node` starts hanging. With duplicate entries the
     /// earliest hang wins.
-    pub fn hang_time(&self, node: u32) -> Option<f64> {
+    fn hang_time(&self, node: u32) -> Option<f64> {
         earliest(&self.plan.node_hangs, node)
     }
 

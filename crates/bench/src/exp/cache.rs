@@ -140,11 +140,11 @@ pub fn run(scale: &Scale) -> Report {
         ("pfs_bytes_avoided", "pfs bytes avoided", "B", Count),
     ];
     rep.table("", "run", &cols, &lines);
-    let per_node = c.cluster_cache.per_node_capacity();
     rep.row("config.chunks", chunks, "", Count);
     rep.row("config.chunk_raw_bytes", CHUNK_RAW as f64, "B", Count);
     rep.row("config.stored_bytes", stored, "B", Count);
-    rep.row("config.per_node_cache_bytes", per_node as f64, "B", Count);
+    let per_node = c.cluster_cache.per_node_capacity() as f64;
+    rep.row("config.per_node_cache_bytes", per_node, "B", Count);
     let speedup = rep.v("cold.elapsed_s") / rep.v("warm1.elapsed_s");
     rep.row("warm_speedup", speedup, "x", Sim);
 

@@ -56,9 +56,9 @@ fn fresh_cluster(replication: usize, byte_scale: f64) -> Cluster {
 /// Detector knobs shared by every scenario: 1 s heartbeats, suspicion after
 /// one miss, death after three, a 12 s hang-deadline floor (well above the
 /// ~4.5 s healthy map duration, so only genuinely stuck attempts trip it).
-/// Speculation is off so every hang detection maps 1:1
-/// to an injected hang (a speculative twin committing first would retire
-/// the stuck attempt before its deadline fires).
+/// Speculation is off so every hang detection maps 1:1 to an injected hang
+/// (a speculative twin committing first would retire the stuck attempt
+/// before its deadline fires).
 fn chaos_ft() -> FtConfig {
     FtConfig {
         max_task_attempts: 8,
@@ -67,7 +67,6 @@ fn chaos_ft() -> FtConfig {
         suspect_after_misses: 1,
         dead_after_misses: 3,
         hang_deadline_min_s: 12.0,
-        ..FtConfig::default()
     }
 }
 

@@ -75,8 +75,7 @@ impl NodeTable {
                     .cloned()
                     .unwrap_or_default();
                 s.dead |= dead_at_start(NodeId(i));
-                let withdrawn = s.dead || s.declared_dead;
-                s.free_slots = if withdrawn { 0 } else { slots_per_node };
+                s.free_slots = if s.usable() { slots_per_node } else { 0 };
                 s
             })
             .collect();
@@ -138,7 +137,7 @@ impl NodeTable {
     /// through reinstatement.
     pub fn release(&mut self, n: NodeId) -> bool {
         match self.get_mut(n) {
-            Some(s) if !s.dead && !s.declared_dead => {
+            Some(s) if s.usable() => {
                 s.free_slots += 1;
                 true
             }

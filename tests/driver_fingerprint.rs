@@ -352,7 +352,6 @@ fn chaos_ft() -> FtConfig {
         suspect_after_misses: 1,
         dead_after_misses: 3,
         hang_deadline_min_s: 10.0,
-        ..FtConfig::default()
     }
 }
 

@@ -451,8 +451,8 @@ pub struct StageRun {
     /// Whether the stage job succeeded (a run that failed on a lost input
     /// triggers lineage recovery instead of failing the DAG).
     pub ok: bool,
-    /// The committed task reports of a successful run, `index` being the
-    /// stage partition (empty for a failed run).
+    /// The run's committed task reports, `index` being the stage partition —
+    /// of a failed run, the tasks it had committed before it failed.
     pub tasks: Vec<TaskReport>,
 }
 
@@ -535,17 +535,6 @@ impl DagDriver {
             .filter(|(idx, _)| needed.contains(idx))
             .map(|(idx, stage)| (idx, self.missing_of(stage)))
             .find(|(_, missing)| !missing.is_empty())
-    }
-
-    /// Mark every currently-registered partition of stage `idx` as
-    /// committed.
-    fn refresh_committed(&mut self, idx: usize) {
-        let Some(stage) = self.stages.get(idx) else {
-            return;
-        };
-        let store = self.store.borrow();
-        let registered = (0..stage.n_tasks).filter(|&p| store.has(stage.out_shuffle, p));
-        self.committed_once.extend(registered.map(|p| (idx, p)));
     }
 }
 
@@ -717,40 +706,40 @@ fn run_stage(sim: &mut Sim, d: &SharedDag, idx: usize, missing: Vec<usize>, reco
         tasks: Vec::new(),
     };
     let d2 = d.clone();
-    let done = move |sim: &mut Sim, res| on_stage_done(sim, &d2, run, res);
+    let done = move |sim: &mut Sim, jr, failed| on_stage_done(sim, &d2, run, jr, failed);
     submit_stage(sim, env, job, Some(sink), Box::new(done));
 }
 
-fn on_stage_done(sim: &mut Sim, d: &SharedDag, run: StageRun, res: Result<JobResult, MrError>) {
+fn on_stage_done(
+    sim: &mut Sim,
+    d: &SharedDag,
+    run: StageRun,
+    jr: JobResult,
+    failed: Option<MrError>,
+) {
     let failure = {
         let mut dd = d.borrow_mut();
         if dd.done_cb.is_none() {
             return;
         }
-        dd.refresh_committed(run.stage);
         let lost = std::mem::take(&mut dd.store.borrow_mut().lost);
         if lost > 0 {
             dd.counters.add(keys::SHUFFLE_PARTITIONS_LOST, lost as f64);
         }
-        let ok = res.is_ok();
-        let (tasks, failure) = match res {
-            Ok(jr) => {
-                dd.counters.merge(&jr.counters);
-                (jr.tasks, None)
-            }
-            // A lost input is lineage loss: the next advance() walks back
-            // to the first incomplete ancestor. Anything else is a real
-            // error.
-            Err(MrError::InputLost(_)) => (Vec::new(), None),
-            Err(e) => (Vec::new(), Some(e)),
-        };
+        // What a failed run had committed stays registered and is never run
+        // again: its counters and reports count like those of any other run.
+        dd.counters.merge(&jr.counters);
+        let committed = jr.tasks.iter().map(|t| (run.stage, t.index));
+        dd.committed_once.extend(committed);
         dd.runs.push(StageRun {
             end_s: sim.now().secs(),
-            ok,
-            tasks,
+            ok: failed.is_none(),
+            tasks: jr.tasks,
             ..run
         });
-        failure
+        // A lost input is lineage loss: the next advance() walks back to the
+        // first incomplete ancestor. Anything else is a real error.
+        failed.filter(|e| !matches!(e, MrError::InputLost(_)))
     };
     match failure {
         Some(e) => fail_dag(sim, d, e),

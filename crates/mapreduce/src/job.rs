@@ -479,7 +479,9 @@ struct Driver {
     done_cb: Option<JobDone>,
 }
 
-type JobDone = Box<dyn FnOnce(&mut Sim, Result<JobResult, MrError>)>;
+/// How a run ends: what it committed — everything, or what a run that failed
+/// had committed by then — and the error that ended it, if one did.
+type JobDone = Box<dyn FnOnce(&mut Sim, JobResult, Option<MrError>)>;
 type SharedDriver = Rc<RefCell<Driver>>;
 
 impl Driver {
@@ -496,6 +498,38 @@ impl Driver {
             *sink.carried.borrow_mut() = Some((self.nodes.clone(), self.tasks.next_attempt()));
         }
         Some(cb)
+    }
+
+    /// End the job at `now`, either way (see [`Driver::end`]), with what it
+    /// has committed: its task reports and counters.
+    fn finish(&mut self, now: f64) -> Option<(JobDone, JobResult)> {
+        let cb = self.end()?;
+        let mut tasks = std::mem::take(&mut self.reports);
+        tasks.sort_by_key(|t| (t.kind == TaskKind::Reduce, t.index));
+        if let Some(sink) = &self.sink {
+            // A DAG reads its stages' reports by stage partition.
+            for t in &mut tasks {
+                t.index = sink.partition_of(t.index);
+            }
+        }
+        // Cluster-cache evictions during this job's run (registry stats
+        // are world-lifetime monotonic; the delta is this job's share).
+        if self.env.cluster_cache.enabled() {
+            let evicted = self.env.cluster_cache.stats().evictions;
+            let evicted = evicted.saturating_sub(self.cluster_evictions_start);
+            if evicted > 0 {
+                self.counters
+                    .add(keys::CLUSTER_CACHE_EVICTIONS, evicted as f64);
+            }
+        }
+        let result = JobResult {
+            name: self.job.name.clone(),
+            start_s: self.start_s,
+            end_s: now,
+            tasks,
+            counters: self.counters.clone(),
+        };
+        Some((cb, result))
     }
 
     fn view(&self) -> sched::View<'_> {
@@ -558,6 +592,8 @@ pub fn submit_job_env(
     job: Job,
     done: impl FnOnce(&mut Sim, Result<JobResult, MrError>) + 'static,
 ) {
+    let done =
+        move |sim: &mut Sim, r, failed: Option<MrError>| done(sim, failed.map_or(Ok(r), Err));
     submit_stage(sim, env, job, None, Box::new(done))
 }
 
@@ -577,7 +613,15 @@ pub(crate) fn submit_stage(
             "job {}: a reduce function needs at least one reducer",
             job.name
         ));
-        sim.after(0.0, move |sim| done(sim, Err(e)));
+        let now = sim.now().secs();
+        let nothing = JobResult {
+            name: job.name,
+            start_s: now,
+            end_s: now,
+            tasks: Vec::new(),
+            counters: Counters::new(),
+        };
+        sim.after(0.0, move |sim| done(sim, nothing, Some(e)));
         return;
     }
     let n_maps = job.splits.len();
@@ -681,53 +725,27 @@ fn maybe_finish_maps(sim: &mut Sim, d: &SharedDriver) {
 }
 
 fn fail_job(sim: &mut Sim, d: &SharedDriver, e: MrError) {
-    let cb = {
+    let ended = {
         let mut dd = d.borrow_mut();
         // Orphan every in-flight attempt and drop the queues: their
         // continuations see a dead attempt and can no longer mutate
         // counters or reports.
         dd.tasks.abandon();
-        dd.end()
+        dd.finish(sim.now().secs())
     };
-    if let Some(cb) = cb {
-        cb(sim, Err(e));
+    if let Some((cb, result)) = ended {
+        cb(sim, result, Some(e));
     }
 }
 
 fn complete(sim: &mut Sim, d: &SharedDriver) {
-    let (result, cb) = {
+    let ended = {
         let mut dd = d.borrow_mut();
-        let Some(cb) = dd.end() else {
-            return;
-        };
-        let mut tasks = std::mem::take(&mut dd.reports);
-        tasks.sort_by_key(|t| (t.kind == TaskKind::Reduce, t.index));
-        if let Some(sink) = &dd.sink {
-            // A DAG reads its stages' reports by stage partition.
-            for t in &mut tasks {
-                t.index = sink.partition_of(t.index);
-            }
-        }
-        // Cluster-cache evictions during this job's run (registry stats
-        // are world-lifetime monotonic; the delta is this job's share).
-        if dd.env.cluster_cache.enabled() {
-            let evicted = dd.env.cluster_cache.stats().evictions;
-            let evicted = evicted.saturating_sub(dd.cluster_evictions_start);
-            if evicted > 0 {
-                dd.counters
-                    .add(keys::CLUSTER_CACHE_EVICTIONS, evicted as f64);
-            }
-        }
-        let result = JobResult {
-            name: dd.job.name.clone(),
-            start_s: dd.start_s,
-            end_s: sim.now().secs(),
-            tasks,
-            counters: dd.counters.clone(),
-        };
-        (result, cb)
+        dd.finish(sim.now().secs())
     };
-    cb(sim, Ok(result));
+    if let Some((cb, result)) = ended {
+        cb(sim, result, None);
+    }
 }
 
 #[cfg(test)]

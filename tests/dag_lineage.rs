@@ -671,6 +671,64 @@ fn a_lost_input_costs_one_start_up() {
     );
 }
 
+/// What a failed run had committed stays registered and is never run again, so
+/// it stays on the books: a stage-1 run that dies on a lost input between its
+/// two waves has committed half its tasks, and the recovered DAG still counts
+/// every committed task once — `map_tasks`, `shuffle_bytes` — and every part
+/// file once — `hdfs_write_bytes`.
+#[test]
+fn a_run_that_fails_on_a_lost_input_keeps_the_books_of_what_it_committed() {
+    // Two one-slot nodes run the four stage-1 tasks in two waves.
+    let (rc, clean) = run_wide(2, FaultPlan::none());
+    let rc = rc.unwrap();
+    let clean_out = output_files(&clean, "dagout");
+    // Keys per partition, read off the part files: both shuffles are four
+    // wide, so stage-1 partition `p` holds the keys of `part-0000p`.
+    let keys_in = |p: usize| {
+        let name = format!("dagout/part-{p:05}");
+        let file = clean_out.iter().find(|(path, _)| *path == name);
+        file.map_or(0, |(_, data)| data.iter().filter(|&&b| b == b'\n').count())
+    };
+    // A stage-1 task pulls one `b<k>\t<3-digit count>` pair per key from
+    // each of the 8 source outputs, a final task one `b<k>\t<4-digit sum>`.
+    let pulled = |r: &DagResult| -> f64 {
+        let runs = r.runs.iter().filter(|run| run.stage > 0);
+        let tasks = runs.flat_map(|run| run.tasks.iter().map(move |t| (run.stage, t.index)));
+        let bytes = tasks.map(|(stage, p)| keys_in(p) * if stage == 1 { 8 * 5 } else { 6 });
+        bytes.sum::<usize>() as f64
+    };
+    assert_eq!(rc.counters.get(keys::SHUFFLE_BYTES), pulled(&rc));
+    assert_eq!(rc.counters.get(keys::MAP_TASKS), rc.total_tasks as f64);
+
+    let s1 = rc.runs.iter().find(|r| r.stage == 1).expect("stage 1 ran");
+    let first_wave = s1.tasks.iter().map(|t| t.end_s).fold(f64::MAX, f64::min);
+    let victim = s1
+        .tasks
+        .iter()
+        .find(|t| t.end_s == first_wave)
+        .unwrap()
+        .node;
+    let (rf, faulted) = run_wide(2, FaultPlan::none().kill_node(victim.0, first_wave + 1e-6));
+    let rf = rf.unwrap();
+    assert_eq!(output_files(&faulted, "dagout"), clean_out);
+    let doomed = rf.runs.iter().find(|r| !r.ok).expect("a run failed");
+    assert!(
+        doomed.stage == 1 && !doomed.tasks.is_empty() && doomed.tasks.len() < doomed.n_tasks,
+        "stage 1 failed with part of its tasks committed: {doomed:?}"
+    );
+    let redone = rf.counters.get(keys::LINEAGE_RECOMPUTES);
+    assert!(redone >= 1.0);
+    let committed: usize = rf.runs.iter().map(|r| r.tasks.len()).sum();
+    assert_eq!(committed as f64, rc.total_tasks as f64 + redone);
+    assert_eq!(rf.counters.get(keys::MAP_TASKS), committed as f64);
+    assert_eq!(rf.counters.get(keys::SHUFFLE_BYTES), pulled(&rf));
+    assert_eq!(
+        rf.counters.get(keys::HDFS_WRITE_BYTES),
+        rc.counters.get(keys::HDFS_WRITE_BYTES),
+        "each part file is written once"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Faults on the shuffle: the holder fails *after* its outputs committed
 // ---------------------------------------------------------------------------

@@ -428,6 +428,13 @@ fn parity_key(key: &str) -> Result<String, MrError> {
 /// the first `InputLost` ends it (-> 4.076610 s), and the three recovery runs
 /// and the DAG's end (11.094091 -> 8.094091 s) follow 3.0 s earlier, otherwise
 /// bit for bit: the same runs, tasks, counters and files.
+///
+/// And once more (from `0xf67d_a5ed_f65c_6bd9`) with the commit that keeps a
+/// failed run's books. The event that moved: *failed run merged*. The doomed
+/// final stage launches four attempts and requeues the one the kill takes; its
+/// counters used to vanish with it, now `map_attempts` reads 19 -> 23 and
+/// `task_retries` 1 appears. Every run, time, other counter and file is
+/// unchanged.
 fn lineage_dag() -> DagJob {
     let sum = || -> scidp_suite::mapreduce::AggFn {
         Rc::new(|_k, values, _ctx| {
@@ -657,7 +664,7 @@ const FP_SLAB_BATCH: u64 = 0xe628_24f2_1577_125b;
 // same files. (0x9b4d_094d_f187_331d)
 const FP_CHAOS: u64 = 0xd144_ec03_259f_0460;
 const FP_DAG_CLEAN: u64 = 0x3fe5_d335_8d15_9f6c;
-const FP_DAG_KILL: u64 = 0xf67d_a5ed_f65c_6bd9;
+const FP_DAG_KILL: u64 = 0xb076_dfd9_8a60_dd2f;
 const FP_CONNECTOR_MAP_ONLY: u64 = 0xbcfb_2360_3ba8_116d;
 // (f) Reducers 0 and 1 launch at 3.49 s beside the second wave. At 6.98 s
 // the speculative twin of straggling map 0 finds no free slot off node 2 and

@@ -32,13 +32,13 @@ mod pushdown;
 mod table1;
 
 /// One runnable experiment. Its report is compared against, and recorded
-/// in, `BENCH_<file>.json`; `seeded` experiments read [`Scale::fault_seed`],
-/// which then is part of their recorded preconditions.
+/// in, `BENCH_<file>.json`. `chaos` and `cache` hand [`Scale::fault_seed`] to
+/// their fault plans, where it reaches nothing they run: under any seed they
+/// must repeat the one recorded section row for row.
 pub struct Experiment {
     pub name: &'static str,
     pub group: &'static str,
     pub file: &'static str,
-    pub seeded: bool,
     pub run: fn(&Scale) -> Report,
 }
 
@@ -48,39 +48,37 @@ const fn exp(
     name: &'static str,
     group: &'static str,
     file: &'static str,
-    seeded: bool,
     run: fn(&Scale) -> Report,
 ) -> Experiment {
     Experiment {
         name,
         group,
         file,
-        seeded,
         run,
     }
 }
 
 #[rustfmt::skip] // one experiment per line reads as the table it is
 pub static REGISTRY: [Experiment; 19] = [
-    exp("table1", "figures", "figures", false, table1::run),
-    exp("datamodel", "figures", "figures", false, datamodel::run),
-    exp("fig2", "figures", "figures", false, fig2::run),
-    exp("fig5", "figures", "figures", false, fig5::run),
-    exp("fig6", "figures", "figures", false, fig6::run),
-    exp("fig7", "figures", "figures", false, fig7::run),
-    exp("fig8", "figures", "figures", false, fig8::run),
-    exp("fig9", "figures", "figures", false, fig9::run),
-    exp("ablation_blocks", "figures", "figures", false, ablation_blocks::run),
-    exp("ablation_subset", "figures", "figures", false, ablation_subset::run),
-    exp("ablation_readsize", "figures", "figures", false, ablation_readsize::run),
-    exp("faults", "driver", "faults", false, faults::run),
-    exp("dag", "driver", "dag", false, dag::run),
-    exp("chaos", "driver", "chaos", true, chaos::run),
-    exp("overlap", "read-path", "overlap", false, overlap::run),
-    exp("pushdown", "read-path", "pushdown", false, pushdown::run),
-    exp("cache", "read-path", "cache", true, cache::run),
-    exp("codec_scaling", "kernels", "codec", false, codec_scaling::run),
-    exp("integrity", "kernels", "integrity", false, integrity::run),
+    exp("table1", "figures", "figures", table1::run),
+    exp("datamodel", "figures", "figures", datamodel::run),
+    exp("fig2", "figures", "figures", fig2::run),
+    exp("fig5", "figures", "figures", fig5::run),
+    exp("fig6", "figures", "figures", fig6::run),
+    exp("fig7", "figures", "figures", fig7::run),
+    exp("fig8", "figures", "figures", fig8::run),
+    exp("fig9", "figures", "figures", fig9::run),
+    exp("ablation_blocks", "figures", "figures", ablation_blocks::run),
+    exp("ablation_subset", "figures", "figures", ablation_subset::run),
+    exp("ablation_readsize", "figures", "figures", ablation_readsize::run),
+    exp("faults", "driver", "faults", faults::run),
+    exp("dag", "driver", "dag", dag::run),
+    exp("chaos", "driver", "chaos", chaos::run),
+    exp("overlap", "read-path", "overlap", overlap::run),
+    exp("pushdown", "read-path", "pushdown", pushdown::run),
+    exp("cache", "read-path", "cache", cache::run),
+    exp("codec_scaling", "kernels", "codec", codec_scaling::run),
+    exp("integrity", "kernels", "integrity", integrity::run),
 ];
 
 /// The experiments `what` names: one by name, a group, or `all`.

@@ -77,16 +77,9 @@ impl Scale {
         self.pick(quick_spec(timestamps), eval_spec(timestamps))
     }
 
-    /// `BENCH_*.json` section this run is compared against and rewrites:
-    /// `quick` / `full`, suffixed with the fault seed when the experiment
-    /// reads it (`seeded`) and it is not the default.
-    pub fn section(&self, seeded: bool) -> String {
-        let scale = self.pick("quick", "full");
-        if seeded && self.fault_seed != DEFAULT_FAULT_SEED {
-            format!("{scale}.seed{}", self.fault_seed)
-        } else {
-            scale.to_string()
-        }
+    /// `BENCH_*.json` section this run is compared against and rewrites.
+    pub fn section(&self) -> &'static str {
+        self.pick("quick", "full")
     }
 }
 
@@ -776,13 +769,8 @@ fn moved_rows(committed: &[Row], fresh: &[Row]) -> Vec<String> {
 /// file has one), then rewrite exactly that section — preconditions and all
 /// rows — leaving every other byte of the file as it was. Returns the rows
 /// that moved; `Err` on an unreadable, unparsable or unwritable file.
-pub fn record(
-    path: &Path,
-    scale: &Scale,
-    seeded: bool,
-    report: &Report,
-) -> Result<Vec<String>, String> {
-    let section = scale.section(seeded);
+pub fn record(path: &Path, scale: &Scale, report: &Report) -> Result<Vec<String>, String> {
+    let section = scale.section();
     let mut file = match std::fs::read_to_string(path) {
         Ok(text) => Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Json::Obj(Vec::new()),
@@ -793,19 +781,15 @@ pub fn record(
         .cloned()
         .unwrap_or(Json::Obj(Vec::new()));
     let moved = entry
-        .get(&section)
+        .get(section)
         .and_then(|s| s.get("rows"))
         .map(|rows| moved_rows(&rows_from_json(rows), report.rows()))
         .unwrap_or_default();
-    let mut preconditions = vec![(
-        "scale".to_string(),
-        Json::Str(scale.pick("quick", "full").into()),
-    )];
-    if seeded {
-        preconditions.push(("fault_seed".into(), Json::Num(scale.fault_seed as f64)));
-    }
-    preconditions.push(("rows".into(), rows_to_json(report.rows())));
-    entry.set(&section, Json::Obj(preconditions));
+    let preconditions = vec![
+        ("scale".to_string(), Json::Str(section.into())),
+        ("rows".into(), rows_to_json(report.rows())),
+    ];
+    entry.set(section, Json::Obj(preconditions));
     file.set(report.experiment, entry);
     let mut text = String::new();
     file.write(&mut text, 0, 4);
@@ -900,18 +884,18 @@ mod tests {
     fn moved_sim_row_fails_and_moved_host_row_does_not() {
         let path = scratch_file("moved.json");
         let s = scale(true);
-        let first = record(&path, &s, false, &sample(5.5, 0.01)).unwrap();
+        let first = record(&path, &s, &sample(5.5, 0.01)).unwrap();
         assert!(first.is_empty(), "first recording has nothing to compare");
-        let host_only = record(&path, &s, false, &sample(5.5, 0.02)).unwrap();
+        let host_only = record(&path, &s, &sample(5.5, 0.02)).unwrap();
         assert!(host_only.is_empty(), "{host_only:?}");
-        let moved = record(&path, &s, false, &sample(5.6, 0.02)).unwrap();
+        let moved = record(&path, &s, &sample(5.6, 0.02)).unwrap();
         assert_eq!(moved, vec!["elapsed_s: 5.5 -> 5.6".to_string()]);
         // Compare-then-write: the section now holds the new value.
-        let settled = record(&path, &s, false, &sample(5.6, 0.03)).unwrap();
+        let settled = record(&path, &s, &sample(5.6, 0.03)).unwrap();
         assert!(settled.is_empty());
         let mut gone = sample(5.6, 0.03);
         gone.rows.pop();
-        let moved = record(&path, &s, false, &gone).unwrap();
+        let moved = record(&path, &s, &gone).unwrap();
         assert_eq!(moved, vec!["tasks: 14 -> (absent)".to_string()]);
         let _ = std::fs::remove_file(&path);
     }
@@ -919,16 +903,15 @@ mod tests {
     #[test]
     fn quick_run_leaves_the_full_section_byte_identical() {
         let path = scratch_file("sections.json");
-        record(&path, &scale(false), true, &sample(100.25, 1.0)).unwrap();
-        record(&path, &scale(true), true, &sample(5.5, 0.01)).unwrap();
+        record(&path, &scale(false), &sample(100.25, 1.0)).unwrap();
+        record(&path, &scale(true), &sample(5.5, 0.01)).unwrap();
         let full_of = |text: &str| {
             let start = text.find("\"full\"").unwrap();
             let end = text.find("\"quick\"").unwrap();
             text[start..end].to_string()
         };
         let before = std::fs::read_to_string(&path).unwrap();
-        assert!(before.contains("\"fault_seed\": 1234"));
-        let moved = record(&path, &scale(true), true, &sample(7.0, 0.5)).unwrap();
+        let moved = record(&path, &scale(true), &sample(7.0, 0.5)).unwrap();
         assert_eq!(moved.len(), 1);
         let after = std::fs::read_to_string(&path).unwrap();
         assert_ne!(before, after);
@@ -936,7 +919,7 @@ mod tests {
         // Another experiment in the same file is left alone too.
         let mut other = sample(1.0, 1.0);
         other.experiment = "other";
-        record(&path, &scale(true), false, &other).unwrap();
+        record(&path, &scale(true), &other).unwrap();
         let third = std::fs::read_to_string(&path).unwrap();
         assert!(third.starts_with(after.trim_end().trim_end_matches('}').trim_end()));
         let _ = std::fs::remove_file(&path);
@@ -995,12 +978,12 @@ mod tests {
         r.row("tasks", 0.0, "", Clock::Count);
         assert_eq!(r.failures().len(), 1, "whatever the duplicate's value");
         assert_eq!(slug("chunk-aligned (SciDP)"), "chunk_aligned_scidp");
-        assert_eq!(scale(true).section(true), "quick");
-        let seeded = Scale {
+        assert_eq!(scale(true).section(), "quick");
+        // The fault seed is no precondition: it names no section of its own.
+        let reseeded = Scale {
             fault_seed: 2,
             ..scale(false)
         };
-        assert_eq!(seeded.section(true), "full.seed2");
-        assert_eq!(seeded.section(false), "full");
+        assert_eq!(reseeded.section(), "full");
     }
 }

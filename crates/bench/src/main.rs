@@ -3,8 +3,8 @@
 //!
 //! Runs the selected experiments (`exp::REGISTRY`), prints each
 //! [`Report`], compares its simulated and counted rows against the
-//! committed `BENCH_<file>.json` section with equal preconditions (scale,
-//! fault seed) and rewrites that section — in the current directory, so run
+//! committed `BENCH_<file>.json` section of the same scale and rewrites that
+//! section — in the current directory, so run
 //! it from the repository root and read `git diff`. Exits non-zero when an
 //! `expect` fails, an expected deviation no longer shows, or a compared row
 //! moved. A `--timestamps` override is exploratory: it is neither compared
@@ -53,9 +53,9 @@ fn main() -> ExitCode {
             continue;
         }
         let path = PathBuf::from(format!("BENCH_{}.json", e.file));
-        match record(&path, &scale, e.seeded, &report) {
+        match record(&path, &scale, &report) {
             Ok(moved) => {
-                let section = scale.section(e.seeded);
+                let section = scale.section();
                 println!(
                     "{}: section {section:?} of {} rewritten, {} compared row(s) moved\n",
                     e.name,

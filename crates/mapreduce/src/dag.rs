@@ -39,80 +39,20 @@ use crate::counters::{keys, Counters};
 use crate::dataset::{Dataset, GroupFn, PairFilterFn, PairMapFn, PlanNode, RecordReadFn};
 use crate::input::{FetchDone, FetchResult, InputSplit, SplitFetcher, TaskInput};
 use crate::job::{
-    group_by_key, kv_bytes, submit_stage, FtConfig, Job, JobResult, Kv, MapFn, MapOutput, MrError,
-    NodeTable, Payload, StreamConfig, TaskCtx, TaskReport,
+    evictions_since, group_by_key, kv_bytes, submit_stage, FtConfig, Job, JobResult, MapFn,
+    MrError, Payload, Pool, SharedPool, SharedShuffleStore, ShuffleStore, StageIo, StreamConfig,
+    TaskCtx, TaskReport,
 };
 
 // ---------------------------------------------------------------------------
-// Shuffle registry
+// Where a stage run's output goes
 // ---------------------------------------------------------------------------
 
-/// Registry of every stage's committed outputs, shared between the DAG
-/// driver, the per-stage sink jobs, and the shuffle fetchers.
-#[derive(Default)]
-struct ShuffleStore {
-    /// shuffle id → producing partition id → output. `None` is a final
-    /// partition: committed as a part file on HDFS, held by no node.
-    outputs: BTreeMap<u64, BTreeMap<usize, Option<MapOutput>>>,
-    /// shuffle id → number of map outputs a complete shuffle has.
-    expected: BTreeMap<u64, usize>,
-    /// Outputs dropped since the last drain — their holder died, or was
-    /// unreachable (hung or partitioned away) when a fetch tried to pull
-    /// them; drained into `shuffle_partitions_lost` by the DAG driver.
-    lost: u64,
-}
-
-type SharedShuffleStore = Rc<RefCell<ShuffleStore>>;
-
-impl ShuffleStore {
-    fn n_expected(&self, shuffle: u64) -> usize {
-        self.expected.get(&shuffle).copied().unwrap_or(0)
-    }
-
-    /// Register one committed output. First-commit-wins upstream means
-    /// this is called at most once per live (shuffle, partition) — a
-    /// recompute after invalidation simply fills the hole again.
-    fn register(&mut self, shuffle: u64, partition: usize, output: Option<MapOutput>) {
-        self.outputs
-            .entry(shuffle)
-            .or_default()
-            .insert(partition, output);
-    }
-
-    fn get(&self, shuffle: u64, partition: usize) -> Option<&MapOutput> {
-        self.outputs.get(&shuffle)?.get(&partition)?.as_ref()
-    }
-
-    fn has(&self, shuffle: u64, partition: usize) -> bool {
-        let outs = self.outputs.get(&shuffle);
-        outs.is_some_and(|o| o.contains_key(&partition))
-    }
-
-    /// Drop every output held by a dead node.
-    fn invalidate_node(&mut self, node: NodeId) {
-        for outs in self.outputs.values_mut() {
-            let before = outs.len();
-            outs.retain(|_, o| o.as_ref().is_none_or(|o| o.node != node));
-            self.lost += (before - outs.len()) as u64;
-        }
-    }
-
-    /// Drop one registered output whose holder cannot be reached right now
-    /// (hung, or partitioned away from the fetching node). A pull from it
-    /// would stall forever; losing the partition instead routes recovery
-    /// through the lineage machinery, which re-runs the producer task.
-    fn invalidate_stalled(&mut self, shuffle: u64, partition: usize) {
-        let outs = self.outputs.get_mut(&shuffle);
-        if outs.is_some_and(|o| o.remove(&partition).is_some()) {
-            self.lost += 1;
-        }
-    }
-}
-
-/// Where one stage job deposits its output (handed to [`submit_stage`]).
-/// The driver partitions emitted pairs by `stable_hash(key) % n_partitions`
-/// — the same function classic reduce jobs use — and registers them at
-/// commit; the final stage's tasks commit part files instead.
+/// Where one stage run deposits its output (handed to [`submit_stage`]): a
+/// shuffle of the DAG's store (`job::ShuffleStore`). The driver partitions
+/// emitted pairs by `stable_hash(key) % n_partitions` — the same function
+/// classic reduce jobs use — and registers them at commit; the final stage's
+/// tasks commit part files instead.
 #[derive(Clone)]
 pub(crate) struct ShuffleSink {
     shuffle_id: u64,
@@ -124,12 +64,10 @@ pub(crate) struct ShuffleSink {
     /// as stage partition `task_ids[i]`.
     task_ids: Rc<Vec<usize>>,
     store: SharedShuffleStore,
-    /// What the DAG's previous stage submission ended with: its node table
-    /// (suspicion ladder, heartbeat misses, deaths) and the next free
-    /// attempt id. This one starts from both — attempt ids, and with them
-    /// the temp names of part files, are unique across a DAG — and leaves
-    /// its own here when it ends.
-    pub(crate) carried: Rc<RefCell<Option<(NodeTable, u64)>>>,
+    /// Index of the stage this run executes, and of the stages downstream
+    /// of it: its consumer, that stage's consumer, ... the final stage.
+    pub(crate) stage: usize,
+    pub(crate) downstream: Rc<BTreeSet<usize>>,
 }
 
 impl ShuffleSink {
@@ -138,19 +76,9 @@ impl ShuffleSink {
         self.task_ids.get(task).copied().unwrap_or(task)
     }
 
-    /// Register job task `task`'s committed output: `parts` held by `node`,
-    /// or (`None`) a part file on HDFS.
-    pub(crate) fn register(&self, task: usize, node: NodeId, parts: Option<Vec<Vec<Kv>>>) {
-        let output = parts.map(|parts| MapOutput { node, parts });
-        let partition = self.partition_of(task);
-        self.store
-            .borrow_mut()
-            .register(self.shuffle_id, partition, output);
-    }
-
-    /// `node` died: every shuffle output it held is lost.
-    pub(crate) fn invalidate_node(&self, node: NodeId) {
-        self.store.borrow_mut().invalidate_node(node);
+    /// The store and shuffle the run's tasks register in.
+    pub(crate) fn shuffle(&self) -> (SharedShuffleStore, u64) {
+        (self.store.clone(), self.shuffle_id)
     }
 }
 
@@ -275,6 +203,9 @@ struct Stage {
     out_partitions: Option<usize>,
     task_fn: MapFn,
     op: &'static str,
+    /// The stages downstream of this one: its consumer, that stage's
+    /// consumer, ... the final stage (filled in once the plan is cut).
+    downstream: Rc<BTreeSet<usize>>,
 }
 
 fn apply_narrow(
@@ -403,6 +334,7 @@ fn build_stage(
         out_partitions,
         task_fn,
         op,
+        downstream: Rc::default(),
     });
     b.stages.len() - 1
 }
@@ -492,12 +424,11 @@ struct DagDriver {
     producer: BTreeMap<u64, usize>,
     final_stage: usize,
     store: SharedShuffleStore,
-    /// Node health and attempt numbering, handed from each stage
-    /// submission to the next.
-    carried: Rc<RefCell<Option<(NodeTable, u64)>>>,
-    /// `(stage, partition)` pairs that have ever committed: resubmitting
-    /// one is a lineage recompute.
-    committed_once: BTreeSet<(usize, usize)>,
+    /// Node table, attempt numbering and failure detector of every stage
+    /// run of this DAG.
+    pool: SharedPool,
+    /// Cluster-cache registry eviction count when the DAG started.
+    cluster_evictions_start: u64,
     counters: Counters,
     runs: Vec<StageRun>,
     start_s: f64,
@@ -514,6 +445,14 @@ impl DagDriver {
         (0..stage.n_tasks)
             .filter(|&p| !store.has(stage.out_shuffle, p))
             .collect()
+    }
+
+    /// How many of stage `idx`'s `partitions` have been registered before:
+    /// running them again is a lineage recompute.
+    fn recomputes_among(&self, idx: usize, partitions: &[usize]) -> usize {
+        let (store, stage) = (self.store.borrow(), self.stages.get(idx));
+        let once = |p: &&usize| stage.is_some_and(|s| store.registered_once(s.out_shuffle, **p));
+        partitions.iter().filter(once).count()
     }
 
     /// The first (topologically) stage that is missing outputs *and* still
@@ -552,7 +491,27 @@ pub fn submit_dag(
     };
     let result_shuffle = b.alloc_shuffle();
     let final_stage = build_stage(&mut b, &dag.plan, result_shuffle, None);
-    let stages = b.stages;
+    let mut stages = b.stages;
+    // A plan is a tree: each stage has one consumer, so what is downstream
+    // of a stage is its consumer plus what is downstream of that — known
+    // already, consumers having the higher index.
+    for idx in (0..stages.len()).rev() {
+        let parents: Vec<u64> = match stages.get(idx).map(|s| &s.input) {
+            Some(StageInput::Shuffle(sources)) => sources.iter().map(|&(sid, _)| sid).collect(),
+            _ => continue,
+        };
+        let mut below: BTreeSet<usize> = stages
+            .get(idx)
+            .map_or_else(BTreeSet::new, |s| (*s.downstream).clone());
+        below.insert(idx);
+        let below = Rc::new(below);
+        for parent in stages
+            .iter_mut()
+            .filter(|p| parents.contains(&p.out_shuffle))
+        {
+            parent.downstream = below.clone();
+        }
+    }
     if stages.iter().any(|s| s.out_partitions == Some(0)) {
         let e = MrError::msg(format!(
             "dag {}: a shuffle needs at least one partition",
@@ -560,24 +519,26 @@ pub fn submit_dag(
         ));
         return sim.after(0.0, move |sim| done(sim, Err(e)));
     }
-    let store = ShuffleStore {
-        expected: stages.iter().map(|s| (s.out_shuffle, s.n_tasks)).collect(),
-        ..ShuffleStore::default()
-    };
+    let store = ShuffleStore::shared(stages.iter().map(|s| (s.out_shuffle, s.n_tasks)));
     let producer: BTreeMap<u64, usize> = stages
         .iter()
         .enumerate()
         .map(|(i, s)| (s.out_shuffle, i))
         .collect();
+    let pool = Pool::open(sim, &env, &dag.ft);
+    // A kill takes the shuffle outputs the dead node held with it.
+    let held = store.clone();
+    let drop_outputs = move |_: &mut Sim, node: NodeId| held.borrow_mut().invalidate_node(node);
+    pool.borrow_mut().on_node_lost(Rc::new(drop_outputs));
     let d: SharedDag = Rc::new(RefCell::new(DagDriver {
+        cluster_evictions_start: env.cluster_cache.stats().evictions,
         env,
         dag,
         stages,
         producer,
         final_stage,
-        store: Rc::new(RefCell::new(store)),
-        carried: Rc::default(),
-        committed_once: BTreeSet::new(),
+        store,
+        pool,
         counters: Counters::new(),
         runs: Vec::new(),
         start_s: sim.now().secs(),
@@ -622,8 +583,7 @@ fn advance(sim: &mut Sim, d: &SharedDag) {
                         dd.dag.name
                     )))
                 } else {
-                    let once_committed = |p: &&usize| dd.committed_once.contains(&(idx, **p));
-                    let recomputed = missing.iter().filter(once_committed).count();
+                    let recomputed = dd.recomputes_among(idx, &missing);
                     dd.counters.add(keys::STAGES_RUN, 1.0);
                     if recomputed > 0 {
                         dd.counters.add(keys::LINEAGE_RECOMPUTES, recomputed as f64);
@@ -651,7 +611,7 @@ fn advance(sim: &mut Sim, d: &SharedDag) {
 
 /// Submit stage `idx` as one sink job over its `missing` partitions.
 fn run_stage(sim: &mut Sim, d: &SharedDag, idx: usize, missing: Vec<usize>, recomputed: usize) {
-    let (job, sink, env, op) = {
+    let (job, io, env, op) = {
         let dd = d.borrow();
         let Some(stage) = dd.stages.get(idx) else {
             return;
@@ -690,9 +650,15 @@ fn run_stage(sim: &mut Sim, d: &SharedDag, idx: usize, missing: Vec<usize>, reco
             n_partitions: stage.out_partitions,
             task_ids: Rc::new(missing),
             store: dd.store.clone(),
-            carried: dd.carried.clone(),
+            stage: idx,
+            downstream: stage.downstream.clone(),
         };
-        (job, sink, dd.env.clone(), stage.op)
+        let io = StageIo {
+            sink,
+            input: None,
+            pool: dd.pool.clone(),
+        };
+        (job, io, dd.env.clone(), stage.op)
     };
     // Filled in (end, outcome) when the stage job reports back.
     let run = StageRun {
@@ -707,7 +673,7 @@ fn run_stage(sim: &mut Sim, d: &SharedDag, idx: usize, missing: Vec<usize>, reco
     };
     let d2 = d.clone();
     let done = move |sim: &mut Sim, jr, failed| on_stage_done(sim, &d2, run, jr, failed);
-    submit_stage(sim, env, job, Some(sink), Box::new(done));
+    submit_stage(sim, env, job, Some(io), Box::new(done));
 }
 
 fn on_stage_done(
@@ -729,8 +695,6 @@ fn on_stage_done(
         // What a failed run had committed stays registered and is never run
         // again: its counters and reports count like those of any other run.
         dd.counters.merge(&jr.counters);
-        let committed = jr.tasks.iter().map(|t| (run.stage, t.index));
-        dd.committed_once.extend(committed);
         dd.runs.push(StageRun {
             end_s: sim.now().secs(),
             ok: failed.is_none(),
@@ -752,6 +716,16 @@ fn complete_dag(sim: &mut Sim, d: &SharedDag) {
         let mut dd = d.borrow_mut();
         if dd.done_cb.is_none() {
             return;
+        }
+        // What the detector saw over the whole DAG, and the cluster-cache
+        // evictions during it (registry stats are world-lifetime monotonic;
+        // the delta is this DAG's share).
+        let detector = dd.pool.borrow().counters.clone();
+        dd.counters.merge(&detector);
+        let evicted = evictions_since(&dd.env, dd.cluster_evictions_start);
+        if evicted > 0 {
+            dd.counters
+                .add(keys::CLUSTER_CACHE_EVICTIONS, evicted as f64);
         }
         let result = DagResult {
             name: dd.dag.name.clone(),

@@ -1,6 +1,8 @@
 //! The job driver: the public job types and the `Driver` that owns one
 //! run. Its mechanics live in the submodules: `nodes` (per-node slot and
-//! health table), `sched` (pure task placement), `attempt` (task tables,
+//! health table), `pool` (what the live runs of a DAG share: that table, the
+//! attempt numbering, the order slots are offered in), `sched` (pure task
+//! placement), `attempt` (task tables,
 //! launch / fail / first-commit-wins), `detector` (kills, heartbeats, hang
 //! deadlines, node withdrawal), `speculate`, `map` and `reduce` (the two
 //! attempt bodies) and `commit` (partitioning, grouping, part files, the
@@ -22,14 +24,16 @@ mod commit;
 mod detector;
 mod map;
 mod nodes;
+mod pool;
 mod reduce;
 mod sched;
 mod speculate;
 
-pub(crate) use commit::{group_by_key, kv_bytes, MapOutput};
+pub(crate) use commit::{group_by_key, kv_bytes, SharedShuffleStore, ShuffleInput, ShuffleStore};
+pub(crate) use pool::{Pool, SharedPool};
 
 use attempt::{AttemptInfo, TaskTable};
-pub(crate) use nodes::NodeTable;
+use nodes::NodeTable;
 
 /// Task- or job-level failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -444,7 +448,7 @@ impl JobResult {
 // ---------------------------------------------------------------------------
 
 /// One job run: policy and bookkeeping. Slot/health state lives in the
-/// [`NodeTable`], queues and attempts in the [`TaskTable`].
+/// [`Pool`]'s node table, queues and attempts in the [`TaskTable`].
 struct Driver {
     env: MrEnv,
     job: Job,
@@ -453,15 +457,18 @@ struct Driver {
     /// commit instead of being reduced here (the final stage commits part
     /// files named by the sink).
     sink: Option<ShuffleSink>,
+    /// What this run's pulling attempts read: a classic job's reducers the
+    /// outputs of its own maps, kept in a store of the job's own; `None` for
+    /// a map-only job.
+    input: Option<ShuffleInput>,
+    /// Node table and attempt numbering: the DAG's, or this job's own.
+    pool: SharedPool,
     start_s: f64,
-    nodes: NodeTable,
     tasks: TaskTable,
     /// Per-attempt hang deadlines armed (hangs, read hangs or partitions
     /// present — a partitioned node's completions are dropped and only a
     /// deadline can recover an attempt stranded by a short partition).
     hang_checks_armed: bool,
-    /// Committed map outputs a classic job's reducers pull from, by map.
-    map_outputs: Vec<Option<MapOutput>>,
     /// Durations of committed maps (speculation median, hang deadline).
     map_durations: Vec<f64>,
     /// Per-split cluster-cache chunk keys (from
@@ -489,21 +496,15 @@ impl Driver {
         self.done_cb.is_some()
     }
 
-    /// End the job, either way: take the completion callback (once) and, for
-    /// a DAG stage, leave the node table and the next attempt id for the
-    /// DAG's next stage submission.
-    fn end(&mut self) -> Option<JobDone> {
-        let cb = self.done_cb.take()?;
-        if let Some(sink) = &self.sink {
-            *sink.carried.borrow_mut() = Some((self.nodes.clone(), self.tasks.next_attempt()));
-        }
-        Some(cb)
-    }
-
-    /// End the job at `now`, either way (see [`Driver::end`]), with what it
-    /// has committed: its task reports and counters.
+    /// End the job at `now`, either way, with what it has committed: take
+    /// the completion callback (once) and hand it the task reports and
+    /// counters. The slot of every attempt still in flight goes back to the
+    /// pool.
     fn finish(&mut self, now: f64) -> Option<(JobDone, JobResult)> {
-        let cb = self.end()?;
+        let cb = self.done_cb.take()?;
+        for node in self.tasks.abandon() {
+            self.pool.borrow_mut().nodes.release(node);
+        }
         let mut tasks = std::mem::take(&mut self.reports);
         tasks.sort_by_key(|t| (t.kind == TaskKind::Reduce, t.index));
         if let Some(sink) = &self.sink {
@@ -511,12 +512,13 @@ impl Driver {
             for t in &mut tasks {
                 t.index = sink.partition_of(t.index);
             }
-        }
-        // Cluster-cache evictions during this job's run (registry stats
-        // are world-lifetime monotonic; the delta is this job's share).
-        if self.env.cluster_cache.enabled() {
-            let evicted = self.env.cluster_cache.stats().evictions;
-            let evicted = evicted.saturating_sub(self.cluster_evictions_start);
+        } else {
+            // A job of its own: the events of its detector, and the
+            // cluster-cache evictions during its run (registry stats are
+            // world-lifetime monotonic; the delta is this job's share). A
+            // DAG's stage runs overlap, so the DAG accounts both, once.
+            self.counters.merge(&self.pool.borrow().counters);
+            let evicted = evictions_since(&self.env, self.cluster_evictions_start);
             if evicted > 0 {
                 self.counters
                     .add(keys::CLUSTER_CACHE_EVICTIONS, evicted as f64);
@@ -532,46 +534,47 @@ impl Driver {
         Some((cb, result))
     }
 
-    fn view(&self) -> sched::View<'_> {
+    fn view<'a>(&'a self, nodes: &'a NodeTable) -> sched::View<'a> {
         sched::View {
-            nodes: &self.nodes,
+            nodes,
             pending_maps: self.tasks.pending(TaskKind::Map),
             pending_reduces: self.tasks.pending(TaskKind::Reduce),
             maps_open: !self.tasks.all_done(TaskKind::Map),
             splits: &self.job.splits,
             cache_hints: &self.cache_hints,
             cache: &self.env.cluster_cache,
-            running: self.tasks.running(),
+            running: nodes.busy(),
         }
     }
 
     /// Act on a scheduler pick: dequeue its task and take the slot.
     fn claim(&mut self, pick: sched::Pick, now: f64) -> Option<AttemptInfo> {
         let task = self.tasks.dequeue(pick.kind, pick.pos)?;
-        self.nodes.take_slot(pick.node);
+        self.pool.borrow_mut().nodes.take_slot(pick.node);
         Some(AttemptInfo::new(pick, task, now, false))
     }
 
-    /// A map attempt (pending map, retry or speculative twin) found no free
-    /// slot: an early reducer must never delay it, so the youngest reducer
-    /// on a usable node other than `except` gives up its slot — every
-    /// reducer in flight is still waiting for map outputs, or no map would
-    /// be asking. It goes back to the head of its queue uncharged: no
-    /// retry, no attempt off its budget. Returns the node whose slot is now
-    /// free.
-    fn preempt_reducer(&mut self, except: Option<NodeId>) -> Option<NodeId> {
-        let gives_a_slot = |n: NodeId| Some(n) != except && self.nodes.usable(n);
-        let youngest = self
-            .tasks
-            .reducers()
-            .rev()
-            .find(|(_, i)| gives_a_slot(i.node));
-        let (id, _) = youngest?;
-        let info = self.tasks.preempt(id)?;
-        self.nodes.release(info.node);
-        self.counters.add(keys::REDUCES_PREEMPTED, 1.0);
-        Some(info.node)
+    /// The shuffle this run's map tasks register their output in: the
+    /// sink's, or the one a classic job's reducers pull from.
+    fn output_shuffle(&self) -> Option<(SharedShuffleStore, u64)> {
+        match (&self.sink, &self.input) {
+            (Some(sink), _) => Some(sink.shuffle()),
+            (None, Some(input)) => Some((input.store.clone(), OWN_SHUFFLE)),
+            (None, None) => None,
+        }
     }
+}
+
+/// The one shuffle of a classic job's own store.
+const OWN_SHUFFLE: u64 = 0;
+
+/// Cluster-cache evictions since the registry counted `start` of them (0
+/// while the tier is off).
+pub(crate) fn evictions_since(env: &MrEnv, start: u64) -> u64 {
+    if !env.cluster_cache.enabled() {
+        return 0;
+    }
+    env.cluster_cache.stats().evictions.saturating_sub(start)
 }
 
 /// Submit a job; `done` fires (with the result) when the last task output
@@ -594,26 +597,34 @@ pub fn submit_job_env(
 ) {
     let done =
         move |sim: &mut Sim, r, failed: Option<MrError>| done(sim, failed.map_or(Ok(r), Err));
-    submit_stage(sim, env, job, None, Box::new(done))
+    submit_stage(sim, env, job, None, Box::new(done));
 }
 
-/// Start a driver for `job`. With a `sink` the job is one DAG stage:
-/// map-only, its partitioned output registered in the sink's shuffle store
-/// (the grouping runs downstream) — or, for the final stage, committed as
-/// part files.
+/// What makes a job one stage run of a DAG: where its output goes, what its
+/// tasks pull (`None` for a source stage, which fetches splits) and the pool
+/// it shares with the DAG's other runs.
+pub(crate) struct StageIo {
+    pub sink: ShuffleSink,
+    pub input: Option<ShuffleInput>,
+    pub pool: SharedPool,
+}
+
+/// Start a driver for `job`. As a DAG `stage` it is map-only, its
+/// partitioned output registered in the sink's shuffle store (the grouping
+/// runs downstream) — or, for the final stage, committed as part files.
 pub(crate) fn submit_stage(
     sim: &mut Sim,
     env: MrEnv,
     job: Job,
-    sink: Option<ShuffleSink>,
+    stage: Option<StageIo>,
     done: JobDone,
 ) {
+    let now = sim.now().secs();
     if job.reduce_fn.is_some() && job.n_reducers == 0 {
         let e = MrError::msg(format!(
             "job {}: a reduce function needs at least one reducer",
             job.name
         ));
-        let now = sim.now().secs();
         let nothing = JobResult {
             name: job.name,
             start_s: now,
@@ -625,32 +636,23 @@ pub(crate) fn submit_stage(
         return;
     }
     let n_maps = job.splits.len();
-    let now = sim.now().secs();
-    // Nodes the fault plan has already killed start out dead; a DAG stage
-    // starts from the health its predecessor ended with and numbers its
-    // attempts on from there.
-    let carried = sink.as_ref().and_then(|s| s.carried.borrow_mut().take());
-    let (health, first_attempt) = carried.unzip();
-    let dead = |n: NodeId| sim.faults.node_dead(n.0, now);
-    let nodes = NodeTable::new(
-        env.topo.n_compute(),
-        env.slots_per_node,
-        health.as_ref(),
-        dead,
-    );
-    // A node dead before this job started must leave no ghost behind
-    // (cluster-cache residency outlives the job that admitted it); the
-    // mid-job kill path forgets it the same way when it withdraws the node.
-    for n in nodes.ids().filter(|&n| nodes.is_dead(n)) {
-        forget_node(&env, sink.as_ref(), n);
-    }
-    // Arm the detector machinery only when the plan can actually produce
-    // silence: hangs and partitions never complete on their own, so only a
-    // heartbeat/deadline can recover from them. Clean (and merely slow or
-    // crashy) plans keep the driver's event stream exactly as before.
+    // A map-only job has no reducers, whatever `n_reducers` says.
+    let n_reducers = job.reduce_fn.as_ref().map_or(0, |_| job.n_reducers);
+    let (sink, input, pool) = match stage {
+        Some(StageIo { sink, input, pool }) => (Some(sink), input, pool),
+        None => {
+            // Reducers pull the job's own map outputs.
+            let input = (n_reducers > 0).then(|| ShuffleInput {
+                store: ShuffleStore::shared([(OWN_SHUFFLE, n_maps)]),
+                sources: vec![(OWN_SHUFFLE, 0)],
+            });
+            (None, input, Pool::open(sim, &env, &job.ft))
+        }
+    };
+    // Per-attempt hang deadlines only when the plan can produce silence
+    // (see [`Pool::open`]) or swallow a read.
     let plan = sim.faults.plan();
-    let heartbeats = !plan.node_hangs.is_empty() || !plan.partitions.is_empty();
-    let hang_checks_armed = heartbeats || !plan.read_hangs.is_empty();
+    let hang_checks_armed = detector::plan_has_silence(plan) || !plan.read_hangs.is_empty();
     // Precompute cache-locality hints only when the tier is live: a
     // disabled registry (or fetchers without hints) means no hints, zero
     // scheduler overhead and timing identical to a world without the tier.
@@ -662,17 +664,15 @@ pub(crate) fn submit_stage(
     if cache_hints.iter().all(Vec::is_empty) {
         cache_hints.clear();
     }
-    // A map-only job has no reducers, whatever `n_reducers` says.
-    let n_reducers = job.reduce_fn.as_ref().map_or(0, |_| job.n_reducers);
     let d = Rc::new(RefCell::new(Driver {
         cluster_evictions_start: env.cluster_cache.stats().evictions,
         env,
         sink,
+        input,
+        pool: pool.clone(),
         start_s: now,
-        nodes,
-        tasks: TaskTable::new(n_maps, n_reducers, first_attempt.unwrap_or(0)),
+        tasks: TaskTable::new(n_maps, n_reducers),
         hang_checks_armed,
-        map_outputs: vec![None; n_maps],
         map_durations: Vec::new(),
         cache_hints,
         reports: Vec::new(),
@@ -680,25 +680,15 @@ pub(crate) fn submit_stage(
         done_cb: Some(done),
         job,
     }));
-    detector::arm(sim, &d, heartbeats);
+    pool.borrow_mut().enlist(&d);
     if n_maps == 0 && n_reducers == 0 {
         let d2 = d.clone();
         sim.after(0.0, move |sim| complete(sim, &d2));
-        return;
-    }
-    // Reducers are pending from the start: those the maps leave a slot for
-    // launch now, start up beside the map wave and pull each map output as
-    // it commits (`reduce.rs`).
-    attempt::try_schedule(sim, &d);
-}
-
-/// `node` is dead, and what it held died with it: its cluster-cache
-/// residency and, for a DAG stage, its shuffle outputs — so no later task is
-/// steered to, or served from, a ghost.
-fn forget_node(env: &MrEnv, sink: Option<&ShuffleSink>, node: NodeId) {
-    env.cluster_cache.invalidate_node(node);
-    if let Some(sink) = sink {
-        sink.invalidate_node(node);
+    } else {
+        // Reducers are pending from the start: those the maps leave a slot
+        // for launch now, start up beside the map wave and pull each map
+        // output as it commits (`reduce.rs`).
+        pool::schedule(sim, &pool);
     }
 }
 
@@ -724,25 +714,18 @@ fn maybe_finish_maps(sim: &mut Sim, d: &SharedDriver) {
     }
 }
 
+/// End the job on `e`: every in-flight attempt is orphaned and the queues
+/// dropped — their continuations see a dead attempt and can no longer mutate
+/// counters or reports.
 fn fail_job(sim: &mut Sim, d: &SharedDriver, e: MrError) {
-    let ended = {
-        let mut dd = d.borrow_mut();
-        // Orphan every in-flight attempt and drop the queues: their
-        // continuations see a dead attempt and can no longer mutate
-        // counters or reports.
-        dd.tasks.abandon();
-        dd.finish(sim.now().secs())
-    };
+    let ended = d.borrow_mut().finish(sim.now().secs());
     if let Some((cb, result)) = ended {
         cb(sim, result, Some(e));
     }
 }
 
 fn complete(sim: &mut Sim, d: &SharedDriver) {
-    let ended = {
-        let mut dd = d.borrow_mut();
-        dd.finish(sim.now().secs())
-    };
+    let ended = d.borrow_mut().finish(sim.now().secs());
     if let Some((cb, result)) = ended {
         cb(sim, result, None);
     }

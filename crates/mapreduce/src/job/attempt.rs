@@ -6,6 +6,7 @@ use std::collections::{BTreeMap, VecDeque};
 use simnet::{NodeId, Sim};
 
 use super::commit::MapOutput;
+use super::pool::{preempt_waiting, schedule};
 use super::reduce::Shuffle;
 use super::sched::{self, Pick, Sched};
 use super::{
@@ -35,8 +36,9 @@ pub(super) struct AttemptInfo {
     /// How often a hang deadline was armed for this attempt; only the check
     /// queued by the latest arming may declare it hung.
     pub deadline_gen: u32,
-    /// A reduce attempt between its start-up and its sort: what it has
-    /// pulled so far. It goes with the attempt, however that ends.
+    /// A pulling attempt (a reducer, a task of a post-shuffle stage) from
+    /// its launch until it has all its input — while it is *waiting*: what
+    /// it has pulled so far. It goes with the attempt, however that ends.
     pub shuffle: Option<Shuffle>,
 }
 
@@ -95,13 +97,12 @@ pub(super) struct TaskTable {
     maps: KindTable,
     reduces: KindTable,
     attempts: BTreeMap<AttemptId, AttemptInfo>,
-    next_attempt: AttemptId,
 }
 
 impl TaskTable {
     /// Every task pending, reducers included: the scheduler hands a reducer
-    /// only a slot no map wants. Attempts are numbered from `first_attempt`.
-    pub fn new(n_maps: usize, n_reducers: usize, first_attempt: AttemptId) -> TaskTable {
+    /// only a slot no map wants.
+    pub fn new(n_maps: usize, n_reducers: usize) -> TaskTable {
         let all_pending = |n: usize| KindTable {
             pending: (0..n).collect(),
             states: vec![TaskState::default(); n],
@@ -111,13 +112,7 @@ impl TaskTable {
             maps: all_pending(n_maps),
             reduces: all_pending(n_reducers),
             attempts: BTreeMap::new(),
-            next_attempt: first_attempt,
         }
-    }
-
-    /// The id the next attempt would get.
-    pub fn next_attempt(&self) -> AttemptId {
-        self.next_attempt
     }
 
     fn kind(&self, kind: TaskKind) -> &KindTable {
@@ -155,10 +150,6 @@ impl TaskTable {
         k.done == k.states.len()
     }
 
-    pub fn running(&self) -> usize {
-        self.attempts.len()
-    }
-
     pub fn attempt(&self, id: AttemptId) -> Option<&AttemptInfo> {
         self.attempts.get(&id)
     }
@@ -173,10 +164,11 @@ impl TaskTable {
         on_node.map(|(&id, _)| id).collect()
     }
 
-    /// Reduce attempts in flight, oldest first.
-    pub fn reducers(&self) -> impl DoubleEndedIterator<Item = (AttemptId, &AttemptInfo)> {
+    /// The attempts in flight that are still waiting for input, oldest
+    /// first.
+    pub fn waiting(&self) -> impl DoubleEndedIterator<Item = (AttemptId, &AttemptInfo)> {
         let all = self.attempts.iter().map(|(&id, i)| (id, i));
-        all.filter(|(_, i)| i.kind == TaskKind::Reduce)
+        all.filter(|(_, i)| i.shuffle.is_some())
     }
 
     /// Take attempt `id` out of flight as if it had never been launched: its task returns to the head of the queue with its retry
@@ -191,10 +183,8 @@ impl TaskTable {
         Some(info)
     }
 
-    /// Register a new attempt.
-    pub fn start(&mut self, info: AttemptInfo) -> AttemptId {
-        let id = self.next_attempt;
-        self.next_attempt += 1;
+    /// Register a new attempt as number `id`.
+    pub fn start(&mut self, id: AttemptId, info: AttemptInfo) {
         if let Some(st) = self.kind_mut(info.kind).states.get_mut(info.task) {
             if info.speculative {
                 st.speculated = true;
@@ -204,7 +194,6 @@ impl TaskTable {
             st.live.push(id);
         }
         self.attempts.insert(id, info);
-        id
     }
 
     /// Take attempt `id` out of flight without committing it (it failed, or
@@ -257,11 +246,13 @@ impl TaskTable {
         .collect()
     }
 
-    /// Orphan every in-flight attempt and drop the queues.
-    pub fn abandon(&mut self) {
-        self.attempts.clear();
+    /// Orphan every in-flight attempt and drop the queues; returns the
+    /// nodes whose slots the attempts held.
+    pub fn abandon(&mut self) -> Vec<NodeId> {
         self.maps.pending.clear();
         self.reduces.pending.clear();
+        let attempts = std::mem::take(&mut self.attempts);
+        attempts.into_values().map(|i| i.node).collect()
     }
 }
 
@@ -299,8 +290,8 @@ impl Attempt {
     }
 }
 
-/// Handles on the reduce attempts in flight, oldest first.
-pub(super) fn reducers(d: &SharedDriver) -> Vec<Attempt> {
+/// Handles on `d`'s attempts still waiting for input, oldest first.
+pub(super) fn waiting(d: &SharedDriver) -> Vec<Attempt> {
     let dd = d.borrow();
     let handle = |(id, i): (AttemptId, &AttemptInfo)| Attempt {
         d: d.clone(),
@@ -308,12 +299,13 @@ pub(super) fn reducers(d: &SharedDriver) -> Vec<Attempt> {
         task: i.task,
         node: i.node,
     };
-    dd.tasks.reducers().map(handle).collect()
+    dd.tasks.waiting().map(handle).collect()
 }
 
-/// Launch attempts until the scheduler has nothing to place. A pending map
-/// it cannot place takes the slot of a waiting reducer
-/// ([`super::Driver::preempt_reducer`]).
+/// Launch attempts of `d` until the scheduler has nothing to place. A
+/// pending map it cannot place takes the slot of an attempt waiting
+/// downstream ([`preempt_waiting`]). [`schedule`] calls this for every live
+/// run of the pool.
 pub(super) fn try_schedule(sim: &mut Sim, d: &SharedDriver) {
     loop {
         let sched = {
@@ -321,7 +313,8 @@ pub(super) fn try_schedule(sim: &mut Sim, d: &SharedDriver) {
             if !dd.alive() {
                 return;
             }
-            sched::pick_next(&dd.view())
+            let pool = dd.pool.borrow();
+            sched::pick_next(&dd.view(&pool.nodes))
         };
         match sched {
             Sched::Run(pick) => {
@@ -332,12 +325,8 @@ pub(super) fn try_schedule(sim: &mut Sim, d: &SharedDriver) {
                 launch(sim, d, info);
             }
             blocked => {
-                let slot_freed = {
-                    let mut dd = d.borrow_mut();
-                    let map_waits = !dd.tasks.pending(TaskKind::Map).is_empty();
-                    map_waits && dd.preempt_reducer(None).is_some()
-                };
-                if slot_freed {
+                let map_waits = !d.borrow().tasks.pending(TaskKind::Map).is_empty();
+                if map_waits && preempt_waiting(d, None).is_some() {
                     continue;
                 }
                 if let Sched::Stuck(waiting) = blocked {
@@ -361,6 +350,7 @@ pub(super) fn launch(sim: &mut Sim, d: &SharedDriver, info: AttemptInfo) {
     let (kind, task, node) = (info.kind, info.task, info.node);
     let (id, waits_for_maps) = {
         let mut dd = d.borrow_mut();
+        let mut info = info;
         if info.speculative {
             dd.counters.add(keys::SPECULATIVE_LAUNCHED, 1.0);
         }
@@ -370,7 +360,12 @@ pub(super) fn launch(sim: &mut Sim, d: &SharedDriver, info: AttemptInfo) {
         };
         dd.counters.add(attempts_key, 1.0);
         let waits_for_maps = kind == TaskKind::Reduce && !dd.tasks.all_done(TaskKind::Map);
-        (dd.tasks.start(info), waits_for_maps)
+        if kind == TaskKind::Reduce {
+            info.shuffle = Some(Shuffle::default());
+        }
+        let id = dd.pool.borrow_mut().next_attempt();
+        dd.tasks.start(id, info);
+        (id, waits_for_maps)
     };
     let d = d.clone();
     let att = Attempt { d, id, task, node };
@@ -395,7 +390,7 @@ pub(super) fn fail_attempt(sim: &mut Sim, d: &SharedDriver, id: AttemptId, err: 
         let Some((info, fate)) = dd.tasks.end(id) else {
             return; // orphaned twin failing after the task committed
         };
-        dd.nodes.release(info.node);
+        dd.pool.borrow_mut().nodes.release(info.node);
         if matches!(err, MrError::InputLost(_)) {
             // No retry, and no twin, can bring a lost input back: the job
             // ends on its first hole and leaves recovery to the layer above.
@@ -414,8 +409,12 @@ pub(super) fn fail_attempt(sim: &mut Sim, d: &SharedDriver, id: AttemptId, err: 
     };
     match fatal {
         Some(e) => fail_job(sim, d, e),
-        None => try_schedule(sim, d),
+        None => schedule(sim, &pool_of(d)),
     }
+}
+
+fn pool_of(d: &SharedDriver) -> super::SharedPool {
+    d.borrow().pool.clone()
 }
 
 /// Commit one finished task attempt: first commit wins, later siblings are
@@ -439,24 +438,23 @@ pub(super) fn commit_task(
             return; // lost the speculative race
         };
         for loser in losers {
-            dd.nodes.release(loser.node);
+            dd.pool.borrow_mut().nodes.release(loser.node);
         }
         dd.counters.merge(acnt);
         let (kind, task, node) = (info.kind, info.task, info.node);
         let end_s = sim.now().secs();
         match kind {
             TaskKind::Map => {
-                match (dd.sink.clone(), shuffle_parts) {
-                    // DAG stage: registration happens here, at commit, so
-                    // first-commit-wins also means register-once — an
-                    // orphaned twin never reaches this point.
-                    (Some(sink), parts) => sink.register(task, node, parts),
-                    (None, Some(parts)) => {
-                        if let Some(slot) = dd.map_outputs.get_mut(task) {
-                            *slot = Some(MapOutput { node, parts });
-                        }
-                    }
-                    (None, None) => {}
+                // Registration happens here, at commit, so
+                // first-commit-wins also means register-once — an orphaned
+                // twin never reaches this point. A part file on HDFS (no
+                // `parts`) is held by no node; only a DAG registers those.
+                let output = shuffle_parts.map(|parts| MapOutput { node, parts });
+                let partition = dd.sink.as_ref().map_or(task, |s| s.partition_of(task));
+                if let Some((store, shuffle)) = dd.output_shuffle() {
+                    store
+                        .borrow_mut()
+                        .register(shuffle, partition, output, end_s);
                 }
                 dd.counters.add(keys::MAP_TASKS, 1.0);
                 let located = dd.job.splits.get(task).map(|s| !s.locations.is_empty());
@@ -484,18 +482,18 @@ pub(super) fn commit_task(
             end_s,
             phases,
         });
-        dd.nodes.release(node);
+        dd.pool.borrow_mut().nodes.release(node);
         kind
     };
     match committed {
         TaskKind::Map => {
-            reduce::map_committed(sim, d, att.task);
+            reduce::output_registered(sim, d, att.task);
             speculate::schedule_speculation_checks(sim, d);
-            try_schedule(sim, d);
+            schedule(sim, &pool_of(d));
             maybe_finish_maps(sim, d);
         }
         TaskKind::Reduce => {
-            try_schedule(sim, d);
+            schedule(sim, &pool_of(d));
             if d.borrow().tasks.all_done(TaskKind::Reduce) {
                 complete(sim, d);
             }

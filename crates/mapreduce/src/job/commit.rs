@@ -1,8 +1,10 @@
-//! Task output: partitioning, grouping, serialization and the part-file
-//! commit protocol. The classic job driver and the DAG engine both build on
-//! these.
+//! Task output: partitioning, the registry committed shuffle outputs live in,
+//! grouping, serialization and the part-file commit protocol. The classic job
+//! driver and the DAG engine both build on these.
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 use simnet::{CostModel, NodeId, Sim};
 
@@ -16,6 +18,147 @@ use crate::counters::{keys, Counters};
 pub(crate) struct MapOutput {
     pub node: NodeId,
     pub parts: Vec<Vec<Kv>>,
+}
+
+/// Registry of committed shuffle outputs, by `(shuffle, producing
+/// partition)`: a DAG's is shared by its driver and every stage run; a
+/// classic job keeps its map outputs in one of its own (one shuffle, which
+/// nothing ever invalidates — §3.2's simplification).
+#[derive(Default)]
+pub(crate) struct ShuffleStore {
+    /// shuffle id → producing partition id → output. `None` is a final
+    /// partition: committed as a part file on HDFS, held by no node.
+    outputs: BTreeMap<u64, BTreeMap<usize, Option<MapOutput>>>,
+    /// shuffle id → number of outputs a complete shuffle has.
+    expected: BTreeMap<u64, usize>,
+    /// When each shuffle last became complete — its *close*.
+    closed_at: BTreeMap<u64, f64>,
+    /// Every `(shuffle, partition)` that was ever registered: running one
+    /// again is a lineage recompute.
+    once: BTreeSet<(u64, usize)>,
+    /// Outputs dropped so far — their holder died, or was unreachable (hung
+    /// or partitioned away) when a task tried to pull them after the close.
+    pub lost: u64,
+}
+
+pub(crate) type SharedShuffleStore = Rc<RefCell<ShuffleStore>>;
+
+impl ShuffleStore {
+    /// A store of the shuffles `expected` names, each with its width.
+    pub fn shared(expected: impl IntoIterator<Item = (u64, usize)>) -> SharedShuffleStore {
+        Rc::new(RefCell::new(ShuffleStore {
+            expected: expected.into_iter().collect(),
+            ..ShuffleStore::default()
+        }))
+    }
+
+    pub fn n_expected(&self, shuffle: u64) -> usize {
+        self.expected.get(&shuffle).copied().unwrap_or(0)
+    }
+
+    /// Register one committed output at `now`. First-commit-wins upstream
+    /// means this is called at most once per live (shuffle, partition) — a
+    /// recompute after invalidation simply fills the hole again.
+    pub fn register(
+        &mut self,
+        shuffle: u64,
+        partition: usize,
+        output: Option<MapOutput>,
+        now: f64,
+    ) {
+        self.outputs
+            .entry(shuffle)
+            .or_default()
+            .insert(partition, output);
+        self.once.insert((shuffle, partition));
+        if self.complete(shuffle) {
+            self.closed_at.insert(shuffle, now);
+        }
+    }
+
+    pub fn get(&self, shuffle: u64, partition: usize) -> Option<&MapOutput> {
+        self.outputs.get(&shuffle)?.get(&partition)?.as_ref()
+    }
+
+    pub fn has(&self, shuffle: u64, partition: usize) -> bool {
+        let outs = self.outputs.get(&shuffle);
+        outs.is_some_and(|o| o.contains_key(&partition))
+    }
+
+    pub fn registered_once(&self, shuffle: u64, partition: usize) -> bool {
+        self.once.contains(&(shuffle, partition))
+    }
+
+    /// Every expected output of `shuffle` is registered: it is *closed*. A
+    /// closed shuffle opens again when one of its outputs is invalidated.
+    pub fn complete(&self, shuffle: u64) -> bool {
+        let registered = self.outputs.get(&shuffle).map_or(0, BTreeMap::len);
+        registered == self.n_expected(shuffle)
+    }
+
+    /// When `shuffle` closed, if it is closed now and ever received an
+    /// output (a shuffle of width 0 is closed from the start).
+    pub fn closed_at(&self, shuffle: u64) -> Option<f64> {
+        let at = self.closed_at.get(&shuffle).copied();
+        at.filter(|_| self.complete(shuffle))
+    }
+
+    /// Drop every output held by a dead node.
+    pub fn invalidate_node(&mut self, node: NodeId) {
+        for outs in self.outputs.values_mut() {
+            let before = outs.len();
+            outs.retain(|_, o| o.as_ref().is_none_or(|o| o.node != node));
+            self.lost += (before - outs.len()) as u64;
+        }
+    }
+
+    /// Drop one registered output whose holder cannot be reached right now
+    /// (hung, or partitioned away from the pulling node). A pull from it
+    /// would stall forever; losing the partition instead routes recovery
+    /// through the lineage machinery, which re-runs the producer task.
+    pub fn invalidate_stalled(&mut self, shuffle: u64, partition: usize) {
+        let outs = self.outputs.get_mut(&shuffle);
+        if outs.is_some_and(|o| o.remove(&partition).is_some()) {
+            self.lost += 1;
+        }
+    }
+}
+
+/// What the pulling attempts of a run read: their partition of every output
+/// of `sources`. A classic job's reducers pull from its own maps; the tasks
+/// of a DAG's post-shuffle stage from the stages upstream.
+#[derive(Clone)]
+pub(crate) struct ShuffleInput {
+    pub store: SharedShuffleStore,
+    /// `(shuffle id, parent tag)`, one per parent, in the order their pairs
+    /// reach the task.
+    pub sources: Vec<(u64, u8)>,
+}
+
+impl ShuffleInput {
+    /// Some source shuffle is still missing outputs: the tasks reading it
+    /// are waiting, not stranded.
+    pub fn open(&self) -> bool {
+        let store = self.store.borrow();
+        !self.sources.iter().all(|&(s, _)| store.complete(s))
+    }
+
+    /// When the last source closed; `default` when none ever received an
+    /// output.
+    pub fn closed_at(&self, default: f64) -> f64 {
+        let store = self.store.borrow();
+        let closes = self.sources.iter().filter_map(|&(s, _)| store.closed_at(s));
+        closes.reduce(f64::max).unwrap_or(default)
+    }
+
+    /// Every `(source index, producing partition)` there is to pull.
+    pub fn all_outputs(&self) -> Vec<(usize, usize)> {
+        let store = self.store.borrow();
+        let sources = self.sources.iter().enumerate();
+        sources
+            .flat_map(|(i, &(s, _))| (0..store.n_expected(s)).map(move |m| (i, m)))
+            .collect()
+    }
 }
 
 /// Shuffle-accounted size of a run of pairs.

@@ -1,11 +1,14 @@
 //! Failure detection: planned node kills, the heartbeat suspicion ladder,
 //! per-attempt hang deadlines — and the one node-withdrawal path they share.
+//! Kills and heartbeats are the pool's: a node is withdrawn once, for every
+//! live run that draws on it. Hang deadlines are each run's own.
 
-use simnet::{NodeId, Sim, SimTime};
+use simnet::{FaultPlan, NodeId, Sim, SimTime};
 
-use super::attempt::{fail_attempt, reducers, try_schedule, Attempt};
+use super::attempt::{fail_attempt, waiting, Attempt};
 use super::nodes::Withdrawal;
-use super::{fail_job, forget_node, Driver, MrError, SharedDriver};
+use super::pool::{live_runs, schedule};
+use super::{fail_job, Driver, MrError, SharedDriver, SharedPool};
 use crate::counters::keys;
 
 /// Multiple of the q75 committed map duration after which a running attempt
@@ -19,14 +22,22 @@ pub(super) fn node_silent(sim: &Sim, node: NodeId) -> bool {
     sim.faults.node_hung(node.0, now) || sim.faults.partition_isolated(node.0, now)
 }
 
-/// Watch the fault plan on behalf of a freshly submitted job: queue its
-/// future node kills and, when `heartbeats` (the plan can produce silence),
-/// count the partitions whose onset falls inside the run and start the
-/// heartbeat loop.
-pub(super) fn arm(sim: &mut Sim, d: &SharedDriver, heartbeats: bool) {
+/// Whether `plan` can produce silence: hangs and partitions never complete
+/// on their own, so only a heartbeat or a deadline can recover from them.
+/// Clean (and merely slow or crashy) plans arm neither and keep the driver's
+/// event stream exactly as it is without a detector.
+pub(super) fn plan_has_silence(plan: &FaultPlan) -> bool {
+    !plan.node_hangs.is_empty() || !plan.partitions.is_empty()
+}
+
+/// Watch the fault plan on behalf of a freshly opened pool: queue its future
+/// node kills and, when the plan can produce silence, count the partitions
+/// whose onset falls inside the run and start the heartbeat loop.
+pub(super) fn arm(sim: &mut Sim, pool: &SharedPool) {
     let now = sim.now().secs();
-    let n_nodes = d.borrow().nodes.len();
+    let n_nodes = pool.borrow().nodes.len();
     let plan = sim.faults.plan();
+    let heartbeats = plan_has_silence(plan);
     let kills: Vec<(u32, f64)> = plan
         .node_kills
         .iter()
@@ -40,105 +51,114 @@ pub(super) fn arm(sim: &mut Sim, d: &SharedDriver, heartbeats: bool) {
         .filter(|p| p.from_s <= now && p.active(now))
         .count();
     for (node, t) in kills {
-        let d2 = d.clone();
+        let pool = pool.clone();
         sim.at(SimTime(t), move |sim| {
-            withdraw_node(sim, &d2, NodeId(node), Withdrawal::Killed)
+            withdraw_node(sim, &pool, NodeId(node), Withdrawal::Killed)
         });
     }
     if !heartbeats {
         return;
     }
     if active_now > 0 {
-        let mut dd = d.borrow_mut();
-        dd.counters
-            .add(keys::PARTITIONS_OBSERVED, active_now as f64);
+        let mut p = pool.borrow_mut();
+        p.counters.add(keys::PARTITIONS_OBSERVED, active_now as f64);
     }
     for t in onsets.into_iter().filter(|&t| t > now) {
-        let d2 = d.clone();
+        let pool = pool.clone();
         sim.at(SimTime(t), move |_sim| {
-            let mut dd = d2.borrow_mut();
-            if dd.alive() {
-                dd.counters.add(keys::PARTITIONS_OBSERVED, 1.0);
+            if !live_runs(&pool).is_empty() {
+                let mut p = pool.borrow_mut();
+                p.counters.add(keys::PARTITIONS_OBSERVED, 1.0);
             }
         });
     }
-    schedule_heartbeat(sim, d, 1);
+    schedule_heartbeat(sim, pool, 1);
 }
 
-/// `node`'s slots are gone (see [`Withdrawal`]): orphan its live attempts
-/// and requeue their tasks on the survivors.
-pub(super) fn withdraw_node(sim: &mut Sim, d: &SharedDriver, node: NodeId, why: Withdrawal) {
-    let exhausted = {
-        let mut dd = d.borrow_mut();
-        if !dd.alive() || !dd.nodes.withdraw(node, why) {
-            return;
-        }
-        let cause = match why {
-            Withdrawal::Killed => {
-                forget_node(&dd.env, dd.sink.as_ref(), node);
-                "death of node"
-            }
-            Withdrawal::DeclaredDead => "declared-dead node",
-        };
-        let mut exhausted: Option<MrError> = None;
-        for id in dd.tasks.on_node(node) {
-            let Some((info, fate)) = dd.tasks.end(id) else {
-                continue;
-            };
-            if fate.settled {
-                continue;
-            }
-            if fate.regular_started >= dd.job.ft.max_task_attempts.max(1) {
-                exhausted.get_or_insert(MrError::msg(format!(
-                    "{:?} task {} lost to {cause} {} after {} attempts",
-                    info.kind, info.task, node.0, fate.regular_started
-                )));
-            } else {
-                dd.counters.add(keys::TASK_RETRIES, 1.0);
-                dd.tasks.requeue(info.kind, info.task);
-            }
-        }
-        exhausted
-    };
-    match exhausted {
-        Some(e) => fail_job(sim, d, e),
-        None => try_schedule(sim, d),
+/// `node`'s slots are gone (see [`Withdrawal`]), for every live run: each
+/// orphans its live attempts there and requeues their tasks on the
+/// survivors. A kill also takes what the node held — its cluster-cache
+/// residency and, through the pool's `on_node_lost`, a DAG's shuffle outputs
+/// — so no later task is steered to, or served from, a ghost.
+pub(super) fn withdraw_node(sim: &mut Sim, pool: &SharedPool, node: NodeId, why: Withdrawal) {
+    let runs = live_runs(pool);
+    if runs.is_empty() || !pool.borrow_mut().nodes.withdraw(node, why) {
+        return;
     }
+    let cause = match why {
+        Withdrawal::Killed => {
+            pool.borrow().cache.invalidate_node(node);
+            "death of node"
+        }
+        Withdrawal::DeclaredDead => "declared-dead node",
+    };
+    for d in &runs {
+        let exhausted = {
+            let mut dd = d.borrow_mut();
+            let mut exhausted: Option<MrError> = None;
+            for id in dd.tasks.on_node(node) {
+                let Some((info, fate)) = dd.tasks.end(id) else {
+                    continue;
+                };
+                if fate.settled {
+                    continue;
+                }
+                if fate.regular_started >= dd.job.ft.max_task_attempts.max(1) {
+                    exhausted.get_or_insert(MrError::msg(format!(
+                        "{:?} task {} lost to {cause} {} after {} attempts",
+                        info.kind, info.task, node.0, fate.regular_started
+                    )));
+                } else {
+                    dd.counters.add(keys::TASK_RETRIES, 1.0);
+                    dd.tasks.requeue(info.kind, info.task);
+                }
+            }
+            exhausted
+        };
+        if let Some(e) = exhausted {
+            fail_job(sim, d, e);
+        }
+    }
+    let on_node_lost = pool.borrow().node_lost_hook();
+    if let Some(lost) = on_node_lost.filter(|_| why == Withdrawal::Killed) {
+        lost(sim, node);
+    }
+    schedule(sim, pool);
 }
 
 /// Queue heartbeat tick `k` of the failure detector at
 /// `start + k·interval` simulated seconds. Each tick reschedules the next
-/// while the job is alive, so the loop dies with the job and never keeps
+/// while a run is alive, so the loop dies with the job and never keeps
 /// the simulator spinning.
-fn schedule_heartbeat(sim: &mut Sim, d: &SharedDriver, tick: u64) {
+fn schedule_heartbeat(sim: &mut Sim, pool: &SharedPool, tick: u64) {
     let (start, interval) = {
-        let dd = d.borrow();
-        (dd.start_s, dd.job.ft.heartbeat_interval_s)
+        let p = pool.borrow();
+        (p.start_s, p.ft.heartbeat_interval_s)
     };
     if interval <= 0.0 || !interval.is_finite() {
         return;
     }
-    let d2 = d.clone();
+    let pool = pool.clone();
     sim.at(SimTime(start + tick as f64 * interval), move |sim| {
-        heartbeat_tick(sim, &d2, tick)
+        heartbeat_tick(sim, &pool, tick)
     });
 }
 
 /// One detector tick: every node delivers or misses its heartbeat (see
 /// [`super::nodes::NodeTable::heartbeat`]); nodes whose misses reached the
 /// dead threshold are withdrawn, and a healed one gets its slots back.
-fn heartbeat_tick(sim: &mut Sim, d: &SharedDriver, tick: u64) {
+fn heartbeat_tick(sim: &mut Sim, pool: &SharedPool, tick: u64) {
+    if live_runs(pool).is_empty() {
+        return; // job finished: stop ticking
+    }
     let (declare, slots_back) = {
-        let mut dd = d.borrow_mut();
-        if !dd.alive() {
-            return; // job finished: stop ticking
-        }
-        let suspect_after = dd.job.ft.suspect_after_misses.max(1);
-        let dead_after = dd.job.ft.dead_after_misses.max(suspect_after);
+        let mut p = pool.borrow_mut();
+        let suspect_after = p.ft.suspect_after_misses.max(1);
+        let dead_after = p.ft.dead_after_misses.max(suspect_after);
         let mut declare: Vec<NodeId> = Vec::new();
         let mut slots_back = false;
-        for n in dd.nodes.ids() {
-            let beat = dd
+        for n in p.nodes.ids() {
+            let beat = p
                 .nodes
                 .heartbeat(n, node_silent(sim, n), suspect_after, dead_after);
             for (happened, key) in [
@@ -147,7 +167,7 @@ fn heartbeat_tick(sim: &mut Sim, d: &SharedDriver, tick: u64) {
                 (beat.reinstated, keys::NODES_REINSTATED),
             ] {
                 if happened {
-                    dd.counters.add(key, 1.0);
+                    p.counters.add(key, 1.0);
                 }
             }
             if beat.declare_dead {
@@ -158,13 +178,13 @@ fn heartbeat_tick(sim: &mut Sim, d: &SharedDriver, tick: u64) {
         (declare, slots_back)
     };
     for n in declare {
-        withdraw_node(sim, d, n, Withdrawal::DeclaredDead);
+        withdraw_node(sim, pool, n, Withdrawal::DeclaredDead);
     }
     if slots_back {
-        try_schedule(sim, d);
+        schedule(sim, pool);
     }
-    if d.borrow().alive() {
-        schedule_heartbeat(sim, d, tick + 1);
+    if !live_runs(pool).is_empty() {
+        schedule_heartbeat(sim, pool, tick + 1);
     }
 }
 
@@ -206,7 +226,7 @@ pub(super) fn arm_deadline(sim: &mut Sim, att: &Attempt, busy_s: f64) {
 /// finish is stranded, not waiting, so the deadline of every reduce attempt
 /// launched before this instant starts now.
 pub(super) fn arm_reducers(sim: &mut Sim, d: &SharedDriver) {
-    for att in reducers(d) {
+    for att in waiting(d) {
         arm_deadline(sim, &att, 0.0);
     }
 }

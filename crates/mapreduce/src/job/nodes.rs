@@ -1,4 +1,5 @@
-//! Per-node slot and health state of one job, behind checked accessors:
+//! Per-node slot and health state of one job — or of one DAG, whose stage
+//! runs all draw on the same table — behind checked accessors:
 //! every method takes the cluster's [`NodeId`] and treats an id outside the
 //! table as a node with no slots (`None` / no-op), so the driver never
 //! indexes a vector itself.
@@ -50,7 +51,6 @@ pub(super) struct Beat {
     pub slots_back: bool,
 }
 
-#[derive(Clone)]
 pub(crate) struct NodeTable {
     slots_per_node: usize,
     nodes: Vec<NodeState>,
@@ -58,25 +58,20 @@ pub(crate) struct NodeTable {
 
 impl NodeTable {
     /// `n` nodes with `slots_per_node` free slots each; nodes `dead_at_start`
-    /// names begin dead with none. A stage of a DAG starts from the health
-    /// (suspicion ladder, heartbeat misses, deaths) the previous stage
-    /// submission `carried` over, with every slot free again: a failed stage
-    /// abandons its attempts without releasing theirs.
+    /// names begin dead with none.
     pub fn new(
         n: usize,
         slots_per_node: usize,
-        carried: Option<&NodeTable>,
         dead_at_start: impl Fn(NodeId) -> bool,
     ) -> NodeTable {
         let nodes = (0..n as u32)
             .map(|i| {
-                let mut s = carried
-                    .and_then(|t| t.get(NodeId(i)))
-                    .cloned()
-                    .unwrap_or_default();
-                s.dead |= dead_at_start(NodeId(i));
-                s.free_slots = if s.usable() { slots_per_node } else { 0 };
-                s
+                let dead = dead_at_start(NodeId(i));
+                NodeState {
+                    dead,
+                    free_slots: if dead { 0 } else { slots_per_node },
+                    ..NodeState::default()
+                }
             })
             .collect();
         NodeTable {
@@ -116,6 +111,15 @@ impl NodeTable {
         self.get(n)
             .filter(|s| s.usable())
             .map_or(0, |s| s.free_slots)
+    }
+
+    /// Slots taken on nodes still in service: the attempts in flight (those
+    /// of a withdrawn node ended with it).
+    pub fn busy(&self) -> usize {
+        let in_service = self.nodes.iter().filter(|s| s.usable());
+        in_service
+            .map(|s| self.slots_per_node.saturating_sub(s.free_slots))
+            .sum()
     }
 
     /// The node with the most free slots (the last such on a tie), leaving
@@ -205,7 +209,7 @@ mod tests {
 
     fn table() -> NodeTable {
         // Node 1 starts dead.
-        NodeTable::new(3, 2, None, |n| n == NodeId(1))
+        NodeTable::new(3, 2, |n| n == NodeId(1))
     }
 
     #[test]
@@ -213,7 +217,7 @@ mod tests {
         let mut t = table();
         assert_eq!((t.free(NodeId(0)), t.free(NodeId(1))), (2, 0));
         t.take_slot(NodeId(0));
-        assert_eq!(t.free(NodeId(0)), 1);
+        assert_eq!((t.free(NodeId(0)), t.busy()), (1, 1));
         assert!(t.withdraw(NodeId(0), Withdrawal::DeclaredDead));
         assert!(
             !t.release(NodeId(0)),
@@ -221,6 +225,7 @@ mod tests {
         );
         assert!(!t.release(NodeId(1)), "nor does a killed one");
         assert_eq!((t.free(NodeId(0)), t.free(NodeId(1))), (0, 0));
+        assert_eq!(t.busy(), 0, "the withdrawn node's attempt ended with it");
         assert!(t.release(NodeId(2)));
         assert_eq!(t.free(NodeId(2)), 3);
     }
@@ -262,26 +267,6 @@ mod tests {
         // A steady healthy node and a dead node report nothing.
         assert_eq!(t.heartbeat(n, false, 1, 2), Beat::default());
         assert_eq!(t.heartbeat(NodeId(1), true, 1, 2), Beat::default());
-    }
-
-    #[test]
-    fn next_stage_keeps_health_and_refills_slots() {
-        let mut t = table();
-        t.take_slot(NodeId(0));
-        t.take_slot(NodeId(2));
-        assert!(t.heartbeat(NodeId(2), true, 1, 1).declare_dead);
-        assert!(t.withdraw(NodeId(2), Withdrawal::DeclaredDead));
-        let mut next = NodeTable::new(3, 2, Some(&t), |_| false);
-        assert!(next.is_dead(NodeId(1)), "a kill is permanent");
-        assert_eq!(next.free(NodeId(0)), 2, "a taken slot is free again");
-        assert_eq!(next.free(NodeId(2)), 0, "still declared dead");
-        // The declared-dead node is reinstated by its next heartbeat, at
-        // full width — its misses came along.
-        assert!(next.heartbeat(NodeId(2), false, 1, 1).slots_back);
-        assert_eq!(next.free(NodeId(2)), 2);
-        // Without a carried table a stage starts from scratch.
-        let fresh = NodeTable::new(3, 2, None, |_| false);
-        assert!(fresh.ids().all(|n| fresh.free(n) == 2));
     }
 
     #[test]

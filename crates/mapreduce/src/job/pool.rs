@@ -1,0 +1,156 @@
+//! What the live stage runs of one DAG share — and a classic job has to
+//! itself: one node table, one attempt numbering, one failure detector, and
+//! the list of the runs themselves. Two runs never both think they own a
+//! slot, attempt ids (and with them the temp names of part files) are unique
+//! across a DAG, a node is withdrawn once for all of them, and a free slot is
+//! offered to the runs in stage order, upstream first.
+
+use std::cell::RefCell;
+use std::rc::{Rc, Weak};
+
+use simnet::{ClusterCache, NodeId, Sim};
+
+use super::attempt::{try_schedule, AttemptId};
+use super::nodes::NodeTable;
+use super::{detector, Driver, FtConfig, SharedDriver, TaskKind};
+use crate::cluster::MrEnv;
+use crate::counters::{keys, Counters};
+
+/// Called when a kill has been dealt with by every live run and before the
+/// slots it left are handed out: the DAG drops the dead node's shuffle
+/// outputs and resubmits what it still needs of them.
+pub(crate) type NodeLost = Rc<dyn Fn(&mut Sim, NodeId)>;
+
+pub(crate) struct Pool {
+    pub(super) nodes: NodeTable,
+    next_attempt: AttemptId,
+    /// The runs enlisted so far, upstream stages first (a classic job: its
+    /// one driver); the ended ones are skipped, not removed.
+    runs: Vec<Weak<RefCell<Driver>>>,
+    /// The heartbeat policy, and when its clock started.
+    pub(super) ft: FtConfig,
+    pub(super) start_s: f64,
+    pub(super) cache: Rc<ClusterCache>,
+    on_node_lost: Option<NodeLost>,
+    /// What the detector saw: heartbeats missed, nodes suspected and
+    /// reinstated, partitions observed.
+    pub(crate) counters: Counters,
+}
+
+pub(crate) type SharedPool = Rc<RefCell<Pool>>;
+
+impl Pool {
+    /// A pool over `env`'s compute nodes, every slot free; nodes the fault
+    /// plan has already killed start out dead, and leave no ghost behind
+    /// (cluster-cache residency outlives the job that admitted it). Watches
+    /// the fault plan from now on ([`detector::arm`]).
+    pub fn open(sim: &mut Sim, env: &MrEnv, ft: &FtConfig) -> SharedPool {
+        let now = sim.now().secs();
+        let dead = |n: NodeId| sim.faults.node_dead(n.0, now);
+        let nodes = NodeTable::new(env.topo.n_compute(), env.slots_per_node, dead);
+        for n in nodes.ids().filter(|&n| nodes.is_dead(n)) {
+            env.cluster_cache.invalidate_node(n);
+        }
+        let pool = Rc::new(RefCell::new(Pool {
+            nodes,
+            next_attempt: 0,
+            runs: Vec::new(),
+            ft: ft.clone(),
+            start_s: now,
+            cache: env.cluster_cache.clone(),
+            on_node_lost: None,
+            counters: Counters::new(),
+        }));
+        detector::arm(sim, &pool);
+        pool
+    }
+
+    /// Have `lost` called at every kill from now on.
+    pub fn on_node_lost(&mut self, lost: NodeLost) {
+        self.on_node_lost = Some(lost);
+    }
+
+    pub(super) fn node_lost_hook(&self) -> Option<NodeLost> {
+        self.on_node_lost.clone()
+    }
+
+    pub(super) fn next_attempt(&mut self) -> AttemptId {
+        let id = self.next_attempt;
+        self.next_attempt += 1;
+        id
+    }
+
+    /// Add a run: behind the runs of its own and of every earlier stage.
+    pub(super) fn enlist(&mut self, d: &SharedDriver) {
+        let stage = d.borrow().stage();
+        let upstream = |r: &Weak<RefCell<Driver>>| {
+            let r = r.upgrade();
+            r.is_none_or(|r| r.borrow().stage() <= stage)
+        };
+        let at = self.runs.iter().take_while(|r| upstream(r)).count();
+        self.runs.insert(at, Rc::downgrade(d));
+    }
+}
+
+impl Driver {
+    /// Index of the DAG stage this run executes (0 for a classic job).
+    pub(super) fn stage(&self) -> usize {
+        self.sink.as_ref().map_or(0, |s| s.stage)
+    }
+}
+
+/// The runs of `pool` that have not ended, upstream first. No driver may be
+/// mutably borrowed by the caller.
+pub(super) fn live_runs(pool: &SharedPool) -> Vec<SharedDriver> {
+    let runs = pool.borrow().runs.clone();
+    let runs = runs.iter().filter_map(Weak::upgrade);
+    runs.filter(|d| d.borrow().alive()).collect()
+}
+
+/// Offer the free slots to every live run in turn, upstream first: a task of
+/// a later stage only ever gets a slot no earlier stage wants.
+pub(super) fn schedule(sim: &mut Sim, pool: &SharedPool) {
+    for d in live_runs(pool) {
+        try_schedule(sim, &d);
+    }
+}
+
+/// A task of run `d` that has all its input (a pending map, a retry, a
+/// speculative twin) found no free slot: an attempt that is only waiting for
+/// input must never delay it, so the youngest such attempt *downstream* of
+/// it on a usable node other than `except` gives up its slot — a reducer of
+/// the same job, or a task of a later stage of the same DAG. It goes back to
+/// the head of its queue uncharged: no retry, no attempt off its budget.
+/// Returns the node whose slot is now free.
+pub(super) fn preempt_waiting(d: &SharedDriver, except: Option<NodeId>) -> Option<NodeId> {
+    let pool = d.borrow().pool.clone();
+    let gives_a_slot = |n: NodeId| Some(n) != except && pool.borrow().nodes.usable(n);
+    let downstream = d.borrow().sink.as_ref().map(|s| s.downstream.clone());
+    let mut youngest: Option<(AttemptId, SharedDriver)> = None;
+    for run in live_runs(&pool) {
+        let victim = {
+            let rd = run.borrow();
+            let own = Rc::ptr_eq(&run, d);
+            let later = downstream.as_ref().is_some_and(|s| s.contains(&rd.stage()));
+            if !own && !later {
+                continue;
+            }
+            // Of its own attempts only the reducers are downstream of `d`'s
+            // maps.
+            let waiting = rd.tasks.waiting().rev();
+            let mut waiting = waiting.filter(|(_, i)| !own || i.kind == TaskKind::Reduce);
+            waiting
+                .find(|(_, i)| gives_a_slot(i.node))
+                .map(|(id, _)| id)
+        };
+        if let Some(id) = victim.filter(|&id| youngest.as_ref().is_none_or(|(y, _)| id > *y)) {
+            youngest = Some((id, run));
+        }
+    }
+    let (id, run) = youngest?;
+    let mut rd = run.borrow_mut();
+    let info = rd.tasks.preempt(id)?;
+    pool.borrow_mut().nodes.release(info.node);
+    rd.counters.add(keys::REDUCES_PREEMPTED, 1.0);
+    Some(info.node)
+}

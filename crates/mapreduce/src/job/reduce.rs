@@ -3,17 +3,21 @@
 //! reduce, write. One body: a reducer launched after the map phase closed
 //! runs the same steps and simply finds every output committed.
 
-use std::collections::BTreeMap;
-use std::ops::Range;
+use std::collections::{BTreeMap, BTreeSet};
 
 use simnet::Sim;
 
-use super::attempt::{reducers, Attempt};
+use super::attempt::{waiting, Attempt};
 use super::commit::{commit_part_file, group_by_key, kv_bytes};
-use super::{detector, Driver, Kv, MrError, SharedDriver, TaskCtx, TaskKind};
+use super::pool::live_runs;
+use super::{detector, Driver, Kv, MrError, SharedDriver, TaskCtx};
 use crate::counters::{keys, Counters};
 
-/// One landed pull: partition `r` of one map output.
+/// One output to pull: `(index of its shuffle among the run's sources,
+/// producing partition)`. Pulled pairs reach the task in this order.
+type OutputKey = (usize, usize);
+
+/// One landed pull: this attempt's partition of one output.
 #[derive(Clone, Debug)]
 struct Pull {
     issued_s: f64,
@@ -21,23 +25,23 @@ struct Pull {
     kvs: Vec<Kv>,
 }
 
-/// What a reduce attempt past its start-up has pulled so far.
-#[derive(Clone, Debug)]
+/// What a pulling attempt has pulled so far.
+#[derive(Clone, Debug, Default)]
 pub(super) struct Shuffle {
-    /// When start-up ended.
-    ready_s: f64,
-    /// Landed pulls by map index — the order the reduce reads them in.
-    pulls: BTreeMap<usize, Pull>,
-    /// Maps whose holder this node could not reach when they committed:
-    /// tried again at each later commit, and pulled regardless once the map
-    /// phase has closed.
-    deferred: Vec<usize>,
-    in_flight: usize,
+    /// When start-up ended; `None` while it lasts.
+    ready_s: Option<f64>,
+    /// Landed pulls — in the order the task reads them.
+    pulls: BTreeMap<OutputKey, Pull>,
+    /// Outputs whose holder this node could not reach when they were
+    /// registered: tried again at each later registration, and pulled
+    /// regardless once their shuffle has closed.
+    deferred: Vec<OutputKey>,
+    in_flight: BTreeSet<OutputKey>,
 }
 
 impl Shuffle {
     fn all_in(&self) -> bool {
-        self.in_flight == 0 && self.deferred.is_empty()
+        self.in_flight.is_empty() && self.deferred.is_empty()
     }
 
     /// Seconds before `close_s` with at least one pull in flight.
@@ -61,75 +65,99 @@ impl Shuffle {
 /// so a retried reducer can shuffle again.
 pub(super) fn run_reduce_attempt(sim: &mut Sim, att: Attempt) {
     sim.after(sim.cost.task_startup_s, move |sim| {
-        let n_maps = {
+        let everything = {
             let mut dd = att.d.borrow_mut();
             let ready_s = sim.now().secs();
-            let Some(info) = dd.tasks.attempt_mut(att.id) else {
+            let Driver { tasks, input, .. } = &mut *dd;
+            let shuffle = tasks.attempt_mut(att.id).and_then(|i| i.shuffle.as_mut());
+            let (Some(shuffle), Some(input)) = (shuffle, input) else {
                 return; // preempted, or its node was withdrawn, during start-up
             };
-            info.shuffle = Some(Shuffle {
-                ready_s,
-                pulls: BTreeMap::new(),
-                deferred: Vec::new(),
-                in_flight: 0,
-            });
-            dd.map_outputs.len()
+            shuffle.ready_s = Some(ready_s);
+            input.all_outputs()
         };
-        pull(sim, &att, 0..n_maps);
+        pull(sim, &att, &everything);
     });
 }
 
-/// Map `m`'s output has just been registered: every reducer past its
-/// start-up pulls its partition of it.
-pub(super) fn map_committed(sim: &mut Sim, d: &SharedDriver, m: usize) {
-    for att in reducers(d) {
-        pull(sim, &att, m..m + 1);
+/// Task `task` of run `d` has just registered its output: every waiting
+/// attempt past its start-up that reads it pulls its partition of it.
+pub(super) fn output_registered(sim: &mut Sim, d: &SharedDriver, task: usize) {
+    let (pool, registered) = {
+        let dd = d.borrow();
+        let partition = dd.sink.as_ref().map_or(task, |s| s.partition_of(task));
+        (dd.pool.clone(), dd.output_shuffle().zip(Some(partition)))
+    };
+    let Some(((store, shuffle), partition)) = registered else {
+        return;
+    };
+    for reader in live_runs(&pool) {
+        let source = {
+            let rd = reader.borrow();
+            let input = rd.input.as_ref();
+            let input = input.filter(|i| std::rc::Rc::ptr_eq(&i.store, &store));
+            input.and_then(|i| i.sources.iter().position(|&(s, _)| s == shuffle))
+        };
+        let Some(source) = source else {
+            continue;
+        };
+        for att in waiting(&reader) {
+            pull(sim, &att, &[(source, partition)]);
+        }
     }
 }
 
-/// Issue `att`'s pulls of partition `r` from the committed maps among
+/// Issue `att`'s pulls of its partition from the registered outputs among
 /// `fresh` and those it had deferred; with nothing left to wait for, run
-/// the reduce. A holder whose link is down while maps are still running is
-/// deferred rather than pulled from: the pull would be dropped and strand
+/// the reduce. A holder whose link is down while its shuffle is still open
+/// is deferred rather than pulled from: the pull would be dropped and strand
 /// the attempt until its hang deadline, where a reduce phase opened at the
-/// close would have found the link as it is *then*. Once the phase has
+/// close would have found the link as it is *then*. Once the shuffle has
 /// closed the pull is issued whatever the link, and a drop is the hang
 /// deadline's to recover.
-fn pull(sim: &mut Sim, att: &Attempt, fresh: Range<usize>) {
-    let (r, node) = (att.task, att.node);
+fn pull(sim: &mut Sim, att: &Attempt, fresh: &[OutputKey]) {
+    let node = att.node;
     let (issue, env, spill_to_pfs, job_name, all_in) = {
         let mut dd = att.d.borrow_mut();
         if !dd.alive() {
             return;
         }
-        let maps_open = !dd.tasks.all_done(TaskKind::Map);
         let Driver {
             tasks,
-            map_outputs,
+            input,
+            sink,
             job,
             env,
             ..
         } = &mut *dd;
+        let r = sink.as_ref().map_or(att.task, |s| s.partition_of(att.task));
         let shuffle = tasks.attempt_mut(att.id).and_then(|i| i.shuffle.as_mut());
-        let Some(shuffle) = shuffle else {
+        let shuffle = shuffle.filter(|s| s.ready_s.is_some());
+        let (Some(shuffle), Some(input)) = (shuffle, input.as_ref()) else {
             return; // still starting up, or already reducing
         };
-        let mut issue: Vec<(usize, simnet::NodeId, Vec<Kv>)> = Vec::new();
+        let store = input.store.borrow();
+        let mut issue: Vec<(OutputKey, simnet::NodeId, Vec<Kv>)> = Vec::new();
         let put_off = std::mem::take(&mut shuffle.deferred);
-        for m in put_off.into_iter().chain(fresh) {
-            let out = map_outputs.get(m).and_then(Option::as_ref);
+        for &key in put_off.iter().chain(fresh) {
+            let Some(&(source, _)) = input.sources.get(key.0) else {
+                continue;
+            };
+            let out = store.get(source, key.1);
             let part = out.and_then(|out| Some((out.node, out.parts.get(r)?)));
             let Some((holder, kvs)) = part.filter(|(_, kvs)| !kvs.is_empty()) else {
-                continue; // not committed yet, or nothing for this reducer
+                continue; // not registered yet, or nothing for this partition
             };
-            if maps_open && !job.spill_to_pfs && sim.link(holder, node).is_none() {
-                shuffle.deferred.push(m);
+            let open = !store.complete(source);
+            if open && !job.spill_to_pfs && sim.link(holder, node).is_none() {
+                shuffle.deferred.push(key);
                 continue;
             }
-            shuffle.in_flight += 1;
-            issue.push((m, holder, kvs.clone()));
+            shuffle.in_flight.insert(key);
+            issue.push((key, holder, kvs.clone()));
         }
-        let all_in = !maps_open && shuffle.all_in();
+        drop(store);
+        let all_in = shuffle.all_in() && !input.open();
         (
             issue,
             env.clone(),
@@ -142,7 +170,7 @@ fn pull(sim: &mut Sim, att: &Attempt, fresh: Range<usize>) {
         return reduce_execute(sim, att.clone());
     }
     let issued_s = sim.now().secs();
-    for (m, holder, kvs) in issue {
+    for (key, holder, kvs) in issue {
         let bytes = kv_bytes(&kvs);
         let att2 = att.clone();
         let arrive = move |sim: &mut Sim| {
@@ -152,12 +180,12 @@ fn pull(sim: &mut Sim, att: &Attempt, fresh: Range<usize>) {
                 landed_s,
                 kvs,
             };
-            landed(sim, att2, m, pull)
+            landed(sim, att2, key, pull)
         };
         if spill_to_pfs {
             // Fetch the partition back from the PFS spill file. The exact
             // byte range is immaterial to the timing model; the volume is.
-            let spill_path = format!("_spill/{job_name}/m{m:05}");
+            let spill_path = format!("_spill/{job_name}/m{:05}", key.1);
             let have = env.pfs.borrow().len_of(&spill_path).unwrap_or(0);
             let len = bytes.min(have);
             let (att, path) = (att.clone(), spill_path.clone());
@@ -179,10 +207,10 @@ fn pull(sim: &mut Sim, att: &Attempt, fresh: Range<usize>) {
 
 /// One pull of `att` has landed; the last one after the map phase closed
 /// starts the reduce.
-fn landed(sim: &mut Sim, att: Attempt, m: usize, pull: Pull) {
+fn landed(sim: &mut Sim, att: Attempt, key: OutputKey, pull: Pull) {
     let all_in = {
         let mut dd = att.d.borrow_mut();
-        let maps_closed = dd.alive() && dd.tasks.all_done(TaskKind::Map);
+        let closed = dd.alive() && dd.input.as_ref().is_some_and(|i| !i.open());
         let shuffle = dd
             .tasks
             .attempt_mut(att.id)
@@ -190,9 +218,9 @@ fn landed(sim: &mut Sim, att: Attempt, m: usize, pull: Pull) {
         let Some(shuffle) = shuffle else {
             return; // the attempt is gone
         };
-        shuffle.pulls.insert(m, pull);
-        shuffle.in_flight = shuffle.in_flight.saturating_sub(1);
-        maps_closed && shuffle.all_in()
+        shuffle.pulls.insert(key, pull);
+        shuffle.in_flight.remove(&key);
+        closed && shuffle.all_in()
     };
     if all_in {
         reduce_execute(sim, att);
@@ -207,8 +235,8 @@ fn reduce_execute(sim: &mut Sim, att: Attempt) {
     let taken = {
         let mut dd = att.d.borrow_mut();
         // The map phase closed when the last map committed.
-        let map_ends = dd.reports.iter().filter(|t| t.kind == TaskKind::Map);
-        let close_s = map_ends.map(|t| t.end_s).fold(dd.start_s, f64::max);
+        let input = dd.input.as_ref();
+        let close_s = input.map_or(dd.start_s, |i| i.closed_at(dd.start_s));
         let reduce_fn = dd.job.reduce_fn.clone();
         let info = dd.tasks.attempt_mut(att.id);
         info.and_then(|i| Some((i.shuffle.take()?, i.start_s, close_s, reduce_fn)))
@@ -221,7 +249,7 @@ fn reduce_execute(sim: &mut Sim, att: Attempt) {
     };
     // Start-up, then `wait` until the map phase closes (early pulls run
     // inside it), then `shuffle`: what of the pulls is left after the close.
-    let ready_s = shuffle.ready_s;
+    let ready_s = shuffle.ready_s.unwrap_or(start_s);
     let startup = sim.cost.task_startup_s;
     let wait_s = (close_s - ready_s).max(0.0);
     let shuffle_s = now - ready_s.max(close_s);

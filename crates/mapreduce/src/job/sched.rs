@@ -23,7 +23,7 @@ pub(super) struct View<'a> {
     /// tier is then skipped.
     pub cache_hints: &'a [Vec<ChunkKey>],
     pub cache: &'a ClusterCache,
-    /// Attempts in flight.
+    /// Attempts in flight, of every run that draws on `nodes`.
     pub running: usize,
 }
 
@@ -175,7 +175,7 @@ mod tests {
         /// 3 nodes x 2 slots; splits 0..4 with split 2 stored on node 1.
         fn new() -> World {
             World {
-                nodes: NodeTable::new(3, 2, None, |_| false),
+                nodes: NodeTable::new(3, 2, |_| false),
                 maps: (0..4).collect(),
                 reduces: VecDeque::new(),
                 maps_open: true,

@@ -3,6 +3,7 @@
 use simnet::{Sim, SimTime};
 
 use super::attempt::{launch, AttemptId, AttemptInfo};
+use super::pool::preempt_waiting;
 use super::sched::{cache_resident, Pick};
 use super::{SharedDriver, TaskKind};
 
@@ -60,31 +61,35 @@ pub(super) fn schedule_speculation_checks(sim: &mut Sim, d: &SharedDriver) {
 /// and a different usable node has a free slot, launch a duplicate attempt.
 /// First commit wins; the loser is orphaned.
 fn maybe_speculate(sim: &mut Sim, d: &SharedDriver, id: AttemptId) {
-    let twin = {
-        let mut dd = d.borrow_mut();
+    let straggler = {
+        let dd = d.borrow();
         if !dd.alive() {
             return;
         }
         let Some(info) = dd.tasks.attempt(id) else {
             return; // finished or failed before its check fired
         };
-        let (task, straggler_node) = (info.task, info.node);
         // Note: the attempt budget is deliberately not consulted — a
         // speculative launch is exempt from `max_task_attempts` (it counts
         // neither against the budget nor as a retry), so speculating never
         // costs the task its recovery headroom.
-        let open = dd.tasks.state(TaskKind::Map, task);
+        let open = dd.tasks.state(TaskKind::Map, info.task);
         if !open.is_some_and(|st| !st.done && !st.speculated) {
             return;
         }
-        // A twin is a map attempt: with no free slot elsewhere it takes a
-        // waiting reducer's.
-        let elsewhere = Some(straggler_node);
-        let free = dd.nodes.most_free(elsewhere);
-        let Some(node) = free.or_else(|| dd.preempt_reducer(elsewhere)) else {
-            return; // no spare capacity elsewhere; let the original run
-        };
-        dd.nodes.take_slot(node);
+        (info.task, info.node)
+    };
+    let (task, straggler_node) = straggler;
+    // A twin is a map attempt: with no free slot elsewhere it takes the
+    // slot of an attempt waiting downstream.
+    let elsewhere = Some(straggler_node);
+    let free = d.borrow().pool.borrow().nodes.most_free(elsewhere);
+    let Some(node) = free.or_else(|| preempt_waiting(d, elsewhere)) else {
+        return; // no spare capacity elsewhere; let the original run
+    };
+    let twin = {
+        let dd = d.borrow();
+        dd.pool.borrow_mut().nodes.take_slot(node);
         let splits = &dd.job.splits;
         let pick = Pick {
             kind: TaskKind::Map,

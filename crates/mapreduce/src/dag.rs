@@ -1,5 +1,5 @@
-//! Multi-stage DAG scheduler with shuffle-aware stages and lineage
-//! recovery.
+//! Multi-stage DAG scheduler with shuffle-aware, overlapping stages and
+//! lineage recovery.
 //!
 //! A [`crate::dataset::Dataset`] plan is cut into stages at shuffle
 //! boundaries: narrow operators (`map`, `filter`) fuse into their upstream
@@ -12,15 +12,25 @@
 //! The final stage's tasks commit their records as part files instead,
 //! through the classic job's commit protocol: the DAG writes nothing itself.
 //!
+//! Stage overlap: every stage is submitted when the DAG is, all on one
+//! [`Pool`] (one node table, one attempt numbering). A free slot is offered
+//! to the runs upstream first, so the tasks of a post-shuffle stage take only
+//! slots no upstream task wants; there they start up, pull their partition of
+//! each upstream output as it is registered, and run once every source
+//! shuffle has *closed* and their last pull has landed (`job/reduce.rs`, the
+//! pull loop of the classic reducer). The barrier between two stages costs
+//! what is left of the pulls, not a task start-up.
+//!
 //! Lineage recovery: a node kill invalidates every shuffle output the dead
-//! node held — the stage job running at that instant sees the kill, one is
-//! alive at every instant of a DAG — while a committed part file is on HDFS
-//! and stays. A stage job that fails on a lost input
-//! ([`MrError::InputLost`]) sends the driver back over the stages in
-//! topological order: it resubmits the *first* stage that is both missing
-//! outputs and still needed by an incomplete descendant — so a lost
+//! node held, while a committed part file is on HDFS and stays. The DAG
+//! driver then resubmits, as one sparse run per stage, exactly the lost
+//! partitions that are still needed by an incomplete descendant — a lost
 //! partition re-runs only its upstream chain, at partition granularity,
-//! never the whole DAG.
+//! never the whole DAG — while the tasks that were waiting for them keep
+//! waiting, and keep what they had pulled. A holder that cannot be reached
+//! once its shuffle has closed fails the pulling run on
+//! [`MrError::InputLost`] instead; what that run had not committed is
+//! resubmitted with the outputs it found stalled.
 //! Counters: `stages_run` (stage jobs submitted), `lineage_recomputes`
 //! (tasks re-executed for a previously-committed partition),
 //! `shuffle_partitions_lost` (outputs dropped by node deaths).
@@ -32,16 +42,16 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use simnet::{countdown, NodeId, Sim};
+use simnet::{NodeId, Sim};
 
 use crate::cluster::{Cluster, MrEnv};
 use crate::counters::{keys, Counters};
 use crate::dataset::{Dataset, GroupFn, PairFilterFn, PairMapFn, PlanNode, RecordReadFn};
-use crate::input::{FetchDone, FetchResult, InputSplit, SplitFetcher, TaskInput};
+use crate::input::{InMemoryFetcher, InputSplit, TaskInput};
 use crate::job::{
-    evictions_since, group_by_key, kv_bytes, submit_stage, FtConfig, Job, JobResult, MapFn,
-    MrError, Payload, Pool, SharedPool, SharedShuffleStore, ShuffleStore, StageIo, StreamConfig,
-    TaskCtx, TaskReport,
+    evictions_since, group_by_key, submit_stage, FtConfig, Job, JobResult, MapFn, MrError, Payload,
+    Pool, SharedPool, SharedShuffleStore, ShuffleInput, ShuffleStore, StageIo, StageRunHandle,
+    StreamConfig, TaskCtx, TaskReport,
 };
 
 // ---------------------------------------------------------------------------
@@ -79,100 +89,6 @@ impl ShuffleSink {
     /// The store and shuffle the run's tasks register in.
     pub(crate) fn shuffle(&self) -> (SharedShuffleStore, u64) {
         (self.store.clone(), self.shuffle_id)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shuffle fetcher: delivers one stage partition's input pairs
-// ---------------------------------------------------------------------------
-
-/// Fetches partition `partition` of every map output of `sources` (one
-/// entry per parent dataset, tagged) as [`TaskInput::Pairs`], modelling one
-/// network flow per holding node. A hole (an expected output not in the
-/// store) fails the attempt with [`MrError::InputLost`] — not the reading
-/// node's fault, and how the DAG driver tells lineage loss from a genuine
-/// task error.
-struct ShuffleFetcher {
-    sources: Vec<(u64, u8)>,
-    partition: usize,
-    store: SharedShuffleStore,
-}
-
-impl SplitFetcher for ShuffleFetcher {
-    fn fetch(&self, env: &MrEnv, sim: &mut Sim, node: NodeId, done: FetchDone) {
-        let mut transfers: Vec<(NodeId, usize)> = Vec::new();
-        let mut pairs: Vec<(u8, String, Payload)> = Vec::new();
-        let mut holes: Vec<(u64, usize)> = Vec::new();
-        let mut stalled: Vec<(u64, usize)> = Vec::new();
-        {
-            let mut store = self.store.borrow_mut();
-            for &(shuffle, tag) in &self.sources {
-                for m in 0..store.n_expected(shuffle) {
-                    let Some(out) = store.get(shuffle, m) else {
-                        holes.push((shuffle, m));
-                        continue;
-                    };
-                    // A holder the fetching node cannot reach (hung, or on
-                    // the far side of an active partition) would stall this
-                    // pull forever. Invalidate the output instead: the
-                    // lineage machinery re-runs the producer on a live node
-                    // and the refetch succeeds.
-                    if sim.link(out.node, node).is_none() {
-                        stalled.push((shuffle, m));
-                        continue;
-                    }
-                    let Some(kvs) = out.parts.get(self.partition) else {
-                        continue;
-                    };
-                    if kvs.is_empty() {
-                        continue;
-                    }
-                    transfers.push((out.node, kv_bytes(kvs)));
-                    for kv in kvs {
-                        pairs.push((tag, kv.key.clone(), kv.value.clone()));
-                    }
-                }
-            }
-            for &(s, m) in &stalled {
-                store.invalidate_stalled(s, m);
-            }
-        }
-        if !holes.is_empty() || !stalled.is_empty() {
-            let e = MrError::InputLost(format!(
-                "shuffle partition {} unavailable: {} lost upstream output(s) {:?}, \
-                 {} stalled holder(s) {:?}",
-                self.partition,
-                holes.len(),
-                holes,
-                stalled.len(),
-                stalled
-            ));
-            sim.after(0.0, move |sim| done(sim, Err(e)));
-            return;
-        }
-        let total_bytes: usize = transfers.iter().map(|&(_, b)| b).sum();
-        let mut fr = FetchResult::plain(TaskInput::Pairs(pairs));
-        fr.counters.push((keys::SHUFFLE_BYTES, total_bytes as f64));
-        if transfers.is_empty() {
-            sim.after(0.0, move |sim| done(sim, Ok(fr)));
-            return;
-        }
-        // All pulls run concurrently; the fetch completes when the last
-        // flow arrives (same shape as the classic reduce shuffle). Every
-        // holder was reachable a moment ago, in this same instant: none of
-        // these transfers is dropped, a slow link stretches its own.
-        let all_arrived = countdown(transfers.len(), move |sim| done(sim, Ok(fr)));
-        for (src, bytes) in transfers {
-            let flow = sim.cost.lbytes(bytes);
-            let path = env.topo.path_net(src, node);
-            let all_arrived = all_arrived.clone();
-            sim.net_transfer(src, node, None, path, flow, move |sim| all_arrived(sim));
-        }
-    }
-
-    fn describe(&self) -> String {
-        let ids: Vec<u64> = self.sources.iter().map(|&(s, _)| s).collect();
-        format!("shuffle://{ids:?}#p{}", self.partition)
     }
 }
 
@@ -368,13 +284,19 @@ impl DagJob {
     }
 }
 
-/// One stage-job submission (initial run or lineage recompute).
+/// One stage-job submission (initial run or lineage recompute). The runs of
+/// a DAG overlap: every stage's first run starts with the DAG.
 #[derive(Clone, Debug)]
 pub struct StageRun {
     pub stage: usize,
     /// Wide-operator name ("source" for leaf stages).
     pub op: &'static str,
+    /// When the run was submitted: from then on its tasks are live and take
+    /// what slots the stages upstream leave them.
     pub start_s: f64,
+    /// When the run ended: its last task committed — for a run over every
+    /// partition of its stage, the instant the stage's output shuffle
+    /// closed — or it failed, or the DAG ended without it.
     pub end_s: f64,
     /// Partitions this submission covered.
     pub n_tasks: usize,
@@ -397,7 +319,7 @@ pub struct DagResult {
     /// Merged counters of every committed stage task plus the DAG-level
     /// `stages_run` / `lineage_recomputes` / `shuffle_partitions_lost`.
     pub counters: Counters,
-    /// Every stage-job submission, in execution order.
+    /// Every stage-job submission, in submission order.
     pub runs: Vec<StageRun>,
     pub n_stages: usize,
     /// Tasks in one clean end-to-end pass (Σ stage partition counts).
@@ -430,9 +352,12 @@ struct DagDriver {
     /// Cluster-cache registry eviction count when the DAG started.
     cluster_evictions_start: u64,
     counters: Counters,
+    /// Every submission so far; `end_s`, `ok` and `tasks` are filled in when
+    /// the run ends.
     runs: Vec<StageRun>,
+    /// The runs that have not ended, by index into `runs`.
+    live: BTreeMap<usize, StageRunHandle>,
     start_s: f64,
-    submissions: usize,
     #[allow(clippy::type_complexity)]
     done_cb: Option<Box<dyn FnOnce(&mut Sim, Result<DagResult, MrError>)>>,
 }
@@ -455,11 +380,12 @@ impl DagDriver {
         partitions.iter().filter(once).count()
     }
 
-    /// The first (topologically) stage that is missing outputs *and* still
-    /// needed: the final stage is always needed; a parent only while some
-    /// needed descendant is incomplete (a complete descendant never
-    /// re-fetches, so its parents' lost outputs can stay lost).
-    fn pick_next(&self) -> Option<(usize, Vec<usize>)> {
+    /// The first (topologically) stage with partitions that are missing,
+    /// still *needed* and in no live run's hands, and those partitions. The
+    /// final stage is always needed; a parent only while some needed
+    /// descendant is incomplete (a complete descendant never pulls again, so
+    /// its parents' lost outputs can stay lost).
+    fn next_submission(&self) -> Option<(usize, Vec<usize>)> {
         let mut needed = BTreeSet::from([self.final_stage]);
         for (idx, stage) in self.stages.iter().enumerate().rev() {
             if !needed.contains(&idx) || self.missing_of(stage).is_empty() {
@@ -469,11 +395,30 @@ impl DagDriver {
                 needed.extend(sources.iter().filter_map(|(sid, _)| self.producer.get(sid)));
             }
         }
+        let uncovered = |(idx, stage): (usize, &Stage)| {
+            let live = self
+                .live
+                .iter()
+                .filter(|(&run, _)| self.stage_of(run) == Some(idx));
+            let covered: BTreeSet<usize> = live.flat_map(|(_, h)| h.uncommitted()).collect();
+            let mut missing = self.missing_of(stage);
+            missing.retain(|p| !covered.contains(p));
+            (idx, missing)
+        };
         let needed_stages = self.stages.iter().enumerate();
         needed_stages
             .filter(|(idx, _)| needed.contains(idx))
-            .map(|(idx, stage)| (idx, self.missing_of(stage)))
+            .map(uncovered)
             .find(|(_, missing)| !missing.is_empty())
+    }
+
+    fn stage_of(&self, run: usize) -> Option<usize> {
+        self.runs.get(run).map(|r| r.stage)
+    }
+
+    fn complete(&self) -> bool {
+        let last = self.stages.get(self.final_stage);
+        last.is_some_and(|s| self.missing_of(s).is_empty())
     }
 }
 
@@ -496,19 +441,17 @@ pub fn submit_dag(
     // of a stage is its consumer plus what is downstream of that — known
     // already, consumers having the higher index.
     for idx in (0..stages.len()).rev() {
-        let parents: Vec<u64> = match stages.get(idx).map(|s| &s.input) {
-            Some(StageInput::Shuffle(sources)) => sources.iter().map(|&(sid, _)| sid).collect(),
-            _ => continue,
+        let Some(StageInput::Shuffle(sources)) = stages.get(idx).map(|s| &s.input) else {
+            continue;
         };
-        let mut below: BTreeSet<usize> = stages
+        let parents: Vec<u64> = sources.iter().map(|&(sid, _)| sid).collect();
+        let mut below = stages
             .get(idx)
             .map_or_else(BTreeSet::new, |s| (*s.downstream).clone());
         below.insert(idx);
         let below = Rc::new(below);
-        for parent in stages
-            .iter_mut()
-            .filter(|p| parents.contains(&p.out_shuffle))
-        {
+        let fed = |p: &&mut Stage| parents.contains(&p.out_shuffle);
+        for parent in stages.iter_mut().filter(fed) {
             parent.downstream = below.clone();
         }
     }
@@ -526,10 +469,6 @@ pub fn submit_dag(
         .map(|(i, s)| (s.out_shuffle, i))
         .collect();
     let pool = Pool::open(sim, &env, &dag.ft);
-    // A kill takes the shuffle outputs the dead node held with it.
-    let held = store.clone();
-    let drop_outputs = move |_: &mut Sim, node: NodeId| held.borrow_mut().invalidate_node(node);
-    pool.borrow_mut().on_node_lost(Rc::new(drop_outputs));
     let d: SharedDag = Rc::new(RefCell::new(DagDriver {
         cluster_evictions_start: env.cluster_cache.stats().evictions,
         env,
@@ -537,14 +476,26 @@ pub fn submit_dag(
         stages,
         producer,
         final_stage,
-        store,
-        pool,
+        store: store.clone(),
+        pool: pool.clone(),
         counters: Counters::new(),
         runs: Vec::new(),
+        live: BTreeMap::new(),
         start_s: sim.now().secs(),
-        submissions: 0,
         done_cb: Some(Box::new(done)),
     }));
+    // A kill takes the shuffle outputs the dead node held with it; what is
+    // still needed of them is resubmitted before the slots the node's
+    // attempts leave behind are handed out. (The pool outlives no DAG: the
+    // hook holds it weakly.)
+    let dag = Rc::downgrade(&d);
+    let node_lost = move |sim: &mut Sim, node: NodeId| {
+        store.borrow_mut().invalidate_node(node);
+        if let Some(d) = dag.upgrade() {
+            advance(sim, &d);
+        }
+    };
+    pool.borrow_mut().on_node_lost(Rc::new(node_lost));
     advance(sim, &d);
 }
 
@@ -562,27 +513,31 @@ enum Step {
         missing: Vec<usize>,
         recomputed: usize,
     },
+    /// Everything needed is done or in a live run's hands.
+    Wait,
     Done,
     Fail(MrError),
 }
 
+/// Submit whatever is missing, needed and in no live run's hands — at the
+/// DAG's own submission that is every stage — and end the DAG once its final
+/// stage is complete. Called again whenever a run ends or outputs are lost.
 fn advance(sim: &mut Sim, d: &SharedDag) {
-    let step = {
-        let mut dd = d.borrow_mut();
-        if dd.done_cb.is_none() {
-            return;
-        }
-        match dd.pick_next() {
-            Some((idx, missing)) => {
-                dd.submissions += 1;
-                let max_submissions = dd.stages.len() * 8 + 8;
-                if dd.submissions > max_submissions {
-                    Step::Fail(MrError::msg(format!(
-                        "dag {}: gave up after {max_submissions} stage submissions \
-                         (lineage not converging)",
-                        dd.dag.name
-                    )))
-                } else {
+    loop {
+        let step = {
+            let mut dd = d.borrow_mut();
+            if dd.done_cb.is_none() {
+                return;
+            }
+            let max_submissions = dd.stages.len() * 8 + 8;
+            match dd.next_submission() {
+                _ if dd.complete() => Step::Done,
+                Some(_) if dd.runs.len() >= max_submissions => Step::Fail(MrError::msg(format!(
+                    "dag {}: gave up after {max_submissions} stage submissions \
+                     (lineage not converging)",
+                    dd.dag.name
+                ))),
+                Some((idx, missing)) => {
                     let recomputed = dd.recomputes_among(idx, &missing);
                     dd.counters.add(keys::STAGES_RUN, 1.0);
                     if recomputed > 0 {
@@ -594,48 +549,53 @@ fn advance(sim: &mut Sim, d: &SharedDag) {
                         recomputed,
                     }
                 }
+                None => Step::Wait,
             }
-            None => Step::Done,
+        };
+        match step {
+            Step::Submit {
+                idx,
+                missing,
+                recomputed,
+            } => run_stage(sim, d, idx, missing, recomputed),
+            Step::Wait => return,
+            Step::Done => return complete_dag(sim, d),
+            Step::Fail(e) => return fail_dag(sim, d, e),
         }
-    };
-    match step {
-        Step::Submit {
-            idx,
-            missing,
-            recomputed,
-        } => run_stage(sim, d, idx, missing, recomputed),
-        Step::Done => complete_dag(sim, d),
-        Step::Fail(e) => fail_dag(sim, d, e),
     }
 }
 
 /// Submit stage `idx` as one sink job over its `missing` partitions.
 fn run_stage(sim: &mut Sim, d: &SharedDag, idx: usize, missing: Vec<usize>, recomputed: usize) {
-    let (job, io, env, op) = {
-        let dd = d.borrow();
+    let (job, io, env, run) = {
+        let mut dd = d.borrow_mut();
         let Some(stage) = dd.stages.get(idx) else {
             return;
         };
-        let splits: Vec<InputSplit> = match &stage.input {
-            StageInput::Source(splits) => missing
-                .iter()
-                .filter_map(|&p| splits.get(p).cloned())
-                .collect(),
-            StageInput::Shuffle(sources) => missing
-                .iter()
-                .map(|&p| InputSplit {
+        let (splits, input): (Vec<InputSplit>, _) = match &stage.input {
+            StageInput::Source(splits) => {
+                let missing = missing.iter().filter_map(|&p| splits.get(p).cloned());
+                (missing.collect(), None)
+            }
+            StageInput::Shuffle(sources) => {
+                // A post-shuffle task pulls its pairs, it fetches no split:
+                // this one only gives the task its place in the job.
+                let no_split = || InputSplit {
                     length: 0,
                     locations: Vec::new(),
-                    fetcher: Rc::new(ShuffleFetcher {
-                        sources: sources.clone(),
-                        partition: p,
-                        store: dd.store.clone(),
-                    }),
-                })
-                .collect(),
+                    fetcher: Rc::new(InMemoryFetcher { data: Vec::new() }),
+                };
+                let input = ShuffleInput {
+                    store: dd.store.clone(),
+                    sources: sources.clone(),
+                    lineage: true,
+                };
+                (missing.iter().map(|_| no_split()).collect(), Some(input))
+            }
         };
+        let run = dd.runs.len();
         let mut job = Job::new(
-            format!("{}/s{}r{}", dd.dag.name, idx, dd.submissions),
+            format!("{}/s{}r{}", dd.dag.name, idx, run + 1),
             splits,
             stage.task_fn.clone(),
             None,
@@ -645,6 +605,17 @@ fn run_stage(sim: &mut Sim, d: &SharedDag, idx: usize, missing: Vec<usize>, reco
         );
         job.ft = dd.dag.ft.clone();
         job.stream = dd.dag.stream.clone();
+        // Filled in (end, outcome, reports) when the stage job reports back.
+        let record = StageRun {
+            stage: idx,
+            op: stage.op,
+            start_s: sim.now().secs(),
+            end_s: f64::NAN,
+            n_tasks: job.splits.len(),
+            recomputed,
+            ok: false,
+            tasks: Vec::new(),
+        };
         let sink = ShuffleSink {
             shuffle_id: stage.out_shuffle,
             n_partitions: stage.out_partitions,
@@ -655,54 +626,40 @@ fn run_stage(sim: &mut Sim, d: &SharedDag, idx: usize, missing: Vec<usize>, reco
         };
         let io = StageIo {
             sink,
-            input: None,
+            input,
             pool: dd.pool.clone(),
         };
-        (job, io, dd.env.clone(), stage.op)
-    };
-    // Filled in (end, outcome) when the stage job reports back.
-    let run = StageRun {
-        stage: idx,
-        op,
-        start_s: sim.now().secs(),
-        end_s: f64::NAN,
-        n_tasks: job.splits.len(),
-        recomputed,
-        ok: false,
-        tasks: Vec::new(),
+        dd.runs.push(record);
+        (job, io, dd.env.clone(), run)
     };
     let d2 = d.clone();
     let done = move |sim: &mut Sim, jr, failed| on_stage_done(sim, &d2, run, jr, failed);
-    submit_stage(sim, env, job, Some(io), Box::new(done));
+    if let Some(handle) = submit_stage(sim, env, job, Some(io), Box::new(done)) {
+        // Unless it has ended already (no usable node left).
+        let mut dd = d.borrow_mut();
+        if dd.runs.get(run).is_some_and(|r| r.end_s.is_nan()) {
+            dd.live.insert(run, handle);
+        }
+    }
 }
 
-fn on_stage_done(
-    sim: &mut Sim,
-    d: &SharedDag,
-    run: StageRun,
-    jr: JobResult,
-    failed: Option<MrError>,
-) {
+fn on_stage_done(sim: &mut Sim, d: &SharedDag, run: usize, jr: JobResult, failed: Option<MrError>) {
     let failure = {
         let mut dd = d.borrow_mut();
         if dd.done_cb.is_none() {
             return;
         }
-        let lost = std::mem::take(&mut dd.store.borrow_mut().lost);
-        if lost > 0 {
-            dd.counters.add(keys::SHUFFLE_PARTITIONS_LOST, lost as f64);
-        }
+        dd.live.remove(&run);
         // What a failed run had committed stays registered and is never run
         // again: its counters and reports count like those of any other run.
         dd.counters.merge(&jr.counters);
-        dd.runs.push(StageRun {
-            end_s: sim.now().secs(),
-            ok: failed.is_none(),
-            tasks: jr.tasks,
-            ..run
-        });
-        // A lost input is lineage loss: the next advance() walks back to the
-        // first incomplete ancestor. Anything else is a real error.
+        let now = sim.now().secs();
+        if let Some(record) = dd.runs.get_mut(run) {
+            (record.end_s, record.ok, record.tasks) = (now, failed.is_none(), jr.tasks);
+        }
+        // A lost input is lineage loss: the next advance() resubmits what
+        // this run had not committed, and the outputs it found stalled.
+        // Anything else is a real error.
         failed.filter(|e| !matches!(e, MrError::InputLost(_)))
     };
     match failure {
@@ -711,41 +668,71 @@ fn on_stage_done(
     }
 }
 
-fn complete_dag(sim: &mut Sim, d: &SharedDag) {
-    let (result, cb) = {
+/// End the DAG: take its completion callback and call off the runs still
+/// live — a recompute nothing needs any more, or everything after a failure.
+#[allow(clippy::type_complexity)]
+fn end_dag(
+    sim: &mut Sim,
+    d: &SharedDag,
+) -> Option<Box<dyn FnOnce(&mut Sim, Result<DagResult, MrError>)>> {
+    let (cb, live) = {
         let mut dd = d.borrow_mut();
-        if dd.done_cb.is_none() {
-            return;
-        }
-        // What the detector saw over the whole DAG, and the cluster-cache
-        // evictions during it (registry stats are world-lifetime monotonic;
-        // the delta is this DAG's share).
+        let cb = dd.done_cb.take()?;
+        let now = sim.now().secs();
+        let unfinished = dd.runs.iter_mut().filter(|r| r.end_s.is_nan());
+        unfinished.for_each(|r| r.end_s = now);
+        (cb, std::mem::take(&mut dd.live))
+    };
+    for run in live.values() {
+        run.cancel(sim, "the DAG ended");
+    }
+    Some(cb)
+}
+
+fn complete_dag(sim: &mut Sim, d: &SharedDag) {
+    let Some(cb) = end_dag(sim, d) else {
+        return;
+    };
+    let result = {
+        let mut dd = d.borrow_mut();
+        // What the detector saw over the whole DAG, the outputs lost during
+        // it, and the cluster-cache evictions (registry stats are
+        // world-lifetime monotonic; the delta is this DAG's share).
         let detector = dd.pool.borrow().counters.clone();
         dd.counters.merge(&detector);
+        let lost = dd.store.borrow().lost;
+        if lost > 0 {
+            dd.counters.add(keys::SHUFFLE_PARTITIONS_LOST, lost as f64);
+        }
         let evicted = evictions_since(&dd.env, dd.cluster_evictions_start);
         if evicted > 0 {
             dd.counters
                 .add(keys::CLUSTER_CACHE_EVICTIONS, evicted as f64);
         }
-        let result = DagResult {
+        // Seconds hidden are a sum of differences of clock readings, and the
+        // clock may have been running for any length of time (a warm rerun
+        // on the same cluster): they repeat to about an ulp of *it*.
+        // Reported to the nanosecond they repeat exactly, like every count.
+        let mut counters = Counters::new();
+        for (key, v) in dd.counters.iter() {
+            let hidden = key == keys::SHUFFLE_OVERLAP_SAVED_S;
+            counters.add(key, if hidden { (v * 1e9).round() / 1e9 } else { v });
+        }
+        DagResult {
             name: dd.dag.name.clone(),
             start_s: dd.start_s,
             end_s: sim.now().secs(),
-            counters: dd.counters.clone(),
+            counters,
             runs: std::mem::take(&mut dd.runs),
             n_stages: dd.stages.len(),
             total_tasks: dd.stages.iter().map(|s| s.n_tasks).sum(),
-        };
-        (result, dd.done_cb.take())
+        }
     };
-    if let Some(cb) = cb {
-        cb(sim, Ok(result));
-    }
+    cb(sim, Ok(result));
 }
 
 fn fail_dag(sim: &mut Sim, d: &SharedDag, e: MrError) {
-    let cb = d.borrow_mut().done_cb.take();
-    if let Some(cb) = cb {
+    if let Some(cb) = end_dag(sim, d) {
         cb(sim, Err(e));
     }
 }
@@ -913,7 +900,7 @@ mod tests {
 
     #[test]
     fn node_kill_triggers_partition_granular_lineage_recovery() {
-        // Clean run first to learn when stage 1 starts.
+        // Clean run first to learn when stage 1 ends.
         let plan_of = || {
             Dataset::from_splits(mem_splits(4, 100), count_reader())
                 .reduce_by_key(4, sum_agg())
@@ -924,20 +911,20 @@ mod tests {
         let rc = run_dag(&mut clean, DagJob::new("lin", plan_of(), "out")).unwrap();
         assert_eq!(rc.n_stages, 3);
         let clean_text = output_text(&clean, "out");
-        let s2_start = rc
+        let s1_end = rc
             .runs
             .iter()
-            .find(|r| r.stage == 2)
-            .map(|r| r.start_s)
+            .find(|r| r.stage == 1)
+            .map(|r| r.end_s)
             .unwrap();
 
-        // Faulted run: kill a node right as the last stage starts, after
-        // stages 0 and 1 committed outputs onto it.
+        // Faulted run: kill a node right as stage 1 closes, after stages 0
+        // and 1 committed outputs onto it.
         let mut faulted = small_cluster(4, 1);
         faulted
             .sim
             .faults
-            .install(FaultPlan::none().kill_node(1, s2_start + 1e-6));
+            .install(FaultPlan::none().kill_node(1, s1_end + 1e-6));
         let rf = run_dag(&mut faulted, DagJob::new("lin", plan_of(), "out")).unwrap();
         let lost = rf.counters.get(keys::SHUFFLE_PARTITIONS_LOST);
         assert!(lost > 0.0, "the kill must invalidate shuffle outputs");

@@ -29,7 +29,7 @@ mod reduce;
 mod sched;
 mod speculate;
 
-pub(crate) use commit::{group_by_key, kv_bytes, SharedShuffleStore, ShuffleInput, ShuffleStore};
+pub(crate) use commit::{group_by_key, SharedShuffleStore, ShuffleInput, ShuffleStore};
 pub(crate) use pool::{Pool, SharedPool};
 
 use attempt::{AttemptInfo, TaskTable};
@@ -534,7 +534,7 @@ impl Driver {
         Some((cb, result))
     }
 
-    fn view<'a>(&'a self, nodes: &'a NodeTable) -> sched::View<'a> {
+    fn view<'a>(&'a self, nodes: &'a NodeTable, early: Option<&'a [usize]>) -> sched::View<'a> {
         sched::View {
             nodes,
             pending_maps: self.tasks.pending(TaskKind::Map),
@@ -544,7 +544,35 @@ impl Driver {
             cache_hints: &self.cache_hints,
             cache: &self.env.cluster_cache,
             running: nodes.busy(),
+            early,
         }
+    }
+
+    /// Whether this run's attempts of `kind` pull their input from a
+    /// shuffle: reducers, and the (map) tasks of a DAG's post-shuffle stage.
+    fn pulls(&self, kind: TaskKind) -> bool {
+        self.input.is_some() && (kind == TaskKind::Reduce || self.sink.is_some())
+    }
+
+    /// While this run's tasks would launch *early* — it is a post-shuffle
+    /// stage whose input is still open, so a task launched now starts up and
+    /// pulls beside the stages upstream, and waits — how many more of them
+    /// each node may host: an even share of the run's tasks, less those it
+    /// runs already.
+    fn early(&self) -> Option<Vec<usize>> {
+        let open = self.input.as_ref().is_some_and(|i| i.open());
+        if self.sink.is_none() || !open {
+            return None;
+        }
+        let n_nodes = self.pool.borrow().nodes.len();
+        let share = self.job.splits.len().div_ceil(n_nodes.max(1));
+        let mut room = vec![share; n_nodes];
+        for (_, info) in self.tasks.in_flight() {
+            if let Some(r) = room.get_mut(info.node.0 as usize) {
+                *r = r.saturating_sub(1);
+            }
+        }
+        Some(room)
     }
 
     /// Act on a scheduler pick: dequeue its task and take the slot.
@@ -609,6 +637,29 @@ pub(crate) struct StageIo {
     pub pool: SharedPool,
 }
 
+/// A handle on a submitted stage run, for the DAG driver.
+pub(crate) struct StageRunHandle(SharedDriver);
+
+impl StageRunHandle {
+    /// The stage partitions the run has yet to commit — what it still
+    /// covers. A partition it committed and whose output was lost since is
+    /// no longer the run's to redo.
+    pub fn uncommitted(&self) -> Vec<usize> {
+        let dd = self.0.borrow();
+        let open = |t: &usize| dd.tasks.state(TaskKind::Map, *t).is_some_and(|st| !st.done);
+        let tasks = (0..dd.job.splits.len()).filter(open);
+        let partition_of = |t| dd.sink.as_ref().map_or(t, |s| s.partition_of(t));
+        tasks.map(partition_of).collect()
+    }
+
+    /// End the run now, whatever it is doing: its attempts are orphaned and
+    /// their slots returned, its completion callback fires with
+    /// `MrError::Msg(why)`.
+    pub fn cancel(&self, sim: &mut Sim, why: &str) {
+        fail_job(sim, &self.0, MrError::msg(why));
+    }
+}
+
 /// Start a driver for `job`. As a DAG `stage` it is map-only, its
 /// partitioned output registered in the sink's shuffle store (the grouping
 /// runs downstream) — or, for the final stage, committed as part files.
@@ -618,7 +669,7 @@ pub(crate) fn submit_stage(
     job: Job,
     stage: Option<StageIo>,
     done: JobDone,
-) {
+) -> Option<StageRunHandle> {
     let now = sim.now().secs();
     if job.reduce_fn.is_some() && job.n_reducers == 0 {
         let e = MrError::msg(format!(
@@ -633,7 +684,7 @@ pub(crate) fn submit_stage(
             counters: Counters::new(),
         };
         sim.after(0.0, move |sim| done(sim, nothing, Some(e)));
-        return;
+        return None;
     }
     let n_maps = job.splits.len();
     // A map-only job has no reducers, whatever `n_reducers` says.
@@ -645,6 +696,7 @@ pub(crate) fn submit_stage(
             let input = (n_reducers > 0).then(|| ShuffleInput {
                 store: ShuffleStore::shared([(OWN_SHUFFLE, n_maps)]),
                 sources: vec![(OWN_SHUFFLE, 0)],
+                lineage: false,
             });
             (None, input, Pool::open(sim, &env, &job.ft))
         }
@@ -690,6 +742,7 @@ pub(crate) fn submit_stage(
         // output as it commits (`reduce.rs`).
         pool::schedule(sim, &pool);
     }
+    Some(StageRunHandle(d))
 }
 
 /// Convenience: submit, run the world to completion, return the result.
@@ -697,8 +750,8 @@ pub fn run_job(cluster: &mut Cluster, job: Job) -> Result<JobResult, MrError> {
     cluster.run_to_completion("job", |cluster, done| submit_job(cluster, job, done))
 }
 
-/// Once every map has committed — the map phase has closed: a map-only job
-/// is finished, and the reducers of any other stop waiting for maps.
+/// Once every map has committed — the map phase has closed: whoever pulls
+/// this run's output stops waiting for it, and a map-only job is finished.
 fn maybe_finish_maps(sim: &mut Sim, d: &SharedDriver) {
     let map_only = {
         let dd = d.borrow();
@@ -707,10 +760,9 @@ fn maybe_finish_maps(sim: &mut Sim, d: &SharedDriver) {
         }
         dd.job.reduce_fn.is_none()
     };
+    detector::arm_readers(sim, d);
     if map_only {
         complete(sim, d)
-    } else {
-        detector::arm_reducers(sim, d)
     }
 }
 

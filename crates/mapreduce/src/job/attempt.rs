@@ -164,11 +164,14 @@ impl TaskTable {
         on_node.map(|(&id, _)| id).collect()
     }
 
-    /// The attempts in flight that are still waiting for input, oldest
-    /// first.
+    /// The attempts in flight, oldest first.
+    pub fn in_flight(&self) -> impl DoubleEndedIterator<Item = (AttemptId, &AttemptInfo)> {
+        self.attempts.iter().map(|(&id, i)| (id, i))
+    }
+
+    /// Those of them that are still waiting for input.
     pub fn waiting(&self) -> impl DoubleEndedIterator<Item = (AttemptId, &AttemptInfo)> {
-        let all = self.attempts.iter().map(|(&id, i)| (id, i));
-        all.filter(|(_, i)| i.shuffle.is_some())
+        self.in_flight().filter(|(_, i)| i.shuffle.is_some())
     }
 
     /// Take attempt `id` out of flight as if it had never been launched: its task returns to the head of the queue with its retry
@@ -246,6 +249,13 @@ impl TaskTable {
         .collect()
     }
 
+    /// Call off the hang deadline of every waiting attempt: the check
+    /// queued for it finds a later arming and falls silent.
+    pub fn disarm_waiting(&mut self) {
+        let waiting = self.attempts.values_mut().filter(|i| i.shuffle.is_some());
+        waiting.for_each(|i| i.deadline_gen += 1);
+    }
+
     /// Orphan every in-flight attempt and drop the queues; returns the
     /// nodes whose slots the attempts held.
     pub fn abandon(&mut self) -> Vec<NodeId> {
@@ -313,8 +323,8 @@ pub(super) fn try_schedule(sim: &mut Sim, d: &SharedDriver) {
             if !dd.alive() {
                 return;
             }
-            let pool = dd.pool.borrow();
-            sched::pick_next(&dd.view(&pool.nodes))
+            let (pool, early) = (dd.pool.borrow(), dd.early());
+            sched::pick_next(&dd.view(&pool.nodes, early.as_deref()))
         };
         match sched {
             Sched::Run(pick) => {
@@ -325,7 +335,11 @@ pub(super) fn try_schedule(sim: &mut Sim, d: &SharedDriver) {
                 launch(sim, d, info);
             }
             blocked => {
-                let map_waits = !d.borrow().tasks.pending(TaskKind::Map).is_empty();
+                // A task that would itself only wait takes no one's slot.
+                let map_waits = {
+                    let dd = d.borrow();
+                    !dd.tasks.pending(TaskKind::Map).is_empty() && dd.early().is_none()
+                };
                 if map_waits && preempt_waiting(d, None).is_some() {
                     continue;
                 }
@@ -343,14 +357,13 @@ pub(super) fn try_schedule(sim: &mut Sim, d: &SharedDriver) {
 
 /// Register `info` as a new attempt, charge the attempt-level counters
 /// (job-global meta counters, not task output), arm its hang deadline and
-/// start it running. A reducer launched while maps are still running is
-/// legitimately waiting: its deadline starts when the map phase closes
-/// ([`detector::arm_reducers`]).
-pub(super) fn launch(sim: &mut Sim, d: &SharedDriver, info: AttemptInfo) {
+/// start it running. A pulling attempt launched while its input is still
+/// open is legitimately waiting: its deadline starts when the last source
+/// closes ([`detector::arm_readers`]).
+pub(super) fn launch(sim: &mut Sim, d: &SharedDriver, mut info: AttemptInfo) {
     let (kind, task, node) = (info.kind, info.task, info.node);
-    let (id, waits_for_maps) = {
+    let (id, pulls, waits_for_input) = {
         let mut dd = d.borrow_mut();
-        let mut info = info;
         if info.speculative {
             dd.counters.add(keys::SPECULATIVE_LAUNCHED, 1.0);
         }
@@ -359,22 +372,24 @@ pub(super) fn launch(sim: &mut Sim, d: &SharedDriver, info: AttemptInfo) {
             TaskKind::Reduce => keys::REDUCE_ATTEMPTS,
         };
         dd.counters.add(attempts_key, 1.0);
-        let waits_for_maps = kind == TaskKind::Reduce && !dd.tasks.all_done(TaskKind::Map);
-        if kind == TaskKind::Reduce {
+        let pulls = dd.pulls(kind);
+        if pulls {
             info.shuffle = Some(Shuffle::default());
         }
+        let waits_for_input = pulls && dd.input.as_ref().is_some_and(|i| i.open());
         let id = dd.pool.borrow_mut().next_attempt();
         dd.tasks.start(id, info);
-        (id, waits_for_maps)
+        (id, pulls, waits_for_input)
     };
     let d = d.clone();
     let att = Attempt { d, id, task, node };
-    if !waits_for_maps {
+    if !waits_for_input {
         detector::arm_deadline(sim, &att, 0.0);
     }
-    match kind {
-        TaskKind::Map => map::run_map_attempt(sim, att),
-        TaskKind::Reduce => reduce::run_reduce_attempt(sim, att),
+    if pulls {
+        reduce::run_pulling_attempt(sim, att)
+    } else {
+        map::run_map_attempt(sim, att)
     }
 }
 

@@ -133,6 +133,12 @@ pub(crate) struct ShuffleInput {
     /// `(shuffle id, parent tag)`, one per parent, in the order their pairs
     /// reach the task.
     pub sources: Vec<(u64, u8)>,
+    /// The outputs can be lost and recomputed (a DAG's): a holder that
+    /// cannot be reached once its shuffle has closed is invalidated and the
+    /// run ends on [`MrError::InputLost`], for lineage to recover. Without
+    /// it (a classic job's) the pull is issued, dropped, and left to the
+    /// attempt's hang deadline.
+    pub lineage: bool,
 }
 
 impl ShuffleInput {

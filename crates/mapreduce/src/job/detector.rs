@@ -8,6 +8,7 @@ use simnet::{FaultPlan, NodeId, Sim, SimTime};
 use super::attempt::{fail_attempt, waiting, Attempt};
 use super::nodes::Withdrawal;
 use super::pool::{live_runs, schedule};
+use super::reduce::readers;
 use super::{fail_job, Driver, MrError, SharedDriver, SharedPool};
 use crate::counters::keys;
 
@@ -122,6 +123,7 @@ pub(super) fn withdraw_node(sim: &mut Sim, pool: &SharedPool, node: NodeId, why:
     let on_node_lost = pool.borrow().node_lost_hook();
     if let Some(lost) = on_node_lost.filter(|_| why == Withdrawal::Killed) {
         lost(sim, node);
+        disarm_reopened(pool);
     }
     schedule(sim, pool);
 }
@@ -222,12 +224,30 @@ pub(super) fn arm_deadline(sim: &mut Sim, att: &Attempt, busy_s: f64) {
     }
 }
 
-/// The map phase has just closed: from here on a reducer that does not
-/// finish is stranded, not waiting, so the deadline of every reduce attempt
-/// launched before this instant starts now.
-pub(super) fn arm_reducers(sim: &mut Sim, d: &SharedDriver) {
-    for att in waiting(d) {
-        arm_deadline(sim, &att, 0.0);
+/// Run `d`'s map phase has just closed: a run that pulls its output, and
+/// now has every source closed, has attempts that from here on are stranded,
+/// not waiting, if they do not finish — so the deadline of every pulling
+/// attempt launched before this instant starts now.
+pub(super) fn arm_readers(sim: &mut Sim, d: &SharedDriver) {
+    for (reader, _) in readers(d) {
+        if reader.borrow().input.as_ref().is_some_and(|i| i.open()) {
+            continue;
+        }
+        for att in waiting(&reader) {
+            arm_deadline(sim, &att, 0.0);
+        }
+    }
+}
+
+/// Outputs were just invalidated: every run of `pool` whose input is open
+/// (again) has its waiting attempts waiting, not stranded — their deadlines
+/// are off until the recompute closes the shuffle ([`arm_readers`]).
+pub(super) fn disarm_reopened(pool: &SharedPool) {
+    for run in live_runs(pool) {
+        let mut rd = run.borrow_mut();
+        if rd.input.as_ref().is_some_and(|i| i.open()) {
+            rd.tasks.disarm_waiting();
+        }
     }
 }
 

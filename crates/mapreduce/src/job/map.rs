@@ -1,7 +1,8 @@
 //! Map attempts: fetch the split (one batch fetch, or streamed piece-wise
 //! with reads overlapped against compute), run the map function, then
 //! spill the partitioned output — or, for a map-only job, commit it as a
-//! part file.
+//! part file. The task of a DAG's post-shuffle stage has no split to fetch:
+//! it pulls its pairs (`reduce.rs`) and joins this path at the map function.
 
 use std::rc::Rc;
 
@@ -9,9 +10,9 @@ use simnet::Sim;
 
 use super::attempt::{commit_task, Attempt};
 use super::commit::{commit_part_file, kv_bytes, partition};
-use super::{MrError, TaskCtx};
+use super::{detector, MrError, Payload, TaskCtx};
 use crate::counters::{keys, Counters};
-use crate::input::{pump_pieces, FetchPiece, FetchResult, PieceSink, PieceStream};
+use crate::input::{pump_pieces, FetchPiece, FetchResult, PieceSink, PieceStream, TaskInput};
 
 /// What the continuations of one map attempt share.
 struct MapAttempt {
@@ -84,6 +85,35 @@ pub(super) fn run_map_attempt(sim: &mut Sim, att: Attempt) {
         };
         fetcher.fetch(&env, sim, node, Box::new(done));
     });
+}
+
+/// The task of a post-shuffle stage has pulled its `pairs`: run the stage's
+/// task function over them — grouping by key is its first charge — and hand
+/// the output on like any map's. `phases` and `acnt` are what the pull left:
+/// `startup`, `wait`, `shuffle`; the shuffled bytes.
+pub(super) fn run_stage_task(
+    sim: &mut Sim,
+    att: Attempt,
+    pairs: Vec<(u8, String, Payload)>,
+    phases: Vec<(&'static str, f64)>,
+    acnt: Counters,
+) {
+    let mut m = MapAttempt {
+        att,
+        startup: sim.cost.task_startup_s,
+        fetch_start: sim.now().secs(),
+        acnt,
+    };
+    let pulled = FetchResult::plain(TaskInput::Pairs(pairs));
+    let Some((ctx, factor)) = m.run_map_fn(sim, pulled) else {
+        return;
+    };
+    let compute = ctx.total_charge_s() * factor;
+    // The pulls landed, so the attempt is alive, and the driver knows how
+    // long its grouping and compute take: the deadline starts over behind
+    // them (as a reducer's does behind its sort and reduce).
+    detector::arm_deadline(sim, &m.att, compute);
+    m.end_after(sim, compute, phases, &[], ctx, factor);
 }
 
 impl MapAttempt {

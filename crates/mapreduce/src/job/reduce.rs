@@ -1,16 +1,20 @@
-//! Reduce attempts: start up, pull each map output as it commits, then —
-//! once the map phase has closed and the last pull has landed — sort,
-//! reduce, write. One body: a reducer launched after the map phase closed
-//! runs the same steps and simply finds every output committed.
+//! Pulling attempts — a classic job's reducers and the tasks of a DAG's
+//! post-shuffle stages: start up, pull each upstream output as it is
+//! registered, then — once every source shuffle has closed and the last pull
+//! has landed — run: a reducer sorts, reduces and writes its part file; a
+//! stage task hands its pairs to the stage's task function (`map.rs`). One
+//! body: an attempt launched after the close runs the same steps and simply
+//! finds every output registered.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 use simnet::Sim;
 
 use super::attempt::{waiting, Attempt};
 use super::commit::{commit_part_file, group_by_key, kv_bytes};
 use super::pool::live_runs;
-use super::{detector, Driver, Kv, MrError, SharedDriver, TaskCtx};
+use super::{detector, map, Driver, Kv, MrError, SharedDriver, TaskCtx, TaskKind};
 use crate::counters::{keys, Counters};
 
 /// One output to pull: `(index of its shuffle among the run's sources,
@@ -44,6 +48,13 @@ impl Shuffle {
         self.in_flight.is_empty() && self.deferred.is_empty()
     }
 
+    /// `key` has been pulled, is being pulled, or is put off.
+    fn has(&self, key: OutputKey) -> bool {
+        self.pulls.contains_key(&key)
+            || self.in_flight.contains(&key)
+            || self.deferred.contains(&key)
+    }
+
     /// Seconds before `close_s` with at least one pull in flight.
     fn pulling_before(&self, close_s: f64) -> f64 {
         let spans = self.pulls.values().map(|p| (p.issued_s, p.landed_s));
@@ -61,9 +72,9 @@ impl Shuffle {
     }
 }
 
-/// Run one reduce attempt. Map outputs are *cloned* per pull (not drained)
-/// so a retried reducer can shuffle again.
-pub(super) fn run_reduce_attempt(sim: &mut Sim, att: Attempt) {
+/// Run one pulling attempt. Outputs are *cloned* per pull (not drained) so
+/// a retried attempt can shuffle again.
+pub(super) fn run_pulling_attempt(sim: &mut Sim, att: Attempt) {
     sim.after(sim.cost.task_startup_s, move |sim| {
         let everything = {
             let mut dd = att.d.borrow_mut();
@@ -80,27 +91,36 @@ pub(super) fn run_reduce_attempt(sim: &mut Sim, att: Attempt) {
     });
 }
 
+/// The live runs whose attempts pull what run `d`'s tasks register, each
+/// with the index of `d`'s output shuffle among its sources: `d` itself for
+/// a classic job with reducers, the runs of the consumer stage for a DAG's.
+pub(super) fn readers(d: &SharedDriver) -> Vec<(SharedDriver, usize)> {
+    let (pool, output) = {
+        let dd = d.borrow();
+        (dd.pool.clone(), dd.output_shuffle())
+    };
+    let Some((store, shuffle)) = output else {
+        return Vec::new();
+    };
+    let source_in = |reader: &SharedDriver| {
+        let rd = reader.borrow();
+        let input = rd.input.as_ref().filter(|i| Rc::ptr_eq(&i.store, &store));
+        input.and_then(|i| i.sources.iter().position(|&(s, _)| s == shuffle))
+    };
+    let runs = live_runs(&pool).into_iter();
+    runs.filter_map(|r| Some((source_in(&r)?, r)))
+        .map(|(source, r)| (r, source))
+        .collect()
+}
+
 /// Task `task` of run `d` has just registered its output: every waiting
 /// attempt past its start-up that reads it pulls its partition of it.
 pub(super) fn output_registered(sim: &mut Sim, d: &SharedDriver, task: usize) {
-    let (pool, registered) = {
+    let partition = {
         let dd = d.borrow();
-        let partition = dd.sink.as_ref().map_or(task, |s| s.partition_of(task));
-        (dd.pool.clone(), dd.output_shuffle().zip(Some(partition)))
+        dd.sink.as_ref().map_or(task, |s| s.partition_of(task))
     };
-    let Some(((store, shuffle), partition)) = registered else {
-        return;
-    };
-    for reader in live_runs(&pool) {
-        let source = {
-            let rd = reader.borrow();
-            let input = rd.input.as_ref();
-            let input = input.filter(|i| std::rc::Rc::ptr_eq(&i.store, &store));
-            input.and_then(|i| i.sources.iter().position(|&(s, _)| s == shuffle))
-        };
-        let Some(source) = source else {
-            continue;
-        };
+    for (reader, source) in readers(d) {
         for att in waiting(&reader) {
             pull(sim, &att, &[(source, partition)]);
         }
@@ -109,15 +129,16 @@ pub(super) fn output_registered(sim: &mut Sim, d: &SharedDriver, task: usize) {
 
 /// Issue `att`'s pulls of its partition from the registered outputs among
 /// `fresh` and those it had deferred; with nothing left to wait for, run
-/// the reduce. A holder whose link is down while its shuffle is still open
+/// the task. A holder whose link is down while its shuffle is still open
 /// is deferred rather than pulled from: the pull would be dropped and strand
-/// the attempt until its hang deadline, where a reduce phase opened at the
-/// close would have found the link as it is *then*. Once the shuffle has
-/// closed the pull is issued whatever the link, and a drop is the hang
-/// deadline's to recover.
+/// the attempt until its hang deadline, where a phase opened at the close
+/// would have found the link as it is *then*. Once the shuffle has closed a
+/// classic job's pull is issued whatever the link, and a drop is the hang
+/// deadline's to recover; where lineage can recompute the output instead it
+/// is invalidated and the run ends on [`MrError::InputLost`].
 fn pull(sim: &mut Sim, att: &Attempt, fresh: &[OutputKey]) {
     let node = att.node;
-    let (issue, env, spill_to_pfs, job_name, all_in) = {
+    let planned = {
         let mut dd = att.d.borrow_mut();
         if !dd.alive() {
             return;
@@ -134,12 +155,18 @@ fn pull(sim: &mut Sim, att: &Attempt, fresh: &[OutputKey]) {
         let shuffle = tasks.attempt_mut(att.id).and_then(|i| i.shuffle.as_mut());
         let shuffle = shuffle.filter(|s| s.ready_s.is_some());
         let (Some(shuffle), Some(input)) = (shuffle, input.as_ref()) else {
-            return; // still starting up, or already reducing
+            return; // still starting up, or already running
         };
-        let store = input.store.borrow();
+        let mut store = input.store.borrow_mut();
         let mut issue: Vec<(OutputKey, simnet::NodeId, Vec<Kv>)> = Vec::new();
+        let mut stalled: Vec<(u64, usize)> = Vec::new();
         let put_off = std::mem::take(&mut shuffle.deferred);
         for &key in put_off.iter().chain(fresh) {
+            // An output registered again after a recompute: the attempt
+            // keeps what it has pulled, or is pulling, of the first copy.
+            if shuffle.has(key) {
+                continue;
+            }
             let Some(&(source, _)) = input.sources.get(key.0) else {
                 continue;
             };
@@ -149,25 +176,51 @@ fn pull(sim: &mut Sim, att: &Attempt, fresh: &[OutputKey]) {
                 continue; // not registered yet, or nothing for this partition
             };
             let open = !store.complete(source);
-            if open && !job.spill_to_pfs && sim.link(holder, node).is_none() {
+            let down =
+                (open || input.lineage) && !job.spill_to_pfs && sim.link(holder, node).is_none();
+            if down && open {
                 shuffle.deferred.push(key);
-                continue;
+            } else if down {
+                stalled.push((source, key.1));
+            } else {
+                shuffle.in_flight.insert(key);
+                issue.push((key, holder, kvs.clone()));
             }
-            shuffle.in_flight.insert(key);
-            issue.push((key, holder, kvs.clone()));
+        }
+        for &(source, m) in &stalled {
+            store.invalidate_stalled(source, m);
         }
         drop(store);
-        let all_in = shuffle.all_in() && !input.open();
-        (
-            issue,
-            env.clone(),
-            job.spill_to_pfs,
-            job.name.clone(),
-            all_in,
-        )
+        if stalled.is_empty() {
+            let all_in = shuffle.all_in() && !input.open();
+            Ok((
+                issue,
+                env.clone(),
+                job.spill_to_pfs,
+                job.name.clone(),
+                all_in,
+            ))
+        } else {
+            Err(MrError::InputLost(format!(
+                "shuffle partition {r}: node {} cannot reach the holder(s) of {} upstream \
+                 output(s) {stalled:?}",
+                node.0,
+                stalled.len()
+            )))
+        }
+    };
+    let (issue, env, spill_to_pfs, job_name, all_in) = match planned {
+        Ok(planned) => planned,
+        Err(lost) => {
+            // Outputs are gone, so their shuffles are open again: whoever
+            // else reads them is waiting, not stranded.
+            let pool = att.d.borrow().pool.clone();
+            detector::disarm_reopened(&pool);
+            return att.fail(sim, lost);
+        }
     };
     if all_in {
-        return reduce_execute(sim, att.clone());
+        return execute(sim, att.clone());
     }
     let issued_s = sim.now().secs();
     for (key, holder, kvs) in issue {
@@ -205,8 +258,8 @@ fn pull(sim: &mut Sim, att: &Attempt, fresh: &[OutputKey]) {
     }
 }
 
-/// One pull of `att` has landed; the last one after the map phase closed
-/// starts the reduce.
+/// One pull of `att` has landed; the last one after the sources closed
+/// starts the task.
 fn landed(sim: &mut Sim, att: Attempt, key: OutputKey, pull: Pull) {
     let all_in = {
         let mut dd = att.d.borrow_mut();
@@ -223,43 +276,84 @@ fn landed(sim: &mut Sim, att: Attempt, key: OutputKey, pull: Pull) {
         closed && shuffle.all_in()
     };
     if all_in {
-        reduce_execute(sim, att);
+        execute(sim, att);
     }
 }
 
-/// The map phase has closed and every pull is in: sort, reduce, write. The
-/// values of a key reach the reduce function in map order, then emit order —
-/// whenever they arrived.
-fn reduce_execute(sim: &mut Sim, att: Attempt) {
+/// Every source has closed and every pull is in: account the shuffle, then
+/// run the task. The values of a key reach it in (source, producing
+/// partition, emit) order — whenever they arrived.
+fn execute(sim: &mut Sim, att: Attempt) {
     let now = sim.now().secs();
     let taken = {
         let mut dd = att.d.borrow_mut();
-        // The map phase closed when the last map committed.
+        // The sources closed when the last of their outputs was registered.
         let input = dd.input.as_ref();
         let close_s = input.map_or(dd.start_s, |i| i.closed_at(dd.start_s));
+        let tags: Vec<u8> =
+            input.map_or_else(Vec::new, |i| i.sources.iter().map(|s| s.1).collect());
         let reduce_fn = dd.job.reduce_fn.clone();
         let info = dd.tasks.attempt_mut(att.id);
-        info.and_then(|i| Some((i.shuffle.take()?, i.start_s, close_s, reduce_fn)))
+        info.and_then(|i| {
+            Some((
+                i.shuffle.take()?,
+                i.kind,
+                i.start_s,
+                close_s,
+                tags,
+                reduce_fn,
+            ))
+        })
     };
-    let Some((shuffle, start_s, close_s, reduce_fn)) = taken else {
+    let Some((shuffle, kind, start_s, close_s, tags, reduce_fn)) = taken else {
         return;
     };
-    let Some(reduce_fn) = reduce_fn else {
-        return att.fail(sim, MrError::msg("reduce task without a reduce_fn"));
-    };
-    // Start-up, then `wait` until the map phase closes (early pulls run
-    // inside it), then `shuffle`: what of the pulls is left after the close.
+    // Start-up, then `wait` until the sources close (early pulls run inside
+    // it), then `shuffle`: what of the pulls is left after the close.
     let ready_s = shuffle.ready_s.unwrap_or(start_s);
-    let startup = sim.cost.task_startup_s;
     let wait_s = (close_s - ready_s).max(0.0);
     let shuffle_s = now - ready_s.max(close_s);
     let hidden_s = (close_s.min(ready_s) - start_s).max(0.0) + shuffle.pulling_before(close_s);
-    let kvs: Vec<Kv> = shuffle.pulls.into_values().flat_map(|p| p.kvs).collect();
+    let phases = vec![
+        ("startup", sim.cost.task_startup_s),
+        ("wait", wait_s),
+        ("shuffle", shuffle_s),
+    ];
+    let bytes: usize = shuffle.pulls.values().map(|p| kv_bytes(&p.kvs)).sum();
+    let pulled = shuffle.pulls.into_iter();
+    let kvs: Vec<(u8, Kv)> = pulled
+        .flat_map(|((source, _), p)| {
+            let tag = tags.get(source).copied().unwrap_or(0);
+            p.kvs.into_iter().map(move |kv| (tag, kv))
+        })
+        .collect();
     let mut acnt = Counters::new();
-    acnt.add(keys::SHUFFLE_BYTES, kv_bytes(&kvs) as f64);
+    acnt.add(keys::SHUFFLE_BYTES, bytes as f64);
     if hidden_s > 0.0 {
         acnt.add(keys::SHUFFLE_OVERLAP_SAVED_S, hidden_s);
     }
+    match (kind, reduce_fn) {
+        (TaskKind::Map, _) => {
+            let pairs = kvs.into_iter().map(|(tag, kv)| (tag, kv.key, kv.value));
+            map::run_stage_task(sim, att, pairs.collect(), phases, acnt)
+        }
+        (TaskKind::Reduce, Some(reduce_fn)) => {
+            let values = kvs.into_iter().map(|(_, kv)| kv);
+            reduce(sim, att, values.collect(), &reduce_fn, phases, acnt)
+        }
+        (TaskKind::Reduce, None) => att.fail(sim, MrError::msg("reduce task without a reduce_fn")),
+    }
+}
+
+/// A reducer's own work: sort, reduce, write.
+fn reduce(
+    sim: &mut Sim,
+    att: Attempt,
+    kvs: Vec<Kv>,
+    reduce_fn: &super::ReduceFn,
+    mut phases: Vec<(&'static str, f64)>,
+    mut acnt: Counters,
+) {
     // Sort/merge (real grouping).
     let sized = kvs.into_iter().map(|kv| {
         let bytes = kv.value.approx_bytes();
@@ -274,12 +368,7 @@ fn reduce_execute(sim: &mut Sim, att: Attempt) {
     }
     let slow = sim.faults.slow_factor(att.node.0);
     let compute = (ctx.total_charge_s() + sort_s) * slow;
-    let mut phases = vec![
-        ("startup", startup),
-        ("wait", wait_s),
-        ("shuffle", shuffle_s),
-        ("sort", sort_s * slow),
-    ];
+    phases.push(("sort", sort_s * slow));
     phases.extend(ctx.charges.iter().map(|&(p, s)| (p, s * slow)));
     // The pulls landed, so the attempt is alive, and the driver knows how
     // long its sort and reduce take: the deadline starts over behind them,

@@ -25,6 +25,10 @@ pub(super) struct View<'a> {
     pub cache: &'a ClusterCache,
     /// Attempts in flight, of every run that draws on `nodes`.
     pub running: usize,
+    /// The run is a post-shuffle stage whose input is still open, so a task
+    /// launched now is *early* — it starts up and pulls, then waits: how many
+    /// more of the run's tasks each node may host meanwhile.
+    pub early: Option<&'a [usize]>,
 }
 
 /// One placement: launch the task at position `pos` of the `kind` queue on
@@ -67,6 +71,11 @@ fn split_local(splits: &[InputSplit], task: usize, node: NodeId) -> bool {
         .is_some_and(|s| s.locations.contains(&node))
 }
 
+/// An early task (see [`View::early`]) goes to the least-loaded node that
+/// still has room for one of its run, or waits: it is in no hurry, and slots
+/// free up one node at a time while the stages upstream run — tasks taking
+/// whichever came first would pile their sorts and writes onto one disk.
+///
 /// Preference tiers for maps, first match wins: a pending split whose
 /// chunks are resident in the cluster cache on a free node (it skips its
 /// PFS reads entirely); a pending split stored on a free node; the head of
@@ -87,6 +96,17 @@ pub(super) fn pick_next(v: &View) -> Sched {
             cache_local,
         })
     };
+    if let Some(room) = v.early {
+        let has_room = |n: &NodeId| room.get(n.0 as usize).is_some_and(|&r| r > 0);
+        let node = free_nodes()
+            .filter(has_room)
+            .max_by_key(|&n| v.nodes.free(n));
+        return match node.filter(|_| !v.pending_maps.is_empty()) {
+            Some(node) => map_pick(0, node, false, false),
+            // Passing up slots while the input is open is waiting by choice.
+            None => Sched::Idle,
+        };
+    }
     if !v.pending_maps.is_empty() {
         if !v.cache_hints.is_empty() {
             for node in free_nodes() {
@@ -169,6 +189,7 @@ mod tests {
         hints: Vec<Vec<ChunkKey>>,
         cache: ClusterCache,
         running: usize,
+        early: Option<Vec<usize>>,
     }
 
     impl World {
@@ -183,6 +204,7 @@ mod tests {
                 hints: Vec::new(),
                 cache: ClusterCache::new(1 << 20),
                 running: 0,
+                early: None,
             }
         }
 
@@ -196,6 +218,7 @@ mod tests {
                 cache_hints: &self.hints,
                 cache: &self.cache,
                 running: self.running,
+                early: self.early.as_deref(),
             })
         }
     }
@@ -260,6 +283,25 @@ mod tests {
         // After the close the head of the queue goes wherever a slot is.
         w.maps_open = false;
         assert_eq!(w.pick(), run(TaskKind::Reduce, 0, 2, false, false));
+    }
+
+    #[test]
+    fn early_stage_tasks_spread_over_the_least_loaded_nodes_with_room() {
+        let mut w = World::new();
+        // Four tasks over three nodes: two per node at most — and node 2
+        // already runs its two.
+        w.early = Some(vec![2, 2, 0]);
+        w.nodes.take_slot(NodeId(0));
+        assert_eq!(w.pick(), run(TaskKind::Map, 0, 1, false, false));
+        w.nodes.take_slot(NodeId(1));
+        w.nodes.take_slot(NodeId(1));
+        assert_eq!(w.pick(), run(TaskKind::Map, 0, 0, false, false));
+        w.nodes.take_slot(NodeId(0));
+        // Only node 2 has a slot left, and no room: the rest wait.
+        assert_eq!(w.pick(), Sched::Idle, "waiting by choice is not stuck");
+        // Once the input has closed they are placed like any map.
+        w.early = None;
+        assert_eq!(w.pick(), run(TaskKind::Map, 0, 2, false, false));
     }
 
     #[test]

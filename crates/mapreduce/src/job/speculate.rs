@@ -66,8 +66,8 @@ fn maybe_speculate(sim: &mut Sim, d: &SharedDriver, id: AttemptId) {
         if !dd.alive() {
             return;
         }
-        let Some(info) = dd.tasks.attempt(id) else {
-            return; // finished or failed before its check fired
+        let Some(info) = dd.tasks.attempt(id).filter(|i| i.shuffle.is_none()) else {
+            return; // finished or failed before its check fired — or waiting
         };
         // Note: the attempt budget is deliberately not consulted — a
         // speculative launch is exempt from `max_task_attempts` (it counts

@@ -125,6 +125,12 @@ fn pipeline_plan(splits: Vec<InputSplit>) -> Dataset {
         )
 }
 
+/// When stage `stage` of a clean run closed: the end of its one run.
+fn closed_at(clean: &DagResult, stage: usize) -> f64 {
+    let run = clean.runs.iter().find(|r| r.stage == stage);
+    run.expect("every stage of a clean DAG runs once").end_s
+}
+
 /// Non-empty committed files under `dir`, as (path, bytes) sorted by path.
 fn output_files(c: &Cluster, dir: &str) -> Vec<(String, Vec<u8>)> {
     let mut files = c.read_output(dir).unwrap();
@@ -301,20 +307,15 @@ fn killed_node_recomputes_exactly_its_upstream_chain() {
     assert_eq!(rc.n_stages, 3);
     assert_eq!(rc.counters.get(keys::STAGES_RUN), 3.0);
     let clean_out = output_files(&clean, "dagout");
-    let s2_start = rc
-        .runs
-        .iter()
-        .find(|r| r.stage == 2)
-        .map(|r| r.start_s)
-        .expect("final stage ran");
+    let s1_closed = closed_at(&rc, 1);
 
-    // Kill node 1 the instant the final stage starts: stages 0 and 1 have
-    // fully committed, the final stage has fetched nothing yet.
+    // Kill node 1 the instant stage 1 closes: stages 0 and 1 have fully
+    // committed, the final stage's tasks have just launched.
     let mut faulted = dag_cluster(4, 1);
     faulted
         .sim
         .faults
-        .install(FaultPlan::none().kill_node(1, s2_start + 1e-6));
+        .install(FaultPlan::none().kill_node(1, s1_closed + 1e-6));
     let rf = run_dag(&mut faulted, mk_dag()).unwrap();
     let lost = rf.counters.get(keys::SHUFFLE_PARTITIONS_LOST);
     assert!(
@@ -329,9 +330,12 @@ fn killed_node_recomputes_exactly_its_upstream_chain() {
         lost,
         "recompute exactly the lost once-committed partitions"
     );
-    // The walk-back re-ran one sparse job per affected stage: 3 clean
-    // stage runs + recovery runs for stages 0, 1 and the final stage.
-    assert_eq!(rf.counters.get(keys::STAGES_RUN), 6.0);
+    // One sparse run per affected stage, submitted in the instant of the
+    // kill: 3 clean stage runs + recovery runs for stages 0 and 1. The final
+    // stage's one run lives through it — its tasks wait for the holes to be
+    // filled again, the one the kill took is requeued — and no run fails.
+    assert_eq!(rf.counters.get(keys::STAGES_RUN), 5.0);
+    assert!(rf.runs.iter().all(|r| r.ok), "{:?}", rf.runs);
     // Task accounting: recovery adds the lost chain + the final re-run,
     // far below a full second pass.
     assert!(rf.tasks_executed() > rf.total_tasks);
@@ -386,23 +390,28 @@ fn a_node_declared_dead_in_one_stage_computes_nothing_in_the_next() {
     // The two source attempts stranded on it are the only requeues: stage 1
     // never places a task there.
     assert_eq!(r.counters.get(keys::TASK_RETRIES), 2.0, "{:?}", r.counters);
+    // When node 0 is declared dead the six live slots are held by stage-1
+    // tasks that launched as the other sources finished, and wait: the two
+    // requeued sources take the slots of the two youngest, uncharged.
+    let preempted = r.counters.get(keys::REDUCES_PREEMPTED);
+    assert_eq!(preempted, 2.0, "{:?}", r.counters);
     let attempts = r.counters.get(keys::MAP_ATTEMPTS);
-    assert_eq!(attempts, (N_SPLITS as usize + 2 + n_parts) as f64);
+    assert_eq!(
+        attempts,
+        (N_SPLITS as usize + 2 + n_parts) as f64 + preempted
+    );
     for run in &r.runs {
         assert_eq!(run.tasks.len(), run.n_tasks, "stage {} ran once", run.stage);
         for t in &run.tasks {
             assert_ne!(t.node, HUNG, "stage {} task {}", run.stage, t.index);
         }
     }
-    // Stage 1 is two waves over the six live slots, nothing more: it does
-    // not sit through two heartbeats before it notices node 0.
+    // Behind the close of stage 0, stage 1 is the four tasks still waiting
+    // and then one wave of the other four over the six live slots, nothing
+    // more: it does not sit through two heartbeats before it notices node 0.
     let s1 = r.runs.iter().find(|run| run.stage == 1).expect("stage 1");
-    let longest = s1.tasks.iter().map(|t| t.duration()).fold(0.0, f64::max);
-    assert!(
-        s1.end_s - s1.start_s < 2.0 * longest + 1e-6,
-        "stage 1 took {} s, its longest task {longest} s",
-        s1.end_s - s1.start_s
-    );
+    let tail = s1.end_s - closed_at(&r, 0);
+    assert!(tail < 1.5, "stage 1 ended {tail} s after stage 0");
 }
 
 /// `(simulated time, node)` of every source fetch a run started.
@@ -425,8 +434,9 @@ impl SplitFetcher for LoggedFetcher {
     }
 }
 
-/// A shuffle hole is the dead producer's fault, not the reader's: the nodes
-/// the final stage's doomed attempts ran on stay in service, so the lineage
+/// A shuffle hole is the dead producer's fault, not the reader's: the final
+/// stage's tasks wait for it to be filled — but not in the way. The lost
+/// source partitions take the slots the waiting tasks hold, so the lineage
 /// recompute has the whole surviving cluster and ends `Ok` with the clean
 /// bytes.
 #[test]
@@ -449,16 +459,14 @@ fn lost_source_outputs_are_recomputed_in_one_wave_over_every_survivor() {
         (r, output_files(&c, "dagout"), log.take())
     };
     let (rc, clean_out, _) = run(FaultPlan::none());
-    let s2 = rc.runs.iter().find(|r| r.stage == 2).expect("final stage");
-    // Kill node 1 the instant the final stage starts (as above).
-    let kill_at = s2.start_s + 1e-6;
+    // Kill node 1 the instant stage 1 closes: the final stage's two tasks
+    // have just launched, on two of the three nodes that survive.
+    let kill_at = closed_at(&rc, 1) + 1e-6;
     let (rf, out, fetches) = run(FaultPlan::none().kill_node(1, kill_at));
-    assert!(
-        rf.runs.iter().any(|r| r.stage == 2 && !r.ok),
-        "the final stage failed on the holes before lineage recovery took over"
-    );
+    assert!(rf.runs.iter().all(|r| r.ok), "no run fails on a hole");
     // The three lost source outputs are recomputed in one wave, one per
-    // survivor — the hole failures a survivor hosted cost it nothing.
+    // survivor — one of them on the slot taken back from the final task that
+    // waits there (the other final task died with node 1 and is requeued).
     let recompute: Vec<u32> = fetches
         .iter()
         .filter(|&&(t, _)| t > kill_at)
@@ -471,6 +479,7 @@ fn lost_source_outputs_are_recomputed_in_one_wave_over_every_survivor() {
         BTreeSet::from([0, 2, 3]),
         "every survivor takes part in the source recompute"
     );
+    assert_eq!(rf.counters.get(keys::REDUCES_PREEMPTED), 1.0, "{rf:?}");
     assert_eq!(out, clean_out, "recovered output is byte-identical");
 }
 
@@ -507,11 +516,11 @@ fn run_wide(nodes: usize, plan: FaultPlan) -> (Result<DagResult, MrError>, Clust
     (r, c)
 }
 
-/// The successful run of the final stage, with its task reports.
+/// The last successful run of the final stage, with its task reports.
 fn final_run(r: &DagResult) -> &StageRun {
-    let last = r.runs.last().expect("a DAG runs at least one stage");
-    assert!(last.ok && last.stage == r.n_stages - 1, "{last:?}");
-    last
+    let mut finals = r.runs.iter().filter(|s| s.stage == r.n_stages - 1 && s.ok);
+    let last = finals.next_back();
+    last.expect("the final stage of a DAG that ended `Ok` ran")
 }
 
 /// The node holding the first replica of each block of `path`: HDFS places
@@ -591,15 +600,18 @@ fn a_committed_final_partition_survives_its_node() {
         output_files(&faulted, "dagout"),
         output_files(&clean, "dagout")
     );
-    // The second wave found the victim's upstream outputs gone and went
-    // through lineage recovery — which left the committed part file alone:
-    // it is on HDFS, not in the dead node's memory.
+    // The second wave found the victim's upstream outputs gone and waited
+    // for lineage recovery — which left the committed part file alone: it is
+    // on HDFS, not in the dead node's memory.
     let lost = rf.counters.get(keys::SHUFFLE_PARTITIONS_LOST);
     assert!(lost >= 2.0, "a stage-0 and a stage-1 output died: {lost}");
-    let redone = &final_run(&rf).tasks;
+    let finals = rf.runs.iter().filter(|s| s.stage == rf.n_stages - 1);
+    let zeros: Vec<_> = finals
+        .flat_map(|s| s.tasks.iter().filter(|t| t.index == 0))
+        .collect();
     assert!(
-        redone.iter().all(|t| t.index != 0),
-        "partition 0 was computed a second time: {redone:?}"
+        zeros.len() == 1 && zeros[0].end_s < kill_at,
+        "partition 0 was computed a second time: {zeros:?}"
     );
     let (upstream, finals) = recomputed(&rf);
     assert_eq!(finals, 0, "no final partition counts as recomputed");
@@ -655,25 +667,31 @@ fn a_kill_during_the_final_write_is_recovered_not_written_from_the_dead_node() {
 #[test]
 fn a_lost_input_costs_one_start_up() {
     let (rc, _) = run_wide(4, FaultPlan::none());
-    let s2_start = final_run(&rc.unwrap()).start_s;
-    // Node 1 dies the instant the final stage starts (as above).
-    let plan = FaultPlan::none().kill_node(1, s2_start + 1e-6);
-    let rf = run_wide(4, plan).0.unwrap();
-    let doomed = rf.runs.iter().find(|r| r.stage == 2 && !r.ok);
-    let doomed = doomed.expect("the final stage failed on the holes");
-    // No retry can bring a lost shuffle output back: the first attempt to
-    // read the hole ends the stage and lineage recovery starts.
+    let rc = rc.unwrap();
+    let close = closed_at(&rc, 0);
+    // A source holder hangs half a start-up behind the close of stage 0,
+    // under the just-launched tasks of stage 1 (as below).
+    let holder = rc.runs[0].tasks[0].node.0;
+    let rf = run_wide(4, FaultPlan::none().hang_node(holder, close + 0.5));
+    let rf = rf.0.unwrap();
+    let doomed = rf.runs.iter().find(|r| !r.ok);
+    let doomed = doomed.expect("stage 1 failed on the holder it cannot reach");
+    // No retry can bring a stalled shuffle output back: the first attempt to
+    // pull it ends the run and lineage recovery starts — one start-up behind
+    // the launch, not `max_task_attempts` of them.
     let startup = CostModel::default().task_startup_s;
-    let lasted = doomed.end_s - doomed.start_s;
+    let lasted = doomed.end_s - close;
     assert!(
-        (lasted - startup).abs() < 1e-9,
-        "the doomed run lasted {lasted} s, one start-up is {startup} s"
+        doomed.stage == 1 && lasted > 0.5 && lasted <= startup + 1e-9,
+        "the doomed run ended {lasted} s behind the close, one start-up is {startup} s"
     );
+    assert!(doomed.tasks.is_empty(), "{doomed:?}");
 }
 
 /// What a failed run had committed stays registered and is never run again, so
 /// it stays on the books: a stage-1 run that dies on a lost input between its
-/// two waves has committed half its tasks, and the recovered DAG still counts
+/// two waves (a source holder hangs, and the second wave cannot pull from it)
+/// has committed half its tasks, and the recovered DAG still counts
 /// every committed task once — `map_tasks`, `shuffle_bytes` — and every part
 /// file once — `hdfs_write_bytes`.
 #[test]
@@ -708,7 +726,7 @@ fn a_run_that_fails_on_a_lost_input_keeps_the_books_of_what_it_committed() {
         .find(|t| t.end_s == first_wave)
         .unwrap()
         .node;
-    let (rf, faulted) = run_wide(2, FaultPlan::none().kill_node(victim.0, first_wave + 1e-6));
+    let (rf, faulted) = run_wide(2, FaultPlan::none().hang_node(victim.0, first_wave + 1e-6));
     let rf = rf.unwrap();
     assert_eq!(output_files(&faulted, "dagout"), clean_out);
     let doomed = rf.runs.iter().find(|r| !r.ok).expect("a run failed");
@@ -735,17 +753,18 @@ fn a_run_that_fails_on_a_lost_input_keeps_the_books_of_what_it_committed() {
 
 /// A node that commits its stage-0 outputs and *then* goes silent — hung
 /// for good, or partitioned away and healed — is unreachable when stage 1
-/// pulls from it: the fetch asks `Sim::link`, drops the outputs it cannot
-/// pull, and lineage recomputes them on the survivors.
+/// pulls from it behind the close: the pull asks `Sim::link`, drops the
+/// outputs it cannot reach and ends its run on `InputLost`; lineage
+/// recomputes them on the survivors.
 #[test]
 fn a_holder_that_falls_silent_after_it_commits_is_recovered_through_lineage() {
     let (rc, clean) = run_wide(4, FaultPlan::none());
     let rc = rc.unwrap();
     let clean_out = output_files(&clean, "dagout");
-    let s1 = rc.runs.iter().find(|r| r.stage == 1).expect("stage 1 ran");
     let holder = rc.runs[0].tasks[0].node.0;
-    // Half a start-up into stage 1: its tasks are launched, none has pulled.
-    let at = s1.start_s + 0.5;
+    // Half a start-up behind the close of stage 0: the tasks of stage 1 are
+    // launched (every slot ran a source until then), none has pulled.
+    let at = closed_at(&rc, 0) + 0.5;
     for plan in [
         FaultPlan::none().hang_node(holder, at),
         FaultPlan::none().partition(&[holder], at, at + HEAL_AFTER_S),
@@ -761,11 +780,15 @@ fn a_holder_that_falls_silent_after_it_commits_is_recovered_through_lineage() {
         let lost = r.counters.get(keys::SHUFFLE_PARTITIONS_LOST);
         assert!(lost >= 1.0, "the silent holder's outputs count as lost");
         assert_eq!(r.counters.get(keys::LINEAGE_RECOMPUTES), lost);
+        let doomed = r.runs.iter().find(|run| !run.ok).expect("a run failed");
+        assert_eq!(doomed.stage, 1, "{}", plan_expr(&plan));
     }
 }
 
 /// A slow link loses nothing and recomputes nothing: it stretches the pulls
-/// that cross it. Every link 8x slower: every shuffle read 8x longer.
+/// that cross it. Every link 8x slower: every shuffle pull 8x longer. (Every
+/// slot runs a task of the stage upstream until that closes, so no pull here
+/// is an early one: `shuffle` is the whole of it.)
 #[test]
 fn slow_links_slow_the_dag_shuffle_by_their_factor() {
     const FACTOR: f64 = 8.0;
@@ -787,7 +810,7 @@ fn slow_links_slow_the_dag_shuffle_by_their_factor() {
     let mut compared = 0;
     for (c, s) in rc.runs.iter().zip(&rs.runs).skip(1) {
         for (tc, ts) in c.tasks.iter().zip(&s.tasks) {
-            let (read_c, read_s) = (tc.phase("read"), ts.phase("read"));
+            let (read_c, read_s) = (tc.phase("shuffle"), ts.phase("shuffle"));
             if read_c == 0.0 {
                 // Every pair this task pulls sits on its own node.
                 assert_eq!(read_s, 0.0, "loopback has no link to slow");
@@ -795,7 +818,7 @@ fn slow_links_slow_the_dag_shuffle_by_their_factor() {
             }
             assert!(
                 (read_s / read_c - FACTOR).abs() < 1e-6,
-                "stage {} task {}: read {read_s} s vs clean {read_c} s",
+                "stage {} task {}: shuffle {read_s} s vs clean {read_c} s",
                 c.stage,
                 tc.index
             );
@@ -827,16 +850,18 @@ fn single_faults(seed: u64, node: u32, at_s: f64) -> [FaultPlan; 4] {
     ]
 }
 
-/// Instants of the clean run a fault is most likely to matter at: each stage
-/// boundary exactly and 1 µs either side, the DAG's end, and — drawn from
-/// `rng` — one instant inside every stage and inside every final write.
+/// Instants of the clean run a fault is most likely to matter at: the DAG's
+/// submission, each stage's close exactly and 1 µs either side (the last is
+/// the DAG's end), and — drawn from `rng` — one instant between every two
+/// closes and inside every final write.
 fn instants(rng: &mut Rng, clean: &DagResult) -> Vec<f64> {
-    let mut at = Vec::new();
+    let mut at = vec![clean.start_s, clean.start_s + 1e-6];
+    let mut last_close = clean.start_s;
     for run in &clean.runs {
-        at.extend([run.start_s - 1e-6, run.start_s, run.start_s + 1e-6]);
-        at.push(run.start_s + rng.f64() * (run.end_s - run.start_s));
+        at.extend([run.end_s - 1e-6, run.end_s, run.end_s + 1e-6]);
+        at.push(last_close + rng.f64() * (run.end_s - last_close));
+        last_close = run.end_s;
     }
-    at.extend([clean.end_s - 1e-6, clean.end_s]);
     for t in &final_run(clean).tasks {
         at.push(t.end_s - rng.f64() * t.phase("write"));
     }

@@ -435,6 +435,34 @@ fn parity_key(key: &str) -> Result<String, MrError> {
 /// counters used to vanish with it, now `map_attempts` reads 19 -> 23 and
 /// `task_retries` 1 appears. Every run, time, other counter and file is
 /// unchanged.
+///
+/// Both constants re-recorded by the commit that made every stage of a DAG
+/// live from submit (parent values `0x3fe5_d335_8d15_9f6c` clean,
+/// `0xb076_dfd9_8a60_dd2f` kill). The event that moved: **stage tasks launched
+/// before their parent closed.** On these four one-slot nodes every slot runs
+/// a task of the stage upstream until that stage's last wave ends, so "before"
+/// is microseconds: each task of the next stage takes its slot as *one* parent
+/// task commits, not when the last one has, and pulls what is registered
+/// while the rest of that wave commits (`shuffle_overlap_saved_s` 0.874 µs, a DAG reports it to the nanosecond).
+/// What follows from it, clean: every run's `start_s` is 0 — a run starts when
+/// it is submitted, with the DAG, and ends with its last commit (`end_s` of
+/// s0 and s1 are bit-identical to the parent's) — a stage task's report reads
+/// `startup`, `wait`, `shuffle`, … where it read `startup`, `read`, …;
+/// `stream_fallbacks` 8 -> absent (a pulled partition has no fetcher to fall
+/// back from); tasks are placed as slots free up instead of over an idle
+/// cluster, so the two part files are written from nodes 3 and 2 instead of 2
+/// and 1; the DAG ends 4.077110775 -> 4.077110765 s.
+/// Kill (now anchored 1 µs behind the close of stage 1, the same instant): the
+/// final stage's tasks have just launched when node 1 dies. They keep waiting
+/// — no run fails on a hole — while the DAG driver resubmits, in the instant
+/// of the kill, exactly the lost partitions: two of stage 0 and, live beside
+/// them from the start, one of stage 1 (`stages_run` 6 -> 5, the doomed
+/// final run and its second submission are gone). The two source recomputes
+/// find every live slot held by a waiting final task and take two of them
+/// (`reduces_preempted` 2, `map_attempts` 23 -> 22). The doomed run's start-up
+/// and the final stage's second one are no longer on the critical path: the
+/// DAG ends 8.094091 -> 6.094593 s, same lost / recomputed partitions, same
+/// files.
 fn lineage_dag() -> DagJob {
     let sum = || -> scidp_suite::mapreduce::AggFn {
         Rc::new(|_k, values, _ctx| {
@@ -467,17 +495,19 @@ fn d_dag_clean_and_node_kill_lineage() {
     files_text(&mut out, &clean, &["dagout"]);
     check("dag/clean", &out, FP_DAG_CLEAN);
 
-    let s2_start = rc
+    // 1 µs behind the close of stage 1 — the instant the final stage used to
+    // start at.
+    let s1_closed = rc
         .runs
         .iter()
-        .find(|r| r.stage == 2)
-        .map(|r| r.start_s)
+        .find(|r| r.stage == 1)
+        .map(|r| r.end_s)
         .unwrap();
     let mut faulted = dag_cluster();
     faulted
         .sim
         .faults
-        .install(FaultPlan::none().kill_node(1, s2_start + 1e-6));
+        .install(FaultPlan::none().kill_node(1, s1_closed + 1e-6));
     let rf = run_dag(&mut faulted, lineage_dag()).unwrap();
     assert!(rf.counters.get(keys::LINEAGE_RECOMPUTES) >= 2.0);
     let mut out = String::new();
@@ -663,8 +693,8 @@ const FP_SLAB_BATCH: u64 = 0xe628_24f2_1577_125b;
 // the two swap places (3 on node 0, 7 on node 1 at 10.64 s). Same counters,
 // same files. (0x9b4d_094d_f187_331d)
 const FP_CHAOS: u64 = 0xd144_ec03_259f_0460;
-const FP_DAG_CLEAN: u64 = 0x3fe5_d335_8d15_9f6c;
-const FP_DAG_KILL: u64 = 0xb076_dfd9_8a60_dd2f;
+const FP_DAG_CLEAN: u64 = 0x69d1_e876_f5e8_79c2;
+const FP_DAG_KILL: u64 = 0x803a_9d0a_e0fa_5289;
 const FP_CONNECTOR_MAP_ONLY: u64 = 0xbcfb_2360_3ba8_116d;
 // (f) Reducers 0 and 1 launch at 3.49 s beside the second wave. At 6.98 s
 // the speculative twin of straggling map 0 finds no free slot off node 2 and

@@ -1,9 +1,13 @@
 //! Shared by the generated-chaos suites (`storage_totality`, `dag_lineage`,
-//! `chaos`).
+//! `chaos`, `dag_overlap`).
 
 use std::fmt::Write as _;
 
 use scidp_suite::simnet::FaultPlan;
+
+/// Generated `Dataset` chains and their naive evaluation (`dag_overlap`).
+#[allow(dead_code)]
+pub mod chain;
 
 /// `plan` as the builder expression that rebuilds it (fields are rendered in
 /// a fixed order; builders of different kinds commute).

@@ -108,9 +108,11 @@ pub(super) fn readers(d: &SharedDriver) -> Vec<(SharedDriver, usize)> {
         input.and_then(|i| i.sources.iter().position(|&(s, _)| s == shuffle))
     };
     let runs = live_runs(&pool).into_iter();
-    runs.filter_map(|r| Some((source_in(&r)?, r)))
-        .map(|(source, r)| (r, source))
-        .collect()
+    let reading = runs.filter_map(|r| {
+        let source = source_in(&r)?;
+        Some((r, source))
+    });
+    reading.collect()
 }
 
 /// Task `task` of run `d` has just registered its output: every waiting
@@ -320,26 +322,23 @@ fn execute(sim: &mut Sim, att: Attempt) {
         ("shuffle", shuffle_s),
     ];
     let bytes: usize = shuffle.pulls.values().map(|p| kv_bytes(&p.kvs)).sum();
-    let pulled = shuffle.pulls.into_iter();
-    let kvs: Vec<(u8, Kv)> = pulled
-        .flat_map(|((source, _), p)| {
-            let tag = tags.get(source).copied().unwrap_or(0);
-            p.kvs.into_iter().map(move |kv| (tag, kv))
-        })
-        .collect();
     let mut acnt = Counters::new();
     acnt.add(keys::SHUFFLE_BYTES, bytes as f64);
     if hidden_s > 0.0 {
         acnt.add(keys::SHUFFLE_OVERLAP_SAVED_S, hidden_s);
     }
+    let pulled = shuffle.pulls.into_iter();
     match (kind, reduce_fn) {
         (TaskKind::Map, _) => {
-            let pairs = kvs.into_iter().map(|(tag, kv)| (tag, kv.key, kv.value));
+            let pairs = pulled.flat_map(|((source, _), p)| {
+                let tag = tags.get(source).copied().unwrap_or(0);
+                p.kvs.into_iter().map(move |kv| (tag, kv.key, kv.value))
+            });
             map::run_stage_task(sim, att, pairs.collect(), phases, acnt)
         }
         (TaskKind::Reduce, Some(reduce_fn)) => {
-            let values = kvs.into_iter().map(|(_, kv)| kv);
-            reduce(sim, att, values.collect(), &reduce_fn, phases, acnt)
+            let kvs = pulled.flat_map(|(_, p)| p.kvs);
+            reduce(sim, att, kvs.collect(), &reduce_fn, phases, acnt)
         }
         (TaskKind::Reduce, None) => att.fail(sim, MrError::msg("reduce task without a reduce_fn")),
     }

@@ -548,6 +548,12 @@ impl Driver {
         }
     }
 
+    /// The partition task `task` computes: its index — or, in the sparse
+    /// run of a DAG stage, the stage partition the sink maps it to.
+    fn partition_of(&self, task: usize) -> usize {
+        self.sink.as_ref().map_or(task, |s| s.partition_of(task))
+    }
+
     /// Whether this run's attempts of `kind` pull their input from a
     /// shuffle: reducers, and the (map) tasks of a DAG's post-shuffle stage.
     fn pulls(&self, kind: TaskKind) -> bool {
@@ -560,8 +566,8 @@ impl Driver {
     /// each node may host: an even share of the run's tasks, less those it
     /// runs already.
     fn early(&self) -> Option<Vec<usize>> {
-        let open = self.input.as_ref().is_some_and(|i| i.open());
-        if self.sink.is_none() || !open {
+        let open = self.sink.is_some() && self.input.as_ref().is_some_and(|i| i.open());
+        if !open {
             return None;
         }
         let n_nodes = self.pool.borrow().nodes.len();
@@ -648,8 +654,7 @@ impl StageRunHandle {
         let dd = self.0.borrow();
         let open = |t: &usize| dd.tasks.state(TaskKind::Map, *t).is_some_and(|st| !st.done);
         let tasks = (0..dd.job.splits.len()).filter(open);
-        let partition_of = |t| dd.sink.as_ref().map_or(t, |s| s.partition_of(t));
-        tasks.map(partition_of).collect()
+        tasks.map(|t| dd.partition_of(t)).collect()
     }
 
     /// End the run now, whatever it is doing: its attempts are orphaned and

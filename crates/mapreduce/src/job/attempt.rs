@@ -318,13 +318,14 @@ pub(super) fn waiting(d: &SharedDriver) -> Vec<Attempt> {
 /// run of the pool.
 pub(super) fn try_schedule(sim: &mut Sim, d: &SharedDriver) {
     loop {
-        let sched = {
+        let (sched, early) = {
             let dd = d.borrow();
             if !dd.alive() {
                 return;
             }
             let (pool, early) = (dd.pool.borrow(), dd.early());
-            sched::pick_next(&dd.view(&pool.nodes, early.as_deref()))
+            let sched = sched::pick_next(&dd.view(&pool.nodes, early.as_deref()));
+            (sched, early.is_some())
         };
         match sched {
             Sched::Run(pick) => {
@@ -336,10 +337,7 @@ pub(super) fn try_schedule(sim: &mut Sim, d: &SharedDriver) {
             }
             blocked => {
                 // A task that would itself only wait takes no one's slot.
-                let map_waits = {
-                    let dd = d.borrow();
-                    !dd.tasks.pending(TaskKind::Map).is_empty() && dd.early().is_none()
-                };
+                let map_waits = !early && !d.borrow().tasks.pending(TaskKind::Map).is_empty();
                 if map_waits && preempt_waiting(d, None).is_some() {
                     continue;
                 }
@@ -465,7 +463,7 @@ pub(super) fn commit_task(
                 // twin never reaches this point. A part file on HDFS (no
                 // `parts`) is held by no node; only a DAG registers those.
                 let output = shuffle_parts.map(|parts| MapOutput { node, parts });
-                let partition = dd.sink.as_ref().map_or(task, |s| s.partition_of(task));
+                let partition = dd.partition_of(task);
                 if let Some((store, shuffle)) = dd.output_shuffle() {
                     store
                         .borrow_mut()

@@ -102,8 +102,8 @@ impl Driver {
 /// The runs of `pool` that have not ended, upstream first. No driver may be
 /// mutably borrowed by the caller.
 pub(super) fn live_runs(pool: &SharedPool) -> Vec<SharedDriver> {
-    let runs = pool.borrow().runs.clone();
-    let runs = runs.iter().filter_map(Weak::upgrade);
+    let pool = pool.borrow();
+    let runs = pool.runs.iter().filter_map(Weak::upgrade);
     runs.filter(|d| d.borrow().alive()).collect()
 }
 

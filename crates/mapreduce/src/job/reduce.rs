@@ -118,10 +118,7 @@ pub(super) fn readers(d: &SharedDriver) -> Vec<(SharedDriver, usize)> {
 /// Task `task` of run `d` has just registered its output: every waiting
 /// attempt past its start-up that reads it pulls its partition of it.
 pub(super) fn output_registered(sim: &mut Sim, d: &SharedDriver, task: usize) {
-    let partition = {
-        let dd = d.borrow();
-        dd.sink.as_ref().map_or(task, |s| s.partition_of(task))
-    };
+    let partition = d.borrow().partition_of(task);
     for (reader, source) in readers(d) {
         for att in waiting(&reader) {
             pull(sim, &att, &[(source, partition)]);
@@ -145,15 +142,14 @@ fn pull(sim: &mut Sim, att: &Attempt, fresh: &[OutputKey]) {
         if !dd.alive() {
             return;
         }
+        let r = dd.partition_of(att.task);
         let Driver {
             tasks,
             input,
-            sink,
             job,
             env,
             ..
         } = &mut *dd;
-        let r = sink.as_ref().map_or(att.task, |s| s.partition_of(att.task));
         let shuffle = tasks.attempt_mut(att.id).and_then(|i| i.shuffle.as_mut());
         let shuffle = shuffle.filter(|s| s.ready_s.is_some());
         let (Some(shuffle), Some(input)) = (shuffle, input.as_ref()) else {

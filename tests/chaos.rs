@@ -7,7 +7,8 @@
 //! slow link (`Sim::net_transfer`, DESIGN.md §3.8). The third is a generated
 //! totality sweep over reduce slow-start (DESIGN.md §3.2): every small
 //! cluster and job shape under every kind of fault at a sampled instant ends
-//! `Ok` with the bytes a naive evaluation gives, or in a typed `Err`.
+//! `Ok` with the bytes a naive evaluation gives, or in a typed `Err` — and
+//! leaves no `_tmp/` file in the NameNode's namespace either way.
 //! `SCIDP_FAULT_SEED` reseeds the sampling; a failing plan prints as the
 //! `FaultPlan` builder expression that rebuilds it.
 
@@ -23,7 +24,7 @@ use scidp_suite::simnet::{ClusterSpec, CostModel, FaultPlan, NodeId};
 use scirng::Rng;
 
 mod common;
-use common::plan_expr;
+use common::{leftover_temp_files, plan_expr};
 
 const INPUT: &str = "data/chaos.bin";
 const FILE_BYTES: u64 = 32 * 1024;
@@ -401,11 +402,13 @@ fn naive_output(shape: Shape) -> Output {
     output
 }
 
-fn run_shape(shape: Shape, plan: FaultPlan) -> (Result<JobResult, MrError>, Output) {
+/// The job's outcome under `plan`, what it committed and the temp files it
+/// left behind.
+fn run_shape(shape: Shape, plan: FaultPlan) -> (Result<JobResult, MrError>, Output, Vec<String>) {
     let mut c = sweep_cluster(shape, plan);
     let r = run_job(&mut c, sweep_job(shape));
     let output = c.read_output("out").unwrap_or_default();
-    (r, output)
+    (r, output, leftover_temp_files(&c))
 }
 
 fn maps_closed_at(r: &JobResult) -> f64 {
@@ -458,9 +461,14 @@ fn check_run(
     shape: Shape,
     (plan, survivable): (&FaultPlan, bool),
     r: &Result<JobResult, MrError>,
-    output: &Output,
+    (output, leftovers): (&Output, &[String]),
     want: &Output,
 ) -> Result<(), String> {
+    // Every attempt that ended — committed, orphaned, failed, stranded on a
+    // node that could not report — took its temp file with it, `Ok` or not.
+    if !leftovers.is_empty() {
+        return Err(format!("temp files left behind: {leftovers:?}"));
+    }
     let r = match r {
         // A typed failure (the only node died, the holders are cut off for
         // good, ...) is an outcome; a simulator that ran dry is a stall.
@@ -530,12 +538,13 @@ fn every_shape_under_every_kind_of_fault_ends_ok_with_the_naive_bytes_or_typed()
                         reducers,
                     };
                     let want = naive_output(shape);
-                    let (clean, _) = run_shape(shape, FaultPlan::none());
+                    let (clean, ..) = run_shape(shape, FaultPlan::none());
                     let clean = clean.expect("clean run");
                     for (plan, survivable) in sweep_plans(&mut rng, seed, shape, &clean) {
-                        let (r, output) = run_shape(shape, plan.clone());
+                        let (r, output, leftovers) = run_shape(shape, plan.clone());
                         let case = (&plan, survivable);
-                        if let Err(violation) = check_run(shape, case, &r, &output, &want) {
+                        let left = (&output, &leftovers[..]);
+                        if let Err(violation) = check_run(shape, case, &r, left, &want) {
                             panic!(
                                 "{shape:?}: {violation} (generator seed {seed})\n  plan: {}",
                                 plan_expr(&plan)
@@ -574,14 +583,14 @@ fn a_kill_under_the_last_running_map_preempts_the_reducer_holding_the_only_slot(
         maps: 2,
         reducers: 2,
     };
-    let (clean, clean_out) = run_shape(shape, FaultPlan::none());
+    let (clean, clean_out, _) = run_shape(shape, FaultPlan::none());
     let clean = clean.expect("clean run");
     assert_eq!(clean_out, naive_output(shape));
     let map = |i: usize| &clean.tasks[i];
     assert_eq!((map(0).node, map(1).node), (NodeId(1), NodeId(0)));
     assert!(map(1).end_s < map(0).end_s, "map 0 is the longer one");
     let kill_at = 0.5 * (map(1).end_s + map(0).end_s);
-    let (r, out) = run_shape(shape, FaultPlan::none().kill_node(1, kill_at));
+    let (r, out, _) = run_shape(shape, FaultPlan::none().kill_node(1, kill_at));
     let r = r.expect("the retried map takes the waiting reducer's slot");
     assert_eq!(out, clean_out);
     assert!(

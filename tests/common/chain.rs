@@ -138,8 +138,9 @@ impl Chain {
         plan
     }
 
-    /// Run the chain under `plan`: the outcome and what it committed.
-    pub fn run(&self, plan: FaultPlan) -> (Result<DagResult, MrError>, Output) {
+    /// Run the chain under `plan`: the outcome, what it committed and the
+    /// temp files it left behind.
+    pub fn run(&self, plan: FaultPlan) -> (Result<DagResult, MrError>, Output, Vec<String>) {
         let mut c = self.cluster(plan);
         let job = DagJob {
             ft: chaos_ft(),
@@ -148,7 +149,7 @@ impl Chain {
         let r = run_dag(&mut c, job);
         let mut output = c.read_output(OUT).unwrap_or_default();
         output.retain(|(_, data)| !data.is_empty());
-        (r, output)
+        (r, output, super::leftover_temp_files(&c))
     }
 
     /// What the chain must commit, evaluated naively: every split through

@@ -3,11 +3,22 @@
 
 use std::fmt::Write as _;
 
+use scidp_suite::mapreduce::Cluster;
 use scidp_suite::simnet::FaultPlan;
 
 /// Generated `Dataset` chains and their naive evaluation (`dag_overlap`).
 #[allow(dead_code)]
 pub mod chain;
+
+/// The `_tmp/attempt-<id>` files a finished run left in the NameNode's
+/// namespace: none, however its attempts ended — committed, orphaned, failed
+/// or stranded on a node that could not report (`chaos`, `dag_overlap`).
+#[allow(dead_code)]
+pub fn leftover_temp_files(c: &Cluster) -> Vec<String> {
+    let dump = c.hdfs.borrow().namenode.namespace_dump();
+    let temp = dump.lines().filter(|line| line.contains("_tmp/"));
+    temp.map(str::to_string).collect()
+}
 
 /// `plan` as the builder expression that rebuilds it (fields are rendered in
 /// a fixed order; builders of different kinds commute).

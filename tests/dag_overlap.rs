@@ -6,7 +6,8 @@
 //! (between a downstream task's launch and its parent's close): each run
 //! ends `Ok` with the bytes a naive single-threaded evaluation of the plan
 //! gives, or in a typed `Err` — never a drained queue, no waiting task
-//! declared hung before its parent closes. `SCIDP_FAULT_SEED` reseeds the
+//! declared hung before its parent closes, no `_tmp/` file left in the
+//! NameNode's namespace either way. `SCIDP_FAULT_SEED` reseeds the
 //! sampling (CI's `driver` job runs seeds 1-3); a failing plan prints as the
 //! `FaultPlan` builder expression that rebuilds it.
 
@@ -68,7 +69,7 @@ const SPARE_SLOT: Chain = Chain {
 
 #[test]
 fn phases_of_an_early_launched_stage_task_sum_to_its_duration() {
-    let (r, out) = SPARE_SLOT.run(FaultPlan::none());
+    let (r, out, _) = SPARE_SLOT.run(FaultPlan::none());
     let r = r.expect("clean run");
     assert_eq!(out, SPARE_SLOT.naive_output());
     assert_eq!(r.counters.get(keys::STAGES_RUN), 3.0);
@@ -110,7 +111,7 @@ fn a_kill_under_the_last_source_preempts_the_stage_task_holding_the_only_slot() 
         nodes: 2,
         slots: 1,
     };
-    let (clean, clean_out) = shape.run(FaultPlan::none());
+    let (clean, clean_out, _) = shape.run(FaultPlan::none());
     let clean = clean.expect("clean run");
     assert_eq!(clean_out, shape.naive_output());
     let source = |i: usize| &clean.runs[0].tasks[i];
@@ -121,7 +122,7 @@ fn a_kill_under_the_last_source_preempts_the_stage_task_holding_the_only_slot() 
     );
     assert_eq!(launched_early(&clean).len(), 1, "on node 0's slot");
     let kill_at = 0.5 * (source(1).end_s + source(0).end_s);
-    let (r, out) = shape.run(FaultPlan::none().kill_node(1, kill_at));
+    let (r, out, _) = shape.run(FaultPlan::none().kill_node(1, kill_at));
     let r = r.expect("the retried source takes the waiting stage task's slot");
     assert_eq!(out, clean_out);
     assert!(
@@ -150,7 +151,7 @@ fn a_lost_input_costs_its_reader_no_second_start_up() {
         nodes: 3,
         ..SPARE_SLOT
     };
-    let (clean, clean_out) = shape.run(FaultPlan::none());
+    let (clean, clean_out, _) = shape.run(FaultPlan::none());
     let clean = clean.expect("clean run");
     let sources = &clean.runs[0].tasks;
     let nodes: Vec<u32> = sources.iter().map(|t| t.node.0).collect();
@@ -166,7 +167,7 @@ fn a_lost_input_costs_its_reader_no_second_start_up() {
     // sources still running: a hole in a shuffle that has yet to close.
     let kill_at = sources[2].end_s + 0.1;
     assert!(kill_at < sources[1].end_s && stage1.start_s + 1.0 < kill_at);
-    let (r, out) = shape.run(FaultPlan::none().kill_node(0, kill_at));
+    let (r, out, _) = shape.run(FaultPlan::none().kill_node(0, kill_at));
     let r = r.expect("lineage recomputes the lost output");
     assert_eq!(out, clean_out);
     assert!(r.runs.iter().all(|run| run.ok), "no run fails on a hole");
@@ -253,9 +254,14 @@ fn check_run(
     shape: Chain,
     (plan, survivable): (&FaultPlan, bool),
     r: &Result<DagResult, MrError>,
-    output: &Output,
+    (output, leftovers): (&Output, &[String]),
     want: &Output,
 ) -> Result<(), String> {
+    // Every attempt that ended — committed, orphaned, failed, stranded on a
+    // node that could not report — took its temp file with it, `Ok` or not.
+    if !leftovers.is_empty() {
+        return Err(format!("temp files left behind: {leftovers:?}"));
+    }
     let r = match r {
         // A typed failure (the only node died, ...) is an outcome; a
         // simulator that ran dry is a stall.
@@ -324,13 +330,14 @@ fn every_chain_under_every_kind_of_fault_ends_ok_with_the_naive_bytes_or_typed()
                             slots,
                         };
                         let want = shape.naive_output();
-                        let (clean, _) = shape.run(FaultPlan::none());
+                        let (clean, ..) = shape.run(FaultPlan::none());
                         let clean = clean.expect("clean run");
                         in_window += usize::from(!launched_early(&clean).is_empty());
                         for (plan, survivable) in sweep_plans(&mut rng, seed, shape, &clean) {
-                            let (r, output) = shape.run(plan.clone());
+                            let (r, output, leftovers) = shape.run(plan.clone());
                             let case = (&plan, survivable);
-                            if let Err(violation) = check_run(shape, case, &r, &output, &want) {
+                            let left = (&output, &leftovers[..]);
+                            if let Err(violation) = check_run(shape, case, &r, left, &want) {
                                 panic!(
                                     "{shape:?}: {violation} (generator seed {seed})\n  plan: {}",
                                     plan_expr(&plan)

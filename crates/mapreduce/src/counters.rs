@@ -55,10 +55,16 @@ pub mod keys {
     /// same reads and compute back-to-back (Σ over committed map tasks).
     pub const OVERLAP_SAVED_S: &str = "overlap_saved_s";
     /// Virtual seconds of reduce start-up and shuffle pulls that ran before
-    /// the last map committed, on slots no map wanted (Σ over committed
-    /// reduce tasks) — what a reduce phase opened only at the map-phase
-    /// close would have added to the tail.
+    /// the last map committed, on slots no map wanted, plus the merge
+    /// seconds that ran while later pulls were still being copied (Σ over
+    /// committed pulling tasks) — what a reduce phase opened only at the
+    /// map-phase close, sorting only behind its last pull, would have added
+    /// to the tail.
     pub const SHUFFLE_OVERLAP_SAVED_S: &str = "shuffle_overlap_saved_s";
+    /// Virtual seconds of part-file write that ran while the task was still
+    /// computing (Σ over committed tasks that wrote a part file) — what
+    /// writing the file only once the compute had ended would have added.
+    pub const WRITE_OVERLAP_SAVED_S: &str = "write_overlap_saved_s";
     /// Reduce attempts that gave their slot back to a map attempt (a retry
     /// or a speculative twin that found none free) and were requeued
     /// uncharged.

@@ -158,21 +158,17 @@ fn compile_source(read: RecordReadFn, narrow: Vec<NarrowOp>) -> MapFn {
 
 /// Task function of a post-shuffle stage: group the delivered pairs by key
 /// (BTreeMap — deterministic key order), run the wide operator per key,
-/// apply the fused narrow chain, emit.
+/// apply the fused narrow chain, emit. The merge was priced as the pairs
+/// landed, in the pull loop both engines share (`job/reduce.rs`).
 fn compile_grouped(group: GroupFn, narrow: Vec<NarrowOp>) -> MapFn {
     Rc::new(move |input, ctx| {
         let TaskInput::Pairs(pairs) = input else {
             return Err(MrError::msg("shuffle stage expects pair input"));
         };
-        // The classic reduce path's sort/merge, values keeping their tags.
-        let sized = pairs.into_iter().map(|(tag, k, v)| {
-            let bytes = v.approx_bytes();
-            (k, bytes, (tag, v))
-        });
-        let (sort_s, groups) = group_by_key(ctx.cost(), sized);
-        ctx.charge("sort", sort_s);
+        // The classic reduce path's grouping, values keeping their tags.
+        let tagged = pairs.into_iter().map(|(tag, k, v)| (k, (tag, v)));
         let mut records = Vec::new();
-        for (key, tagged) in groups {
+        for (key, tagged) in group_by_key(tagged) {
             records.extend(group(&key, tagged, ctx)?);
         }
         for (k, v) in apply_narrow(&narrow, records, ctx)? {
@@ -715,7 +711,8 @@ fn complete_dag(sim: &mut Sim, d: &SharedDag) {
         // Reported to the nanosecond they repeat exactly, like every count.
         let mut counters = Counters::new();
         for (key, v) in dd.counters.iter() {
-            let hidden = key == keys::SHUFFLE_OVERLAP_SAVED_S;
+            let hidden =
+                [keys::SHUFFLE_OVERLAP_SAVED_S, keys::WRITE_OVERLAP_SAVED_S].contains(&key);
             counters.add(key, if hidden { (v * 1e9).round() / 1e9 } else { v });
         }
         DagResult {

@@ -554,6 +554,18 @@ impl Driver {
         self.sink.as_ref().map_or(task, |s| s.partition_of(task))
     }
 
+    /// What stretches the compute of a `kind` attempt on `node` — its sort
+    /// included: the node's fault-plan slowdown (the straggler model
+    /// speculation reacts to), times, for a map attempt (a stage task too),
+    /// the slot-sharing penalty when a node has several slots.
+    fn compute_factor(&self, sim: &Sim, kind: TaskKind, node: NodeId) -> f64 {
+        let penalty = match kind {
+            TaskKind::Map if self.env.slots_per_node > 1 => sim.cost.parallel_compute_penalty,
+            _ => 1.0,
+        };
+        penalty * sim.faults.slow_factor(node.0)
+    }
+
     /// Whether this run's attempts of `kind` pull their input from a
     /// shuffle: reducers, and the (map) tasks of a DAG's post-shuffle stage.
     fn pulls(&self, kind: TaskKind) -> bool {

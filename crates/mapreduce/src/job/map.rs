@@ -1,8 +1,9 @@
 //! Map attempts: fetch the split (one batch fetch, or streamed piece-wise
 //! with reads overlapped against compute), run the map function, then
 //! spill the partitioned output — or, for a map-only job, commit it as a
-//! part file. The task of a DAG's post-shuffle stage has no split to fetch:
-//! it pulls its pairs (`reduce.rs`) and joins this path at the map function.
+//! part file written while the compute runs. The task of a DAG's
+//! post-shuffle stage has no split to fetch: it pulls its pairs
+//! (`reduce.rs`) and joins this path at the map function.
 
 use std::rc::Rc;
 
@@ -10,7 +11,7 @@ use simnet::Sim;
 
 use super::attempt::{commit_task, Attempt};
 use super::commit::{commit_part_file, kv_bytes, partition};
-use super::{detector, MrError, Payload, TaskCtx};
+use super::{detector, Kv, MrError, Payload, TaskCtx, TaskKind};
 use crate::counters::{keys, Counters};
 use crate::input::{pump_pieces, FetchPiece, FetchResult, PieceSink, PieceStream, TaskInput};
 
@@ -88,14 +89,15 @@ pub(super) fn run_map_attempt(sim: &mut Sim, att: Attempt) {
 }
 
 /// The task of a post-shuffle stage has pulled its `pairs`: run the stage's
-/// task function over them — grouping by key is its first charge — and hand
-/// the output on like any map's. `phases` and `acnt` are what the pull left:
-/// `startup`, `wait`, `shuffle`; the shuffled bytes.
+/// task function over them behind what is left of their merge (`sort_s`) and
+/// hand the output on like any map's. `phases` and `acnt` are what the pull
+/// left: `startup`, `wait`, `shuffle`, `sort`; the shuffled bytes.
 pub(super) fn run_stage_task(
     sim: &mut Sim,
     att: Attempt,
     pairs: Vec<(u8, String, Payload)>,
     phases: Vec<(&'static str, f64)>,
+    sort_s: f64,
     acnt: Counters,
 ) {
     let mut m = MapAttempt {
@@ -108,10 +110,11 @@ pub(super) fn run_stage_task(
     let Some((ctx, factor)) = m.run_map_fn(sim, pulled) else {
         return;
     };
-    let compute = ctx.total_charge_s() * factor;
+    let compute = sort_s + ctx.total_charge_s() * factor;
     // The pulls landed, so the attempt is alive, and the driver knows how
-    // long its grouping and compute take: the deadline starts over behind
-    // them (as a reducer's does behind its sort and reduce).
+    // long what is left of its merge and its compute take: the deadline
+    // starts over behind them (as a reducer's does behind its merge and
+    // reduce).
     detector::arm_deadline(sim, &m.att, compute);
     m.end_after(sim, compute, phases, &[], ctx, factor);
 }
@@ -123,14 +126,10 @@ impl MapAttempt {
     /// slowdown of the node (the straggler model speculation reacts to).
     /// `None` when the map function failed (the attempt has been failed).
     fn run_map_fn(&mut self, sim: &mut Sim, fr: FetchResult) -> Option<(TaskCtx, f64)> {
-        let (map_fn, penalty) = {
+        let (map_fn, factor) = {
             let dd = self.att.d.borrow();
-            let p = if dd.env.slots_per_node > 1 {
-                sim.cost.parallel_compute_penalty
-            } else {
-                1.0
-            };
-            (dd.job.map_fn.clone(), p)
+            let factor = dd.compute_factor(sim, TaskKind::Map, self.att.node);
+            (dd.job.map_fn.clone(), factor)
         };
         let mut ctx = TaskCtx::new(sim.cost.clone());
         ctx.tag = fr.tag;
@@ -144,7 +143,7 @@ impl MapAttempt {
             self.att.fail(sim, e);
             return None;
         }
-        Some((ctx, penalty * sim.faults.slow_factor(self.att.node.0)))
+        Some((ctx, factor))
     }
 
     /// Batch shape: the whole split is resident, compute follows the read.
@@ -158,9 +157,10 @@ impl MapAttempt {
         self.end_after(sim, compute, phases, &[], ctx, factor);
     }
 
-    /// Compute ends `delay` from now: record the scaled charges as phases
-    /// and hand the output on — unless the attempt was orphaned meanwhile or
-    /// its node cannot report.
+    /// Compute ends `delay` from now: record the scaled charges as phases,
+    /// account the output and hand it on — a part file is written while the
+    /// compute runs; a spill follows it, unless the attempt was orphaned
+    /// meanwhile or its node cannot report.
     fn end_after(
         self,
         sim: &mut Sim,
@@ -172,10 +172,32 @@ impl MapAttempt {
     ) {
         let charges = piece_charges.iter().chain(&ctx.charges);
         phases.extend(charges.map(|&(p, s)| (p, s * factor)));
-        let MapAttempt { att, acnt, .. } = self;
+        let MapAttempt { att, mut acnt, .. } = self;
+        let out_bytes = kv_bytes(&ctx.emitted);
+        acnt.add(keys::MAP_OUTPUT_BYTES, out_bytes as f64);
+        acnt.add(keys::RECORDS_EMITTED, ctx.records as f64);
+        let (n_parts, stage_partition) = {
+            let dd = att.d.borrow();
+            // A shuffle-sink stage partitions for the *downstream* stage's
+            // width; a classic job partitions for its own reducers.
+            match &dd.sink {
+                Some(sink) => (sink.n_partitions, Some(sink.partition_of(att.task))),
+                None => (dd.job.reduce_fn.as_ref().map(|_| dd.job.n_reducers), None),
+            }
+        };
+        let Some(n_parts) = n_parts else {
+            // Neither: the output is a part file, named by the task — for a
+            // DAG's final stage by the stage partition the task computes.
+            let part_name = match stage_partition {
+                Some(p) => format!("part-{p:05}"),
+                None => format!("part-m-{:05}", att.task),
+            };
+            return commit_part_file(sim, att, &ctx.emitted, part_name, phases, delay, acnt);
+        };
         sim.after(delay, move |sim| {
             if att.can_report(sim) {
-                finish_map_compute(sim, att, phases, ctx, acnt);
+                let parts = partition(ctx.emitted, n_parts);
+                spill(sim, att, phases, parts, out_bytes, acnt);
             }
         });
     }
@@ -297,45 +319,22 @@ impl PieceSink for StreamedFetch {
     }
 }
 
-/// Map compute is over: account the output, then spill its partitions for
-/// the downstream shuffle — or, when nothing is downstream (a map-only job,
-/// a DAG's final stage), commit it as a part file.
-fn finish_map_compute(
+/// Map compute is over: spill its output — `parts` for the downstream
+/// shuffle, `out_bytes` in all — then commit. The spill stays serial: Hadoop
+/// overlaps one only past `io.sort.mb × spill.percent`, a buffer this model
+/// does not have.
+fn spill(
     sim: &mut Sim,
     att: Attempt,
     phases: Vec<(&'static str, f64)>,
-    ctx: TaskCtx,
-    mut acnt: Counters,
+    parts: Vec<Vec<Kv>>,
+    out_bytes: usize,
+    acnt: Counters,
 ) {
-    let out_bytes = kv_bytes(&ctx.emitted);
-    acnt.add(keys::MAP_OUTPUT_BYTES, out_bytes as f64);
-    acnt.add(keys::RECORDS_EMITTED, ctx.records as f64);
-    let (env, n_parts, stage_partition, spill_to_pfs, job_name) = {
+    let (env, spill_to_pfs, job_name) = {
         let dd = att.d.borrow();
-        // A shuffle-sink stage partitions for the *downstream* stage's
-        // width; a classic job partitions for its own reducers.
-        let (n_parts, stage_partition) = match &dd.sink {
-            Some(sink) => (sink.n_partitions, Some(sink.partition_of(att.task))),
-            None => (dd.job.reduce_fn.as_ref().map(|_| dd.job.n_reducers), None),
-        };
-        (
-            dd.env.clone(),
-            n_parts,
-            stage_partition,
-            dd.job.spill_to_pfs,
-            dd.job.name.clone(),
-        )
+        (dd.env.clone(), dd.job.spill_to_pfs, dd.job.name.clone())
     };
-    let Some(n_parts) = n_parts else {
-        // Neither: the output is a part file, named by the task — for a
-        // DAG's final stage by the stage partition the task computes.
-        let part_name = match stage_partition {
-            Some(p) => format!("part-{p:05}"),
-            None => format!("part-m-{:05}", att.task),
-        };
-        return commit_part_file(sim, att, &ctx.emitted, part_name, phases, acnt);
-    };
-    let parts = partition(ctx.emitted, n_parts);
     let spill_start = sim.now().secs();
     let (node, task) = (att.node, att.task);
     let finish_spill = move |sim: &mut Sim| {

@@ -1,10 +1,10 @@
 //! Pulling attempts — a classic job's reducers and the tasks of a DAG's
 //! post-shuffle stages: start up, pull each upstream output as it is
-//! registered, then — once every source shuffle has closed and the last pull
-//! has landed — run: a reducer sorts, reduces and writes its part file; a
-//! stage task hands its pairs to the stage's task function (`map.rs`). One
-//! body: an attempt launched after the close runs the same steps and simply
-//! finds every output registered.
+//! registered and merge it in as it lands, then — once every source shuffle
+//! has closed and the last pull has landed — run: a reducer finishes its
+//! merge, reduces and writes its part file; a stage task hands its pairs to
+//! the stage's task function (`map.rs`). One body: an attempt launched after
+//! the close runs the same steps and simply finds every output registered.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
@@ -41,6 +41,15 @@ pub(super) struct Shuffle {
     /// regardless once their shuffle has closed.
     deferred: Vec<OutputKey>,
     in_flight: BTreeSet<OutputKey>,
+    /// The merge timeline (merge-during-copy): each pull's share of the sort
+    /// is charged as it lands, behind the merges before it — the timeline
+    /// ends at `max(end, landed) + merge`. Kept as when the last pull landed
+    /// and what of the merge was left then, so that a merge nothing hid
+    /// reads exactly nothing hidden.
+    last_landed_s: f64,
+    merge_left_s: f64,
+    /// Merge seconds charged so far.
+    merge_s: f64,
 }
 
 impl Shuffle {
@@ -53,6 +62,19 @@ impl Shuffle {
         self.pulls.contains_key(&key)
             || self.in_flight.contains(&key)
             || self.deferred.contains(&key)
+    }
+
+    /// Charge `merge_s` seconds of merge for a pull landed at `landed_s`.
+    fn merge(&mut self, landed_s: f64, merge_s: f64) {
+        let merged = landed_s - self.last_landed_s;
+        self.merge_left_s = (self.merge_left_s - merged).max(0.0) + merge_s;
+        self.last_landed_s = landed_s;
+        self.merge_s += merge_s;
+    }
+
+    /// What of the merge is left at `now`, at or after the last landing.
+    fn merge_left_at(&self, now: f64) -> f64 {
+        (self.merge_left_s - (now - self.last_landed_s)).max(0.0)
     }
 
     /// Seconds before `close_s` with at least one pull in flight.
@@ -256,19 +278,27 @@ fn pull(sim: &mut Sim, att: &Attempt, fresh: &[OutputKey]) {
     }
 }
 
-/// One pull of `att` has landed; the last one after the sources closed
-/// starts the task.
+/// One pull of `att` has landed: its share of the sort — its bytes at
+/// `sort_per_byte`, stretched as the attempt's compute is — goes on the merge
+/// timeline, behind the merges before it. The last pull after the sources
+/// closed starts the task.
 fn landed(sim: &mut Sim, att: Attempt, key: OutputKey, pull: Pull) {
     let all_in = {
         let mut dd = att.d.borrow_mut();
         let closed = dd.alive() && dd.input.as_ref().is_some_and(|i| !i.open());
+        let Some(kind) = dd.tasks.attempt(att.id).map(|i| i.kind) else {
+            return; // the attempt is gone, and its merge progress with it
+        };
+        let factor = dd.compute_factor(sim, kind, att.node);
+        let merge = sim.cost.lbytes(kv_bytes(&pull.kvs)) * sim.cost.sort_per_byte * factor;
         let shuffle = dd
             .tasks
             .attempt_mut(att.id)
             .and_then(|i| i.shuffle.as_mut());
         let Some(shuffle) = shuffle else {
-            return; // the attempt is gone
+            return;
         };
+        shuffle.merge(pull.landed_s, merge);
         shuffle.pulls.insert(key, pull);
         shuffle.in_flight.remove(&key);
         closed && shuffle.all_in()
@@ -279,8 +309,8 @@ fn landed(sim: &mut Sim, att: Attempt, key: OutputKey, pull: Pull) {
 }
 
 /// Every source has closed and every pull is in: account the shuffle, then
-/// run the task. The values of a key reach it in (source, producing
-/// partition, emit) order — whenever they arrived.
+/// run the task behind what is left of its merge. The values of a key reach
+/// it in (source, producing partition, emit) order — whenever they arrived.
 fn execute(sim: &mut Sim, att: Attempt) {
     let now = sim.now().secs();
     let taken = {
@@ -307,15 +337,22 @@ fn execute(sim: &mut Sim, att: Attempt) {
         return;
     };
     // Start-up, then `wait` until the sources close (early pulls run inside
-    // it), then `shuffle`: what of the pulls is left after the close.
+    // it), then `shuffle`: what of the pulls is left after the close, then
+    // `sort`: what of the merge is left after the last pull. Hidden are the
+    // start-up and pull seconds before the close and the merge seconds
+    // before the last pull landed.
     let ready_s = shuffle.ready_s.unwrap_or(start_s);
     let wait_s = (close_s - ready_s).max(0.0);
     let shuffle_s = now - ready_s.max(close_s);
-    let hidden_s = (close_s.min(ready_s) - start_s).max(0.0) + shuffle.pulling_before(close_s);
+    let sort_s = shuffle.merge_left_at(now);
+    let hidden_s = (close_s.min(ready_s) - start_s).max(0.0)
+        + shuffle.pulling_before(close_s)
+        + (shuffle.merge_s - sort_s);
     let phases = vec![
         ("startup", sim.cost.task_startup_s),
         ("wait", wait_s),
         ("shuffle", shuffle_s),
+        ("sort", sort_s),
     ];
     let bytes: usize = shuffle.pulls.values().map(|p| kv_bytes(&p.kvs)).sum();
     let mut acnt = Counters::new();
@@ -330,62 +367,60 @@ fn execute(sim: &mut Sim, att: Attempt) {
                 let tag = tags.get(source).copied().unwrap_or(0);
                 p.kvs.into_iter().map(move |kv| (tag, kv.key, kv.value))
             });
-            map::run_stage_task(sim, att, pairs.collect(), phases, acnt)
+            map::run_stage_task(sim, att, pairs.collect(), phases, sort_s, acnt)
         }
         (TaskKind::Reduce, Some(reduce_fn)) => {
             let kvs = pulled.flat_map(|(_, p)| p.kvs);
-            reduce(sim, att, kvs.collect(), &reduce_fn, phases, acnt)
+            reduce(sim, att, kvs.collect(), &reduce_fn, phases, sort_s, acnt)
         }
         (TaskKind::Reduce, None) => att.fail(sim, MrError::msg("reduce task without a reduce_fn")),
     }
 }
 
-/// A reducer's own work: sort, reduce, write.
+/// A reducer's own work: the rest of its merge (`sort_s`, already among
+/// `phases`), reduce, and its part file — written while it reduces.
 fn reduce(
     sim: &mut Sim,
     att: Attempt,
     kvs: Vec<Kv>,
     reduce_fn: &super::ReduceFn,
     mut phases: Vec<(&'static str, f64)>,
+    sort_s: f64,
     mut acnt: Counters,
 ) {
-    // Sort/merge (real grouping).
-    let sized = kvs.into_iter().map(|kv| {
-        let bytes = kv.value.approx_bytes();
-        (kv.key, bytes, kv.value)
-    });
-    let (sort_s, groups) = group_by_key(&sim.cost, sized);
+    // The merge is priced; the grouping is real.
+    let groups = group_by_key(kvs.into_iter().map(|kv| (kv.key, kv.value)));
     let mut ctx = TaskCtx::new(sim.cost.clone());
     for (key, values) in groups {
         if let Err(e) = (reduce_fn)(&key, values, &mut ctx) {
             return att.fail(sim, e);
         }
     }
-    let slow = sim.faults.slow_factor(att.node.0);
-    let compute = (ctx.total_charge_s() + sort_s) * slow;
-    phases.push(("sort", sort_s * slow));
+    let slow = att
+        .d
+        .borrow()
+        .compute_factor(sim, TaskKind::Reduce, att.node);
+    let compute = sort_s + ctx.total_charge_s() * slow;
     phases.extend(ctx.charges.iter().map(|&(p, s)| (p, s * slow)));
     // The pulls landed, so the attempt is alive, and the driver knows how
-    // long its sort and reduce take: the deadline starts over behind them,
-    // for a completion the node cannot report and for the part-file write.
+    // long what is left of its merge and its reduce take: the deadline
+    // starts over behind them, for a completion the node cannot report and
+    // for what of the part-file write outlasts them.
     detector::arm_deadline(sim, &att, compute);
-    sim.after(compute, move |sim| {
-        if !att.can_report(sim) {
-            return;
-        }
-        acnt.add(keys::RECORDS_EMITTED, ctx.records as f64);
-        let part_name = format!("part-r-{:05}", att.task);
-        commit_part_file(sim, att, &ctx.emitted, part_name, phases, acnt);
-    });
+    acnt.add(keys::RECORDS_EMITTED, ctx.records as f64);
+    let part_name = format!("part-r-{:05}", att.task);
+    commit_part_file(sim, att, &ctx.emitted, part_name, phases, compute, acnt);
 }
 
 #[cfg(test)]
 mod tests {
     use crate::counters::keys;
+    use crate::dag::{run_dag, DagJob};
+    use crate::dataset::Dataset;
     use crate::input::{InMemoryFetcher, InputSplit, TaskInput};
-    use crate::job::tests::{slow_map_job, small_cluster, word_count_job};
+    use crate::job::tests::{mem_splits, slow_map_job, small_cluster, word_count_job};
     use crate::job::{run_job, FtConfig, JobResult, MrError, Payload, TaskKind, TaskReport};
-    use simnet::FaultPlan;
+    use simnet::{CostModel, FaultPlan};
     use std::rc::Rc;
 
     #[test]
@@ -436,6 +471,71 @@ mod tests {
         maps.map(|t| t.end_s).fold(0.0, f64::max)
     }
 
+    /// The old single charge: every shuffled byte through one sort, on
+    /// nodes no fault plan slows.
+    fn one_sort(r: &JobResult) -> f64 {
+        r.counters.get(keys::SHUFFLE_BYTES) * CostModel::default().sort_per_byte
+    }
+
+    /// The merge the reducers of `r` hid behind their pulls: what of one sort
+    /// of their bytes their `sort` phases do not show.
+    fn merge_hidden(r: &JobResult) -> f64 {
+        let sorts: f64 = reducers(r).iter().map(|t| t.phase("sort")).sum();
+        one_sort(r) - sorts
+    }
+
+    /// Split `i` holds `i + 1` distinct byte values: its map emits `i + 1`
+    /// word counts, so no two pulls are the same size.
+    fn ragged_splits(n: usize) -> Vec<InputSplit> {
+        let split = |i: usize| InputSplit {
+            length: 64,
+            locations: vec![],
+            fetcher: Rc::new(InMemoryFetcher {
+                data: (0..64).map(|b| (b % (i + 1)) as u8).collect(),
+            }),
+        };
+        (0..n).map(split).collect()
+    }
+
+    #[test]
+    fn the_merges_of_the_pulls_sum_to_one_sort_of_their_bytes() {
+        // One slot: the reducers run after the close, one after the other,
+        // and hide nothing but merge seconds. Node 0 sorts 3x slower.
+        let mut c = small_cluster(1, 1);
+        c.sim.faults.install(FaultPlan::none().slow_node(0, 3.0));
+        let r = run_job(&mut c, word_count_job(ragged_splits(6), 2)).unwrap();
+        let sorts: f64 = reducers(&r).iter().map(|t| t.phase("sort")).sum();
+        let hidden = r.counters.get(keys::SHUFFLE_OVERLAP_SAVED_S);
+        assert!(sorts > 0.0);
+        assert!((sorts + hidden - 3.0 * one_sort(&r)).abs() < 1e-9, "{r:?}");
+    }
+
+    #[test]
+    fn a_reducer_whose_pulls_land_well_before_the_close_sorts_at_most_its_last_merge() {
+        // Maps of 1, 2, 3 s beside an early reducer: each output lands and is
+        // merged a second before the next one commits.
+        let mut c = small_cluster(2, 2);
+        let mut job = slow_map_job(3, 0.0, FtConfig::default());
+        job.map_fn = Rc::new(|input, ctx| {
+            let TaskInput::Bytes(b) = input else {
+                return Err(MrError::msg("expected bytes"));
+            };
+            ctx.charge("scan", 1.0 + f64::from(b[0]));
+            ctx.emit(format!("k{}", b[0]), Payload::Bytes(vec![b[0]]));
+            Ok(())
+        });
+        let r = run_job(&mut c, job).unwrap();
+        let red = reducers(&r)[0];
+        assert!(red.start_s < last_map_end(&r));
+        // Every pull is `k<i>` + one byte: the last pull's merge.
+        let last_merge = 3.0 * CostModel::default().sort_per_byte;
+        assert!(
+            red.phase("sort") > 0.0 && red.phase("sort") <= last_merge,
+            "{red:?}"
+        );
+        assert!((merge_hidden(&r) - 2.0 * last_merge).abs() < 1e-15);
+    }
+
     #[test]
     fn phases_sum_to_the_duration_of_a_reducer_launched_early() {
         // 3 maps on 4 slots: the reducer starts beside them, on the spare.
@@ -448,7 +548,9 @@ mod tests {
         // and only the last map's few bytes are pulled behind the close.
         assert!((red.phase("wait") - (close - red.start_s - 1.0)).abs() < 1e-9);
         assert!(red.phase("shuffle") < 1e-6);
-        assert_eq!(r.counters.get(keys::SHUFFLE_OVERLAP_SAVED_S), 1.0);
+        // Hidden: the start-up, and the merges done before the last pull.
+        let saved = r.counters.get(keys::SHUFFLE_OVERLAP_SAVED_S);
+        assert!((saved - 1.0 - merge_hidden(&r)).abs() < 1e-12, "{saved}");
         assert_eq!(r.counters.get(keys::REDUCE_ATTEMPTS), 1.0);
         assert_eq!(r.fault_summary(), None);
     }
@@ -461,7 +563,54 @@ mod tests {
         let red = reducers(&r)[0];
         assert_eq!(red.start_s, last_map_end(&r));
         assert_eq!((red.phase("startup"), red.phase("wait")), (1.0, 0.0));
+        // Both outputs land in one instant: nothing to merge behind.
         assert_eq!(r.counters.get(keys::SHUFFLE_OVERLAP_SAVED_S), 0.0);
+        assert_eq!(red.phase("sort"), one_sort(&r));
+    }
+
+    /// The stage tasks of `r`, each checked: its phases — `startup`,
+    /// `wait`, `shuffle`, `sort`, the aggregate's charges, `spill` | `write`
+    /// — sum to its duration.
+    fn stage_tasks(r: &crate::dag::DagResult) -> Vec<&TaskReport> {
+        let runs = r.runs.iter().filter(|run| run.stage > 0);
+        let tasks: Vec<_> = runs.flat_map(|run| &run.tasks).collect();
+        for t in &tasks {
+            let names: Vec<_> = t.phases.iter().map(|(p, _)| *p).collect();
+            assert_eq!(names[..4], ["startup", "wait", "shuffle", "sort"]);
+            let sum: f64 = t.phases.iter().map(|(_, s)| s).sum();
+            assert!((sum - t.duration()).abs() < 1e-9, "{t:?}");
+        }
+        tasks
+    }
+
+    #[test]
+    fn phases_sum_to_the_duration_of_stage_tasks_launched_early_and_after_the_close() {
+        let plan = || {
+            let read = Rc::new(|input, ctx: &mut crate::job::TaskCtx| {
+                let TaskInput::Bytes(b) = input else {
+                    return Err(MrError::msg("expected bytes"));
+                };
+                ctx.charge("scan", 1.0 + f64::from(b[0]));
+                Ok(vec![(format!("k{}", b[0] % 2), Payload::Bytes(b))])
+            });
+            let count = Rc::new(
+                |_: &str, values: Vec<Payload>, ctx: &mut crate::job::TaskCtx| {
+                    ctx.charge("agg", 0.5);
+                    Ok(Payload::Bytes(vec![values.len() as u8]))
+                },
+            );
+            Dataset::from_splits(mem_splits(3, 100), read).reduce_by_key(2, count)
+        };
+        // 2 x 2 slots: the stage tasks take the spare one beside the sources;
+        // one slot: they run after the close.
+        for (nodes, early) in [(2, true), (1, false)] {
+            let mut c = small_cluster(nodes, nodes);
+            let r = run_dag(&mut c, DagJob::new("wc", plan(), "out")).unwrap();
+            let close = r.runs[0].end_s;
+            let tasks = stage_tasks(&r);
+            assert_eq!(tasks.len(), 2);
+            assert_eq!(tasks.iter().any(|t| t.start_s < close), early, "{tasks:?}");
+        }
     }
 
     /// Two reducers over `n_maps` maps, without speculation: the twin of a
@@ -517,6 +666,13 @@ mod tests {
                 "relaunched behind the retried map: {red:?}"
             );
         }
+        // Reducer 0 had pulled and merged map 1's output when it was
+        // preempted; that merge went with the attempt. The relaunch pulled
+        // and merged everything again, so the books hold: what the reducers
+        // hid (merges only, behind the close) and what they sorted add up to
+        // one sort of every byte they committed.
+        let saved = r.counters.get(keys::SHUFFLE_OVERLAP_SAVED_S);
+        assert!((saved - merge_hidden(&r)).abs() < 1e-12, "{saved}");
         assert_eq!(c.read_output("out"), clean.read_output("out"));
     }
 

@@ -16,6 +16,9 @@
 //! The two runs that retry under the chaos detector config (c, h) moved once
 //! more, by the commit that deleted the jittered retry delay: **a failed attempt is
 //! requeued in the instant it fails**.
+//! All nine moved together with the reduce-side overlap: **merge charged at
+//! landing; part file written beside compute** — see the note above the
+//! constants.
 //! A mismatch prints the full canonical text so the two sides can be diffed.
 
 use std::collections::BTreeMap;
@@ -677,8 +680,22 @@ fn h_flat_job_whose_map_holders_are_cut_off_and_slowed_after_they_commit() {
 // slots (1.48 / 1.54 s instead of 3.05 / 3.12 s), wait 0.576 s for the last
 // map and finish one start-up earlier: job end 4.2219 -> 3.2219 s and
 // 4.2904 -> 3.2904 s. (0x4ed3_7182_5b63_f4ee, 0x052f_ee2d_7a6d_63ed)
-const FP_SLAB_STREAM: u64 = 0xd400_a6cb_e455_ed0f;
-const FP_SLAB_BATCH: u64 = 0xe628_24f2_1577_125b;
+//
+// Every constant below moved once more, by **merge charged at landing; part
+// file written beside compute** (parent values in brackets). A pulled output's
+// share of the sort is charged as it lands, behind the merges before it, so a
+// pulling task's `sort` is what of that merge is left after its last pull
+// (the rest adds to `shuffle_overlap_saved_s`); a part file is written from
+// the instant the task schedules its compute end, and `write` is what of it
+// outlasts the compute (the rest is the new `write_overlap_saved_s`). Every
+// map report of a, b, c, f, g and h, every file name, block holder and byte is
+// unchanged; what moved, run by run:
+// (a, b) Each reducer's sort shrinks to its last pull's merge (2.8 -> 0.72 µs,
+// 1.88 -> 0.28 µs) and its 0.5 ms write hides behind its 0.13-0.17 s reduce:
+// job end 3.221897 -> 3.221393 s and 3.290385 -> 3.289881 s.
+// [0xd400_a6cb_e455_ed0f, 0xe628_24f2_1577_125b]
+const FP_SLAB_STREAM: u64 = 0xdebf_cafd_dcb3_02f4;
+const FP_SLAB_BATCH: u64 = 0x00a1_29fb_53c6_46b4;
 // (c) Reducer 1 launches at 10.64 s on its home node 1 and waits 8.56 s;
 // reducer 0's home is node 0, which the 2.5x-slow maps hold until the close,
 // so it launches then, as before: job end unchanged (21.1965 s), reducer 1
@@ -692,10 +709,29 @@ const FP_SLAB_BATCH: u64 = 0xe628_24f2_1577_125b;
 // The requeued map 3 is back in the queue before map 7 is handed out, so
 // the two swap places (3 on node 0, 7 on node 1 at 10.64 s). Same counters,
 // same files. (0x9b4d_094d_f187_331d)
-const FP_CHAOS: u64 = 0xd144_ec03_259f_0460;
-const FP_DAG_CLEAN: u64 = 0x69d1_e876_f5e8_79c2;
-const FP_DAG_KILL: u64 = 0x803a_9d0a_e0fa_5289;
-const FP_CONNECTOR_MAP_ONLY: u64 = 0xbcfb_2360_3ba8_116d;
+// Reduce-side overlap: reducer 1, which waited 8.4 s, merged all but its last
+// pull before the close (sort 4.8 -> 0.8 µs); reducer 0, launched at the
+// close, hides 0.12 µs of its 9 µs; neither reduce charges anything, so only
+// microseconds of each write hide. Job end 21.038858 -> 21.038849 s.
+// [0xd144_ec03_259f_0460]
+const FP_CHAOS: u64 = 0x1878_eda0_29cf_5ed3;
+// (d) Reduce-side overlap: a stage task's grouping is no longer a charge of
+// the task function but its merge, charged as its pulls land; stage 1 closes
+// 3.07661021 -> 3.07661016 s and the DAG ends 4.07711077 -> 4.07711024 s
+// (`shuffle_overlap_saved_s` 0.874 -> 1.032 µs, `write_overlap_saved_s`
+// 0.826 µs: the final tasks' writes ran beside their aggregates). Kill: the
+// same instants shift the recovery runs by 0.05 µs; the DAG ends
+// 6.09459254 -> 6.09459210 s, same runs, partitions and files.
+// [0x69d1_e876_f5e8_79c2, 0x803a_9d0a_e0fa_5289]
+const FP_DAG_CLEAN: u64 = 0x3bdd_09f4_ab4b_c9e6;
+const FP_DAG_KILL: u64 = 0xe1e7_2083_30c0_eb64;
+// (e) Reduce-side overlap: every map's part file (63 ms in the first wave,
+// 17 ms in the second) is written to the PFS while the map computes, so it
+// commits as its 1.8 s compute ends: both waves end 63 ms / 17 ms sooner, job
+// end 5.878716 -> 5.798349 s, `write_overlap_saved_s` 0.412 s. Recorded at
+// the commit before the driver split, this constant had never moved.
+// [0xbcfb_2360_3ba8_116d]
+const FP_CONNECTOR_MAP_ONLY: u64 = 0x0891_655d_146a_007f;
 // (f) Reducers 0 and 1 launch at 3.49 s beside the second wave. At 6.98 s
 // the speculative twin of straggling map 0 finds no free slot off node 2 and
 // preempts the youngest reducer (0, on node 0: `reduces_preempted` 1,
@@ -706,14 +742,24 @@ const FP_CONNECTOR_MAP_ONLY: u64 = 0xbcfb_2360_3ba8_116d;
 // 0.124 s); all three reducers pull only the last map's output after the
 // close (`shuffle` 0.457 -> 0.124 s). Job end 12.8789 -> 11.5452 s.
 // (0x5eb2_16e6_6dba_0ca3)
-const FP_CONNECTOR_REDUCE: u64 = 0xcd44_e2d4_cae2_aeaf;
+// Reduce-side overlap: reducers 0 and 1 merge all but their last pull before
+// the close (sort 1.6 -> 0.2 µs, 4.16 -> 0.52 µs); each 27 ms PFS write now
+// starts when its reducer's last pull lands, up to 38 µs before its sort
+// ends, so the three share the OSTs a little longer and the last lands later:
+// job end 11.5451786 -> 11.5451815 s (+2.9 µs) — the one run here that ends
+// later.
+// [0xcd44_e2d4_cae2_aeaf]
+const FP_CONNECTOR_REDUCE: u64 = 0xb343_2681_26cb_d069;
 // (g) The pull of `m00002` now fails while maps still run: reducer 0
 // launches at 3.53 s, its first attempt dies one start-up later and the
 // retry launches in that instant (4.53 s) and waits with the others, so the
 // retry's start-up is hidden too and all three end together: job end
 // 9.0609 -> 7.3505 s. The early pulls share the OSTs with maps 6 and 7
 // (`read` 0.018 -> 0.317 s). (0x2ee7_1802_b527_9e8b)
-const FP_CONNECTOR_SPILL_PULL: u64 = 0x6000_1783_0ed2_77b7;
+// Reduce-side overlap: all three reducers merge behind their pulls (sort
+// 1.6 / 4.16 / 3.2 -> 0.4 / 1.04 / 0.8 µs): job end 7.3504906 -> 7.3504895 s.
+// [0x6000_1783_0ed2_77b7]
+const FP_CONNECTOR_SPILL_PULL: u64 = 0x096d_13c2_0732_a3c2;
 // (h) All eight slots run maps, which commit in one instant (4.6918 s) in
 // map order: both reducers launch in that instant and still pull one
 // start-up later, across the cut — same drops, same deadline (now counted
@@ -727,4 +773,8 @@ const FP_CONNECTOR_SPILL_PULL: u64 = 0x6000_1783_0ed2_77b7;
 // 18.7672 s, where their hang deadlines fire, instead of 0.272 s and 0.164 s
 // later: job end 20.0398 -> 19.7677 s. Every map report, every counter and
 // both part files are unchanged. (0xfc9c_e21c_72eb_8f0f)
-const FP_SHUFFLE_FAULTS: u64 = 0x175b_1a37_7ed2_e545;
+// Reduce-side overlap: both retries launch behind the close and merge as their
+// pulls land, hiding 0.4 µs and 0.3 µs of sort (`shuffle_overlap_saved_s`
+// appears, 0.728 µs) and ~2 µs of each write: job end 19.7677183 ->
+// 19.7677151 s. [0x175b_1a37_7ed2_e545]
+const FP_SHUFFLE_FAULTS: u64 = 0xaf08_6b60_b3b7_9368;

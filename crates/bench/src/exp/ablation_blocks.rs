@@ -3,6 +3,7 @@
 //! to reading extra compressed chunks").
 
 use baselines::run_scidp_solution;
+use mapreduce::TaskKind;
 use scidp::WorkflowConfig;
 use scidp_bench::Clock::{Count, Sim};
 use scidp_bench::Rel::{Ge, Gt, Lt};
@@ -22,10 +23,18 @@ pub fn run(scale: &Scale) -> Report {
             ..WorkflowConfig::img_only(["QR"])
         };
         let mut c = pool.fresh_cluster(8);
-        let t = run_scidp_solution(&mut c, &pool.dataset, &cfg).total();
+        let run = run_scidp_solution(&mut c, &pool.dataset, &cfg);
+        // The map wave — submit to the last map's commit — is where the
+        // alignment acts; the reduce tail behind it is the same work either
+        // way.
+        let map_wave = run.job.as_ref().map_or(f64::NAN, |j| {
+            let maps = j.tasks.iter().filter(|t| t.kind == TaskKind::Map);
+            maps.map(|t| t.end_s).fold(j.start_s, f64::max) - j.start_s
+        });
         // Bytes actually admitted into the network give the read
         // amplification (input_bytes counts mapped lengths only).
-        (label.to_string(), vec![t, c.sim.net.bytes_admitted / 1e9])
+        let gb = c.sim.net.bytes_admitted / 1e9;
+        (label.to_string(), vec![run.total(), map_wave, gb])
     };
     let mappings = [
         ("chunk-aligned (SciDP)", true),
@@ -35,15 +44,18 @@ pub fn run(scale: &Scale) -> Report {
     let mut rep = Report::new("ablation_blocks");
     let cols = [
         ("time_s", "time", "s", Sim),
+        ("map_wave_s", "map wave", "s", Sim),
         ("pfs_read_gb", "PFS bytes read, logical", "GB", Count),
     ];
     let title = format!("Ablation: dummy-block alignment ({n} timestamps)");
     rep.table(&title, "mapping", &cols, &lines);
     rep.note("(misaligned blocks decompress chunks more than once; aligned is the default)");
 
-    let (aligned_s, aligned_gb) = (lines[0].1[0], lines[0].1[1]);
-    let (time, bytes) = (
+    let aligned = &lines[0].1;
+    let (aligned_s, aligned_wave_s, aligned_gb) = (aligned[0], aligned[1], aligned[2]);
+    let (time, wave, bytes) = (
         "fixed_size_misaligned.time_s",
+        "fixed_size_misaligned.map_wave_s",
         "fixed_size_misaligned.pfs_read_gb",
     );
     rep.expect(
@@ -60,14 +72,14 @@ pub fn run(scale: &Scale) -> Report {
             "§III-B unaligned access costs more (asserted at 4 timestamps)",
         );
     } else {
-        let d6 = "at 48 timestamps misaligned blocks read ~5 % more bytes yet finish ~2 % sooner: plotting dominates and 12-level blocks pack the last task wave better than equal 10-level chunks";
+        let d6 = "at 48 timestamps misaligned blocks read ~5 % more bytes yet end their map wave ~3 % sooner: plotting dominates and 12-level blocks pack the last task wave better than equal 10-level chunks";
         rep.expect(
             bytes,
             Gt,
             aligned_gb,
             "§III-B misaligned blocks read extra compressed chunks",
         );
-        rep.deviation("D6", time, Lt, aligned_s, d6);
+        rep.deviation("D6", wave, Lt, aligned_wave_s, d6);
     }
     rep
 }

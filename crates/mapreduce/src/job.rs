@@ -298,7 +298,8 @@ pub struct TaskReport {
     pub node: NodeId,
     pub start_s: f64,
     pub end_s: f64,
-    /// `(phase, virtual seconds)`: "startup", "read", fetch charges,
+    /// `(phase, virtual seconds)`: "startup" (0 for an attempt launched
+    /// into a warm slot), "read", fetch charges,
     /// map charges, "spill" / "shuffle", "sort", "write".
     pub phases: Vec<(&'static str, f64)>,
 }
@@ -594,10 +595,10 @@ impl Driver {
     }
 
     /// Act on a scheduler pick: dequeue its task and take the slot.
-    fn claim(&mut self, pick: sched::Pick, now: f64) -> Option<AttemptInfo> {
+    fn claim(&mut self, pick: sched::Pick, sim: &Sim) -> Option<AttemptInfo> {
         let task = self.tasks.dequeue(pick.kind, pick.pos)?;
-        self.pool.borrow_mut().nodes.take_slot(pick.node);
-        Some(AttemptInfo::new(pick, task, now, false))
+        let warm = self.pool.borrow_mut().nodes.take_slot(pick.node);
+        Some(AttemptInfo::new(sim, pick, task, warm, false))
     }
 
     /// The shuffle this run's map tasks register their output in: the

@@ -18,7 +18,6 @@ use crate::input::{pump_pieces, FetchPiece, FetchResult, PieceSink, PieceStream,
 /// What the continuations of one map attempt share.
 struct MapAttempt {
     att: Attempt,
-    startup: f64,
     /// When the fetch began (end of task startup).
     fetch_start: f64,
     /// Attempt-local counters, merged into the job's only at commit so
@@ -40,17 +39,15 @@ pub(super) fn run_map_attempt(sim: &mut Sim, att: Attempt) {
             split.length as f64,
         )
     };
-    let startup = sim.cost.task_startup_s;
     let mut acnt = Counters::new();
     acnt.add(keys::INPUT_BYTES, split_len);
-    sim.after(startup, move |sim| {
+    sim.after(att.startup_s(), move |sim| {
         if !att.live() {
             return;
         }
         let node = att.node;
         let mut m = MapAttempt {
             att,
-            startup,
             fetch_start: sim.now().secs(),
             acnt,
         };
@@ -102,7 +99,6 @@ pub(super) fn run_stage_task(
 ) {
     let mut m = MapAttempt {
         att,
-        startup: sim.cost.task_startup_s,
         fetch_start: sim.now().secs(),
         acnt,
     };
@@ -153,7 +149,7 @@ impl MapAttempt {
             return;
         };
         let compute = ctx.total_charge_s() * factor;
-        let phases = vec![("startup", self.startup), ("read", read_s)];
+        let phases = vec![("startup", self.att.startup_s()), ("read", read_s)];
         self.end_after(sim, compute, phases, &[], ctx, factor);
     }
 
@@ -313,7 +309,7 @@ impl PieceSink for StreamedFetch {
             }
             f
         };
-        let phases = vec![("startup", m.startup), ("read", stall)];
+        let phases = vec![("startup", m.att.startup_s()), ("read", stall)];
         let delay = (finish_t - now).max(0.0);
         m.end_after(sim, delay, phases, &charges, ctx, factor);
     }

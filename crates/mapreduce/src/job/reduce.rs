@@ -97,7 +97,7 @@ impl Shuffle {
 /// Run one pulling attempt. Outputs are *cloned* per pull (not drained) so
 /// a retried attempt can shuffle again.
 pub(super) fn run_pulling_attempt(sim: &mut Sim, att: Attempt) {
-    sim.after(sim.cost.task_startup_s, move |sim| {
+    sim.after(att.startup_s(), move |sim| {
         let everything = {
             let mut dd = att.d.borrow_mut();
             let ready_s = sim.now().secs();
@@ -326,14 +326,14 @@ fn execute(sim: &mut Sim, att: Attempt) {
             Some((
                 i.shuffle.take()?,
                 i.kind,
-                i.start_s,
+                (i.start_s, i.startup_s),
                 close_s,
                 tags,
                 reduce_fn,
             ))
         })
     };
-    let Some((shuffle, kind, start_s, close_s, tags, reduce_fn)) = taken else {
+    let Some((shuffle, kind, (start_s, startup_s), close_s, tags, reduce_fn)) = taken else {
         return;
     };
     // Start-up, then `wait` until the sources close (early pulls run inside
@@ -349,7 +349,7 @@ fn execute(sim: &mut Sim, att: Attempt) {
         + shuffle.pulling_before(close_s)
         + (shuffle.merge_s - sort_s);
     let phases = vec![
-        ("startup", sim.cost.task_startup_s),
+        ("startup", startup_s),
         ("wait", wait_s),
         ("shuffle", shuffle_s),
         ("sort", sort_s),
@@ -557,12 +557,12 @@ mod tests {
 
     #[test]
     fn phases_sum_to_the_duration_of_a_reducer_launched_after_the_close() {
-        // One slot: the reducer gets it when the last map gives it back.
+        // One slot: the reducer gets it, warm, when the last map commits.
         let mut c = small_cluster(1, 1);
         let r = run_job(&mut c, slow_map_job(2, 2.0, FtConfig::default())).unwrap();
         let red = reducers(&r)[0];
         assert_eq!(red.start_s, last_map_end(&r));
-        assert_eq!((red.phase("startup"), red.phase("wait")), (1.0, 0.0));
+        assert_eq!((red.phase("startup"), red.phase("wait")), (0.0, 0.0));
         // Both outputs land in one instant: nothing to merge behind.
         assert_eq!(r.counters.get(keys::SHUFFLE_OVERLAP_SAVED_S), 0.0);
         assert_eq!(red.phase("sort"), one_sort(&r));

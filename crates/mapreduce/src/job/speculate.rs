@@ -89,7 +89,7 @@ fn maybe_speculate(sim: &mut Sim, d: &SharedDriver, id: AttemptId) {
     };
     let twin = {
         let dd = d.borrow();
-        dd.pool.borrow_mut().nodes.take_slot(node);
+        let warm = dd.pool.borrow_mut().nodes.take_slot(node);
         let splits = &dd.job.splits;
         let pick = Pick {
             kind: TaskKind::Map,
@@ -100,7 +100,7 @@ fn maybe_speculate(sim: &mut Sim, d: &SharedDriver, id: AttemptId) {
                 .is_some_and(|s| s.locations.contains(&node)),
             cache_local: cache_resident(&dd.cache_hints, &dd.env.cluster_cache, task, node),
         };
-        AttemptInfo::new(pick, task, sim.now().secs(), true)
+        AttemptInfo::new(sim, pick, task, warm, true)
     };
     launch(sim, d, twin);
 }

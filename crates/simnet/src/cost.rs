@@ -22,7 +22,9 @@ pub struct CostModel {
     pub seek_s: f64,
     /// One metadata RPC (NameNode / MDS round trip).
     pub rpc_s: f64,
-    /// Fixed per-task overhead (JVM start, scheduling, heartbeat slack).
+    /// Starting a task container (JVM start, scheduling, heartbeat slack);
+    /// paid by cold launches only. A slot whose last attempt of the same job
+    /// or DAG committed starts the next one without it.
     pub task_startup_s: f64,
 
     /// R `read.table`: text → typed columns. Dominates Fig. 7's Convert bar

@@ -18,7 +18,10 @@
 //! requeued in the instant it fails**.
 //! All nine moved together with the reduce-side overlap: **merge charged at
 //! landing; part file written beside compute** — see the note above the
-//! constants.
+//! constants. And all nine again with warm slots: **a slot whose last attempt
+//! of the same job/DAG committed starts the next one without a start-up**;
+//! the same commit re-placed (d)'s kill and (h)'s cut, which were timed by
+//! start-ups that are no longer paid.
 //! A mismatch prints the full canonical text so the two sides can be diffed.
 
 use std::collections::BTreeMap;
@@ -29,7 +32,7 @@ use std::sync::Arc;
 use scidp_suite::mapreduce::{
     counter_keys as keys, run_dag, run_job, Cluster, Counters, DagJob, DagResult, Dataset,
     FlatPfsFetcher, FtConfig, InputSplit, Job, JobResult, MapFn, MrError, Payload, ReduceFn,
-    StreamConfig, TaskInput, TaskKind,
+    StreamConfig, TaskInput,
 };
 use scidp_suite::pfs::PfsConfig;
 use scidp_suite::scidp::SciSlabFetcher;
@@ -466,6 +469,8 @@ fn parity_key(key: &str) -> Result<String, MrError> {
 /// and the final stage's second one are no longer on the critical path: the
 /// DAG ends 8.094091 -> 6.094593 s, same lost / recomputed partitions, same
 /// files.
+///
+/// Warm slots moved both once more, and re-placed the kill: see `FP_DAG_KILL`.
 fn lineage_dag() -> DagJob {
     let sum = || -> scidp_suite::mapreduce::AggFn {
         Rc::new(|_k, values, _ctx| {
@@ -498,19 +503,16 @@ fn d_dag_clean_and_node_kill_lineage() {
     files_text(&mut out, &clean, &["dagout"]);
     check("dag/clean", &out, FP_DAG_CLEAN);
 
-    // 1 µs behind the close of stage 1 — the instant the final stage used to
-    // start at.
-    let s1_closed = rc
-        .runs
-        .iter()
-        .find(|r| r.stage == 1)
-        .map(|r| r.end_s)
-        .unwrap();
+    // Node 1 commits its stage-1 task first: halfway from that commit to the
+    // close of stage 1, while the final-stage task it took waits.
+    let s1 = rc.runs.iter().find(|r| r.stage == 1).unwrap();
+    let on_1 = s1.tasks.iter().filter(|t| t.node.0 == 1);
+    let committed = on_1.map(|t| t.end_s).fold(0.0, f64::max);
     let mut faulted = dag_cluster();
     faulted
         .sim
         .faults
-        .install(FaultPlan::none().kill_node(1, s1_closed + 1e-6));
+        .install(FaultPlan::none().kill_node(1, 0.5 * (committed + s1.end_s)));
     let rf = run_dag(&mut faulted, lineage_dag()).unwrap();
     assert!(rf.counters.get(keys::LINEAGE_RECOMPUTES) >= 2.0);
     let mut out = String::new();
@@ -620,8 +622,8 @@ fn g_connector_job_with_a_failed_spill_pull() {
 // ---------------------------------------------------------------------------
 
 /// Map holders fail *after* their maps commit: node 3 is partitioned away
-/// half a start-up into the reduce phase and heals 6 s later, node 0 sits
-/// behind 8x slow links to nodes 1 and 2. Every pull is one
+/// half a second after its maps commit, before the reducers launch, and heals
+/// 6 s later; node 0 sits behind 8x slow links to nodes 1 and 2. Every pull is one
 /// `Sim::net_transfer`: the pulls from node 3 are dropped, the reduce
 /// attempts' hang deadlines fail them, the retries cross the healed link;
 /// the pulls from node 0 take 8x as long. Recorded by the commit that moved
@@ -646,12 +648,16 @@ fn h_flat_job_whose_map_holders_are_cut_off_and_slowed_after_they_commit() {
         job.ft = chaos_ft();
         (run_job(&mut c, job).unwrap(), c)
     };
-    let (clean, _) = run(FaultPlan::none());
-    let maps = clean.tasks.iter().filter(|t| t.kind == TaskKind::Map);
-    let maps_done = maps.map(|t| t.end_s).fold(0.0, f64::max);
-    let cut = maps_done + 0.5;
-    let plan = FaultPlan::none()
-        .with_seed(3)
+    // Nodes 0 and 1, the reducers' homes, compute 1.5x slower: node 3's maps
+    // commit well before any reducer launches.
+    let staggered = || {
+        let plan = FaultPlan::none().with_seed(3);
+        plan.slow_node(0, 1.5).slow_node(1, 1.5)
+    };
+    let (clean, _) = run(staggered());
+    let on_3 = clean.tasks.iter().filter(|t| t.node.0 == 3);
+    let cut = on_3.map(|t| t.end_s).fold(0.0, f64::max) + 0.5;
+    let plan = staggered()
         .partition(&[3], cut, cut + 6.0)
         .slow_link(0, 1, 8.0)
         .slow_link(0, 2, 8.0);
@@ -694,8 +700,20 @@ fn h_flat_job_whose_map_holders_are_cut_off_and_slowed_after_they_commit() {
 // 1.88 -> 0.28 µs) and its 0.5 ms write hides behind its 0.13-0.17 s reduce:
 // job end 3.221897 -> 3.221393 s and 3.290385 -> 3.289881 s.
 // [0xd400_a6cb_e455_ed0f, 0xe628_24f2_1577_125b]
-const FP_SLAB_STREAM: u64 = 0xdebf_cafd_dcb3_02f4;
-const FP_SLAB_BATCH: u64 = 0x00a1_29fb_53c6_46b4;
+//
+// Every constant below moved once more, by **a slot whose last attempt of the
+// same job/DAG committed starts the next one without a start-up** (warm slots;
+// parent values in braces). A launch into such a slot reports `startup` 0 and
+// runs a second sooner; every other launch pays its start-up as before. Every
+// file name, block holder and byte is unchanged; what moved, run by run:
+// (a, b) Map 4, the second wave on node 1, and both reducers launch in warm
+// slots: map 4 ends a second sooner (3.0514 -> 2.0514 s, 3.1199 -> 2.1199 s),
+// the reducers wait for it (`wait` 0.576 -> 0.768 s) and no start-up is left to
+// hide (`shuffle_overlap_saved_s` 2.0000 s -> 2.9 µs): job end 3.221393 ->
+// 2.413395 s and 3.289881 -> 2.481884 s.
+// {0xdebf_cafd_dcb3_02f4, 0x00a1_29fb_53c6_46b4}
+const FP_SLAB_STREAM: u64 = 0xa99c_0c1b_1d61_c4e6;
+const FP_SLAB_BATCH: u64 = 0x8cad_76f4_2d37_20cb;
 // (c) Reducer 1 launches at 10.64 s on its home node 1 and waits 8.56 s;
 // reducer 0's home is node 0, which the 2.5x-slow maps hold until the close,
 // so it launches then, as before: job end unchanged (21.1965 s), reducer 1
@@ -714,7 +732,13 @@ const FP_SLAB_BATCH: u64 = 0x00a1_29fb_53c6_46b4;
 // close, hides 0.12 µs of its 9 µs; neither reduce charges anything, so only
 // microseconds of each write hide. Job end 21.038858 -> 21.038849 s.
 // [0xd144_ec03_259f_0460]
-const FP_CHAOS: u64 = 0x1878_eda0_29cf_5ed3;
+// Warm slots: maps 6, 7, 8, 10 and 11 and both reducers launch where a map
+// committed. Maps 10 and 11 (node 2) fetch at 4.80 s, beside other reads (`read`
+// 0.038 -> 0.063 s), and maps 6 and 8 follow them, with no start-up either
+// (end 14.08 -> 12.10 s); reducer 1 waits a start-up longer (`wait` 8.4 -> 9.4 s) and
+// reducer 0, launched at the close, no longer pays one: job end 21.038849 ->
+// 20.038849 s. {0x1878_eda0_29cf_5ed3}
+const FP_CHAOS: u64 = 0x3583_eb6a_7bce_d7ee;
 // (d) Reduce-side overlap: a stage task's grouping is no longer a charge of
 // the task function but its merge, charged as its pulls land; stage 1 closes
 // 3.07661021 -> 3.07661016 s and the DAG ends 4.07711077 -> 4.07711024 s
@@ -723,15 +747,32 @@ const FP_CHAOS: u64 = 0x1878_eda0_29cf_5ed3;
 // same instants shift the recovery runs by 0.05 µs; the DAG ends
 // 6.09459254 -> 6.09459210 s, same runs, partitions and files.
 // [0x69d1_e876_f5e8_79c2, 0x803a_9d0a_e0fa_5289]
-const FP_DAG_CLEAN: u64 = 0x3bdd_09f4_ab4b_c9e6;
-const FP_DAG_KILL: u64 = 0xe1e7_2083_30c0_eb64;
+// Warm slots: only the first source wave pays a start-up; every later task
+// launches where a task of the DAG committed: s0 closes 2.0766 -> 1.0766 s, s1
+// 3.0766 -> 1.0766 s, and the DAG ends 4.07711024 -> 1.07711024 s. Its final
+// stage's two
+// writers (0.5 ms) now outlast twice the median of the two empty partitions'
+// durations (under 1 µs) once those have committed, so each gets a twin, which
+// loses (`speculative_launched` 2, `map_attempts` 16 -> 18). Kill: re-placed
+// from 1 µs behind the close of stage 1 — by then the final tasks, launched
+// warm, have pulled everything and the kill costs nothing — to halfway between
+// node 1's stage-1 commit and that close, while the final task it took waits:
+// the recovery runs of stages 0 and 1 run from 1.07660974 s, end by 1.0941 s,
+// and no waiting task is preempted (`reduces_preempted` 2 -> absent,
+// `map_attempts` 22 -> 20); the DAG ends 6.0945921 -> 1.0945905 s, same lost
+// and recomputed partitions, same files.
+// {0x3bdd_09f4_ab4b_c9e6, 0xe1e7_2083_30c0_eb64}
+const FP_DAG_CLEAN: u64 = 0x420e_767b_10b3_fe45;
+const FP_DAG_KILL: u64 = 0xda05_994d_427b_4407;
 // (e) Reduce-side overlap: every map's part file (63 ms in the first wave,
 // 17 ms in the second) is written to the PFS while the map computes, so it
 // commits as its 1.8 s compute ends: both waves end 63 ms / 17 ms sooner, job
 // end 5.878716 -> 5.798349 s, `write_overlap_saved_s` 0.412 s. Recorded at
 // the commit before the driver split, this constant had never moved.
 // [0xbcfb_2360_3ba8_116d]
-const FP_CONNECTOR_MAP_ONLY: u64 = 0x0891_655d_146a_007f;
+// Warm slots: maps 6 and 7, the second wave, launch where maps 0 and 1
+// committed: job end 5.798349 -> 4.798349 s. {0x0891_655d_146a_007f}
+const FP_CONNECTOR_MAP_ONLY: u64 = 0xc3db_0a1e_bb4f_f969;
 // (f) Reducers 0 and 1 launch at 3.49 s beside the second wave. At 6.98 s
 // the speculative twin of straggling map 0 finds no free slot off node 2 and
 // preempts the youngest reducer (0, on node 0: `reduces_preempted` 1,
@@ -749,7 +790,14 @@ const FP_CONNECTOR_MAP_ONLY: u64 = 0x0891_655d_146a_007f;
 // job end 11.5451786 -> 11.5451815 s (+2.9 µs) — the one run here that ends
 // later.
 // [0xcd44_e2d4_cae2_aeaf]
-const FP_CONNECTOR_REDUCE: u64 = 0xb343_2681_26cb_d069;
+// Warm slots: maps 3 and 7, the second wave, and reducers 0 and 1 launch at
+// 3.49 s where the first wave committed; the second wave ends a second sooner
+// (7.03 -> 6.03 s), so the twins of maps 0 and 6 (6.98 and 7.98 s) find a
+// free, warm slot — on nodes 1 and 0, the other way round — and preempt
+// nobody (`reduces_preempted` 1 -> absent, `reduce_attempts` 4 -> 3). Reducer
+// 2 launches, cold, in the slot of map 0's orphaned original on slow node 2:
+// job end 11.5451815 -> 10.5451815 s. {0xb343_2681_26cb_d069}
+const FP_CONNECTOR_REDUCE: u64 = 0x6e8e_5485_26b5_30a5;
 // (g) The pull of `m00002` now fails while maps still run: reducer 0
 // launches at 3.53 s, its first attempt dies one start-up later and the
 // retry launches in that instant (4.53 s) and waits with the others, so the
@@ -759,7 +807,12 @@ const FP_CONNECTOR_REDUCE: u64 = 0xb343_2681_26cb_d069;
 // Reduce-side overlap: all three reducers merge behind their pulls (sort
 // 1.6 / 4.16 / 3.2 -> 0.4 / 1.04 / 0.8 µs): job end 7.3504906 -> 7.3504895 s.
 // [0x6000_1783_0ed2_77b7]
-const FP_CONNECTOR_SPILL_PULL: u64 = 0x096d_13c2_0732_a3c2;
+// Warm slots: the three reducers and maps 6 and 7 launch at 3.526 s where the
+// first wave committed. Reducer 0's first attempt fails at once, and its
+// retry takes node 0's other slot, warm, in that instant; the reducers' early
+// pulls now share the OSTs with the second wave's reads (`read` 0.317 ->
+// 0.489 s): job end 7.3504895 -> 6.5223315 s. {0x096d_13c2_0732_a3c2}
+const FP_CONNECTOR_SPILL_PULL: u64 = 0x8083_c222_fa6e_e068;
 // (h) All eight slots run maps, which commit in one instant (4.6918 s) in
 // map order: both reducers launch in that instant and still pull one
 // start-up later, across the cut — same drops, same deadline (now counted
@@ -777,4 +830,14 @@ const FP_CONNECTOR_SPILL_PULL: u64 = 0x096d_13c2_0732_a3c2;
 // pulls land, hiding 0.4 µs and 0.3 µs of sort (`shuffle_overlap_saved_s`
 // appears, 0.728 µs) and ~2 µs of each write: job end 19.7677183 ->
 // 19.7677151 s. [0x175b_1a37_7ed2_e545]
-const FP_SHUFFLE_FAULTS: u64 = 0xaf08_6b60_b3b7_9368;
+// Warm slots, and the cut re-placed: the reducers used to launch at the close
+// and pull one start-up later, across a cut half a start-up into the reduce
+// phase; now they pull at launch, before any such cut. So nodes 0 and 1, the
+// reducers' homes, compute 1.5x slower (their maps end 4.6918 -> 6.4918 s),
+// and node 3 is cut off half a second after its own maps commit (5.19 s, for
+// 6 s). The reducers launch at 6.49 s, warm, and their pulls from node 3 are
+// dropped as before; the hang deadline is three times the slower maps'
+// (19.48 s), and the retries launch in the nodes' other, warm slots at
+// 25.97 s and cross the healed link: job end 19.7677151 -> 25.9677151 s. Same
+// drops, hangs, retries and files. {0xaf08_6b60_b3b7_9368}
+const FP_SHUFFLE_FAULTS: u64 = 0x5662_cfef_600e_2dd4;

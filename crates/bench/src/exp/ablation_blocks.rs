@@ -72,7 +72,7 @@ pub fn run(scale: &Scale) -> Report {
             "§III-B unaligned access costs more (asserted at 4 timestamps)",
         );
     } else {
-        let d6 = "at 48 timestamps misaligned blocks read ~5 % more bytes yet end their map wave ~3 % sooner: plotting dominates and 12-level blocks pack the last task wave better than equal 10-level chunks";
+        let d6 = "at 48 timestamps misaligned blocks read ~5 % more bytes yet end their map wave ~1.5 % sooner: plotting dominates and 12-level blocks pack the last task wave better than equal 10-level chunks";
         rep.expect(
             bytes,
             Gt,

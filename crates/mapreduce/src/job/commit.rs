@@ -362,13 +362,14 @@ mod tests {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    use pfs::PfsConfig;
-    use simnet::{ClusterSpec, CostModel, FaultPlan};
+    use simnet::FaultPlan;
 
     use crate::cluster::Cluster;
     use crate::counters::keys;
     use crate::input::TaskInput;
-    use crate::job::tests::{mem_splits, slow_map_job, small_cluster, word_count_job};
+    use crate::job::tests::{
+        mem_splits, scaled_cluster, slow_map_job, small_cluster, word_count_job,
+    };
     use crate::job::{run_job, submit_job, FtConfig, Job, MrError, Payload};
 
     /// The `_tmp/` entries of `c`'s namespace.
@@ -395,31 +396,12 @@ mod tests {
         job
     }
 
-    fn scaled_cluster(nodes: usize) -> Cluster {
-        let spec = ClusterSpec {
-            compute_nodes: nodes,
-            storage_nodes: 1,
-            osts: 2,
-            slots_per_node: 1,
-            ..ClusterSpec::default()
-        };
-        let pfs_cfg = PfsConfig {
-            n_osts: 2,
-            ..PfsConfig::default()
-        };
-        let cost = CostModel {
-            scale: 1e4,
-            ..CostModel::default()
-        };
-        Cluster::new(spec, pfs_cfg, 1 << 16, 1, cost)
-    }
-
     #[test]
     fn a_speculative_loser_whose_write_lands_after_the_winner_commits_deletes_its_file() {
         // Three maps on three one-slot nodes; node 2 computes 14x slower. Its
         // map straggles, gets a twin on a node whose map has committed, and
         // still commits first — while the twin's 5 s write is in flight.
-        let mut c = scaled_cluster(3);
+        let mut c = scaled_cluster(3, 1);
         c.sim.faults.install(FaultPlan::none().slow_node(2, 14.0));
         let hdfs = c.hdfs.clone();
         let at_commit = Rc::new(RefCell::new(None));

@@ -7,11 +7,12 @@
 
 use std::rc::Rc;
 
-use simnet::Sim;
+use simnet::{NodeId, Sim};
 
-use super::attempt::{commit_task, Attempt};
+use super::attempt::{commit_task, Attempt, AttemptId};
 use super::commit::{commit_part_file, kv_bytes, partition};
-use super::{detector, Kv, MrError, Payload, TaskCtx, TaskKind};
+use super::nodes::Spill;
+use super::{detector, Kv, MrError, Payload, SharedPool, TaskCtx, TaskKind};
 use crate::counters::{keys, Counters};
 use crate::input::{pump_pieces, FetchPiece, FetchResult, PieceSink, PieceStream, TaskInput};
 
@@ -318,7 +319,10 @@ impl PieceSink for StreamedFetch {
 /// Map compute is over: spill its output — `parts` for the downstream
 /// shuffle, `out_bytes` in all — then commit. The spill stays serial: Hadoop
 /// overlaps one only past `io.sort.mb × spill.percent`, a buffer this model
-/// does not have.
+/// does not have. A spill to the node's local disk waits for the disk
+/// ([`super::nodes`]): the attempt keeps its slot, and its `spill` phase
+/// runs from here. A spill to the PFS shares its OSTs with every other
+/// stream.
 fn spill(
     sim: &mut Sim,
     att: Attempt,
@@ -327,12 +331,18 @@ fn spill(
     out_bytes: usize,
     acnt: Counters,
 ) {
-    let (env, spill_to_pfs, job_name) = {
+    let (env, spill_to_pfs, job_name, pool) = {
         let dd = att.d.borrow();
-        (dd.env.clone(), dd.job.spill_to_pfs, dd.job.name.clone())
+        (
+            dd.env.clone(),
+            dd.job.spill_to_pfs,
+            dd.job.name.clone(),
+            dd.pool.clone(),
+        )
     };
     let spill_start = sim.now().secs();
-    let (node, task) = (att.node, att.task);
+    let (node, task, id) = (att.node, att.task, att.id);
+    let queued = att.clone();
     let finish_spill = move |sim: &mut Sim| {
         if !att.live() {
             return;
@@ -361,16 +371,115 @@ fn spill(
     } else {
         let bytes = sim.cost.lbytes(out_bytes);
         let path = env.topo.path_local_disk(node);
-        sim.start_flow(path, bytes, finish_spill);
+        let disk = pool.clone();
+        let write: Spill = Box::new(move |sim| {
+            if !queued.live() {
+                return false;
+            }
+            sim.start_flow(path, bytes, move |sim| {
+                let next = disk.borrow_mut().nodes.spill_written(node, id);
+                write_spills(sim, &disk, node, next);
+                finish_spill(sim);
+            });
+            true
+        });
+        let now = pool.borrow_mut().nodes.queue_spill(node, id, write);
+        write_spills(sim, &pool, node, now.map(|write| (id, write)));
+    }
+}
+
+/// Give `node`'s disk to `next`, and to the spills queued behind it in turn
+/// until one of them writes.
+fn write_spills(
+    sim: &mut Sim,
+    pool: &SharedPool,
+    node: NodeId,
+    mut next: Option<(AttemptId, Spill)>,
+) {
+    while let Some((id, write)) = next {
+        if write(sim) {
+            return;
+        }
+        next = pool.borrow_mut().nodes.spill_written(node, id);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use crate::counters::keys;
-    use crate::job::tests::{mem_splits, small_cluster, word_count_job};
-    use crate::job::{run_job, StreamConfig, TaskKind};
+    use crate::input::TaskInput;
+    use crate::job::tests::{
+        mem_splits, scaled_cluster, slow_map_job, small_cluster, word_count_job,
+    };
+    use crate::job::{run_job, FtConfig, Job, MrError, Payload, StreamConfig, TaskKind};
+    use simnet::FaultPlan;
     use std::rc::Rc;
+
+    /// A job whose map `i` computes `scan[i]` seconds and emits one value of
+    /// `out[i]` bytes: on [`scaled_cluster`], a spill of `out[i] / 12 000`
+    /// seconds on an idle disk.
+    fn spill_job(scan: &'static [f64], out: &'static [usize], ft: FtConfig) -> Job {
+        let mut job = slow_map_job(scan.len(), 0.0, ft);
+        job.map_fn = Rc::new(|input, ctx| {
+            let TaskInput::Bytes(b) = input else {
+                return Err(MrError::msg("expected bytes"));
+            };
+            let i = usize::from(b[0]);
+            ctx.charge("scan", scan[i]);
+            ctx.emit(format!("k{i}"), Payload::Bytes(vec![b[0]; out[i] - 2]));
+            Ok(())
+        });
+        job
+    }
+
+    #[test]
+    fn two_spills_on_one_disk_are_written_one_after_the_other() {
+        // Two equal maps on one node end their compute together. Shared
+        // fairly, both 1 s spills would end after 2 × 1.06 s (two streams
+        // thrash the head); queued, the first ends after 1 s, the second
+        // after 2 s.
+        let mut c = scaled_cluster(1, 2);
+        let r = run_job(
+            &mut c,
+            spill_job(&[1.0, 1.0], &[12_000, 12_000], FtConfig::default()),
+        );
+        let r = r.unwrap();
+        let (m0, m1) = (&r.tasks[0], &r.tasks[1]);
+        assert_eq!(m0.end_s - m0.phase("spill"), m1.end_s - m1.phase("spill"));
+        assert!((m0.phase("spill") - 1.0).abs() < 1e-9, "{m0:?}");
+        assert!((m1.phase("spill") - 2.0).abs() < 1e-9, "{m1:?}");
+    }
+
+    #[test]
+    fn a_failed_attempts_queued_spill_writes_nothing_and_the_next_starts_at_once() {
+        // One node of three slots, hang deadlines 10 s after launch. Maps 1
+        // and 2 are empty and commit at 1 s; maps 3 and 4 take their slots,
+        // warm. Map 3's 9.5 s spill holds the disk from 1 s; map 0 (1 s of
+        // compute, a 0.5 s spill) queues behind it at 2.2 s, map 4 (2 s, a
+        // 0.2 s spill) at 3.4 s. Map 0 is declared hung at 10 s, still
+        // queued: when map 3's spill ends, map 4's starts.
+        let ft = FtConfig {
+            speculative: false,
+            hang_deadline_min_s: 10.0,
+            ..FtConfig::default()
+        };
+        let scan = &[1.0, 0.0, 0.0, 0.0, 2.0];
+        let out = &[6_000, 3, 3, 114_000, 2_400];
+        let mut c = scaled_cluster(1, 3);
+        c.sim
+            .faults
+            .install(FaultPlan::none().hang_nth_read("no/such/file", 1));
+        let r = run_job(&mut c, spill_job(scan, out, ft)).unwrap();
+        assert_eq!(r.counters.get(keys::TASKS_HANG_DETECTED), 1.0);
+        assert_eq!(r.counters.get(keys::TASK_RETRIES), 1.0);
+        let (m0, m3, m4) = (&r.tasks[0], &r.tasks[3], &r.tasks[4]);
+        assert!((m3.phase("spill") - 9.5).abs() < 1e-3, "{m3:?}");
+        assert!((m4.end_s - (m3.end_s + 0.2)).abs() < 1e-9, "{m4:?} {m3:?}");
+        // The retry launched at the deadline, cold, and found the disk idle.
+        assert_eq!((m0.start_s, m0.phase("startup")), (10.0, 1.0));
+        assert!((m0.end_s - m0.phase("spill") - 12.2).abs() < 1e-9, "{m0:?}");
+        assert!((m0.phase("spill") - 0.5).abs() < 1e-9, "{m0:?}");
+    }
 
     #[test]
     fn charges_appear_in_task_phases() {

@@ -9,14 +9,32 @@
 //! executor within an application), and the next attempt launched into it
 //! starts without a start-up. Nothing else leaves a slot warm, and nothing
 //! carries over to another table — another job or DAG.
+//!
+//! A node's local disk writes one map spill at a time: the others queue, in
+//! the order their compute ended, behind the one it is writing (one
+//! sequential stream per spindle, as TritonSort's writers and Impala's disk
+//! I/O manager keep it). A withdrawn node's queue goes with its slots.
 
-use simnet::NodeId;
+use std::collections::VecDeque;
 
-#[derive(Clone, Debug, Default)]
+use simnet::{NodeId, Sim};
+
+use super::attempt::AttemptId;
+
+/// A map output waiting for its node's disk: when its turn comes it starts
+/// writing and returns true — or, its attempt no longer live, writes nothing
+/// and returns false.
+pub(super) type Spill = Box<dyn FnOnce(&mut Sim) -> bool>;
+
+#[derive(Default)]
 struct NodeState {
     free_slots: usize,
     /// Those of the free slots that are warm; never more than `free_slots`.
     warm_slots: usize,
+    /// The attempt whose spill the disk is writing.
+    disk_holder: Option<AttemptId>,
+    /// The spills waiting for the disk, first come first.
+    spills: VecDeque<(AttemptId, Spill)>,
     /// Killed by the fault plan — permanent.
     dead: bool,
     /// Suspicion ladder of the heartbeat failure detector (healthy →
@@ -172,9 +190,36 @@ impl NodeTable {
         released
     }
 
-    /// Withdraw `n`'s slots, warm ones included: a node reinstated later
-    /// comes back cold. False when that withdrawal already happened (or the
-    /// node is unknown) and there is nothing to do.
+    /// Ask for `n`'s disk for the spill of attempt `id`: handed back, to be
+    /// written now, when the disk is idle (or the node unknown); queued
+    /// behind the spills already waiting otherwise.
+    pub fn queue_spill(&mut self, n: NodeId, id: AttemptId, spill: Spill) -> Option<Spill> {
+        let Some(s) = self.get_mut(n) else {
+            return Some(spill);
+        };
+        if s.disk_holder.is_some() {
+            s.spills.push_back((id, spill));
+            return None;
+        }
+        s.disk_holder = Some(id);
+        Some(spill)
+    }
+
+    /// The spill of attempt `id` is on `n`'s disk, or was never written: the
+    /// disk passes to the spill queued first, handed back with its attempt
+    /// to be written now, and is idle when none waits. A no-op when `id` does
+    /// not hold the disk — the node was withdrawn since.
+    pub fn spill_written(&mut self, n: NodeId, id: AttemptId) -> Option<(AttemptId, Spill)> {
+        let s = self.get_mut(n).filter(|s| s.disk_holder == Some(id))?;
+        let next = s.spills.pop_front();
+        s.disk_holder = next.as_ref().map(|&(next_id, _)| next_id);
+        next
+    }
+
+    /// Withdraw `n`'s slots, warm ones included, and drop its spill queue: a
+    /// node reinstated later comes back cold, its disk idle. False when that
+    /// withdrawal already happened (or the node is unknown) and there is
+    /// nothing to do.
     pub(super) fn withdraw(&mut self, n: NodeId, why: Withdrawal) -> bool {
         let Some(s) = self.get_mut(n) else {
             return false;
@@ -188,6 +233,8 @@ impl NodeTable {
         }
         s.free_slots = 0;
         s.warm_slots = 0;
+        s.disk_holder = None;
+        s.spills.clear();
         true
     }
 
@@ -370,6 +417,64 @@ mod tests {
         assert!(t.release_warm(m));
         assert!(t.withdraw(m, Withdrawal::Killed));
         assert_eq!(slots(&t, m), (0, 0));
+    }
+
+    /// A spill that would write.
+    fn spill() -> Spill {
+        Box::new(|_| true)
+    }
+
+    /// Spills waiting for `n`'s disk.
+    fn queued(t: &NodeTable, n: NodeId) -> usize {
+        t.get(n).map_or(0, |s| s.spills.len())
+    }
+
+    #[test]
+    fn a_disk_writes_one_spill_at_a_time_first_come_first() {
+        let mut t = table();
+        let n = NodeId(0);
+        assert!(
+            t.queue_spill(n, 1, spill()).is_some(),
+            "an idle disk writes"
+        );
+        assert!(t.queue_spill(n, 2, spill()).is_none());
+        assert!(t.queue_spill(n, 3, spill()).is_none());
+        assert!(
+            t.queue_spill(NodeId(2), 4, spill()).is_some(),
+            "another disk"
+        );
+        assert_eq!(queued(&t, n), 2);
+        assert!(
+            t.spill_written(n, 2).is_none(),
+            "only the holder passes it on"
+        );
+        assert_eq!(t.spill_written(n, 1).map(|(id, _)| id), Some(2));
+        assert_eq!(t.spill_written(n, 2).map(|(id, _)| id), Some(3));
+        assert!(t.spill_written(n, 3).is_none());
+        assert!(t.queue_spill(n, 5, spill()).is_some(), "idle again");
+        assert!(
+            t.queue_spill(NodeId(99), 6, spill()).is_some(),
+            "unknown node"
+        );
+    }
+
+    #[test]
+    fn withdraw_drops_the_spill_queue_and_reinstatement_brings_an_idle_disk() {
+        let mut t = table();
+        let n = NodeId(2);
+        assert!(t.queue_spill(n, 1, spill()).is_some());
+        assert!(t.queue_spill(n, 2, spill()).is_none());
+        assert!(t.withdraw(n, Withdrawal::DeclaredDead));
+        assert_eq!(queued(&t, n), 0, "the queue went with the node");
+        t.heartbeat(n, true, 1, 1);
+        assert!(t.heartbeat(n, false, 1, 1).slots_back);
+        assert!(t.queue_spill(n, 3, spill()).is_some(), "an idle disk");
+        assert!(t.queue_spill(n, 4, spill()).is_none());
+        // The spill written when the node was withdrawn lands: the disk is
+        // not its to pass on.
+        assert!(t.spill_written(n, 1).is_none());
+        assert_eq!(queued(&t, n), 1);
+        assert_eq!(t.spill_written(n, 3).map(|(id, _)| id), Some(4));
     }
 
     #[test]

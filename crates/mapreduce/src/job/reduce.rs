@@ -538,19 +538,31 @@ mod tests {
 
     #[test]
     fn phases_sum_to_the_duration_of_a_reducer_launched_early() {
-        // 3 maps on 4 slots: the reducer starts beside them, on the spare.
+        // 3 maps on 4 slots: the reducer starts beside them on node 0, on the
+        // spare. Maps 0 and 2 share node 1, whose disk spills map 0's output
+        // first: map 2 closes the map phase one spill later.
         let mut c = small_cluster(2, 2);
         let r = run_job(&mut c, slow_map_job(3, 2.0, FtConfig::default())).unwrap();
         let close = last_map_end(&r);
         let red = reducers(&r)[0];
         assert_eq!(red.start_s, r.start_s);
+        let (m0, m2) = (&r.tasks[0], &r.tasks[2]);
+        assert_eq!((m0.node.0, m2.node.0, red.node.0), (1, 1, 0));
+        assert_eq!(m2.end_s, close);
+        assert!((m2.phase("spill") - 2.0 * m0.phase("spill")).abs() < 1e-15);
         // Start-up is over long before the maps are: the rest is `wait`,
         // and only the last map's few bytes are pulled behind the close.
         assert!((red.phase("wait") - (close - red.start_s - 1.0)).abs() < 1e-9);
-        assert!(red.phase("shuffle") < 1e-6);
-        // Hidden: the start-up, and the merges done before the last pull.
+        assert!(red.phase("shuffle") > 0.0 && red.phase("shuffle") < 1e-6);
+        // Hidden: the start-up, the merges done before the last pull, and
+        // the pull of map 0's output, which landed before the close — as
+        // long as map 2's after it: the same bytes over the same link.
         let saved = r.counters.get(keys::SHUFFLE_OVERLAP_SAVED_S);
-        assert!((saved - 1.0 - merge_hidden(&r)).abs() < 1e-12, "{saved}");
+        let pulled_early = red.phase("shuffle");
+        assert!(
+            (saved - 1.0 - merge_hidden(&r) - pulled_early).abs() < 1e-12,
+            "{saved}"
+        );
         assert_eq!(r.counters.get(keys::REDUCE_ATTEMPTS), 1.0);
         assert_eq!(r.fault_summary(), None);
     }

@@ -252,7 +252,19 @@ fn a_holder_hung_for_good_after_its_maps_commit_fails_the_job_typed() {
 #[test]
 fn slow_links_slow_the_shuffle_by_their_factor() {
     const FACTOR: f64 = 8.0;
-    let (clean, clean_out) = try_run(FaultPlan::none());
+    // One map per node, so every output is registered at the close and every
+    // pull issued there: the post-close `shuffle` is then all pull, and only
+    // the link factor sets it. (Two maps on a node spill one after the other,
+    // and the first one's pulls would start before the close.)
+    let run = |plan: FaultPlan| {
+        let mut c = fresh_cluster();
+        c.sim.faults.install(plan);
+        let mut job = chaos_job();
+        job.splits.truncate(4);
+        let r = run_job(&mut c, job);
+        (r, c.read_output("out").unwrap_or_default())
+    };
+    let (clean, clean_out) = run(FaultPlan::none());
     let clean = clean.expect("clean run");
     let mut plan = FaultPlan::none();
     for a in 0..4 {
@@ -260,9 +272,16 @@ fn slow_links_slow_the_shuffle_by_their_factor() {
             plan = plan.slow_link(a, b, FACTOR);
         }
     }
-    let (slow, out) = try_run(plan);
+    let (slow, out) = run(plan);
     let slow = slow.expect("a slow link fails nothing");
     assert_eq!(out, clean_out);
+    let maps = clean.tasks.iter().filter(|t| t.kind == TaskKind::Map);
+    let ends: Vec<(NodeId, f64)> = maps.map(|t| (t.node, t.end_s)).collect();
+    assert!(
+        (0..4).all(|n| ends.iter().filter(|(node, _)| node.0 == n).count() == 1),
+        "{ends:?}"
+    );
+    assert!(ends.iter().all(|&(_, end)| end == ends[0].1), "{ends:?}");
     let shuffle_of = |r: &JobResult, index: usize| {
         let mut reduces = r.tasks.iter().filter(|t| t.kind == TaskKind::Reduce);
         reduces

@@ -21,7 +21,9 @@
 //! constants. And all nine again with warm slots: **a slot whose last attempt
 //! of the same job/DAG committed starts the next one without a start-up**;
 //! the same commit re-placed (d)'s kill and (h)'s cut, which were timed by
-//! start-ups that are no longer paid.
+//! start-ups that are no longer paid. The four runs whose nodes spill two
+//! maps each (a, b, c, h) moved once more with **one spill at a time per
+//! disk**: a node's spills queue for its local disk instead of sharing it.
 //! A mismatch prints the full canonical text so the two sides can be diffed.
 
 use std::collections::BTreeMap;
@@ -712,8 +714,22 @@ fn h_flat_job_whose_map_holders_are_cut_off_and_slowed_after_they_commit() {
 // hide (`shuffle_overlap_saved_s` 2.0000 s -> 2.9 µs): job end 3.221393 ->
 // 2.413395 s and 3.289881 -> 2.481884 s.
 // {0xdebf_cafd_dcb3_02f4, 0x00a1_29fb_53c6_46b4}
-const FP_SLAB_STREAM: u64 = 0xa99c_0c1b_1d61_c4e6;
-const FP_SLAB_BATCH: u64 = 0x8cad_76f4_2d37_20cb;
+//
+// a, b, c and h moved once more, by **one spill at a time per disk**: a node's
+// map spills queue for its local disk, first come first, instead of sharing it
+// with the head-thrash penalty (parent values in angle brackets). A spill that
+// found the disk idle takes its own bytes' time, the one queued behind it that
+// plus its own: two equal spills end at s and 2s instead of both at 2s·1.06.
+// Every counter but the two overlap savings, every file name, block holder and
+// byte is unchanged; what moved, run by run:
+// (a, b) Maps 0 and 2 share node 1 and its disk, and the first spill there
+// ends sooner (stream: map 0's, 0.39 -> 0.26 µs; batch: map 2's, 0.30 ->
+// 0.23 µs). Map 4, launched in the slot it frees, starts 0.13 µs (0.07 µs)
+// sooner, reducer 1, in the other one, 0.02 µs (0.01 µs); the job end is bit
+// for bit the same (2.413395 s, 2.481884 s). <0xa99c_0c1b_1d61_c4e6,
+// 0x8cad_76f4_2d37_20cb>
+const FP_SLAB_STREAM: u64 = 0x9186_2881_516d_eb15;
+const FP_SLAB_BATCH: u64 = 0x8399_2796_05fe_b360;
 // (c) Reducer 1 launches at 10.64 s on its home node 1 and waits 8.56 s;
 // reducer 0's home is node 0, which the 2.5x-slow maps hold until the close,
 // so it launches then, as before: job end unchanged (21.1965 s), reducer 1
@@ -738,7 +754,15 @@ const FP_SLAB_BATCH: u64 = 0x8cad_76f4_2d37_20cb;
 // (end 14.08 -> 12.10 s); reducer 1 waits a start-up longer (`wait` 8.4 -> 9.4 s) and
 // reducer 0, launched at the close, no longer pays one: job end 21.038849 ->
 // 20.038849 s. {0x1878_eda0_29cf_5ed3}
-const FP_CHAOS: u64 = 0x3583_eb6a_7bce_d7ee;
+// One spill per disk: a node's two spills take 0.29 and 0.58 µs instead of
+// 0.62 µs each, so the first map of each pair commits 0.3 µs sooner. Maps 9
+// and 10 swap places: map 9 now takes the node-2 slot freed at 4.80 s, and
+// map 10 is the one that runs on slow node 0 from 10 s, cold. Reducer 0
+// launches with the first of node 0's commits and
+// waits 0.29 µs for the second (`shuffle_overlap_saved_s` 4.23 -> 4.83 µs,
+// `write_overlap_saved_s` 9.68 -> 9.22 µs): job end 20.0388488 ->
+// 20.0388487 s. <0x3583_eb6a_7bce_d7ee>
+const FP_CHAOS: u64 = 0x3533_2a49_498d_4d94;
 // (d) Reduce-side overlap: a stage task's grouping is no longer a charge of
 // the task function but its merge, charged as its pulls land; stage 1 closes
 // 3.07661021 -> 3.07661016 s and the DAG ends 4.07711077 -> 4.07711024 s
@@ -840,4 +864,9 @@ const FP_CONNECTOR_SPILL_PULL: u64 = 0x8083_c222_fa6e_e068;
 // (19.48 s), and the retries launch in the nodes' other, warm slots at
 // 25.97 s and cross the healed link: job end 19.7677151 -> 25.9677151 s. Same
 // drops, hangs, retries and files. {0xaf08_6b60_b3b7_9368}
-const FP_SHUFFLE_FAULTS: u64 = 0x5662_cfef_600e_2dd4;
+// One spill per disk: each node's two maps commit 0.29 µs apart instead of
+// together, 0.3 µs sooner for the first, so the hang deadline (three times the
+// slower maps' q75) fires, and the retries launch, 1 µs sooner: job end
+// 25.9677151 -> 25.9677141 s. Same drops, hangs, retries and files.
+// <0x5662_cfef_600e_2dd4>
+const FP_SHUFFLE_FAULTS: u64 = 0x2648_5b8c_8fb5_1c1d;

@@ -10,9 +10,11 @@
 //! Two fault-free runs also report their reduce tail: reducers start on the
 //! slots the last map wave leaves idle, pull each map output as it commits
 //! and merge it as it lands, and write their part file while they reduce, so
-//! what remains behind the last map is the last pull's merge and what of the
-//! write outlasts the reduce — when the last wave leaves a slot idle. Either
-//! way a reducer starts in a slot a map committed in, without a start-up.
+//! what remains behind the last map is the last pulls and their merge, and
+//! what of the write outlasts the reduce — whether the last wave leaves a slot
+//! idle or a node's first spill frees one (its disk writes one spill at a
+//! time). Either way a reducer starts in a slot a map committed in, without a
+//! start-up.
 
 use mapreduce::{
     counter_keys as keys, run_job, Cluster, FtConfig, Job, JobResult, TaskKind, TaskReport,
@@ -160,13 +162,14 @@ pub fn run(scale: &Scale) -> Report {
     rep.table("", "scenario", &COLS, &lines);
     rep.row("speculation.speedup", speedup, "x", Sim);
 
-    // Reduce slow-start. The sweep's clean run is two full map waves: every
-    // slot is busy until the last map commits, and the reducers launch at the
-    // close — in slots the last maps committed in, warm, so the tail holds no
-    // start-up — and pull every map output behind it. Drop four splits and
-    // the last wave leaves one slot per node idle: both reducers launch there
-    // and pull each map output as it commits, so behind the close they pull
-    // only the last maps' outputs.
+    // Reduce slow-start. The sweep's clean run is two full map waves. A
+    // node's disk writes one spill at a time, so of the two maps that end a
+    // node's last wave together one commits a spill before the other: the
+    // reducers launch in those slots, warm, and pull every output committed by
+    // then; behind the close they pull the second spills' outputs. Drop four
+    // splits and the last wave leaves one slot per node idle: both reducers
+    // launch there and pull each map output as it commits, so behind the close
+    // they pull only the last maps' outputs — no more than with a full wave.
     let mut spare = fault_job(sweep_ft);
     spare.splits.truncate(N_SPLITS as usize - 4);
     let (_, _, spare_run) = run_on(&mut fresh_cluster(FaultPlan::none()), spare);
@@ -187,9 +190,9 @@ pub fn run(scale: &Scale) -> Report {
     #[rustfmt::skip] // one target per line reads as the table it is
     rep.expect_all(&[
         ("speculation.speedup", Ge, 1.5, "a twin on a healthy node beats the 6x straggler it duplicates"),
-        ("last_wave_full.shuffle_overlap_saved_s", Le, full_merge_s, "no idle slot: reducers launch at the close and hide nothing but merge seconds"),
-        ("last_wave_full.reduce_tail_s", Lt, 0.25 * startup, "... in slots the last maps committed in, warm: no start-up is paid behind the close"),
-        ("last_wave_half_full.reduce_tail_s", Lt, tail_bound, "all but the last pulls are hidden behind the map wave: less is pulled behind the close than with no idle slot"),
+        ("last_wave_full.shuffle_overlap_saved_s", Le, full_merge_s, "no slot idle until a node's first spill lands: reducers launch one spill before the close and hide no start-up, only pulls and merges"),
+        ("last_wave_full.reduce_tail_s", Lt, 0.25 * startup, "... in slots a map committed in, warm: no start-up is paid behind the close"),
+        ("last_wave_half_full.reduce_tail_s", Le, tail_bound, "all but the last pulls are hidden behind the map wave: no more is pulled behind the close than when the reducers launch one spill before it"),
         ("last_wave_half_full.sort_us", Lt, spare_merge_us, "merge during copy: each pull is merged as it lands, behind the close only the last pulls' merges are left"),
         ("last_wave_half_full.write_hidden_us", Gt, 0.0, "the part files are written while the reducers compute"),
     ]);

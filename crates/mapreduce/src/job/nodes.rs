@@ -148,6 +148,12 @@ impl NodeTable {
             .sum()
     }
 
+    /// Slots on nodes still in service, busy or free.
+    pub fn usable_slots(&self) -> usize {
+        let in_service = self.nodes.iter().filter(|s| s.usable());
+        in_service.count() * self.slots_per_node
+    }
+
     /// The node with the most free slots (the last such on a tie), leaving
     /// out `except`.
     pub fn most_free(&self, except: Option<NodeId>) -> Option<NodeId> {

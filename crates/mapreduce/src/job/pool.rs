@@ -117,14 +117,21 @@ pub(super) fn schedule(sim: &mut Sim, pool: &SharedPool) {
 
 /// A task of run `d` that has all its input (a pending map, a retry, a
 /// speculative twin) found no free slot: an attempt that is only waiting for
-/// input must never delay it, so the youngest such attempt *downstream* of
-/// it on a usable node other than `except` gives up its slot — a reducer of
-/// the same job, or a task of a later stage of the same DAG. It goes back to
-/// the head of its queue uncharged: no retry, no attempt off its budget.
-/// Returns the node whose slot is now free.
-pub(super) fn preempt_waiting(d: &SharedDriver, except: Option<NodeId>) -> Option<NodeId> {
+/// input must not delay it, so the youngest *idle* attempt *downstream* of it
+/// on a usable node other than `except` gives up its slot — a reducer of the
+/// same job, or a task of a later stage of the same DAG. Idle is past its
+/// start-up, with nothing left to merge, and not a due reducer: one still
+/// starting up or merging keeps its slot until it turns idle, and then runs
+/// the scheduler again ([`super::reduce`]); a due one keeps it, or placement
+/// would hand it straight back. It goes back to the head of its queue
+/// uncharged: no retry, no attempt off its budget. Returns the node whose
+/// slot is now free.
+pub(super) fn preempt_waiting(
+    sim: &Sim,
+    d: &SharedDriver,
+    except: Option<NodeId>,
+) -> Option<NodeId> {
     let pool = d.borrow().pool.clone();
-    let gives_a_slot = |n: NodeId| Some(n) != except && pool.borrow().nodes.usable(n);
     let downstream = d.borrow().sink.as_ref().map(|s| s.downstream.clone());
     let mut youngest: Option<(AttemptId, SharedDriver)> = None;
     for run in live_runs(&pool) {
@@ -135,12 +142,14 @@ pub(super) fn preempt_waiting(d: &SharedDriver, except: Option<NodeId>) -> Optio
             if !own && !later {
                 continue;
             }
+            let p = pool.borrow();
+            let gives_a_slot = |n: NodeId| Some(n) != except && p.nodes.usable(n);
             // Of its own attempts only the reducers are downstream of `d`'s
             // maps.
             let waiting = rd.tasks.waiting().rev();
             let mut waiting = waiting.filter(|(_, i)| !own || i.kind == TaskKind::Reduce);
             waiting
-                .find(|(_, i)| gives_a_slot(i.node))
+                .find(|(_, i)| gives_a_slot(i.node) && rd.yields_slot(sim, &p.nodes, i))
                 .map(|(id, _)| id)
         };
         if let Some(id) = victim.filter(|&id| youngest.as_ref().is_none_or(|(y, _)| id > *y)) {
@@ -153,4 +162,70 @@ pub(super) fn preempt_waiting(d: &SharedDriver, except: Option<NodeId>) -> Optio
     pool.borrow_mut().nodes.release(info.node);
     rd.counters.add(keys::REDUCES_PREEMPTED, 1.0);
     Some(info.node)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::job::commit::MapOutput;
+    use crate::job::reduce::Shuffle;
+    use crate::job::tests::{mem_splits, scaled_cluster, word_count_job};
+    use crate::job::{submit_stage, JobDone, Kv, Payload, OWN_SHUFFLE};
+
+    /// Give reducer `r`'s attempt the pull state `shuffle`.
+    fn set(d: &SharedDriver, r: usize, shuffle: Shuffle) {
+        let mut dd = d.borrow_mut();
+        let reducer = dd
+            .tasks
+            .in_flight()
+            .find(|(_, i)| (i.kind, i.task) == (TaskKind::Reduce, r));
+        let id = reducer.map(|(id, _)| id).expect("reducer in flight");
+        dd.tasks.attempt_mut(id).expect("in flight").shuffle = Some(shuffle);
+    }
+
+    #[test]
+    fn preempt_waiting_takes_only_an_idle_attempt_that_is_not_due() {
+        // 2 nodes x 2 slots, one map and three reducers: the map takes node
+        // 1, reducers 0 and 2 node 0, reducer 1 the last slot. Every slot is
+        // busy and every reducer is starting up, at 0 s.
+        let mut c = scaled_cluster(2, 2);
+        let job = word_count_job(mem_splits(1, 100), 3);
+        let ended: JobDone = Box::new(|_, _, _| {});
+        let env = c.env();
+        let run = submit_stage(&mut c.sim, env, job, None, ended).expect("submitted");
+        let d = run.0;
+        let sim = &c.sim;
+        assert_eq!(d.borrow().pool.borrow().nodes.busy(), 4);
+        assert_eq!(preempt_waiting(sim, &d, None), None, "all starting up");
+        // Reducer 2 merges until 2 s; reducer 1, older, is idle: it goes.
+        set(&d, 2, Shuffle::merging(0.0, 2.0));
+        set(&d, 1, Shuffle::merging(0.0, 0.0));
+        assert_eq!(preempt_waiting(sim, &d, None), Some(NodeId(1)));
+        let dd = d.borrow();
+        assert_eq!(dd.tasks.pending(TaskKind::Reduce).front(), Some(&1));
+        assert_eq!(dd.counters.get(keys::REDUCES_PREEMPTED), 1.0);
+        drop(dd);
+        // Reducer 2 is idle now, but due: a map output registered with 2 s
+        // of merge for it (10⁸ logical bytes), against a 1 s start-up and a
+        // stretch of nothing at the job's start.
+        set(&d, 2, Shuffle::merging(0.0, 0.0));
+        let kv = |n: usize| Kv {
+            key: "k".into(),
+            value: Payload::Bytes(vec![0; n]),
+        };
+        let parts = vec![Vec::new(), Vec::new(), vec![kv(10_000 - 1)]];
+        let store = d.borrow().input.as_ref().map(|i| i.store.clone());
+        let store = store.expect("a job with reducers");
+        let output = MapOutput {
+            node: NodeId(1),
+            parts,
+        };
+        store
+            .borrow_mut()
+            .register(OWN_SHUFFLE, 0, Some(output), 0.0);
+        assert_eq!(preempt_waiting(sim, &d, None), None, "due");
+        // Its output lost, it owes nothing and goes.
+        store.borrow_mut().invalidate_node(NodeId(1));
+        assert_eq!(preempt_waiting(sim, &d, None), Some(NodeId(0)));
+    }
 }

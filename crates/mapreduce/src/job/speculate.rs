@@ -84,7 +84,7 @@ fn maybe_speculate(sim: &mut Sim, d: &SharedDriver, id: AttemptId) {
     // slot of an attempt waiting downstream.
     let elsewhere = Some(straggler_node);
     let free = d.borrow().pool.borrow().nodes.most_free(elsewhere);
-    let Some(node) = free.or_else(|| preempt_waiting(d, elsewhere)) else {
+    let Some(node) = free.or_else(|| preempt_waiting(sim, d, elsewhere)) else {
         return; // no spare capacity elsewhere; let the original run
     };
     let twin = {

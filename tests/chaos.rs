@@ -603,6 +603,33 @@ fn every_shape_under_every_kind_of_fault_ends_ok_with_the_naive_bytes_or_typed()
     );
 }
 
+/// 3 nodes x 1 slot, 1 map, 4 reducers: map 0 runs on node 2, reducers 0 and
+/// 1 start up on their homes, nodes 0 and 1. Node 2 dies before their
+/// start-ups end. A reducer starting up keeps its slot, so the retried map
+/// finds none; it gets one when the start-ups end and the scheduler runs
+/// again. (The sweep stalled here, generator seed 23, before that re-run.)
+#[test]
+fn a_map_retried_while_the_reducers_start_up_gets_a_slot_when_their_start_up_ends() {
+    let shape = Shape {
+        nodes: 3,
+        slots: 1,
+        maps: 1,
+        reducers: 4,
+    };
+    let plan = FaultPlan::none()
+        .with_seed(23)
+        .kill_node(2, 0.8694421570435041);
+    let (r, out, leftovers) = run_shape(shape, plan);
+    let r = r.expect("the retried map takes a reducer's slot");
+    assert_eq!(out, naive_output(shape));
+    assert_eq!(leftovers, Vec::<String>::new());
+    assert_eq!(r.counters.get(keys::TASK_RETRIES), 1.0);
+    assert_eq!(r.counters.get(keys::REDUCES_PREEMPTED), 1.0);
+    let map = &r.tasks[0];
+    assert_eq!(map.kind, TaskKind::Map);
+    assert_eq!((map.node, map.start_s), (NodeId(0), 1.0), "{map:?}");
+}
+
 /// The minimal deadlock shape of reduce slow-start: 2 nodes x 1 slot, 2 maps,
 /// 2 reducers. Map 1 commits on node 0 and reducer 0 takes that slot to wait
 /// for map 0 — which dies with node 1. Only a preemption lets it run again.

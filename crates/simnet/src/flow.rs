@@ -168,6 +168,11 @@ impl FlowNet {
         self.epoch
     }
 
+    /// Number of flows admitted so far.
+    pub fn flows_started(&self) -> u64 {
+        self.next_flow
+    }
+
     /// Advance all flow progress to time `now` using current rates.
     /// Must be called before any add/remove at time `now`.
     pub(crate) fn advance_to(&mut self, now: SimTime) {

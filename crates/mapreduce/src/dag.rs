@@ -90,6 +90,20 @@ impl ShuffleSink {
     pub(crate) fn shuffle(&self) -> (SharedShuffleStore, u64) {
         (self.store.clone(), self.shuffle_id)
     }
+
+    /// The sink of the final stage `stage` of a DAG over `store`, its
+    /// commits registered under shuffle id `stage`.
+    #[cfg(test)]
+    pub(crate) fn final_stage(store: SharedShuffleStore, stage: usize) -> ShuffleSink {
+        ShuffleSink {
+            shuffle_id: stage as u64,
+            n_partitions: None,
+            task_ids: Rc::new(Vec::new()),
+            store,
+            stage,
+            downstream: Rc::new(BTreeSet::new()),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -139,6 +139,11 @@ impl TaskTable {
         &self.kind(kind).pending
     }
 
+    /// The run's tasks of `kind`, in any state.
+    pub fn count(&self, kind: TaskKind) -> usize {
+        self.kind(kind).states.len()
+    }
+
     pub fn requeue(&mut self, kind: TaskKind, task: usize) {
         self.kind_mut(kind).pending.push_back(task);
     }
@@ -331,15 +336,14 @@ pub(super) fn waiting(d: &SharedDriver) -> Vec<Attempt> {
 /// run of the pool.
 pub(super) fn try_schedule(sim: &mut Sim, d: &SharedDriver) {
     loop {
-        let (sched, early) = {
+        let sched = {
             let dd = d.borrow();
             if !dd.alive() {
                 return;
             }
             let (pool, early) = (dd.pool.borrow(), dd.early());
             let due = |r| dd.due(sim, &pool.nodes, r);
-            let sched = sched::pick_next(&dd.view(&pool.nodes, early.as_deref(), &due));
-            (sched, early.is_some())
+            sched::pick_next(&dd.view(&pool.nodes, early.as_deref(), &due))
         };
         match sched {
             Sched::Run(pick) => {
@@ -351,8 +355,11 @@ pub(super) fn try_schedule(sim: &mut Sim, d: &SharedDriver) {
             }
             blocked => {
                 // A task that would itself only wait takes no one's slot.
-                let map_waits = !early && !d.borrow().tasks.pending(TaskKind::Map).is_empty();
-                if map_waits && preempt_waiting(sim, d, None).is_some() {
+                let map_blocked = {
+                    let dd = d.borrow();
+                    !dd.waits(TaskKind::Map) && !dd.tasks.pending(TaskKind::Map).is_empty()
+                };
+                if map_blocked && preempt_waiting(sim, d, None).is_some() {
                     continue;
                 }
                 if let Sched::Stuck(waiting) = blocked {
@@ -388,7 +395,7 @@ pub(super) fn launch(sim: &mut Sim, d: &SharedDriver, mut info: AttemptInfo) {
         if pulls {
             info.shuffle = Some(Shuffle::default());
         }
-        let waits_for_input = pulls && dd.input.as_ref().is_some_and(|i| i.open());
+        let waits_for_input = dd.waits(kind);
         let id = dd.pool.borrow_mut().next_attempt();
         dd.tasks.start(id, info);
         (id, pulls, waits_for_input)

@@ -12,7 +12,7 @@ use simnet::{ClusterCache, NodeId, Sim};
 
 use super::attempt::{try_schedule, AttemptId};
 use super::nodes::NodeTable;
-use super::{detector, Driver, FtConfig, SharedDriver, TaskKind};
+use super::{detector, Driver, FtConfig, SharedDriver};
 use crate::cluster::MrEnv;
 use crate::counters::{keys, Counters};
 
@@ -144,10 +144,10 @@ pub(super) fn preempt_waiting(
             }
             let p = pool.borrow();
             let gives_a_slot = |n: NodeId| Some(n) != except && p.nodes.usable(n);
-            // Of its own attempts only the reducers are downstream of `d`'s
-            // maps.
-            let waiting = rd.tasks.waiting().rev();
-            let mut waiting = waiting.filter(|(_, i)| !own || i.kind == TaskKind::Reduce);
+            // Every waiting attempt pulls. Of `d`'s own those are a job's
+            // reducers — a stage's siblings only wait while its input is
+            // open, when none of its tasks asks for a slot.
+            let mut waiting = rd.tasks.waiting().rev();
             waiting
                 .find(|(_, i)| gives_a_slot(i.node) && rd.yields_slot(sim, &p.nodes, i))
                 .map(|(id, _)| id)
@@ -167,10 +167,14 @@ pub(super) fn preempt_waiting(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dag::ShuffleSink;
     use crate::job::commit::MapOutput;
     use crate::job::reduce::Shuffle;
     use crate::job::tests::{mem_splits, scaled_cluster, word_count_job};
-    use crate::job::{submit_stage, JobDone, Kv, Payload, OWN_SHUFFLE};
+    use crate::job::{
+        submit_stage, JobDone, Kv, Payload, ShuffleInput, ShuffleStore, StageIo, TaskKind,
+        OWN_SHUFFLE,
+    };
 
     /// Give reducer `r`'s attempt the pull state `shuffle`.
     fn set(d: &SharedDriver, r: usize, shuffle: Shuffle) {
@@ -181,6 +185,20 @@ mod tests {
             .find(|(_, i)| (i.kind, i.task) == (TaskKind::Reduce, r));
         let id = reducer.map(|(id, _)| id).expect("reducer in flight");
         dd.tasks.attempt_mut(id).expect("in flight").shuffle = Some(shuffle);
+    }
+
+    /// A map output on node 1 with 2 s of merge (10⁸ logical bytes) for
+    /// partition `r` of `width`, and nothing for the others.
+    fn owing_2s(width: usize, r: usize) -> MapOutput {
+        let kv = Kv {
+            key: "k".into(),
+            value: Payload::Bytes(vec![0; 10_000 - 1]),
+        };
+        let part = |p| if p == r { vec![kv.clone()] } else { Vec::new() };
+        MapOutput {
+            node: NodeId(1),
+            parts: (0..width).map(part).collect(),
+        }
     }
 
     #[test]
@@ -206,20 +224,12 @@ mod tests {
         assert_eq!(dd.counters.get(keys::REDUCES_PREEMPTED), 1.0);
         drop(dd);
         // Reducer 2 is idle now, but due: a map output registered with 2 s
-        // of merge for it (10⁸ logical bytes), against a 1 s start-up and a
-        // stretch of nothing at the job's start.
+        // of merge for it, against a 1 s start-up and a stretch of nothing
+        // at the job's start.
         set(&d, 2, Shuffle::merging(0.0, 0.0));
-        let kv = |n: usize| Kv {
-            key: "k".into(),
-            value: Payload::Bytes(vec![0; n]),
-        };
-        let parts = vec![Vec::new(), Vec::new(), vec![kv(10_000 - 1)]];
         let store = d.borrow().input.as_ref().map(|i| i.store.clone());
         let store = store.expect("a job with reducers");
-        let output = MapOutput {
-            node: NodeId(1),
-            parts,
-        };
+        let output = owing_2s(3, 2);
         store
             .borrow_mut()
             .register(OWN_SHUFFLE, 0, Some(output), 0.0);
@@ -227,5 +237,32 @@ mod tests {
         // Its output lost, it owes nothing and goes.
         store.borrow_mut().invalidate_node(NodeId(1));
         assert_eq!(preempt_waiting(sim, &d, None), Some(NodeId(0)));
+    }
+
+    #[test]
+    fn a_stage_task_owing_the_same_merge_is_never_due() {
+        // `DueRule` prices a job's reducers against the map wave of their own
+        // job; a stage run's sources are other runs. One of the stage's two
+        // sources registered what makes a reducer due above.
+        let mut c = scaled_cluster(2, 2);
+        let store = ShuffleStore::shared([(0, 2)]);
+        store.borrow_mut().register(0, 0, Some(owing_2s(1, 0)), 0.0);
+        let env = c.env();
+        let io = StageIo {
+            sink: ShuffleSink::final_stage(store.clone(), 1),
+            input: Some(ShuffleInput {
+                store,
+                sources: vec![(0, 0)],
+                lineage: true,
+            }),
+            pool: Pool::open(&mut c.sim, &env, &FtConfig::default()),
+        };
+        let mut job = word_count_job(mem_splits(1, 0), 1);
+        job.reduce_fn = None;
+        let ended: JobDone = Box::new(|_, _, _| {});
+        let run = submit_stage(&mut c.sim, env, job, Some(io), ended).expect("submitted");
+        let dd = run.0.borrow();
+        assert!(dd.waits(TaskKind::Map), "its input is open");
+        assert!(!dd.due(&c.sim, &dd.pool.borrow().nodes, 0));
     }
 }

@@ -157,7 +157,7 @@ fn wake_when_idle(sim: &mut Sim, att: &Attempt) {
         let Some(shuffle) = waiting.filter(|s| !s.idle_check && s.in_flight.is_empty()) else {
             return;
         };
-        if dd.due_attempt(sim, &dd.pool.borrow().nodes, info) {
+        if dd.due(sim, &dd.pool.borrow().nodes, info.task) {
             return;
         }
         let drains_at = shuffle.merged_by();
@@ -785,10 +785,9 @@ mod tests {
 
     #[test]
     fn a_pull_from_a_holder_cut_off_while_maps_run_waits_for_the_link() {
-        // 3 nodes x 1 slot. Maps 0 and 1 (1 s) commit at 2 s on nodes 2 and
-        // 1; map 3 follows map 0 on node 2, reducer 1 takes node 1 and is
-        // ready at 3 s — while node 2, which holds map 0's output, is cut
-        // off from 2.5 to 5 s. Map 2 (6 s, node 0) commits after the heal.
+        // 3 nodes x 1 slot. Maps 0 and 1 (1 s) commit at 2 s; map 3 follows
+        // on one of their nodes and a reducer takes the other, where it waits
+        // for maps 2 and 3 (6 s).
         let job = || {
             let mut job = two_reducer_job(4);
             job.map_fn = Rc::new(|input, ctx| {
@@ -805,17 +804,25 @@ mod tests {
         };
         let mut clean = small_cluster(3, 1);
         let clean_r = run_job(&mut clean, job()).unwrap();
+        let close = last_map_end(&clean_r);
+        let early = reducers(&clean_r).into_iter().find(|t| t.start_s < 2.5);
+        let early = early.expect("a reducer waits beside the maps");
+        let ready_s = early.start_s + early.phase("startup");
+        // A map that commits on another node between the reducer's start-up
+        // and the close.
+        let mut maps = clean_r.tasks.iter().filter(|t| t.kind == TaskKind::Map);
+        let commit =
+            maps.find(|t| t.node != early.node && t.end_s > ready_s + 1.0 && t.end_s < close);
+        let commit = commit.expect("a commit while the reducer waits").end_s;
+        // The reducer's node is cut off from every holder for a second around
+        // that commit.
         let mut c = small_cluster(3, 1);
-        c.sim
-            .faults
-            .install(FaultPlan::none().partition(&[2], 2.5, 5.0));
+        let cut = FaultPlan::none().partition(&[early.node.0], commit - 0.5, commit + 0.5);
+        c.sim.faults.install(cut);
         let r = run_job(&mut c, job()).unwrap();
-        assert_eq!(r.tasks[0].node.0, 2, "node 2 holds map 0's output");
-        let red = reducers(&r)[1];
-        assert!(red.node.0 == 1 && red.start_s < 2.5, "{red:?}");
-        // Pulled at 3 s the output would have been dropped and the reducer
-        // stranded until a hang deadline; put off until the next commit, it
-        // costs nothing.
+        // Pulled at the commit the output would have been dropped and the
+        // reducer stranded until a hang deadline; put off until the next
+        // commit, it costs nothing.
         assert_eq!(r.counters.get(keys::TASKS_HANG_DETECTED), 0.0);
         assert_eq!(r.counters.get(keys::REDUCE_ATTEMPTS), 2.0);
         assert!((r.elapsed() - clean_r.elapsed()).abs() < 1e-3);

@@ -13,10 +13,13 @@ use crate::input::InputSplit;
 /// What the scheduler may look at.
 pub(super) struct View<'a> {
     pub nodes: &'a NodeTable,
-    pub pending_maps: &'a VecDeque<usize>,
-    pub pending_reduces: &'a VecDeque<usize>,
-    /// Some map has not committed yet.
-    pub maps_open: bool,
+    /// Pending tasks that have all their input: a classic job's maps, a
+    /// source stage's tasks.
+    pub ready: &'a VecDeque<usize>,
+    /// Pending tasks that pull a shuffle — a classic job's reducers, a
+    /// post-shuffle stage's tasks — and their kind.
+    pub pulling: &'a VecDeque<usize>,
+    pub pulling_kind: TaskKind,
     pub splits: &'a [InputSplit],
     /// Per-split cluster-cache chunk keys; empty when no split has a hint
     /// (always so when the cluster cache tier is disabled), and the cache
@@ -25,11 +28,11 @@ pub(super) struct View<'a> {
     pub cache: &'a ClusterCache,
     /// Attempts in flight, of every run that draws on `nodes`.
     pub running: usize,
-    /// The run is a post-shuffle stage whose input is still open, so a task
-    /// launched now is *early* — it starts up and pulls, then waits: how many
-    /// more of the run's tasks each node may host meanwhile.
-    pub early: Option<&'a [usize]>,
-    /// Whether reducer `r` is due ([`DueRule`]).
+    /// While the pulling tasks' input is open, a task launched now is
+    /// *early* — it starts up and pulls, then waits: how many more of them
+    /// each node may host meanwhile.
+    pub room: Option<&'a [usize]>,
+    /// Whether pulling task `t` is due ([`DueRule`]).
     pub due: &'a dyn Fn(usize) -> bool,
 }
 
@@ -102,105 +105,72 @@ fn split_local(splits: &[InputSplit], task: usize, node: NodeId) -> bool {
         .is_some_and(|s| s.locations.contains(&node))
 }
 
-/// An early task (see [`View::early`]) goes to the least-loaded node that
-/// still has room for one of its run, or waits: it is in no hurry, and slots
-/// free up one node at a time while the stages upstream run — tasks taking
-/// whichever came first would pile their sorts and writes onto one disk.
+/// A pulling task, of either kind, goes to the least-loaded node; while it
+/// is early (see [`View::room`]), to the least-loaded one that still has room
+/// for one of its run, or it waits. It is in no hurry, and slots free up one
+/// node at a time while its sources run: tasks taking whichever came first
+/// would pile their merges and writes onto one disk.
 ///
-/// While maps are pending, a *due* reducer ([`DueRule`]) whose round-robin
-/// home `r % n_nodes` has a slot goes first. Then the preference tiers for
-/// maps, first match wins: a pending split whose chunks are resident in the
-/// cluster cache on a free node (it skips its PFS reads entirely); a pending
-/// split stored on a free node; the head of the queue on the least-loaded
-/// node. Any other reducer runs only when no map can be placed, on its home
-/// when it has a slot. While maps still run that is the only place: slots
-/// free up one node at a time then, and reducers taking whichever came first
-/// would pile their sorts and part-file writes onto one disk. Once the map
-/// phase has closed the head of the queue goes to the least-loaded node
-/// instead of waiting.
+/// A *due* pulling task ([`DueRule`]) goes first. Then the preference tiers
+/// for ready tasks, first match wins: a pending split whose chunks are
+/// resident in the cluster cache on a free node (it skips its PFS reads
+/// entirely); a pending split stored on a free node; the head of the queue on
+/// the least-loaded node. Any other pulling task runs only when no ready task
+/// can be placed.
 pub(super) fn pick_next(v: &View) -> Sched {
     let free_nodes = || v.nodes.ids().filter(|&n| v.nodes.free(n) > 0);
-    let map_pick = |pos, node, local, cache_local| {
+    let run = |kind, pos, node, local, cache_local| {
         Sched::Run(Pick {
-            kind: TaskKind::Map,
+            kind,
             pos,
             node,
             local,
             cache_local,
         })
     };
-    if let Some(room) = v.early {
-        let has_room = |n: &NodeId| room.get(n.0 as usize).is_some_and(|&r| r > 0);
+    let pull = |pos| {
+        let has_room = |n: &NodeId| {
+            v.room
+                .is_none_or(|room| room.get(n.0 as usize).is_some_and(|&r| r > 0))
+        };
         let node = free_nodes()
             .filter(has_room)
             .max_by_key(|&n| v.nodes.free(n));
-        return match node.filter(|_| !v.pending_maps.is_empty()) {
-            Some(node) => map_pick(0, node, false, false),
-            // Passing up slots while the input is open is waiting by choice.
-            None => Sched::Idle,
-        };
-    }
-    let free_home = |r: usize| {
-        let home = r.checked_rem(v.nodes.len()).map(|h| NodeId(h as u32));
-        home.filter(|&h| v.nodes.free(h) > 0)
+        node.map(|node| run(v.pulling_kind, pos, node, false, false))
     };
-    let reduce_pick = |(pos, node)| {
-        Sched::Run(Pick {
-            kind: TaskKind::Reduce,
-            pos,
-            node,
-            local: false,
-            cache_local: false,
-        })
-    };
-    if !v.pending_maps.is_empty() {
-        let mut queued = v.pending_reduces.iter().enumerate();
-        let due_home =
-            queued.find_map(|(pos, &r)| Some((pos, free_home(r).filter(|_| (v.due)(r))?)));
-        if let Some(pick) = due_home {
-            return reduce_pick(pick);
+    if !v.ready.is_empty() {
+        let due = v.pulling.iter().position(|&t| (v.due)(t));
+        if let Some(pick) = due.and_then(pull) {
+            return pick;
         }
         if !v.cache_hints.is_empty() {
             for node in free_nodes() {
                 let resident = |&t: &usize| cache_resident(v.cache_hints, v.cache, t, node);
-                if let Some(pos) = v.pending_maps.iter().position(resident) {
+                if let Some(pos) = v.ready.iter().position(resident) {
                     let local = v
-                        .pending_maps
+                        .ready
                         .get(pos)
                         .is_some_and(|&t| split_local(v.splits, t, node));
-                    return map_pick(pos, node, local, true);
+                    return run(TaskKind::Map, pos, node, local, true);
                 }
             }
         }
         for node in free_nodes() {
             let stored_here = |&t: &usize| split_local(v.splits, t, node);
-            if let Some(pos) = v.pending_maps.iter().position(stored_here) {
-                return map_pick(pos, node, true, false);
+            if let Some(pos) = v.ready.iter().position(stored_here) {
+                return run(TaskKind::Map, pos, node, true, false);
             }
         }
         if let Some(node) = v.nodes.most_free(None) {
-            return map_pick(0, node, false, false);
+            return run(TaskKind::Map, 0, node, false, false);
         }
     }
-    let placed = if v.maps_open {
-        let mut queued = v.pending_reduces.iter().enumerate();
-        queued.find_map(|(pos, &r)| Some((pos, free_home(r)?)))
-    } else {
-        let head = v.pending_reduces.front();
-        let node = head.and_then(|&r| free_home(r).or_else(|| v.nodes.most_free(None)));
-        node.map(|node| (0, node))
-    };
-    if let Some(pick) = placed {
-        return reduce_pick(pick);
+    if let Some(pick) = v.pulling.front().and_then(|_| pull(0)) {
+        return pick;
     }
-    // A reducer passing up slots while maps run is waiting by choice: the
-    // close will place it.
-    let reduces_waiting = if v.maps_open {
-        0
-    } else {
-        v.pending_reduces.len()
-    };
-    let waiting = v.pending_maps.len() + reduces_waiting;
+    // A pulling task passing up slots for want of room is waiting by choice:
+    // its run's attempts hold slots on every node it passes up.
+    let waiting = v.ready.len() + v.pulling.len();
     if waiting > 0 && v.running == 0 {
         Sched::Stuck(waiting)
     } else {
@@ -224,34 +194,34 @@ mod tests {
 
     struct World {
         nodes: NodeTable,
-        maps: VecDeque<usize>,
-        reduces: VecDeque<usize>,
-        maps_open: bool,
+        ready: VecDeque<usize>,
+        pulling: VecDeque<usize>,
+        pulling_kind: TaskKind,
         splits: Vec<InputSplit>,
         hints: Vec<Vec<ChunkKey>>,
         cache: ClusterCache,
         running: usize,
-        early: Option<Vec<usize>>,
-        /// Merge seconds each reducer owes, by task index (none: 0).
+        room: Option<Vec<usize>>,
+        /// Merge seconds each pulling task owes, by task index (none: 0).
         owed: Vec<f64>,
         rule: DueRule,
     }
 
     impl World {
-        /// 3 nodes x 2 slots; splits 0..4 with split 2 stored on node 1.
-        /// Two reducers, 10 s into the job: a reducer owing 5 s of merge
-        /// clears the stretch floor, `10 · 2 / (6 − 2)`.
+        /// 3 nodes x 2 slots; ready splits 0..4 with split 2 stored on node
+        /// 1, and reducers to pull. Two of them, 10 s into the job: a reducer
+        /// owing 5 s of merge clears the stretch floor, `10 · 2 / (6 − 2)`.
         fn new() -> World {
             World {
                 nodes: NodeTable::new(3, 2, |_| false),
-                maps: (0..4).collect(),
-                reduces: VecDeque::new(),
-                maps_open: true,
+                ready: (0..4).collect(),
+                pulling: VecDeque::new(),
+                pulling_kind: TaskKind::Reduce,
                 splits: vec![split(&[]), split(&[]), split(&[1]), split(&[])],
                 hints: Vec::new(),
                 cache: ClusterCache::new(1 << 20),
                 running: 0,
-                early: None,
+                room: None,
                 owed: Vec::new(),
                 rule: DueRule {
                     startup_s: 1.0,
@@ -266,14 +236,14 @@ mod tests {
             let due = |r: usize| self.owed.get(r).is_some_and(|&s| self.rule.due(s));
             pick_next(&View {
                 nodes: &self.nodes,
-                pending_maps: &self.maps,
-                pending_reduces: &self.reduces,
-                maps_open: self.maps_open,
+                ready: &self.ready,
+                pulling: &self.pulling,
+                pulling_kind: self.pulling_kind,
                 splits: &self.splits,
                 cache_hints: &self.hints,
                 cache: &self.cache,
                 running: self.running,
-                early: self.early.as_deref(),
+                room: self.room.as_deref(),
                 due: &due,
             })
         }
@@ -309,7 +279,7 @@ mod tests {
     fn stored_split_runs_on_its_node_then_least_loaded_takes_the_queue_head() {
         let mut w = World::new();
         assert_eq!(w.pick(), run(TaskKind::Map, 2, 1, true, false));
-        w.maps.remove(2);
+        w.ready.remove(2);
         // Nothing else is stored anywhere: queue head on the node with the
         // most free slots — the last one on a tie.
         assert_eq!(w.pick(), run(TaskKind::Map, 0, 2, false, false));
@@ -319,45 +289,54 @@ mod tests {
     }
 
     #[test]
-    fn reducers_wait_for_maps_and_prefer_their_home_node() {
-        let mut w = World::new();
-        w.reduces = [4, 5].into();
-        assert!(
-            matches!(w.pick(), Sched::Run(p) if p.kind == TaskKind::Map),
-            "maps first"
-        );
-        w.maps.clear();
-        // Reducer 4's home is 4 % 3 = node 1.
-        assert_eq!(w.pick(), run(TaskKind::Reduce, 0, 1, false, false));
-        w.nodes.take_slot(NodeId(1));
-        w.nodes.take_slot(NodeId(1));
-        // While maps still run a reducer launches on its home only: 4 waits
-        // for node 1, 5 (behind it in the queue) takes node 2.
-        assert_eq!(w.pick(), run(TaskKind::Reduce, 1, 2, false, false));
-        w.reduces = [4].into();
-        assert_eq!(w.pick(), Sched::Idle, "waiting by choice is not stuck");
-        // After the close the head of the queue goes wherever a slot is.
-        w.maps_open = false;
-        assert_eq!(w.pick(), run(TaskKind::Reduce, 0, 2, false, false));
+    fn a_pulling_task_of_either_kind_takes_the_least_loaded_node_with_room() {
+        // A job's reducers, and the tasks of a post-shuffle stage (maps).
+        for kind in [TaskKind::Reduce, TaskKind::Map] {
+            let mut w = World::new();
+            w.pulling = (0..4).collect();
+            w.pulling_kind = kind;
+            // Four tasks over three nodes: two per node at most — and node 2
+            // already runs its two.
+            w.room = Some(vec![2, 2, 0]);
+            if kind == TaskKind::Reduce {
+                let map_first = matches!(w.pick(), Sched::Run(p) if p.kind == TaskKind::Map);
+                assert!(map_first, "a job's ready maps go first");
+            }
+            w.ready.clear();
+            w.nodes.take_slot(NodeId(0));
+            assert_eq!(w.pick(), run(kind, 0, 1, false, false));
+            w.nodes.take_slot(NodeId(1));
+            w.nodes.take_slot(NodeId(1));
+            assert_eq!(w.pick(), run(kind, 0, 0, false, false));
+            w.nodes.take_slot(NodeId(0));
+            // Only node 2 has a slot left, and no room: the rest wait.
+            w.running = 5;
+            assert_eq!(w.pick(), Sched::Idle, "waiting by choice is not stuck");
+            // Once the input has closed the head goes to the least-loaded
+            // node.
+            w.room = None;
+            assert_eq!(w.pick(), run(kind, 0, 2, false, false));
+        }
     }
 
     #[test]
-    fn a_due_reducer_goes_ahead_of_a_stored_split_on_its_home_node() {
+    fn a_due_reducer_goes_ahead_of_a_stored_split() {
         let mut w = World::new();
-        // Reducer 4's home is node 1, where split 2 is stored.
-        w.reduces = [3, 4].into();
+        w.pulling = [3, 4].into();
         w.owed = vec![0.0, 0.0, 0.0, 0.0, 5.0];
-        assert_eq!(w.pick(), run(TaskKind::Reduce, 1, 1, false, false));
-        // Its home full, it waits: the maps take the other nodes.
-        w.nodes.take_slot(NodeId(1));
-        w.nodes.take_slot(NodeId(1));
-        assert_eq!(w.pick(), run(TaskKind::Map, 0, 2, false, false));
+        w.room = Some(vec![1, 1, 1]);
+        // Reducer 4, second in the queue, is due: the least-loaded node with
+        // room, not node 1, where split 2 is stored.
+        assert_eq!(w.pick(), run(TaskKind::Reduce, 1, 2, false, false));
+        // No room left anywhere, it waits: the maps take the nodes.
+        w.room = Some(vec![0, 0, 0]);
+        assert_eq!(w.pick(), run(TaskKind::Map, 2, 1, true, false));
     }
 
     #[test]
     fn a_reducer_below_either_floor_is_not_due() {
         let mut w = World::new();
-        w.reduces = [4].into();
+        w.pulling = [4].into();
         let stored = run(TaskKind::Map, 2, 1, true, false);
         // Below the stretch floor (5 s), above a start-up.
         w.owed = vec![0.0, 0.0, 0.0, 0.0, 4.9];
@@ -367,13 +346,13 @@ mod tests {
         w.owed[4] = 0.9;
         assert_eq!(w.pick(), stored);
         w.owed[4] = 1.0;
-        assert_eq!(w.pick(), run(TaskKind::Reduce, 0, 1, false, false));
+        assert_eq!(w.pick(), run(TaskKind::Reduce, 0, 2, false, false));
     }
 
     #[test]
     fn nothing_is_due_when_the_reducers_would_take_every_slot() {
         let mut w = World::new();
-        w.reduces = [4].into();
+        w.pulling = [4].into();
         w.owed = vec![0.0, 0.0, 0.0, 0.0, 1e9];
         w.rule.elapsed_s = 0.0;
         for reducers in [6, 7] {
@@ -382,26 +361,7 @@ mod tests {
             assert_eq!(w.pick(), run(TaskKind::Map, 2, 1, true, false));
         }
         w.rule.reducers = 5;
-        assert_eq!(w.pick(), run(TaskKind::Reduce, 0, 1, false, false));
-    }
-
-    #[test]
-    fn early_stage_tasks_spread_over_the_least_loaded_nodes_with_room() {
-        let mut w = World::new();
-        // Four tasks over three nodes: two per node at most — and node 2
-        // already runs its two.
-        w.early = Some(vec![2, 2, 0]);
-        w.nodes.take_slot(NodeId(0));
-        assert_eq!(w.pick(), run(TaskKind::Map, 0, 1, false, false));
-        w.nodes.take_slot(NodeId(1));
-        w.nodes.take_slot(NodeId(1));
-        assert_eq!(w.pick(), run(TaskKind::Map, 0, 0, false, false));
-        w.nodes.take_slot(NodeId(0));
-        // Only node 2 has a slot left, and no room: the rest wait.
-        assert_eq!(w.pick(), Sched::Idle, "waiting by choice is not stuck");
-        // Once the input has closed they are placed like any map.
-        w.early = None;
-        assert_eq!(w.pick(), run(TaskKind::Map, 0, 2, false, false));
+        assert_eq!(w.pick(), run(TaskKind::Reduce, 0, 2, false, false));
     }
 
     #[test]
@@ -418,7 +378,7 @@ mod tests {
         w.running = 0;
         assert_eq!(w.pick(), Sched::Stuck(4));
         // Nothing pending at all is merely idle.
-        w.maps.clear();
+        w.ready.clear();
         assert_eq!(w.pick(), Sched::Idle);
     }
 

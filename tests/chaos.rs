@@ -10,7 +10,8 @@
 //! `Ok` with the bytes a naive evaluation gives, or in a typed `Err` — and
 //! leaves no `_tmp/` file in the NameNode's namespace either way. Every task
 //! of an `Ok` run paid its start-up in full or not at all (warm slots), a
-//! clean run at most one per slot.
+//! clean run at most one per slot, and no node started more than its share
+//! of the reducers before the maps closed.
 //! `SCIDP_FAULT_SEED` reseeds the sampling; a failing plan prints as the
 //! `FaultPlan` builder expression that rebuilds it.
 
@@ -26,7 +27,7 @@ use scidp_suite::simnet::{ClusterSpec, CostModel, FaultPlan, NodeId};
 use scirng::Rng;
 
 mod common;
-use common::{leftover_temp_files, plan_expr, startup_law};
+use common::{leftover_temp_files, placement_law, plan_expr, startup_law};
 
 const INPUT: &str = "data/chaos.bin";
 const FILE_BYTES: u64 = 32 * 1024;
@@ -194,23 +195,31 @@ fn detector_events_only_under_faults() {
 // Faults on the shuffle: the holder fails *after* its maps committed
 // ---------------------------------------------------------------------------
 
-/// Nodes 0 and 1 — the reducers' homes — compute 1.5x slower: node 3's maps
-/// commit well before any reducer launches. The reducers launch in warm
-/// slots as the last maps commit, and pull at once.
+/// Every node but node 3 computes 1.5x slower: node 3's maps commit first.
+/// One reducer — a node's share of them — launches there in a warm slot; the
+/// other waits for a slot elsewhere, launches as the slow maps commit, and
+/// pulls at once.
 fn staggered() -> FaultPlan {
-    FaultPlan::none().slow_node(0, 1.5).slow_node(1, 1.5)
+    FaultPlan::none()
+        .slow_node(0, 1.5)
+        .slow_node(1, 1.5)
+        .slow_node(2, 1.5)
 }
 
-/// Under [`staggered`]: the committed output, node 3 — which holds map
-/// output — and the instant its maps committed, before any reducer ran.
+/// Under [`staggered`]: the committed output, the holder — the node the
+/// first reducer launched on, which holds map output — and the instant its
+/// maps committed, well before any reducer elsewhere launched.
 fn staggered_shuffle() -> (Output, NodeId, f64) {
     let (r, output) = try_run(staggered());
     let r = r.expect("a slow node fails nothing");
-    let holder = NodeId(3);
-    let on = |node: NodeId| r.tasks.iter().filter(move |t| t.node == node);
-    let held_until = on(holder).map(|t| t.end_s).fold(0.0, f64::max);
-    let first_reducer = reducers_of(&r).map(|t| t.start_s).fold(f64::MAX, f64::min);
-    assert!(held_until + 1.0 < first_reducer, "{:?}", r.tasks);
+    let first = reducers_of(&r).min_by(|a, b| a.start_s.total_cmp(&b.start_s));
+    let holder = first.expect("reducers").node;
+    let maps = r.tasks.iter().filter(|t| t.kind == TaskKind::Map);
+    let held = maps.filter(|t| t.node == holder).map(|t| t.end_s);
+    let held_until = held.fold(0.0, f64::max);
+    let elsewhere = reducers_of(&r).filter(|t| t.node != holder);
+    let next_reducer = elsewhere.map(|t| t.start_s).fold(f64::MAX, f64::min);
+    assert!(held_until + 1.0 < next_reducer, "{:?}", r.tasks);
     (output, holder, held_until)
 }
 
@@ -530,14 +539,16 @@ fn check_run(
     if !plan.read_hangs.is_empty() && !one_hung_map {
         return Err("a reducer waiting for maps was declared hung".into());
     }
-    // A slot the single map wave of a clean run leaves idle is on node 0,
-    // reducer 0's home: it must be taken at once.
+    // A slot the single map wave of a clean run leaves idle is on a node
+    // with room for a reducer: it must be taken at once.
     let clean = *plan == FaultPlan::none().with_seed(plan.seed);
     let spare_slot = shape.nodes * shape.slots > shape.maps;
     if clean && spare_slot && !launched_early(r) {
         return Err("no reducer launched before the last map committed".into());
     }
-    startup_law(&r.tasks, clean, shape.nodes * shape.slots)
+    startup_law(&r.tasks, clean, shape.nodes * shape.slots)?;
+    let reducers: Vec<_> = reducers_of(r).collect();
+    placement_law(&reducers, maps_closed_at(r), shape.nodes)
 }
 
 fn launched_early(r: &JobResult) -> bool {
@@ -604,10 +615,11 @@ fn every_shape_under_every_kind_of_fault_ends_ok_with_the_naive_bytes_or_typed()
 }
 
 /// 3 nodes x 1 slot, 1 map, 4 reducers: map 0 runs on node 2, reducers 0 and
-/// 1 start up on their homes, nodes 0 and 1. Node 2 dies before their
-/// start-ups end. A reducer starting up keeps its slot, so the retried map
-/// finds none; it gets one when the start-ups end and the scheduler runs
-/// again. (The sweep stalled here, generator seed 23, before that re-run.)
+/// 1 start up on the other two. Node 2 dies before their start-ups end. A
+/// reducer starting up keeps its slot, so the retried map finds none; it
+/// gets one when the start-ups end and the scheduler runs again: reducer 0's,
+/// the first idle. (The sweep stalled here, generator seed 23, before that
+/// re-run.)
 #[test]
 fn a_map_retried_while_the_reducers_start_up_gets_a_slot_when_their_start_up_ends() {
     let shape = Shape {
@@ -619,6 +631,16 @@ fn a_map_retried_while_the_reducers_start_up_gets_a_slot_when_their_start_up_end
     let plan = FaultPlan::none()
         .with_seed(23)
         .kill_node(2, 0.8694421570435041);
+    let (clean, ..) = run_shape(shape, FaultPlan::none());
+    let clean = clean.expect("clean run");
+    let mut started_up = reducers_of(&clean).filter(|t| t.start_s == 0.0);
+    let first = started_up.next().expect("reducers start up beside the map");
+    assert_eq!(
+        (first.index, started_up.count()),
+        (0, 1),
+        "{:?}",
+        clean.tasks
+    );
     let (r, out, leftovers) = run_shape(shape, plan);
     let r = r.expect("the retried map takes a reducer's slot");
     assert_eq!(out, naive_output(shape));
@@ -627,7 +649,7 @@ fn a_map_retried_while_the_reducers_start_up_gets_a_slot_when_their_start_up_end
     assert_eq!(r.counters.get(keys::REDUCES_PREEMPTED), 1.0);
     let map = &r.tasks[0];
     assert_eq!(map.kind, TaskKind::Map);
-    assert_eq!((map.node, map.start_s), (NodeId(0), 1.0), "{map:?}");
+    assert_eq!((map.node, map.start_s), (first.node, 1.0), "{map:?}");
 }
 
 /// The minimal deadlock shape of reduce slow-start: 2 nodes x 1 slot, 2 maps,

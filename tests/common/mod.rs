@@ -1,10 +1,11 @@
 //! Shared by the generated-chaos suites (`storage_totality`, `dag_lineage`,
 //! `chaos`, `dag_overlap`).
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use scidp_suite::mapreduce::{Cluster, TaskReport};
-use scidp_suite::simnet::{CostModel, FaultPlan};
+use scidp_suite::simnet::{CostModel, FaultPlan, NodeId};
 
 /// Generated `Dataset` chains and their naive evaluation (`dag_overlap`).
 #[allow(dead_code)]
@@ -46,6 +47,29 @@ pub fn startup_law<'a>(
         ));
     }
     Ok(())
+}
+
+/// The placement law of pulling tasks — a job's reducers, a post-shuffle
+/// stage's tasks — over the committed `pulling` tasks of one run whose input
+/// closed at `close_s` and never reopened: on each of the `nodes` nodes, those
+/// that started before the close number at most `⌈W / nodes⌉`, W the run's
+/// pulling tasks. Each of them was in flight at the close, and an early task
+/// takes only a node with room for one more (`chaos`, `dag_overlap`).
+#[allow(dead_code)]
+pub fn placement_law(pulling: &[&TaskReport], close_s: f64, nodes: usize) -> Result<(), String> {
+    let share = pulling.len().div_ceil(nodes.max(1));
+    let mut early: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
+    for t in pulling.iter().filter(|t| t.start_s < close_s) {
+        early.entry(t.node).or_default().push(t.index);
+    }
+    match early.iter().find(|(_, tasks)| tasks.len() > share) {
+        Some((node, tasks)) => Err(format!(
+            "node {} started tasks {tasks:?} before the close at {close_s} s, \
+             more than its share of {share}",
+            node.0
+        )),
+        None => Ok(()),
+    }
 }
 
 /// `plan` as the builder expression that rebuilds it (fields are rendered in

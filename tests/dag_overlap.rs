@@ -8,9 +8,11 @@
 //! gives, or in a typed `Err` — never a drained queue, no waiting task
 //! declared hung before its parent closes, no `_tmp/` file left in the
 //! NameNode's namespace either way, every task's start-up paid in full or not
-//! at all (warm slots), a clean run's at most once per slot. `SCIDP_FAULT_SEED` reseeds the
-//! sampling (CI's `driver` job runs seeds 1-3); a failing plan prints as the
-//! `FaultPlan` builder expression that rebuilds it.
+//! at all (warm slots), a clean run's at most once per slot, and no node
+//! starting more than its share of a stage's tasks before their input
+//! closed. `SCIDP_FAULT_SEED` reseeds the sampling (CI's `driver` job runs
+//! seeds 1-3); a failing plan prints as the `FaultPlan` builder expression
+//! that rebuilds it.
 
 use scidp_suite::mapreduce::{counter_keys as keys, DagResult, MrError, StageRun, TaskReport};
 use scidp_suite::simnet::{CostModel, FaultPlan, NodeId};
@@ -18,7 +20,7 @@ use scirng::Rng;
 
 mod common;
 use common::chain::{text, Chain, Output, INPUT};
-use common::{plan_expr, startup_law};
+use common::{placement_law, plan_expr, startup_law};
 
 /// When stage `stage` last closed: the end of the last run of it.
 fn closed_at(r: &DagResult, stage: usize) -> f64 {
@@ -319,7 +321,16 @@ fn check_run(
         return Err(format!("stream fallbacks: {:?}", r.counters));
     }
     let tasks = r.runs.iter().flat_map(|run| &run.tasks);
-    startup_law(tasks, clean, shape.nodes * shape.slots)
+    startup_law(tasks, clean, shape.nodes * shape.slots)?;
+    // Where nothing was lost, no stage's input reopened.
+    if r.counters.get(keys::SHUFFLE_PARTITIONS_LOST) > 0.0 {
+        return Ok(());
+    }
+    for run in r.runs.iter().filter(|run| run.stage > 0) {
+        let tasks: Vec<_> = run.tasks.iter().collect();
+        placement_law(&tasks, closed_at(r, run.stage - 1), shape.nodes)?;
+    }
+    Ok(())
 }
 
 #[test]

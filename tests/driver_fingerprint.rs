@@ -9,9 +9,8 @@
 //! *before* the driver was split into `job/*.rs`. The six runs with reducers
 //! (a, b, c, f, g, h) were re-recorded once, by the commit that opened the
 //! reduce phase at submit, and one event moved them all: **reducers launched
-//! before map-phase close** — each takes a slot on its home node as soon as
-//! no map wants it, starts up beside the map wave and pulls every map output
-//! as it commits. What follows from that, run by run, is at the constants
+//! before map-phase close** — each takes a slot as soon as no map wants it,
+//! starts up beside the map wave and pulls every map output as it commits. What follows from that, run by run, is at the constants
 //! below; every map report of a, b, c and h is bit-identical to the parent's.
 //! The two runs that retry under the chaos detector config (c, h) moved once
 //! more, by the commit that deleted the jittered retry delay: **a failed attempt is
@@ -24,6 +23,10 @@
 //! start-ups that are no longer paid. The four runs whose nodes spill two
 //! maps each (a, b, c, h) moved once more with **one spill at a time per
 //! disk**: a node's spills queue for its local disk instead of sharing it.
+//! Five (a, c, f, g, h) moved with **reducers placed by the room rule, not on
+//! `r % n_nodes`**: a reducer takes the least-loaded node with room for its
+//! share, as a stage task does; the same commit re-anchored (h)'s plan on the
+//! node the first reducer launches on.
 //! A mismatch prints the full canonical text so the two sides can be diffed.
 
 use std::collections::BTreeMap;
@@ -34,7 +37,7 @@ use std::sync::Arc;
 use scidp_suite::mapreduce::{
     counter_keys as keys, run_dag, run_job, Cluster, Counters, DagJob, DagResult, Dataset,
     FlatPfsFetcher, FtConfig, InputSplit, Job, JobResult, MapFn, MrError, Payload, ReduceFn,
-    StreamConfig, TaskInput,
+    StreamConfig, TaskInput, TaskKind,
 };
 use scidp_suite::pfs::PfsConfig;
 use scidp_suite::scidp::SciSlabFetcher;
@@ -624,8 +627,8 @@ fn g_connector_job_with_a_failed_spill_pull() {
 // ---------------------------------------------------------------------------
 
 /// Map holders fail *after* their maps commit: node 3 is partitioned away
-/// half a second after its maps commit, before the reducers launch, and heals
-/// 6 s later; node 0 sits behind 8x slow links to nodes 1 and 2. Every pull is one
+/// half a second after its maps commit, before the other reducer launches, and
+/// heals 6 s later; node 0 sits behind 8x slow links to nodes 1 and 2. Every pull is one
 /// `Sim::net_transfer`: the pulls from node 3 are dropped, the reduce
 /// attempts' hang deadlines fail them, the retries cross the healed link;
 /// the pulls from node 0 take 8x as long. Recorded by the commit that moved
@@ -650,17 +653,22 @@ fn h_flat_job_whose_map_holders_are_cut_off_and_slowed_after_they_commit() {
         job.ft = chaos_ft();
         (run_job(&mut c, job).unwrap(), c)
     };
-    // Nodes 0 and 1, the reducers' homes, compute 1.5x slower: node 3's maps
-    // commit well before any reducer launches.
+    // Every node but node 3 computes 1.5x slower: node 3's maps commit first,
+    // and the first reducer launches there, where it holds them. The other
+    // launches as the slow maps commit, well after.
     let staggered = || {
         let plan = FaultPlan::none().with_seed(3);
-        plan.slow_node(0, 1.5).slow_node(1, 1.5)
+        plan.slow_node(0, 1.5).slow_node(1, 1.5).slow_node(2, 1.5)
     };
     let (clean, _) = run(staggered());
-    let on_3 = clean.tasks.iter().filter(|t| t.node.0 == 3);
-    let cut = on_3.map(|t| t.end_s).fold(0.0, f64::max) + 0.5;
+    let reducers = clean.tasks.iter().filter(|t| t.kind == TaskKind::Reduce);
+    let first = reducers.min_by(|a, b| a.start_s.total_cmp(&b.start_s));
+    let holder = first.expect("reducers").node;
+    let maps = clean.tasks.iter().filter(|t| t.kind == TaskKind::Map);
+    let held = maps.filter(|t| t.node == holder).map(|t| t.end_s);
+    let cut = held.fold(0.0, f64::max) + 0.5;
     let plan = staggered()
-        .partition(&[3], cut, cut + 6.0)
+        .partition(&[holder.0], cut, cut + 6.0)
         .slow_link(0, 1, 8.0)
         .slow_link(0, 2, 8.0);
     let (r, c) = run(plan);
@@ -684,7 +692,7 @@ fn h_flat_job_whose_map_holders_are_cut_off_and_slowed_after_they_commit() {
 // reducer is order-sensitive change bytes once (a, b: the slab job's
 // concatenating reducer; the summing reducers of c, f, g, h keep theirs).
 //
-// (a, b) Both reducers launch when the first wave's maps free their home
+// (a, b) Both reducers launch when the first wave's maps free their
 // slots (1.48 / 1.54 s instead of 3.05 / 3.12 s), wait 0.576 s for the last
 // map and finish one start-up earlier: job end 4.2219 -> 3.2219 s and
 // 4.2904 -> 3.2904 s. (0x4ed3_7182_5b63_f4ee, 0x052f_ee2d_7a6d_63ed)
@@ -728,11 +736,24 @@ fn h_flat_job_whose_map_holders_are_cut_off_and_slowed_after_they_commit() {
 // sooner, reducer 1, in the other one, 0.02 µs (0.01 µs); the job end is bit
 // for bit the same (2.413395 s, 2.481884 s). <0xa99c_0c1b_1d61_c4e6,
 // 0x8cad_76f4_2d37_20cb>
-const FP_SLAB_STREAM: u64 = 0x9186_2881_516d_eb15;
+//
+// a, c, f, g and h moved once more, by **reducers placed by the room rule, not
+// on `r % n_nodes`** (parent values after "was"). A reducer takes the
+// least-loaded free node with room for its share, ⌈reducers / nodes⌉ in flight
+// per node, instead of waiting for its home. Every map report, counter and
+// byte of a, c, f and g is unchanged; what moved, run by run:
+// (a) Both reducers still launch at 1.475 s, in the slots the first wave frees
+// on nodes 1 and 0, but the other way round: reducer 0 takes node 1's, freed
+// first, and pulls across the network what it used to read locally (`shuffle`
+// 0 -> 46 ns). Job end 2.41339507 -> 2.41339512 s; the part files are written
+// from nodes 1 and 0 instead of 0 and 1. (b) does not move: there node 0's
+// slot frees first, and each reducer's first free node was its home.
+// (was 0x9186_2881_516d_eb15)
+const FP_SLAB_STREAM: u64 = 0x1911_55b8_c6a6_3404;
 const FP_SLAB_BATCH: u64 = 0x8399_2796_05fe_b360;
-// (c) Reducer 1 launches at 10.64 s on its home node 1 and waits 8.56 s;
-// reducer 0's home is node 0, which the 2.5x-slow maps hold until the close,
-// so it launches then, as before: job end unchanged (21.1965 s), reducer 1
+// (c) Reducer 1 launches at 10.64 s on node 1 and waits 8.56 s; reducer 0
+// waits for node 0 (then its home), which the 2.5x-slow maps hold until the
+// close, so it launches then, as before: job end unchanged (21.1965 s), reducer 1
 // done a start-up earlier. No reducer is declared hung while it waits.
 // (0x5086_02b2_6c38_9209)
 // Moved again by "a failed attempt is requeued in the instant it fails"
@@ -762,7 +783,15 @@ const FP_SLAB_BATCH: u64 = 0x8399_2796_05fe_b360;
 // waits 0.29 µs for the second (`shuffle_overlap_saved_s` 4.23 -> 4.83 µs,
 // `write_overlap_saved_s` 9.68 -> 9.22 µs): job end 20.0388488 ->
 // 20.0388487 s. <0x3583_eb6a_7bce_d7ee>
-const FP_CHAOS: u64 = 0x3533_2a49_498d_4d94;
+// Room rule: reducer 0, the head of the queue, takes the node-1 slot at
+// 10.64 s that reducer 1 took, and reducer 1 the next node with room, node 2,
+// at 12.10 s (`wait` 7.94 s); reducer 0 used to launch at the close, on node
+// 0. Both now merge behind their pulls (`shuffle_overlap_saved_s` 4.83 ->
+// 7.78 µs), so no reducer has 8.7 µs of merge left at the close for its
+// write to hide behind (`write_overlap_saved_s` 9.22 -> 0.82 µs). Job end
+// 20.0388487 -> 20.0388488 s; part files from nodes 1 and 2 instead of 0 and
+// 1. (was 0x3533_2a49_498d_4d94)
+const FP_CHAOS: u64 = 0x5e18_5445_66a0_3c84;
 // (d) Reduce-side overlap: a stage task's grouping is no longer a charge of
 // the task function but its merge, charged as its pulls land; stage 1 closes
 // 3.07661021 -> 3.07661016 s and the DAG ends 4.07711077 -> 4.07711024 s
@@ -821,7 +850,10 @@ const FP_CONNECTOR_MAP_ONLY: u64 = 0xc3db_0a1e_bb4f_f969;
 // nobody (`reduces_preempted` 1 -> absent, `reduce_attempts` 4 -> 3). Reducer
 // 2 launches, cold, in the slot of map 0's orphaned original on slow node 2:
 // job end 11.5451815 -> 10.5451815 s. {0xb343_2681_26cb_d069}
-const FP_CONNECTOR_REDUCE: u64 = 0x6e8e_5485_26b5_30a5;
+// Room rule: reducers 0 and 1 launch at the same instant in the same two
+// slots, on nodes 1 and 0 instead of 0 and 1. Every time is bit for bit the
+// same. (was 0x6e8e_5485_26b5_30a5)
+const FP_CONNECTOR_REDUCE: u64 = 0x7132_40b2_8e6f_260a;
 // (g) The pull of `m00002` now fails while maps still run: reducer 0
 // launches at 3.53 s, its first attempt dies one start-up later and the
 // retry launches in that instant (4.53 s) and waits with the others, so the
@@ -836,7 +868,10 @@ const FP_CONNECTOR_REDUCE: u64 = 0x6e8e_5485_26b5_30a5;
 // retry takes node 0's other slot, warm, in that instant; the reducers' early
 // pulls now share the OSTs with the second wave's reads (`read` 0.317 ->
 // 0.489 s): job end 7.3504895 -> 6.5223315 s. {0x096d_13c2_0732_a3c2}
-const FP_CONNECTOR_SPILL_PULL: u64 = 0x8083_c222_fa6e_e068;
+// Room rule: reducers 1 and 2 launch at the same instant in the same two
+// slots, on nodes 2 and 1 instead of 1 and 2. Every time is bit for bit the
+// same. (was 0x8083_c222_fa6e_e068)
+const FP_CONNECTOR_SPILL_PULL: u64 = 0xb27e_10c1_065b_8833;
 // (h) All eight slots run maps, which commit in one instant (4.6918 s) in
 // map order: both reducers launch in that instant and still pull one
 // start-up later, across the cut — same drops, same deadline (now counted
@@ -856,8 +891,8 @@ const FP_CONNECTOR_SPILL_PULL: u64 = 0x8083_c222_fa6e_e068;
 // 19.7677151 s. [0x175b_1a37_7ed2_e545]
 // Warm slots, and the cut re-placed: the reducers used to launch at the close
 // and pull one start-up later, across a cut half a start-up into the reduce
-// phase; now they pull at launch, before any such cut. So nodes 0 and 1, the
-// reducers' homes, compute 1.5x slower (their maps end 4.6918 -> 6.4918 s),
+// phase; now they pull at launch, before any such cut. So nodes 0 and 1, where
+// the reducers then launched, compute 1.5x slower (their maps end 4.6918 -> 6.4918 s),
 // and node 3 is cut off half a second after its own maps commit (5.19 s, for
 // 6 s). The reducers launch at 6.49 s, warm, and their pulls from node 3 are
 // dropped as before; the hang deadline is three times the slower maps'
@@ -869,4 +904,15 @@ const FP_CONNECTOR_SPILL_PULL: u64 = 0x8083_c222_fa6e_e068;
 // slower maps' q75) fires, and the retries launch, 1 µs sooner: job end
 // 25.9677151 -> 25.9677141 s. Same drops, hangs, retries and files.
 // <0x5662_cfef_600e_2dd4>
-const FP_SHUFFLE_FAULTS: u64 = 0x2648_5b8c_8fb5_1c1d;
+// Room rule, and the plan re-anchored: with nodes 0 and 1 slow the first
+// reducers took the slots node 3's maps freed and pulled their outputs before
+// the cut, and no pull was dropped. Now every node but node 3 is slow (maps 1
+// and 5 on node 2 end 4.69 -> 6.49 s), and the cut falls on the node the
+// first reducer launched on — node 3, as before — half a second after its
+// maps commit. The reducer there is cut off with it, and the other one's
+// pulls from node 3 are dropped. Same hangs (2) and
+// detector counters; one more retry (`task_retries` 2 -> 3, `reduce_attempts`
+// 4 -> 5), and both reducers commit on node 3 after the heal: job end
+// 25.9677141 -> 27.4759110 s, both part files written from node 3. (was
+// 0x2648_5b8c_8fb5_1c1d)
+const FP_SHUFFLE_FAULTS: u64 = 0xfeef_ea8a_c78b_20ba;

@@ -16,8 +16,8 @@
 //!  6. a slow shuffle — one map holder's links crawl, at a byte scale where
 //!     the pulls across them are seconds, not microseconds;
 //!  7. a map holder partitioned away *after* its maps commit and healed
-//!     later — the reducers' first pulls are dropped, their hang deadlines
-//!     catch them, the retries cross the healed link.
+//!     later — the reducers' first pulls across the cut are dropped, their
+//!     hang deadlines catch them, the retries cross the healed link.
 //!
 //! Every degraded scenario is run twice on the same seed and must produce
 //! byte-identical output and identical counter maps (the chaos suite's
@@ -88,6 +88,8 @@ struct RunStats {
     /// When the last map committed: two full waves keep every slot busy till
     /// then, so the reducers launch in that instant.
     maps_done: f64,
+    /// The node the first reducer launched on.
+    first_reducer: Option<NodeId>,
     counters: BTreeMap<String, f64>,
     summary: Option<String>,
     output: Vec<(String, Vec<u8>)>,
@@ -101,6 +103,11 @@ impl RunStats {
             maps_done: {
                 let maps = r.tasks.iter().filter(|t| t.kind == TaskKind::Map);
                 maps.map(|t| t.end_s).fold(0.0, f64::max)
+            },
+            first_reducer: {
+                let reducers = r.tasks.iter().filter(|t| t.kind == TaskKind::Reduce);
+                let first = reducers.min_by(|a, b| a.start_s.total_cmp(&b.start_s));
+                first.map(|t| t.node)
             },
             counters: r.counters.iter().map(|(k, v)| (k.to_string(), v)).collect(),
             summary: r.fault_summary(),
@@ -203,18 +210,22 @@ pub fn run(scale: &Scale) -> Report {
     // retried; the job is as much later as its slowest pull.
     let shuffle_clean = run_pfs_scaled(plan(), SHUFFLE_BYTE_SCALE);
     let slow_shuffle = run_pfs_scaled(slow_node_0(), SHUFFLE_BYTE_SCALE);
-    // 7. Node 0, reducer 0's home, computes 1.5x slower: the other nodes'
-    // maps commit first, as in the clean run, and reducer 1 launches on node
-    // 1 then, warm, and pulls what they hold. Half a second later node 1 is
-    // isolated — its map output is registered — and it heals 6 s later.
-    // Each reducer's pull across the cut is dropped at the close (reducer 1,
-    // *on* node 1, loses its pulls of node 0's output), its hang deadline
-    // fails the attempt, and the retry pulls across the healed link.
+    // 7. Every node but the one the clean run's first reducer launched on
+    // computes 1.5x slower: that node's maps commit first, as in the clean
+    // run, and one reducer — a node's share — launches there, warm, and pulls
+    // what it holds; the other waits for the slow nodes' close. Half a second
+    // after the clean run's close the holder is isolated — its map output is
+    // registered — and it heals 6 s later. Each reducer's pull across the cut
+    // is dropped at the close (the one *on* the holder loses its pulls of the
+    // slow nodes' output), its hang deadline fails the attempt, and the retry
+    // pulls across the healed link.
     let cut = clean.maps_done + 0.5;
-    let staggered = plan().slow_node(0, 1.5);
+    let fast = clean.first_reducer.map_or(0, |n| n.0);
+    let slow = |p: FaultPlan, n: u32| if n == fast { p } else { p.slow_node(n, 1.5) };
+    let staggered = (0..4).fold(plan(), slow);
     let holder = twice(
         "holder_partition",
-        staggered.partition(&[1], cut, cut + 6.0),
+        staggered.partition(&[fast], cut, cut + 6.0),
     );
 
     let scenarios = [

@@ -4,9 +4,10 @@
 //! `SncBuilder::finish_with_threads` (shuffle+LZ compression) and
 //! `SncFile::get_var` (decompression + slab assembly) — across worker
 //! counts, plus the decompressed-chunk cache's hit-path speedup on repeated
-//! reads — and, single-threaded, the chunk decoder against the byte-wise
-//! decoder it replaced (asserted floor: 1.8x; a ratio of two kernels timed
-//! in one process, so it holds on a slow box). 4- and 8-thread rows are
+//! reads — and, single-threaded, the chunk decoder and the LZ encoder
+//! against the byte-wise kernels they replaced (asserted floors: decode
+//! 1.8x, encode 1.5x; ratios of two kernels timed in alternation in one
+//! process, so they hold on a slow box). 4- and 8-thread rows are
 //! recorded only on a host with at least 4 cores: below that they measure
 //! oversubscription.
 
@@ -104,6 +105,81 @@ fn decompress_bytewise(frame: &[u8]) -> Vec<u8> {
     out
 }
 
+/// The header of an LZ frame (codec id 1) or, given `elem`, a shuffled LZ
+/// frame (id 2): `[codec id][raw_len: varint]`, then `elem`.
+fn frame_head(raw_len: usize, elem: Option<u8>) -> Vec<u8> {
+    let mut head = vec![if elem.is_some() { 2 } else { 1 }];
+    let mut v = raw_len as u64;
+    while v >= 0x80 {
+        head.push((v & 0x7f) as u8 | 0x80);
+        v >>= 7;
+    }
+    head.push(v as u8);
+    head.extend(elem);
+    head
+}
+
+/// The LZ encoder `scifmt::codec::compress` ran before the value-checked
+/// match finder — every hash candidate checked by reading the input at it,
+/// every match extended one byte per step — appending the payload of `src`
+/// to `out`. `table` is reused across calls and cleared for each, as the
+/// codec's scratch table was.
+fn lz_encode_bytewise(src: &[u8], table: &mut [usize], out: &mut Vec<u8>) {
+    const HASH_BITS: u32 = 15;
+    let hash4 = |b: &[u8]| {
+        let v = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        (v.wrapping_mul(2654435761) >> (32 - HASH_BITS)) as usize
+    };
+    let put_len = |out: &mut Vec<u8>, mut extra: usize| {
+        while extra >= 255 {
+            out.push(255);
+            extra -= 255;
+        }
+        out.push(extra as u8);
+    };
+    table.fill(usize::MAX);
+    out.reserve(src.len() / 2 + 16);
+    let (n, mut i, mut anchor) = (src.len(), 0, 0);
+    let put_token = |out: &mut Vec<u8>, lit: &[u8], mat: Option<(usize, usize)>| {
+        let lit_nib = lit.len().min(15) as u8;
+        let mat_nib = mat.map_or(0, |(_, mlen)| (mlen - 4).min(15) as u8);
+        out.push((lit_nib << 4) | mat_nib);
+        if lit_nib == 15 {
+            put_len(out, lit.len() - 15);
+        }
+        out.extend_from_slice(lit);
+        if let Some((dist, mlen)) = mat {
+            out.extend_from_slice(&(dist as u16).to_le_bytes());
+            if mat_nib == 15 {
+                put_len(out, mlen - 4 - 15);
+            }
+        }
+    };
+    while i + 4 <= n {
+        let h = hash4(&src[i..]);
+        let cand = table[h];
+        table[h] = i;
+        if cand == usize::MAX || i - cand > 65_535 || src[cand..cand + 4] != src[i..i + 4] {
+            i += 1;
+            continue;
+        }
+        let mut mlen = 4;
+        while i + mlen < n && src[cand + mlen] == src[i + mlen] {
+            mlen += 1;
+        }
+        put_token(out, &src[anchor..i], Some((i - cand, mlen)));
+        let step = if mlen > 64 { 8 } else { 2 };
+        let mut j = i + 1;
+        while j + 4 <= n && j < i + mlen {
+            table[hash4(&src[j..])] = j;
+            j += step;
+        }
+        i += mlen;
+        anchor = i;
+    }
+    put_token(out, &src[anchor..], None);
+}
+
 /// Best-of-`reps` wall time of `f`.
 fn best_of<F: FnMut() -> u64>(reps: usize, mut f: F) -> f64 {
     let mut best = f64::INFINITY;
@@ -115,6 +191,17 @@ fn best_of<F: FnMut() -> u64>(reps: usize, mut f: F) -> f64 {
     }
     std::hint::black_box(sink);
     best
+}
+
+/// Best-of-`reps` wall times of `a` and `b`, run in alternation so that a
+/// change in the host's load reaches both sides of their ratio.
+fn best_of_pair(reps: usize, mut a: impl FnMut() -> u64, mut b: impl FnMut() -> u64) -> (f64, f64) {
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps {
+        best_a = best_a.min(best_of(1, &mut a));
+        best_b = best_b.min(best_of(1, &mut b));
+    }
+    (best_a, best_b)
 }
 
 pub fn run(scale: &Scale) -> Report {
@@ -208,15 +295,16 @@ pub fn run(scale: &Scale) -> Report {
         "new and byte-wise decoders produce the same bytes",
     );
     let decode_all = |kernel: &dyn Fn(&[u8]) -> Vec<u8>| {
-        best_of(s.reps * 4, || {
-            frames
-                .iter()
-                .map(|f| kernel(std::hint::black_box(f)).len() as u64)
-                .sum()
-        })
+        frames
+            .iter()
+            .map(|f| kernel(std::hint::black_box(f)).len() as u64)
+            .sum()
     };
-    let bytewise_s = decode_all(&decompress_bytewise);
-    let kernel_s = decode_all(&|f| codec::decompress(f).unwrap());
+    let (bytewise_s, kernel_s) = best_of_pair(
+        s.reps * 4,
+        || decode_all(&decompress_bytewise),
+        || decode_all(&|f| codec::decompress(f).unwrap()),
+    );
     rep.row(
         "decode_kernel.bytewise_mib_s",
         mib / bytewise_s,
@@ -227,6 +315,50 @@ pub fn run(scale: &Scale) -> Report {
     rep.row("decode_kernel.ratio", bytewise_s / kernel_s, "x", Host);
     let floor = "chunk decoder >= 1.8x the byte-wise one, 1 thread";
     rep.expect("decode_kernel.ratio", Rel::Ge, 1.8, floor);
+
+    // The encode kernel alone, one thread, over the shuffled bytes of every
+    // chunk: the LZ encoder vs the byte-wise one it replaced. Both must
+    // write the payload the container stores, byte for byte.
+    let shuffled: Vec<Vec<u8>> = frames
+        .iter()
+        .map(|f| codec::shuffle(&codec::decompress(f).unwrap(), 4))
+        .collect();
+    let mut table = vec![usize::MAX; 1 << 15];
+    let mut lz_bytewise = |src: &[u8], elem: Option<u8>| {
+        let mut frame = frame_head(src.len(), elem);
+        lz_encode_bytewise(src, &mut table, &mut frame);
+        frame
+    };
+    let agree = shuffled.iter().zip(&frames).all(|(src, &stored)| {
+        codec::compress(Codec::Lz, src) == lz_bytewise(src, None)
+            && stored == lz_bytewise(src, Some(4))
+    });
+    rep.check(
+        "encode_kernel.frames_agree",
+        agree,
+        "new and byte-wise LZ encoders write the stored frames byte for byte",
+    );
+    let encode_all = |kernel: &mut dyn FnMut(&[u8]) -> Vec<u8>| {
+        shuffled
+            .iter()
+            .map(|src| kernel(std::hint::black_box(src)).len() as u64)
+            .sum()
+    };
+    let (bytewise_s, kernel_s) = best_of_pair(
+        s.reps * 4,
+        || encode_all(&mut |src| lz_bytewise(src, None)),
+        || encode_all(&mut |src| codec::compress(Codec::Lz, src)),
+    );
+    rep.row(
+        "encode_kernel.bytewise_mib_s",
+        mib / bytewise_s,
+        "MiB/s",
+        Host,
+    );
+    rep.row("encode_kernel.mib_s", mib / kernel_s, "MiB/s", Host);
+    rep.row("encode_kernel.ratio", bytewise_s / kernel_s, "x", Host);
+    let floor = "LZ encoder >= 1.5x the byte-wise one, 1 thread";
+    rep.expect("encode_kernel.ratio", Rel::Ge, 1.5, floor);
 
     // Cache-hit path: warm read vs cold read at 1 thread (pure cache win).
     std::env::set_var("SCIDP_THREADS", "1");

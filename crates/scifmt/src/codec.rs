@@ -12,7 +12,7 @@
 //! [`compress`]/[`decompress`] return a fresh output buffer and work in one
 //! thread-local `Scratch`, so every chunk a thread processes (the parallel
 //! chunk pipeline's workers, the SciDP reader's decode) reuses the shuffle
-//! buffer and the 256 KiB LZ hash table; underneath,
+//! buffer and the LZ hash table; underneath,
 //! `compress_into`/`decompress_into` are the same with a caller-owned
 //! `Scratch` and output buffer.
 
@@ -57,22 +57,87 @@ impl Codec {
 struct Scratch {
     /// Shuffle/unshuffle transpose buffer.
     shuf: Vec<u8>,
-    /// LZ match hash table (`1 << HASH_BITS` entries once used).
-    table: Vec<usize>,
+    /// LZ match hash table.
+    table: MatchTable,
 }
 
 impl Scratch {
     fn new() -> Scratch {
         Scratch::default()
     }
+}
 
-    fn table(&mut self) -> &mut [usize] {
-        if self.table.is_empty() {
-            self.table = vec![usize::MAX; 1 << HASH_BITS];
-        } else {
-            self.table.fill(usize::MAX);
+/// The LZ encoder's hash table. Per slot: the last position whose 4-byte
+/// word hashed there, and that word. The two are always written together,
+/// so a slot's `val` is the input's word at its `pos`, and a candidate is
+/// accepted or rejected without reading the input at it.
+///
+/// Positions are full `usize`s on one count that runs on across frames:
+/// each frame starts more than [`MAX_DISTANCE`] past the end of the one
+/// before, so every slot an earlier frame left is out of reach, exactly as
+/// an empty slot would be, and the table is never cleared between frames.
+#[derive(Default, Debug)]
+struct MatchTable {
+    pos: Vec<usize>,
+    val: Vec<u32>,
+    /// Position of the current frame's first byte on the count.
+    base: usize,
+    /// Where the next frame starts.
+    next: usize,
+}
+
+impl MatchTable {
+    /// Start a frame of `len` bytes. A table not yet used, or whose count
+    /// would overflow, starts over with every slot at 0, out of reach of a
+    /// frame that starts at `MAX_DISTANCE + 1`.
+    fn begin(&mut self, len: usize) {
+        const GAP: usize = MAX_DISTANCE + 1;
+        let after = |base: usize| base.checked_add(len)?.checked_add(GAP);
+        match after(self.next).filter(|_| !self.pos.is_empty()) {
+            Some(next) => (self.base, self.next) = (self.next, next),
+            None => {
+                self.pos.clear();
+                self.pos.resize(1 << HASH_BITS, 0);
+                self.val.resize(1 << HASH_BITS, 0);
+                self.base = GAP;
+                self.next = after(GAP).unwrap_or(usize::MAX);
+            }
         }
-        &mut self.table
+    }
+
+    /// Record position `at` of the frame, whose word is `v`, in `v`'s slot.
+    /// Return the distance back to the position the slot held, if that
+    /// position's word was `v` too and it is within reach.
+    #[inline]
+    fn swap(&mut self, v: u32, at: usize) -> Option<usize> {
+        let h = hash4(v);
+        let (pos, val) = (self.pos.get_mut(h)?, self.val.get_mut(h)?);
+        let here = self.base + at;
+        let dist = here - std::mem::replace(pos, here);
+        (std::mem::replace(val, v) == v && dist <= MAX_DISTANCE).then_some(dist)
+    }
+
+    /// Record every position of `src` from `from` on until one's slot holds
+    /// a candidate; return that position and the distance back to it.
+    #[inline]
+    fn next_match(&mut self, src: &[u8], from: usize) -> Option<(usize, usize)> {
+        let mut i = from;
+        while let Some(v) = word4(src, i) {
+            if let Some(dist) = self.swap(v, i) {
+                return Some((i, dist));
+            }
+            i += 1;
+        }
+        None
+    }
+
+    /// Record position `at` of the frame, whose word is `v`, in `v`'s slot.
+    #[inline]
+    fn put(&mut self, v: u32, at: usize) {
+        let h = hash4(v);
+        if let (Some(pos), Some(val)) = (self.pos.get_mut(h), self.val.get_mut(h)) {
+            (*pos, *val) = (self.base + at, v);
+        }
     }
 }
 
@@ -204,10 +269,39 @@ pub fn unshuffle(data: &[u8], elem: usize) -> Vec<u8> {
 // LZ core
 // ---------------------------------------------------------------------------
 
+/// Hash slot of a little-endian 4-byte word.
 #[inline]
-fn hash4(bytes: &[u8]) -> usize {
-    let v = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+fn hash4(v: u32) -> usize {
     ((v.wrapping_mul(2654435761)) >> (32 - HASH_BITS)) as usize
+}
+
+/// The 4-byte word at `src[at..]`, if the input holds one there.
+#[inline]
+fn word4(src: &[u8], at: usize) -> Option<u32> {
+    let w = src.get(at..)?.first_chunk::<MIN_MATCH>()?;
+    Some(u32::from_le_bytes(*w))
+}
+
+/// Length of the common prefix of `a` and `b`, compared 8 bytes at a time
+/// (the first differing byte of a word is its lowest set bit of the XOR),
+/// then byte by byte over the last < 8.
+#[inline]
+fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let (wa, _) = a.as_chunks::<8>();
+    let (wb, _) = b.as_chunks::<8>();
+    let mut len = 0;
+    for (x, y) in wa.iter().zip(wb) {
+        let diff = u64::from_le_bytes(*x) ^ u64::from_le_bytes(*y);
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    let (ta, tb) = (
+        a.get(len..).unwrap_or_default(),
+        b.get(len..).unwrap_or_default(),
+    );
+    len + ta.iter().zip(tb).take_while(|(x, y)| x == y).count()
 }
 
 fn put_len(out: &mut Vec<u8>, mut extra: usize) {
@@ -232,55 +326,50 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Raw LZ encode (no frame), appended to `out`. `table` is the caller's
-/// hash table, already reset to `usize::MAX`.
-fn lz_encode_into(src: &[u8], table: &mut [usize], out: &mut Vec<u8>) {
+/// Raw LZ encode (no frame), appended to `out`, with the caller's reused
+/// hash `table`. Greedy: at each position the one candidate in the word's
+/// slot is taken if its word is equal and it lies within [`MAX_DISTANCE`];
+/// the match is then extended as far as the input agrees.
+fn lz_encode_into(src: &[u8], table: &mut MatchTable, out: &mut Vec<u8>) {
+    table.begin(src.len());
     out.reserve(src.len() / 2 + 16);
-    let mut i = 0usize; // cursor
     let mut anchor = 0usize; // start of pending literals
-    let n = src.len();
 
-    while i + MIN_MATCH <= n {
-        let h = hash4(&src[i..]);
-        let cand = table[h];
-        table[h] = i;
-        let is_match = cand != usize::MAX
-            && i - cand <= MAX_DISTANCE
-            && src[cand..cand + MIN_MATCH] == src[i..i + MIN_MATCH];
-        if !is_match {
-            i += 1;
-            continue;
-        }
-        // Extend the match forward.
-        let mut mlen = MIN_MATCH;
-        while i + mlen < n && src[cand + mlen] == src[i + mlen] {
-            mlen += 1;
-        }
-        let lit = &src[anchor..i];
+    while let Some((i, dist)) = table.next_match(src, anchor) {
+        // Extend the match forward past the 4 bytes the word check proved.
+        let (from, to) = (src.get(i - dist + MIN_MATCH..), src.get(i + MIN_MATCH..));
+        let mlen = MIN_MATCH + common_prefix(from.unwrap_or_default(), to.unwrap_or_default());
+        let lit = src.get(anchor..i).unwrap_or_default();
         let lit_nib = lit.len().min(15) as u8;
         let mat_nib = (mlen - MIN_MATCH).min(15) as u8;
-        out.push((lit_nib << 4) | mat_nib);
-        if lit_nib == 15 {
-            put_len(out, lit.len() - 15);
+        let [d0, d1] = (dist as u16).to_le_bytes();
+        if lit.is_empty() {
+            // Most matches follow a match: token and distance in one copy.
+            out.extend_from_slice(&[mat_nib, d0, d1]);
+        } else {
+            out.push((lit_nib << 4) | mat_nib);
+            if lit_nib == 15 {
+                put_len(out, lit.len() - 15);
+            }
+            out.extend_from_slice(lit);
+            out.extend_from_slice(&[d0, d1]);
         }
-        out.extend_from_slice(lit);
-        out.extend_from_slice(&((i - cand) as u16).to_le_bytes());
         if mat_nib == 15 {
             put_len(out, mlen - MIN_MATCH - 15);
         }
         // Seed the table inside the match so later data can reference it.
         let step = if mlen > 64 { 8 } else { 2 };
         let mut j = i + 1;
-        while j + MIN_MATCH <= n && j < i + mlen {
-            table[hash4(&src[j..])] = j;
+        while j < i + mlen {
+            let Some(w) = word4(src, j) else { break };
+            table.put(w, j);
             j += step;
         }
-        i += mlen;
-        anchor = i;
+        anchor = i + mlen;
     }
     // Trailing literals (match nibble 0, no distance follows — decoder knows
     // because the input ends right after the literal run).
-    let lit = &src[anchor..];
+    let lit = src.get(anchor..).unwrap_or_default();
     let lit_nib = lit.len().min(15) as u8;
     out.push(lit_nib << 4);
     if lit_nib == 15 {
@@ -391,12 +480,12 @@ fn compress_into(codec: Codec, raw: &[u8], scratch: &mut Scratch, out: &mut Vec<
     put_varint(out, raw.len() as u64);
     match codec {
         Codec::None => out.extend_from_slice(raw),
-        Codec::Lz => lz_encode_into(raw, scratch.table(), out),
+        Codec::Lz => lz_encode_into(raw, &mut scratch.table, out),
         Codec::ShuffleLz { elem } => {
             out.push(elem);
             let mut shuf = std::mem::take(&mut scratch.shuf);
             shuffle_into(raw, elem as usize, &mut shuf);
-            lz_encode_into(&shuf, scratch.table(), out);
+            lz_encode_into(&shuf, &mut scratch.table, out);
             scratch.shuf = shuf;
         }
     }
@@ -407,8 +496,7 @@ fn decompress_into(frame: &[u8], scratch: &mut Scratch, out: &mut Vec<u8>) -> Re
     out.clear();
     let mut r = Reader::new(frame);
     let id = r.get_u8()?;
-    let raw_len = usize::try_from(r.get_varint()?)
-        .map_err(|_| FmtError::Corrupt("declared length exceeds the address space".into()))?;
+    let raw_len = declared_len(&mut r)?;
     match id {
         0 => {
             out.extend_from_slice(r.get_bytes(raw_len)?);
@@ -460,7 +548,13 @@ pub fn decompress(frame: &[u8]) -> Result<Vec<u8>> {
 pub fn frame_raw_len(frame: &[u8]) -> Result<usize> {
     let mut r = Reader::new(frame);
     let _ = r.get_u8()?;
-    Ok(r.get_varint()? as usize)
+    declared_len(&mut r)
+}
+
+/// The frame's `raw_len` varint, which must fit the address space.
+fn declared_len(r: &mut Reader<'_>) -> Result<usize> {
+    usize::try_from(r.get_varint()?)
+        .map_err(|_| FmtError::Corrupt("declared length exceeds the address space".into()))
 }
 
 #[cfg(test)]
@@ -501,6 +595,211 @@ mod tests {
             return Err(FmtError::Corrupt("decoded length mismatch".into()));
         }
         Ok(out)
+    }
+
+    /// The greedy match finder [`lz_encode_into`] replaced: it read
+    /// `src[cand..]` for every hash-slot candidate and extended matches one
+    /// byte at a time. Kept as the reference the new encoder must equal
+    /// token for token.
+    fn lz_encode_bytewise(src: &[u8]) -> Vec<u8> {
+        let hash4 = |b: &[u8]| {
+            let v = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+            ((v.wrapping_mul(2654435761)) >> (32 - HASH_BITS)) as usize
+        };
+        let mut table = vec![usize::MAX; 1 << HASH_BITS];
+        let mut out = Vec::new();
+        let mut i = 0usize;
+        let mut anchor = 0usize;
+        let n = src.len();
+        while i + MIN_MATCH <= n {
+            let h = hash4(&src[i..]);
+            let cand = table[h];
+            table[h] = i;
+            let is_match = cand != usize::MAX
+                && i - cand <= MAX_DISTANCE
+                && src[cand..cand + MIN_MATCH] == src[i..i + MIN_MATCH];
+            if !is_match {
+                i += 1;
+                continue;
+            }
+            let mut mlen = MIN_MATCH;
+            while i + mlen < n && src[cand + mlen] == src[i + mlen] {
+                mlen += 1;
+            }
+            let lit = &src[anchor..i];
+            put_sequence(&mut out, lit, Some((i - cand, mlen)));
+            let step = if mlen > 64 { 8 } else { 2 };
+            let mut j = i + 1;
+            while j + MIN_MATCH <= n && j < i + mlen {
+                table[hash4(&src[j..])] = j;
+                j += step;
+            }
+            i += mlen;
+            anchor = i;
+        }
+        put_sequence(&mut out, &src[anchor..], None);
+        out
+    }
+
+    /// The new encoder through a reused scratch table, as `compress` runs it.
+    fn lz_encode(src: &[u8], scratch: &mut Scratch) -> Vec<u8> {
+        let mut out = Vec::new();
+        lz_encode_into(src, &mut scratch.table, &mut out);
+        out
+    }
+
+    /// `n` distinct 4-byte words that all hash to slot `h`: the hash is a
+    /// multiplication by an odd constant, so it is inverted on any product
+    /// whose top `HASH_BITS` bits are `h`.
+    fn colliding_words(rng: &mut Rng, h: u32, n: usize) -> Vec<[u8; 4]> {
+        const K: u32 = 2654435761;
+        // Newton's iteration doubles the correct low bits of K⁻¹ each step.
+        let inv = (0..5).fold(K, |x, _| {
+            x.wrapping_mul(2u32.wrapping_sub(K.wrapping_mul(x)))
+        });
+        assert_eq!(K.wrapping_mul(inv), 1);
+        let mut words: Vec<[u8; 4]> = Vec::new();
+        while words.len() < n {
+            let low = rng.next_u32() >> HASH_BITS;
+            let w = ((h << (32 - HASH_BITS)) | low)
+                .wrapping_mul(inv)
+                .to_le_bytes();
+            if !words.contains(&w) {
+                words.push(w);
+            }
+        }
+        words
+    }
+
+    /// The generated inputs of the encoder's differential test, by name.
+    fn encoder_corpus() -> Vec<(String, Vec<u8>)> {
+        let mut rng = Rng::seed_from_u64(31);
+        let mut cases = Vec::new();
+        let random = |rng: &mut Rng, n: usize| {
+            let mut v = vec![0u8; n];
+            rng.fill_bytes(&mut v);
+            v
+        };
+        for n in [0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 100, 4096] {
+            cases.push((format!("random {n}"), random(&mut rng, n)));
+        }
+        // Runs of one byte, of a short period, and of both mixed.
+        for case in 0..32 {
+            let mut data = Vec::new();
+            while data.len() < 64 + case * 97 {
+                let period = 1 + rng.below(9);
+                let pat = random(&mut rng, period);
+                let len = 1 + rng.below(300);
+                data.extend(pat.iter().cycle().take(len));
+            }
+            cases.push((format!("runs {case}"), data));
+        }
+        // Smooth f32 fields, shuffled at every width the format allows.
+        for elem in [1usize, 2, 4, 8] {
+            for n in [63usize, 1000, 20_000] {
+                let raw: Vec<u8> = (0..n)
+                    .flat_map(|i| (280.0 + 5.0 * (i as f32 * 0.003).sin()).to_le_bytes())
+                    .collect();
+                let raw = &raw[..raw.len() / elem * elem];
+                cases.push((format!("smooth elem {elem} n {n}"), shuffle(raw, elem)));
+            }
+        }
+        // A match of `m` bytes that ends `e` bytes before the input does:
+        // its copy is followed by a byte that breaks it, then `e - 1` more.
+        for m in 4..=40 {
+            for e in 0..=8 {
+                let block = random(&mut rng, m + 1);
+                let mut data = block.clone();
+                data.extend_from_slice(&block[..m]);
+                if e > 0 {
+                    data.push(block[m] ^ 0x5a);
+                    data.extend(random(&mut rng, e - 1));
+                }
+                cases.push((format!("match {m} ending {e} before the end"), data));
+            }
+        }
+        // Repeats at distances on both sides of the window's edge.
+        for dist in [65_534usize, 65_535, 65_536, 65_537] {
+            let block = random(&mut rng, 24);
+            let mut data = block.clone();
+            data.extend(random(&mut rng, dist - block.len()));
+            data.extend_from_slice(&block);
+            data.extend(random(&mut rng, 5));
+            cases.push((format!("distance {dist}"), data));
+        }
+        // Matches of exactly `len` bytes around the word and nibble edges.
+        for len in [4, 5, 7, 8, 9, 11, 12, 13, 18, 19, 20, 64, 65, 273, 274, 275] {
+            let block = random(&mut rng, len + 1);
+            let mut data = random(&mut rng, 7);
+            data.extend_from_slice(&block);
+            data.extend(random(&mut rng, 3));
+            data.extend_from_slice(&block[..len]);
+            data.push(block[len] ^ 0xa5);
+            data.extend(random(&mut rng, 11));
+            cases.push((format!("match of {len}"), data));
+        }
+        // Many 4-grams sharing one hash slot but differing in value, in a
+        // random order with repeats, so most candidates are collisions and
+        // some are true matches at varying distances.
+        for (case, alphabet) in [2usize, 8, 64, 512].into_iter().enumerate() {
+            let h = rng.below(1 << HASH_BITS) as u32;
+            let words = colliding_words(&mut rng, h, alphabet);
+            let data: Vec<u8> = (0..4000).flat_map(|_| words[rng.below(alphabet)]).collect();
+            cases.push((format!("collisions {case}: {alphabet} words"), data));
+        }
+        cases
+    }
+
+    #[test]
+    fn lz_encoder_matches_bytewise_reference_on_generated_inputs() {
+        let mut scratch = Scratch::new();
+        let cases = encoder_corpus();
+        for (what, data) in &cases {
+            let want = lz_encode_bytewise(data);
+            assert_eq!(lz_encode(data, &mut scratch), want, "{what}");
+            let mut back = Vec::new();
+            lz_decode_into(&want, data.len(), &mut back).expect(what);
+            assert_eq!(&back, data, "{what}: roundtrip");
+        }
+        // The table is reused across frames: run the corpus again in
+        // reverse so every frame starts from another's leftovers.
+        for (what, data) in cases.iter().rev() {
+            assert_eq!(
+                lz_encode(data, &mut scratch),
+                lz_encode_bytewise(data),
+                "{what}: reused"
+            );
+        }
+    }
+
+    #[test]
+    fn the_position_count_starts_over_before_it_overflows() {
+        // A frame placed at the very top of the count, and the one whose
+        // count would overflow (the table starts over), write what a fresh
+        // table writes, whatever the frame before them left in it.
+        let mut scratch = Scratch::new();
+        for (what, data) in encoder_corpus().iter().step_by(7) {
+            let want = lz_encode_bytewise(data);
+            let top = usize::MAX - data.len() - MAX_DISTANCE - 1;
+            for next in [top, top + 1, usize::MAX] {
+                lz_encode(data, &mut scratch);
+                scratch.table.next = next;
+                assert_eq!(lz_encode(data, &mut scratch), want, "{what}: next {next}");
+                let restarted = next > top;
+                assert_eq!(scratch.table.base == MAX_DISTANCE + 1, restarted, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn colliding_inputs_do_collide() {
+        // The collision cases are only worth their name if their words
+        // really share a slot.
+        let mut rng = Rng::seed_from_u64(32);
+        let words = colliding_words(&mut rng, 12_345, 100);
+        for w in words {
+            assert_eq!(hash4(u32::from_le_bytes(w)), 12_345);
+        }
     }
 
     /// The canonical inverse transpose: `out[i*elem + b] == data[b*n + i]`.

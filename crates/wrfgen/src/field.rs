@@ -36,37 +36,75 @@ pub fn smooth_field(
     let mut out = Vec::with_capacity(levels * lat * lon);
     // Coarse noise evolves slowly between levels (vertical correlation).
     let mut coarse: Vec<f32> = (0..clat * clon).map(|_| rng.range_f32(-1.0, 1.0)).collect();
+    // Where every row and column falls on the coarse grid: the same for
+    // every level.
+    let (rows, cols) = (axis_weights(lat, clat), axis_weights(lon, clon));
+    // One row's two coarse rows, pre-weighted by `1 − fy` and `fy`.
+    let (mut w0, mut w1) = (Vec::with_capacity(clon), Vec::with_capacity(clon));
     for lev in 0..levels {
         // Vertical profile: fields decay or grow with altitude.
         let profile = 1.0 - 0.8 * (lev as f32 / levels as f32);
+        let scale = amp * profile;
         // Drift the coarse grid a little per level.
         for c in coarse.iter_mut() {
             *c = (*c * 0.9 + rng.range_f32(-0.1, 0.1)).clamp(-1.5, 1.5);
         }
-        for i in 0..lat {
-            // Map to coarse coordinates.
-            let y = i as f32 / lat as f32 * (clat - 1) as f32;
-            let y0 = y.floor() as usize;
-            let y1 = (y0 + 1).min(clat - 1);
-            let fy = y - y0 as f32;
-            for j in 0..lon {
-                let x = j as f32 / lon as f32 * (clon - 1) as f32;
-                let x0 = x.floor() as usize;
-                let x1 = (x0 + 1).min(clon - 1);
-                let fx = x - x0 as f32;
-                let v = coarse[y0 * clon + x0] * (1.0 - fy) * (1.0 - fx)
-                    + coarse[y0 * clon + x1] * (1.0 - fy) * fx
-                    + coarse[y1 * clon + x0] * fy * (1.0 - fx)
-                    + coarse[y1 * clon + x1] * fy * fx;
-                let val = base + amp * profile * v;
-                // Mild quantisation (observational precision, ~6 significant bits of amplitude): zeroes the
-                // low mantissa bits, like packing real model output.
-                let q = (val * 64.0).round() / 64.0;
-                out.push(q);
+        // Bilinear upsample, with the operands and the order of operations
+        // of `c00·(1−fy)·(1−fx) + c01·(1−fy)·fx + c10·fy·(1−fx) + c11·fy·fx`
+        // per element, so every value is bit-identical to computing it so.
+        for ((r0, r1), ys) in with_next(coarse.chunks_exact(clon)).zip(&rows) {
+            for &(fy, gy) in ys {
+                w0.clear();
+                w0.extend(r0.iter().map(|c| c * gy));
+                w1.clear();
+                w1.extend(r1.iter().map(|c| c * fy));
+                for (((a, b), (c, d)), xs) in
+                    with_next(w0.iter()).zip(with_next(w1.iter())).zip(&cols)
+                {
+                    for &(fx, gx) in xs {
+                        let v = a * gx + b * fx + c * gx + d * fx;
+                        let val = base + scale * v;
+                        // Mild quantisation (observational precision, ~6
+                        // significant bits of amplitude): zeroes the low
+                        // mantissa bits, like packing real model output.
+                        out.push((val * 64.0).round() / 64.0);
+                    }
+                }
             }
         }
     }
     out
+}
+
+/// The points `0..n` of one axis placed on its coarse axis of `cn` points,
+/// grouped by the coarse interval they fall in: entry `k` holds, in order,
+/// the weights `(f, 1 − f)` of every point at `k + f`. Point `j` sits at
+/// `j / n · (cn − 1)`, which rounds to at most `cn − 1`, so every point
+/// has an entry, and positions never decrease with `j`, so reading the
+/// entries in order visits the points in order.
+fn axis_weights(n: usize, cn: usize) -> Vec<Vec<(f32, f32)>> {
+    let mut runs = vec![Vec::new(); cn];
+    for j in 0..n {
+        let x = j as f32 / n as f32 * (cn - 1) as f32;
+        let k = x.floor() as usize;
+        let f = x - k as f32;
+        if let Some(run) = runs.get_mut(k) {
+            run.push((f, 1.0 - f));
+        }
+    }
+    runs
+}
+
+/// Each item with the one after it, the last with itself: the two coarse
+/// points an interval interpolates between (the last point's interval
+/// holds only the point itself).
+fn with_next<I>(items: I) -> impl Iterator<Item = (I::Item, I::Item)>
+where
+    I: Iterator + Clone,
+    I::Item: Clone,
+{
+    let last = items.clone().last();
+    items.clone().zip(items.skip(1).chain(last))
 }
 
 /// Per-variable physical ranges (index into [`crate::VAR_NAMES`]).
@@ -90,6 +128,77 @@ pub fn var_range(var_idx: usize) -> (f32, f32) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The upsample [`smooth_field`] replaced: coarse coordinates, floors
+    /// and weights recomputed for every element. Kept as the reference the
+    /// hoisted loop must equal bit for bit.
+    fn smooth_field_reference(
+        rng: &mut Rng,
+        levels: usize,
+        lat: usize,
+        lon: usize,
+        base: f32,
+        amp: f32,
+    ) -> Vec<f32> {
+        let clat = (lat / 8).max(2);
+        let clon = (lon / 8).max(2);
+        let mut out = Vec::with_capacity(levels * lat * lon);
+        let mut coarse: Vec<f32> = (0..clat * clon).map(|_| rng.range_f32(-1.0, 1.0)).collect();
+        for lev in 0..levels {
+            let profile = 1.0 - 0.8 * (lev as f32 / levels as f32);
+            for c in coarse.iter_mut() {
+                *c = (*c * 0.9 + rng.range_f32(-0.1, 0.1)).clamp(-1.5, 1.5);
+            }
+            for i in 0..lat {
+                let y = i as f32 / lat as f32 * (clat - 1) as f32;
+                let y0 = y.floor() as usize;
+                let y1 = (y0 + 1).min(clat - 1);
+                let fy = y - y0 as f32;
+                for j in 0..lon {
+                    let x = j as f32 / lon as f32 * (clon - 1) as f32;
+                    let x0 = x.floor() as usize;
+                    let x1 = (x0 + 1).min(clon - 1);
+                    let fx = x - x0 as f32;
+                    let v = coarse[y0 * clon + x0] * (1.0 - fy) * (1.0 - fx)
+                        + coarse[y0 * clon + x1] * (1.0 - fy) * fx
+                        + coarse[y1 * clon + x0] * fy * (1.0 - fx)
+                        + coarse[y1 * clon + x1] * fy * fx;
+                    let val = base + amp * profile * v;
+                    out.push((val * 64.0).round() / 64.0);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn matches_the_per_element_reference_bit_for_bit() {
+        // Grids off a multiple of 8, under 16 (two coarse points), one
+        // level, and the e2e and bench shapes; every variable's range,
+        // including the winds' negative values, whose halves round away
+        // from zero.
+        let shapes = [
+            (1, 1, 1),
+            (1, 5, 3),
+            (3, 15, 9),
+            (2, 8, 8),
+            (1, 16, 17),
+            (4, 33, 70),
+            (2, 64, 64),
+            (2, 128, 41),
+            (1, 250, 250),
+        ];
+        for (levels, lat, lon) in shapes {
+            for var in 0..crate::VAR_NAMES.len() {
+                let (base, amp) = var_range(var);
+                let got = smooth_field(&mut field_rng(3, lat, var), levels, lat, lon, base, amp);
+                let mut rng = field_rng(3, lat, var);
+                let want = smooth_field_reference(&mut rng, levels, lat, lon, base, amp);
+                let bits = |f: &[f32]| f.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "{levels}x{lat}x{lon} var {var}");
+            }
+        }
+    }
 
     #[test]
     fn deterministic_per_seed() {

@@ -1,7 +1,7 @@
 //! Materialise the dataset as SNC files on the PFS.
 
 use pfs::Pfs;
-use scifmt::{Array, Codec, SncBuilder, SncFile};
+use scifmt::{Array, Codec, SncBuilder, SncMeta};
 
 use crate::field::{field_rng, smooth_field, var_range};
 use crate::model::{DatasetInfo, WrfSpec};
@@ -57,8 +57,8 @@ pub fn generate_dataset(pfs: &mut Pfs, spec: &WrfSpec, dir: &str) -> DatasetInfo
     let mut stored = 0usize;
     for t in 0..spec.timestamps {
         let bytes = generate_file(spec, t);
-        let f = SncFile::open(bytes.clone()).expect("generated file parses");
-        for (_, v) in f.meta().all_vars() {
+        let meta = SncMeta::parse(&bytes).expect("generated file parses");
+        for (_, v) in meta.all_vars() {
             raw += v.raw_size();
             stored += v.stored_size();
         }
@@ -79,6 +79,7 @@ mod tests {
     use super::*;
     use pfs::PfsConfig;
     use scifmt::snc::is_snc;
+    use scifmt::SncFile;
 
     #[test]
     fn generated_file_is_valid_snc() {
@@ -108,10 +109,69 @@ mod tests {
     }
 
     #[test]
+    fn dataset_sizes_sum_the_opened_containers() {
+        let mut pfs = Pfs::new(PfsConfig::default());
+        let spec = WrfSpec::tiny(3);
+        let info = generate_dataset(&mut pfs, &spec, "d");
+        let (mut raw, mut stored) = (0, 0);
+        for t in 0..spec.timestamps {
+            let f = SncFile::open(generate_file(&spec, t)).unwrap();
+            for (_, v) in f.meta().all_vars() {
+                raw += v.raw_size();
+                stored += v.stored_size();
+            }
+        }
+        assert_eq!((info.raw_bytes, info.stored_bytes), (raw, stored));
+    }
+
+    #[test]
     fn deterministic_generation() {
         let spec = WrfSpec::tiny(1);
         assert_eq!(generate_file(&spec, 0), generate_file(&spec, 0));
         assert_ne!(generate_file(&spec, 0), generate_file(&spec, 1));
+    }
+
+    #[test]
+    fn generated_containers_are_pinned() {
+        // A container is a stored format: these are the bytes the commit
+        // before the value-checked match finder and the hoisted upsample
+        // wrote. Field synthesis and compression both feed them, so a
+        // change to either kernel that moves one byte fails here. All 23
+        // variables: the large-valued ones (pressure, geopotential) are
+        // where a one-ulp change in a field survives the quantisation.
+        let specs = [
+            (WrfSpec::tiny(1), 0),
+            (
+                WrfSpec {
+                    levels: 3,
+                    n_vars: 23,
+                    chunk_levels: 2,
+                    ..WrfSpec::scaled(13, 21, 2)
+                },
+                1,
+            ),
+            (
+                WrfSpec {
+                    levels: 5,
+                    n_vars: 23,
+                    ..WrfSpec::scaled(40, 64, 1)
+                },
+                0,
+            ),
+        ];
+        let got: Vec<(usize, u64)> = specs
+            .iter()
+            .map(|(spec, t)| {
+                let bytes = generate_file(spec, *t);
+                (bytes.len(), scirng::hash64(&bytes))
+            })
+            .collect();
+        let want = [
+            (1289, 0x44d5_4ec3_7f6d_f82b),
+            (31_722, 0x9494_5915_8abd_27b0),
+            (443_120, 0x21b0_5516_6a9c_fde6),
+        ];
+        assert_eq!(got, want);
     }
 
     #[test]

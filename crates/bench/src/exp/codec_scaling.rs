@@ -4,16 +4,17 @@
 //! `SncBuilder::finish_with_threads` (shuffle+LZ compression) and
 //! `SncFile::get_var` (decompression + slab assembly) — across worker
 //! counts, plus the decompressed-chunk cache's hit-path speedup on repeated
-//! reads — and, single-threaded, the chunk decoder and the LZ encoder
-//! against the byte-wise kernels they replaced (asserted floors: decode
-//! 1.8x, encode 1.5x; ratios of two kernels timed in alternation in one
-//! process, so they hold on a slow box). 4- and 8-thread rows are
-//! recorded only on a host with at least 4 cores: below that they measure
-//! oversubscription.
+//! reads — and, single-threaded, the chunk decoder, the LZ encoder, the
+//! `image2d` rasteriser and the PNG encoder against the kernels they
+//! replaced (asserted floors: decode 1.8x, encode 1.5x, plot 1.5x, PNG
+//! 2.0x; ratios of two kernels timed in alternation in one process, so
+//! they hold on a slow box). 4- and 8-thread rows are recorded only on a
+//! host with at least 4 cores: below that they measure oversubscription.
 
 use std::sync::Arc;
 use std::time::Instant;
 
+use rframe::{image2d, ColorMap, Raster};
 use scidp_bench::Clock::{Count, Host};
 use scidp_bench::{Rel, Report, Scale};
 use scifmt::snc::{chunk_extents_of, DEFAULT_CACHE_BYTES};
@@ -178,6 +179,158 @@ fn lz_encode_bytewise(src: &[u8], table: &mut [usize], out: &mut Vec<u8>) {
         anchor = i;
     }
     put_token(out, &src[anchor..], None);
+}
+
+/// The `image2d` per-pixel kernel as it was before the per-column and
+/// per-row work left the pixel loop, the colour map's control points
+/// became `const`s and `floor` / `round` became integer casts — on one
+/// thread, as the kernel runs here (rows are independent, so a thread
+/// count changes no pixel).
+fn image2d_per_pixel(data: &[f64], rows: usize, cols: usize, width: u32, height: u32) -> Vec<u8> {
+    let jet = |t: f64| {
+        let t = t.clamp(0.0, 1.0);
+        let pts: &[[f64; 3]] = &[
+            [0.0, 0.0, 0.5],
+            [0.0, 0.0, 1.0],
+            [0.0, 0.5, 1.0],
+            [0.0, 1.0, 1.0],
+            [0.5, 1.0, 0.5],
+            [1.0, 1.0, 0.0],
+            [1.0, 0.5, 0.0],
+            [1.0, 0.0, 0.0],
+            [0.5, 0.0, 0.0],
+        ];
+        let x = t * (pts.len() - 1) as f64;
+        let i = (x.floor() as usize).min(pts.len() - 2);
+        let f = x - i as f64;
+        let mut rgb = [0u8; 3];
+        for c in 0..3 {
+            let v = pts[i][c] * (1.0 - f) + pts[i + 1][c] * f;
+            rgb[c] = (v * 255.0).round().clamp(0.0, 255.0) as u8;
+        }
+        rgb
+    };
+    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+    for &v in data {
+        if v.is_finite() {
+            lo = lo.min(v);
+            hi = hi.max(v);
+        }
+    }
+    let span = if hi > lo { hi - lo } else { 1.0 };
+    let w = width as usize;
+    let mut pixels = vec![0u8; w * height as usize * 4];
+    for (py, row_out) in pixels.chunks_mut(w * 4).enumerate() {
+        let gy = (py as f64 + 0.5) / height as f64 * rows as f64 - 0.5;
+        let y0 = gy.floor().clamp(0.0, (rows - 1) as f64) as usize;
+        let y1 = (y0 + 1).min(rows - 1);
+        let fy = (gy - y0 as f64).clamp(0.0, 1.0);
+        for px in 0..w {
+            let gx = (px as f64 + 0.5) / width as f64 * cols as f64 - 0.5;
+            let x0 = gx.floor().clamp(0.0, (cols - 1) as f64) as usize;
+            let x1 = (x0 + 1).min(cols - 1);
+            let fx = (gx - x0 as f64).clamp(0.0, 1.0);
+            let v00 = data[y0 * cols + x0];
+            let v01 = data[y0 * cols + x1];
+            let v10 = data[y1 * cols + x0];
+            let v11 = data[y1 * cols + x1];
+            let v = v00 * (1.0 - fy) * (1.0 - fx)
+                + v01 * (1.0 - fy) * fx
+                + v10 * fy * (1.0 - fx)
+                + v11 * fy * fx;
+            let o = px * 4;
+            if v.is_finite() {
+                let [r, g, b] = jet((v - lo) / span);
+                row_out[o..o + 4].copy_from_slice(&[r, g, b, 255]);
+            } else {
+                row_out[o..o + 4].copy_from_slice(&[0, 0, 0, 0]);
+            }
+        }
+    }
+    pixels
+}
+
+/// The PNG encoder as it was before its CRC-32 moved to `scirng`'s
+/// slice-by-8 body: one table lookup per byte, the zlib stream built in a
+/// vector of its own, each chunk's tag and body copied out again to be
+/// CRC'd.
+fn encode_png_bytewise(width: u32, height: u32, rgba: &[u8]) -> Vec<u8> {
+    fn crc32(data: &[u8]) -> u32 {
+        use std::sync::OnceLock;
+        static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
+        let t = TABLE.get_or_init(|| {
+            let mut t = [0u32; 256];
+            for (n, e) in t.iter_mut().enumerate() {
+                *e = (0..8).fold(n as u32, |c, _| {
+                    if c & 1 != 0 {
+                        0xedb8_8320 ^ (c >> 1)
+                    } else {
+                        c >> 1
+                    }
+                });
+            }
+            t
+        });
+        let mut c = 0xffff_ffffu32;
+        for &b in data {
+            c = t[((c ^ b as u32) & 0xff) as usize] ^ (c >> 8);
+        }
+        c ^ 0xffff_ffff
+    }
+    fn adler32(data: &[u8]) -> u32 {
+        let (mut a, mut b) = (1u32, 0u32);
+        for chunk in data.chunks(5552) {
+            for &byte in chunk {
+                a += byte as u32;
+                b += a;
+            }
+            a %= 65_521;
+            b %= 65_521;
+        }
+        (b << 16) | a
+    }
+    fn zlib_store(raw: &[u8]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(raw.len() + raw.len() / 65_535 * 5 + 16);
+        out.extend_from_slice(&[0x78, 0x01]);
+        let mut chunks = raw.chunks(65_535).peekable();
+        if raw.is_empty() {
+            out.extend_from_slice(&[0x01, 0, 0, 0xff, 0xff]);
+        }
+        while let Some(c) = chunks.next() {
+            out.push(u8::from(chunks.peek().is_none()));
+            let len = c.len() as u16;
+            out.extend_from_slice(&len.to_le_bytes());
+            out.extend_from_slice(&(!len).to_le_bytes());
+            out.extend_from_slice(c);
+        }
+        out.extend_from_slice(&adler32(raw).to_be_bytes());
+        out
+    }
+    fn chunk(out: &mut Vec<u8>, tag: &[u8; 4], body: &[u8]) {
+        out.extend_from_slice(&(body.len() as u32).to_be_bytes());
+        out.extend_from_slice(tag);
+        out.extend_from_slice(body);
+        let mut crc_in = Vec::with_capacity(4 + body.len());
+        crc_in.extend_from_slice(tag);
+        crc_in.extend_from_slice(body);
+        out.extend_from_slice(&crc32(&crc_in).to_be_bytes());
+    }
+    let mut out = Vec::with_capacity(rgba.len() + rgba.len() / 64 + 128);
+    out.extend_from_slice(&[0x89, b'P', b'N', b'G', 0x0d, 0x0a, 0x1a, 0x0a]);
+    let mut ihdr = Vec::with_capacity(13);
+    ihdr.extend_from_slice(&width.to_be_bytes());
+    ihdr.extend_from_slice(&height.to_be_bytes());
+    ihdr.extend_from_slice(&[8, 6, 0, 0, 0]);
+    chunk(&mut out, b"IHDR", &ihdr);
+    let stride = width as usize * 4;
+    let mut raw = Vec::with_capacity((stride + 1) * height as usize);
+    for row in rgba.chunks(stride) {
+        raw.push(0);
+        raw.extend_from_slice(row);
+    }
+    chunk(&mut out, b"IDAT", &zlib_store(&raw));
+    chunk(&mut out, b"IEND", &[]);
+    out
 }
 
 /// Best-of-`reps` wall time of `f`.
@@ -360,8 +513,124 @@ pub fn run(scale: &Scale) -> Report {
     let floor = "LZ encoder >= 1.5x the byte-wise one, 1 thread";
     rep.expect("encode_kernel.ratio", Rel::Ge, 1.5, floor);
 
-    // Cache-hit path: warm read vs cold read at 1 thread (pure cache win).
+    // The plot path's kernels alone, one thread, on `nuwrf_img`-shaped
+    // input: smooth 128² levels rasterised to 123² Jet images, then each
+    // image encoded as a PNG — new kernel vs the one it replaced. Both
+    // must produce the same pixels and the same PNG bytes.
     std::env::set_var("SCIDP_THREADS", "1");
+    let (plot_levels, plot_grid, plot_raster) = (scale.pick(12, 50), 128, 123u32);
+    let grids: Vec<Vec<f64>> = (0..2)
+        .flat_map(|vi| {
+            let (base, amp) = var_range(vi);
+            let field = smooth_field(
+                &mut field_rng(7, 0, vi),
+                plot_levels,
+                plot_grid,
+                plot_grid,
+                base,
+                amp,
+            );
+            let level = plot_grid * plot_grid;
+            (0..plot_levels)
+                .map(|l| {
+                    field[l * level..(l + 1) * level]
+                        .iter()
+                        .map(|&v| f64::from(v))
+                        .collect()
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    let plot = |grid: &[f64]| {
+        image2d(
+            grid,
+            plot_grid,
+            plot_grid,
+            plot_raster,
+            plot_raster,
+            ColorMap::Jet,
+        )
+        .unwrap()
+    };
+    let rasters: Vec<Raster> = grids.iter().map(|g| plot(g)).collect();
+    let agree = grids.iter().zip(&rasters).all(|(g, r)| {
+        r.pixels == image2d_per_pixel(g, plot_grid, plot_grid, plot_raster, plot_raster)
+    });
+    rep.check(
+        "plot_kernel.pixels_agree",
+        agree,
+        "hoisted and per-pixel image2d produce the same pixels",
+    );
+    let (per_pixel_s, kernel_s) = best_of_pair(
+        s.reps * 4,
+        || {
+            grids
+                .iter()
+                .map(|g| {
+                    let g = std::hint::black_box(g);
+                    image2d_per_pixel(g, plot_grid, plot_grid, plot_raster, plot_raster).len()
+                        as u64
+                })
+                .sum()
+        },
+        || {
+            grids
+                .iter()
+                .map(|g| plot(std::hint::black_box(g)).pixels.len() as u64)
+                .sum()
+        },
+    );
+    let images = grids.len() as f64;
+    rep.row("plot_kernel.images", images, "", Count);
+    rep.row(
+        "plot_kernel.per_pixel_ms",
+        per_pixel_s / images * 1e3,
+        "ms",
+        Host,
+    );
+    rep.row("plot_kernel.ms", kernel_s / images * 1e3, "ms", Host);
+    rep.row("plot_kernel.ratio", per_pixel_s / kernel_s, "x", Host);
+    let floor = "image2d >= 1.5x the per-pixel kernel, 1 thread";
+    rep.expect("plot_kernel.ratio", Rel::Ge, 1.5, floor);
+
+    let agree = rasters
+        .iter()
+        .all(|r| r.to_png() == encode_png_bytewise(r.width, r.height, &r.pixels));
+    rep.check(
+        "png_kernel.bytes_agree",
+        agree,
+        "new and byte-wise PNG encoders write the same bytes",
+    );
+    let (bytewise_s, kernel_s) = best_of_pair(
+        s.reps * 4,
+        || {
+            rasters
+                .iter()
+                .map(|r| {
+                    let r = std::hint::black_box(r);
+                    encode_png_bytewise(r.width, r.height, &r.pixels).len() as u64
+                })
+                .sum()
+        },
+        || {
+            rasters
+                .iter()
+                .map(|r| std::hint::black_box(r).to_png().len() as u64)
+                .sum()
+        },
+    );
+    rep.row(
+        "png_kernel.bytewise_ms",
+        bytewise_s / images * 1e3,
+        "ms",
+        Host,
+    );
+    rep.row("png_kernel.ms", kernel_s / images * 1e3, "ms", Host);
+    rep.row("png_kernel.ratio", bytewise_s / kernel_s, "x", Host);
+    let floor = "PNG encoder >= 2.0x the byte-wise one, 1 thread";
+    rep.expect("png_kernel.ratio", Rel::Ge, 2.0, floor);
+
+    // Cache-hit path: warm read vs cold read at 1 thread (pure cache win).
     let f = SncFile::open(file_bytes.clone())
         .unwrap()
         .with_cache(Arc::new(ChunkCache::new(

@@ -7,6 +7,7 @@
 //! the input comes straight from the PFS (SciDP's whole point) or from
 //! HDFS (vanilla behaviour, kept identical to Hadoop's).
 
+use std::cell::OnceCell;
 use std::rc::Rc;
 
 use mapreduce::{
@@ -320,8 +321,21 @@ pub struct MapSlab {
     pub origin: Vec<usize>,
     /// The slab itself.
     pub array: Array,
-    /// Coordinate + value frame (columns: one per dim, plus `value`).
-    pub frame: DataFrame,
+    /// Coordinate + value frame, built on the first [`MapSlab::frame`].
+    frame: OnceCell<DataFrame>,
+}
+
+impl MapSlab {
+    /// Coordinate + value frame (columns: one per dim, plus `value`),
+    /// built by [`slab_to_frame`] on the first call — a map that only
+    /// plots never pays for it — and the same frame on every later call.
+    pub fn frame(&self) -> Result<&DataFrame, MrError> {
+        if let Some(frame) = self.frame.get() {
+            return Ok(frame);
+        }
+        let frame = slab_to_frame(&self.dims, &self.origin, &self.array)?;
+        Ok(self.frame.get_or_init(|| frame))
+    }
 }
 
 /// R-side execution context: plotting and SQL with proper cost charging.
@@ -427,41 +441,65 @@ pub struct RJob {
     pub stream: mapreduce::StreamConfig,
 }
 
-/// Build the slab's coordinate data frame (really, with real columns).
+/// Check that a slab's tag fits its array: one dim name and one origin
+/// entry per array dimension, and dim names that can all be frame columns
+/// beside `value` (no duplicates, none named `value`).
+fn check_slab_tag(dims: &[String], origin: &[usize], array: &Array) -> Result<(), MrError> {
+    let rank = array.rank();
+    if dims.len() != rank || origin.len() != rank {
+        return Err(MrError::msg(format!(
+            "slab tag has {} dims and {} origin entries for a rank-{rank} array",
+            dims.len(),
+            origin.len()
+        )));
+    }
+    for (k, name) in dims.iter().enumerate() {
+        if name == "value" || dims.iter().take(k).any(|d| d == name) {
+            return Err(MrError::msg(format!(
+                "slab frame column {name:?}: collides with another column"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Build the slab's coordinate data frame (really, with real columns):
+/// one `i64` column per dim holding each element's global coordinate, in
+/// row-major order, then the `value` column.
 ///
-/// Fails when the dim names collide (duplicate dims, or a dim literally
-/// named `value`) or when `origin` is shorter than the array rank.
+/// Fails when `dims` or `origin` does not have one entry per array
+/// dimension, or when the dim names collide (duplicate dims, or a dim
+/// literally named `value`).
 pub fn slab_to_frame(
     dims: &[String],
     origin: &[usize],
     array: &Array,
 ) -> Result<DataFrame, MrError> {
-    let shape = array.shape().to_vec();
+    check_slab_tag(dims, origin, array)?;
+    let shape = array.shape();
     let n = array.len();
-    let rank = shape.len();
-    let mut coord_cols: Vec<Vec<i64>> = vec![Vec::with_capacity(n); rank];
-    let mut coords = vec![0usize; rank];
-    let mut values = Vec::with_capacity(n);
-    for i in 0..n {
-        for ((col, &c), &o) in coord_cols.iter_mut().zip(&coords).zip(origin) {
-            col.push((o + c) as i64);
-        }
-        values.push(array.get_f64(i));
-        // Row-major odometer: bump the innermost dimension, carry left.
-        for (c, &s) in coords.iter_mut().zip(&shape).rev() {
-            *c += 1;
-            if *c < s {
-                break;
-            }
-            *c = 0;
-        }
-    }
     let mut df = DataFrame::new();
-    for (name, col) in dims.iter().zip(coord_cols) {
+    for (k, ((name, &o), &extent)) in dims.iter().zip(origin).zip(shape).enumerate() {
+        // Row-major: coordinate `o + c` repeats once per element of the
+        // inner dims, and that pattern once per element of the outer ones.
+        let mut col = Vec::with_capacity(n);
+        if n > 0 {
+            let inner: usize = shape.iter().skip(k + 1).product();
+            let outer: usize = shape.iter().take(k).product();
+            for c in 0..extent {
+                col.extend(std::iter::repeat_n((o + c) as i64, inner));
+            }
+            let pattern = col.len();
+            for _ in 1..outer {
+                col.extend_from_within(..pattern);
+            }
+        }
         df = df
             .with_column(name.clone(), Column::I64(col))
             .map_err(|e| MrError::msg(format!("slab frame column {name:?}: {e}")))?;
     }
+    let mut values = Vec::with_capacity(n);
+    array.for_each_f64(0..n, |v| values.push(v));
     df.with_column("value", Column::F64(values))
         .map_err(|e| MrError::msg(format!("slab frame value column: {e}")))
 }
@@ -474,10 +512,11 @@ pub fn derived_raster(logical_image: (u64, u64), scale: f64) -> (u32, u32) {
     (w, h)
 }
 
-/// Wrap an R map function into an engine map function: decode the slab tag,
-/// charge the binary→frame conversion, build the coordinate frame, run the
-/// user code under an [`RCtx`]. Reused by the SciHadoop baseline, whose
-/// tasks receive identical slabs (staged on HDFS instead of the PFS).
+/// Wrap an R map function into an engine map function: decode and check
+/// the slab tag, charge the binary→frame conversion, run the user code
+/// under an [`RCtx`] with the coordinate frame built on first use. Reused
+/// by the SciHadoop baseline, whose tasks receive identical slabs (staged
+/// on HDFS instead of the PFS).
 pub fn wrap_r_map(
     user_map: RMapFn,
     logical_image: (u64, u64),
@@ -494,16 +533,18 @@ pub fn wrap_r_map(
             decode_tag(ctx.input_tag()).ok_or_else(|| MrError::msg("missing slab tag"))?;
         // Convert binary slab into the R data frame ("Convert" in
         // Fig. 7 — cheap for SciDP because the data is already binary).
+        // R always pays it; the frame itself is built when first read.
         let raw = array.len() * array.dtype().size();
         ctx.charge("convert", ctx.cost().binary_convert(raw));
-        let frame = slab_to_frame(&dims, &origin, &array)?;
+        // A malformed tag fails the task here, before user code runs.
+        check_slab_tag(&dims, &origin, &array)?;
         let slab = MapSlab {
             file,
             var,
             dims,
             origin,
             array,
-            frame,
+            frame: OnceCell::new(),
         };
         let mut rctx = RCtx {
             inner: ctx,
@@ -595,6 +636,138 @@ mod tests {
         assert_eq!(df.column("lev").unwrap().value(0), rframe::Value::I64(10));
         assert_eq!(df.column("lon").unwrap().value(5), rframe::Value::I64(22));
         assert_eq!(df.f64_column("value").unwrap()[4], 5.0);
+    }
+
+    /// `slab_to_frame` as it was before the columns were filled as
+    /// patterns: a per-element odometer and a per-element `get_f64` — the
+    /// reference the differential test compares against.
+    fn slab_to_frame_reference(dims: &[String], origin: &[usize], array: &Array) -> DataFrame {
+        let shape = array.shape().to_vec();
+        let n = array.len();
+        let rank = shape.len();
+        let mut coord_cols: Vec<Vec<i64>> = vec![Vec::with_capacity(n); rank];
+        let mut coords = vec![0usize; rank];
+        let mut values = Vec::with_capacity(n);
+        for i in 0..n {
+            for ((col, &c), &o) in coord_cols.iter_mut().zip(&coords).zip(origin) {
+                col.push((o + c) as i64);
+            }
+            values.push(array.get_f64(i));
+            for (c, &s) in coords.iter_mut().zip(&shape).rev() {
+                *c += 1;
+                if *c < s {
+                    break;
+                }
+                *c = 0;
+            }
+        }
+        let mut df = DataFrame::new();
+        for (name, col) in dims.iter().zip(coord_cols) {
+            df = df.with_column(name.clone(), Column::I64(col)).unwrap();
+        }
+        df.with_column("value", Column::F64(values)).unwrap()
+    }
+
+    #[test]
+    fn slab_frame_matches_the_reference() {
+        use scifmt::ArrayData;
+        let mut rng = scirng::Rng::seed_from_u64(0x51ab);
+        let shapes: [&[usize]; 9] = [
+            &[1],
+            &[7],
+            &[3, 5],
+            &[1, 1, 1],
+            &[2, 3, 4],
+            &[4, 1, 6],
+            &[2, 3, 1, 5],
+            &[3, 0, 4],
+            &[0],
+        ];
+        for shape in shapes {
+            let n: usize = shape.iter().product();
+            let dims: Vec<String> = (0..shape.len()).map(|k| format!("d{k}")).collect();
+            let origin: Vec<usize> = shape.iter().map(|_| rng.below(1000)).collect();
+            let data = [
+                ArrayData::F32((0..n).map(|_| rng.range_f32(-9.0, 9.0)).collect()),
+                ArrayData::F64((0..n).map(|_| rng.range_f64(-9.0, 9.0)).collect()),
+                ArrayData::I32((0..n).map(|_| rng.next_u32() as i32).collect()),
+                ArrayData::I64((0..n).map(|_| rng.next_u64() as i64).collect()),
+                ArrayData::U8((0..n).map(|_| rng.next_u32() as u8).collect()),
+            ];
+            for data in data {
+                let array = Array::new(shape.to_vec(), data).unwrap();
+                let got = slab_to_frame(&dims, &origin, &array).unwrap();
+                let want = slab_to_frame_reference(&dims, &origin, &array);
+                assert_eq!(got, want, "shape {shape:?} dtype {:?}", array.dtype());
+            }
+        }
+    }
+
+    #[test]
+    fn slab_frame_rejects_mismatched_tags() {
+        let a = Array::from_f32(vec![2, 3], vec![0.0; 6]).unwrap();
+        let dims = ["lev".to_string(), "lon".to_string()];
+        assert!(slab_to_frame(&dims, &[0], &a).is_err(), "origin short");
+        assert!(
+            slab_to_frame(&dims[..1], &[0, 0], &a).is_err(),
+            "dims short"
+        );
+        let dup = ["lev".to_string(), "lev".to_string()];
+        assert!(slab_to_frame(&dup, &[0, 0], &a).is_err(), "duplicate dim");
+        let value = ["lev".to_string(), "value".to_string()];
+        assert!(
+            slab_to_frame(&value, &[0, 0], &a).is_err(),
+            "dim named value"
+        );
+    }
+
+    /// Run `wrap_r_map` on one slab with `tag`, with a user map that
+    /// records whether it ran.
+    fn run_wrapped(tag: &str, array: Array) -> (Result<(), MrError>, bool) {
+        let ran = Rc::new(std::cell::Cell::new(false));
+        let seen = ran.clone();
+        let user: RMapFn = Rc::new(move |_slab, _rctx| {
+            seen.set(true);
+            Ok(())
+        });
+        let map = wrap_r_map(user, (8, 8), (8, 8), 1.0);
+        let mut ctx = TaskCtx::standalone(simnet::CostModel::default());
+        ctx.set_tag(tag);
+        (map(TaskInput::Array(array), &mut ctx), ran.get())
+    }
+
+    #[test]
+    fn malformed_tag_fails_before_user_code() {
+        let a = || Array::from_f32(vec![2, 3], vec![0.0; 6]).unwrap();
+        let dims = ["lev".to_string(), "lon".to_string()];
+        // Origin shorter than the rank: a typed error, user code never runs.
+        let (res, ran) = run_wrapped(&encode_slab_tag("f.snc", "QR", &dims, &[4]), a());
+        assert!(res.is_err(), "short origin must fail the task");
+        assert!(!ran, "user map must not run on a malformed tag");
+        // A well-formed tag runs it.
+        let (res, ran) = run_wrapped(&encode_slab_tag("f.snc", "QR", &dims, &[4, 0]), a());
+        assert!(res.is_ok() && ran);
+    }
+
+    #[test]
+    fn frame_is_built_once() {
+        let dims = vec!["lev".to_string(), "lon".to_string()];
+        let array = Array::from_f32(vec![2, 3], vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
+        let slab = MapSlab {
+            file: "f.snc".into(),
+            var: "QR".into(),
+            origin: vec![10, 20],
+            frame: OnceCell::new(),
+            dims,
+            array,
+        };
+        let first: *const DataFrame = slab.frame().unwrap();
+        let second: *const DataFrame = slab.frame().unwrap();
+        assert_eq!(first, second, "the second call returns the same frame");
+        assert_eq!(
+            slab.frame().unwrap(),
+            &slab_to_frame(&slab.dims, &slab.origin, &slab.array).unwrap()
+        );
     }
 
     #[test]

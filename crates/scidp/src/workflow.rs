@@ -148,20 +148,20 @@ pub fn nuwrf_map_fn(cfg: &WorkflowConfig) -> crate::rapi::RMapFn {
                         &raster,
                     );
                 }
-                // In-map analysis over the already-loaded frame.
+                // In-map analysis over the slab's frame, built on first use.
                 match &analysis {
                     Analysis::None => {}
                     Analysis::Highlight { k } => {
                         let mut env = HashMap::new();
-                        env.insert("df", &slab.frame);
+                        env.insert("df", slab.frame()?);
                         let q = format!("SELECT * FROM df ORDER BY value DESC LIMIT {k}");
                         let top = rctx.sqldf(&q, &env)?;
                         rctx.emit_frame(format!("hl/{}", slab.var), top);
                     }
                     Analysis::TopPercent { pct } => {
                         // Per-task threshold, partial results merged in reduce.
-                        let values = slab
-                            .frame
+                        let frame = slab.frame()?;
+                        let values = frame
                             .f64_column("value")
                             .map_err(|e| MrError::msg(e.to_string()))?;
                         let mut sorted: Vec<f64> =
@@ -173,7 +173,7 @@ pub fn nuwrf_map_fn(cfg: &WorkflowConfig) -> crate::rapi::RMapFn {
                             .copied()
                             .unwrap_or(f64::NEG_INFINITY);
                         let mut env = HashMap::new();
-                        env.insert("df", &slab.frame);
+                        env.insert("df", frame);
                         let q = format!("SELECT * FROM df WHERE value >= {thr:e}");
                         let sel = rctx.sqldf(&q, &env)?;
                         rctx.emit_frame(format!("top/{}", slab.var), sel);
@@ -739,6 +739,36 @@ mod tests {
         assert!(!outs.is_empty());
         let bytes: u64 = outs.iter().map(|f| f.len).sum();
         assert!(bytes > 0);
+    }
+
+    /// Every byte an img-only run commits, pinned: `hash64` over each
+    /// output file's path and contents, recorded before the plot path's
+    /// kernels (rasteriser, colour map, PNG CRC) were rewritten. A
+    /// one-count colour change or a wrong chunk CRC moves it.
+    #[test]
+    fn committed_images_are_pinned() {
+        let (mut cluster, input) = stage(2);
+        let cfg = WorkflowConfig {
+            n_reducers: 2,
+            // 68 rows: the rasteriser's parallel path.
+            raster: (72, 68),
+            ..WorkflowConfig::img_only(["QR", "QC"])
+        };
+        let rep = run_scidp(&mut cluster, &input, &cfg).unwrap();
+        assert_eq!(rep.images, 16);
+        let h = cluster.hdfs.borrow();
+        let mut all = Vec::new();
+        for f in h.namenode.list_files_recursive(&cfg.output_dir).unwrap() {
+            all.extend_from_slice(f.path.as_bytes());
+            for b in h.namenode.blocks(&f.path).unwrap() {
+                all.extend_from_slice(&h.datanodes.get(b.locations()[0], b.id).unwrap());
+            }
+        }
+        assert_eq!(
+            scirng::hash64(&all),
+            0x4f39_2ff2_454c_735c,
+            "committed image bytes moved"
+        );
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! Not cryptographic, and not intended to be.
 //!
 //! As the workspace's leaf crate it also hosts what every storage layer
-//! shares: [`crc32c`] and the one LRU implementation ([`lru`]).
+//! shares: [`crc32c`], PNG's [`crc32`] and the one LRU implementation
+//! ([`lru`]).
 
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
@@ -42,40 +43,52 @@ fn lut(table: &[u32; 256], byte: u8) -> u32 {
     table[byte as usize]
 }
 
-/// Lazily built slice-by-8 lookup tables for [`crc32c`] (reflected
-/// Castagnoli polynomial 0x82F63B78 — the CRC HDFS uses for block
-/// checksums). `T[0]` is the classic byte-at-a-time table and `T[k][b]` is
-/// the CRC of byte `b` followed by `k` zero bytes, so eight input bytes
-/// fold into the state with eight independent lookups instead of eight
+/// Slice-by-8 lookup tables of the reflected CRC-32 with polynomial
+/// `poly`. `T[0]` is the classic byte-at-a-time table and `T[k][b]` is the
+/// CRC of byte `b` followed by `k` zero bytes, so eight input bytes fold
+/// into the state with eight independent lookups instead of eight
 /// dependent ones.
+fn slice8_tables(poly: u32) -> [[u32; 256]; 8] {
+    let mut t0 = [0u32; 256];
+    for (i, slot) in t0.iter_mut().enumerate() {
+        *slot = (0..8).fold(i as u32, |crc, _| {
+            (crc >> 1) ^ if crc & 1 != 0 { poly } else { 0 }
+        });
+    }
+    let mut tables = [t0; 8];
+    let mut prev = t0;
+    for table in tables.iter_mut().skip(1) {
+        for (slot, p) in table.iter_mut().zip(prev) {
+            *slot = (p >> 8) ^ lut(&t0, p as u8);
+        }
+        prev = *table;
+    }
+    tables
+}
+
+/// Tables of [`crc32c`]: the reflected Castagnoli polynomial 0x82F63B78,
+/// the CRC HDFS uses for block checksums. Built on first use.
 fn crc32c_tables() -> &'static [[u32; 256]; 8] {
     use std::sync::OnceLock;
     static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
-    TABLES.get_or_init(|| {
-        let mut t0 = [0u32; 256];
-        for (i, slot) in t0.iter_mut().enumerate() {
-            *slot = (0..8).fold(i as u32, |crc, _| {
-                (crc >> 1) ^ if crc & 1 != 0 { 0x82F6_3B78 } else { 0 }
-            });
-        }
-        let mut tables = [t0; 8];
-        let mut prev = t0;
-        for table in tables.iter_mut().skip(1) {
-            for (slot, p) in table.iter_mut().zip(prev) {
-                *slot = (p >> 8) ^ lut(&t0, p as u8);
-            }
-            prev = *table;
-        }
-        tables
-    })
+    TABLES.get_or_init(|| slice8_tables(0x82F6_3B78))
 }
 
-/// CRC-32C (Castagnoli) of `bytes` — the checksum guarding every data
-/// transfer in the workspace (PFS stripe reads, HDFS block replicas, SNC
-/// chunk frames). Software slice-by-8: eight bytes per step through
-/// [`crc32c_tables`], the tail byte by byte; deterministic across platforms.
-pub fn crc32c(bytes: &[u8]) -> u32 {
-    let [t0, t1, t2, t3, t4, t5, t6, t7] = crc32c_tables();
+/// Tables of [`crc32`]: the reflected IEEE 802.3 polynomial 0xEDB88320,
+/// the CRC PNG chunks carry. Built on first use.
+fn crc32_tables() -> &'static [[u32; 256]; 8] {
+    use std::sync::OnceLock;
+    static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
+    TABLES.get_or_init(|| slice8_tables(0xEDB8_8320))
+}
+
+/// The one slice-by-8 CRC body: eight bytes per step through `tables`,
+/// the tail byte by byte; initial value and final XOR all ones. Always
+/// inlined, so each caller is one loop with no call per buffer, and
+/// `crc32c` compiles to the same code it had before the body was shared.
+#[inline(always)]
+fn crc_slice8(tables: &[[u32; 256]; 8], bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = tables;
     let (words, tail) = bytes.as_chunks::<8>();
     let mut crc = !0u32;
     for word in words {
@@ -95,16 +108,17 @@ pub fn crc32c(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// The byte-at-a-time loop [`crc32c`] replaced, kept as the reference the
-/// differential test compares against.
-#[cfg(test)]
-fn crc32c_bytewise(bytes: &[u8]) -> u32 {
-    let [t0, ..] = crc32c_tables();
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ t0[((crc ^ b as u32) & 0xff) as usize];
-    }
-    !crc
+/// CRC-32C (Castagnoli) of `bytes` — the checksum guarding every data
+/// transfer in the workspace (PFS stripe reads, HDFS block replicas, SNC
+/// chunk frames). Software slice-by-8; deterministic across platforms.
+pub fn crc32c(bytes: &[u8]) -> u32 {
+    crc_slice8(crc32c_tables(), bytes)
+}
+
+/// CRC-32 (IEEE 802.3, bit-reflected) of `bytes` — the checksum of every
+/// PNG chunk. The same slice-by-8 body as [`crc32c`] over its own tables.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    crc_slice8(crc32_tables(), bytes)
 }
 
 /// xoshiro256++ generator.
@@ -289,23 +303,53 @@ mod tests {
         assert_eq!(crc32c(&[0xffu8; 32]), 0x62A8_AB43);
     }
 
+    /// The byte-at-a-time loop the slice-by-8 body replaced, over the first
+    /// table of `tables` — the reference the differential tests compare
+    /// against.
+    fn crc_bytewise(tables: &[[u32; 256]; 8], bytes: &[u8]) -> u32 {
+        let [t0, ..] = tables;
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ t0[((crc ^ b as u32) & 0xff) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn crc32_reference_vectors() {
+        // The canonical check value for CRC-32 (IEEE), PNG's checksum.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+        // The CRC of a PNG's IEND chunk (tag, empty body).
+        assert_eq!(crc32(b"IEND"), 0xAE42_6082);
+    }
+
     #[test]
     fn crc32c_matches_bytewise_reference() {
-        // Every length 0..=64 at every start offset 0..8 (all word/tail
-        // splits and alignments), then 64 long buffers of random length.
-        let mut rng = Rng::seed_from_u64(0x00c4_c32c);
+        crc_matches_bytewise(crc32c, crc32c_tables(), 0x00c4_c32c);
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_reference() {
+        crc_matches_bytewise(crc32, crc32_tables(), 0x00c4_0032);
+    }
+
+    /// Every length 0..=64 at every start offset 0..8 (all word/tail
+    /// splits and alignments), then 64 long buffers of random length.
+    fn crc_matches_bytewise(crc: fn(&[u8]) -> u32, tables: &[[u32; 256]; 8], seed: u64) {
+        let mut rng = Rng::seed_from_u64(seed);
         let mut buf = vec![0u8; 64 + 8];
         rng.fill_bytes(&mut buf);
         for start in 0..8 {
             for len in 0..=64 {
                 let s = &buf[start..start + len];
-                assert_eq!(crc32c(s), crc32c_bytewise(s), "start {start} len {len}");
+                assert_eq!(crc(s), crc_bytewise(tables, s), "start {start} len {len}");
             }
         }
         for case in 0..64 {
             let mut long = vec![0u8; 1 + rng.below(1 << 16)];
             rng.fill_bytes(&mut long);
-            assert_eq!(crc32c(&long), crc32c_bytewise(&long), "long case {case}");
+            assert_eq!(crc(&long), crc_bytewise(tables, &long), "long case {case}");
         }
     }
 

@@ -19,7 +19,7 @@ fn level_means(cluster: &mut mapreduce::Cluster, uri: &str) -> Vec<(i64, f64)> {
         input: ScidpInput::path(uri).vars(["T"]),
         map: Rc::new(|slab, rctx| {
             let mut env = HashMap::new();
-            env.insert("df", &slab.frame);
+            env.insert("df", slab.frame()?);
             let m = rctx.sqldf(
                 "SELECT lev, AVG(value) AS mean, COUNT(*) AS n FROM df GROUP BY lev",
                 &env,

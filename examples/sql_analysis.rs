@@ -63,7 +63,7 @@ fn main() {
         input: ScidpInput::path(ds.pfs_uri()).vars(["QR"]),
         map: Rc::new(|slab, rctx| {
             let mut env = HashMap::new();
-            env.insert("df", &slab.frame);
+            env.insert("df", slab.frame()?);
             let m = rctx.sqldf("SELECT MAX(value) AS m FROM df", &env)?;
             rctx.emit_frame(format!("max/{}", slab.var), m);
             Ok(())

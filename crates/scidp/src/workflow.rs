@@ -127,8 +127,8 @@ pub fn nuwrf_map_fn(cfg: &WorkflowConfig) -> crate::rapi::RMapFn {
         Rc::new(
             move |slab: &crate::MapSlab, rctx: &mut RCtx<'_>| -> Result<(), MrError> {
                 let shape = slab.array.shape().to_vec();
-                let (levels, rows, cols) = match shape.as_slice() {
-                    &[l, r, c] => (l, r, c),
+                let (rows, cols) = match shape.as_slice() {
+                    &[_, r, c] => (r, c),
                     _ => {
                         return Err(MrError::msg(format!(
                             "NU-WRF workflow expects 3-D slabs, got {shape:?}"
@@ -136,18 +136,10 @@ pub fn nuwrf_map_fn(cfg: &WorkflowConfig) -> crate::rapi::RMapFn {
                     }
                 };
                 // Plot every vertical level of the slab.
-                let level = rows * cols;
-                for l in 0..levels {
-                    let mut grid = Vec::with_capacity(level);
-                    slab.array
-                        .for_each_f64(l * level..(l + 1) * level, |v| grid.push(v));
-                    let raster = rctx.image2d(&grid, rows, cols, cmap)?;
-                    let global_lev = slab.origin.first().copied().unwrap_or(0) + l;
-                    rctx.emit_image(
-                        format!("img/{}/{}/{global_lev:04}", slab.file, slab.var),
-                        &raster,
-                    );
-                }
+                let lev0 = slab.origin.first().copied().unwrap_or(0);
+                rctx.plot_levels(&slab.array, rows, cols, cmap, |l| {
+                    format!("img/{}/{}/{:04}", slab.file, slab.var, lev0 + l)
+                })?;
                 // In-map analysis over the slab's frame, built on first use.
                 match &analysis {
                     Analysis::None => {}

@@ -4,12 +4,13 @@
 //! is the one shared parallelism primitive: an order-preserving,
 //! deterministic parallel map used by the chunk codec pipeline
 //! ([`crate::snc::SncBuilder::finish`], [`crate::snc::SncFile::get_vara`]),
-//! the dataset generator (`wrfgen`) and the rasteriser (`rframe`).
+//! the dataset generator (`wrfgen`) and the plot path (`scidp`, one image
+//! per level of a slab).
 //!
 //! Design rules:
 //!
 //! * **Order-preserving** — the result `Vec` is indexed exactly like the
-//!   input; workers pull indices from an atomic counter (work-stealing, so
+//!   input; workers pull items from one shared queue (work-stealing, so
 //!   skewed items balance) but every result lands in its own slot.
 //! * **Deterministic** — `f` must be a pure function of its index/item;
 //!   given that, output is identical for any worker count, including 1.
@@ -17,7 +18,6 @@
 //!   tiny items costs more than it saves; callers pass `min_parallel` and
 //!   small inputs run inline on the caller's thread.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Worker-count default: the `SCIDP_THREADS` environment variable if set,
@@ -54,32 +54,19 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let workers = threads.min(n);
-    if workers <= 1 || n < min_parallel {
+    if threads.min(n) <= 1 || n < min_parallel {
         return (0..n).map(f).collect();
     }
+    // One slot per index, each a chunk of its own: a worker writes only
+    // the slot it popped, so no slot needs a lock and none is left empty.
     let mut slots: Vec<Option<R>> = Vec::with_capacity(n);
     slots.resize_with(n, || None);
-    let slot_locks: Vec<Mutex<&mut Option<R>>> = slots.iter_mut().map(Mutex::new).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    return;
-                }
-                let r = f(i);
-                // Uncontended: index i is claimed by exactly one worker.
-                **slot_locks[i].lock().unwrap() = Some(r);
-            });
+    par_chunks_mut(&mut slots, 1, threads, min_parallel, |i, slot| {
+        for s in slot {
+            *s = Some(f(i));
         }
     });
-    drop(slot_locks);
-    slots
-        .into_iter()
-        .map(|s| s.expect("every index computed"))
-        .collect()
+    slots.into_iter().flatten().collect()
 }
 
 /// Parallel in-place map over disjoint mutable chunks of `data`: `f(i, c)`
@@ -126,7 +113,7 @@ pub fn par_chunks_mut<T, F>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn matches_sequential_any_thread_count() {
@@ -139,16 +126,47 @@ mod tests {
 
     #[test]
     fn empty_and_single() {
-        assert_eq!(par_map_indexed(0, 4, 0, |i| i), Vec::<usize>::new());
+        for (threads, min_parallel) in [(1, 0), (2, 0), (2, 2), (8, 100)] {
+            let got = par_map_indexed(0, threads, min_parallel, |_| -> usize {
+                panic!("no index to compute")
+            });
+            assert!(got.is_empty(), "threads={threads} min={min_parallel}");
+        }
         assert_eq!(par_map_indexed(1, 4, 0, |i| i + 7), vec![7]);
     }
 
     #[test]
     fn sequential_below_threshold_spawns_nothing() {
-        // With min_parallel above n, f runs on the calling thread.
+        // With min_parallel above n, f runs on the calling thread, in
+        // index order.
         let caller = std::thread::current().id();
-        let ids = par_map_indexed(8, 4, 100, |_| std::thread::current().id());
+        let order = Mutex::new(Vec::new());
+        let ids = par_map_indexed(8, 4, 100, |i| {
+            order.lock().unwrap().push(i);
+            std::thread::current().id()
+        });
         assert!(ids.iter().all(|&id| id == caller));
+        assert_eq!(order.into_inner().unwrap(), (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_panic_in_a_worker_reaches_the_caller() {
+        let caller = std::thread::current().id();
+        let on_worker = std::sync::atomic::AtomicBool::new(false);
+        let out = std::panic::catch_unwind(|| {
+            par_map_indexed(16, 2, 0, |i| {
+                if i == 5 {
+                    on_worker.store(std::thread::current().id() != caller, Ordering::Relaxed);
+                    panic!("index 5 fails");
+                }
+                i
+            })
+        });
+        assert!(out.is_err(), "the worker's panic must propagate");
+        assert!(
+            on_worker.into_inner(),
+            "the panicking index ran on a worker"
+        );
     }
 
     #[test]

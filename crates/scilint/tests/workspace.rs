@@ -36,6 +36,7 @@ fn hot_paths_carry_no_baselined_p_rule_debt() {
         std::fs::read_to_string(root.join("scilint.baseline")).expect("scilint.baseline present");
     let hot = [
         "crates/scifmt/src/snc.rs",
+        "crates/scifmt/src/par.rs",
         "crates/hdfs/",
         "crates/rframe/src/sql.rs",
         "crates/scidp/src/mapper.rs",

@@ -10,6 +10,7 @@ use std::rc::Rc;
 use mapreduce::{InputSplit, MapFn, MrEnv, MrError, SplitFetcher, TaskCtx, TaskInput};
 use rframe::read_table;
 use scidp::{RCtx, WorkflowConfig};
+use scifmt::{Array, ArrayData};
 use simnet::{NodeId, Sim};
 
 /// Wrap any fetcher to attach a fixed tag (here: the input file name, used
@@ -106,16 +107,17 @@ pub fn process_text(
             df.n_rows()
         )));
     }
+    let levels = df.n_rows() / per_level;
+    let grids = Array::new(vec![levels, lat_n, lon_n], ArrayData::F64(values))
+        .map_err(|e| MrError::msg(e.to_string()))?;
     let tag = ctx.input_tag().to_string();
     let file = if tag.is_empty() { "input" } else { &tag };
     let file = file.to_string();
     let mut rctx = RCtx::new(ctx, cfg.logical_image, raster, scale);
-    for (li, grid) in values.chunks(per_level).enumerate() {
-        let lev = levs.f64_at(li * per_level) as usize;
-        let raster_img = rctx.image2d(grid, lat_n, lon_n, cfg.colormap)?;
-        rctx.emit_image(format!("img/{file}/QR/{lev:04}"), &raster_img);
-    }
-    Ok(())
+    rctx.plot_levels(&grids, lat_n, lon_n, cfg.colormap, |l| {
+        let lev = levs.f64_at(l * per_level) as usize;
+        format!("img/{file}/QR/{lev:04}")
+    })
 }
 
 /// Engine map function running [`process_text`].

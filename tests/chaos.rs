@@ -10,8 +10,9 @@
 //! `Ok` with the bytes a naive evaluation gives, or in a typed `Err` — and
 //! leaves no `_tmp/` file in the NameNode's namespace either way. Every task
 //! of an `Ok` run paid its start-up in full or not at all (warm slots), a
-//! clean run at most one per slot, and no node started more than its share
-//! of the reducers before the maps closed.
+//! clean run at most one per slot, no node started more than its share of
+//! the reducers before the maps closed, and every attempt launched is
+//! accounted for (`common::attempt_law`).
 //! `SCIDP_FAULT_SEED` reseeds the sampling; a failing plan prints as the
 //! `FaultPlan` builder expression that rebuilds it.
 
@@ -27,7 +28,7 @@ use scidp_suite::simnet::{ClusterSpec, CostModel, FaultPlan, NodeId};
 use scirng::Rng;
 
 mod common;
-use common::{leftover_temp_files, placement_law, plan_expr, startup_law};
+use common::{attempt_law, leftover_temp_files, placement_law, plan_expr, startup_law};
 
 const INPUT: &str = "data/chaos.bin";
 const FILE_BYTES: u64 = 32 * 1024;
@@ -547,6 +548,7 @@ fn check_run(
         return Err("no reducer launched before the last map committed".into());
     }
     startup_law(&r.tasks, clean, shape.nodes * shape.slots)?;
+    attempt_law(&r.counters)?;
     let reducers: Vec<_> = reducers_of(r).collect();
     placement_law(&reducers, maps_closed_at(r), shape.nodes)
 }

@@ -1,13 +1,14 @@
 //! Shared by the generated-chaos suites (`storage_totality`, `dag_lineage`,
-//! `chaos`, `dag_overlap`).
+//! `chaos`, `dag_overlap`, `plans`).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use scidp_suite::mapreduce::{Cluster, TaskReport};
+use scidp_suite::mapreduce::{counter_keys as keys, Cluster, Counters, TaskReport};
 use scidp_suite::simnet::{CostModel, FaultPlan, NodeId};
 
-/// Generated `Dataset` chains and their naive evaluation (`dag_overlap`).
+/// Generated plans and chains and their naive evaluation (`dag_overlap`,
+/// `plans`).
 #[allow(dead_code)]
 pub mod chain;
 
@@ -19,6 +20,29 @@ pub fn leftover_temp_files(c: &Cluster) -> Vec<String> {
     let dump = c.hdfs.borrow().namenode.namespace_dump();
     let temp = dump.lines().filter(|line| line.contains("_tmp/"));
     temp.map(str::to_string).collect()
+}
+
+/// The attempt law of a run none of whose stage runs failed: every attempt
+/// launched committed its task, was retried, was a speculative twin or gave
+/// its slot away while it waited (`chaos`, `dag_overlap`, `plans`).
+#[allow(dead_code)]
+pub fn attempt_law(c: &Counters) -> Result<(), String> {
+    let attempts = c.get(keys::MAP_ATTEMPTS) + c.get(keys::REDUCE_ATTEMPTS);
+    let accounted = [
+        keys::MAP_TASKS,
+        keys::REDUCE_TASKS,
+        keys::TASK_RETRIES,
+        keys::SPECULATIVE_LAUNCHED,
+        keys::REDUCES_PREEMPTED,
+    ];
+    let accounted: f64 = accounted.iter().map(|&k| c.get(k)).sum();
+    if attempts == accounted {
+        Ok(())
+    } else {
+        Err(format!(
+            "{attempts} attempts, {accounted} accounted for: {c:?}"
+        ))
+    }
 }
 
 /// The start-up law of warm slots over the committed `tasks` of one run: each

@@ -815,8 +815,13 @@ const FP_CHAOS: u64 = 0x5e18_5445_66a0_3c84;
 // `map_attempts` 22 -> 20); the DAG ends 6.0945921 -> 1.0945905 s, same lost
 // and recomputed partitions, same files.
 // {0x3bdd_09f4_ab4b_c9e6, 0xe1e7_2083_30c0_eb64}
-const FP_DAG_CLEAN: u64 = 0x420e_767b_10b3_fe45;
-const FP_DAG_KILL: u64 = 0xda05_994d_427b_4407;
+// Pulling tasks are never speculated and count no locality: the two twins of
+// the final stage's writers are gone (`speculative_launched` 2 -> absent,
+// `map_attempts` 18 -> 16) and `any_locality_maps` counts the source tasks
+// only (clean 16 -> 8, kill 19 -> 10); every task report, stage run and file
+// is unchanged. {0x420e_767b_10b3_fe45, 0xda05_994d_427b_4407}
+const FP_DAG_CLEAN: u64 = 0x51a3_5184_52fe_813c;
+const FP_DAG_KILL: u64 = 0x4d16_8c00_da5b_c210;
 // (e) Reduce-side overlap: every map's part file (63 ms in the first wave,
 // 17 ms in the second) is written to the PFS while the map computes, so it
 // commits as its 1.8 s compute ends: both waves end 63 ms / 17 ms sooner, job

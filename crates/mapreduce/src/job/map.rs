@@ -1,9 +1,9 @@
-//! Map attempts: fetch the split (one batch fetch, or streamed piece-wise
-//! with reads overlapped against compute), run the map function, then
-//! spill the partitioned output — or, for a map-only job, commit it as a
-//! part file written while the compute runs. The task of a DAG's
-//! post-shuffle stage has no split to fetch: it pulls its pairs
-//! (`reduce.rs`) and joins this path at the map function.
+//! The attempt body: fetch the split (one batch fetch, or streamed
+//! piece-wise with reads overlapped against compute), run the task function,
+//! then spill the partitioned output — or, for a final stage (a map-only
+//! job's maps, a classic job's reducers), commit it as a part file written
+//! while the compute runs. A pulling task has no split to fetch: it pulls
+//! its pairs (`pull.rs`) and joins this path at the task function.
 
 use std::rc::Rc;
 
@@ -86,10 +86,10 @@ pub(super) fn run_map_attempt(sim: &mut Sim, att: Attempt) {
     });
 }
 
-/// The task of a post-shuffle stage has pulled its `pairs`: run the stage's
-/// task function over them behind what is left of their merge (`sort_s`) and
-/// hand the output on like any map's. `phases` and `acnt` are what the pull
-/// left: `startup`, `wait`, `shuffle`, `sort`; the shuffled bytes.
+/// A pulling task has pulled its `pairs`: run the run's task function over
+/// them behind what is left of their merge (`sort_s`) and hand the output on
+/// like any task's. `phases` and `acnt` are what the pull left: `startup`,
+/// `wait`, `shuffle`, `sort`; the shuffled bytes.
 pub(super) fn run_stage_task(
     sim: &mut Sim,
     att: Attempt,
@@ -110,8 +110,8 @@ pub(super) fn run_stage_task(
     let compute = sort_s + ctx.total_charge_s() * factor;
     // The pulls landed, so the attempt is alive, and the driver knows how
     // long what is left of its merge and its compute take: the deadline
-    // starts over behind them (as a reducer's does behind its merge and
-    // reduce).
+    // starts over behind them, for a completion the node cannot report and
+    // for what of a part-file write outlasts them.
     detector::arm_deadline(sim, &m.att, compute);
     m.end_after(sim, compute, phases, &[], ctx, factor);
 }
@@ -125,7 +125,7 @@ impl MapAttempt {
     fn run_map_fn(&mut self, sim: &mut Sim, fr: FetchResult) -> Option<(TaskCtx, f64)> {
         let (map_fn, factor) = {
             let dd = self.att.d.borrow();
-            let factor = dd.compute_factor(sim, TaskKind::Map, self.att.node);
+            let factor = dd.compute_factor(sim, self.att.node);
             (dd.job.map_fn.clone(), factor)
         };
         let mut ctx = TaskCtx::new(sim.cost.clone());
@@ -171,24 +171,20 @@ impl MapAttempt {
         phases.extend(charges.map(|&(p, s)| (p, s * factor)));
         let MapAttempt { att, mut acnt, .. } = self;
         let out_bytes = kv_bytes(&ctx.emitted);
-        acnt.add(keys::MAP_OUTPUT_BYTES, out_bytes as f64);
-        acnt.add(keys::RECORDS_EMITTED, ctx.records as f64);
-        let (n_parts, stage_partition) = {
+        let (kind, n_parts, part_name) = {
             let dd = att.d.borrow();
-            // A shuffle-sink stage partitions for the *downstream* stage's
-            // width; a classic job partitions for its own reducers.
-            match &dd.sink {
-                Some(sink) => (sink.n_partitions, Some(sink.partition_of(att.task))),
-                None => (dd.job.reduce_fn.as_ref().map(|_| dd.job.n_reducers), None),
-            }
+            // Partitioned for the *downstream* stage's width — or a part
+            // file, named by the stage partition the task computes.
+            let sink = &dd.sink;
+            let partition = sink.partition_of(att.task);
+            let part_name = format!("{}{partition:05}", sink.part_prefix);
+            (dd.kind, sink.n_partitions, part_name)
         };
+        if kind == TaskKind::Map {
+            acnt.add(keys::MAP_OUTPUT_BYTES, out_bytes as f64);
+        }
+        acnt.add(keys::RECORDS_EMITTED, ctx.records as f64);
         let Some(n_parts) = n_parts else {
-            // Neither: the output is a part file, named by the task — for a
-            // DAG's final stage by the stage partition the task computes.
-            let part_name = match stage_partition {
-                Some(p) => format!("part-{p:05}"),
-                None => format!("part-m-{:05}", att.task),
-            };
             return commit_part_file(sim, att, &ctx.emitted, part_name, phases, delay, acnt);
         };
         sim.after(delay, move |sim| {

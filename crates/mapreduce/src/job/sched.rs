@@ -1,5 +1,5 @@
 //! Task placement as a pure function: [`pick_next`] reads a borrowed
-//! [`View`] of the driver and names the next `(task, node)` to launch; the
+//! [`View`] of one run and names the next `(task, node)` to launch; the
 //! caller dequeues the task and takes the slot.
 
 use std::collections::VecDeque;
@@ -7,19 +7,16 @@ use std::collections::VecDeque;
 use simnet::{ChunkKey, ClusterCache, NodeId};
 
 use super::nodes::NodeTable;
-use super::TaskKind;
 use crate::input::InputSplit;
 
 /// What the scheduler may look at.
 pub(super) struct View<'a> {
     pub nodes: &'a NodeTable,
-    /// Pending tasks that have all their input: a classic job's maps, a
-    /// source stage's tasks.
-    pub ready: &'a VecDeque<usize>,
-    /// Pending tasks that pull a shuffle — a classic job's reducers, a
-    /// post-shuffle stage's tasks — and their kind.
-    pub pulling: &'a VecDeque<usize>,
-    pub pulling_kind: TaskKind,
+    /// The run's pending tasks.
+    pub pending: &'a VecDeque<usize>,
+    /// They pull a shuffle — a classic job's reducers, a post-shuffle
+    /// stage's tasks — rather than fetch a split each.
+    pub pulls: bool,
     pub splits: &'a [InputSplit],
     /// Per-split cluster-cache chunk keys; empty when no split has a hint
     /// (always so when the cluster cache tier is disabled), and the cache
@@ -32,17 +29,15 @@ pub(super) struct View<'a> {
     /// *early* — it starts up and pulls, then waits: how many more of them
     /// each node may host meanwhile.
     pub room: Option<&'a [usize]>,
-    /// Whether pulling task `t` is due ([`DueRule`]).
-    pub due: &'a dyn Fn(usize) -> bool,
 }
 
-/// When a reducer's merge is worth a slot a map wants (DESIGN.md §3.2
-/// "Reduce slow-start"). Holding `reducers` of `slots` slots stretches the
-/// map wave of a job `elapsed_s` in by about `elapsed_s · R / (S − R)`; a
-/// launch now buys back at most the merge the reducer owes so far. So a
-/// reducer is *due* when that merge clears the stretch — and a start-up,
-/// below which no launch pays. Nothing is due when the reducers would take
-/// every slot.
+/// When a pulling task's merge is worth a slot a ready task of its producer
+/// run wants (DESIGN.md §3.2 "Reduce slow-start"). Holding `reducers` of
+/// `slots` slots stretches the map wave of a job `elapsed_s` in by about
+/// `elapsed_s · R / (S − R)`; a launch now buys back at most the merge the
+/// task owes so far. So it is *due* when that merge clears the stretch — and
+/// a start-up, below which no launch pays. Nothing is due when the pulling
+/// tasks would take every slot.
 #[derive(Clone, Copy, Debug)]
 pub(super) struct DueRule {
     pub startup_s: f64,
@@ -54,7 +49,7 @@ pub(super) struct DueRule {
 }
 
 impl DueRule {
-    /// Whether a reducer that owes `owed_s` seconds of merge is due.
+    /// Whether a task that owes `owed_s` seconds of merge is due.
     pub fn due(&self, owed_s: f64) -> bool {
         let for_maps = self.slots.saturating_sub(self.reducers);
         if for_maps == 0 {
@@ -65,17 +60,27 @@ impl DueRule {
     }
 }
 
-/// One placement: launch the task at position `pos` of the `kind` queue on
+/// One placement: launch the task at position `pos` of the run's queue on
 /// `node`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(super) struct Pick {
-    pub kind: TaskKind,
     pub pos: usize,
     pub node: NodeId,
     /// `node` holds the split (static locality hit).
     pub local: bool,
     /// `node` holds the split's chunks in the cluster cache tier.
     pub cache_local: bool,
+}
+
+impl Pick {
+    pub fn at(pos: usize, node: NodeId, local: bool, cache_local: bool) -> Pick {
+        Pick {
+            pos,
+            node,
+            local,
+            cache_local,
+        }
+    }
 }
 
 #[derive(Debug, PartialEq, Eq)]
@@ -105,72 +110,61 @@ fn split_local(splits: &[InputSplit], task: usize, node: NodeId) -> bool {
         .is_some_and(|s| s.locations.contains(&node))
 }
 
-/// A pulling task, of either kind, goes to the least-loaded node; while it
-/// is early (see [`View::room`]), to the least-loaded one that still has room
-/// for one of its run, or it waits. It is in no hurry, and slots free up one
-/// node at a time while its sources run: tasks taking whichever came first
-/// would pile their merges and writes onto one disk.
-///
-/// A *due* pulling task ([`DueRule`]) goes first. Then the preference tiers
-/// for ready tasks, first match wins: a pending split whose chunks are
+/// Place the pulling task at position `pos` of the queue: on the
+/// least-loaded node; while it is early (see [`View::room`]), on the
+/// least-loaded one that still has room for one of its run, or nowhere. It
+/// is in no hurry, and slots free up one node at a time while its sources
+/// run: tasks taking whichever came first would pile their merges and writes
+/// onto one disk. A *due* one ([`DueRule`]) is placed here too, ahead of
+/// its producer's ready tasks.
+pub(super) fn place_pulling(v: &View, pos: usize) -> Option<Pick> {
+    let has_room = |n: &NodeId| {
+        v.room
+            .is_none_or(|room| room.get(n.0 as usize).is_some_and(|&r| r > 0))
+    };
+    let free_nodes = v.nodes.ids().filter(|&n| v.nodes.free(n) > 0);
+    let node = free_nodes.filter(has_room).max_by_key(|&n| v.nodes.free(n));
+    node.map(|node| Pick::at(pos, node, false, false))
+}
+
+/// The next task of the run to launch. A pulling run's head goes where
+/// [`place_pulling`] puts it. For a run whose tasks fetch splits, the
+/// preference tiers, first match wins: a pending split whose chunks are
 /// resident in the cluster cache on a free node (it skips its PFS reads
 /// entirely); a pending split stored on a free node; the head of the queue on
-/// the least-loaded node. Any other pulling task runs only when no ready task
-/// can be placed.
+/// the least-loaded node.
 pub(super) fn pick_next(v: &View) -> Sched {
     let free_nodes = || v.nodes.ids().filter(|&n| v.nodes.free(n) > 0);
-    let run = |kind, pos, node, local, cache_local| {
-        Sched::Run(Pick {
-            kind,
-            pos,
-            node,
-            local,
-            cache_local,
-        })
-    };
-    let pull = |pos| {
-        let has_room = |n: &NodeId| {
-            v.room
-                .is_none_or(|room| room.get(n.0 as usize).is_some_and(|&r| r > 0))
-        };
-        let node = free_nodes()
-            .filter(has_room)
-            .max_by_key(|&n| v.nodes.free(n));
-        node.map(|node| run(v.pulling_kind, pos, node, false, false))
-    };
-    if !v.ready.is_empty() {
-        let due = v.pulling.iter().position(|&t| (v.due)(t));
-        if let Some(pick) = due.and_then(pull) {
-            return pick;
+    if v.pulls {
+        if let Some(pick) = v.pending.front().and_then(|_| place_pulling(v, 0)) {
+            return Sched::Run(pick);
         }
+    } else if !v.pending.is_empty() {
         if !v.cache_hints.is_empty() {
             for node in free_nodes() {
                 let resident = |&t: &usize| cache_resident(v.cache_hints, v.cache, t, node);
-                if let Some(pos) = v.ready.iter().position(resident) {
+                if let Some(pos) = v.pending.iter().position(resident) {
                     let local = v
-                        .ready
+                        .pending
                         .get(pos)
                         .is_some_and(|&t| split_local(v.splits, t, node));
-                    return run(TaskKind::Map, pos, node, local, true);
+                    return Sched::Run(Pick::at(pos, node, local, true));
                 }
             }
         }
         for node in free_nodes() {
             let stored_here = |&t: &usize| split_local(v.splits, t, node);
-            if let Some(pos) = v.ready.iter().position(stored_here) {
-                return run(TaskKind::Map, pos, node, true, false);
+            if let Some(pos) = v.pending.iter().position(stored_here) {
+                return Sched::Run(Pick::at(pos, node, true, false));
             }
         }
         if let Some(node) = v.nodes.most_free(None) {
-            return run(TaskKind::Map, 0, node, false, false);
+            return Sched::Run(Pick::at(0, node, false, false));
         }
-    }
-    if let Some(pick) = v.pulling.front().and_then(|_| pull(0)) {
-        return pick;
     }
     // A pulling task passing up slots for want of room is waiting by choice:
     // its run's attempts hold slots on every node it passes up.
-    let waiting = v.ready.len() + v.pulling.len();
+    let waiting = v.pending.len();
     if waiting > 0 && v.running == 0 {
         Sched::Stuck(waiting)
     } else {
@@ -194,9 +188,9 @@ mod tests {
 
     struct World {
         nodes: NodeTable,
+        /// A producer run's ready tasks, and its reader's pulling tasks.
         ready: VecDeque<usize>,
         pulling: VecDeque<usize>,
-        pulling_kind: TaskKind,
         splits: Vec<InputSplit>,
         hints: Vec<Vec<ChunkKey>>,
         cache: ClusterCache,
@@ -205,6 +199,13 @@ mod tests {
         /// Merge seconds each pulling task owes, by task index (none: 0).
         owed: Vec<f64>,
         rule: DueRule,
+    }
+
+    /// Which run a pick is of.
+    #[derive(Debug, PartialEq, Eq)]
+    enum Q {
+        Ready,
+        Pulling,
     }
 
     impl World {
@@ -216,7 +217,6 @@ mod tests {
                 nodes: NodeTable::new(3, 2, |_| false),
                 ready: (0..4).collect(),
                 pulling: VecDeque::new(),
-                pulling_kind: TaskKind::Reduce,
                 splits: vec![split(&[]), split(&[]), split(&[1]), split(&[])],
                 hints: Vec::new(),
                 cache: ClusterCache::new(1 << 20),
@@ -232,31 +232,51 @@ mod tests {
             }
         }
 
-        fn pick(&self) -> Sched {
-            let due = |r: usize| self.owed.get(r).is_some_and(|&s| self.rule.due(s));
-            pick_next(&View {
+        fn view<'a>(&'a self, pending: &'a VecDeque<usize>, pulls: bool) -> View<'a> {
+            View {
                 nodes: &self.nodes,
-                ready: &self.ready,
-                pulling: &self.pulling,
-                pulling_kind: self.pulling_kind,
+                pending,
+                pulls,
                 splits: &self.splits,
                 cache_hints: &self.hints,
                 cache: &self.cache,
                 running: self.running,
                 room: self.room.as_deref(),
-                due: &due,
-            })
+            }
+        }
+
+        /// What the pool's scheduler launches next of the two runs: a due
+        /// pulling task while ready tasks are pending, then the producer's
+        /// ready tasks, then the pulling run's.
+        fn pick(&self) -> Option<(Q, Pick)> {
+            let due = |r: usize| self.owed.get(r).is_some_and(|&s| self.rule.due(s));
+            if !self.ready.is_empty() {
+                let pulling = self.view(&self.pulling, true);
+                let pos = self.pulling.iter().position(|&t| due(t));
+                if let Some(pick) = pos.and_then(|pos| place_pulling(&pulling, pos)) {
+                    return Some((Q::Pulling, pick));
+                }
+            }
+            for (q, pending, pulls) in [
+                (Q::Ready, &self.ready, false),
+                (Q::Pulling, &self.pulling, true),
+            ] {
+                if let Sched::Run(pick) = pick_next(&self.view(pending, pulls)) {
+                    return Some((q, pick));
+                }
+            }
+            None
         }
     }
 
-    fn run(kind: TaskKind, pos: usize, node: u32, local: bool, cache_local: bool) -> Sched {
-        Sched::Run(Pick {
-            kind,
+    fn run(q: Q, pos: usize, node: u32, local: bool, cache_local: bool) -> Option<(Q, Pick)> {
+        let pick = Pick {
             pos,
             node: NodeId(node),
             local,
             cache_local,
-        })
+        };
+        Some((q, pick))
     }
 
     #[test]
@@ -268,55 +288,55 @@ mod tests {
             .insert(NodeId(2), key, std::sync::Arc::new(vec![0; 16]));
         // Split 3 (queue position 3) is cache-resident on node 2; split 2
         // is merely stored on node 1.
-        assert_eq!(w.pick(), run(TaskKind::Map, 3, 2, false, true));
+        assert_eq!(w.pick(), run(Q::Ready, 3, 2, false, true));
         // No slot on the caching node: the next tier (static locality).
         w.nodes.take_slot(NodeId(2));
         w.nodes.take_slot(NodeId(2));
-        assert_eq!(w.pick(), run(TaskKind::Map, 2, 1, true, false));
+        assert_eq!(w.pick(), run(Q::Ready, 2, 1, true, false));
     }
 
     #[test]
     fn stored_split_runs_on_its_node_then_least_loaded_takes_the_queue_head() {
         let mut w = World::new();
-        assert_eq!(w.pick(), run(TaskKind::Map, 2, 1, true, false));
+        assert_eq!(w.pick(), run(Q::Ready, 2, 1, true, false));
         w.ready.remove(2);
         // Nothing else is stored anywhere: queue head on the node with the
         // most free slots — the last one on a tie.
-        assert_eq!(w.pick(), run(TaskKind::Map, 0, 2, false, false));
+        assert_eq!(w.pick(), run(Q::Ready, 0, 2, false, false));
         w.nodes.take_slot(NodeId(2));
         w.nodes.take_slot(NodeId(1));
-        assert_eq!(w.pick(), run(TaskKind::Map, 0, 0, false, false));
+        assert_eq!(w.pick(), run(Q::Ready, 0, 0, false, false));
     }
 
     #[test]
-    fn a_pulling_task_of_either_kind_takes_the_least_loaded_node_with_room() {
-        // A job's reducers, and the tasks of a post-shuffle stage (maps).
-        for kind in [TaskKind::Reduce, TaskKind::Map] {
-            let mut w = World::new();
-            w.pulling = (0..4).collect();
-            w.pulling_kind = kind;
-            // Four tasks over three nodes: two per node at most — and node 2
-            // already runs its two.
-            w.room = Some(vec![2, 2, 0]);
-            if kind == TaskKind::Reduce {
-                let map_first = matches!(w.pick(), Sched::Run(p) if p.kind == TaskKind::Map);
-                assert!(map_first, "a job's ready maps go first");
-            }
-            w.ready.clear();
-            w.nodes.take_slot(NodeId(0));
-            assert_eq!(w.pick(), run(kind, 0, 1, false, false));
-            w.nodes.take_slot(NodeId(1));
-            w.nodes.take_slot(NodeId(1));
-            assert_eq!(w.pick(), run(kind, 0, 0, false, false));
-            w.nodes.take_slot(NodeId(0));
-            // Only node 2 has a slot left, and no room: the rest wait.
-            w.running = 5;
-            assert_eq!(w.pick(), Sched::Idle, "waiting by choice is not stuck");
-            // Once the input has closed the head goes to the least-loaded
-            // node.
-            w.room = None;
-            assert_eq!(w.pick(), run(kind, 0, 2, false, false));
-        }
+    fn a_pulling_task_takes_the_least_loaded_node_with_room() {
+        let mut w = World::new();
+        w.pulling = (0..4).collect();
+        // Four tasks over three nodes: two per node at most — and node 2
+        // already runs its two.
+        w.room = Some(vec![2, 2, 0]);
+        assert!(
+            matches!(w.pick(), Some((Q::Ready, _))),
+            "the producer's ready tasks go first"
+        );
+        w.ready.clear();
+        w.nodes.take_slot(NodeId(0));
+        assert_eq!(w.pick(), run(Q::Pulling, 0, 1, false, false));
+        w.nodes.take_slot(NodeId(1));
+        w.nodes.take_slot(NodeId(1));
+        assert_eq!(w.pick(), run(Q::Pulling, 0, 0, false, false));
+        w.nodes.take_slot(NodeId(0));
+        // Only node 2 has a slot left, and no room: the rest wait.
+        w.running = 5;
+        let pulling = w.view(&w.pulling, true);
+        assert_eq!(
+            pick_next(&pulling),
+            Sched::Idle,
+            "waiting by choice is not stuck"
+        );
+        // Once the input has closed the head goes to the least-loaded node.
+        w.room = None;
+        assert_eq!(w.pick(), run(Q::Pulling, 0, 2, false, false));
     }
 
     #[test]
@@ -327,17 +347,17 @@ mod tests {
         w.room = Some(vec![1, 1, 1]);
         // Reducer 4, second in the queue, is due: the least-loaded node with
         // room, not node 1, where split 2 is stored.
-        assert_eq!(w.pick(), run(TaskKind::Reduce, 1, 2, false, false));
+        assert_eq!(w.pick(), run(Q::Pulling, 1, 2, false, false));
         // No room left anywhere, it waits: the maps take the nodes.
         w.room = Some(vec![0, 0, 0]);
-        assert_eq!(w.pick(), run(TaskKind::Map, 2, 1, true, false));
+        assert_eq!(w.pick(), run(Q::Ready, 2, 1, true, false));
     }
 
     #[test]
     fn a_reducer_below_either_floor_is_not_due() {
         let mut w = World::new();
         w.pulling = [4].into();
-        let stored = run(TaskKind::Map, 2, 1, true, false);
+        let stored = run(Q::Ready, 2, 1, true, false);
         // Below the stretch floor (5 s), above a start-up.
         w.owed = vec![0.0, 0.0, 0.0, 0.0, 4.9];
         assert_eq!(w.pick(), stored);
@@ -346,7 +366,7 @@ mod tests {
         w.owed[4] = 0.9;
         assert_eq!(w.pick(), stored);
         w.owed[4] = 1.0;
-        assert_eq!(w.pick(), run(TaskKind::Reduce, 0, 2, false, false));
+        assert_eq!(w.pick(), run(Q::Pulling, 0, 2, false, false));
     }
 
     #[test]
@@ -358,10 +378,10 @@ mod tests {
         for reducers in [6, 7] {
             w.rule.reducers = reducers;
             assert!(!w.rule.due(1e9));
-            assert_eq!(w.pick(), run(TaskKind::Map, 2, 1, true, false));
+            assert_eq!(w.pick(), run(Q::Ready, 2, 1, true, false));
         }
         w.rule.reducers = 5;
-        assert_eq!(w.pick(), run(TaskKind::Reduce, 0, 2, false, false));
+        assert_eq!(w.pick(), run(Q::Pulling, 0, 2, false, false));
     }
 
     #[test]
@@ -371,15 +391,16 @@ mod tests {
             w.nodes.take_slot(n);
             w.nodes.take_slot(n);
         }
+        let pick = |w: &World| pick_next(&w.view(&w.ready, false));
         // Every slot busy with attempts in flight: wait for one to end.
         w.running = 6;
-        assert_eq!(w.pick(), Sched::Idle);
+        assert_eq!(pick(&w), Sched::Idle);
         // Nothing in flight and still no slot: no event will free one.
         w.running = 0;
-        assert_eq!(w.pick(), Sched::Stuck(4));
+        assert_eq!(pick(&w), Sched::Stuck(4));
         // Nothing pending at all is merely idle.
         w.ready.clear();
-        assert_eq!(w.pick(), Sched::Idle);
+        assert_eq!(pick(&w), Sched::Idle);
     }
 
     #[test]
@@ -416,7 +437,7 @@ mod tests {
         assert!((ratio - local / (local + remote)).abs() < 1e-12);
         assert!(ratio >= 0.5, "locality ratio too low: {ratio}");
         assert_eq!(r.counters.get(keys::ANY_MAPS), 0.0);
-        for t in r.tasks.iter().filter(|t| t.kind == TaskKind::Map) {
+        for t in r.tasks.iter().filter(|t| t.kind == crate::TaskKind::Map) {
             assert!(t.phase("read") > 0.0, "read phase recorded");
             assert!(t.phase("startup") > 0.0);
         }
@@ -431,7 +452,7 @@ mod tests {
         let mut nodes_used = std::collections::HashSet::new();
         let job = word_count_job(mem_splits(4, 100), 1);
         let r = crate::job::run_job(&mut c, job).unwrap();
-        for t in r.tasks.iter().filter(|t| t.kind == TaskKind::Map) {
+        for t in r.tasks.iter().filter(|t| t.kind == crate::TaskKind::Map) {
             nodes_used.insert(t.node);
         }
         assert_eq!(nodes_used.len(), 4, "tasks not spread: {nodes_used:?}");

@@ -65,9 +65,10 @@ pub mod keys {
     /// computing (Σ over committed tasks that wrote a part file) — what
     /// writing the file only once the compute had ended would have added.
     pub const WRITE_OVERLAP_SAVED_S: &str = "write_overlap_saved_s";
-    /// Reduce attempts that gave their slot back to a map attempt (a retry
-    /// or a speculative twin that found none free) and were requeued
-    /// uncharged.
+    /// Idle waiting attempts — a classic job's reducers, a post-shuffle DAG
+    /// stage's tasks — that gave their slot to a blocked task with all its
+    /// input (a pending map or source task, a retry, a speculative twin)
+    /// and were requeued uncharged. The key keeps its historical name.
     pub const REDUCES_PREEMPTED: &str = "reduces_preempted";
     /// Stream pieces that were already resident when the compute pipeline
     /// was ready for them (i.e. the prefetch fully hid their read).

@@ -180,7 +180,7 @@ impl DataFrame {
     }
 
     /// Select rows by index (rows may repeat or reorder).
-    pub fn take_rows(&self, rows: &[usize]) -> DataFrame {
+    fn take_rows(&self, rows: &[usize]) -> DataFrame {
         DataFrame {
             names: self.names.clone(),
             cols: self.cols.iter().map(|c| c.take(rows)).collect(),

@@ -32,6 +32,7 @@ pub mod mapper;
 pub mod pushdown;
 pub mod rapi;
 pub mod reader;
+pub mod stats;
 pub mod workflow;
 
 pub use error::ScidpError;
@@ -42,6 +43,7 @@ pub use rapi::{
     Placement, PlacementSpec, RCtx, RJob, RMapFn, RReduceFn, ScidpInput, SetupInfo,
 };
 pub use reader::SciSlabFetcher;
+pub use stats::level_stats;
 pub use workflow::{
     build_rjob, build_stats_dag, nuwrf_map_fn, nuwrf_reduce_fn, run_scidp, run_sql_scan,
     run_stats_dag, Analysis, SqlScanConfig, StatsDagConfig, WorkflowConfig, WorkflowReport,

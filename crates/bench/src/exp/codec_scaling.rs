@@ -5,16 +5,18 @@
 //! `SncFile::get_var` (decompression + slab assembly) — across worker
 //! counts, plus the decompressed-chunk cache's hit-path speedup on repeated
 //! reads — and, single-threaded, the chunk decoder, the LZ encoder, the
-//! `image2d` rasteriser and the PNG encoder against the kernels they
-//! replaced (asserted floors: decode 1.8x, encode 1.5x, plot 1.5x, PNG
-//! 2.0x; ratios of two kernels timed in alternation in one process, so
-//! they hold on a slow box). 4- and 8-thread rows are recorded only on a
-//! host with at least 4 cores: below that they measure oversubscription.
+//! `image2d` rasteriser, the PNG encoder and the stats DAG's level fold
+//! against the kernels they replaced (asserted floors: decode 1.8x, encode
+//! 1.5x, plot 1.5x, PNG 2.0x, stats fold 1.3x; ratios of two kernels timed
+//! in alternation in one process, so they hold on a slow box). 4- and
+//! 8-thread rows are recorded only on a host with at least 4 cores: below
+//! that they measure oversubscription.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use rframe::{image2d, ColorMap, Raster};
+use scidp::level_stats;
 use scidp_bench::Clock::{Count, Host};
 use scidp_bench::{Rel, Report, Scale};
 use scifmt::snc::{chunk_extents_of, DEFAULT_CACHE_BYTES};
@@ -333,6 +335,29 @@ fn encode_png_bytewise(width: u32, height: u32, rgba: &[u8]) -> Vec<u8> {
     out
 }
 
+/// The stats DAG's per-level fold as it ran before `scidp::level_stats`
+/// folded levels in lockstep: one level, and one element, at a time, each
+/// non-finite value skipped by a branch.
+fn level_stats_sequential(array: &Array) -> Vec<(u64, f64, f64, f64)> {
+    let levels = array.shape()[0];
+    let level = array.len() / levels;
+    (0..levels)
+        .map(|l| {
+            let mut count = 0u64;
+            let (mut sum, mut mn, mut mx) = (0.0f64, f64::INFINITY, f64::NEG_INFINITY);
+            array.for_each_f64(l * level..(l + 1) * level, |v| {
+                if v.is_finite() {
+                    count += 1;
+                    sum += v;
+                    mn = mn.min(v);
+                    mx = mx.max(v);
+                }
+            });
+            (count, sum, mn, mx)
+        })
+        .collect()
+}
+
 /// Best-of-`reps` wall time of `f`.
 fn best_of<F: FnMut() -> u64>(reps: usize, mut f: F) -> f64 {
     let mut best = f64::INFINITY;
@@ -629,6 +654,70 @@ pub fn run(scale: &Scale) -> Report {
     rep.row("png_kernel.ratio", bytewise_s / kernel_s, "x", Host);
     let floor = "PNG encoder >= 2.0x the byte-wise one, 1 thread";
     rep.expect("png_kernel.ratio", Rel::Ge, 2.0, floor);
+
+    // The stats DAG's fold alone, one thread, on `scan_stats`-shaped
+    // input: 4 variables x 50 levels of 128² f32, in slabs of 10 levels —
+    // `level_stats` (levels in lockstep) vs the sequential fold it
+    // replaced. Both must give the same bits.
+    let (fold_levels, fold_grid, slab_levels) = (scale.pick(20, 50), 128, 10);
+    let slabs: Vec<Array> = (0..4)
+        .flat_map(|vi| {
+            let (base, amp) = var_range(vi);
+            let field = smooth_field(
+                &mut field_rng(9, 0, vi),
+                fold_levels,
+                fold_grid,
+                fold_grid,
+                base,
+                amp,
+            );
+            let level = fold_grid * fold_grid;
+            field
+                .chunks(slab_levels * level)
+                .map(|slab| {
+                    let shape = vec![slab.len() / level, fold_grid, fold_grid];
+                    Array::from_f32(shape, slab.to_vec()).unwrap()
+                })
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    let bits = |stats: Vec<(u64, f64, f64, f64)>| -> Vec<[u64; 4]> {
+        stats
+            .into_iter()
+            .map(|(c, s, mn, mx)| [c, s.to_bits(), mn.to_bits(), mx.to_bits()])
+            .collect()
+    };
+    let agree = slabs
+        .iter()
+        .all(|a| bits(level_stats(a)) == bits(level_stats_sequential(a)));
+    rep.check(
+        "stats_fold.agree",
+        agree,
+        "lockstep and sequential folds give the same bits",
+    );
+    let fold_all = |fold: &dyn Fn(&Array) -> Vec<(u64, f64, f64, f64)>| {
+        slabs
+            .iter()
+            .flat_map(|a| fold(std::hint::black_box(a)))
+            .map(|(c, s, mn, mx)| c ^ s.to_bits() ^ mn.to_bits() ^ mx.to_bits())
+            .fold(0, u64::wrapping_add)
+    };
+    let (sequential_s, kernel_s) = best_of_pair(
+        s.reps * 8,
+        || fold_all(&level_stats_sequential),
+        || fold_all(&level_stats),
+    );
+    let levels = (4 * fold_levels) as f64;
+    rep.row(
+        "stats_fold.sequential_us",
+        sequential_s / levels * 1e6,
+        "us",
+        Host,
+    );
+    rep.row("stats_fold.us", kernel_s / levels * 1e6, "us", Host);
+    rep.row("stats_fold.ratio", sequential_s / kernel_s, "x", Host);
+    let floor = "stats fold >= 1.3x the sequential one, 1 thread";
+    rep.expect("stats_fold.ratio", Rel::Ge, 1.3, floor);
 
     // Cache-hit path: warm read vs cold read at 1 thread (pure cache win).
     let f = SncFile::open(file_bytes.clone())

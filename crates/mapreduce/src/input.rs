@@ -112,7 +112,8 @@ pub struct FetchPiece {
     /// implies (e.g. decompressing this one chunk).
     pub charges: Vec<(&'static str, f64)>,
     /// `(counter key, amount)` deltas (cache misses, codec seconds,
-    /// integrity events) — attempt-local, exact under retries.
+    /// integrity events) — recorded on the attempt's ledger, exact under
+    /// retries.
     pub counters: Vec<(&'static str, f64)>,
 }
 
@@ -476,7 +477,7 @@ impl SplitFetcher for HdfsBlockFetcher {
             }
         };
         // Integrity accounting: the read reports its own events, which land
-        // in attempt-local counters — exact under concurrent fetches (a
+        // on the attempt's ledger — exact under concurrent fetches (a
         // cluster-wide stats delta would absorb overlapping reads) and under
         // retries (a failed attempt's events are dropped with it).
         let path = self.path.clone();

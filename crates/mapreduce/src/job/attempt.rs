@@ -39,23 +39,32 @@ pub(super) struct AttemptInfo {
     /// its launch until it has all its input — while it is *waiting*: what
     /// it has pulled so far. It goes with the attempt, however that ends.
     pub shuffle: Option<Shuffle>,
+    /// The attempt's ledger: its `(phase, virtual seconds)` so far, from
+    /// `startup` on, and its counters. Written through [`Attempt::phase`] and
+    /// [`Attempt::count`]; only [`commit_task`] hands it to the run, so an
+    /// attempt that never commits takes it along when it leaves the table.
+    phases: Vec<(&'static str, f64)>,
+    counters: Counters,
 }
 
 impl AttemptInfo {
     /// An attempt of `task` launched now into the slot `pick` took — `warm`
     /// or cold.
     pub fn new(sim: &Sim, pick: Pick, task: usize, warm: bool, speculative: bool) -> AttemptInfo {
+        let startup_s = if warm { 0.0 } else { sim.cost.task_startup_s };
         AttemptInfo {
             task,
             node: pick.node,
             start_s: sim.now().secs(),
-            startup_s: if warm { 0.0 } else { sim.cost.task_startup_s },
+            startup_s,
             local: pick.local,
             cache_local: pick.cache_local,
             speculative,
             spec_check_scheduled: false,
             deadline_gen: 0,
             shuffle: None,
+            phases: vec![("startup", startup_s)],
+            counters: Counters::new(),
         }
     }
 }
@@ -280,6 +289,22 @@ impl Attempt {
         dd.tasks.attempt(self.id).map_or(0.0, |i| i.startup_s)
     }
 
+    /// Record `secs` of phase `name` on the attempt's ledger; a no-op once
+    /// the attempt is gone.
+    pub fn phase(&self, name: &'static str, secs: f64) {
+        if let Some(i) = self.d.borrow_mut().tasks.attempt_mut(self.id) {
+            i.phases.push((name, secs));
+        }
+    }
+
+    /// Add `v` to counter `key` on the attempt's ledger; a no-op once the
+    /// attempt is gone.
+    pub fn count(&self, key: &'static str, v: f64) {
+        if let Some(i) = self.d.borrow_mut().tasks.attempt_mut(self.id) {
+            i.counters.add(key, v);
+        }
+    }
+
     /// The attempt failed (fetch error, user code error).
     pub fn fail(&self, sim: &mut Sim, err: MrError) {
         fail_attempt(sim, &self.d, self.id, err)
@@ -460,19 +485,14 @@ fn pool_of(d: &SharedDriver) -> super::SharedPool {
 }
 
 /// Commit one finished task attempt: first commit wins, later siblings are
-/// orphaned; counters, locality stats and the task report are recorded
-/// exactly once per task here, and the output is registered in the run's
-/// shuffle — where a downstream run pulls it, or, for a part file, where the
-/// DAG sees it done. The winner's slot goes back warm, the orphans' cold.
-/// `shuffle_parts` is the task's partitioned output for a downstream
-/// shuffle (`None` when its output is a part file).
-pub(super) fn commit_task(
-    sim: &mut Sim,
-    att: &Attempt,
-    phases: Vec<(&'static str, f64)>,
-    shuffle_parts: Option<Vec<Vec<Kv>>>,
-    acnt: &Counters,
-) {
+/// orphaned; the winner's ledger becomes its task report and joins the run's
+/// counters, with the locality stats, exactly once per task here, and the
+/// output is registered in the run's shuffle — where a downstream run pulls
+/// it, or, for a part file, where the DAG sees it done. The winner's slot
+/// goes back warm, the orphans' cold. `shuffle_parts` is the task's
+/// partitioned output for a downstream shuffle (`None` when its output is a
+/// part file).
+pub(super) fn commit_task(sim: &mut Sim, att: &Attempt, shuffle_parts: Option<Vec<Vec<Kv>>>) {
     let d = &att.d;
     {
         let mut dd = d.borrow_mut();
@@ -485,7 +505,7 @@ pub(super) fn commit_task(
         for loser in losers {
             dd.pool.borrow_mut().nodes.release(loser.node);
         }
-        dd.counters.merge(acnt);
+        dd.counters.merge(&info.counters);
         let (task, node) = (info.task, info.node);
         let end_s = sim.now().secs();
         // Registration happens here, at commit, so first-commit-wins also
@@ -527,7 +547,7 @@ pub(super) fn commit_task(
             node,
             start_s: info.start_s,
             end_s,
-            phases,
+            phases: info.phases,
         });
         dd.pool.borrow_mut().nodes.release_warm(node);
     }

@@ -10,7 +10,7 @@ use simnet::{countdown, NodeId, Sim};
 
 use super::attempt::{commit_task, Attempt};
 use super::{Kv, MrError, Payload};
-use crate::counters::{keys, Counters};
+use crate::counters::keys;
 
 /// One committed map output: where it lives and its per-downstream-task
 /// partitions.
@@ -215,21 +215,13 @@ pub(crate) fn kv_bytes(kvs: &[Kv]) -> usize {
     bytes.sum()
 }
 
-fn stable_hash(s: &str) -> u64 {
-    // FNV-1a: deterministic across runs and platforms.
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Hash-partition emitted pairs for `n` downstream tasks.
+/// Hash-partition emitted pairs for `n` downstream tasks, by the FNV-1a
+/// hash of their key.
 pub(super) fn partition(emitted: Vec<Kv>, n: usize) -> Vec<Vec<Kv>> {
     let mut parts: Vec<Vec<Kv>> = (0..n).map(|_| Vec::new()).collect();
     for kv in emitted {
-        let p = stable_hash(&kv.key).checked_rem(n as u64).unwrap_or(0) as usize;
+        let h = scirng::fnv1a(scirng::FNV1A_BASIS, kv.key.as_bytes());
+        let p = h.checked_rem(n as u64).unwrap_or(0) as usize;
         if let Some(part) = parts.get_mut(p) {
             part.push(kv);
         }
@@ -289,14 +281,7 @@ fn serialize_kvs(kvs: &[Kv]) -> Vec<u8> {
 /// temp file into place and charges the write bytes to the correct store
 /// (PFS vs HDFS); any other — orphaned, failed, or stranded on a hung or cut
 /// off node — deletes it. Returns whether the attempt committed its file.
-fn promote_task_output(
-    sim: &Sim,
-    att: &Attempt,
-    tmp: &str,
-    final_path: &str,
-    len: f64,
-    acnt: &mut Counters,
-) -> bool {
+fn promote_task_output(sim: &Sim, att: &Attempt, tmp: &str, final_path: &str, len: f64) -> bool {
     let (env, output_to_pfs) = {
         let dd = att.d.borrow();
         (dd.env.clone(), dd.job.output_to_pfs)
@@ -307,7 +292,7 @@ fn promote_task_output(
         if reports {
             p.delete(final_path);
             p.rename(tmp, final_path);
-            acnt.add(keys::PFS_WRITE_BYTES, len);
+            att.count(keys::PFS_WRITE_BYTES, len);
         } else {
             // The sim has no GC — the loser of a speculative race, a write
             // that outlived a failed job or an attempt that cannot report
@@ -322,7 +307,7 @@ fn promote_task_output(
         }
         if reports {
             let _ = h.namenode.rename(tmp, final_path);
-            acnt.add(keys::HDFS_WRITE_BYTES, len);
+            att.count(keys::HDFS_WRITE_BYTES, len);
         }
     }
     reports
@@ -342,15 +327,13 @@ pub(super) fn commit_part_file(
     att: Attempt,
     emitted: &[Kv],
     part_name: String,
-    mut phases: Vec<(&'static str, f64)>,
     compute_s: f64,
-    mut acnt: Counters,
 ) {
     let data = serialize_kvs(emitted);
     if data.is_empty() {
         return sim.after(compute_s, move |sim| {
             if att.can_report(sim) {
-                commit_task(sim, &att, phases, None, &acnt);
+                commit_task(sim, &att, None);
             }
         });
     }
@@ -371,15 +354,15 @@ pub(super) fn commit_part_file(
     let landed_s = Rc::new(Cell::new(computed_s));
     let (att2, tmp2, landed_at) = (att.clone(), tmp.clone(), landed_s.clone());
     let finish = move |sim: &mut Sim| {
-        if !promote_task_output(sim, &att2, &tmp2, &final_path, len, &mut acnt) {
+        if !promote_task_output(sim, &att2, &tmp2, &final_path, len) {
             return;
         }
-        phases.push(("write", sim.now().secs() - computed_s));
+        att2.phase("write", sim.now().secs() - computed_s);
         let hidden_s = landed_at.get().min(computed_s) - issued_s;
         if hidden_s > 0.0 {
-            acnt.add(keys::WRITE_OVERLAP_SAVED_S, hidden_s);
+            att2.count(keys::WRITE_OVERLAP_SAVED_S, hidden_s);
         }
-        commit_task(sim, &att2, phases, None, &acnt);
+        commit_task(sim, &att2, None);
     };
     let both_in = countdown(2, finish);
     let compute_ended = both_in.clone();
@@ -471,6 +454,22 @@ mod tests {
         let out = c.read_output("out").unwrap();
         assert_eq!(out.len(), 3);
         assert!(out.iter().all(|(_, data)| data.len() == 60_000 + 4));
+        // The loser's ledger left with it: the run counts what the same job
+        // counts without a straggler, and each report is its winner's alone.
+        let mut clean = scaled_cluster(3, 1);
+        let clean = run_job(&mut clean, big_output_job(3, 1.0)).unwrap();
+        assert_eq!(clean.counters.get(keys::SPECULATIVE_LAUNCHED), 0.0);
+        for key in [
+            keys::INPUT_BYTES,
+            keys::RECORDS_EMITTED,
+            keys::HDFS_WRITE_BYTES,
+        ] {
+            assert_eq!(r.counters.get(key), clean.counters.get(key), "{key}");
+        }
+        for t in &r.tasks {
+            let sum: f64 = t.phases.iter().map(|(_, s)| s).sum();
+            assert!((sum - t.duration()).abs() < 1e-9, "{t:?}");
+        }
     }
 
     #[test]

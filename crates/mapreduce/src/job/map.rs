@@ -13,18 +13,8 @@ use super::attempt::{commit_task, Attempt, AttemptId};
 use super::commit::{commit_part_file, kv_bytes, partition};
 use super::nodes::Spill;
 use super::{detector, Kv, MrError, Payload, SharedPool, TaskCtx, TaskKind};
-use crate::counters::{keys, Counters};
+use crate::counters::keys;
 use crate::input::{pump_pieces, FetchPiece, FetchResult, PieceSink, PieceStream, TaskInput};
-
-/// What the continuations of one map attempt share.
-struct MapAttempt {
-    att: Attempt,
-    /// When the fetch began (end of task startup).
-    fetch_start: f64,
-    /// Attempt-local counters, merged into the job's only at commit so
-    /// failed/orphaned attempts never distort the totals.
-    acnt: Counters,
-}
 
 /// Run one map attempt.
 pub(super) fn run_map_attempt(sim: &mut Sim, att: Attempt) {
@@ -40,25 +30,20 @@ pub(super) fn run_map_attempt(sim: &mut Sim, att: Attempt) {
             split.length as f64,
         )
     };
-    let mut acnt = Counters::new();
-    acnt.add(keys::INPUT_BYTES, split_len);
+    att.count(keys::INPUT_BYTES, split_len);
     sim.after(att.startup_s(), move |sim| {
         if !att.live() {
             return;
         }
-        let node = att.node;
-        let mut m = MapAttempt {
-            att,
-            fetch_start: sim.now().secs(),
-            acnt,
-        };
+        let (node, fetch_start) = (att.node, sim.now().secs());
         if stream_cfg.enabled {
             match fetcher.open_stream(&env, sim, node) {
                 Ok(stream) => {
                     let stream: Rc<dyn PieceStream> = stream.into();
                     let depth = stream_cfg.prefetch_depth;
                     let sink = StreamedFetch {
-                        m,
+                        att,
+                        fetch_start,
                         stream: stream.clone(),
                         arrivals: vec![Arrival::default(); stream.n_pieces()],
                         charges: Vec::new(),
@@ -66,20 +51,20 @@ pub(super) fn run_map_attempt(sim: &mut Sim, att: Attempt) {
                     return pump_pieces(stream, &env, sim, node, depth, sink);
                 }
                 Err(fb) => {
-                    // Attempt-local, merged only at commit: exactly one
-                    // fallback (with its reason) per committed task.
-                    m.acnt.add(keys::STREAM_FALLBACKS, 1.0);
-                    m.acnt.add(fb.counter_key(), 1.0);
+                    // Exactly one fallback (with its reason) per committed
+                    // task: the ledger reaches the run only at commit.
+                    att.count(keys::STREAM_FALLBACKS, 1.0);
+                    att.count(fb.counter_key(), 1.0);
                 }
             }
         }
         let done = move |sim: &mut Sim, fr: Result<FetchResult, MrError>| {
-            if !m.att.live() {
+            if !att.live() {
                 return;
             }
             match fr {
-                Ok(fr) => m.map_fetched(sim, fr),
-                Err(e) => m.att.fail(sim, e),
+                Ok(fr) => map_fetched(sim, att, fetch_start, fr),
+                Err(e) => att.fail(sim, e),
             }
         };
         fetcher.fetch(&env, sim, node, Box::new(done));
@@ -88,23 +73,16 @@ pub(super) fn run_map_attempt(sim: &mut Sim, att: Attempt) {
 
 /// A pulling task has pulled its `pairs`: run the run's task function over
 /// them behind what is left of their merge (`sort_s`) and hand the output on
-/// like any task's. `phases` and `acnt` are what the pull left: `startup`,
-/// `wait`, `shuffle`, `sort`; the shuffled bytes.
+/// like any task's. The pull has left `wait`, `shuffle` and `sort` and the
+/// shuffled bytes on the attempt's ledger.
 pub(super) fn run_stage_task(
     sim: &mut Sim,
     att: Attempt,
     pairs: Vec<(u8, String, Payload)>,
-    phases: Vec<(&'static str, f64)>,
     sort_s: f64,
-    acnt: Counters,
 ) {
-    let mut m = MapAttempt {
-        att,
-        fetch_start: sim.now().secs(),
-        acnt,
-    };
     let pulled = FetchResult::plain(TaskInput::Pairs(pairs));
-    let Some((ctx, factor)) = m.run_map_fn(sim, pulled) else {
+    let Some((ctx, factor)) = run_map_fn(sim, &att, pulled) else {
         return;
     };
     let compute = sort_s + ctx.total_charge_s() * factor;
@@ -112,88 +90,84 @@ pub(super) fn run_stage_task(
     // long what is left of its merge and its compute take: the deadline
     // starts over behind them, for a completion the node cannot report and
     // for what of a part-file write outlasts them.
-    detector::arm_deadline(sim, &m.att, compute);
-    m.end_after(sim, compute, phases, &[], ctx, factor);
+    detector::arm_deadline(sim, &att, compute);
+    end_after(sim, att, compute, &[], ctx, factor);
 }
 
-impl MapAttempt {
-    /// Real map execution over the fetched input: returns the task context
-    /// (charges, emitted pairs) and the factor that stretches this
-    /// attempt's compute — the slot-sharing penalty times any fault-plan
-    /// slowdown of the node (the straggler model speculation reacts to).
-    /// `None` when the map function failed (the attempt has been failed).
-    fn run_map_fn(&mut self, sim: &mut Sim, fr: FetchResult) -> Option<(TaskCtx, f64)> {
-        let (map_fn, factor) = {
-            let dd = self.att.d.borrow();
-            let factor = dd.compute_factor(sim, self.att.node);
-            (dd.job.map_fn.clone(), factor)
-        };
-        let mut ctx = TaskCtx::new(sim.cost.clone());
-        ctx.tag = fr.tag;
-        for (phase, secs) in &fr.charges {
-            ctx.charge(phase, *secs);
-        }
-        for (key, v) in &fr.counters {
-            self.acnt.add(key, *v);
-        }
-        if let Err(e) = (map_fn)(fr.input, &mut ctx) {
-            self.att.fail(sim, e);
-            return None;
-        }
-        Some((ctx, factor))
+/// Real map execution over the fetched input: returns the task context
+/// (charges, emitted pairs) and the factor that stretches this attempt's
+/// compute — the slot-sharing penalty times any fault-plan slowdown of the
+/// node (the straggler model speculation reacts to). `None` when the map
+/// function failed (the attempt has been failed).
+fn run_map_fn(sim: &mut Sim, att: &Attempt, fr: FetchResult) -> Option<(TaskCtx, f64)> {
+    let (map_fn, factor) = {
+        let dd = att.d.borrow();
+        let factor = dd.compute_factor(sim, att.node);
+        (dd.job.map_fn.clone(), factor)
+    };
+    let mut ctx = TaskCtx::new(sim.cost.clone());
+    ctx.tag = fr.tag;
+    for (phase, secs) in &fr.charges {
+        ctx.charge(phase, *secs);
     }
+    for (key, v) in &fr.counters {
+        att.count(key, *v);
+    }
+    if let Err(e) = (map_fn)(fr.input, &mut ctx) {
+        att.fail(sim, e);
+        return None;
+    }
+    Some((ctx, factor))
+}
 
-    /// Batch shape: the whole split is resident, compute follows the read.
-    fn map_fetched(mut self, sim: &mut Sim, fr: FetchResult) {
-        let read_s = sim.now().secs() - self.fetch_start;
-        let Some((ctx, factor)) = self.run_map_fn(sim, fr) else {
-            return;
-        };
-        let compute = ctx.total_charge_s() * factor;
-        let phases = vec![("startup", self.att.startup_s()), ("read", read_s)];
-        self.end_after(sim, compute, phases, &[], ctx, factor);
-    }
+/// Batch shape: the whole split is resident, compute follows the read.
+fn map_fetched(sim: &mut Sim, att: Attempt, fetch_start: f64, fr: FetchResult) {
+    att.phase("read", sim.now().secs() - fetch_start);
+    let Some((ctx, factor)) = run_map_fn(sim, &att, fr) else {
+        return;
+    };
+    let compute = ctx.total_charge_s() * factor;
+    end_after(sim, att, compute, &[], ctx, factor);
+}
 
-    /// Compute ends `delay` from now: record the scaled charges as phases,
-    /// account the output and hand it on — a part file is written while the
-    /// compute runs; a spill follows it, unless the attempt was orphaned
-    /// meanwhile or its node cannot report.
-    fn end_after(
-        self,
-        sim: &mut Sim,
-        delay: f64,
-        mut phases: Vec<(&'static str, f64)>,
-        piece_charges: &[(&'static str, f64)],
-        ctx: TaskCtx,
-        factor: f64,
-    ) {
-        let charges = piece_charges.iter().chain(&ctx.charges);
-        phases.extend(charges.map(|&(p, s)| (p, s * factor)));
-        let MapAttempt { att, mut acnt, .. } = self;
-        let out_bytes = kv_bytes(&ctx.emitted);
-        let (kind, n_parts, part_name) = {
-            let dd = att.d.borrow();
-            // Partitioned for the *downstream* stage's width — or a part
-            // file, named by the stage partition the task computes.
-            let sink = &dd.sink;
-            let partition = sink.partition_of(att.task);
-            let part_name = format!("{}{partition:05}", sink.part_prefix);
-            (dd.kind, sink.n_partitions, part_name)
-        };
-        if kind == TaskKind::Map {
-            acnt.add(keys::MAP_OUTPUT_BYTES, out_bytes as f64);
-        }
-        acnt.add(keys::RECORDS_EMITTED, ctx.records as f64);
-        let Some(n_parts) = n_parts else {
-            return commit_part_file(sim, att, &ctx.emitted, part_name, phases, delay, acnt);
-        };
-        sim.after(delay, move |sim| {
-            if att.can_report(sim) {
-                let parts = partition(ctx.emitted, n_parts);
-                spill(sim, att, phases, parts, out_bytes, acnt);
-            }
-        });
+/// Compute ends `delay` from now: record the scaled charges as phases,
+/// account the output and hand it on — a part file is written while the
+/// compute runs; a spill follows it, unless the attempt was orphaned
+/// meanwhile or its node cannot report.
+fn end_after(
+    sim: &mut Sim,
+    att: Attempt,
+    delay: f64,
+    piece_charges: &[(&'static str, f64)],
+    ctx: TaskCtx,
+    factor: f64,
+) {
+    for &(p, s) in piece_charges.iter().chain(&ctx.charges) {
+        att.phase(p, s * factor);
     }
+    let out_bytes = kv_bytes(&ctx.emitted);
+    let (kind, n_parts, part_name) = {
+        let dd = att.d.borrow();
+        // Partitioned for the *downstream* stage's width — or a part
+        // file, named by the stage partition the task computes.
+        let sink = &dd.sink;
+        let partition = sink.partition_of(att.task);
+        let part_name = format!("{}{partition:05}", sink.part_prefix);
+        (dd.kind, sink.n_partitions, part_name)
+    };
+    if kind == TaskKind::Map {
+        att.count(keys::MAP_OUTPUT_BYTES, out_bytes as f64);
+    }
+    att.count(keys::RECORDS_EMITTED, ctx.records as f64);
+    let Some(n_parts) = n_parts else {
+        return commit_part_file(sim, att, &ctx.emitted, part_name, delay);
+    };
+    sim.after(delay, move |sim| {
+        if att.can_report(sim) {
+            let parts = partition(ctx.emitted, n_parts);
+            spill(sim, att, parts, out_bytes);
+        }
+    });
 }
 
 /// One piece's arrival on the streaming timeline.
@@ -217,7 +191,9 @@ struct Arrival {
 /// previous piece's compute has finished, i.e. `max(read, compute)`-shaped
 /// instead of `read + compute`.
 struct StreamedFetch {
-    m: MapAttempt,
+    att: Attempt,
+    /// When the fetch began (end of task startup).
+    fetch_start: f64,
     stream: Rc<dyn PieceStream>,
     arrivals: Vec<Arrival>,
     /// Per-piece `(phase, secs)` charges, accumulated for the task report.
@@ -226,7 +202,7 @@ struct StreamedFetch {
 
 impl PieceSink for StreamedFetch {
     fn piece(&mut self, sim: &mut Sim, idx: usize, piece: FetchPiece) -> bool {
-        if !self.m.att.live() {
+        if !self.att.live() {
             return false; // attempt failed or was orphaned mid-stream
         }
         if let Some(slot) = self.arrivals.get_mut(idx) {
@@ -238,7 +214,7 @@ impl PieceSink for StreamedFetch {
         }
         self.charges.extend(piece.charges);
         for (k, v) in piece.counters {
-            self.m.acnt.add(k, v);
+            self.att.count(k, v);
         }
         true
     }
@@ -252,16 +228,17 @@ impl PieceSink for StreamedFetch {
     /// read-then-compute.
     fn end(self, sim: &mut Sim, result: Result<(), MrError>) {
         let StreamedFetch {
-            mut m,
+            att,
+            fetch_start,
             stream,
             arrivals,
             charges,
         } = self;
         let fr = match result.and_then(|()| stream.finish()) {
             Ok(fr) => fr,
-            Err(e) => return m.att.fail(sim, e),
+            Err(e) => return att.fail(sim, e),
         };
-        let Some((ctx, factor)) = m.run_map_fn(sim, fr) else {
+        let Some((ctx, factor)) = run_map_fn(sim, &att, fr) else {
             return;
         };
         let now = sim.now().secs();
@@ -275,7 +252,7 @@ impl PieceSink for StreamedFetch {
             // Nothing to transfer (e.g. every chunk was cached).
             now + tail * factor
         } else {
-            let mut f = m.fetch_start;
+            let mut f = fetch_start;
             let mut compute_total = 0.0;
             let mut prefetched = 0.0;
             for (i, a) in arrivals.iter().enumerate() {
@@ -299,16 +276,16 @@ impl PieceSink for StreamedFetch {
             // `now + compute_total`.
             let saved = (now + compute_total - f).max(0.0);
             if saved > 0.0 {
-                m.acnt.add(keys::OVERLAP_SAVED_S, saved);
+                att.count(keys::OVERLAP_SAVED_S, saved);
             }
             if prefetched > 0.0 {
-                m.acnt.add(keys::PIECES_PREFETCHED, prefetched);
+                att.count(keys::PIECES_PREFETCHED, prefetched);
             }
             f
         };
-        let phases = vec![("startup", m.att.startup_s()), ("read", stall)];
+        att.phase("read", stall);
         let delay = (finish_t - now).max(0.0);
-        m.end_after(sim, delay, phases, &charges, ctx, factor);
+        end_after(sim, att, delay, &charges, ctx, factor);
     }
 }
 
@@ -319,14 +296,7 @@ impl PieceSink for StreamedFetch {
 /// ([`super::nodes`]): the attempt keeps its slot, and its `spill` phase
 /// runs from here. A spill to the PFS shares its OSTs with every other
 /// stream.
-fn spill(
-    sim: &mut Sim,
-    att: Attempt,
-    phases: Vec<(&'static str, f64)>,
-    parts: Vec<Vec<Kv>>,
-    out_bytes: usize,
-    acnt: Counters,
-) {
+fn spill(sim: &mut Sim, att: Attempt, parts: Vec<Vec<Kv>>, out_bytes: usize) {
     let (env, spill_to_pfs, job_name, pool) = {
         let dd = att.d.borrow();
         (
@@ -343,9 +313,8 @@ fn spill(
         if !att.live() {
             return;
         }
-        let mut phases = phases;
-        phases.push(("spill", sim.now().secs() - spill_start));
-        commit_task(sim, &att, phases, Some(parts), &acnt);
+        att.phase("spill", sim.now().secs() - spill_start);
+        commit_task(sim, &att, Some(parts));
     };
     if spill_to_pfs {
         // Connector mode: intermediate data crosses the network to the

@@ -16,7 +16,7 @@ use super::attempt::{waiting, Attempt};
 use super::commit::kv_bytes;
 use super::pool::{live_runs, schedule};
 use super::{detector, map, Driver, Kv, MrError, SharedDriver};
-use crate::counters::{keys, Counters};
+use crate::counters::keys;
 
 /// One output to pull: `(index of its shuffle among the run's sources,
 /// producing partition)`. Pulled pairs reach the task in this order.
@@ -397,9 +397,9 @@ fn execute(sim: &mut Sim, att: Attempt) {
         let tags: Vec<u8> =
             input.map_or_else(Vec::new, |i| i.sources.iter().map(|s| s.1).collect());
         let info = dd.tasks.attempt_mut(att.id);
-        info.and_then(|i| Some((i.shuffle.take()?, (i.start_s, i.startup_s), close_s, tags)))
+        info.and_then(|i| Some((i.shuffle.take()?, i.start_s, close_s, tags)))
     };
-    let Some((shuffle, (start_s, startup_s), close_s, tags)) = taken else {
+    let Some((shuffle, start_s, close_s, tags)) = taken else {
         return;
     };
     // Start-up, then `wait` until the sources close (early pulls run inside
@@ -414,23 +414,19 @@ fn execute(sim: &mut Sim, att: Attempt) {
     let hidden_s = (close_s.min(ready_s) - start_s).max(0.0)
         + shuffle.pulling_before(close_s)
         + (shuffle.merge_s - sort_s);
-    let phases = vec![
-        ("startup", startup_s),
-        ("wait", wait_s),
-        ("shuffle", shuffle_s),
-        ("sort", sort_s),
-    ];
+    att.phase("wait", wait_s);
+    att.phase("shuffle", shuffle_s);
+    att.phase("sort", sort_s);
     let bytes: usize = shuffle.pulls.values().map(|p| kv_bytes(&p.kvs)).sum();
-    let mut acnt = Counters::new();
-    acnt.add(keys::SHUFFLE_BYTES, bytes as f64);
+    att.count(keys::SHUFFLE_BYTES, bytes as f64);
     if hidden_s > 0.0 {
-        acnt.add(keys::SHUFFLE_OVERLAP_SAVED_S, hidden_s);
+        att.count(keys::SHUFFLE_OVERLAP_SAVED_S, hidden_s);
     }
     let pairs = shuffle.pulls.into_iter().flat_map(|((source, _), p)| {
         let tag = tags.get(source).copied().unwrap_or(0);
         p.kvs.into_iter().map(move |kv| (tag, kv.key, kv.value))
     });
-    map::run_stage_task(sim, att, pairs.collect(), phases, sort_s, acnt)
+    map::run_stage_task(sim, att, pairs.collect(), sort_s)
 }
 
 #[cfg(test)]

@@ -1016,12 +1016,7 @@ impl ChunkCache {
     /// Stable 64-bit id for a file name (FNV-1a) — combine with a chunk
     /// offset to form a cache key when one cache spans several files.
     pub fn file_key(name: &str) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for &b in name.as_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h
+        scirng::fnv1a(scirng::FNV1A_BASIS, name.as_bytes())
     }
 
     /// Look up a chunk; bumps recency and the hit/miss counters.
@@ -1103,15 +1098,11 @@ impl SncFile {
         // almost surely differ here; collisions would only share *chunk
         // offsets* too, which contiguous layouts make distinct anyway).
         let head = bytes.get(..meta.data_offset).unwrap_or(&bytes);
-        let mut h: u64 = ChunkCache::file_key("snc") ^ (bytes.len() as u64);
-        for &b in head {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
+        let file_id = scirng::fnv1a(ChunkCache::file_key("snc") ^ (bytes.len() as u64), head);
         Ok(SncFile {
             meta,
             bytes,
-            file_id: h,
+            file_id,
             cache: Arc::new(ChunkCache::new(DEFAULT_CACHE_BYTES)),
         })
     }

@@ -418,7 +418,7 @@ mod tests {
         // recorded through the reader (`keys::`) or a bench's
         // `counter_keys::` alias are live; a declared-but-never-recorded
         // cache key is flagged. Likewise the reduce slow-start keys, one
-        // recorded by the driver itself, one attempt-local.
+        // recorded by the driver itself, one on an attempt's ledger.
         let cfg = Config::default_for_root(std::path::Path::new("."));
         let decl = input(
             &cfg.counters_file.clone(),
@@ -435,11 +435,11 @@ mod tests {
              }\n",
         );
         let driver = input(
-            "crates/mapreduce/src/job/reduce.rs",
+            "crates/mapreduce/src/job/pull.rs",
             "mapreduce",
-            "fn f(d: &mut Driver, acnt: &mut Counters) {\n\
+            "fn f(d: &mut Driver, att: &Attempt) {\n\
                d.counters.add(keys::REDUCES_PREEMPTED, 1.0);\n\
-               acnt.add(keys::SHUFFLE_OVERLAP_SAVED_S, 1.5);\n\
+               att.count(keys::SHUFFLE_OVERLAP_SAVED_S, 1.5);\n\
              }\n",
         );
         let reader = input(

@@ -24,15 +24,24 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The 64-bit FNV-1a offset basis: the state [`fnv1a`] starts a hash from.
+pub const FNV1A_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Fold `bytes` into the 64-bit FNV-1a state `h` (a fresh hash starts from
+/// [`FNV1A_BASIS`]): deterministic across runs and platforms — partition
+/// assignment, chunk-cache keys and file ids are built on it.
+pub fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
 /// Mix arbitrary bytes into a 64-bit value (FNV-1a folded through
 /// SplitMix64) — used to derive cache keys and per-name seeds.
 pub fn hash64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    let mut s = h;
+    let mut s = fnv1a(FNV1A_BASIS, bytes);
     splitmix64(&mut s)
 }
 
@@ -362,6 +371,18 @@ mod tests {
             flipped[i] ^= 0x40;
             assert_ne!(crc32c(&flipped), want, "flip at {i} must change the crc");
         }
+    }
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors() {
+        assert_eq!(fnv1a(FNV1A_BASIS, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV1A_BASIS, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV1A_BASIS, b"foobar"), 0x8594_4171_f739_67e8);
+        // A fold continues where the last one stopped.
+        assert_eq!(
+            fnv1a(fnv1a(FNV1A_BASIS, b"foo"), b"bar"),
+            0x8594_4171_f739_67e8
+        );
     }
 
     #[test]

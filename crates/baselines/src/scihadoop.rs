@@ -38,14 +38,22 @@ impl SplitFetcher for HdfsSciFetcher {
             &self.start,
             &self.count,
         );
+        let fail = |what: String| MrError::msg(format!("scihadoop fetch: {what}"));
         let extents = chunk_extents_of(&self.var, self.data_offset);
-        let chunk_ranges: Vec<(usize, u64, u64, u64)> = ids
-            .iter()
-            .map(|&i| {
-                let e = &extents[i];
-                (i, e.offset, e.clen, e.rlen)
-            })
-            .collect();
+        let ranges = ids.iter().map(|&i| {
+            let e = extents.get(i).ok_or_else(|| {
+                let n = extents.len();
+                fail(format!(
+                    "chunk {i} of `{}` out of bounds ({n} chunks)",
+                    self.var.name
+                ))
+            })?;
+            Ok((i, e.offset, e.clen, e.rlen))
+        });
+        let chunk_ranges: Vec<(usize, u64, u64, u64)> = match ranges.collect() {
+            Ok(ranges) => ranges,
+            Err(e) => return done(sim, Err(e)),
+        };
         let blocks: Vec<(u64, Block)> = {
             let h = env.hdfs.borrow();
             match h.namenode.blocks(&self.hdfs_path) {
@@ -72,7 +80,6 @@ impl SplitFetcher for HdfsSciFetcher {
                 }
             }
         };
-        let fail = |what: String| MrError::msg(format!("scihadoop fetch: {what}"));
         // Which blocks overlap any needed chunk range?
         let needed: Vec<&(u64, Block)> = blocks
             .iter()
@@ -88,7 +95,7 @@ impl SplitFetcher for HdfsSciFetcher {
             let e = fail(format!("slab {start:?}+{count:?} maps to no HDFS blocks"));
             return done(sim, Err(e));
         }
-        let total_raw: usize = ids.iter().map(|&i| extents[i].rlen as usize).sum();
+        let total_raw: usize = chunk_ranges.iter().map(|r| r.3 as usize).sum();
         let decompress_cost = sim.cost.decompress(total_raw);
         let tag = {
             let dims: Vec<String> = self.var.dims.iter().map(|d| d.name.clone()).collect();
@@ -116,8 +123,10 @@ impl SplitFetcher for HdfsSciFetcher {
                     let bend = boff + data.len() as u64;
                     let s = lo.max(*boff);
                     let e = (lo + len).min(bend);
-                    if s < e {
-                        out.extend_from_slice(&data[(s - boff) as usize..(e - boff) as usize]);
+                    // A range outside the block's bytes adds nothing: the
+                    // frame comes up short and fails the fetch typed below.
+                    if let Some(bytes) = data.get((s - boff) as usize..(e - boff) as usize) {
+                        out.extend_from_slice(bytes);
                     }
                 }
                 out
@@ -178,7 +187,9 @@ impl SplitFetcher for HdfsSciFetcher {
 }
 
 /// Build SciHadoop splits for one staged container: chunk-aligned slabs of
-/// the selected variables, located where their covering blocks live.
+/// the selected variables, located where their covering blocks live. A
+/// container that is not staged has no blocks: its splits carry no
+/// locations, and their fetches fail typed.
 pub fn scihadoop_splits(
     env: &MrEnv,
     meta: &SncMeta,
@@ -188,9 +199,8 @@ pub fn scihadoop_splits(
     let blocks: Vec<(u64, Block)> = {
         let h = env.hdfs.borrow();
         let mut off = 0u64;
-        h.namenode
-            .blocks(hdfs_path)
-            .expect("staged container on HDFS")
+        let staged = h.namenode.blocks(hdfs_path).unwrap_or_default();
+        staged
             .iter()
             .map(|b| {
                 let e = (off, b.clone());
@@ -314,5 +324,43 @@ mod tests {
             let err = fetch(&mut c, &splits[1]).err().unwrap();
             assert!(err.to_string().contains(what), "{err}");
         }
+    }
+
+    #[test]
+    fn a_container_never_staged_or_a_slab_past_its_chunks_fails_the_fetch_typed() {
+        let wspec = WrfSpec::tiny(1);
+        let mut c = paper_cluster(2, &wspec);
+        let ds = stage_nuwrf(&mut c, &wspec, "nuwrf");
+        let bytes = c.pfs.borrow().file(&ds.info.files[0]).unwrap().data.clone();
+        let f = scifmt::SncFile::open(bytes.as_ref().clone()).unwrap();
+        // Not on HDFS: the splits carry no locations, and the fetch says why.
+        let env = c.env();
+        let splits = scihadoop_splits(&env, f.meta(), "never.snc", &["QR".to_string()]);
+        assert_eq!(splits.len(), 2);
+        assert!(splits.iter().all(|s| s.locations.is_empty()));
+        let err = fetch(&mut c, &splits[0]).err().unwrap();
+        assert!(
+            err.to_string()
+                .contains("scihadoop fetch: staged container"),
+            "{err}"
+        );
+        // Metadata that lists only QR's first chunk: its second slab names a
+        // chunk id past the extents.
+        let mut qr = f.meta().var("QR").unwrap().clone();
+        qr.chunks.truncate(1);
+        let past = InputSplit {
+            length: 1,
+            locations: Vec::new(),
+            fetcher: Rc::new(HdfsSciFetcher {
+                hdfs_path: "never.snc".into(),
+                var: Arc::new(qr),
+                data_offset: f.meta().data_offset,
+                start: vec![2, 0, 0],
+                count: vec![2, 8, 8],
+            }),
+        };
+        let err = fetch(&mut c, &past).err().unwrap();
+        assert!(err.to_string().contains("scihadoop fetch: chunk"), "{err}");
+        assert!(err.to_string().contains("out of bounds"), "{err}");
     }
 }

@@ -335,10 +335,13 @@ fn encode_png_bytewise(width: u32, height: u32, rgba: &[u8]) -> Vec<u8> {
     out
 }
 
+/// Per level of a slab: `(count, sum, min, max)` over its finite values.
+type LevelStats = Vec<(u64, f64, f64, f64)>;
+
 /// The stats DAG's per-level fold as it ran before `scidp::level_stats`
 /// folded levels in lockstep: one level, and one element, at a time, each
 /// non-finite value skipped by a branch.
-fn level_stats_sequential(array: &Array) -> Vec<(u64, f64, f64, f64)> {
+fn level_stats_sequential(array: &Array) -> LevelStats {
     let levels = array.shape()[0];
     let level = array.len() / levels;
     (0..levels)
@@ -681,7 +684,7 @@ pub fn run(scale: &Scale) -> Report {
                 .collect::<Vec<_>>()
         })
         .collect();
-    let bits = |stats: Vec<(u64, f64, f64, f64)>| -> Vec<[u64; 4]> {
+    let bits = |stats: LevelStats| -> Vec<[u64; 4]> {
         stats
             .into_iter()
             .map(|(c, s, mn, mx)| [c, s.to_bits(), mn.to_bits(), mx.to_bits()])
@@ -695,7 +698,7 @@ pub fn run(scale: &Scale) -> Report {
         agree,
         "lockstep and sequential folds give the same bits",
     );
-    let fold_all = |fold: &dyn Fn(&Array) -> Vec<(u64, f64, f64, f64)>| {
+    let fold_all = |fold: &dyn Fn(&Array) -> LevelStats| {
         slabs
             .iter()
             .flat_map(|a| fold(std::hint::black_box(a)))

@@ -37,7 +37,7 @@ mod speculate;
 pub(crate) use commit::{group_by_key, SharedShuffleStore, ShuffleInput, ShuffleStore};
 pub(crate) use pool::{Pool, SharedPool};
 
-use attempt::{AttemptInfo, TaskTable};
+use attempt::{AttemptInfo, Exit, TaskTable};
 use nodes::NodeTable;
 
 /// Task- or job-level failure.
@@ -509,12 +509,14 @@ impl Driver {
 
     /// End the run at `now`, either way, with what it has committed: take
     /// the completion callback (once) and hand it the task reports, indexed
-    /// by stage partition, and counters. The slot of every attempt still in
-    /// flight goes back to the pool.
+    /// by stage partition, and counters. Every attempt still in flight is
+    /// retired ([`Exit::Dropped`]), so an attempt in the task table is one of
+    /// a live run.
     fn finish(&mut self, now: f64) -> Option<(JobDone, JobResult)> {
         let cb = self.done_cb.take()?;
-        for node in self.tasks.abandon() {
-            self.pool.borrow_mut().nodes.release(node);
+        let in_flight: Vec<_> = self.tasks.in_flight().map(|(id, _)| id).collect();
+        for id in in_flight {
+            self.retire(id, Exit::Dropped);
         }
         let mut tasks = std::mem::take(&mut self.reports);
         tasks.sort_by_key(|t| t.index);
@@ -613,13 +615,6 @@ impl Driver {
             }
         }
         Some(room)
-    }
-
-    /// Act on a scheduler pick: dequeue its task and take the slot.
-    fn claim(&mut self, pick: sched::Pick, sim: &Sim) -> Option<AttemptInfo> {
-        let task = self.tasks.dequeue(pick.pos)?;
-        let warm = self.pool.borrow_mut().nodes.take_slot(pick.node);
-        Some(AttemptInfo::new(sim, pick, task, warm, false))
     }
 }
 
@@ -790,7 +785,7 @@ impl StageRunHandle {
         tasks.map(|t| dd.sink.partition_of(t)).collect()
     }
 
-    /// End the run now, whatever it is doing: its attempts are orphaned and
+    /// End the run now, whatever it is doing: its attempts are retired and
     /// their slots returned, its completion callback fires with
     /// `MrError::Msg(why)`.
     pub fn cancel(&self, sim: &mut Sim, why: &str) {
@@ -874,8 +869,8 @@ pub fn run_job(cluster: &mut Cluster, job: Job) -> Result<JobResult, MrError> {
 }
 
 /// End the run, on `failed` if it is an error: every in-flight attempt is
-/// orphaned and the queue dropped — their continuations see a dead attempt
-/// and can no longer mutate counters or reports.
+/// retired — their continuations see a dead attempt and can no longer mutate
+/// counters or reports.
 fn end_run(sim: &mut Sim, d: &SharedDriver, failed: Option<MrError>) {
     let ended = d.borrow_mut().finish(sim.now().secs());
     if let Some((cb, result)) = ended {

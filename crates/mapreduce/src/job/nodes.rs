@@ -282,7 +282,7 @@ impl NodeTable {
 }
 
 #[cfg(test)]
-mod tests {
+pub(super) mod tests {
     use super::*;
 
     fn table() -> NodeTable {
@@ -362,7 +362,7 @@ mod tests {
     }
 
     /// `(free, warm)` slots of `n`, whatever its health.
-    fn slots(t: &NodeTable, n: NodeId) -> (usize, usize) {
+    pub(in crate::job) fn slots(t: &NodeTable, n: NodeId) -> (usize, usize) {
         t.get(n).map_or((0, 0), |s| (s.free_slots, s.warm_slots))
     }
 

@@ -11,7 +11,7 @@ use std::rc::{Rc, Weak};
 
 use simnet::{ClusterCache, NodeId, Sim};
 
-use super::attempt::{try_schedule, AttemptId};
+use super::attempt::{try_schedule, AttemptId, Exit};
 use super::nodes::NodeTable;
 use super::{detector, Driver, FtConfig, SharedDriver};
 use crate::cluster::MrEnv;
@@ -178,10 +178,7 @@ pub(super) fn preempt_waiting(
         }
     }
     let (id, run) = youngest?;
-    let mut rd = run.borrow_mut();
-    let info = rd.tasks.preempt(id)?;
-    pool.borrow_mut().nodes.release(info.node);
-    rd.counters.add(keys::REDUCES_PREEMPTED, 1.0);
+    let (info, _) = run.borrow_mut().retire(id, Exit::Preempted)?;
     Some(info.node)
 }
 
@@ -189,12 +186,19 @@ pub(super) fn preempt_waiting(
 mod tests {
     use super::*;
     use crate::dag::ShuffleSink;
+    use crate::input::TaskInput;
     use crate::job::commit::MapOutput;
+    use crate::job::nodes::tests::slots;
     use crate::job::pull::Shuffle;
-    use crate::job::tests::{mem_splits, scaled_cluster, word_count_job};
-    use crate::job::{
-        lower, submit_stage, JobDone, Kv, Payload, ShuffleInput, ShuffleStore, StageIo,
+    use crate::job::tests::{
+        mem_splits, scaled_cluster, slow_map_job, small_cluster, word_count_job,
     };
+    use crate::job::{
+        lower, submit_stage, Job, JobDone, JobResult, Kv, MrError, Payload, ShuffleInput,
+        ShuffleStore, StageIo,
+    };
+    use crate::Cluster;
+    use simnet::FaultPlan;
 
     /// Give reducer `r`'s attempt the pull state `shuffle`.
     fn set(d: &SharedDriver, r: usize, shuffle: Shuffle) {
@@ -277,5 +281,111 @@ mod tests {
         let dd = run.0.borrow();
         assert!(dd.waits(), "its input is open");
         assert!(dd.due(&c.sim, &dd.pool.borrow().nodes, 0));
+    }
+
+    /// What a job ended with: what it committed, and its error if it failed.
+    type Ended = (JobResult, Option<MrError>);
+
+    /// Run `job` on `c` through [`lower`], checking the slot law at the
+    /// instant it ends, either way: every slot its attempts took is back,
+    /// and no usable node has more warm slots than free ones.
+    fn run_lawfully(c: &mut Cluster, job: Job) -> Ended {
+        let pool: Rc<RefCell<Option<SharedPool>>> = Rc::default();
+        let ended: Rc<RefCell<Option<Ended>>> = Rc::default();
+        let (of_job, end) = (pool.clone(), ended.clone());
+        let done: JobDone = Box::new(move |_, r, failed| {
+            let pool = of_job.borrow_mut().take().expect("the job's pool");
+            let nodes = &pool.borrow().nodes;
+            assert_eq!(nodes.busy(), 0, "a slot not given back: {:?}", r.counters);
+            for n in nodes.ids().filter(|&n| nodes.usable(n)) {
+                let (free, warm) = slots(nodes, n);
+                assert!(warm <= free, "node {}: {warm} warm of {free} free", n.0);
+            }
+            *end.borrow_mut() = Some((r, failed));
+        });
+        let env = c.env();
+        let runs = lower(&mut c.sim, env, job, done);
+        *pool.borrow_mut() = runs.first().map(|maps| maps.borrow().pool.clone());
+        c.run();
+        let ended = ended.borrow_mut().take();
+        ended.expect("the job ended")
+    }
+
+    #[test]
+    fn every_way_out_of_the_task_table_gives_the_slot_back() {
+        // A clean job with reducers: every attempt commits.
+        let mut c = small_cluster(2, 2);
+        let (r, failed) = run_lawfully(&mut c, word_count_job(mem_splits(6, 100), 2));
+        assert!(failed.is_none());
+        assert_eq!(r.counters.get(keys::REDUCE_TASKS), 2.0);
+
+        // Node 1 computes 20x slower: twins on node 0 win and the
+        // originals are dropped.
+        let mut c = small_cluster(2, 2);
+        c.sim.faults.install(FaultPlan::none().slow_node(1, 20.0));
+        let (r, failed) = run_lawfully(&mut c, slow_map_job(4, 10.0, FtConfig::default()));
+        assert!(failed.is_none());
+        assert!(
+            r.counters.get(keys::SPECULATIVE_WON) >= 1.0,
+            "{:?}",
+            r.counters
+        );
+
+        // Node 1 dies mid-wave: its attempts are withdrawn and retried.
+        let mut c = small_cluster(3, 2);
+        c.sim.faults.install(FaultPlan::none().kill_node(1, 2.0));
+        let (r, failed) = run_lawfully(&mut c, slow_map_job(6, 2.0, FtConfig::default()));
+        assert!(failed.is_none());
+        assert!(
+            r.counters.get(keys::TASK_RETRIES) >= 1.0,
+            "{:?}",
+            r.counters
+        );
+
+        // A map that always fails: retries, then the run fails and its
+        // attempts still in flight, the waiting reducer's among them, are
+        // retired with it.
+        let mut c = small_cluster(2, 2);
+        let mut job = word_count_job(mem_splits(2, 100), 1);
+        job.map_fn = Rc::new(|_, ctx| {
+            ctx.charge("scan", 1.0);
+            Err(MrError::msg("kaboom"))
+        });
+        let (r, failed) = run_lawfully(&mut c, job);
+        assert_eq!(failed, Some(MrError::msg("kaboom")));
+        assert!(
+            r.counters.get(keys::TASK_RETRIES) >= 1.0,
+            "{:?}",
+            r.counters
+        );
+        assert!(
+            r.counters.get(keys::REDUCE_ATTEMPTS) >= 1.0,
+            "{:?}",
+            r.counters
+        );
+
+        // 2 nodes x 1 slot: map 0 (8 s) on node 1, map 1 (1 s) on node 0,
+        // whose slot reducer 0 then takes. Node 1 dies under map 0, and its
+        // retry takes the waiting reducer's slot.
+        let mut job = slow_map_job(2, 0.0, FtConfig::default());
+        job.ft.speculative = false;
+        job.n_reducers = 2;
+        job.map_fn = Rc::new(|input, ctx| {
+            let TaskInput::Bytes(b) = input else {
+                return Err(MrError::msg("expected bytes"));
+            };
+            ctx.charge("scan", if b[0] == 0 { 8.0 } else { 1.0 });
+            ctx.emit(format!("k{}", b[0]), Payload::Bytes(vec![b[0]]));
+            Ok(())
+        });
+        let mut c = small_cluster(2, 1);
+        c.sim.faults.install(FaultPlan::none().kill_node(1, 4.0));
+        let (r, failed) = run_lawfully(&mut c, job);
+        assert!(failed.is_none());
+        assert!(
+            r.counters.get(keys::REDUCES_PREEMPTED) >= 1.0,
+            "{:?}",
+            r.counters
+        );
     }
 }

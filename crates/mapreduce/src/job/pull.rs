@@ -233,9 +233,6 @@ fn pull(sim: &mut Sim, att: &Attempt, fresh: &[OutputKey]) {
     let node = att.node;
     let planned = {
         let mut dd = att.d.borrow_mut();
-        if !dd.alive() {
-            return;
-        }
         let r = dd.sink.partition_of(att.task);
         // Where lost outputs can be recomputed (a DAG's pool), a holder
         // unreachable after the close is given up on rather than waited out.
@@ -359,7 +356,7 @@ fn pull(sim: &mut Sim, att: &Attempt, fresh: &[OutputKey]) {
 fn landed(sim: &mut Sim, att: Attempt, key: OutputKey, pull: Pull) {
     let all_in = {
         let mut dd = att.d.borrow_mut();
-        let closed = dd.alive() && dd.input.as_ref().is_some_and(|i| !i.open());
+        let closed = dd.input.as_ref().is_some_and(|i| !i.open());
         if dd.tasks.attempt(att.id).is_none() {
             return; // the attempt is gone, and its merge progress with it
         }

@@ -2,7 +2,7 @@
 
 use simnet::{Sim, SimTime};
 
-use super::attempt::{launch, AttemptId, AttemptInfo};
+use super::attempt::{launch, AttemptId};
 use super::pool::preempt_waiting;
 use super::sched::{cache_resident, Pick};
 use super::SharedDriver;
@@ -64,9 +64,6 @@ pub(super) fn schedule_speculation_checks(sim: &mut Sim, d: &SharedDriver) {
 fn maybe_speculate(sim: &mut Sim, d: &SharedDriver, id: AttemptId) {
     let straggler = {
         let dd = d.borrow();
-        if !dd.alive() {
-            return;
-        }
         let Some(info) = dd.tasks.attempt(id) else {
             return; // finished or failed before its check fired
         };
@@ -88,16 +85,14 @@ fn maybe_speculate(sim: &mut Sim, d: &SharedDriver, id: AttemptId) {
     let Some(node) = free.or_else(|| preempt_waiting(sim, d, elsewhere)) else {
         return; // no spare capacity elsewhere; let the original run
     };
-    let twin = {
+    let pick = {
         let dd = d.borrow();
-        let warm = dd.pool.borrow_mut().nodes.take_slot(node);
         let local = dd.job.splits.get(task);
         let local = local.is_some_and(|s| s.locations.contains(&node));
         let cache_local = cache_resident(&dd.cache_hints, &dd.env.cluster_cache, task, node);
-        let pick = Pick::at(0, node, local, cache_local);
-        AttemptInfo::new(sim, pick, task, warm, true)
+        Pick::at(0, node, local, cache_local)
     };
-    launch(sim, d, twin);
+    launch(sim, d, pick, task, true);
 }
 
 #[cfg(test)]

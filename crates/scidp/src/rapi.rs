@@ -135,6 +135,9 @@ pub struct SetupInfo {
     /// Serialized zone-map bytes across the mapped variables — the header
     /// metadata a pushdown scan reads in exchange for the chunks it skips.
     pub zone_map_bytes: u64,
+    /// Levels covered by the scientific slabs, summed over the slabs (the
+    /// first extent of each): the images an img-only job plots.
+    pub levels: u64,
 }
 
 /// Build input splits for a [`ScidpInput`] — the `addInputPath` hook.
@@ -170,7 +173,7 @@ pub fn make_splits(
         // One placement per job, applied to every scientific fetcher.
         let PlacementSpec::Fixed(placement) = input.placement;
         let cluster_admit = placement == Placement::Cached;
-        let mut zone_map_bytes = 0u64;
+        let (mut zone_map_bytes, mut levels) = (0u64, 0u64);
         let mut zone_seen: std::collections::HashSet<(String, String)> =
             std::collections::HashSet::new();
         let mut splits = Vec::with_capacity(mapping.blocks.len());
@@ -202,6 +205,7 @@ pub fn make_splits(
                     if zone_seen.insert((pfs_path.clone(), var.name.clone())) {
                         zone_map_bytes += var.zone_map_wire_bytes();
                     }
+                    levels += count.first().map_or(0, |&n| n as u64);
                     Rc::new(SciSlabFetcher {
                         pfs_path: pfs_path.clone(),
                         var: var.clone(),
@@ -252,6 +256,7 @@ pub fn make_splits(
                 sources: mapping.sources,
                 chunk_cache: Some(cache),
                 zone_map_bytes,
+                levels,
             },
         ))
     } else {

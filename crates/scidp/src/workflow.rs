@@ -265,24 +265,14 @@ pub fn run_scidp(
     let env = cluster.env();
     let scale = cluster.sim.cost.scale;
     let (job, setup) = rjob.into_job(&env, scale)?;
-    // Count images: one per level covered by each scientific slab.
-    let images: u64 = job
-        .splits
-        .iter()
-        .map(|s| {
-            // SciDP slab fetchers encode level counts in their descriptors;
-            // approximate via split description (lev extent is first count).
-            let d = s.fetcher.describe();
-            parse_levels(&d).unwrap_or(0)
-        })
-        .sum();
-    // Charge the mapping-table setup, then run.
+    // Charge the mapping-table setup, then run. The report counts what the
+    // job ran on: the mapping built at launch, if the sources changed.
     let setup_cost = setup.setup_cost;
     let sources = setup.sources.clone();
-    let cache_cell = Rc::new(std::cell::RefCell::new(setup.chunk_cache.clone()));
+    let setup_cell = Rc::new(std::cell::RefCell::new(setup));
     let revalidations = Rc::new(std::cell::Cell::new(0u64));
     let env2 = env.clone();
-    let cc = cache_cell.clone();
+    let ran_with = setup_cell.clone();
     let rv = revalidations.clone();
     let launched = cluster.run_to_completion("workflow", move |cluster, done| {
         cluster.sim.after(setup_cost, move |sim| {
@@ -301,7 +291,7 @@ pub fn run_scidp(
                 Ok(crate::mapper::Revalidation::Changed) => match rjob_remap.into_job(&env2, scale)
                 {
                     Ok((job, setup)) => {
-                        *cc.borrow_mut() = setup.chunk_cache;
+                        *ran_with.borrow_mut() = setup;
                         job
                     }
                     Err(e) => return done(sim, Err(MrError::msg(e.to_string()))),
@@ -321,7 +311,8 @@ pub fn run_scidp(
             revalidations.get() as f64,
         );
     }
-    if let Some(cache) = cache_cell.borrow().as_ref() {
+    let setup = setup_cell.borrow();
+    if let Some(cache) = setup.chunk_cache.as_ref() {
         let q = cache.n_quarantined();
         if q > 0 {
             job.counters
@@ -343,19 +334,10 @@ pub fn run_scidp(
     }
     Ok(WorkflowReport {
         job,
-        images,
+        images: setup.levels,
         setup_cost,
         skipped_bytes: setup.skipped_bytes,
     })
-}
-
-/// Pull the first `count` extent out of a slab fetcher description like
-/// `scidp://f#QR[[0, 0, 0]+[2, 8, 5]]`.
-fn parse_levels(desc: &str) -> Option<u64> {
-    let plus = desc.find("+[")?;
-    let rest = desc.get(plus + 2..)?;
-    let end = rest.find([',', ']'])?;
-    rest.get(..end)?.trim().parse().ok()
 }
 
 /// A SQL scan over a SciDP input: every slab runs the same `sqldf` query
@@ -723,6 +705,48 @@ mod tests {
         assert!(!outs.is_empty());
         let bytes: u64 = outs.iter().map(|f| f.len).sum();
         assert!(bytes > 0);
+    }
+
+    /// File 0 of [`stage`]'s dataset written again, with 6 levels instead
+    /// of 4.
+    fn rewrite_file_0(pfs: &pfs::SharedPfs) {
+        let spec = WrfSpec {
+            levels: 6,
+            ..WrfSpec::tiny(2)
+        };
+        let bytes = wrfgen::generate_file(&spec, 0);
+        let path = format!("nuwrf/run/{}", spec.file_name(0));
+        pfs.borrow_mut().create(path, bytes);
+    }
+
+    /// A source rewritten between the scan and the launch is remapped, and
+    /// the report counts the mapping the job ran on: the images and skipped
+    /// bytes of a run staged with the rewritten file from the start.
+    #[test]
+    fn a_source_changed_before_the_launch_is_reported_as_remapped() {
+        let cfg = WorkflowConfig {
+            n_reducers: 2,
+            raster: (8, 8),
+            ..WorkflowConfig::img_only(["QR"])
+        };
+        let (mut untouched, input) = stage(2);
+        let untouched = run_scidp(&mut untouched, &input, &cfg).unwrap();
+        let (mut direct, _) = stage(2);
+        rewrite_file_0(&direct.pfs);
+        let want = run_scidp(&mut direct, &input, &cfg).unwrap();
+        assert_eq!((untouched.images, want.images), (4 + 4, 6 + 4));
+        assert!(want.skipped_bytes > untouched.skipped_bytes);
+        // The same rewrite at t = 0: after the scan, before the launch.
+        let (mut cluster, _) = stage(2);
+        let pfs = cluster.pfs.clone();
+        cluster
+            .sim
+            .at(simnet::SimTime(0.0), move |_| rewrite_file_0(&pfs));
+        let rep = run_scidp(&mut cluster, &input, &cfg).unwrap();
+        let revalidations = mapreduce::counters::keys::MAPPING_REVALIDATIONS;
+        assert_eq!(rep.job.counters.get(revalidations), 2.0);
+        assert_eq!(rep.images, want.images);
+        assert_eq!(rep.skipped_bytes, want.skipped_bytes);
     }
 
     /// Every byte an img-only run commits, pinned: `hash64` over each

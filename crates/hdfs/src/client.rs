@@ -59,20 +59,6 @@ impl fmt::Display for HdfsError {
     }
 }
 
-/// Cluster-wide integrity accounting, updated by [`read_block`]. Jobs fold
-/// deltas of these into their counters for attribution.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IntegrityStats {
-    /// Payload bytes that passed CRC-32C verification on delivery.
-    pub verified_bytes: u64,
-    /// Replica deliveries whose bytes failed verification.
-    pub detected: u64,
-    /// Block reads that met corruption but completed from another replica.
-    pub repaired: u64,
-    /// Block reads abandoned because every live replica was corrupt.
-    pub failed: u64,
-}
-
 /// Hedged-read policy (`Hdfs::hedge`; `None` = hedging off, the default —
 /// existing read timings are untouched).
 ///
@@ -88,21 +74,12 @@ pub struct HedgeConfig {
     pub after_s: f64,
 }
 
-/// Hedged-read accounting, updated by [`read_block`] (see [`HedgeConfig`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct HedgeStats {
-    /// Alternate-replica transfers launched because the primary stalled.
-    pub hedged_reads: u64,
-    /// Block reads whose winning delivery came from a hedge launch.
-    pub hedged_read_wins: u64,
-}
-
 /// Integrity and hedge events of *one* block read, attributed to that read
-/// alone. Callers that need per-read accounting (task-attempt counters)
-/// must use these rather than deltas of the cluster-wide
-/// [`IntegrityStats`]/[`HedgeStats`]: concurrent reads interleave their
-/// updates to the shared stats, so a start/finish delta around one read
-/// absorbs every other read that completed in the window.
+/// alone — the only books HDFS keeps of them. Concurrent reads interleave,
+/// so a cluster-wide tally read before and after one read would absorb
+/// every other read that completed in the window. A read abandoned because
+/// every live replica was corrupt reports its replicas in
+/// [`HdfsError::Integrity`] instead.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ReadEvents {
     /// Payload bytes of this read that passed CRC-32C verification.
@@ -257,7 +234,6 @@ struct ReplicaAttempt {
 
 struct BlockReadState {
     topo: Topology,
-    hdfs: SharedHdfs,
     reader: NodeId,
     /// Stored CRC-32C of the block (0 = unchecksummed, skip verification).
     crc: u32,
@@ -314,7 +290,6 @@ fn attempt_step(sim: &mut Sim, st: Rc<BlockReadState>, i: usize, via_hedge: bool
         let st2 = st.clone();
         sim.after(after_s, move |sim| {
             if st2.done.borrow().is_some() && st2.launched.borrow().get(i + 1) == Some(&false) {
-                st2.hdfs.borrow_mut().hedge_stats.hedged_reads += 1;
                 st2.record(|ev| ev.hedged_reads += 1);
                 attempt_step(sim, st2, i + 1, true);
             }
@@ -360,20 +335,14 @@ fn deliver_attempt(
     };
     let ok = st.crc == 0 || scirng::crc32c(&delivered) == st.crc;
     if ok {
-        {
-            let mut h = st.hdfs.borrow_mut();
-            if st.crc != 0 {
-                h.integrity.verified_bytes += delivered.len() as u64;
-                st.record(|ev| ev.verified_bytes += delivered.len() as u64);
-            }
-            if st.verify_failures.get() > 0 {
-                h.integrity.repaired += 1;
-                st.record(|ev| ev.repaired += 1);
-            }
-            if via_hedge {
-                h.hedge_stats.hedged_read_wins += 1;
-                st.record(|ev| ev.hedged_read_wins += 1);
-            }
+        if st.crc != 0 {
+            st.record(|ev| ev.verified_bytes += delivered.len() as u64);
+        }
+        if st.verify_failures.get() > 0 {
+            st.record(|ev| ev.repaired += 1);
+        }
+        if via_hedge {
+            st.record(|ev| ev.hedged_read_wins += 1);
         }
         // Armed once at read_block (checked non-empty above, and this is
         // the single-threaded sim — nothing raced us since).
@@ -382,7 +351,6 @@ fn deliver_attempt(
         }
     } else {
         st.verify_failures.set(st.verify_failures.get() + 1);
-        st.hdfs.borrow_mut().integrity.detected += 1;
         st.record(|ev| ev.detected += 1);
         // Without hedging the planner guarantees a clean replica follows a
         // corrupt one, so `i + 1` is in bounds. A hedged plan keeps *every*
@@ -435,7 +403,7 @@ fn plan_attempts(
     // replicas as alternates so a stalled transfer has somewhere to go.
     let mut attempts = Vec::new();
     let mut clean_found = false;
-    let mut h = hdfs.borrow_mut();
+    let h = hdfs.borrow();
     for &cand in &candidates {
         let Some(data) = h.datanodes.get(cand, block.id) else {
             // Listed location without a copy: stale cluster state;
@@ -460,8 +428,6 @@ fn plan_attempts(
         return Err(HdfsError::NoReplica);
     }
     if !clean_found {
-        h.integrity.detected += attempts.len() as u64;
-        h.integrity.failed += 1;
         return Err(HdfsError::Integrity {
             block: block.id.0,
             replicas: attempts.len(),
@@ -499,7 +465,6 @@ pub fn read_block(
     };
     let st = Rc::new(BlockReadState {
         topo: topo.clone(),
-        hdfs: hdfs.clone(),
         reader,
         crc: block.crc,
         key,
@@ -640,7 +605,21 @@ mod tests {
         block
     }
 
-    /// Read `block` from `reader` to completion: the bytes, or the error.
+    /// Read `block` from `reader` to completion: the bytes and the read's
+    /// own events, or the error.
+    fn read_ev(
+        sim: &mut Sim,
+        topo: &Topology,
+        hdfs: &SharedHdfs,
+        reader: u32,
+        block: &Block,
+    ) -> Result<(Vec<u8>, ReadEvents), HdfsError> {
+        let (got, done) = capture();
+        read_block(sim, topo, hdfs, NodeId(reader), block, done);
+        finish(sim, &got).map(|(data, ev)| (data.as_ref().clone(), ev))
+    }
+
+    /// [`read_ev`]'s bytes.
     fn read(
         sim: &mut Sim,
         topo: &Topology,
@@ -648,9 +627,7 @@ mod tests {
         reader: u32,
         block: &Block,
     ) -> Result<Vec<u8>, HdfsError> {
-        let (got, done) = capture();
-        read_block(sim, topo, hdfs, NodeId(reader), block, done);
-        finish(sim, &got).map(|(data, _)| data.as_ref().clone())
+        read_ev(sim, topo, hdfs, reader, block).map(|(data, _)| data)
     }
 
     #[test]
@@ -805,15 +782,16 @@ mod tests {
     #[test]
     fn clean_reads_accumulate_verified_bytes() {
         let (mut sim, topo, hdfs) = setup(2, 1);
-        stage(&mut sim, &topo, &hdfs, 0, vec![3u8; 64]);
-        let (got, done) = capture();
-        read_file(&mut sim, &topo, &hdfs, NodeId(1), "f", done);
-        assert_eq!(finish(&mut sim, &got).unwrap(), vec![3u8; 64]);
-        let stats = hdfs.borrow().integrity;
-        assert_eq!(stats.verified_bytes, 64);
-        assert_eq!(stats.detected, 0);
-        assert_eq!(stats.repaired, 0);
-        assert_eq!(stats.failed, 0);
+        let block = stage(&mut sim, &topo, &hdfs, 0, vec![3u8; 64]);
+        for _ in 0..2 {
+            let (bytes, ev) = read_ev(&mut sim, &topo, &hdfs, 1, &block).unwrap();
+            assert_eq!(bytes, vec![3u8; 64]);
+            let want = ReadEvents {
+                verified_bytes: 64,
+                ..ReadEvents::default()
+            };
+            assert_eq!(ev, want, "each read's own, not a running total");
+        }
     }
 
     #[test]
@@ -832,12 +810,7 @@ mod tests {
         read_block(&mut sim, &topo, &hdfs, NodeId(1), &block, done);
         let (bytes, ev) = finish(&mut sim, &got).unwrap();
         assert_eq!(*bytes, data, "repair is exact");
-        let stats = hdfs.borrow().integrity;
-        assert_eq!(stats.detected, 1);
-        assert_eq!(stats.repaired, 1);
-        assert_eq!(stats.failed, 0);
-        assert_eq!(stats.verified_bytes, 64, "only the good copy counts");
-        // The read's own events say the same.
+        // One flip detected, repaired; only the good copy counts as verified.
         let want = ReadEvents {
             verified_bytes: 64,
             detected: 1,
@@ -865,9 +838,6 @@ mod tests {
             "{err:?}"
         );
         assert!(err.to_string().contains("IntegrityError"), "{err}");
-        let stats = hdfs.borrow().integrity;
-        assert_eq!(stats.detected, 2);
-        assert_eq!(stats.failed, 1);
         // And through the whole-file path the error reaches the callback.
         let (got, done) = capture();
         read_file(&mut sim, &topo, &hdfs, NodeId(0), "f", done);
@@ -895,12 +865,10 @@ mod tests {
             "no hedge: the callback is dropped"
         );
         hdfs.borrow_mut().hedge = Some(HedgeConfig { after_s: 1.0 });
-        let got = read(&mut sim, &topo, &hdfs, 2, &block);
-        assert_eq!(got.unwrap(), data, "hedge delivers");
-        let hs = hdfs.borrow().hedge_stats;
-        assert_eq!(hs.hedged_reads, 1);
-        assert_eq!(hs.hedged_read_wins, 1);
-        assert_eq!(hdfs.borrow().integrity.repaired, 0, "not a CRC repair");
+        let (got, ev) = read_ev(&mut sim, &topo, &hdfs, 2, &block).unwrap();
+        assert_eq!(got, data, "hedge delivers");
+        assert_eq!((ev.hedged_reads, ev.hedged_read_wins), (1, 1));
+        assert_eq!(ev.repaired, 0, "not a CRC repair");
     }
 
     #[test]
@@ -910,8 +878,9 @@ mod tests {
         let block = stage(&mut sim, &topo, &hdfs, 0, data.clone());
         // Generous deadline: the primary delivers first, no hedge launches.
         hdfs.borrow_mut().hedge = Some(HedgeConfig { after_s: 1e6 });
-        assert_eq!(read(&mut sim, &topo, &hdfs, 0, &block).unwrap(), data);
-        assert_eq!(hdfs.borrow().hedge_stats, HedgeStats::default());
+        let (got, ev) = read_ev(&mut sim, &topo, &hdfs, 0, &block).unwrap();
+        assert_eq!(got, data);
+        assert_eq!((ev.hedged_reads, ev.hedged_read_wins), (0, 0));
     }
 
     #[test]
@@ -925,8 +894,9 @@ mod tests {
         sim.faults
             .install(FaultPlan::none().partition(&[0], 0.0, f64::INFINITY));
         hdfs.borrow_mut().hedge = Some(HedgeConfig { after_s: 0.5 });
-        assert_eq!(read(&mut sim, &topo, &hdfs, 2, &block).unwrap(), data);
-        assert_eq!(hdfs.borrow().hedge_stats.hedged_read_wins, 1);
+        let (got, ev) = read_ev(&mut sim, &topo, &hdfs, 2, &block).unwrap();
+        assert_eq!(got, data);
+        assert_eq!(ev.hedged_read_wins, 1);
     }
 
     #[test]

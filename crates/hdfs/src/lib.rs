@@ -28,10 +28,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 pub use block::{block_fault_key, Block, BlockId, BlockKind, VirtualBlock};
-pub use client::{
-    read_block, read_file, write_file, HdfsError, HedgeConfig, HedgeStats, IntegrityStats,
-    ReadEvents,
-};
+pub use client::{read_block, read_file, write_file, HdfsError, HedgeConfig, ReadEvents};
 pub use datanode::DataNodes;
 pub use namenode::{EditLog, EditOp, FileStatus, NameNode, NsError};
 
@@ -40,12 +37,8 @@ pub use namenode::{EditLog, EditOp, FileStatus, NameNode, NsError};
 pub struct Hdfs {
     pub namenode: NameNode,
     pub datanodes: DataNodes,
-    /// Checksum-verification accounting across all block reads.
-    pub integrity: IntegrityStats,
     /// Hedged-read policy (`None` = off; see [`client::HedgeConfig`]).
     pub hedge: Option<HedgeConfig>,
-    /// Hedged-read accounting across all block reads.
-    pub hedge_stats: HedgeStats,
 }
 
 impl Hdfs {
@@ -55,9 +48,7 @@ impl Hdfs {
         Hdfs {
             namenode: NameNode::new(n_nodes, block_size, replication),
             datanodes: DataNodes::new(n_nodes),
-            integrity: IntegrityStats::default(),
             hedge: None,
-            hedge_stats: HedgeStats::default(),
         }
     }
 

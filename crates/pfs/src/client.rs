@@ -83,7 +83,7 @@ impl std::error::Error for PfsError {}
 fn transfer_segments(
     sim: &mut Sim,
     segments: Vec<Segment>,
-    route: impl Fn(usize) -> (ResourceId, Vec<ResourceId>),
+    route: impl Fn(usize) -> Option<(ResourceId, Vec<ResourceId>)>,
     done: impl FnOnce(&mut Sim) + 'static,
 ) {
     if segments.is_empty() {
@@ -91,7 +91,12 @@ fn transfer_segments(
     }
     let landed = countdown(segments.len(), done);
     for seg in segments {
-        let (disk, path) = route(seg.ost);
+        let Some((disk, path)) = route(seg.ost) else {
+            // Every OST route runs through the OST's disk; one without is a
+            // corrupt topology, and the operation never lands.
+            debug_assert!(false, "the route of OST {} has no disk", seg.ost);
+            continue;
+        };
         let bytes = sim.cost.lbytes(seg.len);
         let landed = landed.clone();
         sim.disk_transfer(disk, path, bytes, move |sim| landed(sim));
@@ -172,7 +177,7 @@ pub fn read_at(
             // stripes of a segment back to back.
             let route = |ost| {
                 let flow_path = topo.path_ost_read(ost, node);
-                (flow_path[0], flow_path)
+                Some((*flow_path.first()?, flow_path))
             };
             transfer_segments(sim, segments, route, move |sim| done(sim, Ok(payload)));
         }
@@ -220,8 +225,7 @@ pub fn write_new(
     // one positioning cost per OST segment, unlike interleaved reads.
     let route = |ost| {
         let flow_path = topo.path_ost_write(node, ost);
-        // scilint::allow(p-expect, reason = "topology invariant: path_ost_write always ends at the target OST's disk resource; an empty path means a corrupt topology and must stop the run")
-        (*flow_path.last().expect("write path has a disk"), flow_path)
+        Some((*flow_path.last()?, flow_path))
     };
     let pfs = pfs.clone();
     transfer_segments(sim, segments, route, move |sim| {

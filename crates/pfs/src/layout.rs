@@ -66,9 +66,10 @@ impl StripeLayout {
             let stripe = pos / self.stripe_size;
             let stripe_end = (stripe + 1) * self.stripe_size;
             let take = stripe_end.min(end) - pos;
-            let slot = stripe % self.stripe_count;
-            per_slot[slot].0 += take;
-            per_slot[slot].1 += 1;
+            if let Some((bytes, stripes)) = per_slot.get_mut(stripe % self.stripe_count) {
+                *bytes += take;
+                *stripes += 1;
+            }
             pos += take;
         }
         let mut out: Vec<Segment> = per_slot

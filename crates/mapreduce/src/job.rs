@@ -1,17 +1,18 @@
 //! The job driver: the public job types and the `Driver` that owns one
-//! run. Every run is a stage run: a classic job is lowered onto one or two
-//! runs of one pool — its maps, a source run that writes the job's own
-//! shuffle, and its reducers, a post-shuffle run whose task function groups
-//! the pulled pairs and reduces them (`submit_job_env`); a DAG submits one
-//! run per stage (`dag.rs`). The mechanics live in the submodules: `nodes`
-//! (per-node slot and health table), `pool` (what the live runs share: that
-//! table, the attempt numbering, the order slots are offered in), `sched`
-//! (pure task placement), `attempt` (the task table, launch / fail /
-//! first-commit-wins), `detector` (kills, heartbeats, hang deadlines, node
-//! withdrawal), `speculate`, `map` (the attempt body: fetch or pull, run the
-//! task function, spill or write), `pull` (the pull loop of a task that
-//! reads a shuffle) and `commit` (partitioning, grouping, part files, the
-//! registry of shuffle outputs).
+//! stage run. Every run is a stage run of a plan, and one plan driver
+//! (`dag.rs`) submits and ends them all: a classic job is a plan of one or
+//! two stages — its maps, a source stage that writes the job's own shuffle,
+//! and its reducers, a post-shuffle stage whose task function groups the
+//! pulled pairs and reduces them (`submit_job_env`); a DAG is a plan of one
+//! stage per shuffle boundary. The mechanics of a run live in the
+//! submodules: `nodes` (per-node slot and health table), `pool` (what the
+//! live runs of a plan share: that table, the attempt numbering, the order
+//! slots are offered in), `sched` (pure task placement), `attempt` (the task
+//! table, launch / fail / first-commit-wins), `detector` (kills, heartbeats,
+//! hang deadlines, node withdrawal), `speculate`, `map` (the attempt body:
+//! fetch or pull, run the task function, spill or write), `pull` (the pull
+//! loop of a task that reads a shuffle) and `commit` (partitioning,
+//! grouping, part files, the registry of shuffle outputs).
 
 use std::cell::RefCell;
 use std::fmt;
@@ -21,7 +22,7 @@ use simnet::{ChunkKey, NodeId, Sim};
 
 use crate::cluster::{Cluster, MrEnv};
 use crate::counters::{keys, Counters};
-use crate::dag::ShuffleSink;
+use crate::dag::{submit_plan, DagResult, Plan, ShuffleSink};
 use crate::input::{InputSplit, TaskInput};
 
 mod attempt;
@@ -198,7 +199,8 @@ pub struct FtConfig {
     /// partition) reinstate the node.
     pub dead_after_misses: usize,
     /// Floor of the per-attempt hang deadline, `max(hang_deadline_min_s,
-    /// 3 × q75 of committed map durations)` — it rules while too few maps
+    /// 3 × q75 of committed task durations)` — of the attempt's own run, or
+    /// of the maps' run for a job's reducers. It rules while too few tasks
     /// have committed for a meaningful duration quantile. An attempt still
     /// running past its deadline is declared hung and failed.
     pub hang_deadline_min_s: f64,
@@ -471,11 +473,11 @@ struct Driver {
     /// its maps, a post-shuffle stage's tasks those of the stages upstream;
     /// `None` for a run whose tasks fetch splits.
     input: Option<ShuffleInput>,
-    /// The run whose output this one pulls when both lower one classic job:
-    /// a reducer's hang deadline is priced against its job's maps. `None` in
-    /// a DAG, whose stage runs lineage may resubmit.
+    /// The run whose committed durations price this run's hang deadlines: a
+    /// job's reducers', their maps' run. `None` — every DAG stage run — for
+    /// its own.
     producer: Option<SharedDriver>,
-    /// Node table and attempt numbering, shared by every run of a job or DAG.
+    /// Node table and attempt numbering, shared by every run of a plan.
     pool: SharedPool,
     start_s: f64,
     tasks: TaskTable,
@@ -630,148 +632,49 @@ pub fn submit_job(
 }
 
 /// Like [`submit_job`] but usable from inside sim callbacks. The job runs as
-/// one or two runs of its own pool: its maps, writing the job's own shuffle
-/// — or, map-only, their part files — and its reducers, a post-shuffle run
-/// over that shuffle whose task function groups the pulled pairs by key and
-/// runs `reduce_fn` on each group.
+/// a plan of one or two stages on the plan driver (`Plan::of_job`); its
+/// result is the plan's, every stage run's task reports in submission order
+/// — the maps', then the reducers'.
 pub fn submit_job_env(
     sim: &mut Sim,
     env: MrEnv,
     job: Job,
     done: impl FnOnce(&mut Sim, Result<JobResult, MrError>) + 'static,
 ) {
-    let done =
-        move |sim: &mut Sim, r, failed: Option<MrError>| done(sim, failed.map_or(Ok(r), Err));
-    lower(sim, env, job, Box::new(done));
-}
-
-/// Lower `job` onto its runs — its maps, then its reducers, if any — and
-/// offer them the slots; returns the runs. The job ends with its last run:
-/// with the first error either run ends on, the other then called off.
-fn lower(sim: &mut Sim, env: MrEnv, job: Job, done: JobDone) -> Vec<SharedDriver> {
     if job.reduce_fn.is_some() && job.n_reducers == 0 {
         let e = MrError::msg(format!(
             "job {}: a reduce function needs at least one reducer",
             job.name
         ));
-        let now = sim.now().secs();
-        let nothing = JobResult {
-            name: job.name,
-            start_s: now,
-            end_s: now,
-            tasks: Vec::new(),
-            counters: Counters::new(),
-        };
-        sim.after(0.0, move |sim| done(sim, nothing, Some(e)));
-        return Vec::new();
+        return sim.after(0.0, move |sim| done(sim, Err(e)));
     }
-    let pool = Pool::open(sim, &env, &job.ft);
-    let books = pool.clone();
-    let done: JobDone = Box::new(move |sim, mut r, failed| {
-        r.counters.merge(&books.borrow().books());
-        done(sim, r, failed)
-    });
-    let n_reducers = job.reduce_fn.as_ref().map_or(0, |_| job.n_reducers);
-    let n_maps = job.splits.len();
-    let store = ShuffleStore::shared([(0, n_maps), (1, n_reducers)]);
-    let io = |stage_tasks, width, prefix, input| StageIo {
-        sink: ShuffleSink::of_job(store.clone(), stage_tasks, width, prefix),
-        input,
-        pool: pool.clone(),
-    };
-    let maps = Job {
-        reduce_fn: None,
-        ..job.clone()
-    };
-    let Some(reduce_fn) = job.reduce_fn.clone() else {
-        let io = io((0, n_maps), None, "part-m-", None);
-        let maps = submit_run(sim, env, maps, TaskKind::Map, io, None, done);
-        pool::schedule(sim, &pool);
-        return vec![maps];
-    };
-    // The maps' result waits for the reducers', which ends the job; a map
-    // run that fails calls the reducers off with its error. Until the map
-    // run ends, its callback holds the reducer run — which nothing else
-    // holds while none of its tasks is in flight — and that run holds it.
-    let maps_result: Rc<RefCell<Option<JobResult>>> = Rc::default();
-    let reducers: Rc<RefCell<Option<SharedDriver>>> = Rc::default();
-    let (result, readers) = (maps_result.clone(), reducers.clone());
-    let maps_done: JobDone = Box::new(move |sim, r, failed| {
-        *result.borrow_mut() = Some(r);
-        let reducers = readers.borrow_mut().take();
-        if let Some((e, d)) = failed.zip(reducers) {
-            end_run(sim, &d, Some(e));
-        }
-    });
-    let io_maps = io((0, n_maps), Some(n_reducers), "part-m-", None);
-    let maps = submit_run(
-        sim,
-        env.clone(),
-        maps,
-        TaskKind::Map,
-        io_maps,
-        None,
-        maps_done,
-    );
-    let producer = maps.clone();
-    let reduce_done: JobDone = Box::new(move |sim, r, failed| {
-        end_run(sim, &producer, Some(MrError::msg("the job ended")));
-        let Some(mut maps) = maps_result.borrow_mut().take() else {
-            return done(sim, r, failed);
+    let project = move |sim: &mut Sim, r: DagResult, failed: Option<MrError>| {
+        let result = JobResult {
+            name: r.name,
+            start_s: r.start_s,
+            end_s: r.end_s,
+            tasks: r.runs.into_iter().flat_map(|run| run.tasks).collect(),
+            counters: r.counters,
         };
-        maps.counters.merge(&r.counters);
-        maps.tasks.extend(r.tasks);
-        maps.end_s = r.end_s;
-        done(sim, maps, failed)
-    });
-    let reduce = Job {
-        splits: Vec::new(),
-        map_fn: reduce_task(reduce_fn),
-        reduce_fn: None,
-        ..job
+        done(sim, failed.map_or(Ok(result), Err))
     };
-    let input = ShuffleInput {
-        store: store.clone(),
-        sources: vec![(0, 0)],
-    };
-    let io_reduce = io((1, n_reducers), None, "part-r-", Some(input));
-    let producer = Some(maps.clone());
-    let kind = TaskKind::Reduce;
-    let d = submit_run(sim, env, reduce, kind, io_reduce, producer, reduce_done);
-    *reducers.borrow_mut() = Some(d.clone());
-    // Reducers are pending from the start: those the maps leave a slot for
-    // launch now, start up beside the map wave and pull each map output as
-    // it commits (`pull.rs`).
-    pool::schedule(sim, &pool);
-    vec![maps, d]
+    submit_plan(sim, env, Plan::of_job(job), Box::new(project));
 }
 
-/// The task function of a classic job's reducers: group the pulled pairs by
-/// key (BTreeMap — deterministic key order, values in (producing partition,
-/// emit) order) and run `reduce_fn` on each group. Its merge was priced as
-/// the pairs landed (`pull.rs`).
-fn reduce_task(reduce_fn: ReduceFn) -> MapFn {
-    Rc::new(move |input, ctx| {
-        let TaskInput::Pairs(pairs) = input else {
-            return Err(MrError::msg("a reduce task expects pair input"));
-        };
-        for (key, values) in group_by_key(pairs.into_iter().map(|(_, k, v)| (k, v))) {
-            reduce_fn(&key, values, ctx)?;
-        }
-        Ok(())
-    })
-}
-
-/// What makes a job one stage run of a DAG: where its output goes, what its
-/// tasks pull (`None` for a source stage, which fetches splits) and the pool
-/// it shares with the DAG's other runs.
+/// What makes a job one stage run of a plan: what its tasks are reported
+/// as, where their output goes, what they pull (`None` for a source stage,
+/// which fetches splits), the run whose durations price their hang
+/// deadlines (`None`: their own) and the pool the plan's runs share.
 pub(crate) struct StageIo {
+    pub kind: TaskKind,
     pub sink: ShuffleSink,
     pub input: Option<ShuffleInput>,
+    pub producer: Option<StageRunHandle>,
     pub pool: SharedPool,
 }
 
-/// A handle on a submitted stage run, for the DAG driver.
+/// A handle on a submitted stage run, for the plan driver.
+#[derive(Clone)]
 pub(crate) struct StageRunHandle(SharedDriver);
 
 impl StageRunHandle {
@@ -793,8 +696,10 @@ impl StageRunHandle {
     }
 }
 
-/// Start a driver for `job` as one stage run of a DAG: its tasks registered
-/// in the sink's shuffle — or, for the final stage, committed as part files.
+/// Enlist a run of `job` as one stage run of a plan — one task per sink
+/// partition, fetching `job.splits` or pulling `io.input` — in its pool and
+/// offer it the slots. The plan driver submits only partitions it misses,
+/// so a run has at least one task.
 pub(crate) fn submit_stage(
     sim: &mut Sim,
     env: MrEnv,
@@ -802,25 +707,13 @@ pub(crate) fn submit_stage(
     io: StageIo,
     done: JobDone,
 ) -> StageRunHandle {
-    let pool = io.pool.clone();
-    let d = submit_run(sim, env, job, TaskKind::Map, io, None, done);
-    if !d.borrow().tasks.all_done() {
-        pool::schedule(sim, &pool);
-    }
-    StageRunHandle(d)
-}
-
-/// Enlist a run of `job`'s splits, its tasks reported as `kind`, in its
-/// pool; the caller offers it the slots. A run with no task ends at once.
-fn submit_run(
-    sim: &mut Sim,
-    env: MrEnv,
-    job: Job,
-    kind: TaskKind,
-    StageIo { sink, input, pool }: StageIo,
-    producer: Option<SharedDriver>,
-    done: JobDone,
-) -> SharedDriver {
+    let StageIo {
+        kind,
+        sink,
+        input,
+        producer,
+        pool,
+    } = io;
     let now = sim.now().secs();
     let n_tasks = sink.tasks();
     // Per-attempt hang deadlines only when the plan can produce silence
@@ -843,7 +736,7 @@ fn submit_run(
         kind,
         sink,
         input,
-        producer,
+        producer: producer.map(|p| p.0),
         pool: pool.clone(),
         start_s: now,
         tasks: TaskTable::new(n_tasks),
@@ -856,11 +749,8 @@ fn submit_run(
         job,
     }));
     pool.borrow_mut().enlist(&d);
-    if n_tasks == 0 {
-        let d2 = d.clone();
-        sim.after(0.0, move |sim| end_run(sim, &d2, None));
-    }
-    d
+    pool::schedule(sim, &pool);
+    StageRunHandle(d)
 }
 
 /// Convenience: submit, run the world to completion, return the result.

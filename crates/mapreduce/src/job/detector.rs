@@ -185,8 +185,9 @@ fn heartbeat_tick(sim: &mut Sim, pool: &SharedPool, tick: u64) {
 
 /// The hang deadline of an attempt armed now, when deadline checks are
 /// armed: a generous multiple of the q75 committed task duration of the run
-/// — of its producer run, for a job's reducers — floored while too few tasks
-/// have finished.
+/// its plan prices it on — its producer, the maps' run, for a job's
+/// reducers; its own for every DAG stage (the plan's `Stage::deadline_from`)
+/// — floored while too few tasks have finished.
 fn hang_deadline(dd: &Driver) -> Option<f64> {
     dd.hang_checks_armed.then(|| {
         let floor = dd.job.ft.hang_deadline_min_s;
@@ -286,7 +287,10 @@ fn quantile(v: &[f64], q: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use crate::counters::keys;
-    use crate::job::tests::{slow_map_job, small_cluster};
+    use crate::dag::tests::{count_reader, sum_agg};
+    use crate::dag::{run_dag, DagJob, DagResult};
+    use crate::dataset::{AggFn, Dataset, RecordReadFn};
+    use crate::job::tests::{mem_splits, slow_map_job, small_cluster};
     use crate::job::{run_job, FtConfig, MrError, Payload};
     use simnet::FaultPlan;
     use std::rc::Rc;
@@ -360,6 +364,49 @@ mod tests {
             matches!(&err, MrError::Msg(m) if m.contains("no usable nodes left")),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn a_dag_stage_attempt_stranded_after_long_sources_is_declared_hung_at_its_own_floor() {
+        // Two 20 s source tasks feed one post-shuffle task on a third node,
+        // which pulls both outputs and computes 4 s. Its node is cut off for
+        // 5 s around the end of that compute: the completion is dropped, and
+        // only its hang deadline can recover it.
+        let dag = || {
+            let read: RecordReadFn = Rc::new(|input, ctx| {
+                ctx.charge("scan", 20.0);
+                count_reader()(input, ctx)
+            });
+            let sum = sum_agg();
+            let agg: AggFn = Rc::new(move |key, values, ctx| {
+                ctx.charge("agg", 2.0);
+                sum(key, values, ctx)
+            });
+            let plan = Dataset::from_splits(mem_splits(2, 100), read).reduce_by_key(1, agg);
+            DagJob::new("strand", plan, "out")
+        };
+        let clean = run_dag(&mut small_cluster(3, 1), dag()).unwrap();
+        let task =
+            |r: &DagResult, run: usize| r.runs.get(run).and_then(|r| r.tasks.first()).cloned();
+        let (source, last) = (task(&clean, 0).unwrap(), task(&clean, 1).unwrap());
+        let floor = FtConfig::default().hang_deadline_min_s;
+        assert!(
+            3.0 * source.duration() > floor,
+            "the sources would price it higher"
+        );
+        let mut c = small_cluster(3, 1);
+        let (node, at) = (last.node.0, last.end_s);
+        c.sim
+            .faults
+            .install(FaultPlan::none().partition(&[node], at - 0.5, at + 4.5));
+        let r = run_dag(&mut c, dag()).unwrap();
+        assert_eq!(r.counters.get(keys::TASKS_HANG_DETECTED), 1.0);
+        // A DAG stage's deadline is priced on its own run, which has
+        // committed nothing: the floor, counted from the compute's end, not
+        // three times the sources' q75.
+        let retry = task(&r, 1).unwrap();
+        let waited = retry.start_s - last.end_s;
+        assert!((waited - floor).abs() < 1e-6, "declared hung {waited} s on");
     }
 
     #[test]

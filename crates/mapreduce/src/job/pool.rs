@@ -1,10 +1,10 @@
-//! What the live runs of one DAG or classic job share: one node table, one
-//! attempt numbering, one failure detector, and the list of the runs
-//! themselves. Two runs never both think they own a slot, attempt ids (and
-//! with them the temp names of part files) are unique across a DAG, a node
-//! is withdrawn once for all of them, and a free slot is offered to the runs
-//! in stage order, upstream first — but for a due task of a downstream run
-//! ([`super::attempt::try_schedule`]).
+//! What the live runs of one plan — a DAG, or a classic job's maps and
+//! reducers — share: one node table, one attempt numbering, one failure
+//! detector, and the list of the runs themselves. Two runs never both think
+//! they own a slot, attempt ids (and with them the temp names of part files)
+//! are unique across a plan, a node is withdrawn once for all of them, and a
+//! free slot is offered to the runs in stage order, upstream first — but for
+//! a due task of a downstream run ([`super::attempt::try_schedule`]).
 
 use std::cell::RefCell;
 use std::rc::{Rc, Weak};
@@ -69,7 +69,7 @@ impl Pool {
         pool
     }
 
-    /// The books a job or DAG closes with: what the detector saw, and the
+    /// The books a plan closes with: what the detector saw, and the
     /// cluster-cache evictions since the pool opened (registry stats are
     /// world-lifetime monotonic; the delta is its runs' share).
     pub(crate) fn books(&self) -> Counters {
@@ -92,8 +92,9 @@ impl Pool {
         self.on_node_lost = Some(lost);
     }
 
-    /// Someone recomputes what a kill takes (a DAG's driver): the pool's
-    /// runs may give up on an output rather than wait for it.
+    /// Someone recomputes what a kill takes (the driver of a plan that
+    /// recovers: a DAG's): the pool's runs may give up on an output rather
+    /// than wait for it.
     pub(super) fn recovers(&self) -> bool {
         self.on_node_lost.is_some()
     }
@@ -185,7 +186,9 @@ pub(super) fn preempt_waiting(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dag::ShuffleSink;
+    use crate::dag::tests::{count_reader, lineage_plan, sum_agg};
+    use crate::dag::{submit_plan, DagJob, DagResult, Plan};
+    use crate::dataset::{AggFn, Dataset, RecordReadFn};
     use crate::input::TaskInput;
     use crate::job::commit::MapOutput;
     use crate::job::nodes::tests::slots;
@@ -193,12 +196,17 @@ mod tests {
     use crate::job::tests::{
         mem_splits, scaled_cluster, slow_map_job, small_cluster, word_count_job,
     };
-    use crate::job::{
-        lower, submit_stage, Job, JobDone, JobResult, Kv, MrError, Payload, ShuffleInput,
-        ShuffleStore, StageIo,
-    };
+    use crate::job::{Kv, MrError, Payload};
     use crate::Cluster;
     use simnet::FaultPlan;
+
+    /// Submit `plan` on `c` through the plan driver and return its live
+    /// runs, upstream first, before any event has run.
+    fn submitted(c: &mut Cluster, plan: Plan) -> Vec<SharedDriver> {
+        let env = c.env();
+        let pool = submit_plan(&mut c.sim, env, plan, Box::new(|_, _, _| {}));
+        live_runs(&pool)
+    }
 
     /// Give reducer `r`'s attempt the pull state `shuffle`.
     fn set(d: &SharedDriver, r: usize, shuffle: Shuffle) {
@@ -229,9 +237,7 @@ mod tests {
         // busy and every reducer is starting up, at 0 s.
         let mut c = scaled_cluster(2, 2);
         let job = word_count_job(mem_splits(1, 100), 3);
-        let ended: JobDone = Box::new(|_, _, _| {});
-        let env = c.env();
-        let runs = lower(&mut c.sim, env, job, ended);
+        let runs = submitted(&mut c, Plan::of_job(job));
         let (maps, reducers) = (&runs[0], &runs[1]);
         let sim = &c.sim;
         assert_eq!(maps.borrow().pool.borrow().nodes.busy(), 4);
@@ -260,62 +266,62 @@ mod tests {
 
     #[test]
     fn a_stage_task_owing_the_same_merge_is_due_too() {
-        // One rule for every pulling task: one of the stage's two sources
-        // registered what makes a reducer due above.
+        // One rule for every pulling task: one of a DAG stage's two sources
+        // registers what makes a reducer due above.
         let mut c = scaled_cluster(2, 2);
-        let store = ShuffleStore::shared([(0, 2)]);
-        store.borrow_mut().register(0, 0, Some(owing_2s(1, 0)), 0.0);
-        let env = c.env();
-        let io = StageIo {
-            sink: ShuffleSink::of_job(store.clone(), (1, 1), None, "part-"),
-            input: Some(ShuffleInput {
-                store,
-                sources: vec![(0, 0)],
-            }),
-            pool: Pool::open(&mut c.sim, &env, &FtConfig::default()),
-        };
-        let mut job = word_count_job(mem_splits(1, 0), 1);
-        job.reduce_fn = None;
-        let ended: JobDone = Box::new(|_, _, _| {});
-        let run = submit_stage(&mut c.sim, env, job, io, ended);
-        let dd = run.0.borrow();
+        let read: RecordReadFn = Rc::new(|_, _| Ok(Vec::new()));
+        let agg: AggFn = Rc::new(|_, _, _| Ok(Payload::Bytes(Vec::new())));
+        let plan = Dataset::from_splits(mem_splits(2, 0), read).reduce_by_key(1, agg);
+        let plan = Plan::of_dag(&DagJob::new("due", plan, "out")).expect("a valid plan");
+        let runs = submitted(&mut c, plan);
+        let stage = runs.iter().find(|r| r.borrow().pulls());
+        let dd = stage.expect("a post-shuffle run").borrow();
+        let input = dd.input.as_ref().expect("it pulls");
+        let (source, _) = input.sources[0];
+        let output = owing_2s(1, 0);
+        input
+            .store
+            .borrow_mut()
+            .register(source, 0, Some(output), 0.0);
         assert!(dd.waits(), "its input is open");
         assert!(dd.due(&c.sim, &dd.pool.borrow().nodes, 0));
     }
 
-    /// What a job ended with: what it committed, and its error if it failed.
-    type Ended = (JobResult, Option<MrError>);
+    /// What a plan ended with: its result, its error if it failed, and how
+    /// many attempts its pool numbered.
+    type Ended = (DagResult, Option<MrError>, AttemptId);
 
-    /// Run `job` on `c` through [`lower`], checking the slot law at the
-    /// instant it ends, either way: every slot its attempts took is back,
-    /// and no usable node has more warm slots than free ones.
-    fn run_lawfully(c: &mut Cluster, job: Job) -> Ended {
+    /// Run `plan` on `c` through the plan driver, checking the slot law at
+    /// the instant it ends, either way: every slot its attempts took is
+    /// back, and no usable node has more warm slots than free ones.
+    fn run_lawfully(c: &mut Cluster, plan: Plan) -> Ended {
         let pool: Rc<RefCell<Option<SharedPool>>> = Rc::default();
         let ended: Rc<RefCell<Option<Ended>>> = Rc::default();
-        let (of_job, end) = (pool.clone(), ended.clone());
-        let done: JobDone = Box::new(move |_, r, failed| {
-            let pool = of_job.borrow_mut().take().expect("the job's pool");
-            let nodes = &pool.borrow().nodes;
+        let (of_plan, end) = (pool.clone(), ended.clone());
+        let done = move |_: &mut Sim, r: DagResult, failed| {
+            let pool = of_plan.borrow_mut().take().expect("the plan's pool");
+            let p = pool.borrow();
+            let nodes = &p.nodes;
             assert_eq!(nodes.busy(), 0, "a slot not given back: {:?}", r.counters);
             for n in nodes.ids().filter(|&n| nodes.usable(n)) {
                 let (free, warm) = slots(nodes, n);
                 assert!(warm <= free, "node {}: {warm} warm of {free} free", n.0);
             }
-            *end.borrow_mut() = Some((r, failed));
-        });
+            *end.borrow_mut() = Some((r, failed, p.next_attempt));
+        };
         let env = c.env();
-        let runs = lower(&mut c.sim, env, job, done);
-        *pool.borrow_mut() = runs.first().map(|maps| maps.borrow().pool.clone());
+        *pool.borrow_mut() = Some(submit_plan(&mut c.sim, env, plan, Box::new(done)));
         c.run();
         let ended = ended.borrow_mut().take();
-        ended.expect("the job ended")
+        ended.expect("the plan ended")
     }
 
     #[test]
     fn every_way_out_of_the_task_table_gives_the_slot_back() {
         // A clean job with reducers: every attempt commits.
         let mut c = small_cluster(2, 2);
-        let (r, failed) = run_lawfully(&mut c, word_count_job(mem_splits(6, 100), 2));
+        let job = word_count_job(mem_splits(6, 100), 2);
+        let (r, failed, _) = run_lawfully(&mut c, Plan::of_job(job));
         assert!(failed.is_none());
         assert_eq!(r.counters.get(keys::REDUCE_TASKS), 2.0);
 
@@ -323,7 +329,8 @@ mod tests {
         // originals are dropped.
         let mut c = small_cluster(2, 2);
         c.sim.faults.install(FaultPlan::none().slow_node(1, 20.0));
-        let (r, failed) = run_lawfully(&mut c, slow_map_job(4, 10.0, FtConfig::default()));
+        let job = slow_map_job(4, 10.0, FtConfig::default());
+        let (r, failed, _) = run_lawfully(&mut c, Plan::of_job(job));
         assert!(failed.is_none());
         assert!(
             r.counters.get(keys::SPECULATIVE_WON) >= 1.0,
@@ -334,7 +341,8 @@ mod tests {
         // Node 1 dies mid-wave: its attempts are withdrawn and retried.
         let mut c = small_cluster(3, 2);
         c.sim.faults.install(FaultPlan::none().kill_node(1, 2.0));
-        let (r, failed) = run_lawfully(&mut c, slow_map_job(6, 2.0, FtConfig::default()));
+        let job = slow_map_job(6, 2.0, FtConfig::default());
+        let (r, failed, _) = run_lawfully(&mut c, Plan::of_job(job));
         assert!(failed.is_none());
         assert!(
             r.counters.get(keys::TASK_RETRIES) >= 1.0,
@@ -342,27 +350,28 @@ mod tests {
             r.counters
         );
 
-        // A map that always fails: retries, then the run fails and its
-        // attempts still in flight, the waiting reducer's among them, are
-        // retired with it.
+        // A map that always fails: retries, then the maps' run fails and
+        // the plan calls off the reducers' run, retiring the waiting
+        // reducer with it. A run called off is not folded into the result:
+        // the reducer shows as an attempt the pool numbered and no map
+        // counted, whose slot the law above saw back.
         let mut c = small_cluster(2, 2);
         let mut job = word_count_job(mem_splits(2, 100), 1);
         job.map_fn = Rc::new(|_, ctx| {
             ctx.charge("scan", 1.0);
             Err(MrError::msg("kaboom"))
         });
-        let (r, failed) = run_lawfully(&mut c, job);
+        let (r, failed, numbered) = run_lawfully(&mut c, Plan::of_job(job));
         assert_eq!(failed, Some(MrError::msg("kaboom")));
         assert!(
             r.counters.get(keys::TASK_RETRIES) >= 1.0,
             "{:?}",
             r.counters
         );
-        assert!(
-            r.counters.get(keys::REDUCE_ATTEMPTS) >= 1.0,
-            "{:?}",
-            r.counters
-        );
+        let map_attempts = r.counters.get(keys::MAP_ATTEMPTS);
+        assert!(numbered as f64 > map_attempts, "{numbered} numbered");
+        let reducers = r.runs.iter().find(|run| run.stage == 1);
+        assert!(reducers.is_some_and(|run| !run.ok), "{:?}", r.runs);
 
         // 2 nodes x 1 slot: map 0 (8 s) on node 1, map 1 (1 s) on node 0,
         // whose slot reducer 0 then takes. Node 1 dies under map 0, and its
@@ -380,12 +389,63 @@ mod tests {
         });
         let mut c = small_cluster(2, 1);
         c.sim.faults.install(FaultPlan::none().kill_node(1, 4.0));
-        let (r, failed) = run_lawfully(&mut c, job);
+        let (r, failed, _) = run_lawfully(&mut c, Plan::of_job(job));
         assert!(failed.is_none());
         assert!(
             r.counters.get(keys::REDUCES_PREEMPTED) >= 1.0,
             "{:?}",
             r.counters
         );
+
+        // A DAG: node 1 dies as stage 1 closes, taking shuffle outputs its
+        // consumer still needs with it; they are recomputed.
+        let dag = DagJob::new("lin", lineage_plan(), "out");
+        let of_dag = || Plan::of_dag(&dag).expect("a valid plan");
+        let (clean, _, _) = run_lawfully(&mut small_cluster(4, 1), of_dag());
+        let s1 = clean.runs.iter().find(|run| run.stage == 1);
+        let s1_end = s1.expect("stage 1 ran").end_s;
+        let mut c = small_cluster(4, 1);
+        c.sim
+            .faults
+            .install(FaultPlan::none().kill_node(1, s1_end + 1e-6));
+        let (r, failed, _) = run_lawfully(&mut c, of_dag());
+        assert!(failed.is_none());
+        assert!(
+            r.counters.get(keys::LINEAGE_RECOMPUTES) >= 1.0,
+            "{:?}",
+            r.counters
+        );
+
+        // A DAG whose final task has pulled all it needs and computes for
+        // 10 s: a holder of a source output dies under it, the lost
+        // partition is recomputed (6 s of compute), and the DAG completes
+        // without it — the recompute run is called off.
+        let read: RecordReadFn = Rc::new(|input, ctx| {
+            ctx.charge("scan", 6.0);
+            count_reader()(input, ctx)
+        });
+        let sum = sum_agg();
+        let agg: AggFn = Rc::new(move |key, values, ctx| {
+            ctx.charge("agg", 5.0);
+            sum(key, values, ctx)
+        });
+        let plan = Dataset::from_splits(mem_splits(2, 100), read).reduce_by_key(1, agg);
+        let dag = DagJob::new("late", plan, "out");
+        let of_dag = || Plan::of_dag(&dag).expect("a valid plan");
+        let (clean, _, _) = run_lawfully(&mut small_cluster(3, 1), of_dag());
+        let task = |run: usize, t: usize| clean.runs.get(run).and_then(|r| r.tasks.get(t));
+        let (holder, last) = (task(0, 0).expect("a source"), task(1, 0).expect("a final"));
+        assert_ne!(holder.node, last.node);
+        let mut c = small_cluster(3, 1);
+        let kill = FaultPlan::none().kill_node(holder.node.0, last.end_s - 5.0);
+        c.sim.faults.install(kill);
+        let (r, failed, _) = run_lawfully(&mut c, of_dag());
+        assert!(failed.is_none());
+        assert_eq!(r.end_s, last.end_s, "the final task was not held up");
+        let recompute = r
+            .runs
+            .get(2)
+            .filter(|run| run.stage == 0 && run.recomputed == 1);
+        assert!(recompute.is_some_and(|run| !run.ok), "{:?}", r.runs);
     }
 }

@@ -15,7 +15,7 @@ use mapreduce::{
 use scidp::{
     derived_raster, nuwrf_map_fn, nuwrf_reduce_fn, wrap_r_map, wrap_r_reduce, WorkflowConfig,
 };
-use simnet::{NodeId, Sim};
+use simnet::{NodeId, ResourceId, Sim};
 
 use crate::convert::ConversionReport;
 use crate::datapath::SolutionKind;
@@ -87,6 +87,16 @@ pub fn run_naive(
     let scale = cluster.sim.cost.scale;
     let raster = raster_for(cfg, scale);
     let node = NodeId(0);
+    let Some(disk) = env.topo.path_local_disk(node) else {
+        // Every topology has a node 0: without one there is nothing to time.
+        return SolutionReport {
+            solution: SolutionKind::Naive,
+            conversion_time: conv.conversion_time,
+            copy_time: f64::NAN,
+            process_time: f64::NAN,
+            job: None,
+        };
+    };
 
     // Phase 1: serial copy of every text file onto node 0's local disk.
     let files = conv.text_files.clone();
@@ -94,6 +104,8 @@ pub fn run_naive(
     {
         struct St {
             env: MrEnv,
+            /// Node 0's local disk, where every copy lands and is read back.
+            disk: Vec<ResourceId>,
             files: Vec<String>,
             idx: usize,
             copy_end: Rc<RefCell<f64>>,
@@ -104,6 +116,7 @@ pub fn run_naive(
         let done_at: Rc<RefCell<f64>> = Rc::new(RefCell::new(0.0));
         let st = Rc::new(RefCell::new(St {
             env: env.clone(),
+            disk,
             files,
             idx: 0,
             copy_end: copy_end.clone(),
@@ -118,7 +131,7 @@ pub fn run_naive(
                 if s.idx >= s.files.len() {
                     *s.copy_end.borrow_mut() = sim.now().secs();
                     drop(s);
-                    process_step(sim, st, node);
+                    process_step(sim, st);
                     return;
                 }
                 (s.files[s.idx].clone(), s.env.clone())
@@ -128,31 +141,30 @@ pub fn run_naive(
             pfs::read_file(sim, &env.topo, &env.pfs, node, &path, move |sim, data| {
                 // Land on the local disk.
                 let bytes = sim.cost.lbytes(data.expect("converted text present").len());
-                let env2 = st2.borrow().env.clone();
-                let disk = env2.topo.path_local_disk(node);
+                let disk = st2.borrow().disk.clone();
                 let st3 = st2.clone();
                 sim.start_flow(disk, bytes, move |sim| copy_step(sim, &st3, node));
             });
         }
 
-        fn process_step(sim: &mut Sim, st: &Rc<RefCell<St>>, node: NodeId) {
-            let (path, env, cfg, raster, scale) = {
+        fn process_step(sim: &mut Sim, st: &Rc<RefCell<St>>) {
+            let (path, env, disk, cfg, raster, scale) = {
                 let s = st.borrow();
                 if s.process_idx >= s.files.len() {
                     *s.done_at.borrow_mut() = sim.now().secs();
                     return;
                 }
                 let (c, r, sc) = s.process_cfg.clone();
-                (s.files[s.process_idx].clone(), s.env.clone(), c, r, sc)
+                let path = s.files[s.process_idx].clone();
+                (path, s.env.clone(), s.disk.clone(), c, r, sc)
             };
             st.borrow_mut().process_idx += 1;
             // Local disk read of the staged copy.
             let len = env.pfs.borrow().len_of(&path).expect("copied file");
             let read_flow = sim.cost.lbytes(len);
-            let disk = env.topo.path_local_disk(node);
             let st2 = st.clone();
             let env2 = env.clone();
-            sim.start_flow(disk, read_flow, move |sim| {
+            sim.start_flow(disk.clone(), read_flow, move |sim| {
                 // The real payload, identical to the Hadoop text path but
                 // contention-free (no parallel penalty: the paper notes the
                 // naive plot is slightly faster per level).
@@ -168,12 +180,10 @@ pub fn run_naive(
                     .sum();
                 let compute = ctx.total_charge_s();
                 let st3 = st2.clone();
-                let env3 = env2.clone();
                 sim.after(compute, move |sim| {
                     // Write images to the local disk.
                     let w = sim.cost.lbytes(out_bytes);
-                    let disk = env3.topo.path_local_disk(node);
-                    sim.start_flow(disk, w, move |sim| process_step(sim, &st3, node));
+                    sim.start_flow(disk, w, move |sim| process_step(sim, &st3));
                 });
             });
         }

@@ -173,16 +173,19 @@ fn hop_step(
         Some(&prev) => prev,
         None => st.writer,
     };
-    if sim.link(src, dst).is_none() {
-        // A write must complete: a target the pipeline cannot reach right
-        // now is left out of the block, as a DataNode that fails pipeline
-        // setup is, and the next hop forwards from the same replica. Hop 0
-        // is the writer's own disk, so a block never commits empty.
+    // A write must complete: a target the pipeline cannot reach right now,
+    // or that the topology has no route to, is left out of the block, as a
+    // DataNode that fails pipeline setup is, and the next hop forwards from
+    // the same replica. Hop 0 is the writer's own disk, so a block never
+    // commits empty.
+    let route = sim
+        .link(src, dst)
+        .and(st.topo.path_remote_disk_write(src, dst));
+    let Some(path) = route else {
         targets.remove(hop);
         return hop_step(sim, st, idx, data, targets, hop);
-    }
+    };
     let bytes = sim.cost.lbytes(data.len());
-    let path = st.topo.path_remote_disk_write(src, dst);
     sim.net_transfer(src, dst, None, path, bytes, move |sim| {
         hop_step(sim, st, idx, data, targets, hop + 1);
     });
@@ -297,8 +300,12 @@ fn attempt_step(sim: &mut Sim, st: Rc<BlockReadState>, i: usize, via_hedge: bool
     }
     let bytes = sim.cost.lbytes(data.len());
     let flow_path = st.topo.path_remote_disk_read(owner, st.reader);
-    let Some(&disk) = flow_path.first() else {
-        debug_assert!(false, "empty disk-read flow path");
+    let Some((disk, flow_path)) = flow_path.and_then(|p| Some((*p.first()?, p))) else {
+        debug_assert!(
+            false,
+            "no disk-read route from node {} to node {}",
+            owner.0, st.reader.0
+        );
         return;
     };
     // An owner the reader cannot reach never delivers, and nothing is

@@ -334,8 +334,11 @@ fn spill(sim: &mut Sim, att: Attempt, parts: Vec<Vec<Kv>>, out_bytes: usize) {
             finish_spill,
         );
     } else {
+        let Some(path) = env.topo.path_local_disk(node) else {
+            let e = MrError::msg(format!("node {} has no local disk to spill to", node.0));
+            return queued.fail(sim, e);
+        };
         let bytes = sim.cost.lbytes(out_bytes);
-        let path = env.topo.path_local_disk(node);
         let disk = pool.clone();
         let write: Spill = Box::new(move |sim| {
             if !queued.live() {

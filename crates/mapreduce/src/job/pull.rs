@@ -342,8 +342,11 @@ fn pull(sim: &mut Sim, att: &Attempt, fresh: &[OutputKey]) {
         } else {
             // A holder this node cannot reach never delivers: the pull
             // stays in flight and the attempt's hang deadline fails it.
+            let Some(path) = env.topo.path_net(holder, node) else {
+                let e = format!("no route from node {} to node {}", holder.0, node.0);
+                return att.fail(sim, MrError::msg(e));
+            };
             let flow_bytes = sim.cost.lbytes(bytes);
-            let path = env.topo.path_net(holder, node);
             sim.net_transfer(holder, node, None, path, flow_bytes, arrive);
         }
     }

@@ -92,9 +92,10 @@ fn transfer_segments(
     let landed = countdown(segments.len(), done);
     for seg in segments {
         let Some((disk, path)) = route(seg.ost) else {
-            // Every OST route runs through the OST's disk; one without is a
-            // corrupt topology, and the operation never lands.
-            debug_assert!(false, "the route of OST {} has no disk", seg.ost);
+            // Every OST route runs through the OST's disk; an OST or client
+            // node outside the topology has no route, and the operation never
+            // lands.
+            debug_assert!(false, "OST {} has no route with a disk", seg.ost);
             continue;
         };
         let bytes = sim.cost.lbytes(seg.len);
@@ -176,7 +177,7 @@ pub fn read_at(
             // One seek per contiguous OST segment — readahead streams the
             // stripes of a segment back to back.
             let route = |ost| {
-                let flow_path = topo.path_ost_read(ost, node);
+                let flow_path = topo.path_ost_read(ost, node)?;
                 Some((*flow_path.first()?, flow_path))
             };
             transfer_segments(sim, segments, route, move |sim| done(sim, Ok(payload)));
@@ -224,7 +225,7 @@ pub fn write_new(
     // Writes are buffered and laid out by the OSS (elevator/coalescing):
     // one positioning cost per OST segment, unlike interleaved reads.
     let route = |ost| {
-        let flow_path = topo.path_ost_write(node, ost);
+        let flow_path = topo.path_ost_write(node, ost)?;
         Some((*flow_path.last()?, flow_path))
     };
     let pfs = pfs.clone();

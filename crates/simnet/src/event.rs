@@ -204,7 +204,10 @@ impl Sim {
         bytes: f64,
         done: impl FnOnce(&mut Sim) + 'static,
     ) {
-        let seek = self.cost.seek_s * self.net.resource(disk).capacity;
+        // A disk outside this network has no seek to price: the flow
+        // admission below rejects it, as it rejects any such resource.
+        let capacity = self.net.resource(disk).map_or(0.0, |r| r.capacity);
+        let seek = self.cost.seek_s * capacity;
         let seek_bytes = if seek.is_finite() { seek } else { 0.0 };
         self.rpc(move |sim| {
             sim.start_flow(vec![disk], seek_bytes, move |sim| {

@@ -146,9 +146,9 @@ impl FlowNet {
         id
     }
 
-    /// Look up a resource.
-    pub fn resource(&self, id: ResourceId) -> &Resource {
-        &self.resources[id.0 as usize]
+    /// Look up a resource; `None` for an id this network never handed out.
+    pub fn resource(&self, id: ResourceId) -> Option<&Resource> {
+        self.resources.get(id.0 as usize)
     }
 
     /// Number of registered resources.

@@ -72,12 +72,12 @@ struct ComputeRes {
     rx: ResourceId,
 }
 
+/// One OST: its disk, and the NIC of the OSS node that fronts it.
 #[derive(Clone, Debug)]
-struct StorageRes {
+struct OstRes {
+    disk: ResourceId,
     tx: ResourceId,
     rx: ResourceId,
-    /// OST disk resources hosted by this OSS node.
-    osts: Vec<ResourceId>,
 }
 
 /// Resolved topology: resource ids for every pipe, plus path helpers.
@@ -85,9 +85,8 @@ struct StorageRes {
 pub struct Topology {
     pub spec: ClusterSpec,
     compute: Vec<ComputeRes>,
-    storage: Vec<StorageRes>,
-    /// (storage node, resource) for each global OST index.
-    ost_index: Vec<(StorageNodeId, ResourceId)>,
+    /// Every OST, by global OST index.
+    osts: Vec<OstRes>,
     pub core: ResourceId,
 }
 
@@ -105,25 +104,29 @@ impl Topology {
                 rx: net.add_resource(format!("c{i}.rx"), spec.nic_bw),
             })
             .collect();
-        let mut storage: Vec<StorageRes> = (0..spec.storage_nodes)
-            .map(|i| StorageRes {
-                tx: net.add_resource(format!("s{i}.tx"), spec.nic_bw),
-                rx: net.add_resource(format!("s{i}.rx"), spec.nic_bw),
-                osts: Vec::new(),
+        let oss: Vec<(ResourceId, ResourceId)> = (0..spec.storage_nodes)
+            .map(|i| {
+                let tx = net.add_resource(format!("s{i}.tx"), spec.nic_bw);
+                (tx, net.add_resource(format!("s{i}.rx"), spec.nic_bw))
             })
             .collect();
-        let mut ost_index = Vec::with_capacity(spec.osts);
-        for o in 0..spec.osts {
-            let s = o % spec.storage_nodes;
-            let r = net.add_resource_thrash(format!("s{s}.ost{o}"), spec.ost_bw, spec.disk_thrash);
-            storage[s].osts.push(r);
-            ost_index.push((StorageNodeId(s as u32), r));
-        }
+        // OSTs round-robin across the OSS nodes.
+        let round_robin = (0..spec.osts).zip(oss.iter().enumerate().cycle());
+        let osts = round_robin
+            .map(|(o, (s, &(tx, rx)))| OstRes {
+                disk: net.add_resource_thrash(
+                    format!("s{s}.ost{o}"),
+                    spec.ost_bw,
+                    spec.disk_thrash,
+                ),
+                tx,
+                rx,
+            })
+            .collect();
         Topology {
             spec,
             compute,
-            storage,
-            ost_index,
+            osts,
             core,
         }
     }
@@ -133,7 +136,7 @@ impl Topology {
     }
 
     pub fn n_osts(&self) -> usize {
-        self.ost_index.len()
+        self.osts.len()
     }
 
     /// All compute node ids.
@@ -141,71 +144,56 @@ impl Topology {
         (0..self.compute.len() as u32).map(NodeId)
     }
 
-    fn c(&self, n: NodeId) -> &ComputeRes {
-        &self.compute[n.0 as usize]
+    fn c(&self, n: NodeId) -> Option<&ComputeRes> {
+        self.compute.get(n.0 as usize)
     }
 
+    // Every path below is `None` when a node or OST it names is not in the
+    // topology: there is no route, and the caller fails the operation.
+
     /// Path for a read or write against the node's local disk.
-    pub fn path_local_disk(&self, n: NodeId) -> Vec<ResourceId> {
-        vec![self.c(n).disk]
+    pub fn path_local_disk(&self, n: NodeId) -> Option<Vec<ResourceId>> {
+        Some(vec![self.c(n)?.disk])
     }
 
     /// Path for a network transfer between two compute nodes. A transfer to
     /// self crosses nothing (loopback) and is modelled as memory-speed.
-    pub fn path_net(&self, src: NodeId, dst: NodeId) -> Vec<ResourceId> {
+    pub fn path_net(&self, src: NodeId, dst: NodeId) -> Option<Vec<ResourceId>> {
         if src == dst {
-            return Vec::new();
+            return Some(Vec::new());
         }
-        vec![self.c(src).tx, self.core, self.c(dst).rx]
+        Some(vec![self.c(src)?.tx, self.core, self.c(dst)?.rx])
     }
 
     /// Path for reading a remote node's disk over the network (HDFS remote
     /// block read: disk -> src NIC -> core -> dst NIC).
-    pub fn path_remote_disk_read(&self, owner: NodeId, reader: NodeId) -> Vec<ResourceId> {
+    pub fn path_remote_disk_read(&self, owner: NodeId, reader: NodeId) -> Option<Vec<ResourceId>> {
         if owner == reader {
             return self.path_local_disk(owner);
         }
-        vec![
-            self.c(owner).disk,
-            self.c(owner).tx,
-            self.core,
-            self.c(reader).rx,
-        ]
+        let (owner, reader) = (self.c(owner)?, self.c(reader)?);
+        Some(vec![owner.disk, owner.tx, self.core, reader.rx])
     }
 
     /// Path for writing to a remote node's disk over the network.
-    pub fn path_remote_disk_write(&self, writer: NodeId, owner: NodeId) -> Vec<ResourceId> {
+    pub fn path_remote_disk_write(&self, writer: NodeId, owner: NodeId) -> Option<Vec<ResourceId>> {
         if owner == writer {
             return self.path_local_disk(owner);
         }
-        vec![
-            self.c(writer).tx,
-            self.core,
-            self.c(owner).rx,
-            self.c(owner).disk,
-        ]
+        let (writer, owner) = (self.c(writer)?, self.c(owner)?);
+        Some(vec![writer.tx, self.core, owner.rx, owner.disk])
     }
 
     /// Path for a PFS client on `dst` reading from global OST `ost`.
-    pub fn path_ost_read(&self, ost: usize, dst: NodeId) -> Vec<ResourceId> {
-        let (s, disk) = self.ost_index[ost];
-        vec![
-            disk,
-            self.storage[s.0 as usize].tx,
-            self.core,
-            self.c(dst).rx,
-        ]
+    pub fn path_ost_read(&self, ost: usize, dst: NodeId) -> Option<Vec<ResourceId>> {
+        let ost = self.osts.get(ost)?;
+        Some(vec![ost.disk, ost.tx, self.core, self.c(dst)?.rx])
     }
 
     /// Path for a PFS client on `src` writing to global OST `ost`.
-    pub fn path_ost_write(&self, src: NodeId, ost: usize) -> Vec<ResourceId> {
-        let (s, disk) = self.ost_index[ost];
-        vec![
-            self.c(src).tx,
-            self.core,
-            self.storage[s.0 as usize].rx,
-            disk,
-        ]
+    pub fn path_ost_write(&self, src: NodeId, ost: usize) -> Option<Vec<ResourceId>> {
+        let ost = self.osts.get(ost)?;
+        Some(vec![self.c(src)?.tx, self.core, ost.rx, ost.disk])
     }
 }
 
@@ -236,28 +224,47 @@ mod tests {
                 ..ClusterSpec::default()
             },
         );
-        assert_eq!(t.ost_index[0].0, StorageNodeId(0));
-        assert_eq!(t.ost_index[1].0, StorageNodeId(1));
-        assert_eq!(t.ost_index[4].0, StorageNodeId(0));
+        // OSTs 0, 2 and 4 sit behind OSS 0's NIC, 1 and 3 behind OSS 1's.
+        let nic = |o: usize| (t.osts[o].tx, t.osts[o].rx);
+        assert_eq!(nic(0), nic(4));
+        assert_ne!(nic(0), nic(1));
+        assert_eq!(nic(1), nic(3));
     }
 
     #[test]
     fn loopback_is_free() {
         let mut net = FlowNet::new();
         let t = Topology::build(&mut net, ClusterSpec::default());
-        assert!(t.path_net(NodeId(0), NodeId(0)).is_empty());
-        assert_eq!(t.path_remote_disk_read(NodeId(1), NodeId(1)).len(), 1);
+        assert_eq!(t.path_net(NodeId(0), NodeId(0)), Some(Vec::new()));
+        assert_eq!(
+            t.path_remote_disk_read(NodeId(1), NodeId(1)).unwrap().len(),
+            1
+        );
     }
 
     #[test]
     fn remote_paths_cross_core() {
         let mut net = FlowNet::new();
         let t = Topology::build(&mut net, ClusterSpec::default());
-        let p = t.path_net(NodeId(0), NodeId(1));
+        let p = t.path_net(NodeId(0), NodeId(1)).unwrap();
         assert_eq!(p.len(), 3);
         assert!(p.contains(&t.core));
-        let p = t.path_ost_read(3, NodeId(2));
+        let p = t.path_ost_read(3, NodeId(2)).unwrap();
         assert_eq!(p.len(), 4);
         assert!(p.contains(&t.core));
+    }
+
+    #[test]
+    fn a_node_or_ost_outside_the_topology_has_no_route() {
+        let mut net = FlowNet::new();
+        let t = Topology::build(&mut net, ClusterSpec::default());
+        let (n, off) = (t.n_compute() as u32, NodeId(t.n_compute() as u32));
+        assert_eq!(t.path_local_disk(off), None);
+        assert_eq!(t.path_net(NodeId(0), off), None);
+        assert_eq!(t.path_net(off, NodeId(n - 1)), None);
+        assert_eq!(t.path_remote_disk_read(off, NodeId(0)), None);
+        assert_eq!(t.path_remote_disk_write(NodeId(0), off), None);
+        assert_eq!(t.path_ost_read(t.n_osts(), NodeId(0)), None);
+        assert_eq!(t.path_ost_write(off, 0), None);
     }
 }

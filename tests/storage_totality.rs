@@ -338,7 +338,10 @@ fn issue(sim: &mut Sim, env: &MrEnv, slots: &Slots, i: usize, is: &Issue) {
         Op::NetTransfer { dst, bytes } => {
             let dst = NodeId(*dst);
             slots.borrow_mut()[i].link = Some(sim.link(node, dst));
-            let (path, bytes) = (topo.path_net(node, dst), *bytes as f64);
+            let path = topo
+                .path_net(node, dst)
+                .expect("a route between compute nodes");
+            let bytes = *bytes as f64;
             sim.net_transfer(node, dst, None, path, bytes, move |sim| {
                 record(&s, i, Got::Arrived(sim.now().secs()))
             })

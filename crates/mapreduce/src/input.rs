@@ -347,7 +347,7 @@ impl PieceSink for Collect {
     }
 }
 
-/// The batch fetch of a streaming fetcher: [`pump_pieces`] every piece of
+/// The batch fetch of a streaming fetcher: `pump_pieces` every piece of
 /// `stream` through `window`, then [`PieceStream::finish`] and hand `done`
 /// one [`FetchResult`] carrying the per-phase sums of the piece charges and
 /// counters followed by the finish-level ones. The first failing piece

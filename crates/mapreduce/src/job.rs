@@ -183,9 +183,11 @@ pub type ReduceFn = Rc<dyn Fn(&str, Vec<Payload>, &mut TaskCtx) -> Result<(), Mr
 pub struct FtConfig {
     /// Attempts per task before the job fails (Hadoop default: 4).
     pub max_task_attempts: usize,
-    /// Launch duplicate attempts for straggling maps: once half the maps
-    /// have committed, a map running longer than twice their median
-    /// duration gets one twin on another node.
+    /// Launch duplicate attempts for stragglers: once half a run's tasks
+    /// have committed, an attempt that computes well slower than they did, a
+    /// streamed fetch that outlasts their median duration by a start-up and
+    /// a completion lost to a silent node each get one twin on another node
+    /// (`job/speculate.rs`).
     pub speculative: bool,
     /// Simulated seconds between failure-detector heartbeat ticks. The
     /// detector only arms itself when the installed fault plan contains
@@ -485,8 +487,11 @@ struct Driver {
     /// present — a partitioned node's completions are dropped and only a
     /// deadline can recover an attempt stranded by a short partition).
     hang_checks_armed: bool,
-    /// Durations of committed tasks (speculation median, hang deadline).
-    durations: Vec<f64>,
+    /// Durations of committed tasks, in order (speculation, hang deadline).
+    durations: speculate::Sorted,
+    /// What else speculation keeps of the committed tasks, and the flagged
+    /// stragglers.
+    spec: speculate::Speculator,
     /// Per-split cluster-cache chunk keys (from
     /// [`crate::input::SplitFetcher::cache_hints`]); the whole vector is
     /// empty when no split has a hint (always so when the cluster cache
@@ -602,15 +607,16 @@ impl Driver {
     /// While this run's tasks would launch *early* — their input is still
     /// open, so a task launched now starts up and pulls beside its sources,
     /// and waits — how many more of them each node may host: an even share
-    /// of them, less those it runs already. `None` too while none of them is
-    /// pending, when nothing would read it.
+    /// of them over the nodes still in service, less those it runs already.
+    /// `None` too while none of them is pending, when nothing would read it.
     fn early(&self) -> Option<Vec<usize>> {
         if !self.waits() || self.tasks.pending().is_empty() {
             return None;
         }
-        let n_nodes = self.pool.borrow().nodes.len();
-        let share = self.tasks.count().div_ceil(n_nodes.max(1));
-        let mut room = vec![share; n_nodes];
+        let pool = self.pool.borrow();
+        let n_usable = pool.nodes.ids().filter(|&n| pool.nodes.usable(n)).count();
+        let share = self.tasks.count().div_ceil(n_usable.max(1));
+        let mut room = vec![share; pool.nodes.len()];
         for (_, info) in self.tasks.in_flight() {
             if let Some(r) = room.get_mut(info.node.0 as usize) {
                 *r = r.saturating_sub(1);
@@ -741,7 +747,8 @@ pub(crate) fn submit_stage(
         start_s: now,
         tasks: TaskTable::new(n_tasks),
         hang_checks_armed,
-        durations: Vec::new(),
+        durations: speculate::Sorted::default(),
+        spec: speculate::Speculator::default(),
         cache_hints,
         reports: Vec::new(),
         counters: Counters::new(),
@@ -932,6 +939,31 @@ pub(crate) mod tests {
             (r.elapsed(), r.counters.get(keys::SHUFFLE_BYTES))
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn a_reducer_requeued_by_a_kill_shares_the_room_of_the_nodes_left() {
+        // 3 nodes x 3 slots: three 10 s maps, one per node, and the three
+        // reducers beside them, one per node — their even share. Node 2
+        // dies at 3 s: its map is retried in node 1's spare slot, and its
+        // reducer is requeued. Shared over the two nodes left, the room is
+        // two reducers a node, so it launches at once on node 0 instead of
+        // waiting for the close.
+        let mut job = slow_map_job(3, 10.0, FtConfig::default());
+        job.n_reducers = 3;
+        let mut c = small_cluster(3, 3);
+        c.sim
+            .faults
+            .install(simnet::FaultPlan::none().kill_node(2, 3.0));
+        let r = run_job(&mut c, job).unwrap();
+        assert_eq!(r.counters.get(keys::REDUCE_ATTEMPTS), 4.0);
+        let maps = r.tasks.iter().filter(|t| t.kind == TaskKind::Map);
+        let close = maps.map(|t| t.end_s).fold(0.0, f64::max);
+        let reducers = r.tasks.iter().filter(|t| t.kind == TaskKind::Reduce);
+        let requeued: Vec<_> = reducers.filter(|t| t.start_s > 0.0).collect();
+        assert_eq!(requeued.len(), 1, "{:?}", r.tasks);
+        assert_eq!(requeued[0].start_s, 3.0, "{:?}", requeued[0]);
+        assert!(requeued[0].start_s < close && requeued[0].node.0 == 0);
     }
 
     #[test]

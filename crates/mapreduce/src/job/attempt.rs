@@ -10,6 +10,7 @@ use super::commit::MapOutput;
 use super::pool::{preempt_waiting, schedule};
 use super::pull::{self, Shuffle};
 use super::sched::{self, Pick, Sched};
+use super::speculate::Progress;
 use super::{detector, end_run, map, speculate, Kv, MrError, SharedDriver, TaskKind, TaskReport};
 use crate::counters::{keys, Counters};
 
@@ -31,8 +32,13 @@ pub(super) struct AttemptInfo {
     pub cache_local: bool,
     /// A speculative duplicate of a straggling attempt.
     pub speculative: bool,
-    /// A straggler check event has been queued for this attempt.
-    spec_check_scheduled: bool,
+    /// When its streamed fetch began, until speculation has queued its one
+    /// stalled-fetch recheck ([`speculate::watch_fetch`]); `None` for a batch
+    /// fetch, whose progress shows only when it ends.
+    pub stream_from: Option<f64>,
+    /// What its progress shows once its compute is scheduled; `None` while
+    /// it starts up, fetches or pulls.
+    pub progress: Option<Progress>,
     /// How often a hang deadline was armed for this attempt; only the check
     /// queued by the latest arming may declare it hung.
     pub deadline_gen: u32,
@@ -129,25 +135,6 @@ impl TaskTable {
     /// Those of them that are still waiting for input.
     pub fn waiting(&self) -> impl DoubleEndedIterator<Item = (AttemptId, &AttemptInfo)> {
         self.in_flight().filter(|(_, i)| i.shuffle.is_some())
-    }
-
-    /// Running attempts that have no straggler check queued yet and whose
-    /// task has neither committed nor been speculated, with their start
-    /// times; marks each as queued.
-    pub fn claim_straggler_checks(&mut self) -> Vec<(AttemptId, f64)> {
-        let TaskTable {
-            states, attempts, ..
-        } = self;
-        let unchecked = attempts.iter_mut().filter(|(_, i)| !i.spec_check_scheduled);
-        let open = unchecked.filter(|(_, i)| {
-            let st = states.get(i.task);
-            st.is_some_and(|st| !st.done && !st.speculated)
-        });
-        open.map(|(&id, i)| {
-            i.spec_check_scheduled = true;
-            (id, i.start_s)
-        })
-        .collect()
     }
 
     /// Call off the hang deadline of every waiting attempt: the check
@@ -258,7 +245,7 @@ pub(super) fn try_schedule(sim: &mut Sim, d: &SharedDriver) {
                     let dd = d.borrow();
                     !dd.waits() && !dd.tasks.pending().is_empty()
                 };
-                if ready_blocked && preempt_waiting(sim, d, None).is_some() {
+                if ready_blocked && preempt_waiting(sim, d, &[]).is_some() {
                     continue;
                 }
                 if let Sched::Stuck(waiting) = blocked {
@@ -345,7 +332,8 @@ pub(super) fn launch(sim: &mut Sim, d: &SharedDriver, pick: Pick, task: usize, s
             local: pick.local,
             cache_local: pick.cache_local,
             speculative,
-            spec_check_scheduled: false,
+            stream_from: None,
+            progress: None,
             deadline_gen: 0,
             shuffle: pulls.then(Shuffle::default),
             phases: vec![("startup", startup_s)],
@@ -512,7 +500,11 @@ pub(super) fn commit_task(sim: &mut Sim, att: &Attempt, shuffle_parts: Option<Ve
         store
             .borrow_mut()
             .register(shuffle, partition, output, end_s);
-        dd.durations.push(end_s - info.start_s);
+        let duration_s = end_s - info.start_s;
+        dd.durations.insert(duration_s);
+        if let Some(progress) = &info.progress {
+            dd.spec.record(duration_s, progress);
+        }
         let kind = dd.kind;
         dd.reports.push(TaskReport {
             kind,
@@ -524,7 +516,7 @@ pub(super) fn commit_task(sim: &mut Sim, att: &Attempt, shuffle_parts: Option<Ve
         });
     }
     pull::output_registered(sim, d, att.task);
-    speculate::schedule_speculation_checks(sim, d);
+    speculate::committed(sim, d);
     schedule(sim, &pool_of(d));
     maybe_finish(sim, d);
 }

@@ -423,11 +423,13 @@ mod tests {
 
     #[test]
     fn a_speculative_loser_whose_write_lands_after_the_winner_commits_deletes_its_file() {
-        // Three maps on three one-slot nodes; node 2 computes 14x slower. Its
-        // map straggles, gets a twin on a node whose map has committed, and
-        // still commits first — while the twin's 5 s write is in flight.
+        // Three maps on three one-slot nodes; node 2 computes 9x slower. Its
+        // map straggles, gets a twin on a node whose map has committed (at
+        // 6 s, when a fresh attempt would end its compute at 8 s and the
+        // straggler at 10 s), and still commits first — while the twin's
+        // 5 s write is in flight.
         let mut c = scaled_cluster(3, 1);
-        c.sim.faults.install(FaultPlan::none().slow_node(2, 14.0));
+        c.sim.faults.install(FaultPlan::none().slow_node(2, 9.0));
         let hdfs = c.hdfs.clone();
         let at_commit = Rc::new(RefCell::new(None));
         let seen = at_commit.clone();

@@ -9,7 +9,7 @@ use super::attempt::{fail_attempt, waiting, Attempt, Exit};
 use super::nodes::Withdrawal;
 use super::pool::{live_runs, schedule};
 use super::pull::readers;
-use super::{end_run, Driver, MrError, SharedDriver, SharedPool};
+use super::{end_run, speculate, Driver, MrError, SharedDriver, SharedPool};
 use crate::counters::keys;
 
 /// Multiple of the q75 committed map duration after which a running attempt
@@ -141,17 +141,23 @@ fn schedule_heartbeat(sim: &mut Sim, pool: &SharedPool, tick: u64) {
 
 /// One detector tick: every node delivers or misses its heartbeat (see
 /// [`super::nodes::NodeTable::heartbeat`]); nodes whose misses reached the
-/// dead threshold are withdrawn, and a healed one gets its slots back.
+/// dead threshold are withdrawn, and a healed one gets its slots back. A
+/// node heard again before it was declared dead still runs its attempts:
+/// those whose compute ended while it was silent lost their completions, and
+/// get twins ([`speculate::stranded`]).
 fn heartbeat_tick(sim: &mut Sim, pool: &SharedPool, tick: u64) {
     if live_runs(pool).is_empty() {
         return; // job finished: stop ticking
     }
-    let (declare, slots_back) = {
+    let (declare, slots_back, heard) = {
         let mut p = pool.borrow_mut();
         let suspect_after = p.ft.suspect_after_misses.max(1);
         let dead_after = p.ft.dead_after_misses.max(suspect_after);
+        let interval = p.ft.heartbeat_interval_s;
         let mut declare: Vec<NodeId> = Vec::new();
         let mut slots_back = false;
+        // Nodes heard again with their attempts, and when they last were.
+        let mut heard: Vec<(NodeId, f64)> = Vec::new();
         for n in p.nodes.ids() {
             let beat = p
                 .nodes
@@ -168,12 +174,19 @@ fn heartbeat_tick(sim: &mut Sim, pool: &SharedPool, tick: u64) {
             if beat.declare_dead {
                 declare.push(n);
             }
+            if beat.misses > 0 && !beat.slots_back {
+                let last_s = sim.now().secs() - (beat.misses + 1) as f64 * interval;
+                heard.push((n, last_s));
+            }
             slots_back |= beat.slots_back;
         }
-        (declare, slots_back)
+        (declare, slots_back, heard)
     };
     for n in declare {
         withdraw_node(sim, pool, n, Withdrawal::DeclaredDead);
+    }
+    for (n, last_s) in heard {
+        speculate::stranded(sim, pool, n, last_s);
     }
     if slots_back {
         schedule(sim, pool);
@@ -192,8 +205,8 @@ fn hang_deadline(dd: &Driver) -> Option<f64> {
     dd.hang_checks_armed.then(|| {
         let floor = dd.job.ft.hang_deadline_min_s;
         let q75 = match &dd.producer {
-            Some(maps) => quantile(&maps.borrow().durations, 0.75),
-            None => quantile(&dd.durations, 0.75),
+            Some(maps) => maps.borrow().durations.quantile(0.75),
+            None => dd.durations.quantile(0.75),
         };
         floor.max(HANG_DEADLINE_FACTOR * q75)
     })
@@ -272,16 +285,6 @@ fn hang_deadline_check(sim: &mut Sim, att: &Attempt, gen: u32, deadline: f64) {
         att.task, att.node.0
     ));
     fail_attempt(sim, &att.d, att.id, err);
-}
-
-/// Sorted `q`-quantile of `v` (nearest-rank); 0 on empty input.
-fn quantile(v: &[f64], q: f64) -> f64 {
-    let mut s = v.to_vec();
-    s.sort_by(f64::total_cmp);
-    let idx = ((s.len() as f64 - 1.0) * q.clamp(0.0, 1.0)).round() as usize;
-    s.get(idx.min(s.len().saturating_sub(1)))
-        .copied()
-        .unwrap_or(0.0)
 }
 
 #[cfg(test)]
@@ -371,7 +374,8 @@ mod tests {
         // Two 20 s source tasks feed one post-shuffle task on a third node,
         // which pulls both outputs and computes 4 s. Its node is cut off for
         // 5 s around the end of that compute: the completion is dropped, and
-        // only its hang deadline can recover it.
+        // without speculation — which twins it when the node is heard again
+        // — only its hang deadline can recover it.
         let dag = || {
             let read: RecordReadFn = Rc::new(|input, ctx| {
                 ctx.charge("scan", 20.0);
@@ -383,7 +387,13 @@ mod tests {
                 sum(key, values, ctx)
             });
             let plan = Dataset::from_splits(mem_splits(2, 100), read).reduce_by_key(1, agg);
-            DagJob::new("strand", plan, "out")
+            DagJob {
+                ft: FtConfig {
+                    speculative: false,
+                    ..FtConfig::default()
+                },
+                ..DagJob::new("strand", plan, "out")
+            }
         };
         let clean = run_dag(&mut small_cluster(3, 1), dag()).unwrap();
         let task =

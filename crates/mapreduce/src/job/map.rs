@@ -12,6 +12,7 @@ use simnet::{NodeId, Sim};
 use super::attempt::{commit_task, Attempt, AttemptId};
 use super::commit::{commit_part_file, kv_bytes, partition};
 use super::nodes::Spill;
+use super::speculate::{self, Progress};
 use super::{detector, Kv, MrError, Payload, SharedPool, TaskCtx, TaskKind};
 use crate::counters::keys;
 use crate::input::{pump_pieces, FetchPiece, FetchResult, PieceSink, PieceStream, TaskInput};
@@ -39,6 +40,10 @@ pub(super) fn run_map_attempt(sim: &mut Sim, att: Attempt) {
         if stream_cfg.enabled {
             match fetcher.open_stream(&env, sim, node) {
                 Ok(stream) => {
+                    if let Some(i) = att.d.borrow_mut().tasks.attempt_mut(att.id) {
+                        i.stream_from = Some(fetch_start);
+                    }
+                    speculate::watch_fetch(sim, &att.d, att.id);
                     let stream: Rc<dyn PieceStream> = stream.into();
                     let depth = stream_cfg.prefetch_depth;
                     let sink = StreamedFetch {
@@ -71,14 +76,16 @@ pub(super) fn run_map_attempt(sim: &mut Sim, att: Attempt) {
     });
 }
 
-/// A pulling task has pulled its `pairs`: run the run's task function over
-/// them behind what is left of their merge (`sort_s`) and hand the output on
-/// like any task's. The pull has left `wait`, `shuffle` and `sort` and the
-/// shuffled bytes on the attempt's ledger.
+/// A pulling task has pulled its `pairs`, the last `shuffle_s` seconds of it
+/// after its input closed: run the run's task function over them behind what
+/// is left of their merge (`sort_s`) and hand the output on like any task's.
+/// The pull has left `wait`, `shuffle` and `sort` and the shuffled bytes on
+/// the attempt's ledger.
 pub(super) fn run_stage_task(
     sim: &mut Sim,
     att: Attempt,
     pairs: Vec<(u8, String, Payload)>,
+    shuffle_s: f64,
     sort_s: f64,
 ) {
     let pulled = FetchResult::plain(TaskInput::Pairs(pairs));
@@ -91,7 +98,7 @@ pub(super) fn run_stage_task(
     // starts over behind them, for a completion the node cannot report and
     // for what of a part-file write outlasts them.
     detector::arm_deadline(sim, &att, compute);
-    end_after(sim, att, compute, &[], ctx, factor);
+    end_after(sim, att, shuffle_s, compute, &[], ctx, factor);
 }
 
 /// Real map execution over the fetched input: returns the task context
@@ -122,26 +129,40 @@ fn run_map_fn(sim: &mut Sim, att: &Attempt, fr: FetchResult) -> Option<(TaskCtx,
 
 /// Batch shape: the whole split is resident, compute follows the read.
 fn map_fetched(sim: &mut Sim, att: Attempt, fetch_start: f64, fr: FetchResult) {
-    att.phase("read", sim.now().secs() - fetch_start);
+    let read_s = sim.now().secs() - fetch_start;
+    att.phase("read", read_s);
     let Some((ctx, factor)) = run_map_fn(sim, &att, fr) else {
         return;
     };
     let compute = ctx.total_charge_s() * factor;
-    end_after(sim, att, compute, &[], ctx, factor);
+    end_after(sim, att, read_s, compute, &[], ctx, factor);
 }
 
-/// Compute ends `delay` from now: record the scaled charges as phases,
-/// account the output and hand it on — a part file is written while the
-/// compute runs; a spill follows it, unless the attempt was orphaned
-/// meanwhile or its node cannot report.
+/// The attempt fetched for `fetch_s` and its compute, stretched by `factor`,
+/// ends `delay` from now: record that on the attempt — what speculation
+/// judges it by — and the scaled charges as phases, account the output and
+/// hand it on — a part file is written while the compute runs; a spill
+/// follows it, unless the attempt was orphaned meanwhile or its node cannot
+/// report.
 fn end_after(
     sim: &mut Sim,
     att: Attempt,
+    fetch_s: f64,
     delay: f64,
     piece_charges: &[(&'static str, f64)],
     ctx: TaskCtx,
     factor: f64,
 ) {
+    let progress = Progress {
+        ends_s: sim.now().secs() + delay,
+        slowness: factor,
+        work_s: delay / factor,
+        fetch_s,
+    };
+    if let Some(i) = att.d.borrow_mut().tasks.attempt_mut(att.id) {
+        i.progress = Some(progress);
+    }
+    speculate::computing(sim, &att.d, att.id);
     for &(p, s) in piece_charges.iter().chain(&ctx.charges) {
         att.phase(p, s * factor);
     }
@@ -285,7 +306,7 @@ impl PieceSink for StreamedFetch {
         };
         att.phase("read", stall);
         let delay = (finish_t - now).max(0.0);
-        end_after(sim, att, delay, &charges, ctx, factor);
+        end_after(sim, att, now - fetch_start, delay, &charges, ctx, factor);
     }
 }
 

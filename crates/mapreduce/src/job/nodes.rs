@@ -75,6 +75,9 @@ pub(super) struct Beat {
     pub reinstated: bool,
     /// ... and it had been declared dead, so its slots are back.
     pub slots_back: bool,
+    /// How many heartbeats in a row it had missed, when they resumed with
+    /// this one; 0 otherwise.
+    pub misses: usize,
 }
 
 pub(crate) struct NodeTable {
@@ -155,10 +158,10 @@ impl NodeTable {
     }
 
     /// The node with the most free slots (the last such on a tie), leaving
-    /// out `except`.
-    pub fn most_free(&self, except: Option<NodeId>) -> Option<NodeId> {
+    /// out those in `except`.
+    pub fn most_free(&self, except: &[NodeId]) -> Option<NodeId> {
         self.ids()
-            .filter(|&n| Some(n) != except && self.free(n) > 0)
+            .filter(|&n| !except.contains(&n) && self.free(n) > 0)
             .max_by_key(|&n| self.free(n))
     }
 
@@ -268,7 +271,7 @@ impl NodeTable {
             s.suspected |= beat.newly_suspected;
             beat.declare_dead = s.hb_misses >= dead_after && !s.declared_dead;
         } else if s.hb_misses > 0 {
-            s.hb_misses = 0;
+            beat.misses = std::mem::take(&mut s.hb_misses);
             beat.reinstated = s.suspected || s.declared_dead;
             beat.slots_back = s.declared_dead;
             s.suspected = false;
@@ -338,6 +341,7 @@ pub(super) mod tests {
             Beat {
                 reinstated: true,
                 slots_back: true,
+                misses: 2,
                 ..Beat::default()
             }
         );
@@ -357,7 +361,7 @@ pub(super) mod tests {
         assert!(!t.release(ghost));
         assert!(!t.withdraw(ghost, Withdrawal::Killed));
         assert_eq!(t.heartbeat(ghost, true, 1, 1), Beat::default());
-        assert_eq!(t.most_free(Some(ghost)), Some(NodeId(2)));
+        assert_eq!(t.most_free(&[ghost]), Some(NodeId(2)));
         assert_eq!(t.len(), 3);
     }
 

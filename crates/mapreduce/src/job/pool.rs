@@ -141,7 +141,7 @@ pub(super) fn schedule(sim: &mut Sim, pool: &SharedPool) {
 /// A task of run `d` that has all its input (a pending map, a retry, a
 /// speculative twin) found no free slot: an attempt that is only waiting for
 /// input must not delay it, so the youngest *idle* attempt of `d` or
-/// *downstream* of it on a usable node other than `except` gives up its slot
+/// *downstream* of it on a usable node not in `except` gives up its slot
 /// — a reducer of the same job, or a task of a later stage of the same DAG.
 /// Idle is past its start-up, with nothing left to merge, and not due: one
 /// still starting up or merging keeps its slot until it turns idle, and then
@@ -149,11 +149,7 @@ pub(super) fn schedule(sim: &mut Sim, pool: &SharedPool) {
 /// placement would hand it straight back. It goes back to the head of its
 /// queue uncharged: no retry, no attempt off its budget. Returns the node
 /// whose slot is now free.
-pub(super) fn preempt_waiting(
-    sim: &Sim,
-    d: &SharedDriver,
-    except: Option<NodeId>,
-) -> Option<NodeId> {
+pub(super) fn preempt_waiting(sim: &Sim, d: &SharedDriver, except: &[NodeId]) -> Option<NodeId> {
     let pool = d.borrow().pool.clone();
     let downstream = d.borrow().sink.downstream.clone();
     let mut youngest: Option<(AttemptId, SharedDriver)> = None;
@@ -166,7 +162,7 @@ pub(super) fn preempt_waiting(
                 continue;
             }
             let p = pool.borrow();
-            let gives_a_slot = |n: NodeId| Some(n) != except && p.nodes.usable(n);
+            let gives_a_slot = |n: NodeId| !except.contains(&n) && p.nodes.usable(n);
             // Every waiting attempt pulls. A run's own only wait while its
             // input is open, when none of its tasks asks for a slot.
             let mut waiting = rd.tasks.waiting().rev();
@@ -241,11 +237,11 @@ mod tests {
         let (maps, reducers) = (&runs[0], &runs[1]);
         let sim = &c.sim;
         assert_eq!(maps.borrow().pool.borrow().nodes.busy(), 4);
-        assert_eq!(preempt_waiting(sim, maps, None), None, "all starting up");
+        assert_eq!(preempt_waiting(sim, maps, &[]), None, "all starting up");
         // Reducer 2 merges until 2 s; reducer 1, older, is idle: it goes.
         set(reducers, 2, Shuffle::merging(0.0, 2.0));
         set(reducers, 1, Shuffle::merging(0.0, 0.0));
-        assert_eq!(preempt_waiting(sim, maps, None), Some(NodeId(1)));
+        assert_eq!(preempt_waiting(sim, maps, &[]), Some(NodeId(1)));
         let rd = reducers.borrow();
         assert_eq!(rd.tasks.pending().front(), Some(&1));
         assert_eq!(rd.counters.get(keys::REDUCES_PREEMPTED), 1.0);
@@ -258,10 +254,10 @@ mod tests {
         let store = store.expect("a job with reducers");
         let output = owing_2s(3, 2);
         store.borrow_mut().register(0, 0, Some(output), 0.0);
-        assert_eq!(preempt_waiting(sim, maps, None), None, "due");
+        assert_eq!(preempt_waiting(sim, maps, &[]), None, "due");
         // Its output lost, it owes nothing and goes.
         store.borrow_mut().invalidate_node(NodeId(1));
-        assert_eq!(preempt_waiting(sim, maps, None), Some(NodeId(0)));
+        assert_eq!(preempt_waiting(sim, maps, &[]), Some(NodeId(0)));
     }
 
     #[test]

@@ -426,7 +426,7 @@ fn execute(sim: &mut Sim, att: Attempt) {
         let tag = tags.get(source).copied().unwrap_or(0);
         p.kvs.into_iter().map(move |kv| (tag, kv.key, kv.value))
     });
-    map::run_stage_task(sim, att, pairs.collect(), sort_s)
+    map::run_stage_task(sim, att, pairs.collect(), shuffle_s, sort_s)
 }
 
 #[cfg(test)]

@@ -158,7 +158,7 @@ pub(super) fn pick_next(v: &View) -> Sched {
                 return Sched::Run(Pick::at(pos, node, true, false));
             }
         }
-        if let Some(node) = v.nodes.most_free(None) {
+        if let Some(node) = v.nodes.most_free(&[]) {
             return Sched::Run(Pick::at(0, node, false, false));
         }
     }

@@ -1,9 +1,10 @@
 //! Predicate pushdown support for the PFS Reader: zone-map pruning of SNC
 //! chunks and direct columnar assembly of the surviving ones.
 //!
-//! The pipeline: `rframe::sql::where_predicate` extracts a [`Predicate`]
-//! from a query's WHERE clause, `rapi::make_splits` validates it against
-//! each variable's schema and attaches it to the slab fetchers, and
+//! The pipeline: `rframe::sql::where_predicate` extracts a
+//! [`Predicate`](rframe::Predicate) from a query's WHERE clause,
+//! `rapi::make_splits` validates it against each variable's schema and
+//! attaches it to the slab fetchers, and
 //! [`SciSlabFetcher`](crate::reader::SciSlabFetcher) consults
 //! [`chunk_col_stats`] per chunk *before* issuing the simulated PFS read:
 //! a [`MatchBound::None`](rframe::MatchBound::None) verdict skips the chunk
@@ -13,7 +14,7 @@
 //! global row-major order `rapi::slab_to_frame` produces, minus the rows
 //! owned by skipped chunks. Because skipped chunks can only contain rows
 //! the predicate rejects, filtering the assembled frame with
-//! [`Predicate::eval_mask`] yields a result bit-identical to the full-scan
+//! [`Predicate::eval_mask`](rframe::Predicate::eval_mask) yields a result bit-identical to the full-scan
 //! path — pruning is an optimisation, never a semantics change.
 
 use std::collections::{HashMap, HashSet};

@@ -377,7 +377,7 @@ impl<'a> RCtx<'a> {
     /// charging the paper-sized render of each level. Charges and emits run
     /// on the task's thread in level order; the levels are rendered (gather,
     /// `image2d`, PNG) one per worker when the slab is large enough
-    /// ([`plot_workers`]), so the charges, emits and bytes do not depend on
+    /// (`plot_workers`), so the charges, emits and bytes do not depend on
     /// the worker count. A level that cannot be plotted fails the task with
     /// its typed `image2d:` error after the charges and emits of the levels
     /// before it.

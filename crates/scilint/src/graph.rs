@@ -15,7 +15,7 @@
 //! * `recv.foo(..)` — receiver types are unknown, so this resolves to the
 //!   union of *all* workspace methods named `foo` (sound for dyn-dispatch
 //!   call sites like `fetcher.fetch(..)`), **except** names on the
-//!   [`STD_METHODS`] deny list (`get`, `insert`, `clone`, ...) which
+//!   `STD_METHODS` deny list (`get`, `insert`, `clone`, ...) which
 //!   would otherwise mis-bind ordinary std calls to unrelated workspace
 //!   methods — those go to the explicit unresolved bucket instead.
 //!
@@ -120,7 +120,7 @@ pub struct Graph {
     /// the R-rules, which need per-site usage context).
     pub resolved: Vec<(CallSite, Vec<usize>)>,
     /// Call sites that matched no workspace definition, or were sent here
-    /// by the [`STD_METHODS`] ambiguity deny list.
+    /// by the `STD_METHODS` ambiguity deny list.
     pub unresolved: Vec<CallSite>,
     /// Direct sinks per def (pragma-suppressed sites already excluded).
     pub sinks: Vec<Sink>,

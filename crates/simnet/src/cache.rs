@@ -1,6 +1,6 @@
 //! Cluster-wide tiered chunk-cache registry.
 //!
-//! The per-process [`scifmt`-level] decompressed-chunk LRU only helps within
+//! The per-process `scifmt`-level decompressed-chunk LRU only helps within
 //! one job: every new job (or DAG stage) starts cold and re-pays the full
 //! PFS read + decompress cost for chunks a node decoded seconds earlier.
 //! This module promotes that cache to a simulated **cluster tier**: one

@@ -2,11 +2,12 @@
 //!
 //! Every shared pipe in the simulated cluster — a disk, a NIC transmit or
 //! receive side, the core switch fabric — is a [`Resource`] with a fixed
-//! capacity in bytes/second. A transfer is a [`Flow`]: a number of bytes
-//! pushed along a *path* (an ordered set of resources). At any instant the
-//! rate of each active flow is the **max–min fair allocation**: capacity is
-//! divided by progressive filling, so a flow gets the fair share of its most
-//! contended resource and unused capacity is redistributed to the others.
+//! capacity in bytes/second. A transfer is a *flow* ([`FlowId`]): a number
+//! of bytes pushed along a *path* (an ordered set of resources). At any
+//! instant the rate of each active flow is the **max–min fair allocation**:
+//! capacity is divided by progressive filling, so a flow gets the fair share
+//! of its most contended resource and unused capacity is redistributed to the
+//! others.
 //!
 //! The allocation is recomputed once per simulated instant in which a flow
 //! started or finished (the classic "fluid" approximation of TCP sharing used

@@ -11,7 +11,7 @@
 //!
 //! * **deterministic** — events are ordered by `(time, sequence-number)`, so
 //!   every run of the same program produces bit-identical timings;
-//! * **flow-level** — a transfer is a [`flow::Flow`] over a path of
+//! * **flow-level** — a transfer is a flow ([`FlowId`]) over a path of
 //!   [`flow::Resource`]s (disk, NIC tx/rx, switch fabric); concurrent flows
 //!   sharing a resource split its capacity max–min fairly, which is the
 //!   standard first-order model for TCP-like bandwidth allocation;

@@ -28,7 +28,9 @@ use scidp_suite::simnet::{ClusterSpec, CostModel, FaultPlan, NodeId};
 use scirng::Rng;
 
 mod common;
-use common::{attempt_law, leftover_temp_files, placement_law, plan_expr, startup_law};
+use common::{
+    attempt_law, leftover_temp_files, nodes_in_service, placement_law, plan_expr, startup_law,
+};
 
 const INPUT: &str = "data/chaos.bin";
 const FILE_BYTES: u64 = 32 * 1024;
@@ -550,7 +552,8 @@ fn check_run(
     startup_law(&r.tasks, clean, shape.nodes * shape.slots)?;
     attempt_law(&r.counters)?;
     let reducers: Vec<_> = reducers_of(r).collect();
-    placement_law(&reducers, maps_closed_at(r), shape.nodes)
+    let close = maps_closed_at(r);
+    placement_law(&reducers, close, nodes_in_service(plan, shape.nodes, close))
 }
 
 fn launched_early(r: &JobResult) -> bool {

@@ -75,10 +75,12 @@ pub fn startup_law<'a>(
 
 /// The placement law of pulling tasks — a job's reducers, a post-shuffle
 /// stage's tasks — over the committed `pulling` tasks of one run whose input
-/// closed at `close_s` and never reopened: on each of the `nodes` nodes, those
-/// that started before the close number at most `⌈W / nodes⌉`, W the run's
-/// pulling tasks. Each of them was in flight at the close, and an early task
-/// takes only a node with room for one more (`chaos`, `dag_overlap`).
+/// closed at `close_s` and never reopened: on each node, those that started
+/// before the close number at most `⌈W / nodes⌉`, W the run's pulling tasks
+/// and `nodes` the fewest nodes in service before the close
+/// ([`nodes_in_service`]). Each of them was in flight at the close, and an
+/// early task takes only a node with room for one more of an even share
+/// over the nodes in service (`chaos`, `dag_overlap`).
 #[allow(dead_code)]
 pub fn placement_law(pulling: &[&TaskReport], close_s: f64, nodes: usize) -> Result<(), String> {
     let share = pulling.len().div_ceil(nodes.max(1));
@@ -96,8 +98,28 @@ pub fn placement_law(pulling: &[&TaskReport], close_s: f64, nodes: usize) -> Res
     }
 }
 
+/// A lower bound on how many of `nodes` nodes stay in service until
+/// `before_s` under `plan`: every node it kills, hangs or cuts off before
+/// then may be withdrawn.
+#[allow(dead_code)]
+pub fn nodes_in_service(plan: &FaultPlan, nodes: usize, before_s: f64) -> usize {
+    let kills = plan.node_kills.iter().chain(&plan.node_hangs);
+    let mut out: Vec<u32> = kills
+        .filter(|(_, t)| *t < before_s)
+        .map(|&(n, _)| n)
+        .collect();
+    for p in plan.partitions.iter().filter(|p| p.from_s < before_s) {
+        out.extend(&p.nodes);
+    }
+    out.retain(|&n| (n as usize) < nodes);
+    out.sort_unstable();
+    out.dedup();
+    nodes.saturating_sub(out.len()).max(1)
+}
+
 /// `plan` as the builder expression that rebuilds it (fields are rendered in
 /// a fixed order; builders of different kinds commute).
+#[allow(dead_code)]
 pub fn plan_expr(plan: &FaultPlan) -> String {
     let secs = |t: f64| match t.is_finite() {
         true => format!("{t:?}"),

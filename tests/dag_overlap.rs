@@ -21,7 +21,7 @@ use scirng::Rng;
 
 mod common;
 use common::chain::{text, Chain, Output, INPUT};
-use common::{attempt_law, placement_law, plan_expr, startup_law};
+use common::{attempt_law, nodes_in_service, placement_law, plan_expr, startup_law};
 
 /// When stage `stage` last closed: the end of the last run of it.
 fn closed_at(r: &DagResult, stage: usize) -> f64 {
@@ -334,7 +334,8 @@ fn check_run(
     }
     for run in r.runs.iter().filter(|run| run.stage > 0) {
         let tasks: Vec<_> = run.tasks.iter().collect();
-        placement_law(&tasks, closed_at(r, run.stage - 1), shape.nodes)?;
+        let close = closed_at(r, run.stage - 1);
+        placement_law(&tasks, close, nodes_in_service(plan, shape.nodes, close))?;
     }
     Ok(())
 }

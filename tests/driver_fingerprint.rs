@@ -858,7 +858,16 @@ const FP_CONNECTOR_MAP_ONLY: u64 = 0xc3db_0a1e_bb4f_f969;
 // Room rule: reducers 0 and 1 launch at the same instant in the same two
 // slots, on nodes 1 and 0 instead of 0 and 1. Every time is bit for bit the
 // same. (was 0x6e8e_5485_26b5_30a5)
-const FP_CONNECTOR_REDUCE: u64 = 0x7132_40b2_8e6f_260a;
+// Speculation by estimated time to end: the maps of node 2 compute 12x as
+// slowly as the committed ones, so each is twinned as soon as it can be —
+// map 0 at 3.489 s, when half the maps have committed, on node 0 (was 6.98
+// s on node 1); map 6, flagged in the same instant, finds no free slot
+// until map 7 commits on node 1 at 5.993 s (was 7.98 s on node 0). Map 0's twin
+// commits at 5.993 s; reducer 1 launches then on node 0 instead of at 3.49
+// s, and reducer 2, cold, in the slot of map 0's dropped original on node 2
+// (was 9.39 s). Both twins still win (`speculative_won` 2). Job end 10.545
+// -> 8.597 s. (was 0x7132_40b2_8e6f_260a)
+const FP_CONNECTOR_REDUCE: u64 = 0x2de7_573e_0b32_e90e;
 // (g) The pull of `m00002` now fails while maps still run: reducer 0
 // launches at 3.53 s, its first attempt dies one start-up later and the
 // retry launches in that instant (4.53 s) and waits with the others, so the

@@ -1,15 +1,13 @@
 //! Streaming-overlap benchmark: does prefetching split pieces hide PFS
 //! read time behind map compute?
 //!
-//! Three experiments:
+//! Two experiments:
 //!  1. read:compute ratio sweep — the same byte-count job run with the
-//!     batch fetcher vs the streaming fetcher (depth 2), with the map
-//!     compute charge calibrated against the *measured* read phase so the
-//!     ratios are honest. Balanced work must gain ≥ 1.3x; compute-bound
-//!     work must stay ~1.0x (nothing to hide, nothing lost).
-//!  2. prefetch-depth sweep at the balanced ratio — depth is a pure
-//!     scheduling knob, so output stays byte-identical while elapsed moves.
-//!  3. a chunked SNC slab job — pieces are CRC-verified chunks carrying
+//!     batch fetcher vs the streaming fetcher (a window of two pieces), with
+//!     the map compute charge calibrated against the *measured* read phase
+//!     so the ratios are honest. Balanced work must gain ≥ 1.3x;
+//!     compute-bound work must stay ~1.0x (nothing to hide, nothing lost).
+//!  2. a chunked SNC slab job — pieces are CRC-verified chunks carrying
 //!     their own decompress charges, streamed through the same window.
 
 use std::rc::Rc;
@@ -62,10 +60,7 @@ fn run_flat(charge_s: f64, stream: StreamConfig) -> (JobResult, Output) {
 }
 
 fn off() -> StreamConfig {
-    StreamConfig {
-        enabled: false,
-        ..StreamConfig::default()
-    }
+    StreamConfig { enabled: false }
 }
 
 const SNC_PATH: &str = "run/overlap.snc";
@@ -146,7 +141,7 @@ pub fn run(scale: &Scale) -> Report {
     rep.row("read_phase_s", read_s, "s", Sim);
     rep.row("job_overhead_s", overhead, "s", Sim);
 
-    // 1. read:compute ratio sweep, batch vs streaming depth 2.
+    // 1. read:compute ratio sweep, batch vs streaming.
     let ratios: &[f64] = scale.pick(&[1.0, 8.0], &[0.25, 1.0, 8.0]);
     let mut lines = Vec::new();
     for &ratio in ratios {
@@ -174,33 +169,7 @@ pub fn run(scale: &Scale) -> Report {
     ];
     rep.table("", "workload", &cols, &lines);
 
-    // 2. prefetch-depth sweep at the balanced ratio.
-    let depths: &[usize] = scale.pick(&[1, 2], &[1, 2, 4, 8]);
-    let (bal_batch, bal_out) = run_flat(read_s, off());
-    let mut lines = Vec::new();
-    for &d in depths {
-        let stream = StreamConfig {
-            enabled: true,
-            prefetch_depth: d,
-        };
-        let (s, sout) = run_flat(read_s, stream);
-        rep.identical(&format!("depth_{d}"), &sout, &bal_out);
-        lines.push((
-            format!("depth {d}"),
-            vec![s.elapsed(), bal_batch.elapsed() / s.elapsed()],
-        ));
-    }
-    let cols = [
-        ("elapsed_s", "elapsed", "s", Sim),
-        ("vs_batch", "vs batch", "x", Sim),
-    ];
-    let title = format!(
-        "prefetch depth at compute:read = 1.0 (batch {:.3} s):",
-        bal_batch.elapsed()
-    );
-    rep.table(&title, "depth", &cols, &lines);
-
-    // 3. chunked SNC slab: pieces carry CRC verification + decompress.
+    // 2. chunked SNC slab: pieces carry CRC verification + decompress.
     let (slab_read, _) = run_slab(0.0, off());
     let slab_charge = slab_read.elapsed() * 0.5;
     let (sb, sb_out) = run_slab(slab_charge, off());

@@ -23,11 +23,17 @@
 //! reducers: their maps' run), and whether lost outputs are recomputed (only
 //! a DAG's are).
 //!
-//! Stage overlap: every stage is submitted when the plan is, all on one
-//! `Pool` (one node table, one attempt numbering). A free slot is offered
-//! to the runs upstream first, so the tasks of a post-shuffle stage take only
-//! slots no upstream task wants; there they start up, pull their partition of
-//! each upstream output as it is registered, and run once every source
+//! One object per plan: the plan's `Pool` keeps, beside its node table,
+//! attempt numbering and live runs, the driver's state — the plan, its
+//! shuffle store, the stage-run records, the books and the completion
+//! callback. The driver's functions take the pool: a run that ends calls
+//! `run_ended`, and a kill in a plan that recovers calls `node_lost`.
+//!
+//! Stage overlap: every stage is submitted when the plan is, all on its
+//! one `Pool`. A free slot is offered to the runs upstream first, so the
+//! tasks of a post-shuffle stage take only slots no upstream task wants;
+//! there they start up, pull their partition of each upstream output as it
+//! is registered, and run once every source
 //! shuffle has *closed* and their last pull has landed (`job/pull.rs`, the
 //! pull loop every pulling task runs — a classic job's reducers too). The
 //! barrier between two stages costs what is left of the pulls, not a task
@@ -50,8 +56,7 @@
 //! A `Dataset` consumed by two downstream operators is compiled (and
 //! executed) once per consumer — plans are trees, not general graphs.
 
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use simnet::{NodeId, Sim};
@@ -61,8 +66,8 @@ use crate::counters::{keys, Counters};
 use crate::dataset::{Dataset, GroupFn, PairFilterFn, PairMapFn, PlanNode, RecordReadFn};
 use crate::input::TaskInput;
 use crate::job::{
-    group_by_key, submit_stage, FtConfig, Job, JobResult, MapFn, MrError, Payload, Pool, ReduceFn,
-    SharedPool, SharedShuffleStore, ShuffleInput, ShuffleStore, StageIo, StageRunHandle,
+    end_run, group_by_key, submit_stage, FtConfig, Job, MapFn, MrError, Payload, Pool, ReduceFn,
+    SharedDriver, SharedPool, SharedShuffleStore, ShuffleInput, ShuffleStore, StageIo,
     StreamConfig, TaskCtx, TaskKind, TaskReport,
 };
 
@@ -159,7 +164,7 @@ pub(crate) struct Plan {
     stages: Vec<Stage>,
     /// Whether lost shuffle outputs are recomputed: only a DAG's are. In
     /// this model a kill leaves a classic job's map outputs pullable.
-    recovers: bool,
+    pub(crate) recovers: bool,
 }
 
 impl Plan {
@@ -253,6 +258,17 @@ impl Plan {
             stages,
             recovers: true,
         })
+    }
+
+    /// The policy of the plan's failure detector: its final stage's.
+    pub(crate) fn ft(&self) -> FtConfig {
+        let last = self.stages.last();
+        last.map(|s| s.job.ft.clone()).unwrap_or_default()
+    }
+
+    /// A store of the plan's shuffles: one per stage, one output per task.
+    pub(crate) fn shuffle_store(&self) -> SharedShuffleStore {
+        ShuffleStore::shared(self.stages.iter().map(|s| (s.out_shuffle, s.n_tasks)))
     }
 }
 
@@ -488,31 +504,10 @@ impl DagResult {
 
 /// How a plan ends: its result — of a failed plan, what the runs that ended
 /// before it had committed — and the error that ended it, if one did.
-type PlanDone = Box<dyn FnOnce(&mut Sim, DagResult, Option<MrError>)>;
+pub(crate) type PlanDone = Box<dyn FnOnce(&mut Sim, DagResult, Option<MrError>)>;
 
-struct DagDriver {
-    env: MrEnv,
-    name: String,
-    stages: Vec<Stage>,
-    /// shuffle id → index of the stage producing it.
-    producer: BTreeMap<u64, usize>,
-    store: SharedShuffleStore,
-    /// Node table, attempt numbering and failure detector of every stage
-    /// run of this plan.
-    pool: SharedPool,
-    counters: Counters,
-    /// Every submission so far; `end_s`, `ok` and `tasks` are filled in when
-    /// the run ends.
-    runs: Vec<StageRun>,
-    /// The runs that have not ended, by index into `runs`.
-    live: BTreeMap<usize, StageRunHandle>,
-    start_s: f64,
-    done_cb: Option<PlanDone>,
-}
-
-type SharedDag = Rc<RefCell<DagDriver>>;
-
-impl DagDriver {
+/// The plan driver's questions of a plan's pool.
+impl Pool {
     fn missing_of(&self, stage: &Stage) -> Vec<usize> {
         let store = self.store.borrow();
         (0..stage.n_tasks)
@@ -523,7 +518,7 @@ impl DagDriver {
     /// How many of stage `idx`'s `partitions` have been registered before:
     /// running them again is a lineage recompute.
     fn recomputes_among(&self, idx: usize, partitions: &[usize]) -> usize {
-        let (store, stage) = (self.store.borrow(), self.stages.get(idx));
+        let (store, stage) = (self.store.borrow(), self.plan.stages.get(idx));
         let once = |p: &&usize| stage.is_some_and(|s| store.registered_once(s.out_shuffle, **p));
         partitions.iter().filter(once).count()
     }
@@ -534,26 +529,25 @@ impl DagDriver {
     /// descendant is incomplete (a complete descendant never pulls again, so
     /// its parents' lost outputs can stay lost).
     fn next_submission(&self) -> Option<(usize, Vec<usize>)> {
-        let mut needed = BTreeSet::from([self.stages.len().saturating_sub(1)]);
-        for (idx, stage) in self.stages.iter().enumerate().rev() {
+        let stages = &self.plan.stages;
+        let mut needed = BTreeSet::from([stages.len().saturating_sub(1)]);
+        for (idx, stage) in stages.iter().enumerate().rev() {
             if !needed.contains(&idx) || self.missing_of(stage).is_empty() {
                 continue;
             }
-            needed.extend(
-                stage
-                    .sources
-                    .iter()
-                    .filter_map(|(sid, _)| self.producer.get(sid)),
-            );
+            let producer = |&(sid, _): &(u64, u8)| stages.iter().position(|s| s.out_shuffle == sid);
+            needed.extend(stage.sources.iter().filter_map(producer));
         }
         let uncovered = |(idx, stage): (usize, &Stage)| {
-            let covered: BTreeSet<usize> =
-                self.live_of(idx).flat_map(|h| h.uncommitted()).collect();
+            let covered: BTreeSet<usize> = self
+                .live_of(idx)
+                .flat_map(|d| d.borrow().uncommitted())
+                .collect();
             let mut missing = self.missing_of(stage);
             missing.retain(|p| !covered.contains(p));
             (idx, missing)
         };
-        let needed_stages = self.stages.iter().enumerate();
+        let needed_stages = stages.iter().enumerate();
         needed_stages
             .filter(|(idx, _)| needed.contains(idx))
             .map(uncovered)
@@ -561,64 +555,26 @@ impl DagDriver {
     }
 
     /// The live runs of stage `idx`, oldest first.
-    fn live_of(&self, idx: usize) -> impl Iterator<Item = &StageRunHandle> + '_ {
-        let of_stage =
-            move |(run, _): &(&usize, _)| self.runs.get(**run).map(|r| r.stage) == Some(idx);
-        self.live.iter().filter(of_stage).map(|(_, h)| h)
+    fn live_of(&self, idx: usize) -> impl Iterator<Item = &SharedDriver> + '_ {
+        let of_stage = move |(run, _): &&(usize, SharedDriver)| {
+            self.runs.get(*run).map(|r| r.stage) == Some(idx)
+        };
+        self.live.iter().filter(of_stage).map(|(_, d)| d)
     }
 
     /// The final stage — the last — has committed every part file.
     fn complete(&self) -> bool {
-        let last = self.stages.last();
+        let last = self.plan.stages.last();
         last.is_some_and(|s| self.missing_of(s).is_empty())
     }
 }
 
 /// Submit `plan`; `done` fires with its result once the final stage has
 /// committed every part file, or with the first error it cannot recover
-/// from. Returns the pool its runs share.
+/// from. Returns the pool that keeps the plan.
 pub(crate) fn submit_plan(sim: &mut Sim, env: MrEnv, plan: Plan, done: PlanDone) -> SharedPool {
-    let Plan {
-        name,
-        stages,
-        recovers,
-    } = plan;
-    let store = ShuffleStore::shared(stages.iter().map(|s| (s.out_shuffle, s.n_tasks)));
-    let producer: BTreeMap<u64, usize> = stages
-        .iter()
-        .enumerate()
-        .map(|(i, s)| (s.out_shuffle, i))
-        .collect();
-    let ft = stages.last().map(|s| s.job.ft.clone()).unwrap_or_default();
-    let pool = Pool::open(sim, &env, &ft);
-    let d: SharedDag = Rc::new(RefCell::new(DagDriver {
-        env,
-        name,
-        stages,
-        producer,
-        store: store.clone(),
-        pool: pool.clone(),
-        counters: Counters::new(),
-        runs: Vec::new(),
-        live: BTreeMap::new(),
-        start_s: sim.now().secs(),
-        done_cb: Some(done),
-    }));
-    // A kill takes the shuffle outputs the dead node held with it; what is
-    // still needed of them is resubmitted before the slots the node's
-    // attempts leave behind are handed out. (The pool outlives no plan: the
-    // hook holds it weakly.)
-    if recovers {
-        let dag = Rc::downgrade(&d);
-        let node_lost = move |sim: &mut Sim, node: NodeId| {
-            store.borrow_mut().invalidate_node(node);
-            if let Some(d) = dag.upgrade() {
-                advance(sim, &d);
-            }
-        };
-        pool.borrow_mut().on_node_lost(Rc::new(node_lost));
-    }
-    advance(sim, &d);
+    let pool = Pool::open(sim, env, plan, done);
+    advance(sim, &pool);
     pool
 }
 
@@ -677,27 +633,27 @@ enum Step {
 /// plan's own submission that is every stage — and end the plan once its
 /// final stage is complete. Called again whenever a run ends or outputs are
 /// lost.
-fn advance(sim: &mut Sim, d: &SharedDag) {
+fn advance(sim: &mut Sim, pool: &SharedPool) {
     loop {
         let step = {
-            let mut dd = d.borrow_mut();
-            if dd.done_cb.is_none() {
+            let mut p = pool.borrow_mut();
+            if p.done.is_none() {
                 return;
             }
-            let max_submissions = dd.stages.len() * 8 + 8;
-            match dd.next_submission() {
-                _ if dd.complete() => Step::End(None),
-                Some(_) if dd.runs.len() >= max_submissions => {
+            let max_submissions = p.plan.stages.len() * 8 + 8;
+            match p.next_submission() {
+                _ if p.complete() => Step::End(None),
+                Some(_) if p.runs.len() >= max_submissions => {
                     Step::End(Some(MrError::msg(format!(
                         "dag {}: gave up after {max_submissions} stage submissions \
                          (lineage not converging)",
-                        dd.name
+                        p.plan.name
                     ))))
                 }
                 Some((idx, missing)) => {
-                    let recomputed = dd.recomputes_among(idx, &missing);
+                    let recomputed = p.recomputes_among(idx, &missing);
                     if recomputed > 0 {
-                        dd.counters.add(keys::LINEAGE_RECOMPUTES, recomputed as f64);
+                        p.counters.add(keys::LINEAGE_RECOMPUTES, recomputed as f64);
                     }
                     Step::Submit {
                         idx,
@@ -713,18 +669,18 @@ fn advance(sim: &mut Sim, d: &SharedDag) {
                 idx,
                 missing,
                 recomputed,
-            } => run_stage(sim, d, idx, missing, recomputed),
+            } => run_stage(sim, pool, idx, missing, recomputed),
             Step::Wait => return,
-            Step::End(failed) => return end_dag(sim, d, failed),
+            Step::End(failed) => return end_plan(sim, pool, failed),
         }
     }
 }
 
 /// Submit stage `idx` as one run over its `missing` partitions.
-fn run_stage(sim: &mut Sim, d: &SharedDag, idx: usize, missing: Vec<usize>, recomputed: usize) {
-    let (job, io, env, run) = {
-        let mut dd = d.borrow_mut();
-        let Some(stage) = dd.stages.get(idx) else {
+fn run_stage(sim: &mut Sim, pool: &SharedPool, idx: usize, missing: Vec<usize>, recomputed: usize) {
+    let (job, io) = {
+        let mut p = pool.borrow_mut();
+        let Some(stage) = p.plan.stages.get(idx) else {
             return;
         };
         // A source stage's run fetches the splits it covers; a post-shuffle
@@ -737,14 +693,13 @@ fn run_stage(sim: &mut Sim, d: &SharedDag, idx: usize, missing: Vec<usize>, reco
             ..stage.job.clone()
         };
         let input = (!stage.sources.is_empty()).then(|| ShuffleInput {
-            store: dd.store.clone(),
+            store: p.store.clone(),
             sources: stage.sources.clone(),
         });
         let producer = stage
             .deadline_from
-            .and_then(|s| dd.live_of(s).last().cloned());
-        let run = dd.runs.len();
-        // Filled in (end, outcome, reports) when the stage job reports back.
+            .and_then(|s| p.live_of(s).last().cloned());
+        // Filled in (end, outcome, reports) when the run ends.
         let record = StageRun {
             stage: idx,
             op: stage.op,
@@ -759,44 +714,49 @@ fn run_stage(sim: &mut Sim, d: &SharedDag, idx: usize, missing: Vec<usize>, reco
             shuffle_id: stage.out_shuffle,
             n_partitions: stage.out_partitions,
             task_ids: Rc::new(missing),
-            store: dd.store.clone(),
+            store: p.store.clone(),
             stage: idx,
             downstream: stage.downstream.clone(),
             part_prefix: stage.part_prefix,
         };
         let io = StageIo {
+            run: p.runs.len(),
             kind: stage.kind,
             sink,
             input,
             producer,
-            pool: dd.pool.clone(),
+            pool: pool.clone(),
         };
-        dd.runs.push(record);
-        (job, io, dd.env.clone(), run)
+        p.runs.push(record);
+        (job, io)
     };
-    let d2 = d.clone();
-    let done = move |sim: &mut Sim, jr, failed| on_stage_done(sim, &d2, run, jr, failed);
-    let handle = submit_stage(sim, env, job, io, Box::new(done));
-    // Unless it has ended already (no usable node left).
-    let mut dd = d.borrow_mut();
-    if dd.runs.get(run).is_some_and(|r| r.end_s.is_nan()) {
-        dd.live.insert(run, handle);
-    }
+    submit_stage(sim, job, io);
 }
 
-fn on_stage_done(sim: &mut Sim, d: &SharedDag, run: usize, jr: JobResult, failed: Option<MrError>) {
+/// Run `d` of `pool` has ended, on `failed` if it is an error, with its
+/// committed task `reports` and its `counters`: record it, and end the plan
+/// on a real error or advance it. A run called off at the plan's end is no
+/// longer listed, and is not folded into the books.
+pub(crate) fn run_ended(
+    sim: &mut Sim,
+    pool: &SharedPool,
+    d: &SharedDriver,
+    reports: Vec<TaskReport>,
+    counters: Counters,
+    failed: Option<MrError>,
+) {
     let failure = {
-        let mut dd = d.borrow_mut();
-        if dd.done_cb.is_none() {
+        let mut p = pool.borrow_mut();
+        let Some(at) = p.live.iter().position(|(_, r)| Rc::ptr_eq(r, d)) else {
             return;
-        }
-        dd.live.remove(&run);
+        };
+        let (run, _) = p.live.remove(at);
         // What a failed run had committed stays registered and is never run
         // again: its counters and reports count like those of any other run.
-        dd.counters.merge(&jr.counters);
+        p.counters.merge(&counters);
         let now = sim.now().secs();
-        if let Some(record) = dd.runs.get_mut(run) {
-            (record.end_s, record.ok, record.tasks) = (now, failed.is_none(), jr.tasks);
+        if let Some(record) = p.runs.get_mut(run) {
+            (record.end_s, record.ok, record.tasks) = (now, failed.is_none(), reports);
         }
         // A lost input is lineage loss: the next advance() resubmits what
         // this run had not committed, and the outputs it found stalled.
@@ -804,49 +764,64 @@ fn on_stage_done(sim: &mut Sim, d: &SharedDag, run: usize, jr: JobResult, failed
         failed.filter(|e| !matches!(e, MrError::InputLost(_)))
     };
     match failure {
-        Some(e) => end_dag(sim, d, Some(e)),
-        None => advance(sim, d),
+        Some(e) => end_plan(sim, pool, Some(e)),
+        None => advance(sim, pool),
     }
+}
+
+/// A kill took the shuffle outputs `node` held with it (a plan that
+/// recovers): what is still needed of them is resubmitted before the slots
+/// the node's attempts leave behind are handed out.
+pub(crate) fn node_lost(sim: &mut Sim, pool: &SharedPool, node: NodeId) {
+    pool.borrow().store.borrow_mut().invalidate_node(node);
+    advance(sim, pool);
 }
 
 /// End the plan, on `failed` if it is an error: call off the runs still live
 /// — a recompute nothing needs any more, or everything after a failure —
 /// close the books and hand the result over.
-fn end_dag(sim: &mut Sim, d: &SharedDag, failed: Option<MrError>) {
+fn end_plan(sim: &mut Sim, pool: &SharedPool, failed: Option<MrError>) {
     let now = sim.now().secs();
-    let (cb, live) = {
-        let mut dd = d.borrow_mut();
-        let Some(cb) = dd.done_cb.take() else {
+    let (done, live) = {
+        let mut p = pool.borrow_mut();
+        let Some(done) = p.done.take() else {
             return;
         };
-        let unfinished = dd.runs.iter_mut().filter(|r| r.end_s.is_nan());
+        let unfinished = p.runs.iter_mut().filter(|r| r.end_s.is_nan());
         unfinished.for_each(|r| r.end_s = now);
-        (cb, std::mem::take(&mut dd.live))
+        (done, std::mem::take(&mut p.live))
     };
-    for run in live.values() {
-        run.cancel(sim, "the plan ended");
+    for (_, run) in &live {
+        end_run(sim, run, Some(MrError::msg("the plan ended")));
     }
     let result = {
-        let mut dd = d.borrow_mut();
-        // What the detector saw over the whole plan, the cluster-cache
-        // evictions during it and the outputs lost.
-        let books = dd.pool.borrow().books();
-        dd.counters.merge(&books);
-        let lost = dd.store.borrow().lost;
-        if lost > 0 {
-            dd.counters.add(keys::SHUFFLE_PARTITIONS_LOST, lost as f64);
+        let mut p = pool.borrow_mut();
+        let p = &mut *p;
+        // The cluster-cache evictions during the plan (registry stats are
+        // world-lifetime monotonic) and the outputs lost.
+        let cache = &p.env.cluster_cache;
+        let evicted = cache.stats().evictions.saturating_sub(p.evictions_start);
+        if cache.enabled() && evicted > 0 {
+            p.counters
+                .add(keys::CLUSTER_CACHE_EVICTIONS, evicted as f64);
         }
+        let lost = p.store.borrow().lost;
+        if lost > 0 {
+            p.counters.add(keys::SHUFFLE_PARTITIONS_LOST, lost as f64);
+        }
+        let stages = &p.plan.stages;
+        let (n_stages, total_tasks) = (stages.len(), stages.iter().map(|s| s.n_tasks).sum());
         DagResult {
-            name: std::mem::take(&mut dd.name),
-            start_s: dd.start_s,
+            name: std::mem::take(&mut p.plan.name),
+            start_s: p.start_s,
             end_s: now,
-            counters: std::mem::take(&mut dd.counters),
-            runs: std::mem::take(&mut dd.runs),
-            n_stages: dd.stages.len(),
-            total_tasks: dd.stages.iter().map(|s| s.n_tasks).sum(),
+            counters: std::mem::take(&mut p.counters),
+            runs: std::mem::take(&mut p.runs),
+            n_stages,
+            total_tasks,
         }
     };
-    cb(sim, result, failed);
+    done(sim, result, failed);
 }
 
 #[cfg(test)]
@@ -854,6 +829,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::job::tests::{mem_splits, small_cluster};
     use simnet::FaultPlan;
+    use std::collections::BTreeMap;
 
     /// Decode a split's bytes into per-byte-value count records (the DAG
     /// analogue of the classic word-count map function).

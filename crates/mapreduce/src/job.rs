@@ -1,13 +1,15 @@
 //! The job driver: the public job types and the `Driver` that owns one
 //! stage run. Every run is a stage run of a plan, and one plan driver
-//! (`dag.rs`) submits and ends them all: a classic job is a plan of one or
-//! two stages — its maps, a source stage that writes the job's own shuffle,
-//! and its reducers, a post-shuffle stage whose task function groups the
-//! pulled pairs and reduces them (`submit_job_env`); a DAG is a plan of one
-//! stage per shuffle boundary. The mechanics of a run live in the
-//! submodules: `nodes` (per-node slot and health table), `pool` (what the
-//! live runs of a plan share: that table, the attempt numbering, the order
-//! slots are offered in), `sched` (pure task placement), `attempt` (the task
+//! (`dag.rs`) submits them all and hears each end (`end_run` calls
+//! `dag::run_ended`): a classic job is a plan of one or two stages — its
+//! maps, a source stage that writes the job's own shuffle, and its
+//! reducers, a post-shuffle stage whose task function groups the pulled
+//! pairs and reduces them (`submit_job_env`); a DAG is a plan of one stage
+//! per shuffle boundary. The mechanics of a run live in the submodules:
+//! `nodes` (per-node slot and health table), `pool` (one plan's home: that
+//! table, the attempt numbering, its live runs in the order slots are
+//! offered to them, and the plan driver's books), `sched` (pure task
+//! placement), `attempt` (the task
 //! table, launch / fail / first-commit-wins), `detector` (kills, heartbeats,
 //! hang deadlines, node withdrawal), `speculate`, `map` (the attempt body:
 //! fetch or pull, run the task function, spill or write), `pull` (the pull
@@ -22,7 +24,7 @@ use simnet::{ChunkKey, NodeId, Sim};
 
 use crate::cluster::{Cluster, MrEnv};
 use crate::counters::{keys, Counters};
-use crate::dag::{submit_plan, DagResult, Plan, ShuffleSink};
+use crate::dag::{self, submit_plan, DagResult, Plan, ShuffleSink};
 use crate::input::{InputSplit, TaskInput};
 
 mod attempt;
@@ -222,25 +224,20 @@ impl Default for FtConfig {
 }
 
 /// Streaming-input pipeline policy: whether map attempts pull their split
-/// as chunk-granular pieces through a bounded prefetch window, overlapping
-/// in-flight PFS reads with per-piece map compute (§III-A.3's "reads
-/// proceed in parallel and overlapped with compute", realized *inside*
-/// each task instead of only across tasks).
+/// as chunk-granular pieces through a prefetch window of two pieces (double
+/// buffering), overlapping in-flight PFS reads with per-piece map compute
+/// (§III-A.3's "reads proceed in parallel and overlapped with compute",
+/// realized *inside* each task instead of only across tasks).
 #[derive(Clone, Debug)]
 pub struct StreamConfig {
     /// Use streaming fetches when a split's fetcher supports them
     /// (fetchers without streaming support always take the batch path).
     pub enabled: bool,
-    /// Maximum pieces in flight at once (≥ 1; 2 = double buffering).
-    pub prefetch_depth: usize,
 }
 
 impl Default for StreamConfig {
     fn default() -> Self {
-        StreamConfig {
-            enabled: true,
-            prefetch_depth: 2,
-        }
+        StreamConfig { enabled: true }
     }
 }
 
@@ -462,7 +459,7 @@ impl JobResult {
 
 /// One run: policy and bookkeeping. Slot/health state lives in the
 /// [`Pool`]'s node table, the queue and attempts in the [`TaskTable`].
-struct Driver {
+pub(crate) struct Driver {
     env: MrEnv,
     job: Job,
     /// What the run's tasks are reported and counted as.
@@ -499,28 +496,26 @@ struct Driver {
     cache_hints: Vec<Vec<ChunkKey>>,
     reports: Vec<TaskReport>,
     counters: Counters,
-    /// Taken when the run ends, either way: while it is here the run is
-    /// still accepting task-completion events.
-    done_cb: Option<JobDone>,
+    /// Set when the run ends, either way: until then it is still accepting
+    /// task-completion events.
+    ended: bool,
 }
 
-/// How a run ends: what it committed — everything, or what a run that failed
-/// had committed by then — and the error that ended it, if one did.
-type JobDone = Box<dyn FnOnce(&mut Sim, JobResult, Option<MrError>)>;
-type SharedDriver = Rc<RefCell<Driver>>;
+pub(crate) type SharedDriver = Rc<RefCell<Driver>>;
 
 impl Driver {
     fn alive(&self) -> bool {
-        self.done_cb.is_some()
+        !self.ended
     }
 
-    /// End the run at `now`, either way, with what it has committed: take
-    /// the completion callback (once) and hand it the task reports, indexed
-    /// by stage partition, and counters. Every attempt still in flight is
-    /// retired ([`Exit::Dropped`]), so an attempt in the task table is one of
-    /// a live run.
-    fn finish(&mut self, now: f64) -> Option<(JobDone, JobResult)> {
-        let cb = self.done_cb.take()?;
+    /// End the run, either way, with what it has committed: once, handing
+    /// back the task reports, indexed by stage partition, and counters.
+    /// Every attempt still in flight is retired ([`Exit::Dropped`]), so an
+    /// attempt in the task table is one of a live run.
+    fn finish(&mut self) -> Option<(Vec<TaskReport>, Counters)> {
+        if std::mem::replace(&mut self.ended, true) {
+            return None;
+        }
         let in_flight: Vec<_> = self.tasks.in_flight().map(|(id, _)| id).collect();
         for id in in_flight {
             self.retire(id, Exit::Dropped);
@@ -530,14 +525,16 @@ impl Driver {
         for t in &mut tasks {
             t.index = self.sink.partition_of(t.index);
         }
-        let result = JobResult {
-            name: self.job.name.clone(),
-            start_s: self.start_s,
-            end_s: now,
-            tasks,
-            counters: self.counters.clone(),
-        };
-        Some((cb, result))
+        Some((tasks, std::mem::take(&mut self.counters)))
+    }
+
+    /// The stage partitions the run has yet to commit — what it still
+    /// covers. A partition it committed and whose output was lost since is
+    /// no longer the run's to redo.
+    pub(crate) fn uncommitted(&self) -> Vec<usize> {
+        let open = |t: &usize| self.tasks.state(*t).is_some_and(|st| !st.done);
+        let tasks = (0..self.tasks.count()).filter(open);
+        tasks.map(|t| self.sink.partition_of(t)).collect()
     }
 
     fn view<'a>(&'a self, nodes: &'a NodeTable, room: Option<&'a [usize]>) -> sched::View<'a> {
@@ -627,20 +624,10 @@ impl Driver {
 }
 
 /// Submit a job; `done` fires (with the result) when the last task output
-/// commits. The simulation keeps running — callers can chain stages.
-pub fn submit_job(
-    cluster: &mut Cluster,
-    job: Job,
-    done: impl FnOnce(&mut Sim, Result<JobResult, MrError>) + 'static,
-) {
-    let env = cluster.env();
-    submit_job_env(&mut cluster.sim, env, job, done)
-}
-
-/// Like [`submit_job`] but usable from inside sim callbacks. The job runs as
-/// a plan of one or two stages on the plan driver (`Plan::of_job`); its
-/// result is the plan's, every stage run's task reports in submission order
-/// — the maps', then the reducers'.
+/// commits, and the simulation keeps running — callers can chain stages.
+/// The job runs as a plan of one or two stages on the plan driver
+/// (`Plan::of_job`); its result is the plan's, every stage run's task
+/// reports in submission order — the maps', then the reducers'.
 pub fn submit_job_env(
     sim: &mut Sim,
     env: MrEnv,
@@ -667,59 +654,34 @@ pub fn submit_job_env(
     submit_plan(sim, env, Plan::of_job(job), Box::new(project));
 }
 
-/// What makes a job one stage run of a plan: what its tasks are reported
-/// as, where their output goes, what they pull (`None` for a source stage,
-/// which fetches splits), the run whose durations price their hang
-/// deadlines (`None`: their own) and the pool the plan's runs share.
+/// What makes a job one stage run of a plan: its index among the plan's
+/// stage runs, what its tasks are reported as, where their output goes, what
+/// they pull (`None` for a source stage, which fetches splits), the run
+/// whose durations price their hang deadlines (`None`: their own) and the
+/// pool of the plan.
 pub(crate) struct StageIo {
+    pub run: usize,
     pub kind: TaskKind,
     pub sink: ShuffleSink,
     pub input: Option<ShuffleInput>,
-    pub producer: Option<StageRunHandle>,
+    pub producer: Option<SharedDriver>,
     pub pool: SharedPool,
 }
 
-/// A handle on a submitted stage run, for the plan driver.
-#[derive(Clone)]
-pub(crate) struct StageRunHandle(SharedDriver);
-
-impl StageRunHandle {
-    /// The stage partitions the run has yet to commit — what it still
-    /// covers. A partition it committed and whose output was lost since is
-    /// no longer the run's to redo.
-    pub fn uncommitted(&self) -> Vec<usize> {
-        let dd = self.0.borrow();
-        let open = |t: &usize| dd.tasks.state(*t).is_some_and(|st| !st.done);
-        let tasks = (0..dd.tasks.count()).filter(open);
-        tasks.map(|t| dd.sink.partition_of(t)).collect()
-    }
-
-    /// End the run now, whatever it is doing: its attempts are retired and
-    /// their slots returned, its completion callback fires with
-    /// `MrError::Msg(why)`.
-    pub fn cancel(&self, sim: &mut Sim, why: &str) {
-        end_run(sim, &self.0, Some(MrError::msg(why)));
-    }
-}
-
-/// Enlist a run of `job` as one stage run of a plan — one task per sink
-/// partition, fetching `job.splits` or pulling `io.input` — in its pool and
-/// offer it the slots. The plan driver submits only partitions it misses,
-/// so a run has at least one task.
-pub(crate) fn submit_stage(
-    sim: &mut Sim,
-    env: MrEnv,
-    job: Job,
-    io: StageIo,
-    done: JobDone,
-) -> StageRunHandle {
+/// List a run of `job` as one stage run of a plan — one task per sink
+/// partition, fetching `job.splits` or pulling `io.input` — among its
+/// pool's live runs and offer it the slots. The plan driver submits only
+/// partitions it misses, so a run has at least one task.
+pub(crate) fn submit_stage(sim: &mut Sim, job: Job, io: StageIo) {
     let StageIo {
+        run,
         kind,
         sink,
         input,
         producer,
         pool,
     } = io;
+    let env = pool.borrow().env.clone();
     let now = sim.now().secs();
     let n_tasks = sink.tasks();
     // Per-attempt hang deadlines only when the plan can produce silence
@@ -742,7 +704,7 @@ pub(crate) fn submit_stage(
         kind,
         sink,
         input,
-        producer: producer.map(|p| p.0),
+        producer,
         pool: pool.clone(),
         start_s: now,
         tasks: TaskTable::new(n_tasks),
@@ -752,27 +714,30 @@ pub(crate) fn submit_stage(
         cache_hints,
         reports: Vec::new(),
         counters: Counters::new(),
-        done_cb: Some(done),
+        ended: false,
         job,
     }));
-    pool.borrow_mut().enlist(&d);
+    pool.borrow_mut().enlist(run, &d);
     pool::schedule(sim, &pool);
-    StageRunHandle(d)
 }
 
 /// Convenience: submit, run the world to completion, return the result.
 pub fn run_job(cluster: &mut Cluster, job: Job) -> Result<JobResult, MrError> {
-    cluster.run_to_completion("job", |cluster, done| submit_job(cluster, job, done))
+    cluster.run_to_completion("job", |cluster, done| {
+        let env = cluster.env();
+        submit_job_env(&mut cluster.sim, env, job, done)
+    })
 }
 
-/// End the run, on `failed` if it is an error: every in-flight attempt is
-/// retired — their continuations see a dead attempt and can no longer mutate
-/// counters or reports.
-fn end_run(sim: &mut Sim, d: &SharedDriver, failed: Option<MrError>) {
-    let ended = d.borrow_mut().finish(sim.now().secs());
-    if let Some((cb, result)) = ended {
-        cb(sim, result, failed);
-    }
+/// End the run, on `failed` if it is an error, and tell the plan driver: every
+/// in-flight attempt is retired — their continuations see a dead attempt and
+/// can no longer mutate counters or reports.
+pub(crate) fn end_run(sim: &mut Sim, d: &SharedDriver, failed: Option<MrError>) {
+    let Some((tasks, counters)) = d.borrow_mut().finish() else {
+        return;
+    };
+    let pool = d.borrow().pool.clone();
+    dag::run_ended(sim, &pool, d, tasks, counters, failed);
 }
 
 #[cfg(test)]

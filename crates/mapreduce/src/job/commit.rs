@@ -395,7 +395,7 @@ mod tests {
     use crate::job::tests::{
         mem_splits, scaled_cluster, slow_map_job, small_cluster, word_count_job,
     };
-    use crate::job::{run_job, submit_job, FtConfig, Job, Kv, MrError, Payload};
+    use crate::job::{run_job, submit_job_env, FtConfig, Job, Kv, MrError, Payload};
 
     /// The `_tmp/` entries of `c`'s namespace.
     fn temp_files(c: &Cluster) -> Vec<String> {
@@ -436,7 +436,8 @@ mod tests {
         let done = move |_: &mut simnet::Sim, r: Result<_, MrError>| {
             *seen.borrow_mut() = Some((r, hdfs.borrow().namenode.namespace_dump()));
         };
-        submit_job(&mut c, big_output_job(3, 1.0), done);
+        let env = c.env();
+        submit_job_env(&mut c.sim, env, big_output_job(3, 1.0), done);
         c.run();
         let (r, dump) = at_commit.borrow_mut().take().expect("the job completed");
         let r = r.expect("the straggler commits");

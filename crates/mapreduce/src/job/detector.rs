@@ -11,6 +11,7 @@ use super::pool::{live_runs, schedule};
 use super::pull::readers;
 use super::{end_run, speculate, Driver, MrError, SharedDriver, SharedPool};
 use crate::counters::keys;
+use crate::dag;
 
 /// Multiple of the q75 committed map duration after which a running attempt
 /// is declared hung (floored by `FtConfig::hang_deadline_min_s`).
@@ -67,7 +68,7 @@ pub(super) fn arm(sim: &mut Sim, pool: &SharedPool) {
     for t in onsets.into_iter().filter(|&t| t > now) {
         let pool = pool.clone();
         sim.at(SimTime(t), move |_sim| {
-            if !live_runs(&pool).is_empty() {
+            if !pool.borrow().live.is_empty() {
                 let mut p = pool.borrow_mut();
                 p.counters.add(keys::PARTITIONS_OBSERVED, 1.0);
             }
@@ -79,9 +80,9 @@ pub(super) fn arm(sim: &mut Sim, pool: &SharedPool) {
 /// `node`'s slots are gone (see [`Withdrawal`]), for every live run: each
 /// retires its attempts there as failed ([`Exit::Failed`]) — their slots
 /// went with the node — and requeues their tasks on the survivors. A kill
-/// also takes what the node held — its cluster-cache residency and, through
-/// the pool's `on_node_lost`, a DAG's shuffle outputs — so no later task is
-/// steered to, or served from, a ghost.
+/// also takes what the node held — its cluster-cache residency and, in a
+/// plan that recovers, the shuffle outputs there ([`dag::node_lost`]) — so
+/// no later task is steered to, or served from, a ghost.
 pub(super) fn withdraw_node(sim: &mut Sim, pool: &SharedPool, node: NodeId, why: Withdrawal) {
     let runs = live_runs(pool);
     if runs.is_empty() || !pool.borrow_mut().nodes.withdraw(node, why) {
@@ -89,7 +90,7 @@ pub(super) fn withdraw_node(sim: &mut Sim, pool: &SharedPool, node: NodeId, why:
     }
     let cause = match why {
         Withdrawal::Killed => {
-            pool.borrow().cache.invalidate_node(node);
+            pool.borrow().env.cluster_cache.invalidate_node(node);
             "death of node"
         }
         Withdrawal::DeclaredDead => "declared-dead node",
@@ -113,9 +114,8 @@ pub(super) fn withdraw_node(sim: &mut Sim, pool: &SharedPool, node: NodeId, why:
             end_run(sim, d, Some(e));
         }
     }
-    let on_node_lost = pool.borrow().node_lost_hook();
-    if let Some(lost) = on_node_lost.filter(|_| why == Withdrawal::Killed) {
-        lost(sim, node);
+    if why == Withdrawal::Killed && pool.borrow().recovers() {
+        dag::node_lost(sim, pool, node);
         disarm_reopened(pool);
     }
     schedule(sim, pool);
@@ -146,7 +146,7 @@ fn schedule_heartbeat(sim: &mut Sim, pool: &SharedPool, tick: u64) {
 /// those whose compute ended while it was silent lost their completions, and
 /// get twins ([`speculate::stranded`]).
 fn heartbeat_tick(sim: &mut Sim, pool: &SharedPool, tick: u64) {
-    if live_runs(pool).is_empty() {
+    if pool.borrow().live.is_empty() {
         return; // job finished: stop ticking
     }
     let (declare, slots_back, heard) = {
@@ -191,7 +191,7 @@ fn heartbeat_tick(sim: &mut Sim, pool: &SharedPool, tick: u64) {
     if slots_back {
         schedule(sim, pool);
     }
-    if !live_runs(pool).is_empty() {
+    if !pool.borrow().live.is_empty() {
         schedule_heartbeat(sim, pool, tick + 1);
     }
 }

@@ -17,6 +17,12 @@ use super::{detector, Kv, MrError, Payload, SharedPool, TaskCtx, TaskKind};
 use crate::counters::keys;
 use crate::input::{pump_pieces, FetchPiece, FetchResult, PieceSink, PieceStream, TaskInput};
 
+/// Pieces a streamed fetch keeps in flight: 2 is double buffering. Deeper
+/// windows were measured slower, not faster, on the simulated PFS (the
+/// `overlap` experiment's old depth sweep: 4 and 8 read 9.16 and 12.22 s
+/// against 8.09 s).
+const PREFETCH_WINDOW: usize = 2;
+
 /// Run one map attempt.
 pub(super) fn run_map_attempt(sim: &mut Sim, att: Attempt) {
     let (env, fetcher, stream_cfg, split_len) = {
@@ -45,7 +51,6 @@ pub(super) fn run_map_attempt(sim: &mut Sim, att: Attempt) {
                     }
                     speculate::watch_fetch(sim, &att.d, att.id);
                     let stream: Rc<dyn PieceStream> = stream.into();
-                    let depth = stream_cfg.prefetch_depth;
                     let sink = StreamedFetch {
                         att,
                         fetch_start,
@@ -53,7 +58,7 @@ pub(super) fn run_map_attempt(sim: &mut Sim, att: Attempt) {
                         arrivals: vec![Arrival::default(); stream.n_pieces()],
                         charges: Vec::new(),
                     };
-                    return pump_pieces(stream, &env, sim, node, depth, sink);
+                    return pump_pieces(stream, &env, sim, node, PREFETCH_WINDOW, sink);
                 }
                 Err(fb) => {
                     // Exactly one fallback (with its reason) per committed
@@ -204,7 +209,7 @@ struct Arrival {
 
 /// Streaming fetch of one map attempt (the intra-task read/compute overlap
 /// pipeline). Reads run for real through the simulated PFS with at most
-/// `prefetch_depth` pieces in flight, each arrival timestamped; the map
+/// [`PREFETCH_WINDOW`] pieces in flight, each arrival timestamped; the map
 /// function runs once on the assembled input (so output stays
 /// byte-identical to the batch path), and the attempt's duration is the
 /// pipelined timeline `f_i = max(f_{i-1}, a_i) + c_i` — compute of piece
@@ -496,10 +501,7 @@ mod tests {
         // every map attempt falls back to the batch path and says so.
         let mut c = small_cluster(2, 2);
         let mut job = word_count_job(mem_splits(4, 100), 1);
-        job.stream = StreamConfig {
-            enabled: true,
-            prefetch_depth: 2,
-        };
+        job.stream = StreamConfig { enabled: true };
         let r = run_job(&mut c, job).unwrap();
         assert_eq!(r.counters.get(keys::STREAM_FALLBACKS), 4.0);
         assert_eq!(r.counters.get(keys::STREAM_FALLBACK_UNSUPPORTED), 4.0);
@@ -510,10 +512,7 @@ mod tests {
         // With streaming off the counter stays silent.
         let mut c2 = small_cluster(2, 2);
         let mut job2 = word_count_job(mem_splits(4, 100), 1);
-        job2.stream = StreamConfig {
-            enabled: false,
-            prefetch_depth: 2,
-        };
+        job2.stream = StreamConfig { enabled: false };
         let r2 = run_job(&mut c2, job2).unwrap();
         assert_eq!(r2.counters.get(keys::STREAM_FALLBACKS), 0.0);
         assert_eq!(r2.stream_fallbacks(), None);

@@ -1,53 +1,61 @@
-//! What the live runs of one plan — a DAG, or a classic job's maps and
-//! reducers — share: one node table, one attempt numbering, one failure
-//! detector, and the list of the runs themselves. Two runs never both think
-//! they own a slot, attempt ids (and with them the temp names of part files)
-//! are unique across a plan, a node is withdrawn once for all of them, and a
-//! free slot is offered to the runs in stage order, upstream first — but for
-//! a due task of a downstream run ([`super::attempt::try_schedule`]).
+//! One plan's home: what its live runs — a DAG's stage runs, or a classic
+//! job's maps and reducers — share, and the plan driver's books. One node
+//! table, one attempt numbering and one failure detector: two runs never both
+//! think they own a slot, attempt ids (and with them the temp names of part
+//! files) are unique across a plan, and a node is withdrawn once for all of
+//! them. One ordered list of live runs: a free slot is offered to them in
+//! stage order, upstream first — but for a due task of a downstream run
+//! ([`super::attempt::try_schedule`]). And what `dag.rs` drives the plan
+//! with: its stages, shuffle store, stage-run records, counters and
+//! completion callback.
 
 use std::cell::RefCell;
-use std::rc::{Rc, Weak};
+use std::rc::Rc;
 
-use simnet::{ClusterCache, NodeId, Sim};
+use simnet::{NodeId, Sim};
 
 use super::attempt::{try_schedule, AttemptId, Exit};
 use super::nodes::NodeTable;
-use super::{detector, Driver, FtConfig, SharedDriver};
+use super::{detector, FtConfig, SharedDriver, SharedShuffleStore};
 use crate::cluster::MrEnv;
-use crate::counters::{keys, Counters};
-
-/// Called when a kill has been dealt with by every live run and before the
-/// slots it left are handed out: the DAG drops the dead node's shuffle
-/// outputs and resubmits what it still needs of them.
-pub(crate) type NodeLost = Rc<dyn Fn(&mut Sim, NodeId)>;
+use crate::counters::Counters;
+use crate::dag::{Plan, PlanDone, StageRun};
 
 pub(crate) struct Pool {
     pub(super) nodes: NodeTable,
     next_attempt: AttemptId,
-    /// The runs enlisted so far, upstream stages first (a classic job: its
-    /// maps, then its reducers); the ended ones are skipped, not removed.
-    runs: Vec<Weak<RefCell<Driver>>>,
-    /// The heartbeat policy, and when its clock started.
+    /// The runs that have not ended, upstream stages first and by
+    /// submission within a stage (a classic job: its maps, then its
+    /// reducers), each with its index into `runs`.
+    pub(crate) live: Vec<(usize, SharedDriver)>,
+    /// The heartbeat policy, and when its clock — and the plan — started.
     pub(super) ft: FtConfig,
-    pub(super) start_s: f64,
-    pub(super) cache: Rc<ClusterCache>,
-    on_node_lost: Option<NodeLost>,
-    /// What the detector saw: heartbeats missed, nodes suspected and
+    pub(crate) start_s: f64,
+    pub(crate) env: MrEnv,
+    pub(crate) plan: Plan,
+    /// Where every run of the plan registers its output and pulls its input.
+    pub(crate) store: SharedShuffleStore,
+    /// Every submission so far; `end_s`, `ok` and `tasks` are filled in when
+    /// the run ends.
+    pub(crate) runs: Vec<StageRun>,
+    /// The plan's books: what its ended runs counted, lineage recomputes,
+    /// and what the detector saw — heartbeats missed, nodes suspected and
     /// reinstated, partitions observed.
-    pub(super) counters: Counters,
+    pub(crate) counters: Counters,
     /// The cluster-cache registry's eviction count when the pool opened.
-    evictions_start: u64,
+    pub(crate) evictions_start: u64,
+    /// Taken when the plan ends.
+    pub(crate) done: Option<PlanDone>,
 }
 
 pub(crate) type SharedPool = Rc<RefCell<Pool>>;
 
 impl Pool {
-    /// A pool over `env`'s compute nodes, every slot free; nodes the fault
-    /// plan has already killed start out dead, and leave no ghost behind
-    /// (cluster-cache residency outlives the job that admitted it). Watches
-    /// the fault plan from now on ([`detector::arm`]).
-    pub fn open(sim: &mut Sim, env: &MrEnv, ft: &FtConfig) -> SharedPool {
+    /// The pool of `plan` over `env`'s compute nodes, every slot free;
+    /// nodes the fault plan has already killed start out dead, and leave no
+    /// ghost behind (cluster-cache residency outlives the job that admitted
+    /// it). Watches the fault plan from now on ([`detector::arm`]).
+    pub fn open(sim: &mut Sim, env: MrEnv, plan: Plan, done: PlanDone) -> SharedPool {
         let now = sim.now().secs();
         let dead = |n: NodeId| sim.faults.node_dead(n.0, now);
         let nodes = NodeTable::new(env.topo.n_compute(), env.slots_per_node, dead);
@@ -57,50 +65,25 @@ impl Pool {
         let pool = Rc::new(RefCell::new(Pool {
             nodes,
             next_attempt: 0,
-            runs: Vec::new(),
-            ft: ft.clone(),
+            live: Vec::new(),
+            ft: plan.ft(),
             start_s: now,
-            cache: env.cluster_cache.clone(),
-            on_node_lost: None,
+            store: plan.shuffle_store(),
+            runs: Vec::new(),
             counters: Counters::new(),
             evictions_start: env.cluster_cache.stats().evictions,
+            done: Some(done),
+            env,
+            plan,
         }));
         detector::arm(sim, &pool);
         pool
     }
 
-    /// The books a plan closes with: what the detector saw, and the
-    /// cluster-cache evictions since the pool opened (registry stats are
-    /// world-lifetime monotonic; the delta is its runs' share).
-    pub(crate) fn books(&self) -> Counters {
-        let mut books = self.counters.clone();
-        if self.cache.enabled() {
-            let evicted = self
-                .cache
-                .stats()
-                .evictions
-                .saturating_sub(self.evictions_start);
-            if evicted > 0 {
-                books.add(keys::CLUSTER_CACHE_EVICTIONS, evicted as f64);
-            }
-        }
-        books
-    }
-
-    /// Have `lost` called at every kill from now on.
-    pub fn on_node_lost(&mut self, lost: NodeLost) {
-        self.on_node_lost = Some(lost);
-    }
-
-    /// Someone recomputes what a kill takes (the driver of a plan that
-    /// recovers: a DAG's): the pool's runs may give up on an output rather
-    /// than wait for it.
+    /// Lost shuffle outputs are recomputed (a DAG's): the pool's runs may
+    /// give up on an output rather than wait for it.
     pub(super) fn recovers(&self) -> bool {
-        self.on_node_lost.is_some()
-    }
-
-    pub(super) fn node_lost_hook(&self) -> Option<NodeLost> {
-        self.on_node_lost.clone()
+        self.plan.recovers
     }
 
     pub(super) fn next_attempt(&mut self) -> AttemptId {
@@ -109,25 +92,20 @@ impl Pool {
         id
     }
 
-    /// Add a run: behind the runs of its own and of every earlier stage (a
-    /// classic job's maps are stage 0, its reducers stage 1).
-    pub(super) fn enlist(&mut self, d: &SharedDriver) {
+    /// List run `d`, stage run `run` of the plan: behind the live runs of
+    /// its own and of every earlier stage (a classic job's maps are stage 0,
+    /// its reducers stage 1).
+    pub(super) fn enlist(&mut self, run: usize, d: &SharedDriver) {
         let stage = d.borrow().sink.stage;
-        let upstream = |r: &Weak<RefCell<Driver>>| {
-            let r = r.upgrade();
-            r.is_none_or(|r| r.borrow().sink.stage <= stage)
-        };
-        let at = self.runs.iter().take_while(|r| upstream(r)).count();
-        self.runs.insert(at, Rc::downgrade(d));
+        let upstream = |(_, r): &&(usize, SharedDriver)| r.borrow().sink.stage <= stage;
+        let at = self.live.iter().take_while(upstream).count();
+        self.live.insert(at, (run, d.clone()));
     }
 }
 
-/// The runs of `pool` that have not ended, upstream first. No driver may be
-/// mutably borrowed by the caller.
+/// The runs of `pool` that have not ended, upstream first.
 pub(super) fn live_runs(pool: &SharedPool) -> Vec<SharedDriver> {
-    let pool = pool.borrow();
-    let runs = pool.runs.iter().filter_map(Weak::upgrade);
-    runs.filter(|d| d.borrow().alive()).collect()
+    pool.borrow().live.iter().map(|(_, d)| d.clone()).collect()
 }
 
 /// Offer the free slots to every live run in turn, upstream first: a task of
@@ -182,6 +160,7 @@ pub(super) fn preempt_waiting(sim: &Sim, d: &SharedDriver, except: &[NodeId]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counters::keys;
     use crate::dag::tests::{count_reader, lineage_plan, sum_agg};
     use crate::dag::{submit_plan, DagJob, DagResult, Plan};
     use crate::dataset::{AggFn, Dataset, RecordReadFn};
@@ -287,26 +266,38 @@ mod tests {
     /// many attempts its pool numbered.
     type Ended = (DagResult, Option<MrError>, AttemptId);
 
+    /// Check the slot law on `pool` as its plan ends with `r`: every slot
+    /// its attempts took is back, and no usable node has more warm slots
+    /// than free ones. Returns how many attempts the pool numbered.
+    fn slot_law(pool: &SharedPool, r: &DagResult) -> AttemptId {
+        let p = pool.borrow();
+        let nodes = &p.nodes;
+        assert_eq!(nodes.busy(), 0, "a slot not given back: {:?}", r.counters);
+        for n in nodes.ids().filter(|&n| nodes.usable(n)) {
+            let (free, warm) = slots(nodes, n);
+            assert!(warm <= free, "node {}: {warm} warm of {free} free", n.0);
+        }
+        p.next_attempt
+    }
+
     /// Run `plan` on `c` through the plan driver, checking the slot law at
-    /// the instant it ends, either way: every slot its attempts took is
-    /// back, and no usable node has more warm slots than free ones.
+    /// the instant it ends, either way — inside `submit_plan` too, where a
+    /// plan ends that finds no usable node.
     fn run_lawfully(c: &mut Cluster, plan: Plan) -> Ended {
         let pool: Rc<RefCell<Option<SharedPool>>> = Rc::default();
         let ended: Rc<RefCell<Option<Ended>>> = Rc::default();
         let (of_plan, end) = (pool.clone(), ended.clone());
         let done = move |_: &mut Sim, r: DagResult, failed| {
-            let pool = of_plan.borrow_mut().take().expect("the plan's pool");
-            let p = pool.borrow();
-            let nodes = &p.nodes;
-            assert_eq!(nodes.busy(), 0, "a slot not given back: {:?}", r.counters);
-            for n in nodes.ids().filter(|&n| nodes.usable(n)) {
-                let (free, warm) = slots(nodes, n);
-                assert!(warm <= free, "node {}: {warm} warm of {free} free", n.0);
-            }
-            *end.borrow_mut() = Some((r, failed, p.next_attempt));
+            // Unknown yet when the plan ends inside `submit_plan`.
+            let numbered = of_plan.borrow().as_ref().map_or(0, |p| slot_law(p, &r));
+            *end.borrow_mut() = Some((r, failed, numbered));
         };
         let env = c.env();
-        *pool.borrow_mut() = Some(submit_plan(&mut c.sim, env, plan, Box::new(done)));
+        let submitted = submit_plan(&mut c.sim, env, plan, Box::new(done));
+        if let Some((r, _, numbered)) = ended.borrow_mut().as_mut() {
+            *numbered = slot_law(&submitted, r);
+        }
+        *pool.borrow_mut() = Some(submitted);
         c.run();
         let ended = ended.borrow_mut().take();
         ended.expect("the plan ended")
@@ -443,5 +434,23 @@ mod tests {
             .get(2)
             .filter(|run| run.stage == 0 && run.recomputed == 1);
         assert!(recompute.is_some_and(|run| !run.ok), "{:?}", r.runs);
+
+        // A job and a 3-stage DAG whose every node was killed at 0 s: the
+        // first run finds no usable node and the plan ends inside
+        // `submit_plan`, before any event has run.
+        let dead = || {
+            let mut c = small_cluster(2, 1);
+            let kill = FaultPlan::none().kill_node(0, 0.0).kill_node(1, 0.0);
+            c.sim.faults.install(kill);
+            c
+        };
+        let job = Plan::of_job(word_count_job(mem_splits(2, 100), 1));
+        let dag = Plan::of_dag(&DagJob::new("lin", lineage_plan(), "out"));
+        for plan in [job, dag.expect("a valid plan")] {
+            let (r, failed, _) = run_lawfully(&mut dead(), plan);
+            let e = failed.map(|e| e.message()).unwrap_or_default();
+            assert!(e.contains("no usable nodes left"), "{e}");
+            assert_eq!(r.end_s, 0.0);
+        }
     }
 }

@@ -8,7 +8,6 @@
 //! every output registered.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::rc::Rc;
 
 use simnet::{Sim, SimTime};
 
@@ -194,14 +193,14 @@ fn wake_when_idle(sim: &mut Sim, att: &Attempt) {
 /// with the index of `d`'s output shuffle among its sources: a classic job's
 /// reducers for its maps, the runs of the consumer stage for a DAG stage's.
 pub(super) fn readers(d: &SharedDriver) -> Vec<(SharedDriver, usize)> {
-    let (pool, (store, shuffle)) = {
+    let (pool, (_, shuffle)) = {
         let dd = d.borrow();
         (dd.pool.clone(), dd.sink.shuffle())
     };
     let source_in = |reader: &SharedDriver| {
         let rd = reader.borrow();
-        let input = rd.input.as_ref().filter(|i| Rc::ptr_eq(&i.store, &store));
-        input.and_then(|i| i.sources.iter().position(|&(s, _)| s == shuffle))
+        let sources = &rd.input.as_ref()?.sources;
+        sources.iter().position(|&(s, _)| s == shuffle)
     };
     let runs = live_runs(&pool).into_iter();
     runs.filter_map(|r| Some((r.clone(), source_in(&r)?)))

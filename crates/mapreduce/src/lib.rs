@@ -41,6 +41,6 @@ pub use input::{
     PieceStream, SplitFetcher, StreamFallback, TaskInput,
 };
 pub use job::{
-    run_job, submit_job, submit_job_env, FtConfig, Job, JobResult, MapFn, MrError, Payload,
-    ReduceFn, StreamConfig, TaskCtx, TaskKind, TaskReport,
+    run_job, submit_job_env, FtConfig, Job, JobResult, MapFn, MrError, Payload, ReduceFn,
+    StreamConfig, TaskCtx, TaskKind, TaskReport,
 };

@@ -332,20 +332,14 @@ fn slab_text(stream: StreamConfig) -> String {
 
 #[test]
 fn a_slab_job_streaming_depth_2() {
-    let text = slab_text(StreamConfig {
-        enabled: true,
-        prefetch_depth: 2,
-    });
+    let text = slab_text(StreamConfig { enabled: true });
     assert!(text.contains("counter overlap_saved_s"), "{text}");
     check("slab/stream", &text, FP_SLAB_STREAM);
 }
 
 #[test]
 fn b_slab_job_batch() {
-    let text = slab_text(StreamConfig {
-        enabled: false,
-        ..StreamConfig::default()
-    });
+    let text = slab_text(StreamConfig { enabled: false });
     assert!(!text.contains("counter overlap_saved_s"), "{text}");
     check("slab/batch", &text, FP_SLAB_BATCH);
 }

@@ -402,10 +402,7 @@ fn streamed_pushdown_over_a_multi_chunk_split_matches_the_get_vara_oracle() {
     };
     for seed in 0..=3u64 {
         let what = format!("fault seed {seed}");
-        let batch = StreamConfig {
-            enabled: false,
-            ..StreamConfig::default()
-        };
+        let batch = StreamConfig { enabled: false };
         let (want, br) = run(plan(seed), batch);
         let text: String = want
             .iter()
@@ -417,31 +414,19 @@ fn streamed_pushdown_over_a_multi_chunk_split_matches_the_get_vara_oracle() {
         assert_eq!(br.counters.get(keys::CHUNKS_SKIPPED_ZONEMAP), 3.0, "{what}");
         assert_eq!(br.counters.get(keys::VECTORISED_ROWS), 400.0, "{what}");
         assert_eq!(br.counters.get(keys::PIECES_PREFETCHED), 0.0, "{what}");
-        for depth in [1usize, 2, 8] {
-            let (got, sr) = run(
-                plan(seed),
-                StreamConfig {
-                    enabled: true,
-                    prefetch_depth: depth,
-                },
-            );
-            assert_eq!(got, want, "{what}, depth {depth}: committed bytes");
-            assert_eq!(
-                data_counters(&sr),
-                data_counters(&br),
-                "{what}, depth {depth}"
-            );
-            assert_eq!(
-                sr.counters.get(keys::STREAM_FALLBACKS),
-                0.0,
-                "{what}, depth {depth}: pushdown streams"
-            );
-            // (A retried attempt finds its siblings' chunks in the job
-            // cache and may have a single piece left — nothing to overlap.)
-            assert!(
-                seed != 0 || sr.counters.get(keys::PIECES_PREFETCHED) > 0.0,
-                "depth {depth}: reads must overlap the compute tail"
-            );
-        }
+        let (got, sr) = run(plan(seed), StreamConfig::default());
+        assert_eq!(got, want, "{what}: committed bytes");
+        assert_eq!(data_counters(&sr), data_counters(&br), "{what}");
+        assert_eq!(
+            sr.counters.get(keys::STREAM_FALLBACKS),
+            0.0,
+            "{what}: pushdown streams"
+        );
+        // (A retried attempt finds its siblings' chunks in the job cache and
+        // may have a single piece left — nothing to overlap.)
+        assert!(
+            seed != 0 || sr.counters.get(keys::PIECES_PREFETCHED) > 0.0,
+            "{what}: reads must overlap the compute tail"
+        );
     }
 }

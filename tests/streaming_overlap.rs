@@ -128,10 +128,7 @@ fn run_flat(plan: FaultPlan, stream: StreamConfig) -> (JobResult, Vec<(String, V
 }
 
 fn batch() -> StreamConfig {
-    StreamConfig {
-        enabled: false,
-        ..StreamConfig::default()
-    }
+    StreamConfig { enabled: false }
 }
 
 /// The `key\tvalue` lines of the committed part files.
@@ -180,41 +177,6 @@ fn streaming_matches_batch_and_overlaps_reads() {
     // Batch mode reports neither counter.
     assert_eq!(br.counters.get(keys::OVERLAP_SAVED_S), 0.0);
     assert_eq!(br.counters.get(keys::PIECES_PREFETCHED), 0.0);
-}
-
-#[test]
-fn prefetch_depth_changes_timing_never_bytes() {
-    // Depth is a pure scheduling knob: deeper windows put more flows in
-    // flight (which can delay the *first* piece under contention — depth
-    // is deliberately not asserted monotone in elapsed time), but the
-    // assembled input, data counters, and committed output are invariant.
-    let (br, bout) = run_flat(FaultPlan::none(), batch());
-    let mut elapsed = Vec::new();
-    for depth in [1usize, 2, 4, 8] {
-        let (dr, dout) = run_flat(
-            FaultPlan::none(),
-            StreamConfig {
-                enabled: true,
-                prefetch_depth: depth,
-            },
-        );
-        assert_eq!(dout, bout, "depth {depth}: output bytes changed");
-        assert_eq!(
-            data_counters(&dr.counters),
-            data_counters(&br.counters),
-            "depth {depth}"
-        );
-        elapsed.push(dr.elapsed());
-    }
-    // Pipelining pays off at the shallow depths even though the deepest
-    // window can lose to batch on flow contention: the best depth beats
-    // the batch fetch outright.
-    let best = elapsed.iter().cloned().fold(f64::INFINITY, f64::min);
-    assert!(
-        best < br.elapsed() - 1e-9,
-        "best streaming depth ({best}) must beat batch ({})",
-        br.elapsed()
-    );
 }
 
 #[test]

@@ -9,13 +9,14 @@
 //! maps and, with a reduce function, a post-shuffle stage of its reducers
 //! (`Plan::of_job`). Each stage holds the [`Job`] its runs subset — task
 //! function, name, output directory, policy and, for a source stage, the
-//! splits — and every run of it is a map-only engine job, inheriting the
-//! attempt/retry/speculation machinery unchanged, submitted with a
-//! `ShuffleSink` that has the driver hash-partition the stage's emitted
-//! pairs and register them in the plan's `ShuffleStore` per `(shuffle, map
-//! partition)` at task commit. The final stage's tasks commit their records
-//! as part files instead, through the commit protocol: the driver writes
-//! nothing itself.
+//! splits — and its sink: the shuffle its tasks hash-partition their
+//! emitted pairs into and register in the plan's `ShuffleStore` per
+//! `(shuffle, map partition)` at task commit. Every run of a stage is a
+//! map-only engine job over some of its partitions, inheriting the
+//! attempt/retry/speculation machinery unchanged, and reads all of that
+//! from its stage. The final stage's tasks commit their records as part
+//! files instead, through the commit protocol: the driver writes nothing
+//! itself.
 //!
 //! What tells a job's stages from a DAG's are properties of the plan, not
 //! branches of its caller: what a stage's tasks are counted as, their part
@@ -23,11 +24,13 @@
 //! reducers: their maps' run), and whether lost outputs are recomputed (only
 //! a DAG's are).
 //!
-//! One object per plan: the plan's `Pool` keeps, beside its node table,
-//! attempt numbering and live runs, the driver's state — the plan, its
-//! shuffle store, the stage-run records, the books and the completion
-//! callback. The driver's functions take the pool: a run that ends calls
-//! `run_ended`, and a kill in a plan that recovers calls `node_lost`.
+//! One cell per plan: the plan's `Pool` keeps, beside its node table,
+//! attempt numbering, its runs and the list of live ones, the driver's state
+//! — the plan, its shuffle store, the stage-run records, the books and the
+//! completion callback — all by value. The driver's functions take the pool
+//! and name a run by its stage-run index: `run_stage` keeps and lists one, a
+//! run that ends calls `run_ended`, and a kill in a plan that recovers calls
+//! `node_lost`.
 //!
 //! Stage overlap: every stage is submitted when the plan is, all on its
 //! one `Pool`. A free slot is offered to the runs upstream first, so the
@@ -66,56 +69,9 @@ use crate::counters::{keys, Counters};
 use crate::dataset::{Dataset, GroupFn, PairFilterFn, PairMapFn, PlanNode, RecordReadFn};
 use crate::input::TaskInput;
 use crate::job::{
-    end_run, group_by_key, submit_stage, FtConfig, Job, MapFn, MrError, Payload, Pool, ReduceFn,
-    SharedDriver, SharedPool, SharedShuffleStore, ShuffleInput, ShuffleStore, StageIo,
-    StreamConfig, TaskCtx, TaskKind, TaskReport,
+    end_run, group_by_key, schedule, Driver, FtConfig, Job, MapFn, MrError, Payload, Pool,
+    ReduceFn, SharedPool, ShuffleStore, StreamConfig, TaskCtx, TaskKind, TaskReport,
 };
-
-// ---------------------------------------------------------------------------
-// Where a stage run's output goes
-// ---------------------------------------------------------------------------
-
-/// Where one run deposits its output (handed to [`submit_stage`]): a shuffle
-/// of the plan's store (`job::ShuffleStore`). The driver partitions emitted
-/// pairs by `stable_hash(key) % n_partitions` and registers them at commit;
-/// the tasks of a final stage commit part files instead, and register those.
-#[derive(Clone)]
-pub(crate) struct ShuffleSink {
-    shuffle_id: u64,
-    /// Width of the downstream shuffle; `None` for the final stage, whose
-    /// tasks commit part files.
-    pub(crate) n_partitions: Option<usize>,
-    /// Stage partition id of each of the run's tasks — which also says how
-    /// many there are: a recompute job covers a sparse subset of the stage's
-    /// partitions, so job task `i` registers as stage partition
-    /// `task_ids[i]`.
-    task_ids: Rc<Vec<usize>>,
-    store: SharedShuffleStore,
-    /// Index of the stage this run executes, and of the stages downstream
-    /// of it: its consumer, that stage's consumer, ... the final stage.
-    pub(crate) stage: usize,
-    pub(crate) downstream: Rc<BTreeSet<usize>>,
-    /// What a final-stage task's part file is named: this, then its stage
-    /// partition ([`Stage::part_prefix`]).
-    pub(crate) part_prefix: &'static str,
-}
-
-impl ShuffleSink {
-    /// Stage partition of job task `task`.
-    pub(crate) fn partition_of(&self, task: usize) -> usize {
-        self.task_ids.get(task).copied().unwrap_or(task)
-    }
-
-    /// How many tasks the run has.
-    pub(crate) fn tasks(&self) -> usize {
-        self.task_ids.len()
-    }
-
-    /// The store and shuffle the run's tasks register in.
-    pub(crate) fn shuffle(&self) -> (SharedShuffleStore, u64) {
-        (self.store.clone(), self.shuffle_id)
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Plans and stage cutting
@@ -126,27 +82,32 @@ enum NarrowOp {
     Filter(PairFilterFn),
 }
 
-struct Stage {
+/// One stage of a plan: what every run of it reads — task function, policy,
+/// splits, sources and sink.
+pub(crate) struct Stage {
     /// The job every run of the stage subsets: its task function, name,
     /// output directory (only the final stage writes there), policy and —
     /// a source stage — one split per partition.
-    job: Job,
+    pub(crate) job: Job,
     /// What its tasks are reported and counted as: `Reduce` for a classic
     /// job's reducers, `Map` for every other stage.
-    kind: TaskKind,
+    pub(crate) kind: TaskKind,
     /// The `(shuffle id, parent tag)` sources its tasks pull, one task per
-    /// shuffle partition; none for a source stage, whose tasks fetch the
-    /// job's splits.
-    sources: Vec<(u64, u8)>,
+    /// shuffle partition, in the order their pairs reach the task; none for
+    /// a source stage, whose tasks fetch the job's splits.
+    pub(crate) sources: Vec<(u64, u8)>,
     n_tasks: usize,
     /// Shuffle this stage's tasks register into (the final stage registers
-    /// its part files under a dedicated id).
-    out_shuffle: u64,
-    /// Width of that shuffle; `None` for the final stage.
-    out_partitions: Option<usize>,
+    /// its part files under a dedicated id). The tasks hash-partition their
+    /// emitted pairs by `stable_hash(key) % out_partitions` and register
+    /// them at commit.
+    pub(crate) out_shuffle: u64,
+    /// Width of that shuffle; `None` for the final stage, whose tasks
+    /// commit part files instead, and register those.
+    pub(crate) out_partitions: Option<usize>,
     /// What the final stage's part files are named: this, then the stage
     /// partition — `part-` in a DAG, `part-m-` / `part-r-` in a classic job.
-    part_prefix: &'static str,
+    pub(crate) part_prefix: &'static str,
     /// The stage whose live run prices the hang deadlines of this stage's
     /// runs: a classic job's maps, for its reducers. `None` — every DAG
     /// stage — for each run's own.
@@ -154,14 +115,21 @@ struct Stage {
     op: &'static str,
     /// The stages downstream of this one: its consumer, that stage's
     /// consumer, ... the final stage (filled in once the plan is cut).
-    downstream: Rc<BTreeSet<usize>>,
+    pub(crate) downstream: BTreeSet<usize>,
+}
+
+impl Stage {
+    /// Its tasks pull their input from a shuffle.
+    pub(crate) fn pulls(&self) -> bool {
+        !self.sources.is_empty()
+    }
 }
 
 /// What the plan driver runs: its stages in topological order, the final
 /// one last.
 pub(crate) struct Plan {
     name: String,
-    stages: Vec<Stage>,
+    pub(crate) stages: Vec<Stage>,
     /// Whether lost shuffle outputs are recomputed: only a DAG's are. In
     /// this model a kill leaves a classic job's map outputs pullable.
     pub(crate) recovers: bool,
@@ -187,7 +155,7 @@ impl Plan {
             part_prefix: "part-m-",
             deadline_from: None,
             op: "map",
-            downstream: Rc::new(reduce.iter().map(|_| 1).collect()),
+            downstream: reduce.iter().map(|_| 1).collect(),
             job: Job {
                 reduce_fn: None,
                 ..job.clone()
@@ -204,7 +172,7 @@ impl Plan {
                 part_prefix: "part-r-",
                 deadline_from: Some(0),
                 op: "reduce",
-                downstream: Rc::default(),
+                downstream: BTreeSet::new(),
                 job: Job {
                     splits: Vec::new(),
                     map_fn,
@@ -239,9 +207,8 @@ impl Plan {
                 continue;
             };
             let parents: Vec<u64> = stage.sources.iter().map(|&(sid, _)| sid).collect();
-            let mut below = (*stage.downstream).clone();
+            let mut below = stage.downstream.clone();
             below.insert(idx);
-            let below = Rc::new(below);
             let fed = |p: &&mut Stage| parents.contains(&p.out_shuffle);
             for parent in stages.iter_mut().filter(fed) {
                 parent.downstream = below.clone();
@@ -267,8 +234,8 @@ impl Plan {
     }
 
     /// A store of the plan's shuffles: one per stage, one output per task.
-    pub(crate) fn shuffle_store(&self) -> SharedShuffleStore {
-        ShuffleStore::shared(self.stages.iter().map(|s| (s.out_shuffle, s.n_tasks)))
+    pub(crate) fn shuffle_store(&self) -> ShuffleStore {
+        ShuffleStore::new(self.stages.iter().map(|s| (s.out_shuffle, s.n_tasks)))
     }
 }
 
@@ -416,7 +383,7 @@ fn build_stage(b: &mut PlanBuild, ds: &Dataset, out_shuffle: u64, out_partitions
         part_prefix: "part-",
         deadline_from: None,
         op,
-        downstream: Rc::default(),
+        downstream: BTreeSet::new(),
     });
 }
 
@@ -509,16 +476,15 @@ pub(crate) type PlanDone = Box<dyn FnOnce(&mut Sim, DagResult, Option<MrError>)>
 /// The plan driver's questions of a plan's pool.
 impl Pool {
     fn missing_of(&self, stage: &Stage) -> Vec<usize> {
-        let store = self.store.borrow();
         (0..stage.n_tasks)
-            .filter(|&p| !store.has(stage.out_shuffle, p))
+            .filter(|&p| !self.store.has(stage.out_shuffle, p))
             .collect()
     }
 
     /// How many of stage `idx`'s `partitions` have been registered before:
     /// running them again is a lineage recompute.
     fn recomputes_among(&self, idx: usize, partitions: &[usize]) -> usize {
-        let (store, stage) = (self.store.borrow(), self.plan.stages.get(idx));
+        let (store, stage) = (&self.store, self.plan.stages.get(idx));
         let once = |p: &&usize| stage.is_some_and(|s| store.registered_once(s.out_shuffle, **p));
         partitions.iter().filter(once).count()
     }
@@ -539,10 +505,8 @@ impl Pool {
             needed.extend(stage.sources.iter().filter_map(producer));
         }
         let uncovered = |(idx, stage): (usize, &Stage)| {
-            let covered: BTreeSet<usize> = self
-                .live_of(idx)
-                .flat_map(|d| d.borrow().uncommitted())
-                .collect();
+            let live = self.live_of(idx).filter_map(|run| self.runs.get(run));
+            let covered: BTreeSet<usize> = live.flat_map(Driver::uncommitted).collect();
             let mut missing = self.missing_of(stage);
             missing.retain(|p| !covered.contains(p));
             (idx, missing)
@@ -555,11 +519,9 @@ impl Pool {
     }
 
     /// The live runs of stage `idx`, oldest first.
-    fn live_of(&self, idx: usize) -> impl Iterator<Item = &SharedDriver> + '_ {
-        let of_stage = move |(run, _): &&(usize, SharedDriver)| {
-            self.runs.get(*run).map(|r| r.stage) == Some(idx)
-        };
-        self.live.iter().filter(of_stage).map(|(_, d)| d)
+    fn live_of(&self, idx: usize) -> impl Iterator<Item = usize> + '_ {
+        let of_stage = move |run: &usize| self.runs.get(*run).map(Driver::stage) == Some(idx);
+        self.live.iter().copied().filter(of_stage)
     }
 
     /// The final stage — the last — has committed every part file.
@@ -643,7 +605,7 @@ fn advance(sim: &mut Sim, pool: &SharedPool) {
             let max_submissions = p.plan.stages.len() * 8 + 8;
             match p.next_submission() {
                 _ if p.complete() => Step::End(None),
-                Some(_) if p.runs.len() >= max_submissions => {
+                Some(_) if p.records.len() >= max_submissions => {
                     Step::End(Some(MrError::msg(format!(
                         "dag {}: gave up after {max_submissions} stage submissions \
                          (lineage not converging)",
@@ -676,29 +638,16 @@ fn advance(sim: &mut Sim, pool: &SharedPool) {
     }
 }
 
-/// Submit stage `idx` as one run over its `missing` partitions.
+/// Submit stage `idx` as one run over its `missing` partitions: keep it on
+/// the pool, list it among the live runs and offer it the slots. The plan
+/// driver submits only partitions it misses, so a run has at least one task.
 fn run_stage(sim: &mut Sim, pool: &SharedPool, idx: usize, missing: Vec<usize>, recomputed: usize) {
-    let (job, io) = {
+    {
         let mut p = pool.borrow_mut();
         let Some(stage) = p.plan.stages.get(idx) else {
             return;
         };
-        // A source stage's run fetches the splits it covers; a post-shuffle
-        // task pulls its pairs, and the stage has no split.
-        let splits = missing
-            .iter()
-            .filter_map(|&p| stage.job.splits.get(p).cloned());
-        let job = Job {
-            splits: splits.collect(),
-            ..stage.job.clone()
-        };
-        let input = (!stage.sources.is_empty()).then(|| ShuffleInput {
-            store: p.store.clone(),
-            sources: stage.sources.clone(),
-        });
-        let producer = stage
-            .deadline_from
-            .and_then(|s| p.live_of(s).last().cloned());
+        let producer = stage.deadline_from.and_then(|s| p.live_of(s).last());
         // Filled in (end, outcome, reports) when the run ends.
         let record = StageRun {
             stage: idx,
@@ -710,53 +659,38 @@ fn run_stage(sim: &mut Sim, pool: &SharedPool, idx: usize, missing: Vec<usize>, 
             ok: false,
             tasks: Vec::new(),
         };
-        let sink = ShuffleSink {
-            shuffle_id: stage.out_shuffle,
-            n_partitions: stage.out_partitions,
-            task_ids: Rc::new(missing),
-            store: p.store.clone(),
-            stage: idx,
-            downstream: stage.downstream.clone(),
-            part_prefix: stage.part_prefix,
-        };
-        let io = StageIo {
-            run: p.runs.len(),
-            kind: stage.kind,
-            sink,
-            input,
-            producer,
-            pool: pool.clone(),
-        };
-        p.runs.push(record);
-        (job, io)
-    };
-    submit_stage(sim, job, io);
+        let d = Driver::new(sim, &p.env, idx, stage, missing, producer);
+        p.records.push(record);
+        p.enlist(d);
+    }
+    schedule(sim, pool);
 }
 
-/// Run `d` of `pool` has ended, on `failed` if it is an error, with its
-/// committed task `reports` and its `counters`: record it, and end the plan
-/// on a real error or advance it. A run called off at the plan's end is no
-/// longer listed, and is not folded into the books.
-pub(crate) fn run_ended(
-    sim: &mut Sim,
-    pool: &SharedPool,
-    d: &SharedDriver,
-    reports: Vec<TaskReport>,
-    counters: Counters,
-    failed: Option<MrError>,
-) {
+/// Run `run` of `pool` has ended, on `failed` if it is an error: record it
+/// with its committed task reports, fold its counters into the books, and
+/// end the plan on a real error or advance it. A run called off at the
+/// plan's end is no longer listed, and is not folded into the books.
+pub(crate) fn run_ended(sim: &mut Sim, pool: &SharedPool, run: usize, failed: Option<MrError>) {
     let failure = {
         let mut p = pool.borrow_mut();
-        let Some(at) = p.live.iter().position(|(_, r)| Rc::ptr_eq(r, d)) else {
+        let Some(at) = p.live.iter().position(|&r| r == run) else {
             return;
         };
-        let (run, _) = p.live.remove(at);
+        p.live.remove(at);
+        let Pool {
+            runs,
+            records,
+            counters,
+            ..
+        } = &mut *p;
+        let (reports, run_counters) = runs.get_mut(run).map(Driver::take_results).unzip();
         // What a failed run had committed stays registered and is never run
         // again: its counters and reports count like those of any other run.
-        p.counters.merge(&counters);
+        counters.merge(&run_counters.unwrap_or_default());
         let now = sim.now().secs();
-        if let Some(record) = p.runs.get_mut(run) {
-            (record.end_s, record.ok, record.tasks) = (now, failed.is_none(), reports);
+        if let Some(record) = records.get_mut(run) {
+            let tasks = reports.unwrap_or_default();
+            (record.end_s, record.ok, record.tasks) = (now, failed.is_none(), tasks);
         }
         // A lost input is lineage loss: the next advance() resubmits what
         // this run had not committed, and the outputs it found stalled.
@@ -773,7 +707,7 @@ pub(crate) fn run_ended(
 /// recovers): what is still needed of them is resubmitted before the slots
 /// the node's attempts leave behind are handed out.
 pub(crate) fn node_lost(sim: &mut Sim, pool: &SharedPool, node: NodeId) {
-    pool.borrow().store.borrow_mut().invalidate_node(node);
+    pool.borrow_mut().store.invalidate_node(node);
     advance(sim, pool);
 }
 
@@ -787,12 +721,12 @@ fn end_plan(sim: &mut Sim, pool: &SharedPool, failed: Option<MrError>) {
         let Some(done) = p.done.take() else {
             return;
         };
-        let unfinished = p.runs.iter_mut().filter(|r| r.end_s.is_nan());
+        let unfinished = p.records.iter_mut().filter(|r| r.end_s.is_nan());
         unfinished.for_each(|r| r.end_s = now);
         (done, std::mem::take(&mut p.live))
     };
-    for (_, run) in &live {
-        end_run(sim, run, Some(MrError::msg("the plan ended")));
+    for run in live {
+        end_run(sim, pool, run, Some(MrError::msg("the plan ended")));
     }
     let result = {
         let mut p = pool.borrow_mut();
@@ -805,9 +739,9 @@ fn end_plan(sim: &mut Sim, pool: &SharedPool, failed: Option<MrError>) {
             p.counters
                 .add(keys::CLUSTER_CACHE_EVICTIONS, evicted as f64);
         }
-        let lost = p.store.borrow().lost;
-        if lost > 0 {
-            p.counters.add(keys::SHUFFLE_PARTITIONS_LOST, lost as f64);
+        if p.store.lost > 0 {
+            p.counters
+                .add(keys::SHUFFLE_PARTITIONS_LOST, p.store.lost as f64);
         }
         let stages = &p.plan.stages;
         let (n_stages, total_tasks) = (stages.len(), stages.iter().map(|s| s.n_tasks).sum());
@@ -816,7 +750,7 @@ fn end_plan(sim: &mut Sim, pool: &SharedPool, failed: Option<MrError>) {
             start_s: p.start_s,
             end_s: now,
             counters: std::mem::take(&mut p.counters),
-            runs: std::mem::take(&mut p.runs),
+            runs: std::mem::take(&mut p.records),
             n_stages,
             total_tasks,
         }

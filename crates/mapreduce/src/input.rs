@@ -405,7 +405,7 @@ impl std::fmt::Debug for InputSplit {
 /// a delta of the cluster-wide stats: concurrent fetches interleave their
 /// updates to the shared stats, so a snapshot delta around one read would
 /// absorb every other read completing in the window and double-count.
-pub fn read_event_counters(ev: hdfs::ReadEvents) -> Vec<(&'static str, f64)> {
+fn read_event_counters(ev: hdfs::ReadEvents) -> Vec<(&'static str, f64)> {
     use crate::counters::keys;
     let mut out = Vec::new();
     if ev.verified_bytes > 0 {

@@ -1,22 +1,26 @@
-//! The job driver: the public job types and the `Driver` that owns one
-//! stage run. Every run is a stage run of a plan, and one plan driver
-//! (`dag.rs`) submits them all and hears each end (`end_run` calls
+//! The job driver: the public job types and the `Driver`, what one stage
+//! run keeps of its own. Every run is a stage run of a plan, and one plan
+//! driver (`dag.rs`) submits them all and hears each end (`end_run` calls
 //! `dag::run_ended`): a classic job is a plan of one or two stages — its
 //! maps, a source stage that writes the job's own shuffle, and its
 //! reducers, a post-shuffle stage whose task function groups the pulled
 //! pairs and reduces them (`submit_job_env`); a DAG is a plan of one stage
-//! per shuffle boundary. The mechanics of a run live in the submodules:
-//! `nodes` (per-node slot and health table), `pool` (one plan's home: that
-//! table, the attempt numbering, its live runs in the order slots are
-//! offered to them, and the plan driver's books), `sched` (pure task
-//! placement), `attempt` (the task
-//! table, launch / fail / first-commit-wins), `detector` (kills, heartbeats,
-//! hang deadlines, node withdrawal), `speculate`, `map` (the attempt body:
-//! fetch or pull, run the task function, spill or write), `pull` (the pull
-//! loop of a task that reads a shuffle) and `commit` (partitioning,
-//! grouping, part files, the registry of shuffle outputs).
+//! per shuffle boundary. A run lives on its plan's `Pool`, at its stage-run
+//! index, and reads its task function, policy, splits, sources and sink
+//! from its stage; the pool answers the questions that take a run, its
+//! stage, the shuffle store and the node table together (is a task due,
+//! would it wait, where may it go). The mechanics of a run live in the
+//! submodules: `nodes` (per-node slot and health table), `pool` (one plan's
+//! home and its one cell of driver state: that table, the attempt
+//! numbering, every run, the live ones in the order slots are offered to
+//! them, and the plan driver's books), `sched` (pure task placement),
+//! `attempt` (the task table, launch / fail / first-commit-wins),
+//! `detector` (kills, heartbeats, hang deadlines, node withdrawal),
+//! `speculate`, `map` (the attempt body: fetch or pull, run the task
+//! function, spill or write), `pull` (the pull loop of a task that reads a
+//! shuffle) and `commit` (partitioning, grouping, part files, the registry
+//! of shuffle outputs).
 
-use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
@@ -24,7 +28,7 @@ use simnet::{ChunkKey, NodeId, Sim};
 
 use crate::cluster::{Cluster, MrEnv};
 use crate::counters::{keys, Counters};
-use crate::dag::{self, submit_plan, DagResult, Plan, ShuffleSink};
+use crate::dag::{self, submit_plan, DagResult, Plan, Stage};
 use crate::input::{InputSplit, TaskInput};
 
 mod attempt;
@@ -37,11 +41,10 @@ mod pull;
 mod sched;
 mod speculate;
 
-pub(crate) use commit::{group_by_key, SharedShuffleStore, ShuffleInput, ShuffleStore};
-pub(crate) use pool::{Pool, SharedPool};
+pub(crate) use commit::{group_by_key, ShuffleStore};
+pub(crate) use pool::{schedule, Pool, SharedPool};
 
-use attempt::{AttemptInfo, Exit, TaskTable};
-use nodes::NodeTable;
+use attempt::{AttemptId, AttemptInfo, TaskTable};
 
 /// Task- or job-level failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,10 +114,17 @@ pub struct TaskCtx {
 }
 
 impl TaskCtx {
-    /// Standalone context for running task payloads outside the engine
-    /// (the naive baseline processes files without Hadoop).
+    /// A fresh context over `cost`: what the engine hands each attempt, and
+    /// what runs task payloads outside it (the naive baseline processes
+    /// files without Hadoop).
     pub fn standalone(cost: simnet::CostModel) -> TaskCtx {
-        TaskCtx::new(cost)
+        TaskCtx {
+            cost,
+            charges: Vec::new(),
+            emitted: Vec::new(),
+            records: 0,
+            tag: String::new(),
+        }
     }
 
     /// Set the split tag (engine-internal; also used by standalone runs).
@@ -133,16 +143,6 @@ impl TaskCtx {
             .into_iter()
             .map(|kv| (kv.key, kv.value))
             .collect()
-    }
-
-    fn new(cost: simnet::CostModel) -> TaskCtx {
-        TaskCtx {
-            cost,
-            charges: Vec::new(),
-            emitted: Vec::new(),
-            records: 0,
-            tag: String::new(),
-        }
     }
 
     /// Split metadata set by the fetcher (empty when the fetcher sets
@@ -342,22 +342,6 @@ impl JobResult {
         self.end_s - self.start_s
     }
 
-    /// Fraction of locality-eligible committed maps that ran data-local:
-    /// `data_local / (data_local + remote)`. Maps over location-less splits
-    /// (`any_locality_maps` — e.g. PFS dummy blocks) are excluded: locality
-    /// is not a concept for them and counting them would dilute the ratio.
-    /// `None` when no map was locality-eligible.
-    pub fn locality_ratio(&self) -> Option<f64> {
-        let local = self.counters.get(keys::LOCAL_MAPS);
-        let remote = self.counters.get(keys::REMOTE_MAPS);
-        let eligible = local + remote;
-        if eligible == 0.0 {
-            None
-        } else {
-            Some(local / eligible)
-        }
-    }
-
     /// Mean of a phase over all tasks of one kind.
     pub fn mean_phase(&self, kind: TaskKind, phase: &str) -> f64 {
         let v: Vec<f64> = self
@@ -457,27 +441,23 @@ impl JobResult {
 // Driver
 // ---------------------------------------------------------------------------
 
-/// One run: policy and bookkeeping. Slot/health state lives in the
-/// [`Pool`]'s node table, the queue and attempts in the [`TaskTable`].
+/// One stage run of a plan, kept by value on the plan's [`Pool`] at its
+/// stage-run index: only what is the run's own. Its task function, policy,
+/// splits, sources and sink are its stage's (`pool.plan.stages[stage]`),
+/// slot and health state is the pool's node table, the shuffle outputs are
+/// the pool's store, and the queue and attempts are the [`TaskTable`].
 pub(crate) struct Driver {
-    env: MrEnv,
-    job: Job,
-    /// What the run's tasks are reported and counted as.
-    kind: TaskKind,
-    /// Where the run's output goes: hash-partitioned and registered in a
-    /// shuffle store at commit, or — a final stage — committed as part
-    /// files, which are registered too.
-    sink: ShuffleSink,
-    /// What the run's tasks pull: a classic job's reducers the outputs of
-    /// its maps, a post-shuffle stage's tasks those of the stages upstream;
-    /// `None` for a run whose tasks fetch splits.
-    input: Option<ShuffleInput>,
+    /// Index of the stage the run executes.
+    stage: usize,
+    /// Stage partition of each of the run's tasks — which also says how many
+    /// there are: a recompute covers a sparse subset of the stage's
+    /// partitions, so task `t` is stage partition `task_ids[t]` and, of a
+    /// source stage, fetches split `task_ids[t]`.
+    task_ids: Vec<usize>,
     /// The run whose committed durations price this run's hang deadlines: a
     /// job's reducers', their maps' run. `None` — every DAG stage run — for
     /// its own.
-    producer: Option<SharedDriver>,
-    /// Node table and attempt numbering, shared by every run of a plan.
-    pool: SharedPool,
+    producer: Option<usize>,
     start_s: f64,
     tasks: TaskTable,
     /// Per-attempt hang deadlines armed (hangs, read hangs or partitions
@@ -489,7 +469,7 @@ pub(crate) struct Driver {
     /// What else speculation keeps of the committed tasks, and the flagged
     /// stragglers.
     spec: speculate::Speculator,
-    /// Per-split cluster-cache chunk keys (from
+    /// Per-task cluster-cache chunk keys of the run's splits (from
     /// [`crate::input::SplitFetcher::cache_hints`]); the whole vector is
     /// empty when no split has a hint (always so when the cluster cache
     /// tier is disabled), and the scheduler then skips its cache pass.
@@ -501,31 +481,66 @@ pub(crate) struct Driver {
     ended: bool,
 }
 
-pub(crate) type SharedDriver = Rc<RefCell<Driver>>;
-
 impl Driver {
+    /// A run of stage `idx` over the stage partitions `task_ids`, submitted
+    /// now: one task per partition, fetching its split or pulling.
+    pub(crate) fn new(
+        sim: &Sim,
+        env: &MrEnv,
+        idx: usize,
+        stage: &Stage,
+        task_ids: Vec<usize>,
+        producer: Option<usize>,
+    ) -> Driver {
+        // Per-attempt hang deadlines only when the plan can produce silence
+        // (see [`Pool::open`]) or swallow a read.
+        let plan = sim.faults.plan();
+        let hang_checks_armed = detector::plan_has_silence(plan) || !plan.read_hangs.is_empty();
+        // Precompute cache-locality hints only when the tier is live: a
+        // disabled registry (or fetchers without hints) means no hints, zero
+        // scheduler overhead and timing identical to a world without the tier.
+        let splits = task_ids.iter().filter_map(|&p| stage.job.splits.get(p));
+        let mut cache_hints: Vec<Vec<ChunkKey>> = if env.cluster_cache.enabled() {
+            splits.map(|s| s.fetcher.cache_hints()).collect()
+        } else {
+            Vec::new()
+        };
+        if cache_hints.iter().all(Vec::is_empty) {
+            cache_hints.clear();
+        }
+        Driver {
+            stage: idx,
+            tasks: TaskTable::new(task_ids.len()),
+            task_ids,
+            producer,
+            start_s: sim.now().secs(),
+            hang_checks_armed,
+            durations: speculate::Sorted::default(),
+            spec: speculate::Speculator::default(),
+            cache_hints,
+            reports: Vec::new(),
+            counters: Counters::new(),
+            ended: false,
+        }
+    }
+
+    pub(crate) fn stage(&self) -> usize {
+        self.stage
+    }
+
     fn alive(&self) -> bool {
         !self.ended
     }
 
-    /// End the run, either way, with what it has committed: once, handing
-    /// back the task reports, indexed by stage partition, and counters.
-    /// Every attempt still in flight is retired ([`Exit::Dropped`]), so an
-    /// attempt in the task table is one of a live run.
-    fn finish(&mut self) -> Option<(Vec<TaskReport>, Counters)> {
-        if std::mem::replace(&mut self.ended, true) {
-            return None;
-        }
-        let in_flight: Vec<_> = self.tasks.in_flight().map(|(id, _)| id).collect();
-        for id in in_flight {
-            self.retire(id, Exit::Dropped);
-        }
-        let mut tasks = std::mem::take(&mut self.reports);
-        tasks.sort_by_key(|t| t.index);
-        for t in &mut tasks {
-            t.index = self.sink.partition_of(t.index);
-        }
-        Some((tasks, std::mem::take(&mut self.counters)))
+    /// Stage partition of task `task`.
+    fn partition_of(&self, task: usize) -> usize {
+        self.task_ids.get(task).copied().unwrap_or(task)
+    }
+
+    /// The split task `task` of a run of `stage` fetches; `None` for a
+    /// pulling task.
+    fn split<'a>(&self, stage: &'a Stage, task: usize) -> Option<&'a InputSplit> {
+        stage.job.splits.get(*self.task_ids.get(task)?)
     }
 
     /// The stage partitions the run has yet to commit — what it still
@@ -534,55 +549,107 @@ impl Driver {
     pub(crate) fn uncommitted(&self) -> Vec<usize> {
         let open = |t: &usize| self.tasks.state(*t).is_some_and(|st| !st.done);
         let tasks = (0..self.tasks.count()).filter(open);
-        tasks.map(|t| self.sink.partition_of(t)).collect()
+        tasks.map(|t| self.partition_of(t)).collect()
     }
 
-    fn view<'a>(&'a self, nodes: &'a NodeTable, room: Option<&'a [usize]>) -> sched::View<'a> {
-        sched::View {
-            nodes,
-            pending: self.tasks.pending(),
-            pulls: self.pulls(),
-            splits: &self.job.splits,
-            cache_hints: &self.cache_hints,
-            cache: &self.env.cluster_cache,
-            running: nodes.busy(),
-            room,
+    /// The run's committed task reports, indexed by stage partition, and
+    /// its counters — taken once it has ended.
+    pub(crate) fn take_results(&mut self) -> (Vec<TaskReport>, Counters) {
+        let mut tasks = std::mem::take(&mut self.reports);
+        tasks.sort_by_key(|t| t.index);
+        for t in &mut tasks {
+            t.index = self.partition_of(t.index);
         }
+        (tasks, std::mem::take(&mut self.counters))
+    }
+}
+
+/// The questions a plan's pool answers of one of its runs: each reads the
+/// run, its stage, the shuffle store and the node table together.
+impl Pool {
+    /// Run `run` and the stage it executes.
+    fn run(&self, run: usize) -> Option<(&Driver, &Stage)> {
+        let d = self.runs.get(run)?;
+        Some((d, self.plan.stages.get(d.stage)?))
     }
 
-    /// Whether pulling task `r` is due now over `nodes`
-    /// ([`sched::DueRule`]): the merge it owes so far is its partition's
-    /// bytes in the outputs registered now, at `sort_per_byte`, priced
-    /// against the wave of the runs it pulls from, which started with it.
-    fn due(&self, sim: &Sim, nodes: &NodeTable, r: usize) -> bool {
-        let Some(input) = &self.input else {
+    /// The stage run `run` executes.
+    fn stage_of(&self, run: usize) -> Option<&Stage> {
+        self.run(run).map(|(_, stage)| stage)
+    }
+
+    fn attempt(&self, run: usize, id: AttemptId) -> Option<&AttemptInfo> {
+        self.runs.get(run)?.tasks.attempt(id)
+    }
+
+    fn attempt_mut(&mut self, run: usize, id: AttemptId) -> Option<&mut AttemptInfo> {
+        self.runs.get_mut(run)?.tasks.attempt_mut(id)
+    }
+
+    /// Take the task at position `pos` of `run`'s queue off it.
+    fn dequeue(&mut self, run: usize, pos: usize) -> Option<usize> {
+        self.runs.get_mut(run)?.tasks.dequeue(pos)
+    }
+
+    /// `run` has a pending task that would not wait: one that has all its
+    /// input.
+    fn ready(&self, run: usize) -> bool {
+        let pending = self
+            .runs
+            .get(run)
+            .is_some_and(|d| !d.tasks.pending().is_empty());
+        pending && !self.waits(run)
+    }
+
+    fn view<'a>(&'a self, run: usize, room: Option<&'a [usize]>) -> Option<sched::View<'a>> {
+        let (d, stage) = self.run(run)?;
+        Some(sched::View {
+            nodes: &self.nodes,
+            pending: d.tasks.pending(),
+            pulls: stage.pulls(),
+            splits: &stage.job.splits,
+            task_ids: &d.task_ids,
+            cache_hints: &d.cache_hints,
+            cache: &self.env.cluster_cache,
+            running: self.nodes.busy(),
+            room,
+        })
+    }
+
+    /// Whether pulling task `r` of `run` is due now ([`sched::DueRule`]):
+    /// the merge it owes so far is its partition's bytes in the outputs
+    /// registered now, at `sort_per_byte`, priced against the wave of the
+    /// runs it pulls from, which started with it.
+    fn due(&self, sim: &Sim, run: usize, r: usize) -> bool {
+        let Some((d, stage)) = self.run(run).filter(|(_, stage)| stage.pulls()) else {
             return false;
         };
         let rule = sched::DueRule {
             startup_s: sim.cost.task_startup_s,
-            elapsed_s: sim.now().secs() - self.start_s,
-            reducers: self.tasks.count(),
-            slots: nodes.usable_slots(),
+            elapsed_s: sim.now().secs() - d.start_s,
+            reducers: d.tasks.count(),
+            slots: self.nodes.usable_slots(),
         };
-        let owed_s = sim.cost.lbytes(input.registered_bytes(r)) * sim.cost.sort_per_byte;
-        rule.due(owed_s)
+        let owed = self.store.registered_bytes(&stage.sources, r);
+        rule.due(sim.cost.lbytes(owed) * sim.cost.sort_per_byte)
     }
 
-    /// Whether waiting attempt `info` may give its slot to a blocked task:
-    /// it is idle ([`pull::Shuffle::idle`]) and not due.
-    fn yields_slot(&self, sim: &Sim, nodes: &NodeTable, info: &AttemptInfo) -> bool {
+    /// Whether waiting attempt `info` of `run` may give its slot to a
+    /// blocked task: it is idle ([`pull::Shuffle::idle`]) and not due.
+    fn yields_slot(&self, sim: &Sim, run: usize, info: &AttemptInfo) -> bool {
         let now = sim.now().secs();
         let idle = info.shuffle.as_ref().is_some_and(|s| s.idle(now));
-        idle && !self.due(sim, nodes, info.task)
+        idle && !self.due(sim, run, info.task)
     }
 
-    /// What stretches the compute of an attempt on `node` — its sort
-    /// included: the node's fault-plan slowdown (the straggler model
+    /// What stretches the compute of an attempt of `run` on `node` — its
+    /// sort included: the node's fault-plan slowdown (the straggler model
     /// speculation reacts to), times, for an attempt that fetches a split,
     /// the slot-sharing penalty when a node has several slots. A pulling
     /// attempt pays no penalty.
-    fn compute_factor(&self, sim: &Sim, node: NodeId) -> f64 {
-        let penalty = if !self.pulls() && self.env.slots_per_node > 1 {
+    fn compute_factor(&self, sim: &Sim, run: usize, node: NodeId) -> f64 {
+        let pulls = self.stage_of(run).is_some_and(Stage::pulls);
+        let penalty = if !pulls && self.env.slots_per_node > 1 {
             sim.cost.parallel_compute_penalty
         } else {
             1.0
@@ -590,31 +657,28 @@ impl Driver {
         penalty * sim.faults.slow_factor(node.0)
     }
 
-    /// The run's tasks pull their input from a shuffle.
-    fn pulls(&self) -> bool {
-        self.input.is_some()
+    /// A task of `run` launched now would wait: it pulls, and its input is
+    /// still open.
+    fn waits(&self, run: usize) -> bool {
+        self.stage_of(run)
+            .is_some_and(|stage| self.store.open(&stage.sources))
     }
 
-    /// A task launched now would wait: it pulls, and its input is still
-    /// open.
-    fn waits(&self) -> bool {
-        self.input.as_ref().is_some_and(|i| i.open())
-    }
-
-    /// While this run's tasks would launch *early* — their input is still
+    /// While the tasks of `run` would launch *early* — their input is still
     /// open, so a task launched now starts up and pulls beside its sources,
     /// and waits — how many more of them each node may host: an even share
     /// of them over the nodes still in service, less those it runs already.
     /// `None` too while none of them is pending, when nothing would read it.
-    fn early(&self) -> Option<Vec<usize>> {
-        if !self.waits() || self.tasks.pending().is_empty() {
+    fn early(&self, run: usize) -> Option<Vec<usize>> {
+        let d = self.runs.get(run)?;
+        if !self.waits(run) || d.tasks.pending().is_empty() {
             return None;
         }
-        let pool = self.pool.borrow();
-        let n_usable = pool.nodes.ids().filter(|&n| pool.nodes.usable(n)).count();
-        let share = self.tasks.count().div_ceil(n_usable.max(1));
-        let mut room = vec![share; pool.nodes.len()];
-        for (_, info) in self.tasks.in_flight() {
+        let nodes = &self.nodes;
+        let n_usable = nodes.ids().filter(|&n| nodes.usable(n)).count();
+        let share = d.tasks.count().div_ceil(n_usable.max(1));
+        let mut room = vec![share; nodes.len()];
+        for (_, info) in d.tasks.in_flight() {
             if let Some(r) = room.get_mut(info.node.0 as usize) {
                 *r = r.saturating_sub(1);
             }
@@ -654,73 +718,6 @@ pub fn submit_job_env(
     submit_plan(sim, env, Plan::of_job(job), Box::new(project));
 }
 
-/// What makes a job one stage run of a plan: its index among the plan's
-/// stage runs, what its tasks are reported as, where their output goes, what
-/// they pull (`None` for a source stage, which fetches splits), the run
-/// whose durations price their hang deadlines (`None`: their own) and the
-/// pool of the plan.
-pub(crate) struct StageIo {
-    pub run: usize,
-    pub kind: TaskKind,
-    pub sink: ShuffleSink,
-    pub input: Option<ShuffleInput>,
-    pub producer: Option<SharedDriver>,
-    pub pool: SharedPool,
-}
-
-/// List a run of `job` as one stage run of a plan — one task per sink
-/// partition, fetching `job.splits` or pulling `io.input` — among its
-/// pool's live runs and offer it the slots. The plan driver submits only
-/// partitions it misses, so a run has at least one task.
-pub(crate) fn submit_stage(sim: &mut Sim, job: Job, io: StageIo) {
-    let StageIo {
-        run,
-        kind,
-        sink,
-        input,
-        producer,
-        pool,
-    } = io;
-    let env = pool.borrow().env.clone();
-    let now = sim.now().secs();
-    let n_tasks = sink.tasks();
-    // Per-attempt hang deadlines only when the plan can produce silence
-    // (see [`Pool::open`]) or swallow a read.
-    let plan = sim.faults.plan();
-    let hang_checks_armed = detector::plan_has_silence(plan) || !plan.read_hangs.is_empty();
-    // Precompute cache-locality hints only when the tier is live: a
-    // disabled registry (or fetchers without hints) means no hints, zero
-    // scheduler overhead and timing identical to a world without the tier.
-    let mut cache_hints: Vec<Vec<ChunkKey>> = if env.cluster_cache.enabled() {
-        job.splits.iter().map(|s| s.fetcher.cache_hints()).collect()
-    } else {
-        Vec::new()
-    };
-    if cache_hints.iter().all(Vec::is_empty) {
-        cache_hints.clear();
-    }
-    let d = Rc::new(RefCell::new(Driver {
-        env,
-        kind,
-        sink,
-        input,
-        producer,
-        pool: pool.clone(),
-        start_s: now,
-        tasks: TaskTable::new(n_tasks),
-        hang_checks_armed,
-        durations: speculate::Sorted::default(),
-        spec: speculate::Speculator::default(),
-        cache_hints,
-        reports: Vec::new(),
-        counters: Counters::new(),
-        ended: false,
-        job,
-    }));
-    pool.borrow_mut().enlist(run, &d);
-    pool::schedule(sim, &pool);
-}
-
 /// Convenience: submit, run the world to completion, return the result.
 pub fn run_job(cluster: &mut Cluster, job: Job) -> Result<JobResult, MrError> {
     cluster.run_to_completion("job", |cluster, done| {
@@ -729,15 +726,13 @@ pub fn run_job(cluster: &mut Cluster, job: Job) -> Result<JobResult, MrError> {
     })
 }
 
-/// End the run, on `failed` if it is an error, and tell the plan driver: every
-/// in-flight attempt is retired — their continuations see a dead attempt and
-/// can no longer mutate counters or reports.
-pub(crate) fn end_run(sim: &mut Sim, d: &SharedDriver, failed: Option<MrError>) {
-    let Some((tasks, counters)) = d.borrow_mut().finish() else {
-        return;
-    };
-    let pool = d.borrow().pool.clone();
-    dag::run_ended(sim, &pool, d, tasks, counters, failed);
+/// End run `run` of `pool`, on `failed` if it is an error, and tell the plan
+/// driver: every in-flight attempt is retired — their continuations see a
+/// dead attempt and can no longer mutate counters or reports.
+pub(crate) fn end_run(sim: &mut Sim, pool: &SharedPool, run: usize, failed: Option<MrError>) {
+    if pool.borrow_mut().finish(run) {
+        dag::run_ended(sim, pool, run, failed);
+    }
 }
 
 #[cfg(test)]

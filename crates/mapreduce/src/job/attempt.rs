@@ -1,6 +1,6 @@
 //! Attempt lifecycle: the task table of a run, its one way in ([`launch`])
-//! and its one way out ([`Driver::retire`](super::Driver::retire), as an
-//! [`Exit`]), failure and retry, and first-commit-wins.
+//! and its one way out ([`Pool::retire`], as an [`Exit`]), failure and
+//! retry, and first-commit-wins.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -11,7 +11,8 @@ use super::pool::{preempt_waiting, schedule};
 use super::pull::{self, Shuffle};
 use super::sched::{self, Pick, Sched};
 use super::speculate::Progress;
-use super::{detector, end_run, map, speculate, Kv, MrError, SharedDriver, TaskKind, TaskReport};
+use super::{detector, end_run, map, speculate, Driver, Kv, MrError, Pool, SharedPool};
+use super::{TaskKind, TaskReport};
 use crate::counters::{keys, Counters};
 
 pub(super) type AttemptId = u64;
@@ -70,8 +71,7 @@ pub(super) struct TaskState {
 
 /// The run's task queue and attempt state, plus the in-flight attempts: an
 /// attempt enters only through [`launch`], which takes its slot, and leaves
-/// only through [`Driver::retire`](super::Driver::retire), which gives it
-/// back. Task and attempt lookups are checked: an unknown index is `None` /
+/// only through [`Pool::retire`], which gives it back. Task and attempt lookups are checked: an unknown index is `None` /
 /// a no-op.
 pub(super) struct TaskTable {
     pending: VecDeque<usize>,
@@ -146,10 +146,12 @@ impl TaskTable {
 }
 
 /// Handle on one in-flight attempt — what each of its continuations
-/// carries.
+/// carries: its address in the plan's pool, run and attempt id, and what it
+/// runs where.
 #[derive(Clone)]
 pub(super) struct Attempt {
-    pub d: SharedDriver,
+    pub pool: SharedPool,
+    pub run: usize,
     pub id: AttemptId,
     pub task: usize,
     pub node: NodeId,
@@ -157,13 +159,13 @@ pub(super) struct Attempt {
 
 impl Attempt {
     /// Whether the attempt may still affect the run: it is in the task
-    /// table. False once it was retired ([`super::Driver::retire`]) — it
-    /// failed, was preempted, lost to a twin, its node was withdrawn or its
-    /// run ended. Every continuation of an attempt checks this before
-    /// touching the driver, which is what stops in-flight callbacks from
-    /// mutating counters or reports after the run ended.
+    /// table. False once it was retired ([`Pool::retire`]) — it failed, was
+    /// preempted, lost to a twin, its node was withdrawn or its run ended.
+    /// Every continuation of an attempt checks this before touching the
+    /// pool, which is what stops in-flight callbacks from mutating counters
+    /// or reports after the run ended.
     pub fn live(&self) -> bool {
-        self.d.borrow().tasks.attempt(self.id).is_some()
+        self.pool.borrow().attempt(self.run, self.id).is_some()
     }
 
     /// Live, and on a node the driver can hear from: a completion on a
@@ -176,14 +178,14 @@ impl Attempt {
     /// The start-up the attempt pays (see [`AttemptInfo::startup_s`]); 0 once
     /// it is gone, when it can no longer report.
     pub fn startup_s(&self) -> f64 {
-        let dd = self.d.borrow();
-        dd.tasks.attempt(self.id).map_or(0.0, |i| i.startup_s)
+        let p = self.pool.borrow();
+        p.attempt(self.run, self.id).map_or(0.0, |i| i.startup_s)
     }
 
     /// Record `secs` of phase `name` on the attempt's ledger; a no-op once
     /// the attempt is gone.
     pub fn phase(&self, name: &'static str, secs: f64) {
-        if let Some(i) = self.d.borrow_mut().tasks.attempt_mut(self.id) {
+        if let Some(i) = self.pool.borrow_mut().attempt_mut(self.run, self.id) {
             i.phases.push((name, secs));
         }
     }
@@ -191,68 +193,84 @@ impl Attempt {
     /// Add `v` to counter `key` on the attempt's ledger; a no-op once the
     /// attempt is gone.
     pub fn count(&self, key: &'static str, v: f64) {
-        if let Some(i) = self.d.borrow_mut().tasks.attempt_mut(self.id) {
+        if let Some(i) = self.pool.borrow_mut().attempt_mut(self.run, self.id) {
             i.counters.add(key, v);
         }
     }
 
-    /// The attempt failed (fetch error, user code error).
+    /// The attempt failed — fetch error, user code error, hang. Retire it
+    /// ([`Exit::Failed`]): its task is retried unless its attempts are spent
+    /// — or, its input lost, it is dropped ([`Exit::Dropped`]); in either
+    /// case the run fails with the attempt's error, unchanged. No retry, and
+    /// no twin, can bring a lost input back: the run ends on its first hole
+    /// and leaves recovery to the layer above.
     pub fn fail(&self, sim: &mut Sim, err: MrError) {
-        fail_attempt(sim, &self.d, self.id, err)
+        let lost = matches!(err, MrError::InputLost(_));
+        let exit = if lost { Exit::Dropped } else { Exit::Failed };
+        let Some((_, spent)) = self.pool.borrow_mut().retire(self.run, self.id, exit) else {
+            return; // retired already: a twin committed, or its node or run is gone
+        };
+        if lost || spent.is_some() {
+            end_run(sim, &self.pool, self.run, Some(err))
+        } else {
+            schedule(sim, &self.pool)
+        }
     }
 }
 
-/// Handles on `d`'s attempts still waiting for input, oldest first.
-pub(super) fn waiting(d: &SharedDriver) -> Vec<Attempt> {
-    let dd = d.borrow();
+/// Handles on the attempts of `run` still waiting for input, oldest first.
+pub(super) fn waiting(pool: &SharedPool, run: usize) -> Vec<Attempt> {
+    let p = pool.borrow();
     let handle = |(id, i): (AttemptId, &AttemptInfo)| Attempt {
-        d: d.clone(),
+        pool: pool.clone(),
+        run,
         id,
         task: i.task,
         node: i.node,
     };
-    dd.tasks.waiting().map(handle).collect()
+    let waiting = p.runs.get(run).into_iter().flat_map(|d| d.tasks.waiting());
+    waiting.map(handle).collect()
 }
 
-/// Launch attempts of `d` until the scheduler has nothing to place. A due
-/// task of a run that pulls `d`'s output goes first ([`launch_due`]); a
-/// pending task of `d` that has all its input and finds no slot takes the
+/// Launch attempts of `run` until the scheduler has nothing to place. A due
+/// task of a run that pulls `run`'s output goes first ([`launch_due`]); a
+/// pending task of `run` that has all its input and finds no slot takes the
 /// slot of an attempt waiting downstream ([`preempt_waiting`]). [`schedule`]
 /// calls this for every live run of the pool.
-pub(super) fn try_schedule(sim: &mut Sim, d: &SharedDriver) {
+pub(super) fn try_schedule(sim: &mut Sim, pool: &SharedPool, run: usize) {
     loop {
-        if launch_due(sim, d) {
+        if launch_due(sim, pool, run) {
             continue;
         }
         let sched = {
-            let dd = d.borrow();
-            if !dd.alive() {
+            let p = pool.borrow();
+            if !p.runs.get(run).is_some_and(Driver::alive) {
                 return;
             }
-            let (pool, early) = (dd.pool.borrow(), dd.early());
-            sched::pick_next(&dd.view(&pool.nodes, early.as_deref()))
+            let early = p.early(run);
+            let Some(view) = p.view(run, early.as_deref()) else {
+                return;
+            };
+            sched::pick_next(&view)
         };
         match sched {
             Sched::Run(pick) => {
-                let Some(task) = d.borrow_mut().tasks.dequeue(pick.pos) else {
+                let Some(task) = pool.borrow_mut().dequeue(run, pick.pos) else {
                     return;
                 };
-                launch(sim, d, pick, task, false);
+                launch(sim, pool, run, pick, task, false);
             }
             blocked => {
                 // A task that would itself only wait takes no one's slot.
-                let ready_blocked = {
-                    let dd = d.borrow();
-                    !dd.waits() && !dd.tasks.pending().is_empty()
-                };
-                if ready_blocked && preempt_waiting(sim, d, &[]).is_some() {
+                let ready_blocked = pool.borrow().ready(run);
+                if ready_blocked && preempt_waiting(sim, pool, run, &[]).is_some() {
                     continue;
                 }
                 if let Sched::Stuck(waiting) = blocked {
                     let e = MrError::msg(format!(
                         "no usable nodes left for {waiting} pending task(s)"
                     ));
-                    end_run(sim, d, Some(e));
+                    end_run(sim, pool, run, Some(e));
                 }
                 return;
             }
@@ -260,64 +278,75 @@ pub(super) fn try_schedule(sim: &mut Sim, d: &SharedDriver) {
     }
 }
 
-/// While `d` has ready tasks pending, launch the first *due* task
-/// ([`sched::DueRule`]) of a run that pulls `d`'s output, ahead of them;
+/// While `run` has ready tasks pending, launch the first *due* task
+/// ([`sched::DueRule`]) of a run that pulls `run`'s output, ahead of them;
 /// whether one was launched.
-fn launch_due(sim: &mut Sim, d: &SharedDriver) -> bool {
+fn launch_due(sim: &mut Sim, pool: &SharedPool, run: usize) -> bool {
     {
-        let dd = d.borrow();
-        if !dd.alive() || dd.pulls() || dd.tasks.pending().is_empty() {
+        let p = pool.borrow();
+        let fetches = p
+            .run(run)
+            .is_some_and(|(d, stage)| d.alive() && !stage.pulls());
+        if !fetches || !p.ready(run) {
             return false;
         }
     }
-    for (reader, _) in pull::readers(d) {
-        let pick = {
-            let rd = reader.borrow();
-            let pool = rd.pool.borrow();
-            let due = rd
-                .tasks
-                .pending()
-                .iter()
-                .position(|&t| rd.due(sim, &pool.nodes, t));
-            due.and_then(|pos| {
-                let early = rd.early();
-                sched::place_pulling(&rd.view(&pool.nodes, early.as_deref()), pos)
-            })
+    for (reader, _) in pull::readers(pool, run) {
+        let dequeued = {
+            let mut p = pool.borrow_mut();
+            let pick = {
+                let p = &*p;
+                let pending = p.runs.get(reader).map(|rd| rd.tasks.pending());
+                let due = pending.and_then(|q| q.iter().position(|&t| p.due(sim, reader, t)));
+                due.and_then(|pos| {
+                    let early = p.early(reader);
+                    sched::place_pulling(&p.view(reader, early.as_deref())?, pos)
+                })
+            };
+            pick.and_then(|pick| Some((pick, p.dequeue(reader, pick.pos)?)))
         };
-        let dequeued = pick.and_then(|p| Some((p, reader.borrow_mut().tasks.dequeue(p.pos)?)));
         if let Some((pick, task)) = dequeued {
-            launch(sim, &reader, pick, task, false);
+            launch(sim, pool, reader, pick, task, false);
             return true;
         }
     }
     false
 }
 
-/// The one way into the task table: launch an attempt of `task` — a
-/// `speculative` twin, or one its caller has just taken off the queue — in
+/// The one way into the task table: launch an attempt of `task` of `run` —
+/// a `speculative` twin, or one its caller has just taken off the queue — in
 /// the slot `pick` names. Take that slot, warm or cold (a cold one costs the
 /// attempt its start-up), register the attempt, count it, arm its hang
 /// deadline and start it running. The attempt-law counters are written here
-/// and in [`Driver::retire`](super::Driver::retire) only. A pulling attempt
-/// launched while its input is still open is legitimately waiting: its
-/// deadline starts when the last source closes ([`detector::arm_readers`]).
-pub(super) fn launch(sim: &mut Sim, d: &SharedDriver, pick: Pick, task: usize, speculative: bool) {
+/// and in [`Pool::retire`] only. A pulling attempt launched while its input
+/// is still open is legitimately waiting: its deadline starts when the last
+/// source closes ([`detector::arm_readers`]).
+pub(super) fn launch(
+    sim: &mut Sim,
+    pool: &SharedPool,
+    run: usize,
+    pick: Pick,
+    task: usize,
+    speculative: bool,
+) {
     let node = pick.node;
     let (id, pulls, waits_for_input) = {
-        let mut dd = d.borrow_mut();
-        let warm = dd.pool.borrow_mut().nodes.take_slot(node);
+        let mut p = pool.borrow_mut();
+        let Some(stage) = p.stage_of(run) else { return };
+        let (pulls, kind, waits_for_input) = (stage.pulls(), stage.kind, p.waits(run));
+        let warm = p.nodes.take_slot(node);
+        let id = p.next_attempt();
+        let Some(d) = p.runs.get_mut(run) else { return };
         let startup_s = if warm { 0.0 } else { sim.cost.task_startup_s };
         if speculative {
-            dd.counters.add(keys::SPECULATIVE_LAUNCHED, 1.0);
+            d.counters.add(keys::SPECULATIVE_LAUNCHED, 1.0);
         }
-        let attempts_key = match dd.kind {
+        let attempts_key = match kind {
             TaskKind::Map => keys::MAP_ATTEMPTS,
             TaskKind::Reduce => keys::REDUCE_ATTEMPTS,
         };
-        dd.counters.add(attempts_key, 1.0);
-        let (pulls, waits_for_input) = (dd.pulls(), dd.waits());
-        let id = dd.pool.borrow_mut().next_attempt();
-        if let Some(st) = dd.tasks.states.get_mut(task) {
+        d.counters.add(attempts_key, 1.0);
+        if let Some(st) = d.tasks.states.get_mut(task) {
             if speculative {
                 st.speculated = true;
             } else {
@@ -339,11 +368,17 @@ pub(super) fn launch(sim: &mut Sim, d: &SharedDriver, pick: Pick, task: usize, s
             phases: vec![("startup", startup_s)],
             counters: Counters::new(),
         };
-        dd.tasks.attempts.insert(id, info);
+        d.tasks.attempts.insert(id, info);
         (id, pulls, waits_for_input)
     };
-    let d = d.clone();
-    let att = Attempt { d, id, task, node };
+    let pool = pool.clone();
+    let att = Attempt {
+        pool,
+        run,
+        id,
+        task,
+        node,
+    };
     if !waits_for_input {
         detector::arm_deadline(sim, &att, 0.0);
     }
@@ -354,27 +389,7 @@ pub(super) fn launch(sim: &mut Sim, d: &SharedDriver, pick: Pick, task: usize, s
     }
 }
 
-/// Attempt `id` failed. Retire it ([`Exit::Failed`]): its task is retried
-/// unless its attempts are spent — or, its input lost, it is dropped
-/// ([`Exit::Dropped`]); in either case the run fails with the attempt's
-/// error, unchanged. No retry, and no twin, can bring a lost input back: the
-/// run ends on its first hole and leaves recovery to the layer above.
-pub(super) fn fail_attempt(sim: &mut Sim, d: &SharedDriver, id: AttemptId, err: MrError) {
-    let fatal = {
-        let lost = matches!(err, MrError::InputLost(_));
-        let exit = if lost { Exit::Dropped } else { Exit::Failed };
-        let Some((_, spent)) = d.borrow_mut().retire(id, exit) else {
-            return; // retired already: a twin committed, or its node or run is gone
-        };
-        (lost || spent.is_some()).then_some(err)
-    };
-    match fatal {
-        Some(e) => end_run(sim, d, Some(e)),
-        None => schedule(sim, &pool_of(d)),
-    }
-}
-
-/// How an attempt leaves the task table ([`super::Driver::retire`]).
+/// How an attempt leaves the task table ([`Pool::retire`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(super) enum Exit {
     /// It committed first: its task is done and its twins are dropped. Its
@@ -391,38 +406,47 @@ pub(super) enum Exit {
     Dropped,
 }
 
-impl super::Driver {
-    /// The one way out of the task table: take attempt `id` out as `exit`
-    /// says and give its slot back — warm only after a commit, and not at
-    /// all to a withdrawn node, whose slots went with it. Returns the
+impl Pool {
+    /// The one way out of the task table: take attempt `id` of `run` out as
+    /// `exit` says and give its slot back — warm only after a commit, and not
+    /// at all to a withdrawn node, whose slots went with it. Returns the
     /// attempt, and — a failure whose task has spent its attempts, and is
     /// requeued no more — how many it had; `None` for an attempt already
     /// gone.
     pub(super) fn retire(
         &mut self,
+        run: usize,
         id: AttemptId,
         exit: Exit,
     ) -> Option<(AttemptInfo, Option<usize>)> {
-        let info = self.tasks.attempts.remove(&id)?;
-        let (task, mut spent) = (info.task, None);
+        let Pool {
+            runs, plan, nodes, ..
+        } = self;
+        let d = runs.get_mut(run)?;
+        let stage = plan.stages.get(d.stage)?;
+        let info = d.tasks.attempts.remove(&id)?;
+        let (task, mut spent, mut twins) = (info.task, None, Vec::new());
+        // Locality is a fetched split's: a pulling task has none.
+        let located = d.split(stage, task).map(|s| !s.locations.is_empty());
+        let Driver {
+            tasks, counters, ..
+        } = d;
         let TaskTable {
             pending,
             states,
             attempts,
             done,
-        } = &mut self.tasks;
+        } = tasks;
         let st = states.get_mut(task)?;
         match exit {
             Exit::Committed => {
                 st.done = true;
                 *done += 1;
-                let tasks_key = match self.kind {
+                let tasks_key = match stage.kind {
                     TaskKind::Map => keys::MAP_TASKS,
                     TaskKind::Reduce => keys::REDUCE_TASKS,
                 };
-                self.counters.add(tasks_key, 1.0);
-                // Locality is a fetched split's: a pulling task has none.
-                let located = self.job.splits.get(task).map(|s| !s.locations.is_empty());
+                counters.add(tasks_key, 1.0);
                 let locality_key = match (located, info.local) {
                     (None, _) => None,
                     (Some(true), true) => Some(keys::LOCAL_MAPS),
@@ -430,84 +454,82 @@ impl super::Driver {
                     (Some(false), _) => Some(keys::ANY_MAPS),
                 };
                 if let Some(key) = locality_key {
-                    self.counters.add(key, 1.0);
+                    counters.add(key, 1.0);
                 }
                 if info.cache_local {
-                    self.counters.add(keys::CACHE_LOCALITY_MAPS, 1.0);
+                    counters.add(keys::CACHE_LOCALITY_MAPS, 1.0);
                 }
                 if info.speculative {
-                    self.counters.add(keys::SPECULATIVE_WON, 1.0);
+                    counters.add(keys::SPECULATIVE_WON, 1.0);
                 }
-                let twins = attempts.iter().filter(|(_, i)| i.task == task);
-                let twins: Vec<AttemptId> = twins.map(|(&twin, _)| twin).collect();
-                for twin in twins {
-                    self.retire(twin, Exit::Dropped);
-                }
+                let of_task = attempts.iter().filter(|(_, i)| i.task == task);
+                twins = of_task.map(|(&twin, _)| twin).collect();
             }
             Exit::Failed if st.done || attempts.values().any(|i| i.task == task) => {}
-            Exit::Failed if st.regular_started >= self.job.ft.max_task_attempts.max(1) => {
+            Exit::Failed if st.regular_started >= stage.job.ft.max_task_attempts.max(1) => {
                 spent = Some(st.regular_started);
             }
             Exit::Failed => {
-                self.counters.add(keys::TASK_RETRIES, 1.0);
+                counters.add(keys::TASK_RETRIES, 1.0);
                 pending.push_back(task);
             }
             Exit::Preempted => {
                 st.regular_started = st.regular_started.saturating_sub(1);
                 pending.push_front(task);
-                self.counters.add(keys::REDUCES_PREEMPTED, 1.0);
+                counters.add(keys::REDUCES_PREEMPTED, 1.0);
             }
             Exit::Dropped => {}
         }
-        let nodes = &mut self.pool.borrow_mut().nodes;
         if exit == Exit::Committed {
             nodes.release_warm(info.node);
         } else {
             nodes.release(info.node);
         }
+        for twin in twins {
+            self.retire(run, twin, Exit::Dropped);
+        }
         Some((info, spent))
     }
-}
-
-fn pool_of(d: &SharedDriver) -> super::SharedPool {
-    d.borrow().pool.clone()
 }
 
 /// Commit one finished task attempt: first commit wins — it retires
 /// ([`Exit::Committed`]) and its twins are dropped; a twin that lost the race
 /// finds itself gone. The winner's ledger becomes its task report and joins
 /// the run's counters, exactly once per task here, and the output is
-/// registered in the run's shuffle — where a downstream run pulls it, or, for
-/// a part file, where the DAG sees it done. `shuffle_parts` is the task's
-/// partitioned output for a downstream shuffle (`None` when its output is a
-/// part file).
+/// registered in the plan's shuffle store — where a downstream run pulls it,
+/// or, for a part file, where the plan sees it done. `shuffle_parts` is the
+/// task's partitioned output for a downstream shuffle (`None` when its output
+/// is a part file).
 pub(super) fn commit_task(sim: &mut Sim, att: &Attempt, shuffle_parts: Option<Vec<Vec<Kv>>>) {
-    let d = &att.d;
     {
-        let mut dd = d.borrow_mut();
-        let Some((info, _)) = dd.retire(att.id, Exit::Committed) else {
+        let mut p = att.pool.borrow_mut();
+        let Some((info, _)) = p.retire(att.run, att.id, Exit::Committed) else {
             return; // lost the speculative race
         };
-        dd.counters.merge(&info.counters);
+        let Pool {
+            runs, plan, store, ..
+        } = &mut *p;
+        let Some(d) = runs.get_mut(att.run) else {
+            return;
+        };
+        let Some(stage) = plan.stages.get(d.stage) else {
+            return;
+        };
+        d.counters.merge(&info.counters);
         let (task, node) = (info.task, info.node);
         let end_s = sim.now().secs();
         // Registration happens here, at commit, so first-commit-wins also
         // means register-once — an orphaned twin never reaches this point. A
         // part file on HDFS (no `parts`) is held by no node.
         let output = shuffle_parts.map(|parts| MapOutput { node, parts });
-        let partition = dd.sink.partition_of(task);
-        let (store, shuffle) = dd.sink.shuffle();
-        store
-            .borrow_mut()
-            .register(shuffle, partition, output, end_s);
+        store.register(stage.out_shuffle, d.partition_of(task), output, end_s);
         let duration_s = end_s - info.start_s;
-        dd.durations.insert(duration_s);
+        d.durations.insert(duration_s);
         if let Some(progress) = &info.progress {
-            dd.spec.record(duration_s, progress);
+            d.spec.record(duration_s, progress);
         }
-        let kind = dd.kind;
-        dd.reports.push(TaskReport {
-            kind,
+        d.reports.push(TaskReport {
+            kind: stage.kind,
             index: task,
             node,
             start_s: info.start_s,
@@ -515,23 +537,27 @@ pub(super) fn commit_task(sim: &mut Sim, att: &Attempt, shuffle_parts: Option<Ve
             phases: info.phases,
         });
     }
-    pull::output_registered(sim, d, att.task);
-    speculate::committed(sim, d);
-    schedule(sim, &pool_of(d));
-    maybe_finish(sim, d);
+    pull::output_registered(sim, &att.pool, att.run, att.task);
+    speculate::committed(sim, &att.pool, att.run);
+    schedule(sim, &att.pool);
+    maybe_finish(sim, &att.pool, att.run);
 }
 
 /// Once every task has committed, the run has closed: whoever pulls its
 /// output stops waiting for it, and the run is finished.
-fn maybe_finish(sim: &mut Sim, d: &SharedDriver) {
+fn maybe_finish(sim: &mut Sim, pool: &SharedPool, run: usize) {
     {
-        let dd = d.borrow();
-        if !dd.alive() || !dd.tasks.all_done() {
+        let p = pool.borrow();
+        if !p
+            .runs
+            .get(run)
+            .is_some_and(|d| d.alive() && d.tasks.all_done())
+        {
             return;
         }
     }
-    detector::arm_readers(sim, d);
-    end_run(sim, d, None)
+    detector::arm_readers(sim, pool, run);
+    end_run(sim, pool, run, None)
 }
 
 #[cfg(test)]

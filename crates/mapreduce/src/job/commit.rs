@@ -2,7 +2,7 @@
 //! grouping, serialization and the part-file commit protocol — the file
 //! written while the task computes, committed when both are done.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
@@ -21,9 +21,12 @@ pub(crate) struct MapOutput {
 }
 
 /// Registry of committed shuffle outputs, by `(shuffle, producing
-/// partition)`: a DAG's is shared by its driver and every stage run; a
-/// classic job keeps its map outputs in one of its own (whose shuffle
-/// nothing ever invalidates — §3.2's simplification).
+/// partition)`: one per plan, on its pool, where every run registers and
+/// pulls. Only a DAG's outputs are ever invalidated: a classic job's shuffle
+/// is never recomputed (§3.2's simplification). A pulling task reads its
+/// partition of every output of its stage's sources — a classic job's
+/// reducers those of its maps, a DAG's post-shuffle stage those of the
+/// stages upstream.
 #[derive(Default)]
 pub(crate) struct ShuffleStore {
     /// shuffle id → producing partition id → output. `None` is a final
@@ -45,15 +48,13 @@ pub(crate) struct ShuffleStore {
     pub lost: u64,
 }
 
-pub(crate) type SharedShuffleStore = Rc<RefCell<ShuffleStore>>;
-
 impl ShuffleStore {
     /// A store of the shuffles `expected` names, each with its width.
-    pub fn shared(expected: impl IntoIterator<Item = (u64, usize)>) -> SharedShuffleStore {
-        Rc::new(RefCell::new(ShuffleStore {
+    pub fn new(expected: impl IntoIterator<Item = (u64, usize)>) -> ShuffleStore {
+        ShuffleStore {
             expected: expected.into_iter().collect(),
             ..ShuffleStore::default()
-        }))
+        }
     }
 
     pub fn n_expected(&self, shuffle: u64) -> usize {
@@ -143,6 +144,35 @@ impl ShuffleStore {
             tally(self.bytes.entry(shuffle).or_default(), &dropped, false);
         }
     }
+
+    /// Some shuffle among a stage's `sources` is still missing outputs: the
+    /// tasks pulling it are waiting, not stranded. A stage that fetches
+    /// splits has no sources, and its tasks never wait.
+    pub fn open(&self, sources: &[(u64, u8)]) -> bool {
+        !sources.iter().all(|&(s, _)| self.complete(s))
+    }
+
+    /// When the last source closed; `default` when none ever received an
+    /// output.
+    pub fn sources_closed_at(&self, sources: &[(u64, u8)], default: f64) -> f64 {
+        let closes = sources.iter().filter_map(|&(s, _)| self.closed_at(s));
+        closes.reduce(f64::max).unwrap_or(default)
+    }
+
+    /// The `kv_bytes` of partition `r` over every source's outputs
+    /// registered now.
+    pub fn registered_bytes(&self, sources: &[(u64, u8)], r: usize) -> usize {
+        let bytes = sources.iter().map(|&(s, _)| self.partition_bytes(s, r));
+        bytes.sum()
+    }
+
+    /// Every `(source index, producing partition)` there is to pull.
+    pub fn all_outputs(&self, sources: &[(u64, u8)]) -> Vec<(usize, usize)> {
+        let sources = sources.iter().enumerate();
+        sources
+            .flat_map(|(i, &(s, _))| (0..self.n_expected(s)).map(move |m| (i, m)))
+            .collect()
+    }
 }
 
 /// Add `output`'s partitions to a shuffle's running `totals`, or take them
@@ -161,51 +191,6 @@ fn tally(totals: &mut Vec<usize>, output: &Option<MapOutput>, add: bool) {
         } else {
             total.saturating_sub(bytes)
         };
-    }
-}
-
-/// What the pulling attempts of a run read: their partition of every output
-/// of `sources`. A classic job's reducers pull from its own maps; the tasks
-/// of a DAG's post-shuffle stage from the stages upstream.
-#[derive(Clone)]
-pub(crate) struct ShuffleInput {
-    pub store: SharedShuffleStore,
-    /// `(shuffle id, parent tag)`, one per parent, in the order their pairs
-    /// reach the task.
-    pub sources: Vec<(u64, u8)>,
-}
-
-impl ShuffleInput {
-    /// Some source shuffle is still missing outputs: the tasks reading it
-    /// are waiting, not stranded.
-    pub fn open(&self) -> bool {
-        let store = self.store.borrow();
-        !self.sources.iter().all(|&(s, _)| store.complete(s))
-    }
-
-    /// When the last source closed; `default` when none ever received an
-    /// output.
-    pub fn closed_at(&self, default: f64) -> f64 {
-        let store = self.store.borrow();
-        let closes = self.sources.iter().filter_map(|&(s, _)| store.closed_at(s));
-        closes.reduce(f64::max).unwrap_or(default)
-    }
-
-    /// The `kv_bytes` of partition `r` over every source's outputs
-    /// registered now.
-    pub fn registered_bytes(&self, r: usize) -> usize {
-        let store = self.store.borrow();
-        let sources = self.sources.iter();
-        sources.map(|&(s, _)| store.partition_bytes(s, r)).sum()
-    }
-
-    /// Every `(source index, producing partition)` there is to pull.
-    pub fn all_outputs(&self) -> Vec<(usize, usize)> {
-        let store = self.store.borrow();
-        let sources = self.sources.iter().enumerate();
-        sources
-            .flat_map(|(i, &(s, _))| (0..store.n_expected(s)).map(move |m| (i, m)))
-            .collect()
     }
 }
 
@@ -283,8 +268,9 @@ fn serialize_kvs(kvs: &[Kv]) -> Vec<u8> {
 /// off node — deletes it. Returns whether the attempt committed its file.
 fn promote_task_output(sim: &Sim, att: &Attempt, tmp: &str, final_path: &str, len: f64) -> bool {
     let (env, output_to_pfs) = {
-        let dd = att.d.borrow();
-        (dd.env.clone(), dd.job.output_to_pfs)
+        let p = att.pool.borrow();
+        let stage = p.stage_of(att.run);
+        (p.env.clone(), stage.is_some_and(|s| s.job.output_to_pfs))
     };
     let reports = att.can_report(sim);
     if output_to_pfs {
@@ -338,12 +324,11 @@ pub(super) fn commit_part_file(
         });
     }
     let (env, output_to_pfs, dir) = {
-        let dd = att.d.borrow();
-        (
-            dd.env.clone(),
-            dd.job.output_to_pfs,
-            dd.job.output_dir.clone(),
-        )
+        let p = att.pool.borrow();
+        let Some(job) = p.stage_of(att.run).map(|s| &s.job) else {
+            return;
+        };
+        (p.env.clone(), job.output_to_pfs, job.output_dir.clone())
     };
     let tmp = format!("{dir}/_tmp/attempt-{}", att.id);
     let final_path = format!("{dir}/{part_name}");

@@ -5,11 +5,11 @@
 
 use simnet::{FaultPlan, NodeId, Sim, SimTime};
 
-use super::attempt::{fail_attempt, waiting, Attempt, Exit};
+use super::attempt::{waiting, Attempt, Exit};
 use super::nodes::Withdrawal;
-use super::pool::{live_runs, schedule};
+use super::pool::schedule;
 use super::pull::readers;
-use super::{end_run, speculate, Driver, MrError, SharedDriver, SharedPool};
+use super::{end_run, speculate, MrError, Pool, SharedPool};
 use crate::counters::keys;
 use crate::dag;
 
@@ -84,7 +84,7 @@ pub(super) fn arm(sim: &mut Sim, pool: &SharedPool) {
 /// plan that recovers, the shuffle outputs there ([`dag::node_lost`]) — so
 /// no later task is steered to, or served from, a ghost.
 pub(super) fn withdraw_node(sim: &mut Sim, pool: &SharedPool, node: NodeId, why: Withdrawal) {
-    let runs = live_runs(pool);
+    let runs = pool.borrow().live.clone();
     if runs.is_empty() || !pool.borrow_mut().nodes.withdraw(node, why) {
         return;
     }
@@ -95,26 +95,30 @@ pub(super) fn withdraw_node(sim: &mut Sim, pool: &SharedPool, node: NodeId, why:
         }
         Withdrawal::DeclaredDead => "declared-dead node",
     };
-    for d in &runs {
+    for run in runs {
         let exhausted = {
-            let mut dd = d.borrow_mut();
+            let mut p = pool.borrow_mut();
+            let Some((d, stage)) = p.run(run) else {
+                continue;
+            };
+            let (on_node, kind) = (d.tasks.on_node(node), stage.kind);
             let mut exhausted: Option<MrError> = None;
-            for id in dd.tasks.on_node(node) {
-                let Some((info, Some(spent))) = dd.retire(id, Exit::Failed) else {
+            for id in on_node {
+                let Some((info, Some(spent))) = p.retire(run, id, Exit::Failed) else {
                     continue;
                 };
                 exhausted.get_or_insert(MrError::msg(format!(
-                    "{:?} task {} lost to {cause} {} after {spent} attempts",
-                    dd.kind, info.task, node.0
+                    "{kind:?} task {} lost to {cause} {} after {spent} attempts",
+                    info.task, node.0
                 )));
             }
             exhausted
         };
         if let Some(e) = exhausted {
-            end_run(sim, d, Some(e));
+            end_run(sim, pool, run, Some(e));
         }
     }
-    if why == Withdrawal::Killed && pool.borrow().recovers() {
+    if why == Withdrawal::Killed && pool.borrow().plan.recovers {
         dag::node_lost(sim, pool, node);
         disarm_reopened(pool);
     }
@@ -128,7 +132,7 @@ pub(super) fn withdraw_node(sim: &mut Sim, pool: &SharedPool, node: NodeId, why:
 fn schedule_heartbeat(sim: &mut Sim, pool: &SharedPool, tick: u64) {
     let (start, interval) = {
         let p = pool.borrow();
-        (p.start_s, p.ft.heartbeat_interval_s)
+        (p.start_s, p.plan.ft().heartbeat_interval_s)
     };
     if interval <= 0.0 || !interval.is_finite() {
         return;
@@ -151,9 +155,10 @@ fn heartbeat_tick(sim: &mut Sim, pool: &SharedPool, tick: u64) {
     }
     let (declare, slots_back, heard) = {
         let mut p = pool.borrow_mut();
-        let suspect_after = p.ft.suspect_after_misses.max(1);
-        let dead_after = p.ft.dead_after_misses.max(suspect_after);
-        let interval = p.ft.heartbeat_interval_s;
+        let ft = p.plan.ft();
+        let suspect_after = ft.suspect_after_misses.max(1);
+        let dead_after = ft.dead_after_misses.max(suspect_after);
+        let interval = ft.heartbeat_interval_s;
         let mut declare: Vec<NodeId> = Vec::new();
         let mut slots_back = false;
         // Nodes heard again with their attempts, and when they last were.
@@ -201,14 +206,12 @@ fn heartbeat_tick(sim: &mut Sim, pool: &SharedPool, tick: u64) {
 /// its plan prices it on — its producer, the maps' run, for a job's
 /// reducers; its own for every DAG stage (the plan's `Stage::deadline_from`)
 /// — floored while too few tasks have finished.
-fn hang_deadline(dd: &Driver) -> Option<f64> {
-    dd.hang_checks_armed.then(|| {
-        let floor = dd.job.ft.hang_deadline_min_s;
-        let q75 = match &dd.producer {
-            Some(maps) => maps.borrow().durations.quantile(0.75),
-            None => dd.durations.quantile(0.75),
-        };
-        floor.max(HANG_DEADLINE_FACTOR * q75)
+fn hang_deadline(p: &Pool, run: usize) -> Option<f64> {
+    let (d, stage) = p.run(run)?;
+    d.hang_checks_armed.then(|| {
+        let floor = stage.job.ft.hang_deadline_min_s;
+        let priced_on = d.producer.and_then(|maps| p.runs.get(maps)).unwrap_or(d);
+        floor.max(HANG_DEADLINE_FACTOR * priced_on.durations.quantile(0.75))
     })
 }
 
@@ -220,9 +223,9 @@ fn hang_deadline(dd: &Driver) -> Option<f64> {
 /// strand.
 pub(super) fn arm_deadline(sim: &mut Sim, att: &Attempt, busy_s: f64) {
     let armed = {
-        let mut dd = att.d.borrow_mut();
-        let deadline = hang_deadline(&dd);
-        let info = dd.tasks.attempt_mut(att.id);
+        let mut p = att.pool.borrow_mut();
+        let deadline = hang_deadline(&p, att.run);
+        let info = p.attempt_mut(att.run, att.id);
         deadline.zip(info).map(|(deadline, info)| {
             info.deadline_gen += 1;
             (busy_s + deadline, info.deadline_gen)
@@ -236,16 +239,16 @@ pub(super) fn arm_deadline(sim: &mut Sim, att: &Attempt, busy_s: f64) {
     }
 }
 
-/// Run `d` has just closed: a run that pulls its output, and now has every
-/// source closed, has attempts that from here on are stranded, not waiting,
-/// if they do not finish — so the deadline of every pulling attempt launched
-/// before this instant starts now.
-pub(super) fn arm_readers(sim: &mut Sim, d: &SharedDriver) {
-    for (reader, _) in readers(d) {
-        if reader.borrow().input.as_ref().is_some_and(|i| i.open()) {
+/// Run `run` has just closed: a run that pulls its output, and now has
+/// every source closed, has attempts that from here on are stranded, not
+/// waiting, if they do not finish — so the deadline of every pulling attempt
+/// launched before this instant starts now.
+pub(super) fn arm_readers(sim: &mut Sim, pool: &SharedPool, run: usize) {
+    for (reader, _) in readers(pool, run) {
+        if pool.borrow().waits(reader) {
             continue;
         }
-        for att in waiting(&reader) {
+        for att in waiting(pool, reader) {
             arm_deadline(sim, &att, 0.0);
         }
     }
@@ -255,10 +258,11 @@ pub(super) fn arm_readers(sim: &mut Sim, d: &SharedDriver) {
 /// (again) has its waiting attempts waiting, not stranded — their deadlines
 /// are off until the recompute closes the shuffle ([`arm_readers`]).
 pub(super) fn disarm_reopened(pool: &SharedPool) {
-    for run in live_runs(pool) {
-        let mut rd = run.borrow_mut();
-        if rd.input.as_ref().is_some_and(|i| i.open()) {
-            rd.tasks.disarm_waiting();
+    let mut p = pool.borrow_mut();
+    let reopened: Vec<usize> = p.live.iter().copied().filter(|&r| p.waits(r)).collect();
+    for run in reopened {
+        if let Some(d) = p.runs.get_mut(run) {
+            d.tasks.disarm_waiting();
         }
     }
 }
@@ -268,23 +272,24 @@ pub(super) fn disarm_reopened(pool: &SharedPool) {
 /// whether a hung read stranded it on a healthy node or its node fell silent.
 fn hang_deadline_check(sim: &mut Sim, att: &Attempt, gen: u32, deadline: f64) {
     let kind = {
-        let mut dd = att.d.borrow_mut();
-        if dd
-            .tasks
-            .attempt(att.id)
-            .filter(|i| i.deadline_gen == gen)
-            .is_none()
-        {
+        let mut p = att.pool.borrow_mut();
+        let armed = p
+            .attempt(att.run, att.id)
+            .is_some_and(|i| i.deadline_gen == gen);
+        let Some(stage) = p.stage_of(att.run).filter(|_| armed) else {
             return; // finished, failed, orphaned or re-armed before the deadline
+        };
+        let kind = stage.kind;
+        if let Some(d) = p.runs.get_mut(att.run) {
+            d.counters.add(keys::TASKS_HANG_DETECTED, 1.0);
         }
-        dd.counters.add(keys::TASKS_HANG_DETECTED, 1.0);
-        dd.kind
+        kind
     };
     let err = MrError::msg(format!(
         "{kind:?} task {} hung on node {}: no completion within its {deadline:.1}s deadline",
         att.task, att.node.0
     ));
-    fail_attempt(sim, &att.d, att.id, err);
+    att.fail(sim, err);
 }
 
 #[cfg(test)]

@@ -26,14 +26,18 @@ const PREFETCH_WINDOW: usize = 2;
 /// Run one map attempt.
 pub(super) fn run_map_attempt(sim: &mut Sim, att: Attempt) {
     let (env, fetcher, stream_cfg, split_len) = {
-        let dd = att.d.borrow();
-        let Some(split) = dd.job.splits.get(att.task) else {
+        let p = att.pool.borrow();
+        let Some((d, stage)) = p.run(att.run) else {
             return;
         };
+        let Some(split) = d.split(stage, att.task) else {
+            return;
+        };
+        let stream = stage.job.stream.clone();
         (
-            dd.env.clone(),
+            p.env.clone(),
             split.fetcher.clone(),
-            dd.job.stream.clone(),
+            stream,
             split.length as f64,
         )
     };
@@ -46,10 +50,10 @@ pub(super) fn run_map_attempt(sim: &mut Sim, att: Attempt) {
         if stream_cfg.enabled {
             match fetcher.open_stream(&env, sim, node) {
                 Ok(stream) => {
-                    if let Some(i) = att.d.borrow_mut().tasks.attempt_mut(att.id) {
+                    if let Some(i) = att.pool.borrow_mut().attempt_mut(att.run, att.id) {
                         i.stream_from = Some(fetch_start);
                     }
-                    speculate::watch_fetch(sim, &att.d, att.id);
+                    speculate::watch_fetch(sim, &att.pool, att.run, att.id);
                     let stream: Rc<dyn PieceStream> = stream.into();
                     let sink = StreamedFetch {
                         att,
@@ -113,11 +117,11 @@ pub(super) fn run_stage_task(
 /// function failed (the attempt has been failed).
 fn run_map_fn(sim: &mut Sim, att: &Attempt, fr: FetchResult) -> Option<(TaskCtx, f64)> {
     let (map_fn, factor) = {
-        let dd = att.d.borrow();
-        let factor = dd.compute_factor(sim, att.node);
-        (dd.job.map_fn.clone(), factor)
+        let p = att.pool.borrow();
+        let map_fn = p.stage_of(att.run)?.job.map_fn.clone();
+        (map_fn, p.compute_factor(sim, att.run, att.node))
     };
-    let mut ctx = TaskCtx::new(sim.cost.clone());
+    let mut ctx = TaskCtx::standalone(sim.cost.clone());
     ctx.tag = fr.tag;
     for (phase, secs) in &fr.charges {
         ctx.charge(phase, *secs);
@@ -164,22 +168,24 @@ fn end_after(
         work_s: delay / factor,
         fetch_s,
     };
-    if let Some(i) = att.d.borrow_mut().tasks.attempt_mut(att.id) {
+    if let Some(i) = att.pool.borrow_mut().attempt_mut(att.run, att.id) {
         i.progress = Some(progress);
     }
-    speculate::computing(sim, &att.d, att.id);
+    speculate::computing(sim, &att.pool, att.run, att.id);
     for &(p, s) in piece_charges.iter().chain(&ctx.charges) {
         att.phase(p, s * factor);
     }
     let out_bytes = kv_bytes(&ctx.emitted);
     let (kind, n_parts, part_name) = {
-        let dd = att.d.borrow();
+        let p = att.pool.borrow();
+        let Some((d, stage)) = p.run(att.run) else {
+            return;
+        };
         // Partitioned for the *downstream* stage's width — or a part
         // file, named by the stage partition the task computes.
-        let sink = &dd.sink;
-        let partition = sink.partition_of(att.task);
-        let part_name = format!("{}{partition:05}", sink.part_prefix);
-        (dd.kind, sink.n_partitions, part_name)
+        let partition = d.partition_of(att.task);
+        let part_name = format!("{}{partition:05}", stage.part_prefix);
+        (stage.kind, stage.out_partitions, part_name)
     };
     if kind == TaskKind::Map {
         att.count(keys::MAP_OUTPUT_BYTES, out_bytes as f64);
@@ -323,14 +329,13 @@ impl PieceSink for StreamedFetch {
 /// runs from here. A spill to the PFS shares its OSTs with every other
 /// stream.
 fn spill(sim: &mut Sim, att: Attempt, parts: Vec<Vec<Kv>>, out_bytes: usize) {
-    let (env, spill_to_pfs, job_name, pool) = {
-        let dd = att.d.borrow();
-        (
-            dd.env.clone(),
-            dd.job.spill_to_pfs,
-            dd.job.name.clone(),
-            dd.pool.clone(),
-        )
+    let pool = att.pool.clone();
+    let (env, spill_to_pfs, job_name) = {
+        let p = pool.borrow();
+        let Some(job) = p.stage_of(att.run).map(|s| &s.job) else {
+            return;
+        };
+        (p.env.clone(), job.spill_to_pfs, job.name.clone())
     };
     let spill_start = sim.now().secs();
     let (node, task, id) = (att.node, att.task, att.id);

@@ -1,13 +1,19 @@
-//! One plan's home: what its live runs — a DAG's stage runs, or a classic
-//! job's maps and reducers — share, and the plan driver's books. One node
-//! table, one attempt numbering and one failure detector: two runs never both
-//! think they own a slot, attempt ids (and with them the temp names of part
-//! files) are unique across a plan, and a node is withdrawn once for all of
-//! them. One ordered list of live runs: a free slot is offered to them in
-//! stage order, upstream first — but for a due task of a downstream run
-//! ([`super::attempt::try_schedule`]). And what `dag.rs` drives the plan
+//! One plan's home, and the only cell that holds driver state: its live
+//! runs — a DAG's stage runs, or a classic job's maps and reducers — and
+//! what they share. Every run is a [`Driver`] kept by value at its stage-run
+//! index, and an attempt is addressed as `(pool, run, attempt id)`. One node
+//! table, one attempt numbering and one failure detector: two runs never
+//! both think they own a slot, attempt ids (and with them the temp names of
+//! part files) are unique across a plan, and a node is withdrawn once for
+//! all of them. One ordered list of live runs: a free slot is offered to
+//! them in stage order, upstream first — but for a due task of a downstream
+//! run ([`super::attempt::try_schedule`]). And what `dag.rs` drives the plan
 //! with: its stages, shuffle store, stage-run records, counters and
 //! completion callback.
+//!
+//! Every continuation borrows the pool once, briefly, and takes the fields
+//! it needs apart (`let Pool { runs, nodes, plan, store, .. } = &mut *p`);
+//! none holds a borrow across a call that may borrow it again.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -16,7 +22,7 @@ use simnet::{NodeId, Sim};
 
 use super::attempt::{try_schedule, AttemptId, Exit};
 use super::nodes::NodeTable;
-use super::{detector, FtConfig, SharedDriver, SharedShuffleStore};
+use super::{detector, Driver, ShuffleStore};
 use crate::cluster::MrEnv;
 use crate::counters::Counters;
 use crate::dag::{Plan, PlanDone, StageRun};
@@ -24,20 +30,23 @@ use crate::dag::{Plan, PlanDone, StageRun};
 pub(crate) struct Pool {
     pub(super) nodes: NodeTable,
     next_attempt: AttemptId,
+    /// Every run submitted so far, by stage-run index, ended or not: an
+    /// attempt of an ended run may still be writing a part file, and finds
+    /// its stage through its run.
+    pub(crate) runs: Vec<Driver>,
     /// The runs that have not ended, upstream stages first and by
     /// submission within a stage (a classic job: its maps, then its
-    /// reducers), each with its index into `runs`.
-    pub(crate) live: Vec<(usize, SharedDriver)>,
-    /// The heartbeat policy, and when its clock — and the plan — started.
-    pub(super) ft: FtConfig,
+    /// reducers).
+    pub(crate) live: Vec<usize>,
+    /// When the plan — and the heartbeat clock — started.
     pub(crate) start_s: f64,
     pub(crate) env: MrEnv,
     pub(crate) plan: Plan,
     /// Where every run of the plan registers its output and pulls its input.
-    pub(crate) store: SharedShuffleStore,
-    /// Every submission so far; `end_s`, `ok` and `tasks` are filled in when
-    /// the run ends.
-    pub(crate) runs: Vec<StageRun>,
+    pub(crate) store: ShuffleStore,
+    /// A record of every run, by stage-run index; `end_s`, `ok` and `tasks`
+    /// are filled in when the run ends.
+    pub(crate) records: Vec<StageRun>,
     /// The plan's books: what its ended runs counted, lineage recomputes,
     /// and what the detector saw — heartbeats missed, nodes suspected and
     /// reinstated, partitions observed.
@@ -65,11 +74,11 @@ impl Pool {
         let pool = Rc::new(RefCell::new(Pool {
             nodes,
             next_attempt: 0,
+            runs: Vec::new(),
             live: Vec::new(),
-            ft: plan.ft(),
             start_s: now,
             store: plan.shuffle_store(),
-            runs: Vec::new(),
+            records: Vec::new(),
             counters: Counters::new(),
             evictions_start: env.cluster_cache.stats().evictions,
             done: Some(done),
@@ -80,45 +89,51 @@ impl Pool {
         pool
     }
 
-    /// Lost shuffle outputs are recomputed (a DAG's): the pool's runs may
-    /// give up on an output rather than wait for it.
-    pub(super) fn recovers(&self) -> bool {
-        self.plan.recovers
-    }
-
     pub(super) fn next_attempt(&mut self) -> AttemptId {
         let id = self.next_attempt;
         self.next_attempt += 1;
         id
     }
 
-    /// List run `d`, stage run `run` of the plan: behind the live runs of
+    /// Keep `d` as the next stage run, and list it behind the live runs of
     /// its own and of every earlier stage (a classic job's maps are stage 0,
     /// its reducers stage 1).
-    pub(super) fn enlist(&mut self, run: usize, d: &SharedDriver) {
-        let stage = d.borrow().sink.stage;
-        let upstream = |(_, r): &&(usize, SharedDriver)| r.borrow().sink.stage <= stage;
+    pub(crate) fn enlist(&mut self, d: Driver) {
+        let (run, stage) = (self.runs.len(), d.stage);
+        self.runs.push(d);
+        let upstream = |r: &&usize| self.runs.get(**r).is_some_and(|d| d.stage <= stage);
         let at = self.live.iter().take_while(upstream).count();
-        self.live.insert(at, (run, d.clone()));
+        self.live.insert(at, run);
     }
-}
 
-/// The runs of `pool` that have not ended, upstream first.
-pub(super) fn live_runs(pool: &SharedPool) -> Vec<SharedDriver> {
-    pool.borrow().live.iter().map(|(_, d)| d.clone()).collect()
+    /// End run `run`, either way: once — whether it ended now. Every
+    /// attempt still in flight is retired ([`Exit::Dropped`]), so an
+    /// attempt in the task table is one of a live run.
+    pub(super) fn finish(&mut self, run: usize) -> bool {
+        let Some(d) = self.runs.get_mut(run).filter(|d| d.alive()) else {
+            return false;
+        };
+        d.ended = true;
+        let in_flight: Vec<_> = d.tasks.in_flight().map(|(id, _)| id).collect();
+        for id in in_flight {
+            self.retire(run, id, Exit::Dropped);
+        }
+        true
+    }
 }
 
 /// Offer the free slots to every live run in turn, upstream first: a task of
 /// a later stage only ever gets a slot no earlier stage wants.
-pub(super) fn schedule(sim: &mut Sim, pool: &SharedPool) {
-    for d in live_runs(pool) {
-        try_schedule(sim, &d);
+pub(crate) fn schedule(sim: &mut Sim, pool: &SharedPool) {
+    let live = pool.borrow().live.clone();
+    for run in live {
+        try_schedule(sim, pool, run);
     }
 }
 
-/// A task of run `d` that has all its input (a pending map, a retry, a
+/// A task of `run` that has all its input (a pending map, a retry, a
 /// speculative twin) found no free slot: an attempt that is only waiting for
-/// input must not delay it, so the youngest *idle* attempt of `d` or
+/// input must not delay it, so the youngest *idle* attempt of `run` or
 /// *downstream* of it on a usable node not in `except` gives up its slot
 /// — a reducer of the same job, or a task of a later stage of the same DAG.
 /// Idle is past its start-up, with nothing left to merge, and not due: one
@@ -127,33 +142,33 @@ pub(super) fn schedule(sim: &mut Sim, pool: &SharedPool) {
 /// placement would hand it straight back. It goes back to the head of its
 /// queue uncharged: no retry, no attempt off its budget. Returns the node
 /// whose slot is now free.
-pub(super) fn preempt_waiting(sim: &Sim, d: &SharedDriver, except: &[NodeId]) -> Option<NodeId> {
-    let pool = d.borrow().pool.clone();
-    let downstream = d.borrow().sink.downstream.clone();
-    let mut youngest: Option<(AttemptId, SharedDriver)> = None;
-    for run in live_runs(&pool) {
-        let victim = {
-            let rd = run.borrow();
-            let own = Rc::ptr_eq(&run, d);
-            let later = downstream.contains(&rd.sink.stage);
-            if !own && !later {
-                continue;
-            }
-            let p = pool.borrow();
-            let gives_a_slot = |n: NodeId| !except.contains(&n) && p.nodes.usable(n);
-            // Every waiting attempt pulls. A run's own only wait while its
-            // input is open, when none of its tasks asks for a slot.
-            let mut waiting = rd.tasks.waiting().rev();
-            waiting
-                .find(|(_, i)| gives_a_slot(i.node) && rd.yields_slot(sim, &p.nodes, i))
-                .map(|(id, _)| id)
+pub(super) fn preempt_waiting(
+    sim: &Sim,
+    pool: &SharedPool,
+    run: usize,
+    except: &[NodeId],
+) -> Option<NodeId> {
+    let mut p = pool.borrow_mut();
+    let downstream = &p.stage_of(run)?.downstream;
+    let mut youngest: Option<(AttemptId, usize)> = None;
+    for &r in &p.live {
+        let Some(d) = p.runs.get(r) else {
+            continue;
         };
-        if let Some(id) = victim.filter(|&id| youngest.as_ref().is_none_or(|(y, _)| id > *y)) {
-            youngest = Some((id, run));
+        if r != run && !downstream.contains(&d.stage) {
+            continue;
+        }
+        let gives_a_slot = |n: NodeId| !except.contains(&n) && p.nodes.usable(n);
+        // Every waiting attempt pulls. A run's own only wait while its
+        // input is open, when none of its tasks asks for a slot.
+        let mut waiting = d.tasks.waiting().rev();
+        let victim = waiting.find(|(_, i)| gives_a_slot(i.node) && p.yields_slot(sim, r, i));
+        if let Some((id, _)) = victim.filter(|&(id, _)| youngest.is_none_or(|(y, _)| id > y)) {
+            youngest = Some((id, r));
         }
     }
-    let (id, run) = youngest?;
-    let (info, _) = run.borrow_mut().retire(id, Exit::Preempted)?;
+    let (id, r) = youngest?;
+    let (info, _) = p.retire(r, id, Exit::Preempted)?;
     Some(info.node)
 }
 
@@ -171,24 +186,24 @@ mod tests {
     use crate::job::tests::{
         mem_splits, scaled_cluster, slow_map_job, small_cluster, word_count_job,
     };
-    use crate::job::{Kv, MrError, Payload};
+    use crate::job::{FtConfig, Kv, MrError, Payload};
     use crate::Cluster;
     use simnet::FaultPlan;
 
-    /// Submit `plan` on `c` through the plan driver and return its live
-    /// runs, upstream first, before any event has run.
-    fn submitted(c: &mut Cluster, plan: Plan) -> Vec<SharedDriver> {
+    /// Submit `plan` on `c` through the plan driver and return its pool
+    /// before any event has run.
+    fn submitted(c: &mut Cluster, plan: Plan) -> SharedPool {
         let env = c.env();
-        let pool = submit_plan(&mut c.sim, env, plan, Box::new(|_, _, _| {}));
-        live_runs(&pool)
+        submit_plan(&mut c.sim, env, plan, Box::new(|_, _, _| {}))
     }
 
-    /// Give reducer `r`'s attempt the pull state `shuffle`.
-    fn set(d: &SharedDriver, r: usize, shuffle: Shuffle) {
-        let mut dd = d.borrow_mut();
-        let reducer = dd.tasks.in_flight().find(|(_, i)| i.task == r);
+    /// Give task `r` of run `run`'s attempt the pull state `shuffle`.
+    fn set(pool: &SharedPool, run: usize, r: usize, shuffle: Shuffle) {
+        let mut p = pool.borrow_mut();
+        let d = p.runs.get_mut(run).expect("a run");
+        let reducer = d.tasks.in_flight().find(|(_, i)| i.task == r);
         let id = reducer.map(|(id, _)| id).expect("reducer in flight");
-        dd.tasks.attempt_mut(id).expect("in flight").shuffle = Some(shuffle);
+        d.tasks.attempt_mut(id).expect("in flight").shuffle = Some(shuffle);
     }
 
     /// A map output on node 1 with 2 s of merge (10⁸ logical bytes) for
@@ -212,31 +227,35 @@ mod tests {
         // busy and every reducer is starting up, at 0 s.
         let mut c = scaled_cluster(2, 2);
         let job = word_count_job(mem_splits(1, 100), 3);
-        let runs = submitted(&mut c, Plan::of_job(job));
-        let (maps, reducers) = (&runs[0], &runs[1]);
+        let pool = submitted(&mut c, Plan::of_job(job));
+        let (maps, reducers) = (0, 1);
         let sim = &c.sim;
-        assert_eq!(maps.borrow().pool.borrow().nodes.busy(), 4);
-        assert_eq!(preempt_waiting(sim, maps, &[]), None, "all starting up");
+        assert_eq!(pool.borrow().live, [maps, reducers]);
+        assert_eq!(pool.borrow().nodes.busy(), 4);
+        assert_eq!(
+            preempt_waiting(sim, &pool, maps, &[]),
+            None,
+            "all starting up"
+        );
         // Reducer 2 merges until 2 s; reducer 1, older, is idle: it goes.
-        set(reducers, 2, Shuffle::merging(0.0, 2.0));
-        set(reducers, 1, Shuffle::merging(0.0, 0.0));
-        assert_eq!(preempt_waiting(sim, maps, &[]), Some(NodeId(1)));
-        let rd = reducers.borrow();
+        set(&pool, reducers, 2, Shuffle::merging(0.0, 2.0));
+        set(&pool, reducers, 1, Shuffle::merging(0.0, 0.0));
+        assert_eq!(preempt_waiting(sim, &pool, maps, &[]), Some(NodeId(1)));
+        let p = pool.borrow();
+        let rd = p.runs.get(reducers).expect("the reducers' run");
         assert_eq!(rd.tasks.pending().front(), Some(&1));
         assert_eq!(rd.counters.get(keys::REDUCES_PREEMPTED), 1.0);
-        drop(rd);
+        drop(p);
         // Reducer 2 is idle now, but due: a map output registered with 2 s
         // of merge for it, against a 1 s start-up and a stretch of nothing
         // at the job's start.
-        set(reducers, 2, Shuffle::merging(0.0, 0.0));
-        let store = reducers.borrow().input.as_ref().map(|i| i.store.clone());
-        let store = store.expect("a job with reducers");
+        set(&pool, reducers, 2, Shuffle::merging(0.0, 0.0));
         let output = owing_2s(3, 2);
-        store.borrow_mut().register(0, 0, Some(output), 0.0);
-        assert_eq!(preempt_waiting(sim, maps, &[]), None, "due");
+        pool.borrow_mut().store.register(0, 0, Some(output), 0.0);
+        assert_eq!(preempt_waiting(sim, &pool, maps, &[]), None, "due");
         // Its output lost, it owes nothing and goes.
-        store.borrow_mut().invalidate_node(NodeId(1));
-        assert_eq!(preempt_waiting(sim, maps, &[]), Some(NodeId(0)));
+        pool.borrow_mut().store.invalidate_node(NodeId(1));
+        assert_eq!(preempt_waiting(sim, &pool, maps, &[]), Some(NodeId(0)));
     }
 
     #[test]
@@ -248,18 +267,18 @@ mod tests {
         let agg: AggFn = Rc::new(|_, _, _| Ok(Payload::Bytes(Vec::new())));
         let plan = Dataset::from_splits(mem_splits(2, 0), read).reduce_by_key(1, agg);
         let plan = Plan::of_dag(&DagJob::new("due", plan, "out")).expect("a valid plan");
-        let runs = submitted(&mut c, plan);
-        let stage = runs.iter().find(|r| r.borrow().pulls());
-        let dd = stage.expect("a post-shuffle run").borrow();
-        let input = dd.input.as_ref().expect("it pulls");
-        let (source, _) = input.sources[0];
+        let pool = submitted(&mut c, plan);
+        let mut p = pool.borrow_mut();
+        let pulling = p
+            .live
+            .iter()
+            .find(|&&r| p.stage_of(r).is_some_and(|s| s.pulls()));
+        let run = *pulling.expect("a post-shuffle run");
+        let (source, _) = p.stage_of(run).expect("its stage").sources[0];
         let output = owing_2s(1, 0);
-        input
-            .store
-            .borrow_mut()
-            .register(source, 0, Some(output), 0.0);
-        assert!(dd.waits(), "its input is open");
-        assert!(dd.due(&c.sim, &dd.pool.borrow().nodes, 0));
+        p.store.register(source, 0, Some(output), 0.0);
+        assert!(p.waits(run), "its input is open");
+        assert!(p.due(&c.sim, run, 0));
     }
 
     /// What a plan ended with: its result, its error if it failed, and how
@@ -301,6 +320,34 @@ mod tests {
         c.run();
         let ended = ended.borrow_mut().take();
         ended.expect("the plan ended")
+    }
+
+    /// A DAG whose final task has pulled all it needs and computes for 10 s,
+    /// on a cluster where a holder of a source output dies under it: the
+    /// lost partition is recomputed (6 s of compute), and the DAG completes
+    /// without it — the recompute run is called off. Returns that cluster,
+    /// the plan and when its final task ends.
+    fn a_recompute_called_off() -> (Cluster, Plan, f64) {
+        let read: RecordReadFn = Rc::new(|input, ctx| {
+            ctx.charge("scan", 6.0);
+            count_reader()(input, ctx)
+        });
+        let sum = sum_agg();
+        let agg: AggFn = Rc::new(move |key, values, ctx| {
+            ctx.charge("agg", 5.0);
+            sum(key, values, ctx)
+        });
+        let plan = Dataset::from_splits(mem_splits(2, 100), read).reduce_by_key(1, agg);
+        let dag = DagJob::new("late", plan, "out");
+        let of_dag = || Plan::of_dag(&dag).expect("a valid plan");
+        let (clean, _, _) = run_lawfully(&mut small_cluster(3, 1), of_dag());
+        let task = |run: usize, t: usize| clean.runs.get(run).and_then(|r| r.tasks.get(t));
+        let (holder, last) = (task(0, 0).expect("a source"), task(1, 0).expect("a final"));
+        assert_ne!(holder.node, last.node);
+        let mut c = small_cluster(3, 1);
+        let kill = FaultPlan::none().kill_node(holder.node.0, last.end_s - 5.0);
+        c.sim.faults.install(kill);
+        (c, of_dag(), last.end_s)
     }
 
     #[test]
@@ -403,32 +450,11 @@ mod tests {
             r.counters
         );
 
-        // A DAG whose final task has pulled all it needs and computes for
-        // 10 s: a holder of a source output dies under it, the lost
-        // partition is recomputed (6 s of compute), and the DAG completes
-        // without it — the recompute run is called off.
-        let read: RecordReadFn = Rc::new(|input, ctx| {
-            ctx.charge("scan", 6.0);
-            count_reader()(input, ctx)
-        });
-        let sum = sum_agg();
-        let agg: AggFn = Rc::new(move |key, values, ctx| {
-            ctx.charge("agg", 5.0);
-            sum(key, values, ctx)
-        });
-        let plan = Dataset::from_splits(mem_splits(2, 100), read).reduce_by_key(1, agg);
-        let dag = DagJob::new("late", plan, "out");
-        let of_dag = || Plan::of_dag(&dag).expect("a valid plan");
-        let (clean, _, _) = run_lawfully(&mut small_cluster(3, 1), of_dag());
-        let task = |run: usize, t: usize| clean.runs.get(run).and_then(|r| r.tasks.get(t));
-        let (holder, last) = (task(0, 0).expect("a source"), task(1, 0).expect("a final"));
-        assert_ne!(holder.node, last.node);
-        let mut c = small_cluster(3, 1);
-        let kill = FaultPlan::none().kill_node(holder.node.0, last.end_s - 5.0);
-        c.sim.faults.install(kill);
-        let (r, failed, _) = run_lawfully(&mut c, of_dag());
+        // A DAG whose lineage recompute is called off.
+        let (mut c, plan, last_end_s) = a_recompute_called_off();
+        let (r, failed, _) = run_lawfully(&mut c, plan);
         assert!(failed.is_none());
-        assert_eq!(r.end_s, last.end_s, "the final task was not held up");
+        assert_eq!(r.end_s, last_end_s, "the final task was not held up");
         let recompute = r
             .runs
             .get(2)
@@ -452,5 +478,39 @@ mod tests {
             assert!(e.contains("no usable nodes left"), "{e}");
             assert_eq!(r.end_s, 0.0);
         }
+    }
+
+    #[test]
+    fn nothing_holds_a_plan_once_the_simulation_has_drained() {
+        // Only the caller's handle on the pool is left: no run, event or
+        // completion callback keeps a finished plan — its task tables and
+        // shuffle outputs — alive while the cluster runs on, as it does
+        // between the passes of a warm rerun.
+        let drained = |c: &mut Cluster, plan: Plan| {
+            let ended = Rc::new(RefCell::new(None));
+            let end = ended.clone();
+            let done = move |_: &mut Sim, r: DagResult, failed: Option<MrError>| {
+                *end.borrow_mut() = Some((r, failed));
+            };
+            let env = c.env();
+            let pool = submit_plan(&mut c.sim, env, plan, Box::new(done));
+            c.run();
+            assert_eq!(Rc::strong_count(&pool), 1);
+            ended.take().expect("the plan ended")
+        };
+        // A clean classic job.
+        let job = word_count_job(mem_splits(6, 100), 2);
+        let (_, failed) = drained(&mut small_cluster(2, 2), Plan::of_job(job));
+        assert!(failed.is_none());
+        // A DAG whose lineage recompute is called off.
+        let (mut c, plan, _) = a_recompute_called_off();
+        let (r, failed) = drained(&mut c, plan);
+        assert!(failed.is_none());
+        assert!(r.runs.get(2).is_some_and(|run| !run.ok), "{:?}", r.runs);
+        // A plan that fails: its maps always do.
+        let mut job = word_count_job(mem_splits(2, 100), 1);
+        job.map_fn = Rc::new(|_, _| Err(MrError::msg("kaboom")));
+        let (_, failed) = drained(&mut small_cluster(2, 2), Plan::of_job(job));
+        assert_eq!(failed, Some(MrError::msg("kaboom")));
     }
 }

@@ -13,8 +13,8 @@ use simnet::{Sim, SimTime};
 
 use super::attempt::{waiting, Attempt};
 use super::commit::kv_bytes;
-use super::pool::{live_runs, schedule};
-use super::{detector, map, Driver, Kv, MrError, SharedDriver};
+use super::pool::schedule;
+use super::{detector, map, Kv, MrError, Pool, SharedPool};
 use crate::counters::keys;
 
 /// One output to pull: `(index of its shuffle among the run's sources,
@@ -124,15 +124,16 @@ impl Shuffle {
 pub(super) fn run_pulling_attempt(sim: &mut Sim, att: Attempt) {
     sim.after(att.startup_s(), move |sim| {
         let everything = {
-            let mut dd = att.d.borrow_mut();
-            let ready_s = sim.now().secs();
-            let Driver { tasks, input, .. } = &mut *dd;
-            let shuffle = tasks.attempt_mut(att.id).and_then(|i| i.shuffle.as_mut());
-            let (Some(shuffle), Some(input)) = (shuffle, input) else {
+            let mut p = att.pool.borrow_mut();
+            let everything = p.stage_of(att.run).map(|s| p.store.all_outputs(&s.sources));
+            let shuffle = p
+                .attempt_mut(att.run, att.id)
+                .and_then(|i| i.shuffle.as_mut());
+            let (Some(shuffle), Some(everything)) = (shuffle, everything) else {
                 return; // preempted, or its node was withdrawn, during start-up
             };
-            shuffle.ready_s = Some(ready_s);
-            input.all_outputs()
+            shuffle.ready_s = Some(sim.now().secs());
+            everything
         };
         pull(sim, &att, &everything);
         wake_when_idle(sim, &att);
@@ -149,22 +150,22 @@ pub(super) fn run_pulling_attempt(sim: &mut Sim, att: Attempt) {
 fn wake_when_idle(sim: &mut Sim, att: &Attempt) {
     let now = sim.now().secs();
     let drains_at = {
-        let mut dd = att.d.borrow_mut();
-        let Some(info) = dd.tasks.attempt(att.id) else {
+        let mut p = att.pool.borrow_mut();
+        let Some(info) = p.attempt(att.run, att.id) else {
             return;
         };
         let waiting = info.shuffle.as_ref().filter(|s| s.ready_s.is_some());
         let Some(shuffle) = waiting.filter(|s| !s.idle_check && s.in_flight.is_empty()) else {
             return;
         };
-        if dd.due(sim, &dd.pool.borrow().nodes, info.task) {
+        if p.due(sim, att.run, info.task) {
             return;
         }
         let drains_at = shuffle.merged_by();
         if now >= drains_at {
             None
         } else {
-            let info = dd.tasks.attempt_mut(att.id);
+            let info = p.attempt_mut(att.run, att.id);
             if let Some(shuffle) = info.and_then(|i| i.shuffle.as_mut()) {
                 shuffle.idle_check = true;
             }
@@ -172,14 +173,13 @@ fn wake_when_idle(sim: &mut Sim, att: &Attempt) {
         }
     };
     let Some(at) = drains_at else {
-        let pool = att.d.borrow().pool.clone();
-        return schedule(sim, &pool);
+        return schedule(sim, &att.pool);
     };
     let att = att.clone();
     sim.at(SimTime(at), move |sim| {
         let checked = {
-            let mut dd = att.d.borrow_mut();
-            let info = dd.tasks.attempt_mut(att.id);
+            let mut p = att.pool.borrow_mut();
+            let info = p.attempt_mut(att.run, att.id);
             info.and_then(|i| i.shuffle.as_mut())
                 .map(|s| s.idle_check = false)
         };
@@ -189,30 +189,31 @@ fn wake_when_idle(sim: &mut Sim, att: &Attempt) {
     });
 }
 
-/// The live runs whose attempts pull what run `d`'s tasks register, each
-/// with the index of `d`'s output shuffle among its sources: a classic job's
-/// reducers for its maps, the runs of the consumer stage for a DAG stage's.
-pub(super) fn readers(d: &SharedDriver) -> Vec<(SharedDriver, usize)> {
-    let (pool, (_, shuffle)) = {
-        let dd = d.borrow();
-        (dd.pool.clone(), dd.sink.shuffle())
+/// The live runs whose attempts pull what run `run`'s tasks register, each
+/// with the index of `run`'s output shuffle among its sources: a classic
+/// job's reducers for its maps, the runs of the consumer stage for a DAG
+/// stage's.
+pub(super) fn readers(pool: &SharedPool, run: usize) -> Vec<(usize, usize)> {
+    let p = pool.borrow();
+    let Some(shuffle) = p.stage_of(run).map(|s| s.out_shuffle) else {
+        return Vec::new();
     };
-    let source_in = |reader: &SharedDriver| {
-        let rd = reader.borrow();
-        let sources = &rd.input.as_ref()?.sources;
-        sources.iter().position(|&(s, _)| s == shuffle)
+    let source_in = |&reader: &usize| {
+        let sources = &p.stage_of(reader)?.sources;
+        Some((reader, sources.iter().position(|&(s, _)| s == shuffle)?))
     };
-    let runs = live_runs(&pool).into_iter();
-    runs.filter_map(|r| Some((r.clone(), source_in(&r)?)))
-        .collect()
+    p.live.iter().filter_map(source_in).collect()
 }
 
-/// Task `task` of run `d` has just registered its output: every waiting
+/// Task `task` of run `run` has just registered its output: every waiting
 /// attempt past its start-up that reads it pulls its partition of it.
-pub(super) fn output_registered(sim: &mut Sim, d: &SharedDriver, task: usize) {
-    let partition = d.borrow().sink.partition_of(task);
-    for (reader, source) in readers(d) {
-        for att in waiting(&reader) {
+pub(super) fn output_registered(sim: &mut Sim, pool: &SharedPool, run: usize, task: usize) {
+    let partition = pool.borrow().runs.get(run).map(|d| d.partition_of(task));
+    let Some(partition) = partition else {
+        return;
+    };
+    for (reader, source) in readers(pool, run) {
+        for att in waiting(pool, reader) {
             pull(sim, &att, &[(source, partition)]);
         }
     }
@@ -225,30 +226,35 @@ pub(super) fn output_registered(sim: &mut Sim, d: &SharedDriver, task: usize) {
 /// the attempt until its hang deadline, where a phase opened at the close
 /// would have found the link as it is *then*. Once the shuffle has closed a
 /// classic job's pull is issued whatever the link, and a drop is the hang
-/// deadline's to recover; where lineage can recompute the output instead (the
-/// pool [`recovers`](super::Pool::recovers)) it is invalidated and the run
-/// ends on [`MrError::InputLost`].
+/// deadline's to recover; where lineage can recompute the output instead (a
+/// plan that [`recovers`](crate::dag::Plan::recovers)) it is invalidated and
+/// the run ends on [`MrError::InputLost`].
 fn pull(sim: &mut Sim, att: &Attempt, fresh: &[OutputKey]) {
     let node = att.node;
     let planned = {
-        let mut dd = att.d.borrow_mut();
-        let r = dd.sink.partition_of(att.task);
-        // Where lost outputs can be recomputed (a DAG's pool), a holder
-        // unreachable after the close is given up on rather than waited out.
-        let lineage = dd.pool.borrow().recovers();
-        let Driver {
-            tasks,
-            input,
-            job,
+        let mut p = att.pool.borrow_mut();
+        let Pool {
+            runs,
+            plan,
+            store,
             env,
             ..
-        } = &mut *dd;
-        let shuffle = tasks.attempt_mut(att.id).and_then(|i| i.shuffle.as_mut());
-        let shuffle = shuffle.filter(|s| s.ready_s.is_some());
-        let (Some(shuffle), Some(input)) = (shuffle, input.as_ref()) else {
+        } = &mut *p;
+        // Where lost outputs can be recomputed (a DAG's plan), a holder
+        // unreachable after the close is given up on rather than waited out.
+        let lineage = plan.recovers;
+        let Some(d) = runs.get_mut(att.run) else {
+            return;
+        };
+        let r = d.partition_of(att.task);
+        let Some(stage) = plan.stages.get(d.stage) else {
+            return;
+        };
+        let (sources, job) = (&stage.sources, &stage.job);
+        let shuffle = d.tasks.attempt_mut(att.id).and_then(|i| i.shuffle.as_mut());
+        let Some(shuffle) = shuffle.filter(|s| s.ready_s.is_some()) else {
             return; // still starting up, or already running
         };
-        let mut store = input.store.borrow_mut();
         let mut issue: Vec<(OutputKey, simnet::NodeId, Vec<Kv>)> = Vec::new();
         let mut stalled: Vec<(u64, usize)> = Vec::new();
         let put_off = std::mem::take(&mut shuffle.deferred);
@@ -258,7 +264,7 @@ fn pull(sim: &mut Sim, att: &Attempt, fresh: &[OutputKey]) {
             if shuffle.has(key) {
                 continue;
             }
-            let Some(&(source, _)) = input.sources.get(key.0) else {
+            let Some(&(source, _)) = sources.get(key.0) else {
                 continue;
             };
             let out = store.get(source, key.1);
@@ -280,9 +286,8 @@ fn pull(sim: &mut Sim, att: &Attempt, fresh: &[OutputKey]) {
         for &(source, m) in &stalled {
             store.invalidate_stalled(source, m);
         }
-        drop(store);
         if stalled.is_empty() {
-            let all_in = shuffle.all_in() && !input.open();
+            let all_in = shuffle.all_in() && !store.open(sources);
             Ok((
                 issue,
                 env.clone(),
@@ -304,8 +309,7 @@ fn pull(sim: &mut Sim, att: &Attempt, fresh: &[OutputKey]) {
         Err(lost) => {
             // Outputs are gone, so their shuffles are open again: whoever
             // else reads them is waiting, not stranded.
-            let pool = att.d.borrow().pool.clone();
-            detector::disarm_reopened(&pool);
+            detector::disarm_reopened(&att.pool);
             return att.fail(sim, lost);
         }
     };
@@ -357,16 +361,15 @@ fn pull(sim: &mut Sim, att: &Attempt, fresh: &[OutputKey]) {
 /// closed starts the task.
 fn landed(sim: &mut Sim, att: Attempt, key: OutputKey, pull: Pull) {
     let all_in = {
-        let mut dd = att.d.borrow_mut();
-        let closed = dd.input.as_ref().is_some_and(|i| !i.open());
-        if dd.tasks.attempt(att.id).is_none() {
+        let mut p = att.pool.borrow_mut();
+        let closed = !p.waits(att.run);
+        if p.attempt(att.run, att.id).is_none() {
             return; // the attempt is gone, and its merge progress with it
         }
-        let factor = dd.compute_factor(sim, att.node);
+        let factor = p.compute_factor(sim, att.run, att.node);
         let merge = sim.cost.lbytes(kv_bytes(&pull.kvs)) * sim.cost.sort_per_byte * factor;
-        let shuffle = dd
-            .tasks
-            .attempt_mut(att.id)
+        let shuffle = p
+            .attempt_mut(att.run, att.id)
             .and_then(|i| i.shuffle.as_mut());
         let Some(shuffle) = shuffle else {
             return;
@@ -389,13 +392,18 @@ fn landed(sim: &mut Sim, att: Attempt, key: OutputKey, pull: Pull) {
 fn execute(sim: &mut Sim, att: Attempt) {
     let now = sim.now().secs();
     let taken = {
-        let mut dd = att.d.borrow_mut();
+        let mut p = att.pool.borrow_mut();
+        let Pool {
+            runs, plan, store, ..
+        } = &mut *p;
+        let Some(d) = runs.get_mut(att.run) else {
+            return;
+        };
+        let sources = plan.stages.get(d.stage).map_or(&[][..], |s| &s.sources);
         // The sources closed when the last of their outputs was registered.
-        let input = dd.input.as_ref();
-        let close_s = input.map_or(dd.start_s, |i| i.closed_at(dd.start_s));
-        let tags: Vec<u8> =
-            input.map_or_else(Vec::new, |i| i.sources.iter().map(|s| s.1).collect());
-        let info = dd.tasks.attempt_mut(att.id);
+        let close_s = store.sources_closed_at(sources, d.start_s);
+        let tags: Vec<u8> = sources.iter().map(|s| s.1).collect();
+        let info = d.tasks.attempt_mut(att.id);
         info.and_then(|i| Some((i.shuffle.take()?, i.start_s, close_s, tags)))
     };
     let Some((shuffle, start_s, close_s, tags)) = taken else {

@@ -17,7 +17,10 @@ pub(super) struct View<'a> {
     /// They pull a shuffle — a classic job's reducers, a post-shuffle
     /// stage's tasks — rather than fetch a split each.
     pub pulls: bool,
+    /// The stage's splits, and the one each task fetches: task `t`'s is
+    /// `splits[task_ids[t]]`.
     pub splits: &'a [InputSplit],
+    pub task_ids: &'a [usize],
     /// Per-split cluster-cache chunk keys; empty when no split has a hint
     /// (always so when the cluster cache tier is disabled), and the cache
     /// tier is then skipped.
@@ -104,10 +107,12 @@ pub(super) fn cache_resident(
         .is_some_and(|hints| hints.iter().any(|&k| cache.holds(node, k)))
 }
 
-fn split_local(splits: &[InputSplit], task: usize, node: NodeId) -> bool {
-    splits
-        .get(task)
-        .is_some_and(|s| s.locations.contains(&node))
+impl View<'_> {
+    /// Whether task `task`'s split is stored on `node`.
+    fn split_local(&self, task: usize, node: NodeId) -> bool {
+        let split = self.task_ids.get(task).and_then(|&p| self.splits.get(p));
+        split.is_some_and(|s| s.locations.contains(&node))
+    }
 }
 
 /// Place the pulling task at position `pos` of the queue: on the
@@ -144,16 +149,13 @@ pub(super) fn pick_next(v: &View) -> Sched {
             for node in free_nodes() {
                 let resident = |&t: &usize| cache_resident(v.cache_hints, v.cache, t, node);
                 if let Some(pos) = v.pending.iter().position(resident) {
-                    let local = v
-                        .pending
-                        .get(pos)
-                        .is_some_and(|&t| split_local(v.splits, t, node));
+                    let local = v.pending.get(pos).is_some_and(|&t| v.split_local(t, node));
                     return Sched::Run(Pick::at(pos, node, local, true));
                 }
             }
         }
         for node in free_nodes() {
-            let stored_here = |&t: &usize| split_local(v.splits, t, node);
+            let stored_here = |&t: &usize| v.split_local(t, node);
             if let Some(pos) = v.pending.iter().position(stored_here) {
                 return Sched::Run(Pick::at(pos, node, true, false));
             }
@@ -192,6 +194,7 @@ mod tests {
         ready: VecDeque<usize>,
         pulling: VecDeque<usize>,
         splits: Vec<InputSplit>,
+        task_ids: Vec<usize>,
         hints: Vec<Vec<ChunkKey>>,
         cache: ClusterCache,
         running: usize,
@@ -218,6 +221,7 @@ mod tests {
                 ready: (0..4).collect(),
                 pulling: VecDeque::new(),
                 splits: vec![split(&[]), split(&[]), split(&[1]), split(&[])],
+                task_ids: (0..4).collect(),
                 hints: Vec::new(),
                 cache: ClusterCache::new(1 << 20),
                 running: 0,
@@ -238,6 +242,7 @@ mod tests {
                 pending,
                 pulls,
                 splits: &self.splits,
+                task_ids: &self.task_ids,
                 cache_hints: &self.hints,
                 cache: &self.cache,
                 running: self.running,
@@ -427,15 +432,11 @@ mod tests {
         // Both blocks were written from node 0 → both local there; at least
         // one map must be data-local.
         assert!(r.counters.get(keys::LOCAL_MAPS) >= 1.0);
-        // locality_ratio counts only locality-eligible maps: with 2 maps
-        // over located splits, local+remote is exactly 2 and the ratio is
-        // local/2 ≥ 0.5 (any-locality maps would be excluded entirely).
-        let ratio = r.locality_ratio().expect("located splits are eligible");
+        // Both maps are locality-eligible (located splits): each counts as
+        // local or remote, and none as any-locality.
         let local = r.counters.get(keys::LOCAL_MAPS);
         let remote = r.counters.get(keys::REMOTE_MAPS);
         assert_eq!(local + remote, 2.0, "both maps locality-eligible");
-        assert!((ratio - local / (local + remote)).abs() < 1e-12);
-        assert!(ratio >= 0.5, "locality ratio too low: {ratio}");
         assert_eq!(r.counters.get(keys::ANY_MAPS), 0.0);
         for t in r.tasks.iter().filter(|t| t.kind == crate::TaskKind::Map) {
             assert!(t.phase("read") > 0.0, "read phase recorded");

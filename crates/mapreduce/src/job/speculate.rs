@@ -34,9 +34,9 @@
 use simnet::{NodeId, Sim, SimTime};
 
 use super::attempt::{launch, AttemptId};
-use super::pool::{live_runs, preempt_waiting};
+use super::pool::preempt_waiting;
 use super::sched::{cache_resident, Pick};
-use super::{Driver, SharedDriver, SharedPool};
+use super::{Driver, Pool, SharedPool};
 
 /// How many times the median slowness of the committed attempts an attempt
 /// must run at to be slow.
@@ -137,102 +137,99 @@ impl Speculator {
     }
 }
 
-/// Whether `d` may twin `task` now: its run is live and speculates, nothing
-/// of its input is still open (a twin would wait), and the task has neither
-/// committed nor been twinned.
-fn twinnable(dd: &Driver, task: usize) -> bool {
-    let open = dd.tasks.state(task);
-    dd.alive()
-        && dd.job.ft.speculative
-        && !dd.waits()
-        && open.is_some_and(|st| !st.done && !st.speculated)
+/// Whether `run` may twin `task` now: the run is live and speculates,
+/// nothing of its input is still open (a twin would wait), and the task has
+/// neither committed nor been twinned.
+fn twinnable(p: &Pool, run: usize, task: usize) -> bool {
+    p.run(run).is_some_and(|(d, stage)| {
+        let open = d.tasks.state(task);
+        d.alive()
+            && stage.job.ft.speculative
+            && !p.waits(run)
+            && open.is_some_and(|st| !st.done && !st.speculated)
+    })
 }
 
-/// A task of `d` has just committed and been recorded. Once
+/// A task of `run` has just committed and been recorded. Once
 /// [`MIN_COMPLETED`] of the run's tasks have, the attempts in flight are
-/// looked over — once when attempts start being judged slow, once when
-/// fetches start being timed — and the flagged stragglers still without a
-/// twin are offered the slot the commit freed.
-pub(super) fn committed(sim: &mut Sim, d: &SharedDriver) {
-    let (judge, time) = {
-        let mut dd = d.borrow_mut();
-        let enough = dd.durations.len() as f64 >= MIN_COMPLETED * dd.tasks.count() as f64;
-        if !dd.job.ft.speculative || !dd.alive() || !enough {
+/// looked over — flagged if computing slowly once attempts start being
+/// judged, given a stalled-fetch recheck if fetching once fetches start
+/// being timed — and the flagged stragglers still without a twin are
+/// offered the slot the commit freed.
+pub(super) fn committed(sim: &mut Sim, pool: &SharedPool, run: usize) {
+    let (judge, time, in_flight) = {
+        let mut p = pool.borrow_mut();
+        let speculative = p.stage_of(run).is_some_and(|s| s.job.ft.speculative);
+        let Some(d) = p.runs.get_mut(run) else { return };
+        let enough = d.durations.len() as f64 >= MIN_COMPLETED * d.tasks.count() as f64;
+        if !speculative || !d.alive() || !enough {
             return;
         }
-        let spec = &mut dd.spec;
+        let spec = &mut d.spec;
         let judge = !spec.judging;
         let time = !spec.timing_fetches && spec.fetched.len() > 0;
         spec.judging = true;
         spec.timing_fetches |= time;
-        (judge, time)
+        let in_flight = d.tasks.in_flight().filter(|_| judge || time);
+        (judge, time, in_flight.map(|(id, _)| id).collect::<Vec<_>>())
     };
-    if judge || time {
-        look_over(sim, d, judge, time);
-    }
-    twin_flagged(sim, d);
-}
-
-/// Look over `d`'s attempts in flight: flag those computing slowly when
-/// `judge`, and queue a stalled-fetch recheck for those fetching when `time`.
-fn look_over(sim: &mut Sim, d: &SharedDriver, judge: bool, time: bool) {
-    let ids: Vec<AttemptId> = d.borrow().tasks.in_flight().map(|(id, _)| id).collect();
-    for id in ids {
+    for id in in_flight {
         if time {
-            watch_fetch(sim, d, id);
+            watch_fetch(sim, pool, run, id);
         }
         if judge {
-            computing(sim, d, id);
+            computing(sim, pool, run, id);
         }
     }
+    twin_flagged(sim, pool, run);
 }
 
-/// Attempt `id` of `d` has just opened a streamed fetch, or is looked over:
-/// while fetches are timed, queue its one recheck at the instant its fetch
-/// would outlast a start-up plus the median duration of the committed
+/// Attempt `id` of `run` has just opened a streamed fetch, or is looked
+/// over ([`committed`]): while fetches are timed, queue its one recheck at the instant its
+/// fetch would outlast a start-up plus the median duration of the committed
 /// attempts that fetched anything. A batch fetch is not watched: it shows no
 /// progress until it ends, and one that contention stretches — as the
 /// SciHadoop maps' tail of remote whole-file copies in `fig5` — beats a twin
 /// that fetches under the same contention.
-pub(super) fn watch_fetch(sim: &mut Sim, d: &SharedDriver, id: AttemptId) {
+pub(super) fn watch_fetch(sim: &mut Sim, pool: &SharedPool, run: usize, id: AttemptId) {
     let at = {
-        let mut dd = d.borrow_mut();
-        if !dd.spec.timing_fetches {
+        let mut p = pool.borrow_mut();
+        let Some(d) = p.runs.get_mut(run).filter(|d| d.spec.timing_fetches) else {
             return;
-        }
-        let limit = sim.cost.task_startup_s + dd.spec.fetched.median();
-        let info = dd.tasks.attempt_mut(id);
+        };
+        let limit = sim.cost.task_startup_s + d.spec.fetched.median();
+        let info = d.tasks.attempt_mut(id);
         let info = info.filter(|i| !i.speculative && i.progress.is_none());
         let Some(from) = info.and_then(|i| i.stream_from.take()) else {
             return;
         };
         from + limit
     };
-    let d = d.clone();
+    let pool = pool.clone();
     let at = at.max(sim.now().secs());
     sim.at(SimTime(at), move |sim| {
-        let fetching = d
+        let fetching = pool
             .borrow()
-            .tasks
-            .attempt(id)
+            .attempt(run, id)
             .is_some_and(|i| i.progress.is_none());
         if fetching {
-            flag(sim, &d, id);
+            flag(sim, &pool, run, id);
         }
     });
 }
 
-/// The compute of attempt `id` of `d` has just been scheduled, or it is
+/// The compute of attempt `id` of `run` has just been scheduled, or it is
 /// looked over: flag it if it is slow.
-pub(super) fn computing(sim: &mut Sim, d: &SharedDriver, id: AttemptId) {
+pub(super) fn computing(sim: &mut Sim, pool: &SharedPool, run: usize, id: AttemptId) {
     let slow = {
-        let dd = d.borrow();
-        let progress = dd.tasks.attempt(id).and_then(|i| i.progress);
+        let p = pool.borrow();
+        let Some(d) = p.runs.get(run) else { return };
+        let progress = d.tasks.attempt(id).and_then(|i| i.progress);
         let (now, startup_s) = (sim.now().secs(), sim.cost.task_startup_s);
-        dd.spec.judging && progress.is_some_and(|p| dd.spec.slow(&p, now, startup_s))
+        d.spec.judging && progress.is_some_and(|p| d.spec.slow(&p, now, startup_s))
     };
     if slow {
-        flag(sim, d, id);
+        flag(sim, pool, run, id);
     }
 }
 
@@ -241,97 +238,100 @@ pub(super) fn computing(sim: &mut Sim, d: &SharedDriver, id: AttemptId) {
 /// completion, and is flagged.
 pub(super) fn stranded(sim: &mut Sim, pool: &SharedPool, node: NodeId, heard_s: f64) {
     let now = sim.now().secs();
-    for d in live_runs(pool) {
+    let live = pool.borrow().live.clone();
+    for run in live {
         let ids: Vec<AttemptId> = {
-            let dd = d.borrow();
+            let p = pool.borrow();
+            let Some(d) = p.runs.get(run) else { continue };
             let lost = |p: &Progress| p.ends_s > heard_s && p.ends_s <= now;
-            let there = dd.tasks.in_flight().filter(|(_, i)| i.node == node);
+            let there = d.tasks.in_flight().filter(|(_, i)| i.node == node);
             let ended = there.filter(|(_, i)| i.progress.as_ref().is_some_and(lost));
             ended.map(|(id, _)| id).collect()
         };
         for id in ids {
-            flag(sim, &d, id);
+            flag(sim, pool, run, id);
         }
     }
 }
 
-/// Flag attempt `id` of `d` a straggler, and twin it if its task may be.
-fn flag(sim: &mut Sim, d: &SharedDriver, id: AttemptId) {
+/// Flag attempt `id` of `run` a straggler, and twin it if its task may be.
+fn flag(sim: &mut Sim, pool: &SharedPool, run: usize, id: AttemptId) {
     {
-        let mut dd = d.borrow_mut();
-        let task = dd.tasks.attempt(id).map(|i| i.task);
-        if !task.is_some_and(|task| twinnable(&dd, task)) {
+        let mut p = pool.borrow_mut();
+        let task = p.attempt(run, id).map(|i| i.task);
+        if !task.is_some_and(|task| twinnable(&p, run, task)) {
             return;
         }
-        if !dd.spec.flagged.contains(&id) {
-            dd.spec.flagged.push(id);
+        let Some(d) = p.runs.get_mut(run) else { return };
+        if !d.spec.flagged.contains(&id) {
+            d.spec.flagged.push(id);
         }
     }
-    twin(sim, d, id);
+    twin(sim, pool, run, id);
 }
 
-/// Offer a slot to each flagged straggler of `d` still without a twin, until
-/// one finds none.
-fn twin_flagged(sim: &mut Sim, d: &SharedDriver) {
+/// Offer a slot to each flagged straggler of `run` still without a twin,
+/// until one finds none.
+fn twin_flagged(sim: &mut Sim, pool: &SharedPool, run: usize) {
     let untwinned: Vec<AttemptId> = {
-        let mut dd = d.borrow_mut();
-        let Driver { tasks, spec, .. } = &mut *dd;
+        let mut p = pool.borrow_mut();
+        let Some(Driver { tasks, spec, .. }) = p.runs.get_mut(run) else {
+            return;
+        };
         spec.flagged.retain(|&id| tasks.attempt(id).is_some());
         spec.flagged.clone()
     };
     for id in untwinned {
-        if !twin(sim, d, id) {
+        if !twin(sim, pool, run, id) {
             return;
         }
     }
 }
 
-/// The nodes hosting a flagged attempt still in flight, of any live run of
-/// `pool`.
-fn shunned(pool: &SharedPool) -> Vec<NodeId> {
+/// The nodes hosting a flagged attempt still in flight, of any live run.
+fn shunned(p: &Pool) -> Vec<NodeId> {
     let mut nodes = Vec::new();
-    for run in live_runs(pool) {
-        let rd = run.borrow();
-        let flagged = rd
-            .spec
-            .flagged
-            .iter()
-            .filter_map(|&id| rd.tasks.attempt(id));
+    for d in p.live.iter().filter_map(|&run| p.runs.get(run)) {
+        let flagged = d.spec.flagged.iter().filter_map(|&id| d.tasks.attempt(id));
         nodes.extend(flagged.map(|i| i.node));
     }
     nodes
 }
 
-/// Launch the twin of flagged attempt `id` of `d`, if its task may have one:
-/// on the most free node no flagged attempt runs on, else in the slot of an
-/// attempt waiting downstream there. First commit wins; the loser is
+/// Launch the twin of flagged attempt `id` of `run`, if its task may have
+/// one: on the most free node no flagged attempt runs on, else in the slot
+/// of an attempt waiting downstream there. First commit wins; the loser is
 /// dropped. False when no slot was found.
-fn twin(sim: &mut Sim, d: &SharedDriver, id: AttemptId) -> bool {
-    let (task, pool) = {
-        let dd = d.borrow();
-        let task = dd.tasks.attempt(id).map(|i| i.task);
-        match task.filter(|&task| twinnable(&dd, task)) {
-            Some(task) => (task, dd.pool.clone()),
-            None => return true,
-        }
-    };
+fn twin(sim: &mut Sim, pool: &SharedPool, run: usize, id: AttemptId) -> bool {
     // Note: the attempt budget is deliberately not consulted — a twin is
     // exempt from `max_task_attempts` (it counts neither against the budget
     // nor as a retry), so speculating never costs the task its recovery
     // headroom.
-    let shunned = shunned(&pool);
-    let free = pool.borrow().nodes.most_free(&shunned);
-    let Some(node) = free.or_else(|| preempt_waiting(sim, d, &shunned)) else {
+    let (task, shunned, free) = {
+        let p = pool.borrow();
+        let task = p.attempt(run, id).map(|i| i.task);
+        let Some(task) = task.filter(|&task| twinnable(&p, run, task)) else {
+            return true;
+        };
+        let shunned = shunned(&p);
+        let free = p.nodes.most_free(&shunned);
+        (task, shunned, free)
+    };
+    let Some(node) = free.or_else(|| preempt_waiting(sim, pool, run, &shunned)) else {
         return false;
     };
     let pick = {
-        let dd = d.borrow();
-        let local = dd.job.splits.get(task);
-        let local = local.is_some_and(|s| s.locations.contains(&node));
-        let cache_local = cache_resident(&dd.cache_hints, &dd.env.cluster_cache, task, node);
+        let p = pool.borrow();
+        let Some((d, stage)) = p.run(run) else {
+            return true;
+        };
+        let local = d
+            .split(stage, task)
+            .is_some_and(|s| s.locations.contains(&node));
+        let cache_local = cache_resident(&d.cache_hints, &p.env.cluster_cache, task, node);
         Pick::at(0, node, local, cache_local)
     };
-    launch(sim, d, pick, task, true);
+    launch(sim, pool, run, pick, task, true);
     true
 }
 

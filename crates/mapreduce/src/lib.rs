@@ -36,9 +36,9 @@ pub use dataset::{
     RecordReadFn,
 };
 pub use input::{
-    collect_stream, hdfs_file_splits, read_event_counters, retag_stream, FetchDone, FetchPiece,
-    FetchResult, FlatPfsFetcher, HdfsBlockFetcher, InMemoryFetcher, InputSplit, PieceDone,
-    PieceStream, SplitFetcher, StreamFallback, TaskInput,
+    collect_stream, hdfs_file_splits, retag_stream, FetchDone, FetchPiece, FetchResult,
+    FlatPfsFetcher, HdfsBlockFetcher, InMemoryFetcher, InputSplit, PieceDone, PieceStream,
+    SplitFetcher, StreamFallback, TaskInput,
 };
 pub use job::{
     run_job, submit_job_env, FtConfig, Job, JobResult, MapFn, MrError, Payload, ReduceFn,

@@ -16,8 +16,9 @@
 //!  6. a slow shuffle — one map holder's links crawl, at a byte scale where
 //!     the pulls across them are seconds, not microseconds;
 //!  7. a map holder partitioned away *after* its maps commit and healed
-//!     later — the reducers' first pulls across the cut are dropped, their
-//!     hang deadlines catch them, the retries cross the healed link.
+//!     later — a reducer that cannot reach a holder after the close gives
+//!     its outputs up, and lineage runs their maps again: no reducer waits
+//!     out a hang deadline.
 //!
 //! Every degraded scenario is run twice on the same seed and must produce
 //! byte-identical output and identical counter maps (the chaos suite's
@@ -215,10 +216,10 @@ pub fn run(scale: &Scale) -> Report {
     // run, and one reducer — a node's share — launches there, warm, and pulls
     // what it holds; the other waits for the slow nodes' close. Half a second
     // after the clean run's close the holder is isolated — its map output is
-    // registered — and it heals 6 s later. Each reducer's pull across the cut
-    // is dropped at the close (the one *on* the holder loses its pulls of the
-    // slow nodes' output), its hang deadline fails the attempt, and the retry
-    // pulls across the healed link.
+    // registered — and it heals 6 s later. A reducer that cannot reach a
+    // holder once the shuffle has closed (the one *on* the holder reaches
+    // none of the slow nodes) gives those outputs up and ends its run on lost
+    // input; lineage runs their maps again where they can be reached.
     let cut = clean.maps_done + 0.5;
     let fast = clean.first_reducer.map_or(0, |n| n.0);
     let slow = |p: FaultPlan, n: u32| if n == fast { p } else { p.slow_node(n, 1.5) };
@@ -256,9 +257,11 @@ pub fn run(scale: &Scale) -> Report {
         }
     }
 
-    let maps_ran_once = holder.counters.get("map_attempts") == Some(&(N_SPLITS as f64));
-    let why = "committed map output outlives its holder's silence: no map runs again";
-    rep.check("holder_partition.maps_ran_once", maps_ran_once, why);
+    let count = |key: &str| holder.counters.get(key).copied().unwrap_or(0.0);
+    let lineage = count("lineage_recomputes");
+    let maps_ran_again = lineage >= 1.0 && count("map_attempts") >= N_SPLITS as f64 + lineage;
+    let why = "outputs no reducer can reach after the close are given up and their maps run again";
+    rep.check("holder_partition.maps_ran_again", maps_ran_again, why);
 
     #[rustfmt::skip] // one target per line reads as the table it is
     rep.expect_all(&[
@@ -279,9 +282,7 @@ pub fn run(scale: &Scale) -> Report {
         ("hedge_off.elapsed_s", Ge, 1.5 * rep.v("hedge.elapsed_s"), "without the hedge every remote read waits out the slow primary"),
         ("slow_shuffle.elapsed_s", Gt, 1.25 * rep.v("slow_shuffle_clean.elapsed_s"), "a 20000x link under a holder's map output costs the job a quarter again"),
         ("slow_shuffle.task_retries", Eq, 0.0, "a slow link fails nothing"),
-        ("holder_partition.tasks_hang_detected", Eq, 2.0, "each reducer's dropped pull is detected exactly once"),
-        ("holder_partition.task_retries", Ge, 2.0, "and retried (so is the reducer stranded on the isolated holder)"),
-        ("holder_partition.elapsed_s", Gt, rep.v("clean.elapsed_s") + 12.0, "the retry waits out the 12 s hang deadline"),
+        ("holder_partition.tasks_hang_detected", Eq, 0.0, "no reducer waits out its hang deadline on an unreachable holder"),
         ("holder_partition.nodes_reinstated", Ge, 1.0, "the healed holder is reinstated"),
     ]);
     rep

@@ -18,19 +18,17 @@
 //! files instead, through the commit protocol: the driver writes nothing
 //! itself.
 //!
-//! What tells a job's stages from a DAG's are properties of the plan, not
-//! branches of its caller: what a stage's tasks are counted as, their part
-//! files' prefix, whose durations price their hang deadlines (a job's
-//! reducers: their maps' run), and whether lost outputs are recomputed (only
-//! a DAG's are).
+//! What tells a job's stages from a DAG's are two properties of the stage,
+//! not branches of its caller: what its tasks are counted as, and its part
+//! files' prefix. Both only name counters and files; every plan recovers
+//! lost outputs and prices each run's hang deadlines on its own durations.
 //!
 //! One cell per plan: the plan's `Pool` keeps, beside its node table,
 //! attempt numbering, its runs and the list of live ones, the driver's state
 //! — the plan, its shuffle store, the stage-run records, the books and the
 //! completion callback — all by value. The driver's functions take the pool
 //! and name a run by its stage-run index: `run_stage` keeps and lists one, a
-//! run that ends calls `run_ended`, and a kill in a plan that recovers calls
-//! `node_lost`.
+//! run that ends calls `run_ended`, and a kill calls `node_lost`.
 //!
 //! Stage overlap: every stage is submitted when the plan is, all on its
 //! one `Pool`. A free slot is offered to the runs upstream first, so the
@@ -42,15 +40,16 @@
 //! barrier between two stages costs what is left of the pulls, not a task
 //! start-up.
 //!
-//! Lineage recovery (a DAG): a node kill invalidates every shuffle output
-//! the dead node held, while a committed part file is on HDFS and stays. The
-//! driver then resubmits, as one sparse run per stage, exactly the lost
-//! partitions that are still needed by an incomplete descendant — a lost
-//! partition re-runs only its upstream chain, at partition granularity,
-//! never the whole DAG — while the tasks that were waiting for them keep
-//! waiting, and keep what they had pulled. A holder that cannot be reached
-//! once its shuffle has closed fails the pulling run on
-//! [`MrError::InputLost`] instead; what that run had not committed is
+//! Lineage recovery (every plan, a classic job's as a DAG's): a node kill
+//! invalidates every shuffle output the dead node held on its local disk,
+//! while a committed part file is on HDFS and a spill to the PFS outlives
+//! the node, and both stay. The driver then resubmits, as one sparse run per
+//! stage, exactly the lost partitions that are still needed by an incomplete
+//! descendant — a lost partition re-runs only its upstream chain, at
+//! partition granularity, never the whole plan — while the tasks that were
+//! waiting for them keep waiting, and keep what they had pulled. A holder
+//! that cannot be reached once its shuffle has closed fails the pulling run
+//! on [`MrError::InputLost`] instead; what that run had not committed is
 //! resubmitted with the outputs it found stalled.
 //! Counters: `stages_run` (stage runs submitted), `lineage_recomputes`
 //! (tasks re-executed for a previously-committed partition),
@@ -108,10 +107,6 @@ pub(crate) struct Stage {
     /// What the final stage's part files are named: this, then the stage
     /// partition — `part-` in a DAG, `part-m-` / `part-r-` in a classic job.
     pub(crate) part_prefix: &'static str,
-    /// The stage whose live run prices the hang deadlines of this stage's
-    /// runs: a classic job's maps, for its reducers. `None` — every DAG
-    /// stage — for each run's own.
-    deadline_from: Option<usize>,
     op: &'static str,
     /// The stages downstream of this one: its consumer, that stage's
     /// consumer, ... the final stage (filled in once the plan is cut).
@@ -130,9 +125,6 @@ impl Stage {
 pub(crate) struct Plan {
     name: String,
     pub(crate) stages: Vec<Stage>,
-    /// Whether lost shuffle outputs are recomputed: only a DAG's are. In
-    /// this model a kill leaves a classic job's map outputs pullable.
-    pub(crate) recovers: bool,
 }
 
 impl Plan {
@@ -140,7 +132,7 @@ impl Plan {
     /// shuffle (or, map-only, `part-m-` files), and — with a reduce function
     /// — its reducers, a post-shuffle stage writing `part-r-` files whose
     /// task function groups the pulled pairs by key and runs `reduce_fn` on
-    /// each group. The reducers' hang deadlines are priced on the maps' run.
+    /// each group.
     pub(crate) fn of_job(job: Job) -> Plan {
         let reduce = job
             .reduce_fn
@@ -153,7 +145,6 @@ impl Plan {
             out_shuffle: 0,
             out_partitions: reduce.as_ref().map(|(_, n)| *n),
             part_prefix: "part-m-",
-            deadline_from: None,
             op: "map",
             downstream: reduce.iter().map(|_| 1).collect(),
             job: Job {
@@ -170,7 +161,6 @@ impl Plan {
                 out_shuffle: 1,
                 out_partitions: None,
                 part_prefix: "part-r-",
-                deadline_from: Some(0),
                 op: "reduce",
                 downstream: BTreeSet::new(),
                 job: Job {
@@ -184,7 +174,6 @@ impl Plan {
         Plan {
             name: job.name,
             stages,
-            recovers: false,
         }
     }
 
@@ -223,7 +212,6 @@ impl Plan {
         Ok(Plan {
             name: dag.name.clone(),
             stages,
-            recovers: true,
         })
     }
 
@@ -381,7 +369,6 @@ fn build_stage(b: &mut PlanBuild, ds: &Dataset, out_shuffle: u64, out_partitions
         out_shuffle,
         out_partitions,
         part_prefix: "part-",
-        deadline_from: None,
         op,
         downstream: BTreeSet::new(),
     });
@@ -501,8 +488,8 @@ impl Pool {
             if !needed.contains(&idx) || self.missing_of(stage).is_empty() {
                 continue;
             }
-            let producer = |&(sid, _): &(u64, u8)| stages.iter().position(|s| s.out_shuffle == sid);
-            needed.extend(stage.sources.iter().filter_map(producer));
+            let upstream = |&(sid, _): &(u64, u8)| stages.iter().position(|s| s.out_shuffle == sid);
+            needed.extend(stage.sources.iter().filter_map(upstream));
         }
         let uncovered = |(idx, stage): (usize, &Stage)| {
             let live = self.live_of(idx).filter_map(|run| self.runs.get(run));
@@ -647,7 +634,6 @@ fn run_stage(sim: &mut Sim, pool: &SharedPool, idx: usize, missing: Vec<usize>, 
         let Some(stage) = p.plan.stages.get(idx) else {
             return;
         };
-        let producer = stage.deadline_from.and_then(|s| p.live_of(s).last());
         // Filled in (end, outcome, reports) when the run ends.
         let record = StageRun {
             stage: idx,
@@ -659,7 +645,7 @@ fn run_stage(sim: &mut Sim, pool: &SharedPool, idx: usize, missing: Vec<usize>, 
             ok: false,
             tasks: Vec::new(),
         };
-        let d = Driver::new(sim, &p.env, idx, stage, missing, producer);
+        let d = Driver::new(sim, &p.env, idx, stage, missing);
         p.records.push(record);
         p.enlist(d);
     }
@@ -703,11 +689,17 @@ pub(crate) fn run_ended(sim: &mut Sim, pool: &SharedPool, run: usize, failed: Op
     }
 }
 
-/// A kill took the shuffle outputs `node` held with it (a plan that
-/// recovers): what is still needed of them is resubmitted before the slots
-/// the node's attempts leave behind are handed out.
+/// A kill took the shuffle outputs `node` held on its local disk with it:
+/// what is still needed of them is resubmitted before the slots the node's
+/// attempts leave behind are handed out. A stage that spills to the PFS
+/// keeps its outputs: they outlive the node.
 pub(crate) fn node_lost(sim: &mut Sim, pool: &SharedPool, node: NodeId) {
-    pool.borrow_mut().store.invalidate_node(node);
+    {
+        let mut p = pool.borrow_mut();
+        let Pool { plan, store, .. } = &mut *p;
+        let on_disk = plan.stages.iter().filter(|s| !s.job.spill_to_pfs);
+        store.invalidate_node(node, on_disk.map(|s| s.out_shuffle));
+    }
     advance(sim, pool);
 }
 
@@ -761,7 +753,8 @@ fn end_plan(sim: &mut Sim, pool: &SharedPool, failed: Option<MrError>) {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::job::tests::{mem_splits, small_cluster};
+    use crate::job::run_job;
+    use crate::job::tests::{mem_splits, slow_map_job, small_cluster};
     use simnet::FaultPlan;
     use std::collections::BTreeMap;
 
@@ -959,5 +952,47 @@ pub(crate) mod tests {
         // Recovery re-runs a strict subset, never the whole DAG again.
         assert!(rf.tasks_executed() < 2 * rf.total_tasks);
         assert_eq!(output_text(&faulted, "out"), clean_text, "byte-identical");
+    }
+
+    #[test]
+    fn a_kill_drops_only_the_map_outputs_on_local_disk() {
+        // Maps of 2 s and one reducer that reduces for 20 s after the close.
+        // A map holder off the reducer's node dies while it reduces: its
+        // spills on the PFS outlive it, those on its local disk do not.
+        let job = |spill_to_pfs| {
+            let mut job = slow_map_job(4, 2.0, FtConfig::default());
+            job.reduce_fn = Some(Rc::new(|key, values, ctx| {
+                ctx.charge("reduce", 5.0);
+                ctx.emit(key, Payload::Bytes(vec![values.len() as u8]));
+                Ok(())
+            }));
+            job.spill_to_pfs = spill_to_pfs;
+            job
+        };
+        for spill_to_pfs in [true, false] {
+            let mut clean = small_cluster(3, 2);
+            let rc = run_job(&mut clean, job(spill_to_pfs)).unwrap();
+            let reducer = rc
+                .tasks
+                .iter()
+                .find(|t| t.kind == TaskKind::Reduce)
+                .unwrap();
+            let maps = || rc.tasks.iter().filter(|t| t.kind == TaskKind::Map);
+            let close = maps().map(|t| t.end_s).fold(0.0, f64::max);
+            let holder = maps().map(|t| t.node).find(|&n| n != reducer.node).unwrap();
+            let mut c = small_cluster(3, 2);
+            c.sim
+                .faults
+                .install(FaultPlan::none().kill_node(holder.0, close + 1.0));
+            let r = run_job(&mut c, job(spill_to_pfs)).unwrap();
+            assert_eq!(c.read_output("out"), clean.read_output("out"));
+            let recomputed = r.counters.get(keys::LINEAGE_RECOMPUTES);
+            if spill_to_pfs {
+                assert_eq!(recomputed, 0.0, "{:?}", r.counters);
+                assert_eq!(r.counters.get(keys::MAP_ATTEMPTS), 4.0);
+            } else {
+                assert!(recomputed >= 1.0, "{:?}", r.counters);
+            }
+        }
     }
 }

@@ -203,10 +203,10 @@ pub struct FtConfig {
     /// partition) reinstate the node.
     pub dead_after_misses: usize,
     /// Floor of the per-attempt hang deadline, `max(hang_deadline_min_s,
-    /// 3 × q75 of committed task durations)` — of the attempt's own run, or
-    /// of the maps' run for a job's reducers. It rules while too few tasks
-    /// have committed for a meaningful duration quantile. An attempt still
-    /// running past its deadline is declared hung and failed.
+    /// 3 × q75 of committed task durations)` of the attempt's own run. It
+    /// rules while too few tasks have committed for a meaningful duration
+    /// quantile. An attempt still running past its deadline is declared hung
+    /// and failed.
     pub hang_deadline_min_s: f64,
 }
 
@@ -399,10 +399,11 @@ impl JobResult {
             s.push_str(&format!("; {preempted:.0} waiting attempt(s) preempted"));
         }
         if lineage > 0.0 || lost > 0.0 {
+            let stages = c.get(keys::STAGES_RUN);
+            let over = (stages > 0.0).then(|| format!(" over {stages:.0} stage run(s)"));
             s.push_str(&format!(
-                "; {lost:.0} shuffle partition(s) lost, {lineage:.0} lineage recompute(s) \
-                 over {:.0} stage run(s)",
-                c.get(keys::STAGES_RUN),
+                "; {lost:.0} shuffle partition(s) lost, {lineage:.0} lineage recompute(s){}",
+                over.unwrap_or_default()
             ));
         }
         if hangs > 0.0 || suspected > 0.0 || reinstated > 0.0 {
@@ -454,10 +455,6 @@ pub(crate) struct Driver {
     /// partitions, so task `t` is stage partition `task_ids[t]` and, of a
     /// source stage, fetches split `task_ids[t]`.
     task_ids: Vec<usize>,
-    /// The run whose committed durations price this run's hang deadlines: a
-    /// job's reducers', their maps' run. `None` — every DAG stage run — for
-    /// its own.
-    producer: Option<usize>,
     start_s: f64,
     tasks: TaskTable,
     /// Per-attempt hang deadlines armed (hangs, read hangs or partitions
@@ -490,7 +487,6 @@ impl Driver {
         idx: usize,
         stage: &Stage,
         task_ids: Vec<usize>,
-        producer: Option<usize>,
     ) -> Driver {
         // Per-attempt hang deadlines only when the plan can produce silence
         // (see [`Pool::open`]) or swallow a read.
@@ -512,7 +508,6 @@ impl Driver {
             stage: idx,
             tasks: TaskTable::new(task_ids.len()),
             task_ids,
-            producer,
             start_s: sim.now().secs(),
             hang_checks_armed,
             durations: speculate::Sorted::default(),
@@ -730,7 +725,8 @@ pub fn run_job(cluster: &mut Cluster, job: Job) -> Result<JobResult, MrError> {
 /// driver: every in-flight attempt is retired — their continuations see a
 /// dead attempt and can no longer mutate counters or reports.
 pub(crate) fn end_run(sim: &mut Sim, pool: &SharedPool, run: usize, failed: Option<MrError>) {
-    if pool.borrow_mut().finish(run) {
+    let lost = matches!(failed, Some(MrError::InputLost(_)));
+    if pool.borrow_mut().finish(run, lost) {
         dag::run_ended(sim, pool, run, failed);
     }
 }

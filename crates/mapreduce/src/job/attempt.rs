@@ -200,13 +200,13 @@ impl Attempt {
 
     /// The attempt failed — fetch error, user code error, hang. Retire it
     /// ([`Exit::Failed`]): its task is retried unless its attempts are spent
-    /// — or, its input lost, it is dropped ([`Exit::Dropped`]); in either
+    /// — or, its input lost, it is abandoned ([`Exit::Abandoned`]); in either
     /// case the run fails with the attempt's error, unchanged. No retry, and
     /// no twin, can bring a lost input back: the run ends on its first hole
     /// and leaves recovery to the layer above.
     pub fn fail(&self, sim: &mut Sim, err: MrError) {
         let lost = matches!(err, MrError::InputLost(_));
-        let exit = if lost { Exit::Dropped } else { Exit::Failed };
+        let exit = if lost { Exit::Abandoned } else { Exit::Failed };
         let Some((_, spent)) = self.pool.borrow_mut().retire(self.run, self.id, exit) else {
             return; // retired already: a twin committed, or its node or run is gone
         };
@@ -401,9 +401,11 @@ pub(super) enum Exit {
     /// It gave its slot to a blocked task: its task goes back to the head of
     /// the queue with the attempt refunded.
     Preempted,
-    /// Nothing is requeued: its input is lost, a twin committed, or its run
-    /// ended.
+    /// Nothing is requeued: a twin committed, or its run ended.
     Dropped,
+    /// Nothing is requeued: its run ended on lost input, which lineage
+    /// recomputes, and a later run takes its task.
+    Abandoned,
 }
 
 impl Pool {
@@ -478,6 +480,7 @@ impl Pool {
                 pending.push_front(task);
                 counters.add(keys::REDUCES_PREEMPTED, 1.0);
             }
+            Exit::Abandoned => counters.add(keys::ATTEMPTS_ABANDONED, 1.0),
             Exit::Dropped => {}
         }
         if exit == Exit::Committed {

@@ -22,8 +22,8 @@ pub(crate) struct MapOutput {
 
 /// Registry of committed shuffle outputs, by `(shuffle, producing
 /// partition)`: one per plan, on its pool, where every run registers and
-/// pulls. Only a DAG's outputs are ever invalidated: a classic job's shuffle
-/// is never recomputed (§3.2's simplification). A pulling task reads its
+/// pulls, and where a lost output leaves a hole for lineage to fill. A
+/// pulling task reads its
 /// partition of every output of its stage's sources — a classic job's
 /// reducers those of its maps, a DAG's post-shuffle stage those of the
 /// stages upstream.
@@ -117,10 +117,11 @@ impl ShuffleStore {
         at.filter(|_| self.complete(shuffle))
     }
 
-    /// Drop every output held by a dead node.
-    pub fn invalidate_node(&mut self, node: NodeId) {
-        for (shuffle, outs) in &mut self.outputs {
-            let totals = self.bytes.entry(*shuffle).or_default();
+    /// Drop every output of `shuffles` held by a dead node.
+    pub fn invalidate_node(&mut self, node: NodeId, shuffles: impl Iterator<Item = u64>) {
+        for shuffle in shuffles {
+            let outs = self.outputs.entry(shuffle).or_default();
+            let totals = self.bytes.entry(shuffle).or_default();
             let before = outs.len();
             outs.retain(|_, o| {
                 let held = o.as_ref().is_some_and(|o| o.node == node);
@@ -507,7 +508,7 @@ mod tests {
                         let output = (rng.below(5) > 0).then_some(MapOutput { node, parts });
                         store.register(shuffle, m, output, step as f64);
                     }
-                    2 => store.invalidate_node(NodeId(rng.below(3) as u32)),
+                    2 => store.invalidate_node(NodeId(rng.below(3) as u32), 0..2),
                     _ => store.invalidate_stalled(shuffle, m),
                 }
                 for s in 0..2 {

@@ -107,16 +107,17 @@ impl Pool {
     }
 
     /// End run `run`, either way: once — whether it ended now. Every
-    /// attempt still in flight is retired ([`Exit::Dropped`]), so an
-    /// attempt in the task table is one of a live run.
-    pub(super) fn finish(&mut self, run: usize) -> bool {
+    /// attempt still in flight is retired — [`Exit::Abandoned`] if the run
+    /// ended on `lost` input, else [`Exit::Dropped`] — so an attempt in the
+    /// task table is one of a live run.
+    pub(super) fn finish(&mut self, run: usize, lost: bool) -> bool {
         let Some(d) = self.runs.get_mut(run).filter(|d| d.alive()) else {
             return false;
         };
         d.ended = true;
         let in_flight: Vec<_> = d.tasks.in_flight().map(|(id, _)| id).collect();
         for id in in_flight {
-            self.retire(run, id, Exit::Dropped);
+            self.retire(run, id, if lost { Exit::Abandoned } else { Exit::Dropped });
         }
         true
     }
@@ -254,7 +255,9 @@ mod tests {
         pool.borrow_mut().store.register(0, 0, Some(output), 0.0);
         assert_eq!(preempt_waiting(sim, &pool, maps, &[]), None, "due");
         // Its output lost, it owes nothing and goes.
-        pool.borrow_mut().store.invalidate_node(NodeId(1));
+        pool.borrow_mut()
+            .store
+            .invalidate_node(NodeId(1), std::iter::once(0));
         assert_eq!(preempt_waiting(sim, &pool, maps, &[]), Some(NodeId(0)));
     }
 

@@ -224,11 +224,10 @@ pub(super) fn output_registered(sim: &mut Sim, pool: &SharedPool, run: usize, ta
 /// the task. A holder whose link is down while its shuffle is still open
 /// is deferred rather than pulled from: the pull would be dropped and strand
 /// the attempt until its hang deadline, where a phase opened at the close
-/// would have found the link as it is *then*. Once the shuffle has closed a
-/// classic job's pull is issued whatever the link, and a drop is the hang
-/// deadline's to recover; where lineage can recompute the output instead (a
-/// plan that [`recovers`](crate::dag::Plan::recovers)) it is invalidated and
-/// the run ends on [`MrError::InputLost`].
+/// would have found the link as it is *then*. Once the shuffle has closed,
+/// the output is given up on instead: it is invalidated, the run ends on
+/// [`MrError::InputLost`], and lineage recomputes it. A spill on the PFS has
+/// no holder to reach.
 fn pull(sim: &mut Sim, att: &Attempt, fresh: &[OutputKey]) {
     let node = att.node;
     let planned = {
@@ -240,9 +239,6 @@ fn pull(sim: &mut Sim, att: &Attempt, fresh: &[OutputKey]) {
             env,
             ..
         } = &mut *p;
-        // Where lost outputs can be recomputed (a DAG's plan), a holder
-        // unreachable after the close is given up on rather than waited out.
-        let lineage = plan.recovers;
         let Some(d) = runs.get_mut(att.run) else {
             return;
         };
@@ -273,7 +269,7 @@ fn pull(sim: &mut Sim, att: &Attempt, fresh: &[OutputKey]) {
                 continue; // not registered yet, or nothing for this partition
             };
             let open = !store.complete(source);
-            let down = (open || lineage) && !job.spill_to_pfs && sim.link(holder, node).is_none();
+            let down = !job.spill_to_pfs && sim.link(holder, node).is_none();
             if down && open {
                 shuffle.deferred.push(key);
             } else if down {

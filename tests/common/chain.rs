@@ -399,15 +399,6 @@ impl Ran {
             Ran::Job(r) => &r.counters,
         }
     }
-
-    /// No stage run failed (a failed one abandons the attempts it had in
-    /// flight, which then neither commit nor retry).
-    pub fn no_failed_run(&self) -> bool {
-        match self {
-            Ran::Dag(r) => r.runs.iter().all(|run| run.ok),
-            Ran::Job(_) => true,
-        }
-    }
 }
 
 /// Run `plan` as `form` on `nodes` x `slots` under `faults`: the outcome,

@@ -22,9 +22,10 @@ pub fn leftover_temp_files(c: &Cluster) -> Vec<String> {
     temp.map(str::to_string).collect()
 }
 
-/// The attempt law of a run none of whose stage runs failed: every attempt
-/// launched committed its task, was retried, was a speculative twin or gave
-/// its slot away while it waited (`chaos`, `dag_overlap`, `plans`).
+/// The attempt law of a run that ended `Ok`: every attempt launched
+/// committed its task, was retried, was a speculative twin, gave its slot
+/// away while it waited, or was abandoned when its run ended on lost input
+/// (`chaos`, `dag_overlap`, `plans`, `speculation`).
 #[allow(dead_code)]
 pub fn attempt_law(c: &Counters) -> Result<(), String> {
     let attempts = c.get(keys::MAP_ATTEMPTS) + c.get(keys::REDUCE_ATTEMPTS);
@@ -34,6 +35,7 @@ pub fn attempt_law(c: &Counters) -> Result<(), String> {
         keys::TASK_RETRIES,
         keys::SPECULATIVE_LAUNCHED,
         keys::REDUCES_PREEMPTED,
+        keys::ATTEMPTS_ABANDONED,
     ];
     let accounted: f64 = accounted.iter().map(|&k| c.get(k)).sum();
     if attempts == accounted {

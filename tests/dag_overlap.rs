@@ -323,11 +323,7 @@ fn check_run(
     }
     let tasks = r.runs.iter().flat_map(|run| &run.tasks);
     startup_law(tasks, clean, shape.nodes * shape.slots)?;
-    // A failed stage run abandons the attempts it had in flight: they
-    // neither commit nor retry.
-    if r.runs.iter().all(|run| run.ok) {
-        attempt_law(&r.counters)?;
-    }
+    attempt_law(&r.counters)?;
     // Where nothing was lost, no stage's input reopened.
     if r.counters.get(keys::SHUFFLE_PARTITIONS_LOST) > 0.0 {
         return Ok(());

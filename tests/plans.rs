@@ -150,9 +150,9 @@ fn faults(rng: &mut Rng, nodes: usize, end_s: f64) -> Vec<Fault> {
     ]
 }
 
-/// Run `case` under `fault`: whether it ended `Ok` and whether the attempt
-/// law was checked on it; `Err` names the violation.
-fn check(case: &Case, fault: Fault, seed: u64) -> Result<(bool, bool), String> {
+/// Run `case` under `fault`: whether it ended `Ok` (and then held the
+/// attempt law); `Err` names the violation.
+fn check(case: &Case, fault: Fault, seed: u64) -> Result<bool, String> {
     let want: Output = interpret(&case.plan, case.form);
     let (r, output, leftovers) = run(&case.plan, case.form, case.cluster, fault.plan(seed));
     if !leftovers.is_empty() {
@@ -163,7 +163,7 @@ fn check(case: &Case, fault: Fault, seed: u64) -> Result<(bool, bool), String> {
         Err(e) if fault.survivable(case.form, case.cluster.0) => {
             return Err(format!("ended in {e:?}"))
         }
-        Err(_) => return Ok((false, false)),
+        Err(_) => return Ok(false),
         Ok(r) => r,
     };
     if output != want {
@@ -173,10 +173,8 @@ fn check(case: &Case, fault: Fault, seed: u64) -> Result<(bool, bool), String> {
             text(&want)
         ));
     }
-    if r.no_failed_run() {
-        attempt_law(r.counters())?;
-    }
-    Ok((true, r.no_failed_run()))
+    attempt_law(r.counters())?;
+    Ok(true)
 }
 
 /// The simpler neighbours of a failing case, simplest change first.
@@ -266,7 +264,7 @@ fn every_generated_plan_matches_the_interpreter_clean_and_under_every_kind_of_fa
     let seed = FaultPlan::env_seed(31);
     let mut rng = Rng::seed_from_u64(seed);
     // What the generator exercised, so a green run is not a vacuous one.
-    let (mut runs, mut ok, mut lawful) = (0, 0, 0);
+    let (mut runs, mut ok) = (0, 0);
     let (mut jobs, mut joins, mut skewed) = (0, 0, 0);
     for _ in 0..400 {
         let case = case(&mut rng);
@@ -280,10 +278,7 @@ fn every_generated_plan_matches_the_interpreter_clean_and_under_every_kind_of_fa
         skewed += usize::from(case.plan.source.keys != Keys::Spread);
         for fault in faults(&mut rng, case.cluster.0, end_s) {
             match check(&case, fault, seed) {
-                Ok((ended_ok, law)) => {
-                    ok += usize::from(ended_ok);
-                    lawful += usize::from(law);
-                }
+                Ok(ended_ok) => ok += usize::from(ended_ok),
                 Err(v) => panic!(
                     "{} (generator seed {seed})",
                     shrink(case.clone(), fault, v, seed)
@@ -293,12 +288,11 @@ fn every_generated_plan_matches_the_interpreter_clean_and_under_every_kind_of_fa
         }
     }
     println!(
-        "{runs} runs (seed {seed}): {ok} ended Ok with the interpreter's bytes, {lawful} of \
-         them without a failed run held the attempt law; {jobs} classic jobs, {joins} joins, \
-         {skewed} skewed sources"
+        "{runs} runs (seed {seed}): {ok} ended Ok with the interpreter's bytes and held the \
+         attempt law; {jobs} classic jobs, {joins} joins, {skewed} skewed sources"
     );
     assert!(
-        ok >= runs * 3 / 4 && lawful >= runs * 2 / 3 && jobs >= 60 && joins >= 60 && skewed >= 150,
+        ok >= runs * 3 / 4 && jobs >= 60 && joins >= 60 && skewed >= 150,
         "generator too thin"
     );
 }

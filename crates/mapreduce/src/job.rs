@@ -186,10 +186,10 @@ pub struct FtConfig {
     /// Attempts per task before the job fails (Hadoop default: 4).
     pub max_task_attempts: usize,
     /// Launch duplicate attempts for stragglers: once half a run's tasks
-    /// have committed, an attempt that computes well slower than they did, a
-    /// streamed fetch that outlasts their median duration by a start-up and
-    /// a completion lost to a silent node each get one twin on another node
-    /// (`job/speculate.rs`).
+    /// have shown their progress, an attempt that computes well slower than
+    /// they do, a streamed fetch that well outlasts theirs, an attempt on a
+    /// suspected node and a completion lost to a silent node each get one
+    /// twin on another node (`job/speculate.rs`).
     pub speculative: bool,
     /// Simulated seconds between failure-detector heartbeat ticks. The
     /// detector only arms itself when the installed fault plan contains
@@ -422,6 +422,50 @@ impl JobResult {
         Some(s)
     }
 
+    /// The work and chain floors of the job as it ran on `c`: no schedule of
+    /// its committed attempts ends sooner, so its elapsed time is at least
+    /// each. The work floor spreads the committed slot-seconds over the
+    /// slots `c` had in service — a node the fault plan kills counts until
+    /// its death, so the floor stays a bound whatever the run lost. The
+    /// chain floor is the longest committed map, then the slowest reducer's
+    /// tail after the last map commit.
+    pub fn floors(&self, c: &Cluster) -> Floors {
+        let env = c.env();
+        let kills = &c.sim.faults.plan().node_kills;
+        let death = |n: usize| {
+            let of_n = kills.iter().filter(|&&(k, _)| k as usize == n);
+            of_n.map(|&(_, t)| (t - self.start_s).max(0.0))
+                .fold(f64::INFINITY, f64::min)
+        };
+        let mut deaths: Vec<f64> = (0..env.topo.n_compute()).map(death).collect();
+        deaths.sort_by(f64::total_cmp);
+        // Fill the slots in service from the job's start until the committed
+        // slot-seconds fit, losing each node's at its death; more than every
+        // slot could have held puts the floor out of reach.
+        let mut left: f64 = self.tasks.iter().map(TaskReport::duration).sum();
+        let (mut from, mut work_s) = (0.0, f64::INFINITY);
+        for (i, &death) in deaths.iter().enumerate() {
+            let rate = (env.slots_per_node * (deaths.len() - i)) as f64;
+            let held = rate * (death - from);
+            if held >= left {
+                work_s = from + left / rate;
+                break;
+            }
+            left -= held;
+            from = death;
+        }
+        let maps = self.tasks.iter().filter(|t| t.kind == TaskKind::Map);
+        let (longest, close) = maps.fold((0.0f64, self.start_s), |(l, c), t| {
+            (l.max(t.duration()), c.max(t.end_s))
+        });
+        let reducers = self.tasks.iter().filter(|t| t.kind == TaskKind::Reduce);
+        let tail = reducers.map(|t| t.end_s - close).fold(0.0f64, f64::max);
+        Floors {
+            work_s,
+            chain_s: longest + tail,
+        }
+    }
+
     /// Streaming-fallback summary from the counters: committed map tasks
     /// that asked for the streaming fetch path but whose fetcher has none.
     /// `None` when no task fell back.
@@ -436,6 +480,15 @@ impl JobResult {
             c.get(keys::STREAM_FALLBACK_UNSUPPORTED),
         ))
     }
+}
+
+/// The schedule floors of a classic job ([`JobResult::floors`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Floors {
+    /// Committed slot-seconds over the slots in service.
+    pub work_s: f64,
+    /// The longest committed map, then the slowest reducer's tail.
+    pub chain_s: f64,
 }
 
 // ---------------------------------------------------------------------------
@@ -461,10 +514,10 @@ pub(crate) struct Driver {
     /// present — a partitioned node's completions are dropped and only a
     /// deadline can recover an attempt stranded by a short partition).
     hang_checks_armed: bool,
-    /// Durations of committed tasks, in order (speculation, hang deadline).
+    /// Durations of committed tasks, in order (the hang deadline).
     durations: speculate::Sorted,
-    /// What else speculation keeps of the committed tasks, and the flagged
-    /// stragglers.
+    /// What speculation keeps of the attempts that have shown progress, and
+    /// the flagged stragglers.
     spec: speculate::Speculator,
     /// Per-task cluster-cache chunk keys of the run's splits (from
     /// [`crate::input::SplitFetcher::cache_hints`]); the whole vector is

@@ -11,7 +11,7 @@ use super::pool::{preempt_waiting, schedule};
 use super::pull::{self, Shuffle};
 use super::sched::{self, Pick, Sched};
 use super::speculate::Progress;
-use super::{detector, end_run, map, speculate, Driver, Kv, MrError, Pool, SharedPool};
+use super::{detector, end_run, map, Driver, Kv, MrError, Pool, SharedPool};
 use super::{TaskKind, TaskReport};
 use crate::counters::{keys, Counters};
 
@@ -33,9 +33,10 @@ pub(super) struct AttemptInfo {
     pub cache_local: bool,
     /// A speculative duplicate of a straggling attempt.
     pub speculative: bool,
-    /// When its streamed fetch began, until speculation has queued its one
-    /// stalled-fetch recheck ([`speculate::watch_fetch`]); `None` for a batch
-    /// fetch, whose progress shows only when it ends.
+    /// When its streamed fetch began, which speculation watches
+    /// ([`speculate::watch_fetch`]); `None` for a batch fetch, whose progress
+    /// shows only when it ends, and for a stream that ended having moved no
+    /// bytes.
     pub stream_from: Option<f64>,
     /// What its progress shows once its compute is scheduled; `None` while
     /// it starts up, fetches or pulls.
@@ -65,7 +66,8 @@ pub(super) struct TaskState {
     regular_started: usize,
     /// The task has committed; later attempt callbacks are orphans.
     pub done: bool,
-    /// A speculative twin has been launched (at most one per task).
+    /// A speculative twin is in flight or won (at most one at a time per
+    /// task): a twin that fails leaves its task twinnable again.
     pub speculated: bool,
 }
 
@@ -440,6 +442,9 @@ impl Pool {
             done,
         } = tasks;
         let st = states.get_mut(task)?;
+        if info.speculative && exit == Exit::Failed {
+            st.speculated = false;
+        }
         match exit {
             Exit::Committed => {
                 st.done = true;
@@ -526,11 +531,7 @@ pub(super) fn commit_task(sim: &mut Sim, att: &Attempt, shuffle_parts: Option<Ve
         // part file on HDFS (no `parts`) is held by no node.
         let output = shuffle_parts.map(|parts| MapOutput { node, parts });
         store.register(stage.out_shuffle, d.partition_of(task), output, end_s);
-        let duration_s = end_s - info.start_s;
-        d.durations.insert(duration_s);
-        if let Some(progress) = &info.progress {
-            d.spec.record(duration_s, progress);
-        }
+        d.durations.insert(end_s - info.start_s);
         d.reports.push(TaskReport {
             kind: stage.kind,
             index: task,
@@ -541,7 +542,6 @@ pub(super) fn commit_task(sim: &mut Sim, att: &Attempt, shuffle_parts: Option<Ve
         });
     }
     pull::output_registered(sim, &att.pool, att.run, att.task);
-    speculate::committed(sim, &att.pool, att.run);
     schedule(sim, &att.pool);
     maybe_finish(sim, &att.pool, att.run);
 }

@@ -147,20 +147,21 @@ fn schedule_heartbeat(sim: &mut Sim, pool: &SharedPool, tick: u64) {
 /// One detector tick: every node delivers or misses its heartbeat (see
 /// [`super::nodes::NodeTable::heartbeat`]); nodes whose misses reached the
 /// dead threshold are withdrawn, and a healed one gets its slots back. A
-/// node heard again before it was declared dead still runs its attempts:
-/// those whose compute ended while it was silent lost their completions, and
-/// get twins ([`speculate::stranded`]).
+/// node newly suspected has every attempt there flagged for a twin
+/// ([`speculate::suspected`]). A node heard again before it was declared
+/// dead still runs its attempts: those whose compute ended while it was
+/// silent lost their completions, and get twins ([`speculate::stranded`]).
 fn heartbeat_tick(sim: &mut Sim, pool: &SharedPool, tick: u64) {
     if pool.borrow().live.is_empty() {
         return; // job finished: stop ticking
     }
-    let (declare, slots_back, heard) = {
+    let (declare, suspected, slots_back, heard) = {
         let mut p = pool.borrow_mut();
         let ft = p.plan.ft();
         let suspect_after = ft.suspect_after_misses.max(1);
         let dead_after = ft.dead_after_misses.max(suspect_after);
         let interval = ft.heartbeat_interval_s;
-        let mut declare: Vec<NodeId> = Vec::new();
+        let (mut declare, mut suspected) = (Vec::new(), Vec::new());
         let mut slots_back = false;
         // Nodes heard again with their attempts, and when they last were.
         let mut heard: Vec<(NodeId, f64)> = Vec::new();
@@ -180,16 +181,22 @@ fn heartbeat_tick(sim: &mut Sim, pool: &SharedPool, tick: u64) {
             if beat.declare_dead {
                 declare.push(n);
             }
+            if beat.newly_suspected {
+                suspected.push(n);
+            }
             if beat.misses > 0 && !beat.slots_back {
                 let last_s = sim.now().secs() - (beat.misses + 1) as f64 * interval;
                 heard.push((n, last_s));
             }
             slots_back |= beat.slots_back;
         }
-        (declare, slots_back, heard)
+        (declare, suspected, slots_back, heard)
     };
     for n in declare {
         withdraw_node(sim, pool, n, Withdrawal::DeclaredDead);
+    }
+    for n in suspected {
+        speculate::suspected(sim, pool, n);
     }
     for (n, last_s) in heard {
         speculate::stranded(sim, pool, n, last_s);

@@ -171,7 +171,7 @@ fn end_after(
     if let Some(i) = att.pool.borrow_mut().attempt_mut(att.run, att.id) {
         i.progress = Some(progress);
     }
-    speculate::computing(sim, &att.pool, att.run, att.id);
+    speculate::shown(sim, &att.pool, att.run, att.id);
     for &(p, s) in piece_charges.iter().chain(&ctx.charges) {
         att.phase(p, s * factor);
     }
@@ -279,6 +279,12 @@ impl PieceSink for StreamedFetch {
         // of the split-wide charges (map + finish-level fetch charges).
         let tail = ctx.total_charge_s();
         let total_bytes: f64 = arrivals.iter().map(|a| a.bytes).sum();
+        if total_bytes == 0.0 {
+            // A fetch that moved nothing says nothing of how long one takes.
+            if let Some(i) = att.pool.borrow_mut().attempt_mut(att.run, att.id) {
+                i.stream_from = None;
+            }
+        }
         let mut stall = 0.0;
         let finish_t = if n == 0 {
             // Nothing to transfer (e.g. every chunk was cached).

@@ -22,7 +22,7 @@ use simnet::{NodeId, Sim};
 
 use super::attempt::{try_schedule, AttemptId, Exit};
 use super::nodes::NodeTable;
-use super::{detector, Driver, ShuffleStore};
+use super::{detector, speculate, Driver, ShuffleStore};
 use crate::cluster::MrEnv;
 use crate::counters::Counters;
 use crate::dag::{Plan, PlanDone, StageRun};
@@ -124,11 +124,14 @@ impl Pool {
 }
 
 /// Offer the free slots to every live run in turn, upstream first: a task of
-/// a later stage only ever gets a slot no earlier stage wants.
+/// a later stage only ever gets a slot no earlier stage wants. A run's
+/// pending tasks go first, then its flagged stragglers still without a twin
+/// ([`speculate::twin_flagged`]).
 pub(crate) fn schedule(sim: &mut Sim, pool: &SharedPool) {
     let live = pool.borrow().live.clone();
     for run in live {
         try_schedule(sim, pool, run);
+        speculate::twin_flagged(sim, pool, run);
     }
 }
 

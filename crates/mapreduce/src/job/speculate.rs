@@ -6,43 +6,49 @@
 //! Once its compute is scheduled an attempt has a [`Progress`]: when that
 //! compute ends — where a linear progress report extrapolates to — and how
 //! much slower than charged it runs. Starting up, fetching or pulling it has
-//! none. Three kinds of straggler are flagged:
+//! none. What each attempt shows joins its run's statistics at once
+//! ([`shown`]), not when it commits, and from [`MIN_COMPLETED`] of the run's
+//! tasks' worth of them on, four kinds of straggler are flagged:
 //!
-//! 1. *slow*: its slowness exceeds the median of the run's committed attempts
-//!    by [`SLOW_MARGIN`], and its compute ends later than a replacement's
-//!    would — judged when its compute is scheduled, and for the attempts
-//!    already computing at the commit that first makes the statistics
-//!    meaningful ([`MIN_COMPLETED`]);
+//! 1. *slow*: its slowness exceeds the median of what the run's attempts
+//!    have shown by [`SLOW_MARGIN`], and its compute ends later than a
+//!    replacement's would — judged, while not flagged, each time the
+//!    statistics change;
 //! 2. *stalled fetch*: its streamed fetch has lasted longer than a start-up
-//!    plus the median duration of the committed attempts that fetched
-//!    anything — checked once, at the first instant it could qualify
-//!    ([`watch_fetch`]);
-//! 3. *stranded*: its compute ended while its node was silent, so its
+//!    plus [`SLOW_MARGIN`] times the median time of the streamed fetches
+//!    that moved bytes — checked at the first instant it could qualify, and
+//!    put off while the median moves that instant on ([`watch_fetch`]);
+//! 3. *suspected*: its node has just missed enough heartbeats to be
+//!    suspected — flagged by the failure detector ([`suspected`]);
+//! 4. *stranded*: its compute ended while its node was silent, so its
 //!    completion never reached the driver — checked when the failure
 //!    detector hears the node again ([`stranded`]).
 //!
 //! A twin goes neither to its straggler's node nor to any node hosting a
 //! flagged attempt (LATE's slow-node rule): to the most free node left, else
-//! to the slot of an attempt waiting downstream. A flagged attempt that found
-//! no slot is tried again at each commit of its run. A pulling attempt is
-//! twinned only once it has all its pulls and computes: its twin pulls again,
-//! from outputs that are all registered by then. The speculator reads no
-//! fault state — only progress, the committed statistics and what the
-//! detector heard — and in a clean run, where every attempt of a run is as
-//! slow as the next and nothing stalls, it launches nothing.
+//! to the slot of an attempt waiting downstream. It never takes a slot while
+//! its run has a task pending: each scheduling pass offers the slots to the
+//! run's pending tasks first, then to its flagged stragglers still without a
+//! twin ([`twin_flagged`]). A pulling attempt is twinned only once it has all
+//! its pulls and computes: its twin pulls again, from outputs that are all
+//! registered by then. The speculator reads no fault state — only progress,
+//! what the run's attempts showed and what the detector heard — and in a
+//! clean run, where every attempt of a run is as slow as the next and
+//! nothing stalls, it launches nothing.
 
 use simnet::{NodeId, Sim, SimTime};
 
-use super::attempt::{launch, AttemptId};
+use super::attempt::{launch, AttemptId, AttemptInfo};
 use super::pool::preempt_waiting;
 use super::sched::{cache_resident, Pick};
 use super::{Driver, Pool, SharedPool};
 
-/// How many times the median slowness of the committed attempts an attempt
-/// must run at to be slow.
+/// How many times the median slowness an attempt must run at to be slow,
+/// and the median streamed fetch time a fetch must outlast, past a start-up,
+/// to be stalled.
 const SLOW_MARGIN: f64 = 1.5;
-/// Fraction of a run's tasks that must have committed before its attempts
-/// are judged (there is no meaningful median earlier).
+/// Fraction of a run's tasks that many attempts must have shown progress
+/// before its attempts are judged (there is no meaningful median earlier).
 const MIN_COMPLETED: f64 = 0.5;
 
 /// What an attempt's progress shows once its compute is scheduled
@@ -96,38 +102,39 @@ impl Sorted {
     }
 }
 
-/// A run's speculation books: what its committed attempts showed, kept as
-/// they commit, and its flagged stragglers.
+/// A run's speculation books: what its attempts showed, kept as they show
+/// it, and its flagged stragglers.
 #[derive(Debug, Default)]
 pub(super) struct Speculator {
-    /// Durations of the committed attempts that fetched anything.
-    fetched: Sorted,
-    /// How long each committed attempt fetched ([`Progress::fetch_s`]).
+    /// How long each attempt that has shown progress fetched
+    /// ([`Progress::fetch_s`]).
     fetches: Sorted,
-    /// The slowness of each.
+    /// ... the slowness of each.
     slowness: Sorted,
-    /// Enough has committed: an attempt is judged slow or not as its
-    /// compute is scheduled.
-    judging: bool,
-    /// ... and a streamed fetch gets its stalled-fetch recheck as it opens
-    /// (once an attempt that fetched anything has committed).
+    /// ... and how long each of their streamed fetches that moved bytes
+    /// took: a fetch that zone maps pruned or the cache served would pull
+    /// the median towards nothing.
+    streamed: Sorted,
+    /// A streamed fetch that moved bytes is among enough shown: every
+    /// streamed fetch still open is watched, and each that opens later.
     timing_fetches: bool,
     /// The flagged stragglers, twinned or not, until they leave the table.
     flagged: Vec<AttemptId>,
 }
 
 impl Speculator {
-    /// An attempt committed after `duration_s`, showing `p`.
-    pub fn record(&mut self, duration_s: f64, p: &Progress) {
-        if p.fetch_s > 0.0 {
-            self.fetched.insert(duration_s);
+    /// An attempt has shown `p`, having streamed its fetch — with bytes
+    /// moved — if `streamed`.
+    fn record(&mut self, p: &Progress, streamed: bool) {
+        if streamed {
+            self.streamed.insert(p.fetch_s);
         }
         self.fetches.insert(p.fetch_s);
         self.slowness.insert(p.slowness);
     }
 
     /// Whether an attempt showing `p` is slow at `now`: it runs more than
-    /// [`SLOW_MARGIN`] times slower than the median committed attempt, and a
+    /// [`SLOW_MARGIN`] times slower than the median attempt, and a
     /// replacement launched now — a start-up, the median fetch, its work at
     /// the median slowness — would end its compute first.
     fn slow(&self, p: &Progress, now: f64, startup_s: f64) -> bool {
@@ -139,7 +146,7 @@ impl Speculator {
 
 /// Whether `run` may twin `task` now: the run is live and speculates,
 /// nothing of its input is still open (a twin would wait), and the task has
-/// neither committed nor been twinned.
+/// neither committed nor a twin in flight.
 fn twinnable(p: &Pool, run: usize, task: usize) -> bool {
     p.run(run).is_some_and(|(d, stage)| {
         let open = d.tasks.state(task);
@@ -150,87 +157,89 @@ fn twinnable(p: &Pool, run: usize, task: usize) -> bool {
     })
 }
 
-/// A task of `run` has just committed and been recorded. Once
-/// [`MIN_COMPLETED`] of the run's tasks have, the attempts in flight are
-/// looked over — flagged if computing slowly once attempts start being
-/// judged, given a stalled-fetch recheck if fetching once fetches start
-/// being timed — and the flagged stragglers still without a twin are
-/// offered the slot the commit freed.
-pub(super) fn committed(sim: &mut Sim, pool: &SharedPool, run: usize) {
-    let (judge, time, in_flight) = {
+/// Attempt `id` of `run` has just shown its progress (`map::end_after`): it
+/// joins the run's statistics. Once [`MIN_COMPLETED`] of the run's tasks'
+/// worth of attempts have shown theirs, every attempt in flight not yet
+/// flagged is judged against them, and flagged if it computes slowly; and
+/// once a streamed fetch that moved bytes is among them, the streamed
+/// fetches still open are watched ([`watch_fetch`]).
+pub(super) fn shown(sim: &mut Sim, pool: &SharedPool, run: usize, id: AttemptId) {
+    let (slow, watch) = {
         let mut p = pool.borrow_mut();
         let speculative = p.stage_of(run).is_some_and(|s| s.job.ft.speculative);
         let Some(d) = p.runs.get_mut(run) else { return };
-        let enough = d.durations.len() as f64 >= MIN_COMPLETED * d.tasks.count() as f64;
-        if !speculative || !d.alive() || !enough {
+        let alive = d.alive();
+        let Driver { tasks, spec, .. } = d;
+        let Some(info) = tasks.attempt(id) else {
+            return;
+        };
+        let Some(progress) = info.progress else {
+            return;
+        };
+        spec.record(&progress, info.stream_from.is_some());
+        let enough = spec.slowness.len() as f64 >= MIN_COMPLETED * tasks.count() as f64;
+        if !speculative || !alive || !enough {
             return;
         }
-        let spec = &mut d.spec;
-        let judge = !spec.judging;
-        let time = !spec.timing_fetches && spec.fetched.len() > 0;
-        spec.judging = true;
+        let time = !spec.timing_fetches && spec.streamed.len() > 0;
         spec.timing_fetches |= time;
-        let in_flight = d.tasks.in_flight().filter(|_| judge || time);
-        (judge, time, in_flight.map(|(id, _)| id).collect::<Vec<_>>())
-    };
-    for id in in_flight {
-        if time {
-            watch_fetch(sim, pool, run, id);
-        }
-        if judge {
-            computing(sim, pool, run, id);
-        }
-    }
-    twin_flagged(sim, pool, run);
-}
-
-/// Attempt `id` of `run` has just opened a streamed fetch, or is looked
-/// over ([`committed`]): while fetches are timed, queue its one recheck at the instant its
-/// fetch would outlast a start-up plus the median duration of the committed
-/// attempts that fetched anything. A batch fetch is not watched: it shows no
-/// progress until it ends, and one that contention stretches — as the
-/// SciHadoop maps' tail of remote whole-file copies in `fig5` — beats a twin
-/// that fetches under the same contention.
-pub(super) fn watch_fetch(sim: &mut Sim, pool: &SharedPool, run: usize, id: AttemptId) {
-    let at = {
-        let mut p = pool.borrow_mut();
-        let Some(d) = p.runs.get_mut(run).filter(|d| d.spec.timing_fetches) else {
-            return;
-        };
-        let limit = sim.cost.task_startup_s + d.spec.fetched.median();
-        let info = d.tasks.attempt_mut(id);
-        let info = info.filter(|i| !i.speculative && i.progress.is_none());
-        let Some(from) = info.and_then(|i| i.stream_from.take()) else {
-            return;
-        };
-        from + limit
-    };
-    let pool = pool.clone();
-    let at = at.max(sim.now().secs());
-    sim.at(SimTime(at), move |sim| {
-        let fetching = pool
-            .borrow()
-            .attempt(run, id)
-            .is_some_and(|i| i.progress.is_none());
-        if fetching {
-            flag(sim, &pool, run, id);
-        }
-    });
-}
-
-/// The compute of attempt `id` of `run` has just been scheduled, or it is
-/// looked over: flag it if it is slow.
-pub(super) fn computing(sim: &mut Sim, pool: &SharedPool, run: usize, id: AttemptId) {
-    let slow = {
-        let p = pool.borrow();
-        let Some(d) = p.runs.get(run) else { return };
-        let progress = d.tasks.attempt(id).and_then(|i| i.progress);
         let (now, startup_s) = (sim.now().secs(), sim.cost.task_startup_s);
-        d.spec.judging && progress.is_some_and(|p| d.spec.slow(&p, now, startup_s))
+        let mut slow = Vec::new();
+        let mut watch = Vec::new();
+        for (id, i) in tasks.in_flight() {
+            match i.progress {
+                Some(p) if !spec.flagged.contains(&id) && spec.slow(&p, now, startup_s) => {
+                    slow.push(id)
+                }
+                None if time => watch.push(id),
+                _ => {}
+            }
+        }
+        (slow, watch)
     };
-    if slow {
+    for id in watch {
+        watch_fetch(sim, pool, run, id);
+    }
+    for id in slow {
         flag(sim, pool, run, id);
     }
+}
+
+/// Attempt `id` of `run` has a streamed fetch open — it has just opened it,
+/// or fetches have just started being timed ([`shown`]): flag it once its
+/// fetch has lasted a start-up plus [`SLOW_MARGIN`] times the median time of
+/// the streamed fetches that moved bytes, if it still fetches then. The
+/// median may move meanwhile: the check is put off to the new instant while
+/// that lies ahead. A batch fetch is not watched: it shows no progress until
+/// it ends, and one that contention stretches — as the SciHadoop maps' tail
+/// of remote whole-file copies in `fig5` — beats a twin that fetches under
+/// the same contention.
+pub(super) fn watch_fetch(sim: &mut Sim, pool: &SharedPool, run: usize, id: AttemptId) {
+    let due = {
+        let p = pool.borrow();
+        let Some(d) = p.runs.get(run).filter(|d| d.spec.timing_fetches) else {
+            return;
+        };
+        let info = d.tasks.attempt(id);
+        let fetching = info.filter(|i| !i.speculative && i.progress.is_none());
+        let Some(from) = fetching.and_then(|i| i.stream_from) else {
+            return;
+        };
+        from + sim.cost.task_startup_s + SLOW_MARGIN * d.spec.streamed.median()
+    };
+    if due <= sim.now().secs() {
+        return flag(sim, pool, run, id);
+    }
+    let pool = pool.clone();
+    sim.at(SimTime(due), move |sim| watch_fetch(sim, &pool, run, id));
+}
+
+/// The failure detector has just suspected `node`: every attempt there is
+/// flagged. Whichever way the node goes, its tasks would restart later than
+/// twins launched now: declared dead, it has them requeued; heard again, it
+/// has lost the completions that fell in its silence ([`stranded`]).
+pub(super) fn suspected(sim: &mut Sim, pool: &SharedPool, node: NodeId) {
+    flag_on(sim, pool, node, |_| true);
 }
 
 /// The failure detector hears `node` again, after nothing since `heard_s`:
@@ -238,15 +247,22 @@ pub(super) fn computing(sim: &mut Sim, pool: &SharedPool, run: usize, id: Attemp
 /// completion, and is flagged.
 pub(super) fn stranded(sim: &mut Sim, pool: &SharedPool, node: NodeId, heard_s: f64) {
     let now = sim.now().secs();
+    let lost = |p: &Progress| p.ends_s > heard_s && p.ends_s <= now;
+    flag_on(sim, pool, node, |i| i.progress.as_ref().is_some_and(lost));
+}
+
+/// Flag every attempt of a live run on `node` that `pick` picks.
+fn flag_on(sim: &mut Sim, pool: &SharedPool, node: NodeId, pick: impl Fn(&AttemptInfo) -> bool) {
     let live = pool.borrow().live.clone();
     for run in live {
         let ids: Vec<AttemptId> = {
             let p = pool.borrow();
             let Some(d) = p.runs.get(run) else { continue };
-            let lost = |p: &Progress| p.ends_s > heard_s && p.ends_s <= now;
-            let there = d.tasks.in_flight().filter(|(_, i)| i.node == node);
-            let ended = there.filter(|(_, i)| i.progress.as_ref().is_some_and(lost));
-            ended.map(|(id, _)| id).collect()
+            let there = d
+                .tasks
+                .in_flight()
+                .filter(|(_, i)| i.node == node && pick(i));
+            there.map(|(id, _)| id).collect()
         };
         for id in ids {
             flag(sim, pool, run, id);
@@ -271,8 +287,9 @@ fn flag(sim: &mut Sim, pool: &SharedPool, run: usize, id: AttemptId) {
 }
 
 /// Offer a slot to each flagged straggler of `run` still without a twin,
-/// until one finds none.
-fn twin_flagged(sim: &mut Sim, pool: &SharedPool, run: usize) {
+/// until one finds none — at every scheduling pass, behind the run's pending
+/// tasks (`pool::schedule`).
+pub(super) fn twin_flagged(sim: &mut Sim, pool: &SharedPool, run: usize) {
     let untwinned: Vec<AttemptId> = {
         let mut p = pool.borrow_mut();
         let Some(Driver { tasks, spec, .. }) = p.runs.get_mut(run) else {
@@ -300,8 +317,9 @@ fn shunned(p: &Pool) -> Vec<NodeId> {
 
 /// Launch the twin of flagged attempt `id` of `run`, if its task may have
 /// one: on the most free node no flagged attempt runs on, else in the slot
-/// of an attempt waiting downstream there. First commit wins; the loser is
-/// dropped. False when no slot was found.
+/// of an attempt waiting downstream there — never while the run has a task
+/// pending, which the slot is for. First commit wins; the loser is dropped.
+/// False when no slot was found.
 fn twin(sim: &mut Sim, pool: &SharedPool, run: usize, id: AttemptId) -> bool {
     // Note: the attempt budget is deliberately not consulted — a twin is
     // exempt from `max_task_attempts` (it counts neither against the budget
@@ -313,6 +331,10 @@ fn twin(sim: &mut Sim, pool: &SharedPool, run: usize, id: AttemptId) -> bool {
         let Some(task) = task.filter(|&task| twinnable(&p, run, task)) else {
             return true;
         };
+        let pending = p.runs.get(run).map(|d| d.tasks.pending().len());
+        if pending.is_some_and(|n| n > 0) {
+            return false;
+        }
         let shunned = shunned(&p);
         let free = p.nodes.most_free(&shunned);
         (task, shunned, free)

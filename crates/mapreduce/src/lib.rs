@@ -41,6 +41,6 @@ pub use input::{
     SplitFetcher, StreamFallback, TaskInput,
 };
 pub use job::{
-    run_job, submit_job_env, FtConfig, Job, JobResult, MapFn, MrError, Payload, ReduceFn,
+    run_job, submit_job_env, Floors, FtConfig, Job, JobResult, MapFn, MrError, Payload, ReduceFn,
     StreamConfig, TaskCtx, TaskKind, TaskReport,
 };

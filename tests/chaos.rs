@@ -21,8 +21,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use scidp_suite::mapreduce::{
-    counter_keys as keys, run_job, Cluster, FlatPfsFetcher, FtConfig, InputSplit, Job, JobResult,
-    MrError, Payload, TaskCtx, TaskInput, TaskKind,
+    counter_keys as keys, run_job, Cluster, FlatPfsFetcher, Floors, FtConfig, InputSplit, Job,
+    JobResult, MrError, Payload, TaskCtx, TaskInput, TaskKind,
 };
 use scidp_suite::pfs::PfsConfig;
 use scidp_suite::simnet::{ClusterSpec, CostModel, FaultPlan, NodeId};
@@ -30,7 +30,8 @@ use scirng::Rng;
 
 mod common;
 use common::{
-    attempt_law, leftover_temp_files, nodes_in_service, placement_law, plan_expr, startup_law,
+    attempt_law, floor_law, leftover_temp_files, nodes_in_service, placement_law, plan_expr,
+    startup_law,
 };
 
 const INPUT: &str = "data/chaos.bin";
@@ -471,11 +472,20 @@ fn naive_output(shape: Shape) -> Output {
 
 /// The job's outcome under `plan`, what it committed and the temp files it
 /// left behind.
-fn run_shape(shape: Shape, plan: FaultPlan) -> (Result<JobResult, MrError>, Output, Vec<String>) {
+fn run_shape(
+    shape: Shape,
+    plan: FaultPlan,
+) -> (
+    Result<JobResult, MrError>,
+    Output,
+    Vec<String>,
+    Option<Floors>,
+) {
     let mut c = sweep_cluster(shape, plan);
     let r = run_job(&mut c, sweep_job(shape));
     let output = c.read_output("out").unwrap_or_default();
-    (r, output, leftover_temp_files(&c))
+    let floors = r.as_ref().ok().map(|r| r.floors(&c));
+    (r, output, leftover_temp_files(&c), floors)
 }
 
 /// When the maps first closed: the last commit among each map index's first
@@ -539,7 +549,7 @@ fn sweep_plans(
 fn check_run(
     shape: Shape,
     (plan, survivable): (&FaultPlan, bool),
-    r: &Result<JobResult, MrError>,
+    (r, floors): (&Result<JobResult, MrError>, Option<Floors>),
     (output, leftovers): (&Output, &[String]),
     want: &Output,
 ) -> Result<(), String> {
@@ -588,6 +598,9 @@ fn check_run(
     }
     startup_law(&r.tasks, clean, shape.nodes * shape.slots)?;
     attempt_law(&r.counters)?;
+    if let Some(floors) = floors {
+        floor_law(r, floors)?;
+    }
     let reducers: Vec<_> = reducers_of(r).collect();
     let close = maps_closed_at(r);
     placement_law(&reducers, close, nodes_in_service(plan, shape.nodes, close))
@@ -626,10 +639,10 @@ fn every_shape_under_every_kind_of_fault_ends_ok_with_the_naive_bytes_or_typed()
                     let (clean, ..) = run_shape(shape, FaultPlan::none());
                     let clean = clean.expect("clean run");
                     for (plan, survivable) in sweep_plans(&mut rng, seed, shape, &clean) {
-                        let (r, output, leftovers) = run_shape(shape, plan.clone());
+                        let (r, output, leftovers, floors) = run_shape(shape, plan.clone());
                         let case = (&plan, survivable);
                         let left = (&output, &leftovers[..]);
-                        if let Err(violation) = check_run(shape, case, &r, left, &want) {
+                        if let Err(violation) = check_run(shape, case, (&r, floors), left, &want) {
                             panic!(
                                 "{shape:?}: {violation} (generator seed {seed})\n  plan: {}",
                                 plan_expr(&plan)
@@ -689,7 +702,7 @@ fn a_map_retried_while_the_reducers_start_up_gets_a_slot_when_their_start_up_end
         "{:?}",
         clean.tasks
     );
-    let (r, out, leftovers) = run_shape(shape, plan);
+    let (r, out, leftovers, _) = run_shape(shape, plan);
     let r = r.expect("the retried map takes a reducer's slot");
     assert_eq!(out, naive_output(shape));
     assert_eq!(leftovers, Vec::<String>::new());
@@ -711,14 +724,14 @@ fn a_kill_under_the_last_running_map_preempts_the_reducer_holding_the_only_slot(
         maps: 2,
         reducers: 2,
     };
-    let (clean, clean_out, _) = run_shape(shape, FaultPlan::none());
+    let (clean, clean_out, ..) = run_shape(shape, FaultPlan::none());
     let clean = clean.expect("clean run");
     assert_eq!(clean_out, naive_output(shape));
     let map = |i: usize| &clean.tasks[i];
     assert_eq!((map(0).node, map(1).node), (NodeId(1), NodeId(0)));
     assert!(map(1).end_s < map(0).end_s, "map 0 is the longer one");
     let kill_at = 0.5 * (map(1).end_s + map(0).end_s);
-    let (r, out, _) = run_shape(shape, FaultPlan::none().kill_node(1, kill_at));
+    let (r, out, ..) = run_shape(shape, FaultPlan::none().kill_node(1, kill_at));
     let r = r.expect("the retried map takes the waiting reducer's slot");
     assert_eq!(out, clean_out);
     assert!(

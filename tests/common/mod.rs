@@ -4,7 +4,9 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use scidp_suite::mapreduce::{counter_keys as keys, Cluster, Counters, TaskReport};
+use scidp_suite::mapreduce::{
+    counter_keys as keys, Cluster, Counters, Floors, JobResult, TaskReport,
+};
 use scidp_suite::simnet::{CostModel, FaultPlan, NodeId};
 
 /// Generated plans and chains and their naive evaluation (`dag_overlap`,
@@ -44,6 +46,20 @@ pub fn attempt_law(c: &Counters) -> Result<(), String> {
         Err(format!(
             "{attempts} attempts, {accounted} accounted for: {c:?}"
         ))
+    }
+}
+
+/// The floor law of a classic job that ended `Ok`: it took at least each of
+/// its schedule `floors` ([`JobResult::floors`]). A floor above its elapsed
+/// time is a simulator bug (`chaos`, `speculation`).
+#[allow(dead_code)]
+pub fn floor_law(r: &JobResult, floors: Floors) -> Result<(), String> {
+    // Sums of the same instants taken in another order differ by rounding.
+    let elapsed = r.elapsed() * (1.0 + 1e-12);
+    if floors.work_s <= elapsed && floors.chain_s <= elapsed {
+        Ok(())
+    } else {
+        Err(format!("{floors:?} above the elapsed {} s", r.elapsed()))
     }
 }
 

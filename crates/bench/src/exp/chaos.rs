@@ -216,10 +216,10 @@ pub fn run(scale: &Scale) -> Report {
     // run, and one reducer — a node's share — launches there, warm, and pulls
     // what it holds; the other waits for the slow nodes' close. Half a second
     // after the clean run's close the holder is isolated — its map output is
-    // registered — and it heals 6 s later. A reducer that cannot reach a
-    // holder once the shuffle has closed (the one *on* the holder reaches
-    // none of the slow nodes) gives those outputs up and ends its run on lost
-    // input; lineage runs their maps again where they can be reached.
+    // registered — and it heals 6 s later. A pull across the cut is put off,
+    // whichever side the reducer is on; the detector declares the holder dead
+    // before the heal, which loses the outputs it holds, and lineage runs
+    // their maps again where they can be reached.
     let cut = clean.maps_done + 0.5;
     let fast = clean.first_reducer.map_or(0, |n| n.0);
     let slow = |p: FaultPlan, n: u32| if n == fast { p } else { p.slow_node(n, 1.5) };
@@ -260,7 +260,7 @@ pub fn run(scale: &Scale) -> Report {
     let count = |key: &str| holder.counters.get(key).copied().unwrap_or(0.0);
     let lineage = count("lineage_recomputes");
     let maps_ran_again = lineage >= 1.0 && count("map_attempts") >= N_SPLITS as f64 + lineage;
-    let why = "outputs no reducer can reach after the close are given up and their maps run again";
+    let why = "the outputs of the holder declared dead are lost and their maps run again";
     rep.check("holder_partition.maps_ran_again", maps_ran_again, why);
 
     #[rustfmt::skip] // one target per line reads as the table it is

@@ -70,10 +70,6 @@ pub mod keys {
     /// input (a pending map or source task, a retry, a speculative twin)
     /// and were requeued uncharged. The key keeps its historical name.
     pub const REDUCES_PREEMPTED: &str = "reduces_preempted";
-    /// Attempts dropped because their run ended on lost input: the one that
-    /// found the hole and the ones in flight beside it. Their tasks are the
-    /// lineage recompute's to run again.
-    pub const ATTEMPTS_ABANDONED: &str = "attempts_abandoned";
     /// Stream pieces that were already resident when the compute pipeline
     /// was ready for them (i.e. the prefetch fully hid their read).
     pub const PIECES_PREFETCHED: &str = "pieces_prefetched";

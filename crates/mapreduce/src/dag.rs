@@ -40,20 +40,21 @@
 //! barrier between two stages costs what is left of the pulls, not a task
 //! start-up.
 //!
-//! Lineage recovery (every plan, a classic job's as a DAG's): a node kill
-//! invalidates every shuffle output the dead node held on its local disk,
-//! while a committed part file is on HDFS and a spill to the PFS outlives
-//! the node, and both stay. The driver then resubmits, as one sparse run per
-//! stage, exactly the lost partitions that are still needed by an incomplete
-//! descendant — a lost partition re-runs only its upstream chain, at
-//! partition granularity, never the whole plan — while the tasks that were
-//! waiting for them keep waiting, and keep what they had pulled. A holder
-//! that cannot be reached once its shuffle has closed fails the pulling run
-//! on [`MrError::InputLost`] instead; what that run had not committed is
-//! resubmitted with the outputs it found stalled.
+//! Lineage recovery (every plan, a classic job's as a DAG's): an output is
+//! lost only when its node is withdrawn — killed, or declared dead by the
+//! failure detector. That invalidates every shuffle output the node held on
+//! its local disk, while a committed part file is on HDFS and a spill to the
+//! PFS outlives the node, and both stay. The driver then resubmits, as one
+//! sparse run per stage, exactly the lost partitions that are still needed
+//! by an incomplete descendant — a lost partition re-runs only its upstream
+//! chain, at partition granularity, never the whole plan — while the tasks
+//! that were waiting for them keep waiting, and keep what they had pulled.
+//! A holder a puller cannot reach is not lost: the pull waits for the link
+//! or for the holder's withdrawal (`job/pull.rs`). No run fails on lost
+//! input, so a run that fails ends the plan.
 //! Counters: `stages_run` (stage runs submitted), `lineage_recomputes`
 //! (tasks re-executed for a previously-committed partition),
-//! `shuffle_partitions_lost` (outputs dropped by node deaths).
+//! `shuffle_partitions_lost` (outputs dropped by node withdrawals).
 //!
 //! A `Dataset` consumed by two downstream operators is compiled (and
 //! executed) once per consumer — plans are trees, not general graphs.
@@ -421,8 +422,9 @@ pub struct StageRun {
     pub n_tasks: usize,
     /// How many of them re-ran a previously-committed partition.
     pub recomputed: usize,
-    /// Whether the stage job succeeded (a run that failed on a lost input
-    /// triggers lineage recovery instead of failing the DAG).
+    /// Whether the stage job succeeded. A run that fails ends the DAG; in
+    /// a DAG that ends `Ok`, a run not `ok` was called off at its end — a
+    /// recompute nothing needed any more.
     pub ok: bool,
     /// The run's committed task reports, `index` being the stage partition —
     /// of a failed run, the tasks it had committed before it failed.
@@ -654,10 +656,10 @@ fn run_stage(sim: &mut Sim, pool: &SharedPool, idx: usize, missing: Vec<usize>, 
 
 /// Run `run` of `pool` has ended, on `failed` if it is an error: record it
 /// with its committed task reports, fold its counters into the books, and
-/// end the plan on a real error or advance it. A run called off at the
-/// plan's end is no longer listed, and is not folded into the books.
+/// end the plan on the error or advance it. A run called off at the plan's
+/// end is no longer listed, and is not folded into the books.
 pub(crate) fn run_ended(sim: &mut Sim, pool: &SharedPool, run: usize, failed: Option<MrError>) {
-    let failure = {
+    {
         let mut p = pool.borrow_mut();
         let Some(at) = p.live.iter().position(|&r| r == run) else {
             return;
@@ -670,29 +672,26 @@ pub(crate) fn run_ended(sim: &mut Sim, pool: &SharedPool, run: usize, failed: Op
             ..
         } = &mut *p;
         let (reports, run_counters) = runs.get_mut(run).map(Driver::take_results).unzip();
-        // What a failed run had committed stays registered and is never run
-        // again: its counters and reports count like those of any other run.
+        // What a failed run had committed counts like any other run's: the
+        // failed plan's result reports it.
         counters.merge(&run_counters.unwrap_or_default());
         let now = sim.now().secs();
         if let Some(record) = records.get_mut(run) {
             let tasks = reports.unwrap_or_default();
             (record.end_s, record.ok, record.tasks) = (now, failed.is_none(), tasks);
         }
-        // A lost input is lineage loss: the next advance() resubmits what
-        // this run had not committed, and the outputs it found stalled.
-        // Anything else is a real error.
-        failed.filter(|e| !matches!(e, MrError::InputLost(_)))
-    };
-    match failure {
+    }
+    match failed {
         Some(e) => end_plan(sim, pool, Some(e)),
         None => advance(sim, pool),
     }
 }
 
-/// A kill took the shuffle outputs `node` held on its local disk with it:
-/// what is still needed of them is resubmitted before the slots the node's
-/// attempts leave behind are handed out. A stage that spills to the PFS
-/// keeps its outputs: they outlive the node.
+/// A withdrawal — a kill, or the detector declaring the node dead — took
+/// the shuffle outputs `node` held on its local disk with it: what is still
+/// needed of them is resubmitted before the slots the node's attempts leave
+/// behind are handed out. A stage that spills to the PFS keeps its outputs:
+/// they outlive the node.
 pub(crate) fn node_lost(sim: &mut Sim, pool: &SharedPool, node: NodeId) {
     {
         let mut p = pool.borrow_mut();

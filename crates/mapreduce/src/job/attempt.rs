@@ -201,18 +201,19 @@ impl Attempt {
     }
 
     /// The attempt failed — fetch error, user code error, hang. Retire it
-    /// ([`Exit::Failed`]): its task is retried unless its attempts are spent
-    /// — or, its input lost, it is abandoned ([`Exit::Abandoned`]); in either
-    /// case the run fails with the attempt's error, unchanged. No retry, and
-    /// no twin, can bring a lost input back: the run ends on its first hole
-    /// and leaves recovery to the layer above.
+    /// ([`Exit::Failed`]): its task is retried unless its attempts are spent,
+    /// and then the run fails with the attempt's error, unchanged. A lost
+    /// input is no failure of the attempt's: the attempt waits for the
+    /// output to be registered again ([`super::pull`]).
     pub fn fail(&self, sim: &mut Sim, err: MrError) {
-        let lost = matches!(err, MrError::InputLost(_));
-        let exit = if lost { Exit::Abandoned } else { Exit::Failed };
-        let Some((_, spent)) = self.pool.borrow_mut().retire(self.run, self.id, exit) else {
+        let Some((_, spent)) = self
+            .pool
+            .borrow_mut()
+            .retire(self.run, self.id, Exit::Failed)
+        else {
             return; // retired already: a twin committed, or its node or run is gone
         };
-        if lost || spent.is_some() {
+        if spent.is_some() {
             end_run(sim, &self.pool, self.run, Some(err))
         } else {
             schedule(sim, &self.pool)
@@ -405,9 +406,6 @@ pub(super) enum Exit {
     Preempted,
     /// Nothing is requeued: a twin committed, or its run ended.
     Dropped,
-    /// Nothing is requeued: its run ended on lost input, which lineage
-    /// recomputes, and a later run takes its task.
-    Abandoned,
 }
 
 impl Pool {
@@ -485,7 +483,6 @@ impl Pool {
                 pending.push_front(task);
                 counters.add(keys::REDUCES_PREEMPTED, 1.0);
             }
-            Exit::Abandoned => counters.add(keys::ATTEMPTS_ABANDONED, 1.0),
             Exit::Dropped => {}
         }
         if exit == Exit::Committed {

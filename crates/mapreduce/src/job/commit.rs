@@ -43,8 +43,8 @@ pub(crate) struct ShuffleStore {
     /// Every `(shuffle, partition)` that was ever registered: running one
     /// again is a lineage recompute.
     once: BTreeSet<(u64, usize)>,
-    /// Outputs dropped so far — their holder died, or was unreachable (hung
-    /// or partitioned away) when a task tried to pull them after the close.
+    /// Outputs dropped so far: their holder was withdrawn — killed, or
+    /// declared dead by the failure detector.
     pub lost: u64,
 }
 
@@ -117,7 +117,7 @@ impl ShuffleStore {
         at.filter(|_| self.complete(shuffle))
     }
 
-    /// Drop every output of `shuffles` held by a dead node.
+    /// Drop every output of `shuffles` held by a withdrawn node.
     pub fn invalidate_node(&mut self, node: NodeId, shuffles: impl Iterator<Item = u64>) {
         for shuffle in shuffles {
             let outs = self.outputs.entry(shuffle).or_default();
@@ -131,18 +131,6 @@ impl ShuffleStore {
                 !held
             });
             self.lost += (before - outs.len()) as u64;
-        }
-    }
-
-    /// Drop one registered output whose holder cannot be reached right now
-    /// (hung, or partitioned away from the pulling node). A pull from it
-    /// would stall forever; losing the partition instead routes recovery
-    /// through the lineage machinery, which re-runs the producer task.
-    pub fn invalidate_stalled(&mut self, shuffle: u64, partition: usize) {
-        let outs = self.outputs.get_mut(&shuffle);
-        if let Some(dropped) = outs.and_then(|o| o.remove(&partition)) {
-            self.lost += 1;
-            tally(self.bytes.entry(shuffle).or_default(), &dropped, false);
         }
     }
 
@@ -485,8 +473,8 @@ mod tests {
     fn partition_totals_equal_a_fold_over_the_outputs_still_registered() {
         // Generated sequences over two shuffles of three producing and three
         // downstream partitions, held by three nodes: registrations (into a
-        // hole, over a live output, of a part file), node losses and stalled
-        // pulls, checked after every step.
+        // hole, over a live output, of a part file) and node losses, checked
+        // after every step.
         let mut nonzero = 0;
         for seed in 0..400 {
             let mut rng = scirng::Rng::seed_from_u64(seed);
@@ -497,19 +485,17 @@ mod tests {
                     key: "k".repeat(1 + rng.below(4)),
                     value: Payload::Bytes(vec![0; rng.below(50)]),
                 };
-                match rng.below(4) {
-                    0 | 1 => {
-                        let node = NodeId(rng.below(3) as u32);
-                        let part = |rng: &mut scirng::Rng| {
-                            let n = rng.below(3);
-                            (0..n).map(|_| kv(rng)).collect::<Vec<_>>()
-                        };
-                        let parts = (0..3).map(|_| part(&mut rng)).collect();
-                        let output = (rng.below(5) > 0).then_some(MapOutput { node, parts });
-                        store.register(shuffle, m, output, step as f64);
-                    }
-                    2 => store.invalidate_node(NodeId(rng.below(3) as u32), 0..2),
-                    _ => store.invalidate_stalled(shuffle, m),
+                if rng.below(4) < 3 {
+                    let node = NodeId(rng.below(3) as u32);
+                    let part = |rng: &mut scirng::Rng| {
+                        let n = rng.below(3);
+                        (0..n).map(|_| kv(rng)).collect::<Vec<_>>()
+                    };
+                    let parts = (0..3).map(|_| part(&mut rng)).collect();
+                    let output = (rng.below(5) > 0).then_some(MapOutput { node, parts });
+                    store.register(shuffle, m, output, step as f64);
+                } else {
+                    store.invalidate_node(NodeId(rng.below(3) as u32), 0..2);
                 }
                 for s in 0..2 {
                     let registered = store.outputs.get(&s).into_iter().flat_map(|o| o.values());

@@ -107,17 +107,16 @@ impl Pool {
     }
 
     /// End run `run`, either way: once — whether it ended now. Every
-    /// attempt still in flight is retired — [`Exit::Abandoned`] if the run
-    /// ended on `lost` input, else [`Exit::Dropped`] — so an attempt in the
-    /// task table is one of a live run.
-    pub(super) fn finish(&mut self, run: usize, lost: bool) -> bool {
+    /// attempt still in flight is retired ([`Exit::Dropped`]), so an attempt
+    /// in the task table is one of a live run.
+    pub(super) fn finish(&mut self, run: usize) -> bool {
         let Some(d) = self.runs.get_mut(run).filter(|d| d.alive()) else {
             return false;
         };
         d.ended = true;
         let in_flight: Vec<_> = d.tasks.in_flight().map(|(id, _)| id).collect();
         for id in in_flight {
-            self.retire(run, id, if lost { Exit::Abandoned } else { Exit::Dropped });
+            self.retire(run, id, Exit::Dropped);
         }
         true
     }
@@ -162,7 +161,9 @@ pub(super) fn preempt_waiting(
         if r != run && !downstream.contains(&d.stage) {
             continue;
         }
-        let gives_a_slot = |n: NodeId| !except.contains(&n) && p.nodes.usable(n);
+        let nodes = &p.nodes;
+        let gives_a_slot =
+            |n: NodeId| !except.contains(&n) && nodes.usable(n) && !nodes.suspected(n);
         // Every waiting attempt pulls. A run's own only wait while its
         // input is open, when none of its tasks asks for a slot.
         let mut waiting = d.tasks.waiting().rev();

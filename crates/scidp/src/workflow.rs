@@ -245,7 +245,7 @@ pub fn build_rjob(input_path: &str, cfg: &WorkflowConfig) -> RJob {
 fn job_error(e: MrError) -> ScidpError {
     match e {
         MrError::Msg(m) if m.contains("IntegrityError") => ScidpError::Integrity(m),
-        MrError::Msg(m) | MrError::InputLost(m) => ScidpError::Hdfs(m),
+        MrError::Msg(m) => ScidpError::Hdfs(m),
     }
 }
 

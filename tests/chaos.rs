@@ -229,13 +229,17 @@ fn staggered_shuffle() -> (Output, NodeId, f64) {
 }
 
 /// What recovering from a holder lost after its maps committed shows in `r`:
-/// the outputs a reducer could not reach after the close were given up on,
-/// and their maps alone ran again after `lost_at`, off the holder; no
-/// attempt waited out a hang deadline; and every attempt is accounted for.
+/// the outputs it held, and no others, were lost when the detector declared
+/// it dead, and their maps alone ran again after `lost_at`, off the holder;
+/// no attempt waited out a hang deadline; and every attempt is accounted
+/// for.
 fn recomputed_elsewhere(r: &JobResult, holder: NodeId, lost_at: f64) {
     let c = &r.counters;
     let recomputed = c.get(keys::LINEAGE_RECOMPUTES);
     assert!(recomputed >= 1.0, "the holder's maps run again: {c:?}");
+    let maps = r.tasks.iter().filter(|t| t.kind == TaskKind::Map);
+    let held = maps.filter(|t| t.node == holder && t.end_s <= lost_at);
+    assert_eq!(held.count() as f64, recomputed, "{:?}", r.tasks);
     assert_eq!(c.get(keys::SHUFFLE_PARTITIONS_LOST), recomputed, "{c:?}");
     assert_eq!(
         c.get(keys::MAP_TASKS),
@@ -261,9 +265,10 @@ fn recomputed_elsewhere(r: &JobResult, holder: NodeId, lost_at: f64) {
 fn a_holder_partitioned_after_its_maps_commit_heals_and_the_unreachable_outputs_are_recomputed() {
     let (clean_out, holder, committed) = staggered_shuffle();
     // Cut off half a second after its maps commit, for 6 s, with the reducer
-    // that launched there: after the close that reducer reaches no other
-    // node and gives their outputs up, and lineage runs those maps again on
-    // the nodes that can be reached.
+    // that launched there: pulls across the cut are put off, on either side
+    // of it. The detector declares the holder dead before the heal, which
+    // loses the outputs it held and no others, and lineage runs those maps
+    // again on the nodes that can be reached.
     let from = committed + 0.5;
     let plan = staggered().partition(&[holder.0], from, from + 6.0);
     let (r, out) = try_run(plan);
@@ -280,8 +285,9 @@ fn a_holder_hung_for_good_after_its_maps_commit_has_its_maps_recomputed() {
     let (clean_out, holder, committed) = staggered_shuffle();
     let hung_at = committed + 0.5;
     let (r, out) = try_run(staggered().hang_node(holder.0, hung_at));
-    // No retry pulls from the silent holder: its outputs are given up on
-    // and recomputed, and the job ends `Ok` with the clean bytes.
+    // No pull reaches the silent holder: its outputs are lost when it is
+    // declared dead and recomputed, and the job ends `Ok` with the clean
+    // bytes.
     let r = r.expect("a hung holder's outputs are recomputed");
     assert_eq!(out, clean_out);
     recomputed_elsewhere(&r, holder, hung_at);
@@ -624,7 +630,7 @@ fn every_shape_under_every_kind_of_fault_ends_ok_with_the_naive_bytes_or_typed()
     let mut rng = Rng::seed_from_u64(seed);
     // What the sweep exercised, so a green run is not a vacuous one.
     let (mut runs, mut ok, mut early, mut preempted, mut hangs) = (0, 0, 0, 0.0, 0.0);
-    let (mut recovered, mut recovered_early) = (0, 0);
+    let (mut recovered, mut recovered_early, mut elapsed_s) = (0, 0, 0.0);
     for nodes in 1..=3 {
         for slots in 1..=2 {
             for maps in 1..=6 {
@@ -651,6 +657,7 @@ fn every_shape_under_every_kind_of_fault_ends_ok_with_the_naive_bytes_or_typed()
                         runs += 1;
                         let Ok(r) = r else { continue };
                         ok += 1;
+                        elapsed_s += r.elapsed();
                         early += usize::from(launched_early(&r));
                         preempted += r.counters.get(keys::REDUCES_PREEMPTED);
                         hangs += r.counters.get(keys::TASKS_HANG_DETECTED);
@@ -664,9 +671,10 @@ fn every_shape_under_every_kind_of_fault_ends_ok_with_the_naive_bytes_or_typed()
         }
     }
     println!(
-        "{runs} runs (seed {seed}): {ok} ended Ok, {early} launched a reducer early, \
-         {preempted} reducers preempted, {hangs} hangs detected, {recovered} recomputed lost \
-         map outputs ({recovered_early} of them launched a reducer before the first close)"
+        "{runs} runs (seed {seed}): {ok} ended Ok in {elapsed_s:.1} s in all, {early} launched \
+         a reducer early, {preempted} reducers preempted, {hangs} hangs detected, {recovered} \
+         recomputed lost map outputs ({recovered_early} of them launched a reducer before the \
+         first close)"
     );
     assert_eq!(runs, 3 * 2 * 6 * 4 * 7);
     assert!(

@@ -25,9 +25,8 @@ pub fn leftover_temp_files(c: &Cluster) -> Vec<String> {
 }
 
 /// The attempt law of a run that ended `Ok`: every attempt launched
-/// committed its task, was retried, was a speculative twin, gave its slot
-/// away while it waited, or was abandoned when its run ended on lost input
-/// (`chaos`, `dag_overlap`, `plans`, `speculation`).
+/// committed its task, was retried, was a speculative twin, or gave its slot
+/// away while it waited (`chaos`, `dag_overlap`, `plans`, `speculation`).
 #[allow(dead_code)]
 pub fn attempt_law(c: &Counters) -> Result<(), String> {
     let attempts = c.get(keys::MAP_ATTEMPTS) + c.get(keys::REDUCE_ATTEMPTS);
@@ -37,7 +36,6 @@ pub fn attempt_law(c: &Counters) -> Result<(), String> {
         keys::TASK_RETRIES,
         keys::SPECULATIVE_LAUNCHED,
         keys::REDUCES_PREEMPTED,
-        keys::ATTEMPTS_ABANDONED,
     ];
     let accounted: f64 = accounted.iter().map(|&k| c.get(k)).sum();
     if attempts == accounted {

@@ -571,9 +571,12 @@ fn g_connector_job_with_a_failed_spill_pull() {
 /// Map holders fail *after* their maps commit: node 3 is partitioned away
 /// half a second after its maps commit, before the other reducer launches, and
 /// heals 6 s later; node 0 sits behind 8x slow links to nodes 1 and 2. Every
-/// pull is one `Sim::net_transfer`. The reducer cut off with node 3 reaches
-/// no other holder after the close and gives their outputs up; lineage runs
-/// those maps again, and the pulls from node 0 take 8x as long.
+/// pull is one `Sim::net_transfer`. A pull across the cut is put off: the
+/// other reducer waits for node 3, and the reducer cut off with it waits for
+/// the other holders. The detector declares node 3 dead before the heal,
+/// which takes its two outputs and that reducer with it; lineage runs those
+/// two maps again, the reducer is retried, and the pulls from node 0 take 8x
+/// as long.
 #[test]
 fn h_flat_job_whose_map_holders_are_cut_off_and_slowed_after_they_commit() {
     const BYTES: u64 = 32 * 1024;

@@ -646,18 +646,26 @@ impl Pool {
         pending && !self.waits(run)
     }
 
-    fn view<'a>(&'a self, run: usize, room: Option<&'a [usize]>) -> Option<sched::View<'a>> {
+    /// What the scheduler may look at to place a task of `run`.
+    fn view(&self, run: usize) -> Option<sched::View<'_>> {
         let (d, stage) = self.run(run)?;
+        let pulls = stage.pulls();
+        let shunned = if pulls {
+            speculate::shunned(self)
+        } else {
+            Vec::new()
+        };
         Some(sched::View {
             nodes: &self.nodes,
             pending: d.tasks.pending(),
-            pulls: stage.pulls(),
+            pulls,
             splits: &stage.job.splits,
             task_ids: &d.task_ids,
             cache_hints: &d.cache_hints,
             cache: &self.env.cluster_cache,
             running: self.nodes.busy(),
-            room,
+            room: self.early(run, &shunned),
+            shunned,
         })
     }
 
@@ -712,15 +720,17 @@ impl Pool {
     /// While the tasks of `run` would launch *early* — their input is still
     /// open, so a task launched now starts up and pulls beside its sources,
     /// and waits — how many more of them each node may host: an even share
-    /// of them over the nodes still in service, less those it runs already.
-    /// `None` too while none of them is pending, when nothing would read it.
-    fn early(&self, run: usize) -> Option<Vec<usize>> {
+    /// of them over the nodes still in service and not `shunned`, less those
+    /// it runs already. `None` too while none of them is pending, when
+    /// nothing would read it.
+    fn early(&self, run: usize, shunned: &[NodeId]) -> Option<Vec<usize>> {
         let d = self.runs.get(run)?;
         if !self.waits(run) || d.tasks.pending().is_empty() {
             return None;
         }
         let nodes = &self.nodes;
-        let n_usable = nodes.ids().filter(|&n| nodes.usable(n)).count();
+        let welcome = |&n: &NodeId| nodes.usable(n) && !shunned.contains(&n);
+        let n_usable = nodes.ids().filter(welcome).count();
         let share = d.tasks.count().div_ceil(n_usable.max(1));
         let mut room = vec![share; nodes.len()];
         for (_, info) in d.tasks.in_flight() {

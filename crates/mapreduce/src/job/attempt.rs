@@ -245,16 +245,15 @@ pub(super) fn try_schedule(sim: &mut Sim, pool: &SharedPool, run: usize) {
         if launch_due(sim, pool, run) {
             continue;
         }
-        let sched = {
+        let (sched, shunned) = {
             let p = pool.borrow();
             if !p.runs.get(run).is_some_and(Driver::alive) {
                 return;
             }
-            let early = p.early(run);
-            let Some(view) = p.view(run, early.as_deref()) else {
+            let Some(view) = p.view(run) else {
                 return;
             };
-            sched::pick_next(&view)
+            (sched::pick_next(&view), view.shunned)
         };
         match sched {
             Sched::Run(pick) => {
@@ -264,9 +263,10 @@ pub(super) fn try_schedule(sim: &mut Sim, pool: &SharedPool, run: usize) {
                 launch(sim, pool, run, pick, task, false);
             }
             blocked => {
-                // A task that would itself only wait takes no one's slot.
+                // A task that would itself only wait takes no one's slot,
+                // nor one on a node its placement passes up.
                 let ready_blocked = pool.borrow().ready(run);
-                if ready_blocked && preempt_waiting(sim, pool, run, &[]).is_some() {
+                if ready_blocked && preempt_waiting(sim, pool, run, &shunned).is_some() {
                     continue;
                 }
                 if let Sched::Stuck(waiting) = blocked {
@@ -301,10 +301,7 @@ fn launch_due(sim: &mut Sim, pool: &SharedPool, run: usize) -> bool {
                 let p = &*p;
                 let pending = p.runs.get(reader).map(|rd| rd.tasks.pending());
                 let due = pending.and_then(|q| q.iter().position(|&t| p.due(sim, reader, t)));
-                due.and_then(|pos| {
-                    let early = p.early(reader);
-                    sched::place_pulling(&p.view(reader, early.as_deref())?, pos)
-                })
+                due.and_then(|pos| sched::place_pulling(&p.view(reader)?, pos))
             };
             pick.and_then(|pick| Some((pick, p.dequeue(reader, pick.pos)?)))
         };

@@ -460,6 +460,25 @@ mod tests {
     }
 
     #[test]
+    fn a_healthy_map_outlasting_the_deadline_is_not_declared_hung() {
+        // A partition long after the job ends arms hang checks and cuts
+        // nothing. The map computes 10 s against a 6 s deadline: armed at
+        // launch and never again, the deadline used to declare it hung on a
+        // healthy node at every attempt, and fail the job.
+        let ft = FtConfig {
+            hang_deadline_min_s: 6.0,
+            ..FtConfig::default()
+        };
+        let mut c = small_cluster(3, 1);
+        let plan = FaultPlan::none().partition(&[2], 1e3, 1e3 + 1.0);
+        c.sim.faults.install(plan);
+        let r = run_job(&mut c, slow_map_job(1, 10.0, ft)).expect("a long map is not a hang");
+        assert_eq!(r.counters.get(keys::TASKS_HANG_DETECTED), 0.0);
+        assert_eq!(r.counters.get(keys::MAP_ATTEMPTS), 1.0);
+        assert!(r.elapsed() > 10.0);
+    }
+
+    #[test]
     fn reopening_a_shuffle_disarms_its_readers_hang_deadlines() {
         // 3 nodes x 1 slot: the reducer takes the first slot the short maps
         // free. Map 0 ends 5.5 s after its launch, inside the 6 s floor of

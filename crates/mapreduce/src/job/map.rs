@@ -102,11 +102,6 @@ pub(super) fn run_stage_task(
         return;
     };
     let compute = sort_s + ctx.total_charge_s() * factor;
-    // The pulls landed, so the attempt is alive, and the driver knows how
-    // long what is left of its merge and its compute take: the deadline
-    // starts over behind them, for a completion the node cannot report and
-    // for what of a part-file write outlasts them.
-    detector::arm_deadline(sim, &att, compute);
     end_after(sim, att, shuffle_s, compute, &[], ctx, factor);
 }
 
@@ -162,6 +157,11 @@ fn end_after(
     ctx: TaskCtx,
     factor: f64,
 ) {
+    // The input is in, so the attempt is alive, and the driver knows how
+    // long its compute takes: the deadline starts over behind it, for a
+    // completion the node cannot report and for what of a spill or a
+    // part-file write outlasts it.
+    detector::arm_deadline(sim, &att, delay);
     let progress = Progress {
         ends_s: sim.now().secs() + delay,
         slowness: factor,
@@ -457,19 +457,22 @@ mod tests {
 
     #[test]
     fn a_failed_attempts_queued_spill_writes_nothing_and_the_next_starts_at_once() {
-        // One node of three slots, hang deadlines 10 s after launch. Maps 1
-        // and 2 are empty and commit at 1 s; maps 3 and 4 take their slots,
-        // warm. Map 3's 9.5 s spill holds the disk from 1 s; map 0 (1 s of
-        // compute, a 0.5 s spill) queues behind it at 2.2 s, map 4 (2 s, a
-        // 0.2 s spill) at 3.4 s. Map 0 is declared hung at 10 s, still
-        // queued: when map 3's spill ends, map 4's starts.
+        // One node of three slots. Each map's hang deadline runs from the
+        // end of its compute: a 2 s floor while nothing has committed, three
+        // times the q75 committed duration after. Maps 1 and 2 compute 2.4 s
+        // and commit at 3.4 s; maps 3 and 4 take their slots, warm, with
+        // 10.2 s deadlines. Map 0 computes 3 s from 1 s, its 2 s deadline
+        // priced before those commits. Map 3's 5 s spill holds the disk from
+        // 3.4 s; map 0 (a 0.5 s spill) queues behind it at 4 s, map 4 (2.4 s
+        // of compute, a 0.2 s spill) at 5.8 s. Map 0 is declared hung at
+        // 6 s, still queued: when map 3's spill ends, map 4's starts.
         let ft = FtConfig {
             speculative: false,
-            hang_deadline_min_s: 10.0,
+            hang_deadline_min_s: 2.0,
             ..FtConfig::default()
         };
-        let scan = &[1.0, 0.0, 0.0, 0.0, 2.0];
-        let out = &[6_000, 3, 3, 114_000, 2_400];
+        let scan = &[2.5, 2.0, 2.0, 0.0, 2.0];
+        let out = &[6_000, 3, 3, 60_000, 2_400];
         let mut c = scaled_cluster(1, 3);
         c.sim
             .faults
@@ -478,11 +481,12 @@ mod tests {
         assert_eq!(r.counters.get(keys::TASKS_HANG_DETECTED), 1.0);
         assert_eq!(r.counters.get(keys::TASK_RETRIES), 1.0);
         let (m0, m3, m4) = (&r.tasks[0], &r.tasks[3], &r.tasks[4]);
-        assert!((m3.phase("spill") - 9.5).abs() < 1e-3, "{m3:?}");
+        assert!((m3.phase("spill") - 5.0).abs() < 1e-3, "{m3:?}");
         assert!((m4.end_s - (m3.end_s + 0.2)).abs() < 1e-9, "{m4:?} {m3:?}");
         // The retry launched at the deadline, cold, and found the disk idle.
-        assert_eq!((m0.start_s, m0.phase("startup")), (10.0, 1.0));
-        assert!((m0.end_s - m0.phase("spill") - 12.2).abs() < 1e-9, "{m0:?}");
+        assert!((m0.start_s - 6.0).abs() < 1e-9, "{m0:?}");
+        assert_eq!(m0.phase("startup"), 1.0);
+        assert!((m0.end_s - m0.phase("spill") - 10.0).abs() < 1e-9, "{m0:?}");
         assert!((m0.phase("spill") - 0.5).abs() < 1e-9, "{m0:?}");
     }
 

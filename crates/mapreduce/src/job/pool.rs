@@ -136,9 +136,12 @@ pub(crate) fn schedule(sim: &mut Sim, pool: &SharedPool) {
 
 /// A task of `run` that has all its input (a pending map, a retry, a
 /// speculative twin) found no free slot: an attempt that is only waiting for
-/// input must not delay it, so the youngest *idle* attempt of `run` or
-/// *downstream* of it on a usable node not in `except` gives up its slot
-/// — a reducer of the same job, or a task of a later stage of the same DAG.
+/// input must not delay it, so the youngest *idle* attempt *downstream* of
+/// `run` on a usable node not in `except` gives up its slot — a reducer of
+/// the same job, or a task of a later stage of the same DAG. None of `run`'s
+/// own: such a task has all its input, so its input is closed, and an
+/// attempt of `run` still waiting has its pulls put off for want of a link
+/// — a task of `run` in its slot would put off the same pulls.
 /// Idle is past its start-up, with nothing left to merge, and not due: one
 /// still starting up or merging keeps its slot until it turns idle, and then
 /// runs the scheduler again ([`super::pull`]); a due one keeps it, or
@@ -158,14 +161,12 @@ pub(super) fn preempt_waiting(
         let Some(d) = p.runs.get(r) else {
             continue;
         };
-        if r != run && !downstream.contains(&d.stage) {
+        if !downstream.contains(&d.stage) {
             continue;
         }
         let nodes = &p.nodes;
         let gives_a_slot =
             |n: NodeId| !except.contains(&n) && nodes.usable(n) && !nodes.suspected(n);
-        // Every waiting attempt pulls. A run's own only wait while its
-        // input is open, when none of its tasks asks for a slot.
         let mut waiting = d.tasks.waiting().rev();
         let victim = waiting.find(|(_, i)| gives_a_slot(i.node) && p.yields_slot(sim, r, i));
         if let Some((id, _)) = victim.filter(|&(id, _)| youngest.is_none_or(|(y, _)| id > y)) {

@@ -31,7 +31,10 @@ pub(super) struct View<'a> {
     /// While the pulling tasks' input is open, a task launched now is
     /// *early* — it starts up and pulls, then waits: how many more of them
     /// each node may host meanwhile.
-    pub room: Option<&'a [usize]>,
+    pub room: Option<Vec<usize>>,
+    /// Nodes no pulling task goes to: those found slow or silent
+    /// (`speculate::shunned`). Empty for a run whose tasks fetch splits.
+    pub shunned: Vec<NodeId>,
 }
 
 /// When a pulling task's merge is worth a slot a ready task of its producer
@@ -117,19 +120,21 @@ impl View<'_> {
 }
 
 /// Place the pulling task at position `pos` of the queue: on the
-/// least-loaded node; while it is early (see [`View::room`]), on the
-/// least-loaded one that still has room for one of its run, or nowhere. It
-/// is in no hurry, and slots free up one node at a time while its sources
-/// run: tasks taking whichever came first would pile their merges and writes
-/// onto one disk. A *due* one ([`DueRule`]) is placed here too, ahead of
-/// its producer's ready tasks.
+/// least-loaded node not shunned ([`View::shunned`]); while it is early (see
+/// [`View::room`]), on the least-loaded such one that still has room for one
+/// of its run, or nowhere. It is in no hurry, and slots free up one node at
+/// a time while its sources run: tasks taking whichever came first would
+/// pile their merges and writes onto one disk. A *due* one ([`DueRule`]) is
+/// placed here too, ahead of its producer's ready tasks.
 pub(super) fn place_pulling(v: &View, pos: usize) -> Option<Pick> {
     let has_room = |n: &NodeId| {
         v.room
+            .as_ref()
             .is_none_or(|room| room.get(n.0 as usize).is_some_and(|&r| r > 0))
     };
     let free_nodes = v.nodes.ids().filter(|&n| v.nodes.free(n) > 0);
-    let node = free_nodes.filter(has_room).max_by_key(|&n| v.nodes.free(n));
+    let welcome = free_nodes.filter(|n| !v.shunned.contains(n));
+    let node = welcome.filter(has_room).max_by_key(|&n| v.nodes.free(n));
     node.map(|node| Pick::at(pos, node, false, false))
 }
 
@@ -202,6 +207,7 @@ mod tests {
         cache: ClusterCache,
         running: usize,
         room: Option<Vec<usize>>,
+        shunned: Vec<NodeId>,
         /// Merge seconds each pulling task owes, by task index (none: 0).
         owed: Vec<f64>,
         rule: DueRule,
@@ -229,6 +235,7 @@ mod tests {
                 cache: ClusterCache::new(1 << 20),
                 running: 0,
                 room: None,
+                shunned: Vec::new(),
                 owed: Vec::new(),
                 rule: DueRule {
                     startup_s: 1.0,
@@ -249,7 +256,8 @@ mod tests {
                 cache_hints: &self.hints,
                 cache: &self.cache,
                 running: self.running,
-                room: self.room.as_deref(),
+                room: self.room.clone(),
+                shunned: self.shunned.clone(),
             }
         }
 

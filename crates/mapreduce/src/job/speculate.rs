@@ -24,22 +24,31 @@
 //!    completion never reached the driver — checked when the failure
 //!    detector hears the node again ([`stranded`]).
 //!
-//! A twin goes neither to its straggler's node nor to any node hosting a
-//! flagged attempt (LATE's slow-node rule): to the most free node left, else
+//! The speculator remembers why it flagged each attempt ([`Why`]). LATE's
+//! slow-node rule is about nodes whose tasks *run* slowly: a node hosting an
+//! attempt flagged slow, suspected or stranded is *shunned* ([`shunned`])
+//! while that attempt is in flight. A stalled fetch says the storage is
+//! slow, not the node, and shuns nothing. A twin goes neither to its
+//! straggler's node nor to a shunned one: to the most free node left, else
 //! to the slot of an attempt waiting downstream. It never takes a slot while
 //! its run has a task pending: each scheduling pass offers the slots to the
 //! run's pending tasks first, then to its flagged stragglers still without a
 //! twin ([`twin_flagged`]). A pulling attempt is twinned only once it has all
 //! its pulls and computes: its twin pulls again, from outputs that are all
-//! registered by then. The speculator reads no fault state — only progress,
-//! what the run's attempts showed and what the detector heard — and in a
-//! clean run, where every attempt of a run is as slow as the next and
-//! nothing stalls, it launches nothing.
+//! registered by then. So a pulling task must not wait out the map wave on a
+//! slow node, to be twinned only after the close and sort everything from
+//! scratch: no pulling task is placed on a shunned node
+//! (`sched::place_pulling`), and a node found slow has the attempts waiting
+//! there for input still open moved off at once ([`move_waiting`]). The
+//! speculator reads no fault state — only progress, what the run's attempts
+//! showed and what the detector heard — and in a clean run, where every
+//! attempt of a run is as slow as the next and nothing stalls, it flags
+//! nothing, so it launches, moves and shuns nothing.
 
 use simnet::{NodeId, Sim, SimTime};
 
-use super::attempt::{launch, AttemptId, AttemptInfo};
-use super::pool::preempt_waiting;
+use super::attempt::{launch, AttemptId, AttemptInfo, Exit};
+use super::pool::{preempt_waiting, schedule};
 use super::sched::{cache_resident, Pick};
 use super::{Driver, Pool, SharedPool};
 
@@ -118,8 +127,26 @@ pub(super) struct Speculator {
     /// A streamed fetch that moved bytes is among enough shown: every
     /// streamed fetch still open is watched, and each that opens later.
     timing_fetches: bool,
-    /// The flagged stragglers, twinned or not, until they leave the table.
-    flagged: Vec<AttemptId>,
+    /// The flagged stragglers, twinned or not, and why each was flagged,
+    /// until they leave the table.
+    flagged: Vec<(AttemptId, Why)>,
+}
+
+/// Why an attempt was flagged a straggler: the four kinds of the module doc.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Why {
+    Slow,
+    StalledFetch,
+    Suspected,
+    Stranded,
+}
+
+impl Why {
+    /// Whether the flag finds fault with the attempt's node, which is then
+    /// shunned ([`shunned`]): all but a stalled fetch, which waits on storage.
+    fn shuns_node(self) -> bool {
+        self != Why::StalledFetch
+    }
 }
 
 impl Speculator {
@@ -131,6 +158,10 @@ impl Speculator {
         }
         self.fetches.insert(p.fetch_s);
         self.slowness.insert(p.slowness);
+    }
+
+    fn is_flagged(&self, id: AttemptId) -> bool {
+        self.flagged.iter().any(|&(f, _)| f == id)
     }
 
     /// Whether an attempt showing `p` is slow at `now`: it runs more than
@@ -162,7 +193,8 @@ fn twinnable(p: &Pool, run: usize, task: usize) -> bool {
 /// worth of attempts have shown theirs, every attempt in flight not yet
 /// flagged is judged against them, and flagged if it computes slowly; and
 /// once a streamed fetch that moved bytes is among them, the streamed
-/// fetches still open are watched ([`watch_fetch`]).
+/// fetches still open are watched ([`watch_fetch`]). Each node found slow
+/// keeps no attempt waiting for input ([`move_waiting`]).
 pub(super) fn shown(sim: &mut Sim, pool: &SharedPool, run: usize, id: AttemptId) {
     let (slow, watch) = {
         let mut p = pool.borrow_mut();
@@ -188,7 +220,7 @@ pub(super) fn shown(sim: &mut Sim, pool: &SharedPool, run: usize, id: AttemptId)
         let mut watch = Vec::new();
         for (id, i) in tasks.in_flight() {
             match i.progress {
-                Some(p) if !spec.flagged.contains(&id) && spec.slow(&p, now, startup_s) => {
+                Some(p) if !spec.is_flagged(id) && spec.slow(&p, now, startup_s) => {
                     slow.push(id)
                 }
                 None if time => watch.push(id),
@@ -201,7 +233,9 @@ pub(super) fn shown(sim: &mut Sim, pool: &SharedPool, run: usize, id: AttemptId)
         watch_fetch(sim, pool, run, id);
     }
     for id in slow {
-        flag(sim, pool, run, id);
+        if let Some(node) = flag(sim, pool, run, id, Why::Slow) {
+            move_waiting(sim, pool, node);
+        }
     }
 }
 
@@ -228,7 +262,8 @@ pub(super) fn watch_fetch(sim: &mut Sim, pool: &SharedPool, run: usize, id: Atte
         from + sim.cost.task_startup_s + SLOW_MARGIN * d.spec.streamed.median()
     };
     if due <= sim.now().secs() {
-        return flag(sim, pool, run, id);
+        flag(sim, pool, run, id, Why::StalledFetch);
+        return;
     }
     let pool = pool.clone();
     sim.at(SimTime(due), move |sim| watch_fetch(sim, &pool, run, id));
@@ -239,7 +274,7 @@ pub(super) fn watch_fetch(sim: &mut Sim, pool: &SharedPool, run: usize, id: Atte
 /// twins launched now: declared dead, it has them requeued; heard again, it
 /// has lost the completions that fell in its silence ([`stranded`]).
 pub(super) fn suspected(sim: &mut Sim, pool: &SharedPool, node: NodeId) {
-    flag_on(sim, pool, node, |_| true);
+    flag_on(sim, pool, node, Why::Suspected, |_| true);
 }
 
 /// The failure detector hears `node` again, after nothing since `heard_s`:
@@ -248,11 +283,18 @@ pub(super) fn suspected(sim: &mut Sim, pool: &SharedPool, node: NodeId) {
 pub(super) fn stranded(sim: &mut Sim, pool: &SharedPool, node: NodeId, heard_s: f64) {
     let now = sim.now().secs();
     let lost = |p: &Progress| p.ends_s > heard_s && p.ends_s <= now;
-    flag_on(sim, pool, node, |i| i.progress.as_ref().is_some_and(lost));
+    let stranded = |i: &AttemptInfo| i.progress.as_ref().is_some_and(lost);
+    flag_on(sim, pool, node, Why::Stranded, stranded);
 }
 
-/// Flag every attempt of a live run on `node` that `pick` picks.
-fn flag_on(sim: &mut Sim, pool: &SharedPool, node: NodeId, pick: impl Fn(&AttemptInfo) -> bool) {
+/// Flag every attempt of a live run on `node` that `pick` picks, for `why`.
+fn flag_on(
+    sim: &mut Sim,
+    pool: &SharedPool,
+    node: NodeId,
+    why: Why,
+    pick: impl Fn(&AttemptInfo) -> bool,
+) {
     let live = pool.borrow().live.clone();
     for run in live {
         let ids: Vec<AttemptId> = {
@@ -265,25 +307,63 @@ fn flag_on(sim: &mut Sim, pool: &SharedPool, node: NodeId, pick: impl Fn(&Attemp
             there.map(|(id, _)| id).collect()
         };
         for id in ids {
-            flag(sim, pool, run, id);
+            flag(sim, pool, run, id, why);
         }
     }
 }
 
-/// Flag attempt `id` of `run` a straggler, and twin it if its task may be.
-fn flag(sim: &mut Sim, pool: &SharedPool, run: usize, id: AttemptId) {
-    {
+/// Flag attempt `id` of `run` a straggler for `why`, and twin it if its task
+/// may be; returns its node if it was newly flagged. A flag that finds fault
+/// with the node outranks one that does not.
+fn flag(sim: &mut Sim, pool: &SharedPool, run: usize, id: AttemptId, why: Why) -> Option<NodeId> {
+    let newly = {
         let mut p = pool.borrow_mut();
-        let task = p.attempt(run, id).map(|i| i.task);
-        if !task.is_some_and(|task| twinnable(&p, run, task)) {
-            return;
+        let (task, node) = p.attempt(run, id).map(|i| (i.task, i.node))?;
+        if !twinnable(&p, run, task) {
+            return None;
         }
-        let Some(d) = p.runs.get_mut(run) else { return };
-        if !d.spec.flagged.contains(&id) {
-            d.spec.flagged.push(id);
+        let flagged = &mut p.runs.get_mut(run)?.spec.flagged;
+        match flagged.iter_mut().find(|(f, _)| *f == id) {
+            Some((_, was)) => {
+                if why.shuns_node() {
+                    *was = why;
+                }
+                None
+            }
+            None => {
+                flagged.push((id, why));
+                Some(node)
+            }
         }
-    }
+    };
     twin(sim, pool, run, id);
+    newly
+}
+
+/// `node` was just found slow: every attempt waiting there for input that
+/// is still open gives its slot up ([`Exit::Preempted`], which requeues it
+/// uncharged), and the scheduler places it again, on a node not shunned
+/// (`sched::place_pulling`). Waiting there, it would merge beside its
+/// sources at the node's pace, and be twinned only once it computed — after
+/// the close, with the whole sort left to its twin.
+fn move_waiting(sim: &mut Sim, pool: &SharedPool, node: NodeId) {
+    let moved = {
+        let mut p = pool.borrow_mut();
+        let open = p.live.iter().copied().filter(|&r| p.waits(r));
+        let there = |r: usize| {
+            let waiting = p.runs.get(r).into_iter().flat_map(|d| d.tasks.waiting());
+            let ids = waiting.filter(|(_, i)| i.node == node).map(|(id, _)| (r, id));
+            ids.collect::<Vec<_>>()
+        };
+        let moving: Vec<(usize, AttemptId)> = open.flat_map(there).collect();
+        for &(r, id) in &moving {
+            p.retire(r, id, Exit::Preempted);
+        }
+        !moving.is_empty()
+    };
+    if moved {
+        schedule(sim, pool);
+    }
 }
 
 /// Offer a slot to each flagged straggler of `run` still without a twin,
@@ -295,8 +375,8 @@ pub(super) fn twin_flagged(sim: &mut Sim, pool: &SharedPool, run: usize) {
         let Some(Driver { tasks, spec, .. }) = p.runs.get_mut(run) else {
             return;
         };
-        spec.flagged.retain(|&id| tasks.attempt(id).is_some());
-        spec.flagged.clone()
+        spec.flagged.retain(|&(id, _)| tasks.attempt(id).is_some());
+        spec.flagged.iter().map(|&(id, _)| id).collect()
     };
     for id in untwinned {
         if !twin(sim, pool, run, id) {
@@ -305,41 +385,46 @@ pub(super) fn twin_flagged(sim: &mut Sim, pool: &SharedPool, run: usize) {
     }
 }
 
-/// The nodes hosting a flagged attempt still in flight, of any live run.
-fn shunned(p: &Pool) -> Vec<NodeId> {
+/// The nodes found slow or silent: each hosts an attempt still in flight, of
+/// any live run, flagged slow, suspected or stranded ([`Why::shuns_node`]).
+/// Neither a twin ([`twin`]) nor a pulling task (`sched::place_pulling`)
+/// goes there. Empty, without allocating, while nothing is flagged.
+pub(super) fn shunned(p: &Pool) -> Vec<NodeId> {
     let mut nodes = Vec::new();
     for d in p.live.iter().filter_map(|&run| p.runs.get(run)) {
-        let flagged = d.spec.flagged.iter().filter_map(|&id| d.tasks.attempt(id));
+        let shuns = d.spec.flagged.iter().filter(|(_, why)| why.shuns_node());
+        let flagged = shuns.filter_map(|&(id, _)| d.tasks.attempt(id));
         nodes.extend(flagged.map(|i| i.node));
     }
     nodes
 }
 
 /// Launch the twin of flagged attempt `id` of `run`, if its task may have
-/// one: on the most free node no flagged attempt runs on, else in the slot
-/// of an attempt waiting downstream there — never while the run has a task
-/// pending, which the slot is for. First commit wins; the loser is dropped.
-/// False when no slot was found.
+/// one: on the most free node that is neither the straggler's nor shunned,
+/// else in the slot of an attempt waiting downstream on one — never while
+/// the run has a task pending, which the slot is for. First commit wins; the
+/// loser is dropped. False when no slot was found.
 fn twin(sim: &mut Sim, pool: &SharedPool, run: usize, id: AttemptId) -> bool {
     // Note: the attempt budget is deliberately not consulted — a twin is
     // exempt from `max_task_attempts` (it counts neither against the budget
     // nor as a retry), so speculating never costs the task its recovery
     // headroom.
-    let (task, shunned, free) = {
+    let (task, except, free) = {
         let p = pool.borrow();
-        let task = p.attempt(run, id).map(|i| i.task);
-        let Some(task) = task.filter(|&task| twinnable(&p, run, task)) else {
+        let straggler = p.attempt(run, id).map(|i| (i.task, i.node));
+        let Some((task, node)) = straggler.filter(|&(task, _)| twinnable(&p, run, task)) else {
             return true;
         };
         let pending = p.runs.get(run).map(|d| d.tasks.pending().len());
         if pending.is_some_and(|n| n > 0) {
             return false;
         }
-        let shunned = shunned(&p);
-        let free = p.nodes.most_free(&shunned);
-        (task, shunned, free)
+        let mut except = shunned(&p);
+        except.push(node);
+        let free = p.nodes.most_free(&except);
+        (task, except, free)
     };
-    let Some(node) = free.or_else(|| preempt_waiting(sim, pool, run, &shunned)) else {
+    let Some(node) = free.or_else(|| preempt_waiting(sim, pool, run, &except)) else {
         return false;
     };
     let pick = {
